@@ -127,6 +127,10 @@ enum Payload {
 #[derive(Debug, Default)]
 struct GossipState {
     events: Vec<Event>,
+    /// How much of `events` both current neighbours have already been
+    /// offered; a round pushes only the suffix past it. Reset to 0 when the
+    /// topology changes, since a neighbour may be new.
+    pushed: usize,
     seen: HashSet<(u32, u64)>,
     next_seq: u64,
     overrides: HashMap<u128, Vec<(usize, f64)>>,
@@ -186,6 +190,14 @@ struct Topology {
 }
 
 impl Topology {
+    /// The gossip ring changed: every shard offers its whole log again, so
+    /// new neighbours catch up (receivers drop what they have seen).
+    fn forget_pushes(&self) {
+        for s in &self.shards {
+            lock_recover(&s.gossip).pushed = 0;
+        }
+    }
+
     fn shard(&self, id: u32) -> Option<&Arc<Shard>> {
         self.shards
             .binary_search_by_key(&id, |s| s.id)
@@ -416,13 +428,15 @@ impl PlanCluster {
         invalidated
     }
 
-    /// Runs one anti-entropy round: every shard pushes its event log to
-    /// both neighbours on the ordered shard ring, which apply the events
-    /// they have not seen (evicting stale replicas, storing overrides).
-    /// Logs are snapshotted up front, so one round moves information
+    /// Runs one anti-entropy round: every shard pushes the part of its
+    /// event log its neighbours have not been offered yet to both
+    /// neighbours on the ordered shard ring, which apply the events they
+    /// have not seen (evicting stale replicas, storing overrides). The
+    /// pushes are snapshotted up front, so one round moves information
     /// exactly one hop in each direction — `floor(N/2)` rounds flood any
-    /// event to all N shards. Returns the number of event deliveries
-    /// (applications on a shard that had not seen the event).
+    /// event to all N shards — and a round costs what is new since the
+    /// last one, not the whole history. Returns the number of event
+    /// deliveries (applications on a shard that had not seen the event).
     pub fn run_gossip_round(&self) -> u64 {
         let topo = self.read_topo();
         let n = topo.shards.len();
@@ -432,7 +446,12 @@ impl PlanCluster {
         let logs: Vec<Vec<Event>> = topo
             .shards
             .iter()
-            .map(|s| lock_recover(&s.gossip).events.clone())
+            .map(|s| {
+                let mut st = lock_recover(&s.gossip);
+                let fresh = st.events[st.pushed..].to_vec();
+                st.pushed = st.events.len();
+                fresh
+            })
             .collect();
         let mut delivered = 0u64;
         for (i, events) in logs.iter().enumerate() {
@@ -549,6 +568,7 @@ impl PlanCluster {
         topo.ring = topo.ring.with_shard(id);
         topo.shards.push(shard);
         topo.shards.sort_by_key(|s| s.id);
+        topo.forget_pushes();
         id
     }
 
@@ -563,6 +583,7 @@ impl PlanCluster {
         }
         topo.ring = topo.ring.without_shard(id);
         topo.shards.retain(|s| s.id != id);
+        topo.forget_pushes();
         true
     }
 }

@@ -39,91 +39,215 @@ impl BlockDecomposition {
 /// (the `Find-Blocks` function of Algorithm 3, line 4).
 ///
 /// Works for disconnected `s` too (each connected component is decomposed
-/// independently). Isolated vertices produce no block.
+/// independently). Isolated vertices produce no block. One-shot convenience
+/// over [`BlockFinder`]; per-set callers keep a finder and reuse it.
 pub fn find_blocks(g: &JoinGraph, s: RelSet) -> BlockDecomposition {
-    let mut disc = [0u32; 64];
-    let mut low = [0u32; 64];
-    let mut time: u32 = 0;
-    let mut edge_stack: Vec<(u32, u32)> = Vec::new();
-    let mut blocks: Vec<RelSet> = Vec::new();
-    let mut cuts = RelSet::empty();
+    let mut finder = BlockFinder::new();
+    BlockDecomposition {
+        blocks: finder.find(g, s).to_vec(),
+        cut_vertices: finder.cut_vertices(),
+    }
+}
 
-    // DFS frame: (vertex, parent-or-64, remaining neighbours to visit).
-    let mut frames: Vec<(usize, usize, RelSet)> = Vec::new();
+/// One DFS frame: the vertex, its DFS parent (64 for a root) and the
+/// neighbours inside the set still to visit.
+#[derive(Copy, Clone)]
+struct Frame {
+    v: u8,
+    parent: u8,
+    remaining: RelSet,
+}
 
-    for start in s.iter() {
-        if disc[start] != 0 {
-            continue;
+const NO_PARENT: u8 = 64;
+
+/// Reusable Hopcroft–Tarjan scratch: every array is fixed-size (a set has at
+/// most 64 vertices, so DFS depth, open vertices and blocks are all ≤ 64),
+/// so [`BlockFinder::find`] never allocates and only touches the entries of
+/// the vertices it visits — what MPDP wants when it decomposes hundreds of
+/// thousands of small sets per query.
+pub struct BlockFinder {
+    disc: [u8; 64],
+    low: [u8; 64],
+    frames: [Frame; 64],
+    /// Visited vertices not yet assigned to a block, in discovery order.
+    open: [u8; 64],
+    blocks: [RelSet; 64],
+    num_blocks: usize,
+    cuts: RelSet,
+}
+
+impl Default for BlockFinder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BlockFinder {
+    /// Fresh scratch.
+    pub fn new() -> Self {
+        BlockFinder {
+            disc: [0; 64],
+            low: [0; 64],
+            frames: [Frame {
+                v: 0,
+                parent: NO_PARENT,
+                remaining: RelSet::EMPTY,
+            }; 64],
+            open: [0; 64],
+            blocks: [RelSet::EMPTY; 64],
+            num_blocks: 0,
+            cuts: RelSet::EMPTY,
         }
-        time += 1;
-        disc[start] = time;
-        low[start] = time;
-        let mut root_children = 0usize;
-        frames.push((start, 64, g.adjacency(start).intersect(s)));
+    }
 
-        while let Some(frame) = frames.last_mut() {
-            let (v, parent, ref mut remaining) = *frame;
-            if let Some(w) = remaining.first() {
-                frames.last_mut().unwrap().2 = remaining.without(w);
-                if w == parent {
-                    continue; // skip the tree edge back to the parent
-                }
-                if disc[w] == 0 {
-                    // Tree edge.
-                    edge_stack.push((v as u32, w as u32));
-                    time += 1;
-                    disc[w] = time;
-                    low[w] = time;
-                    if v == start {
-                        root_children += 1;
+    /// The cut (articulation) vertices found by the last [`BlockFinder::find`].
+    pub fn cut_vertices(&self) -> RelSet {
+        self.cuts
+    }
+
+    /// Decomposes the subgraph of `g` induced by `s` into its blocks; same
+    /// contract as [`find_blocks`]. The slice is valid until the next call.
+    pub fn find(&mut self, g: &JoinGraph, s: RelSet) -> &[RelSet] {
+        for v in s.iter() {
+            self.disc[v] = 0;
+        }
+        self.num_blocks = 0;
+        self.cuts = RelSet::EMPTY;
+        let mut time = 0u8;
+
+        for start in s.iter() {
+            if self.disc[start] != 0 {
+                continue;
+            }
+            time += 1;
+            self.disc[start] = time;
+            self.low[start] = time;
+            let mut root_children = 0usize;
+            let mut open = 0usize; // the root is never popped, so not pushed
+            let mut depth = 1usize;
+            self.frames[0] = Frame {
+                v: start as u8,
+                parent: NO_PARENT,
+                remaining: g.adjacency(start).intersect(s),
+            };
+
+            while depth > 0 {
+                let Frame {
+                    v,
+                    parent,
+                    remaining,
+                } = self.frames[depth - 1];
+                let v = v as usize;
+                if let Some(w) = remaining.first() {
+                    self.frames[depth - 1].remaining = remaining.without(w);
+                    if w == parent as usize {
+                        continue; // skip the tree edge back to the parent
                     }
-                    frames.push((w, v, g.adjacency(w).intersect(s)));
-                } else if disc[w] < disc[v] {
-                    // Back edge to an ancestor.
-                    edge_stack.push((v as u32, w as u32));
-                    low[v] = low[v].min(disc[w]);
-                }
-            } else {
-                // Done with v: propagate low to parent and maybe emit a block.
-                frames.pop();
-                if parent != 64 {
-                    low[parent] = low[parent].min(low[v]);
-                    if low[v] >= disc[parent] {
-                        // parent separates v's subtree: pop one block.
-                        let mut block = RelSet::empty();
-                        while let Some(&(a, b)) = edge_stack.last() {
-                            // Edges of the block are exactly those pushed at
-                            // or after the tree edge (parent, v).
-                            if disc[a as usize] >= disc[v]
-                                || (a as usize == parent && b as usize == v)
-                            {
-                                block = block.with(a as usize).with(b as usize);
-                                edge_stack.pop();
-                                if a as usize == parent && b as usize == v {
-                                    break;
-                                }
-                            } else {
+                    if self.disc[w] == 0 {
+                        // Tree edge.
+                        time += 1;
+                        self.disc[w] = time;
+                        self.low[w] = time;
+                        self.open[open] = w as u8;
+                        open += 1;
+                        if v == start {
+                            root_children += 1;
+                        }
+                        self.frames[depth] = Frame {
+                            v: w as u8,
+                            parent: v as u8,
+                            remaining: g.adjacency(w).intersect(s),
+                        };
+                        depth += 1;
+                    } else {
+                        // Back edge (or a forward view of one: then
+                        // disc[w] > disc[v] ≥ low[v] and the min is a no-op).
+                        self.low[v] = self.low[v].min(self.disc[w]);
+                    }
+                } else {
+                    // Done with v: propagate low to the parent, and if the
+                    // parent separates v's subtree, pop it as one block.
+                    depth -= 1;
+                    if parent == NO_PARENT {
+                        continue;
+                    }
+                    let p = parent as usize;
+                    self.low[p] = self.low[p].min(self.low[v]);
+                    if self.low[v] >= self.disc[p] {
+                        let mut block = RelSet::singleton(p);
+                        loop {
+                            open -= 1;
+                            let x = self.open[open] as usize;
+                            block = block.with(x);
+                            if x == v {
                                 break;
                             }
                         }
-                        if !block.is_empty() {
-                            blocks.push(block);
-                        }
-                        if parent != start {
-                            cuts = cuts.with(parent);
+                        self.blocks[self.num_blocks] = block;
+                        self.num_blocks += 1;
+                        if p != start {
+                            self.cuts = self.cuts.with(p);
                         }
                     }
                 }
             }
+            if root_children >= 2 {
+                self.cuts = self.cuts.with(start);
+            }
         }
-        if root_children >= 2 {
-            cuts = cuts.with(start);
-        }
+        &self.blocks[..self.num_blocks]
     }
+}
 
-    BlockDecomposition {
-        blocks,
-        cut_vertices: cuts,
+/// A bridge of the whole join graph with the vertex set on one side of it.
+#[derive(Copy, Clone, Debug)]
+pub struct Bridge {
+    /// Both endpoints.
+    pub ends: RelSet,
+    /// Every vertex on the lower endpoint's side of the bridge (the
+    /// component of that endpoint once the bridge is removed).
+    pub side: RelSet,
+    /// The bridge's selectivity. No other edge joins the two sides, so this
+    /// is `selectivity_between` of any split along the bridge, to the bit.
+    pub sel: f64,
+}
+
+/// The block structure of a whole join graph, computed once per query so
+/// that per-set work can be restricted to where cycles can exist.
+///
+/// Every cycle of an induced subgraph `G[S]` is a cycle of `G` and so lies
+/// inside one block of `G`; hence `blocks(G[S])` is the union over the
+/// blocks `B` of `G` of `blocks(G[S ∩ B])`. For a two-vertex `B` (a bridge
+/// of `G`) that is the bridge itself whenever both ends are in `S`, and
+/// removing it splits a connected `S` into `S ∩ side` and the rest — a
+/// mask, no DFS and no `grow`. Only the blocks with three or more vertices
+/// ever need [`BlockFinder`], on `S ∩ B`.
+#[derive(Clone, Debug, Default)]
+pub struct BlockIndex {
+    /// The bridges of the graph.
+    pub bridges: Vec<Bridge>,
+    /// The blocks of the graph with at least three vertices.
+    pub cyclic: Vec<RelSet>,
+}
+
+impl BlockIndex {
+    /// Decomposes `g`.
+    pub fn new(g: &JoinGraph) -> Self {
+        let all = g.all_vertices();
+        let mut index = BlockIndex::default();
+        for &b in BlockFinder::new().find(g, all) {
+            if b.len() > 2 {
+                index.cyclic.push(b);
+                continue;
+            }
+            let (u, v) = (b.lowest_bit(), b.difference(b.lowest_bit()));
+            index.bridges.push(Bridge {
+                ends: b,
+                side: g.grow(u, all.difference(v)),
+                sel: g.selectivity_between(u, v),
+            });
+        }
+        index
     }
 }
 
@@ -305,5 +429,100 @@ mod tests {
         e.sort_unstable();
         assert_eq!(sorted_blocks(&d), e);
         assert_eq!(d.cut_vertices, RelSet::singleton(2));
+    }
+
+    /// A random connected graph on `n` vertices: a random spanning tree plus
+    /// `extra` random edges, driven by the Murmur3 finalizer as a generator.
+    fn random_graph(n: usize, extra: usize, state: &mut u64) -> JoinGraph {
+        let mut next = |m: usize| {
+            *state = crate::memo::murmur3_fmix64(state.wrapping_add(0x9e37_79b9_7f4a_7c15));
+            (*state % m as u64) as usize
+        };
+        let mut g = JoinGraph::new(n);
+        for v in 1..n {
+            g.add_edge(next(v), v, 0.5);
+        }
+        for _ in 0..extra {
+            let (a, b) = (next(n), next(n));
+            if a != b && !g.adjacency(a).contains(b) {
+                g.add_edge(a, b, 0.5);
+            }
+        }
+        g
+    }
+
+    fn random_subset(of: RelSet, state: &mut u64) -> RelSet {
+        *state = crate::memo::murmur3_fmix64(state.wrapping_add(0x9e37_79b9_7f4a_7c15));
+        RelSet(*state & of.bits())
+    }
+
+    fn sorted(blocks: &[RelSet]) -> Vec<u64> {
+        let mut v: Vec<u64> = blocks.iter().map(|b| b.bits()).collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn reused_finder_equals_fresh_and_blocks_are_maximal_nonseparable() {
+        let mut state = 7u64;
+        let mut finder = BlockFinder::new();
+        for round in 0..1000 {
+            let n = 3 + round % 12;
+            let g = random_graph(n, round % 7, &mut state);
+            let s = random_subset(g.all_vertices(), &mut state);
+            let fresh = find_blocks(&g, s);
+            let reused = finder.find(&g, s).to_vec();
+            assert_eq!(sorted(&reused), sorted(&fresh.blocks), "round {round}");
+            assert_eq!(finder.cut_vertices(), fresh.cut_vertices);
+            // Independent of the DFS: the blocks partition the induced
+            // edges, each is connected and has no cut vertex of its own,
+            // and no two that touch could be merged into one.
+            let edges: usize = reused.iter().map(|b| g.induced_edge_count(*b)).sum();
+            assert_eq!(edges, g.induced_edge_count(s));
+            let nonseparable =
+                |b: RelSet| g.is_connected(b) && b.iter().all(|v| g.is_connected(b.without(v)));
+            for (i, &b) in reused.iter().enumerate() {
+                assert!(b.is_subset(s) && b.len() >= 2 && nonseparable(b));
+                for &c in &reused[..i] {
+                    assert!(b.intersect(c).len() <= 1);
+                    assert!(!b.overlaps(c) || !nonseparable(b.union(c)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn induced_blocks_are_the_union_over_global_blocks() {
+        // What BlockIndex rests on: blocks(G[S]) is the union over the
+        // blocks B of G of blocks(G[S ∩ B]); a bridge of G inside a
+        // connected S splits it along the precomputed side mask.
+        let mut state = 11u64;
+        let mut finder = BlockFinder::new();
+        for round in 0..1000 {
+            let n = 3 + round % 12;
+            let g = random_graph(n, round % 6, &mut state);
+            let index = BlockIndex::new(&g);
+            let s = random_subset(g.all_vertices(), &mut state);
+            let mut pieces: Vec<RelSet> = Vec::new();
+            for br in &index.bridges {
+                if br.ends.is_subset(s) {
+                    pieces.push(br.ends);
+                }
+            }
+            for &b in &index.cyclic {
+                pieces.extend_from_slice(finder.find(&g, s.intersect(b)));
+            }
+            assert_eq!(sorted(&pieces), sorted(&find_blocks(&g, s).blocks));
+            if !g.is_connected(s) {
+                continue;
+            }
+            for br in index.bridges.iter().filter(|br| br.ends.is_subset(s)) {
+                let u = br.ends.lowest_bit();
+                let left = g.grow(u, s.difference(br.ends.difference(u)));
+                assert_eq!(s.intersect(br.side), left, "round {round}");
+                let sel = g.selectivity_between(left, s.difference(left));
+                assert_eq!(sel.to_bits(), br.sel.to_bits());
+            }
+        }
     }
 }

@@ -57,7 +57,11 @@ pub struct LevelStats {
     pub evaluated: u64,
     /// CCP pairs found at this level.
     pub ccp: u64,
-    /// Memo-table writes performed at this level.
+    /// Memo publishes at this level that changed the table. MPDP (every
+    /// backend) reduces a set's candidates first and publishes once per
+    /// connected set, so there this equals `sets`; DPCCP and DPE publish the
+    /// better order of each csg-cmp pair; DPSUB and DPSIZE publish per
+    /// ordered pair, so there it counts improvements.
     pub memo_writes: u64,
     /// Open-addressing probe steps taken by memo inserts at this level.
     pub memo_probes: u64,

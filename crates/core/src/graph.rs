@@ -179,10 +179,18 @@ impl JoinGraph {
     /// `|a| × |b|` shrinks when joining the two sides, and — because every
     /// induced edge of `a ∪ b` is counted exactly once across the recursive
     /// decomposition — it makes estimated cardinalities split-invariant.
+    ///
+    /// Symmetric to the bit: the factors are multiplied in an order that
+    /// depends on the unordered pair only, so both join orders of a split
+    /// can be priced from one call.
     pub fn selectivity_between(&self, a: RelSet, b: RelSet) -> f64 {
         debug_assert!(a.is_disjoint(b));
-        // Iterate from the smaller side.
-        let (from, to) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        // Iterate from the smaller side; equal sizes go by bitmap.
+        let (from, to) = if (a.len(), a.bits()) <= (b.len(), b.bits()) {
+            (a, b)
+        } else {
+            (b, a)
+        };
         let mut sel = 1.0;
         for v in from.iter() {
             for &(w, s) in &self.adj_list[v] {

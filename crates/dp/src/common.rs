@@ -5,7 +5,7 @@ use mpdp_core::combinatorics::{binomial, KSubsets};
 use mpdp_core::counters::{Counters, Profile};
 use mpdp_core::enumerate::{EnumerationMode, FrontierEnumerator};
 use mpdp_core::graph::JoinGraph;
-use mpdp_core::memo::MemoStore;
+use mpdp_core::memo::{candidate_key, MemoStore};
 use mpdp_core::plan::{extract_plan, PlanTree};
 use mpdp_core::query::QueryInfo;
 use mpdp_core::{OptError, RelSet};
@@ -122,22 +122,30 @@ pub fn init_memo<M: MemoStore>(q: &QueryInfo) -> M {
     memo
 }
 
-/// Outcome of evaluating one CCP pair.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct EmitOutcome {
-    /// The candidate became the best plan for its set.
-    pub improved: bool,
-    /// The set had no memo entry before (first plan found for it).
-    pub new_set: bool,
+/// Looks both sides of a split up and estimates the join's output rows from
+/// the selectivity `sel` between them — the part of `CreatePlan` that does
+/// not depend on the join order. `None` if either side has no memo entry yet.
+#[inline]
+fn join_inputs<M: MemoStore>(
+    memo: &M,
+    a: RelSet,
+    b: RelSet,
+    sel: f64,
+) -> Option<(InputEst, InputEst, f64)> {
+    let (ea, eb) = (memo.get(a)?, memo.get(b)?);
+    let est = |e: mpdp_core::MemoEntry| InputEst {
+        cost: e.cost,
+        rows: e.rows,
+    };
+    Some((est(ea), est(eb), ea.rows * eb.rows * sel))
 }
 
 /// Prices the ordered Join-Pair `(sl, sr)` against a read-only view of the
 /// memo, returning `(cost, output rows)` — the `CreatePlan` step shared by
 /// every backend. Returns `None` if either side has no memo entry yet.
 ///
-/// This is the exact costing the parallel workers run against the shared
-/// atomic memo before their `insert_if_better`; keeping it in one place is
-/// what makes costs bit-identical across backends.
+/// This and [`price_both`] are the only costing the exact backends run;
+/// keeping it in one place is what makes costs bit-identical across them.
 #[inline]
 pub fn price_pair<M: MemoStore>(
     memo: &M,
@@ -146,27 +154,76 @@ pub fn price_pair<M: MemoStore>(
     sl: RelSet,
     sr: RelSet,
 ) -> Option<(f64, f64)> {
-    let el = memo.get(sl)?;
-    let er = memo.get(sr)?;
-    let sel = q.graph.selectivity_between(sl, sr);
-    let out_rows = el.rows * er.rows * sel;
-    let cost = model.join_cost(
-        InputEst {
-            cost: el.cost,
-            rows: el.rows,
-        },
-        InputEst {
-            cost: er.cost,
-            rows: er.rows,
-        },
-        out_rows,
-    );
-    Some((cost, out_rows))
+    let (l, r, rows) = join_inputs(memo, sl, sr, q.graph.selectivity_between(sl, sr))?;
+    Some((model.join_cost(l, r, rows), rows))
+}
+
+/// Both join orders of one split, priced by [`price_both`].
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct PricedSplit {
+    /// Cost of `a ⋈ b` (`a` on the left).
+    pub cost_ab: f64,
+    /// Cost of `b ⋈ a`.
+    pub cost_ba: f64,
+    /// Estimated output rows, the same for both orders.
+    pub rows: f64,
+}
+
+impl PricedSplit {
+    /// The order the memo would keep, as `(left side, cost)`: the smaller
+    /// [`candidate_key`].
+    #[inline]
+    pub fn better(&self, a: RelSet, b: RelSet) -> (RelSet, f64) {
+        if candidate_key(self.cost_ab, a) <= candidate_key(self.cost_ba, b) {
+            (a, self.cost_ab)
+        } else {
+            (b, self.cost_ba)
+        }
+    }
+}
+
+/// Prices both orders of the split `{a, b}` from one pair of memo lookups
+/// and one selectivity product. Each cost is bit-identical to what
+/// [`price_pair`] returns for that order (the row estimate is symmetric to
+/// the bit, see `JoinGraph::selectivity_between`), so algorithms that walk
+/// unordered splits (DPCCP, DPE, MPDP) agree exactly with those that walk
+/// ordered pairs (DPSUB, DPSIZE).
+#[inline]
+pub fn price_both<M: MemoStore>(
+    memo: &M,
+    q: &QueryInfo,
+    model: &dyn CostModel,
+    a: RelSet,
+    b: RelSet,
+) -> Option<PricedSplit> {
+    price_both_at(memo, model, a, b, q.graph.selectivity_between(a, b))
+}
+
+/// [`price_both`] for a caller that already knows `selectivity_between(a, b)`
+/// to the bit (MPDP, for splits along a bridge of the join graph).
+#[inline]
+pub(crate) fn price_both_at<M: MemoStore>(
+    memo: &M,
+    model: &dyn CostModel,
+    a: RelSet,
+    b: RelSet,
+    sel: f64,
+) -> Option<PricedSplit> {
+    let (ia, ib, rows) = join_inputs(memo, a, b, sel)?;
+    Some(PricedSplit {
+        cost_ab: model.join_cost(ia, ib, rows),
+        cost_ba: model.join_cost(ib, ia, rows),
+        rows,
+    })
+}
+
+fn missing_entry(sl: RelSet, sr: RelSet) -> OptError {
+    OptError::Internal(format!("missing memo entry for {sl} ⋈ {sr}"))
 }
 
 /// Prices the ordered Join-Pair `(sl, sr)` and records it in the memo if it
 /// beats the incumbent plan for `sl ∪ sr` (`CreatePlan` + best-plan update in
-/// Algorithms 1–3).
+/// Algorithms 1–3). Returns whether it did.
 ///
 /// Both sides must already have memo entries; a missing entry indicates an
 /// enumeration-order bug and is reported as [`OptError::Internal`].
@@ -177,13 +234,25 @@ pub fn emit_pair<M: MemoStore>(
     model: &dyn CostModel,
     sl: RelSet,
     sr: RelSet,
-) -> Result<EmitOutcome, OptError> {
-    let (cost, out_rows) = price_pair(memo, q, model, sl, sr)
-        .ok_or_else(|| OptError::Internal(format!("missing memo entry for {sl} ⋈ {sr}")))?;
-    let union = sl.union(sr);
-    let new_set = memo.get(union).is_none();
-    let improved = memo.insert_if_better(union, sl, cost, out_rows);
-    Ok(EmitOutcome { improved, new_set })
+) -> Result<bool, OptError> {
+    let (cost, out_rows) =
+        price_pair(memo, q, model, sl, sr).ok_or_else(|| missing_entry(sl, sr))?;
+    Ok(memo.insert_if_better(sl.union(sr), sl, cost, out_rows))
+}
+
+/// [`emit_pair`] for both orders of the split `{a, b}` at once: one
+/// [`price_both`], then one memo update with the better order.
+#[inline]
+pub(crate) fn emit_both<M: MemoStore>(
+    memo: &mut M,
+    q: &QueryInfo,
+    model: &dyn CostModel,
+    a: RelSet,
+    b: RelSet,
+) -> Result<bool, OptError> {
+    let priced = price_both(memo, q, model, a, b).ok_or_else(|| missing_entry(a, b))?;
+    let (left, cost) = priced.better(a, b);
+    Ok(memo.insert_if_better(a.union(b), left, cost, priced.rows))
 }
 
 /// Per-level connected-set source shared by every level-synchronous backend
@@ -315,15 +384,38 @@ mod tests {
         let mut memo: MemoTable = init_memo(&q);
         let sl = RelSet::singleton(0);
         let sr = RelSet::singleton(1);
-        let o = emit_pair(&mut memo, &q, &model, sl, sr).unwrap();
-        assert!(o.improved && o.new_set);
+        assert!(emit_pair(&mut memo, &q, &model, sl, sr).unwrap());
         let e = memo.get(sl.union(sr)).unwrap();
         // out rows = 100*200*0.01 = 200
         assert!((e.rows - 200.0).abs() < 1e-9);
-        // Second emission of the mirrored pair: same rows, possibly different
-        // cost; not a new set.
-        let o2 = emit_pair(&mut memo, &q, &model, sr, sl).unwrap();
-        assert!(!o2.new_set);
+        // The mirrored pair lands on the same entry: no new set.
+        emit_pair(&mut memo, &q, &model, sr, sl).unwrap();
+        assert_eq!(memo.len(), 3);
+    }
+
+    #[test]
+    fn price_both_is_price_pair_twice() {
+        let q = two_rel_query();
+        let model = PgLikeCost::new();
+        let mut memo: MemoTable = init_memo(&q);
+        let (a, b) = (RelSet::singleton(0), RelSet::singleton(1));
+        let both = price_both(&memo, &q, &model, a, b).unwrap();
+        let (ab, rows) = price_pair(&memo, &q, &model, a, b).unwrap();
+        let (ba, rows_ba) = price_pair(&memo, &q, &model, b, a).unwrap();
+        assert_eq!(both.cost_ab.to_bits(), ab.to_bits());
+        assert_eq!(both.cost_ba.to_bits(), ba.to_bits());
+        assert_eq!(both.rows.to_bits(), rows.to_bits());
+        assert_eq!(rows.to_bits(), rows_ba.to_bits());
+        // emit_both leaves what the two emit_pairs would.
+        let mut twice = memo.clone();
+        emit_pair(&mut twice, &q, &model, a, b).unwrap();
+        emit_pair(&mut twice, &q, &model, b, a).unwrap();
+        assert!(emit_both(&mut memo, &q, &model, a, b).unwrap());
+        let (x, y) = (
+            memo.get(a.union(b)).unwrap(),
+            twice.get(a.union(b)).unwrap(),
+        );
+        assert_eq!((x.left, x.cost.to_bits()), (y.left, y.cost.to_bits()));
     }
 
     #[test]

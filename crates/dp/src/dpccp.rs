@@ -24,7 +24,7 @@
 //! once; we cost both join orders, so counters report ordered pairs like the
 //! other algorithms.
 
-use crate::common::{emit_pair, finish, init_memo, OptContext, OptResult};
+use crate::common::{emit_both, finish, init_memo, OptContext, OptResult};
 use crate::JoinOrderOptimizer;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::memo::MemoTable;
@@ -47,9 +47,8 @@ impl<'a, 'b> CcpState<'a, 'b> {
         // Cost both orders (counters track ordered pairs workspace-wide).
         self.counters.evaluated += 2;
         self.counters.ccp += 2;
-        let o1 = emit_pair(&mut self.memo, self.ctx.query, self.ctx.model, s1, s2)?;
-        let o2 = emit_pair(&mut self.memo, self.ctx.query, self.ctx.model, s2, s1)?;
-        self.memo_writes += (o1.improved as u64) + (o2.improved as u64);
+        let improved = emit_both(&mut self.memo, self.ctx.query, self.ctx.model, s1, s2)?;
+        self.memo_writes += improved as u64;
         self.pair_budget_check += 1;
         if self.pair_budget_check >= 4096 {
             self.pair_budget_check = 0;

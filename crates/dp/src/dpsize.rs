@@ -73,11 +73,12 @@ impl DpSize {
                         // Both sides are connected by construction, so the
                         // pair is a CCP pair.
                         level.ccp += 1;
-                        let o = emit_pair(&mut memo, q, ctx.model, left, right)?;
-                        if o.improved {
+                        let known = memo.len();
+                        if emit_pair(&mut memo, q, ctx.model, left, right)? {
                             level.memo_writes += 1;
                         }
-                        if discover && o.new_set {
+                        // A first plan for a set grows the memo by one.
+                        if discover && memo.len() > known {
                             new_sets.push(left.union(right));
                         }
                     }

@@ -66,8 +66,7 @@ impl DpSub {
                     }
                     // --- end CCP block ---
                     level.ccp += 1;
-                    let o = emit_pair(&mut memo, q, ctx.model, sl, sr)?;
-                    if o.improved {
+                    if emit_pair(&mut memo, q, ctx.model, sl, sr)? {
                         level.memo_writes += 1;
                     }
                 }

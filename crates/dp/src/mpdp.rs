@@ -2,103 +2,159 @@
 //!
 //! MPDP keeps DPSUB's level-by-level, per-set independence (the property that
 //! makes it massively parallelizable) but replaces the powerset split of each
-//! set `S` with a *hybrid* enumeration:
+//! set `S` with a *hybrid* enumeration: decompose the subgraph induced by `S`
+//! into biconnected components (*blocks*); run vertex-based enumeration only
+//! *within* each block, then extend each block-level CCP pair `(lb, rb)` to a
+//! set-level pair with the `grow` function. Per-set work drops from `2^|S|`
+//! to `Σ_blocks 2^|block|` (Lemma 7), with `EvaluatedCounter == CCP-Counter`
+//! whenever all blocks are cliques (Lemma 9) — which covers trees (blocks are
+//! single edges, Theorem 3) and cycles.
 //!
-//! * **Tree join graphs** ([`MpdpTree`], Algorithm 2): the CCP pairs of a
-//!   connected `S` are exactly the `|S| - 1` splits obtained by removing each
-//!   edge of the tree induced by `S`, so no CCP check is ever needed and
-//!   `EvaluatedCounter == CCP-Counter` (Theorem 3).
-//! * **General graphs** ([`Mpdp`], Algorithm 3): decompose the subgraph
-//!   induced by `S` into biconnected components (*blocks*); run vertex-based
-//!   enumeration only *within* each block, then extend each block-level CCP
-//!   pair `(lb, rb)` to a set-level pair with the `grow` function. Per-set
-//!   work drops from `2^|S|` to `Σ_blocks 2^|block|` (Lemma 7), with
-//!   `EvaluatedCounter == CCP-Counter` whenever all blocks are cliques
-//!   (Lemma 9) — which covers trees (blocks are single edges) and cycles.
+//! The per-set loop exists once, as [`SetKernel`]; the sequential driver here,
+//! the CPU-parallel one in `mpdp-parallel` and the simulated-GPU one in
+//! `mpdp-gpu` all call it and differ only in scheduling and in how they
+//! publish each set's winner. See `DESIGN.md` §4 "The MPDP set kernel".
 
-use crate::common::{emit_pair, finish, init_memo, LevelEnumerator, OptContext, OptResult};
+use crate::common::{finish, init_memo, price_both_at, LevelEnumerator, OptContext, OptResult};
 use crate::JoinOrderOptimizer;
-use mpdp_core::blocks::find_blocks;
+use mpdp_core::blocks::{BlockFinder, BlockIndex};
 use mpdp_core::counters::{Counters, LevelStats, Profile};
-use mpdp_core::memo::MemoTable;
-use mpdp_core::{OptError, RelSet};
+use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
+use mpdp_core::{OptError, QueryInfo, RelSet};
+use mpdp_cost::model::CostModel;
 
-/// MPDP specialized to tree (acyclic) join graphs — Algorithm 2.
+/// Watches the block-level splits of a set as [`SetKernel`] visits them.
+/// The simulated GPU charges lane cycles from here; everyone else passes
+/// `()`.
+pub trait SplitObserver {
+    /// Report the right side's connectivity even when the left side already
+    /// failed (the kernel itself stops at the first failure).
+    const BOTH_SIDES: bool = false;
+
+    /// One split `{lb, rb}` of a block of `s`, standing for the Join-Pairs
+    /// `(lb, rb)` and `(rb, lb)`; the sides' connectivity decides whether
+    /// they are CCP pairs.
+    #[inline]
+    fn split(&mut self, _s: RelSet, _lb: RelSet, _rb: RelSet, _lb_ok: bool, _rb_ok: bool) {}
+}
+
+impl SplitObserver for () {}
+
+/// What [`SetKernel::evaluate`] found for one set.
 #[derive(Copy, Clone, Debug, Default)]
-pub struct MpdpTree;
+pub struct SetOutcome {
+    /// Join-Pairs evaluated (both orders of every block split).
+    pub evaluated: u64,
+    /// CCP pairs among them (both orders).
+    pub ccp: u64,
+    /// The entry the set should get: its best plan over all those pairs under
+    /// the memo's own [`candidate_key`] order, so publishing it once leaves
+    /// the memo exactly as publishing every pair would. `None` only if a
+    /// side was missing from the memo.
+    pub best: Option<MemoEntry>,
+}
 
-impl MpdpTree {
-    /// Runs MPDP:Tree. Fails with [`OptError::Internal`] if the join graph is
-    /// not a tree (use [`Mpdp`] for general graphs).
-    pub fn run(ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        ctx.validate_exact()?;
-        let q = ctx.query;
-        let n = q.query_size();
-        if q.graph.num_edges() != n.saturating_sub(1) {
-            return Err(OptError::Internal(format!(
-                "MPDP:Tree requires a tree join graph ({} edges for {} relations)",
-                q.graph.num_edges(),
-                n
-            )));
+/// Algorithm 3's per-set body: find the blocks of `S`, enumerate CCP pairs
+/// inside each block, grow them to set-level pairs, price them and keep the
+/// best. Holds the per-query block structure by reference and its own
+/// scratch (in place of a `find_blocks` per set), so a call allocates
+/// nothing; each worker owns one.
+///
+/// Four things keep a set cheap, none of which changes a result:
+///
+/// * bridges of the whole graph split `S` by a precomputed mask, and block
+///   finding runs only inside the graph's cyclic blocks ([`BlockIndex`]) — on
+///   a tree-shaped `S` there is no DFS and no `grow`, which is Algorithm 2;
+/// * each block split is visited once, from the side holding the block's
+///   lowest vertex, and stands for both Join-Pairs: `(lb, rb)` grows to
+///   `(sl, S \ sl)` and `(rb, lb)` to exactly the mirrored `(S \ sl, sl)`;
+/// * both orders are priced by one `common::price_both`, with the
+///   selectivity of a bridge split read off the bridge;
+/// * the set's candidates are reduced here and published once by the caller
+///   (the paper's fused prune, §5).
+pub struct SetKernel<'a> {
+    q: &'a QueryInfo,
+    model: &'a dyn CostModel,
+    index: &'a BlockIndex,
+    finder: BlockFinder,
+}
+
+impl<'a> SetKernel<'a> {
+    /// A kernel for `q`, whose graph `index` was built from.
+    pub fn new(q: &'a QueryInfo, model: &'a dyn CostModel, index: &'a BlockIndex) -> Self {
+        SetKernel {
+            q,
+            model,
+            index,
+            finder: BlockFinder::new(),
         }
-        let mut memo: MemoTable = init_memo(q);
-        let mut counters = Counters::default();
-        let mut profile = Profile::default();
+    }
 
-        let mut enumerator = LevelEnumerator::new(&q.graph, ctx.enumeration);
-        // Scratch buffer for the induced edges of the current set, reused
-        // across all sets of all levels (no per-set allocation).
-        let mut edge_scratch: Vec<(u32, u32)> = Vec::with_capacity(n);
-        for i in 2..=n {
-            let lvl = enumerator.level(ctx, i)?;
-            let mut level = LevelStats {
-                size: i,
-                unranked: lvl.unranked,
-                sets: lvl.sets.len() as u64,
-                ..Default::default()
+    /// Evaluates the connected set `s` against `memo`, which must hold every
+    /// connected proper subset of `s`.
+    pub fn evaluate<M: MemoStore, O: SplitObserver>(
+        &mut self,
+        memo: &M,
+        s: RelSet,
+        observer: &mut O,
+    ) -> SetOutcome {
+        let (model, g) = (self.model, &self.q.graph);
+        let mut out = SetOutcome::default();
+        let mut best_key = (u64::MAX, u64::MAX);
+        // Prices both orders of the CCP split `{left, s \ left}` and keeps
+        // the set's running minimum.
+        let mut consider = |left: RelSet, bridge_sel: Option<f64>, out: &mut SetOutcome| {
+            let right = s.difference(left);
+            debug_assert!(!left.is_empty() && !right.is_empty());
+            out.ccp += 2;
+            let sel = bridge_sel.unwrap_or_else(|| g.selectivity_between(left, right));
+            let Some(priced) = price_both_at(memo, model, left, right, sel) else {
+                return;
             };
-            memo.reserve(lvl.sets.len());
-            for &s in lvl.sets {
-                ctx.check_deadline()?;
-                // Valid-Join-Pairs(S): remove each edge of the induced tree
-                // (Algorithm 2, line 4). Removing edge (u, v) splits S into
-                // the component of u (grown while avoiding v) and the rest.
-                edge_scratch.clear();
-                edge_scratch.extend(q.graph.induced_edges(s).map(|e| (e.u, e.v)));
-                for &(u, v) in &edge_scratch {
-                    let sl = q
-                        .graph
-                        .grow(RelSet::singleton(u as usize), s.without(v as usize));
-                    let sr = s.difference(sl);
-                    debug_assert!(!sr.is_empty());
-                    // Both orders; each is a CCP pair by Lemma 1.
-                    for (a, b) in [(sl, sr), (sr, sl)] {
-                        level.evaluated += 1;
-                        level.ccp += 1;
-                        let o = emit_pair(&mut memo, q, ctx.model, a, b)?;
-                        if o.improved {
-                            level.memo_writes += 1;
-                        }
+            let (left, cost) = priced.better(left, right);
+            let key = candidate_key(cost, left);
+            if key < best_key {
+                best_key = key;
+                out.best = Some(MemoEntry {
+                    set: s,
+                    left,
+                    cost,
+                    rows: priced.rows,
+                });
+            }
+        };
+        for bridge in &self.index.bridges {
+            if bridge.ends.is_subset(s) {
+                out.evaluated += 2;
+                let lb = bridge.ends.lowest_bit();
+                observer.split(s, lb, bridge.ends.difference(lb), true, true);
+                consider(s.intersect(bridge.side), Some(bridge.sel), &mut out);
+            }
+        }
+        for &cyclic in &self.index.cyclic {
+            let inside = s.intersect(cyclic);
+            if inside.len() < 2 {
+                continue;
+            }
+            for &block in self.finder.find(g, inside) {
+                // Line 6, halved: rb ranges over the non-empty subsets that
+                // avoid the block's lowest vertex, lb is the rest.
+                for rb in block.difference(block.lowest_bit()).subsets() {
+                    let lb = block.difference(rb);
+                    out.evaluated += 2;
+                    // CCP block (lines 10-14): a block is connected, so an
+                    // edge between its two sides always exists.
+                    let lb_ok = g.is_connected(lb);
+                    let rb_ok = (lb_ok || O::BOTH_SIDES) && g.is_connected(rb);
+                    observer.split(s, lb, rb, lb_ok, rb_ok);
+                    if lb_ok && rb_ok {
+                        // Lines 17-18: grow the block pair to a set-level pair.
+                        consider(g.grow(lb, s.difference(rb)), None, &mut out);
                     }
                 }
             }
-            counters.evaluated += level.evaluated;
-            counters.ccp += level.ccp;
-            counters.sets += level.sets;
-            counters.unranked += level.unranked;
-            profile.record(level);
         }
-        finish(&memo, q, counters, profile)
-    }
-}
-
-impl JoinOrderOptimizer for MpdpTree {
-    fn name(&self) -> &'static str {
-        "MPDP:Tree"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        MpdpTree::run(ctx)
+        out
     }
 }
 
@@ -107,60 +163,6 @@ impl JoinOrderOptimizer for MpdpTree {
 pub struct Mpdp;
 
 impl Mpdp {
-    /// Evaluates one connected set `S`: finds its blocks, enumerates CCP
-    /// pairs inside each block and grows them to set-level pairs.
-    ///
-    /// Exposed for reuse by the CPU-parallel and simulated-GPU drivers, which
-    /// need per-set evaluation with their own scheduling around it.
-    pub fn evaluate_set(
-        ctx: &OptContext<'_>,
-        memo: &mut mpdp_core::MemoTable,
-        s: RelSet,
-        level: &mut LevelStats,
-    ) -> Result<(), OptError> {
-        let q = ctx.query;
-        let decomposition = find_blocks(&q.graph, s);
-        for &block in &decomposition.blocks {
-            // Line 6: all non-empty *proper* subsets lb of the block
-            // (2^b - 2 of them), so the Figure 5 example evaluates exactly
-            // 32 pairs for S = {1..9}.
-            for lb in block.subsets() {
-                if lb == block {
-                    continue;
-                }
-                let rb = block.difference(lb);
-                level.evaluated += 1;
-                // --- CCP block at block level (lines 10-14) ---
-                if rb.is_empty() || lb.is_empty() {
-                    continue;
-                }
-                if !q.graph.is_connected(lb) {
-                    continue;
-                }
-                if !q.graph.is_connected(rb) {
-                    continue;
-                }
-                if !lb.is_disjoint(rb) {
-                    continue; // never fires; kept for pseudo-code fidelity
-                }
-                if !q.graph.sets_connected(lb, rb) {
-                    continue;
-                }
-                // --- end CCP block ---
-                level.ccp += 1;
-                // Lines 17-18: grow the block pair to a set-level pair.
-                let sleft = q.graph.grow(lb, s.difference(rb));
-                let sright = s.difference(sleft);
-                debug_assert!(!sright.is_empty());
-                let o = emit_pair(memo, q, ctx.model, sleft, sright)?;
-                if o.improved {
-                    level.memo_writes += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Runs general MPDP on `ctx`, returning the optimal plan.
     pub fn run(ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
         ctx.validate_exact()?;
@@ -170,6 +172,8 @@ impl Mpdp {
         let mut counters = Counters::default();
         let mut profile = Profile::default();
 
+        let index = BlockIndex::new(&q.graph);
+        let mut kernel = SetKernel::new(q, ctx.model, &index);
         let mut enumerator = LevelEnumerator::new(&q.graph, ctx.enumeration);
         for i in 2..=n {
             let lvl = enumerator.level(ctx, i)?;
@@ -182,7 +186,12 @@ impl Mpdp {
             memo.reserve(lvl.sets.len());
             for &s in lvl.sets {
                 ctx.check_deadline()?;
-                Self::evaluate_set(ctx, &mut memo, s, &mut level)?;
+                let out = kernel.evaluate(&memo, s, &mut ());
+                level.evaluated += out.evaluated;
+                level.ccp += out.ccp;
+                if let Some(e) = out.best {
+                    level.memo_writes += memo.insert_if_better(s, e.left, e.cost, e.rows) as u64;
+                }
             }
             counters.evaluated += level.evaluated;
             counters.ccp += level.ccp;
@@ -201,6 +210,37 @@ impl JoinOrderOptimizer for Mpdp {
 
     fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
         Mpdp::run(ctx)
+    }
+}
+
+/// MPDP on tree (acyclic) join graphs — Algorithm 2. On a tree every block
+/// is a bridge, so [`SetKernel`] already *is* Algorithm 2 (the `|S| - 1`
+/// splits of a connected `S`, one per induced edge, no CCP check, Theorem 3);
+/// this only insists that the graph is a tree.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct MpdpTree;
+
+impl MpdpTree {
+    /// Runs MPDP:Tree. Fails with [`OptError::Internal`] if the join graph is
+    /// not a tree (use [`Mpdp`] for general graphs).
+    pub fn run(ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
+        let (edges, n) = (ctx.query.graph.num_edges(), ctx.query.query_size());
+        if edges != n.saturating_sub(1) {
+            return Err(OptError::Internal(format!(
+                "MPDP:Tree requires a tree join graph ({edges} edges for {n} relations)"
+            )));
+        }
+        Mpdp::run(ctx)
+    }
+}
+
+impl JoinOrderOptimizer for MpdpTree {
+    fn name(&self) -> &'static str {
+        "MPDP:Tree"
+    }
+
+    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
+        MpdpTree::run(ctx)
     }
 }
 
@@ -237,23 +277,16 @@ mod tests {
     }
 
     #[test]
-    fn tree_variant_meets_ccp_lower_bound() {
-        // Theorem 3: EvaluatedCounter == CCP-Counter on trees.
+    fn tree_variant_is_general_mpdp_at_the_ccp_lower_bound() {
+        // Theorem 3: EvaluatedCounter == CCP-Counter on trees; Lemma 2.
         let model = PgLikeCost::new();
         for q in [chain_query(7), star_query(7)] {
-            let r = MpdpTree::run(&OptContext::new(&q, &model)).unwrap();
-            assert_eq!(r.counters.evaluated, r.counters.ccp);
-        }
-    }
-
-    #[test]
-    fn tree_variant_matches_dpsub_cost_and_ccp() {
-        let model = PgLikeCost::new();
-        for q in [chain_query(7), star_query(7)] {
-            let a = MpdpTree::run(&OptContext::new(&q, &model)).unwrap();
-            let b = DpSub::run(&OptContext::new(&q, &model)).unwrap();
-            assert!((a.cost - b.cost).abs() < 1e-6 * a.cost.max(1.0));
-            assert_eq!(a.counters.ccp, b.counters.ccp, "Lemma 2");
+            let ctx = OptContext::new(&q, &model);
+            let a = MpdpTree::run(&ctx).unwrap();
+            assert_eq!(a.counters.evaluated, a.counters.ccp);
+            assert_eq!(a.counters.ccp, DpSub::run(&ctx).unwrap().counters.ccp);
+            let b = Mpdp::run(&ctx).unwrap();
+            assert_eq!((a.plan, a.counters), (b.plan, b.counters));
         }
     }
 
@@ -284,16 +317,6 @@ mod tests {
             assert_eq!(a.counters.ccp, b.counters.ccp, "Lemma 4");
             assert!(a.plan.validate(&q.graph).is_none());
         }
-    }
-
-    #[test]
-    fn general_on_tree_meets_lower_bound() {
-        // On a tree every block is a single edge (a 2-clique), so Lemma 9
-        // applies: EvaluatedCounter == CCP-Counter even for general MPDP.
-        let model = PgLikeCost::new();
-        let q = star_query(7);
-        let r = Mpdp::run(&OptContext::new(&q, &model)).unwrap();
-        assert_eq!(r.counters.evaluated, r.counters.ccp);
     }
 
     #[test]

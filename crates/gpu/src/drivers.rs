@@ -22,10 +22,12 @@ use crate::kernels::{
 };
 use crate::simt::{GpuConfig, GpuStats, WarpPolicy};
 use mpdp_core::atomic_memo::AtomicMemo;
+use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{finish, init_memo, price_pair, LevelEnumerator, OptContext, OptResult};
+use mpdp_dp::mpdp::SetKernel;
 use mpdp_dp::JoinOrderOptimizer;
 use std::time::Duration;
 
@@ -118,6 +120,10 @@ fn run_level_structured(
     // Previous level's connected sets, device-resident — the frontier
     // expand kernel's input (unused in unranked mode).
     let mut prev_sets: Vec<RelSet> = (0..n).map(RelSet::singleton).collect();
+    // The query's block structure and the per-set kernel MPDP's evaluate
+    // launches run (host-side state of the simulation, not device traffic).
+    let block_index = BlockIndex::new(&q.graph);
+    let mut set_kernel = SetKernel::new(q, ctx.model, &block_index);
 
     for i in 2..=n {
         ctx.check_deadline()?;
@@ -142,8 +148,7 @@ fn run_level_structured(
                 memo.reserve(sets.len());
                 let out = if algo == GpuAlgo::Mpdp {
                     evaluate_mpdp_kernel(
-                        q,
-                        ctx.model,
+                        &mut set_kernel,
                         &memo,
                         sets,
                         cfg.policy(),

@@ -19,13 +19,22 @@
 //! `(cost, left)`-minimum — the fusion flag only changes the *traffic*, which
 //! is exactly what the §7.2.5 ablation measures. The former host-side
 //! `scatter` merge no longer exists.
+//!
+//! The MPDP evaluate kernel does not have a per-set loop of its own: it runs
+//! `mpdp-dp`'s `SetKernel`, the loop of the CPU backends, and charges the
+//! lanes through its observer hook. That kernel always reduces a set before
+//! it publishes, so for unfused MPDP the per-pair atomics are charged (one
+//! probe read each) rather than executed.
 
-use crate::simt::{schedule_warp, GpuStats, WarpPolicy};
+use crate::simt::{schedule_warp, GpuStats, WarpPolicy, WARP_WIDTH};
 use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::combinatorics::{binomial, unrank_subset};
+use mpdp_core::memo::MemoEntry;
 use mpdp_core::query::QueryInfo;
 use mpdp_core::RelSet;
-use mpdp_cost::model::{CostModel, InputEst};
+use mpdp_cost::model::CostModel;
+use mpdp_dp::common::price_pair;
+use mpdp_dp::mpdp::{SetKernel, SplitObserver};
 
 /// Cycle-cost constants for the simulated lanes.
 pub mod cycles {
@@ -42,19 +51,6 @@ pub mod cycles {
     pub const BLOCKS_PER_VERTEX: u32 = 10;
     /// One hash-table probe.
     pub const HASH_PROBE: u32 = 6;
-}
-
-/// A priced candidate produced by an evaluate kernel.
-#[derive(Copy, Clone, Debug)]
-pub struct GpuCandidate {
-    /// Covered set.
-    pub set: RelSet,
-    /// Winning left side.
-    pub left: RelSet,
-    /// Plan cost.
-    pub cost: f64,
-    /// Output rows.
-    pub rows: f64,
 }
 
 /// Unrank kernel: produce all `C(n, i)` candidate sets of size `i`
@@ -131,33 +127,19 @@ pub fn expand_kernel(q: &QueryInfo, prev: &[RelSet], stats: &mut GpuStats) -> Ve
     out
 }
 
-/// Prices one ordered pair against the device memo, charging probe costs.
-#[allow(clippy::too_many_arguments)]
-fn price_pair(
+/// Prices one ordered pair against the device memo with the shared costing,
+/// charging the lane's two memo probes.
+fn price_lane(
     q: &QueryInfo,
     model: &dyn CostModel,
     memo: &AtomicMemo,
     sl: RelSet,
     sr: RelSet,
     stats: &mut GpuStats,
-) -> Option<GpuCandidate> {
-    let el = memo.get(sl)?;
-    let er = memo.get(sr)?;
-    stats.global_reads += 2; // two memo probes
-    let sel = q.graph.selectivity_between(sl, sr);
-    let rows = el.rows * er.rows * sel;
-    let cost = model.join_cost(
-        InputEst {
-            cost: el.cost,
-            rows: el.rows,
-        },
-        InputEst {
-            cost: er.cost,
-            rows: er.rows,
-        },
-        rows,
-    );
-    Some(GpuCandidate {
+) -> Option<MemoEntry> {
+    let (cost, rows) = price_pair(memo, q, model, sl, sr)?;
+    stats.global_reads += 2;
+    Some(MemoEntry {
         set: sl.union(sr),
         left: sl,
         cost,
@@ -172,34 +154,42 @@ pub struct EvaluateOutcome {
     pub evaluated: u64,
     /// CCP pairs found.
     pub ccp: u64,
-    /// Successful memo min-updates (the level's `memo_writes`).
+    /// Publishes that changed the memo (the level's `memo_writes`).
     pub memo_writes: u64,
 }
 
+/// Charges `tasks` lanes of `cost` cycles each under plain lockstep: every
+/// 32-lane batch costs `cost` — what `schedule_warp(Lockstep, ..)` returns
+/// for a uniform task list, without building the list.
+fn charge_uniform(tasks: u64, cost: u32, stats: &mut GpuStats) {
+    stats.warp_cycles += tasks.div_ceil(WARP_WIDTH as u64) * cost as u64;
+    stats.busy_cycles += tasks * cost as u64;
+}
+
 /// Publishes candidates into the device memo as atomic min-updates,
-/// charging the traffic: one global atomic per candidate plus the table's
-/// probe reads (the paper's "parallel store on the GPU hash table").
+/// charging the traffic of `atomics` global atomics plus the table's probe
+/// reads (the paper's "parallel store on the GPU hash table"). `atomics` is
+/// the number of candidates, except for unfused MPDP: the shared set kernel
+/// hands over one reduced winner per set, while the device being modelled
+/// issues an `atomicMin` per surviving pair, each charged one probe read.
 /// Returns the number of successful updates.
 fn publish_atomic(
     memo: &AtomicMemo,
-    candidates: impl IntoIterator<Item = GpuCandidate>,
+    candidates: impl IntoIterator<Item = MemoEntry>,
+    atomics: Option<u64>,
     stats: &mut GpuStats,
 ) -> u64 {
     let probes_before = memo.probe_count();
-    let mut attempts = 0u64;
+    let mut published = 0u64;
     let mut writes = 0u64;
     for c in candidates {
-        attempts += 1;
-        if memo.insert_if_better(c.set, c.left, c.cost, c.rows) {
-            writes += 1;
-        }
+        published += 1;
+        writes += memo.insert_if_better(c.set, c.left, c.cost, c.rows) as u64;
     }
-    stats.global_writes += attempts;
-    stats.global_reads += memo.probe_count() - probes_before;
-    let costs = vec![cycles::HASH_PROBE; attempts as usize];
-    let (cyc, _) = schedule_warp(WarpPolicy::Lockstep, &costs);
-    stats.warp_cycles += cyc;
-    stats.busy_cycles += costs.iter().map(|&x| x as u64).sum::<u64>();
+    let atomics = atomics.unwrap_or(published);
+    stats.global_writes += atomics;
+    stats.global_reads += memo.probe_count() - probes_before + (atomics - published);
+    charge_uniform(atomics, cycles::HASH_PROBE, stats);
     writes
 }
 
@@ -209,7 +199,7 @@ fn publish_atomic(
 /// fused and unfused paths (and every CPU backend) bit-identical on exact
 /// cost ties.
 #[inline]
-fn warp_min(best: &mut Option<GpuCandidate>, c: GpuCandidate) {
+fn warp_min(best: &mut Option<MemoEntry>, c: MemoEntry) {
     match best {
         Some(b)
             if mpdp_core::memo::candidate_key(b.cost, b.left)
@@ -239,10 +229,11 @@ pub fn evaluate_dpsub_kernel(
         ccp: 0,
         memo_writes: 0,
     };
-    let mut pending: Vec<GpuCandidate> = Vec::new();
+    let mut pending: Vec<MemoEntry> = Vec::new();
+    let mut lane_costs: Vec<u32> = Vec::new(); // per-launch scratch
     for &s in sets {
-        let mut lane_costs: Vec<u32> = Vec::with_capacity(1 << s.len());
-        let mut best: Option<GpuCandidate> = None;
+        lane_costs.clear();
+        let mut best: Option<MemoEntry> = None;
         for sl in s.subsets() {
             out.evaluated += 1;
             let mut lane = cycles::CHECK; // emptiness checks
@@ -265,7 +256,7 @@ pub fn evaluate_dpsub_kernel(
                 }
                 lane += cycles::COST_EVAL;
                 out.ccp += 1;
-                price_pair(q, model, memo, sl, sr, stats)
+                price_lane(q, model, memo, sl, sr, stats)
             };
             if let Some(c) = candidate {
                 if fused_prune {
@@ -283,7 +274,7 @@ pub fn evaluate_dpsub_kernel(
         if fused_prune {
             // In-warp reduction in shared memory; one atomic publish per set.
             stats.shared_ops += lane_costs.len() as u64;
-            out.memo_writes += publish_atomic(memo, best, stats);
+            out.memo_writes += publish_atomic(memo, best, None, stats);
         }
     }
     if !fused_prune {
@@ -291,20 +282,44 @@ pub fn evaluate_dpsub_kernel(
         // memory and min-merged into the table with its own atomic.
         stats.kernel_launches += 1;
         stats.global_reads += pending.len() as u64;
-        out.memo_writes += publish_atomic(memo, pending, stats);
+        out.memo_writes += publish_atomic(memo, pending, None, stats);
     }
     out
 }
 
+/// Charges the lanes of one set's block splits: every split the shared
+/// [`SetKernel`] visits stands for two lanes, `(lb, rb)` and its mirror, each
+/// running the CCP block on its own and stalling where its own check fails.
+struct LaneCharges<'a>(&'a mut Vec<u32>);
+
+impl SplitObserver for LaneCharges<'_> {
+    const BOTH_SIDES: bool = true;
+
+    fn split(&mut self, s: RelSet, lb: RelSet, rb: RelSet, lb_ok: bool, rb_ok: bool) {
+        for (first, second, first_ok, second_ok) in [(lb, rb, lb_ok, rb_ok), (rb, lb, rb_ok, lb_ok)]
+        {
+            let mut lane = cycles::CHECK + cycles::GROW_STEP * first.len() as u32;
+            if first_ok {
+                lane += cycles::GROW_STEP * second.len() as u32;
+                if second_ok {
+                    // Edge test, the grow to S-level, the costing.
+                    lane += cycles::CHECK + cycles::GROW_STEP * s.len() as u32 + cycles::COST_EVAL;
+                }
+            }
+            self.0.push(lane);
+        }
+    }
+}
+
 /// Evaluate kernel, MPDP style (§5 "Evaluate"): one warp per set; the warp
 /// first finds the blocks of the set (the parallel Find-Blocks of \[29\]),
-/// then each lane takes one block submask, grows it, and costs the pair.
-/// Winners publish into the device-global [`AtomicMemo`] exactly as in
-/// [`evaluate_dpsub_kernel`].
-#[allow(clippy::too_many_arguments)]
+/// then each lane takes one block submask, grows it, and costs the pair. The
+/// real work is the shared [`SetKernel`] (the CPU backends' own per-set
+/// loop), watched by `LaneCharges`; its reduced winner is the warp's one
+/// atomic publish with the fused prune. Without it the winners are published
+/// by the separate prune launch, charged one atomic per surviving pair.
 pub fn evaluate_mpdp_kernel(
-    q: &QueryInfo,
-    model: &dyn CostModel,
+    kernel: &mut SetKernel<'_>,
     memo: &AtomicMemo,
     sets: &[RelSet],
     policy: WarpPolicy,
@@ -317,67 +332,31 @@ pub fn evaluate_mpdp_kernel(
         ccp: 0,
         memo_writes: 0,
     };
-    let mut pending: Vec<GpuCandidate> = Vec::new();
+    let mut pending: Vec<MemoEntry> = Vec::new();
+    let mut lane_costs: Vec<u32> = Vec::new(); // per-launch scratch
     for &s in sets {
+        lane_costs.clear();
         // Warp-cooperative block finding: charged once per set.
-        let decomposition = mpdp_core::blocks::find_blocks(&q.graph, s);
-        let block_cost = cycles::BLOCKS_PER_VERTEX * s.len() as u32;
-        let mut lane_costs: Vec<u32> = vec![block_cost];
-        let mut best: Option<GpuCandidate> = None;
-        for &block in &decomposition.blocks {
-            for lb in block.subsets() {
-                if lb == block {
-                    continue;
-                }
-                out.evaluated += 1;
-                let rb = block.difference(lb);
-                let mut lane = cycles::CHECK;
-                let candidate = 'eval: {
-                    if lb.is_empty() || rb.is_empty() {
-                        break 'eval None;
-                    }
-                    lane += cycles::GROW_STEP * lb.len() as u32;
-                    if !q.graph.is_connected(lb) {
-                        break 'eval None;
-                    }
-                    lane += cycles::GROW_STEP * rb.len() as u32;
-                    if !q.graph.is_connected(rb) {
-                        break 'eval None;
-                    }
-                    lane += cycles::CHECK;
-                    if !q.graph.sets_connected(lb, rb) {
-                        break 'eval None;
-                    }
-                    out.ccp += 1;
-                    lane += cycles::GROW_STEP * s.len() as u32; // the grow to S-level
-                    let sleft = q.graph.grow(lb, s.difference(rb));
-                    let sright = s.difference(sleft);
-                    lane += cycles::COST_EVAL;
-                    price_pair(q, model, memo, sleft, sright, stats)
-                };
-                if let Some(c) = candidate {
-                    if fused_prune {
-                        warp_min(&mut best, c);
-                    } else {
-                        pending.push(c);
-                    }
-                }
-                lane_costs.push(lane);
-            }
-        }
+        lane_costs.push(cycles::BLOCKS_PER_VERTEX * s.len() as u32);
+        let set = kernel.evaluate(memo, s, &mut LaneCharges(&mut lane_costs));
+        stats.global_reads += 2 * set.ccp; // two memo probes per costing lane
+        out.evaluated += set.evaluated;
+        out.ccp += set.ccp;
         let (c, sh) = schedule_warp(policy, &lane_costs);
         stats.warp_cycles += c;
         stats.busy_cycles += lane_costs.iter().map(|&x| x as u64).sum::<u64>();
         stats.shared_ops += sh;
         if fused_prune {
             stats.shared_ops += lane_costs.len() as u64;
-            out.memo_writes += publish_atomic(memo, best, stats);
+            out.memo_writes += publish_atomic(memo, set.best, None, stats);
+        } else {
+            pending.extend(set.best);
         }
     }
     if !fused_prune {
         stats.kernel_launches += 1; // the separate prune kernel for the level
-        stats.global_reads += pending.len() as u64;
-        out.memo_writes += publish_atomic(memo, pending, stats);
+        stats.global_reads += out.ccp;
+        out.memo_writes += publish_atomic(memo, pending, Some(out.ccp), stats);
     }
     out
 }

@@ -18,11 +18,12 @@ use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::SeenTable;
 use mpdp_core::{OptError, RelSet};
-use mpdp_dp::common::{finish, init_memo, price_pair, OptContext, OptResult};
+use mpdp_dp::common::{finish, init_memo, price_both, OptContext, OptResult};
 use mpdp_dp::JoinOrderOptimizer;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One enumerated ordered pair in the dependency buffer.
+/// One enumerated csg-cmp pair in the dependency buffer; consumers cost both
+/// of its join orders.
 #[derive(Copy, Clone, Debug)]
 struct PendingPair {
     left: RelSet,
@@ -45,10 +46,6 @@ fn enumerate_all_pairs(
             self.out.push(PendingPair {
                 left: s1,
                 right: s2,
-            });
-            self.out.push(PendingPair {
-                left: s2,
-                right: s1,
             });
         }
         fn csg_rec(&mut self, s: RelSet, x: RelSet) {
@@ -146,7 +143,7 @@ impl Dpe {
                     // (the connected sets materialized at this dependency
                     // level); the table never grows during the parallel
                     // phase.
-                    let mut unions = SeenTable::with_capacity(class.len() / 2 + 8);
+                    let mut unions = SeenTable::with_capacity(class.len() + 8);
                     let mut class_sets = 0u64;
                     for p in class {
                         if unions.insert(p.left.union(p.right).bits()) {
@@ -161,22 +158,22 @@ impl Dpe {
                     pool.run(&|worker| {
                         let mut mine = 0u64;
                         for p in &class[chunk_range(class.len(), pool.workers(), worker)] {
-                            let Some((cost, rows)) =
-                                price_pair(memo_ref, q, ctx.model, p.left, p.right)
+                            let Some(priced) = price_both(memo_ref, q, ctx.model, p.left, p.right)
                             else {
                                 continue;
                             };
-                            if memo_ref.insert_if_better(p.left.union(p.right), p.left, cost, rows)
-                            {
-                                mine += 1;
-                            }
+                            let (left, cost) = priced.better(p.left, p.right);
+                            let union = p.left.union(p.right);
+                            mine +=
+                                memo_ref.insert_if_better(union, left, cost, priced.rows) as u64;
                         }
                         writes.fetch_add(mine, Ordering::Relaxed);
                     });
                     let level = LevelStats {
                         size: k,
-                        evaluated: class.len() as u64,
-                        ccp: class.len() as u64,
+                        // Counters track ordered pairs workspace-wide.
+                        evaluated: 2 * class.len() as u64,
+                        ccp: 2 * class.len() as u64,
                         sets: class_sets,
                         memo_writes: writes.load(Ordering::Relaxed),
                         memo_probes: memo.probe_count() - probes0,

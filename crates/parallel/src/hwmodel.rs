@@ -33,7 +33,9 @@ pub struct OpWeights {
     pub set: f64,
     /// Weight of one evaluated Join-Pair.
     pub pair: f64,
-    /// Weight of one memo write.
+    /// Weight of one memo publish that changed the table (`memo_writes`:
+    /// one per connected set under MPDP's fused prune, one per improving
+    /// candidate under DPSUB/DPSIZE) — a probe chain plus the slot update.
     pub write: f64,
 }
 

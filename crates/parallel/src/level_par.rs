@@ -15,17 +15,20 @@
 //! step (the "deferred pruning" shape of PDP \[10\] that used to live here):
 //! the table itself is the reduction. Result equality with the sequential
 //! algorithms is exact and bit-identical at any worker count: the same pairs
-//! are priced by the same shared costing (`mpdp_dp::common::price_pair`),
-//! and every memo keeps the minimum under the same deterministic
-//! `(cost, left)` tie-break, which is order-insensitive.
+//! are priced by the same shared costing (`mpdp_dp::common`), and every memo
+//! keeps the minimum under the same deterministic `(cost, left)` tie-break,
+//! which is order-insensitive. MPDP's per-set work is `mpdp_dp`'s
+//! [`SetKernel`], the same one the sequential driver runs: it reduces a set's
+//! candidates locally and the worker publishes the winner once.
 
 use crate::pool::{chunk_range, with_pool};
 use mpdp_core::atomic_memo::AtomicMemo;
-use mpdp_core::blocks::find_blocks;
+use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{finish, init_memo, price_pair, LevelEnumerator, OptContext, OptResult};
+use mpdp_dp::mpdp::SetKernel;
 use mpdp_dp::JoinOrderOptimizer;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,38 +70,6 @@ impl LevelTally {
         level.evaluated += self.evaluated.load(Ordering::Relaxed);
         level.ccp += self.ccp.load(Ordering::Relaxed);
         level.memo_writes += self.writes.load(Ordering::Relaxed);
-    }
-}
-
-fn eval_set_mpdp(
-    q: &mpdp_core::QueryInfo,
-    model: &dyn mpdp_cost::model::CostModel,
-    memo: &AtomicMemo,
-    s: RelSet,
-    tally: &mut SliceTally,
-) {
-    let decomposition = find_blocks(&q.graph, s);
-    for &block in &decomposition.blocks {
-        for lb in block.subsets() {
-            if lb == block {
-                continue;
-            }
-            let rb = block.difference(lb);
-            tally.evaluated += 1;
-            if lb.is_empty() || rb.is_empty() {
-                continue;
-            }
-            if !q.graph.is_connected(lb) || !q.graph.is_connected(rb) {
-                continue;
-            }
-            if !q.graph.sets_connected(lb, rb) {
-                continue;
-            }
-            tally.ccp += 1;
-            let sleft = q.graph.grow(lb, s.difference(rb));
-            let sright = s.difference(sleft);
-            emit_atomic(q, model, memo, sleft, sright, tally);
-        }
     }
 }
 
@@ -183,6 +154,7 @@ pub fn run_level_parallel(
         let mut counters = Counters::default();
         let mut profile = Profile::default();
         let mut enumerator = LevelEnumerator::new(&q.graph, ctx.enumeration);
+        let index = BlockIndex::new(&q.graph);
         for i in 2..=n {
             ctx.check_deadline()?;
             // Frontier expansion (or legacy unrank + filter) — sequential
@@ -203,10 +175,26 @@ pub fn run_level_parallel(
             let tally = LevelTally::default();
             pool.run(&|worker| {
                 let mut mine = SliceTally::default();
-                for &s in &sets[chunk_range(sets.len(), pool.workers(), worker)] {
-                    match algo {
-                        LevelAlgo::Mpdp => eval_set_mpdp(q, ctx.model, memo_ref, s, &mut mine),
-                        LevelAlgo::DpSub => eval_set_dpsub(q, ctx.model, memo_ref, s, &mut mine),
+                let slice = &sets[chunk_range(sets.len(), pool.workers(), worker)];
+                match algo {
+                    LevelAlgo::Mpdp => {
+                        // The shared per-set kernel; its winner is the one
+                        // atomic publish this set gets.
+                        let mut kernel = SetKernel::new(q, ctx.model, &index);
+                        for &s in slice {
+                            let out = kernel.evaluate(memo_ref, s, &mut ());
+                            mine.evaluated += out.evaluated;
+                            mine.ccp += out.ccp;
+                            if let Some(e) = out.best {
+                                mine.writes +=
+                                    memo_ref.insert_if_better(s, e.left, e.cost, e.rows) as u64;
+                            }
+                        }
+                    }
+                    LevelAlgo::DpSub => {
+                        for &s in slice {
+                            eval_set_dpsub(q, ctx.model, memo_ref, s, &mut mine);
+                        }
                     }
                 }
                 tally.absorb(&mine);

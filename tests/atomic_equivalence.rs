@@ -3,6 +3,7 @@
 //! simulated-GPU backends at any worker count — including on exact cost
 //! ties, which the `(cost, left)` tie-break makes scheduling-independent.
 
+use mpdp::core::Profile;
 use mpdp::prelude::*;
 use mpdp_cost::PgLikeCost;
 use mpdp_gpu::drivers::{DpSizeGpu, DpSubGpu, MpdpGpu};
@@ -10,7 +11,7 @@ use mpdp_parallel::level_par::{run_dpsize_parallel, run_level_parallel, LevelAlg
 use mpdp_parallel::Dpe;
 use mpdp_workload::{gen, MusicBrainz};
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn queries() -> Vec<(String, QueryInfo)> {
     let m = PgLikeCost::new();
@@ -66,26 +67,46 @@ fn tie_heavy_query() -> QueryInfo {
     QueryInfo::new(g, vec![RelInfo::new(1000.0, 10.0); n])
 }
 
+/// The fused prune: every MPDP backend reduces a set's candidates before it
+/// touches the memo, so a level publishes once per connected set — never
+/// once per improving pair.
+fn assert_one_publish_per_set(profile: &Profile, what: &str) {
+    for l in &profile.levels {
+        assert!(l.sets > 0, "{what}: level {} is empty", l.size);
+        assert_eq!(l.memo_writes, l.sets, "{what}: level {}", l.size);
+    }
+}
+
 #[test]
 fn plans_costs_counters_identical_across_backends_and_workers() {
     let m = PgLikeCost::new();
     for (name, q) in queries() {
         let ctx = OptContext::new(&q, &m);
         let seq = Mpdp::run(&ctx).unwrap();
+        assert_one_publish_per_set(&seq.profile, &name);
 
-        // CPU-parallel MPDP at 1/2/8 workers: everything identical to
+        // CPU-parallel MPDP at 1/2/4/8 workers: everything identical to
         // sequential MPDP.
         for w in WORKER_COUNTS {
             let r = run_level_parallel(&ctx, LevelAlgo::Mpdp, w).unwrap();
             assert_eq!(r.plan, seq.plan, "{name}: mpdp plan at {w} workers");
             assert_eq!(r.cost.to_bits(), seq.cost.to_bits(), "{name} ({w}w)");
             assert_eq!(r.counters, seq.counters, "{name}: mpdp counters ({w}w)");
+            assert_one_publish_per_set(&r.profile, &format!("{name} ({w}w)"));
         }
-        // Simulated GPU MPDP: same plan and counters as sequential.
+        // Simulated GPU MPDP: same plan and counters as sequential, with the
+        // prune fused or as its own launch.
         let gpu = MpdpGpu::new().run(&ctx).unwrap();
         assert_eq!(gpu.result.plan, seq.plan, "{name}: gpu plan");
         assert_eq!(gpu.result.cost.to_bits(), seq.cost.to_bits(), "{name}");
         assert_eq!(gpu.result.counters, seq.counters, "{name}: gpu counters");
+        assert_one_publish_per_set(&gpu.result.profile, &format!("{name} (gpu)"));
+        let mut unfused = MpdpGpu::new();
+        unfused.config.fused_prune = false;
+        let unfused = unfused.run(&ctx).unwrap();
+        assert_eq!(unfused.result.plan, seq.plan, "{name}: unfused gpu plan");
+        assert_eq!(unfused.result.counters, seq.counters, "{name}");
+        assert!(unfused.stats.global_writes > gpu.stats.global_writes);
 
         // DPSUB family.
         let sub_seq = DpSub::run(&ctx).unwrap();

@@ -249,3 +249,39 @@ fn cold_templates_are_served_by_their_owner_only() {
     assert_eq!(cluster.cached_replicas(fp, &model), 1);
     assert_eq!(cluster.hot_count(fp), 12);
 }
+
+/// A round pushes only what is new since the last one, so a shard that joins
+/// later would never hear of older observations — unless a topology change
+/// makes every shard offer its whole log again. It does: the newcomer learns
+/// the overrides within the bound, and a settled cluster delivers nothing.
+#[test]
+fn a_shard_added_after_the_flood_still_catches_up() {
+    let model = PgLikeCost::new();
+    let cluster = PlanCluster::new(ClusterConfig {
+        shards: 4,
+        ..ClusterConfig::default()
+    });
+    let q = gen::random_connected(8, 2, 42, &model);
+    let served = cluster.plan(&q, &model).expect("plan");
+    let (fp, est) = (served.served.fingerprint, served.served.planned.rows);
+    cluster.observe(fp, &model, &feedback_report((est * 20.0) as u64, est));
+    for _ in 0..cluster.staleness_bound() {
+        cluster.run_gossip_round();
+    }
+    assert_eq!(cluster.run_gossip_round(), 0, "flooded and settled");
+
+    let newcomer = cluster.add_shard();
+    assert!(cluster.overrides_for(newcomer, fp).is_none());
+    for _ in 0..cluster.staleness_bound() {
+        cluster.run_gossip_round();
+    }
+    assert_eq!(cluster.overrides_for(newcomer, fp), Some(vec![(0, 0.05)]));
+    assert_eq!(cluster.run_gossip_round(), 0, "settled again");
+
+    // Removing a shard rewires the ring; nothing is lost or re-applied.
+    assert!(cluster.remove_shard(newcomer));
+    assert_eq!(cluster.run_gossip_round(), 0);
+    for id in cluster.shard_ids() {
+        assert_eq!(cluster.overrides_for(id, fp), Some(vec![(0, 0.05)]));
+    }
+}

@@ -5,8 +5,12 @@
 // Explicit imports (not the facade prelude glob): both `mpdp::prelude` and
 // `proptest::prelude` export a `Strategy` trait, and the glob-glob collision
 // would make either unusable.
+use mpdp::core::blocks::{find_blocks, BlockIndex};
 use mpdp::core::combinatorics::KSubsets;
 use mpdp::core::enumerate::FrontierEnumerator;
+use mpdp::core::memo::{MemoEntry, MemoHealth, MemoStore};
+use mpdp::core::JoinGraph;
+use mpdp::dp::mpdp::SetKernel;
 use mpdp::prelude::{DpCcp, DpSize, DpSub, EnumerationMode, LargeQuery, Mpdp, OptContext, RelSet};
 use mpdp_cost::{CoutCost, PgLikeCost};
 use mpdp_heuristics::{validate_large, Goo, LargeOptimizer, UnionDp};
@@ -32,8 +36,121 @@ fn enumeration_query_strategy() -> impl Strategy<Value = LargeQuery> {
     })
 }
 
+/// Algorithm 3's per-set loop as it was before the fused kernel, kept as
+/// the oracle: blocks of `G[S]` by a fresh DFS, every non-empty proper
+/// subset of every block as `lb`, the full CCP check and a `grow` per
+/// ordered pair. Returns `(evaluated, ordered CCP pairs)`.
+fn full_subset_enumeration(g: &JoinGraph, s: RelSet) -> (u64, Vec<(RelSet, RelSet)>) {
+    let (mut evaluated, mut pairs) = (0, Vec::new());
+    for &block in &find_blocks(g, s).blocks {
+        for lb in block.subsets() {
+            if lb == block {
+                continue;
+            }
+            let rb = block.difference(lb);
+            evaluated += 1;
+            if !g.is_connected(lb) || !g.is_connected(rb) || !g.sets_connected(lb, rb) {
+                continue;
+            }
+            let sleft = g.grow(lb, s.difference(rb));
+            pairs.push((sleft, s.difference(sleft)));
+        }
+    }
+    (evaluated, pairs)
+}
+
+/// A memo that answers every lookup and writes the looked-up sets down: the
+/// kernel prices a split `{a, b}` by looking `a` up, then `b`.
+#[derive(Default)]
+struct LookupLog(std::cell::RefCell<Vec<RelSet>>);
+
+impl MemoStore for LookupLog {
+    fn with_capacity(_: usize) -> Self {
+        Self::default()
+    }
+    fn len(&self) -> usize {
+        0
+    }
+    fn get(&self, set: RelSet) -> Option<MemoEntry> {
+        self.0.borrow_mut().push(set);
+        Some(MemoEntry {
+            set,
+            left: RelSet::empty(),
+            cost: 1.0,
+            rows: 1.0,
+        })
+    }
+    fn insert_leaf(&mut self, _: usize, _: f64, _: f64) {}
+    fn insert_if_better(&mut self, _: RelSet, _: RelSet, _: f64, _: f64) -> bool {
+        false
+    }
+    fn reserve(&mut self, _: usize) {}
+    fn health(&self) -> MemoHealth {
+        MemoHealth::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn set_kernel_prices_exactly_the_old_loops_pairs(q in query_strategy()) {
+        // Bridge masks, block finding restricted to the cyclic blocks and
+        // mirror splits must leave the multiset of ordered Join-Pairs — and
+        // both counters — exactly what the full-subset loop produced, for
+        // every connected set of the graph.
+        let m = PgLikeCost::new();
+        let qi = q.to_query_info().unwrap();
+        let g = &qi.graph;
+        let index = BlockIndex::new(g);
+        let mut kernel = SetKernel::new(&qi, &m, &index);
+        let mut fe = FrontierEnumerator::new(g);
+        for _ in 2..=qi.query_size() {
+            for &s in fe.advance() {
+                let (evaluated, mut want) = full_subset_enumeration(g, s);
+                let log = LookupLog::default();
+                let out = kernel.evaluate(&log, s, &mut ());
+                let mut got = Vec::new();
+                for split in log.0.borrow().chunks(2) {
+                    got.push((split[0], split[1]));
+                    got.push((split[1], split[0]));
+                }
+                want.sort_unstable();
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want, "set {}", s);
+                prop_assert_eq!(out.evaluated, evaluated);
+                prop_assert_eq!(out.ccp, want.len() as u64);
+                prop_assert!(out.best.is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn selectivity_between_is_symmetric_to_the_bit(params in (query_strategy(), any::<u64>())) {
+        // price_both prices both join orders from one product; that is only
+        // exact if the product does not depend on the argument order — also
+        // when both sides have the same size, where "iterate the smaller
+        // side" alone does not decide the multiplication order.
+        let (q, mut state) = params;
+        let qi = q.to_query_info().unwrap();
+        let all = qi.graph.all_vertices();
+        let mut draw = || {
+            state = mpdp::core::memo::murmur3_fmix64(state.wrapping_add(0x9e37_79b9_7f4a_7c15));
+            RelSet(state & all.bits())
+        };
+        for _ in 0..32 {
+            let a = draw();
+            let b = draw().difference(a);
+            let ab = qi.graph.selectivity_between(a, b);
+            prop_assert_eq!(ab.to_bits(), qi.graph.selectivity_between(b, a).to_bits());
+            // Equal sizes: trim the larger side down to the smaller one's.
+            let k = a.len().min(b.len());
+            let trim = |s: RelSet| RelSet::from_indices(s.iter().take(k));
+            let (a, b) = (trim(a), trim(b));
+            let ab = qi.graph.selectivity_between(a, b);
+            prop_assert_eq!(ab.to_bits(), qi.graph.selectivity_between(b, a).to_bits());
+        }
+    }
 
     #[test]
     fn exact_algorithms_agree(q in query_strategy()) {
