@@ -180,15 +180,19 @@ pub struct CacheCounters {
 /// A point-in-time copy of [`CacheCounters`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    /// Lookups answered from the cache.
+    /// Requests (or direct lookups) answered from the cache.
     pub hits: u64,
-    /// Lookups that found nothing (or only an expired entry). On the
-    /// single-flight serving path a miss is counted only for the one
-    /// request that actually plans (the flight leader).
+    /// Requests that planned from scratch with their routed strategy —
+    /// under single-flight only the one request that actually plans (the
+    /// flight leader); also cache-bypass and strategy-override requests,
+    /// which never consult the cache — and direct lookups that found
+    /// nothing (or only an expired entry). The serving layer tallies each
+    /// request once, when it is delivered, so on every entry point
+    /// `hits + misses + coalesced + degraded` is the number of requests
+    /// served, failed ones included.
     pub misses: u64,
     /// Requests that joined an in-flight planning of the same fingerprint
-    /// instead of planning themselves (single-flight joins). Every
-    /// single-flight request is exactly one of hit / miss / coalesced.
+    /// instead of planning themselves (single-flight joins).
     pub coalesced: u64,
     /// Entries written.
     pub insertions: u64,
@@ -203,8 +207,9 @@ pub struct CacheSnapshot {
     pub feedback_invalidations: u64,
     /// Requests served a heuristic plan because their deadline budget could
     /// not afford the routed exact strategy (or the exact attempt timed out
-    /// mid-flight). Disjoint from hits/misses/coalesced: a degraded request
-    /// neither planned exactly nor touched the cache.
+    /// mid-flight, or the flight they joined failed). Disjoint from
+    /// hits/misses/coalesced on every entry point: a degraded request is
+    /// tallied here and nowhere else, even if it started an exact attempt.
     pub degraded: u64,
     /// Requests whose exact planning attempt was cut off by the deadline
     /// mid-flight (a subset of the degradations: the ones that started
@@ -357,9 +362,12 @@ impl CacheCounters {
 /// The queue-facing sibling of [`CacheCounters`]: where cache counters
 /// account for what happened *inside* the plan cache, these account for what
 /// happened to *requests* at the front door — admission, shedding, dispatch
-/// and completion. `queue_depth` and `in_flight` are gauges (current values,
-/// not monotonic totals); everything else is monotonic, so a
-/// [`ServeSnapshot::delta`] over the monotonic fields is a window's traffic.
+/// and completion. `in_flight` is a gauge (a current value, not a monotonic
+/// total); everything else is monotonic, so a [`ServeSnapshot::delta`] over
+/// the monotonic fields is a window's traffic. The queue's own gauges
+/// (`ServeSnapshot::queue_depth` / `queue_depth_peak`) are not tracked here:
+/// only the queue knows its length exactly, under its own lock, so the
+/// front-end fills them in from the queue when it takes a snapshot.
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     accepted: std::sync::atomic::AtomicU64,
@@ -367,12 +375,8 @@ pub struct ServeCounters {
     shed_quota: std::sync::atomic::AtomicU64,
     completed: std::sync::atomic::AtomicU64,
     failed: std::sync::atomic::AtomicU64,
-    /// Signed: a dispatcher can pop a request (and record the dispatch)
-    /// between the producer's successful queue push and its gauge increment,
-    /// transiently driving the gauge below zero. Readers clamp at 0.
-    queue_depth: std::sync::atomic::AtomicI64,
-    queue_depth_peak: std::sync::atomic::AtomicU64,
-    /// Signed for the same push/pop race as `queue_depth`.
+    /// Signed, and clamped at 0 by readers, so a transient imbalance could
+    /// only ever read as 0 — never as a wrapped-around huge gauge.
     in_flight: std::sync::atomic::AtomicI64,
     worker_respawns: std::sync::atomic::AtomicU64,
     reactor_respawns: std::sync::atomic::AtomicU64,
@@ -392,10 +396,13 @@ pub struct ServeSnapshot {
     pub completed: u64,
     /// Accepted requests that completed with a planning error.
     pub failed: u64,
-    /// Requests currently queued (gauge).
+    /// Requests currently queued (gauge). Read from the admission queue
+    /// itself by the front-end; 0 in a bare [`ServeCounters::snapshot`].
     pub queue_depth: u64,
-    /// Highest queue depth observed since the counters were created (gauge;
-    /// carried as-is through [`ServeSnapshot::delta`]).
+    /// Highest queue depth since the queue was created (gauge; carried
+    /// as-is through [`ServeSnapshot::delta`]). Tracked by the queue under
+    /// its own lock, so it can never exceed the queue's capacity; 0 in a
+    /// bare [`ServeCounters::snapshot`].
     pub queue_depth_peak: u64,
     /// Requests currently being served by a dispatcher (gauge).
     pub in_flight: u64,
@@ -446,26 +453,18 @@ impl ServeSnapshot {
 impl ServeCounters {
     const ORD: std::sync::atomic::Ordering = std::sync::atomic::Ordering::Relaxed;
 
-    /// Records an admitted request: bumps `accepted` and the queue-depth
-    /// gauge (tracking its peak).
+    /// Records an admitted request.
     pub fn record_accept(&self) {
         self.accepted.fetch_add(1, Self::ORD);
-        let depth = self.queue_depth.fetch_add(1, Self::ORD) + 1;
-        self.queue_depth_peak
-            .fetch_max(depth.max(0) as u64, Self::ORD);
     }
 
     /// Batch form of [`ServeCounters::record_accept`]: `n` admissions in
     /// one set of atomic updates (the 100k-requests/s admission path counts
     /// per pacing batch, not per request).
     pub fn record_accept_n(&self, n: u64) {
-        if n == 0 {
-            return;
+        if n > 0 {
+            self.accepted.fetch_add(n, Self::ORD);
         }
-        self.accepted.fetch_add(n, Self::ORD);
-        let depth = self.queue_depth.fetch_add(n as i64, Self::ORD) + n as i64;
-        self.queue_depth_peak
-            .fetch_max(depth.max(0) as u64, Self::ORD);
     }
 
     /// Records a queue-full shed.
@@ -495,18 +494,15 @@ impl ServeCounters {
     /// Records a dispatch: the request leaves the queue and becomes
     /// in-flight.
     pub fn record_dispatch(&self) {
-        self.queue_depth.fetch_sub(1, Self::ORD);
         self.in_flight.fetch_add(1, Self::ORD);
     }
 
     /// Batch form of [`ServeCounters::record_dispatch`]: a dispatcher that
-    /// drained a chunk of `n` requests moves the gauges once.
+    /// drained a chunk of `n` requests moves the gauge once.
     pub fn record_dispatch_n(&self, n: u64) {
-        if n == 0 {
-            return;
+        if n > 0 {
+            self.in_flight.fetch_add(n as i64, Self::ORD);
         }
-        self.queue_depth.fetch_sub(n as i64, Self::ORD);
-        self.in_flight.fetch_add(n as i64, Self::ORD);
     }
 
     /// Records a completion (`ok` = the request produced a plan); the
@@ -543,17 +539,13 @@ impl ServeCounters {
         self.abandoned_tickets.fetch_add(1, Self::ORD);
     }
 
-    /// Current queue-depth gauge (clamped at 0; see the field docs).
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Self::ORD).max(0) as u64
-    }
-
     /// Current in-flight gauge (clamped at 0; see the field docs).
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Self::ORD).max(0) as u64
     }
 
-    /// Copies the current counts.
+    /// Copies the current counts. The queue gauges are left at 0 for the
+    /// owner of the queue to fill in (see the type docs).
     pub fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
             accepted: self.accepted.load(Self::ORD),
@@ -561,8 +553,8 @@ impl ServeCounters {
             shed_quota: self.shed_quota.load(Self::ORD),
             completed: self.completed.load(Self::ORD),
             failed: self.failed.load(Self::ORD),
-            queue_depth: self.queue_depth(),
-            queue_depth_peak: self.queue_depth_peak.load(Self::ORD),
+            queue_depth: 0,
+            queue_depth_peak: 0,
             in_flight: self.in_flight(),
             worker_respawns: self.worker_respawns.load(Self::ORD),
             reactor_respawns: self.reactor_respawns.load(Self::ORD),
@@ -672,10 +664,9 @@ mod tests {
         s.record_accept();
         s.record_shed_queue_full();
         s.record_shed_quota();
-        assert_eq!(s.queue_depth(), 3);
         s.record_dispatch();
         s.record_dispatch();
-        assert_eq!((s.queue_depth(), s.in_flight()), (1, 2));
+        assert_eq!(s.in_flight(), 2);
         s.record_done(true);
         s.record_done(false);
         let a = s.snapshot();
@@ -683,14 +674,18 @@ mod tests {
         assert_eq!(a.sheds(), 2);
         assert_eq!(a.offered(), 5);
         assert_eq!((a.completed, a.failed), (1, 1));
-        assert_eq!(a.queue_depth_peak, 3);
-        assert_eq!((a.queue_depth, a.in_flight), (1, 0));
-        // A later window reports only its own traffic; gauges pass through.
+        assert_eq!(a.in_flight, 0);
+        // A later window reports only its own traffic; gauges pass through
+        // (the queue gauges as whatever the queue's owner filled in).
         s.record_dispatch();
         s.record_done(true);
-        let d = s.snapshot().delta(&a);
+        let later = ServeSnapshot {
+            queue_depth: 1,
+            queue_depth_peak: 3,
+            ..s.snapshot()
+        };
+        let d = later.delta(&a);
         assert_eq!((d.accepted, d.completed, d.failed), (0, 1, 0));
-        assert_eq!(d.queue_depth, 0);
-        assert_eq!(d.queue_depth_peak, 3);
+        assert_eq!((d.queue_depth, d.queue_depth_peak), (1, 3));
     }
 }

@@ -816,10 +816,13 @@ impl ServeFront {
     }
 
     /// Front-door counters (accepted / sheds / completed / gauges), with
-    /// the executor's contained poll panics folded into `worker_respawns`
-    /// and the reactor's driver restarts into `reactor_respawns`.
+    /// the queue's depth and peak read from the queue itself, the
+    /// executor's contained poll panics folded into `worker_respawns` and
+    /// the reactor's driver restarts into `reactor_respawns`.
     pub fn serve_counters(&self) -> ServeSnapshot {
         let mut s = self.counters.snapshot();
+        s.queue_depth = self.queue.len() as u64;
+        s.queue_depth_peak = self.queue.peak() as u64;
         s.worker_respawns += self.executor_panics.load(Ordering::Relaxed);
         s.reactor_respawns += self.reactor.respawns();
         s

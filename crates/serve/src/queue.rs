@@ -30,6 +30,9 @@ pub enum PushError<T> {
 
 struct State<T> {
     items: VecDeque<T>,
+    /// Highest `items.len()` ever reached. Updated where items are pushed,
+    /// under the same lock, so it is exact and never exceeds the capacity.
+    peak: usize,
     closed: bool,
     /// Wakers of dispatcher tasks parked in [`Pop`]. One waker per push;
     /// all on close.
@@ -67,6 +70,7 @@ impl<T> Bounded<T> {
         Bounded {
             state: Mutex::new(State {
                 items: VecDeque::new(),
+                peak: 0,
                 closed: false,
                 poppers: Vec::new(),
             }),
@@ -83,6 +87,11 @@ impl<T> Bounded<T> {
     /// Current occupancy.
     pub fn len(&self) -> usize {
         lock_recover(&self.state).items.len()
+    }
+
+    /// Highest occupancy since the queue was created.
+    pub fn peak(&self) -> usize {
+        lock_recover(&self.state).peak
     }
 
     /// `true` if no item is queued.
@@ -107,6 +116,7 @@ impl<T> Bounded<T> {
                 return Err(PushError::Full(item));
             }
             state.items.push_back(item);
+            state.peak = state.peak.max(state.items.len());
             state.poppers.pop()
         };
         if let Some(w) = waker {
@@ -151,6 +161,7 @@ impl<T> Bounded<T> {
             let room = self.capacity - state.items.len().min(self.capacity);
             let pushed = items.len().min(room);
             state.items.extend(items.drain(..pushed));
+            state.peak = state.peak.max(state.items.len());
             let n_wake = pushed.min(state.poppers.len());
             let at = state.poppers.len() - n_wake;
             (pushed, state.poppers.split_off(at))
@@ -248,6 +259,23 @@ mod tests {
             Err(PushError::Closed(4)) => {}
             other => panic!("expected Closed(4), got {other:?}"),
         }
+    }
+
+    #[test]
+    fn peak_is_the_high_water_mark_and_never_exceeds_capacity() {
+        let q: Bounded<u32> = Bounded::new(4);
+        assert_eq!((q.len(), q.peak()), (0, 0));
+        assert!(q.try_push(1).is_ok());
+        assert!(q.try_push(2).is_ok());
+        let mut out = Vec::new();
+        assert_eq!(q.drain_into(&mut out, 8), 2);
+        assert_eq!((q.len(), q.peak()), (0, 2), "draining keeps the peak");
+        // A batch larger than the room is clipped at capacity, and so is
+        // the peak; refused pushes do not move it.
+        let mut batch: Vec<u32> = (0..10).collect();
+        assert_eq!(q.try_push_batch(&mut batch), 4);
+        assert!(matches!(q.try_push(99), Err(PushError::Full(99))));
+        assert_eq!((q.len(), q.peak()), (4, 4));
     }
 
     #[test]

@@ -133,43 +133,25 @@ impl PlanCache {
         &self.shards[self.shard_index(fp)]
     }
 
-    /// Looks up a fingerprint, refreshing its LRU stamp on a hit. Expired
-    /// entries are dropped and reported as misses (plus an expiration tick).
+    /// [`PlanCache::get_quiet`] plus the hit/miss tally, for callers that
+    /// use the cache directly: a hit counts a hit, everything else (absent,
+    /// or expired and reaped) counts a miss.
     pub fn get(&self, fp: Fingerprint) -> Option<CachedPlan> {
-        let mut shard = lock_recover(self.shard_of(fp));
-        let key = fp.as_u128();
-        shard.clock += 1;
-        let clock = shard.clock;
-        match shard.map.get_mut(&key) {
-            None => {
-                self.counters.record_miss();
-                None
-            }
-            Some(entry)
-                if self
-                    .ttl
-                    .is_some_and(|ttl| entry.inserted_at.elapsed() > ttl) =>
-            {
-                shard.map.remove(&key);
-                self.counters.record_expiration();
-                self.counters.record_miss();
-                None
-            }
-            Some(entry) => {
-                entry.last_used = clock;
-                self.counters.record_hit();
-                Some(entry.value.clone())
-            }
+        let found = self.get_quiet(fp);
+        match found {
+            Some(_) => self.counters.record_hit(),
+            None => self.counters.record_miss(),
         }
+        found
     }
 
     /// Looks up a fingerprint, refreshing its LRU stamp on a hit, *without*
-    /// tallying a hit or a miss. The single-flight path uses this: whether a
-    /// request was a hit, a miss, or a coalesced join is only known after
-    /// the flight-table handshake, so the service records the outcome
-    /// explicitly via [`PlanCache::record_hit`] / [`PlanCache::record_miss`]
-    /// / [`PlanCache::record_coalesced`]. Expired entries are still reaped
-    /// (with an expiration tick) exactly as in [`PlanCache::get`].
+    /// tallying a hit or a miss. The service uses this: whether a request
+    /// was a hit, a miss, a coalesced join or a degradation is only known
+    /// when it is delivered, so the service records the outcome explicitly
+    /// via [`PlanCache::record_hit`] / [`PlanCache::record_miss`] /
+    /// [`PlanCache::record_coalesced`] / [`PlanCache::record_degraded`].
+    /// Expired entries are dropped on contact, with an expiration tick.
     pub fn get_quiet(&self, fp: Fingerprint) -> Option<CachedPlan> {
         let mut shard = lock_recover(self.shard_of(fp));
         let key = fp.as_u128();
@@ -280,14 +262,14 @@ impl PlanCache {
     }
 
     /// Records a hit on the shared counters. Pairs with
-    /// [`PlanCache::get_quiet`] on the single-flight path.
+    /// [`PlanCache::get_quiet`].
     pub fn record_hit(&self) {
         self.counters.record_hit();
     }
 
     /// Records a miss on the shared counters. Pairs with
-    /// [`PlanCache::get_quiet`] on the single-flight path (the flight
-    /// leader's one true cold plan).
+    /// [`PlanCache::get_quiet`] (a request that planned from scratch; under
+    /// single-flight, the leader's one true cold plan).
     pub fn record_miss(&self) {
         self.counters.record_miss();
     }

@@ -10,11 +10,12 @@
 //! performs, so waiters are indistinguishable from hits except in the
 //! counters (`coalesced`, not `hits`).
 //!
-//! A [`Flight`] supports both waiting disciplines the workspace needs:
-//! blocking OS threads park on a condvar ([`Flight::wait`]), async tasks
-//! register a [`Waker`] and suspend ([`Flight::poll_result`]) — the
-//! `mpdp-serve` front-end uses the latter so a cold plan never idles more
-//! than the one executor thread the leader runs on.
+//! A [`Flight`] is a result slot plus a waker list, and there is one kind of
+//! waiter: whoever polls it ([`Flight::poll_result`]) leaves a [`Waker`]
+//! behind and is woken when the leader publishes. An async task passes its
+//! task waker and suspends — the `mpdp-serve` front-end does, so a cold plan
+//! never idles more than the one executor thread the leader runs on; a
+//! blocking caller passes a [`park_waker`] for its own thread and parks.
 //!
 //! Liveness: the leader completes its flight through a [`FlightGuard`] whose
 //! `Drop` fires even on panic, completing the flight with an error instead of
@@ -25,84 +26,77 @@
 //! fingerprint is impossible.
 
 use crate::planner::Planned;
-use mpdp_core::sync::{lock_recover, wait_recover};
+use mpdp_core::sync::lock_recover;
 use mpdp_core::OptError;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::Waker;
+use std::sync::{Arc, Mutex};
+use std::task::{Wake, Waker};
+use std::thread::Thread;
 
 /// Outcome of one in-flight planning, shared by leader and waiters. The
 /// payload is in canonical relation slots; every consumer remaps on delivery.
 pub(crate) type FlightResult = Result<Arc<Planned>, OptError>;
 
-enum FlightState {
-    Pending { wakers: Vec<Waker> },
-    Done(FlightResult),
-}
-
 /// One in-flight planning of a fingerprint.
+#[derive(Debug, Default)]
 pub(crate) struct Flight {
     state: Mutex<FlightState>,
-    cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct FlightState {
+    /// Empty until the leader publishes.
+    result: Option<FlightResult>,
+    /// Whoever is waiting for `result`.
+    wakers: Vec<Waker>,
 }
 
 impl Flight {
-    fn new() -> Arc<Flight> {
-        Arc::new(Flight {
-            state: Mutex::new(FlightState::Pending { wakers: Vec::new() }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Publishes the result: wakes every parked thread and every registered
-    /// async waiter. Idempotent (the guard's panic path may race a regular
+    /// Publishes the result and wakes every registered waiter, outside the
+    /// lock. Idempotent (the guard's panic path may race a regular
     /// completion only if `complete` itself panicked, in which case the
     /// first result stands).
     fn complete(&self, result: FlightResult) {
         let wakers = {
             let mut state = lock_recover(&self.state);
-            match &mut *state {
-                FlightState::Done(_) => return,
-                FlightState::Pending { wakers } => {
-                    let wakers = std::mem::take(wakers);
-                    *state = FlightState::Done(result);
-                    wakers
-                }
+            if state.result.is_some() {
+                return;
             }
+            state.result = Some(result);
+            std::mem::take(&mut state.wakers)
         };
-        self.cv.notify_all();
         for w in wakers {
             w.wake();
         }
     }
 
-    /// Blocks the calling thread until the flight completes.
-    pub(crate) fn wait(&self) -> FlightResult {
+    /// Returns the result if the flight is done; otherwise registers `waker`
+    /// (replacing a stale clone of itself, so one task is woken once however
+    /// often it polled) and returns `None`. Check and registration happen
+    /// under one lock, so a completion cannot slip between them. A caller
+    /// that only wants to look passes no waker.
+    pub(crate) fn poll_result(&self, waker: Option<&Waker>) -> Option<FlightResult> {
         let mut state = lock_recover(&self.state);
-        loop {
-            match &*state {
-                FlightState::Done(r) => return r.clone(),
-                FlightState::Pending { .. } => {
-                    state = wait_recover(&self.cv, state);
-                }
-            }
+        if let (None, Some(waker)) = (&state.result, waker) {
+            state.wakers.retain(|w| !w.will_wake(waker));
+            state.wakers.push(waker.clone());
         }
+        state.result.clone()
     }
+}
 
-    /// Async-style probe: returns the result if the flight is done,
-    /// otherwise registers `waker` (replacing a stale clone of itself) and
-    /// returns `None`.
-    pub(crate) fn poll_result(&self, waker: &Waker) -> Option<FlightResult> {
-        let mut state = lock_recover(&self.state);
-        match &mut *state {
-            FlightState::Done(r) => Some(r.clone()),
-            FlightState::Pending { wakers } => {
-                wakers.retain(|w| !w.will_wake(waker));
-                wakers.push(waker.clone());
-                None
-            }
+/// A [`Waker`] that unparks the calling thread: what a blocking caller
+/// registers on a flight before it `std::thread::park`s. An unpark that
+/// lands before the park is not lost (the thread's token stays set), and a
+/// spurious return from `park` only costs the caller one more poll.
+pub(crate) fn park_waker() -> Waker {
+    struct Unpark(Thread);
+    impl Wake for Unpark {
+        fn wake(self: Arc<Self>) {
+            self.0.unpark();
         }
     }
+    Waker::from(Arc::new(Unpark(std::thread::current())))
 }
 
 /// What a request found when it asked the table about a fingerprint.
@@ -119,16 +113,9 @@ pub(crate) enum Admission<'a> {
 
 /// Sharded registry of in-flight plannings, keyed like the plan cache
 /// (model-folded canonical fingerprint), so two cost models never coalesce.
+#[derive(Debug)]
 pub(crate) struct FlightTable {
     shards: Vec<Mutex<HashMap<u128, Arc<Flight>>>>,
-}
-
-impl std::fmt::Debug for FlightTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightTable")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
 }
 
 impl FlightTable {
@@ -162,7 +149,7 @@ impl FlightTable {
         if let Some(cached) = recheck_cache() {
             return Admission::Cached(cached);
         }
-        let flight = Flight::new();
+        let flight = Arc::new(Flight::default());
         map.insert(key, Arc::clone(&flight));
         Admission::Lead(FlightGuard {
             table: self,
@@ -215,7 +202,19 @@ impl Drop for FlightGuard<'_> {
 mod tests {
     use super::*;
     use mpdp_core::PlanTree;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+
+    /// Blocks on a flight the way the service's blocking entry points do.
+    fn block_on(flight: &Flight) -> FlightResult {
+        let waker = park_waker();
+        loop {
+            if let Some(result) = flight.poll_result(Some(&waker)) {
+                return result;
+            }
+            std::thread::park();
+        }
+    }
 
     fn planned() -> Arc<Planned> {
         Arc::new(Planned {
@@ -244,7 +243,7 @@ mod tests {
         let Admission::Join(flight) = table.join_or_lead(7, || None) else {
             panic!("second arrival must join");
         };
-        let waiter = std::thread::spawn(move || flight.wait());
+        let waiter = std::thread::spawn(move || block_on(&flight));
         guard.finish(Ok(planned()));
         let got = waiter.join().unwrap().expect("leader succeeded");
         assert_eq!(got.cost, 1.0);
@@ -262,7 +261,7 @@ mod tests {
             panic!("must join");
         };
         drop(guard); // leader "panicked"
-        assert!(matches!(flight.wait(), Err(OptError::Internal(_))));
+        assert!(matches!(block_on(&flight), Err(OptError::Internal(_))));
         assert!(matches!(table.join_or_lead(9, || None), Admission::Lead(_)));
     }
 
@@ -274,5 +273,33 @@ mod tests {
             Admission::Cached(c) => assert_eq!(c.planned.cost, 1.0),
             _ => panic!("fresh cache entry must short-circuit"),
         };
+    }
+
+    #[test]
+    fn a_waker_registered_twice_is_woken_once() {
+        struct Count(AtomicUsize);
+        impl Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let table = FlightTable::new(1);
+        let Admission::Lead(guard) = table.join_or_lead(5, || None) else {
+            panic!("must lead");
+        };
+        let Admission::Join(flight) = table.join_or_lead(5, || None) else {
+            panic!("must join");
+        };
+        let count = Arc::new(Count(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&count));
+        // One task polling twice (the second time through a clone of its
+        // waker, as executors hand out) holds one registration, and a
+        // look without a waker adds none.
+        assert!(flight.poll_result(Some(&waker)).is_none());
+        assert!(flight.poll_result(Some(&waker.clone())).is_none());
+        assert!(flight.poll_result(None).is_none());
+        guard.finish(Ok(planned()));
+        assert_eq!(count.0.load(Ordering::SeqCst), 1);
+        assert!(flight.poll_result(Some(&waker)).is_some());
     }
 }

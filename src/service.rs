@@ -20,29 +20,44 @@
 //!   the touched cache shard; a worker pool shares one service behind an
 //!   `Arc` (see `mpdp-bench`'s `repro serve` replay harness).
 //!
-//! Cold keys have two disciplines. The classic [`PlanService::plan`] /
-//! [`PlanService::plan_with`] path is *not* single-flighted: workers missing
-//! the same fingerprint concurrently each plan it and race to insert (last
-//! write wins — the payloads are identical, so any winner is correct), which
-//! keeps that path guard-free. The serving path —
-//! [`PlanService::plan_coalesced`] (blocking) and [`PlanService::plan_async`]
-//! (for the `mpdp-serve` executor) — instead **single-flights** cold keys
-//! through a `FlightTable` (private, `src/flight.rs`): concurrent misses on
-//! one
-//! fingerprint elect one leader that plans while the rest wait and receive
-//! the same canonical plan, remapped on delivery onto each waiter's own
-//! relation ids. The per-key guard there is not a lock held across the DP
-//! run but a registered flight that waiters park on, so overload turns into
-//! waiting, not duplicated planning. Outcome accounting is exact: every
-//! coalesced-path request is exactly one of a hit, a miss (the leader), or a
-//! coalesced join — see [`ServedVia`] and `CacheSnapshot::request_hit_rate`.
+//! # One request path
+//!
+//! Every entry point — [`PlanService::plan`] / [`PlanService::plan_with`],
+//! [`PlanService::plan_coalesced`] and [`PlanService::plan_async`] — drives
+//! the same private state machine, so the decision sequence, and with it
+//! every counter tally, span site and deadline rule, is written once
+//! (DESIGN.md §8 has the diagram with the degrade edges):
+//!
+//! ```text
+//! Probe → Afford → Join | Lead → Plan → Publish → Deliver
+//! ```
+//!
+//! `Join` — waiting on another request's planning — is the only state a
+//! request can suspend in; everything else runs to completion inside one
+//! step. [`PlanFuture`] hands the machine its task waker, the blocking entry
+//! points hand it one that unparks their thread; both run the same steps in
+//! the same order, so they cannot disagree on an outcome, a counter or a
+//! span.
+//!
+//! The one difference between the entry points is whether `Lead` registers a
+//! **flight** (`FlightTable`, private, `src/flight.rs`) that concurrent
+//! misses on the same fingerprint join instead of planning again. The
+//! serving path — `plan_coalesced` / `plan_async` — does: the per-key guard
+//! is not a lock held across the DP run but a registered flight that waiters
+//! park on, so overload turns into waiting, not duplicated planning.
+//! `plan` / `plan_with` do not, which keeps that path guard-free: workers
+//! missing the same fingerprint concurrently each plan it and race to insert
+//! (last write wins — the payloads are identical, so any winner is correct).
+//! Either way each request is tallied once, on delivery, as exactly
+//! one of a hit, a miss, a coalesced join or a degradation — see
+//! [`ServedVia`] and `CacheSnapshot::request_hit_rate`.
 
 use crate::cache::{CacheConfig, CachedPlan, PlanCache};
-use crate::flight::{Admission, Flight, FlightGuard, FlightTable};
-use crate::planner::{Planned, Strategy};
+use crate::flight::{park_waker, Admission, Flight, FlightTable};
+use crate::planner::Planned;
 use crate::registry;
 use mpdp_core::faults::{site, Faults};
-use mpdp_core::fingerprint::{canonicalize, CanonicalQuery, Fingerprint};
+use mpdp_core::fingerprint::{canonicalize, Fingerprint};
 use mpdp_core::sync::lock_recover;
 use mpdp_core::{LargeQuery, OptError};
 use mpdp_cost::model::CostModel;
@@ -53,7 +68,7 @@ use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// Dense code of a fault-injection site name (`mpdp_core::faults::site`),
@@ -177,15 +192,16 @@ pub struct PlanRequest {
 }
 
 /// How a request obtained its plan — the mutually exclusive outcomes of the
-/// single-flight serving path (every completed request is exactly one of
-/// them, matching the `hits`/`misses`/`coalesced`/`degraded` counter
-/// partition). The classic `plan`/`plan_with` path only ever produces
-/// `Hit`, `Cold` or `Degraded`.
+/// request path. Every request, on every entry point, ends as exactly one of
+/// them and is tallied under the matching `hits`/`misses`/`coalesced`/
+/// `degraded` counter when it is delivered (a request that fails is tallied
+/// under the outcome it was heading for). `plan`/`plan_with` register no
+/// flight, so they never produce `Coalesced`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ServedVia {
     /// Served from the plan cache.
     Hit,
-    /// Planned from scratch (on the coalesced path: as the flight leader).
+    /// Planned from scratch (with single-flight: as the flight leader).
     Cold,
     /// Joined another request's in-flight planning and received its result.
     Coalesced,
@@ -313,8 +329,8 @@ impl PlanServiceBuilder {
 #[derive(Debug)]
 pub struct PlanService {
     cache: PlanCache,
-    /// In-flight plannings for the single-flight (`plan_coalesced` /
-    /// `plan_async`) path, keyed like the cache.
+    /// In-flight plannings that `plan_coalesced` / `plan_async` requests
+    /// lead and join, keyed like the cache.
     flights: FlightTable,
     router: RouterConfig,
     budget: Option<Duration>,
@@ -381,79 +397,16 @@ impl PlanService {
 
     /// Serves one query: canonicalize, consult the cache, route a miss to
     /// the configured algorithm, populate the cache, and return the plan in
-    /// the caller's relation ids.
+    /// the caller's relation ids. Cold keys are *not* single-flighted here
+    /// (see the module docs); deadlines degrade exactly as on
+    /// [`PlanService::plan_coalesced`].
     pub fn plan_with(
         &self,
         q: &LargeQuery,
         model: &dyn CostModel,
         req: &PlanRequest,
     ) -> Result<ServedPlan, OptError> {
-        let start = Instant::now();
-        let canonical = canonicalize(q);
-        let fp = canonical.fingerprint;
-        // Plans are only meaningful under the cost model that produced
-        // them, so the cache key folds the model's identity into the query
-        // fingerprint: a service shared across models (PgLike vs C_out)
-        // never serves one model's plan as another's. Models are identified
-        // by `CostModel::name()` — two models sharing a name must be
-        // identical (all in-tree ones are).
-        let cache_key = cache_key(fp, model);
-        // A strategy override bypasses the cache (see `PlanRequest::strategy`).
-        let use_cache = !req.bypass_cache && req.strategy.is_none();
-
-        if use_cache {
-            if let Some(cached) = self.cache.get(cache_key) {
-                // Cached plan leaves are canonical slots; `order` maps slot
-                // -> this caller's relation id.
-                req.trace.event(sites::CACHE_HIT, 0);
-                return Ok(ServedPlan {
-                    planned: cached.planned.with_relabeled_plan(&canonical.order),
-                    cache_hit: true,
-                    via: ServedVia::Hit,
-                    service_time: start.elapsed(),
-                    fingerprint: fp,
-                });
-            }
-        }
-
-        // Deadline check after the cache miss: a hit always makes the
-        // deadline, a cold plan only if the budget can afford the route.
-        if let Some(out) = self.degrade_upfront(q, model, req, start, fp) {
-            return out;
-        }
-        let route = self.route_for(q, req);
-        let strategy = registry()
-            .get(&route)
-            .ok_or_else(|| OptError::Internal(format!("unknown strategy \"{route}\"")))?;
-        let budget = self.effective_budget(req);
-        let planned = match self.invoke(&*strategy, q, model, budget, &req.trace) {
-            Ok(planned) => planned,
-            Err(OptError::Timeout { .. }) if req.deadline.is_some() => {
-                self.cache.record_deadline_exceeded();
-                return self.serve_degraded(q, model, start, fp, &req.trace);
-            }
-            Err(e) => return Err(e),
-        };
-        self.estimator.observe(&route, q.num_rels(), planned.wall);
-
-        if use_cache {
-            // Store with plan leaves relabeled into canonical slots so any
-            // isomorphic future request can remap them onto its own ids.
-            self.cache.insert(
-                cache_key,
-                CachedPlan {
-                    planned: Arc::new(planned.with_relabeled_plan(&canonical.slot)),
-                },
-            );
-        }
-
-        Ok(ServedPlan {
-            planned,
-            cache_hit: false,
-            via: ServedVia::Cold,
-            service_time: start.elapsed(),
-            fingerprint: fp,
-        })
+        PlanFuture::new(self, q, model, req, false).block_on()
     }
 
     /// Serves one query with cold keys **single-flighted**: concurrent
@@ -475,93 +428,16 @@ impl PlanService {
     /// exact attempt times out mid-flight, or when the flight they joined
     /// fails — a deadline-carrying request always resolves.
     ///
-    /// Requests that bypass the cache or override the strategy fall back to
-    /// the uncoalesced [`PlanService::plan_with`] semantics (coalescing them
-    /// could serve one strategy's plan as another's).
+    /// Requests that bypass the cache or override the strategy neither lead
+    /// nor join a flight (coalescing them could serve one strategy's plan as
+    /// another's); they are served exactly as by [`PlanService::plan_with`].
     pub fn plan_coalesced(
         &self,
         q: &LargeQuery,
         model: &dyn CostModel,
         req: &PlanRequest,
     ) -> Result<ServedPlan, OptError> {
-        if req.bypass_cache || req.strategy.is_some() {
-            return self.plan_with(q, model, req);
-        }
-        let start = Instant::now();
-        let canonical = canonicalize(q);
-        let fp = canonical.fingerprint;
-        let cache_key = cache_key(fp, model);
-
-        // Lock-free-path probe first: the common (warm) case never touches
-        // the flight table.
-        if let Some(cached) = self.cache.get_quiet(cache_key) {
-            self.cache.record_hit();
-            req.trace.event(sites::CACHE_HIT, 0);
-            return Ok(ServedPlan {
-                planned: cached.planned.with_relabeled_plan(&canonical.order),
-                cache_hit: true,
-                via: ServedVia::Hit,
-                service_time: start.elapsed(),
-                fingerprint: fp,
-            });
-        }
-
-        // A deadline that cannot afford the route degrades here, before
-        // joining or leading any flight.
-        if let Some(out) = self.degrade_upfront(q, model, req, start, fp) {
-            return out;
-        }
-
-        match self
-            .flights
-            .join_or_lead(cache_key.as_u128(), || self.cache.get_quiet(cache_key))
-        {
-            Admission::Cached(cached) => {
-                // The previous leader finished between our probe and our
-                // registration: a hit after all.
-                self.cache.record_hit();
-                req.trace.event(sites::CACHE_HIT, 0);
-                Ok(ServedPlan {
-                    planned: cached.planned.with_relabeled_plan(&canonical.order),
-                    cache_hit: true,
-                    via: ServedVia::Hit,
-                    service_time: start.elapsed(),
-                    fingerprint: fp,
-                })
-            }
-            Admission::Join(flight) => {
-                // The wait span covers exactly the parked interval — from
-                // joining the flight to the leader's publication.
-                let waited = {
-                    let _wait = req.trace.span(sites::FLIGHT_WAIT);
-                    flight.wait()
-                };
-                match waited {
-                    Ok(planned) => {
-                        self.cache.record_coalesced();
-                        Ok(ServedPlan {
-                            planned: planned.with_relabeled_plan(&canonical.order),
-                            cache_hit: false,
-                            via: ServedVia::Coalesced,
-                            service_time: start.elapsed(),
-                            fingerprint: fp,
-                        })
-                    }
-                    // The leader failed (timed out, errored, panicked). A
-                    // deadline-carrying waiter still owes an answer: degrade.
-                    Err(_) if req.deadline.is_some() => {
-                        self.serve_degraded(q, model, start, fp, &req.trace)
-                    }
-                    Err(e) => {
-                        self.cache.record_coalesced();
-                        Err(e)
-                    }
-                }
-            }
-            Admission::Lead(guard) => {
-                self.lead_flight(q, model, req, &canonical, cache_key, guard, start)
-            }
-        }
+        PlanFuture::new(self, q, model, req, true).block_on()
     }
 
     /// Asynchronous [`PlanService::plan_coalesced`]: returns a future that
@@ -579,13 +455,7 @@ impl PlanService {
         model: &'a (dyn CostModel + Sync),
         req: &'a PlanRequest,
     ) -> PlanFuture<'a> {
-        PlanFuture {
-            service: self,
-            q,
-            model,
-            req,
-            state: FutureState::Init,
-        }
+        PlanFuture::new(self, q, model, req, true)
     }
 
     /// The registry label the router (or the request override) picks for `q`.
@@ -623,145 +493,6 @@ impl PlanService {
         };
         let edges_eff = q.edges.len().min(n_eff * (n_eff - 1) / 2);
         estimate_exact_planning(n_eff, edges_eff, &self.estimator.cal)
-    }
-
-    /// `Some(served)` if this request carries a deadline whose remaining
-    /// budget cannot afford the routed strategy (with a 2× safety margin):
-    /// the answer is a heuristic plan, decided *before* any flight is
-    /// joined or led. `None` means proceed with exact planning.
-    fn degrade_upfront(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        req: &PlanRequest,
-        start: Instant,
-        fp: Fingerprint,
-    ) -> Option<Result<ServedPlan, OptError>> {
-        let dl = req.deadline?;
-        let remaining = dl.saturating_duration_since(Instant::now());
-        let route = self.route_for(q, req);
-        if remaining > self.predicted_cold(&route, q) * 2 {
-            return None;
-        }
-        Some(self.serve_degraded(q, model, start, fp, &req.trace))
-    }
-
-    /// Plans `q` with the degrade heuristic and serves it as
-    /// [`ServedVia::Degraded`]. Never touches the cache: a heuristic plan
-    /// stored under the fingerprint would be served to every later request
-    /// as if it were exact. Not fault-injected either — degradation is the
-    /// recovery path and must stay reliable.
-    fn serve_degraded(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        start: Instant,
-        fp: Fingerprint,
-        trace: &SpanCtx,
-    ) -> Result<ServedPlan, OptError> {
-        let strategy = registry().get(&self.degrade_strategy).ok_or_else(|| {
-            OptError::Internal(format!(
-                "unknown degrade strategy \"{}\"",
-                self.degrade_strategy
-            ))
-        })?;
-        trace.event(sites::DEGRADE, 0);
-        let planned = {
-            let _span = trace.span(sites::STRATEGY);
-            strategy.plan(q, model, None)?
-        };
-        self.cache.record_degraded();
-        Ok(ServedPlan {
-            planned,
-            cache_hit: false,
-            via: ServedVia::Degraded,
-            service_time: start.elapsed(),
-            fingerprint: fp,
-        })
-    }
-
-    /// Runs a resolved strategy, with the `planner.invoke` fault site in
-    /// front of it (chaos tests inject panics, stalls and errors here).
-    /// The optimizer run itself is covered by a `strategy.invoke` span;
-    /// an injected error fault annotates the trace instead.
-    fn invoke(
-        &self,
-        strategy: &dyn Strategy,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        budget: Option<Duration>,
-        trace: &SpanCtx,
-    ) -> Result<Planned, OptError> {
-        if self.faults.apply_panic_stall(site::PLANNER_INVOKE) {
-            trace.event(sites::FAULT, fault_site_code(site::PLANNER_INVOKE));
-            return Err(OptError::Internal("injected planner fault".to_string()));
-        }
-        let _span = trace.span(sites::STRATEGY);
-        strategy.plan(q, model, budget)
-    }
-
-    /// The flight leader's cold path, shared by [`PlanService::plan_coalesced`]
-    /// and [`PlanFuture`]: plan, publish (cache insert *before* the flight
-    /// completes, so no instant exists where a new arrival re-plans), and
-    /// account the outcome. A mid-flight timeout on a deadline-carrying
-    /// request fails the flight (waiters with deadlines degrade themselves)
-    /// and degrades this request to the heuristic instead of erroring.
-    #[allow(clippy::too_many_arguments)]
-    fn lead_flight(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        req: &PlanRequest,
-        canonical: &CanonicalQuery,
-        cache_key: Fingerprint,
-        guard: FlightGuard<'_>,
-        start: Instant,
-    ) -> Result<ServedPlan, OptError> {
-        let fp = canonical.fingerprint;
-        let route = self.route_for(q, req);
-        // The lead span covers planning *and* publication; the nested
-        // strategy span inside `invoke` isolates the optimizer itself.
-        let lead = req.trace.span(sites::FLIGHT_LEAD);
-        let lead_ctx = lead.ctx();
-        let out: Result<Planned, OptError> = (|| {
-            let strategy = registry()
-                .get(&route)
-                .ok_or_else(|| OptError::Internal(format!("unknown strategy \"{route}\"")))?;
-            let budget = self.effective_budget(req);
-            self.invoke(&*strategy, q, model, budget, &lead_ctx)
-        })();
-        match out {
-            Ok(planned) => {
-                let canonical_plan = Arc::new(planned.with_relabeled_plan(&canonical.slot));
-                self.cache.insert(
-                    cache_key,
-                    CachedPlan {
-                        planned: Arc::clone(&canonical_plan),
-                    },
-                );
-                guard.finish(Ok(canonical_plan));
-                self.cache.record_miss();
-                self.estimator.observe(&route, q.num_rels(), planned.wall);
-                Ok(ServedPlan {
-                    planned,
-                    cache_hit: false,
-                    via: ServedVia::Cold,
-                    service_time: start.elapsed(),
-                    fingerprint: fp,
-                })
-            }
-            Err(e @ OptError::Timeout { .. }) if req.deadline.is_some() => {
-                guard.finish(Err(e));
-                self.cache.record_deadline_exceeded();
-                drop(lead);
-                self.serve_degraded(q, model, start, fp, &req.trace)
-            }
-            Err(e) => {
-                guard.finish(Err(e.clone()));
-                self.cache.record_miss();
-                Err(e)
-            }
-        }
     }
 
     /// Feeds an execution report back into the serving layer: if the plan
@@ -845,43 +576,295 @@ impl PlanService {
     }
 }
 
-enum FutureState {
-    /// Not yet probed the cache or flight table.
-    Init,
-    /// Joined a flight as a waiter; woken when the leader publishes.
-    Waiting {
-        flight: Arc<Flight>,
-        /// `order[c]` = caller's relation in canonical slot `c`, for the
-        /// remap-on-delivery.
-        order: Vec<u32>,
-        start: Instant,
-        fp: Fingerprint,
-        /// Open `flight.wait` span; recorded (by drop) when the leader's
-        /// result is delivered, so its duration is the parked interval.
-        wait_span: SpanGuard,
-    },
-    /// Resolved (polling again would panic, per the `Future` contract).
+/// Where a request is in the decision sequence between steps. `Afford`,
+/// `Lead`, `Plan`, `Publish` and `Deliver` never outlive a step, so only the
+/// states a step can start from are represented.
+#[derive(Debug)]
+enum Stage {
+    /// Nothing done yet.
+    Probe,
+    /// Joined another request's flight: the only state a request suspends
+    /// in, woken when the leader publishes. The open `flight.wait` span is
+    /// recorded (by drop) when the leader's result is delivered, so its
+    /// duration is the parked interval.
+    Join(Arc<Flight>, Probed, SpanGuard),
+    /// Delivered (stepping again would panic, per the `Future` contract).
     Done,
 }
 
-/// Future returned by [`PlanService::plan_async`]. See that method for the
-/// leader-plans-inside-poll caveat.
+/// What `Probe` establishes about a request and `Deliver` needs.
+#[derive(Debug)]
+struct Probed {
+    start: Instant,
+    fp: Fingerprint,
+    /// `order[c]` = caller's relation in canonical slot `c`: how a plan in
+    /// canonical slots is remapped onto the caller's ids on delivery.
+    order: Vec<u32>,
+}
+
+/// One request's trip through the serving decision sequence (see the module
+/// docs) — the only implementation of it. Returned by
+/// [`PlanService::plan_async`] (see there for the leader-plans-inside-poll
+/// caveat), where polling steps it with the task's waker; the blocking entry
+/// points step the very same machine with a waker that unparks their thread.
 pub struct PlanFuture<'a> {
     service: &'a PlanService,
     q: &'a LargeQuery,
-    model: &'a (dyn CostModel + Sync),
+    model: &'a dyn CostModel,
     req: &'a PlanRequest,
-    state: FutureState,
+    /// Whether `Lead` registers a flight for concurrent misses to join: the
+    /// one difference between `plan_with` and the coalesced entry points.
+    coalesce: bool,
+    stage: Stage,
+}
+
+impl<'a> PlanFuture<'a> {
+    fn new(
+        service: &'a PlanService,
+        q: &'a LargeQuery,
+        model: &'a dyn CostModel,
+        req: &'a PlanRequest,
+        coalesce: bool,
+    ) -> PlanFuture<'a> {
+        PlanFuture {
+            service,
+            q,
+            model,
+            req,
+            coalesce,
+            stage: Stage::Probe,
+        }
+    }
+
+    /// Drives the machine on the calling thread. The park waker is built
+    /// only once the machine reports that it has to wait, so hits, leaders
+    /// and degradations never pay for it.
+    fn block_on(mut self) -> Result<ServedPlan, OptError> {
+        if let Poll::Ready(out) = self.step(None) {
+            return out;
+        }
+        let waker = park_waker();
+        loop {
+            if let Poll::Ready(out) = self.step(Some(&waker)) {
+                return out;
+            }
+            std::thread::park();
+        }
+    }
+
+    /// Advances the request as far as it can go: to delivery, or to a
+    /// joined flight that is still pending — then `waker` (if any) is left
+    /// with the flight and the step returns `Pending`.
+    fn step(&mut self, waker: Option<&Waker>) -> Poll<Result<ServedPlan, OptError>> {
+        // Take the stage out so arms can move pieces of it and install the
+        // successor stage without fighting the borrow checker.
+        match std::mem::replace(&mut self.stage, Stage::Done) {
+            Stage::Done => panic!("PlanFuture polled after completion"),
+            Stage::Probe => self.start(waker),
+            Stage::Join(flight, at, wait_span) => {
+                let Some(result) = flight.poll_result(waker) else {
+                    self.stage = Stage::Join(flight, at, wait_span);
+                    return Poll::Pending;
+                };
+                // Delivery: close the wait span here, not at whatever
+                // later point the stage value would drop.
+                drop(wait_span);
+                Poll::Ready(match result {
+                    Ok(planned) => {
+                        let planned = planned.with_relabeled_plan(&at.order);
+                        self.deliver(&at, ServedVia::Coalesced, Ok(planned))
+                    }
+                    // The leader failed (timed out, errored, panicked). A
+                    // deadline-carrying waiter still owes an answer: degrade.
+                    Err(_) if self.req.deadline.is_some() => self.degrade(&at),
+                    Err(e) => self.deliver(&at, ServedVia::Coalesced, Err(e)),
+                })
+            }
+        }
+    }
+
+    /// `Probe → Afford → Join | Lead → Plan → Publish`: everything a request
+    /// does before it is delivered or finds itself waiting on a flight.
+    fn start(&mut self, waker: Option<&Waker>) -> Poll<Result<ServedPlan, OptError>> {
+        let (svc, q, req) = (self.service, self.q, self.req);
+        let start = Instant::now();
+        let canonical = canonicalize(q);
+        let at = Probed {
+            start,
+            fp: canonical.fingerprint,
+            order: canonical.order,
+        };
+        // Plans are only meaningful under the cost model that produced
+        // them, so the cache key folds the model's identity into the query
+        // fingerprint: a service shared across models (PgLike vs C_out)
+        // never serves one model's plan as another's. Models are identified
+        // by `CostModel::name()` — two models sharing a name must be
+        // identical (all in-tree ones are).
+        let key = cache_key(at.fp, self.model);
+        // A strategy override bypasses the cache (see `PlanRequest::strategy`).
+        let use_cache = !req.bypass_cache && req.strategy.is_none();
+
+        // Probe, outside the flight table: the common (warm) case never
+        // touches it.
+        if let Some(cached) = use_cache.then(|| svc.cache.get_quiet(key)).flatten() {
+            return Poll::Ready(self.hit(&at, &cached));
+        }
+
+        // Afford, after the cache miss and before joining or leading any
+        // flight: a hit always makes the deadline, a cold plan only if the
+        // remaining budget can pay for the route, with a 2× safety margin.
+        // Otherwise the answer is a heuristic plan.
+        let route = svc.route_for(q, req);
+        if req.deadline.is_some_and(|dl| {
+            dl.saturating_duration_since(Instant::now()) <= svc.predicted_cold(&route, q) * 2
+        }) {
+            return Poll::Ready(self.degrade(&at));
+        }
+
+        // Join | Lead.
+        let guard = if use_cache && self.coalesce {
+            match svc
+                .flights
+                .join_or_lead(key.as_u128(), || svc.cache.get_quiet(key))
+            {
+                // The previous leader finished between our probe and our
+                // registration: a hit after all.
+                Admission::Cached(cached) => {
+                    return Poll::Ready(self.hit(&at, &cached));
+                }
+                Admission::Join(flight) => {
+                    // The wait span covers exactly the parked interval —
+                    // from joining the flight to the leader's publication.
+                    // The next step registers the waker (or delivers, if
+                    // the leader already finished).
+                    let wait_span = req.trace.span(sites::FLIGHT_WAIT);
+                    self.stage = Stage::Join(flight, at, wait_span);
+                    return self.step(waker);
+                }
+                Admission::Lead(guard) => Some(guard),
+            }
+        } else {
+            None
+        };
+
+        // Plan, on this thread and inside this step. A flight leader's lead
+        // span covers planning *and* publication; the nested strategy span
+        // inside `run` isolates the optimizer itself.
+        let lead = guard.as_ref().map(|_| req.trace.span(sites::FLIGHT_LEAD));
+        let ctx = lead
+            .as_ref()
+            .map_or_else(|| req.trace.clone(), SpanGuard::ctx);
+        match self.run(&route, false, &ctx) {
+            Ok(planned) => {
+                if use_cache {
+                    // Publish: stored with plan leaves relabeled into
+                    // canonical slots so any isomorphic future request can
+                    // remap them onto its own ids, and inserted *before*
+                    // the flight completes, so no instant exists where a
+                    // new arrival re-plans.
+                    let canonical_plan = Arc::new(planned.with_relabeled_plan(&canonical.slot));
+                    svc.cache.insert(
+                        key,
+                        CachedPlan {
+                            planned: Arc::clone(&canonical_plan),
+                        },
+                    );
+                    if let Some(guard) = guard {
+                        guard.finish(Ok(canonical_plan));
+                    }
+                }
+                svc.estimator.observe(&route, q.num_rels(), planned.wall);
+                Poll::Ready(self.deliver(&at, ServedVia::Cold, Ok(planned)))
+            }
+            Err(e) => {
+                // A failed leader fails its flight with the same error;
+                // waiters with deadlines degrade themselves.
+                if let Some(guard) = guard {
+                    guard.finish(Err(e.clone()));
+                }
+                // A mid-flight timeout on a deadline-carrying request
+                // degrades to the heuristic instead of erroring.
+                if matches!(e, OptError::Timeout { .. }) && req.deadline.is_some() {
+                    svc.cache.record_deadline_exceeded();
+                    drop(lead);
+                    return Poll::Ready(self.degrade(&at));
+                }
+                Poll::Ready(self.deliver(&at, ServedVia::Cold, Err(e)))
+            }
+        }
+    }
+
+    /// Plan: resolves the registry strategy `name` and runs it under a
+    /// `strategy.invoke` span. The routed attempt has the `planner.invoke`
+    /// fault site in front of it (chaos tests inject panics, stalls and
+    /// errors there; an injected error annotates the trace instead of
+    /// running) and gets the request's budget. The `degraded` run has
+    /// neither: degradation is the recovery path and must stay reliable,
+    /// and the heuristic is cheap enough to always make a deadline.
+    fn run(&self, name: &str, degraded: bool, trace: &SpanCtx) -> Result<Planned, OptError> {
+        let svc = self.service;
+        let strategy = registry()
+            .get(name)
+            .ok_or_else(|| OptError::Internal(format!("unknown strategy \"{name}\"")))?;
+        let budget = if degraded {
+            trace.event(sites::DEGRADE, 0);
+            None
+        } else if svc.faults.apply_panic_stall(site::PLANNER_INVOKE) {
+            trace.event(sites::FAULT, fault_site_code(site::PLANNER_INVOKE));
+            return Err(OptError::Internal("injected planner fault".to_string()));
+        } else {
+            svc.effective_budget(self.req)
+        };
+        let _span = trace.span(sites::STRATEGY);
+        strategy.plan(self.q, self.model, budget)
+    }
+
+    /// Serves the degrade heuristic's plan as [`ServedVia::Degraded`]. Never
+    /// touches the cache: a heuristic plan stored under the fingerprint
+    /// would be served to every later request as if it were exact.
+    fn degrade(&self, at: &Probed) -> Result<ServedPlan, OptError> {
+        let planned = self.run(&self.service.degrade_strategy, true, &self.req.trace);
+        self.deliver(at, ServedVia::Degraded, planned)
+    }
+
+    /// Serves a cached plan. Its leaves are canonical slots; `order` maps
+    /// slot -> this caller's relation id.
+    fn hit(&self, at: &Probed, cached: &CachedPlan) -> Result<ServedPlan, OptError> {
+        self.req.trace.event(sites::CACHE_HIT, 0);
+        let planned = cached.planned.with_relabeled_plan(&at.order);
+        self.deliver(at, ServedVia::Hit, Ok(planned))
+    }
+
+    /// Deliver: the one place an outcome is tallied and a [`ServedPlan`] is
+    /// built, so `hits + misses + coalesced + degraded` counts every request
+    /// exactly once on every entry point — failures included, under the
+    /// outcome they were heading for.
+    fn deliver(
+        &self,
+        at: &Probed,
+        via: ServedVia,
+        planned: Result<Planned, OptError>,
+    ) -> Result<ServedPlan, OptError> {
+        let cache = &self.service.cache;
+        match via {
+            ServedVia::Hit => cache.record_hit(),
+            ServedVia::Cold => cache.record_miss(),
+            ServedVia::Coalesced => cache.record_coalesced(),
+            ServedVia::Degraded => cache.record_degraded(),
+        }
+        Ok(ServedPlan {
+            planned: planned?,
+            cache_hit: via == ServedVia::Hit,
+            via,
+            service_time: at.start.elapsed(),
+            fingerprint: at.fp,
+        })
+    }
 }
 
 impl std::fmt::Debug for PlanFuture<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match self.state {
-            FutureState::Init => "Init",
-            FutureState::Waiting { .. } => "Waiting",
-            FutureState::Done => "Done",
-        };
-        f.debug_struct("PlanFuture").field("state", &state).finish()
+        write!(f, "PlanFuture({:?})", self.stage)
     }
 }
 
@@ -889,121 +872,8 @@ impl Future for PlanFuture<'_> {
     type Output = Result<ServedPlan, OptError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // No pinned fields: every field is Unpin (references + state enum).
-        let this = Pin::into_inner(self);
-        loop {
-            // Take the state out so arms can move pieces of it and install
-            // the successor state without fighting the borrow checker.
-            match std::mem::replace(&mut this.state, FutureState::Done) {
-                FutureState::Done => panic!("PlanFuture polled after completion"),
-                FutureState::Waiting {
-                    flight,
-                    order,
-                    start,
-                    fp,
-                    wait_span,
-                } => {
-                    let Some(result) = flight.poll_result(cx.waker()) else {
-                        this.state = FutureState::Waiting {
-                            flight,
-                            order,
-                            start,
-                            fp,
-                            wait_span,
-                        };
-                        return Poll::Pending;
-                    };
-                    // Delivery: close the wait span here, not at whatever
-                    // later point the state value would drop.
-                    drop(wait_span);
-                    let svc = this.service;
-                    let out = match result {
-                        Ok(planned) => {
-                            svc.cache.record_coalesced();
-                            Ok(ServedPlan {
-                                planned: planned.with_relabeled_plan(&order),
-                                cache_hit: false,
-                                via: ServedVia::Coalesced,
-                                service_time: start.elapsed(),
-                                fingerprint: fp,
-                            })
-                        }
-                        // The leader failed; a deadline-carrying waiter
-                        // degrades instead of propagating the error.
-                        Err(_) if this.req.deadline.is_some() => {
-                            svc.serve_degraded(this.q, this.model, start, fp, &this.req.trace)
-                        }
-                        Err(e) => {
-                            svc.cache.record_coalesced();
-                            Err(e)
-                        }
-                    };
-                    return Poll::Ready(out);
-                }
-                FutureState::Init => {
-                    let svc = this.service;
-                    if this.req.bypass_cache || this.req.strategy.is_some() {
-                        return Poll::Ready(svc.plan_with(this.q, this.model, this.req));
-                    }
-                    let start = Instant::now();
-                    let canonical = canonicalize(this.q);
-                    let fp = canonical.fingerprint;
-                    let cache_key = cache_key(fp, this.model);
-                    if let Some(cached) = svc.cache.get_quiet(cache_key) {
-                        svc.cache.record_hit();
-                        this.req.trace.event(sites::CACHE_HIT, 0);
-                        return Poll::Ready(Ok(ServedPlan {
-                            planned: cached.planned.with_relabeled_plan(&canonical.order),
-                            cache_hit: true,
-                            via: ServedVia::Hit,
-                            service_time: start.elapsed(),
-                            fingerprint: fp,
-                        }));
-                    }
-                    // A deadline that cannot afford the route degrades
-                    // here, before joining or leading any flight.
-                    if let Some(out) = svc.degrade_upfront(this.q, this.model, this.req, start, fp)
-                    {
-                        return Poll::Ready(out);
-                    }
-                    match svc
-                        .flights
-                        .join_or_lead(cache_key.as_u128(), || svc.cache.get_quiet(cache_key))
-                    {
-                        Admission::Cached(cached) => {
-                            svc.cache.record_hit();
-                            this.req.trace.event(sites::CACHE_HIT, 0);
-                            return Poll::Ready(Ok(ServedPlan {
-                                planned: cached.planned.with_relabeled_plan(&canonical.order),
-                                cache_hit: true,
-                                via: ServedVia::Hit,
-                                service_time: start.elapsed(),
-                                fingerprint: fp,
-                            }));
-                        }
-                        Admission::Join(flight) => {
-                            // Loop back into `Waiting`, which registers the
-                            // waker (or resolves if the leader already
-                            // finished). The coalesced/degraded outcome is
-                            // counted at delivery.
-                            this.state = FutureState::Waiting {
-                                flight,
-                                order: canonical.order,
-                                start,
-                                fp,
-                                wait_span: this.req.trace.span(sites::FLIGHT_WAIT),
-                            };
-                        }
-                        Admission::Lead(guard) => {
-                            // Leader: plan synchronously inside this poll.
-                            return Poll::Ready(svc.lead_flight(
-                                this.q, this.model, this.req, &canonical, cache_key, guard, start,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
+        // No pinned fields: every field is Unpin (references + stage enum).
+        Pin::into_inner(self).step(Some(cx.waker()))
     }
 }
 
