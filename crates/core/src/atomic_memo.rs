@@ -59,15 +59,14 @@
 //! *succeeded*, so the system always advances. The one exception is arena
 //! segment creation (amortized `O(log n)` events per run): competing
 //! allocators race a CAS on the segment pointer and the losers free their
-//! allocation — still lock-free, just briefly wasteful. The table does not
-//! grow concurrently; backends size each DP level up front with
-//! [`AtomicMemo::reserve`] between barriers (exactly where the paper's host
-//! loop re-launches kernels), and the claim loop panics rather than spins
-//! forever if a level was under-reserved.
+//! allocation — still lock-free, just briefly wasteful. The table never
+//! grows: every backend counts its connected sets before the first level and
+//! creates the memo at that size ([`AtomicMemo::with_capacity`]), and the
+//! claim loop panics rather than spins forever if it was given too few.
 
 use crate::bitset::RelSet;
 use crate::memo::{
-    candidate_key, murmur3_fmix64, ordered_cost_bits, MemoEntry, MemoHealth, MemoStore,
+    candidate_key, murmur3_fmix64, ordered_cost_bits, slots_for, MemoEntry, MemoHealth, MemoStore,
 };
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -200,8 +199,7 @@ impl Drop for Arena {
 ///
 /// All hot-path operations take `&self` so scoped worker threads can share
 /// one `&AtomicMemo`; the [`MemoStore`] trait methods delegate to them.
-/// Capacity is managed between level barriers via [`AtomicMemo::reserve`]
-/// (`&mut self` — the table never grows concurrently).
+/// Capacity is fixed at creation.
 pub struct AtomicMemo {
     keys: Box<[AtomicU64]>,
     vals: Box<[AtomicU64]>,
@@ -213,10 +211,12 @@ pub struct AtomicMemo {
 }
 
 impl AtomicMemo {
-    /// Creates a table sized for roughly `expected` entries (same ≤70% load
-    /// policy as [`crate::memo::MemoTable`]).
+    /// Creates a table for `expected` entries (same ≤70% load policy as
+    /// [`crate::memo::MemoTable`]) — all it will ever hold. The candidate
+    /// arena starts at one record per entry, which is what a backend that
+    /// publishes each set once needs, and doubles from there.
     pub fn with_capacity(expected: usize) -> Self {
-        let cap = (expected.max(8) * 2).next_power_of_two();
+        let cap = slots_for(expected);
         AtomicMemo {
             keys: (0..cap).map(|_| AtomicU64::new(0)).collect(),
             vals: (0..cap).map(|_| AtomicU64::new(0)).collect(),
@@ -224,7 +224,7 @@ impl AtomicMemo {
             len: AtomicUsize::new(0),
             probes: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
-            arena: Arena::new(expected.max(8) * 2),
+            arena: Arena::new(expected),
         }
     }
 
@@ -256,6 +256,7 @@ impl AtomicMemo {
             slots: self.keys.len(),
             probes: self.probe_count(),
             cas_retries: self.cas_retry_count(),
+            grows: 0,
         }
     }
 
@@ -337,7 +338,7 @@ impl AtomicMemo {
 
     /// Finds the slot index for `bits`, claiming an empty slot if the key is
     /// new. Panics (rather than spinning forever) if the table is full —
-    /// backends reserve each level's capacity up front.
+    /// backends create it with room for every set.
     fn claim(&self, bits: u64) -> usize {
         debug_assert_ne!(bits, 0);
         let mut idx = (murmur3_fmix64(bits) as usize) & self.mask;
@@ -368,41 +369,8 @@ impl AtomicMemo {
             steps += 1;
             assert!(
                 steps <= self.mask,
-                "AtomicMemo full: reserve() must size each level before the parallel phase"
+                "AtomicMemo full: with_capacity() must cover every set the run inserts"
             );
-        }
-    }
-
-    /// Ensures capacity for `additional` more entries (≤70% load), rehashing
-    /// with exclusive access — called between level barriers only.
-    pub fn reserve(&mut self, additional: usize) {
-        let needed = self.len() + additional;
-        let min_slots = (needed + 1) * 10 / 7 + 1;
-        if min_slots <= self.keys.len() {
-            return;
-        }
-        let cap = min_slots.next_power_of_two();
-        let old_keys = std::mem::replace(
-            &mut self.keys,
-            (0..cap).map(|_| AtomicU64::new(0)).collect(),
-        );
-        let old_vals = std::mem::replace(
-            &mut self.vals,
-            (0..cap).map(|_| AtomicU64::new(0)).collect(),
-        );
-        self.mask = cap - 1;
-        for (k, v) in old_keys.iter().zip(old_vals.iter()) {
-            let bits = k.load(Ordering::Relaxed);
-            if bits == 0 {
-                continue;
-            }
-            let mut idx = (murmur3_fmix64(bits) as usize) & self.mask;
-            while self.keys[idx].load(Ordering::Relaxed) != 0 {
-                idx = (idx + 1) & self.mask;
-            }
-            // Handles carry over untouched: arena indices are stable.
-            self.keys[idx].store(bits, Ordering::Relaxed);
-            self.vals[idx].store(v.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
 
@@ -461,10 +429,6 @@ impl MemoStore for AtomicMemo {
         AtomicMemo::insert_if_better(self, set, left, cost, rows)
     }
 
-    fn reserve(&mut self, additional: usize) {
-        AtomicMemo::reserve(self, additional)
-    }
-
     fn health(&self) -> MemoHealth {
         AtomicMemo::health(self)
     }
@@ -512,19 +476,23 @@ mod tests {
     }
 
     #[test]
-    fn reserve_rehash_preserves_entries() {
-        let mut m = AtomicMemo::with_capacity(2);
+    fn with_capacity_holds_its_entries_and_panics_past_the_table() {
+        let m = AtomicMemo::with_capacity(100);
+        assert_eq!(m.health().slots, slots_for(100));
         for i in 0..100u64 {
             m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), i as f64, 1.0);
-            if i == 10 {
-                m.reserve(500);
-            }
         }
-        assert_eq!(m.len(), 100);
+        assert_eq!((m.len(), m.iter().count()), (100, 100));
         for i in 0..100u64 {
             assert_eq!(m.get(RelSet(i + 1)).unwrap().cost, i as f64);
         }
-        assert_eq!(m.iter().count(), 100);
+        let full = std::panic::catch_unwind(|| {
+            let m = AtomicMemo::with_capacity(4);
+            for i in 0..=slots_for(4) as u64 {
+                m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), 1.0, 1.0);
+            }
+        });
+        assert!(full.is_err(), "a full table panics instead of spinning");
     }
 
     #[test]
@@ -552,9 +520,7 @@ mod tests {
         const THREADS: usize = 8;
         const KEYS: u64 = 64;
         const PER_THREAD: usize = 2000;
-        let mut memo = AtomicMemo::with_capacity(KEYS as usize);
-        memo.reserve(KEYS as usize);
-        let memo = &memo;
+        let memo = &AtomicMemo::with_capacity(KEYS as usize);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 scope.spawn(move || {
@@ -611,9 +577,7 @@ mod tests {
     #[test]
     fn claim_collisions_across_distinct_keys() {
         // Distinct keys racing for the same probe chain must all land.
-        let mut memo = AtomicMemo::with_capacity(64);
-        memo.reserve(512);
-        let memo = &memo;
+        let memo = &AtomicMemo::with_capacity(512);
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 scope.spawn(move || {

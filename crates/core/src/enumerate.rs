@@ -152,13 +152,18 @@ impl SeenTable {
 ///
 /// Starts at level 1 (the singletons); each [`advance`](Self::advance)
 /// produces the next level's connected sets, sorted ascending by bitmap.
+/// Levels are kept back to back in one vector — the frontier being expanded
+/// is simply its tail — so a backend that wants every level before it starts
+/// (to size its memo once) takes the whole thing with
+/// [`into_levels`](Self::into_levels): 8 bytes per connected set.
 #[derive(Clone, Debug)]
 pub struct FrontierEnumerator<'g> {
     graph: &'g JoinGraph,
-    current: Vec<RelSet>,
-    next: Vec<RelSet>,
+    /// Levels `1..=level()`, each ascending by bitmap.
+    sets: Vec<RelSet>,
+    /// `starts[l - 1]` is where level `l` begins in `sets`.
+    starts: Vec<usize>,
     seen: SeenTable,
-    level: usize,
     expansions: u64,
 }
 
@@ -168,10 +173,9 @@ impl<'g> FrontierEnumerator<'g> {
         let n = graph.num_vertices();
         FrontierEnumerator {
             graph,
-            current: (0..n).map(RelSet::singleton).collect(),
-            next: Vec::new(),
+            sets: (0..n).map(RelSet::singleton).collect(),
+            starts: vec![0],
             seen: SeenTable::with_capacity(n),
-            level: 1,
             expansions: 0,
         }
     }
@@ -179,13 +183,13 @@ impl<'g> FrontierEnumerator<'g> {
     /// The subset size of the current level.
     #[inline]
     pub fn level(&self) -> usize {
-        self.level
+        self.starts.len()
     }
 
     /// The current level's connected sets, ascending by bitmap.
     #[inline]
     pub fn current(&self) -> &[RelSet] {
-        &self.current
+        &self.sets[self.starts[self.starts.len() - 1]..]
     }
 
     /// Total candidate expansions attempted so far (duplicate hits
@@ -212,25 +216,31 @@ impl<'g> FrontierEnumerator<'g> {
         &mut self,
         mut poll: impl FnMut() -> Result<(), E>,
     ) -> Result<&[RelSet], E> {
+        let (lo, hi) = (self.starts[self.starts.len() - 1], self.sets.len());
         // Guess ~same cardinality as the current level for the seen-table.
-        self.seen.clear_for(self.current.len());
-        self.next.clear();
-        for (i, &s) in self.current.iter().enumerate() {
-            if i % 4096 == 0 {
+        self.seen.clear_for(hi - lo);
+        for i in lo..hi {
+            if (i - lo) % 4096 == 0 {
                 poll()?;
             }
+            let s = self.sets[i];
             for v in self.graph.neighbors(s).iter() {
                 self.expansions += 1;
                 let t = s.with(v);
                 if self.seen.insert(t.bits()) {
-                    self.next.push(t);
+                    self.sets.push(t);
                 }
             }
         }
-        self.next.sort_unstable();
-        std::mem::swap(&mut self.current, &mut self.next);
-        self.level += 1;
-        Ok(&self.current)
+        self.sets[hi..].sort_unstable();
+        self.starts.push(hi);
+        Ok(&self.sets[hi..])
+    }
+
+    /// Every level enumerated so far: the sets of levels `1..=level()` back
+    /// to back, and where each level starts (`starts[l - 1]` for level `l`).
+    pub fn into_levels(self) -> (Vec<RelSet>, Vec<usize>) {
+        (self.sets, self.starts)
     }
 }
 
@@ -313,6 +323,14 @@ mod tests {
             }
             // Past level n the frontier is exhausted.
             assert!(fe.advance().is_empty());
+            // All of it, back to back.
+            let (sets, starts) = fe.into_levels();
+            assert_eq!(starts.len(), n + 1);
+            assert_eq!(sets[..starts[1]].len(), n);
+            for i in 2..=n {
+                assert_eq!(sets[starts[i - 1]..starts[i]], filtered_level(&g, i));
+            }
+            assert_eq!(starts[n], sets.len());
         }
     }
 

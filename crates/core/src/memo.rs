@@ -62,6 +62,14 @@ pub fn candidate_key(cost: f64, left: RelSet) -> (u64, u64) {
     (ordered_cost_bits(cost), left.bits())
 }
 
+/// Slots an open-addressing memo allocates to hold `entries` at no more than
+/// 70 % load (a power of two, at least 16) — the one sizing rule of both
+/// stores, and the bound [`MemoTable`]'s insert path grows at.
+#[inline]
+pub fn slots_for(entries: usize) -> usize {
+    ((entries + 1) * 10 / 7 + 1).next_power_of_two().max(16)
+}
+
 /// Point-in-time health metrics of a memo store (observability for the
 /// bench reports; none of these feed back into planning).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -74,6 +82,10 @@ pub struct MemoHealth {
     pub probes: u64,
     /// Cumulative CAS retries (always 0 for the single-threaded table).
     pub cas_retries: u64,
+    /// Times the table outgrew its allocation and re-hashed itself. 0 for
+    /// every level-structured backend: they create the memo at its final
+    /// size (`slots` at the first insert is `slots` at the end).
+    pub grows: u32,
 }
 
 impl MemoHealth {
@@ -87,9 +99,9 @@ impl MemoHealth {
     }
 }
 
-/// The interface every DP backend's memo speaks: leaf loading, best-plan
-/// lookup, the Algorithm-1 `insert_if_better` update, and capacity
-/// management. Implemented by the single-threaded [`MemoTable`] and the
+/// The interface every DP backend's memo speaks: creation at a known size,
+/// leaf loading, best-plan lookup and the Algorithm-1 `insert_if_better`
+/// update. Implemented by the single-threaded [`MemoTable`] and the
 /// lock-free [`AtomicMemo`](crate::atomic_memo::AtomicMemo); `mpdp-dp`'s
 /// shared plumbing (`init_memo` / `emit_pair` / `finish` /
 /// [`extract_plan`](crate::plan::extract_plan)) is generic over it, so the
@@ -100,7 +112,8 @@ impl MemoHealth {
 /// operations through `&self` for concurrent workers (the trait methods
 /// simply delegate).
 pub trait MemoStore {
-    /// Creates a store sized for roughly `expected` entries.
+    /// Creates a store that takes `expected` entries without re-hashing
+    /// (at most 70 % full, see [`slots_for`]).
     fn with_capacity(expected: usize) -> Self
     where
         Self: Sized;
@@ -123,10 +136,6 @@ pub trait MemoStore {
     /// [`candidate_key`] beats the incumbent's. Returns `true` if the
     /// candidate became the new best.
     fn insert_if_better(&mut self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool;
-
-    /// Ensures capacity for `additional` more entries without growth during
-    /// the insertions (level-structured backends call this once per level).
-    fn reserve(&mut self, additional: usize);
 
     /// Current health metrics.
     fn health(&self) -> MemoHealth;
@@ -167,6 +176,7 @@ pub struct MemoTable {
     len: usize,
     /// Number of probe steps performed (useful for the GPU memory model).
     probes: u64,
+    grows: u32,
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -185,14 +195,15 @@ const EMPTY_SLOT: Slot = Slot {
 };
 
 impl MemoTable {
-    /// Creates a table sized for roughly `expected` entries.
+    /// Creates a table that takes `expected` entries without growing.
     pub fn with_capacity(expected: usize) -> Self {
-        let cap = (expected.max(8) * 2).next_power_of_two();
+        let cap = slots_for(expected);
         MemoTable {
             slots: vec![EMPTY_SLOT; cap],
             mask: cap - 1,
             len: 0,
             probes: 0,
+            grows: 0,
         }
     }
 
@@ -214,32 +225,19 @@ impl MemoTable {
         self.probes
     }
 
+    /// Doubles the table and re-inserts every entry. Only the backends that
+    /// cannot count their sets beforehand (DPCCP, DPSIZE's discovery mode)
+    /// ever get here.
     fn grow_table(&mut self) {
-        self.rehash_to((self.mask + 1) * 2);
-    }
-
-    fn rehash_to(&mut self, cap: usize) {
-        debug_assert!(cap.is_power_of_two() && cap > self.slots.len());
+        let cap = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
-        self.mask = self.slots.len() - 1;
+        self.mask = cap - 1;
         self.len = 0;
+        self.grows += 1;
         for s in old {
             if s.key != 0 {
                 self.raw_insert(s);
             }
-        }
-    }
-
-    /// Ensures capacity for `additional` more entries without any growth
-    /// rehash during the insertions. Level-structured optimizers call this
-    /// once per DP level with the enumerator's connected-set count, so the
-    /// table is sized up front instead of growing mid-level.
-    pub fn reserve(&mut self, additional: usize) {
-        let needed = self.len + additional;
-        // Same 70% load-factor bound the insert path enforces.
-        let min_slots = (needed + 1) * 10 / 7 + 1;
-        if min_slots > self.slots.len() {
-            self.rehash_to(min_slots.next_power_of_two());
         }
     }
 
@@ -368,16 +366,13 @@ impl MemoStore for MemoTable {
         MemoTable::insert_if_better(self, set, left, cost, rows)
     }
 
-    fn reserve(&mut self, additional: usize) {
-        MemoTable::reserve(self, additional)
-    }
-
     fn health(&self) -> MemoHealth {
         MemoHealth {
             entries: self.len,
             slots: self.slots.len(),
             probes: self.probes,
             cas_retries: 0,
+            grows: self.grows,
         }
     }
 }
@@ -478,22 +473,26 @@ mod tests {
     }
 
     #[test]
-    fn reserve_prevents_mid_batch_growth() {
-        let mut m = MemoTable::with_capacity(2);
-        m.reserve(300);
-        let slots_after_reserve = m.slots.len();
-        assert!(slots_after_reserve * 7 >= 300 * 10); // ≤70% load for 300
-        for i in 0..300u64 {
-            m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), i as f64, 1.0);
+    fn with_capacity_holds_its_entries_without_growing() {
+        for expected in [0usize, 1, 10, 11, 300, 16_398, 32_783] {
+            let mut m = MemoTable::with_capacity(expected);
+            let slots = m.slots.len();
+            assert_eq!(slots, slots_for(expected));
+            assert!(slots * 7 >= expected * 10, "≤ 70 % load for {expected}");
+            for i in 0..expected as u64 {
+                m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), i as f64, 1.0);
+            }
+            assert_eq!((m.slots.len(), m.health().grows), (slots, 0), "{expected}");
+            assert_eq!(m.len(), expected);
+            // One more than promised may grow it, and nothing is lost.
+            for i in expected as u64..2 * expected as u64 + 16 {
+                m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), i as f64, 1.0);
+            }
+            assert!(m.health().grows > 0);
+            for i in 0..2 * expected as u64 + 16 {
+                assert_eq!(m.get(RelSet(i + 1)).unwrap().cost, i as f64);
+            }
         }
-        assert_eq!(m.slots.len(), slots_after_reserve, "no growth mid-batch");
-        assert_eq!(m.len(), 300);
-        for i in 0..300u64 {
-            assert_eq!(m.get(RelSet(i + 1)).unwrap().cost, i as f64);
-        }
-        // A no-op reserve keeps the allocation.
-        m.reserve(1);
-        assert_eq!(m.slots.len(), slots_after_reserve);
     }
 
     #[test]

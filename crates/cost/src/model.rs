@@ -39,6 +39,18 @@ pub trait CostModel: Sync {
     /// costs.
     fn join_cost(&self, left: InputEst, right: InputEst, out_rows: f64) -> f64;
 
+    /// Both orders of one join: exactly
+    /// `(join_cost(a, b, out_rows), join_cost(b, a, out_rows))`, bit for bit.
+    /// The exact DP backends price every split this way (one virtual call
+    /// per split); a model overrides it only to share the work the two
+    /// orders have in common.
+    fn join_cost_both(&self, a: InputEst, b: InputEst, out_rows: f64) -> (f64, f64) {
+        (
+            self.join_cost(a, b, out_rows),
+            self.join_cost(b, a, out_rows),
+        )
+    }
+
     /// The operator [`join_cost`](CostModel::join_cost) would pick (for plan
     /// explanation; the DP itself only needs the cost).
     fn join_algo(&self, left: InputEst, right: InputEst, out_rows: f64) -> JoinAlgo;
@@ -82,6 +94,7 @@ mod tests {
             rows: 20.0,
         };
         assert_eq!(m.join_cost(a, b, 5.0), 8.0);
+        assert_eq!(m.join_cost_both(a, b, 5.0), (8.0, 8.0));
         assert_eq!(m.join_algo(a, b, 5.0), JoinAlgo::Hash);
         assert_eq!(m.name(), "unit");
     }

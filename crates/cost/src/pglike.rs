@@ -82,13 +82,76 @@ impl PgLikeCost {
         let emit = out_rows * p.cpu_tuple_cost;
         left.cost + right.cost + sorts + merge + emit
     }
+
+    /// `true` when sort-merge cannot be cheaper than the hash join in
+    /// either order, so the minimum may leave it out — decided from the
+    /// larger input's binary exponent `e = ⌊log2 rows⌋`, without a `log2`.
+    ///
+    /// `merge_cost` and `hash_cost` add their terms to the same
+    /// `left.cost + right.cost` in the same positions, and rounded addition
+    /// and multiplication are monotone, so merge ≥ hash follows term by
+    /// term. *Comparison term*: `(l + r)·op ≥ l·op, r·op` once both row
+    /// counts are ≥ 0. *Sort term*: `sort(l) + sort(r) ≥ sort(large) =
+    /// (2·op·large)·log2(large) ≥ (2·op·large)·e`, and the test below asks
+    /// that last product to reach `large·(op + tuple)`, the bigger of the two
+    /// hash builds. It is evaluated in the same floating-point operations the
+    /// costs use, so there is no rounding slack to argue about; the one
+    /// assumption is `log2(x) ≥ ⌊log2 x⌋`, which holds for any `log2` that
+    /// is exact on powers of two and monotone. With the default constants
+    /// the test is `0.005·e ≥ 0.0125`: merge is still priced while the
+    /// larger input has fewer than 8 rows.
+    ///
+    /// Requires non-negative constants in [`PgParams`]; NaN or negative
+    /// cardinalities fail the test and take the full three-way minimum.
+    #[inline]
+    fn merge_dominated(&self, a_rows: f64, b_rows: f64) -> bool {
+        let p = &self.params;
+        let (small, large) = if a_rows <= b_rows {
+            (a_rows, b_rows)
+        } else {
+            (b_rows, a_rows)
+        };
+        let exponent = ((large.to_bits() >> 52) & 0x7ff) as i32 - 1023;
+        let sort_floor = 2.0 * p.cpu_operator_cost * large * f64::from(exponent);
+        small >= 0.0 && sort_floor >= large * (p.cpu_operator_cost + p.cpu_tuple_cost)
+    }
 }
 
 impl CostModel for PgLikeCost {
     fn join_cost(&self, left: InputEst, right: InputEst, out_rows: f64) -> f64 {
-        self.hash_cost(left, right, out_rows)
-            .min(self.nestloop_cost(left, right, out_rows))
-            .min(self.merge_cost(left, right, out_rows))
+        let cost = self
+            .hash_cost(left, right, out_rows)
+            .min(self.nestloop_cost(left, right, out_rows));
+        if self.merge_dominated(left.rows, right.rows) {
+            cost
+        } else {
+            cost.min(self.merge_cost(left, right, out_rows))
+        }
+    }
+
+    /// The two [`join_cost`](CostModel::join_cost) calls with what they
+    /// share computed once: the input costs, the emit term, the nested-loop
+    /// qualification term, and the sort-merge cost (symmetric to the bit:
+    /// every sum and product in it commutes). Each order's terms are the
+    /// expressions of `hash_cost`/`nestloop_cost`, added in the same order.
+    fn join_cost_both(&self, a: InputEst, b: InputEst, out_rows: f64) -> (f64, f64) {
+        let p = &self.params;
+        let inputs = a.cost + b.cost;
+        let emit = out_rows * p.cpu_tuple_cost;
+        let build_rate = p.cpu_operator_cost + p.cpu_tuple_cost;
+        let qual = a.rows * b.rows * p.cpu_operator_cost;
+        let ordered = |left: f64, right: f64| {
+            let hash = inputs + right * build_rate + left * p.cpu_operator_cost + emit;
+            let rescan = (left - 1.0).max(0.0) * right * p.cpu_operator_cost;
+            hash.min(inputs + rescan + qual + emit)
+        };
+        let (ab, ba) = (ordered(a.rows, b.rows), ordered(b.rows, a.rows));
+        if self.merge_dominated(a.rows, b.rows) {
+            (ab, ba)
+        } else {
+            let merge = self.merge_cost(a, b, out_rows);
+            (ab.min(merge), ba.min(merge))
+        }
     }
 
     fn join_algo(&self, left: InputEst, right: InputEst, out_rows: f64) -> JoinAlgo {
@@ -188,6 +251,118 @@ mod tests {
             };
             assert_eq!(c, expect);
         }
+    }
+
+    /// `join_cost` as it was before the dominance skip: the plain minimum
+    /// over the three operators. Kept as the oracle for the skip.
+    fn three_way_min(m: &PgLikeCost, l: InputEst, r: InputEst, out_rows: f64) -> f64 {
+        m.hash_cost(l, r, out_rows)
+            .min(m.nestloop_cost(l, r, out_rows))
+            .min(m.merge_cost(l, r, out_rows))
+    }
+
+    /// Deterministic stream of non-negative test magnitudes: mostly
+    /// `[2⁻⁴, 2³⁶)` with a random mantissa, mixed with the small row counts
+    /// around the merge boundary and with powers of two and their
+    /// neighbours (where the exponent test flips).
+    struct Magnitudes(u64);
+
+    impl Magnitudes {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            mpdp_core::memo::murmur3_fmix64(self.0)
+        }
+
+        fn next(&mut self) -> f64 {
+            let x = self.next_u64();
+            let exp = (x >> 8) % 40; // 2⁻⁴ … 2³⁵
+            let pow = f64::from_bits((1023 - 4 + exp) << 52);
+            match x % 16 {
+                0 => [0.0, 1.0, 2.0, 7.0, 8.0][(x >> 16) as usize % 5],
+                1 => pow,
+                2 => f64::from_bits(pow.to_bits() - 1),
+                3 => f64::from_bits(pow.to_bits() + 1),
+                _ => f64::from_bits(pow.to_bits() | (x >> 12)),
+            }
+        }
+    }
+
+    #[test]
+    fn fused_and_skipping_costs_are_bit_identical_to_the_three_way_min() {
+        // Release builds (CI's plan-smoke leg) run the full two million.
+        let cases = if cfg!(debug_assertions) {
+            100_000
+        } else {
+            2_000_000
+        };
+        let models = [
+            PgLikeCost::new(),
+            // Tuples dear, comparisons cheap: the boundary moves from 8 to
+            // 2048 rows and sort-merge does win below it.
+            PgLikeCost {
+                params: PgParams {
+                    seq_page_cost: 4.0,
+                    cpu_tuple_cost: 0.1,
+                    cpu_operator_cost: 0.005,
+                    tuples_per_page: 64.0,
+                },
+            },
+            // 2·op == op + tuple: the dominance test is an exact tie for
+            // every larger input in [2, 4).
+            PgLikeCost {
+                params: PgParams {
+                    cpu_tuple_cost: 0.01,
+                    cpu_operator_cost: 0.01,
+                    ..PgParams::default()
+                },
+            },
+        ];
+        let mut rng = Magnitudes(42);
+        let (mut skipped, mut merge_won) = (0u64, 0u64);
+        for case in 0..cases {
+            let m = &models[case % models.len()];
+            let a = est(rng.next(), rng.next());
+            let b = est(rng.next(), rng.next());
+            let out_rows = rng.next();
+            let (ab, ba) = (
+                three_way_min(m, a, b, out_rows),
+                three_way_min(m, b, a, out_rows),
+            );
+            let got = (
+                m.join_cost(a, b, out_rows),
+                m.join_cost(b, a, out_rows),
+                m.join_cost_both(a, b, out_rows),
+            );
+            assert_eq!(
+                (
+                    got.0.to_bits(),
+                    got.1.to_bits(),
+                    got.2 .0.to_bits(),
+                    got.2 .1.to_bits()
+                ),
+                (ab.to_bits(), ba.to_bits(), ab.to_bits(), ba.to_bits()),
+                "{:?} a={a:?} b={b:?} out={out_rows}",
+                m.params
+            );
+            skipped += m.merge_dominated(a.rows, b.rows) as u64;
+            merge_won += (m.join_algo(a, b, out_rows) == JoinAlgo::SortMerge) as u64;
+        }
+        // Both sides of the skip are exercised, and merge does win somewhere
+        // (so a skip that fired too often would have been caught).
+        assert!(skipped > cases as u64 / 2 && skipped < cases as u64);
+        assert!(merge_won > 0);
+    }
+
+    #[test]
+    fn merge_is_priced_below_eight_rows_with_default_constants() {
+        let m = PgLikeCost::new();
+        assert!(!m.merge_dominated(7.999, 3.0));
+        assert!(m.merge_dominated(8.0, 3.0));
+        assert!(m.merge_dominated(3.0, 8.0));
+        assert!(m.merge_dominated(0.0, 0.0)); // all three operators tie
+        assert!(!m.merge_dominated(-1.0, 1e6));
+        assert!(!m.merge_dominated(f64::NAN, 1e6));
+        assert!(!m.merge_dominated(1e6, f64::NAN));
     }
 
     #[test]

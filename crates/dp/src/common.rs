@@ -4,7 +4,6 @@
 use mpdp_core::combinatorics::{binomial, KSubsets};
 use mpdp_core::counters::{Counters, Profile};
 use mpdp_core::enumerate::{EnumerationMode, FrontierEnumerator};
-use mpdp_core::graph::JoinGraph;
 use mpdp_core::memo::{candidate_key, MemoStore};
 use mpdp_core::plan::{extract_plan, PlanTree};
 use mpdp_core::query::QueryInfo;
@@ -110,12 +109,15 @@ pub struct OptResult {
 }
 
 /// Creates a memo store pre-loaded with the base-relation leaves
-/// (Algorithm 1 lines 1–3 / Algorithm 5 lines 2–4). Generic over
-/// [`MemoStore`]: sequential backends instantiate the single-threaded
-/// [`mpdp_core::MemoTable`], the parallel and simulated-GPU backends the
-/// lock-free [`mpdp_core::AtomicMemo`].
-pub fn init_memo<M: MemoStore>(q: &QueryInfo) -> M {
-    let mut memo = M::with_capacity(q.query_size() * 4);
+/// (Algorithm 1 lines 1–3 / Algorithm 5 lines 2–4) and room for `sets`
+/// joined sets on top of them — [`LevelEnumerator::total_sets`] for the
+/// level-structured backends, which never re-hash; 0 for one that cannot
+/// count its sets first and lets the table grow as it inserts (DPCCP).
+/// Generic over [`MemoStore`]: sequential backends instantiate the
+/// single-threaded [`mpdp_core::MemoTable`], the parallel and simulated-GPU
+/// backends the lock-free [`mpdp_core::AtomicMemo`].
+pub fn init_memo<M: MemoStore>(q: &QueryInfo, sets: usize) -> M {
+    let mut memo = M::with_capacity(q.query_size() + sets);
     for (i, rel) in q.rels.iter().enumerate() {
         memo.insert_leaf(i, rel.rows, rel.cost);
     }
@@ -210,9 +212,10 @@ pub(crate) fn price_both_at<M: MemoStore>(
     sel: f64,
 ) -> Option<PricedSplit> {
     let (ia, ib, rows) = join_inputs(memo, a, b, sel)?;
+    let (cost_ab, cost_ba) = model.join_cost_both(ia, ib, rows);
     Some(PricedSplit {
-        cost_ab: model.join_cost(ia, ib, rows),
-        cost_ba: model.join_cost(ib, ia, rows),
+        cost_ab,
+        cost_ba,
         rows,
     })
 }
@@ -255,26 +258,29 @@ pub(crate) fn emit_both<M: MemoStore>(
     Ok(memo.insert_if_better(a.union(b), left, cost, priced.rows))
 }
 
-/// Per-level connected-set source shared by every level-synchronous backend
-/// (DPSUB, MPDP, the CPU-parallel driver and the simulated-GPU drivers).
+/// The level plan of every level-synchronous backend (DPSUB, MPDP, DPSIZE,
+/// the CPU-parallel drivers and the simulated-GPU drivers): every level's
+/// connected sets, enumerated before the first level is evaluated and kept
+/// back to back in one vector (8 bytes per set). Knowing all of it up front
+/// is what lets a backend create its memo once, at its final size
+/// ([`init_memo`] with [`total_sets`](Self::total_sets)).
 ///
-/// Dispatches on [`EnumerationMode`]: the frontier path expands the previous
-/// level's connected sets through [`FrontierEnumerator`]; the unranked path
-/// streams Gosper's `C(n, i)` candidates and keeps the connected survivors.
-/// Both materialize the same slice in the same (ascending-bitmap) order, so
-/// consumers are bit-identical across modes — only the `unranked` counter
-/// and the work spent producing the slice differ.
-pub struct LevelEnumerator<'g> {
-    graph: &'g JoinGraph,
+/// Dispatches on [`EnumerationMode`]: the frontier path expands each level's
+/// connected sets from the previous one through [`FrontierEnumerator`]; the
+/// unranked path streams Gosper's `C(n, i)` candidates and keeps the
+/// connected survivors. Both produce the same levels in the same
+/// (ascending-bitmap) order, so consumers are bit-identical across modes —
+/// only the `unranked` counter and the work spent enumerating differ.
+pub struct LevelEnumerator {
+    /// Levels `1..=n` (level 1 is the singletons), each ascending by bitmap.
+    sets: Vec<RelSet>,
+    /// Level `i` is `sets[starts[i - 1]..starts[i]]`.
+    starts: Vec<usize>,
     n: usize,
     mode: EnumerationMode,
-    frontier: FrontierEnumerator<'g>,
-    /// Scratch for the unranked path (the frontier path borrows from the
-    /// enumerator instead).
-    filtered: Vec<RelSet>,
 }
 
-/// One materialized DP level.
+/// One DP level of a [`LevelEnumerator`].
 pub struct LevelSets<'a> {
     /// The level's connected sets, ascending by bitmap.
     pub sets: &'a [RelSet],
@@ -282,51 +288,68 @@ pub struct LevelSets<'a> {
     pub unranked: u64,
 }
 
-impl<'g> LevelEnumerator<'g> {
-    /// Creates the enumerator for levels `2..=n` of `graph`.
-    pub fn new(graph: &'g JoinGraph, mode: EnumerationMode) -> Self {
-        LevelEnumerator {
-            graph,
-            n: graph.num_vertices(),
-            mode,
-            frontier: FrontierEnumerator::new(graph),
-            filtered: Vec::new(),
-        }
+impl LevelEnumerator {
+    /// Enumerates levels `1..=n` of the context's query in its enumeration
+    /// mode, polling its deadline along the way.
+    pub fn new(ctx: &OptContext<'_>) -> Result<Self, OptError> {
+        Self::with_mode(ctx, ctx.enumeration)
     }
 
-    /// The active enumeration mode.
-    pub fn mode(&self) -> EnumerationMode {
-        self.mode
-    }
-
-    /// Materializes level `i`'s connected sets. Levels must be requested in
-    /// increasing order starting at 2 (the frontier is consumed as it
-    /// advances). Polls the context deadline while enumerating.
-    pub fn level(&mut self, ctx: &OptContext<'_>, i: usize) -> Result<LevelSets<'_>, OptError> {
-        debug_assert!((2..=self.n).contains(&i));
-        match self.mode {
+    /// [`new`](Self::new) in a given mode, for the drivers that take their
+    /// lists from the frontier engine whatever the context says (PDP, the
+    /// simulated GPU's host side).
+    pub fn with_mode(ctx: &OptContext<'_>, mode: EnumerationMode) -> Result<Self, OptError> {
+        let graph = &ctx.query.graph;
+        let n = graph.num_vertices();
+        let (sets, mut starts) = match mode {
             EnumerationMode::Frontier => {
-                debug_assert_eq!(self.frontier.level(), i - 1, "levels out of order");
-                Ok(LevelSets {
-                    sets: self.frontier.try_advance(|| ctx.check_deadline())?,
-                    unranked: 0,
-                })
+                let mut frontier = FrontierEnumerator::new(graph);
+                for _ in 2..=n {
+                    frontier.try_advance(|| ctx.check_deadline())?;
+                }
+                frontier.into_levels()
             }
             EnumerationMode::Unranked => {
-                self.filtered.clear();
-                for (k, s) in KSubsets::new(self.n, i).enumerate() {
-                    if k % 4096 == 0 {
-                        ctx.check_deadline()?;
-                    }
-                    if self.graph.is_connected(s) {
-                        self.filtered.push(s);
+                let mut sets: Vec<RelSet> = (0..n).map(RelSet::singleton).collect();
+                let mut starts = vec![0];
+                for i in 2..=n {
+                    starts.push(sets.len());
+                    for (k, s) in KSubsets::new(n, i).enumerate() {
+                        if k % 4096 == 0 {
+                            ctx.check_deadline()?;
+                        }
+                        if graph.is_connected(s) {
+                            sets.push(s);
+                        }
                     }
                 }
-                Ok(LevelSets {
-                    sets: &self.filtered,
-                    unranked: binomial(self.n as u64, i as u64),
-                })
+                (sets, starts)
             }
+        };
+        starts.push(sets.len());
+        Ok(LevelEnumerator {
+            sets,
+            starts,
+            n,
+            mode,
+        })
+    }
+
+    /// Connected sets of two or more relations, over all levels — the entries
+    /// a run adds to the memo on top of the leaves.
+    pub fn total_sets(&self) -> usize {
+        self.sets.len() - self.n
+    }
+
+    /// Level `i`'s connected sets, `1 ≤ i ≤ n`.
+    pub fn level(&self, i: usize) -> LevelSets<'_> {
+        let unranked = match self.mode {
+            EnumerationMode::Unranked if i >= 2 => binomial(self.n as u64, i as u64),
+            _ => 0,
+        };
+        LevelSets {
+            sets: &self.sets[self.starts[i - 1]..self.starts[i]],
+            unranked,
         }
     }
 }
@@ -370,7 +393,7 @@ mod tests {
     #[test]
     fn init_memo_loads_leaves() {
         let q = two_rel_query();
-        let memo: MemoTable = init_memo(&q);
+        let memo: MemoTable = init_memo(&q, 1);
         assert_eq!(memo.len(), 2);
         let e = memo.get(RelSet::singleton(1)).unwrap();
         assert_eq!(e.rows, 200.0);
@@ -381,7 +404,7 @@ mod tests {
     fn emit_pair_costs_and_stores() {
         let q = two_rel_query();
         let model = PgLikeCost::new();
-        let mut memo: MemoTable = init_memo(&q);
+        let mut memo: MemoTable = init_memo(&q, 1);
         let sl = RelSet::singleton(0);
         let sr = RelSet::singleton(1);
         assert!(emit_pair(&mut memo, &q, &model, sl, sr).unwrap());
@@ -397,7 +420,7 @@ mod tests {
     fn price_both_is_price_pair_twice() {
         let q = two_rel_query();
         let model = PgLikeCost::new();
-        let mut memo: MemoTable = init_memo(&q);
+        let mut memo: MemoTable = init_memo(&q, 1);
         let (a, b) = (RelSet::singleton(0), RelSet::singleton(1));
         let both = price_both(&memo, &q, &model, a, b).unwrap();
         let (ab, rows) = price_pair(&memo, &q, &model, a, b).unwrap();
@@ -422,7 +445,7 @@ mod tests {
     fn emit_pair_missing_side_is_internal_error() {
         let q = two_rel_query();
         let model = PgLikeCost::new();
-        let mut memo: MemoTable = init_memo(&q);
+        let mut memo: MemoTable = init_memo(&q, 1);
         let err = emit_pair(
             &mut memo,
             &q,

@@ -113,7 +113,7 @@ impl DpCcp {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        let memo: MemoTable = init_memo(q);
+        let memo: MemoTable = init_memo(q, 0);
         let mut st = CcpState {
             ctx,
             memo,

@@ -26,43 +26,40 @@ impl DpSize {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        let mut memo: MemoTable = init_memo(q);
+        // Connected sets grouped by size. In frontier mode the level plan has
+        // every list up front (and sizes the memo once); in the legacy mode
+        // each level's list is discovered as a by-product of the pair joins
+        // and the memo grows as it fills (every connected set of size ≥ 2
+        // has a CCP split, so both modes build the same families — asserted
+        // in this module's tests).
+        let discover = ctx.enumeration != EnumerationMode::Frontier;
+        let levels = if discover {
+            None
+        } else {
+            Some(LevelEnumerator::new(ctx)?)
+        };
+        let mut memo: MemoTable = init_memo(q, levels.as_ref().map_or(0, |l| l.total_sets()));
         let mut counters = Counters::default();
         let mut profile = Profile::default();
-
-        // Connected sets grouped by size. In frontier mode each level's list
-        // comes straight from the connected-subset enumerator; in the legacy
-        // mode it is discovered as a by-product of the pair joins (every
-        // connected set of size ≥ 2 has a CCP split, so both modes build the
-        // same families — asserted in this module's tests).
-        let mut sets_by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
-        sets_by_size[1] = (0..n).map(RelSet::singleton).collect();
-        let mut enumerator = LevelEnumerator::new(&q.graph, ctx.enumeration);
+        let mut discovered: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
+        discovered[1] = (0..n).map(RelSet::singleton).collect();
 
         for i in 2..=n {
             let mut level = LevelStats {
                 size: i,
                 ..Default::default()
             };
-            if ctx.enumeration == EnumerationMode::Frontier {
-                let lvl = enumerator.level(ctx, i)?;
-                memo.reserve(lvl.sets.len());
-                sets_by_size[i] = lvl.sets.to_vec();
-            }
-            // Legacy mode discovers the level's sets as a by-product of the
-            // pair joins; frontier mode already has them and skips the
-            // bookkeeping.
-            let discover = ctx.enumeration != EnumerationMode::Frontier;
+            let sets_of = |k: usize| match &levels {
+                Some(levels) => levels.level(k).sets,
+                None => &discovered[k],
+            };
             let mut new_sets: Vec<RelSet> = Vec::new();
             for k in 1..i {
                 ctx.check_deadline()?;
                 // Ordered pairs: (left of size k) × (right of size i-k).
                 // Symmetric pairs appear naturally when k and i-k swap.
-                for li in 0..sets_by_size[k].len() {
-                    let left = sets_by_size[k][li];
-                    #[allow(clippy::needless_range_loop)]
-                    for ri in 0..sets_by_size[i - k].len() {
-                        let right = sets_by_size[i - k][ri];
+                for &left in sets_of(k) {
+                    for &right in sets_of(i - k) {
                         level.evaluated += 1;
                         if !left.is_disjoint(right) {
                             continue; // the overlapping-pair tax of DPSIZE
@@ -85,11 +82,12 @@ impl DpSize {
                 }
             }
             if discover {
-                level.sets = new_sets.len() as u64;
-                sets_by_size[i] = new_sets;
-            } else {
-                level.sets = sets_by_size[i].len() as u64;
+                discovered[i] = new_sets;
             }
+            level.sets = match &levels {
+                Some(levels) => levels.level(i).sets.len(),
+                None => discovered[i].len(),
+            } as u64;
             counters.evaluated += level.evaluated;
             counters.ccp += level.ccp;
             counters.sets += level.sets;

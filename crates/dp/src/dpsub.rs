@@ -23,24 +23,19 @@ impl DpSub {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        let mut memo: MemoTable = init_memo(q);
+        let levels = LevelEnumerator::new(ctx)?;
+        let mut memo: MemoTable = init_memo(q, levels.total_sets());
         let mut counters = Counters::default();
         let mut profile = Profile::default();
 
-        if n == 1 {
-            return finish(&memo, q, counters, profile);
-        }
-
-        let mut enumerator = LevelEnumerator::new(&q.graph, ctx.enumeration);
         for i in 2..=n {
-            let lvl = enumerator.level(ctx, i)?;
+            let lvl = levels.level(i);
             let mut level = LevelStats {
                 size: i,
                 unranked: lvl.unranked,
                 sets: lvl.sets.len() as u64,
                 ..Default::default()
             };
-            memo.reserve(lvl.sets.len());
             for &s in lvl.sets {
                 ctx.check_deadline()?;
                 // Line 8: all non-empty S_left ⊆ S (S_right = S \ S_left may

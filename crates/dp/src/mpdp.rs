@@ -168,22 +168,21 @@ impl Mpdp {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        let mut memo: MemoTable = init_memo(q);
+        let levels = LevelEnumerator::new(ctx)?;
+        let mut memo: MemoTable = init_memo(q, levels.total_sets());
         let mut counters = Counters::default();
         let mut profile = Profile::default();
 
         let index = BlockIndex::new(&q.graph);
         let mut kernel = SetKernel::new(q, ctx.model, &index);
-        let mut enumerator = LevelEnumerator::new(&q.graph, ctx.enumeration);
         for i in 2..=n {
-            let lvl = enumerator.level(ctx, i)?;
+            let lvl = levels.level(i);
             let mut level = LevelStats {
                 size: i,
                 unranked: lvl.unranked,
                 sets: lvl.sets.len() as u64,
                 ..Default::default()
             };
-            memo.reserve(lvl.sets.len());
             for &s in lvl.sets {
                 ctx.check_deadline()?;
                 let out = kernel.evaluate(&memo, s, &mut ());

@@ -1,7 +1,8 @@
 //! GPU optimizer drivers: MPDP (GPU), DPSUB (GPU) and DPSIZE (GPU).
 //!
-//! Each driver runs the Algorithm 5 host loop: per DP level it launches the
-//! unrank / filter / evaluate / (prune) / scatter kernels on the software
+//! Each driver runs the Algorithm 5 host loop: it allocates the device memo
+//! for every connected set the host's level plan counted, per DP level
+//! launches the unrank / filter / evaluate / (prune) kernels on the software
 //! SIMT machine, then at the end extracts the plan from the device memo —
 //! "the final relation is recursively fetched using its left and right join
 //! relations, building a join tree in CPU memory".
@@ -25,7 +26,7 @@ use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::EnumerationMode;
-use mpdp_core::{OptError, RelSet};
+use mpdp_core::OptError;
 use mpdp_dp::common::{finish, init_memo, price_pair, LevelEnumerator, OptContext, OptResult};
 use mpdp_dp::mpdp::SetKernel;
 use mpdp_dp::JoinOrderOptimizer;
@@ -101,25 +102,19 @@ fn run_level_structured(
     ctx.validate_exact()?;
     let q = ctx.query;
     let n = q.query_size();
+    // The host's level plan, always from the frontier engine and free of
+    // stats charges: it sizes the device memo (device memory cannot grow
+    // under a kernel), is the output the expand launches are charged for,
+    // and is DPSIZE-GPU's per-size plan lists (the real H+F driver reads
+    // those back from the previous level, which is the same list).
+    let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
     // The simulated *device-global* memo: the lock-free table every kernel
-    // lane publishes into with atomic min-updates. The host loop only sizes
-    // it between levels (reserve) and extracts the plan at the end.
-    let mut memo: AtomicMemo = init_memo(q);
+    // lane publishes into with atomic min-updates, allocated once; the host
+    // loop only extracts the plan from it at the end.
+    let memo: AtomicMemo = init_memo(q, levels.total_sets());
     let mut counters = Counters::default();
     let mut profile = Profile::default();
     let mut stats = GpuStats::default();
-
-    // DPSIZE-GPU keeps per-size plan lists instead of unranking subsets;
-    // the lists are the levels' connected sets, which the host enumerates
-    // through the frontier engine (free of stats charges — the real H+F
-    // driver reads them back from the previous scatter, which is the same
-    // list).
-    let mut sets_by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
-    sets_by_size[1] = (0..n).map(RelSet::singleton).collect();
-    let mut dpsize_levels = LevelEnumerator::new(&q.graph, EnumerationMode::Frontier);
-    // Previous level's connected sets, device-resident — the frontier
-    // expand kernel's input (unused in unranked mode).
-    let mut prev_sets: Vec<RelSet> = (0..n).map(RelSet::singleton).collect();
     // The query's block structure and the per-set kernel MPDP's evaluate
     // launches run (host-side state of the simulation, not device traffic).
     let block_index = BlockIndex::new(&q.graph);
@@ -134,18 +129,20 @@ fn run_level_structured(
         let marks = (memo.probe_count(), memo.cas_retry_count());
         match algo {
             GpuAlgo::Mpdp | GpuAlgo::DpSub => {
-                match ctx.enumeration {
+                let filtered;
+                let sets = match ctx.enumeration {
                     EnumerationMode::Frontier => {
-                        prev_sets = expand_kernel(q, &prev_sets, &mut stats);
+                        let sets = levels.level(i).sets;
+                        expand_kernel(q, levels.level(i - 1).sets, sets, &mut stats);
+                        sets
                     }
                     EnumerationMode::Unranked => {
                         let candidates = unrank_kernel(n, i, &mut stats);
                         level.unranked = candidates.len() as u64;
-                        prev_sets = filter_kernel(q, candidates, &mut stats);
+                        filtered = filter_kernel(q, candidates, &mut stats);
+                        &filtered
                     }
-                }
-                let sets = &prev_sets;
-                memo.reserve(sets.len());
+                };
                 let out = if algo == GpuAlgo::Mpdp {
                     evaluate_mpdp_kernel(
                         &mut set_kernel,
@@ -177,16 +174,14 @@ fn run_level_structured(
                 // stall their warp. Survivors hit the global table with
                 // their own atomicMin (fused: one per set after an in-warp
                 // reduction).
-                let lvl = dpsize_levels.level(ctx, i)?;
-                memo.reserve(lvl.sets.len());
-                sets_by_size[i] = lvl.sets.to_vec();
+                let level_sets = levels.level(i).sets;
                 stats.kernel_launches += 1;
                 let probes_before = memo.probe_count();
                 let mut lane_costs: Vec<u32> = Vec::new();
                 let mut publishes = 0u64;
                 for k in 1..i {
-                    for &left in &sets_by_size[k] {
-                        for &right in &sets_by_size[i - k] {
+                    for &left in levels.level(k).sets {
+                        for &right in levels.level(i - k).sets {
                             level.evaluated += 1;
                             let mut lane = kernels::cycles::CHECK;
                             if !left.is_disjoint(right) {
@@ -219,13 +214,13 @@ fn run_level_structured(
                 stats.global_reads += memo.probe_count() - probes_before;
                 if cfg.fused_prune {
                     // In-warp reduction first: one global atomic per set.
-                    stats.global_writes += sets_by_size[i].len() as u64;
+                    stats.global_writes += level_sets.len() as u64;
                 } else {
-                    stats.global_writes += publishes + sets_by_size[i].len() as u64;
+                    stats.global_writes += publishes + level_sets.len() as u64;
                     stats.global_reads += publishes;
                     stats.kernel_launches += 1;
                 }
-                level.sets = sets_by_size[i].len() as u64;
+                level.sets = level_sets.len() as u64;
             }
         }
         level.memo_probes = memo.probe_count() - marks.0;

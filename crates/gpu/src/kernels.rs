@@ -2,7 +2,9 @@
 //! executed on the software SIMT machine.
 //!
 //! Each phase does its *real* work (the same enumeration and costing as the
-//! CPU algorithms, producing bit-identical memo contents) while charging
+//! CPU algorithms, producing bit-identical memo contents; the one exception
+//! is the frontier expand launch, whose output the host's level plan already
+//! holds) while charging
 //! cycles, memory transactions and transfers to [`GpuStats`]. Cycle costs per
 //! micro-operation are rough GTX-1080 instruction-latency figures; absolute
 //! times are therefore approximate, but the *relative* behaviour the paper's
@@ -101,30 +103,21 @@ pub fn filter_kernel(q: &QueryInfo, sets: Vec<RelSet>, stats: &mut GpuStats) -> 
 /// yields the level's connected sets in ascending bitmap order. Every
 /// candidate is connected by construction, so no `grow` walk ever runs.
 /// Charged as two launches: the expansion map and the compaction.
-pub fn expand_kernel(q: &QueryInfo, prev: &[RelSet], stats: &mut GpuStats) -> Vec<RelSet> {
+///
+/// The sets themselves are `level`, which the host's level plan already
+/// holds (it had to count them to allocate the device memo): this charges
+/// the launches that turn `prev` into it.
+pub fn expand_kernel(q: &QueryInfo, prev: &[RelSet], level: &[RelSet], stats: &mut GpuStats) {
     stats.kernel_launches += 2;
-    let mut seen = mpdp_core::enumerate::SeenTable::with_capacity(prev.len());
-    let mut out = Vec::new();
-    let mut costs = Vec::new();
-    for &s in prev {
-        // Neighborhood of the whole set: a handful of word ORs per lane.
-        let nb = q.graph.neighbors(s);
-        for v in nb.iter() {
-            let t = s.with(v);
-            // One OR + one hash-table publish per lane; uniform cost.
-            costs.push(cycles::CHECK + cycles::HASH_PROBE);
-            if seen.insert(t.bits()) {
-                out.push(t);
-            }
-        }
-    }
-    out.sort_unstable();
-    let (c, _) = schedule_warp(WarpPolicy::Lockstep, &costs);
-    stats.warp_cycles += c;
-    stats.busy_cycles += costs.iter().map(|&x| x as u64).sum::<u64>();
-    stats.global_reads += costs.len() as u64; // each lane loads its source set
-    stats.global_writes += out.len() as u64; // compaction output
-    out
+    // Neighborhood of the whole set: a handful of word ORs per lane, then
+    // one OR + one hash-table publish; uniform cost.
+    let lanes: u64 = prev
+        .iter()
+        .map(|&s| q.graph.neighbors(s).len() as u64)
+        .sum();
+    charge_uniform(lanes, cycles::CHECK + cycles::HASH_PROBE, stats);
+    stats.global_reads += lanes; // each lane loads its source set
+    stats.global_writes += level.len() as u64; // compaction output
 }
 
 /// Prices one ordered pair against the device memo with the shared costing,
@@ -378,7 +371,8 @@ mod tests {
     fn setup(n: usize) -> (QueryInfo, PgLikeCost, AtomicMemo) {
         let m = PgLikeCost::new();
         let q = gen::star(n, 5, &m).to_query_info().unwrap();
-        let memo: AtomicMemo = init_memo(&q);
+        // Room for every connected set of a star: the hub with any leaves.
+        let memo: AtomicMemo = init_memo(&q, 1 << (n - 1));
         (q, m, memo)
     }
 
@@ -424,8 +418,8 @@ mod tests {
         let sets: Vec<RelSet> = (1..6).map(|d| RelSet::from_indices([0, d])).collect();
         let mut fused = GpuStats::default();
         let mut separate = GpuStats::default();
-        let memo_a: AtomicMemo = init_memo(&q);
-        let memo_b: AtomicMemo = init_memo(&q);
+        let memo_a: AtomicMemo = init_memo(&q, sets.len());
+        let memo_b: AtomicMemo = init_memo(&q, sets.len());
         let a = evaluate_dpsub_kernel(
             &q,
             &m,
@@ -460,7 +454,7 @@ mod tests {
         // check while two run the full costing — classic divergence.
         let m = PgLikeCost::new();
         let q = gen::star(8, 5, &m).to_query_info().unwrap();
-        let memo: AtomicMemo = init_memo(&q);
+        let memo: AtomicMemo = init_memo(&q, 7 + 21);
         let mut memo_stats = GpuStats::default();
         // Fill level 2 so pricing works at level 3 (the evaluate kernel
         // publishes winners directly into the device table).

@@ -16,13 +16,101 @@
 
 use crate::goo::Goo;
 use crate::large::{
-    contract, recost, substitute_leaves, Budget, InnerLarge, LargeOptResult, LargeOptimizer,
+    contract, mpdp_inner_with_budget, recost, recost_spine, substitute_leaves, Budget, InnerLarge,
+    LargeOptResult, LargeOptimizer,
 };
 use mpdp_core::plan::PlanTree;
 use mpdp_core::query::{LargeQuery, RelInfo};
 use mpdp_core::OptError;
 use mpdp_cost::model::CostModel;
 use std::time::Duration;
+
+/// IDP2's working state: the contracted query, the full original-relation
+/// plan behind each of its composites, and the tentative plan over composite
+/// ids.
+struct Working {
+    cur: LargeQuery,
+    comps: Vec<PlanTree>,
+    tree: PlanTree,
+}
+
+impl Working {
+    /// Every relation its own composite, under GOO's tentative plan priced
+    /// once in full.
+    fn start(q: &LargeQuery, model: &dyn CostModel) -> Result<Self, OptError> {
+        Ok(Working {
+            cur: q.clone(),
+            comps: (0..q.num_rels())
+                .map(|i| PlanTree::Scan {
+                    rel: i as u32,
+                    rows: q.rels[i].rows,
+                    cost: q.rels[i].cost,
+                })
+                .collect(),
+            tree: recost(&Goo::run(q, model, None)?.plan, q, model),
+        })
+    }
+
+    /// One IDP2 step: optimizes the leaves under `path` exactly, contracts
+    /// them into a new composite and puts that composite's leaf where the
+    /// subtree was. The leaf's ancestors still carry the prices they had
+    /// with the old subtree; re-costing them is the caller's business.
+    fn collapse(
+        &mut self,
+        path: &[bool],
+        model: &dyn CostModel,
+        inner: &dyn Fn(&LargeQuery) -> Result<PlanTree, OptError>,
+    ) -> Result<(), OptError> {
+        let mut group: Vec<usize> = Vec::new();
+        collect_leaves(subtree_at(&self.tree, path), &mut group);
+        group.sort_unstable();
+        group.dedup();
+
+        // Optimize the group exactly over the projected sub-query.
+        let (sub_query, _) = project_large(&self.cur, &group);
+        let sub_plan = inner(&sub_query)?;
+        let sub_plan = recost(&sub_plan, &sub_query, model);
+        // Translate projected leaves back to full original-relation plans.
+        let mapping: Vec<PlanTree> = group.iter().map(|&g| self.comps[g].clone()).collect();
+        let full_sub_plan = substitute_leaves(&sub_plan, &mapping);
+
+        // Contract the group into a new composite.
+        let info = RelInfo::new(sub_plan.rows(), sub_plan.cost());
+        let (new_cur, idx_map) = contract(&self.cur, &group, info);
+        let comp_idx = idx_map[group[0]];
+        let mut new_comps: Vec<PlanTree> = vec![
+            PlanTree::Scan {
+                rel: 0,
+                rows: 0.0,
+                cost: 0.0
+            };
+            new_cur.num_rels()
+        ];
+        for (old, plan) in std::mem::take(&mut self.comps).into_iter().enumerate() {
+            let ni = idx_map[old];
+            if ni != comp_idx {
+                new_comps[ni] = plan;
+            }
+        }
+        new_comps[comp_idx] = full_sub_plan;
+        self.comps = new_comps;
+
+        // Rewrite the working tree: replace the chosen subtree by the new
+        // composite leaf and remap all other leaves.
+        self.tree = replace_subtree(
+            &self.tree,
+            path,
+            PlanTree::Scan {
+                rel: comp_idx as u32,
+                rows: info.rows,
+                cost: info.cost,
+            },
+            &idx_map,
+        );
+        self.cur = new_cur;
+        Ok(())
+    }
+}
 
 /// Runs the pluggable-inner IDP2 loop. `inner` receives a *projected*
 /// sub-query (scan indices `0..group.len()`) of at most `k` relations and
@@ -48,80 +136,21 @@ pub fn idp2_with_inner(
         return Ok(recost(&plan, q, model));
     }
 
-    // Composite state: `cur` is the contracted query; `comps[i]` is the full
-    // original-relation plan behind composite `i`.
-    let mut cur = q.clone();
-    let mut comps: Vec<PlanTree> = (0..n)
-        .map(|i| PlanTree::Scan {
-            rel: i as u32,
-            rows: q.rels[i].rows,
-            cost: q.rels[i].cost,
-        })
-        .collect();
-
-    // Initial tentative plan over composite ids.
-    let mut tree = Goo::run(&cur, model, None)?.plan;
-
+    // The tentative plan is priced in full once; after that a step re-prices
+    // only what it changed.
+    let mut w = Working::start(q, model)?;
     loop {
         budget.check()?;
-        if let PlanTree::Scan { rel, .. } = tree {
+        if let PlanTree::Scan { rel, .. } = w.tree {
             // One temporary table remains: revert to its full tree.
-            let final_plan = comps[rel as usize].clone();
-            return Ok(recost(&final_plan, q, model));
+            return Ok(recost(&w.comps[rel as usize], q, model));
         }
-        // Find the most costly subtree with 2..=k leaves. Recost the working
-        // tree first so subtree costs reflect the current composites.
-        tree = recost(&tree, &cur, model);
-        let path = most_costly_subtree(&tree, k)
+        // The most costly subtree with 2..=k leaves becomes a composite; of
+        // the working tree's prices only its ancestors' depend on that.
+        let path = most_costly_subtree(&w.tree, k)
             .ok_or_else(|| OptError::Internal("IDP2 found no candidate subtree".into()))?;
-        let sub = subtree_at(&tree, &path);
-        let mut group: Vec<usize> = Vec::new();
-        collect_leaves(sub, &mut group);
-        group.sort_unstable();
-        group.dedup();
-
-        // Optimize the group exactly over the projected sub-query.
-        let (sub_query, _) = project_large(&cur, &group);
-        let sub_plan = inner(&sub_query)?;
-        let sub_plan = recost(&sub_plan, &sub_query, model);
-        // Translate projected leaves back to full original-relation plans.
-        let mapping: Vec<PlanTree> = group.iter().map(|&g| comps[g].clone()).collect();
-        let full_sub_plan = substitute_leaves(&sub_plan, &mapping);
-
-        // Contract the group into a new composite.
-        let info = RelInfo::new(sub_plan.rows(), sub_plan.cost());
-        let (new_cur, idx_map) = contract(&cur, &group, info);
-        let comp_idx = idx_map[group[0]];
-        let mut new_comps: Vec<PlanTree> = vec![
-            PlanTree::Scan {
-                rel: 0,
-                rows: 0.0,
-                cost: 0.0
-            };
-            new_cur.num_rels()
-        ];
-        for (old, plan) in comps.into_iter().enumerate() {
-            let ni = idx_map[old];
-            if ni != comp_idx {
-                new_comps[ni] = plan;
-            }
-        }
-        new_comps[comp_idx] = full_sub_plan;
-        comps = new_comps;
-
-        // Rewrite the working tree: replace the chosen subtree by the new
-        // composite leaf and remap all other leaves.
-        tree = replace_subtree(
-            &tree,
-            &path,
-            PlanTree::Scan {
-                rel: comp_idx as u32,
-                rows: info.rows,
-                cost: info.cost,
-            },
-            &idx_map,
-        );
-        cur = new_cur;
+        w.collapse(&path, model, inner)?;
+        recost_spine(&mut w.tree, &path, &w.cur, model);
     }
 }
 
@@ -314,20 +343,7 @@ pub fn idp2_mpdp(
     budget: Option<Duration>,
 ) -> Result<LargeOptResult, OptError> {
     let b = Budget::new(budget);
-    let inner = |sub: &LargeQuery| -> Result<PlanTree, OptError> {
-        let qi = sub.to_query_info().ok_or(OptError::TooLarge {
-            got: sub.num_rels(),
-            max: 64,
-        })?;
-        let ctx = mpdp_dp::common::OptContext {
-            query: &qi,
-            model,
-            deadline: b.deadline(),
-            budget: b.budget(),
-            enumeration: mpdp_core::enumerate::EnumerationMode::default(),
-        };
-        Ok(mpdp_dp::mpdp::Mpdp::run(&ctx)?.plan)
-    };
+    let inner = mpdp_inner_with_budget(model, b);
     let plan = idp2_with_inner(q, model, k, &inner, &b)?;
     Ok(LargeOptResult {
         cost: plan.cost(),
@@ -558,6 +574,69 @@ mod tests {
     use mpdp_dp::common::OptContext;
     use mpdp_dp::mpdp::Mpdp;
     use mpdp_workload::gen;
+
+    /// `idp2_with_inner`'s loop with MPDP inside, checking after every step
+    /// that the spine re-costing left the working tree exactly as the full
+    /// re-costing IDP2 used to run per iteration would have — so both pick
+    /// the same subtree next.
+    fn idp2_checked_against_full_recost(
+        q: &LargeQuery,
+        model: &dyn CostModel,
+        k: usize,
+    ) -> PlanTree {
+        let inner = mpdp_inner_with_budget(model, Budget::new(None));
+        let mut w = Working::start(q, model).unwrap();
+        loop {
+            if let PlanTree::Scan { rel, .. } = w.tree {
+                return recost(&w.comps[rel as usize], q, model);
+            }
+            let path = most_costly_subtree(&w.tree, k).unwrap();
+            w.collapse(&path, model, &inner).unwrap();
+            recost_spine(&mut w.tree, &path, &w.cur, model);
+            let (mut spine, mut full) = (Vec::new(), Vec::new());
+            fingerprint(&w.tree, &mut spine);
+            fingerprint(&recost(&w.tree, &w.cur, model), &mut full);
+            assert_eq!(spine, full, "{} composites left", w.cur.num_rels());
+        }
+    }
+
+    /// Every node's `(rows, cost)` bits, pre-order, with the scans' relations.
+    fn fingerprint(plan: &PlanTree, out: &mut Vec<(u64, u64, u32)>) {
+        match plan {
+            PlanTree::Scan { rel, rows, cost } => out.push((rows.to_bits(), cost.to_bits(), *rel)),
+            PlanTree::Join {
+                left,
+                right,
+                rows,
+                cost,
+            } => {
+                out.push((rows.to_bits(), cost.to_bits(), u32::MAX));
+                fingerprint(left, out);
+                fingerprint(right, out);
+            }
+        }
+    }
+
+    #[test]
+    fn spine_recost_leaves_idp2_bit_identical_on_the_plan_large_grid() {
+        // The benchmark's `plan-large` queries, at its k.
+        let m = PgLikeCost::new();
+        let mb = mpdp_workload::MusicBrainz::new();
+        for (name, q) in [
+            ("snowflake-40", gen::snowflake(40, 4, 1, &m)),
+            ("snowflake-100", gen::snowflake(100, 4, 1, &m)),
+            ("snowflake-200", gen::snowflake(200, 4, 1, &m)),
+            ("star-30", gen::star(30, 1, &m)),
+            ("star-60", gen::star(60, 1, &m)),
+            ("musicbrainz-30", mb.random_walk_query(30, 1, true, &m)),
+            ("musicbrainz-50", mb.random_walk_query(50, 1, true, &m)),
+        ] {
+            let (mut run, mut checked) = (Vec::new(), Vec::new());
+            fingerprint(&idp2_mpdp(&q, &m, 15, None).unwrap().plan, &mut run);
+            fingerprint(&idp2_checked_against_full_recost(&q, &m, 15), &mut checked);
+            assert_eq!(run, checked, "{name}");
+        }
+    }
 
     #[test]
     fn idp2_equals_exact_when_k_covers_query() {

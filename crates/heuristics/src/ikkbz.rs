@@ -121,21 +121,20 @@ fn order_for_root(root: usize, tree: &[Vec<(usize, f64)>], rows: &[f64]) -> Vec<
     order
 }
 
-/// Prices a left-deep order under the real cost model with *all* original
-/// edges (selectivities applied once both endpoints are in the prefix).
-/// Returns `None` if the order implies a cross product.
-pub fn cost_left_deep(
+/// Walks a left-deep order under the real cost model with *all* original
+/// edges (selectivities applied once both endpoints are in the prefix),
+/// reporting each join as `(relation joined, output rows, cost so far)`.
+/// Returns the final `(rows, cost)`, or `None` if the order is empty or
+/// implies a cross product.
+fn fold_left_deep(
     q: &LargeQuery,
     order: &[usize],
     model: &dyn CostModel,
-) -> Option<LargeOptResult> {
+    mut joined: impl FnMut(usize, f64, f64),
+) -> Option<(f64, f64)> {
     let mut in_prefix = vec![false; q.num_rels()];
     let first = *order.first()?;
-    let mut plan = PlanTree::Scan {
-        rel: first as u32,
-        rows: q.rels[first].rows,
-        cost: q.rels[first].cost,
-    };
+    let (mut rows, mut cost) = (q.rels[first].rows, q.rels[first].cost);
     in_prefix[first] = true;
     for &v in &order[1..] {
         let mut sel = 1.0;
@@ -149,35 +148,49 @@ pub fn cost_left_deep(
         if !connected {
             return None;
         }
-        let right = PlanTree::Scan {
-            rel: v as u32,
-            rows: q.rels[v].rows,
-            cost: q.rels[v].cost,
-        };
-        let rows = plan.rows() * right.rows() * sel;
-        let cost = model.join_cost(
+        let right = q.rels[v];
+        let out_rows = rows * right.rows * sel;
+        cost = model.join_cost(
+            InputEst { cost, rows },
             InputEst {
-                cost: plan.cost(),
-                rows: plan.rows(),
+                cost: right.cost,
+                rows: right.rows,
             },
-            InputEst {
-                cost: right.cost(),
-                rows: right.rows(),
-            },
-            rows,
+            out_rows,
         );
-        plan = PlanTree::Join {
-            left: Box::new(plan),
-            right: Box::new(right),
-            rows,
-            cost,
-        };
+        rows = out_rows;
+        joined(v, rows, cost);
         in_prefix[v] = true;
     }
+    Some((rows, cost))
+}
+
+/// Prices a left-deep order under the real cost model with *all* original
+/// edges and builds its plan. Returns `None` if the order implies a cross
+/// product.
+pub fn cost_left_deep(
+    q: &LargeQuery,
+    order: &[usize],
+    model: &dyn CostModel,
+) -> Option<LargeOptResult> {
+    let scan = |rel: usize| PlanTree::Scan {
+        rel: rel as u32,
+        rows: q.rels[rel].rows,
+        cost: q.rels[rel].cost,
+    };
+    let mut plan = Some(scan(*order.first()?));
+    let (rows, cost) = fold_left_deep(q, order, model, |v, rows, cost| {
+        plan = Some(PlanTree::Join {
+            left: Box::new(plan.take().expect("the prefix's plan")),
+            right: Box::new(scan(v)),
+            rows,
+            cost,
+        });
+    })?;
     Some(LargeOptResult {
-        cost: plan.cost(),
-        rows: plan.rows(),
-        plan,
+        cost,
+        rows,
+        plan: plan.expect("the whole order's plan"),
     })
 }
 
@@ -209,10 +222,11 @@ impl Ikkbz {
             budget.check()?;
             let order = order_for_root(root, &tree, &rows);
             debug_assert_eq!(order.len(), n);
-            if let Some(r) = cost_left_deep(q, &order, model) {
+            // Cost only: the plan is built once, for the winner.
+            if let Some((_, cost)) = fold_left_deep(q, &order, model, |_, _, _| {}) {
                 match &best {
-                    Some((c, _)) if *c <= r.cost => {}
-                    _ => best = Some((r.cost, order)),
+                    Some((c, _)) if *c <= cost => {}
+                    _ => best = Some((cost, order)),
                 }
             }
         }
@@ -270,6 +284,36 @@ mod tests {
             assert!(validate_large(&r.plan, &q).is_none());
             assert!(r.plan.is_left_deep());
             assert_eq!(r.plan.num_rels(), q.num_rels());
+        }
+    }
+
+    #[test]
+    fn cost_only_fold_prices_what_the_plan_builder_prices() {
+        // `best_order` ranks roots by the fold alone; the plan built for the
+        // winner must carry exactly that cost, and no root may beat it.
+        let m = PgLikeCost::new();
+        for q in [
+            gen::snowflake(30, 3, 2, &m),
+            gen::star(15, 1, &m),
+            gen::cycle(12, 4, &m),
+        ] {
+            let tree = spanning_tree(&q);
+            let rows: Vec<f64> = q.rels.iter().map(|r| r.rows).collect();
+            let best = Ikkbz::run(&q, &m, None).unwrap();
+            for root in 0..q.num_rels() {
+                let order = order_for_root(root, &tree, &rows);
+                let folded = fold_left_deep(&q, &order, &m, |_, _, _| {});
+                let built = cost_left_deep(&q, &order, &m);
+                assert_eq!(
+                    folded.map(|(rows, cost)| (rows.to_bits(), cost.to_bits())),
+                    built
+                        .as_ref()
+                        .map(|r| (r.plan.rows().to_bits(), r.plan.cost().to_bits()))
+                );
+                if let Some(built) = built {
+                    assert!(built.cost >= best.cost, "root {root}");
+                }
+            }
         }
     }
 

@@ -39,25 +39,19 @@ pub trait LargeOptimizer {
 pub type InnerLarge<'a> = &'a (dyn Fn(&LargeQuery) -> Result<PlanTree, OptError> + Sync);
 
 /// The default inner exact algorithm: MPDP (the paper augments both IDP2 and
-/// UnionDP with MPDP).
+/// UnionDP with MPDP), without a deadline.
 pub fn mpdp_inner(
     model: &dyn CostModel,
 ) -> impl Fn(&LargeQuery) -> Result<PlanTree, OptError> + '_ {
-    move |q: &LargeQuery| {
-        let qi: QueryInfo = q.to_query_info().ok_or(OptError::TooLarge {
-            got: q.num_rels(),
-            max: 64,
-        })?;
-        let ctx = mpdp_dp::common::OptContext::new(&qi, model);
-        Ok(mpdp_dp::mpdp::Mpdp::run(&ctx)?.plan)
-    }
+    mpdp_inner_with_budget(model, Budget::new(None))
 }
 
-/// Like [`mpdp_inner`] but bounded by an outer budget's deadline.
-pub fn mpdp_inner_with_budget<'a>(
-    model: &'a dyn CostModel,
-    b: &'a Budget,
-) -> impl Fn(&LargeQuery) -> Result<PlanTree, OptError> + 'a {
+/// MPDP as the inner exact algorithm, bounded by an outer budget's deadline
+/// so sub-problems respect it too.
+pub fn mpdp_inner_with_budget(
+    model: &dyn CostModel,
+    b: Budget,
+) -> impl Fn(&LargeQuery) -> Result<PlanTree, OptError> + '_ {
     move |q: &LargeQuery| {
         let qi: QueryInfo = q.to_query_info().ok_or(OptError::TooLarge {
             got: q.num_rels(),
@@ -192,6 +186,37 @@ pub fn validate_large(plan: &PlanTree, q: &LargeQuery) -> Option<String> {
     }
 }
 
+/// Output rows and cost of joining two priced subplans over the relation
+/// sets `ls` and `rs`: every edge of `q` between the two sets contributes its
+/// selectivity, in edge order.
+fn price_join(
+    (l, ls): (&PlanTree, &BigSet),
+    (r, rs): (&PlanTree, &BigSet),
+    q: &LargeQuery,
+    model: &dyn CostModel,
+) -> (f64, f64) {
+    let mut sel = 1.0;
+    for e in &q.edges {
+        let (u, v) = (e.u as usize, e.v as usize);
+        if (ls.contains(u) && rs.contains(v)) || (ls.contains(v) && rs.contains(u)) {
+            sel *= e.sel;
+        }
+    }
+    let rows = l.rows() * r.rows() * sel;
+    let cost = model.join_cost(
+        InputEst {
+            cost: l.cost(),
+            rows: l.rows(),
+        },
+        InputEst {
+            cost: r.cost(),
+            rows: r.rows(),
+        },
+        rows,
+    );
+    (rows, cost)
+}
+
 /// Recomputes a plan's cost and cardinality from scratch against the original
 /// query and cost model (used to make heuristic costs comparable regardless
 /// of how the plan was assembled).
@@ -212,25 +237,7 @@ pub fn recost(plan: &PlanTree, q: &LargeQuery, model: &dyn CostModel) -> PlanTre
             PlanTree::Join { left, right, .. } => {
                 let (l, ls) = rec(left, q, model);
                 let (r, rs) = rec(right, q, model);
-                let mut sel = 1.0;
-                for e in &q.edges {
-                    let (u, v) = (e.u as usize, e.v as usize);
-                    if (ls.contains(u) && rs.contains(v)) || (ls.contains(v) && rs.contains(u)) {
-                        sel *= e.sel;
-                    }
-                }
-                let rows = l.rows() * r.rows() * sel;
-                let cost = model.join_cost(
-                    InputEst {
-                        cost: l.cost(),
-                        rows: l.rows(),
-                    },
-                    InputEst {
-                        cost: r.cost(),
-                        rows: r.rows(),
-                    },
-                    rows,
-                );
+                let (rows, cost) = price_join((&l, &ls), (&r, &rs), q, model);
                 let set = ls.union(&rs);
                 (
                     PlanTree::Join {
@@ -245,6 +252,53 @@ pub fn recost(plan: &PlanTree, q: &LargeQuery, model: &dyn CostModel) -> PlanTre
         }
     }
     rec(plan, q, model).0
+}
+
+/// [`recost`], in place, for a plan in which only the node at `path`
+/// (`false` = left child, `true` = right) changed since the last full
+/// re-costing against a query with the same statistics everywhere else:
+/// re-prices that node's ancestors, deepest first, and nothing else. Every
+/// other join keeps inputs, crossing edges and edge order, so what it
+/// carries is already what `recost` would compute, to the bit. Returns the
+/// relations under `plan`.
+pub(crate) fn recost_spine(
+    plan: &mut PlanTree,
+    path: &[bool],
+    q: &LargeQuery,
+    model: &dyn CostModel,
+) -> BigSet {
+    match (plan, path.split_first()) {
+        (
+            PlanTree::Join {
+                left,
+                right,
+                rows,
+                cost,
+            },
+            Some((&go_right, rest)),
+        ) => {
+            let (on, off) = if go_right {
+                (&mut **right, &**left)
+            } else {
+                (&mut **left, &**right)
+            };
+            let on_set = recost_spine(on, rest, q, model);
+            let mut off_set = BigSet::new();
+            plan_rels(off, &mut off_set);
+            let (ls, rs) = if go_right {
+                (off_set, on_set)
+            } else {
+                (on_set, off_set)
+            };
+            (*rows, *cost) = price_join((left, &ls), (right, &rs), q, model);
+            ls.union(&rs)
+        }
+        (plan, _) => {
+            let mut set = BigSet::new();
+            plan_rels(plan, &mut set);
+            set
+        }
+    }
 }
 
 /// Contracts a group of vertices of `q` into one composite vertex.

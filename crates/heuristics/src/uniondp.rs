@@ -15,7 +15,8 @@
 
 use crate::idp::project_large;
 use crate::large::{
-    contract, recost, substitute_leaves, Budget, InnerLarge, LargeOptResult, LargeOptimizer,
+    contract, mpdp_inner_with_budget, recost, substitute_leaves, Budget, InnerLarge,
+    LargeOptResult, LargeOptimizer,
 };
 use crate::unionfind::UnionFind;
 use mpdp_core::plan::PlanTree;
@@ -266,20 +267,7 @@ impl LargeOptimizer for UnionDp {
         budget: Option<Duration>,
     ) -> Result<LargeOptResult, OptError> {
         let b = Budget::new(budget);
-        let inner = |sub: &LargeQuery| -> Result<PlanTree, OptError> {
-            let qi = sub.to_query_info().ok_or(OptError::TooLarge {
-                got: sub.num_rels(),
-                max: 64,
-            })?;
-            let ctx = mpdp_dp::common::OptContext {
-                query: &qi,
-                model,
-                deadline: b.deadline(),
-                budget: b.budget(),
-                enumeration: mpdp_core::enumerate::EnumerationMode::default(),
-            };
-            Ok(mpdp_dp::mpdp::Mpdp::run(&ctx)?.plan)
-        };
+        let inner = mpdp_inner_with_budget(model, b);
         let plan = uniondp_with_inner(q, model, self.k, &inner, &b)?;
         Ok(LargeOptResult {
             cost: plan.cost(),

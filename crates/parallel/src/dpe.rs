@@ -115,76 +115,74 @@ impl Dpe {
         let q = ctx.query;
         let n = q.query_size();
         with_pool(threads, |pool| {
-            let mut memo: AtomicMemo = init_memo(q);
+            // Producer: enumerate all pairs (sequential).
+            let mut buffer = Vec::new();
+            enumerate_all_pairs(q, ctx, &mut buffer)?;
+
+            // Dependency-aware reordering: bucket by union size.
+            let mut classes: Vec<Vec<PendingPair>> = vec![Vec::new(); n + 1];
+            for p in buffer {
+                classes[p.left.union(p.right).len()].push(p);
+            }
+
+            // The distinct union sets of each class are the connected sets
+            // materialized at that dependency level. Counting them before
+            // any costing sizes the shared memo once: the table never grows
+            // under the consumers.
+            let mut unions = SeenTable::with_capacity(0);
+            let class_sets: Vec<u64> = classes
+                .iter()
+                .map(|class| {
+                    unions.clear_for(class.len());
+                    class
+                        .iter()
+                        .filter(|p| unions.insert(p.left.union(p.right).bits()))
+                        .count() as u64
+                })
+                .collect();
+            let memo: AtomicMemo = init_memo(q, class_sets.iter().sum::<u64>() as usize);
             let mut counters = Counters::default();
             let mut profile = Profile::default();
 
-            if n > 1 {
-                // Producer: enumerate all pairs (sequential).
-                let mut buffer = Vec::new();
-                enumerate_all_pairs(q, ctx, &mut buffer)?;
-
-                // Dependency-aware reordering: bucket by union size.
-                let mut classes: Vec<Vec<PendingPair>> = vec![Vec::new(); n + 1];
-                for p in buffer {
-                    classes[p.left.union(p.right).len()].push(p);
+            // Consumers: cost each class in parallel; the class barrier is
+            // the pool's run boundary.
+            for (k, class) in classes.iter().enumerate().skip(2) {
+                ctx.check_deadline()?;
+                if class.is_empty() {
+                    continue;
                 }
-
-                // Consumers: cost each class in parallel; the class barrier
-                // is the pool's run boundary.
-                #[allow(clippy::needless_range_loop)]
-                for k in 2..=n {
-                    ctx.check_deadline()?;
-                    let class = &classes[k];
-                    if class.is_empty() {
-                        continue;
+                let probes0 = memo.probe_count();
+                let retries0 = memo.cas_retry_count();
+                let memo_ref = &memo;
+                let writes = AtomicU64::new(0);
+                pool.run(&|worker| {
+                    let mut mine = 0u64;
+                    for p in &class[chunk_range(class.len(), pool.workers(), worker)] {
+                        let Some(priced) = price_both(memo_ref, q, ctx.model, p.left, p.right)
+                        else {
+                            continue;
+                        };
+                        let (left, cost) = priced.better(p.left, p.right);
+                        let union = p.left.union(p.right);
+                        mine += memo_ref.insert_if_better(union, left, cost, priced.rows) as u64;
                     }
-                    // Pre-size the memo for the class's distinct union sets
-                    // (the connected sets materialized at this dependency
-                    // level); the table never grows during the parallel
-                    // phase.
-                    let mut unions = SeenTable::with_capacity(class.len() + 8);
-                    let mut class_sets = 0u64;
-                    for p in class {
-                        if unions.insert(p.left.union(p.right).bits()) {
-                            class_sets += 1;
-                        }
-                    }
-                    memo.reserve(class_sets as usize);
-                    let probes0 = memo.probe_count();
-                    let retries0 = memo.cas_retry_count();
-                    let memo_ref = &memo;
-                    let writes = AtomicU64::new(0);
-                    pool.run(&|worker| {
-                        let mut mine = 0u64;
-                        for p in &class[chunk_range(class.len(), pool.workers(), worker)] {
-                            let Some(priced) = price_both(memo_ref, q, ctx.model, p.left, p.right)
-                            else {
-                                continue;
-                            };
-                            let (left, cost) = priced.better(p.left, p.right);
-                            let union = p.left.union(p.right);
-                            mine +=
-                                memo_ref.insert_if_better(union, left, cost, priced.rows) as u64;
-                        }
-                        writes.fetch_add(mine, Ordering::Relaxed);
-                    });
-                    let level = LevelStats {
-                        size: k,
-                        // Counters track ordered pairs workspace-wide.
-                        evaluated: 2 * class.len() as u64,
-                        ccp: 2 * class.len() as u64,
-                        sets: class_sets,
-                        memo_writes: writes.load(Ordering::Relaxed),
-                        memo_probes: memo.probe_count() - probes0,
-                        cas_retries: memo.cas_retry_count() - retries0,
-                        ..Default::default()
-                    };
-                    counters.evaluated += level.evaluated;
-                    counters.ccp += level.ccp;
-                    counters.sets += level.sets;
-                    profile.record(level);
-                }
+                    writes.fetch_add(mine, Ordering::Relaxed);
+                });
+                let level = LevelStats {
+                    size: k,
+                    // Counters track ordered pairs workspace-wide.
+                    evaluated: 2 * class.len() as u64,
+                    ccp: 2 * class.len() as u64,
+                    sets: class_sets[k],
+                    memo_writes: writes.load(Ordering::Relaxed),
+                    memo_probes: memo.probe_count() - probes0,
+                    cas_retries: memo.cas_retry_count() - retries0,
+                    ..Default::default()
+                };
+                counters.evaluated += level.evaluated;
+                counters.ccp += level.ccp;
+                counters.sets += level.sets;
+                profile.record(level);
             }
             finish(&memo, q, counters, profile)
         })

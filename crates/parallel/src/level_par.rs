@@ -150,24 +150,23 @@ pub fn run_level_parallel(
     let q = ctx.query;
     let n = q.query_size();
     with_pool(threads, |pool| {
-        let mut memo: AtomicMemo = init_memo(q);
+        // Frontier expansion (or legacy unrank + filter) of every level —
+        // sequential, before the first parallel phase, so the shared memo is
+        // created at its final size and never moves under the workers.
+        let levels = LevelEnumerator::new(ctx)?;
+        let memo: AtomicMemo = init_memo(q, levels.total_sets());
         let mut counters = Counters::default();
         let mut profile = Profile::default();
-        let mut enumerator = LevelEnumerator::new(&q.graph, ctx.enumeration);
         let index = BlockIndex::new(&q.graph);
         for i in 2..=n {
             ctx.check_deadline()?;
-            // Frontier expansion (or legacy unrank + filter) — sequential
-            // here; the per-level table sizing happens between barriers,
-            // which is the only time the memo may grow.
-            let lvl = enumerator.level(ctx, i)?;
+            let lvl = levels.level(i);
             let mut level = LevelStats {
                 size: i,
                 unranked: lvl.unranked,
                 sets: lvl.sets.len() as u64,
                 ..Default::default()
             };
-            memo.reserve(lvl.sets.len());
             let marks = MemoMarks::take(&memo);
 
             let sets = lvl.sets;
@@ -222,18 +221,16 @@ pub fn run_level_parallel(
 /// cross products of plan lists), and the discovered-set list of the legacy
 /// merge was provably identical to the frontier's connected-set list, so
 /// this keeps counters and results bit-identical while letting the memo be
-/// sized before each parallel phase.
+/// sized before the first parallel phase.
 pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptResult, OptError> {
     ctx.validate_exact()?;
     let q = ctx.query;
     let n = q.query_size();
     with_pool(threads, |pool| {
-        let mut memo: AtomicMemo = init_memo(q);
+        let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
+        let memo: AtomicMemo = init_memo(q, levels.total_sets());
         let mut counters = Counters::default();
         let mut profile = Profile::default();
-        let mut sets_by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
-        sets_by_size[1] = (0..n).map(RelSet::singleton).collect();
-        let mut enumerator = LevelEnumerator::new(&q.graph, EnumerationMode::Frontier);
         // Work items, reused across levels: (right-size, left set).
         let mut items: Vec<(usize, RelSet)> = Vec::new();
 
@@ -241,30 +238,26 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
             ctx.check_deadline()?;
             let mut level = LevelStats {
                 size: i,
+                sets: levels.level(i).sets.len() as u64,
                 ..Default::default()
             };
-            let lvl = enumerator.level(ctx, i)?;
-            memo.reserve(lvl.sets.len());
-            sets_by_size[i] = lvl.sets.to_vec();
-            level.sets = sets_by_size[i].len() as u64;
 
             items.clear();
-            #[allow(clippy::needless_range_loop)]
             for k in 1..i {
-                for &l in &sets_by_size[k] {
+                for &l in levels.level(k).sets {
                     items.push((i - k, l));
                 }
             }
             let marks = MemoMarks::take(&memo);
             let memo_ref = &memo;
             let items_ref = &items;
-            let sizes_ref = &sets_by_size;
+            let levels_ref = &levels;
             let tally = LevelTally::default();
             pool.run(&|worker| {
                 let mut mine = SliceTally::default();
                 for &(rk, left) in &items_ref[chunk_range(items_ref.len(), pool.workers(), worker)]
                 {
-                    for &right in &sizes_ref[rk] {
+                    for &right in levels_ref.level(rk).sets {
                         mine.evaluated += 1;
                         if !left.is_disjoint(right) {
                             continue;

@@ -84,7 +84,6 @@ impl MemoStore for LookupLog {
     fn insert_if_better(&mut self, _: RelSet, _: RelSet, _: f64, _: f64) -> bool {
         false
     }
-    fn reserve(&mut self, _: usize) {}
     fn health(&self) -> MemoHealth {
         MemoHealth::default()
     }
@@ -283,8 +282,7 @@ proptest! {
             let left = if l.is_empty() { key.lowest_bit() } else { l };
             (key, left, ((raw >> 32) % 5) as f64)
         };
-        let mut atomic = AtomicMemo::with_capacity(keys as usize);
-        MemoStore::reserve(&mut atomic, keys as usize);
+        let atomic = AtomicMemo::with_capacity(keys as usize);
         let atomic_ref = &atomic;
         std::thread::scope(|scope| {
             for t in 0..8u64 {
