@@ -5,12 +5,15 @@
 //! matches (or deliberately violates) those estimates. [`materialize`] turns
 //! a query's statistics into in-memory columnar tables:
 //!
-//! * one `u64` **key column per incident join edge** — the equi-join
-//!   predicate `sel = 1/D` is realized by drawing both endpoints' keys
-//!   uniformly from a domain of `D = round(1/sel)` values, so the expected
-//!   observed selectivity equals the catalog estimate exactly;
-//! * one `u64` payload column plus a declared payload width, so reports can
-//!   account bytes moved without materializing wide tuples;
+//! * one **key column per incident join edge**, as wide as its domain needs
+//!   ([`KeyColumn`]: `u32` up to a domain of `u32::MAX`, `u64` beyond) —
+//!   the equi-join predicate `sel = 1/D` is realized by drawing both
+//!   endpoints' keys uniformly from a domain of `D = round(1/sel)` values,
+//!   so the expected observed selectivity equals the catalog estimate
+//!   exactly;
+//! * a declared payload width and no payload column: no operator reads a
+//!   payload, so reports account the bytes a result stands for without a
+//!   cell of it being materialized;
 //! * a **row cap** that scales over-large tables down while keeping the key
 //!   domains untouched — per-join selectivities (and therefore the
 //!   estimated-vs-observed comparison) are row-count-invariant, so capping
@@ -37,8 +40,7 @@ pub struct GenConfig {
     /// Per-table materialized row cap. Estimated row counts above this are
     /// clamped (key domains are not, so selectivities survive the cap).
     pub max_table_rows: usize,
-    /// Declared payload width in bytes per row (for byte accounting; one
-    /// `u64` payload column is materialized regardless).
+    /// Declared payload width in bytes per row (for byte accounting only).
     pub payload_width: usize,
     /// Edges whose key columns are generated skewed instead of uniform.
     pub skew: Vec<SkewedEdge>,
@@ -71,16 +73,35 @@ pub struct SkewedEdge {
     pub hot_fraction: f64,
 }
 
-/// One materialized table: row count, per-edge key columns, payload.
+/// One key column, stored at the width its domain needs. Both endpoints of
+/// an edge share the domain and therefore the width; the executor's kernels
+/// are generic over it and widen to `u64` in registers.
+#[derive(Clone, Debug, PartialEq)]
+pub enum KeyColumn {
+    /// Domain ≤ `u32::MAX`.
+    U32(Vec<u32>),
+    /// Domain > `u32::MAX`.
+    U64(Vec<u64>),
+}
+
+impl KeyColumn {
+    /// The key of `row`, widened.
+    pub fn get(&self, row: usize) -> u64 {
+        match self {
+            KeyColumn::U32(col) => col[row] as u64,
+            KeyColumn::U64(col) => col[row],
+        }
+    }
+}
+
+/// One materialized table: row count and per-edge key columns.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExecTable {
     /// Materialized row count (estimated rows after the cap).
     pub rows: usize,
     /// `keys[e]` is `Some(column)` iff this relation is an endpoint of query
     /// edge `e`; the column holds one key value per row.
-    pub keys: Vec<Option<Vec<u64>>>,
-    /// Payload column (one `u64` per row, deterministic filler).
-    pub payload: Vec<u64>,
+    pub keys: Vec<Option<KeyColumn>>,
     /// Declared payload width in bytes (for byte accounting).
     pub payload_width: usize,
 }
@@ -142,7 +163,7 @@ pub fn materialize(q: &LargeQuery, config: &GenConfig, model: &dyn CostModel) ->
     let mut tables = Vec::with_capacity(n);
     for (r, info) in q.rels.iter().enumerate() {
         let rows = (info.rows.round().max(1.0) as usize).min(config.max_table_rows.max(1));
-        let mut keys: Vec<Option<Vec<u64>>> = vec![None; q.edges.len()];
+        let mut keys: Vec<Option<KeyColumn>> = vec![None; q.edges.len()];
         for (ei, e) in q.edges.iter().enumerate() {
             if e.u as usize != r && e.v as usize != r {
                 continue;
@@ -151,34 +172,33 @@ pub fn materialize(q: &LargeQuery, config: &GenConfig, model: &dyn CostModel) ->
             let h = hot[ei];
             // Hot-row decision scale: integer threshold out of 2^32.
             let hot_threshold = (h * 4_294_967_296.0) as u64;
-            let col = (0..rows as u64)
-                .map(|row| {
-                    if d <= 1 {
-                        return 0;
-                    }
-                    let pick = cell(config.seed, r as u64, ei as u64, row, 0);
-                    if (pick & 0xffff_ffff) < hot_threshold {
-                        // The hot key. All skewed rows on both endpoints
-                        // collide here.
-                        0
-                    } else if h > 0.0 {
-                        // Cold rows avoid the hot key so the two populations
-                        // stay disjoint and the skew math is exact.
-                        1 + cell(config.seed, r as u64, ei as u64, row, 1) % (d - 1)
-                    } else {
-                        cell(config.seed, r as u64, ei as u64, row, 1) % d
-                    }
-                })
-                .collect();
-            keys[ei] = Some(col);
+            let col = (0..rows as u64).map(|row| {
+                if d <= 1 {
+                    return 0;
+                }
+                let pick = cell(config.seed, r as u64, ei as u64, row, 0);
+                if (pick & 0xffff_ffff) < hot_threshold {
+                    // The hot key. All skewed rows on both endpoints
+                    // collide here.
+                    0
+                } else if h > 0.0 {
+                    // Cold rows avoid the hot key so the two populations
+                    // stay disjoint and the skew math is exact.
+                    1 + cell(config.seed, r as u64, ei as u64, row, 1) % (d - 1)
+                } else {
+                    cell(config.seed, r as u64, ei as u64, row, 1) % d
+                }
+            });
+            // Every key is below its domain, so the narrow cast is lossless.
+            keys[ei] = Some(if d <= u32::MAX as u64 {
+                KeyColumn::U32(col.map(|k| k as u32).collect())
+            } else {
+                KeyColumn::U64(col.collect())
+            });
         }
-        let payload = (0..rows as u64)
-            .map(|row| cell(config.seed, r as u64, u64::MAX, row, 2))
-            .collect();
         tables.push(ExecTable {
             rows,
             keys,
-            payload,
             payload_width: config.payload_width,
         });
     }
@@ -264,8 +284,7 @@ mod tests {
                 let endpoint = e.u as usize == r || e.v as usize == r;
                 assert_eq!(t.keys[ei].is_some(), endpoint, "rel {r} edge {ei}");
                 if let Some(col) = &t.keys[ei] {
-                    assert_eq!(col.len(), t.rows);
-                    assert!(col.iter().all(|&k| k < d.domains[ei]));
+                    assert!((0..t.rows).all(|row| col.get(row) < d.domains[ei]));
                 }
             }
         }
@@ -291,7 +310,7 @@ mod tests {
         let d = materialize(&q, &config, &m);
         for t in &d.tables {
             let col = t.keys[0].as_ref().unwrap();
-            let hot = col.iter().filter(|&&k| k == 0).count() as f64 / col.len() as f64;
+            let hot = (0..t.rows).filter(|&row| col.get(row) == 0).count() as f64 / t.rows as f64;
             assert!((hot - 0.3).abs() < 0.02, "hot fraction {hot}");
         }
     }

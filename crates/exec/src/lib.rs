@@ -6,8 +6,9 @@
 //! tuples and feeds what it saw back into the statistics:
 //!
 //! * [`datagen`] — deterministic columnar table generation from catalog
-//!   statistics (`u64` key columns whose domains realize the estimated
-//!   selectivities, optional per-edge skew to violate them on purpose);
+//!   statistics (key columns, `u32` or `u64` by domain, whose domains
+//!   realize the estimated selectivities, optional per-edge skew to violate
+//!   them on purpose);
 //! * [`executor`] — morsel-parallel, batch-at-a-time hash-join execution
 //!   of any [`mpdp_core::plan::PlanTree`] over the `mpdp-parallel` barrier
 //!   pool, building on the smaller modeled side, with per-operator
@@ -27,7 +28,7 @@ pub mod datagen;
 pub mod executor;
 pub mod feedback;
 
-pub use datagen::{materialize, Dataset, ExecTable, GenConfig, SkewedEdge};
+pub use datagen::{materialize, Dataset, ExecTable, GenConfig, KeyColumn, SkewedEdge};
 pub use executor::{
     ExecConfig, ExecError, ExecReport, ExecStats, Executor, ObservedJoin, ResultSet,
 };

@@ -281,3 +281,452 @@ fn build_side_follows_model_estimate() {
     assert_eq!(join.build_rows, 200, "the smaller modeled side is built");
     assert_eq!(join.probe_rows, 5_000);
 }
+
+// ---- Golden digests -------------------------------------------------------
+//
+// Recorded at the commit *before* the probe side was rewritten around the
+// fused filter kernel (multiply-rotate fold, register-blocked bloom,
+// identity scans, demand-driven rowid columns, width-sized key columns).
+// Every value below was produced by the old three-pass murmur/two-load
+// kernels; the rewrite must reproduce them unedited. That is the proof that
+// the hash and bloom swap and the column pruning are invisible: same rows in
+// the same order, same per-operator statistics, same observed selectivities
+// to the bit, at 1, 2 and 4 workers.
+
+use mpdp::exec::{ExecReport, ResultSet, SkewedEdge};
+use mpdp_core::PlanTree;
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over the result set: relation list, then every rowid column.
+fn result_digest(rs: &ResultSet) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &(rs.len as u64).to_le_bytes());
+    for &r in &rs.rels {
+        fnv1a(&mut h, &r.to_le_bytes());
+    }
+    for col in &rs.rowids {
+        assert_eq!(col.len(), rs.len, "every column has one rowid per row");
+        for &rid in col {
+            fnv1a(&mut h, &rid.to_le_bytes());
+        }
+    }
+    h
+}
+
+/// FNV-1a over every deterministic report field (walls and the per-worker
+/// busy vector are the only schedule-visible fields and are left out).
+fn report_digest(r: &ExecReport) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut put = |v: u64| fnv1a(&mut h, &v.to_le_bytes());
+    for s in &r.stats {
+        put(s.rels.bits());
+        put(s.build_rows);
+        put(s.probe_rows);
+        put(s.output_rows);
+        put(s.batches);
+        put(s.est_rows.to_bits());
+    }
+    for j in &r.joins {
+        put(j.left.bits());
+        put(j.right.bits());
+        for &e in &j.edges {
+            put(e as u64);
+        }
+        put(j.inputs.0);
+        put(j.inputs.1);
+        put(j.output);
+        put(j.observed_sel.to_bits());
+        put(j.est_rows.to_bits());
+    }
+    put(r.root_rows);
+    put(r.est_root_rows.to_bits());
+    put(r.counters.build_rows);
+    put(r.counters.probe_rows);
+    put(r.counters.output_rows);
+    put(r.counters.batches);
+    put(r.counters.joins);
+    put(r.result_bytes);
+    h
+}
+
+fn scan(rel: u32, rows: f64) -> PlanTree {
+    PlanTree::Scan {
+        rel,
+        rows,
+        cost: 1.0,
+    }
+}
+
+fn join(left: PlanTree, right: PlanTree, rows: f64) -> PlanTree {
+    PlanTree::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        rows,
+        cost: 1.0,
+    }
+}
+
+/// How a golden case gets its plan: a registry strategy, or a hand-built
+/// tree (for shapes no optimizer emits on purpose).
+enum GoldenPlan {
+    Strategy(&'static str),
+    Hand(PlanTree),
+}
+
+struct GoldenCase {
+    name: &'static str,
+    query: LargeQuery,
+    gen: GenConfig,
+    plan: GoldenPlan,
+    /// `(result_digest, report_digest, root_rows)`.
+    expected: (u64, u64, u64),
+}
+
+fn golden_cases(model: &PgLikeCost) -> Vec<GoldenCase> {
+    let rel = |rows: f64| RelInfo::new(rows, model.scan_cost(rows));
+    let mut shapes = oracle_queries(model);
+    let (_, dense) = shapes.remove(3);
+    let (_, cycle) = shapes.remove(2);
+    let (_, star) = shapes.remove(1);
+    let (_, chain) = shapes.remove(0);
+    let seeded = |seed: u64| GenConfig {
+        seed,
+        ..Default::default()
+    };
+    // A 5-relation clique with per-edge domains 3..12: every join above the
+    // leaves crosses several edges at once.
+    let mut clique = LargeQuery::new((0..5).map(|i| rel(300.0 + 37.0 * i as f64)).collect());
+    let mut d = 3.0;
+    for u in 0..5 {
+        for v in u + 1..5 {
+            clique.add_edge(u, v, 1.0 / d);
+            d += 1.0;
+        }
+    }
+    // chain 0-1-2 executed as (0 × 2) ⋈ 1: the lower join has no crossing
+    // edge (a guarded cross product), the upper one crosses both edges.
+    let mut cross = LargeQuery::new(vec![rel(60.0), rel(900.0), rel(50.0)]);
+    cross.add_edge(0, 1, 1.0 / 40.0);
+    cross.add_edge(1, 2, 1.0 / 30.0);
+    let cross_plan = join(
+        join(scan(0, 60.0), scan(2, 50.0), 3_000.0),
+        scan(1, 900.0),
+        2_250.0,
+    );
+    // One relation, no edges: the plan is a single Scan.
+    let single = LargeQuery::new(vec![rel(5_000.0)]);
+    // A triangle whose 0-1 edge has a domain of 5·10⁹ (> u32::MAX) and is
+    // skewed so it matches at all; the other two edges are narrow. Joining
+    // {1,2} with 0 mixes a wide and a narrow key in one composite hash.
+    let mut wide = LargeQuery::new(vec![rel(6_000.0), rel(5_000.0), rel(700.0)]);
+    wide.add_edge(0, 1, 1.0 / 5.0e9);
+    wide.add_edge(1, 2, 1.0 / 600.0);
+    wide.add_edge(0, 2, 1.0 / 9.0);
+    let wide_plan = join(
+        join(scan(1, 5_000.0), scan(2, 700.0), 5_833.0),
+        scan(0, 6_000.0),
+        1.0,
+    );
+    let skew01 = |hot_fraction: f64| {
+        vec![SkewedEdge {
+            u: 0,
+            v: 1,
+            hot_fraction,
+        }]
+    };
+    vec![
+        GoldenCase {
+            name: "chain/MPDP",
+            query: chain.clone(),
+            gen: seeded(31),
+            plan: GoldenPlan::Strategy("MPDP"),
+            expected: (0xb789_e75c_8010_3720, 0xa40e_8ef6_9516_46eb, 36_368),
+        },
+        GoldenCase {
+            name: "star/GOO",
+            query: star,
+            gen: seeded(32),
+            plan: GoldenPlan::Strategy("GOO"),
+            expected: (0x1f47_8303_2653_5def, 0x042f_ae38_f0ef_9ef9, 1_004),
+        },
+        GoldenCase {
+            name: "cycle/MPDP",
+            query: cycle,
+            gen: seeded(33),
+            plan: GoldenPlan::Strategy("MPDP"),
+            expected: (0xa7e1_ca31_fee6_258e, 0xee9a_f030_e3e8_e059, 1_869),
+        },
+        GoldenCase {
+            name: "dense/IKKBZ",
+            query: dense,
+            gen: seeded(77),
+            plan: GoldenPlan::Strategy("IKKBZ"),
+            expected: (0x58b9_789e_5da7_1a77, 0x85e9_cd7f_b1d9_7c11, 2),
+        },
+        GoldenCase {
+            name: "clique/DPCCP",
+            query: clique,
+            gen: seeded(34),
+            plan: GoldenPlan::Strategy("DPCCP (1CPU)"),
+            expected: (0x80db_5d9c_46be_39be, 0xd4e9_ddf5_d08a_9578, 28_546),
+        },
+        GoldenCase {
+            name: "chain-skewed/MPDP",
+            query: chain,
+            gen: GenConfig {
+                seed: 35,
+                max_table_rows: 1_000,
+                skew: skew01(0.3),
+                ..Default::default()
+            },
+            plan: GoldenPlan::Strategy("MPDP"),
+            expected: (0xd617_e847_cadf_c26d, 0x26c5_32ea_c970_3d28, 255_293),
+        },
+        GoldenCase {
+            name: "cross-product/hand",
+            query: cross,
+            gen: seeded(36),
+            plan: GoldenPlan::Hand(cross_plan),
+            expected: (0xb4f7_b7ab_9b54_aebf, 0x7f62_c8a2_04d4_d38f, 2_267),
+        },
+        GoldenCase {
+            name: "single-scan/hand",
+            query: single,
+            gen: seeded(37),
+            plan: GoldenPlan::Hand(scan(0, 5_000.0)),
+            expected: (0x684b_6010_9cb6_716c, 0xfaf7_58de_2632_382a, 5_000),
+        },
+        GoldenCase {
+            name: "wide-domain/hand",
+            query: wide.clone(),
+            gen: GenConfig {
+                seed: 38,
+                skew: skew01(0.2),
+                ..Default::default()
+            },
+            plan: GoldenPlan::Hand(wide_plan),
+            expected: (0x1722_50be_9572_7dd6, 0x50ba_88e8_2473_6c24, 160_687),
+        },
+        GoldenCase {
+            name: "wide-domain/GOO",
+            query: wide,
+            gen: GenConfig {
+                seed: 39,
+                skew: skew01(0.25),
+                ..Default::default()
+            },
+            plan: GoldenPlan::Strategy("GOO"),
+            expected: (0xd2f5_1e08_b1c0_c60b, 0xd02f_9f5d_c2e7_6c3b, 237_988),
+        },
+    ]
+}
+
+#[test]
+fn golden_digests_hold_at_every_worker_count() {
+    let model = PgLikeCost::new();
+    let mut failures = Vec::new();
+    for case in golden_cases(&model) {
+        let data = materialize(&case.query, &case.gen, &model);
+        let plan = match &case.plan {
+            GoldenPlan::Strategy(name) => {
+                registry()
+                    .get(name)
+                    .unwrap()
+                    .plan(&data.scaled, &model, None)
+                    .unwrap_or_else(|e| panic!("{}: {e}", case.name))
+                    .plan
+            }
+            GoldenPlan::Hand(plan) => plan.clone(),
+        };
+        for workers in [1usize, 2, 4] {
+            // Cutoff 0 sends every multi-worker probe through the pool, so
+            // the digests also pin the pooled merge.
+            let config = ExecConfig {
+                workers,
+                sequential_cutoff: 0,
+                ..Default::default()
+            };
+            let (report, rows) = Executor::new(&data.scaled, &data, config)
+                .execute_with_result(&plan)
+                .unwrap_or_else(|e| panic!("{}@{workers}w: {e}", case.name));
+            assert_eq!(rows.len as u64, report.root_rows);
+            let got = (
+                result_digest(&rows),
+                report_digest(&report),
+                report.root_rows,
+            );
+            if got != case.expected {
+                failures.push(format!(
+                    "{}@{workers}w: (0x{:016x}, 0x{:016x}, {})",
+                    case.name, got.0, got.1, got.2
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "digests moved:\n{}",
+        failures.join("\n")
+    );
+}
+
+// ---- The two seams of the rewrite -------------------------------------------
+
+/// `execute` prunes rowid columns no upper join reads and keeps none at the
+/// root; `execute_with_result` keeps every column. Different column paths,
+/// one report: every deterministic field agrees, over the oracle grid and
+/// the golden cases, sequentially and through the pool.
+#[test]
+fn execute_and_execute_with_result_report_the_same() {
+    let model = PgLikeCost::new();
+    // One dataset per shape, several plans over each.
+    let mut grid: Vec<(String, mpdp::exec::Dataset, Vec<PlanTree>)> = Vec::new();
+    for (shape, q) in oracle_queries(&model) {
+        let data = materialize(&q, &GenConfig::default(), &model);
+        let plan_of = |name| {
+            registry()
+                .get(name)
+                .unwrap()
+                .plan(&data.scaled, &model, None)
+        };
+        let plans = EXEC_STRATEGIES.map(|name| plan_of(name).unwrap().plan);
+        grid.push((shape.to_string(), data, plans.to_vec()));
+    }
+    for case in golden_cases(&model) {
+        let data = materialize(&case.query, &case.gen, &model);
+        let plan = match case.plan {
+            GoldenPlan::Strategy(name) => {
+                registry()
+                    .get(name)
+                    .unwrap()
+                    .plan(&data.scaled, &model, None)
+                    .unwrap()
+                    .plan
+            }
+            GoldenPlan::Hand(plan) => plan,
+        };
+        grid.push((case.name.to_string(), data, vec![plan]));
+    }
+    for (name, data, plan) in grid
+        .iter()
+        .flat_map(|(name, data, plans)| plans.iter().map(move |plan| (name, data, plan)))
+    {
+        for workers in [1usize, 4] {
+            let config = ExecConfig {
+                workers,
+                sequential_cutoff: 0,
+                ..Default::default()
+            };
+            let executor = Executor::new(&data.scaled, data, config);
+            let counted = executor.execute(plan).unwrap();
+            let (kept, rows) = executor.execute_with_result(plan).unwrap();
+            assert_eq!(
+                report_digest(&counted),
+                report_digest(&kept),
+                "{name}@{workers}w: reports diverge"
+            );
+            assert_eq!(rows.len as u64, counted.root_rows, "{name}@{workers}w");
+            assert_eq!(rows.rowids.len(), plan.num_rels(), "{name}@{workers}w");
+        }
+    }
+}
+
+/// A nested-loop oracle across the key-width boundary. Triangle queries
+/// whose edges into relation 0 have domains just below and just above
+/// `u32::MAX` — one narrow and one wide key column — are executed as
+/// `(1 ⋈ 2) ⋈ 0`, so the upper join folds a `u32` and a `u64` key into one
+/// composite hash. Such domains match only through a hot key, so both edges
+/// are skewed. The executor's result must equal the brute-force join, row
+/// for row.
+#[test]
+fn narrow_and_wide_keys_match_a_nested_loop_oracle() {
+    use mpdp::exec::KeyColumn;
+    let model = PgLikeCost::new();
+    let narrow = u32::MAX as u64;
+    for (seed, domains, rows) in [
+        (1u64, [narrow, narrow + 1], [90usize, 70, 50]),
+        (2, [narrow + 1, narrow], [60, 80, 40]),
+        (3, [narrow - 1, narrow + 2], [75, 45, 65]),
+        (4, [narrow + 1, narrow + 1], [50, 50, 50]),
+    ] {
+        let rel = |n: usize| RelInfo::new(n as f64, model.scan_cost(n as f64));
+        let mut q = LargeQuery::new(rows.iter().map(|&n| rel(n)).collect());
+        q.add_edge(0, 1, 1.0 / domains[0] as f64);
+        q.add_edge(0, 2, 1.0 / domains[1] as f64);
+        q.add_edge(1, 2, 1.0 / 6.0);
+        let skew = |v: u32, hot_fraction: f64| SkewedEdge {
+            u: 0,
+            v,
+            hot_fraction,
+        };
+        let gen = GenConfig {
+            seed,
+            skew: vec![skew(1, 0.4), skew(2, 0.5)],
+            ..Default::default()
+        };
+        let data = materialize(&q, &gen, &model);
+        assert_eq!(data.domains[..2], domains, "domains survive 1/(1/d)");
+        for (edge, &d) in domains.iter().enumerate() {
+            let wide = matches!(data.tables[0].keys[edge], Some(KeyColumn::U64(_)));
+            assert_eq!(
+                wide,
+                d > narrow,
+                "edge {edge} (domain {d}) has the wrong width"
+            );
+        }
+        let key = |r: usize, edge: usize, row: usize| {
+            data.tables[r].keys[edge]
+                .as_ref()
+                .expect("endpoint carries the key")
+                .get(row)
+        };
+        let mut expected = Vec::new();
+        for r0 in 0..rows[0] {
+            for r1 in 0..rows[1] {
+                for r2 in 0..rows[2] {
+                    if key(0, 0, r0) == key(1, 0, r1)
+                        && key(0, 1, r0) == key(2, 1, r2)
+                        && key(1, 2, r1) == key(2, 2, r2)
+                    {
+                        expected.push([r0 as u32, r1 as u32, r2 as u32]);
+                    }
+                }
+            }
+        }
+        assert!(expected.len() > 100, "seed {seed}: the oracle is vacuous");
+        let plan = join(
+            join(scan(1, rows[1] as f64), scan(2, rows[2] as f64), 500.0),
+            scan(0, rows[0] as f64),
+            1.0,
+        );
+        for workers in [1usize, 3] {
+            let config = ExecConfig {
+                workers,
+                batch: 16,
+                sequential_cutoff: 0,
+                ..Default::default()
+            };
+            let executor = Executor::new(&data.scaled, &data, config);
+            let (report, result) = executor.execute_with_result(&plan).unwrap();
+            assert_eq!(
+                report.joins[1].edges,
+                [0, 1],
+                "the upper join is multi-edge"
+            );
+            assert_eq!(result.rels, [0, 1, 2]);
+            let mut got: Vec<[u32; 3]> = (0..result.len)
+                .map(|i| [0, 1, 2].map(|c: usize| result.rowids[c][i]))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, expected, "seed {seed}@{workers}w");
+            assert_eq!(executor.execute(&plan).unwrap().root_rows, got.len() as u64);
+        }
+    }
+}
