@@ -2,53 +2,20 @@
 //!
 //! ```text
 //! repro <experiment> [..]     experiments: fig2 fig4 fig6 fig7 fig8 fig9
-//!                             fig10 fig11 fig12 fig13 table1 table2 table3
-//!                             ablation bench scale serve exec cluster trace
-//!                             all
-//! --emit-json <path>          (bench, scale, exec, serve, cluster) write
-//!                             per-run wall/model times and counters as JSON
-//! --check-against <path>      (bench, scale, exec, serve, cluster) compare
-//!                             wall times against a committed baseline JSON;
-//!                             exit 1 if any algorithm regressed more than 2x
-//! --queries <n>               (serve, cluster, trace) stream length
-//!                             (default 10000; trace: 1000)
-//! --workers <n>               (serve) worker threads (default 4);
-//!                             (scale) max worker count of the 1/2/4/…
-//!                             sweep (default 8);
-//!                             (exec) probe-phase worker count(s) — a
-//!                             single count or a comma list (`1,2,4,8`)
-//!                             runs every shape at each count and
-//!                             cross-checks their results bit-for-bit
-//!                             (default 1)
-//! --summary-md                (bench, scale, exec, serve, cluster) append the
-//!                             regression-gate table to the file named by
-//!                             $GITHUB_STEP_SUMMARY (stdout outside
-//!                             Actions), so a red leg is diagnosable from
-//!                             the run page
-//! --open-loop                 (serve) also sweep open-loop offered load
-//!                             against the mpdp-serve front-end (overload
-//!                             curve: achieved throughput, sheds, p99)
-//! --rate <n>                  (serve) open-loop base offered rate in
-//!                             requests/s (default 120000)
-//! --faults-seed <k>           (serve) chaos mode: run the open-loop sweep
-//!                             with the seeded fault plan k armed (injected
-//!                             panics/stalls/errors at queue, dispatcher,
-//!                             planner, executor, and reactor sites) and
-//!                             assert the robustness invariants instead of
-//!                             the perf gate
-//! --deadline-ms <ms>          (serve) per-request deadline for the
-//!                             open-loop sweep; deadline-pressed requests
-//!                             degrade to a heuristic plan (chaos mode
-//!                             defaults to 500)
-//! --shards <list>             (cluster) shard counts to sweep — a single
-//!                             count or a comma list (default 1,2,4,8; with
-//!                             --queries-small: 1,4)
-//! --zipf-s <list>             (serve, cluster) Zipf exponent(s) of the
-//!                             query stream — serve uses the first value
-//!                             (default 1.1), cluster sweeps the whole list
-//!                             (default 0.7,1.1)
-//! --queries-small             (scale, serve, cluster, trace) reduced shape
-//!                             set for CI smoke
+//!                             fig10 fig11 fig12 fig13 ablation table1
+//!                             table2 table3 bench exec trace; `all` (also
+//!                             the default) is every one of them but trace
+//! --emit-json <path>          (bench) write per-run times and counters as
+//!                             JSON; (trace) write the Chrome-trace artifact
+//! --check-against <path>      (bench) compare every count of every run with
+//!                             a committed bench JSON, to the digit; exit 1
+//!                             and name each mismatching cell on stderr
+//! --queries <n>               (trace) stream length (default 1000)
+//! --queries-small             (trace) reduced template set for CI smoke
+//! bench                       the tier-1 roster on chain/star/cycle/fig5:
+//!                             times and counters per algorithm
+//! exec                        execute every strategy's plan on materialized
+//!                             tables: modeled cost vs measured runtime
 //! trace                       replay a stream with the span tracer armed:
 //!                             submit through a cluster-backed ServeFront,
 //!                             execute every served plan with the request's
@@ -61,6 +28,10 @@
 //! REPRO_TIMEOUT_MS=<ms>       per-query optimization budget
 //! ```
 //!
+//! An unknown experiment or flag exits 2 before anything runs. Timings of
+//! the serving, cluster and executor tiers are not measured here: that is
+//! `benchmark/run.sh` (see `BENCHMARK.json`).
+//!
 //! Output is tab-separated, one block per figure, with a header naming the
 //! series exactly as in the paper. Times marked `[model]` are hardware-model
 //! or SIMT-simulated predictions (see DESIGN.md §2); unmarked times are
@@ -68,10 +39,9 @@
 
 use mpdp::registry;
 use mpdp_bench::aws;
-use mpdp_bench::regress::{append_step_summary, gate_report, summary_markdown, WallRun};
-use mpdp_bench::runner::{run_exact, AlgoKind, EXACT_ROSTER};
+use mpdp_bench::regress::exact_mismatches;
+use mpdp_bench::runner::{figure5_query, run_exact, AlgoKind, EXACT_ROSTER};
 use mpdp_bench::scale::Scale;
-use mpdp_bench::scaling::{self, figure5_query, ScaleConfig};
 use mpdp_bench::starform;
 use mpdp_bench::stats::{fmt_ms, mean, percentile};
 use mpdp_core::{LargeQuery, OptError, QueryInfo};
@@ -79,86 +49,61 @@ use mpdp_cost::pglike::PgLikeCost;
 use mpdp_parallel::hwmodel::{Calibration, CpuModel};
 use mpdp_workload::{gen, ImdbSchema, MusicBrainz};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Set once from `--summary-md` before any experiment runs; every
-/// [`gate_or_exit`] call then mirrors its gate table into the Actions job
-/// summary. A process-wide flag (not a parameter) because it is pure
-/// reporting and every gating experiment shares it.
-static SUMMARY_MD: AtomicBool = AtomicBool::new(false);
+/// What `all` (and no argument) runs, in order.
+const ALL: [&str; 16] = [
+    "fig2", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "ablation",
+    "table1", "table2", "table3", "bench", "exec",
+];
+
+/// A command line `repro` cannot act on: says what and what would have been
+/// valid, on stderr, and exits 2.
+fn usage_error(what: &str) -> ! {
+    eprintln!("error: {what}");
+    eprintln!("experiments: {} trace all", ALL.join(" "));
+    eprintln!("flags: --emit-json <path> --check-against <path> --queries <n> --queries-small");
+    std::process::exit(2);
+}
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    // Split flag pairs (--emit-json PATH, --check-against PATH) from the
-    // experiment names.
-    let mut args: Vec<String> = Vec::new();
+    let mut what: Vec<String> = Vec::new();
     let mut emit_json: Option<String> = None;
     let mut check_against: Option<String> = None;
-    let mut serve_queries: usize = 10_000;
-    let mut queries_given = false;
-    let mut serve_workers: usize = 4;
-    let mut workers_list: Vec<usize> = vec![1];
-    let mut workers_given = false;
-    let mut summary_md = false;
+    let mut queries: usize = 1_000;
     let mut queries_small = false;
-    let mut open_loop = false;
-    let mut serve_rate: f64 = 120_000.0;
-    let mut faults_seed: Option<u64> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut shards_list: Option<Vec<usize>> = None;
-    let mut zipf_list: Option<Vec<f64>> = None;
-    let mut it = raw.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut value = || {
+            it.next()
+                .unwrap_or_else(|| usage_error(&format!("{a} requires a value")))
+        };
         match a.as_str() {
-            "--emit-json" => emit_json = it.next(),
-            "--check-against" => check_against = it.next(),
+            "--emit-json" => emit_json = Some(value()),
+            "--check-against" => check_against = Some(value()),
             "--queries" => {
-                serve_queries = parse_count_flag("--queries", it.next());
-                queries_given = true;
-            }
-            "--workers" => {
-                workers_list = parse_workers_flag(it.next());
-                serve_workers = workers_list[0];
-                workers_given = true;
-            }
-            "--summary-md" => summary_md = true,
-            "--queries-small" => queries_small = true,
-            "--open-loop" => open_loop = true,
-            "--rate" => serve_rate = parse_count_flag("--rate", it.next()) as f64,
-            "--faults-seed" => {
-                faults_seed = match it.next().as_deref().map(str::parse::<u64>) {
-                    Some(Ok(n)) => Some(n),
-                    _ => {
-                        eprintln!("--faults-seed requires a non-negative integer");
-                        std::process::exit(2);
-                    }
+                queries = match value().parse() {
+                    Ok(n) if n >= 1 => n,
+                    _ => usage_error("--queries requires a positive integer"),
                 }
             }
-            "--deadline-ms" => {
-                deadline_ms = Some(parse_count_flag("--deadline-ms", it.next()) as u64)
-            }
-            "--shards" => shards_list = Some(parse_shards_flag(it.next())),
-            "--zipf-s" => zipf_list = Some(parse_zipf_flag(it.next())),
-            _ => args.push(a),
+            "--queries-small" => queries_small = true,
+            "all" => what.extend(ALL.map(String::from)),
+            name if name == "trace" || ALL.contains(&name) => what.push(name.to_owned()),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag: {flag}")),
+            other => usage_error(&format!("unknown experiment: {other}")),
         }
     }
-    SUMMARY_MD.store(summary_md, Ordering::Relaxed);
+    if what.is_empty() {
+        what.extend(ALL.map(String::from));
+    }
     let scale = Scale::from_env();
-    let what: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "fig2", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-            "ablation", "table1", "table2", "table3", "bench", "scale", "serve", "exec", "cluster",
-        ]
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
     println!(
         "# MPDP reproduction harness — scale={scale:?}, timeout={:?}",
         scale.timeout()
     );
-    for w in what {
-        match w {
+    for w in &what {
+        match w.as_str() {
             "fig2" => fig2(scale),
             "fig4" => fig4(scale),
             "fig6" => exact_sweep(scale, "fig6", "star", scale.exact_sizes()),
@@ -170,147 +115,13 @@ fn main() {
             "fig12" => fig12(scale),
             "fig13" => fig13(scale),
             "ablation" => ablation(scale),
-            "bench" => bench(scale, emit_json.as_deref(), check_against.as_deref()),
-            "scale" => scale_experiment(
-                if workers_given { serve_workers } else { 8 },
-                queries_small,
-                emit_json.as_deref(),
-                check_against.as_deref(),
-            ),
-            "serve" => serve(
-                // The CI smoke leg shrinks the replay unless an explicit
-                // stream length was requested.
-                if queries_given || !queries_small {
-                    serve_queries
-                } else {
-                    2_000
-                },
-                serve_workers,
-                open_loop.then_some(serve_rate),
-                faults_seed,
-                deadline_ms,
-                zipf_list.as_ref().and_then(|l| l.first().copied()),
-                queries_small,
-                emit_json.as_deref(),
-                check_against.as_deref(),
-            ),
-            "cluster" => cluster_experiment(
-                if queries_given || !queries_small {
-                    serve_queries
-                } else {
-                    2_000
-                },
-                shards_list.clone().unwrap_or_else(|| {
-                    if queries_small {
-                        vec![1, 4]
-                    } else {
-                        vec![1, 2, 4, 8]
-                    }
-                }),
-                zipf_list.clone().unwrap_or_else(|| vec![0.7, 1.1]),
-                // Sequential replay unless explicitly overridden: per-shard
-                // busy attribution sums request wall times, which
-                // oversubscribed replay workers pollute with scheduler
-                // quanta (see mpdp_bench::cluster::ClusterRunConfig).
-                if workers_given { serve_workers } else { 1 },
-                queries_small,
-                emit_json.as_deref(),
-                check_against.as_deref(),
-            ),
-            "trace" => trace_experiment(
-                if queries_given { serve_queries } else { 1_000 },
-                queries_small,
-                emit_json.as_deref(),
-            ),
-            "exec" => exec_experiment(
-                if workers_given { &workers_list } else { &[1] },
-                emit_json.as_deref(),
-                check_against.as_deref(),
-            ),
+            "bench" => bench(emit_json.as_deref(), check_against.as_deref()),
+            "exec" => exec_experiment(),
+            "trace" => trace_experiment(queries, queries_small, emit_json.as_deref()),
             "table1" => heuristic_table(scale, "table1", "snowflake", scale.table1_sizes()),
             "table2" => heuristic_table(scale, "table2", "star", scale.table2_sizes()),
             "table3" => heuristic_table(scale, "table3", "clique", scale.table3_sizes()),
-            other => eprintln!("unknown experiment: {other}"),
-        }
-    }
-}
-
-/// Parses `--workers`: a positive integer or a comma-separated list of them
-/// (`repro exec` runs every listed count; serve/scale use the first).
-fn parse_workers_flag(value: Option<String>) -> Vec<usize> {
-    let parsed: Option<Vec<usize>> = value.as_deref().and_then(|v| {
-        v.split(',')
-            .map(|p| p.trim().parse::<usize>().ok().filter(|&n| n >= 1))
-            .collect()
-    });
-    match parsed {
-        Some(list) if !list.is_empty() => list,
-        _ => {
-            eprintln!(
-                "error: --workers requires a positive integer or comma list (got {})",
-                value.as_deref().unwrap_or("nothing")
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses `--shards`: a positive shard count or a comma-separated list of
-/// them (`repro cluster` runs every listed count).
-fn parse_shards_flag(value: Option<String>) -> Vec<usize> {
-    let parsed: Option<Vec<usize>> = value.as_deref().and_then(|v| {
-        v.split(',')
-            .map(|p| p.trim().parse::<usize>().ok().filter(|&n| n >= 1))
-            .collect()
-    });
-    match parsed {
-        Some(list) if !list.is_empty() => list,
-        _ => {
-            eprintln!(
-                "error: --shards requires a positive integer or comma list (got {})",
-                value.as_deref().unwrap_or("nothing")
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses `--zipf-s`: a non-negative Zipf exponent or a comma-separated
-/// list of them (`repro serve` uses the first; `repro cluster` sweeps all).
-fn parse_zipf_flag(value: Option<String>) -> Vec<f64> {
-    let parsed: Option<Vec<f64>> = value.as_deref().and_then(|v| {
-        v.split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s >= 0.0)
-            })
-            .collect()
-    });
-    match parsed {
-        Some(list) if !list.is_empty() => list,
-        _ => {
-            eprintln!(
-                "error: --zipf-s requires a non-negative number or comma list (got {})",
-                value.as_deref().unwrap_or("nothing")
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses a positive integer flag value; a missing or malformed value is a
-/// usage error, not a silent fallback to the default.
-fn parse_count_flag(flag: &str, value: Option<String>) -> usize {
-    match value.as_deref().map(str::parse::<usize>) {
-        Some(Ok(n)) if n >= 1 => n,
-        _ => {
-            eprintln!(
-                "error: {flag} requires a positive integer (got {})",
-                value.as_deref().unwrap_or("nothing")
-            );
-            std::process::exit(2);
+            other => unreachable!("{other} passed the argument check"),
         }
     }
 }
@@ -870,9 +681,9 @@ const BENCH_ALGOS: [&str; 6] = [
 
 /// `repro bench`: timed runs + counters on the CI shape set
 /// (chain/star/cycle/fig5), a frontier-vs-unranked subset-visit comparison
-/// on 20-relation shapes, optional JSON emission, and an optional >2×
-/// wall-time regression check against a committed baseline.
-fn bench(_scale: Scale, emit_json: Option<&str>, check_against: Option<&str>) {
+/// on 20-relation shapes, optional JSON emission, and an optional exact
+/// check of every count against a committed bench JSON.
+fn bench(emit_json: Option<&str>, check_against: Option<&str>) {
     let model = PgLikeCost::new();
     // The shape set is sized to finish well within this budget at either
     // sweep scale; an explicit REPRO_TIMEOUT_MS still overrides it.
@@ -989,98 +800,36 @@ fn bench(_scale: Scale, emit_json: Option<&str>, check_against: Option<&str>) {
         ));
     }
 
+    let mut out = String::from("{\n  \"schema\": \"mpdp-bench-v1\",\n  \"runs\": [\n");
+    for (i, r) in records.iter().enumerate() {
+        let sep = if i + 1 == records.len() { "" } else { "," };
+        out.push_str(&format!("    {}{sep}\n", r.to_json_line()));
+    }
+    out.push_str("  ],\n  \"frontier_vs_unranked\": [\n");
+    for (i, v) in visits.iter().enumerate() {
+        let sep = if i + 1 == visits.len() { "" } else { "," };
+        out.push_str(&format!("    {v}{sep}\n"));
+    }
+    out.push_str("  ]\n}\n");
     if let Some(path) = emit_json {
-        let mut out = String::from("{\n  \"schema\": \"mpdp-bench-v1\",\n  \"runs\": [\n");
-        for (i, r) in records.iter().enumerate() {
-            let sep = if i + 1 == records.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", r.to_json_line()));
-        }
-        out.push_str("  ],\n  \"frontier_vs_unranked\": [\n");
-        for (i, v) in visits.iter().enumerate() {
-            let sep = if i + 1 == visits.len() { "" } else { "," };
-            out.push_str(&format!("    {v}{sep}\n"));
-        }
-        out.push_str("  ]\n}\n");
-        std::fs::write(path, out).expect("write bench JSON");
+        std::fs::write(path, &out).expect("write bench JSON");
         println!("\n# wrote {path}");
     }
 
     if let Some(path) = check_against {
-        let runs: Vec<WallRun> = records
-            .iter()
-            .map(|r| WallRun {
-                shape: r.shape.to_string(),
-                n: r.n,
-                algorithm: r.algorithm.clone(),
-                wall_ms: r.wall_ms,
-            })
-            .collect();
-        gate_or_exit(path, &runs, "BENCH", true);
-    }
-}
-
-/// Runs the shared regression gate and exits non-zero on findings. With
-/// `--summary-md`, the full gate table (not just the findings) lands in the
-/// Actions job summary first — also on the green path, so the run page
-/// shows what was compared.
-fn gate_or_exit(path: &str, runs: &[WallRun], label: &str, require_full_coverage: bool) {
-    let report = gate_report(path, runs, require_full_coverage);
-    if SUMMARY_MD.load(Ordering::Relaxed) {
-        append_step_summary(&summary_markdown(
-            &format!("{label} gate vs `{path}`"),
-            &report,
-        ));
-    }
-    if !report.findings.is_empty() {
-        eprintln!("# {label} REGRESSIONS (>2x wall time vs {path}):");
-        for r in &report.findings {
-            eprintln!("#   {r}");
-        }
-        std::process::exit(1);
-    }
-    println!("# no >2x wall-time regression against {path}");
-}
-
-// ------------------------------------------------------------------ scale
-
-/// `repro scale`: strong-scaling sweep of the shared-atomic-memo parallel
-/// MPDP (see `mpdp_bench::scaling`). `max_workers` bounds a 1/2/4/8 sweep;
-/// `small` selects the reduced CI shape set.
-fn scale_experiment(
-    max_workers: usize,
-    small: bool,
-    emit_json: Option<&str>,
-    check_against: Option<&str>,
-) {
-    let mut config = ScaleConfig::default_full();
-    config.workers.retain(|&w| w <= max_workers.max(1));
-    config.small = small;
-    println!(
-        "\n## scale — lock-free shared memo: MPDP (CPU) strong scaling ({} shapes, workers {:?})",
-        if small { "small" } else { "full" },
-        config.workers
-    );
-    let model = PgLikeCost::new();
-    let report = match scaling::run_scale(&config, &model) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("scale failed: {e}");
+        let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("# cannot read {path}: {e}");
+            std::process::exit(1);
+        });
+        let mismatches = exact_mismatches(&committed, &out);
+        if !mismatches.is_empty() {
+            eprintln!("# BENCH counts differ from {path}:");
+            for m in &mismatches {
+                eprintln!("{m}");
+            }
             std::process::exit(1);
         }
-    };
-    print!("{}", report.render());
-    if let Some(s) = report.model_speedup("job", 4) {
-        println!("# JOB-sized query, 4 workers: {s:.2}x model speedup over 1 worker");
-    }
-    if let Some(path) = emit_json {
-        std::fs::write(path, report.to_json()).expect("write scale JSON");
-        println!("# wrote {path}");
-    }
-    if let Some(path) = check_against {
-        // Intersection coverage: the committed BENCH_scale.json carries the
-        // union of the full and small sweeps, so any single invocation
-        // re-times a deliberate subset of it.
-        gate_or_exit(path, &report.wall_runs(), "SCALE", false);
+        println!("# every count equals {path}");
     }
 }
 
@@ -1096,426 +845,27 @@ fn make_query_shape(shape: &str, n: usize, seed: u64, model: &PgLikeCost) -> Que
 // ------------------------------------------------------------------- exec
 
 /// `repro exec`: materialize tables from catalog statistics, execute every
-/// [`mpdp_bench::exec::EXEC_STRATEGIES`] plan per shape at every requested
-/// worker count, report modeled cost vs measured runtime (+ Spearman
-/// correlations), run the oracle + determinism checks and the PlanService
-/// feedback-loop demo. See `mpdp_bench::exec`.
-fn exec_experiment(workers: &[usize], emit_json: Option<&str>, check_against: Option<&str>) {
+/// [`mpdp_bench::exec::EXEC_STRATEGIES`] plan per shape (each shape's plans
+/// must agree on the root cardinality) and report modeled cost next to
+/// measured runtime with their Spearman correlations. See
+/// `mpdp_bench::exec`.
+fn exec_experiment() {
+    use mpdp_bench::exec::{default_cases, render, run_case};
     println!(
         "\n## exec — morsel-parallel vectorized executor: modeled cost vs measured runtime \
-         (seed 42, workers {workers:?})"
+         (seed 42)"
     );
     let model = PgLikeCost::new();
-    let report = match mpdp_bench::exec::run_exec_bench(&model, 42, workers) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("exec failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", report.render());
-    // Emit before any gating, so a failing CI leg still uploads the run
-    // JSON for diagnosis (same convention as bench/scale).
-    if let Some(path) = emit_json {
-        std::fs::write(path, report.to_json()).expect("write exec JSON");
-        println!("# wrote {path}");
-    }
-    // The feedback demo is a check, not just a narrative: the skewed run
-    // must invalidate and the corrected plan must be cheaper.
-    let d = &report.demo;
-    if !d.invalidated || !d.converged || d.replanned_cost >= d.stale_cost_corrected {
-        eprintln!(
-            "# exec FAILED: feedback loop did not improve the plan \
-             (invalidated={}, converged={}, {:.3e} -> {:.3e})",
-            d.invalidated, d.converged, d.stale_cost_corrected, d.replanned_cost
-        );
-        std::process::exit(1);
-    }
-    if let Some(path) = check_against {
-        // Determinism gate first: root cardinality, rows touched, and exact
-        // morsel counts must match the committed 1-worker baseline rows
-        // bit-for-bit at whatever worker count this leg runs — the fields
-        // are worker-invariant by construction, so all `--workers {1,2,4}`
-        // matrix legs check against the same committed values.
-        let diverged = mpdp_bench::exec::check_exec_determinism(path, &report);
-        if SUMMARY_MD.load(Ordering::Relaxed) {
-            let mut md = format!(
-                "### EXEC determinism vs `{path}` (workers {workers:?}) — {}\n\n",
-                if diverged.is_empty() {
-                    "✅ bit-identical"
-                } else {
-                    "❌ diverged"
-                }
-            );
-            for f in &diverged {
-                md.push_str(&format!("- 🚨 {f}\n"));
-            }
-            md.push('\n');
-            append_step_summary(&md);
-        }
-        if !diverged.is_empty() {
-            eprintln!("# EXEC DETERMINISM VIOLATIONS (vs {path}):");
-            for f in &diverged {
-                eprintln!("#   {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("# deterministic fields bit-identical to {path} at workers {workers:?}");
-        // Subset coverage: the committed baseline carries rows for every
-        // worker count of the full sweep; a single-count CI leg re-times
-        // only its own rows.
-        gate_or_exit(path, &report.wall_runs(), "EXEC", false);
-    }
-}
-
-// ------------------------------------------------------------------ serve
-
-/// `repro serve`: replay a Zipf-distributed stream of relabeled generated +
-/// JOB + MusicBrainz queries against a [`mpdp::PlanService`] from a worker
-/// pool (closed loop: throughput, cache hit rate, latency split), then —
-/// with `--open-loop` — sweep offered load against an `mpdp_serve`
-/// front-end for the overload curve. Both phases contribute gate rows
-/// (encoded as ms per 1k plans, so "slower" still means "bigger number")
-/// for `--check-against BENCH_serve.json`.
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    queries: usize,
-    workers: usize,
-    open_loop_rate: Option<f64>,
-    faults_seed: Option<u64>,
-    deadline_ms: Option<u64>,
-    zipf_s: Option<f64>,
-    small: bool,
-    emit_json: Option<&str>,
-    check_against: Option<&str>,
-) {
-    use mpdp::PlanServiceBuilder;
-    use mpdp_bench::serve::{open_loop, replay, OpenLoopConfig, ServeConfig};
-    use mpdp_workload::StreamSpec;
-    use std::sync::Arc;
-
-    // `shape` keys the gate rows; the committed baseline carries both the
-    // full and the CI-small configuration, so each invocation re-times a
-    // subset (hence `require_full_coverage = false` below).
-    let shape = if small { "serve-small" } else { "serve" };
-    let mut stream = if small {
-        StreamSpec {
-            templates: 80,
-            min_rels: 6,
-            max_rels: 12,
-            ..StreamSpec::default()
-        }
-    } else {
-        StreamSpec::default()
-    };
-    if let Some(s) = zipf_s {
-        stream.skew = s;
-    }
-
-    if let Some(seed) = faults_seed {
-        // Chaos mode replaces the perf measurement entirely: with faults
-        // armed the timings mean nothing and the perf gate must not see
-        // them. What is asserted instead are the robustness invariants.
-        chaos_serve(
-            seed,
-            deadline_ms.unwrap_or(500),
-            open_loop_rate.unwrap_or(20_000.0),
-            stream,
-            emit_json,
-        );
-        return;
-    }
-    println!(
-        "\n## serve — PlanService replay ({queries} queries, {workers} workers, \
-         Zipf skew {:.1}, {} templates)",
-        stream.skew, stream.templates
-    );
-    let model = PgLikeCost::new();
-    let service = PlanServiceBuilder::new()
-        .budget(Duration::from_secs(30))
-        .build();
-    let config = ServeConfig {
-        total: queries,
-        workers,
-        stream: stream.clone(),
-    };
-    let report = match replay(&service, &model, &config) {
-        Ok(report) => {
-            print!("{}", report.render());
-            // The CI smoke leg runs this: a serving layer that errors on
-            // queries (or serves none) must fail the step, not just print.
-            if report.failed > 0 || report.served == 0 {
-                eprintln!(
-                    "# serve FAILED: {} of {} queries errored",
-                    report.failed,
-                    report.failed + report.served
-                );
-                std::process::exit(1);
-            }
-            report
-        }
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut runs: Vec<WallRun> = vec![WallRun {
-        shape: shape.to_string(),
-        n: queries,
-        algorithm: format!("closed-loop replay ({workers}w, ms per 1k plans)"),
-        wall_ms: 1e6 / report.throughput().max(1e-9),
-    }];
-
-    let ol_report = open_loop_rate.map(|rate| {
-        let ol_config = OpenLoopConfig {
-            rate,
-            window: if small {
-                Duration::from_millis(250)
-            } else {
-                Duration::from_secs(2)
-            },
-            deadline: deadline_ms.map(Duration::from_millis),
-            stream: stream.clone(),
-            ..OpenLoopConfig::default()
-        };
-        println!(
-            "\n## serve — open-loop overload sweep (base rate {rate:.0}/s, \
-             window {:.2}s, queue {})",
-            ol_config.window.as_secs_f64(),
-            ol_config.queue_depth
-        );
-        match open_loop(&ol_config, Arc::new(PgLikeCost::new())) {
-            Ok(r) => {
-                print!("{}", r.render());
-                let sheds: u64 = r.windows.iter().map(|w| w.serve.sheds()).sum();
-                let served: u64 = r.windows.iter().map(|w| w.serve.completed).sum();
-                // Broken-admission checks. "Zero sheds" alone is healthy (a
-                // fast machine legitimately keeps up with the whole sweep);
-                // the broken signature is falling far behind the offered
-                // rate *without* shedding — silent buffering, exactly what
-                // admission control exists to prevent. The 25% slack
-                // tolerates harvest tails and slow-host jitter on windows
-                // that completed everything, merely late.
-                let behind_without_shed = r
-                    .windows
-                    .iter()
-                    .any(|w| w.serve.sheds() == 0 && w.achieved < 0.75 * w.offered_rate);
-                let errored = r.windows.iter().any(|w| w.serve.failed > 0);
-                if served == 0 || errored || behind_without_shed {
-                    eprintln!(
-                        "# serve FAILED: open-loop sweep served {served} with {sheds} sheds \
-                         (errored: {errored}, fell >25% behind offered without shedding: \
-                         {behind_without_shed})"
-                    );
-                    std::process::exit(1);
-                }
-                runs.extend(r.wall_runs(shape));
-                r
-            }
-            Err(e) => {
-                eprintln!("open-loop failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    });
-
-    // Emit before any gating, so a failing CI leg still uploads the run
-    // JSON for diagnosis (same convention as bench/scale/exec).
-    if let Some(path) = emit_json {
-        let mut out = String::from("{\n  \"schema\": \"mpdp-serve-v1\",\n");
-        out.push_str(&format!(
-            "  \"config\": {{\"shape\": \"{shape}\", \"queries\": {queries}, \
-             \"workers\": {workers}, \"templates\": {}}},\n",
-            stream.templates
-        ));
-        out.push_str(&format!(
-            "  \"replay\": {{\"served\": {}, \"throughput\": {:.0}, \
-             \"request_hit_rate\": {:.4}, \"hit_p50_us\": {:.1}, \
-             \"cold_p50_us\": {:.1}, \"coalesced\": {}}},\n",
-            report.served,
-            report.throughput(),
-            report.cache.request_hit_rate(),
-            report.hit_p50_us,
-            report.miss_p50_us,
-            report.cache.coalesced,
-        ));
-        if let Some(r) = &ol_report {
-            out.push_str("  \"windows\": [\n");
-            for (i, w) in r.windows.iter().enumerate() {
-                let sep = if i + 1 == r.windows.len() { "" } else { "," };
-                out.push_str(&format!("    {}{sep}\n", w.to_json_line()));
-            }
-            out.push_str("  ],\n");
-        }
-        out.push_str("  \"runs\": [\n");
-        for (i, r) in runs.iter().enumerate() {
-            let sep = if i + 1 == runs.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"n\": {}, \"algorithm\": \"{}\", \
-                 \"wall_ms\": {:.3}}}{sep}\n",
-                r.shape, r.n, r.algorithm, r.wall_ms
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        std::fs::write(path, out).expect("write serve JSON");
-        println!("# wrote {path}");
-    }
-
-    if let Some(path) = check_against {
-        // Intersection coverage: the committed BENCH_serve.json carries both
-        // the full and the CI-small configuration's rows.
-        gate_or_exit(path, &runs, "SERVE", false);
-    }
-}
-
-/// `repro serve --faults-seed K`: the open-loop sweep under a seeded fault
-/// schedule. Perf numbers are meaningless with injection armed, so no gate
-/// rows are produced; instead the run *fails* unless the robustness
-/// invariants hold: exact accounting (`accepted == completed + failed` in
-/// every window — a panicked dispatcher may fail requests, it may not lose
-/// them), gauges back to zero once the sweep drains, and at least one
-/// scheduled fault actually fired (a chaos leg that injects nothing tests
-/// nothing).
-fn chaos_serve(
-    seed: u64,
-    deadline_ms: u64,
-    rate: f64,
-    stream: mpdp_workload::StreamSpec,
-    emit_json: Option<&str>,
-) {
-    use mpdp_bench::serve::{open_loop, OpenLoopConfig};
-    use mpdp_core::faults::FaultPlan;
-    use std::sync::Arc;
-
-    let plan = FaultPlan::seeded(seed);
-    let scheduled = plan.len();
-    println!(
-        "\n## serve — chaos sweep (faults seed {seed}, {scheduled} scheduled, \
-         deadline {deadline_ms}ms)"
-    );
-    print!("{}", plan.describe());
-    let faults = plan.arm();
-    let config = OpenLoopConfig {
-        rate,
-        multipliers: vec![0.5, 1.0],
-        window: Duration::from_millis(500),
-        queue_depth: 256,
-        deadline: Some(Duration::from_millis(deadline_ms)),
-        faults: faults.clone(),
-        stream,
-        ..OpenLoopConfig::default()
-    };
-    let report = match open_loop(&config, Arc::new(PgLikeCost::new())) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("# chaos FAILED: sweep aborted: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", report.render());
-    println!("# faults fired: {}", faults.fired());
-    // Resilience counters (window snapshots are deltas, so sums are run
-    // totals). These are what the chaos legs exist to exercise; until now
-    // they were only asserted in tests, never visible on a run page.
-    let worker_respawns: u64 = report.windows.iter().map(|w| w.serve.worker_respawns).sum();
-    let reactor_respawns: u64 = report
-        .windows
+    let cases: Vec<_> = default_cases(&model)
         .iter()
-        .map(|w| w.serve.reactor_respawns)
-        .sum();
-    let abandoned: u64 = report
-        .windows
-        .iter()
-        .map(|w| w.serve.abandoned_tickets)
-        .sum();
-    println!(
-        "# resilience: worker_respawns {worker_respawns} reactor_respawns {reactor_respawns} \
-         abandoned_tickets {abandoned}"
-    );
-
-    let mut violations: Vec<String> = Vec::new();
-    for w in &report.windows {
-        if w.serve.accepted != w.serve.completed + w.serve.failed {
-            violations.push(format!(
-                "window x{}: accepted {} != completed {} + failed {}",
-                w.multiplier, w.serve.accepted, w.serve.completed, w.serve.failed
-            ));
-        }
-    }
-    if let Some(last) = report.windows.last() {
-        // Gauges in a snapshot delta are carried as-is (point-in-time), so
-        // the last window's values are the live gauges after the sweep
-        // fully drained.
-        if last.serve.queue_depth != 0 || last.serve.in_flight != 0 {
-            violations.push(format!(
-                "gauges nonzero after drain: queue_depth {} in_flight {}",
-                last.serve.queue_depth, last.serve.in_flight
-            ));
-        }
-    }
-    if faults.fired() == 0 {
-        violations.push("no scheduled fault fired — the schedule never intersected the run".into());
-    }
-
-    if let Some(path) = emit_json {
-        let mut out = String::from("{\n  \"schema\": \"mpdp-serve-chaos-v1\",\n");
-        out.push_str(&format!(
-            "  \"config\": {{\"seed\": {seed}, \"deadline_ms\": {deadline_ms}, \
-             \"rate\": {rate:.0}, \"scheduled\": {scheduled}, \"fired\": {}}},\n",
-            faults.fired()
-        ));
-        out.push_str("  \"windows\": [\n");
-        for (i, w) in report.windows.iter().enumerate() {
-            let sep = if i + 1 == report.windows.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!("    {}{sep}\n", w.to_json_line()));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"violations\": [{}]\n}}\n",
-            violations
-                .iter()
-                .map(|v| format!("\"{}\"", v.replace('"', "'")))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        std::fs::write(path, out).expect("write chaos JSON");
-        println!("# wrote {path}");
-    }
-
-    // Mirror the chaos outcome into the Actions job summary (satellite of
-    // the observability pass): the respawn/abandonment totals say at a
-    // glance *what* the fault schedule exercised, which the pass/fail bit
-    // alone never did.
-    if SUMMARY_MD.load(Ordering::Relaxed) {
-        let mut md = format!(
-            "### chaos sweep — seed {seed}\n\n\
-             | counter | value |\n|---|---:|\n\
-             | faults scheduled | {scheduled} |\n\
-             | faults fired | {} |\n\
-             | worker respawns | {worker_respawns} |\n\
-             | reactor respawns | {reactor_respawns} |\n\
-             | abandoned tickets | {abandoned} |\n\
-             | invariant violations | {} |\n",
-            faults.fired(),
-            violations.len()
-        );
-        for v in &violations {
-            md.push_str(&format!("\n- ❌ {v}\n"));
-        }
-        append_step_summary(&md);
-    }
-
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("# chaos FAILED: {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("# chaos invariants held (seed {seed})");
+        .map(|case| {
+            run_case(case, &model, 42, 1).unwrap_or_else(|e| {
+                eprintln!("exec failed: {e}");
+                std::process::exit(1);
+            })
+        })
+        .collect();
+    print!("{}", render(&cases));
 }
 
 // ------------------------------------------------------------------ trace
@@ -1601,185 +951,4 @@ fn trace_experiment(queries: usize, small: bool, emit_json: Option<&str>) {
         report.traces,
         report.completeness_pct()
     );
-}
-
-// ---------------------------------------------------------------- cluster
-
-/// `repro cluster`: sweep shard count × Zipf skew against the sharded
-/// planning tier (`mpdp-cluster`). Each point replays a warmed stream
-/// through [`mpdp_cluster::PlanCluster`] and reports raw aggregate
-/// throughput, per-shard busy time and the model-normalized aggregate
-/// plans/s (`served / max shard busy` — the one-core-per-shard makespan,
-/// since N shards time-slicing this 1-core container cannot show wall-clock
-/// scaling). Multi-shard points also run the invalidation-staleness probe
-/// and a rehash window. Three acceptance invariants are asserted in-run
-/// (exit 1 on violation, never gated by the baseline):
-///
-/// - model-normalized scaling at 4 shards ≥ 3× the 1-shard point at equal
-///   offered load (skipped when the sweep has no 1-shard point, e.g. the
-///   CI `--shards 4` leg),
-/// - request hit rate within 2 points of the single-shard hit rate,
-/// - an injected 10×-class miss on one shard evicts every replica within
-///   the documented staleness window.
-fn cluster_experiment(
-    queries: usize,
-    shards_list: Vec<usize>,
-    skews: Vec<f64>,
-    workers: usize,
-    small: bool,
-    emit_json: Option<&str>,
-    check_against: Option<&str>,
-) {
-    use mpdp_bench::cluster::{run_cluster, ClusterReport, ClusterRunConfig};
-    use mpdp_workload::StreamSpec;
-
-    let shape = if small { "cluster-small" } else { "cluster" };
-    let stream = if small {
-        StreamSpec {
-            templates: 80,
-            min_rels: 6,
-            max_rels: 12,
-            ..StreamSpec::default()
-        }
-    } else {
-        StreamSpec::default()
-    };
-    println!(
-        "\n## cluster — sharded planning tier sweep ({queries} queries/point, \
-         {workers} replay workers, shards {shards_list:?}, skews {skews:?}, \
-         {} templates)",
-        stream.templates
-    );
-    let model = PgLikeCost::new();
-
-    let mut reports: Vec<ClusterReport> = Vec::new();
-    for &skew in &skews {
-        for &shards in &shards_list {
-            let config = ClusterRunConfig {
-                shards,
-                skew,
-                total: queries,
-                warmup: queries,
-                workers,
-                stream: stream.clone(),
-                ..ClusterRunConfig::default()
-            };
-            println!("\n### shards={shards} skew={skew:.2}");
-            match run_cluster(&config, &model) {
-                Ok(report) => {
-                    print!("{}", report.render());
-                    if report.failed > 0 || report.served == 0 {
-                        eprintln!(
-                            "# cluster FAILED: {} of {} queries errored at \
-                             shards={shards} skew={skew:.2}",
-                            report.failed,
-                            report.failed + report.served
-                        );
-                        std::process::exit(1);
-                    }
-                    reports.push(report);
-                }
-                Err(e) => {
-                    eprintln!("cluster failed at shards={shards} skew={skew:.2}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-
-    // In-run acceptance invariants. Violations are hard failures of this
-    // invocation; the baseline gate below only watches for wall-time
-    // regressions.
-    let mut violations: Vec<String> = Vec::new();
-    for r in &reports {
-        if let Some(s) = &r.staleness {
-            if !s.within_bound() {
-                violations.push(format!(
-                    "shards={} skew={:.2}: invalidation took {} rounds \
-                     (bound {}, evicted everywhere: {})",
-                    r.shards, r.skew, s.rounds_used, s.bound, s.evicted_everywhere
-                ));
-            }
-        }
-    }
-    for &skew in &skews {
-        let at = |n: usize| {
-            reports
-                .iter()
-                .find(|r| r.shards == n && (r.skew - skew).abs() < 1e-9)
-        };
-        let (Some(one), Some(four)) = (at(1), at(4)) else {
-            continue;
-        };
-        let scaling = four.model_plans_per_s() / one.model_plans_per_s().max(1e-9);
-        if scaling < 3.0 {
-            violations.push(format!(
-                "skew {skew:.2}: model-normalized scaling at 4 shards is \
-                 {scaling:.2}x vs 1 shard (need >= 3x)"
-            ));
-        }
-        let drift = (four.hit_rate() - one.hit_rate()).abs();
-        if drift > 0.02 {
-            violations.push(format!(
-                "skew {skew:.2}: hit rate drifted {:.1} points at 4 shards \
-                 ({:.4} vs {:.4}, allowed 2)",
-                drift * 100.0,
-                four.hit_rate(),
-                one.hit_rate()
-            ));
-        }
-    }
-
-    let runs: Vec<WallRun> = reports.iter().map(|r| r.wall_run(shape)).collect();
-
-    // Emit before asserting or gating, so a failing CI leg still uploads
-    // the run JSON for diagnosis (same convention as bench/scale/exec).
-    if let Some(path) = emit_json {
-        let mut out = String::from("{\n  \"schema\": \"mpdp-cluster-v1\",\n");
-        out.push_str(&format!(
-            "  \"config\": {{\"shape\": \"{shape}\", \"queries\": {queries}, \
-             \"workers\": {workers}, \"templates\": {}, \"shards\": {shards_list:?}, \
-             \"skews\": {skews:?}}},\n",
-            stream.templates
-        ));
-        out.push_str("  \"points\": [\n");
-        for (i, r) in reports.iter().enumerate() {
-            let sep = if i + 1 == reports.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", r.to_json_line()));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"runs\": [\n");
-        for (i, r) in runs.iter().enumerate() {
-            let sep = if i + 1 == runs.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"n\": {}, \"algorithm\": \"{}\", \
-                 \"wall_ms\": {:.3}}}{sep}\n",
-                r.shape, r.n, r.algorithm, r.wall_ms
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        std::fs::write(path, out).expect("write cluster JSON");
-        println!("# wrote {path}");
-    }
-
-    if !violations.is_empty() {
-        eprintln!("# CLUSTER ACCEPTANCE VIOLATIONS:");
-        for v in &violations {
-            eprintln!("#   {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("# cluster acceptance invariants held (scaling, hit-rate drift, staleness)");
-
-    if let Some(path) = check_against {
-        // Intersection coverage: the committed BENCH_cluster.json carries
-        // both the full and the CI-small configuration's rows.
-        gate_or_exit(path, &runs, "CLUSTER", false);
-    }
-}
-
-/// Helper for tests: expose a tiny end-to-end sanity run.
-#[allow(dead_code)]
-fn sanity(q: &QueryInfo) -> bool {
-    q.query_size() > 0
 }

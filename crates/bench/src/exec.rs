@@ -12,26 +12,18 @@
 //! and the executor's deterministic rows-touched work measure, with
 //! Spearman rank correlations per query.
 //!
-//! Two built-in checks make this a test as much as a report:
-//!
-//! * **oracle** — all strategies' plans of one query must produce the
-//!   identical root cardinality (joins are commutative and associative; any
-//!   divergence is a planner or executor bug and fails the run);
-//! * **feedback demo** — a deliberately skewed dataset drives the full
-//!   estimate→observe→invalidate→re-plan loop through `PlanService` and
-//!   reports the improvement of the corrected plan.
+//! One built-in check makes this a test as much as a report: all
+//! strategies' plans of one query must produce the identical root
+//! cardinality (joins are commutative and associative; any divergence is a
+//! planner or executor bug and fails the run).
 
-use crate::regress::WallRun;
-use crate::scaling::figure5_query;
+use crate::runner::figure5_query;
 use crate::stats::{mean, spearman};
 use mpdp::registry;
 use mpdp_core::counters::ExecCounters;
 use mpdp_core::LargeQuery;
 use mpdp_cost::{CostModel, PgLikeCost};
-use mpdp_exec::{
-    fold_observations, materialize, recost_plan, synthesize_catalog, ExecConfig, Executor,
-    GenConfig, SkewedEdge,
-};
+use mpdp_exec::{materialize, synthesize_catalog, ExecConfig, Executor, GenConfig};
 use mpdp_parallel::pool::with_pool;
 use mpdp_workload::ImdbSchema;
 use std::time::Duration;
@@ -43,7 +35,7 @@ pub const EXEC_STRATEGIES: [&str; 5] = ["DPCCP (1CPU)", "MPDP", "MPDP (4CPU)", "
 
 /// One query shape of the experiment.
 pub struct ExecCase {
-    /// Shape label (baseline JSON key).
+    /// Shape label.
     pub shape: &'static str,
     /// The query, with its original (unscaled) statistics.
     pub query: LargeQuery,
@@ -156,26 +148,14 @@ pub fn default_cases(model: &PgLikeCost) -> Vec<ExecCase> {
 
 /// One strategy's planned-and-executed run on one query.
 pub struct StrategyRun {
-    /// Registry label (base name — see [`StrategyRun::label`] for the
-    /// worker-count-qualified baseline key).
+    /// Registry label.
     pub algorithm: String,
-    /// Probe-phase worker count the executor ran with.
-    pub workers: usize,
     /// Modeled plan cost (on the scaled query the executor ran).
     pub modeled_cost: f64,
-    /// Optimization wall time in milliseconds.
-    pub plan_wall_ms: f64,
     /// Execution wall time in milliseconds (median of 3 runs).
     pub exec_wall_ms: f64,
-    /// Work/span-model execution wall (median of 3): the measured wall with
-    /// the probe phases' summed busy time replaced by the longest single
-    /// worker's — what the run costs with one core per worker. Equals
-    /// `exec_wall_ms` at 1 worker (DESIGN.md §2's `[model]` convention).
-    pub model_wall_ms: f64,
     /// Observed root cardinality.
     pub root_rows: u64,
-    /// Estimated root cardinality of the plan.
-    pub est_root_rows: f64,
     /// Executor counters (rows built/probed/emitted, batches, joins).
     pub counters: ExecCounters,
     /// Payload bytes per result row (table widths summed over the join).
@@ -191,18 +171,6 @@ impl StrategyRun {
             0.0
         } else {
             self.counters.rows_touched() as f64 / (self.exec_wall_ms / 1000.0)
-        }
-    }
-
-    /// The baseline/report key: the base algorithm name at 1 worker (the
-    /// historical key, so pre-parallelism baselines keep matching), with a
-    /// ` [Nw]` suffix at higher counts — same convention as `repro scale`'s
-    /// `(NCPU)` encoding.
-    pub fn label(&self) -> String {
-        if self.workers > 1 {
-            format!("{} [{}w]", self.algorithm, self.workers)
-        } else {
-            self.algorithm.clone()
         }
     }
 }
@@ -226,37 +194,10 @@ pub struct CaseReport {
     pub spearman_work: f64,
 }
 
-/// The feedback-loop demonstration (see [`run_feedback_demo`]).
-pub struct FeedbackDemo {
-    /// Estimated root cardinality of the originally cached plan.
-    pub est_root: f64,
-    /// Observed root cardinality of executing it on the skewed data.
-    pub observed_root: u64,
-    /// `max(est, obs) / min(est, obs)`.
-    pub deviation: f64,
-    /// Whether `PlanService::observe` evicted the cached plan.
-    pub invalidated: bool,
-    /// The original join order's cost re-priced under corrected statistics.
-    pub stale_cost_corrected: f64,
-    /// The re-planned (corrected-statistics) plan's cost.
-    pub replanned_cost: f64,
-    /// Rows touched executing the stale plan.
-    pub stale_rows_touched: u64,
-    /// Rows touched executing the re-planned order on the same data.
-    pub replanned_rows_touched: u64,
-    /// Whether the re-planned plan's estimate survived its own execution
-    /// (observe returns `false`, i.e. the loop converged).
-    pub converged: bool,
-    /// Cache counters after the demo (feedback checks/invalidations).
-    pub cache: mpdp_core::counters::CacheSnapshot,
-}
-
 /// Runs one case: catalog → data → plan × strategies → execute → oracle
 /// check. `Err` carries a description of an oracle violation, a failed
 /// strategy, or (at `workers > 1`) any divergence between the parallel and
-/// the sequential execution of the same plan — the in-run determinism gate
-/// that `exec-par-smoke` relies on, mirroring `repro scale`'s in-run
-/// bit-identity check.
+/// the sequential execution of the same plan.
 pub fn run_case(
     case: &ExecCase,
     model: &PgLikeCost,
@@ -300,18 +241,15 @@ pub fn run_case(
                 )
             })?;
             let mut walls = Vec::with_capacity(3);
-            let mut model_walls = Vec::with_capacity(3);
             let mut report = None;
             for _ in 0..3 {
                 let r = executor
                     .execute_in(pool, &planned.plan)
                     .map_err(|e| format!("{}/{name}: execution failed: {e}", case.shape))?;
                 walls.push(r.wall.as_secs_f64() * 1000.0);
-                model_walls.push(r.parallel_model_wall().as_secs_f64() * 1000.0);
                 report = Some(r);
             }
             walls.sort_by(|a, b| a.total_cmp(b));
-            model_walls.sort_by(|a, b| a.total_cmp(b));
             let report = report.expect("three runs happened");
             if workers > 1 {
                 // Determinism gate: re-run the plan sequentially and demand
@@ -345,13 +283,9 @@ pub fn run_case(
                 .unwrap_or(0);
             runs.push(StrategyRun {
                 algorithm: name.to_string(),
-                workers,
                 modeled_cost: planned.cost,
-                plan_wall_ms: planned.wall.as_secs_f64() * 1000.0,
                 exec_wall_ms: walls[1],
-                model_wall_ms: model_walls[1],
                 root_rows: report.root_rows,
-                est_root_rows: report.est_root_rows,
                 counters: report.counters,
                 bytes_per_row,
             });
@@ -385,333 +319,47 @@ pub fn run_case(
     })
 }
 
-/// Drives the full feedback loop on a deliberately skewed 3-relation chain:
-/// plan through a `PlanService`, execute on data whose middle edge is 0.3
-/// hot-key skewed (true selectivity ≈ 90× the estimate), `observe` the
-/// report (which must invalidate the cached plan), fold the observed
-/// selectivities into the catalog, re-plan the corrected query, and execute
-/// the new order on the *same* data.
-pub fn run_feedback_demo(model: &PgLikeCost) -> Result<FeedbackDemo, String> {
-    use mpdp::PlanServiceBuilder;
-    let mut q = LargeQuery::new(
-        [500.0, 500.0, 500.0]
-            .iter()
-            .map(|&rows| mpdp_core::RelInfo::new(rows, model.scan_cost(rows)))
-            .collect(),
+/// Renders the tab-separated `repro exec` report: one row per strategy run,
+/// then the cost-vs-runtime rank correlations per shape.
+pub fn render(cases: &[CaseReport]) -> String {
+    let mut out = String::new();
+    out.push_str(
+        "shape\tn\talgorithm\tmodeled_cost\texec_wall_ms\troot_rows\t\
+         rows_touched\trows_per_sec\tbytes_per_row\tbatches\n",
     );
-    q.add_edge(0, 1, 1.0 / 1000.0); // estimated highly selective; skewed below
-    q.add_edge(1, 2, 1.0 / 100.0);
-    let mut sc = synthesize_catalog(&q);
-    let data = materialize(
-        &q,
-        &GenConfig {
-            seed: 7,
-            skew: vec![SkewedEdge {
-                u: 0,
-                v: 1,
-                hot_fraction: 0.3,
-            }],
-            ..Default::default()
-        },
-        model,
-    );
-    let service = PlanServiceBuilder::new().build();
-    let served = service
-        .plan(&data.scaled, model)
-        .map_err(|e| format!("feedback: planning failed: {e}"))?;
-    let executor = Executor::new(&data.scaled, &data, ExecConfig::default());
-    let stale_report = executor
-        .execute(&served.planned.plan)
-        .map_err(|e| format!("feedback: stale execution failed: {e}"))?;
-    let invalidated = service.observe(served.fingerprint, model, &stale_report);
-
-    // Fold the observation into the catalog and re-plan under corrected
-    // statistics. Only the *estimates* change — the physical tables stay
-    // the ones the stale plan ran on (re-materializing from corrected
-    // selectivities would alter the key domains and measure different
-    // data).
-    fold_observations(&mut sc, &stale_report);
-    let corrected_q = sc.build_query(model);
-    let replanned = service
-        .plan(&corrected_q, model)
-        .map_err(|e| format!("feedback: re-planning failed: {e}"))?;
-    let corrected_qi = corrected_q
-        .to_query_info()
-        .expect("3 relations fit the bitmap regime");
-    let stale_cost_corrected = recost_plan(&served.planned.plan, &corrected_qi, model).cost();
-    let replanned_report = executor
-        .execute(&replanned.planned.plan)
-        .map_err(|e| format!("feedback: corrected execution failed: {e}"))?;
-    let converged = !service.observe(replanned.fingerprint, model, &replanned_report);
-    Ok(FeedbackDemo {
-        est_root: stale_report.est_root_rows,
-        observed_root: stale_report.root_rows,
-        deviation: stale_report.root_deviation(),
-        invalidated,
-        stale_cost_corrected,
-        replanned_cost: replanned.planned.cost,
-        stale_rows_touched: stale_report.counters.rows_touched(),
-        replanned_rows_touched: replanned_report.counters.rows_touched(),
-        converged,
-        cache: service.cache_counters(),
-    })
-}
-
-/// The whole `repro exec` report.
-pub struct ExecBenchReport {
-    /// One entry per shape.
-    pub cases: Vec<CaseReport>,
-    /// The feedback-loop demonstration.
-    pub demo: FeedbackDemo,
-}
-
-impl ExecBenchReport {
-    /// Renders the tab-separated report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "shape\tn\talgorithm\tmodeled_cost\texec_wall_ms\tmodel_wall_ms\troot_rows\t\
-             rows_touched\trows_per_sec\tbytes_per_row\tbatches\n",
-        );
-        for c in &self.cases {
-            for r in &c.runs {
-                out.push_str(&format!(
-                    "{}\t{}\t{}\t{:.3e}\t{:.3}\t{:.3}\t{}\t{}\t{:.3e}\t{}\t{}\n",
-                    c.shape,
-                    c.n,
-                    r.label(),
-                    r.modeled_cost,
-                    r.exec_wall_ms,
-                    r.model_wall_ms,
-                    r.root_rows,
-                    r.counters.rows_touched(),
-                    r.rows_per_sec(),
-                    r.bytes_per_row,
-                    r.counters.batches,
-                ));
-            }
-        }
-        out.push_str("\nshape\tdataset_rows\tspearman(cost,wall)\tspearman(cost,work)\n");
-        for c in &self.cases {
-            out.push_str(&format!(
-                "{}\t{}\t{:.2}\t{:.2}\n",
-                c.shape, c.dataset_rows, c.spearman_wall, c.spearman_work
-            ));
-        }
-        let walls: Vec<f64> = self
-            .cases
-            .iter()
-            .map(|c| c.spearman_wall)
-            .filter(|s| s.is_finite())
-            .collect();
-        out.push_str(&format!(
-            "# mean spearman(cost,wall) across shapes: {:.2}\n",
-            mean(&walls)
-        ));
-        let d = &self.demo;
-        out.push_str(&format!(
-            "\n## feedback loop (3-relation chain, middle edge 0.3 hot-key skew)\n\
-             estimated root rows\t{:.0}\n\
-             observed root rows\t{}\n\
-             deviation\t{:.1}x\n\
-             cached plan invalidated\t{}\n\
-             stale order cost (corrected stats)\t{:.3e}\n\
-             re-planned order cost\t{:.3e}\n\
-             stale rows touched\t{}\n\
-             re-planned rows touched\t{}\n\
-             second observe invalidates\t{}\n\
-             feedback checks/invalidations\t{}/{}\n",
-            d.est_root,
-            d.observed_root,
-            d.deviation,
-            d.invalidated,
-            d.stale_cost_corrected,
-            d.replanned_cost,
-            d.stale_rows_touched,
-            d.replanned_rows_touched,
-            !d.converged,
-            d.cache.feedback_checks,
-            d.cache.feedback_invalidations,
-        ));
-        out
-    }
-
-    /// The wall runs for the shared machine-normalized regression gate
-    /// (execution walls, keyed like every other baseline; parallel runs
-    /// carry the ` [Nw]` label suffix so each worker count gates against
-    /// its own baseline row).
-    pub fn wall_runs(&self) -> Vec<WallRun> {
-        self.cases
-            .iter()
-            .flat_map(|c| {
-                c.runs.iter().map(|r| WallRun {
-                    shape: c.shape.to_string(),
-                    n: c.n,
-                    algorithm: r.label(),
-                    wall_ms: r.exec_wall_ms,
-                })
-            })
-            .collect()
-    }
-
-    /// One self-contained JSON object per run line (the committed
-    /// `BENCH_exec.json` format; readable by `regress::check_regressions`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"mpdp-exec-v1\",\n  \"runs\": [\n");
-        let total: usize = self.cases.iter().map(|c| c.runs.len()).sum();
-        let mut i = 0;
-        for c in &self.cases {
-            for r in &c.runs {
-                i += 1;
-                let sep = if i == total { "" } else { "," };
-                out.push_str(&format!(
-                    "    {{\"shape\": \"{}\", \"n\": {}, \"algorithm\": \"{}\", \
-                     \"workers\": {}, \"wall_ms\": {:.3}, \"model_wall_ms\": {:.3}, \
-                     \"plan_wall_ms\": {:.3}, \"modeled_cost\": {:.6e}, \
-                     \"root_rows\": {}, \"rows_touched\": {}, \"rows_per_sec\": {:.6e}, \
-                     \"bytes_per_row\": {}, \"batches\": {}}}{sep}\n",
-                    c.shape,
-                    c.n,
-                    r.label(),
-                    r.workers,
-                    r.exec_wall_ms,
-                    r.model_wall_ms,
-                    r.plan_wall_ms,
-                    r.modeled_cost,
-                    r.root_rows,
-                    r.counters.rows_touched(),
-                    r.rows_per_sec(),
-                    r.bytes_per_row,
-                    r.counters.batches,
-                ));
-            }
-        }
-        out.push_str("  ],\n  \"correlation\": [\n");
-        for (ci, c) in self.cases.iter().enumerate() {
-            let sep = if ci + 1 == self.cases.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"shape\": \"{}\", \"workers\": {}, \"spearman_wall\": {:.3}, \
-                 \"spearman_work\": {:.3}}}{sep}\n",
-                c.shape, c.workers, c.spearman_wall, c.spearman_work
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"feedback\": {{\"deviation\": {:.2}, \"invalidated\": {}, \
-             \"stale_cost_corrected\": {:.6e}, \"replanned_cost\": {:.6e}, \
-             \"stale_rows_touched\": {}, \"replanned_rows_touched\": {}, \"converged\": {}}}\n}}\n",
-            self.demo.deviation,
-            self.demo.invalidated,
-            self.demo.stale_cost_corrected,
-            self.demo.replanned_cost,
-            self.demo.stale_rows_touched,
-            self.demo.replanned_rows_touched,
-            self.demo.converged,
-        ));
-        out
-    }
-}
-
-/// Runs the full experiment: all shapes at every requested worker count
-/// (`workers` empty means `[1]`), plus the feedback demo (which always runs
-/// sequentially — its subject is estimation error, not parallelism).
-pub fn run_exec_bench(
-    model: &PgLikeCost,
-    seed: u64,
-    workers: &[usize],
-) -> Result<ExecBenchReport, String> {
-    let workers = if workers.is_empty() {
-        &[1][..]
-    } else {
-        workers
-    };
-    let mut cases = Vec::new();
-    for &w in workers {
-        for case in default_cases(model) {
-            cases.push(run_case(&case, model, seed, w)?);
-        }
-    }
-    // Cross-worker-count oracle inside one invocation: deterministic fields
-    // must agree between every pair of worker counts for the same shape.
-    for c in &cases[..] {
-        if let Some(base) = cases
-            .iter()
-            .find(|b| b.shape == c.shape && b.workers != c.workers)
-        {
-            for (rc, rb) in c.runs.iter().zip(&base.runs) {
-                if rc.root_rows != rb.root_rows || rc.counters != rb.counters {
-                    return Err(format!(
-                        "DETERMINISM VIOLATION on {}/{}: {}w and {}w runs disagree \
-                         (root {} vs {}; counters {:?} vs {:?})",
-                        c.shape,
-                        rc.algorithm,
-                        c.workers,
-                        base.workers,
-                        rc.root_rows,
-                        rb.root_rows,
-                        rc.counters,
-                        rb.counters,
-                    ));
-                }
-            }
-        }
-    }
-    let demo = run_feedback_demo(model)?;
-    Ok(ExecBenchReport { cases, demo })
-}
-
-/// Compares the deterministic fields of `report`'s runs against the
-/// committed baseline at `path`: root cardinality, rows touched, and exact
-/// morsel counts must match the baseline's **1-worker** row for the same
-/// shape/strategy bit-for-bit. Because those fields are worker-invariant by
-/// construction, every CI matrix leg (`--workers 1|2|4`) checks against the
-/// same committed values — a divergence at any worker count shows up even
-/// though each leg runs only one count. Returns human-readable findings
-/// (empty = green).
-pub fn check_exec_determinism(path: &str, report: &ExecBenchReport) -> Vec<String> {
-    use crate::regress::{json_num, json_str};
-    let baseline = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => return vec![format!("cannot read baseline {path}: {e}")],
-    };
-    let mut out = Vec::new();
-    for c in &report.cases {
+    for c in cases {
         for r in &c.runs {
-            // The worker-invariant baseline key is the plain 1-worker row.
-            let row = baseline.lines().find(|line| {
-                let line = line.trim().trim_end_matches(',');
-                line.starts_with('{')
-                    && json_str(line, "shape") == Some(c.shape)
-                    && json_str(line, "algorithm") == Some(r.algorithm.as_str())
-                    && json_num(line, "n") == Some(c.n as f64)
-            });
-            let Some(row) = row else {
-                out.push(format!(
-                    "{}({})/{}: no 1-worker baseline row in {path}",
-                    c.shape, c.n, r.algorithm
-                ));
-                continue;
-            };
-            let row = row.trim().trim_end_matches(',');
-            let checks = [
-                ("root_rows", r.root_rows),
-                ("rows_touched", r.counters.rows_touched()),
-                ("batches", r.counters.batches),
-            ];
-            for (key, cur) in checks {
-                match json_num(row, key) {
-                    Some(base) if (base - cur as f64).abs() < 0.5 => {}
-                    Some(base) => out.push(format!(
-                        "{}({})/{} at {}w: {key} = {cur} diverges from baseline {base}",
-                        c.shape, c.n, r.algorithm, r.workers
-                    )),
-                    None => out.push(format!(
-                        "{}({})/{}: baseline row lacks {key}",
-                        c.shape, c.n, r.algorithm
-                    )),
-                }
-            }
+            out.push_str(&format!(
+                "{}\t{}\t{}\t{:.3e}\t{:.3}\t{}\t{}\t{:.3e}\t{}\t{}\n",
+                c.shape,
+                c.n,
+                r.algorithm,
+                r.modeled_cost,
+                r.exec_wall_ms,
+                r.root_rows,
+                r.counters.rows_touched(),
+                r.rows_per_sec(),
+                r.bytes_per_row,
+                r.counters.batches,
+            ));
         }
     }
+    out.push_str("\nshape\tdataset_rows\tspearman(cost,wall)\tspearman(cost,work)\n");
+    for c in cases {
+        out.push_str(&format!(
+            "{}\t{}\t{:.2}\t{:.2}\n",
+            c.shape, c.dataset_rows, c.spearman_wall, c.spearman_work
+        ));
+    }
+    let walls: Vec<f64> = cases
+        .iter()
+        .map(|c| c.spearman_wall)
+        .filter(|s| s.is_finite())
+        .collect();
+    out.push_str(&format!(
+        "# mean spearman(cost,wall) across shapes: {:.2}\n",
+        mean(&walls)
+    ));
     out
 }
 
@@ -749,36 +397,6 @@ mod tests {
         for (a, b) in seq.runs.iter().zip(&par.runs) {
             assert_eq!(a.root_rows, b.root_rows);
             assert_eq!(a.counters, b.counters);
-            assert_eq!(a.label(), a.algorithm, "1-worker label keeps the bare key");
-            assert_eq!(b.label(), format!("{} [4w]", a.algorithm));
         }
-    }
-
-    /// `check_exec_determinism` is green against a self-emitted baseline
-    /// and flags a tampered deterministic field.
-    #[test]
-    fn determinism_check_flags_divergence() {
-        let model = PgLikeCost::new();
-        let mut case = default_cases(&model).remove(1); // chain
-        case.max_table_rows = 1_000;
-        let c = run_case(&case, &model, 5, 1).expect("case runs");
-        let demo = run_feedback_demo(&model).expect("demo runs");
-        let mut report = ExecBenchReport {
-            cases: vec![c],
-            demo,
-        };
-        let dir = std::env::temp_dir().join(format!("exec-det-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("base.json");
-        std::fs::write(&path, report.to_json()).unwrap();
-        let p = path.to_str().unwrap();
-        assert!(check_exec_determinism(p, &report).is_empty());
-        report.cases[0].runs[0].root_rows += 1;
-        let findings = check_exec_determinism(p, &report);
-        assert!(
-            findings.iter().any(|f| f.contains("root_rows")),
-            "{findings:?}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

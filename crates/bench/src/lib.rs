@@ -18,22 +18,14 @@
 #![warn(missing_docs)]
 
 pub mod aws;
-pub mod cluster;
 pub mod exec;
 pub mod regress;
 pub mod runner;
 pub mod scale;
-pub mod scaling;
-pub mod serve;
 pub mod starform;
 pub mod stats;
 pub mod trace;
 
-pub use cluster::{run_cluster, ClusterReport, ClusterRunConfig};
-pub use exec::{run_exec_bench, ExecBenchReport, EXEC_STRATEGIES};
-pub use regress::{check_regressions, WallRun};
 pub use runner::{run_exact, AlgoKind, RunOutcome, EXACT_ROSTER};
 pub use scale::Scale;
-pub use scaling::{run_scale, ScaleConfig, ScaleReport};
-pub use serve::{replay, ServeConfig, ServeReport};
 pub use trace::{run_trace, TraceConfig, TraceReport};

@@ -1,356 +1,139 @@
-//! The wall-time regression gate shared by `repro bench` and `repro scale`.
+//! The exact gate behind `repro bench --check-against BENCH_baseline.json`.
 //!
-//! A baseline JSON (committed as `BENCH_baseline.json` / `BENCH_scale.json`)
-//! holds one self-contained object per line with at least `shape`, `n`,
-//! `algorithm` and `wall_ms`; the gate re-times the same runs and flags
-//! algorithm-specific slowdowns beyond 2× after normalizing out the
-//! machine-speed difference.
-//!
-//! Besides the pass/fail findings ([`check_regressions`]), the gate can
-//! render its full table as GitHub-flavored markdown ([`summary_markdown`])
-//! and append it to the Actions job summary ([`append_step_summary`]) —
-//! `repro`'s `--summary-md` flag, wired into every gating CI leg.
+//! A bench document holds one self-contained JSON object per run line
+//! (`shape`, `n`, `algorithm`, then times and counters). Every counter on
+//! such a line is a pure function of the algorithm and the query, so the
+//! gate compares them as printed, to the digit, and a faster or slower
+//! machine cannot move it. `wall_ms` is information and gates nothing.
 
-/// One timed run, keyed the way baselines store it.
-#[derive(Clone, Debug)]
-pub struct WallRun {
-    /// Query shape label (`"chain"`, `"fig5"`, …).
-    pub shape: String,
-    /// Relation count.
-    pub n: usize,
-    /// Algorithm label; `repro scale` encodes the worker count here
-    /// (`"MPDP (4CPU)"`).
-    pub algorithm: String,
-    /// Measured wall time in milliseconds.
-    pub wall_ms: f64,
-}
+/// The fields of a run line that must repeat exactly.
+const EXACT_FIELDS: [&str; 8] = [
+    "cost",
+    "evaluated",
+    "ccp",
+    "sets",
+    "unranked",
+    "memo_load",
+    "memo_probes",
+    "cas_retries",
+];
 
-/// One baseline row matched against a current run — the unit of the gate
-/// table rendered into `$GITHUB_STEP_SUMMARY` by [`summary_markdown`].
-#[derive(Clone, Debug)]
-pub struct GateRow {
-    /// `shape(n)/algorithm` key.
-    pub label: String,
-    /// Baseline wall time in milliseconds.
-    pub baseline_ms: f64,
-    /// Current wall time in milliseconds.
-    pub current_ms: f64,
-    /// Whether this row tripped the gate.
-    pub flagged: bool,
-}
-
-/// The structured result of one regression-gate evaluation.
-#[derive(Clone, Debug)]
-pub struct GateReport {
-    /// Median current/baseline wall ratio across matched rows (the
-    /// machine-speed factor regressions are normalized by); 1.0 when
-    /// nothing matched.
-    pub machine_factor: f64,
-    /// Every matched row, flagged or not.
-    pub rows: Vec<GateRow>,
-    /// Human-readable findings; empty means the gate is green.
-    pub findings: Vec<String>,
-}
-
-/// Reads `(shape, n, algorithm) -> wall_ms` records from a baseline JSON
-/// produced with `--emit-json` (one record per line) and evaluates `current`
-/// against them. `require_full_coverage` makes a baseline row with no
-/// current counterpart a finding (the bench gate re-runs its whole roster);
-/// the scale/exec smoke legs re-time a deliberate subset of their committed
-/// baselines (one worker count per matrix leg), so they pass `false` and
-/// only the intersection is compared.
-///
-/// The baseline was timed on one specific machine, so raw ratios would flag
-/// every run on a uniformly slower CI runner. The check therefore
-/// normalizes by the *median* current/baseline ratio across all matched
-/// runs (the machine-speed factor) and only flags algorithm-specific
-/// regressions beyond 2× of that. Noise floor: a run is only flagged once
-/// its absolute wall time exceeds 5 ms — sub-millisecond rows jitter far
-/// more than 2× between invocations, but a genuine blow-up still crosses
-/// the floor.
-pub fn gate_report(path: &str, current: &[WallRun], require_full_coverage: bool) -> GateReport {
-    const FACTOR: f64 = 2.0;
-    const FLOOR_MS: f64 = 5.0;
-    let baseline = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            return GateReport {
-                machine_factor: 1.0,
-                rows: Vec::new(),
-                findings: vec![format!("cannot read baseline {path}: {e}")],
-            }
-        }
-    };
+/// Compares every run line of `committed` with the line of `current` that
+/// has the same `(shape, n, algorithm)`: each of `EXACT_FIELDS` must be
+/// printed identically — and `reported_ms` too on the `(GPU)` rows, where it
+/// is the SIMT simulator's cycle count, not a clock. Returns one finding per
+/// mismatching cell, `shape(n)/algorithm.field: …`; a committed row with no
+/// current counterpart is a finding, and so is a document with no rows.
+/// Empty means the gate is green.
+pub fn exact_mismatches(committed: &str, current: &str) -> Vec<String> {
+    let now = run_rows(current);
+    let committed = run_rows(committed);
     let mut findings = Vec::new();
-    // (label, baseline wall, current wall) for every matched run.
-    let mut matched: Vec<(String, f64, f64)> = Vec::new();
-    for line in baseline.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') || !line.contains("\"algorithm\"") {
-            continue;
-        }
-        let (Some(shape), Some(algo), Some(n), Some(wall)) = (
-            json_str(line, "shape"),
-            json_str(line, "algorithm"),
-            json_num(line, "n"),
-            json_num(line, "wall_ms"),
-        ) else {
+    if committed.is_empty() {
+        findings.push("the committed document has no run rows".to_owned());
+    }
+    for (key, line) in committed {
+        let [shape, n, algorithm] = key;
+        let label = format!("{shape}({n})/{algorithm}");
+        let Some((_, cur)) = now.iter().find(|(k, _)| *k == key) else {
+            findings.push(format!("{label}: committed row has no current counterpart"));
             continue;
         };
-        let Some(cur) = current
-            .iter()
-            .find(|r| r.shape == shape && r.algorithm == algo && (r.n as f64 - n).abs() < 0.5)
-        else {
-            if require_full_coverage {
+        let gpu = algorithm.ends_with("(GPU)").then_some("reported_ms");
+        for field in EXACT_FIELDS.into_iter().chain(gpu) {
+            let (want, got) = (json_raw(line, field), json_raw(cur, field));
+            if want.is_none() || want != got {
                 findings.push(format!(
-                    "{shape}({n})/{algo}: present in baseline, missing now"
-                ));
-            }
-            continue;
-        };
-        matched.push((format!("{shape}({n})/{algo}"), wall, cur.wall_ms));
-    }
-    if matched.is_empty() {
-        findings.push(format!("no baseline runs matched in {path}"));
-        return GateReport {
-            machine_factor: 1.0,
-            rows: Vec::new(),
-            findings,
-        };
-    }
-    let mut ratios: Vec<f64> = matched
-        .iter()
-        .map(|(_, base, cur)| cur / base.max(1e-9))
-        .collect();
-    ratios.sort_unstable_by(|a, b| a.total_cmp(b));
-    let machine_factor = ratios[ratios.len() / 2].max(1e-9);
-    println!("# machine-speed factor vs baseline (median wall ratio): {machine_factor:.2}");
-    let mut rows = Vec::with_capacity(matched.len());
-    for (label, base, cur) in matched {
-        let flagged = cur > FLOOR_MS && cur > FACTOR * machine_factor * base;
-        if flagged {
-            findings.push(format!(
-                "{label}: {cur:.1} ms vs baseline {base:.1} ms (machine factor {machine_factor:.2})"
-            ));
-        }
-        rows.push(GateRow {
-            label,
-            baseline_ms: base,
-            current_ms: cur,
-            flagged,
-        });
-    }
-    GateReport {
-        machine_factor,
-        rows,
-        findings,
-    }
-}
-
-/// [`gate_report`] reduced to its findings — the historical entry point
-/// (`repro`'s exit-code gate and the tests use this).
-pub fn check_regressions(
-    path: &str,
-    current: &[WallRun],
-    require_full_coverage: bool,
-) -> Vec<String> {
-    gate_report(path, current, require_full_coverage).findings
-}
-
-/// Renders one gate evaluation as a GitHub-flavored markdown section: a
-/// verdict line, the machine factor, the full gate table (flagged rows
-/// bolded and marked), and any non-row findings — everything needed to
-/// diagnose a red bench leg from the Actions run page without downloading
-/// artifacts.
-pub fn summary_markdown(title: &str, report: &GateReport) -> String {
-    let verdict = if report.findings.is_empty() {
-        "✅ no wall-time regression"
-    } else {
-        "❌ gate failed"
-    };
-    let mut md = format!(
-        "### {title} — {verdict}\n\nmachine-speed factor vs baseline (median wall ratio): \
-         `{:.2}`\n\n",
-        report.machine_factor
-    );
-    if !report.rows.is_empty() {
-        md.push_str("| run | baseline ms | current ms | ratio | |\n|---|---:|---:|---:|---|\n");
-        for r in &report.rows {
-            let ratio = r.current_ms / r.baseline_ms.max(1e-9);
-            if r.flagged {
-                md.push_str(&format!(
-                    "| **{}** | {:.2} | **{:.2}** | **{:.2}×** | 🚨 |\n",
-                    r.label, r.baseline_ms, r.current_ms, ratio
-                ));
-            } else {
-                md.push_str(&format!(
-                    "| {} | {:.2} | {:.2} | {:.2}× | |\n",
-                    r.label, r.baseline_ms, r.current_ms, ratio
+                    "{label}.{field}: committed {} != current {}",
+                    want.unwrap_or("(absent)"),
+                    got.unwrap_or("(absent)")
                 ));
             }
         }
     }
-    let non_row: Vec<&String> = report
-        .findings
-        .iter()
-        .filter(|f| {
-            !report
-                .rows
-                .iter()
-                .any(|r| r.flagged && f.starts_with(&r.label))
+    findings
+}
+
+/// The run lines of a bench document, each under its `[shape, n, algorithm]`.
+fn run_rows(doc: &str) -> Vec<([&str; 3], &str)> {
+    doc.lines()
+        .filter_map(|line| {
+            let key = ["shape", "n", "algorithm"].map(|k| json_raw(line, k));
+            Some(([key[0]?, key[1]?, key[2]?], line))
         })
-        .collect();
-    if !non_row.is_empty() {
-        md.push('\n');
-        for f in non_row {
-            md.push_str(&format!("- ⚠️ {f}\n"));
-        }
-    }
-    md.push('\n');
-    md
+        .collect()
 }
 
-/// Appends a markdown fragment to the file `$GITHUB_STEP_SUMMARY` points at
-/// (the GitHub Actions job-summary channel). Outside Actions — or if the
-/// append fails — the fragment goes to stdout instead, so `--summary-md`
-/// is observable in local runs too.
-pub fn append_step_summary(md: &str) {
-    use std::io::Write;
-    if let Some(path) = std::env::var_os("GITHUB_STEP_SUMMARY") {
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(md.as_bytes()));
-        if appended.is_ok() {
-            return;
-        }
-    }
-    print!("{md}");
-}
-
-/// Extracts `"key": "value"` from a single-line JSON object.
-pub fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(&line[start..end])
-}
-
-/// Extracts `"key": <number>` from a single-line JSON object.
-pub fn json_num(line: &str, key: &str) -> Option<f64> {
+/// The value of `"key": value` on a single-line JSON object, as printed: a
+/// string without its quotes, anything else up to the next `,` or `}`.
+fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let rest = &line[line.find(&tag)? + tag.len()..];
+    match rest.strip_prefix('"') {
+        Some(quoted) => quoted.split('"').next(),
+        None => rest.split([',', '}']).next(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run(shape: &str, n: usize, algo: &str, wall: f64) -> WallRun {
-        WallRun {
-            shape: shape.into(),
-            n,
-            algorithm: algo.into(),
-            wall_ms: wall,
+    const DOC: &str = r#"{
+  "schema": "mpdp-bench-v1",
+  "runs": [
+    {"shape": "chain", "n": 16, "algorithm": "MPDP", "wall_ms": 0.049, "reported_ms": 0.049, "reported_is_model": false, "cost": 4.274171e4, "evaluated": 1360, "ccp": 1360, "sets": 120, "unranked": 0, "memo_load": 0.531, "memo_probes": 205, "cas_retries": 0},
+    {"shape": "chain", "n": 16, "algorithm": "MPDP (GPU)", "wall_ms": 0.062, "reported_ms": 0.736, "reported_is_model": true, "cost": 4.274171e4, "evaluated": 1360, "ccp": 1360, "sets": 120, "unranked": 0, "memo_load": 0.531, "memo_probes": 221, "cas_retries": 0}
+  ],
+  "frontier_vs_unranked": [
+    {"shape": "chain", "n": 20, "sets": 190, "unranked": 1048555, "reduction": 5518.7}
+  ]
+}
+"#;
+
+    #[test]
+    fn equal_counts_pass_whatever_the_clock_says() {
+        assert!(exact_mismatches(DOC, DOC).is_empty());
+        let other_machine = DOC
+            .replace("\"wall_ms\": 0.049", "\"wall_ms\": 7.5")
+            .replace("\"reported_ms\": 0.049", "\"reported_ms\": 7.5");
+        assert!(exact_mismatches(DOC, &other_machine).is_empty());
+        // More rows now than were committed is not a finding either.
+        assert!(exact_mismatches(&without_gpu_row(), DOC).is_empty());
+    }
+
+    fn without_gpu_row() -> String {
+        let kept = DOC.lines().filter(|l| !l.contains("(GPU)"));
+        kept.map(|l| format!("{l}\n")).collect()
+    }
+
+    #[test]
+    fn one_count_off_by_one_names_exactly_that_cell() {
+        let mpdp_row = DOC.lines().nth(3).unwrap();
+        for field in EXACT_FIELDS {
+            let value = json_raw(mpdp_row, field).unwrap();
+            let (head, last) = value.split_at(value.len() - 1);
+            let bumped = (last.parse::<u8>().unwrap() + 1) % 10;
+            let cell = |v: &str| format!("\"{field}\": {v}");
+            let changed = DOC.replacen(&cell(value), &cell(&format!("{head}{bumped}")), 1);
+            let findings = exact_mismatches(DOC, &changed);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert!(
+                findings[0].starts_with(&format!("chain(16)/MPDP.{field}: committed {value} ")),
+                "{findings:?}"
+            );
         }
+        // The simulator's cycle count gates on the GPU row only.
+        let findings = exact_mismatches(DOC, &DOC.replace("0.736", "0.737"));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("chain(16)/MPDP (GPU).reported_ms: committed 0.736"));
     }
 
     #[test]
-    fn json_field_extraction() {
-        let line = r#"{"shape": "chain", "n": 16, "algorithm": "MPDP", "wall_ms": 12.5}"#;
-        assert_eq!(json_str(line, "shape"), Some("chain"));
-        assert_eq!(json_str(line, "algorithm"), Some("MPDP"));
-        assert_eq!(json_num(line, "n"), Some(16.0));
-        assert_eq!(json_num(line, "wall_ms"), Some(12.5));
-        assert_eq!(json_num(line, "missing"), None);
-    }
-
-    #[test]
-    fn gate_flags_only_specific_regressions() {
-        let dir = std::env::temp_dir().join(format!("regress-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("base.json");
-        std::fs::write(
-            &path,
-            concat!(
-                "{\"shape\": \"a\", \"n\": 10, \"algorithm\": \"X\", \"wall_ms\": 10.0},\n",
-                "{\"shape\": \"b\", \"n\": 10, \"algorithm\": \"X\", \"wall_ms\": 10.0},\n",
-                "{\"shape\": \"c\", \"n\": 10, \"algorithm\": \"X\", \"wall_ms\": 10.0}\n",
-            ),
-        )
-        .unwrap();
-        let p = path.to_str().unwrap();
-        // Uniform 1.5x slowdown (slower machine): no flags.
-        let uniform = [
-            run("a", 10, "X", 15.0),
-            run("b", 10, "X", 15.0),
-            run("c", 10, "X", 15.0),
-        ];
-        assert!(check_regressions(p, &uniform, true).is_empty());
-        // One run blown up 10x beyond the machine factor: flagged.
-        let blown = [
-            run("a", 10, "X", 10.0),
-            run("b", 10, "X", 10.0),
-            run("c", 10, "X", 100.0),
-        ];
-        let flags = check_regressions(p, &blown, true);
-        assert_eq!(flags.len(), 1);
-        assert!(flags[0].contains('c'), "{flags:?}");
-        // Missing run: reported.
-        let missing = [run("a", 10, "X", 10.0), run("b", 10, "X", 10.0)];
-        assert!(check_regressions(p, &missing, true)
-            .iter()
-            .any(|f| f.contains("missing now")));
-        // Subset mode: the same gap is tolerated (scale smoke re-times a
-        // deliberate subset of the committed full sweep).
-        assert!(check_regressions(p, &missing, false).is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn summary_markdown_renders_gate_table() {
-        let dir = std::env::temp_dir().join(format!("regress-md-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("base.json");
-        std::fs::write(
-            &path,
-            concat!(
-                "{\"shape\": \"a\", \"n\": 10, \"algorithm\": \"X\", \"wall_ms\": 10.0},\n",
-                "{\"shape\": \"b\", \"n\": 10, \"algorithm\": \"X\", \"wall_ms\": 10.0},\n",
-                "{\"shape\": \"c\", \"n\": 10, \"algorithm\": \"X\", \"wall_ms\": 10.0}\n",
-            ),
-        )
-        .unwrap();
-        let p = path.to_str().unwrap();
-        let steady = [
-            run("a", 10, "X", 10.0),
-            run("b", 10, "X", 10.0),
-            run("c", 10, "X", 10.0),
-        ];
-        let green = gate_report(p, &steady, true);
-        assert!(green.findings.is_empty());
-        assert_eq!(green.rows.len(), 3);
-        let md = summary_markdown("exec gate", &green);
-        assert!(md.contains("### exec gate — ✅"), "{md}");
-        assert!(md.contains("| a(10)/X | 10.00 | 10.00 | 1.00× | |"), "{md}");
-
-        let blown = [
-            run("a", 10, "X", 10.0),
-            run("b", 10, "X", 100.0),
-            run("c", 10, "X", 10.0),
-        ];
-        let red = gate_report(p, &blown, true);
-        assert_eq!(red.findings.len(), 1);
-        let md = summary_markdown("exec gate", &red);
-        assert!(md.contains("❌ gate failed"), "{md}");
-        assert!(md.contains("**b(10)/X**"), "{md}");
-        assert!(md.contains("🚨"), "{md}");
-        std::fs::remove_dir_all(&dir).ok();
+    fn a_committed_row_that_is_gone_is_a_finding() {
+        let findings = exact_mismatches(DOC, &without_gpu_row());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("chain(16)/MPDP (GPU): "));
+        assert_eq!(exact_mismatches("{}\n", DOC).len(), 1);
     }
 }

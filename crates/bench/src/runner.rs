@@ -7,9 +7,37 @@
 
 use mpdp::Strategy;
 use mpdp_core::counters::Counters;
-use mpdp_core::{OptError, QueryInfo};
+use mpdp_core::{JoinGraph, OptError, QueryInfo, RelInfo};
 use mpdp_cost::model::CostModel;
+use mpdp_cost::pglike::PgLikeCost;
 use std::time::Duration;
+
+/// The Figure 5 nine-relation cyclic query (two 4-blocks + two bridges) —
+/// the paper's running example, shared by `repro bench` and `repro exec`.
+pub fn figure5_query(model: &PgLikeCost) -> QueryInfo {
+    let mut g = JoinGraph::new(9);
+    for &(u, v) in &[
+        (1, 2),
+        (2, 4),
+        (4, 3),
+        (3, 1),
+        (4, 5),
+        (5, 9),
+        (6, 7),
+        (7, 8),
+        (8, 9),
+        (9, 6),
+    ] {
+        g.add_edge(u - 1, v - 1, 0.01);
+    }
+    let rels = (0..9)
+        .map(|i| {
+            let rows = 1000.0 * (i + 1) as f64;
+            RelInfo::new(rows, model.scan_cost(rows))
+        })
+        .collect();
+    QueryInfo::new(g, rels)
+}
 
 /// The algorithms of the paper's exact-evaluation figures.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -109,7 +137,6 @@ pub fn run_exact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdp_cost::pglike::PgLikeCost;
     use mpdp_workload::gen;
 
     #[test]

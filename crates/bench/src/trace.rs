@@ -311,13 +311,13 @@ mod tests {
     /// perf leg runs with) must cost ≤ 2% of serve throughput. Rather
     /// than differencing two noisy end-to-end runs, this measures the two
     /// factors directly: the per-site disabled-path cost (one relaxed
-    /// atomic branch per crossing) and the real per-request service time
-    /// of the gated replay path — then bounds the product. A request
-    /// crosses well under 8 instrumented sites on its fastest (cache-hit)
-    /// path; 8 × the measured *triple*-op cost over-counts generously.
+    /// atomic branch per crossing) and the service time of the fastest
+    /// request there is, a cache hit — then bounds the product. A hit
+    /// crosses well under 8 instrumented sites; 8 × the measured
+    /// *triple*-op cost over-counts generously.
     #[test]
     fn disabled_tracing_overhead_gate() {
-        use mpdp::PlanServiceBuilder;
+        use mpdp::{PlanRequest, PlanServiceBuilder};
         use mpdp_obs::{sites, SpanCtx};
         use std::hint::black_box;
         use std::time::Instant;
@@ -340,36 +340,37 @@ mod tests {
         // Three disabled crossings per iteration.
         let per_site_ns = best_ns / 3.0;
 
-        let service = PlanServiceBuilder::new().build();
-        let model = PgLikeCost::new();
-        let report = crate::serve::replay(
-            &service,
-            &model,
-            &crate::serve::ServeConfig {
-                total: 300,
-                workers: 1,
-                stream: StreamSpec {
-                    templates: 12,
-                    min_rels: 4,
-                    max_rels: 7,
-                    ..StreamSpec::default()
-                },
-            },
-        )
-        .expect("replay");
-        let per_request_ns = 1e9 / report.throughput().max(1e-9);
-
-        let overhead_ns = 8.0 * per_site_ns;
-        // The 2% bound is a claim about the optimized build (the one every
-        // perf leg runs); unoptimized disabled-path code is ~20× slower
-        // and would gate nothing but the debug compiler.
+        // The optimized build is the one every perf leg runs, and the only
+        // one the 2% is a claim about: unoptimized disabled-path code is
+        // ~20× slower and would gate nothing but the debug compiler.
         if cfg!(debug_assertions) {
             return;
         }
+        // 300 requests of the serving stream's own sizes (8–18 relations),
+        // planned once so that the timed pass is all hits.
+        let service = PlanServiceBuilder::new().build();
+        let model = PgLikeCost::new();
+        let spec = StreamSpec {
+            templates: 12,
+            ..StreamSpec::default()
+        };
+        let queries = ZipfStream::new(&spec, &model).take(300);
+        let req = PlanRequest::default();
+        let replay = || {
+            let start = Instant::now();
+            for (_, q) in &queries {
+                service.plan_coalesced(q, &model, &req).expect("plan");
+            }
+            start.elapsed().as_nanos() as f64 / queries.len() as f64
+        };
+        replay();
+        let per_request_ns = replay();
+
+        let overhead_ns = 8.0 * per_site_ns;
         assert!(
             overhead_ns <= 0.02 * per_request_ns,
             "disabled tracing {overhead_ns:.1} ns/request exceeds 2% of the \
-             {per_request_ns:.0} ns mean service time ({per_site_ns:.2} ns/site)"
+             {per_request_ns:.0} ns service time of a hit ({per_site_ns:.2} ns/site)"
         );
     }
 

@@ -38,9 +38,9 @@
 //!
 //! The tier is in-process (shards are `Arc<PlanService>`s, gossip rounds
 //! are method calls) — the unit under study is the *policy* (ring,
-//! replication threshold, staleness bound), measured by `repro cluster`
-//! with the same model-normalized methodology the parallel-planning
-//! benches use on the 1-core container.
+//! replication threshold, staleness bound), asserted by
+//! `tests/cluster_tier.rs` and measured by `benchmark/`'s `cluster.*`
+//! metrics.
 
 #![warn(missing_docs)]
 

@@ -244,9 +244,9 @@ impl CacheSnapshot {
     }
 
     /// The activity between `earlier` and `self` (counters are monotonic,
-    /// so a field-wise difference is a window's worth of traffic). This is
-    /// what lets `repro serve` print per-window rates instead of cumulative
-    /// totals on a long-lived, pre-warmed service.
+    /// so a field-wise difference is a window's worth of traffic): rates
+    /// per window instead of cumulative totals on a long-lived, pre-warmed
+    /// service.
     pub fn delta(&self, earlier: &CacheSnapshot) -> CacheSnapshot {
         CacheSnapshot {
             hits: self.hits - earlier.hits,

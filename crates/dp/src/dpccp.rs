@@ -25,7 +25,6 @@
 //! other algorithms.
 
 use crate::common::{emit_both, finish, init_memo, OptContext, OptResult};
-use crate::JoinOrderOptimizer;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::memo::MemoTable;
 use mpdp_core::{OptError, RelSet};
@@ -147,16 +146,6 @@ impl DpCcp {
         });
         let counters = st.counters;
         finish(&st.memo, q, counters, profile)
-    }
-}
-
-impl JoinOrderOptimizer for DpCcp {
-    fn name(&self) -> &'static str {
-        "DPCCP"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        DpCcp::run(ctx)
     }
 }
 

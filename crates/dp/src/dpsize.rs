@@ -10,7 +10,6 @@
 //! overlapping pairs").
 
 use crate::common::{emit_pair, finish, init_memo, LevelEnumerator, OptContext, OptResult};
-use crate::JoinOrderOptimizer;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::memo::MemoTable;
@@ -94,16 +93,6 @@ impl DpSize {
             profile.record(level);
         }
         finish(&memo, q, counters, profile)
-    }
-}
-
-impl JoinOrderOptimizer for DpSize {
-    fn name(&self) -> &'static str {
-        "DPSize"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        DpSize::run(ctx)
     }
 }
 

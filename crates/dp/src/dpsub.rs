@@ -8,7 +8,6 @@
 //! CCP pairs (§2.3, Figure 4).
 
 use crate::common::{emit_pair, finish, init_memo, LevelEnumerator, OptContext, OptResult};
-use crate::JoinOrderOptimizer;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::memo::MemoTable;
 use mpdp_core::OptError;
@@ -73,16 +72,6 @@ impl DpSub {
             profile.record(level);
         }
         finish(&memo, q, counters, profile)
-    }
-}
-
-impl JoinOrderOptimizer for DpSub {
-    fn name(&self) -> &'static str {
-        "DPSub"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        DpSub::run(ctx)
     }
 }
 

@@ -29,16 +29,3 @@ pub use dpccp::DpCcp;
 pub use dpsize::DpSize;
 pub use dpsub::DpSub;
 pub use mpdp::{Mpdp, MpdpTree};
-
-use mpdp_core::OptError;
-
-/// A join-order optimizer producing the optimal (or heuristically good)
-/// cross-product-free bushy plan for a query.
-pub trait JoinOrderOptimizer {
-    /// Identifier used in reports and figures (matches the paper's series
-    /// names, e.g. `"DPSub"`, `"MPDP"`).
-    fn name(&self) -> &'static str;
-
-    /// Runs the optimization.
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError>;
-}

@@ -16,7 +16,6 @@
 //! publish each set's winner. See `DESIGN.md` §4 "The MPDP set kernel".
 
 use crate::common::{finish, init_memo, price_both_at, LevelEnumerator, OptContext, OptResult};
-use crate::JoinOrderOptimizer;
 use mpdp_core::blocks::{BlockFinder, BlockIndex};
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
@@ -202,16 +201,6 @@ impl Mpdp {
     }
 }
 
-impl JoinOrderOptimizer for Mpdp {
-    fn name(&self) -> &'static str {
-        "MPDP"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        Mpdp::run(ctx)
-    }
-}
-
 /// MPDP on tree (acyclic) join graphs — Algorithm 2. On a tree every block
 /// is a bridge, so [`SetKernel`] already *is* Algorithm 2 (the `|S| - 1`
 /// splits of a connected `S`, one per induced edge, no CCP check, Theorem 3);
@@ -230,16 +219,6 @@ impl MpdpTree {
             )));
         }
         Mpdp::run(ctx)
-    }
-}
-
-impl JoinOrderOptimizer for MpdpTree {
-    fn name(&self) -> &'static str {
-        "MPDP:Tree"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        MpdpTree::run(ctx)
     }
 }
 

@@ -182,8 +182,7 @@ pub struct ExecReport {
     /// Per-worker probe-phase busy time, summed over all joins (length is
     /// the worker count the run used). On a host with that many idle cores
     /// the probe phases overlap; on a time-sliced host they serialize and
-    /// the measured [`ExecReport::wall`] stays flat, which is why
-    /// [`ExecReport::parallel_model_wall`] exists.
+    /// the measured [`ExecReport::wall`] stays flat.
     pub worker_busy: Vec<Duration>,
 }
 
@@ -194,18 +193,6 @@ impl ExecReport {
         let est = self.est_root_rows.max(1.0);
         let obs = (self.root_rows as f64).max(1.0);
         (est / obs).max(obs / est)
-    }
-
-    /// The work/span-model wall for this run: the measured wall with the
-    /// summed probe busy time replaced by the *longest single worker's*
-    /// busy time — what the run costs on a host where every pool worker has
-    /// its own core. On such a host this converges to the measured wall; on
-    /// the repo's single-core container it is the standard `[model]` figure
-    /// (DESIGN.md §2) next to the measured one.
-    pub fn parallel_model_wall(&self) -> Duration {
-        let total: Duration = self.worker_busy.iter().sum();
-        let span = self.worker_busy.iter().max().copied().unwrap_or_default();
-        self.wall.saturating_sub(total) + span
     }
 }
 

@@ -29,7 +29,6 @@ use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::OptError;
 use mpdp_dp::common::{finish, init_memo, price_pair, LevelEnumerator, OptContext, OptResult};
 use mpdp_dp::mpdp::SetKernel;
-use mpdp_dp::JoinOrderOptimizer;
 use std::time::Duration;
 
 /// Which evaluate kernel a GPU driver uses.
@@ -270,16 +269,6 @@ impl Default for MpdpGpu {
     }
 }
 
-impl JoinOrderOptimizer for MpdpGpu {
-    fn name(&self) -> &'static str {
-        "MPDP(GPU)"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        Ok(self.run(ctx)?.result)
-    }
-}
-
 /// DPSUB on the simulated GPU (COMB-GPU of \[23\]).
 #[derive(Copy, Clone, Debug)]
 pub struct DpSubGpu {
@@ -307,16 +296,6 @@ impl Default for DpSubGpu {
     }
 }
 
-impl JoinOrderOptimizer for DpSubGpu {
-    fn name(&self) -> &'static str {
-        "DPSub(GPU)"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        Ok(self.run(ctx)?.result)
-    }
-}
-
 /// DPSIZE on the simulated GPU (H+F-GPU of \[23\]).
 #[derive(Copy, Clone, Debug)]
 pub struct DpSizeGpu {
@@ -341,16 +320,6 @@ impl DpSizeGpu {
 impl Default for DpSizeGpu {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl JoinOrderOptimizer for DpSizeGpu {
-    fn name(&self) -> &'static str {
-        "DPSize(GPU)"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        Ok(self.run(ctx)?.result)
     }
 }
 

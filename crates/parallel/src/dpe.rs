@@ -19,7 +19,6 @@ use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::SeenTable;
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{finish, init_memo, price_both, OptContext, OptResult};
-use mpdp_dp::JoinOrderOptimizer;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One enumerated csg-cmp pair in the dependency buffer; consumers cost both
@@ -100,11 +99,8 @@ fn enumerate_all_pairs(
 }
 
 /// The DPE optimizer.
-#[derive(Copy, Clone, Debug)]
-pub struct Dpe {
-    /// Consumer thread count.
-    pub threads: usize,
-}
+#[derive(Copy, Clone, Debug, Default)]
+pub struct Dpe;
 
 impl Dpe {
     /// Runs DPE: sequential DPCCP enumeration into a dependency buffer,
@@ -186,16 +182,6 @@ impl Dpe {
             }
             finish(&memo, q, counters, profile)
         })
-    }
-}
-
-impl JoinOrderOptimizer for Dpe {
-    fn name(&self) -> &'static str {
-        "DPE"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        Dpe::run(ctx, self.threads)
     }
 }
 

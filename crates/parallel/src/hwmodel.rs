@@ -12,11 +12,9 @@
 //!   sync`, with a contention-degraded `speedup(P)` reproducing Figure 12's
 //!   sublinear scaling;
 //! * DPE's time keeps enumeration and buffer management sequential, which is
-//!   what caps its speedup (Amdahl) and reproduces its Figure 12 plateau;
-//! * the GPU model charges kernel launches and PCIe transfers per DP level
-//!   (the paper: "MPDP (GPU) does not perform that well [below 10 rels]
-//!   because of data transfers cost between CPU and GPU for every level")
-//!   plus lane-throughput-limited work.
+//!   what caps its speedup (Amdahl) and reproduces its Figure 12 plateau.
+//!
+//! GPU times are not modelled here: `mpdp-gpu`'s SIMT simulator counts them.
 
 use mpdp_core::counters::Profile;
 use std::time::Duration;
@@ -147,9 +145,7 @@ pub struct CpuModel {
 impl CpuModel {
     /// A model for `threads` workers with the defaults used throughout the
     /// benchmarks. The 2 µs level sync reflects the persistent worker pool's
-    /// barrier crossings (`mpdp-parallel::pool`); the old per-level
-    /// spawn/join + sequential candidate merge is modelled separately by
-    /// [`CpuModel::predict_deferred_merge`].
+    /// barrier crossings (`mpdp-parallel::pool`).
     pub fn new(threads: usize) -> Self {
         CpuModel {
             threads,
@@ -179,31 +175,6 @@ impl CpuModel {
         Duration::from_nanos(total_ns as u64)
     }
 
-    /// Predicted wall time of the *pre-atomic* level-parallel design —
-    /// thread-local `Vec<Candidate>` buffers, a sequential per-level merge
-    /// into the memo, and a spawn/join round per level (the "deferred
-    /// pruning" shape of PDP). `repro scale` reports this next to
-    /// [`CpuModel::predict_level_parallel`] so the shared-memo win is
-    /// measured against the design it replaced, not asserted.
-    pub fn predict_deferred_merge(&self, profile: &Profile, cal: &Calibration) -> Duration {
-        // The old pool spawned + joined scoped threads every level.
-        const SPAWN_JOIN: Duration = Duration::from_micros(15);
-        let mut total_ns = 0.0;
-        for l in &profile.levels {
-            let par_units = l.unranked as f64 * cal.weights.unrank
-                + l.sets as f64 * cal.weights.set
-                + l.evaluated as f64 * cal.weights.pair;
-            // Every CCP pair became a buffered candidate that the main
-            // thread later merged sequentially (insert_if_better + the
-            // buffer push/drain, ~3 write-equivalents per candidate).
-            let merge_units = l.ccp as f64 * cal.weights.write * 3.0;
-            total_ns += par_units * cal.ns_per_unit / self.speedup();
-            total_ns += merge_units * cal.ns_per_unit;
-            total_ns += SPAWN_JOIN.as_nanos() as f64;
-        }
-        Duration::from_nanos(total_ns as u64)
-    }
-
     /// Predicted wall time of DPE: enumeration and the dependency buffer are
     /// sequential; only costing scales.
     pub fn predict_dpe(&self, profile: &Profile, cal: &Calibration) -> Duration {
@@ -221,64 +192,6 @@ impl CpuModel {
             total_ns += ns * (ENUM_FRAC + BUFFER_FRAC);
             total_ns += ns * COST_FRAC / self.speedup();
             total_ns += self.level_sync.as_nanos() as f64;
-        }
-        Duration::from_nanos(total_ns as u64)
-    }
-}
-
-/// GPU model with GTX-1080-like constants.
-#[derive(Copy, Clone, Debug)]
-pub struct GpuModel {
-    /// Effective concurrent lanes (SMs × resident warps × 32, derated for
-    /// occupancy).
-    pub lanes: f64,
-    /// How much slower one GPU lane is than one CPU thread on this scalar
-    /// workload (clock + memory-latency derating).
-    pub lane_slowdown: f64,
-    /// Kernel launch latency, charged per kernel per level.
-    pub kernel_launch: Duration,
-    /// Kernels per DP level (unrank, filter, evaluate+prune fused, scatter).
-    pub kernels_per_level: f64,
-    /// Host↔device transfer per DP level.
-    pub transfer_per_level: Duration,
-}
-
-impl GpuModel {
-    /// GTX 1080 defaults: 20 SMs, ~64 resident warps each at realistic
-    /// occupancy → ~2048 effective lanes, each ~8× slower than a Xeon thread
-    /// on branchy scalar code.
-    pub fn gtx1080() -> Self {
-        GpuModel {
-            lanes: 2048.0,
-            lane_slowdown: 8.0,
-            kernel_launch: Duration::from_micros(8),
-            kernels_per_level: 4.0,
-            transfer_per_level: Duration::from_micros(60),
-        }
-    }
-
-    /// Effective throughput multiple over one CPU thread.
-    pub fn throughput(&self) -> f64 {
-        self.lanes / self.lane_slowdown
-    }
-
-    /// Predicted wall time of a level-synchronous algorithm on this GPU.
-    ///
-    /// `divergence` ≥ 1.0 inflates the work to account for SIMD lockstep
-    /// waste (1.0 = perfectly converged warps, e.g. with Collaborative
-    /// Context Collection; the `mpdp-gpu` simulator measures the real
-    /// factor).
-    pub fn predict(&self, profile: &Profile, cal: &Calibration, divergence: f64) -> Duration {
-        let mut total_ns = 0.0;
-        let per_level_overhead = self.kernel_launch.as_nanos() as f64 * self.kernels_per_level
-            + self.transfer_per_level.as_nanos() as f64;
-        for l in &profile.levels {
-            let units = l.unranked as f64 * cal.weights.unrank
-                + l.sets as f64 * cal.weights.set
-                + l.evaluated as f64 * cal.weights.pair
-                + l.memo_writes as f64 * cal.weights.write;
-            total_ns += units * divergence * cal.ns_per_unit / self.throughput();
-            total_ns += per_level_overhead;
         }
         Duration::from_nanos(total_ns as u64)
     }
@@ -326,40 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_merge_slower_than_atomic_at_scale() {
-        // The sequential merge is an Amdahl term the atomic design deletes:
-        // at 8+ threads the deferred model must trail, and its speedup over
-        // one thread must cap below the atomic design's.
-        let p = profile(&[(2, 0, 1000, 200_000), (3, 0, 2000, 800_000)]);
-        let cal = Calibration::default_for_container();
-        for threads in [4usize, 8, 24] {
-            let m = CpuModel::new(threads);
-            assert!(
-                m.predict_deferred_merge(&p, &cal) > m.predict_level_parallel(&p, &cal),
-                "threads={threads}"
-            );
-        }
-        let atomic_speedup = CpuModel::new(8)
-            .predict_level_parallel(&p, &cal)
-            .as_secs_f64();
-        let atomic_speedup = CpuModel::new(1)
-            .predict_level_parallel(&p, &cal)
-            .as_secs_f64()
-            / atomic_speedup;
-        let deferred_speedup = CpuModel::new(8)
-            .predict_deferred_merge(&p, &cal)
-            .as_secs_f64();
-        let deferred_speedup = CpuModel::new(1)
-            .predict_deferred_merge(&p, &cal)
-            .as_secs_f64()
-            / deferred_speedup;
-        assert!(
-            atomic_speedup > deferred_speedup,
-            "atomic {atomic_speedup:.2} vs deferred {deferred_speedup:.2}"
-        );
-    }
-
-    #[test]
     fn dpe_caps_below_level_parallel() {
         // For the same profile and thread count, DPE's sequential enumeration
         // keeps it slower than a level-parallel algorithm at high P.
@@ -372,33 +251,6 @@ mod tests {
         let t24 = cpu.predict_dpe(&p, &cal);
         let speedup = t1.as_nanos() as f64 / t24.as_nanos() as f64;
         assert!(speedup > 2.0 && speedup < 4.5, "speedup={speedup}");
-    }
-
-    #[test]
-    fn gpu_wins_big_loses_small() {
-        let cal = Calibration::default_for_container();
-        let gpu = GpuModel::gtx1080();
-        let cpu1 = CpuModel::new(1);
-        // Tiny query: overhead dominates; 1-CPU wins.
-        let small = profile(&[(2, 10, 5, 20), (3, 10, 4, 30)]);
-        assert!(gpu.predict(&small, &cal, 1.0) > cpu1.predict_level_parallel(&small, &cal));
-        // Huge level: GPU throughput wins by orders of magnitude.
-        let big = profile(&[(20, 1_000_000, 500_000, 500_000_000)]);
-        let tg = gpu.predict(&big, &cal, 1.0);
-        let tc = cpu1.predict_level_parallel(&big, &cal);
-        assert!(tc.as_nanos() > 50 * tg.as_nanos());
-    }
-
-    #[test]
-    fn divergence_inflates_gpu_time() {
-        let cal = Calibration::default_for_container();
-        let gpu = GpuModel::gtx1080();
-        let p = profile(&[(10, 100_000, 50_000, 10_000_000)]);
-        let converged = gpu.predict(&p, &cal, 1.0);
-        let diverged = gpu.predict(&p, &cal, 3.0);
-        assert!(diverged > converged);
-        let ratio = diverged.as_nanos() as f64 / converged.as_nanos() as f64;
-        assert!(ratio > 2.0 && ratio < 3.2);
     }
 
     #[test]

@@ -29,7 +29,6 @@ use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{finish, init_memo, price_pair, LevelEnumerator, OptContext, OptResult};
 use mpdp_dp::mpdp::SetKernel;
-use mpdp_dp::JoinOrderOptimizer;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which level-parallel algorithm to run.
@@ -280,57 +279,6 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
         }
         finish(&memo, q, counters, profile)
     })
-}
-
-/// Parallel MPDP on CPU ("MPDP (24CPU)" in Figures 6–9).
-#[derive(Copy, Clone, Debug)]
-pub struct MpdpCpu {
-    /// Worker thread count.
-    pub threads: usize,
-}
-
-impl JoinOrderOptimizer for MpdpCpu {
-    fn name(&self) -> &'static str {
-        "MPDP(CPU)"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        run_level_parallel(ctx, LevelAlgo::Mpdp, self.threads)
-    }
-}
-
-/// Parallel DPSUB on CPU.
-#[derive(Copy, Clone, Debug)]
-pub struct DpSubCpu {
-    /// Worker thread count.
-    pub threads: usize,
-}
-
-impl JoinOrderOptimizer for DpSubCpu {
-    fn name(&self) -> &'static str {
-        "DPSub(CPU)"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        run_level_parallel(ctx, LevelAlgo::DpSub, self.threads)
-    }
-}
-
-/// PDP — parallel DPSIZE on CPU \[10\].
-#[derive(Copy, Clone, Debug)]
-pub struct Pdp {
-    /// Worker thread count.
-    pub threads: usize,
-}
-
-impl JoinOrderOptimizer for Pdp {
-    fn name(&self) -> &'static str {
-        "PDP"
-    }
-
-    fn optimize(&self, ctx: &OptContext<'_>) -> Result<OptResult, OptError> {
-        run_dpsize_parallel(ctx, self.threads)
-    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! * [`dpe`] — DPE (Han & Lee \[11\]): sequential DPCCP enumeration with
 //!   dependency-aware parallel costing;
 //! * [`pool`] — chunked scoped-thread fork/join;
-//! * [`hwmodel`] — the calibrated work/span model predicting multi-core and
-//!   GPU wall times on this single-core container (see `DESIGN.md` §2).
+//! * [`hwmodel`] — the calibrated work/span model predicting multi-core wall
+//!   times on this container (see `DESIGN.md` §2).
 
 #![warn(missing_docs)]
 
@@ -18,5 +18,4 @@ pub mod level_par;
 pub mod pool;
 
 pub use dpe::Dpe;
-pub use hwmodel::{Calibration, CpuModel, GpuModel, OpWeights};
-pub use level_par::{DpSubCpu, MpdpCpu, Pdp};
+pub use hwmodel::{Calibration, CpuModel, OpWeights};

@@ -16,8 +16,7 @@
 //!   planning resolve with a heuristic plan inside their budget.
 //!
 //! Schedules are seeded, so a failing seed replays exactly:
-//! `cargo test --test serve_chaos` (or `repro serve --faults-seed K` for
-//! the open-loop variant).
+//! `cargo test --test serve_chaos`.
 
 use mpdp::service::ServedVia;
 use mpdp_core::faults::FaultPlan;

@@ -8,7 +8,7 @@
 //!   random-walk query generator (§7.2.2);
 //! * [`job`] — a JOB-like suite over an IMDB-like schema (§7.2.4);
 //! * [`stream`] — Zipf-distributed, permutation-relabeling query streams
-//!   for the serving-layer experiments (`repro serve`).
+//!   for the serving-layer workloads (`benchmark/`, `repro trace`).
 //!
 //! All generators are deterministic given a seed.
 

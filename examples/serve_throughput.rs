@@ -3,16 +3,17 @@
 //! Builds a [`mpdp::PlanService`], demonstrates the fingerprint cache on a
 //! pair of isomorphic queries (same shape, relabeled relations), shows the
 //! adaptive router's choices across the size/density grid, then replays a
-//! short Zipf stream from a worker pool and prints the throughput report.
+//! short Zipf stream from four threads and prints the rate and the cache
+//! counters. (For measured serving numbers see `benchmark/run.sh`.)
 //!
 //! ```sh
 //! cargo run --release --example serve_throughput
 //! ```
 
 use mpdp::prelude::*;
-use mpdp_bench::serve::{replay, ServeConfig};
-use mpdp_workload::{gen, StreamSpec};
-use std::time::Duration;
+use mpdp_workload::{gen, StreamSpec, ZipfStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn main() {
     let model = PgLikeCost::new();
@@ -61,19 +62,28 @@ fn main() {
     }
     println!();
 
-    // --- worker-pool replay ----------------------------------------------
+    // --- four threads race down one Zipf stream ---------------------------
     println!("== Zipf replay (2000 queries, 4 workers) ==");
-    let config = ServeConfig {
-        total: 2000,
-        workers: 4,
-        stream: StreamSpec {
-            templates: 200,
-            ..StreamSpec::default()
-        },
+    let spec = StreamSpec {
+        templates: 200,
+        ..StreamSpec::default()
     };
+    let queries = ZipfStream::new(&spec, &model).take(2000);
     let fresh = PlanServiceBuilder::new()
         .budget(Duration::from_secs(30))
         .build();
-    let report = replay(&fresh, &model, &config).expect("replay");
-    print!("{}", report.render());
+    let cursor = AtomicUsize::new(0);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                while let Some((_, q)) = queries.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    fresh.plan_coalesced(q, &model, &req).expect("plan");
+                }
+            });
+        }
+    });
+    let rate = queries.len() as f64 / start.elapsed().as_secs_f64();
+    println!("served {} queries, {rate:.0}/s", queries.len());
+    println!("{:#?}", fresh.cache_counters());
 }

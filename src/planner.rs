@@ -100,10 +100,9 @@ impl Planned {
 
 /// A join-order planning algorithm selectable by name.
 ///
-/// This is the single front door that replaces the historical
-/// `JoinOrderOptimizer` (exact, `QueryInfo`-based) / `LargeOptimizer`
-/// (heuristic, `LargeQuery`-based) split: every algorithm accepts both query
-/// representations and reports through [`Planned`].
+/// This is the single front door over the exact (`QueryInfo`-based) and
+/// heuristic (`LargeQuery`-based) algorithms: every strategy accepts both
+/// query representations and reports through [`Planned`].
 pub trait Strategy: Send + Sync {
     /// The paper's series label for this strategy (e.g. `"MPDP"`,
     /// `"UnionDP-MPDP (15)"`, `"Postgres (1CPU)"`). Round-trips through

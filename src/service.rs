@@ -18,7 +18,7 @@
 //!   explicit registry strategy name.
 //! * **Thread safety** — the service is `Send + Sync` and lock-free outside
 //!   the touched cache shard; a worker pool shares one service behind an
-//!   `Arc` (see `mpdp-bench`'s `repro serve` replay harness).
+//!   `Arc` (see `examples/serve_throughput.rs`).
 //!
 //! # One request path
 //!

@@ -2,14 +2,18 @@
 //! (balance, minimal disruption, node-loss routability) and of the
 //! cluster's feedback gossip (an invalidation recorded on one shard
 //! evicts every replica within the documented staleness window — and
-//! not instantly, which would mean the bound is vacuous).
+//! not instantly, which would mean the bound is vacuous), and the steady
+//! state of a warmed cluster under a Zipf stream (sharding costs no hits;
+//! a rehash leaves the survivors warm).
 
 use mpdp::exec::{ExecReport, ObservedJoin};
+use mpdp::PlanRequest;
 use mpdp_cluster::{ClusterConfig, PlanCluster};
+use mpdp_core::fingerprint::canonicalize;
 use mpdp_core::ring::HashRing;
-use mpdp_core::RelSet;
+use mpdp_core::{LargeQuery, RelSet};
 use mpdp_cost::PgLikeCost;
-use mpdp_workload::gen;
+use mpdp_workload::{gen, StreamSpec, ZipfStream};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -284,4 +288,97 @@ fn a_shard_added_after_the_flood_still_catches_up() {
     for id in cluster.shard_ids() {
         assert_eq!(cluster.overrides_for(id, fp), Some(vec![(0, 0.05)]));
     }
+}
+
+/// The 24-template Zipf stream the two steady-state tests below replay.
+fn zipf_spec() -> StreamSpec {
+    StreamSpec {
+        templates: 24,
+        min_rels: 5,
+        max_rels: 8,
+        skew: 1.1,
+        seed: 7,
+    }
+}
+
+/// A cluster in steady state: one 600-request pass of the stream, so hot
+/// counts cross their threshold, then every template planned once on each
+/// shard of its replica set — otherwise a template that turns hot during the
+/// replay cold-plans on its second replica inside the measured window.
+/// Returned with the stream, 600 draws in.
+fn warmed_cluster(shards: usize, model: &PgLikeCost) -> (PlanCluster, ZipfStream) {
+    let cluster = PlanCluster::new(ClusterConfig {
+        shards,
+        hot_threshold: 8,
+        replicas: 2,
+        ..ClusterConfig::default()
+    });
+    let mut stream = ZipfStream::new(&zipf_spec(), model);
+    replay_hit_rate(&cluster, model, &stream.take(600));
+    let req = PlanRequest::default();
+    for t in stream.templates() {
+        let fp = canonicalize(&t.query).fingerprint;
+        for id in cluster.replica_set(fp) {
+            let shard = cluster.shard_service(id).expect("replica set is live");
+            shard.plan_coalesced(&t.query, model, &req).expect("plan");
+        }
+    }
+    (cluster, stream)
+}
+
+/// Replays `queries` one after another and returns the request hit rate of
+/// exactly that window, summed over all shards.
+fn replay_hit_rate(
+    cluster: &PlanCluster,
+    model: &PgLikeCost,
+    queries: &[(usize, LargeQuery)],
+) -> f64 {
+    let before = cluster.aggregate_cache();
+    for (_, q) in queries {
+        cluster.plan(q, model).expect("plan");
+    }
+    cluster.aggregate_cache().since(&before).request_hit_rate()
+}
+
+/// Sharding must not cost hits: the same stream through a warmed 4-shard
+/// cluster keeps the 1-shard request hit rate to within two points.
+#[test]
+fn four_shards_keep_the_one_shard_hit_rate() {
+    let model = PgLikeCost::new();
+    let [one, four] = [1, 4].map(|shards| {
+        let (cluster, mut stream) = warmed_cluster(shards, &model);
+        replay_hit_rate(&cluster, &model, &stream.take(600))
+    });
+    assert!(one > 0.9, "a warmed replay should hit: {one}");
+    assert!(
+        (one - four).abs() <= 0.02,
+        "hit rate {four:.4} at 4 shards vs {one:.4} at 1"
+    );
+}
+
+/// A shard added to a warm cluster takes over only some templates, and the
+/// survivors' caches keep serving: the window after the rehash still hits
+/// more often than not.
+#[test]
+fn a_rehash_moves_some_templates_and_survivors_stay_warm() {
+    let model = PgLikeCost::new();
+    let (cluster, mut stream) = warmed_cluster(4, &model);
+
+    let templates = stream.templates().iter();
+    let fps: Vec<_> = templates
+        .map(|t| canonicalize(&t.query).fingerprint)
+        .collect();
+    let owners = || -> Vec<u32> { fps.iter().map(|&fp| cluster.owner(fp)).collect() };
+    let before = owners();
+    cluster.add_shard();
+    let after = owners();
+    let moved = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+    assert!(
+        (1..before.len()).contains(&moved),
+        "{moved} of {} templates moved",
+        before.len()
+    );
+
+    let hit_rate = replay_hit_rate(&cluster, &model, &stream.take(300));
+    assert!(hit_rate > 0.5, "survivor caches went cold: {hit_rate}");
 }

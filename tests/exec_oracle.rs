@@ -172,8 +172,7 @@ fn morsel_counts_are_exact() {
 /// The bench harness's own shape set (including the catalog-scaled JOB
 /// query) runs end-to-end with the oracle check inside `run_case` — at 1
 /// worker and at 4 workers, where `run_case` additionally re-executes every
-/// plan sequentially and demands bit-identical results (the in-run
-/// determinism gate `exec-par-smoke` relies on).
+/// plan sequentially and demands bit-identical results.
 #[test]
 fn bench_cases_pass_oracle_at_reduced_scale() {
     let model = PgLikeCost::new();

@@ -18,7 +18,7 @@ fn shapes() -> Vec<(&'static str, QueryInfo)> {
         ("chain-12", small(gen::chain(12, 1, &m))),
         ("cycle-10", small(gen::cycle(10, 1, &m))),
         ("clique-7", small(gen::clique(7, 1, &m))),
-        ("figure-5", mpdp_bench::scaling::figure5_query(&m)),
+        ("figure-5", mpdp_bench::runner::figure5_query(&m)),
     ]
 }
 
