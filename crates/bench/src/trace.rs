@@ -185,7 +185,6 @@ pub fn run_trace(
             // coverage, so sheds would only shrink the denominator.
             queue_depth: config.queries.max(1),
             dispatchers: 2,
-            executor_threads: 2,
             budget: Some(Duration::from_secs(30)),
             tracer: tracer.clone(),
             tenants: vec![TenantConfig::named("trace").clustered(ClusterConfig {

@@ -344,8 +344,8 @@ impl PlanCluster {
 
     /// Routes `q` and returns the serving shard's service together with
     /// the canonical fingerprint and the shard id — the hook a serving
-    /// front-end uses to dispatch onto the shard's own (async,
-    /// single-flight) entry points instead of the blocking
+    /// front-end uses to call the shard's service itself (with its own
+    /// request options and span) instead of going through
     /// [`PlanCluster::plan`].
     pub fn route_service(&self, q: &LargeQuery) -> (Arc<PlanService>, Fingerprint, u32) {
         let fp = canonicalize(q).fingerprint;

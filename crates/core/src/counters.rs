@@ -262,11 +262,6 @@ impl CacheSnapshot {
         }
     }
 
-    /// Alias of [`CacheSnapshot::delta`], kept for existing callers.
-    pub fn since(&self, earlier: &CacheSnapshot) -> CacheSnapshot {
-        self.delta(earlier)
-    }
-
     /// Adds another snapshot field-wise (the cache-side sibling of
     /// [`ExecCounters::merge`]). Associative and commutative, so folding
     /// any number of per-shard or per-tenant snapshots in any order yields
@@ -379,7 +374,6 @@ pub struct ServeCounters {
     /// only ever read as 0 — never as a wrapped-around huge gauge.
     in_flight: std::sync::atomic::AtomicI64,
     worker_respawns: std::sync::atomic::AtomicU64,
-    reactor_respawns: std::sync::atomic::AtomicU64,
     abandoned_tickets: std::sync::atomic::AtomicU64,
 }
 
@@ -406,13 +400,10 @@ pub struct ServeSnapshot {
     pub queue_depth_peak: u64,
     /// Requests currently being served by a dispatcher (gauge).
     pub in_flight: u64,
-    /// Panicked workers/dispatchers caught and put back to work: executor
-    /// poll panics contained in place plus dispatcher loops restarted by
-    /// their supervisor. Zero on a healthy box.
+    /// Dispatcher loops restarted by their supervisor after a caught panic
+    /// (a planner panic is contained per request and is not counted here —
+    /// it fails one ticket). Zero on a healthy box.
     pub worker_respawns: u64,
-    /// Reactor driver-thread restarts after a caught panic (each one also
-    /// re-arms the surviving timer heap).
-    pub reactor_respawns: u64,
     /// `PlanTicket`s dropped before their result was taken. The request
     /// still completes and releases its quota slot; this counts callers
     /// that walked away.
@@ -444,7 +435,6 @@ impl ServeSnapshot {
             queue_depth_peak: self.queue_depth_peak,
             in_flight: self.in_flight,
             worker_respawns: self.worker_respawns - earlier.worker_respawns,
-            reactor_respawns: self.reactor_respawns - earlier.reactor_respawns,
             abandoned_tickets: self.abandoned_tickets - earlier.abandoned_tickets,
         }
     }
@@ -458,37 +448,14 @@ impl ServeCounters {
         self.accepted.fetch_add(1, Self::ORD);
     }
 
-    /// Batch form of [`ServeCounters::record_accept`]: `n` admissions in
-    /// one set of atomic updates (the 100k-requests/s admission path counts
-    /// per pacing batch, not per request).
-    pub fn record_accept_n(&self, n: u64) {
-        if n > 0 {
-            self.accepted.fetch_add(n, Self::ORD);
-        }
-    }
-
     /// Records a queue-full shed.
     pub fn record_shed_queue_full(&self) {
         self.shed_queue_full.fetch_add(1, Self::ORD);
     }
 
-    /// Batch form of [`ServeCounters::record_shed_queue_full`].
-    pub fn record_shed_queue_full_n(&self, n: u64) {
-        if n > 0 {
-            self.shed_queue_full.fetch_add(n, Self::ORD);
-        }
-    }
-
     /// Records a tenant-quota shed.
     pub fn record_shed_quota(&self) {
         self.shed_quota.fetch_add(1, Self::ORD);
-    }
-
-    /// Batch form of [`ServeCounters::record_shed_quota`].
-    pub fn record_shed_quota_n(&self, n: u64) {
-        if n > 0 {
-            self.shed_quota.fetch_add(n, Self::ORD);
-        }
     }
 
     /// Records a dispatch: the request leaves the queue and becomes
@@ -516,22 +483,10 @@ impl ServeCounters {
         }
     }
 
-    /// Records a worker or dispatcher recovered after a caught panic.
+    /// Records a dispatcher loop restarted by its supervisor after a
+    /// caught panic.
     pub fn record_worker_respawn(&self) {
         self.worker_respawns.fetch_add(1, Self::ORD);
-    }
-
-    /// Adds externally-tracked worker recoveries (e.g. the executor's own
-    /// caught-panic count, folded in at snapshot time).
-    pub fn record_worker_respawns_n(&self, n: u64) {
-        if n > 0 {
-            self.worker_respawns.fetch_add(n, Self::ORD);
-        }
-    }
-
-    /// Records a reactor driver restart.
-    pub fn record_reactor_respawn(&self) {
-        self.reactor_respawns.fetch_add(1, Self::ORD);
     }
 
     /// Records a `PlanTicket` dropped before its result was taken.
@@ -557,7 +512,6 @@ impl ServeCounters {
             queue_depth_peak: 0,
             in_flight: self.in_flight(),
             worker_respawns: self.worker_respawns.load(Self::ORD),
-            reactor_respawns: self.reactor_respawns.load(Self::ORD),
             abandoned_tickets: self.abandoned_tickets.load(Self::ORD),
         }
     }
@@ -653,7 +607,6 @@ mod tests {
         let b = c.snapshot();
         let d = b.delta(&a);
         assert_eq!((d.hits, d.misses, d.coalesced), (1, 0, 1));
-        assert_eq!(d, b.since(&a), "since is an alias of delta");
     }
 
     #[test]

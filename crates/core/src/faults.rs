@@ -1,7 +1,7 @@
 //! Seeded, deterministic fault injection for the serving stack.
 //!
 //! Robustness claims need *tests*, and the failure modes worth testing —
-//! a worker panicking mid-poll, a reactor tick stalling, a planner blowing
+//! a dispatcher panicking mid-chunk, a queue pop stalling, a planner blowing
 //! up under a single-flight leader — are exactly the ones that never occur
 //! on a healthy box. This module gives the serving crates named injection
 //! points and a way to schedule faults at them deterministically: a
@@ -15,8 +15,8 @@
 //!
 //! Production constructs [`Faults::disarmed`] (the `Default`). Its handle
 //! holds no allocation and [`Faults::check`] is a single `Option`
-//! discriminant test — the instrumented hot paths (queue push/pop, task
-//! polls, reactor ticks) pay one predictable branch.
+//! discriminant test — the instrumented hot paths (queue push/pop,
+//! dispatcher chunks, planner invocations) pay one predictable branch.
 //!
 //! ## Interpreting actions
 //!
@@ -24,7 +24,7 @@
 //! because only the site knows what a fault means there:
 //!
 //! * [`FaultAction::Panic`] — `panic!` at the site. The surrounding
-//!   machinery (catch-unwind task polls, dispatcher supervisors, lease
+//!   machinery (per-request catch-unwind, dispatcher supervisors, lease
 //!   guards, poison-recovering locks) must contain it; that containment is
 //!   what the chaos suite asserts.
 //! * [`FaultAction::Stall`] — sleep the calling thread, simulating a
@@ -47,23 +47,17 @@ use crate::memo::murmur3_fmix64;
 /// Well-known fault-site names. Free-form strings are accepted too; these
 /// constants are the sites the serving stack registers.
 pub mod site {
-    /// Admission-queue push (`Bounded::try_push` / `try_push_batch`),
-    /// checked once per call on the submitter's thread.
+    /// Admission-queue push (`Bounded::try_push`), checked once per call
+    /// on the submitter's thread.
     pub const QUEUE_PUSH: &str = "queue.push";
-    /// Admission-queue pop (`Pop::poll` / `drain_into`), checked before an
-    /// item is removed so an injected panic never loses a request.
+    /// Admission-queue pop (`Bounded::pop` / `drain_into`), checked before
+    /// an item is removed so an injected panic never loses a request.
     pub const QUEUE_POP: &str = "queue.pop";
     /// Dispatcher chunk processing, checked once per drained chunk.
     pub const DISPATCH_CHUNK: &str = "dispatch.chunk";
     /// Planner invocation (the cold path of `PlanService`), checked right
     /// before the routed strategy runs.
     pub const PLANNER_INVOKE: &str = "planner.invoke";
-    /// Executor task poll, checked inside the worker's catch-unwind region
-    /// before the future is polled.
-    pub const EXECUTOR_POLL: &str = "executor.poll";
-    /// Reactor driver tick, checked at the top of each driver-loop
-    /// iteration before due timers are popped.
-    pub const REACTOR_TICK: &str = "reactor.tick";
 }
 
 /// What an armed fault does when its `(site, index)` is reached.
@@ -124,22 +118,6 @@ const SEEDED_SITES: &[(&str, u64, &[FaultAction])] = &[
             FaultAction::Panic,
             FaultAction::Error,
             FaultAction::Stall(Duration::from_millis(8)),
-        ],
-    ),
-    (
-        site::EXECUTOR_POLL,
-        400,
-        &[
-            FaultAction::Panic,
-            FaultAction::Stall(Duration::from_millis(1)),
-        ],
-    ),
-    (
-        site::REACTOR_TICK,
-        80,
-        &[
-            FaultAction::Panic,
-            FaultAction::Stall(Duration::from_millis(10)),
         ],
     ),
 ];
@@ -334,7 +312,7 @@ mod tests {
         assert!(!f.is_armed());
         for _ in 0..100 {
             assert_eq!(f.check(site::QUEUE_PUSH), None);
-            assert!(!f.apply_panic_stall(site::REACTOR_TICK));
+            assert!(!f.apply_panic_stall(site::DISPATCH_CHUNK));
         }
         assert_eq!(f.fired(), 0);
     }

@@ -17,7 +17,7 @@ use crate::hist::Hist64;
 
 /// The `(name, value)` pairs of the serve-counter family, in exposition
 /// order.
-fn serve_fields(s: &ServeSnapshot) -> [(&'static str, u64); 11] {
+fn serve_fields(s: &ServeSnapshot) -> [(&'static str, u64); 10] {
     [
         ("accepted_total", s.accepted),
         ("shed_queue_full_total", s.shed_queue_full),
@@ -28,7 +28,6 @@ fn serve_fields(s: &ServeSnapshot) -> [(&'static str, u64); 11] {
         ("queue_depth_peak", s.queue_depth_peak),
         ("in_flight", s.in_flight),
         ("worker_respawns_total", s.worker_respawns),
-        ("reactor_respawns_total", s.reactor_respawns),
         ("abandoned_tickets_total", s.abandoned_tickets),
     ]
 }

@@ -1,13 +1,13 @@
 //! # mpdp-serve
 //!
-//! Async serving front-end for the MPDP planning stack: the layer that turns
+//! Serving front-end for the MPDP planning stack: the layer that turns
 //! `PlanService` (a concurrent library) into a *service* — bounded
 //! admission, single-flight planning, per-tenant isolation, and `/metrics`
-//! observability — without adding a single external dependency. The
-//! executor and reactor are hand-rolled on `std` (see [`executor`] and
-//! [`reactor`]); the planning itself is `mpdp`'s `PlanService::plan_async`,
-//! which single-flights cold fingerprints so N concurrent misses on one
-//! query shape cost one DP run.
+//! observability — without adding a single external dependency. Dispatchers
+//! are plain OS threads that block on the admission [`queue`]; the planning
+//! itself is `mpdp`'s `PlanService::plan_coalesced`, which single-flights
+//! cold fingerprints so N concurrent misses on one query shape cost one DP
+//! run.
 //!
 //! ## Request lifecycle
 //!
@@ -18,7 +18,7 @@
 //!   ▼
 //! PlanTicket ◀── accepted; the caller holds the completion handle
 //!   │
-//! dispatcher task pops ──▶ PlanService::plan_async
+//! dispatcher thread pops ─▶ PlanService::plan_coalesced
 //!   │                        ──▶ hit | cold | coalesced | degraded
 //!   ▼                                              (exact counters)
 //! ticket completes: plan in the caller's labels + end-to-end latency
@@ -27,7 +27,7 @@
 //! Admission control is *explicit*: an overloaded front-end answers
 //! [`Rejected`] immediately — it never blocks the submitter and never drops
 //! a request silently — and every accepted request completes, including
-//! through shutdown (the queue drains before the executor stops). Load past
+//! through shutdown (the queue drains before the dispatchers exit). Load past
 //! the queue bound therefore degrades into counted sheds while goodput
 //! plateaus, which is the overload behavior the bench harness measures.
 //!
@@ -45,23 +45,18 @@
 //! *lease* that settles the books exactly once however the request leaves
 //! the system, including on a panicking dispatcher's stack. Dispatcher
 //! loops run under per-request and per-loop `catch_unwind` with a
-//! supervisor that restarts them (counted as `worker_respawns`); executor
-//! task polls and the reactor driver are panic-isolated the same way (see
-//! [`executor`] and [`reactor`]); and every lock in the crate recovers from
-//! poison instead of cascading. Deadline-carrying requests that cannot
-//! afford exact planning degrade to a heuristic plan inside `PlanService`
-//! rather than blowing their budget. The whole surface is exercised by
-//! seeded fault injection ([`mpdp_core::faults`]) in the chaos suite.
+//! supervisor that restarts them (counted as `worker_respawns`), and every
+//! lock in the crate recovers from poison instead of cascading.
+//! Deadline-carrying requests that cannot afford exact planning degrade to
+//! a heuristic plan inside `PlanService` rather than blowing their budget.
+//! The whole surface is exercised by seeded fault injection
+//! ([`mpdp_core::faults`]) in the chaos suite.
 
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod queue;
-pub mod reactor;
 
-pub use executor::{CatchUnwind, Executor, Join, JoinError};
 pub use queue::{Bounded, PushError};
-pub use reactor::{Reactor, Sleep};
 
 use mpdp::service::{PlanRequest, PlanService, PlanServiceBuilder, ServedPlan};
 use mpdp_cluster::{ClusterConfig, PlanCluster};
@@ -71,8 +66,10 @@ use mpdp_core::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use mpdp_core::{LargeQuery, OptError};
 use mpdp_cost::model::CostModel;
 use mpdp_obs::{sites, ObsSnapshot, SpanCtx, SpanGuard, Tracer};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Per-tenant configuration: one cache partition + one quota.
@@ -125,11 +122,16 @@ pub struct ServeConfig {
     /// Bounded request-queue depth — the admission-control knob. A full
     /// queue sheds with [`Rejected::QueueFull`].
     pub queue_depth: usize,
-    /// Concurrent dispatcher tasks (the planning parallelism; each runs one
+    /// Dispatcher threads (the planning parallelism; each serves one
     /// request at a time).
     pub dispatchers: usize,
-    /// Executor worker threads. Keep ≥ 2 so coalesced waiters make progress
-    /// while a leader's cold plan occupies a worker.
+    /// Upper bound on dispatcher threads: the front-end starts
+    /// `min(dispatchers, executor_threads)` of them, at least one. That is
+    /// what the field always amounted to — dispatchers used to be tasks on
+    /// this many runtime threads — and it survives the runtime only because
+    /// `benchmark/src/serve.rs` names it in a struct literal and
+    /// `benchmark/` is frozen outside `benchmark` PRs; ROADMAP 2(i) removes
+    /// it there, then the field and the `min` go.
     pub executor_threads: usize,
     /// Default per-request optimization budget.
     pub budget: Option<Duration>,
@@ -141,8 +143,8 @@ pub struct ServeConfig {
     /// (`ServedVia::Degraded`) instead of missing the deadline. `None`
     /// disables the deadline machinery.
     pub default_deadline: Option<Duration>,
-    /// Fault-injection handle shared by every component (queue, executor,
-    /// reactor, dispatcher, planner). Chaos tests arm it with a seeded
+    /// Fault-injection handle shared by every component (queue,
+    /// dispatcher, planner). Chaos tests arm it with a seeded
     /// [`mpdp_core::FaultPlan`]; production leaves it disarmed (the
     /// default), which costs one branch per instrumented site.
     pub faults: Faults,
@@ -418,21 +420,15 @@ impl Tenant {
 /// The serving front-end. Construct with [`ServeFront::new`], submit with
 /// [`ServeFront::submit`], observe with [`ServeFront::metrics_text`] /
 /// [`ServeFront::serve_counters`]. Dropping the front-end drains accepted
-/// requests, then stops the executor and reactor.
+/// requests, then joins the dispatcher threads.
 pub struct ServeFront {
     tenants: Arc<Vec<Tenant>>,
     queue: Arc<Bounded<Request>>,
     counters: Arc<ServeCounters>,
-    reactor: Arc<Reactor>,
     default_deadline: Option<Duration>,
     faults: Faults,
     tracer: Tracer,
-    /// Executor poll panics, readable after the executor is dropped.
-    executor_panics: Arc<AtomicU64>,
-    dispatchers: Vec<Join<()>>,
-    /// Dropped last (field order): dispatchers must finish before workers
-    /// stop, and `shutdown` enforces that ordering explicitly anyway.
-    executor: Option<Executor>,
+    dispatchers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServeFront {
@@ -446,27 +442,27 @@ impl std::fmt::Debug for ServeFront {
 }
 
 /// One dispatcher's serving loop: pop, drain a chunk, plan each request,
-/// settle each lease. Runs under the supervisor's `CatchUnwind`; a panic
+/// settle each lease. Runs under the supervisor's `catch_unwind`; a panic
 /// anywhere in here (injected `queue.pop` / `dispatch.chunk` faults, a
 /// planner panic that escapes the per-request isolation, a poisoned
 /// downstream lock) unwinds with the in-flight chunk on this stack, whose
 /// leases fail their tickets on the way down — then the supervisor restarts
 /// the loop.
-async fn dispatch_loop(
-    queue: Arc<Bounded<Request>>,
-    counters: Arc<ServeCounters>,
-    model: Arc<dyn CostModel + Send + Sync>,
-    faults: Faults,
+fn dispatch_loop(
+    queue: &Bounded<Request>,
+    counters: &ServeCounters,
+    model: &(dyn CostModel + Sync),
+    faults: &Faults,
 ) {
-    // Drain in chunks: after the awaited head request, take up to a chunk
-    // more under one lock — at 100k+ req/s, per-request lock and gauge
-    // traffic is the difference between plateauing and collapsing under
-    // overload. A chunk rides on one dispatcher, so a cold plan delays its
-    // chunk-mates; chunks are kept small and cold plans are rare by
+    // Drain in chunks: after the head request the thread blocked for, take
+    // up to a chunk more under one lock — at 100k+ req/s, per-request lock
+    // and gauge traffic is the difference between plateauing and collapsing
+    // under overload. A chunk rides on one dispatcher, so a cold plan delays
+    // its chunk-mates; chunks are kept small and cold plans are rare by
     // construction (single-flight + warm cache).
     const CHUNK: usize = 32;
     let mut batch: Vec<Request> = Vec::with_capacity(CHUNK);
-    while let Some(req) = queue.pop().await {
+    while let Some(req) = queue.pop() {
         batch.push(req);
         queue.drain_into(&mut batch, CHUNK - 1);
         counters.record_dispatch_n(batch.len() as u64);
@@ -488,25 +484,25 @@ async fn dispatch_loop(
             // round-robin); a single-backed tenant has one choice.
             let ctx = req.span.ctx();
             let service = req.lease.tenants[req.lease.tenant].route(&req.query, &ctx);
-            let m: &(dyn CostModel + Sync) = &*model;
             // Per-request panic isolation: a planner that blows up fails
             // *this* ticket and the loop keeps serving its chunk-mates.
-            let result = match CatchUnwind::new(service.plan_async(&req.query, m, &opts)).await {
-                Ok(result) => result,
-                Err(_) => Err(OptError::Internal(
+            let planned = catch_unwind(AssertUnwindSafe(|| {
+                service.plan_coalesced(&req.query, model, &opts)
+            }));
+            req.lease.finish(planned.unwrap_or_else(|_| {
+                Err(OptError::Internal(
                     "planner panicked; request failed in isolation".to_string(),
-                )),
-            };
-            req.lease.finish(result);
+                ))
+            }));
         }
     }
 }
 
 impl ServeFront {
-    /// Builds the front-end and starts its executor, reactor, and
-    /// dispatcher tasks. `model` is the cost model every request is planned
-    /// under (per-model serving fronts are cheaper than per-request model
-    /// plumbing, and the cache keys fold the model anyway).
+    /// Builds the front-end and starts its dispatcher threads. `model` is
+    /// the cost model every request is planned under (per-model serving
+    /// fronts are cheaper than per-request model plumbing, and the cache
+    /// keys fold the model anyway).
     pub fn new(config: ServeConfig, model: Arc<dyn CostModel + Send + Sync>) -> ServeFront {
         assert!(!config.tenants.is_empty(), "at least one tenant");
         let tenants: Arc<Vec<Tenant>> = Arc::new(
@@ -548,34 +544,28 @@ impl ServeFront {
             config.faults.clone(),
         ));
         let counters = Arc::new(ServeCounters::default());
-        let executor = Executor::with_faults(config.executor_threads, config.faults.clone());
-        let executor_panics = executor.panic_counter();
-        let reactor = Arc::new(Reactor::with_faults(config.faults.clone()));
 
-        let dispatchers = (0..config.dispatchers.max(1))
-            .map(|_| {
+        // `executor_threads` caps the count; its doc says why it exists.
+        let threads = config.dispatchers.min(config.executor_threads).max(1);
+        let dispatchers = (0..threads)
+            .map(|i| {
                 let queue = Arc::clone(&queue);
                 let counters = Arc::clone(&counters);
                 let model = Arc::clone(&model);
                 let faults = config.faults.clone();
                 // Supervisor: restart the serving loop after any caught
                 // panic, until the queue reports closed-and-drained.
-                // `spawn_critical` exempts the supervisor itself from the
-                // injected executor.poll site — it *is* the containment.
-                executor.spawn_critical(async move {
-                    loop {
-                        let serving = dispatch_loop(
-                            Arc::clone(&queue),
-                            Arc::clone(&counters),
-                            Arc::clone(&model),
-                            faults.clone(),
-                        );
-                        match CatchUnwind::new(serving).await {
-                            Ok(()) => break,
-                            Err(_) => counters.record_worker_respawn(),
-                        }
+                let supervise = move || loop {
+                    let serving = || dispatch_loop(&queue, &counters, &*model, &faults);
+                    match catch_unwind(AssertUnwindSafe(serving)) {
+                        Ok(()) => break,
+                        Err(_) => counters.record_worker_respawn(),
                     }
-                })
+                };
+                std::thread::Builder::new()
+                    .name(format!("mpdp-serve-dispatch-{i}"))
+                    .spawn(supervise)
+                    .expect("spawn dispatcher thread")
             })
             .collect();
 
@@ -583,13 +573,10 @@ impl ServeFront {
             tenants,
             queue,
             counters,
-            reactor,
             default_deadline: config.default_deadline,
             faults: config.faults,
             tracer: config.tracer,
-            executor_panics,
             dispatchers,
-            executor: Some(executor),
         }
     }
 
@@ -675,101 +662,6 @@ impl ServeFront {
         }
     }
 
-    /// Batch admission: submits a pacing tick's worth of `offered` requests
-    /// for one tenant in one quota reservation and one queue lock, appending
-    /// a ticket per accepted request to `tickets` and returning how many
-    /// were shed (counted, per kind, like [`ServeFront::submit`]).
-    ///
-    /// The query source is *lazy*: `queries` is pulled once per **admitted**
-    /// request only, so a shed costs a counter increment — never a query
-    /// materialization or drop. That is what keeps throughput flat past
-    /// saturation: a front door that parses (or here, builds) every request
-    /// it is about to reject spends its overload budget on garbage. The
-    /// caller promises the iterator can yield at least `offered` items;
-    /// anything it yields beyond the admitted prefix stays untouched in the
-    /// iterator.
-    ///
-    /// Admission is conservative under races: the batch is sized to the
-    /// quota headroom and free queue capacity observed at entry, so a
-    /// concurrent producer can cause a shed that a per-request retry would
-    /// have squeezed in. That is the intended policy — an open-loop
-    /// generator sheds and moves on; it never blocks on admission.
-    pub fn submit_many(
-        &self,
-        tenant: usize,
-        offered: usize,
-        queries: impl IntoIterator<Item = LargeQuery>,
-        tickets: &mut Vec<PlanTicket>,
-    ) -> u64 {
-        let t = &self.tenants[tenant];
-        let mut queries = queries.into_iter();
-        // A closed front sheds nothing — mirror `submit`'s `ShuttingDown`
-        // (which is not a counted shed) and refuse the batch unpulled.
-        if self.queue.is_closed() {
-            return offered as u64;
-        }
-        // Reserve quota headroom for the whole batch at once.
-        let mut reserved = 0usize;
-        let _ = t
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                reserved = offered.min(t.max_in_flight.saturating_sub(cur));
-                (reserved > 0).then(|| cur + reserved)
-            });
-        let room = self.queue.free_capacity();
-        let admit = reserved.min(room);
-        let now = Instant::now();
-        let deadline = self.config_deadline();
-        let mut batch: Vec<Request> = Vec::with_capacity(admit);
-        for query in queries.by_ref().take(admit) {
-            let span = self.tracer.begin_request(sites::REQUEST);
-            batch.push(Request {
-                query,
-                deadline,
-                lease: Lease {
-                    tenants: Arc::clone(&self.tenants),
-                    counters: Arc::clone(&self.counters),
-                    ticket: TicketState::new(),
-                    tenant,
-                    submitted: now,
-                    trace: span.ctx(),
-                    accepted: true,
-                    dispatched: false,
-                    done: false,
-                },
-                span,
-            });
-        }
-        let built = batch.len();
-        let states: Vec<Arc<TicketState>> =
-            batch.iter().map(|r| Arc::clone(&r.lease.ticket)).collect();
-        let pushed = self.queue.try_push_batch(&mut batch);
-        // The unpushed tail (capacity sheds, close races) never entered the
-        // queue; their leases release the quota slots on drop.
-        for r in &mut batch {
-            r.lease.accepted = false;
-        }
-        drop(batch);
-        // Quota reserved beyond what was even built (iterator underrun,
-        // capacity clamp) is given back in one move.
-        let over_reserved = reserved - built;
-        if over_reserved > 0 {
-            t.in_flight.fetch_sub(over_reserved, Ordering::Release);
-        }
-        tickets.extend(
-            states
-                .into_iter()
-                .take(pushed)
-                .map(|state| self.ticket(state)),
-        );
-        self.counters.record_accept_n(pushed as u64);
-        let quota_shed = offered.saturating_sub(reserved) as u64;
-        let queue_shed = (offered - pushed) as u64 - quota_shed;
-        self.counters.record_shed_quota_n(quota_shed);
-        self.counters.record_shed_queue_full_n(queue_shed);
-        queue_shed + quota_shed
-    }
-
     /// The tenant's `PlanService` (e.g. to pre-warm its cache partition or
     /// feed `observe` cardinality feedback).
     ///
@@ -816,15 +708,11 @@ impl ServeFront {
     }
 
     /// Front-door counters (accepted / sheds / completed / gauges), with
-    /// the queue's depth and peak read from the queue itself, the
-    /// executor's contained poll panics folded into `worker_respawns` and
-    /// the reactor's driver restarts into `reactor_respawns`.
+    /// the queue's depth and peak read from the queue itself.
     pub fn serve_counters(&self) -> ServeSnapshot {
         let mut s = self.counters.snapshot();
         s.queue_depth = self.queue.len() as u64;
         s.queue_depth_peak = self.queue.peak() as u64;
-        s.worker_respawns += self.executor_panics.load(Ordering::Relaxed);
-        s.reactor_respawns += self.reactor.respawns();
         s
     }
 
@@ -846,24 +734,6 @@ impl ServeFront {
             total.merge(&self.cache_counters(tenant));
         }
         total
-    }
-
-    /// Spawns an auxiliary future on the front-end's executor (the open-loop
-    /// generator runs this way, paced by [`ServeFront::sleep_until`]).
-    pub fn spawn<F, T>(&self, fut: F) -> Join<T>
-    where
-        F: std::future::Future<Output = T> + Send + 'static,
-        T: Send + 'static,
-    {
-        self.executor
-            .as_ref()
-            .expect("executor live until drop")
-            .spawn(fut)
-    }
-
-    /// A timer future from the front-end's reactor.
-    pub fn sleep_until(&self, deadline: Instant) -> Sleep {
-        self.reactor.sleep_until(deadline)
     }
 
     /// The front-end's counters as an [`ObsSnapshot`]: the serve section
@@ -902,7 +772,7 @@ impl ServeFront {
     }
 
     /// Stops admission, drains every accepted request, and joins the
-    /// dispatcher tasks. Idempotent; also runs on drop. Submissions during
+    /// dispatcher threads. Idempotent; also runs on drop. Submissions during
     /// or after shutdown answer [`Rejected::ShuttingDown`].
     pub fn shutdown(&mut self) {
         self.queue.close();
@@ -912,8 +782,6 @@ impl ServeFront {
             // shutdown/drop.
             let _ = d.join();
         }
-        // Dispatchers are done; now the executor can stop its workers.
-        self.executor.take();
     }
 }
 
@@ -938,7 +806,6 @@ mod tests {
     fn accepted_requests_complete_with_valid_plans() {
         let front = front(ServeConfig {
             dispatchers: 2,
-            executor_threads: 2,
             ..Default::default()
         });
         let m = PgLikeCost::new();
@@ -1024,7 +891,6 @@ mod tests {
         let tracer = Tracer::armed(4_096);
         let mut front = front(ServeConfig {
             dispatchers: 2,
-            executor_threads: 2,
             tracer: tracer.clone(),
             ..Default::default()
         });
@@ -1078,7 +944,6 @@ mod tests {
     fn shutdown_drains_accepted_requests() {
         let mut front = front(ServeConfig {
             dispatchers: 2,
-            executor_threads: 2,
             ..Default::default()
         });
         let m = PgLikeCost::new();
@@ -1103,7 +968,6 @@ mod tests {
     fn abandoned_tickets_are_counted_and_release_quota() {
         let front = front(ServeConfig {
             dispatchers: 1,
-            executor_threads: 2,
             tenants: vec![TenantConfig {
                 max_in_flight: 4,
                 ..TenantConfig::named("t")
@@ -1141,7 +1005,6 @@ mod tests {
     fn deadline_pressed_requests_degrade_instead_of_failing() {
         let front = front(ServeConfig {
             dispatchers: 2,
-            executor_threads: 2,
             // A deadline far too tight for an exact 14-relation cold plan.
             default_deadline: Some(Duration::from_micros(50)),
             ..Default::default()
@@ -1167,7 +1030,6 @@ mod tests {
             .arm();
         let mut front = front(ServeConfig {
             dispatchers: 1,
-            executor_threads: 2,
             faults: faults.clone(),
             ..Default::default()
         });

@@ -1,22 +1,19 @@
 //! A bounded MPMC queue: the admission-control buffer of the front-end.
 //!
-//! Producers are synchronous (`try_push` from any thread — the submit path
-//! must answer *reject or accept* immediately, never block the caller), and
-//! consumers are async dispatcher tasks (`pop().await`). Capacity is the
-//! admission policy: a full queue is an explicit [`PushError::Full`] the
-//! front-end converts into a counted shed, never a silent drop. Closing the
-//! queue lets already-accepted items drain — `pop` keeps returning items
-//! until the queue is empty, then resolves to `None` — which is what gives
-//! the front-end its "every accepted request completes" guarantee during
-//! shutdown.
+//! Producers never wait (`try_push` from any thread — the submit path must
+//! answer *reject or accept* immediately, never block the caller), and
+//! consumers are dispatcher threads that park in [`Bounded::pop`] on a
+//! condvar while the queue is empty. Capacity is the admission policy: a
+//! full queue is an explicit [`PushError::Full`] the front-end converts into
+//! a counted shed, never a silent drop. Closing the queue lets
+//! already-accepted items drain — `pop` keeps returning items until the
+//! queue is empty, then returns `None` — which is what gives the front-end
+//! its "every accepted request completes" guarantee during shutdown.
 
 use mpdp_core::faults::{site, Faults};
-use mpdp_core::sync::lock_recover;
+use mpdp_core::sync::{lock_recover, wait_recover};
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::sync::{Condvar, Mutex};
 
 /// Why a push was refused. The payload is handed back so the caller can
 /// report the rejected request (it still owns it).
@@ -34,9 +31,10 @@ struct State<T> {
     /// under the same lock, so it is exact and never exceeds the capacity.
     peak: usize,
     closed: bool,
-    /// Wakers of dispatcher tasks parked in [`Pop`]. One waker per push;
-    /// all on close.
-    poppers: Vec<Waker>,
+    /// Consumers parked on `available` right now. `try_push` signals only
+    /// when this is non-zero: a futex `notify_one` is a system call even
+    /// with nobody waiting, and on a busy queue nobody is.
+    waiting: usize,
 }
 
 /// The shared bounded queue. Cheap to clone by wrapping in `Arc` at the
@@ -44,6 +42,8 @@ struct State<T> {
 /// `VecDeque` operation, and the capacity bound keeps it small).
 pub struct Bounded<T> {
     state: Mutex<State<T>>,
+    /// Signalled once per push that found a consumer parked; all on close.
+    available: Condvar,
     capacity: usize,
     /// Fault-injection handle ([`site::QUEUE_PUSH`] on the submitter's
     /// thread, [`site::QUEUE_POP`] on the consumer's); disarmed by default.
@@ -72,8 +72,9 @@ impl<T> Bounded<T> {
                 items: VecDeque::new(),
                 peak: 0,
                 closed: false,
-                poppers: Vec::new(),
+                waiting: 0,
             }),
+            available: Condvar::new(),
             capacity: capacity.max(1),
             faults,
         }
@@ -107,7 +108,7 @@ impl<T> Bounded<T> {
         if self.faults.apply_panic_stall(site::QUEUE_PUSH) {
             return Err(PushError::Full(item));
         }
-        let waker = {
+        let parked = {
             let mut state = lock_recover(&self.state);
             if state.closed {
                 return Err(PushError::Closed(item));
@@ -117,10 +118,10 @@ impl<T> Bounded<T> {
             }
             state.items.push_back(item);
             state.peak = state.peak.max(state.items.len());
-            state.poppers.pop()
+            state.waiting > 0
         };
-        if let Some(w) = waker {
-            w.wake();
+        if parked {
+            self.available.notify_one();
         }
         Ok(())
     }
@@ -130,52 +131,9 @@ impl<T> Bounded<T> {
         lock_recover(&self.state).closed
     }
 
-    /// Free slots remaining (0 when closed). A snapshot — concurrent
-    /// producers and consumers move it — useful for sizing an admission
-    /// batch before building per-request state that a full queue would
-    /// throw away.
-    pub fn free_capacity(&self) -> usize {
-        let state = lock_recover(&self.state);
-        if state.closed {
-            0
-        } else {
-            self.capacity - state.items.len().min(self.capacity)
-        }
-    }
-
-    /// Pushes a whole batch under one lock acquisition, stopping at
-    /// capacity (or rejecting everything once closed). Returns the number
-    /// pushed; the unpushed tail is handed back in `items` (order
-    /// preserved). Wakes as many parked poppers as items pushed.
-    pub fn try_push_batch(&self, items: &mut Vec<T>) -> usize {
-        // Same submitter-thread fault site as `try_push`; an `Error` sheds
-        // the whole batch (handed back untouched, like a full queue).
-        if self.faults.apply_panic_stall(site::QUEUE_PUSH) {
-            return 0;
-        }
-        let (pushed, wakers) = {
-            let mut state = lock_recover(&self.state);
-            if state.closed {
-                return 0;
-            }
-            let room = self.capacity - state.items.len().min(self.capacity);
-            let pushed = items.len().min(room);
-            state.items.extend(items.drain(..pushed));
-            state.peak = state.peak.max(state.items.len());
-            let n_wake = pushed.min(state.poppers.len());
-            let at = state.poppers.len() - n_wake;
-            (pushed, state.poppers.split_off(at))
-        };
-        for w in wakers {
-            w.wake();
-        }
-        pushed
-    }
-
     /// Pops up to `max` items into `buf` under one lock acquisition,
-    /// returning how many were taken. The consumer-side batch half of
-    /// [`Bounded::try_push_batch`]: a dispatcher that drains its backlog in
-    /// chunks pays one lock per chunk instead of one per request.
+    /// returning how many were taken: a dispatcher that drains its backlog
+    /// in chunks pays one lock per chunk instead of one per request.
     pub fn drain_into(&self, buf: &mut Vec<T>, max: usize) -> usize {
         // Consumer-side fault site, checked before any item is removed so
         // an injected panic never loses a request (it unwinds into the
@@ -188,62 +146,64 @@ impl<T> Bounded<T> {
         take
     }
 
-    /// Resolves to the next item, or `None` once the queue is closed *and*
-    /// drained. Fair enough for dispatchers (whoever polls first wins); a
-    /// woken popper that loses the race simply re-registers.
-    pub fn pop(self: &Arc<Self>) -> Pop<T> {
-        Pop {
-            queue: Arc::clone(self),
+    /// Blocks until an item is available and returns it, or returns `None`
+    /// once the queue is closed *and* drained. Whoever takes the lock first
+    /// wins; a woken consumer that loses the race parks again.
+    pub fn pop(&self) -> Option<T> {
+        // Consumer-side fault site, checked with the queue lock released (a
+        // stalled consumer must not block submitters) and before any item
+        // moves. `Error` is a no-op: `pop` has no error channel, and
+        // returning `None` early would fake a shutdown.
+        let _ = self.faults.apply_panic_stall(site::QUEUE_POP);
+        let mut state = lock_recover(&self.state);
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
+            }
+            if state.closed {
+                return None;
+            }
+            state.waiting += 1;
+            state = wait_recover(&self.available, state);
+            state.waiting -= 1;
         }
     }
 
     /// Closes the queue: future pushes fail with [`PushError::Closed`],
-    /// parked poppers are woken, and `pop` drains the remaining items
+    /// parked consumers are woken, and `pop` drains the remaining items
     /// before reporting the end of the stream.
     pub fn close(&self) {
-        let poppers = {
-            let mut state = lock_recover(&self.state);
-            state.closed = true;
-            std::mem::take(&mut state.poppers)
-        };
-        for w in poppers {
-            w.wake();
-        }
-    }
-}
-
-/// Future returned by [`Bounded::pop`].
-#[derive(Debug)]
-pub struct Pop<T> {
-    queue: Arc<Bounded<T>>,
-}
-
-impl<T> Future for Pop<T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        // Consumer-side fault site, checked with the queue lock released
-        // (a stalled popper must not block submitters). `Error` is a no-op:
-        // `pop` has no error channel, and resolving `None` early would
-        // fake a shutdown.
-        let _ = self.queue.faults.apply_panic_stall(site::QUEUE_POP);
-        let mut state = lock_recover(&self.queue.state);
-        if let Some(item) = state.items.pop_front() {
-            return Poll::Ready(Some(item));
-        }
-        if state.closed {
-            return Poll::Ready(None);
-        }
-        state.poppers.retain(|w| !w.will_wake(cx.waker()));
-        state.poppers.push(cx.waker().clone());
-        Poll::Pending
+        lock_recover(&self.state).closed = true;
+        self.available.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Executor;
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
+
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// Spins until exactly `n` consumers are parked in `pop`.
+    fn await_parked<T>(q: &Bounded<T>, n: usize) {
+        let deadline = Instant::now() + TIMEOUT;
+        while lock_recover(&q.state).waiting != n {
+            assert!(Instant::now() < deadline, "consumers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// `n` threads that each pop once and report what they got.
+    fn spawn_poppers(q: &Arc<Bounded<u32>>, n: usize) -> mpsc::Receiver<Option<u32>> {
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..n {
+            let (q, tx) = (Arc::clone(q), tx.clone());
+            std::thread::spawn(move || tx.send(q.pop()).expect("test still listening"));
+        }
+        rx
+    }
 
     #[test]
     fn capacity_is_enforced_and_reported() {
@@ -270,10 +230,10 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(q.drain_into(&mut out, 8), 2);
         assert_eq!((q.len(), q.peak()), (0, 2), "draining keeps the peak");
-        // A batch larger than the room is clipped at capacity, and so is
-        // the peak; refused pushes do not move it.
-        let mut batch: Vec<u32> = (0..10).collect();
-        assert_eq!(q.try_push_batch(&mut batch), 4);
+        // Filling past the room stops at capacity, and so does the peak;
+        // refused pushes do not move it.
+        let admitted = (0..10).filter(|&v| q.try_push(v).is_ok()).count();
+        assert_eq!(admitted, 4);
         assert!(matches!(q.try_push(99), Err(PushError::Full(99))));
         assert_eq!((q.len(), q.peak()), (4, 4));
     }
@@ -281,16 +241,15 @@ mod tests {
     #[test]
     fn consumers_drain_across_threads_then_observe_close() {
         let q: Arc<Bounded<u64>> = Arc::new(Bounded::new(64));
-        let ex = Executor::new(3);
-        let total = Arc::new(Mutex::new(0u64));
         let consumers: Vec<_> = (0..3)
             .map(|_| {
                 let q = Arc::clone(&q);
-                let total = Arc::clone(&total);
-                ex.spawn(async move {
-                    while let Some(v) = q.pop().await {
-                        *total.lock().unwrap() += v;
+                std::thread::spawn(move || {
+                    let mut total = 0u64;
+                    while let Some(v) = q.pop() {
+                        total += v;
                     }
+                    total
                 })
             })
             .collect();
@@ -311,9 +270,48 @@ mod tests {
             pushed += v;
         }
         q.close();
-        for c in consumers {
-            c.wait();
+        let total: u64 = consumers
+            .into_iter()
+            .map(|c| c.join().expect("consumer panicked"))
+            .sum();
+        assert_eq!(total, pushed, "every accepted item served");
+    }
+
+    #[test]
+    fn close_releases_every_parked_consumer() {
+        let q: Arc<Bounded<u32>> = Arc::new(Bounded::new(4));
+        let popped = spawn_poppers(&q, 3);
+        await_parked(&q, 3);
+        q.close();
+        for _ in 0..3 {
+            assert_eq!(popped.recv_timeout(TIMEOUT), Ok(None), "consumer hung");
         }
-        assert_eq!(*total.lock().unwrap(), pushed, "every accepted item served");
+        await_parked(&q, 0);
+    }
+
+    #[test]
+    fn push_with_nobody_parked_is_found_by_the_next_pop() {
+        let q: Bounded<u32> = Bounded::new(4);
+        assert!(q.try_push(7).is_ok());
+        assert_eq!(lock_recover(&q.state).waiting, 0, "nobody to signal");
+        // The item is taken off the deque under the lock; a consumer that
+        // arrives after the push never touches the condvar.
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(lock_recover(&q.state).waiting, 0);
+    }
+
+    #[test]
+    fn two_pushes_wake_two_parked_consumers() {
+        let q: Arc<Bounded<u32>> = Arc::new(Bounded::new(4));
+        let popped = spawn_poppers(&q, 2);
+        await_parked(&q, 2);
+        assert!(q.try_push(1).is_ok());
+        assert!(q.try_push(2).is_ok());
+        let mut got = [
+            popped.recv_timeout(TIMEOUT).expect("first consumer hung"),
+            popped.recv_timeout(TIMEOUT).expect("second consumer hung"),
+        ];
+        got.sort();
+        assert_eq!(got, [Some(1), Some(2)]);
     }
 }

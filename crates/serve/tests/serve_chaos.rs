@@ -1,7 +1,7 @@
 //! Chaos suite: the serving front-end under seeded fault injection.
 //!
 //! Each case arms a deterministic [`FaultPlan`] (panics, stalls, and errors
-//! at the queue, dispatcher, planner, executor, and reactor sites — see
+//! at the queue, dispatcher, and planner sites — see
 //! `mpdp_core::faults::site`) and drives a real [`ServeFront`] through it.
 //! The assertions are the failure-domain contract, not performance:
 //!
@@ -19,12 +19,13 @@
 //! `cargo test --test serve_chaos`.
 
 use mpdp::service::ServedVia;
-use mpdp_core::faults::FaultPlan;
+use mpdp_core::faults::{FaultPlan, Faults};
 use mpdp_core::LargeQuery;
 use mpdp_cost::PgLikeCost;
 use mpdp_serve::{PlanTicket, Rejected, ServeConfig, ServeFront, TenantConfig};
 use mpdp_workload::gen;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,15 +47,15 @@ fn templates(count: usize) -> Vec<LargeQuery> {
 }
 
 /// Drives one seeded fault schedule through a small front-end and asserts
-/// the failure-domain contract. Returns how many injected faults fired.
-fn run_chaos_seed(seed: u64) -> u64 {
+/// the failure-domain contract. Returns the armed handle, for its fired
+/// counts.
+fn run_chaos_seed(seed: u64) -> Faults {
     let faults = FaultPlan::seeded(seed).arm();
     let pool = templates(32);
     let mut front = ServeFront::new(
         ServeConfig {
             queue_depth: 64,
             dispatchers: 2,
-            executor_threads: 3,
             default_deadline: Some(Duration::from_millis(300)),
             faults: faults.clone(),
             tenants: vec![TenantConfig::named("chaos")],
@@ -118,21 +119,41 @@ fn run_chaos_seed(seed: u64) -> u64 {
         s.completed,
         s.completed + s.failed
     );
-    faults.fired()
+    faults
 }
 
 /// 32 seeded schedules, exercised end to end. Aggregate, the schedules must
-/// actually fire (a chaos suite that injects nothing tests nothing).
+/// actually fire (a chaos suite that injects nothing tests nothing) — and at
+/// every site they name: a site that is scheduled 32 times over and never
+/// reached is seeded surface the suite only pretends to cover.
 #[test]
 fn thirty_two_seeded_schedules_hold_the_contract() {
     let mut fired_total = 0;
+    let mut fired_at: BTreeMap<String, u64> = BTreeMap::new();
     for seed in 0..32u64 {
-        fired_total += run_chaos_seed(seed);
+        let faults = run_chaos_seed(seed);
+        fired_total += faults.fired();
+        // The schedule's own listing (`site@index action` per line) says
+        // which sites this seed draws from.
+        let schedule = FaultPlan::seeded(seed).describe();
+        let sites: BTreeSet<&str> = schedule
+            .lines()
+            .map(|line| line.split('@').next().expect("site@index action"))
+            .collect();
+        for site in sites {
+            *fired_at.entry(site.to_string()).or_default() += faults.fired_at(site);
+        }
     }
     assert!(
         fired_total >= 32,
         "only {fired_total} injected faults fired across 32 schedules"
     );
+    for (site, fired) in &fired_at {
+        assert!(
+            *fired >= 1,
+            "{site} is scheduled but never fired across 32 schedules: {fired_at:?}"
+        );
+    }
 }
 
 /// Deadline-carrying requests resolve *within* their budget (plus scheduling
@@ -144,7 +165,6 @@ fn deadline_requests_degrade_within_budget() {
     let front = ServeFront::new(
         ServeConfig {
             dispatchers: 2,
-            executor_threads: 2,
             default_deadline: Some(deadline),
             ..ServeConfig::default()
         },
@@ -195,7 +215,6 @@ fn hammer_close_race(case_seed: u64) {
         ServeConfig {
             queue_depth: 32,
             dispatchers: 2,
-            executor_threads: 2,
             tenants: vec![TenantConfig {
                 max_in_flight: 48,
                 ..TenantConfig::named("hammer")

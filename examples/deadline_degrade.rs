@@ -33,7 +33,6 @@ fn main() {
         ServeFront::new(
             ServeConfig {
                 dispatchers: 1,
-                executor_threads: 2,
                 default_deadline: deadline,
                 tenants: vec![TenantConfig::named("demo")],
                 ..ServeConfig::default()

@@ -12,10 +12,10 @@
 //!
 //! A [`Flight`] is a result slot plus a waker list, and there is one kind of
 //! waiter: whoever polls it ([`Flight::poll_result`]) leaves a [`Waker`]
-//! behind and is woken when the leader publishes. An async task passes its
-//! task waker and suspends — the `mpdp-serve` front-end does, so a cold plan
-//! never idles more than the one executor thread the leader runs on; a
-//! blocking caller passes a [`park_waker`] for its own thread and parks.
+//! behind and is woken when the leader publishes. An async task
+//! (`PlanService::plan_async`) passes its task waker and suspends; a blocking
+//! caller — the `mpdp-serve` dispatcher threads among them — passes a
+//! [`park_waker`] for its own thread and parks.
 //!
 //! Liveness: the leader completes its flight through a [`FlightGuard`] whose
 //! `Drop` fires even on panic, completing the flight with an error instead of

@@ -80,8 +80,6 @@ pub fn fault_site_code(name: &str) -> u64 {
         site::QUEUE_POP => 1,
         site::DISPATCH_CHUNK => 2,
         site::PLANNER_INVOKE => 3,
-        site::EXECUTOR_POLL => 4,
-        site::REACTOR_TICK => 5,
         _ => u64::MAX,
     }
 }
@@ -444,11 +442,10 @@ impl PlanService {
     /// resolves to the served plan. A hit (or a strategy-override /
     /// cache-bypass request) resolves on first poll; a coalesced waiter
     /// suspends on the flight's waker list and is woken when the leader
-    /// publishes, blocking no executor thread. A *leader* plans inside its
-    /// poll — cold planning is CPU work with nothing to await, so the
-    /// executor dedicates exactly one thread to it, which is the same
-    /// commitment the blocking path makes and the reason `mpdp-serve` runs
-    /// more than one executor thread.
+    /// publishes, blocking no thread of the caller's runtime. A *leader*
+    /// plans inside its poll — cold planning is CPU work with nothing to
+    /// await, so whoever polls it dedicates exactly one thread to it, which
+    /// is the same commitment the blocking path makes.
     pub fn plan_async<'a>(
         &'a self,
         q: &'a LargeQuery,

@@ -337,7 +337,7 @@ fn replay_hit_rate(
     for (_, q) in queries {
         cluster.plan(q, model).expect("plan");
     }
-    cluster.aggregate_cache().since(&before).request_hit_rate()
+    cluster.aggregate_cache().delta(&before).request_hit_rate()
 }
 
 /// Sharding must not cost hits: the same stream through a warmed 4-shard

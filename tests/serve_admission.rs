@@ -20,7 +20,6 @@ fn overload_sheds_explicitly_and_accepted_requests_complete() {
         ServeConfig {
             queue_depth: 8,
             dispatchers: 1,
-            executor_threads: 2,
             tenants: vec![TenantConfig::named("flood")],
             ..Default::default()
         },
@@ -74,7 +73,6 @@ fn tenant_quota_sheds_independently_of_queue() {
         ServeConfig {
             queue_depth: 64,
             dispatchers: 1,
-            executor_threads: 2,
             tenants: vec![strict, TenantConfig::named("lax")],
             ..Default::default()
         },
@@ -126,7 +124,6 @@ fn aggregate_cache_is_the_exact_fieldwise_sum() {
         ServeConfig {
             queue_depth: 64,
             dispatchers: 2,
-            executor_threads: 2,
             tenants: vec![TenantConfig::named("plain"), clustered],
             ..Default::default()
         },

@@ -78,14 +78,13 @@ fn racing_relabeled_queries_plan_exactly_once() {
 }
 
 #[test]
-fn async_front_coalesces_relabeled_floods() {
+fn relabeled_floods_coalesce_through_the_front() {
     const REQUESTS: usize = 32;
 
     let m = PgLikeCost::new();
     let front = ServeFront::new(
         ServeConfig {
             dispatchers: 4,
-            executor_threads: 4,
             tenants: vec![TenantConfig::named("flood")],
             ..Default::default()
         },
@@ -94,7 +93,7 @@ fn async_front_coalesces_relabeled_floods() {
     let template = gen::chain(10, 99, &m);
 
     // Submit a burst of relabelings before waiting on anything: the
-    // dispatchers race them through `plan_async`, where all but the flight
+    // dispatchers race them through `plan_coalesced`, where all but the flight
     // leader coalesce.
     let submissions: Vec<_> = (0..REQUESTS)
         .map(|i| {
