@@ -207,9 +207,6 @@ pub struct Bridge {
     /// Every vertex on the lower endpoint's side of the bridge (the
     /// component of that endpoint once the bridge is removed).
     pub side: RelSet,
-    /// The bridge's selectivity. No other edge joins the two sides, so this
-    /// is `selectivity_between` of any split along the bridge, to the bit.
-    pub sel: f64,
 }
 
 /// The block structure of a whole join graph, computed once per query so
@@ -244,7 +241,6 @@ impl BlockIndex {
             index.bridges.push(Bridge {
                 ends: b,
                 side: g.grow(u, all.difference(v)),
-                sel: g.selectivity_between(u, v),
             });
         }
         index
@@ -520,8 +516,6 @@ mod tests {
                 let u = br.ends.lowest_bit();
                 let left = g.grow(u, s.difference(br.ends.difference(u)));
                 assert_eq!(s.intersect(br.side), left, "round {round}");
-                let sel = g.selectivity_between(left, s.difference(left));
-                assert_eq!(sel.to_bits(), br.sel.to_bits());
             }
         }
     }

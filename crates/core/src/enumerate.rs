@@ -1,4 +1,5 @@
-//! Connected-subset frontier enumeration.
+//! Connected-subset enumeration: every connected set once, with its
+//! cardinality.
 //!
 //! The level-synchronous DP algorithms (DPSUB, MPDP and their parallel /
 //! simulated-GPU forms) need, per level `i`, every *connected* vertex set of
@@ -8,239 +9,202 @@
 //! of 20 relations has 210 connected subsets yet the filter walks all
 //! `2^20` candidates.
 //!
-//! [`FrontierEnumerator`] replaces generate-and-filter with frontier
-//! expansion: level `i+1`'s connected sets are obtained by extending each
-//! level-`i` connected set `S` with one vertex of its neighbourhood `N(S)`.
-//! Every candidate produced this way is connected *by construction*, so no
-//! connectivity check is ever run; duplicates (the same set reached from
-//! several sub-sets) are discarded through a Murmur3 open-addressing
-//! [`SeenTable`] — the same hashing machinery as the memo table
-//! (`crate::memo`). Work per level is `O(Σ_S |N(S)|)` — proportional to the
-//! number of connected sets times average degree, never to `C(n, i)`.
+//! [`ConnectedSets`] reaches each connected set **exactly once**, by
+//! single-vertex extension — the `EnumerateCsg` scheme of Moerkotte–Neumann
+//! (DPCCP's outer loop) with one vertex added per step, also known as ESU.
+//! A set `S` grown from start vertex `v` carries an *extension set*: the
+//! vertices above `v` that are adjacent to `S` and were not adjacent to the
+//! set any of them could have been added to earlier. Taking `w` out of the
+//! extension set and recursing on `S ∪ {w}` with `w`'s *exclusive*
+//! neighbourhood added (neighbours above `v` that are neither in nor next to
+//! `S`) gives every connected set containing `v` and nothing below it one
+//! parent, so there is nothing to deduplicate and no table. Work per set is
+//! a few word operations plus the degree of the added vertex.
 //!
-//! Completeness: every connected set `T` with `|T| ≥ 2` has a spanning tree,
-//! and removing one of its leaves yields a connected `|T|-1`-subset whose
-//! neighbourhood contains the removed vertex — so `T` is generated at least
-//! once. Each level is sorted ascending by bitmap, which is exactly the
-//! order Gosper's hack ([`crate::combinatorics::KSubsets`]) visits the same
-//! sets in, making frontier and filter enumeration *bit-identical* from the
-//! consuming DP's point of view.
+//! The same step sizes the set. A set's cardinality is split-invariant —
+//! ∏ rows × ∏ induced selectivities — so it is per-*set* work, and the
+//! recursion already holds everything it needs:
+//! `rows(S ∪ {w}) = rows(S) · (rows(w) · ∏ sel(w, u ∈ S))`. One parent per
+//! set makes the value a pure function of (query, set): the same bits in
+//! every backend, at every worker count.
+//!
+//! Discovery order is the recursion's; consumers want levels (sets of equal
+//! size) back to back, each ascending by bitmap — exactly the order Gosper's
+//! hack ([`crate::combinatorics::KSubsets`]) visits the same sets in, which
+//! makes this and filter enumeration *bit-identical* from the consuming DP's
+//! point of view. The recursion knows a set's size, so it files each set
+//! under its level as it finds it, and a level is then ordered on its own:
+//! the keys are small integers, so a level long enough to pay for 256
+//! counters gets stable counting passes, one per bitmap byte, instead of a
+//! comparison sort.
 
 use crate::bitset::RelSet;
-use crate::graph::JoinGraph;
-use crate::memo::murmur3_fmix64;
+use crate::query::QueryInfo;
 
 /// How a level-structured DP backend enumerates each level's connected sets.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum EnumerationMode {
-    /// Connected-subgraph frontier expansion (this module) — work scales
-    /// with the number of connected sets. The default.
+    /// Connected-subgraph enumeration (this module) — work scales with the
+    /// number of connected sets. The default.
     #[default]
     Frontier,
     /// Legacy generate-and-filter: unrank all `C(n, i)` subsets per level
     /// and drop the disconnected ones. Kept for the paper's `unranked`
-    /// counter ablations (Figure 12 / §7) and as the reference
-    /// implementation the frontier path is verified against.
+    /// counter ablations (Figure 12 / §7); it arrives at the same lists and
+    /// takes their cardinalities from [`ConnectedSets`].
     Unranked,
 }
 
-/// Open-addressing hash *set* of `u64` keys (Murmur3-mixed, linear probing)
-/// — the membership-only sibling of [`crate::memo::MemoTable`], used to
-/// deduplicate frontier expansion. Key `0` (the empty set) is reserved as
-/// the empty-slot marker, which is safe because expansion never produces an
-/// empty set.
+/// Sets emitted between two calls of the enumeration's `poll`.
+const POLL_STRIDE: u32 = 4096;
+
+/// Levels shorter than this are ordered by a comparison sort: a counting
+/// pass costs 256 counters however few sets it moves (a 20-relation chain
+/// has 20 levels of at most 20 sets).
+const RADIX_MIN: usize = 256;
+
+/// Every connected set of a query with its cardinality: 16 bytes per set,
+/// levels back to back.
 #[derive(Clone, Debug)]
-pub struct SeenTable {
-    slots: Vec<u64>,
-    mask: usize,
-    len: usize,
+pub struct ConnectedSets {
+    /// Levels `1..=n` (level 1 is the singletons), each ascending by bitmap.
+    pub sets: Vec<RelSet>,
+    /// `rows[k]` is the estimated cardinality of `sets[k]`, within a few ulps
+    /// of [`QueryInfo::cardinality`].
+    pub rows: Vec<f64>,
+    /// Level `l` is `starts[l - 1]..starts[l]`; `n + 1` entries.
+    pub starts: Vec<usize>,
 }
 
-impl SeenTable {
-    /// Creates a table sized for roughly `expected` keys.
-    pub fn with_capacity(expected: usize) -> Self {
-        let cap = (expected.max(8) * 2).next_power_of_two();
-        SeenTable {
-            slots: vec![0; cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    /// Number of distinct keys inserted.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no key has been inserted.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops all keys, re-sizing for roughly `expected` upcoming inserts
-    /// (reuses the allocation when it is already big enough).
-    pub fn clear_for(&mut self, expected: usize) {
-        let cap = (expected.max(8) * 2).next_power_of_two();
-        if cap > self.slots.len() {
-            self.slots = vec![0; cap];
-            self.mask = cap - 1;
-        } else {
-            self.slots.fill(0);
-        }
-        self.len = 0;
-    }
-
-    /// Inserts `key`, returning `true` if it was not present before.
-    ///
-    /// # Panics
-    /// Debug-panics on the reserved key `0`.
-    #[inline]
-    pub fn insert(&mut self, key: u64) -> bool {
-        debug_assert_ne!(key, 0, "key 0 is the empty-slot marker");
-        if (self.len + 1) * 10 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mut idx = (murmur3_fmix64(key) as usize) & self.mask;
-        loop {
-            let slot = self.slots[idx];
-            if slot == 0 {
-                self.slots[idx] = key;
-                self.len += 1;
-                return true;
-            }
-            if slot == key {
-                return false;
-            }
-            idx = (idx + 1) & self.mask;
-        }
-    }
-
-    /// `true` if `key` has been inserted.
-    #[inline]
-    pub fn contains(&self, key: u64) -> bool {
-        let mut idx = (murmur3_fmix64(key) as usize) & self.mask;
-        loop {
-            let slot = self.slots[idx];
-            if slot == 0 {
-                return false;
-            }
-            if slot == key {
-                return true;
-            }
-            idx = (idx + 1) & self.mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let old = std::mem::replace(&mut self.slots, vec![0; (self.mask + 1) * 2]);
-        self.mask = self.slots.len() - 1;
-        for key in old {
-            if key != 0 {
-                let mut idx = (murmur3_fmix64(key) as usize) & self.mask;
-                while self.slots[idx] != 0 {
-                    idx = (idx + 1) & self.mask;
-                }
-                self.slots[idx] = key;
-            }
-        }
-    }
+/// The recursion's state: what it found, by size, in discovery order.
+struct Discovery<'q, P> {
+    q: &'q QueryInfo,
+    /// `levels[l - 1]` holds the sets of size `l`.
+    levels: Vec<Vec<(RelSet, f64)>>,
+    poll: P,
+    until_poll: u32,
 }
 
-/// Level-by-level connected-subset enumerator over a [`JoinGraph`].
-///
-/// Starts at level 1 (the singletons); each [`advance`](Self::advance)
-/// produces the next level's connected sets, sorted ascending by bitmap.
-/// Levels are kept back to back in one vector — the frontier being expanded
-/// is simply its tail — so a backend that wants every level before it starts
-/// (to size its memo once) takes the whole thing with
-/// [`into_levels`](Self::into_levels): 8 bytes per connected set.
-#[derive(Clone, Debug)]
-pub struct FrontierEnumerator<'g> {
-    graph: &'g JoinGraph,
-    /// Levels `1..=level()`, each ascending by bitmap.
-    sets: Vec<RelSet>,
-    /// `starts[l - 1]` is where level `l` begins in `sets`.
-    starts: Vec<usize>,
-    seen: SeenTable,
-    expansions: u64,
-}
-
-impl<'g> FrontierEnumerator<'g> {
-    /// Creates the enumerator positioned at level 1 (all singletons).
-    pub fn new(graph: &'g JoinGraph) -> Self {
-        let n = graph.num_vertices();
-        FrontierEnumerator {
-            graph,
-            sets: (0..n).map(RelSet::singleton).collect(),
-            starts: vec![0],
-            seen: SeenTable::with_capacity(n),
-            expansions: 0,
-        }
-    }
-
-    /// The subset size of the current level.
-    #[inline]
-    pub fn level(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// The current level's connected sets, ascending by bitmap.
-    #[inline]
-    pub fn current(&self) -> &[RelSet] {
-        &self.sets[self.starts[self.starts.len() - 1]..]
-    }
-
-    /// Total candidate expansions attempted so far (duplicate hits
-    /// included) — the frontier analogue of the `unranked` counter.
-    #[inline]
-    pub fn expansions(&self) -> u64 {
-        self.expansions
-    }
-
-    /// Advances to the next level, returning its connected sets (ascending
-    /// by bitmap). Returns an empty slice once the frontier is exhausted
-    /// (level `n` reached, or no larger connected set exists).
-    pub fn advance(&mut self) -> &[RelSet] {
-        self.try_advance(|| Ok::<(), std::convert::Infallible>(()))
-            .expect("infallible poll")
-    }
-
-    /// Like [`advance`](Self::advance), but invokes `poll` every 4096 source
-    /// sets so long levels can honour deadlines (the DP backends pass their
-    /// `check_deadline`). On `Err` the expansion aborts mid-level and the
-    /// enumerator is left in an unspecified state — callers are expected to
-    /// abandon the whole run.
-    pub fn try_advance<E>(
+impl<E, P: FnMut() -> Result<(), E>> Discovery<'_, P> {
+    /// Emits `s` (of `level + 1` vertices) and every connected superset of
+    /// it reachable through `ext`. `seen` is `s`, its neighbourhood and
+    /// everything at or below the start vertex: what may never (again) enter
+    /// an extension set below here.
+    fn extend(
         &mut self,
-        mut poll: impl FnMut() -> Result<(), E>,
-    ) -> Result<&[RelSet], E> {
-        let (lo, hi) = (self.starts[self.starts.len() - 1], self.sets.len());
-        // Guess ~same cardinality as the current level for the seen-table.
-        self.seen.clear_for(hi - lo);
-        for i in lo..hi {
-            if (i - lo) % 4096 == 0 {
-                poll()?;
-            }
-            let s = self.sets[i];
-            for v in self.graph.neighbors(s).iter() {
-                self.expansions += 1;
-                let t = s.with(v);
-                if self.seen.insert(t.bits()) {
-                    self.sets.push(t);
+        level: usize,
+        (s, rows): (RelSet, f64),
+        mut ext: RelSet,
+        seen: RelSet,
+    ) -> Result<(), E> {
+        self.until_poll -= 1;
+        if self.until_poll == 0 {
+            self.until_poll = POLL_STRIDE;
+            (self.poll)()?;
+        }
+        self.levels[level].push((s, rows));
+        while let Some(w) = ext.first() {
+            ext = ext.without(w);
+            let mut factor = self.q.rels[w].rows;
+            for &(u, sel) in self.q.graph.incident(w) {
+                if s.contains(u as usize) {
+                    factor *= sel;
                 }
             }
+            let adj = self.q.graph.adjacency(w);
+            self.extend(
+                level + 1,
+                (s.with(w), rows * factor),
+                ext.union(adj.difference(seen)),
+                seen.union(adj),
+            )?;
         }
-        self.sets[hi..].sort_unstable();
-        self.starts.push(hi);
-        Ok(&self.sets[hi..])
+        Ok(())
+    }
+}
+
+/// Orders `level` ascending by bitmap with one stable counting pass per
+/// bitmap byte, least significant first. `scratch` is the passes' other
+/// buffer (contents irrelevant, left in an unspecified state).
+fn radix_by_bitmap(level: &mut Vec<(RelSet, f64)>, scratch: &mut Vec<(RelSet, f64)>, bytes: usize) {
+    scratch.resize(level.len(), (RelSet::EMPTY, 0.0));
+    for byte in 0..bytes {
+        let digit = |s: RelSet| (s.bits() >> (8 * byte)) as u8 as usize;
+        let mut next = [0usize; 256];
+        for &(s, _) in level.iter() {
+            next[digit(s)] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            at += std::mem::replace(slot, at);
+        }
+        for &pair in level.iter() {
+            let slot = &mut next[digit(pair.0)];
+            scratch[*slot] = pair;
+            *slot += 1;
+        }
+        std::mem::swap(level, scratch);
+    }
+}
+
+impl ConnectedSets {
+    /// Enumerates every connected set of `q`'s join graph.
+    pub fn enumerate(q: &QueryInfo) -> Self {
+        Self::try_enumerate(q, || Ok::<(), std::convert::Infallible>(()))
+            .unwrap_or_else(|never| match never {})
     }
 
-    /// Every level enumerated so far: the sets of levels `1..=level()` back
-    /// to back, and where each level starts (`starts[l - 1]` for level `l`).
-    pub fn into_levels(self) -> (Vec<RelSet>, Vec<usize>) {
-        (self.sets, self.starts)
+    /// [`enumerate`](Self::enumerate), calling `poll` before the first set
+    /// and then every 4096 sets so a long enumeration can honour a deadline
+    /// (the DP backends pass their `check_deadline`); its first `Err` aborts
+    /// the enumeration.
+    pub fn try_enumerate<E>(q: &QueryInfo, poll: impl FnMut() -> Result<(), E>) -> Result<Self, E> {
+        let n = q.query_size();
+        let mut found = Discovery {
+            q,
+            // A chain's levels hold `n - i + 1` sets, and few graphs' fewer:
+            // room for `n` spares the short levels their first re-allocations.
+            levels: (0..n).map(|_| Vec::with_capacity(n)).collect(),
+            poll,
+            until_poll: 1,
+        };
+        // Start vertices descending, as in DPCCP: everything found from `v`
+        // has `v` as its lowest vertex.
+        for v in (0..n).rev() {
+            let (adj, below) = (q.graph.adjacency(v), RelSet::first_n(v + 1));
+            found.extend(
+                0,
+                (RelSet::singleton(v), q.rels[v].rows),
+                adj.difference(below),
+                adj.union(below),
+            )?;
+        }
+        let total = found.levels.iter().map(Vec::len).sum();
+        let mut plan = ConnectedSets {
+            sets: Vec::with_capacity(total),
+            rows: Vec::with_capacity(total),
+            starts: Vec::with_capacity(n + 1),
+        };
+        let mut scratch = Vec::new();
+        for mut level in found.levels {
+            if level.len() < RADIX_MIN {
+                level.sort_unstable_by_key(|&(s, _)| s);
+            } else {
+                radix_by_bitmap(&mut level, &mut scratch, n.div_ceil(8));
+            }
+            plan.starts.push(plan.sets.len());
+            plan.sets.extend(level.iter().map(|&(s, _)| s));
+            plan.rows.extend(level.iter().map(|&(_, rows)| rows));
+        }
+        plan.starts.push(total);
+        Ok(plan)
+    }
+
+    /// Level `i`'s connected sets and their cardinalities, `1 ≤ i ≤ n`.
+    #[inline]
+    pub fn level(&self, i: usize) -> (&[RelSet], &[f64]) {
+        let range = self.starts[i - 1]..self.starts[i];
+        (&self.sets[range.clone()], &self.rows[range])
     }
 }
 
@@ -248,12 +212,24 @@ impl<'g> FrontierEnumerator<'g> {
 mod tests {
     use super::*;
     use crate::combinatorics::KSubsets;
+    use crate::graph::JoinGraph;
+    use crate::query::RelInfo;
+
+    fn query(n: usize, edges: &[(usize, usize)]) -> QueryInfo {
+        let mut g = JoinGraph::new(n);
+        for (k, &(u, v)) in edges.iter().enumerate() {
+            g.add_edge(u, v, 1.0 / (k + 2) as f64);
+        }
+        let rels = (0..n)
+            .map(|i| RelInfo::new(10.0 * (i + 3) as f64, 1.0))
+            .collect();
+        QueryInfo::new(g, rels)
+    }
 
     /// The Figure 5 nine-relation cyclic graph (same shape as
     /// `graph::tests::figure5_graph`).
-    fn figure5_graph() -> JoinGraph {
-        let mut g = JoinGraph::new(9);
-        for &(u, v) in &[
+    fn figure5() -> QueryInfo {
+        let paper = [
             (1, 2),
             (2, 4),
             (4, 3),
@@ -264,124 +240,100 @@ mod tests {
             (7, 8),
             (8, 9),
             (9, 6),
-        ] {
-            g.add_edge(u - 1, v - 1, 0.1);
-        }
-        g
+        ];
+        query(9, &paper.map(|(u, v)| (u - 1, v - 1)))
     }
 
-    fn chain_graph(n: usize) -> JoinGraph {
-        let mut g = JoinGraph::new(n);
-        for i in 1..n {
-            g.add_edge(i - 1, i, 0.5);
-        }
-        g
+    fn chain(n: usize) -> QueryInfo {
+        query(n, &(1..n).map(|i| (i - 1, i)).collect::<Vec<_>>())
     }
 
-    fn star_graph(n: usize) -> JoinGraph {
-        let mut g = JoinGraph::new(n);
-        for i in 1..n {
-            g.add_edge(0, i, 0.5);
-        }
-        g
+    fn star(n: usize) -> QueryInfo {
+        query(n, &(1..n).map(|i| (0, i)).collect::<Vec<_>>())
     }
 
-    fn filtered_level(g: &JoinGraph, i: usize) -> Vec<RelSet> {
-        KSubsets::new(g.num_vertices(), i)
-            .filter(|s| g.is_connected(*s))
+    fn filtered_level(q: &QueryInfo, i: usize) -> Vec<RelSet> {
+        KSubsets::new(q.query_size(), i)
+            .filter(|s| q.graph.is_connected(*s))
             .collect()
     }
 
     #[test]
-    fn seen_table_insert_contains() {
-        let mut t = SeenTable::with_capacity(2);
-        assert!(t.is_empty());
-        for k in 1..=200u64 {
-            assert!(t.insert(k), "{k} fresh");
-            assert!(!t.insert(k), "{k} dup");
-            assert!(t.contains(k));
+    fn levels_match_filter_on_named_shapes() {
+        // Element for element: each connected set once, ascending by bitmap.
+        for q in [figure5(), chain(9), star(9), chain(20)] {
+            let n = q.query_size();
+            let cs = ConnectedSets::enumerate(&q);
+            assert_eq!(cs.starts.len(), n + 1);
+            assert_eq!(cs.starts[n], cs.sets.len());
+            assert_eq!(cs.rows.len(), cs.sets.len());
+            for i in 1..=n {
+                assert_eq!(cs.level(i).0, filtered_level(&q, i), "level {i}");
+            }
         }
-        assert_eq!(t.len(), 200);
-        assert!(!t.contains(9999));
-        t.clear_for(4);
-        assert!(t.is_empty());
-        assert!(!t.contains(5));
-        assert!(t.insert(5));
+        // A 20-chain has n-i+1 connected i-sets: 210 in all, not 2^20.
+        assert_eq!(ConnectedSets::enumerate(&chain(20)).sets.len(), 210);
     }
 
     #[test]
-    fn frontier_matches_filter_on_named_shapes() {
-        for g in [figure5_graph(), chain_graph(9), star_graph(9)] {
-            let n = g.num_vertices();
-            let mut fe = FrontierEnumerator::new(&g);
-            assert_eq!(fe.level(), 1);
-            assert_eq!(fe.current().len(), n);
-            for i in 2..=n {
-                let got: Vec<RelSet> = fe.advance().to_vec();
-                assert_eq!(fe.level(), i);
-                assert_eq!(got, filtered_level(&g, i), "level {i}");
-            }
-            // Past level n the frontier is exhausted.
-            assert!(fe.advance().is_empty());
-            // All of it, back to back.
-            let (sets, starts) = fe.into_levels();
-            assert_eq!(starts.len(), n + 1);
-            assert_eq!(sets[..starts[1]].len(), n);
-            for i in 2..=n {
-                assert_eq!(sets[starts[i - 1]..starts[i]], filtered_level(&g, i));
-            }
-            assert_eq!(starts[n], sets.len());
-        }
-    }
-
-    #[test]
-    fn frontier_levels_sorted_ascending() {
-        let g = figure5_graph();
-        let mut fe = FrontierEnumerator::new(&g);
-        for _ in 2..=9 {
-            let lvl = fe.advance().to_vec();
-            for w in lvl.windows(2) {
-                assert!(w[0].bits() < w[1].bits());
+    fn rows_are_the_sets_cardinalities() {
+        for q in [figure5(), chain(9), star(9)] {
+            let cs = ConnectedSets::enumerate(&q);
+            for (&s, &rows) in cs.sets.iter().zip(&cs.rows) {
+                let want = q.cardinality(s);
+                assert!((rows - want).abs() <= 1e-12 * want, "{s}: {rows} vs {want}");
             }
         }
     }
 
     #[test]
-    fn chain_visits_polynomially_many_sets() {
-        // A 20-chain has exactly n-i+1 connected i-sets; the frontier
-        // enumerator must never touch more than sets × max-degree candidates.
-        let g = chain_graph(20);
-        let mut fe = FrontierEnumerator::new(&g);
-        let mut total_sets = 0u64;
-        for i in 2..=20 {
-            let lvl = fe.advance();
-            assert_eq!(lvl.len(), 20 - i + 1, "level {i}");
-            total_sets += lvl.len() as u64;
+    fn long_levels_of_wide_bitmaps_stay_ordered() {
+        // A star whose hub and 11 leaves are spread over three bitmap bytes:
+        // levels 5-8 have 330-462 sets, enough for the counting passes.
+        let (hub, leaves) = (3, [0, 5, 7, 8, 10, 13, 15, 16, 18, 21, 23]);
+        let q = query(24, &leaves.map(|leaf| (hub, leaf)));
+        let cs = ConnectedSets::enumerate(&q);
+        for i in 2..=12 {
+            let mut want: Vec<RelSet> = RelSet::from_indices(leaves)
+                .subsets()
+                .filter(|s| s.len() == i - 1)
+                .map(|s| s.with(hub))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(cs.level(i).0, want, "level {i}");
         }
-        assert_eq!(total_sets, 19 * 20 / 2);
-        // Degree ≤ 2, so expansions ≤ 2 × (singletons + all connected sets).
-        assert!(fe.expansions() <= 2 * (20 + total_sets));
+        assert!(cs.level(6).0.len() >= RADIX_MIN);
     }
 
     #[test]
-    fn disconnected_graph_frontier_stays_within_components() {
-        let mut g = JoinGraph::new(4);
-        g.add_edge(0, 1, 0.5);
-        g.add_edge(2, 3, 0.5);
-        let mut fe = FrontierEnumerator::new(&g);
-        let l2 = fe.advance().to_vec();
+    fn disconnected_graph_stays_within_components() {
+        let cs = ConnectedSets::enumerate(&query(4, &[(0, 1), (2, 3)]));
         assert_eq!(
-            l2,
-            vec![RelSet::from_indices([0, 1]), RelSet::from_indices([2, 3])]
+            cs.level(2).0,
+            [RelSet::from_indices([0, 1]), RelSet::from_indices([2, 3])]
         );
-        assert!(fe.advance().is_empty());
+        assert!(cs.level(3).0.is_empty() && cs.level(4).0.is_empty());
     }
 
     #[test]
     fn single_vertex_graph() {
-        let g = JoinGraph::new(1);
-        let mut fe = FrontierEnumerator::new(&g);
-        assert_eq!(fe.current().len(), 1);
-        assert!(fe.advance().is_empty());
+        let cs = ConnectedSets::enumerate(&query(1, &[]));
+        assert_eq!(cs.sets, [RelSet::singleton(0)]);
+        assert_eq!(cs.rows, [30.0]);
+    }
+
+    #[test]
+    fn poll_error_aborts() {
+        let mut calls = 0;
+        let r = ConnectedSets::try_enumerate(&star(15), || {
+            calls += 1;
+            if calls > 2 {
+                Err("late")
+            } else {
+                Ok(())
+            }
+        });
+        // 2^14 + 14 sets: polled at 0, 4096 and 8192.
+        assert_eq!((r.err(), calls), (Some("late"), 3));
     }
 }

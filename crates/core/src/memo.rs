@@ -83,8 +83,8 @@ pub struct MemoHealth {
     /// Cumulative CAS retries (always 0 for the single-threaded table).
     pub cas_retries: u64,
     /// Times the table outgrew its allocation and re-hashed itself. 0 for
-    /// every level-structured backend: they create the memo at its final
-    /// size (`slots` at the first insert is `slots` at the end).
+    /// every exact backend: they create the memo at its final size (`slots`
+    /// at the first insert is `slots` at the end).
     pub grows: u32,
 }
 
@@ -134,7 +134,9 @@ pub trait MemoStore {
 
     /// Records a candidate plan for `set`, keeping it only if its
     /// [`candidate_key`] beats the incumbent's. Returns `true` if the
-    /// candidate became the new best.
+    /// candidate became the new best. `rows` is the cardinality of `set` —
+    /// a property of the set, so every candidate for it must carry the same
+    /// value (the exact backends read it off their level plan).
     fn insert_if_better(&mut self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool;
 
     /// Current health metrics.
@@ -225,9 +227,9 @@ impl MemoTable {
         self.probes
     }
 
-    /// Doubles the table and re-inserts every entry. Only the backends that
-    /// cannot count their sets beforehand (DPCCP, DPSIZE's discovery mode)
-    /// ever get here.
+    /// Doubles the table and re-inserts every entry. No optimizer gets here
+    /// — each creates its memo for every set its level plan counted — only
+    /// a caller that inserts more than it announced.
     fn grow_table(&mut self) {
         let cap = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
@@ -315,10 +317,13 @@ impl MemoTable {
                 return true;
             }
             if s.key == set.bits() {
+                // `rows` belongs to the set, not to the plan: it was stored
+                // with the first candidate and every later one carries the
+                // same value.
+                debug_assert_eq!(s.rows.to_bits(), rows.to_bits(), "rows of {set}");
                 if candidate_key(cost, left) < (ordered_cost_bits(s.cost), s.left) {
                     s.left = left.bits();
                     s.cost = cost;
-                    s.rows = rows;
                     return true;
                 }
                 return false;

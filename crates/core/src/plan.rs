@@ -179,7 +179,7 @@ impl fmt::Display for PlanTree {
 /// generic over [`MemoStore`], so it walks the sequential table and the
 /// lock-free shared one identically.
 ///
-/// Returns `None` if the memo has no entry for `root` or one of its splits —
+/// Returns `None` if the memo has no plan for `root` or one of its splits —
 /// which indicates a bug in the filling algorithm.
 pub fn extract_plan<M: MemoStore>(memo: &M, root: RelSet) -> Option<PlanTree> {
     let e = memo.get(root)?;
@@ -190,6 +190,11 @@ pub fn extract_plan<M: MemoStore>(memo: &M, root: RelSet) -> Option<PlanTree> {
             rows: e.rows,
             cost: e.cost,
         });
+    }
+    if e.right().is_empty() {
+        // Entered with its cardinality but never planned: the whole set is
+        // still its own left side (`mpdp-dp`'s `init_memo_with_rows`).
+        return None;
     }
     let left = extract_plan(memo, e.left)?;
     let right = extract_plan(memo, e.right())?;
@@ -284,6 +289,10 @@ mod tests {
         assert_eq!(p.num_joins(), 2);
         // Missing root -> None.
         assert!(extract_plan(&m, RelSet::from_indices([0, 2])).is_none());
+        // Entered but never planned (left side = the whole set) -> None.
+        let s12 = RelSet::from_indices([1, 2]);
+        m.insert_if_better(s12, s12, f64::INFINITY, 6.0);
+        assert!(extract_plan(&m, s12).is_none());
     }
 
     #[test]

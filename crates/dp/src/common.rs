@@ -3,7 +3,7 @@
 
 use mpdp_core::combinatorics::{binomial, KSubsets};
 use mpdp_core::counters::{Counters, Profile};
-use mpdp_core::enumerate::{EnumerationMode, FrontierEnumerator};
+use mpdp_core::enumerate::{ConnectedSets, EnumerationMode};
 use mpdp_core::memo::{candidate_key, MemoStore};
 use mpdp_core::plan::{extract_plan, PlanTree};
 use mpdp_core::query::QueryInfo;
@@ -17,14 +17,15 @@ pub struct OptContext<'a> {
     pub query: &'a QueryInfo,
     /// The cost model pricing candidate plans.
     pub model: &'a dyn CostModel,
-    /// Optional wall-clock deadline. Algorithms poll it at set granularity
-    /// and abort with [`OptError::Timeout`] when exceeded — mirroring the
-    /// paper's 1-minute optimization timeouts (§7.2).
+    /// Optional wall-clock deadline. Algorithms poll it every thousand or
+    /// so sets or pairs and abort with [`OptError::Timeout`] when exceeded —
+    /// mirroring the paper's 1-minute optimization timeouts (§7.2).
     pub deadline: Option<Instant>,
     /// The budget used to construct `deadline` (for error reporting).
     pub budget: Option<Duration>,
     /// How level-structured algorithms enumerate each level's connected
-    /// sets: frontier expansion (default) or the paper's unrank-and-filter.
+    /// sets: connected-subgraph enumeration (default) or the paper's
+    /// unrank-and-filter on top of it.
     pub enumeration: EnumerationMode,
 }
 
@@ -70,6 +71,18 @@ impl<'a> OptContext<'a> {
         Ok(())
     }
 
+    /// [`check_deadline`](Self::check_deadline) for a per-set loop at its
+    /// `k`-th set: polls the clock (an `Instant::now()`, tens of nanoseconds
+    /// against a few hundred of work per set) once per 1 024 sets.
+    #[inline]
+    pub fn poll_deadline(&self, k: usize) -> Result<(), OptError> {
+        if k.is_multiple_of(1024) {
+            self.check_deadline()
+        } else {
+            Ok(())
+        }
+    }
+
     /// Validates the query is non-empty, connected and within the 64-relation
     /// exact-DP limit.
     pub fn validate_exact(&self) -> Result<(), OptError> {
@@ -110,12 +123,10 @@ pub struct OptResult {
 
 /// Creates a memo store pre-loaded with the base-relation leaves
 /// (Algorithm 1 lines 1–3 / Algorithm 5 lines 2–4) and room for `sets`
-/// joined sets on top of them — [`LevelEnumerator::total_sets`] for the
-/// level-structured backends, which never re-hash; 0 for one that cannot
-/// count its sets first and lets the table grow as it inserts (DPCCP).
-/// Generic over [`MemoStore`]: sequential backends instantiate the
-/// single-threaded [`mpdp_core::MemoTable`], the parallel and simulated-GPU
-/// backends the lock-free [`mpdp_core::AtomicMemo`].
+/// joined sets on top of them — [`LevelEnumerator::total_sets`], so no
+/// backend ever re-hashes. Generic over [`MemoStore`]: sequential backends
+/// instantiate the single-threaded [`mpdp_core::MemoTable`], the parallel and
+/// simulated-GPU backends the lock-free [`mpdp_core::AtomicMemo`].
 pub fn init_memo<M: MemoStore>(q: &QueryInfo, sets: usize) -> M {
     let mut memo = M::with_capacity(q.query_size() + sets);
     for (i, rel) in q.rels.iter().enumerate() {
@@ -124,40 +135,62 @@ pub fn init_memo<M: MemoStore>(q: &QueryInfo, sets: usize) -> M {
     memo
 }
 
-/// Looks both sides of a split up and estimates the join's output rows from
-/// the selectivity `sel` between them — the part of `CreatePlan` that does
-/// not depend on the join order. `None` if either side has no memo entry yet.
+/// [`init_memo`] for the backends that meet a set as the union of a pair and
+/// so cannot read its cardinality off the level plan by position (DPCCP, DPE,
+/// the DPSIZE family): every connected set is entered up front with its
+/// cardinality and a placeholder plan — infinite cost, the whole set as its
+/// left side — that loses to every real candidate under [`candidate_key`].
+/// Pricing a pair then reads `rows` from the entry it is about to update
+/// ([`union_rows`]).
+pub fn init_memo_with_rows<M: MemoStore>(q: &QueryInfo, levels: &LevelEnumerator) -> M {
+    let mut memo: M = init_memo(q, levels.total_sets());
+    let plan = &levels.plan;
+    for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(levels.n) {
+        memo.insert_if_better(s, s, f64::INFINITY, rows);
+    }
+    memo
+}
+
+/// The cardinality of `a ∪ b` in a memo made by [`init_memo_with_rows`].
 #[inline]
-fn join_inputs<M: MemoStore>(
-    memo: &M,
-    a: RelSet,
-    b: RelSet,
-    sel: f64,
-) -> Option<(InputEst, InputEst, f64)> {
-    let (ea, eb) = (memo.get(a)?, memo.get(b)?);
+pub fn union_rows<M: MemoStore>(memo: &M, a: RelSet, b: RelSet) -> Result<f64, OptError> {
+    match memo.get(a.union(b)) {
+        Some(entry) => Ok(entry.rows),
+        None => Err(OptError::Internal(format!(
+            "{a} ⋈ {b} is not a set of the level plan"
+        ))),
+    }
+}
+
+/// Looks both sides of a split up — the part of `CreatePlan` that does not
+/// depend on the join order. `None` if either side has no memo entry yet.
+#[inline]
+fn join_inputs<M: MemoStore>(memo: &M, a: RelSet, b: RelSet) -> Option<(InputEst, InputEst)> {
     let est = |e: mpdp_core::MemoEntry| InputEst {
         cost: e.cost,
         rows: e.rows,
     };
-    Some((est(ea), est(eb), ea.rows * eb.rows * sel))
+    Some((est(memo.get(a)?), est(memo.get(b)?)))
 }
 
 /// Prices the ordered Join-Pair `(sl, sr)` against a read-only view of the
-/// memo, returning `(cost, output rows)` — the `CreatePlan` step shared by
-/// every backend. Returns `None` if either side has no memo entry yet.
+/// memo — the `CreatePlan` step shared by every backend. `out_rows` is the
+/// cardinality of `sl ∪ sr`, which belongs to the set and not to the pair:
+/// callers read it off the level plan. Returns `None` if either side has no
+/// memo entry yet.
 ///
 /// This and [`price_both`] are the only costing the exact backends run;
 /// keeping it in one place is what makes costs bit-identical across them.
 #[inline]
 pub fn price_pair<M: MemoStore>(
     memo: &M,
-    q: &QueryInfo,
     model: &dyn CostModel,
     sl: RelSet,
     sr: RelSet,
-) -> Option<(f64, f64)> {
-    let (l, r, rows) = join_inputs(memo, sl, sr, q.graph.selectivity_between(sl, sr))?;
-    Some((model.join_cost(l, r, rows), rows))
+    out_rows: f64,
+) -> Option<f64> {
+    let (l, r) = join_inputs(memo, sl, sr)?;
+    Some(model.join_cost(l, r, out_rows))
 }
 
 /// Both join orders of one split, priced by [`price_both`].
@@ -167,8 +200,6 @@ pub struct PricedSplit {
     pub cost_ab: f64,
     /// Cost of `b ⋈ a`.
     pub cost_ba: f64,
-    /// Estimated output rows, the same for both orders.
-    pub rows: f64,
 }
 
 impl PricedSplit {
@@ -184,40 +215,22 @@ impl PricedSplit {
     }
 }
 
-/// Prices both orders of the split `{a, b}` from one pair of memo lookups
-/// and one selectivity product. Each cost is bit-identical to what
-/// [`price_pair`] returns for that order (the row estimate is symmetric to
-/// the bit, see `JoinGraph::selectivity_between`), so algorithms that walk
-/// unordered splits (DPCCP, DPE, MPDP) agree exactly with those that walk
-/// ordered pairs (DPSUB, DPSIZE).
+/// Prices both orders of the split `{a, b}` of a set of `out_rows` rows from
+/// one pair of memo lookups. Each cost is bit-identical to what
+/// [`price_pair`] returns for that order, so algorithms that walk unordered
+/// splits (DPCCP, DPE, MPDP) agree exactly with those that walk ordered pairs
+/// (DPSUB, DPSIZE).
 #[inline]
 pub fn price_both<M: MemoStore>(
     memo: &M,
-    q: &QueryInfo,
     model: &dyn CostModel,
     a: RelSet,
     b: RelSet,
+    out_rows: f64,
 ) -> Option<PricedSplit> {
-    price_both_at(memo, model, a, b, q.graph.selectivity_between(a, b))
-}
-
-/// [`price_both`] for a caller that already knows `selectivity_between(a, b)`
-/// to the bit (MPDP, for splits along a bridge of the join graph).
-#[inline]
-pub(crate) fn price_both_at<M: MemoStore>(
-    memo: &M,
-    model: &dyn CostModel,
-    a: RelSet,
-    b: RelSet,
-    sel: f64,
-) -> Option<PricedSplit> {
-    let (ia, ib, rows) = join_inputs(memo, a, b, sel)?;
-    let (cost_ab, cost_ba) = model.join_cost_both(ia, ib, rows);
-    Some(PricedSplit {
-        cost_ab,
-        cost_ba,
-        rows,
-    })
+    let (ia, ib) = join_inputs(memo, a, b)?;
+    let (cost_ab, cost_ba) = model.join_cost_both(ia, ib, out_rows);
+    Some(PricedSplit { cost_ab, cost_ba })
 }
 
 fn missing_entry(sl: RelSet, sr: RelSet) -> OptError {
@@ -233,13 +246,12 @@ fn missing_entry(sl: RelSet, sr: RelSet) -> OptError {
 #[inline]
 pub fn emit_pair<M: MemoStore>(
     memo: &mut M,
-    q: &QueryInfo,
     model: &dyn CostModel,
     sl: RelSet,
     sr: RelSet,
+    out_rows: f64,
 ) -> Result<bool, OptError> {
-    let (cost, out_rows) =
-        price_pair(memo, q, model, sl, sr).ok_or_else(|| missing_entry(sl, sr))?;
+    let cost = price_pair(memo, model, sl, sr, out_rows).ok_or_else(|| missing_entry(sl, sr))?;
     Ok(memo.insert_if_better(sl.union(sr), sl, cost, out_rows))
 }
 
@@ -248,34 +260,32 @@ pub fn emit_pair<M: MemoStore>(
 #[inline]
 pub(crate) fn emit_both<M: MemoStore>(
     memo: &mut M,
-    q: &QueryInfo,
     model: &dyn CostModel,
     a: RelSet,
     b: RelSet,
+    out_rows: f64,
 ) -> Result<bool, OptError> {
-    let priced = price_both(memo, q, model, a, b).ok_or_else(|| missing_entry(a, b))?;
+    let priced = price_both(memo, model, a, b, out_rows).ok_or_else(|| missing_entry(a, b))?;
     let (left, cost) = priced.better(a, b);
-    Ok(memo.insert_if_better(a.union(b), left, cost, priced.rows))
+    Ok(memo.insert_if_better(a.union(b), left, cost, out_rows))
 }
 
-/// The level plan of every level-synchronous backend (DPSUB, MPDP, DPSIZE,
-/// the CPU-parallel drivers and the simulated-GPU drivers): every level's
-/// connected sets, enumerated before the first level is evaluated and kept
-/// back to back in one vector (8 bytes per set). Knowing all of it up front
-/// is what lets a backend create its memo once, at its final size
-/// ([`init_memo`] with [`total_sets`](Self::total_sets)).
+/// The level plan of every exact backend: every connected set of the query
+/// with its cardinality ([`ConnectedSets`]), enumerated before the first
+/// pair is priced and kept level by level in two parallel vectors (16 bytes
+/// per set). Knowing all of it up front is what lets a backend create its
+/// memo once, at its final size ([`init_memo`] with
+/// [`total_sets`](Self::total_sets)), and read a set's cardinality instead
+/// of deriving it per split.
 ///
-/// Dispatches on [`EnumerationMode`]: the frontier path expands each level's
-/// connected sets from the previous one through [`FrontierEnumerator`]; the
-/// unranked path streams Gosper's `C(n, i)` candidates and keeps the
-/// connected survivors. Both produce the same levels in the same
-/// (ascending-bitmap) order, so consumers are bit-identical across modes —
-/// only the `unranked` counter and the work spent enumerating differ.
+/// [`EnumerationMode::Unranked`] additionally streams Gosper's `C(n, i)`
+/// candidates per level through the connectivity filter — the paper's
+/// enumeration, for its `unranked` counter — and insists that the survivors
+/// are the plan's lists, element for element. Consumers are therefore
+/// bit-identical across modes; only the `unranked` counter and the work
+/// spent enumerating differ.
 pub struct LevelEnumerator {
-    /// Levels `1..=n` (level 1 is the singletons), each ascending by bitmap.
-    sets: Vec<RelSet>,
-    /// Level `i` is `sets[starts[i - 1]..starts[i]]`.
-    starts: Vec<usize>,
+    plan: ConnectedSets,
     n: usize,
     mode: EnumerationMode,
 }
@@ -284,6 +294,8 @@ pub struct LevelEnumerator {
 pub struct LevelSets<'a> {
     /// The level's connected sets, ascending by bitmap.
     pub sets: &'a [RelSet],
+    /// The cardinality of each, parallel to `sets`.
+    pub rows: &'a [f64],
     /// Candidate subsets unranked to produce them (0 in frontier mode).
     pub unranked: u64,
 }
@@ -295,50 +307,40 @@ impl LevelEnumerator {
         Self::with_mode(ctx, ctx.enumeration)
     }
 
-    /// [`new`](Self::new) in a given mode, for the drivers that take their
-    /// lists from the frontier engine whatever the context says (PDP, the
-    /// simulated GPU's host side).
+    /// [`new`](Self::new) in a given mode, for the drivers that never unrank
+    /// on the host whatever the context says (the DPSIZE family, whose
+    /// candidates are cross products of plan lists, and the simulated GPU,
+    /// which unranks in its own kernels).
     pub fn with_mode(ctx: &OptContext<'_>, mode: EnumerationMode) -> Result<Self, OptError> {
         let graph = &ctx.query.graph;
         let n = graph.num_vertices();
-        let (sets, mut starts) = match mode {
-            EnumerationMode::Frontier => {
-                let mut frontier = FrontierEnumerator::new(graph);
-                for _ in 2..=n {
-                    frontier.try_advance(|| ctx.check_deadline())?;
-                }
-                frontier.into_levels()
-            }
-            EnumerationMode::Unranked => {
-                let mut sets: Vec<RelSet> = (0..n).map(RelSet::singleton).collect();
-                let mut starts = vec![0];
-                for i in 2..=n {
-                    starts.push(sets.len());
-                    for (k, s) in KSubsets::new(n, i).enumerate() {
-                        if k % 4096 == 0 {
-                            ctx.check_deadline()?;
-                        }
-                        if graph.is_connected(s) {
-                            sets.push(s);
-                        }
+        let plan = ConnectedSets::try_enumerate(ctx.query, || ctx.check_deadline())?;
+        if mode == EnumerationMode::Unranked {
+            let mismatch = |s: RelSet| {
+                OptError::Internal(format!("the level plan and the filter disagree at {s}"))
+            };
+            for i in 2..=n {
+                let mut listed = plan.level(i).0.iter();
+                for (k, s) in KSubsets::new(n, i).enumerate() {
+                    if k % 4096 == 0 {
+                        ctx.check_deadline()?;
+                    }
+                    if graph.is_connected(s) && listed.next() != Some(&s) {
+                        return Err(mismatch(s));
                     }
                 }
-                (sets, starts)
+                if let Some(&s) = listed.next() {
+                    return Err(mismatch(s));
+                }
             }
-        };
-        starts.push(sets.len());
-        Ok(LevelEnumerator {
-            sets,
-            starts,
-            n,
-            mode,
-        })
+        }
+        Ok(LevelEnumerator { plan, n, mode })
     }
 
     /// Connected sets of two or more relations, over all levels — the entries
     /// a run adds to the memo on top of the leaves.
     pub fn total_sets(&self) -> usize {
-        self.sets.len() - self.n
+        self.plan.sets.len() - self.n
     }
 
     /// Level `i`'s connected sets, `1 ≤ i ≤ n`.
@@ -347,8 +349,10 @@ impl LevelEnumerator {
             EnumerationMode::Unranked if i >= 2 => binomial(self.n as u64, i as u64),
             _ => 0,
         };
+        let (sets, rows) = self.plan.level(i);
         LevelSets {
-            sets: &self.sets[self.starts[i - 1]..self.starts[i]],
+            sets,
+            rows,
             unranked,
         }
     }
@@ -407,12 +411,10 @@ mod tests {
         let mut memo: MemoTable = init_memo(&q, 1);
         let sl = RelSet::singleton(0);
         let sr = RelSet::singleton(1);
-        assert!(emit_pair(&mut memo, &q, &model, sl, sr).unwrap());
-        let e = memo.get(sl.union(sr)).unwrap();
-        // out rows = 100*200*0.01 = 200
-        assert!((e.rows - 200.0).abs() < 1e-9);
+        assert!(emit_pair(&mut memo, &model, sl, sr, 200.0).unwrap());
+        assert_eq!(memo.get(sl.union(sr)).unwrap().rows, 200.0);
         // The mirrored pair lands on the same entry: no new set.
-        emit_pair(&mut memo, &q, &model, sr, sl).unwrap();
+        emit_pair(&mut memo, &model, sr, sl, 200.0).unwrap();
         assert_eq!(memo.len(), 3);
     }
 
@@ -422,23 +424,39 @@ mod tests {
         let model = PgLikeCost::new();
         let mut memo: MemoTable = init_memo(&q, 1);
         let (a, b) = (RelSet::singleton(0), RelSet::singleton(1));
-        let both = price_both(&memo, &q, &model, a, b).unwrap();
-        let (ab, rows) = price_pair(&memo, &q, &model, a, b).unwrap();
-        let (ba, rows_ba) = price_pair(&memo, &q, &model, b, a).unwrap();
+        let both = price_both(&memo, &model, a, b, 200.0).unwrap();
+        let ab = price_pair(&memo, &model, a, b, 200.0).unwrap();
+        let ba = price_pair(&memo, &model, b, a, 200.0).unwrap();
         assert_eq!(both.cost_ab.to_bits(), ab.to_bits());
         assert_eq!(both.cost_ba.to_bits(), ba.to_bits());
-        assert_eq!(both.rows.to_bits(), rows.to_bits());
-        assert_eq!(rows.to_bits(), rows_ba.to_bits());
         // emit_both leaves what the two emit_pairs would.
         let mut twice = memo.clone();
-        emit_pair(&mut twice, &q, &model, a, b).unwrap();
-        emit_pair(&mut twice, &q, &model, b, a).unwrap();
-        assert!(emit_both(&mut memo, &q, &model, a, b).unwrap());
+        emit_pair(&mut twice, &model, a, b, 200.0).unwrap();
+        emit_pair(&mut twice, &model, b, a, 200.0).unwrap();
+        assert!(emit_both(&mut memo, &model, a, b, 200.0).unwrap());
         let (x, y) = (
             memo.get(a.union(b)).unwrap(),
             twice.get(a.union(b)).unwrap(),
         );
         assert_eq!((x.left, x.cost.to_bits()), (y.left, y.cost.to_bits()));
+    }
+
+    #[test]
+    fn a_memo_with_rows_holds_every_set_and_any_plan_beats_the_placeholder() {
+        let q = two_rel_query();
+        let model = PgLikeCost::new();
+        let levels = LevelEnumerator::new(&OptContext::new(&q, &model)).unwrap();
+        let mut memo: MemoTable = init_memo_with_rows(&q, &levels);
+        let (a, b) = (RelSet::singleton(0), RelSet::singleton(1));
+        assert_eq!(memo.len(), 3);
+        // rows = 100 * 200 * 0.01
+        let rows = union_rows(&memo, a, b).unwrap();
+        assert!((rows - 200.0).abs() < 1e-9);
+        assert!(union_rows(&memo, a, RelSet::singleton(5)).is_err());
+        // Even an infinitely expensive real plan replaces the placeholder.
+        assert!(memo.insert_if_better(a.union(b), b, f64::INFINITY, rows));
+        assert_eq!(memo.get(a.union(b)).unwrap().left, b);
+        assert_eq!(memo.len(), 3);
     }
 
     #[test]
@@ -448,10 +466,10 @@ mod tests {
         let mut memo: MemoTable = init_memo(&q, 1);
         let err = emit_pair(
             &mut memo,
-            &q,
             &model,
             RelSet::from_indices([0, 1]),
             RelSet::empty(),
+            1.0,
         );
         assert!(err.is_err());
     }

@@ -24,8 +24,11 @@
 //! once; we cost both join orders, so counters report ordered pairs like the
 //! other algorithms.
 
-use crate::common::{emit_both, finish, init_memo, OptContext, OptResult};
+use crate::common::{
+    emit_both, finish, init_memo_with_rows, union_rows, LevelEnumerator, OptContext, OptResult,
+};
 use mpdp_core::counters::{Counters, LevelStats, Profile};
+use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::memo::MemoTable;
 use mpdp_core::{OptError, RelSet};
 
@@ -46,7 +49,8 @@ impl<'a, 'b> CcpState<'a, 'b> {
         // Cost both orders (counters track ordered pairs workspace-wide).
         self.counters.evaluated += 2;
         self.counters.ccp += 2;
-        let improved = emit_both(&mut self.memo, self.ctx.query, self.ctx.model, s1, s2)?;
+        let rows = union_rows(&self.memo, s1, s2)?;
+        let improved = emit_both(&mut self.memo, self.ctx.model, s1, s2, rows)?;
         self.memo_writes += improved as u64;
         self.pair_budget_check += 1;
         if self.pair_budget_check >= 4096 {
@@ -112,7 +116,13 @@ impl DpCcp {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        let memo: MemoTable = init_memo(q, 0);
+        // The pairs arrive in an order of their own, but what they join is
+        // the level plan's sets: enumerating those first (a fraction of one
+        // pair's cost per set) sizes the memo once and puts each set's
+        // cardinality where its pairs will look for it.
+        let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
+        let memo: MemoTable = init_memo_with_rows(q, &levels);
+        drop(levels);
         let mut st = CcpState {
             ctx,
             memo,

@@ -9,11 +9,13 @@
 //! "DPSIZE-based algorithms do not perform well due to checking too many
 //! overlapping pairs").
 
-use crate::common::{emit_pair, finish, init_memo, LevelEnumerator, OptContext, OptResult};
+use crate::common::{
+    emit_pair, finish, init_memo_with_rows, union_rows, LevelEnumerator, OptContext, OptResult,
+};
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::memo::MemoTable;
-use mpdp_core::{OptError, RelSet};
+use mpdp_core::OptError;
 
 /// The DPSIZE optimizer.
 #[derive(Copy, Clone, Debug, Default)]
@@ -25,40 +27,27 @@ impl DpSize {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        // Connected sets grouped by size. In frontier mode the level plan has
-        // every list up front (and sizes the memo once); in the legacy mode
-        // each level's list is discovered as a by-product of the pair joins
-        // and the memo grows as it fills (every connected set of size ≥ 2
-        // has a CCP split, so both modes build the same families — asserted
-        // in this module's tests).
-        let discover = ctx.enumeration != EnumerationMode::Frontier;
-        let levels = if discover {
-            None
-        } else {
-            Some(LevelEnumerator::new(ctx)?)
-        };
-        let mut memo: MemoTable = init_memo(q, levels.as_ref().map_or(0, |l| l.total_sets()));
+        // The per-size plan lists are the level plan's, in either enumeration
+        // mode: DPSIZE never unranks subsets (its candidates are cross
+        // products of plan lists). A pair does not know where its union sits
+        // in the plan, so the memo carries every set's cardinality.
+        let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
+        let mut memo: MemoTable = init_memo_with_rows(q, &levels);
         let mut counters = Counters::default();
         let mut profile = Profile::default();
-        let mut discovered: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
-        discovered[1] = (0..n).map(RelSet::singleton).collect();
 
         for i in 2..=n {
             let mut level = LevelStats {
                 size: i,
+                sets: levels.level(i).sets.len() as u64,
                 ..Default::default()
             };
-            let sets_of = |k: usize| match &levels {
-                Some(levels) => levels.level(k).sets,
-                None => &discovered[k],
-            };
-            let mut new_sets: Vec<RelSet> = Vec::new();
             for k in 1..i {
                 ctx.check_deadline()?;
                 // Ordered pairs: (left of size k) × (right of size i-k).
                 // Symmetric pairs appear naturally when k and i-k swap.
-                for &left in sets_of(k) {
-                    for &right in sets_of(i - k) {
+                for &left in levels.level(k).sets {
+                    for &right in levels.level(i - k).sets {
                         level.evaluated += 1;
                         if !left.is_disjoint(right) {
                             continue; // the overlapping-pair tax of DPSIZE
@@ -69,24 +58,13 @@ impl DpSize {
                         // Both sides are connected by construction, so the
                         // pair is a CCP pair.
                         level.ccp += 1;
-                        let known = memo.len();
-                        if emit_pair(&mut memo, q, ctx.model, left, right)? {
+                        let rows = union_rows(&memo, left, right)?;
+                        if emit_pair(&mut memo, ctx.model, left, right, rows)? {
                             level.memo_writes += 1;
-                        }
-                        // A first plan for a set grows the memo by one.
-                        if discover && memo.len() > known {
-                            new_sets.push(left.union(right));
                         }
                     }
                 }
             }
-            if discover {
-                discovered[i] = new_sets;
-            }
-            level.sets = match &levels {
-                Some(levels) => levels.level(i).sets.len(),
-                None => discovered[i].len(),
-            } as u64;
             counters.evaluated += level.evaluated;
             counters.ccp += level.ccp;
             counters.sets += level.sets;
@@ -155,10 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn frontier_and_legacy_discovery_agree() {
-        // Frontier mode feeds the per-size plan lists from the enumerator;
-        // legacy mode discovers them through the pair joins. Same families,
-        // same counters, same optimal cost.
+    fn enumeration_mode_changes_nothing() {
+        // DPSIZE takes its per-size plan lists from the level plan and never
+        // unranks: the mode is accepted and ignored.
         let model = PgLikeCost::new();
         for q in [chain_query(7), star_query(6), cycle_query(6)] {
             let f = DpSize::run(&OptContext::new(&q, &model)).unwrap();
@@ -167,18 +144,18 @@ mod tests {
                     .with_enumeration(mpdp_core::enumerate::EnumerationMode::Unranked),
             )
             .unwrap();
-            assert_eq!(f.cost.to_bits(), u.cost.to_bits());
+            assert_eq!(f.plan, u.plan);
             assert_eq!(f.counters, u.counters);
             assert_eq!(f.memo_entries, u.memo_entries);
         }
     }
 
     #[test]
-    fn discovers_all_connected_sets() {
+    fn plans_all_connected_sets() {
         let q = chain_query(5);
         let model = PgLikeCost::new();
         let a = DpSize::run(&OptContext::new(&q, &model)).unwrap();
-        // Intervals of a 5-chain: 15 total; 5 are leaves, 10 discovered.
+        // Intervals of a 5-chain: 15 total; 5 are leaves, 10 joined.
         assert_eq!(a.memo_entries, 15);
         assert_eq!(a.counters.sets, 10);
     }

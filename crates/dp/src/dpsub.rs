@@ -35,8 +35,8 @@ impl DpSub {
                 sets: lvl.sets.len() as u64,
                 ..Default::default()
             };
-            for &s in lvl.sets {
-                ctx.check_deadline()?;
+            for (k, (&s, &rows)) in lvl.sets.iter().zip(lvl.rows).enumerate() {
+                ctx.poll_deadline(k)?;
                 // Line 8: all non-empty S_left ⊆ S (S_right = S \ S_left may
                 // be empty; the CCP block filters it).
                 for sl in s.subsets() {
@@ -60,7 +60,7 @@ impl DpSub {
                     }
                     // --- end CCP block ---
                     level.ccp += 1;
-                    if emit_pair(&mut memo, q, ctx.model, sl, sr)? {
+                    if emit_pair(&mut memo, ctx.model, sl, sr, rows)? {
                         level.memo_writes += 1;
                     }
                 }

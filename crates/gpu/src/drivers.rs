@@ -27,7 +27,10 @@ use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::OptError;
-use mpdp_dp::common::{finish, init_memo, price_pair, LevelEnumerator, OptContext, OptResult};
+use mpdp_dp::common::{
+    finish, init_memo, init_memo_with_rows, price_pair, union_rows, LevelEnumerator, OptContext,
+    OptResult,
+};
 use mpdp_dp::mpdp::SetKernel;
 use std::time::Duration;
 
@@ -101,16 +104,22 @@ fn run_level_structured(
     ctx.validate_exact()?;
     let q = ctx.query;
     let n = q.query_size();
-    // The host's level plan, always from the frontier engine and free of
-    // stats charges: it sizes the device memo (device memory cannot grow
-    // under a kernel), is the output the expand launches are charged for,
-    // and is DPSIZE-GPU's per-size plan lists (the real H+F driver reads
-    // those back from the previous level, which is the same list).
+    // The host's level plan, never unranked on the host and free of stats
+    // charges: it sizes the device memo (device memory cannot grow under a
+    // kernel), is the output the expand launches are charged for, carries
+    // each set's cardinality to the evaluate lanes, and is DPSIZE-GPU's
+    // per-size plan lists (the real H+F driver reads those back from the
+    // previous level, which is the same list).
     let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
     // The simulated *device-global* memo: the lock-free table every kernel
     // lane publishes into with atomic min-updates, allocated once; the host
-    // loop only extracts the plan from it at the end.
-    let memo: AtomicMemo = init_memo(q, levels.total_sets());
+    // loop only extracts the plan from it at the end. DPSIZE's lanes meet a
+    // set as the union of a pair, so its table starts with every set's
+    // cardinality in it.
+    let memo: AtomicMemo = match algo {
+        GpuAlgo::DpSize => init_memo_with_rows(q, &levels),
+        GpuAlgo::Mpdp | GpuAlgo::DpSub => init_memo(q, levels.total_sets()),
+    };
     let mut counters = Counters::default();
     let mut profile = Profile::default();
     let mut stats = GpuStats::default();
@@ -128,25 +137,29 @@ fn run_level_structured(
         let marks = (memo.probe_count(), memo.cas_retry_count());
         match algo {
             GpuAlgo::Mpdp | GpuAlgo::DpSub => {
-                let filtered;
-                let sets = match ctx.enumeration {
+                let lvl = levels.level(i);
+                match ctx.enumeration {
                     EnumerationMode::Frontier => {
-                        let sets = levels.level(i).sets;
-                        expand_kernel(q, levels.level(i - 1).sets, sets, &mut stats);
-                        sets
+                        expand_kernel(q, levels.level(i - 1).sets, lvl.sets, &mut stats);
                     }
                     EnumerationMode::Unranked => {
                         let candidates = unrank_kernel(n, i, &mut stats);
                         level.unranked = candidates.len() as u64;
-                        filtered = filter_kernel(q, candidates, &mut stats);
-                        &filtered
+                        // The survivors are the plan's list, element for
+                        // element, which is what lets the evaluate lanes
+                        // take the plan's cardinalities by position.
+                        if filter_kernel(q, candidates, &mut stats) != lvl.sets {
+                            return Err(OptError::Internal(format!(
+                                "level {i}: the filter kernel and the level plan disagree"
+                            )));
+                        }
                     }
                 };
                 let out = if algo == GpuAlgo::Mpdp {
                     evaluate_mpdp_kernel(
                         &mut set_kernel,
                         &memo,
-                        sets,
+                        &lvl,
                         cfg.policy(),
                         cfg.fused_prune,
                         &mut stats,
@@ -156,7 +169,7 @@ fn run_level_structured(
                         q,
                         ctx.model,
                         &memo,
-                        sets,
+                        &lvl,
                         cfg.policy(),
                         cfg.fused_prune,
                         &mut stats,
@@ -164,7 +177,7 @@ fn run_level_structured(
                 };
                 level.evaluated = out.evaluated;
                 level.ccp = out.ccp;
-                level.sets = sets.len() as u64;
+                level.sets = lvl.sets.len() as u64;
                 level.memo_writes = out.memo_writes;
             }
             GpuAlgo::DpSize => {
@@ -195,8 +208,8 @@ fn run_level_structured(
                             level.ccp += 1;
                             lane += kernels::cycles::COST_EVAL;
                             lane_costs.push(lane);
-                            if let Some((cost, rows)) = price_pair(&memo, q, ctx.model, left, right)
-                            {
+                            let rows = union_rows(&memo, left, right)?;
+                            if let Some(cost) = price_pair(&memo, ctx.model, left, right, rows) {
                                 stats.global_reads += 2; // two memo probes
                                 publishes += 1;
                                 if memo.insert_if_better(left.union(right), left, cost, rows) {

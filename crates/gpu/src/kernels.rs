@@ -35,7 +35,7 @@ use mpdp_core::memo::MemoEntry;
 use mpdp_core::query::QueryInfo;
 use mpdp_core::RelSet;
 use mpdp_cost::model::CostModel;
-use mpdp_dp::common::price_pair;
+use mpdp_dp::common::{price_pair, LevelSets};
 use mpdp_dp::mpdp::{SetKernel, SplitObserver};
 
 /// Cycle-cost constants for the simulated lanes.
@@ -98,15 +98,17 @@ pub fn filter_kernel(q: &QueryInfo, sets: Vec<RelSet>, stats: &mut GpuStats) -> 
 /// Expand kernel — the frontier alternative to unrank+filter (§5 pipeline
 /// with the connected-subset enumerator): one lane per (set, neighbor) pair
 /// of the previous level's connected sets; each lane ORs one neighbor bit
-/// into its set and publishes the candidate through the Murmur3 seen-table,
-/// and a compaction pass (sort + unique, as `thrust::sort`/`unique` would)
+/// into its set and publishes the candidate through a device hash set, and
+/// a compaction pass (sort + unique, as `thrust::sort`/`unique` would)
 /// yields the level's connected sets in ascending bitmap order. Every
 /// candidate is connected by construction, so no `grow` walk ever runs.
 /// Charged as two launches: the expansion map and the compaction.
 ///
 /// The sets themselves are `level`, which the host's level plan already
 /// holds (it had to count them to allocate the device memo): this charges
-/// the launches that turn `prev` into it.
+/// the launches that would turn `prev` into it on the device. (The host
+/// itself reaches each set once, see `mpdp_core::enumerate`; a lane per
+/// (set, neighbor) pair with a dedup is the data-parallel form.)
 pub fn expand_kernel(q: &QueryInfo, prev: &[RelSet], level: &[RelSet], stats: &mut GpuStats) {
     stats.kernel_launches += 2;
     // Neighborhood of the whole set: a handful of word ORs per lane, then
@@ -120,17 +122,17 @@ pub fn expand_kernel(q: &QueryInfo, prev: &[RelSet], level: &[RelSet], stats: &m
     stats.global_writes += level.len() as u64; // compaction output
 }
 
-/// Prices one ordered pair against the device memo with the shared costing,
-/// charging the lane's two memo probes.
+/// Prices one ordered pair of a set of `rows` rows against the device memo
+/// with the shared costing, charging the lane's two memo probes.
 fn price_lane(
-    q: &QueryInfo,
     model: &dyn CostModel,
     memo: &AtomicMemo,
     sl: RelSet,
     sr: RelSet,
+    rows: f64,
     stats: &mut GpuStats,
 ) -> Option<MemoEntry> {
-    let (cost, rows) = price_pair(memo, q, model, sl, sr)?;
+    let cost = price_pair(memo, model, sl, sr, rows)?;
     stats.global_reads += 2;
     Some(MemoEntry {
         set: sl.union(sr),
@@ -207,11 +209,12 @@ fn warp_min(best: &mut Option<MemoEntry>, c: MemoEntry) {
 /// run the full costing. Winners go straight into the device-global
 /// [`AtomicMemo`]: one reduced publish per set with the fused prune, one
 /// `atomicMin` per surviving pair (plus a separate prune launch) without.
+/// `level` is the level's sets with their cardinalities.
 pub fn evaluate_dpsub_kernel(
     q: &QueryInfo,
     model: &dyn CostModel,
     memo: &AtomicMemo,
-    sets: &[RelSet],
+    level: &LevelSets<'_>,
     policy: WarpPolicy,
     fused_prune: bool,
     stats: &mut GpuStats,
@@ -224,7 +227,7 @@ pub fn evaluate_dpsub_kernel(
     };
     let mut pending: Vec<MemoEntry> = Vec::new();
     let mut lane_costs: Vec<u32> = Vec::new(); // per-launch scratch
-    for &s in sets {
+    for (&s, &rows) in level.sets.iter().zip(level.rows) {
         lane_costs.clear();
         let mut best: Option<MemoEntry> = None;
         for sl in s.subsets() {
@@ -249,7 +252,7 @@ pub fn evaluate_dpsub_kernel(
                 }
                 lane += cycles::COST_EVAL;
                 out.ccp += 1;
-                price_lane(q, model, memo, sl, sr, stats)
+                price_lane(model, memo, sl, sr, rows, stats)
             };
             if let Some(c) = candidate {
                 if fused_prune {
@@ -314,7 +317,7 @@ impl SplitObserver for LaneCharges<'_> {
 pub fn evaluate_mpdp_kernel(
     kernel: &mut SetKernel<'_>,
     memo: &AtomicMemo,
-    sets: &[RelSet],
+    level: &LevelSets<'_>,
     policy: WarpPolicy,
     fused_prune: bool,
     stats: &mut GpuStats,
@@ -327,11 +330,11 @@ pub fn evaluate_mpdp_kernel(
     };
     let mut pending: Vec<MemoEntry> = Vec::new();
     let mut lane_costs: Vec<u32> = Vec::new(); // per-launch scratch
-    for &s in sets {
+    for (&s, &rows) in level.sets.iter().zip(level.rows) {
         lane_costs.clear();
         // Warp-cooperative block finding: charged once per set.
         lane_costs.push(cycles::BLOCKS_PER_VERTEX * s.len() as u32);
-        let set = kernel.evaluate(memo, s, &mut LaneCharges(&mut lane_costs));
+        let set = kernel.evaluate(memo, s, rows, &mut LaneCharges(&mut lane_costs));
         stats.global_reads += 2 * set.ccp; // two memo probes per costing lane
         out.evaluated += set.evaluated;
         out.ccp += set.ccp;
@@ -367,6 +370,26 @@ mod tests {
     use mpdp_cost::pglike::PgLikeCost;
     use mpdp_dp::common::init_memo;
     use mpdp_workload::gen;
+
+    /// `evaluate_dpsub_kernel` over hand-picked sets, sized by the
+    /// definition of a set's cardinality.
+    fn evaluate_dpsub_kernel(
+        q: &QueryInfo,
+        model: &dyn CostModel,
+        memo: &AtomicMemo,
+        sets: &[RelSet],
+        policy: WarpPolicy,
+        fused_prune: bool,
+        stats: &mut GpuStats,
+    ) -> EvaluateOutcome {
+        let rows: Vec<f64> = sets.iter().map(|&s| q.cardinality(s)).collect();
+        let level = LevelSets {
+            sets,
+            rows: &rows,
+            unranked: 0,
+        };
+        super::evaluate_dpsub_kernel(q, model, memo, &level, policy, fused_prune, stats)
+    }
 
     fn setup(n: usize) -> (QueryInfo, PgLikeCost, AtomicMemo) {
         let m = PgLikeCost::new();

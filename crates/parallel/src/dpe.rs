@@ -16,9 +16,11 @@
 use crate::pool::{chunk_range, with_pool};
 use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
-use mpdp_core::enumerate::SeenTable;
+use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::{OptError, RelSet};
-use mpdp_dp::common::{finish, init_memo, price_both, OptContext, OptResult};
+use mpdp_dp::common::{
+    finish, init_memo_with_rows, price_both, union_rows, LevelEnumerator, OptContext, OptResult,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One enumerated csg-cmp pair in the dependency buffer; consumers cost both
@@ -121,22 +123,12 @@ impl Dpe {
                 classes[p.left.union(p.right).len()].push(p);
             }
 
-            // The distinct union sets of each class are the connected sets
-            // materialized at that dependency level. Counting them before
-            // any costing sizes the shared memo once: the table never grows
-            // under the consumers.
-            let mut unions = SeenTable::with_capacity(0);
-            let class_sets: Vec<u64> = classes
-                .iter()
-                .map(|class| {
-                    unions.clear_for(class.len());
-                    class
-                        .iter()
-                        .filter(|p| unions.insert(p.left.union(p.right).bits()))
-                        .count() as u64
-                })
-                .collect();
-            let memo: AtomicMemo = init_memo(q, class_sets.iter().sum::<u64>() as usize);
+            // The unions of class `k` are the connected sets of size `k`:
+            // the level plan counts them, sizes the shared memo once (the
+            // table never grows under the consumers) and puts each set's
+            // cardinality where its pairs will look for it.
+            let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
+            let memo: AtomicMemo = init_memo_with_rows(q, &levels);
             let mut counters = Counters::default();
             let mut profile = Profile::default();
 
@@ -154,13 +146,16 @@ impl Dpe {
                 pool.run(&|worker| {
                     let mut mine = 0u64;
                     for p in &class[chunk_range(class.len(), pool.workers(), worker)] {
-                        let Some(priced) = price_both(memo_ref, q, ctx.model, p.left, p.right)
+                        let Ok(rows) = union_rows(memo_ref, p.left, p.right) else {
+                            continue;
+                        };
+                        let Some(priced) = price_both(memo_ref, ctx.model, p.left, p.right, rows)
                         else {
                             continue;
                         };
                         let (left, cost) = priced.better(p.left, p.right);
                         let union = p.left.union(p.right);
-                        mine += memo_ref.insert_if_better(union, left, cost, priced.rows) as u64;
+                        mine += memo_ref.insert_if_better(union, left, cost, rows) as u64;
                     }
                     writes.fetch_add(mine, Ordering::Relaxed);
                 });
@@ -169,7 +164,7 @@ impl Dpe {
                     // Counters track ordered pairs workspace-wide.
                     evaluated: 2 * class.len() as u64,
                     ccp: 2 * class.len() as u64,
-                    sets: class_sets[k],
+                    sets: levels.level(k).sets.len() as u64,
                     memo_writes: writes.load(Ordering::Relaxed),
                     memo_probes: memo.probe_count() - probes0,
                     cas_retries: memo.cas_retry_count() - retries0,

@@ -27,7 +27,10 @@ use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{Counters, LevelStats, Profile};
 use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::{OptError, RelSet};
-use mpdp_dp::common::{finish, init_memo, price_pair, LevelEnumerator, OptContext, OptResult};
+use mpdp_dp::common::{
+    finish, init_memo, init_memo_with_rows, price_pair, union_rows, LevelEnumerator, OptContext,
+    OptResult,
+};
 use mpdp_dp::mpdp::SetKernel;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -77,6 +80,7 @@ fn eval_set_dpsub(
     model: &dyn mpdp_cost::model::CostModel,
     memo: &AtomicMemo,
     s: RelSet,
+    rows: f64,
     tally: &mut SliceTally,
 ) {
     for sl in s.subsets() {
@@ -92,7 +96,7 @@ fn eval_set_dpsub(
             continue;
         }
         tally.ccp += 1;
-        emit_atomic(q, model, memo, sl, sr, tally);
+        emit_atomic(model, memo, sl, sr, rows, tally);
     }
 }
 
@@ -103,14 +107,14 @@ fn eval_set_dpsub(
 /// the old deferred-merge path.
 #[inline]
 fn emit_atomic(
-    q: &mpdp_core::QueryInfo,
     model: &dyn mpdp_cost::model::CostModel,
     memo: &AtomicMemo,
     sl: RelSet,
     sr: RelSet,
+    rows: f64,
     tally: &mut SliceTally,
 ) {
-    if let Some((cost, rows)) = price_pair(memo, q, model, sl, sr) {
+    if let Some(cost) = price_pair(memo, model, sl, sr, rows) {
         if memo.insert_if_better(sl.union(sr), sl, cost, rows) {
             tally.writes += 1;
         }
@@ -149,9 +153,9 @@ pub fn run_level_parallel(
     let q = ctx.query;
     let n = q.query_size();
     with_pool(threads, |pool| {
-        // Frontier expansion (or legacy unrank + filter) of every level —
-        // sequential, before the first parallel phase, so the shared memo is
-        // created at its final size and never moves under the workers.
+        // Every level's connected sets and their cardinalities — sequential,
+        // before the first parallel phase, so the shared memo is created at
+        // its final size and never moves under the workers.
         let levels = LevelEnumerator::new(ctx)?;
         let memo: AtomicMemo = init_memo(q, levels.total_sets());
         let mut counters = Counters::default();
@@ -168,19 +172,19 @@ pub fn run_level_parallel(
             };
             let marks = MemoMarks::take(&memo);
 
-            let sets = lvl.sets;
             let memo_ref = &memo;
             let tally = LevelTally::default();
             pool.run(&|worker| {
                 let mut mine = SliceTally::default();
-                let slice = &sets[chunk_range(sets.len(), pool.workers(), worker)];
+                let mine_of = chunk_range(lvl.sets.len(), pool.workers(), worker);
+                let slice = lvl.sets[mine_of.clone()].iter().zip(&lvl.rows[mine_of]);
                 match algo {
                     LevelAlgo::Mpdp => {
                         // The shared per-set kernel; its winner is the one
                         // atomic publish this set gets.
                         let mut kernel = SetKernel::new(q, ctx.model, &index);
-                        for &s in slice {
-                            let out = kernel.evaluate(memo_ref, s, &mut ());
+                        for (&s, &rows) in slice {
+                            let out = kernel.evaluate(memo_ref, s, rows, &mut ());
                             mine.evaluated += out.evaluated;
                             mine.ccp += out.ccp;
                             if let Some(e) = out.best {
@@ -190,8 +194,8 @@ pub fn run_level_parallel(
                         }
                     }
                     LevelAlgo::DpSub => {
-                        for &s in slice {
-                            eval_set_dpsub(q, ctx.model, memo_ref, s, &mut mine);
+                        for (&s, &rows) in slice {
+                            eval_set_dpsub(q, ctx.model, memo_ref, s, rows, &mut mine);
                         }
                     }
                 }
@@ -215,19 +219,17 @@ pub fn run_level_parallel(
 /// previous levels' plan lists are split among workers, which now publish
 /// winners straight into the shared atomic memo (no deferred pruning).
 ///
-/// The per-size plan lists come from the frontier enumerator in *both*
-/// enumeration modes: DPSIZE never unranks subsets (its candidates are
-/// cross products of plan lists), and the discovered-set list of the legacy
-/// merge was provably identical to the frontier's connected-set list, so
-/// this keeps counters and results bit-identical while letting the memo be
-/// sized before the first parallel phase.
+/// The per-size plan lists are the level plan's in *both* enumeration modes:
+/// DPSIZE never unranks subsets (its candidates are cross products of plan
+/// lists). A pair does not know where its union sits in the plan, so the
+/// memo is created with every set's cardinality already in it.
 pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptResult, OptError> {
     ctx.validate_exact()?;
     let q = ctx.query;
     let n = q.query_size();
     with_pool(threads, |pool| {
         let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
-        let memo: AtomicMemo = init_memo(q, levels.total_sets());
+        let memo: AtomicMemo = init_memo_with_rows(q, &levels);
         let mut counters = Counters::default();
         let mut profile = Profile::default();
         // Work items, reused across levels: (right-size, left set).
@@ -265,7 +267,11 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
                             continue;
                         }
                         mine.ccp += 1;
-                        emit_atomic(q, ctx.model, memo_ref, left, right, &mut mine);
+                        // Every CCP pair's union is a connected set, so it
+                        // is in the plan and the lookup cannot fail.
+                        if let Ok(rows) = union_rows(memo_ref, left, right) {
+                            emit_atomic(ctx.model, memo_ref, left, right, rows, &mut mine);
+                        }
                     }
                 }
                 tally.absorb(&mine);

@@ -690,8 +690,8 @@ impl PlannerBuilder {
         self
     }
 
-    /// Connected-set enumeration mode for the exact side: frontier expansion
-    /// (default) or the paper's unrank-and-filter. Ignored when a custom
+    /// Connected-set enumeration mode for the exact side: each connected set
+    /// once (default) or the paper's unrank-and-filter. Ignored when a custom
     /// exact strategy is supplied via [`Self::exact_strategy`].
     pub fn enumeration(mut self, mode: EnumerationMode) -> Self {
         self.enumeration = mode;

@@ -283,14 +283,23 @@ fn build_side_follows_model_estimate() {
 
 // ---- Golden digests -------------------------------------------------------
 //
-// Recorded at the commit *before* the probe side was rewritten around the
-// fused filter kernel (multiply-rotate fold, register-blocked bloom,
-// identity scans, demand-driven rowid columns, width-sized key columns).
-// Every value below was produced by the old three-pass murmur/two-load
-// kernels; the rewrite must reproduce them unedited. That is the proof that
-// the hash and bloom swap and the column pruning are invisible: same rows in
-// the same order, same per-operator statistics, same observed selectivities
-// to the bit, at 1, 2 and 4 workers.
+// Each case pins three digests, and they are not the same kind of promise.
+//
+// The two *data* digests — the result set, and every count the executor
+// reports about what it did (rows built, probed and emitted, batches,
+// observed selectivities to the bit) — were recorded at the commit *before*
+// the probe side was rewritten around the fused filter kernel, from the old
+// three-pass murmur/two-load kernels, and no executor or planner change may
+// edit them: same rows in the same order, same per-operator statistics, at
+// 1, 2 and 4 workers. (The report half was split out of a combined digest at
+// the commit before the level plan began to carry cardinalities; its values
+// were taken there, from the code that produced the combined ones.)
+//
+// The *estimate* digest folds the optimizer's cardinality estimates
+// (`est_rows` per operator and join, `est_root_rows`). Those are products of
+// the same factors in whatever order the planner multiplies them, so a
+// planner change may move them in the last ulps; it then re-records this
+// digest, and only this one, and says so.
 
 use mpdp::exec::{ExecReport, ResultSet, SkewedEdge};
 use mpdp_core::PlanTree;
@@ -319,8 +328,9 @@ fn result_digest(rs: &ResultSet) -> u64 {
     h
 }
 
-/// FNV-1a over every deterministic report field (walls and the per-worker
-/// busy vector are the only schedule-visible fields and are left out).
+/// FNV-1a over every deterministic thing the report says the executor *did*
+/// (walls and the per-worker busy vector are the only schedule-visible fields
+/// and are left out; the estimates are [`estimate_digest`]'s).
 fn report_digest(r: &ExecReport) -> u64 {
     let mut h = FNV_OFFSET;
     let mut put = |v: u64| fnv1a(&mut h, &v.to_le_bytes());
@@ -330,7 +340,6 @@ fn report_digest(r: &ExecReport) -> u64 {
         put(s.probe_rows);
         put(s.output_rows);
         put(s.batches);
-        put(s.est_rows.to_bits());
     }
     for j in &r.joins {
         put(j.left.bits());
@@ -342,16 +351,27 @@ fn report_digest(r: &ExecReport) -> u64 {
         put(j.inputs.1);
         put(j.output);
         put(j.observed_sel.to_bits());
-        put(j.est_rows.to_bits());
     }
     put(r.root_rows);
-    put(r.est_root_rows.to_bits());
     put(r.counters.build_rows);
     put(r.counters.probe_rows);
     put(r.counters.output_rows);
     put(r.counters.batches);
     put(r.counters.joins);
     put(r.result_bytes);
+    h
+}
+
+/// FNV-1a over the bits of every cardinality estimate the plan carried into
+/// the report.
+fn estimate_digest(r: &ExecReport) -> u64 {
+    let mut h = FNV_OFFSET;
+    let estimates = (r.stats.iter().map(|s| s.est_rows))
+        .chain(r.joins.iter().map(|j| j.est_rows))
+        .chain([r.est_root_rows]);
+    for est in estimates {
+        fnv1a(&mut h, &est.to_bits().to_le_bytes());
+    }
     h
 }
 
@@ -384,8 +404,10 @@ struct GoldenCase {
     query: LargeQuery,
     gen: GenConfig,
     plan: GoldenPlan,
-    /// `(result_digest, report_digest, root_rows)`.
+    /// `(result_digest, report_digest, root_rows)`: the data.
     expected: (u64, u64, u64),
+    /// `estimate_digest`.
+    estimates: u64,
 }
 
 fn golden_cases(model: &PgLikeCost) -> Vec<GoldenCase> {
@@ -446,35 +468,40 @@ fn golden_cases(model: &PgLikeCost) -> Vec<GoldenCase> {
             query: chain.clone(),
             gen: seeded(31),
             plan: GoldenPlan::Strategy("MPDP"),
-            expected: (0xb789_e75c_8010_3720, 0xa40e_8ef6_9516_46eb, 36_368),
+            expected: (0xb789_e75c_8010_3720, 0x3f32_e625_b4fe_974d, 36_368),
+            estimates: 0x2f96_ee04_a722_6523,
         },
         GoldenCase {
             name: "star/GOO",
             query: star,
             gen: seeded(32),
             plan: GoldenPlan::Strategy("GOO"),
-            expected: (0x1f47_8303_2653_5def, 0x042f_ae38_f0ef_9ef9, 1_004),
+            expected: (0x1f47_8303_2653_5def, 0xaee8_e9c9_d4fd_1a17, 1_004),
+            estimates: 0x2fa3_d711_44d1_c067,
         },
         GoldenCase {
             name: "cycle/MPDP",
             query: cycle,
             gen: seeded(33),
             plan: GoldenPlan::Strategy("MPDP"),
-            expected: (0xa7e1_ca31_fee6_258e, 0xee9a_f030_e3e8_e059, 1_869),
+            expected: (0xa7e1_ca31_fee6_258e, 0xf53e_1760_8e3a_5361, 1_869),
+            estimates: 0xed37_8461_b308_e8d0,
         },
         GoldenCase {
             name: "dense/IKKBZ",
             query: dense,
             gen: seeded(77),
             plan: GoldenPlan::Strategy("IKKBZ"),
-            expected: (0x58b9_789e_5da7_1a77, 0x85e9_cd7f_b1d9_7c11, 2),
+            expected: (0x58b9_789e_5da7_1a77, 0xb620_e47c_c40a_cae6, 2),
+            estimates: 0xb4fe_360a_e9f4_611e,
         },
         GoldenCase {
             name: "clique/DPCCP",
             query: clique,
             gen: seeded(34),
             plan: GoldenPlan::Strategy("DPCCP (1CPU)"),
-            expected: (0x80db_5d9c_46be_39be, 0xd4e9_ddf5_d08a_9578, 28_546),
+            expected: (0x80db_5d9c_46be_39be, 0x93f4_fe5e_b3e6_064d, 28_546),
+            estimates: 0x82f2_b59a_be8f_2ba2,
         },
         GoldenCase {
             name: "chain-skewed/MPDP",
@@ -486,21 +513,24 @@ fn golden_cases(model: &PgLikeCost) -> Vec<GoldenCase> {
                 ..Default::default()
             },
             plan: GoldenPlan::Strategy("MPDP"),
-            expected: (0xd617_e847_cadf_c26d, 0x26c5_32ea_c970_3d28, 255_293),
+            expected: (0xd617_e847_cadf_c26d, 0x4a84_b123_42fb_4b2b, 255_293),
+            estimates: 0x5168_127a_0e61_90ca,
         },
         GoldenCase {
             name: "cross-product/hand",
             query: cross,
             gen: seeded(36),
             plan: GoldenPlan::Hand(cross_plan),
-            expected: (0xb4f7_b7ab_9b54_aebf, 0x7f62_c8a2_04d4_d38f, 2_267),
+            expected: (0xb4f7_b7ab_9b54_aebf, 0xb9dd_7fc7_304e_3861, 2_267),
+            estimates: 0x8ce1_8019_f7ab_1a1b,
         },
         GoldenCase {
             name: "single-scan/hand",
             query: single,
             gen: seeded(37),
             plan: GoldenPlan::Hand(scan(0, 5_000.0)),
-            expected: (0x684b_6010_9cb6_716c, 0xfaf7_58de_2632_382a, 5_000),
+            expected: (0x684b_6010_9cb6_716c, 0x0951_1217_c832_4c5e, 5_000),
+            estimates: 0xfd70_9933_560c_2ae5,
         },
         GoldenCase {
             name: "wide-domain/hand",
@@ -511,7 +541,8 @@ fn golden_cases(model: &PgLikeCost) -> Vec<GoldenCase> {
                 ..Default::default()
             },
             plan: GoldenPlan::Hand(wide_plan),
-            expected: (0x1722_50be_9572_7dd6, 0x50ba_88e8_2473_6c24, 160_687),
+            expected: (0x1722_50be_9572_7dd6, 0x3a03_0bd9_6ac3_e5ec, 160_687),
+            estimates: 0xd563_a7dd_f0c6_6869,
         },
         GoldenCase {
             name: "wide-domain/GOO",
@@ -522,7 +553,8 @@ fn golden_cases(model: &PgLikeCost) -> Vec<GoldenCase> {
                 ..Default::default()
             },
             plan: GoldenPlan::Strategy("GOO"),
-            expected: (0xd2f5_1e08_b1c0_c60b, 0xd02f_9f5d_c2e7_6c3b, 237_988),
+            expected: (0xd2f5_1e08_b1c0_c60b, 0x7eec_bde9_ffa4_af1e, 237_988),
+            estimates: 0x234a_5fe0_85e6_7010,
         },
     ]
 }
@@ -563,8 +595,15 @@ fn golden_digests_hold_at_every_worker_count() {
             );
             if got != case.expected {
                 failures.push(format!(
-                    "{}@{workers}w: (0x{:016x}, 0x{:016x}, {})",
+                    "{}@{workers}w data: (0x{:016x}, 0x{:016x}, {})",
                     case.name, got.0, got.1, got.2
+                ));
+            }
+            let estimates = estimate_digest(&report);
+            if estimates != case.estimates {
+                failures.push(format!(
+                    "{}@{workers}w estimates: 0x{estimates:016x}",
+                    case.name
                 ));
             }
         }
@@ -627,8 +666,8 @@ fn execute_and_execute_with_result_report_the_same() {
             let counted = executor.execute(plan).unwrap();
             let (kept, rows) = executor.execute_with_result(plan).unwrap();
             assert_eq!(
-                report_digest(&counted),
-                report_digest(&kept),
+                (report_digest(&counted), estimate_digest(&counted)),
+                (report_digest(&kept), estimate_digest(&kept)),
                 "{name}@{workers}w: reports diverge"
             );
             assert_eq!(rows.len as u64, counted.root_rows, "{name}@{workers}w");

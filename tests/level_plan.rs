@@ -1,7 +1,8 @@
-//! The level plan's promise: every level-structured backend counts its
-//! connected sets before the first level, creates its memo once at that size
-//! and never re-hashes it — in both enumeration modes.
+//! The level plan's promise: every exact backend counts its connected sets
+//! before it prices the first pair, creates its memo once at that size and
+//! never re-hashes it — in both enumeration modes.
 
+use mpdp::core::enumerate::ConnectedSets;
 use mpdp::core::memo::slots_for;
 use mpdp::prelude::*;
 use mpdp_dp::common::OptResult;
@@ -22,11 +23,11 @@ fn shapes() -> Vec<(&'static str, QueryInfo)> {
     ]
 }
 
-/// `memo_entries == n + Σ level sizes`, in a table that was created for
-/// exactly that many entries and is the one the first insert went into.
-fn assert_sized_once(r: &OptResult, n: usize, what: &str) {
-    let level_sets: u64 = r.profile.levels.iter().map(|l| l.sets).sum();
-    assert_eq!(r.memo_entries as u64, n as u64 + level_sets, "{what}");
+/// The memo holds every connected set of the query (`sets`, leaves
+/// included), in a table that was created for exactly that many entries and
+/// is the one the first insert went into.
+fn assert_sized_once(r: &OptResult, sets: usize, what: &str) {
+    assert_eq!(r.memo_entries, sets, "{what}");
     let health = r.profile.memo.expect("finish stamps memo health");
     assert_eq!(health.entries, r.memo_entries, "{what}");
     assert_eq!(health.slots, slots_for(r.memo_entries), "{what}: slots");
@@ -37,7 +38,7 @@ fn assert_sized_once(r: &OptResult, n: usize, what: &str) {
 fn every_leveled_driver_sizes_its_memo_once() {
     let m = PgLikeCost::new();
     for (name, q) in shapes() {
-        let n = q.query_size();
+        let n = ConnectedSets::enumerate(&q).sets.len();
         for mode in [EnumerationMode::Frontier, EnumerationMode::Unranked] {
             let ctx = OptContext::new(&q, &m).with_enumeration(mode);
             let what = |driver: &str| format!("{driver} on {name} ({mode:?})");
@@ -55,21 +56,12 @@ fn every_leveled_driver_sizes_its_memo_once() {
             assert_sized_once(&gpu, n, &what("DPSUB (GPU)"));
             let gpu = DpSizeGpu::new().run(&ctx).unwrap().result;
             assert_sized_once(&gpu, n, &what("DPSIZE (GPU)"));
-            // DPE is not leveled, but counts its unions before it costs any.
+            // DPSIZE joins pairs of plan lists and DPCCP / DPE walk edges:
+            // none of them meets its sets level by level, all of them build
+            // the level plan first.
+            assert_sized_once(&DpSize::run(&ctx).unwrap(), n, &what("DPSIZE"));
+            assert_sized_once(&DpCcp::run(&ctx).unwrap(), n, &what("DPCCP"));
             assert_sized_once(&Dpe::run(&ctx, 2).unwrap(), n, &what("DPE"));
-        }
-        // DPSIZE has a level plan in frontier mode only: its legacy mode
-        // discovers each level's sets as it joins pairs, so like DPCCP it
-        // cannot know the count and lets the table grow.
-        let ctx = OptContext::new(&q, &m);
-        assert_sized_once(&DpSize::run(&ctx).unwrap(), n, &format!("DPSIZE on {name}"));
-        for grown in [
-            DpSize::run(&ctx.with_enumeration(EnumerationMode::Unranked)).unwrap(),
-            DpCcp::run(&OptContext::new(&q, &m)).unwrap(),
-        ] {
-            let health = grown.profile.memo.unwrap();
-            assert_eq!(health.entries, grown.memo_entries, "{name}");
-            assert!(health.grows > 0, "{name}: {health:?}");
         }
     }
 }

@@ -7,9 +7,9 @@
 // would make either unusable.
 use mpdp::core::blocks::{find_blocks, BlockIndex};
 use mpdp::core::combinatorics::KSubsets;
-use mpdp::core::enumerate::FrontierEnumerator;
+use mpdp::core::enumerate::ConnectedSets;
 use mpdp::core::memo::{MemoEntry, MemoHealth, MemoStore};
-use mpdp::core::JoinGraph;
+use mpdp::core::{JoinGraph, QueryInfo};
 use mpdp::dp::mpdp::SetKernel;
 use mpdp::prelude::{DpCcp, DpSize, DpSub, EnumerationMode, LargeQuery, Mpdp, OptContext, RelSet};
 use mpdp_cost::{CoutCost, PgLikeCost};
@@ -26,7 +26,7 @@ fn query_strategy() -> impl Strategy<Value = LargeQuery> {
     })
 }
 
-/// Strategy: a connected random query with up to 12 relations (the frontier
+/// Strategy: a connected random query with up to 12 relations (the
 /// enumeration property sweeps every DP level, so sizes stay exhaustive but
 /// cheap).
 fn enumeration_query_strategy() -> impl Strategy<Value = LargeQuery> {
@@ -57,6 +57,81 @@ fn full_subset_enumeration(g: &JoinGraph, s: RelSet) -> (u64, Vec<(RelSet, RelSe
         }
     }
     (evaluated, pairs)
+}
+
+/// The level plan's two promises. **Once:** per DP level the enumerator
+/// yields exactly the connected sets the KSubsets + `is_connected` filter
+/// yields — same family, same (ascending bitmap) order, and no set twice
+/// anywhere (counted as a multiset: the enumerator has no table that would
+/// absorb a second discovery, so one would show up here). **Sized:** each
+/// set comes with its cardinality, equal to the definition's up to the
+/// rounding of a different multiplication order.
+fn check_level_plan(qi: &QueryInfo) {
+    let n = qi.query_size();
+    let plan = ConnectedSets::enumerate(qi);
+    assert_eq!(plan.starts.len(), n + 1);
+    assert_eq!(plan.rows.len(), plan.sets.len());
+    let mut times = std::collections::BTreeMap::new();
+    for &s in &plan.sets {
+        *times.entry(s.bits()).or_insert(0u32) += 1;
+    }
+    let twice: Vec<_> = times.iter().filter(|(_, &t)| t != 1).collect();
+    assert!(twice.is_empty(), "emitted more than once: {:?}", twice);
+    let mut total = 0;
+    for i in 1..=n {
+        let filtered: Vec<RelSet> = KSubsets::new(n, i)
+            .filter(|s| qi.graph.is_connected(*s))
+            .collect();
+        total += filtered.len();
+        assert_eq!(plan.level(i).0, &filtered[..], "level {}", i);
+    }
+    assert_eq!(plan.sets.len(), total);
+    for (&s, &rows) in plan.sets.iter().zip(&plan.rows) {
+        let want = qi.cardinality(s);
+        assert!(
+            (rows - want).abs() <= 1e-12 * want,
+            "{}: rows {:e}, by definition {:e}",
+            s,
+            rows,
+            want
+        );
+    }
+}
+
+#[test]
+fn named_shapes_enumerate_once_and_sized() {
+    let m = PgLikeCost::new();
+    let small = |q: LargeQuery| q.to_query_info().unwrap();
+    for (name, q) in [
+        ("star", small(gen::star(12, 1, &m))),
+        ("chain", small(gen::chain(12, 1, &m))),
+        ("cycle", small(gen::cycle(12, 1, &m))),
+        ("clique", small(gen::clique(9, 1, &m))),
+        ("figure-5", mpdp_bench::runner::figure5_query(&m)),
+    ] {
+        println!("{name}");
+        check_level_plan(&q);
+    }
+}
+
+#[test]
+fn a_chain_of_64_billion_row_relations_plans_to_a_finite_cost() {
+    // The cardinality recursion multiplies a set's rows by the next
+    // relation's rows *times its selectivities*, so no partial product is a
+    // cross product: 10⁹-row relations 64 deep stay far from overflow.
+    let mut q = LargeQuery::new(vec![mpdp::core::RelInfo::new(1e9, 1e7); 64]);
+    for i in 1..64 {
+        q.add_edge(i - 1, i, 1e-9);
+    }
+    let qi = q.to_query_info().unwrap();
+    let plan = ConnectedSets::enumerate(&qi);
+    assert_eq!(plan.sets.len(), 64 * 65 / 2);
+    assert!(plan.rows.iter().all(|r| r.is_finite() && *r > 0.0));
+    let m = PgLikeCost::new();
+    let r = Mpdp::run(&OptContext::new(&qi, &m)).unwrap();
+    assert!(r.cost.is_finite() && r.cost > 0.0, "cost {}", r.cost);
+    assert!((r.rows - 1e9).abs() <= 1e-3, "rows {}", r.rows);
+    assert!(r.plan.validate(&qi.graph).is_none());
 }
 
 /// A memo that answers every lookup and writes the looked-up sets down: the
@@ -103,24 +178,23 @@ proptest! {
         let g = &qi.graph;
         let index = BlockIndex::new(g);
         let mut kernel = SetKernel::new(&qi, &m, &index);
-        let mut fe = FrontierEnumerator::new(g);
-        for _ in 2..=qi.query_size() {
-            for &s in fe.advance() {
-                let (evaluated, mut want) = full_subset_enumeration(g, s);
-                let log = LookupLog::default();
-                let out = kernel.evaluate(&log, s, &mut ());
-                let mut got = Vec::new();
-                for split in log.0.borrow().chunks(2) {
-                    got.push((split[0], split[1]));
-                    got.push((split[1], split[0]));
-                }
-                want.sort_unstable();
-                got.sort_unstable();
-                prop_assert_eq!(&got, &want, "set {}", s);
-                prop_assert_eq!(out.evaluated, evaluated);
-                prop_assert_eq!(out.ccp, want.len() as u64);
-                prop_assert!(out.best.is_some());
+        let plan = ConnectedSets::enumerate(&qi);
+        for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(qi.query_size()) {
+            let (evaluated, mut want) = full_subset_enumeration(g, s);
+            let log = LookupLog::default();
+            let out = kernel.evaluate(&log, s, rows, &mut ());
+            let mut got = Vec::new();
+            for split in log.0.borrow().chunks(2) {
+                got.push((split[0], split[1]));
+                got.push((split[1], split[0]));
             }
+            want.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &want, "set {}", s);
+            prop_assert_eq!(out.evaluated, evaluated);
+            prop_assert_eq!(out.ccp, want.len() as u64);
+            // The winner carries the set's cardinality, as handed in.
+            prop_assert_eq!(out.best.map(|e| e.rows.to_bits()), Some(rows.to_bits()));
         }
     }
 
@@ -222,21 +296,8 @@ proptest! {
 
     #[test]
     fn frontier_enumeration_matches_filtered_unranking(q in enumeration_query_strategy()) {
-        // The tentpole invariant: per DP level, the frontier enumerator must
-        // yield exactly the connected sets the KSubsets + is_connected
-        // filter yields — same family, same (ascending bitmap) order.
-        let qi = q.to_query_info().unwrap();
-        let g = &qi.graph;
-        let n = qi.query_size();
-        let mut fe = FrontierEnumerator::new(g);
-        for i in 2..=n {
-            let frontier: Vec<RelSet> = fe.advance().to_vec();
-            let filtered: Vec<RelSet> = KSubsets::new(n, i)
-                .filter(|s| g.is_connected(*s))
-                .collect();
-            prop_assert_eq!(frontier, filtered, "level {}", i);
-        }
-        prop_assert!(fe.advance().is_empty());
+        // The tentpole invariant, see `check_level_plan`.
+        check_level_plan(&q.to_query_info().unwrap());
     }
 
     #[test]
