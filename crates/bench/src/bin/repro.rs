@@ -853,7 +853,8 @@ fn exec_experiment() {
     use mpdp_bench::exec::{default_cases, render, run_case};
     println!(
         "\n## exec — morsel-parallel vectorized executor: modeled cost vs measured runtime \
-         (seed 42)"
+         (seed 42, filter kernel: {})",
+        mpdp_exec::filter_kernel()
     );
     let model = PgLikeCost::new();
     let cases: Vec<_> = default_cases(&model)

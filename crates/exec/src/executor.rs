@@ -14,7 +14,8 @@
 //!   contiguous morsel range ([`chunk_range`] over morsel indices) and runs
 //!   one **fused filter kernel** per morsel — key → hash → bloom test →
 //!   branch-free survivor compaction in a single pass, nothing stored for a
-//!   row the filter rejects — then walks the table's chains for the
+//!   row the filter rejects; eight rows per step where the CPU has AVX-512
+//!   ([`filter_kernel`]) — then walks the table's chains for the
 //!   survivors with value-by-value verification and gathers the matches
 //!   column-wise into a **private** output buffer;
 //! * **merge** (sequential): worker buffers are concatenated in worker
@@ -348,6 +349,21 @@ macro_rules! with_keys {
     };
 }
 
+/// The eight-rows-per-step kernels, where the CPU has the features for them.
+#[cfg(target_arch = "x86_64")]
+mod lanes;
+
+/// Which fused filter kernel [`Executor::execute`] runs on this machine:
+/// `"avx512 lanes"` where AVX-512 (F, DQ, VL) is detected, `"scalar"`
+/// everywhere else. Results do not depend on it; timings do.
+pub fn filter_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if lanes::detected() {
+        return "avx512 lanes";
+    }
+    "scalar"
+}
+
 /// Both sides of one crossing edge.
 struct EdgeAccess<'c> {
     probe: Side<'c>,
@@ -383,6 +399,35 @@ fn filter(
         n += bloom.may_contain(h) as usize;
     }
     n
+}
+
+/// The scalar [`filter`] over rows `lo..hi` of `side`; `seeds` is the carry
+/// of the earlier edges, `None` the bare seed of a single-edge join.
+fn filter_scalar(
+    seeds: Option<&[u64]>,
+    side: &Side<'_>,
+    lo: usize,
+    hi: usize,
+    bloom: &Bloom,
+    survivors: &mut [u32],
+    hashes: &mut [u64],
+) -> usize {
+    match seeds {
+        None => with_keys!(side, lo, hi, |keys| filter(
+            repeat(HASH_SEED),
+            keys,
+            bloom,
+            survivors,
+            hashes
+        )),
+        Some(seeds) => with_keys!(side, lo, hi, |keys| filter(
+            seeds.iter().copied(),
+            keys,
+            bloom,
+            survivors,
+            hashes
+        )),
+    }
 }
 
 /// The build-stage product: flat gathered key columns, composite hashes,
@@ -453,7 +498,10 @@ impl ProbeScratch {
     /// Sizes the buffers for a join of `edges` crossing edges probed in
     /// morsels of at most `rows` rows.
     fn fit(&mut self, edges: usize, rows: usize) {
-        self.carry.resize(rows, 0);
+        // Only a multi-edge join folds into the carry.
+        if edges > 1 {
+            self.carry.resize(rows, 0);
+        }
         self.survivors.resize(rows, 0);
         self.hashes.resize(rows, 0);
         self.keys.resize_with(edges, Vec::new);
@@ -875,6 +923,33 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// [`filter`] over rows `lo..hi` of `side` on the kernel this machine has
+/// (see [`filter_kernel`]).
+fn filter_rows(
+    seeds: Option<&[u64]>,
+    side: &Side<'_>,
+    lo: usize,
+    hi: usize,
+    bloom: &Bloom,
+    survivors: &mut [u32],
+    hashes: &mut [u64],
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(n) = lanes::filter(seeds, side, lo, hi, bloom, survivors, hashes) {
+        return n;
+    }
+    filter_scalar(seeds, side, lo, hi, bloom, survivors, hashes)
+}
+
+/// [`fold_keys`] over rows `lo..hi` of `side`, likewise.
+fn fold_rows(hashes: &mut [u64], side: &Side<'_>, lo: usize, hi: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if lanes::fold_keys(hashes, side, lo, hi) {
+        return;
+    }
+    with_keys!(side, lo, hi, |keys| fold_keys(hashes, keys))
+}
+
 /// The per-morsel pipeline over probe rows `lo..hi`: the fused [`filter`]
 /// kernel, then the chained-table walk with value-by-value verification for
 /// its survivors. Match pairs land in `scratch.matches` as `(global probe
@@ -902,25 +977,22 @@ fn probe_morsel(
             (0..len).for_each(|i| survivors[i] = i as u32);
             len
         }
-        [only] => with_keys!(only.probe, lo, hi, |ks| filter(
-            repeat(HASH_SEED),
-            ks,
-            &table.bloom,
-            survivors,
-            hashes
-        )),
+        [only] => filter_rows(None, &only.probe, lo, hi, &table.bloom, survivors, hashes),
         [rest @ .., last] => {
-            carry[..len].fill(HASH_SEED);
+            let carry = &mut carry[..len];
+            carry.fill(HASH_SEED);
             for a in rest {
-                with_keys!(a.probe, lo, hi, |ks| fold_keys(&mut carry[..len], ks));
+                fold_rows(carry, &a.probe, lo, hi);
             }
-            with_keys!(last.probe, lo, hi, |ks| filter(
-                carry[..len].iter().copied(),
-                ks,
+            filter_rows(
+                Some(carry),
+                &last.probe,
+                lo,
+                hi,
                 &table.bloom,
                 survivors,
-                hashes
-            ))
+                hashes,
+            )
         }
     };
     // Stash the survivors' keys for the verification below.
@@ -1438,20 +1510,70 @@ mod tests {
         probe("u32 in place", &narrow, None);
         probe("u32 gathered", &narrow, Some(&rowids));
         probe("u64 in place", &wide, None);
-        // The filter alone: same loop, no chain walk.
-        let KeyColumn::U32(col) = &narrow[0] else {
-            unreachable!()
-        };
-        let filter_ns = best(|_| {
-            for m in col.chunks(1024) {
-                let keys = m.iter().map(|&k| k as u64);
-                let (s, h) = (&mut scratch.survivors, &mut scratch.hashes);
-                black_box(filter(repeat(HASH_SEED), keys, &table.bloom, s, h));
+        // The filter alone — same loop, no stash, no chain walk — on the
+        // scalar kernel and on the lanes: per key shape at three survivor
+        // rates (a hit carries a build row's key, a miss one past the
+        // domain), seeded from a carry, in short morsels, and cold.
+        type Kernel =
+            fn(Option<&[u64]>, &Side<'_>, usize, usize, &Bloom, &mut [u32], &mut [u64]) -> usize;
+        let kernels: [(&str, Kernel); 2] = [("scalar", filter_scalar), ("lanes", filter_rows)];
+        let kernels = &kernels[..if filter_kernel() == "scalar" { 1 } else { 2 }];
+        let carry = vec![HASH_SEED; 1024];
+        let mut filter_card = |what: &str, cols: &[KeyColumn], rowids, seeded: bool, morsel| {
+            print!("filter alone, {what}:");
+            for &(name, kernel) in kernels {
+                let ns = best(|i| {
+                    let side = Side {
+                        keys: &cols[i % cols.len()],
+                        rowids,
+                    };
+                    for lo in (0..ROWS).step_by(morsel) {
+                        let hi = (lo + morsel).min(ROWS);
+                        let seeds = seeded.then_some(&carry[..hi - lo]);
+                        let (s, h) = (&mut scratch.survivors, &mut scratch.hashes);
+                        black_box(kernel(seeds, &side, lo, hi, &table.bloom, s, h));
+                    }
+                });
+                print!(" {name} {:.2}", ns / ROWS as f64);
             }
-        });
+            println!(" ns/row");
+        };
+        for per_mille in [15u64, 130, 1000] {
+            let keys = (0..ROWS).map(|r| match fold(1, r as u64) % 1000 < per_mille {
+                true => build_keys.get(fold(2, r as u64) as usize % BUILD),
+                false => 8 * BUILD as u64 + key(3, r),
+            });
+            let k64 = [KeyColumn::U64(keys.clone().collect())];
+            let k32 = [KeyColumn::U32(keys.map(|k| k as u32).collect())];
+            for (shape, cols, rowids, seeded, morsel) in [
+                ("u32 in place", &k32, None, false, 1024),
+                ("u32 gathered", &k32, Some(&rowids[..]), false, 1024),
+                ("u64 in place", &k64, None, false, 1024),
+                ("u64 gathered", &k64, Some(&rowids[..]), false, 1024),
+                ("u32 in place, seeded from a carry", &k32, None, true, 1024),
+                ("u32 in place, morsels of 64", &k32, None, false, 64),
+                ("u32 in place, morsels of 8", &k32, None, false, 8),
+            ] {
+                let what = format!("{shape}, {} % hits", per_mille as f64 / 10.0);
+                filter_card(&what, cols, rowids, seeded, morsel);
+            }
+        }
+        filter_card("u32 in place, cold", &narrow, None, false, 1024);
+        filter_card("u32 gathered, cold", &narrow, Some(&rowids), false, 1024);
+        filter_card("u64 in place, cold", &wide, None, false, 1024);
+        // The carry pass of a multi-edge join.
+        let mut carry = vec![HASH_SEED; ROWS];
+        let keys = Side {
+            keys: &narrow[0],
+            rowids: None,
+        };
+        let scalar = best(|_| with_keys!(keys, 0, ROWS, |keys| fold_keys(&mut carry, keys)));
+        let chosen = best(|_| fold_rows(&mut carry, &keys, 0, ROWS));
         println!(
-            "filter alone, u32 in place: {:.2} ns/row",
-            filter_ns / ROWS as f64
+            "fold_keys, u32 in place: scalar {:.2}, {} {:.2} ns/row",
+            scalar / ROWS as f64,
+            filter_kernel(),
+            chosen / ROWS as f64
         );
         // Chain walk + output gather: every probe row hits (keys < BUILD).
         let hits = KeyColumn::U32(

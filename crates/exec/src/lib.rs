@@ -30,7 +30,7 @@ pub mod feedback;
 
 pub use datagen::{materialize, Dataset, ExecTable, GenConfig, KeyColumn, SkewedEdge};
 pub use executor::{
-    ExecConfig, ExecError, ExecReport, ExecStats, Executor, ObservedJoin, ResultSet,
+    filter_kernel, ExecConfig, ExecError, ExecReport, ExecStats, Executor, ObservedJoin, ResultSet,
 };
 pub use feedback::{
     fold_observations, recost_plan, selectivity_overrides, synthesize_catalog, SyntheticCatalog,

@@ -7,8 +7,8 @@
 //! ```
 
 use mpdp::exec::{
-    fold_observations, materialize, recost_plan, synthesize_catalog, ExecConfig, Executor,
-    GenConfig, SkewedEdge,
+    filter_kernel, fold_observations, materialize, recost_plan, synthesize_catalog, ExecConfig,
+    Executor, GenConfig, SkewedEdge,
 };
 use mpdp::prelude::*;
 use mpdp::PlanServiceBuilder;
@@ -58,10 +58,11 @@ fn main() {
     let executor = Executor::new(&data.scaled, &data, ExecConfig::default());
     let report = executor.execute(&served.planned.plan).unwrap();
     println!(
-        "\nestimated root rows {:>8.0} | observed {:>8} | deviation {:.0}x",
+        "\nestimated root rows {:>8.0} | observed {:>8} | deviation {:.0}x (filter kernel: {})",
         report.est_root_rows,
         report.root_rows,
-        report.root_deviation()
+        report.root_deviation(),
+        filter_kernel()
     );
     for s in report.stats.iter().filter(|s| s.probe_rows > 0) {
         println!(
