@@ -635,7 +635,6 @@ struct BenchRecord {
     evaluated: u64,
     ccp: u64,
     sets: u64,
-    unranked: u64,
     memo_load: f64,
     memo_probes: u64,
     cas_retries: u64,
@@ -648,8 +647,8 @@ impl BenchRecord {
         format!(
             "{{\"shape\": \"{}\", \"n\": {}, \"algorithm\": \"{}\", \"wall_ms\": {:.3}, \
              \"reported_ms\": {:.3}, \"reported_is_model\": {}, \"cost\": {:.6e}, \
-             \"evaluated\": {}, \"ccp\": {}, \"sets\": {}, \"unranked\": {}, \
-             \"memo_load\": {:.3}, \"memo_probes\": {}, \"cas_retries\": {}}}",
+             \"evaluated\": {}, \"ccp\": {}, \"sets\": {}, \"memo_load\": {:.3}, \
+             \"memo_probes\": {}, \"cas_retries\": {}}}",
             self.shape,
             self.n,
             self.algorithm,
@@ -660,7 +659,6 @@ impl BenchRecord {
             self.evaluated,
             self.ccp,
             self.sets,
-            self.unranked,
             self.memo_load,
             self.memo_probes,
             self.cas_retries,
@@ -680,8 +678,7 @@ const BENCH_ALGOS: [&str; 6] = [
 ];
 
 /// `repro bench`: timed runs + counters on the CI shape set
-/// (chain/star/cycle/fig5), a frontier-vs-unranked subset-visit comparison
-/// on 20-relation shapes, optional JSON emission, and an optional exact
+/// (chain/star/cycle/fig5), optional JSON emission, and an optional exact
 /// check of every count against a committed bench JSON.
 fn bench(emit_json: Option<&str>, check_against: Option<&str>) {
     let model = PgLikeCost::new();
@@ -693,8 +690,8 @@ fn bench(emit_json: Option<&str>, check_against: Option<&str>) {
     };
     println!("\n## bench — CI shape set, per-algorithm times and counters");
     println!(
-        "shape\tn\talgorithm\twall_ms\treported_ms\tevaluated\tccp\tsets\tunranked\t\
-         memo_load\tprobes\tcas_retries"
+        "shape\tn\talgorithm\twall_ms\treported_ms\tevaluated\tccp\tsets\tmemo_load\tprobes\t\
+         cas_retries"
     );
     let shapes: Vec<(&'static str, usize, QueryInfo)> = vec![
         (
@@ -735,80 +732,32 @@ fn bench(emit_json: Option<&str>, check_against: Option<&str>) {
                         evaluated: c.evaluated,
                         ccp: c.ccp,
                         sets: c.sets,
-                        unranked: c.unranked,
                         memo_load: health.map(|h| h.load_factor()).unwrap_or(0.0),
                         memo_probes: probes,
                         cas_retries: retries,
                     };
                     println!(
-                        "{shape}\t{n}\t{name}\t{:.2}\t{:.2}\t{}\t{}\t{}\t{}\t{:.2}\t{}\t{}",
+                        "{shape}\t{n}\t{name}\t{:.2}\t{:.2}\t{}\t{}\t{}\t{:.2}\t{}\t{}",
                         rec.wall_ms,
                         rec.reported_ms,
                         rec.evaluated,
                         rec.ccp,
                         rec.sets,
-                        rec.unranked,
                         rec.memo_load,
                         rec.memo_probes,
                         rec.cas_retries
                     );
                     records.push(rec);
                 }
-                Err(e) => println!("{shape}\t{n}\t{name}\t-\t-\t-\t-\t-\t-\t# {e}"),
+                Err(e) => println!("{shape}\t{n}\t{name}\t-\t-\t-\t-\t-\t# {e}"),
             }
         }
-    }
-
-    // Frontier vs unranked subset visits: the enumerator only ever touches
-    // connected sets, the filter path unranks every C(n, i) candidate.
-    println!("\n## bench — subset visits: frontier (sets considered) vs filter (unranked)");
-    println!("shape\tn\tsets\tunranked\treduction");
-    let mut visits: Vec<String> = Vec::new();
-    for (shape, n) in [("chain", 20usize), ("star", 20), ("cycle", 20)] {
-        let q = make_query_shape(shape, n, 1, &model);
-        let frontier = registry()
-            .get("MPDP")
-            .unwrap()
-            .plan_exact(&q, &model, Some(budget));
-        let unranked =
-            registry()
-                .get("MPDP [unranked]")
-                .unwrap()
-                .plan_exact(&q, &model, Some(budget));
-        let (f, u) = match (frontier, unranked) {
-            (Ok(f), Ok(u)) => (f, u),
-            (fr, ur) => {
-                let e = fr.err().or(ur.err()).expect("one side failed");
-                println!("{shape}\t{n}\t-\t-\t-\t# {e}");
-                continue;
-            }
-        };
-        let fc = f.counters.unwrap_or_default();
-        let uc = u.counters.unwrap_or_default();
-        assert_eq!(fc.ccp, uc.ccp, "modes must agree on CCP pairs");
-        assert_eq!(fc.evaluated, uc.evaluated, "modes must agree on pairs");
-        let reduction = uc.unranked as f64 / fc.sets.max(1) as f64;
-        println!("{shape}\t{n}\t{}\t{}\t{reduction:.1}", fc.sets, uc.unranked);
-        visits.push(format!(
-            "{{\"shape\": \"{shape}\", \"n\": {n}, \"sets\": {}, \"unranked\": {}, \
-             \"reduction\": {reduction:.1}, \"frontier_wall_ms\": {:.3}, \
-             \"unranked_wall_ms\": {:.3}}}",
-            fc.sets,
-            uc.unranked,
-            f.wall.as_secs_f64() * 1000.0,
-            u.wall.as_secs_f64() * 1000.0,
-        ));
     }
 
     let mut out = String::from("{\n  \"schema\": \"mpdp-bench-v1\",\n  \"runs\": [\n");
     for (i, r) in records.iter().enumerate() {
         let sep = if i + 1 == records.len() { "" } else { "," };
         out.push_str(&format!("    {}{sep}\n", r.to_json_line()));
-    }
-    out.push_str("  ],\n  \"frontier_vs_unranked\": [\n");
-    for (i, v) in visits.iter().enumerate() {
-        let sep = if i + 1 == visits.len() { "" } else { "," };
-        out.push_str(&format!("    {v}{sep}\n"));
     }
     out.push_str("  ]\n}\n");
     if let Some(path) = emit_json {
@@ -830,15 +779,6 @@ fn bench(emit_json: Option<&str>, check_against: Option<&str>) {
             std::process::exit(1);
         }
         println!("# every count equals {path}");
-    }
-}
-
-fn make_query_shape(shape: &str, n: usize, seed: u64, model: &PgLikeCost) -> QueryInfo {
-    match shape {
-        "chain" => gen::chain(n, seed, model).to_query_info().unwrap(),
-        "star" => gen::star(n, seed, model).to_query_info().unwrap(),
-        "cycle" => gen::cycle(n, seed, model).to_query_info().unwrap(),
-        other => panic!("unknown bench shape {other}"),
     }
 }
 

@@ -7,12 +7,11 @@
 //! machine cannot move it. `wall_ms` is information and gates nothing.
 
 /// The fields of a run line that must repeat exactly.
-const EXACT_FIELDS: [&str; 8] = [
+const EXACT_FIELDS: [&str; 7] = [
     "cost",
     "evaluated",
     "ccp",
     "sets",
-    "unranked",
     "memo_load",
     "memo_probes",
     "cas_retries",
@@ -82,11 +81,8 @@ mod tests {
     const DOC: &str = r#"{
   "schema": "mpdp-bench-v1",
   "runs": [
-    {"shape": "chain", "n": 16, "algorithm": "MPDP", "wall_ms": 0.049, "reported_ms": 0.049, "reported_is_model": false, "cost": 4.274171e4, "evaluated": 1360, "ccp": 1360, "sets": 120, "unranked": 0, "memo_load": 0.531, "memo_probes": 205, "cas_retries": 0},
-    {"shape": "chain", "n": 16, "algorithm": "MPDP (GPU)", "wall_ms": 0.062, "reported_ms": 0.736, "reported_is_model": true, "cost": 4.274171e4, "evaluated": 1360, "ccp": 1360, "sets": 120, "unranked": 0, "memo_load": 0.531, "memo_probes": 221, "cas_retries": 0}
-  ],
-  "frontier_vs_unranked": [
-    {"shape": "chain", "n": 20, "sets": 190, "unranked": 1048555, "reduction": 5518.7}
+    {"shape": "chain", "n": 16, "algorithm": "MPDP", "wall_ms": 0.049, "reported_ms": 0.049, "reported_is_model": false, "cost": 4.274171e4, "evaluated": 1360, "ccp": 1360, "sets": 120, "memo_load": 0.531, "memo_probes": 205, "cas_retries": 0},
+    {"shape": "chain", "n": 16, "algorithm": "MPDP (GPU)", "wall_ms": 0.062, "reported_ms": 0.736, "reported_is_model": true, "cost": 4.274171e4, "evaluated": 1360, "ccp": 1360, "sets": 120, "memo_load": 0.531, "memo_probes": 221, "cas_retries": 0}
   ]
 }
 "#;

@@ -52,8 +52,9 @@ impl Scale {
     }
 
     /// Hard upper bound on exact sizes for the simulated-GPU drivers: the
-    /// unrank phase materializes `C(n, n/2)` candidate sets per level, which
-    /// is memory-prohibitive past ~26 relations on this container.
+    /// host's level plan and the device memo hold every connected set (`2²⁵`
+    /// on a 26-relation star), which is memory-prohibitive past ~26 relations
+    /// on this container.
     pub fn gpu_max_rels(self) -> usize {
         26
     }

@@ -256,7 +256,6 @@ impl AtomicMemo {
             slots: self.keys.len(),
             probes: self.probe_count(),
             cas_retries: self.cas_retry_count(),
-            grows: 0,
         }
     }
 

@@ -1,15 +1,10 @@
 //! Combinatorial subset enumeration used by vertex-based DP algorithms.
 //!
-//! Two enumeration schemes from the paper:
-//!
 //! * **Gosper's hack** — visits all `n`-bit masks with exactly `k` bits set in
-//!   increasing numeric order. The sequential DPSUB/MPDP implementations use
-//!   it to stream the level-`k` sets (`S_i` in Algorithms 1–3).
-//! * **Combinatorial unranking** — maps a rank `r ∈ [0, C(n,k))` directly to
-//!   the `r`-th `k`-subset. This is the "combinatorial schema as in \[23\]"
-//!   used by the GPU *unrank* phase (§5): every simulated GPU lane unranks its
-//!   own set independently, which is what makes the phase embarrassingly
-//!   parallel.
+//!   increasing numeric order: the paper's level-`k` candidates (`S_i` in
+//!   Algorithms 1–3) before its connectivity filter. The DP backends read
+//!   [`crate::enumerate::ConnectedSets`] instead; this is the reference that
+//!   plan is tested against.
 //! * **`pdep`** — software parallel-bit-deposit, used to expand a dense
 //!   `|S|`-bit subset index into a sparse mask over the members of `S`
 //!   (§2.2.1: "`S_left` is obtained by enumerating from 1 to 2^|S_i|, upon
@@ -91,35 +86,6 @@ impl Iterator for KSubsets {
     }
 }
 
-/// Unranks the `rank`-th `k`-subset of `{0..n}` in colexicographic order.
-///
-/// `rank` must be `< C(n, k)`. The mapping is a bijection; see tests.
-pub fn unrank_subset(n: usize, k: usize, mut rank: u64) -> RelSet {
-    debug_assert!(rank < binomial(n as u64, k as u64));
-    let mut set = RelSet::empty();
-    let mut kk = k as u64;
-    // Choose the highest element first: the largest c such that C(c, kk) <= rank
-    // determines membership (standard combinatorial number system).
-    let mut c = n as u64;
-    while kk > 0 {
-        c -= 1;
-        let b = binomial(c, kk);
-        if rank >= b {
-            set = set.with(c as usize);
-            rank -= b;
-            kk -= 1;
-        }
-        // When c reaches kk, the remaining elements are forced: {0..kk}.
-        if c == kk && kk > 0 {
-            for i in 0..kk {
-                set = set.with(i as usize);
-            }
-            break;
-        }
-    }
-    set
-}
-
 /// Software `pdep`: deposits the low bits of `src` into the set positions of
 /// `mask`, in increasing position order.
 ///
@@ -193,35 +159,6 @@ mod tests {
         assert_eq!(KSubsets::new(1, 1).count(), 1);
         assert_eq!(KSubsets::new(64, 1).count(), 64);
         assert_eq!(KSubsets::new(64, 63).count(), 64);
-    }
-
-    #[test]
-    fn unrank_is_a_bijection() {
-        for n in 1..=12usize {
-            for k in 1..=n {
-                let total = binomial(n as u64, k as u64);
-                let mut seen = HashSet::new();
-                for r in 0..total {
-                    let s = unrank_subset(n, k, r);
-                    assert_eq!(s.len(), k, "n={n} k={k} r={r}");
-                    assert!(s.is_subset(RelSet::first_n(n)));
-                    assert!(seen.insert(s.bits()), "duplicate for n={n} k={k} r={r}");
-                }
-                assert_eq!(seen.len() as u64, total);
-            }
-        }
-    }
-
-    #[test]
-    fn unrank_matches_gosper_set_family() {
-        // Same family of sets, possibly different order.
-        let n = 9;
-        let k = 4;
-        let a: HashSet<u64> = KSubsets::new(n, k).map(|s| s.bits()).collect();
-        let b: HashSet<u64> = (0..binomial(n as u64, k as u64))
-            .map(|r| unrank_subset(n, k, r).bits())
-            .collect();
-        assert_eq!(a, b);
     }
 
     #[test]

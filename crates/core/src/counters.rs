@@ -7,6 +7,8 @@
 //! statistics that feed the hardware timing model (`mpdp-parallel::hwmodel`)
 //! used to predict multi-core and GPU times on this single-core container.
 
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+
 /// Global counters for one optimizer run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -17,10 +19,6 @@ pub struct Counters {
     pub ccp: u64,
     /// Connected sets enumerated across all levels (`|S_i|` summed).
     pub sets: u64,
-    /// Candidate sets unranked before connectivity filtering (vertex-based
-    /// algorithms unrank all `C(n, i)` combinations; edge-based ones don't
-    /// unrank at all).
-    pub unranked: u64,
 }
 
 impl Counters {
@@ -39,7 +37,6 @@ impl Counters {
         self.evaluated += other.evaluated;
         self.ccp += other.ccp;
         self.sets += other.sets;
-        self.unranked += other.unranked;
     }
 }
 
@@ -48,9 +45,6 @@ impl Counters {
 pub struct LevelStats {
     /// Subset size of this level.
     pub size: usize,
-    /// Candidate sets unranked for this level (before the connectivity
-    /// filter); 0 for edge-based enumeration.
-    pub unranked: u64,
     /// Connected sets evaluated at this level.
     pub sets: u64,
     /// Join-Pairs evaluated at this level.
@@ -90,7 +84,6 @@ impl Profile {
             c.evaluated += l.evaluated;
             c.ccp += l.ccp;
             c.sets += l.sets;
-            c.unranked += l.unranked;
         }
         c
     }
@@ -99,7 +92,6 @@ impl Profile {
     /// (parallel workers report fragments of the same level).
     pub fn record(&mut self, stats: LevelStats) {
         if let Some(l) = self.levels.iter_mut().find(|l| l.size == stats.size) {
-            l.unranked += stats.unranked;
             l.sets += stats.sets;
             l.evaluated += stats.evaluated;
             l.ccp += stats.ccp;
@@ -156,65 +148,167 @@ impl ExecCounters {
     }
 }
 
-/// Thread-safe hit/miss/eviction counters for a serving-layer cache.
+/// Every update and read of the serving counters below: the counts are
+/// statistics, not synchronization.
+const RELAXED: Ordering = Ordering::Relaxed;
+
+/// Declares one family of thread-safe serving counters from a single field
+/// table: the atomics (`counters`), their plain-value copy (`snapshot`),
+/// a `record_*` method per field that names one, `snapshot()`, `delta()`
+/// and — for a family whose every field is a monotonic total — `merge()`.
+/// A field exists in all of them or in none, so one forgotten in `delta` or
+/// `merge` cannot compile.
 ///
-/// The same observability idea as [`Counters`] — cheap monotonic counts that
-/// summarize a run — lifted from one optimization to a cache serving many.
-/// All updates are relaxed atomics: the counts are statistics, not
-/// synchronization, and a [`CacheCounters::snapshot`] taken after all
-/// requests have drained is exact (asserted by the concurrent hammer test).
-#[derive(Debug, Default)]
-pub struct CacheCounters {
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-    coalesced: std::sync::atomic::AtomicU64,
-    insertions: std::sync::atomic::AtomicU64,
-    evictions: std::sync::atomic::AtomicU64,
-    expirations: std::sync::atomic::AtomicU64,
-    feedback_checks: std::sync::atomic::AtomicU64,
-    feedback_invalidations: std::sync::atomic::AtomicU64,
-    degraded: std::sync::atomic::AtomicU64,
-    deadline_exceeded: std::sync::atomic::AtomicU64,
+/// `monotonic` fields are relaxed `AtomicU64` totals. `gauges` are current
+/// values that only the snapshot carries: `delta` passes them through, and
+/// `snapshot()` reads `name = getter` from `self.getter()` and leaves a bare
+/// `name` at 0 for whoever owns the value to fill in. The braces after the
+/// counters' name hold any hand-declared state the getters need.
+macro_rules! counter_family {
+    (
+        $(#[$cmeta:meta])*
+        counters $Counters:ident { $($(#[$xmeta:meta])* $xfield:ident: $xty:ty),* $(,)? }
+        $(#[$smeta:meta])*
+        snapshot $Snapshot:ident;
+        monotonic { $(
+            $(#[$mmeta:meta])* $mono:ident $(=> $(#[$rmeta:meta])* $record:ident)?
+        ),* $(,)? }
+        gauges { $($(#[$gmeta:meta])* $gauge:ident $(= $getter:ident)?),* $(,)? }
+    ) => {
+        $(#[$cmeta])*
+        #[derive(Debug, Default)]
+        pub struct $Counters {
+            $($mono: AtomicU64,)*
+            $($(#[$xmeta])* $xfield: $xty,)*
+        }
+
+        $(#[$smeta])*
+        #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+        pub struct $Snapshot {
+            $($(#[$mmeta])* pub $mono: u64,)*
+            $($(#[$gmeta])* pub $gauge: u64,)*
+        }
+
+        impl $Counters {
+            $($(
+                $(#[$rmeta])*
+                pub fn $record(&self) {
+                    self.$mono.fetch_add(1, RELAXED);
+                }
+            )?)*
+
+            /// Copies the current counts (gauges nobody here tracks read 0;
+            /// see their field docs).
+            pub fn snapshot(&self) -> $Snapshot {
+                $Snapshot {
+                    $($mono: self.$mono.load(RELAXED),)*
+                    $($gauge: 0 $(+ self.$getter())?,)*
+                }
+            }
+        }
+
+        impl $Snapshot {
+            /// The activity between `earlier` and `self`: monotonic fields
+            /// are subtracted field-wise (a window's worth of traffic — rates
+            /// per window instead of cumulative totals on a long-lived,
+            /// pre-warmed service), gauges keep their current value.
+            pub fn delta(&self, earlier: &$Snapshot) -> $Snapshot {
+                $Snapshot {
+                    $($mono: self.$mono - earlier.$mono,)*
+                    $($gauge: self.$gauge,)*
+                }
+            }
+        }
+
+        counter_family!(@merge $Snapshot [$($mono)*] [$($gauge)*]);
+    };
+    // Only sums merge: the sum of two peaks is not a peak.
+    (@merge $Snapshot:ident [$($mono:ident)*] []) => {
+        impl $Snapshot {
+            /// Adds another snapshot field-wise (the serving-side sibling of
+            /// [`ExecCounters::merge`]). Associative and commutative, so
+            /// folding any number of per-shard or per-tenant snapshots in any
+            /// order yields the same exact cluster-level totals — the
+            /// property the sharded planning tier's aggregate metrics rely
+            /// on.
+            pub fn merge(&mut self, other: &$Snapshot) {
+                $(self.$mono += other.$mono;)*
+            }
+        }
+    };
+    (@merge $Snapshot:ident [$($mono:ident)*] [$($gauge:ident)+]) => {};
 }
 
-/// A point-in-time copy of [`CacheCounters`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Requests (or direct lookups) answered from the cache.
-    pub hits: u64,
-    /// Requests that planned from scratch with their routed strategy —
-    /// under single-flight only the one request that actually plans (the
-    /// flight leader); also cache-bypass and strategy-override requests,
-    /// which never consult the cache — and direct lookups that found
-    /// nothing (or only an expired entry). The serving layer tallies each
-    /// request once, when it is delivered, so on every entry point
-    /// `hits + misses + coalesced + degraded` is the number of requests
-    /// served, failed ones included.
-    pub misses: u64,
-    /// Requests that joined an in-flight planning of the same fingerprint
-    /// instead of planning themselves (single-flight joins).
-    pub coalesced: u64,
-    /// Entries written.
-    pub insertions: u64,
-    /// Entries evicted by capacity (LRU order).
-    pub evictions: u64,
-    /// Entries dropped because their TTL had lapsed.
-    pub expirations: u64,
-    /// Execution reports fed back through the service's `observe` hook.
-    pub feedback_checks: u64,
-    /// Cached plans evicted because an observed root cardinality deviated
-    /// from the estimate beyond the feedback threshold.
-    pub feedback_invalidations: u64,
-    /// Requests served a heuristic plan because their deadline budget could
-    /// not afford the routed exact strategy (or the exact attempt timed out
-    /// mid-flight, or the flight they joined failed). Disjoint from
-    /// hits/misses/coalesced on every entry point: a degraded request is
-    /// tallied here and nowhere else, even if it started an exact attempt.
-    pub degraded: u64,
-    /// Requests whose exact planning attempt was cut off by the deadline
-    /// mid-flight (a subset of the degradations: the ones that started
-    /// exact and fell back late, rather than degrading up front).
-    pub deadline_exceeded: u64,
+counter_family! {
+    /// Thread-safe hit/miss/eviction counters for a serving-layer cache.
+    ///
+    /// The same observability idea as [`Counters`] — cheap monotonic counts
+    /// that summarize a run — lifted from one optimization to a cache serving
+    /// many. A [`CacheCounters::snapshot`] taken after all requests have
+    /// drained is exact (asserted by the concurrent hammer test).
+    counters CacheCounters {}
+    /// A point-in-time copy of [`CacheCounters`].
+    snapshot CacheSnapshot;
+    monotonic {
+        /// Requests (or direct lookups) answered from the cache.
+        hits =>
+            /// Records a cache hit.
+            record_hit,
+        /// Requests that planned from scratch with their routed strategy —
+        /// under single-flight only the one request that actually plans (the
+        /// flight leader); also cache-bypass and strategy-override requests,
+        /// which never consult the cache — and direct lookups that found
+        /// nothing (or only an expired entry). The serving layer tallies each
+        /// request once, when it is delivered, so on every entry point
+        /// `hits + misses + coalesced + degraded` is the number of requests
+        /// served, failed ones included.
+        misses =>
+            /// Records a cache miss.
+            record_miss,
+        /// Requests that joined an in-flight planning of the same fingerprint
+        /// instead of planning themselves (single-flight joins).
+        coalesced =>
+            /// Records a single-flight join (a request served by an in-flight
+            /// planning of the same fingerprint).
+            record_coalesced,
+        /// Entries written.
+        insertions =>
+            /// Records an insertion.
+            record_insertion,
+        /// Entries evicted by capacity (LRU order).
+        evictions =>
+            /// Records a capacity eviction.
+            record_eviction,
+        /// Entries dropped because their TTL had lapsed.
+        expirations =>
+            /// Records a TTL expiration.
+            record_expiration,
+        /// Execution reports fed back through the service's `observe` hook.
+        feedback_checks =>
+            /// Records a cardinality-feedback check (`observe` call).
+            record_feedback_check,
+        /// Cached plans evicted because an observed root cardinality deviated
+        /// from the estimate beyond the feedback threshold.
+        feedback_invalidations =>
+            /// Records a cardinality-feedback invalidation.
+            record_feedback_invalidation,
+        /// Requests served a heuristic plan because their deadline budget
+        /// could not afford the routed exact strategy (or the exact attempt
+        /// timed out mid-flight, or the flight they joined failed). Disjoint
+        /// from hits/misses/coalesced on every entry point: a degraded
+        /// request is tallied here and nowhere else, even if it started an
+        /// exact attempt.
+        degraded =>
+            /// Records a request served a degraded (heuristic) plan.
+            record_degraded,
+        /// Requests whose exact planning attempt was cut off by the deadline
+        /// mid-flight (a subset of the degradations: the ones that started
+        /// exact and fell back late, rather than degrading up front).
+        deadline_exceeded =>
+            /// Records an exact planning attempt cut off by its deadline.
+            record_deadline_exceeded,
+    }
+    gauges {}
 }
 
 impl CacheSnapshot {
@@ -242,172 +336,67 @@ impl CacheSnapshot {
             self.hits as f64 / total as f64
         }
     }
-
-    /// The activity between `earlier` and `self` (counters are monotonic,
-    /// so a field-wise difference is a window's worth of traffic): rates
-    /// per window instead of cumulative totals on a long-lived, pre-warmed
-    /// service.
-    pub fn delta(&self, earlier: &CacheSnapshot) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            coalesced: self.coalesced - earlier.coalesced,
-            insertions: self.insertions - earlier.insertions,
-            evictions: self.evictions - earlier.evictions,
-            expirations: self.expirations - earlier.expirations,
-            feedback_checks: self.feedback_checks - earlier.feedback_checks,
-            feedback_invalidations: self.feedback_invalidations - earlier.feedback_invalidations,
-            degraded: self.degraded - earlier.degraded,
-            deadline_exceeded: self.deadline_exceeded - earlier.deadline_exceeded,
-        }
-    }
-
-    /// Adds another snapshot field-wise (the cache-side sibling of
-    /// [`ExecCounters::merge`]). Associative and commutative, so folding
-    /// any number of per-shard or per-tenant snapshots in any order yields
-    /// the same exact cluster-level totals — the property the sharded
-    /// planning tier's aggregate metrics rely on.
-    pub fn merge(&mut self, other: &CacheSnapshot) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.coalesced += other.coalesced;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.expirations += other.expirations;
-        self.feedback_checks += other.feedback_checks;
-        self.feedback_invalidations += other.feedback_invalidations;
-        self.degraded += other.degraded;
-        self.deadline_exceeded += other.deadline_exceeded;
-    }
 }
 
-impl CacheCounters {
-    const ORD: std::sync::atomic::Ordering = std::sync::atomic::Ordering::Relaxed;
-
-    /// Records a cache hit.
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Self::ORD);
+counter_family! {
+    /// Thread-safe counters for an admission-controlled serving front-end.
+    ///
+    /// The queue-facing sibling of [`CacheCounters`]: where cache counters
+    /// account for what happened *inside* the plan cache, these account for
+    /// what happened to *requests* at the front door — admission, shedding,
+    /// dispatch and completion. The queue's own gauges
+    /// (`ServeSnapshot::queue_depth` / `queue_depth_peak`) are not tracked
+    /// here: only the queue knows its length exactly, under its own lock, so
+    /// the front-end fills them in from the queue when it takes a snapshot.
+    counters ServeCounters {
+        /// Signed, and clamped at 0 by readers, so a transient imbalance
+        /// could only ever read as 0 — never as a wrapped-around huge gauge.
+        in_flight: AtomicI64,
     }
-
-    /// Records a cache miss.
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Self::ORD);
+    /// A point-in-time copy of [`ServeCounters`].
+    snapshot ServeSnapshot;
+    monotonic {
+        /// Requests admitted to the queue.
+        accepted =>
+            /// Records an admitted request.
+            record_accept,
+        /// Requests shed because the bounded queue was full.
+        shed_queue_full =>
+            /// Records a queue-full shed.
+            record_shed_queue_full,
+        /// Requests shed because the tenant's in-flight quota was exhausted.
+        shed_quota =>
+            /// Records a tenant-quota shed.
+            record_shed_quota,
+        /// Accepted requests that completed with a plan.
+        completed,
+        /// Accepted requests that completed with a planning error.
+        failed,
+        /// Dispatcher loops restarted by their supervisor after a caught
+        /// panic (a planner panic is contained per request and is not counted
+        /// here — it fails one ticket). Zero on a healthy box.
+        worker_respawns =>
+            /// Records a dispatcher loop restarted by its supervisor after a
+            /// caught panic.
+            record_worker_respawn,
+        /// `PlanTicket`s dropped before their result was taken. The request
+        /// still completes and releases its quota slot; this counts callers
+        /// that walked away.
+        abandoned_tickets =>
+            /// Records a `PlanTicket` dropped before its result was taken.
+            record_abandoned_ticket,
     }
-
-    /// Records a single-flight join (a request served by an in-flight
-    /// planning of the same fingerprint).
-    pub fn record_coalesced(&self) {
-        self.coalesced.fetch_add(1, Self::ORD);
+    gauges {
+        /// Requests currently queued. Read from the admission queue itself
+        /// by the front-end; 0 in a bare [`ServeCounters::snapshot`].
+        queue_depth,
+        /// Highest queue depth since the queue was created. Tracked by the
+        /// queue under its own lock, so it can never exceed the queue's
+        /// capacity; 0 in a bare [`ServeCounters::snapshot`].
+        queue_depth_peak,
+        /// Requests currently being served by a dispatcher.
+        in_flight = in_flight,
     }
-
-    /// Records an insertion.
-    pub fn record_insertion(&self) {
-        self.insertions.fetch_add(1, Self::ORD);
-    }
-
-    /// Records a capacity eviction.
-    pub fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Self::ORD);
-    }
-
-    /// Records a TTL expiration.
-    pub fn record_expiration(&self) {
-        self.expirations.fetch_add(1, Self::ORD);
-    }
-
-    /// Records a cardinality-feedback check (`observe` call).
-    pub fn record_feedback_check(&self) {
-        self.feedback_checks.fetch_add(1, Self::ORD);
-    }
-
-    /// Records a cardinality-feedback invalidation.
-    pub fn record_feedback_invalidation(&self) {
-        self.feedback_invalidations.fetch_add(1, Self::ORD);
-    }
-
-    /// Records a request served a degraded (heuristic) plan.
-    pub fn record_degraded(&self) {
-        self.degraded.fetch_add(1, Self::ORD);
-    }
-
-    /// Records an exact planning attempt cut off by its deadline.
-    pub fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Self::ORD);
-    }
-
-    /// Copies the current counts.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits.load(Self::ORD),
-            misses: self.misses.load(Self::ORD),
-            coalesced: self.coalesced.load(Self::ORD),
-            insertions: self.insertions.load(Self::ORD),
-            evictions: self.evictions.load(Self::ORD),
-            expirations: self.expirations.load(Self::ORD),
-            feedback_checks: self.feedback_checks.load(Self::ORD),
-            feedback_invalidations: self.feedback_invalidations.load(Self::ORD),
-            degraded: self.degraded.load(Self::ORD),
-            deadline_exceeded: self.deadline_exceeded.load(Self::ORD),
-        }
-    }
-}
-
-/// Thread-safe counters for an admission-controlled serving front-end.
-///
-/// The queue-facing sibling of [`CacheCounters`]: where cache counters
-/// account for what happened *inside* the plan cache, these account for what
-/// happened to *requests* at the front door — admission, shedding, dispatch
-/// and completion. `in_flight` is a gauge (a current value, not a monotonic
-/// total); everything else is monotonic, so a [`ServeSnapshot::delta`] over
-/// the monotonic fields is a window's traffic. The queue's own gauges
-/// (`ServeSnapshot::queue_depth` / `queue_depth_peak`) are not tracked here:
-/// only the queue knows its length exactly, under its own lock, so the
-/// front-end fills them in from the queue when it takes a snapshot.
-#[derive(Debug, Default)]
-pub struct ServeCounters {
-    accepted: std::sync::atomic::AtomicU64,
-    shed_queue_full: std::sync::atomic::AtomicU64,
-    shed_quota: std::sync::atomic::AtomicU64,
-    completed: std::sync::atomic::AtomicU64,
-    failed: std::sync::atomic::AtomicU64,
-    /// Signed, and clamped at 0 by readers, so a transient imbalance could
-    /// only ever read as 0 — never as a wrapped-around huge gauge.
-    in_flight: std::sync::atomic::AtomicI64,
-    worker_respawns: std::sync::atomic::AtomicU64,
-    abandoned_tickets: std::sync::atomic::AtomicU64,
-}
-
-/// A point-in-time copy of [`ServeCounters`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServeSnapshot {
-    /// Requests admitted to the queue.
-    pub accepted: u64,
-    /// Requests shed because the bounded queue was full.
-    pub shed_queue_full: u64,
-    /// Requests shed because the tenant's in-flight quota was exhausted.
-    pub shed_quota: u64,
-    /// Accepted requests that completed with a plan.
-    pub completed: u64,
-    /// Accepted requests that completed with a planning error.
-    pub failed: u64,
-    /// Requests currently queued (gauge). Read from the admission queue
-    /// itself by the front-end; 0 in a bare [`ServeCounters::snapshot`].
-    pub queue_depth: u64,
-    /// Highest queue depth since the queue was created (gauge; carried
-    /// as-is through [`ServeSnapshot::delta`]). Tracked by the queue under
-    /// its own lock, so it can never exceed the queue's capacity; 0 in a
-    /// bare [`ServeCounters::snapshot`].
-    pub queue_depth_peak: u64,
-    /// Requests currently being served by a dispatcher (gauge).
-    pub in_flight: u64,
-    /// Dispatcher loops restarted by their supervisor after a caught panic
-    /// (a planner panic is contained per request and is not counted here —
-    /// it fails one ticket). Zero on a healthy box.
-    pub worker_respawns: u64,
-    /// `PlanTicket`s dropped before their result was taken. The request
-    /// still completes and releases its quota slot; this counts callers
-    /// that walked away.
-    pub abandoned_tickets: u64,
 }
 
 impl ServeSnapshot {
@@ -420,100 +409,34 @@ impl ServeSnapshot {
     pub fn offered(&self) -> u64 {
         self.accepted + self.sheds()
     }
-
-    /// The traffic between `earlier` and `self`: monotonic fields are
-    /// subtracted field-wise, gauges (`queue_depth`, `queue_depth_peak`,
-    /// `in_flight`) keep their current value.
-    pub fn delta(&self, earlier: &ServeSnapshot) -> ServeSnapshot {
-        ServeSnapshot {
-            accepted: self.accepted - earlier.accepted,
-            shed_queue_full: self.shed_queue_full - earlier.shed_queue_full,
-            shed_quota: self.shed_quota - earlier.shed_quota,
-            completed: self.completed - earlier.completed,
-            failed: self.failed - earlier.failed,
-            queue_depth: self.queue_depth,
-            queue_depth_peak: self.queue_depth_peak,
-            in_flight: self.in_flight,
-            worker_respawns: self.worker_respawns - earlier.worker_respawns,
-            abandoned_tickets: self.abandoned_tickets - earlier.abandoned_tickets,
-        }
-    }
 }
 
 impl ServeCounters {
-    const ORD: std::sync::atomic::Ordering = std::sync::atomic::Ordering::Relaxed;
-
-    /// Records an admitted request.
-    pub fn record_accept(&self) {
-        self.accepted.fetch_add(1, Self::ORD);
-    }
-
-    /// Records a queue-full shed.
-    pub fn record_shed_queue_full(&self) {
-        self.shed_queue_full.fetch_add(1, Self::ORD);
-    }
-
-    /// Records a tenant-quota shed.
-    pub fn record_shed_quota(&self) {
-        self.shed_quota.fetch_add(1, Self::ORD);
-    }
-
     /// Records a dispatch: the request leaves the queue and becomes
     /// in-flight.
     pub fn record_dispatch(&self) {
-        self.in_flight.fetch_add(1, Self::ORD);
+        self.record_dispatch_n(1);
     }
 
     /// Batch form of [`ServeCounters::record_dispatch`]: a dispatcher that
     /// drained a chunk of `n` requests moves the gauge once.
     pub fn record_dispatch_n(&self, n: u64) {
         if n > 0 {
-            self.in_flight.fetch_add(n as i64, Self::ORD);
+            self.in_flight.fetch_add(n as i64, RELAXED);
         }
     }
 
     /// Records a completion (`ok` = the request produced a plan); the
     /// request leaves the in-flight gauge.
     pub fn record_done(&self, ok: bool) {
-        self.in_flight.fetch_sub(1, Self::ORD);
-        if ok {
-            self.completed.fetch_add(1, Self::ORD);
-        } else {
-            self.failed.fetch_add(1, Self::ORD);
-        }
-    }
-
-    /// Records a dispatcher loop restarted by its supervisor after a
-    /// caught panic.
-    pub fn record_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Self::ORD);
-    }
-
-    /// Records a `PlanTicket` dropped before its result was taken.
-    pub fn record_abandoned_ticket(&self) {
-        self.abandoned_tickets.fetch_add(1, Self::ORD);
+        self.in_flight.fetch_sub(1, RELAXED);
+        let total = if ok { &self.completed } else { &self.failed };
+        total.fetch_add(1, RELAXED);
     }
 
     /// Current in-flight gauge (clamped at 0; see the field docs).
     pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Self::ORD).max(0) as u64
-    }
-
-    /// Copies the current counts. The queue gauges are left at 0 for the
-    /// owner of the queue to fill in (see the type docs).
-    pub fn snapshot(&self) -> ServeSnapshot {
-        ServeSnapshot {
-            accepted: self.accepted.load(Self::ORD),
-            shed_queue_full: self.shed_queue_full.load(Self::ORD),
-            shed_quota: self.shed_quota.load(Self::ORD),
-            completed: self.completed.load(Self::ORD),
-            failed: self.failed.load(Self::ORD),
-            queue_depth: 0,
-            queue_depth_peak: 0,
-            in_flight: self.in_flight(),
-            worker_respawns: self.worker_respawns.load(Self::ORD),
-            abandoned_tickets: self.abandoned_tickets.load(Self::ORD),
-        }
+        self.in_flight.load(RELAXED).max(0) as u64
     }
 }
 
@@ -527,7 +450,6 @@ mod tests {
             evaluated: 500,
             ccp: 100,
             sets: 0,
-            unranked: 0,
         };
         assert_eq!(c.inefficiency(), 5.0);
         assert_eq!(Counters::default().inefficiency(), 0.0);
@@ -539,18 +461,15 @@ mod tests {
             evaluated: 1,
             ccp: 2,
             sets: 3,
-            unranked: 4,
         };
         a.merge(&Counters {
             evaluated: 10,
             ccp: 20,
             sets: 30,
-            unranked: 40,
         });
         assert_eq!(a.evaluated, 11);
         assert_eq!(a.ccp, 22);
         assert_eq!(a.sets, 33);
-        assert_eq!(a.unranked, 44);
     }
 
     #[test]
@@ -558,7 +477,6 @@ mod tests {
         let mut p = Profile::default();
         p.record(LevelStats {
             size: 2,
-            unranked: 10,
             sets: 5,
             evaluated: 20,
             ccp: 8,
@@ -567,7 +485,6 @@ mod tests {
         });
         p.record(LevelStats {
             size: 2,
-            unranked: 1,
             sets: 1,
             evaluated: 2,
             ccp: 2,
@@ -576,7 +493,6 @@ mod tests {
         });
         p.record(LevelStats {
             size: 3,
-            unranked: 0,
             sets: 4,
             evaluated: 12,
             ccp: 6,
@@ -588,7 +504,6 @@ mod tests {
         assert_eq!(t.evaluated, 34);
         assert_eq!(t.ccp, 16);
         assert_eq!(t.sets, 10);
-        assert_eq!(t.unranked, 11);
     }
 
     #[test]

@@ -41,20 +41,6 @@
 use crate::bitset::RelSet;
 use crate::query::QueryInfo;
 
-/// How a level-structured DP backend enumerates each level's connected sets.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum EnumerationMode {
-    /// Connected-subgraph enumeration (this module) — work scales with the
-    /// number of connected sets. The default.
-    #[default]
-    Frontier,
-    /// Legacy generate-and-filter: unrank all `C(n, i)` subsets per level
-    /// and drop the disconnected ones. Kept for the paper's `unranked`
-    /// counter ablations (Figure 12 / §7); it arrives at the same lists and
-    /// takes their cardinalities from [`ConnectedSets`].
-    Unranked,
-}
-
 /// Sets emitted between two calls of the enumeration's `poll`.
 const POLL_STRIDE: u32 = 4096;
 

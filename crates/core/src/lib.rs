@@ -8,9 +8,9 @@
 //!
 //! * [`bitset::RelSet`] — 64-bit bitmap relation sets (exact-DP regime);
 //! * [`bigset::BigSet`] — dynamic bitmaps (heuristic regime, 1000+ relations);
-//! * [`combinatorics`] — Gosper iteration, combinatorial unranking, `pdep`;
+//! * [`combinatorics`] — Gosper iteration, binomials, `pdep`;
 //! * [`enumerate`] — every connected set once, with its cardinality (the
-//!   fast alternative to unrank-and-filter for level-structured DP);
+//!   level plan of every exact DP backend);
 //! * [`fingerprint`] — query canonicalization + 128-bit fingerprints, the
 //!   key function of the whole-query plan cache in the facade;
 //! * [`graph::JoinGraph`] — join graphs, connectivity, the §3.2.1 `grow`
@@ -55,7 +55,7 @@ pub use bigset::BigSet;
 pub use bitset::RelSet;
 pub use blocks::{find_blocks, BlockDecomposition};
 pub use counters::{CacheCounters, CacheSnapshot, Counters, ExecCounters, LevelStats, Profile};
-pub use enumerate::{ConnectedSets, EnumerationMode};
+pub use enumerate::ConnectedSets;
 pub use error::OptError;
 pub use faults::{FaultAction, FaultPlan, Faults};
 pub use fingerprint::{canonicalize, CanonicalQuery, Fingerprint};

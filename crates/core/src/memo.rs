@@ -64,7 +64,7 @@ pub fn candidate_key(cost: f64, left: RelSet) -> (u64, u64) {
 
 /// Slots an open-addressing memo allocates to hold `entries` at no more than
 /// 70 % load (a power of two, at least 16) — the one sizing rule of both
-/// stores, and the bound [`MemoTable`]'s insert path grows at.
+/// stores, and the bound past which [`MemoTable`] refuses a new entry.
 #[inline]
 pub fn slots_for(entries: usize) -> usize {
     ((entries + 1) * 10 / 7 + 1).next_power_of_two().max(16)
@@ -82,10 +82,6 @@ pub struct MemoHealth {
     pub probes: u64,
     /// Cumulative CAS retries (always 0 for the single-threaded table).
     pub cas_retries: u64,
-    /// Times the table outgrew its allocation and re-hashed itself. 0 for
-    /// every exact backend: they create the memo at its final size (`slots`
-    /// at the first insert is `slots` at the end).
-    pub grows: u32,
 }
 
 impl MemoHealth {
@@ -178,7 +174,6 @@ pub struct MemoTable {
     len: usize,
     /// Number of probe steps performed (useful for the GPU memory model).
     probes: u64,
-    grows: u32,
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -197,7 +192,7 @@ const EMPTY_SLOT: Slot = Slot {
 };
 
 impl MemoTable {
-    /// Creates a table that takes `expected` entries without growing.
+    /// Creates a table that takes `expected` entries; it never grows.
     pub fn with_capacity(expected: usize) -> Self {
         let cap = slots_for(expected);
         MemoTable {
@@ -205,7 +200,6 @@ impl MemoTable {
             mask: cap - 1,
             len: 0,
             probes: 0,
-            grows: 0,
         }
     }
 
@@ -227,36 +221,18 @@ impl MemoTable {
         self.probes
     }
 
-    /// Doubles the table and re-inserts every entry. No optimizer gets here
-    /// — each creates its memo for every set its level plan counted — only
-    /// a caller that inserts more than it announced.
-    fn grow_table(&mut self) {
-        let cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
-        self.mask = cap - 1;
-        self.len = 0;
-        self.grows += 1;
-        for s in old {
-            if s.key != 0 {
-                self.raw_insert(s);
-            }
-        }
-    }
-
-    fn raw_insert(&mut self, slot: Slot) {
-        let mut idx = (murmur3_fmix64(slot.key) as usize) & self.mask;
-        loop {
-            if self.slots[idx].key == 0 {
-                self.slots[idx] = slot;
-                self.len += 1;
-                return;
-            }
-            if self.slots[idx].key == slot.key {
-                self.slots[idx] = slot;
-                return;
-            }
-            idx = (idx + 1) & self.mask;
-        }
+    /// Counts the entry an insert just put into an empty slot — the one
+    /// place `len` rises. Panics past 70 % load, i.e. on a caller that inserts
+    /// more sets than it announced (no optimizer does: each creates its memo
+    /// for every set its level plan counted); a linear-probe table allowed to
+    /// fill up would never end the probe for an absent key.
+    #[inline]
+    fn count_new_entry(&mut self) {
+        self.len += 1;
+        assert!(
+            self.len * 10 <= self.slots.len() * 7,
+            "MemoTable full: with_capacity() must cover every set the run inserts"
+        );
     }
 
     /// Looks up the best entry for `set`.
@@ -284,12 +260,21 @@ impl MemoTable {
 
     /// Inserts a leaf entry for a base relation.
     pub fn insert_leaf(&mut self, rel: usize, rows: f64, cost: f64) {
-        self.upsert(Slot {
+        let leaf = Slot {
             key: RelSet::singleton(rel).bits(),
             left: 0,
             cost,
             rows,
-        });
+        };
+        let mut idx = (murmur3_fmix64(leaf.key) as usize) & self.mask;
+        while self.slots[idx].key != 0 && self.slots[idx].key != leaf.key {
+            idx = (idx + 1) & self.mask;
+        }
+        let new = self.slots[idx].key == 0;
+        self.slots[idx] = leaf;
+        if new {
+            self.count_new_entry();
+        }
     }
 
     /// Records a candidate plan for `set` with the given split and cost,
@@ -299,9 +284,6 @@ impl MemoTable {
     /// if the candidate became the new best.
     pub fn insert_if_better(&mut self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool {
         debug_assert!(!set.is_empty() && left.is_subset(set));
-        if (self.len + 1) * 10 > self.slots.len() * 7 {
-            self.grow_table();
-        }
         let mut idx = (murmur3_fmix64(set.bits()) as usize) & self.mask;
         loop {
             self.probes += 1;
@@ -313,7 +295,7 @@ impl MemoTable {
                     cost,
                     rows,
                 };
-                self.len += 1;
+                self.count_new_entry();
                 return true;
             }
             if s.key == set.bits() {
@@ -330,13 +312,6 @@ impl MemoTable {
             }
             idx = (idx + 1) & self.mask;
         }
-    }
-
-    fn upsert(&mut self, slot: Slot) {
-        if (self.len + 1) * 10 > self.slots.len() * 7 {
-            self.grow_table();
-        }
-        self.raw_insert(slot);
     }
 
     /// Iterates over all occupied entries (arbitrary order).
@@ -377,7 +352,6 @@ impl MemoStore for MemoTable {
             slots: self.slots.len(),
             probes: self.probes,
             cas_retries: 0,
-            grows: self.grows,
         }
     }
 }
@@ -454,23 +428,8 @@ mod tests {
     }
 
     #[test]
-    fn growth_preserves_entries() {
-        let mut m = MemoTable::with_capacity(2);
-        // Insert enough distinct sets to force several growths.
-        for i in 0..500u64 {
-            let set = RelSet(i + 1);
-            m.insert_if_better(set, set.lowest_bit(), i as f64, 1.0);
-        }
-        assert_eq!(m.len(), 500);
-        for i in 0..500u64 {
-            let e = m.get(RelSet(i + 1)).unwrap();
-            assert_eq!(e.cost, i as f64);
-        }
-    }
-
-    #[test]
     fn iter_visits_all() {
-        let mut m = MemoTable::with_capacity(8);
+        let mut m = MemoTable::with_capacity(20);
         for i in 0..20u64 {
             m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), 1.0, 1.0);
         }
@@ -478,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_holds_its_entries_without_growing() {
+    fn with_capacity_holds_its_entries_and_updates_them_at_full_size() {
         for expected in [0usize, 1, 10, 11, 300, 16_398, 32_783] {
             let mut m = MemoTable::with_capacity(expected);
             let slots = m.slots.len();
@@ -487,17 +446,21 @@ mod tests {
             for i in 0..expected as u64 {
                 m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), i as f64, 1.0);
             }
-            assert_eq!((m.slots.len(), m.health().grows), (slots, 0), "{expected}");
-            assert_eq!(m.len(), expected);
-            // One more than promised may grow it, and nothing is lost.
-            for i in expected as u64..2 * expected as u64 + 16 {
-                m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), i as f64, 1.0);
-            }
-            assert!(m.health().grows > 0);
-            for i in 0..2 * expected as u64 + 16 {
-                assert_eq!(m.get(RelSet(i + 1)).unwrap().cost, i as f64);
-            }
+            assert_eq!((m.slots.len(), m.len()), (slots, expected));
         }
+        // A table at exactly the load bound (11 of 16 slots) still takes
+        // updates of the sets it holds: only a new entry can overfill it.
+        let mut m = MemoTable::with_capacity(10);
+        assert_eq!(m.slots.len(), 16);
+        for rel in 0..11 {
+            m.insert_leaf(rel, 1.0, 2.0);
+        }
+        m.insert_leaf(3, 5.0, 1.0);
+        assert!(m.insert_if_better(RelSet::singleton(4), RelSet::EMPTY, 1.0, 1.0));
+        assert_eq!(
+            (m.len(), m.get(RelSet::singleton(3)).unwrap().rows),
+            (11, 5.0)
+        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Shared plumbing for the exact DP algorithms: optimization context,
 //! results, memo initialization and Join-Pair evaluation.
 
-use mpdp_core::combinatorics::{binomial, KSubsets};
 use mpdp_core::counters::{Counters, Profile};
-use mpdp_core::enumerate::{ConnectedSets, EnumerationMode};
+use mpdp_core::enumerate::ConnectedSets;
 use mpdp_core::memo::{candidate_key, MemoStore};
 use mpdp_core::plan::{extract_plan, PlanTree};
 use mpdp_core::query::QueryInfo;
@@ -23,10 +22,6 @@ pub struct OptContext<'a> {
     pub deadline: Option<Instant>,
     /// The budget used to construct `deadline` (for error reporting).
     pub budget: Option<Duration>,
-    /// How level-structured algorithms enumerate each level's connected
-    /// sets: connected-subgraph enumeration (default) or the paper's
-    /// unrank-and-filter on top of it.
-    pub enumeration: EnumerationMode,
 }
 
 impl<'a> OptContext<'a> {
@@ -37,7 +32,6 @@ impl<'a> OptContext<'a> {
             model,
             deadline: None,
             budget: None,
-            enumeration: EnumerationMode::default(),
         }
     }
 
@@ -48,14 +42,7 @@ impl<'a> OptContext<'a> {
             model,
             deadline: Some(Instant::now() + budget),
             budget: Some(budget),
-            enumeration: EnumerationMode::default(),
         }
-    }
-
-    /// Selects the connected-set enumeration mode (builder style).
-    pub fn with_enumeration(mut self, mode: EnumerationMode) -> Self {
-        self.enumeration = mode;
-        self
     }
 
     /// Returns `Err(Timeout)` if the deadline has passed.
@@ -123,10 +110,11 @@ pub struct OptResult {
 
 /// Creates a memo store pre-loaded with the base-relation leaves
 /// (Algorithm 1 lines 1–3 / Algorithm 5 lines 2–4) and room for `sets`
-/// joined sets on top of them — [`LevelEnumerator::total_sets`], so no
-/// backend ever re-hashes. Generic over [`MemoStore`]: sequential backends
-/// instantiate the single-threaded [`mpdp_core::MemoTable`], the parallel and
-/// simulated-GPU backends the lock-free [`mpdp_core::AtomicMemo`].
+/// joined sets on top of them — every set of the [`level_plan`] past its
+/// first level, so no backend's table ever fills up. Generic over
+/// [`MemoStore`]: sequential backends instantiate the single-threaded
+/// [`mpdp_core::MemoTable`], the parallel and simulated-GPU backends the
+/// lock-free [`mpdp_core::AtomicMemo`].
 pub fn init_memo<M: MemoStore>(q: &QueryInfo, sets: usize) -> M {
     let mut memo = M::with_capacity(q.query_size() + sets);
     for (i, rel) in q.rels.iter().enumerate() {
@@ -142,10 +130,10 @@ pub fn init_memo<M: MemoStore>(q: &QueryInfo, sets: usize) -> M {
 /// left side — that loses to every real candidate under [`candidate_key`].
 /// Pricing a pair then reads `rows` from the entry it is about to update
 /// ([`union_rows`]).
-pub fn init_memo_with_rows<M: MemoStore>(q: &QueryInfo, levels: &LevelEnumerator) -> M {
-    let mut memo: M = init_memo(q, levels.total_sets());
-    let plan = &levels.plan;
-    for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(levels.n) {
+pub fn init_memo_with_rows<M: MemoStore>(q: &QueryInfo, plan: &ConnectedSets) -> M {
+    let n = q.query_size();
+    let mut memo: M = init_memo(q, plan.sets.len() - n);
+    for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(n) {
         memo.insert_if_better(s, s, f64::INFINITY, rows);
     }
     memo
@@ -272,98 +260,21 @@ pub(crate) fn emit_both<M: MemoStore>(
 
 /// The level plan of every exact backend: every connected set of the query
 /// with its cardinality ([`ConnectedSets`]), enumerated before the first
-/// pair is priced and kept level by level in two parallel vectors (16 bytes
-/// per set). Knowing all of it up front is what lets a backend create its
-/// memo once, at its final size ([`init_memo`] with
-/// [`total_sets`](Self::total_sets)), and read a set's cardinality instead
-/// of deriving it per split.
-///
-/// [`EnumerationMode::Unranked`] additionally streams Gosper's `C(n, i)`
-/// candidates per level through the connectivity filter — the paper's
-/// enumeration, for its `unranked` counter — and insists that the survivors
-/// are the plan's lists, element for element. Consumers are therefore
-/// bit-identical across modes; only the `unranked` counter and the work
-/// spent enumerating differ.
-pub struct LevelEnumerator {
-    plan: ConnectedSets,
-    n: usize,
-    mode: EnumerationMode,
+/// pair is priced — polling the context's deadline along the way — and kept
+/// level by level in two parallel vectors (16 bytes per set). Knowing all of
+/// it up front is what lets a backend create its memo once, at its final size
+/// ([`init_memo`]), and read a set's cardinality instead of deriving it per
+/// split.
+pub fn level_plan(ctx: &OptContext<'_>) -> Result<ConnectedSets, OptError> {
+    ConnectedSets::try_enumerate(ctx.query, || ctx.check_deadline())
 }
 
-/// One DP level of a [`LevelEnumerator`].
-pub struct LevelSets<'a> {
-    /// The level's connected sets, ascending by bitmap.
-    pub sets: &'a [RelSet],
-    /// The cardinality of each, parallel to `sets`.
-    pub rows: &'a [f64],
-    /// Candidate subsets unranked to produce them (0 in frontier mode).
-    pub unranked: u64,
-}
-
-impl LevelEnumerator {
-    /// Enumerates levels `1..=n` of the context's query in its enumeration
-    /// mode, polling its deadline along the way.
-    pub fn new(ctx: &OptContext<'_>) -> Result<Self, OptError> {
-        Self::with_mode(ctx, ctx.enumeration)
-    }
-
-    /// [`new`](Self::new) in a given mode, for the drivers that never unrank
-    /// on the host whatever the context says (the DPSIZE family, whose
-    /// candidates are cross products of plan lists, and the simulated GPU,
-    /// which unranks in its own kernels).
-    pub fn with_mode(ctx: &OptContext<'_>, mode: EnumerationMode) -> Result<Self, OptError> {
-        let graph = &ctx.query.graph;
-        let n = graph.num_vertices();
-        let plan = ConnectedSets::try_enumerate(ctx.query, || ctx.check_deadline())?;
-        if mode == EnumerationMode::Unranked {
-            let mismatch = |s: RelSet| {
-                OptError::Internal(format!("the level plan and the filter disagree at {s}"))
-            };
-            for i in 2..=n {
-                let mut listed = plan.level(i).0.iter();
-                for (k, s) in KSubsets::new(n, i).enumerate() {
-                    if k % 4096 == 0 {
-                        ctx.check_deadline()?;
-                    }
-                    if graph.is_connected(s) && listed.next() != Some(&s) {
-                        return Err(mismatch(s));
-                    }
-                }
-                if let Some(&s) = listed.next() {
-                    return Err(mismatch(s));
-                }
-            }
-        }
-        Ok(LevelEnumerator { plan, n, mode })
-    }
-
-    /// Connected sets of two or more relations, over all levels — the entries
-    /// a run adds to the memo on top of the leaves.
-    pub fn total_sets(&self) -> usize {
-        self.plan.sets.len() - self.n
-    }
-
-    /// Level `i`'s connected sets, `1 ≤ i ≤ n`.
-    pub fn level(&self, i: usize) -> LevelSets<'_> {
-        let unranked = match self.mode {
-            EnumerationMode::Unranked if i >= 2 => binomial(self.n as u64, i as u64),
-            _ => 0,
-        };
-        let (sets, rows) = self.plan.level(i);
-        LevelSets {
-            sets,
-            rows,
-            unranked,
-        }
-    }
-}
-
-/// Extracts the final plan and packages the run result, stamping the memo's
-/// final health (load factor, probes, CAS retries) into the profile.
+/// Extracts the final plan and packages the run result: the run's counters
+/// are the profile's totals, and the memo's final health (load factor,
+/// probes, CAS retries) is stamped into the profile.
 pub fn finish<M: MemoStore>(
     memo: &M,
     q: &QueryInfo,
-    counters: Counters,
     mut profile: Profile,
 ) -> Result<OptResult, OptError> {
     let root = q.graph.all_vertices();
@@ -374,7 +285,7 @@ pub fn finish<M: MemoStore>(
         cost: plan.cost(),
         rows: plan.rows(),
         plan,
-        counters,
+        counters: profile.totals(),
         profile,
         memo_entries: memo.len(),
     })
@@ -445,8 +356,8 @@ mod tests {
     fn a_memo_with_rows_holds_every_set_and_any_plan_beats_the_placeholder() {
         let q = two_rel_query();
         let model = PgLikeCost::new();
-        let levels = LevelEnumerator::new(&OptContext::new(&q, &model)).unwrap();
-        let mut memo: MemoTable = init_memo_with_rows(&q, &levels);
+        let plan = level_plan(&OptContext::new(&q, &model)).unwrap();
+        let mut memo: MemoTable = init_memo_with_rows(&q, &plan);
         let (a, b) = (RelSet::singleton(0), RelSet::singleton(1));
         assert_eq!(memo.len(), 3);
         // rows = 100 * 200 * 0.01

@@ -25,10 +25,10 @@
 //! other algorithms.
 
 use crate::common::{
-    emit_both, finish, init_memo_with_rows, union_rows, LevelEnumerator, OptContext, OptResult,
+    emit_both, finish, init_memo_with_rows, level_plan, union_rows, OptContext, OptResult,
 };
-use mpdp_core::counters::{Counters, LevelStats, Profile};
-use mpdp_core::enumerate::EnumerationMode;
+use mpdp_core::counters::{LevelStats, Profile};
+use mpdp_core::graph::JoinGraph;
 use mpdp_core::memo::MemoTable;
 use mpdp_core::{OptError, RelSet};
 
@@ -36,38 +36,22 @@ use mpdp_core::{OptError, RelSet};
 #[derive(Copy, Clone, Debug, Default)]
 pub struct DpCcp;
 
-struct CcpState<'a, 'b> {
-    ctx: &'a OptContext<'b>,
-    memo: MemoTable,
-    counters: Counters,
-    memo_writes: u64,
-    pair_budget_check: u32,
+/// The recursion of the module docs over `g`, handing each csg-cmp pair to
+/// `emit`.
+struct CsgCmp<'g, F> {
+    g: &'g JoinGraph,
+    emit: F,
+    /// Connected subgraphs visited (`EmitCsg` calls).
+    csgs: u64,
 }
 
-impl<'a, 'b> CcpState<'a, 'b> {
-    fn emit_csg_cmp(&mut self, s1: RelSet, s2: RelSet) -> Result<(), OptError> {
-        // Cost both orders (counters track ordered pairs workspace-wide).
-        self.counters.evaluated += 2;
-        self.counters.ccp += 2;
-        let rows = union_rows(&self.memo, s1, s2)?;
-        let improved = emit_both(&mut self.memo, self.ctx.model, s1, s2, rows)?;
-        self.memo_writes += improved as u64;
-        self.pair_budget_check += 1;
-        if self.pair_budget_check >= 4096 {
-            self.pair_budget_check = 0;
-            self.ctx.check_deadline()?;
-        }
-        Ok(())
-    }
-
+impl<F: FnMut(RelSet, RelSet) -> Result<(), OptError>> CsgCmp<'_, F> {
     fn enumerate_csg_rec(&mut self, s: RelSet, x: RelSet) -> Result<(), OptError> {
-        let g = &self.ctx.query.graph;
-        let n = g.neighbors(s).difference(x);
+        let n = self.g.neighbors(s).difference(x);
         if n.is_empty() {
             return Ok(());
         }
         for sp in n.subsets_ascending() {
-            self.counters.sets += 1;
             self.emit_csg(s.union(sp))?;
         }
         for sp in n.subsets_ascending() {
@@ -77,17 +61,17 @@ impl<'a, 'b> CcpState<'a, 'b> {
     }
 
     fn emit_csg(&mut self, s1: RelSet) -> Result<(), OptError> {
-        let g = &self.ctx.query.graph;
+        self.csgs += 1;
         let min = s1.first().expect("csg is non-empty");
         let b_min = RelSet::first_n(min + 1);
         let x = s1.union(b_min);
-        let n = g.neighbors(s1).difference(x);
+        let n = self.g.neighbors(s1).difference(x);
         // Descending vertex order, as in the original pseudo-code.
         let mut vs: Vec<usize> = n.iter().collect();
         vs.reverse();
         for v in vs {
             let s2 = RelSet::singleton(v);
-            self.emit_csg_cmp(s1, s2)?;
+            (self.emit)(s1, s2)?;
             let b_v_in_n = RelSet::first_n(v + 1).intersect(n);
             self.enumerate_cmp_rec(s1, s2, x.union(b_v_in_n))?;
         }
@@ -95,19 +79,41 @@ impl<'a, 'b> CcpState<'a, 'b> {
     }
 
     fn enumerate_cmp_rec(&mut self, s1: RelSet, s2: RelSet, x: RelSet) -> Result<(), OptError> {
-        let g = &self.ctx.query.graph;
-        let n = g.neighbors(s2).difference(x);
+        let n = self.g.neighbors(s2).difference(x);
         if n.is_empty() {
             return Ok(());
         }
         for sp in n.subsets_ascending() {
-            self.emit_csg_cmp(s1, s2.union(sp))?;
+            (self.emit)(s1, s2.union(sp))?;
         }
         for sp in n.subsets_ascending() {
             self.enumerate_cmp_rec(s1, s2.union(sp), x.union(n))?;
         }
         Ok(())
     }
+}
+
+/// DPCCP's enumeration without its costing: calls `emit(S₁, S₂)` once per
+/// csg-cmp pair of the context's join graph — every unordered CCP pair
+/// exactly once, each after all pairs its two sides are unions of — and
+/// returns the number of connected subgraphs visited. The deadline is polled
+/// once per start vertex; an `emit` that wants it polled per pair does so
+/// itself. [`DpCcp`] costs the pairs as they arrive, DPE (`mpdp-parallel`)
+/// buffers them for its consumers.
+pub fn csg_cmp_pairs(
+    ctx: &OptContext<'_>,
+    emit: impl FnMut(RelSet, RelSet) -> Result<(), OptError>,
+) -> Result<u64, OptError> {
+    let g = &ctx.query.graph;
+    let mut walk = CsgCmp { g, emit, csgs: 0 };
+    for i in (0..g.num_vertices()).rev() {
+        ctx.check_deadline()?;
+        let v = RelSet::singleton(i);
+        walk.emit_csg(v)?;
+        // B_i = {v_j | j ≤ i}
+        walk.enumerate_csg_rec(v, RelSet::first_n(i + 1))?;
+    }
+    Ok(walk.csgs)
 }
 
 impl DpCcp {
@@ -120,42 +126,33 @@ impl DpCcp {
         // the level plan's sets: enumerating those first (a fraction of one
         // pair's cost per set) sizes the memo once and puts each set's
         // cardinality where its pairs will look for it.
-        let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
-        let memo: MemoTable = init_memo_with_rows(q, &levels);
-        drop(levels);
-        let mut st = CcpState {
-            ctx,
-            memo,
-            counters: Counters::default(),
-            memo_writes: 0,
-            pair_budget_check: 0,
-        };
-
-        if n > 1 {
-            for i in (0..n).rev() {
-                ctx.check_deadline()?;
-                let v = RelSet::singleton(i);
-                st.counters.sets += 1;
-                st.emit_csg(v)?;
-                // B_i = {v_j | j ≤ i}
-                st.enumerate_csg_rec(v, RelSet::first_n(i + 1))?;
-            }
-        }
-
+        let mut memo: MemoTable = init_memo_with_rows(q, &level_plan(ctx)?);
         // DPCCP has no level structure; record the run as one pseudo-level so
         // the hardware model sees its sequential profile.
-        let mut profile = Profile::default();
-        profile.record(LevelStats {
+        let mut level = LevelStats {
             size: n,
-            unranked: 0,
-            sets: st.counters.sets,
-            evaluated: st.counters.evaluated,
-            ccp: st.counters.ccp,
-            memo_writes: st.memo_writes,
             ..Default::default()
-        });
-        let counters = st.counters;
-        finish(&st.memo, q, counters, profile)
+        };
+        if n > 1 {
+            let mut pairs_since_poll = 0u32;
+            level.sets = csg_cmp_pairs(ctx, |s1, s2| {
+                // Cost both orders (counters track ordered pairs
+                // workspace-wide).
+                level.evaluated += 2;
+                level.ccp += 2;
+                let rows = union_rows(&memo, s1, s2)?;
+                level.memo_writes += emit_both(&mut memo, ctx.model, s1, s2, rows)? as u64;
+                pairs_since_poll += 1;
+                if pairs_since_poll >= 4096 {
+                    pairs_since_poll = 0;
+                    ctx.check_deadline()?;
+                }
+                Ok(())
+            })?;
+        }
+        let mut profile = Profile::default();
+        profile.record(level);
+        finish(&memo, q, profile)
     }
 }
 

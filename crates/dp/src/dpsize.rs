@@ -10,10 +10,9 @@
 //! overlapping pairs").
 
 use crate::common::{
-    emit_pair, finish, init_memo_with_rows, union_rows, LevelEnumerator, OptContext, OptResult,
+    emit_pair, finish, init_memo_with_rows, level_plan, union_rows, OptContext, OptResult,
 };
-use mpdp_core::counters::{Counters, LevelStats, Profile};
-use mpdp_core::enumerate::EnumerationMode;
+use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::MemoTable;
 use mpdp_core::OptError;
 
@@ -27,27 +26,25 @@ impl DpSize {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        // The per-size plan lists are the level plan's, in either enumeration
-        // mode: DPSIZE never unranks subsets (its candidates are cross
-        // products of plan lists). A pair does not know where its union sits
-        // in the plan, so the memo carries every set's cardinality.
-        let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
-        let mut memo: MemoTable = init_memo_with_rows(q, &levels);
-        let mut counters = Counters::default();
+        // The per-size plan lists are the level plan's. A pair does not know
+        // where its union sits in the plan, so the memo carries every set's
+        // cardinality.
+        let plan = level_plan(ctx)?;
+        let mut memo: MemoTable = init_memo_with_rows(q, &plan);
         let mut profile = Profile::default();
 
         for i in 2..=n {
             let mut level = LevelStats {
                 size: i,
-                sets: levels.level(i).sets.len() as u64,
+                sets: plan.level(i).0.len() as u64,
                 ..Default::default()
             };
             for k in 1..i {
                 ctx.check_deadline()?;
                 // Ordered pairs: (left of size k) × (right of size i-k).
                 // Symmetric pairs appear naturally when k and i-k swap.
-                for &left in levels.level(k).sets {
-                    for &right in levels.level(i - k).sets {
+                for &left in plan.level(k).0 {
+                    for &right in plan.level(i - k).0 {
                         level.evaluated += 1;
                         if !left.is_disjoint(right) {
                             continue; // the overlapping-pair tax of DPSIZE
@@ -65,12 +62,9 @@ impl DpSize {
                     }
                 }
             }
-            counters.evaluated += level.evaluated;
-            counters.ccp += level.ccp;
-            counters.sets += level.sets;
             profile.record(level);
         }
-        finish(&memo, q, counters, profile)
+        finish(&memo, q, profile)
     }
 }
 
@@ -130,24 +124,6 @@ mod tests {
         let model = PgLikeCost::new();
         let a = DpSize::run(&OptContext::new(&q, &model)).unwrap();
         assert!(a.counters.evaluated > a.counters.ccp);
-    }
-
-    #[test]
-    fn enumeration_mode_changes_nothing() {
-        // DPSIZE takes its per-size plan lists from the level plan and never
-        // unranks: the mode is accepted and ignored.
-        let model = PgLikeCost::new();
-        for q in [chain_query(7), star_query(6), cycle_query(6)] {
-            let f = DpSize::run(&OptContext::new(&q, &model)).unwrap();
-            let u = DpSize::run(
-                &OptContext::new(&q, &model)
-                    .with_enumeration(mpdp_core::enumerate::EnumerationMode::Unranked),
-            )
-            .unwrap();
-            assert_eq!(f.plan, u.plan);
-            assert_eq!(f.counters, u.counters);
-            assert_eq!(f.memo_entries, u.memo_entries);
-        }
     }
 
     #[test]

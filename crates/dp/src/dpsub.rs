@@ -7,10 +7,51 @@
 //! it evaluates `2^|S|` Join-Pairs per set while only a small fraction are
 //! CCP pairs (§2.3, Figure 4).
 
-use crate::common::{emit_pair, finish, init_memo, LevelEnumerator, OptContext, OptResult};
-use mpdp_core::counters::{Counters, LevelStats, Profile};
+use crate::common::{emit_pair, finish, init_memo, level_plan, OptContext, OptResult};
+use mpdp_core::counters::{LevelStats, Profile};
+use mpdp_core::graph::JoinGraph;
 use mpdp_core::memo::MemoTable;
-use mpdp_core::OptError;
+use mpdp_core::{OptError, RelSet};
+
+/// Algorithm 1's per-set body, shared by the sequential driver below and
+/// the level-parallel one in `mpdp-parallel` (each publishes through its own
+/// `emit`): every non-empty `S_left ⊆ S` goes through the CCP block, and
+/// `emit(S_left, S \ S_left)` is called for each ordered pair that passes.
+/// Returns the Join-Pairs `(evaluated, found to be CCP pairs)`.
+#[inline]
+pub fn ccp_splits<E>(
+    g: &JoinGraph,
+    s: RelSet,
+    mut emit: impl FnMut(RelSet, RelSet) -> Result<(), E>,
+) -> Result<(u64, u64), E> {
+    let (mut evaluated, mut ccp) = (0, 0);
+    // Line 8: all non-empty S_left ⊆ S (S_right = S \ S_left may be empty;
+    // the CCP block filters it).
+    for sl in s.subsets() {
+        evaluated += 1;
+        let sr = s.difference(sl);
+        // --- CCP block (lines 12-16) ---
+        if sr.is_empty() || sl.is_empty() {
+            continue;
+        }
+        if !g.is_connected(sl) {
+            continue;
+        }
+        if !g.is_connected(sr) {
+            continue;
+        }
+        if !sl.is_disjoint(sr) {
+            continue; // never fires (sr = s \ sl) — kept for fidelity
+        }
+        if !g.sets_connected(sl, sr) {
+            continue;
+        }
+        // --- end CCP block ---
+        ccp += 1;
+        emit(sl, sr)?;
+    }
+    Ok((evaluated, ccp))
+}
 
 /// The DPSUB optimizer.
 #[derive(Copy, Clone, Debug, Default)]
@@ -22,56 +63,29 @@ impl DpSub {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        let levels = LevelEnumerator::new(ctx)?;
-        let mut memo: MemoTable = init_memo(q, levels.total_sets());
-        let mut counters = Counters::default();
+        let plan = level_plan(ctx)?;
+        let mut memo: MemoTable = init_memo(q, plan.sets.len() - n);
         let mut profile = Profile::default();
 
         for i in 2..=n {
-            let lvl = levels.level(i);
+            let (sets, rows) = plan.level(i);
             let mut level = LevelStats {
                 size: i,
-                unranked: lvl.unranked,
-                sets: lvl.sets.len() as u64,
+                sets: sets.len() as u64,
                 ..Default::default()
             };
-            for (k, (&s, &rows)) in lvl.sets.iter().zip(lvl.rows).enumerate() {
+            for (k, (&s, &rows)) in sets.iter().zip(rows).enumerate() {
                 ctx.poll_deadline(k)?;
-                // Line 8: all non-empty S_left ⊆ S (S_right = S \ S_left may
-                // be empty; the CCP block filters it).
-                for sl in s.subsets() {
-                    level.evaluated += 1;
-                    let sr = s.difference(sl);
-                    // --- CCP block (lines 12-16) ---
-                    if sr.is_empty() || sl.is_empty() {
-                        continue;
-                    }
-                    if !q.graph.is_connected(sl) {
-                        continue;
-                    }
-                    if !q.graph.is_connected(sr) {
-                        continue;
-                    }
-                    if !sl.is_disjoint(sr) {
-                        continue; // never fires (sr = s \ sl) — kept for fidelity
-                    }
-                    if !q.graph.sets_connected(sl, sr) {
-                        continue;
-                    }
-                    // --- end CCP block ---
-                    level.ccp += 1;
-                    if emit_pair(&mut memo, ctx.model, sl, sr, rows)? {
-                        level.memo_writes += 1;
-                    }
-                }
+                let (evaluated, ccp) = ccp_splits(&q.graph, s, |sl, sr| {
+                    level.memo_writes += emit_pair(&mut memo, ctx.model, sl, sr, rows)? as u64;
+                    Ok::<(), OptError>(())
+                })?;
+                level.evaluated += evaluated;
+                level.ccp += ccp;
             }
-            counters.evaluated += level.evaluated;
-            counters.ccp += level.ccp;
-            counters.sets += level.sets;
-            counters.unranked += level.unranked;
             profile.record(level);
         }
-        finish(&memo, q, counters, profile)
+        finish(&memo, q, profile)
     }
 }
 
@@ -79,7 +93,6 @@ impl DpSub {
 pub(crate) mod tests {
     use super::*;
     use mpdp_core::combinatorics::binomial;
-    use mpdp_core::enumerate::EnumerationMode;
     use mpdp_core::graph::JoinGraph;
     use mpdp_core::query::{QueryInfo, RelInfo};
     use mpdp_cost::pglike::PgLikeCost;
@@ -178,26 +191,6 @@ pub(crate) mod tests {
         let r = DpSub::run(&OptContext::new(&q, &model)).unwrap();
         assert_eq!(r.plan.num_rels(), 1);
         assert_eq!(r.counters.evaluated, 0);
-    }
-
-    #[test]
-    fn frontier_and_unranked_modes_are_bit_identical() {
-        let model = PgLikeCost::new();
-        for q in [chain_query(7), star_query(7), cycle_query(7)] {
-            let f = DpSub::run(&OptContext::new(&q, &model)).unwrap();
-            let u = DpSub::run(
-                &OptContext::new(&q, &model).with_enumeration(EnumerationMode::Unranked),
-            )
-            .unwrap();
-            assert_eq!(f.cost.to_bits(), u.cost.to_bits());
-            assert_eq!(f.counters.evaluated, u.counters.evaluated);
-            assert_eq!(f.counters.ccp, u.counters.ccp);
-            assert_eq!(f.counters.sets, u.counters.sets);
-            assert_eq!(f.plan.render(), u.plan.render());
-            // Only the unranked counter differs: the frontier never unranks.
-            assert_eq!(f.counters.unranked, 0);
-            assert!(u.counters.unranked > u.counters.sets);
-        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! `mpdp-gpu` all call it and differ only in scheduling and in how they
 //! publish each set's winner. See `DESIGN.md` §4 "The MPDP set kernel".
 
-use crate::common::{finish, init_memo, price_both, LevelEnumerator, OptContext, OptResult};
+use crate::common::{finish, init_memo, level_plan, price_both, OptContext, OptResult};
 use mpdp_core::blocks::{BlockFinder, BlockIndex};
-use mpdp_core::counters::{Counters, LevelStats, Profile};
+use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
 use mpdp_core::{OptError, QueryInfo, RelSet};
 use mpdp_cost::model::CostModel;
@@ -173,22 +173,20 @@ impl Mpdp {
         ctx.validate_exact()?;
         let q = ctx.query;
         let n = q.query_size();
-        let levels = LevelEnumerator::new(ctx)?;
-        let mut memo: MemoTable = init_memo(q, levels.total_sets());
-        let mut counters = Counters::default();
+        let plan = level_plan(ctx)?;
+        let mut memo: MemoTable = init_memo(q, plan.sets.len() - n);
         let mut profile = Profile::default();
 
         let index = BlockIndex::new(&q.graph);
         let mut kernel = SetKernel::new(q, ctx.model, &index);
         for i in 2..=n {
-            let lvl = levels.level(i);
+            let (sets, rows) = plan.level(i);
             let mut level = LevelStats {
                 size: i,
-                unranked: lvl.unranked,
-                sets: lvl.sets.len() as u64,
+                sets: sets.len() as u64,
                 ..Default::default()
             };
-            for (k, (&s, &rows)) in lvl.sets.iter().zip(lvl.rows).enumerate() {
+            for (k, (&s, &rows)) in sets.iter().zip(rows).enumerate() {
                 ctx.poll_deadline(k)?;
                 let out = kernel.evaluate(&memo, s, rows, &mut ());
                 level.evaluated += out.evaluated;
@@ -197,13 +195,9 @@ impl Mpdp {
                     level.memo_writes += memo.insert_if_better(s, e.left, e.cost, e.rows) as u64;
                 }
             }
-            counters.evaluated += level.evaluated;
-            counters.ccp += level.ccp;
-            counters.sets += level.sets;
-            counters.unranked += level.unranked;
             profile.record(level);
         }
-        finish(&memo, q, counters, profile)
+        finish(&memo, q, profile)
     }
 }
 

@@ -2,10 +2,11 @@
 //!
 //! Each driver runs the Algorithm 5 host loop: it allocates the device memo
 //! for every connected set the host's level plan counted, per DP level
-//! launches the unrank / filter / evaluate / (prune) kernels on the software
-//! SIMT machine, then at the end extracts the plan from the device memo —
-//! "the final relation is recursively fetched using its left and right join
-//! relations, building a join tree in CPU memory".
+//! launches the expand / evaluate / (prune) kernels on the software SIMT
+//! machine (the paper's device unranks and filters where this one expands;
+//! see [`crate::kernels`]), then at the end extracts the plan from the device
+//! memo — "the final relation is recursively fetched using its left and right
+//! join relations, building a join tree in CPU memory".
 //!
 //! Configuration mirrors the paper's §5 enhancements and §7.2.5 ablation:
 //!
@@ -18,17 +19,15 @@
 //! as in the original work the paper compares against.
 
 use crate::kernels::{
-    self, evaluate_dpsub_kernel, evaluate_mpdp_kernel, expand_kernel, filter_kernel,
-    level_transfer, unrank_kernel,
+    self, evaluate_dpsub_kernel, evaluate_mpdp_kernel, expand_kernel, level_transfer,
 };
 use crate::simt::{GpuConfig, GpuStats, WarpPolicy};
 use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::blocks::BlockIndex;
-use mpdp_core::counters::{Counters, LevelStats, Profile};
-use mpdp_core::enumerate::EnumerationMode;
+use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::OptError;
 use mpdp_dp::common::{
-    finish, init_memo, init_memo_with_rows, price_pair, union_rows, LevelEnumerator, OptContext,
+    finish, init_memo, init_memo_with_rows, level_plan, price_pair, union_rows, OptContext,
     OptResult,
 };
 use mpdp_dp::mpdp::SetKernel;
@@ -104,23 +103,22 @@ fn run_level_structured(
     ctx.validate_exact()?;
     let q = ctx.query;
     let n = q.query_size();
-    // The host's level plan, never unranked on the host and free of stats
-    // charges: it sizes the device memo (device memory cannot grow under a
-    // kernel), is the output the expand launches are charged for, carries
-    // each set's cardinality to the evaluate lanes, and is DPSIZE-GPU's
-    // per-size plan lists (the real H+F driver reads those back from the
-    // previous level, which is the same list).
-    let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
+    // The host's level plan, free of stats charges: it sizes the device memo
+    // (device memory cannot grow under a kernel), is the output the expand
+    // launches are charged for, carries each set's cardinality to the
+    // evaluate lanes, and is DPSIZE-GPU's per-size plan lists (the real H+F
+    // driver reads those back from the previous level, which is the same
+    // list).
+    let plan = level_plan(ctx)?;
     // The simulated *device-global* memo: the lock-free table every kernel
     // lane publishes into with atomic min-updates, allocated once; the host
     // loop only extracts the plan from it at the end. DPSIZE's lanes meet a
     // set as the union of a pair, so its table starts with every set's
     // cardinality in it.
     let memo: AtomicMemo = match algo {
-        GpuAlgo::DpSize => init_memo_with_rows(q, &levels),
-        GpuAlgo::Mpdp | GpuAlgo::DpSub => init_memo(q, levels.total_sets()),
+        GpuAlgo::DpSize => init_memo_with_rows(q, &plan),
+        GpuAlgo::Mpdp | GpuAlgo::DpSub => init_memo(q, plan.sets.len() - n),
     };
-    let mut counters = Counters::default();
     let mut profile = Profile::default();
     let mut stats = GpuStats::default();
     // The query's block structure and the per-set kernel MPDP's evaluate
@@ -137,29 +135,13 @@ fn run_level_structured(
         let marks = (memo.probe_count(), memo.cas_retry_count());
         match algo {
             GpuAlgo::Mpdp | GpuAlgo::DpSub => {
-                let lvl = levels.level(i);
-                match ctx.enumeration {
-                    EnumerationMode::Frontier => {
-                        expand_kernel(q, levels.level(i - 1).sets, lvl.sets, &mut stats);
-                    }
-                    EnumerationMode::Unranked => {
-                        let candidates = unrank_kernel(n, i, &mut stats);
-                        level.unranked = candidates.len() as u64;
-                        // The survivors are the plan's list, element for
-                        // element, which is what lets the evaluate lanes
-                        // take the plan's cardinalities by position.
-                        if filter_kernel(q, candidates, &mut stats) != lvl.sets {
-                            return Err(OptError::Internal(format!(
-                                "level {i}: the filter kernel and the level plan disagree"
-                            )));
-                        }
-                    }
-                };
-                let out = if algo == GpuAlgo::Mpdp {
+                let level_sets = plan.level(i);
+                expand_kernel(q, plan.level(i - 1).0, level_sets.0, &mut stats);
+                let counted = if algo == GpuAlgo::Mpdp {
                     evaluate_mpdp_kernel(
                         &mut set_kernel,
                         &memo,
-                        &lvl,
+                        level_sets,
                         cfg.policy(),
                         cfg.fused_prune,
                         &mut stats,
@@ -169,16 +151,13 @@ fn run_level_structured(
                         q,
                         ctx.model,
                         &memo,
-                        &lvl,
+                        level_sets,
                         cfg.policy(),
                         cfg.fused_prune,
                         &mut stats,
                     )
                 };
-                level.evaluated = out.evaluated;
-                level.ccp = out.ccp;
-                level.sets = lvl.sets.len() as u64;
-                level.memo_writes = out.memo_writes;
+                level = LevelStats { size: i, ..counted };
             }
             GpuAlgo::DpSize => {
                 // H+F-GPU: lanes take (left, right) pairs from the size-(k,
@@ -186,14 +165,14 @@ fn run_level_structured(
                 // stall their warp. Survivors hit the global table with
                 // their own atomicMin (fused: one per set after an in-warp
                 // reduction).
-                let level_sets = levels.level(i).sets;
+                let level_sets = plan.level(i).0;
                 stats.kernel_launches += 1;
                 let probes_before = memo.probe_count();
                 let mut lane_costs: Vec<u32> = Vec::new();
                 let mut publishes = 0u64;
                 for k in 1..i {
-                    for &left in levels.level(k).sets {
-                        for &right in levels.level(i - k).sets {
+                    for &left in plan.level(k).0 {
+                        for &right in plan.level(i - k).0 {
                             level.evaluated += 1;
                             let mut lane = kernels::cycles::CHECK;
                             if !left.is_disjoint(right) {
@@ -238,14 +217,10 @@ fn run_level_structured(
         level.memo_probes = memo.probe_count() - marks.0;
         level.cas_retries = memo.cas_retry_count() - marks.1;
         level_transfer(level.sets as usize, &mut stats);
-        counters.evaluated += level.evaluated;
-        counters.ccp += level.ccp;
-        counters.sets += level.sets;
-        counters.unranked += level.unranked;
         profile.record(level);
     }
 
-    let result = finish(&memo, q, counters, profile)?;
+    let result = finish(&memo, q, profile)?;
     let simulated_time = stats.simulated_time(&cfg.device);
     Ok(GpuRun {
         result,
@@ -393,32 +368,6 @@ mod tests {
             cpu_mpdp.counters.evaluated
         );
         assert_eq!(gpu_mpdp.result.counters.ccp, cpu_mpdp.counters.ccp);
-    }
-
-    #[test]
-    fn frontier_and_unranked_drivers_match() {
-        let m = PgLikeCost::new();
-        for q in queries() {
-            let frontier = OptContext::new(&q, &m);
-            let unranked = OptContext::new(&q, &m).with_enumeration(EnumerationMode::Unranked);
-            let f = MpdpGpu::new().run(&frontier).unwrap();
-            let u = MpdpGpu::new().run(&unranked).unwrap();
-            assert_eq!(f.result.cost.to_bits(), u.result.cost.to_bits());
-            assert_eq!(f.result.counters.evaluated, u.result.counters.evaluated);
-            assert_eq!(f.result.counters.ccp, u.result.counters.ccp);
-            assert_eq!(f.result.counters.sets, u.result.counters.sets);
-            assert_eq!(f.result.counters.unranked, 0);
-            assert!(u.result.counters.unranked > 0);
-        }
-        // On a sparse shape the frontier pipeline never walks dead
-        // candidates, so it does strictly less device work.
-        let chain = gen::chain(12, 1, &m).to_query_info().unwrap();
-        let f = MpdpGpu::new().run(&OptContext::new(&chain, &m)).unwrap();
-        let u = MpdpGpu::new()
-            .run(&OptContext::new(&chain, &m).with_enumeration(EnumerationMode::Unranked))
-            .unwrap();
-        assert!(f.stats.busy_cycles < u.stats.busy_cycles);
-        assert!(f.stats.warp_cycles < u.stats.warp_cycles);
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! The Algorithm 5 kernel pipeline: unrank → filter → evaluate (→ prune),
-//! executed on the software SIMT machine.
+//! The Algorithm 5 kernel pipeline as this repository runs it: expand →
+//! evaluate (→ prune), executed on the software SIMT machine. The paper's
+//! device produces a level's sets by unranking all `C(n, i)` candidates and
+//! filtering the disconnected ones; here the level's sets are the host's
+//! level plan and the simulator charges the `expand` launches that would
+//! produce them on the device (the filter survives as the plan's test
+//! oracle, `tests/property_tests.rs::check_level_plan`).
 //!
 //! Each phase does its *real* work (the same enumeration and costing as the
 //! CPU algorithms, producing bit-identical memo contents; the one exception
-//! is the frontier expand launch, whose output the host's level plan already
+//! is the expand launch, whose output the host's level plan already
 //! holds) while charging
 //! cycles, memory transactions and transfers to [`GpuStats`]. Cycle costs per
 //! micro-operation are rough GTX-1080 instruction-latency figures; absolute
@@ -30,18 +35,16 @@
 
 use crate::simt::{schedule_warp, GpuStats, WarpPolicy, WARP_WIDTH};
 use mpdp_core::atomic_memo::AtomicMemo;
-use mpdp_core::combinatorics::{binomial, unrank_subset};
+use mpdp_core::counters::LevelStats;
 use mpdp_core::memo::MemoEntry;
 use mpdp_core::query::QueryInfo;
 use mpdp_core::RelSet;
 use mpdp_cost::model::CostModel;
-use mpdp_dp::common::{price_pair, LevelSets};
+use mpdp_dp::common::price_pair;
 use mpdp_dp::mpdp::{SetKernel, SplitObserver};
 
 /// Cycle-cost constants for the simulated lanes.
 pub mod cycles {
-    /// Unranking one combination (binomial-ladder walk).
-    pub const UNRANK_PER_BIT: u32 = 3;
     /// One step of the `grow`/connectivity loop.
     pub const GROW_STEP: u32 = 4;
     /// One CCP-block check (empty/disjoint/edge tests).
@@ -55,47 +58,7 @@ pub mod cycles {
     pub const HASH_PROBE: u32 = 6;
 }
 
-/// Unrank kernel: produce all `C(n, i)` candidate sets of size `i`
-/// (§5 "Unrank"). Uniform per-lane cost — no divergence.
-pub fn unrank_kernel(n: usize, i: usize, stats: &mut GpuStats) -> Vec<RelSet> {
-    let total = binomial(n as u64, i as u64);
-    let mut out = Vec::with_capacity(total as usize);
-    for r in 0..total {
-        out.push(unrank_subset(n, i, r));
-    }
-    stats.kernel_launches += 1;
-    let per_lane = cycles::UNRANK_PER_BIT * n as u32;
-    let costs = vec![per_lane; total as usize];
-    let (c, _) = schedule_warp(WarpPolicy::Lockstep, &costs);
-    stats.warp_cycles += c;
-    stats.busy_cycles += per_lane as u64 * total;
-    stats.global_writes += total; // each lane stores its set
-    out
-}
-
-/// Filter kernel: drop disconnected sets and compact the survivors
-/// (§5 "Filter", e.g. `thrust::remove`).
-pub fn filter_kernel(q: &QueryInfo, sets: Vec<RelSet>, stats: &mut GpuStats) -> Vec<RelSet> {
-    stats.kernel_launches += 1;
-    let mut costs = Vec::with_capacity(sets.len());
-    let mut kept = Vec::new();
-    for s in sets {
-        // Connectivity by grow: cost proportional to the set size.
-        let connected = q.graph.is_connected(s);
-        costs.push(cycles::GROW_STEP * s.len() as u32);
-        if connected {
-            kept.push(s);
-        }
-    }
-    let (c, _) = schedule_warp(WarpPolicy::Lockstep, &costs);
-    stats.warp_cycles += c;
-    stats.busy_cycles += costs.iter().map(|&x| x as u64).sum::<u64>();
-    stats.global_reads += costs.len() as u64;
-    stats.global_writes += kept.len() as u64; // stream compaction output
-    kept
-}
-
-/// Expand kernel — the frontier alternative to unrank+filter (§5 pipeline
+/// Expand kernel — where the paper's device unranks and filters (§5 pipeline
 /// with the connected-subset enumerator): one lane per (set, neighbor) pair
 /// of the previous level's connected sets; each lane ORs one neighbor bit
 /// into its set and publishes the candidate through a device hash set, and
@@ -140,17 +103,6 @@ fn price_lane(
         cost,
         rows,
     })
-}
-
-/// Outcome of an evaluate kernel over a level's sets. Winners are already
-/// in the device memo (published atomically); only counters come back.
-pub struct EvaluateOutcome {
-    /// Join-Pairs evaluated.
-    pub evaluated: u64,
-    /// CCP pairs found.
-    pub ccp: u64,
-    /// Publishes that changed the memo (the level's `memo_writes`).
-    pub memo_writes: u64,
 }
 
 /// Charges `tasks` lanes of `cost` cycles each under plain lockstep: every
@@ -209,25 +161,26 @@ fn warp_min(best: &mut Option<MemoEntry>, c: MemoEntry) {
 /// run the full costing. Winners go straight into the device-global
 /// [`AtomicMemo`]: one reduced publish per set with the fused prune, one
 /// `atomicMin` per surviving pair (plus a separate prune launch) without.
-/// `level` is the level's sets with their cardinalities.
+/// `sets` are the level's and `rows`, parallel to them, their cardinalities;
+/// what comes back is the level's counts (`sets`, `evaluated`, `ccp`,
+/// `memo_writes` — the winners are already in the device memo).
 pub fn evaluate_dpsub_kernel(
     q: &QueryInfo,
     model: &dyn CostModel,
     memo: &AtomicMemo,
-    level: &LevelSets<'_>,
+    (sets, rows): (&[RelSet], &[f64]),
     policy: WarpPolicy,
     fused_prune: bool,
     stats: &mut GpuStats,
-) -> EvaluateOutcome {
+) -> LevelStats {
     stats.kernel_launches += 1;
-    let mut out = EvaluateOutcome {
-        evaluated: 0,
-        ccp: 0,
-        memo_writes: 0,
+    let mut out = LevelStats {
+        sets: sets.len() as u64,
+        ..Default::default()
     };
     let mut pending: Vec<MemoEntry> = Vec::new();
     let mut lane_costs: Vec<u32> = Vec::new(); // per-launch scratch
-    for (&s, &rows) in level.sets.iter().zip(level.rows) {
+    for (&s, &rows) in sets.iter().zip(rows) {
         lane_costs.clear();
         let mut best: Option<MemoEntry> = None;
         for sl in s.subsets() {
@@ -317,20 +270,19 @@ impl SplitObserver for LaneCharges<'_> {
 pub fn evaluate_mpdp_kernel(
     kernel: &mut SetKernel<'_>,
     memo: &AtomicMemo,
-    level: &LevelSets<'_>,
+    (sets, rows): (&[RelSet], &[f64]),
     policy: WarpPolicy,
     fused_prune: bool,
     stats: &mut GpuStats,
-) -> EvaluateOutcome {
+) -> LevelStats {
     stats.kernel_launches += 1;
-    let mut out = EvaluateOutcome {
-        evaluated: 0,
-        ccp: 0,
-        memo_writes: 0,
+    let mut out = LevelStats {
+        sets: sets.len() as u64,
+        ..Default::default()
     };
     let mut pending: Vec<MemoEntry> = Vec::new();
     let mut lane_costs: Vec<u32> = Vec::new(); // per-launch scratch
-    for (&s, &rows) in level.sets.iter().zip(level.rows) {
+    for (&s, &rows) in sets.iter().zip(rows) {
         lane_costs.clear();
         // Warp-cooperative block finding: charged once per set.
         lane_costs.push(cycles::BLOCKS_PER_VERTEX * s.len() as u32);
@@ -381,14 +333,9 @@ mod tests {
         policy: WarpPolicy,
         fused_prune: bool,
         stats: &mut GpuStats,
-    ) -> EvaluateOutcome {
+    ) -> LevelStats {
         let rows: Vec<f64> = sets.iter().map(|&s| q.cardinality(s)).collect();
-        let level = LevelSets {
-            sets,
-            rows: &rows,
-            unranked: 0,
-        };
-        super::evaluate_dpsub_kernel(q, model, memo, &level, policy, fused_prune, stats)
+        super::evaluate_dpsub_kernel(q, model, memo, (sets, &rows), policy, fused_prune, stats)
     }
 
     fn setup(n: usize) -> (QueryInfo, PgLikeCost, AtomicMemo) {
@@ -397,27 +344,6 @@ mod tests {
         // Room for every connected set of a star: the hub with any leaves.
         let memo: AtomicMemo = init_memo(&q, 1 << (n - 1));
         (q, m, memo)
-    }
-
-    #[test]
-    fn unrank_produces_all_combinations() {
-        let mut stats = GpuStats::default();
-        let sets = unrank_kernel(6, 3, &mut stats);
-        assert_eq!(sets.len(), 20);
-        assert!(sets.iter().all(|s| s.len() == 3));
-        assert!(stats.warp_cycles > 0);
-        assert_eq!(stats.kernel_launches, 1);
-    }
-
-    #[test]
-    fn filter_keeps_connected_only() {
-        let (q, _, _) = setup(5);
-        let mut stats = GpuStats::default();
-        let sets = unrank_kernel(5, 2, &mut stats);
-        let kept = filter_kernel(&q, sets, &mut stats);
-        // Star: connected 2-sets are exactly the 4 edges.
-        assert_eq!(kept.len(), 4);
-        assert!(kept.iter().all(|s| q.graph.is_connected(*s)));
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub fn mpdp_inner_with_budget(
             model,
             deadline: b.deadline(),
             budget: b.budget(),
-            enumeration: mpdp_core::enumerate::EnumerationMode::default(),
         };
         Ok(mpdp_dp::mpdp::Mpdp::run(&ctx)?.plan)
     }

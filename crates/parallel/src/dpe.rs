@@ -15,90 +15,13 @@
 
 use crate::pool::{chunk_range, with_pool};
 use mpdp_core::atomic_memo::AtomicMemo;
-use mpdp_core::counters::{Counters, LevelStats, Profile};
-use mpdp_core::enumerate::EnumerationMode;
+use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{
-    finish, init_memo_with_rows, price_both, union_rows, LevelEnumerator, OptContext, OptResult,
+    finish, init_memo_with_rows, level_plan, price_both, union_rows, OptContext, OptResult,
 };
+use mpdp_dp::dpccp::csg_cmp_pairs;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One enumerated csg-cmp pair in the dependency buffer; consumers cost both
-/// of its join orders.
-#[derive(Copy, Clone, Debug)]
-struct PendingPair {
-    left: RelSet,
-    right: RelSet,
-}
-
-/// Enumerates all CCP pairs with DPCCP's csg-cmp recursion, *without*
-/// costing them (the producer side of DPE).
-fn enumerate_all_pairs(
-    q: &mpdp_core::QueryInfo,
-    ctx: &OptContext<'_>,
-    buffer: &mut Vec<PendingPair>,
-) -> Result<(), OptError> {
-    struct Enum<'q> {
-        q: &'q mpdp_core::QueryInfo,
-        out: Vec<PendingPair>,
-    }
-    impl<'q> Enum<'q> {
-        fn emit(&mut self, s1: RelSet, s2: RelSet) {
-            self.out.push(PendingPair {
-                left: s1,
-                right: s2,
-            });
-        }
-        fn csg_rec(&mut self, s: RelSet, x: RelSet) {
-            let n = self.q.graph.neighbors(s).difference(x);
-            if n.is_empty() {
-                return;
-            }
-            for sp in n.subsets_ascending() {
-                self.emit_csg(s.union(sp));
-            }
-            for sp in n.subsets_ascending() {
-                self.csg_rec(s.union(sp), x.union(n));
-            }
-        }
-        fn emit_csg(&mut self, s1: RelSet) {
-            let min = s1.first().expect("csg non-empty");
-            let x = s1.union(RelSet::first_n(min + 1));
-            let n = self.q.graph.neighbors(s1).difference(x);
-            let mut vs: Vec<usize> = n.iter().collect();
-            vs.reverse();
-            for v in vs {
-                let s2 = RelSet::singleton(v);
-                self.emit(s1, s2);
-                let b_v_in_n = RelSet::first_n(v + 1).intersect(n);
-                self.cmp_rec(s1, s2, x.union(b_v_in_n));
-            }
-        }
-        fn cmp_rec(&mut self, s1: RelSet, s2: RelSet, x: RelSet) {
-            let n = self.q.graph.neighbors(s2).difference(x);
-            if n.is_empty() {
-                return;
-            }
-            for sp in n.subsets_ascending() {
-                self.emit(s1, s2.union(sp));
-            }
-            for sp in n.subsets_ascending() {
-                self.cmp_rec(s1, s2.union(sp), x.union(n));
-            }
-        }
-    }
-    let mut e = Enum {
-        q,
-        out: std::mem::take(buffer),
-    };
-    for i in (0..q.query_size()).rev() {
-        ctx.check_deadline()?;
-        e.emit_csg(RelSet::singleton(i));
-        e.csg_rec(RelSet::singleton(i), RelSet::first_n(i + 1));
-    }
-    *buffer = e.out;
-    Ok(())
-}
 
 /// The DPE optimizer.
 #[derive(Copy, Clone, Debug, Default)]
@@ -113,23 +36,21 @@ impl Dpe {
         let q = ctx.query;
         let n = q.query_size();
         with_pool(threads, |pool| {
-            // Producer: enumerate all pairs (sequential).
-            let mut buffer = Vec::new();
-            enumerate_all_pairs(q, ctx, &mut buffer)?;
-
-            // Dependency-aware reordering: bucket by union size.
-            let mut classes: Vec<Vec<PendingPair>> = vec![Vec::new(); n + 1];
-            for p in buffer {
-                classes[p.left.union(p.right).len()].push(p);
-            }
+            // Producer: DPCCP's csg-cmp recursion, sequential and without
+            // costing, into the dependency-aware buffer — one bucket of
+            // csg-cmp pairs per union size; consumers cost both join orders.
+            let mut classes: Vec<Vec<(RelSet, RelSet)>> = vec![Vec::new(); n + 1];
+            csg_cmp_pairs(ctx, |s1, s2| {
+                classes[s1.union(s2).len()].push((s1, s2));
+                Ok(())
+            })?;
 
             // The unions of class `k` are the connected sets of size `k`:
             // the level plan counts them, sizes the shared memo once (the
             // table never grows under the consumers) and puts each set's
             // cardinality where its pairs will look for it.
-            let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
-            let memo: AtomicMemo = init_memo_with_rows(q, &levels);
-            let mut counters = Counters::default();
+            let plan = level_plan(ctx)?;
+            let memo: AtomicMemo = init_memo_with_rows(q, &plan);
             let mut profile = Profile::default();
 
             // Consumers: cost each class in parallel; the class barrier is
@@ -145,17 +66,15 @@ impl Dpe {
                 let writes = AtomicU64::new(0);
                 pool.run(&|worker| {
                     let mut mine = 0u64;
-                    for p in &class[chunk_range(class.len(), pool.workers(), worker)] {
-                        let Ok(rows) = union_rows(memo_ref, p.left, p.right) else {
+                    for &(s1, s2) in &class[chunk_range(class.len(), pool.workers(), worker)] {
+                        let Ok(rows) = union_rows(memo_ref, s1, s2) else {
                             continue;
                         };
-                        let Some(priced) = price_both(memo_ref, ctx.model, p.left, p.right, rows)
-                        else {
+                        let Some(priced) = price_both(memo_ref, ctx.model, s1, s2, rows) else {
                             continue;
                         };
-                        let (left, cost) = priced.better(p.left, p.right);
-                        let union = p.left.union(p.right);
-                        mine += memo_ref.insert_if_better(union, left, cost, rows) as u64;
+                        let (left, cost) = priced.better(s1, s2);
+                        mine += memo_ref.insert_if_better(s1.union(s2), left, cost, rows) as u64;
                     }
                     writes.fetch_add(mine, Ordering::Relaxed);
                 });
@@ -164,18 +83,14 @@ impl Dpe {
                     // Counters track ordered pairs workspace-wide.
                     evaluated: 2 * class.len() as u64,
                     ccp: 2 * class.len() as u64,
-                    sets: levels.level(k).sets.len() as u64,
+                    sets: plan.level(k).0.len() as u64,
                     memo_writes: writes.load(Ordering::Relaxed),
                     memo_probes: memo.probe_count() - probes0,
                     cas_retries: memo.cas_retry_count() - retries0,
-                    ..Default::default()
                 };
-                counters.evaluated += level.evaluated;
-                counters.ccp += level.ccp;
-                counters.sets += level.sets;
                 profile.record(level);
             }
-            finish(&memo, q, counters, profile)
+            finish(&memo, q, profile)
         })
     }
 }

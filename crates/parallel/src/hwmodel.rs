@@ -20,13 +20,10 @@ use mpdp_core::counters::Profile;
 use std::time::Duration;
 
 /// Relative operation weights used to turn a profile into "pair-equivalent"
-/// work units. An *evaluated Join-Pair* is the unit; unranking a candidate
-/// set is far cheaper; per-set overhead (connectivity check, block finding)
-/// is a few pair-equivalents.
+/// work units. An *evaluated Join-Pair* is the unit; per-set overhead
+/// (connectivity check, block finding) is a few pair-equivalents.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct OpWeights {
-    /// Weight of one unranked candidate set.
-    pub unrank: f64,
     /// Weight of one connected set's fixed overhead.
     pub set: f64,
     /// Weight of one evaluated Join-Pair.
@@ -40,7 +37,6 @@ pub struct OpWeights {
 impl Default for OpWeights {
     fn default() -> Self {
         OpWeights {
-            unrank: 0.15,
             set: 2.0,
             pair: 1.0,
             write: 0.5,
@@ -86,10 +82,7 @@ pub fn work_units(profile: &Profile, w: &OpWeights) -> f64 {
         .levels
         .iter()
         .map(|l| {
-            l.unranked as f64 * w.unrank
-                + l.sets as f64 * w.set
-                + l.evaluated as f64 * w.pair
-                + l.memo_writes as f64 * w.write
+            l.sets as f64 * w.set + l.evaluated as f64 * w.pair + l.memo_writes as f64 * w.write
         })
         .sum()
 }
@@ -165,8 +158,7 @@ impl CpuModel {
     pub fn predict_level_parallel(&self, profile: &Profile, cal: &Calibration) -> Duration {
         let mut total_ns = 0.0;
         for l in &profile.levels {
-            let units = l.unranked as f64 * cal.weights.unrank
-                + l.sets as f64 * cal.weights.set
+            let units = l.sets as f64 * cal.weights.set
                 + l.evaluated as f64 * cal.weights.pair
                 + l.memo_writes as f64 * cal.weights.write;
             total_ns += units * cal.ns_per_unit / self.speedup();
@@ -202,12 +194,11 @@ mod tests {
     use super::*;
     use mpdp_core::counters::LevelStats;
 
-    fn profile(levels: &[(usize, u64, u64, u64)]) -> Profile {
+    fn profile(levels: &[(usize, u64, u64)]) -> Profile {
         let mut p = Profile::default();
-        for &(size, unranked, sets, evaluated) in levels {
+        for &(size, sets, evaluated) in levels {
             p.record(LevelStats {
                 size,
-                unranked,
                 sets,
                 evaluated,
                 ccp: evaluated / 2,
@@ -230,7 +221,7 @@ mod tests {
 
     #[test]
     fn more_threads_less_time() {
-        let p = profile(&[(2, 100, 50, 5000), (3, 200, 80, 20000)]);
+        let p = profile(&[(2, 50, 5000), (3, 80, 20000)]);
         let cal = Calibration::default_for_container();
         let t1 = CpuModel::new(1).predict_level_parallel(&p, &cal);
         let t8 = CpuModel::new(8).predict_level_parallel(&p, &cal);
@@ -242,7 +233,7 @@ mod tests {
     fn dpe_caps_below_level_parallel() {
         // For the same profile and thread count, DPE's sequential enumeration
         // keeps it slower than a level-parallel algorithm at high P.
-        let p = profile(&[(2, 0, 100, 100_000), (3, 0, 100, 400_000)]);
+        let p = profile(&[(2, 100, 100_000), (3, 100, 400_000)]);
         let cal = Calibration::default_for_container();
         let cpu = CpuModel::new(24);
         assert!(cpu.predict_dpe(&p, &cal) > cpu.predict_level_parallel(&p, &cal));
@@ -273,7 +264,7 @@ mod tests {
 
     #[test]
     fn calibration_from_measurement() {
-        let p = profile(&[(2, 0, 10, 1000)]);
+        let p = profile(&[(2, 10, 1000)]);
         let cal = Calibration::from_measurement(&p, Duration::from_micros(100));
         // 1000 pairs + 10 sets*2 + 10 writes*0.5 = 1025 units over 100µs.
         assert!((cal.ns_per_unit - 100_000.0 / 1025.0).abs() < 1e-6);

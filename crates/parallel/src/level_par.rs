@@ -24,14 +24,15 @@
 use crate::pool::{chunk_range, with_pool};
 use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::blocks::BlockIndex;
-use mpdp_core::counters::{Counters, LevelStats, Profile};
-use mpdp_core::enumerate::EnumerationMode;
+use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{
-    finish, init_memo, init_memo_with_rows, price_pair, union_rows, LevelEnumerator, OptContext,
+    finish, init_memo, init_memo_with_rows, level_plan, price_pair, union_rows, OptContext,
     OptResult,
 };
+use mpdp_dp::dpsub::ccp_splits;
 use mpdp_dp::mpdp::SetKernel;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which level-parallel algorithm to run.
@@ -43,17 +44,10 @@ pub enum LevelAlgo {
     DpSub,
 }
 
-/// One worker's tallies for its slice of a level, merged into the level's
-/// atomic accumulators when the slice is done (sums are partition-invariant,
-/// so totals are deterministic at any worker count).
-#[derive(Default)]
-struct SliceTally {
-    evaluated: u64,
-    ccp: u64,
-    writes: u64,
-}
-
-/// Level-wide accumulators the workers fold their tallies into.
+/// Level-wide accumulators: each worker tallies its slice of a level in a
+/// `LevelStats` of its own and folds it in here when the slice is done (sums
+/// are partition-invariant, so totals are deterministic at any worker
+/// count).
 #[derive(Default)]
 struct LevelTally {
     evaluated: AtomicU64,
@@ -62,41 +56,16 @@ struct LevelTally {
 }
 
 impl LevelTally {
-    fn absorb(&self, t: &SliceTally) {
-        self.evaluated.fetch_add(t.evaluated, Ordering::Relaxed);
-        self.ccp.fetch_add(t.ccp, Ordering::Relaxed);
-        self.writes.fetch_add(t.writes, Ordering::Relaxed);
+    fn absorb(&self, mine: &LevelStats) {
+        self.evaluated.fetch_add(mine.evaluated, Ordering::Relaxed);
+        self.ccp.fetch_add(mine.ccp, Ordering::Relaxed);
+        self.writes.fetch_add(mine.memo_writes, Ordering::Relaxed);
     }
 
     fn fill(&self, level: &mut LevelStats) {
         level.evaluated += self.evaluated.load(Ordering::Relaxed);
         level.ccp += self.ccp.load(Ordering::Relaxed);
         level.memo_writes += self.writes.load(Ordering::Relaxed);
-    }
-}
-
-fn eval_set_dpsub(
-    q: &mpdp_core::QueryInfo,
-    model: &dyn mpdp_cost::model::CostModel,
-    memo: &AtomicMemo,
-    s: RelSet,
-    rows: f64,
-    tally: &mut SliceTally,
-) {
-    for sl in s.subsets() {
-        tally.evaluated += 1;
-        let sr = s.difference(sl);
-        if sl.is_empty() || sr.is_empty() {
-            continue;
-        }
-        if !q.graph.is_connected(sl) || !q.graph.is_connected(sr) {
-            continue;
-        }
-        if !q.graph.sets_connected(sl, sr) {
-            continue;
-        }
-        tally.ccp += 1;
-        emit_atomic(model, memo, sl, sr, rows, tally);
     }
 }
 
@@ -112,12 +81,10 @@ fn emit_atomic(
     sl: RelSet,
     sr: RelSet,
     rows: f64,
-    tally: &mut SliceTally,
+    writes: &mut u64,
 ) {
     if let Some(cost) = price_pair(memo, model, sl, sr, rows) {
-        if memo.insert_if_better(sl.union(sr), sl, cost, rows) {
-            tally.writes += 1;
-        }
+        *writes += memo.insert_if_better(sl.union(sr), sl, cost, rows) as u64;
     }
 }
 
@@ -156,18 +123,16 @@ pub fn run_level_parallel(
         // Every level's connected sets and their cardinalities — sequential,
         // before the first parallel phase, so the shared memo is created at
         // its final size and never moves under the workers.
-        let levels = LevelEnumerator::new(ctx)?;
-        let memo: AtomicMemo = init_memo(q, levels.total_sets());
-        let mut counters = Counters::default();
+        let plan = level_plan(ctx)?;
+        let memo: AtomicMemo = init_memo(q, plan.sets.len() - n);
         let mut profile = Profile::default();
         let index = BlockIndex::new(&q.graph);
         for i in 2..=n {
             ctx.check_deadline()?;
-            let lvl = levels.level(i);
+            let (sets, rows) = plan.level(i);
             let mut level = LevelStats {
                 size: i,
-                unranked: lvl.unranked,
-                sets: lvl.sets.len() as u64,
+                sets: sets.len() as u64,
                 ..Default::default()
             };
             let marks = MemoMarks::take(&memo);
@@ -175,9 +140,9 @@ pub fn run_level_parallel(
             let memo_ref = &memo;
             let tally = LevelTally::default();
             pool.run(&|worker| {
-                let mut mine = SliceTally::default();
-                let mine_of = chunk_range(lvl.sets.len(), pool.workers(), worker);
-                let slice = lvl.sets[mine_of.clone()].iter().zip(&lvl.rows[mine_of]);
+                let mut mine = LevelStats::default();
+                let mine_of = chunk_range(sets.len(), pool.workers(), worker);
+                let slice = sets[mine_of.clone()].iter().zip(&rows[mine_of]);
                 match algo {
                     LevelAlgo::Mpdp => {
                         // The shared per-set kernel; its winner is the one
@@ -188,14 +153,26 @@ pub fn run_level_parallel(
                             mine.evaluated += out.evaluated;
                             mine.ccp += out.ccp;
                             if let Some(e) = out.best {
-                                mine.writes +=
+                                mine.memo_writes +=
                                     memo_ref.insert_if_better(s, e.left, e.cost, e.rows) as u64;
                             }
                         }
                     }
                     LevelAlgo::DpSub => {
                         for (&s, &rows) in slice {
-                            eval_set_dpsub(q, ctx.model, memo_ref, s, rows, &mut mine);
+                            let Ok((evaluated, ccp)) = ccp_splits(&q.graph, s, |sl, sr| {
+                                emit_atomic(
+                                    ctx.model,
+                                    memo_ref,
+                                    sl,
+                                    sr,
+                                    rows,
+                                    &mut mine.memo_writes,
+                                );
+                                Ok::<(), Infallible>(())
+                            });
+                            mine.evaluated += evaluated;
+                            mine.ccp += ccp;
                         }
                     }
                 }
@@ -205,13 +182,9 @@ pub fn run_level_parallel(
             // this level is published before the next level reads it.
             tally.fill(&mut level);
             marks.delta_into(&memo, &mut level);
-            counters.evaluated += level.evaluated;
-            counters.ccp += level.ccp;
-            counters.sets += level.sets;
-            counters.unranked += level.unranked;
             profile.record(level);
         }
-        finish(&memo, q, counters, profile)
+        finish(&memo, q, profile)
     })
 }
 
@@ -219,18 +192,16 @@ pub fn run_level_parallel(
 /// previous levels' plan lists are split among workers, which now publish
 /// winners straight into the shared atomic memo (no deferred pruning).
 ///
-/// The per-size plan lists are the level plan's in *both* enumeration modes:
-/// DPSIZE never unranks subsets (its candidates are cross products of plan
-/// lists). A pair does not know where its union sits in the plan, so the
-/// memo is created with every set's cardinality already in it.
+/// The per-size plan lists are the level plan's. A pair does not know where
+/// its union sits in the plan, so the memo is created with every set's
+/// cardinality already in it.
 pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptResult, OptError> {
     ctx.validate_exact()?;
     let q = ctx.query;
     let n = q.query_size();
     with_pool(threads, |pool| {
-        let levels = LevelEnumerator::with_mode(ctx, EnumerationMode::Frontier)?;
-        let memo: AtomicMemo = init_memo_with_rows(q, &levels);
-        let mut counters = Counters::default();
+        let plan = level_plan(ctx)?;
+        let memo: AtomicMemo = init_memo_with_rows(q, &plan);
         let mut profile = Profile::default();
         // Work items, reused across levels: (right-size, left set).
         let mut items: Vec<(usize, RelSet)> = Vec::new();
@@ -239,26 +210,26 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
             ctx.check_deadline()?;
             let mut level = LevelStats {
                 size: i,
-                sets: levels.level(i).sets.len() as u64,
+                sets: plan.level(i).0.len() as u64,
                 ..Default::default()
             };
 
             items.clear();
             for k in 1..i {
-                for &l in levels.level(k).sets {
+                for &l in plan.level(k).0 {
                     items.push((i - k, l));
                 }
             }
             let marks = MemoMarks::take(&memo);
             let memo_ref = &memo;
             let items_ref = &items;
-            let levels_ref = &levels;
+            let plan_ref = &plan;
             let tally = LevelTally::default();
             pool.run(&|worker| {
-                let mut mine = SliceTally::default();
+                let mut mine = LevelStats::default();
                 for &(rk, left) in &items_ref[chunk_range(items_ref.len(), pool.workers(), worker)]
                 {
-                    for &right in levels_ref.level(rk).sets {
+                    for &right in plan_ref.level(rk).0 {
                         mine.evaluated += 1;
                         if !left.is_disjoint(right) {
                             continue;
@@ -270,7 +241,14 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
                         // Every CCP pair's union is a connected set, so it
                         // is in the plan and the lookup cannot fail.
                         if let Ok(rows) = union_rows(memo_ref, left, right) {
-                            emit_atomic(ctx.model, memo_ref, left, right, rows, &mut mine);
+                            emit_atomic(
+                                ctx.model,
+                                memo_ref,
+                                left,
+                                right,
+                                rows,
+                                &mut mine.memo_writes,
+                            );
                         }
                     }
                 }
@@ -278,12 +256,9 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
             });
             tally.fill(&mut level);
             marks.delta_into(&memo, &mut level);
-            counters.evaluated += level.evaluated;
-            counters.ccp += level.ccp;
-            counters.sets += level.sets;
             profile.record(level);
         }
-        finish(&memo, q, counters, profile)
+        finish(&memo, q, profile)
     })
 }
 
@@ -336,28 +311,6 @@ mod tests {
                 .unwrap();
             check_matches_sequential(&q);
         }
-    }
-
-    #[test]
-    fn frontier_and_unranked_modes_match_in_parallel() {
-        let m = PgLikeCost::new();
-        let q = gen::cycle(8, 5, &m).to_query_info().unwrap();
-        let frontier = OptContext::new(&q, &m);
-        let unranked = OptContext::new(&q, &m).with_enumeration(EnumerationMode::Unranked);
-        for algo in [LevelAlgo::Mpdp, LevelAlgo::DpSub] {
-            let f = run_level_parallel(&frontier, algo, 2).unwrap();
-            let u = run_level_parallel(&unranked, algo, 2).unwrap();
-            assert_eq!(f.cost.to_bits(), u.cost.to_bits());
-            assert_eq!(f.counters.evaluated, u.counters.evaluated);
-            assert_eq!(f.counters.ccp, u.counters.ccp);
-            assert_eq!(f.counters.sets, u.counters.sets);
-            assert_eq!(f.counters.unranked, 0);
-            assert!(u.counters.unranked > 0);
-        }
-        let fp = run_dpsize_parallel(&frontier, 2).unwrap();
-        let up = run_dpsize_parallel(&unranked, 2).unwrap();
-        assert_eq!(fp.cost.to_bits(), up.cost.to_bits());
-        assert_eq!(fp.counters, up.counters);
     }
 
     #[test]

@@ -75,8 +75,6 @@ pub use service::{
     PlanFuture, PlanRequest, PlanService, PlanServiceBuilder, RouterConfig, ServedPlan, ServedVia,
 };
 
-pub use mpdp_core::EnumerationMode;
-
 /// Most-used items in one import.
 pub mod prelude {
     pub use crate::planner::{
@@ -86,9 +84,7 @@ pub mod prelude {
     pub use crate::service::{
         PlanRequest, PlanService, PlanServiceBuilder, RouterConfig, ServedVia,
     };
-    pub use mpdp_core::{
-        EnumerationMode, JoinGraph, LargeQuery, OptError, PlanTree, QueryInfo, RelInfo, RelSet,
-    };
+    pub use mpdp_core::{JoinGraph, LargeQuery, OptError, PlanTree, QueryInfo, RelInfo, RelSet};
     pub use mpdp_cost::{CostModel, CoutCost, PgLikeCost};
     pub use mpdp_dp::{DpCcp, DpSize, DpSub, Mpdp, MpdpTree, OptContext};
     pub use mpdp_exec::{ExecConfig, ExecReport, Executor, GenConfig};

@@ -14,7 +14,6 @@
 //! chosen per platform.
 
 use mpdp_core::counters::{Counters, Profile};
-use mpdp_core::enumerate::EnumerationMode;
 use mpdp_core::plan::PlanTree;
 use mpdp_core::{LargeQuery, OptError, QueryInfo};
 use mpdp_cost::model::CostModel;
@@ -189,20 +188,6 @@ pub enum ExactAlgo {
     DpSizeGpu,
 }
 
-impl ExactAlgo {
-    /// `true` if the algorithm's hot loop actually consults the
-    /// [`EnumerationMode`]. DPCCP and DPE enumerate edge-based (csg-cmp
-    /// recursion) and never unrank, and DPSize-GPU builds its per-size lists
-    /// from its own scatter results, so an `[unranked]` variant of those
-    /// would run identically to the plain algorithm.
-    pub fn has_enumeration_mode(self) -> bool {
-        !matches!(
-            self,
-            ExactAlgo::DpCcp | ExactAlgo::Dpe { .. } | ExactAlgo::DpSizeGpu
-        )
-    }
-}
-
 /// Adapter running one [`ExactAlgo`] behind the [`Strategy`] interface.
 ///
 /// CPU-parallel algorithms execute with a single real worker on this
@@ -213,7 +198,6 @@ impl ExactAlgo {
 pub struct ExactStrategy {
     algo: ExactAlgo,
     label: String,
-    enumeration: EnumerationMode,
 }
 
 impl ExactStrategy {
@@ -248,35 +232,12 @@ impl ExactStrategy {
             ExactAlgo::DpSubGpu => "DPSub (GPU)".to_string(),
             ExactAlgo::DpSizeGpu => "DPSize (GPU)".to_string(),
         };
-        ExactStrategy {
-            algo,
-            label,
-            enumeration: EnumerationMode::default(),
-        }
-    }
-
-    /// Switches the connected-set enumeration mode. [`EnumerationMode::Unranked`]
-    /// (the paper's generate-and-filter path, kept for the `unranked` counter
-    /// ablations) appends ` [unranked]` to the registry label.
-    pub fn with_enumeration(mut self, mode: EnumerationMode) -> Self {
-        if self.enumeration == EnumerationMode::Unranked && mode == EnumerationMode::Frontier {
-            self.label = self.label.trim_end_matches(" [unranked]").to_string();
-        }
-        if mode == EnumerationMode::Unranked && self.enumeration != EnumerationMode::Unranked {
-            self.label.push_str(" [unranked]");
-        }
-        self.enumeration = mode;
-        self
+        ExactStrategy { algo, label }
     }
 
     /// The wrapped algorithm.
     pub fn algo(&self) -> ExactAlgo {
         self.algo
-    }
-
-    /// The connected-set enumeration mode this strategy runs with.
-    pub fn enumeration(&self) -> EnumerationMode {
-        self.enumeration
     }
 }
 
@@ -322,8 +283,7 @@ impl Strategy for ExactStrategy {
         let ctx = match budget {
             Some(b) => mpdp_dp::OptContext::with_budget(q, model, b),
             None => mpdp_dp::OptContext::new(q, model),
-        }
-        .with_enumeration(self.enumeration);
+        };
         let start = Instant::now();
         let (result, gpu) = match self.algo {
             ExactAlgo::DpSize => (mpdp_dp::DpSize::run(&ctx)?, None),
@@ -599,7 +559,6 @@ pub struct PlannerBuilder {
     fallback: FallbackChoice,
     exact_limit: usize,
     budget: Option<Duration>,
-    enumeration: EnumerationMode,
 }
 
 #[derive(Clone, Debug)]
@@ -630,7 +589,6 @@ impl Default for PlannerBuilder {
             // reaches 25 with a GPU.
             exact_limit: 18,
             budget: None,
-            enumeration: EnumerationMode::default(),
         }
     }
 }
@@ -690,30 +648,13 @@ impl PlannerBuilder {
         self
     }
 
-    /// Connected-set enumeration mode for the exact side: each connected set
-    /// once (default) or the paper's unrank-and-filter. Ignored when a custom
-    /// exact strategy is supplied via [`Self::exact_strategy`].
-    pub fn enumeration(mut self, mode: EnumerationMode) -> Self {
-        self.enumeration = mode;
-        self
-    }
-
     /// Resolves the configuration. Fails with [`OptError::Internal`] on
     /// combinations that have no implementation (e.g. DPCCP on the GPU).
     pub fn build(self) -> Result<Planner, OptError> {
         let exact: Arc<dyn Strategy> = match self.exact {
             ExactChoice::Custom(s) => s,
             ExactChoice::Algo(algo) => {
-                let resolved = resolve_backend(algo, self.backend)?;
-                if self.enumeration == EnumerationMode::Unranked && !resolved.has_enumeration_mode()
-                {
-                    return Err(OptError::Internal(format!(
-                        "{resolved:?} never unranks subsets (edge-based / list-based \
-                         enumeration), so it has no unranked variant; keep the default \
-                         enumeration mode"
-                    )));
-                }
-                Arc::new(ExactStrategy::new(resolved).with_enumeration(self.enumeration))
+                Arc::new(ExactStrategy::new(resolve_backend(algo, self.backend)?))
             }
         };
         let fallback: Arc<dyn Strategy> = match self.fallback {

@@ -19,16 +19,9 @@
 //! `"mpdp (gpu)"`), knows the aliases used across the paper's figures, and
 //! resolves *parameterized* families on the fly: `"IDP2-MPDP (7)"`,
 //! `"UnionDP-MPDP (20)"`, `"DPE (8CPU)"`, `"MPDP (4CPU)"` all work without
-//! being pre-registered. Every *level-structured* exact name also resolves
-//! with a ` [unranked]` suffix (`"MPDP [unranked]"`,
-//! `"DPSub (GPU) [unranked]"`, …), selecting the legacy generate-and-filter
-//! enumeration instead of the default connected-subset frontier — the mode
-//! the paper's `unranked`-counter ablations (e.g. Figure 12) are stated in.
-//! Edge-based algorithms (DPCCP, DPE) never unrank, so the suffix does not
-//! resolve for them.
+//! being pre-registered.
 
 use crate::planner::{ExactAlgo, ExactStrategy, HeuristicStrategy, LargeAlgo, Planner, Strategy};
-use mpdp_core::enumerate::EnumerationMode;
 use std::sync::{Arc, OnceLock};
 
 /// One registered strategy: canonical paper label plus lookup aliases.
@@ -36,9 +29,6 @@ struct Entry {
     canonical: &'static str,
     aliases: &'static [&'static str],
     strategy: Arc<dyn Strategy>,
-    /// Set for exact entries, so mode-suffixed lookups (`… [unranked]`) can
-    /// re-instantiate the algorithm with a different enumeration mode.
-    exact_algo: Option<ExactAlgo>,
 }
 
 /// The name-keyed strategy registry. Obtain the process-wide instance with
@@ -66,17 +56,6 @@ impl Registry {
                 canonical,
                 aliases,
                 strategy: Arc::new(ExactStrategy::new(algo)),
-                exact_algo: Some(algo),
-            }
-        }
-        fn unranked(canonical: &'static str, algo: ExactAlgo) -> Entry {
-            Entry {
-                canonical,
-                aliases: &[],
-                strategy: Arc::new(
-                    ExactStrategy::new(algo).with_enumeration(EnumerationMode::Unranked),
-                ),
-                exact_algo: Some(algo),
             }
         }
         fn heur(
@@ -88,7 +67,6 @@ impl Registry {
                 canonical,
                 aliases,
                 strategy: Arc::new(HeuristicStrategy::new(algo)),
-                exact_algo: None,
             }
         }
         const NO_ALIAS: &[&str] = &[];
@@ -147,19 +125,6 @@ impl Registry {
             ),
             exact("DPSub (GPU)", NO_ALIAS, ExactAlgo::DpSubGpu),
             exact("DPSize (GPU)", NO_ALIAS, ExactAlgo::DpSizeGpu),
-            // Legacy generate-and-filter variants of the flagship entries
-            // (any other exact name resolves with the same suffix on the
-            // fly; these are registered so `names()` advertises the mode).
-            unranked("MPDP [unranked]", ExactAlgo::Mpdp),
-            unranked("DPSub (1CPU) [unranked]", ExactAlgo::DpSub),
-            unranked(
-                "MPDP (GPU) [unranked]",
-                ExactAlgo::MpdpGpu {
-                    fused_prune: true,
-                    ccc: true,
-                },
-            ),
-            unranked("DPSub (GPU) [unranked]", ExactAlgo::DpSubGpu),
             // Heuristics (Tables 1–2).
             heur("GE-QO", &["GEQO"], LargeAlgo::Geqo),
             heur("GOO", NO_ALIAS, LargeAlgo::Goo),
@@ -174,7 +139,6 @@ impl Registry {
                 canonical: "Adaptive",
                 aliases: NO_ALIAS,
                 strategy: Arc::new(Planner::adaptive_default()),
-                exact_algo: None,
             },
         ];
         Registry { entries }
@@ -191,10 +155,7 @@ impl Registry {
     /// Tries canonical names and aliases first (whitespace/case-insensitive),
     /// then the parameterized families `IDP1-MPDP (k)`, `IDP2-MPDP (k)`,
     /// `UnionDP-MPDP (k)`, `DPE (nCPU)`, `MPDP (nCPU)`, `DPSub (nCPU)`,
-    /// `PDP (nCPU)`. A trailing ` [unranked]` on a *level-structured* exact
-    /// name (static or parameterized) selects the legacy generate-and-filter
-    /// enumeration; edge-based algorithms (DPCCP, DPE) never unrank, so the
-    /// suffix does not resolve for them rather than yield a misleading label.
+    /// `PDP (nCPU)`.
     pub fn get(&self, name: &str) -> Option<Arc<dyn Strategy>> {
         let key = normalize(name);
         for e in &self.entries {
@@ -202,32 +163,10 @@ impl Registry {
                 return Some(Arc::clone(&e.strategy));
             }
         }
-        if let Some(base) = key.strip_suffix("[unranked]") {
-            let algo = self
-                .exact_algo_for(base)
-                .or_else(|| match parse_parameterized(base)? {
-                    Parameterized::Exact(a) => Some(a),
-                    Parameterized::Heuristic(_) => None,
-                })
-                .filter(|a| a.has_enumeration_mode())?;
-            return Some(Arc::new(
-                ExactStrategy::new(algo).with_enumeration(EnumerationMode::Unranked),
-            ));
-        }
         match parse_parameterized(&key)? {
             Parameterized::Exact(a) => Some(Arc::new(ExactStrategy::new(a))),
             Parameterized::Heuristic(a) => Some(Arc::new(HeuristicStrategy::new(a))),
         }
-    }
-
-    /// The [`ExactAlgo`] registered under a normalized name, if any.
-    fn exact_algo_for(&self, key: &str) -> Option<ExactAlgo> {
-        self.entries
-            .iter()
-            .find(|e| {
-                normalize(e.canonical) == key || e.aliases.iter().any(|a| normalize(a) == key)
-            })
-            .and_then(|e| e.exact_algo)
     }
 }
 

@@ -1,9 +1,8 @@
 //! The level plan's promise: every exact backend counts its connected sets
-//! before it prices the first pair, creates its memo once at that size and
-//! never re-hashes it — in both enumeration modes.
+//! before it prices the first pair and creates its memo once, at that size.
 
 use mpdp::core::enumerate::ConnectedSets;
-use mpdp::core::memo::slots_for;
+use mpdp::core::memo::{slots_for, MemoTable};
 use mpdp::prelude::*;
 use mpdp_dp::common::OptResult;
 use mpdp_gpu::drivers::{DpSizeGpu, DpSubGpu, MpdpGpu};
@@ -31,7 +30,16 @@ fn assert_sized_once(r: &OptResult, sets: usize, what: &str) {
     let health = r.profile.memo.expect("finish stamps memo health");
     assert_eq!(health.entries, r.memo_entries, "{what}");
     assert_eq!(health.slots, slots_for(r.memo_entries), "{what}: slots");
-    assert_eq!(health.grows, 0, "{what}: re-hashed mid-run");
+}
+
+#[test]
+#[should_panic(expected = "MemoTable full")]
+fn a_memo_asked_to_hold_more_than_it_announced_panics() {
+    let announced = 4;
+    let mut memo = MemoTable::with_capacity(announced);
+    for rel in 0..slots_for(announced) {
+        memo.insert_leaf(rel, 1.0, 1.0);
+    }
 }
 
 #[test]
@@ -39,29 +47,27 @@ fn every_leveled_driver_sizes_its_memo_once() {
     let m = PgLikeCost::new();
     for (name, q) in shapes() {
         let n = ConnectedSets::enumerate(&q).sets.len();
-        for mode in [EnumerationMode::Frontier, EnumerationMode::Unranked] {
-            let ctx = OptContext::new(&q, &m).with_enumeration(mode);
-            let what = |driver: &str| format!("{driver} on {name} ({mode:?})");
-            assert_sized_once(&Mpdp::run(&ctx).unwrap(), n, &what("MPDP"));
-            assert_sized_once(&DpSub::run(&ctx).unwrap(), n, &what("DPSUB"));
-            for (algo, label) in [(LevelAlgo::Mpdp, "MPDP"), (LevelAlgo::DpSub, "DPSUB")] {
-                let r = run_level_parallel(&ctx, algo, 2).unwrap();
-                assert_sized_once(&r, n, &what(&format!("{label} (2CPU)")));
-            }
-            let r = run_dpsize_parallel(&ctx, 2).unwrap();
-            assert_sized_once(&r, n, &what("PDP (2CPU)"));
-            let gpu = MpdpGpu::new().run(&ctx).unwrap().result;
-            assert_sized_once(&gpu, n, &what("MPDP (GPU)"));
-            let gpu = DpSubGpu::new().run(&ctx).unwrap().result;
-            assert_sized_once(&gpu, n, &what("DPSUB (GPU)"));
-            let gpu = DpSizeGpu::new().run(&ctx).unwrap().result;
-            assert_sized_once(&gpu, n, &what("DPSIZE (GPU)"));
-            // DPSIZE joins pairs of plan lists and DPCCP / DPE walk edges:
-            // none of them meets its sets level by level, all of them build
-            // the level plan first.
-            assert_sized_once(&DpSize::run(&ctx).unwrap(), n, &what("DPSIZE"));
-            assert_sized_once(&DpCcp::run(&ctx).unwrap(), n, &what("DPCCP"));
-            assert_sized_once(&Dpe::run(&ctx, 2).unwrap(), n, &what("DPE"));
+        let ctx = OptContext::new(&q, &m);
+        let what = |driver: &str| format!("{driver} on {name}");
+        assert_sized_once(&Mpdp::run(&ctx).unwrap(), n, &what("MPDP"));
+        assert_sized_once(&DpSub::run(&ctx).unwrap(), n, &what("DPSUB"));
+        for (algo, label) in [(LevelAlgo::Mpdp, "MPDP"), (LevelAlgo::DpSub, "DPSUB")] {
+            let r = run_level_parallel(&ctx, algo, 2).unwrap();
+            assert_sized_once(&r, n, &what(&format!("{label} (2CPU)")));
         }
+        let r = run_dpsize_parallel(&ctx, 2).unwrap();
+        assert_sized_once(&r, n, &what("PDP (2CPU)"));
+        let gpu = MpdpGpu::new().run(&ctx).unwrap().result;
+        assert_sized_once(&gpu, n, &what("MPDP (GPU)"));
+        let gpu = DpSubGpu::new().run(&ctx).unwrap().result;
+        assert_sized_once(&gpu, n, &what("DPSUB (GPU)"));
+        let gpu = DpSizeGpu::new().run(&ctx).unwrap().result;
+        assert_sized_once(&gpu, n, &what("DPSIZE (GPU)"));
+        // DPSIZE joins pairs of plan lists and DPCCP / DPE walk edges:
+        // none of them meets its sets level by level, all of them build
+        // the level plan first.
+        assert_sized_once(&DpSize::run(&ctx).unwrap(), n, &what("DPSIZE"));
+        assert_sized_once(&DpCcp::run(&ctx).unwrap(), n, &what("DPCCP"));
+        assert_sized_once(&Dpe::run(&ctx, 2).unwrap(), n, &what("DPE"));
     }
 }

@@ -11,7 +11,7 @@ use mpdp::core::enumerate::ConnectedSets;
 use mpdp::core::memo::{MemoEntry, MemoHealth, MemoStore};
 use mpdp::core::{JoinGraph, QueryInfo};
 use mpdp::dp::mpdp::SetKernel;
-use mpdp::prelude::{DpCcp, DpSize, DpSub, EnumerationMode, LargeQuery, Mpdp, OptContext, RelSet};
+use mpdp::prelude::{DpCcp, DpSize, DpSub, LargeQuery, Mpdp, OptContext, RelSet};
 use mpdp_cost::{CoutCost, PgLikeCost};
 use mpdp_heuristics::{validate_large, Goo, LargeOptimizer, UnionDp};
 use mpdp_workload::gen;
@@ -298,28 +298,6 @@ proptest! {
     fn frontier_enumeration_matches_filtered_unranking(q in enumeration_query_strategy()) {
         // The tentpole invariant, see `check_level_plan`.
         check_level_plan(&q.to_query_info().unwrap());
-    }
-
-    #[test]
-    fn enumeration_modes_bit_identical(q in query_strategy()) {
-        // Frontier and unranked modes must produce bit-identical costs and
-        // identical ccp/evaluated counters for every level-structured DP.
-        let m = PgLikeCost::new();
-        let qi = q.to_query_info().unwrap();
-        let frontier = OptContext::new(&qi, &m);
-        let unranked = OptContext::new(&qi, &m).with_enumeration(EnumerationMode::Unranked);
-        let fs = DpSub::run(&frontier).unwrap();
-        let us = DpSub::run(&unranked).unwrap();
-        prop_assert_eq!(fs.cost.to_bits(), us.cost.to_bits());
-        prop_assert_eq!(fs.counters.evaluated, us.counters.evaluated);
-        prop_assert_eq!(fs.counters.ccp, us.counters.ccp);
-        prop_assert_eq!(fs.plan.render(), us.plan.render());
-        let fm = Mpdp::run(&frontier).unwrap();
-        let um = Mpdp::run(&unranked).unwrap();
-        prop_assert_eq!(fm.cost.to_bits(), um.cost.to_bits());
-        prop_assert_eq!(fm.counters.evaluated, um.counters.evaluated);
-        prop_assert_eq!(fm.counters.ccp, um.counters.ccp);
-        prop_assert_eq!(fm.plan.render(), um.plan.render());
     }
 
     #[test]
