@@ -14,8 +14,9 @@
 //! Each slot is a pair of `AtomicU64`s:
 //!
 //! * **key** — the relation-set bitmap, claimed once via
-//!   `CAS(0 → bits)` (linear probing on collision, Murmur3 start index,
-//!   same probe sequence as [`crate::memo::MemoTable`]);
+//!   `CAS(0 → bits)` (linear probing on collision from the start slot
+//!   [`crate::memo::Addressing`] picks, the same probe sequence as
+//!   [`crate::memo::MemoTable`]);
 //! * **val** — a handle (index + 1) into an append-only candidate arena
 //!   whose records hold `(cost, left, rows)` and are immutable once
 //!   published.
@@ -61,13 +62,11 @@
 //! allocators race a CAS on the segment pointer and the losers free their
 //! allocation — still lock-free, just briefly wasteful. The table never
 //! grows: every backend counts its connected sets before the first level and
-//! creates the memo at that size ([`AtomicMemo::with_capacity`]), and the
+//! creates the memo at that size ([`AtomicMemo::for_universe`]), and the
 //! claim loop panics rather than spins forever if it was given too few.
 
 use crate::bitset::RelSet;
-use crate::memo::{
-    candidate_key, murmur3_fmix64, ordered_cost_bits, slots_for, MemoEntry, MemoHealth, MemoStore,
-};
+use crate::memo::{candidate_key, ordered_cost_bits, Addressing, MemoEntry, MemoHealth, MemoStore};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
@@ -203,7 +202,7 @@ impl Drop for Arena {
 pub struct AtomicMemo {
     keys: Box<[AtomicU64]>,
     vals: Box<[AtomicU64]>,
-    mask: usize,
+    at: Addressing,
     len: AtomicUsize,
     probes: AtomicU64,
     cas_retries: AtomicU64,
@@ -214,13 +213,20 @@ impl AtomicMemo {
     /// Creates a table for `expected` entries (same ≤70% load policy as
     /// [`crate::memo::MemoTable`]) — all it will ever hold. The candidate
     /// arena starts at one record per entry, which is what a backend that
-    /// publishes each set once needs, and doubles from there.
+    /// publishes each set once needs, and doubles from there. Keys may name
+    /// any relations (hashed addressing).
     pub fn with_capacity(expected: usize) -> Self {
-        let cap = slots_for(expected);
+        AtomicMemo::for_universe(64, expected)
+    }
+
+    /// [`with_capacity`](Self::with_capacity) for sets over the relations
+    /// `0..n`, addressed as [`Addressing::for_universe`] decides.
+    pub fn for_universe(n: usize, expected: usize) -> Self {
+        let at = Addressing::for_universe(n, expected);
         AtomicMemo {
-            keys: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            vals: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            mask: cap - 1,
+            keys: (0..at.slots()).map(|_| AtomicU64::new(0)).collect(),
+            vals: (0..at.slots()).map(|_| AtomicU64::new(0)).collect(),
+            at,
             len: AtomicUsize::new(0),
             probes: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
@@ -268,7 +274,7 @@ impl AtomicMemo {
             return None;
         }
         let bits = set.bits();
-        let mut idx = (murmur3_fmix64(bits) as usize) & self.mask;
+        let mut idx = self.at.home(bits);
         loop {
             let k = self.keys[idx].load(Ordering::Acquire);
             if k == 0 {
@@ -287,7 +293,7 @@ impl AtomicMemo {
                     rows: c.rows,
                 });
             }
-            idx = (idx + 1) & self.mask;
+            idx = self.at.next(idx);
         }
     }
 
@@ -340,7 +346,7 @@ impl AtomicMemo {
     /// backends create it with room for every set.
     fn claim(&self, bits: u64) -> usize {
         debug_assert_ne!(bits, 0);
-        let mut idx = (murmur3_fmix64(bits) as usize) & self.mask;
+        let mut idx = self.at.home(bits);
         let mut steps = 0usize;
         loop {
             self.probes.fetch_add(1, Ordering::Relaxed);
@@ -364,10 +370,10 @@ impl AtomicMemo {
                     }
                 }
             }
-            idx = (idx + 1) & self.mask;
+            idx = self.at.next(idx);
             steps += 1;
             assert!(
-                steps <= self.mask,
+                steps < self.keys.len(),
                 "AtomicMemo full: with_capacity() must cover every set the run inserts"
             );
         }
@@ -408,8 +414,8 @@ impl std::fmt::Debug for AtomicMemo {
 }
 
 impl MemoStore for AtomicMemo {
-    fn with_capacity(expected: usize) -> Self {
-        AtomicMemo::with_capacity(expected)
+    fn for_universe(n: usize, expected: usize) -> Self {
+        AtomicMemo::for_universe(n, expected)
     }
 
     fn len(&self) -> usize {
@@ -436,7 +442,7 @@ impl MemoStore for AtomicMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::MemoTable;
+    use crate::memo::{murmur3_fmix64, slots_for, MemoTable};
 
     #[test]
     fn insert_get_roundtrip() {
@@ -511,65 +517,107 @@ mod tests {
         }
     }
 
+    const THREADS: usize = 8;
+    const KEYS: u64 = 64;
+    const PER_THREAD: usize = 2000;
+
+    /// Thread `t`'s stream of `(set, left, cost)` candidates over the keys
+    /// `1..=KEYS` — sets over seven relations — with few distinct costs, so
+    /// exact ties are frequent.
+    fn candidates(t: usize) -> impl Iterator<Item = (RelSet, RelSet, f64)> {
+        let mut state = 0x9e3779b97f4a7c15u64.wrapping_mul(t as u64 + 1);
+        (0..PER_THREAD).map(move |_| {
+            state = murmur3_fmix64(state.wrapping_add(0xa076_1d64_78bd_642f));
+            let key = RelSet(state % KEYS + 1);
+            let left = RelSet((state >> 17) & key.bits()).lowest_bit();
+            let left = if left.is_empty() {
+                key.lowest_bit()
+            } else {
+                left
+            };
+            (key, left, ((state >> 32) % 7) as f64)
+        })
+    }
+
     #[test]
     fn concurrent_hammer_converges_to_exact_minimum() {
         // 8 threads race interleaved insert_if_better calls over a shared
         // key space, including exact-cost ties; the table must converge to
-        // the same (cost, left) the sequential table computes.
-        const THREADS: usize = 8;
-        const KEYS: u64 = 64;
-        const PER_THREAD: usize = 2000;
-        let memo = &AtomicMemo::with_capacity(KEYS as usize);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                scope.spawn(move || {
-                    let mut state = 0x9e3779b97f4a7c15u64.wrapping_mul(t as u64 + 1);
-                    for _ in 0..PER_THREAD {
-                        state = murmur3_fmix64(state.wrapping_add(0xa076_1d64_78bd_642f));
-                        let key = RelSet(state % KEYS + 1);
-                        let left = RelSet((state >> 17) & key.bits()).lowest_bit();
-                        // Few distinct costs -> frequent exact ties.
-                        let cost = ((state >> 32) % 7) as f64;
-                        memo.insert_if_better(
-                            key,
-                            if left.is_empty() {
-                                key.lowest_bit()
-                            } else {
-                                left
-                            },
-                            cost,
-                            1.0,
-                        );
-                    }
-                });
-            }
-        });
-        // Sequential replay with the same per-thread streams.
+        // the same (cost, left) the sequential table computes — under either
+        // addressing: 64 entries get 128 = 2⁷ slots, so a table over the
+        // seven relations the keys name is direct.
         let mut expect = MemoTable::with_capacity(KEYS as usize);
         for t in 0..THREADS {
-            let mut state = 0x9e3779b97f4a7c15u64.wrapping_mul(t as u64 + 1);
-            for _ in 0..PER_THREAD {
-                state = murmur3_fmix64(state.wrapping_add(0xa076_1d64_78bd_642f));
-                let key = RelSet(state % KEYS + 1);
-                let left = RelSet((state >> 17) & key.bits()).lowest_bit();
-                let cost = ((state >> 32) % 7) as f64;
-                expect.insert_if_better(
-                    key,
-                    if left.is_empty() {
-                        key.lowest_bit()
-                    } else {
-                        left
-                    },
-                    cost,
-                    1.0,
-                );
+            for (key, left, cost) in candidates(t) {
+                expect.insert_if_better(key, left, cost, 1.0);
             }
         }
-        assert_eq!(memo.len(), expect.len());
-        for e in expect.iter() {
+        for universe in [64, 7] {
+            let memo = &AtomicMemo::for_universe(universe, KEYS as usize);
+            assert_eq!(memo.at.is_direct(), universe == 7);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    scope.spawn(move || {
+                        for (key, left, cost) in candidates(t) {
+                            memo.insert_if_better(key, left, cost, 1.0);
+                        }
+                    });
+                }
+            });
+            assert_eq!(memo.len(), expect.len());
+            for e in expect.iter() {
+                let got = memo.get(e.set).unwrap();
+                assert_eq!(got.cost.to_bits(), e.cost.to_bits(), "key {}", e.set);
+                assert_eq!(got.left, e.left, "key {}", e.set);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fitting_universe_takes_one_probe_per_insert_and_lookup() {
+        // Single-threaded replay of the hammer's streams into a direct
+        // table: every insert is one probe, every key sits in the slot its
+        // bitmap names (so a lookup reads that one slot), and the entries
+        // are the hashed sequential table's.
+        let memo = AtomicMemo::for_universe(7, KEYS as usize);
+        let mut hashed = MemoTable::with_capacity(KEYS as usize);
+        let mut inserts = 0;
+        for t in 0..THREADS {
+            for (key, left, cost) in candidates(t) {
+                memo.insert_if_better(key, left, cost, 1.0);
+                hashed.insert_if_better(key, left, cost, 1.0);
+                inserts += 1;
+            }
+        }
+        assert_eq!((memo.probe_count(), memo.cas_retry_count()), (inserts, 0));
+        for (slot, key) in memo.keys.iter().enumerate() {
+            let key = key.load(Ordering::Relaxed);
+            assert!(key == 0 || key == slot as u64, "{key} in slot {slot}");
+        }
+        assert_eq!(memo.len(), hashed.len());
+        for e in hashed.iter() {
             let got = memo.get(e.set).unwrap();
-            assert_eq!(got.cost.to_bits(), e.cost.to_bits(), "key {}", e.set);
-            assert_eq!(got.left, e.left, "key {}", e.set);
+            assert_eq!((got.left, got.cost.to_bits()), (e.left, e.cost.to_bits()));
+        }
+    }
+
+    #[test]
+    fn an_unfitting_universe_hashes_as_before() {
+        // Eight relations do not fit 128 slots: the home slot is Murmur3's,
+        // exactly as for a table over any relations.
+        let memo = AtomicMemo::for_universe(8, KEYS as usize);
+        assert_eq!(memo.at, Addressing::for_universe(64, KEYS as usize));
+        assert!(!memo.at.is_direct());
+        for k in 1..=KEYS {
+            memo.insert_if_better(RelSet(k), RelSet(k).lowest_bit(), 1.0, 1.0);
+        }
+        let mask = memo.keys.len() - 1;
+        for k in 1..=KEYS {
+            let mut idx = murmur3_fmix64(k) as usize & mask;
+            while memo.keys[idx].load(Ordering::Relaxed) != k {
+                assert_ne!(memo.keys[idx].load(Ordering::Relaxed), 0, "key {k}");
+                idx = (idx + 1) & mask;
+            }
         }
     }
 

@@ -144,16 +144,22 @@ impl JoinGraph {
     ///
     /// `source` must be a subset of `restrict` ("restricted nodes (superset of
     /// source nodes)").
+    ///
+    /// Each round ORs the adjacency of only the vertices the previous round
+    /// added (a breadth-first frontier): every vertex's adjacency is read
+    /// once, not once per round.
     pub fn grow(&self, source: RelSet, restrict: RelSet) -> RelSet {
         debug_assert!(source.is_subset(restrict));
-        let mut cur = source;
-        loop {
-            let next = self.neighbors(cur).intersect(restrict);
-            if next.is_empty() {
-                return cur;
+        let (mut reached, mut frontier) = (source, source);
+        while !frontier.is_empty() {
+            let mut nb = RelSet::empty();
+            for v in frontier.iter() {
+                nb = nb.union(self.adj[v]);
             }
-            cur = cur.union(next);
+            frontier = nb.intersect(restrict).difference(reached);
+            reached = reached.union(frontier);
         }
+        reached
     }
 
     /// `true` if the subgraph induced by `set` is connected (empty and
@@ -285,6 +291,52 @@ mod tests {
         // From paper vertex 1 restricted to {1,2}: cannot reach 3,4.
         let got = g.grow(RelSet::singleton(0), RelSet::from_indices([0, 1]));
         assert_eq!(got, RelSet::from_indices([0, 1]));
+    }
+
+    #[test]
+    fn grow_matches_a_reference_bfs_on_random_graphs() {
+        // Vertex-at-a-time BFS over the incidence lists, restricted to
+        // `restrict`, against the frontier grow and is_connected.
+        let bfs = |g: &JoinGraph, source: RelSet, restrict: RelSet| {
+            let mut seen = source;
+            let mut queue: Vec<usize> = source.iter().collect();
+            while let Some(v) = queue.pop() {
+                for &(w, _) in g.incident(v) {
+                    let w = w as usize;
+                    if restrict.contains(w) && !seen.contains(w) {
+                        seen = seen.with(w);
+                        queue.push(w);
+                    }
+                }
+            }
+            seen
+        };
+        let mut state = 7u64;
+        let mut draw = || {
+            state = crate::memo::murmur3_fmix64(state.wrapping_add(0x9e37_79b9_7f4a_7c15));
+            state
+        };
+        for _ in 0..200 {
+            let n = 2 + (draw() % 40) as usize;
+            let mut g = JoinGraph::new(n);
+            for _ in 0..(draw() % (2 * n as u64 + 1)) {
+                let (u, v) = ((draw() % n as u64) as usize, (draw() % n as u64) as usize);
+                if u != v {
+                    g.add_edge(u, v, 0.5);
+                }
+            }
+            let all = g.all_vertices().bits();
+            for _ in 0..50 {
+                let restrict = RelSet(draw() & all);
+                let source = RelSet(draw() & restrict.bits() & draw());
+                assert_eq!(g.grow(source, restrict), bfs(&g, source, restrict));
+                let connected = match restrict.first() {
+                    None => true,
+                    Some(v) => bfs(&g, RelSet::singleton(v), restrict) == restrict,
+                };
+                assert_eq!(g.is_connected(restrict), connected, "{restrict}");
+            }
+        }
     }
 
     #[test]

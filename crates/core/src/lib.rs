@@ -19,8 +19,9 @@
 //!   subgraphs (MPDP's block decomposition);
 //! * [`query`] — [`query::QueryInfo`] / [`query::LargeQuery`] problem
 //!   descriptions and sub-problem projection;
-//! * [`memo::MemoTable`] — the Murmur3 open-addressing memo of §5, and the
-//!   [`memo::MemoStore`] interface both memo implementations speak;
+//! * [`memo::MemoTable`] — the open-addressing memo of §5 (Murmur3, or the
+//!   set's own bitmap where every subset has a slot: [`memo::Addressing`]),
+//!   and the [`memo::MemoStore`] interface both memo implementations speak;
 //! * [`atomic_memo::AtomicMemo`] — the lock-free shared memo the parallel
 //!   backends update in place (the paper's global table with `atomicMin`);
 //! * [`plan::PlanTree`] — join trees, validation, memo extraction;

@@ -4,7 +4,13 @@
 //! open-addressing hash table" keyed by the relation-set bitmap and hashed
 //! with Murmur3. We use the same structure for *all* optimizers (CPU
 //! sequential, CPU parallel and simulated GPU) so that memory behaviour and
-//! results are identical across them.
+//! results are identical across them. Where a set starts its probe is the
+//! one thing that depends on the query ([`Addressing`]): when every subset of
+//! the query's `n` relations has a slot of its own in the table the memo
+//! creates anyway (`2ⁿ ≤` [`slots_for`]`(entries)` — stars, cliques), the
+//! set's bitmap *is* its slot and no hash is computed; otherwise the home
+//! slot is the Murmur3 finalizer of the bitmap, as in the paper. Both use the
+//! same slot count, so the choice never costs memory.
 //!
 //! Each entry stores the best plan found so far for a set `S`: its cost, its
 //! (split-invariant) output cardinality and the left side of the winning
@@ -70,6 +76,64 @@ pub fn slots_for(entries: usize) -> usize {
     ((entries + 1) * 10 / 7 + 1).next_power_of_two().max(16)
 }
 
+/// Where a set's probe starts in a memo of [`slots_for`]`(entries)` slots,
+/// and where it goes on a collision — the addressing both stores use, chosen
+/// once per table by [`Addressing::for_universe`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Addressing {
+    mask: usize,
+    direct: bool,
+}
+
+impl Addressing {
+    /// The one choice, from the number `n` of relations a key may name and
+    /// the `entries` the table is created for. The table gets
+    /// [`slots_for`]`(entries)` slots either way. If that is at least `2ⁿ`,
+    /// every subset of the `n` relations has a slot of its own and a set's
+    /// bitmap is its home slot: the map is injective, so every lookup and
+    /// insert hits on its first probe, and a level's ascending sets land in
+    /// ascending slots. Otherwise the home slot is the Murmur3 finalizer of
+    /// the bitmap. `n = 64` (any set) always hashes.
+    pub fn for_universe(n: usize, entries: usize) -> Self {
+        let slots = slots_for(entries);
+        Addressing {
+            mask: slots - 1,
+            direct: n < 64 && 1u64 << n <= slots as u64,
+        }
+    }
+
+    /// Number of slots.
+    #[inline]
+    pub fn slots(self) -> usize {
+        self.mask + 1
+    }
+
+    /// `true` if a set's bitmap is its slot (no hash, no collision).
+    #[inline]
+    pub fn is_direct(self) -> bool {
+        self.direct
+    }
+
+    /// The slot a probe for the set `bits` starts at. A key outside the
+    /// announced universe still lands in range (the mask) and is found by
+    /// the linear probe like any hashed key.
+    #[inline]
+    pub fn home(self, bits: u64) -> usize {
+        let h = if self.direct {
+            bits
+        } else {
+            murmur3_fmix64(bits)
+        };
+        h as usize & self.mask
+    }
+
+    /// The slot after `idx` in the linear probe.
+    #[inline]
+    pub fn next(self, idx: usize) -> usize {
+        (idx + 1) & self.mask
+    }
+}
+
 /// Point-in-time health metrics of a memo store (observability for the
 /// bench reports; none of these feed back into planning).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -108,9 +172,10 @@ impl MemoHealth {
 /// operations through `&self` for concurrent workers (the trait methods
 /// simply delegate).
 pub trait MemoStore {
-    /// Creates a store that takes `expected` entries without re-hashing
-    /// (at most 70 % full, see [`slots_for`]).
-    fn with_capacity(expected: usize) -> Self
+    /// Creates a store that takes `expected` entries, each a set over the
+    /// relations `0..n`, without re-hashing (at most 70 % full, see
+    /// [`slots_for`]; addressed as [`Addressing::for_universe`] decides).
+    fn for_universe(n: usize, expected: usize) -> Self
     where
         Self: Sized;
 
@@ -170,7 +235,7 @@ impl MemoEntry {
 #[derive(Clone, Debug)]
 pub struct MemoTable {
     slots: Vec<Slot>,
-    mask: usize,
+    at: Addressing,
     len: usize,
     /// Number of probe steps performed (useful for the GPU memory model).
     probes: u64,
@@ -192,12 +257,19 @@ const EMPTY_SLOT: Slot = Slot {
 };
 
 impl MemoTable {
-    /// Creates a table that takes `expected` entries; it never grows.
+    /// Creates a table that takes `expected` entries over any relations
+    /// (hashed); it never grows.
     pub fn with_capacity(expected: usize) -> Self {
-        let cap = slots_for(expected);
+        MemoTable::for_universe(64, expected)
+    }
+
+    /// Creates a table that takes `expected` sets over the relations `0..n`;
+    /// it never grows.
+    pub fn for_universe(n: usize, expected: usize) -> Self {
+        let at = Addressing::for_universe(n, expected);
         MemoTable {
-            slots: vec![EMPTY_SLOT; cap],
-            mask: cap - 1,
+            slots: vec![EMPTY_SLOT; at.slots()],
+            at,
             len: 0,
             probes: 0,
         }
@@ -240,7 +312,7 @@ impl MemoTable {
         if set.is_empty() {
             return None;
         }
-        let mut idx = (murmur3_fmix64(set.bits()) as usize) & self.mask;
+        let mut idx = self.at.home(set.bits());
         loop {
             let s = self.slots[idx];
             if s.key == 0 {
@@ -254,7 +326,7 @@ impl MemoTable {
                     rows: s.rows,
                 });
             }
-            idx = (idx + 1) & self.mask;
+            idx = self.at.next(idx);
         }
     }
 
@@ -266,9 +338,9 @@ impl MemoTable {
             cost,
             rows,
         };
-        let mut idx = (murmur3_fmix64(leaf.key) as usize) & self.mask;
+        let mut idx = self.at.home(leaf.key);
         while self.slots[idx].key != 0 && self.slots[idx].key != leaf.key {
-            idx = (idx + 1) & self.mask;
+            idx = self.at.next(idx);
         }
         let new = self.slots[idx].key == 0;
         self.slots[idx] = leaf;
@@ -284,7 +356,7 @@ impl MemoTable {
     /// if the candidate became the new best.
     pub fn insert_if_better(&mut self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool {
         debug_assert!(!set.is_empty() && left.is_subset(set));
-        let mut idx = (murmur3_fmix64(set.bits()) as usize) & self.mask;
+        let mut idx = self.at.home(set.bits());
         loop {
             self.probes += 1;
             let s = &mut self.slots[idx];
@@ -310,7 +382,7 @@ impl MemoTable {
                 }
                 return false;
             }
-            idx = (idx + 1) & self.mask;
+            idx = self.at.next(idx);
         }
     }
 
@@ -326,8 +398,8 @@ impl MemoTable {
 }
 
 impl MemoStore for MemoTable {
-    fn with_capacity(expected: usize) -> Self {
-        MemoTable::with_capacity(expected)
+    fn for_universe(n: usize, expected: usize) -> Self {
+        MemoTable::for_universe(n, expected)
     }
 
     fn len(&self) -> usize {
@@ -461,6 +533,95 @@ mod tests {
             (m.len(), m.get(RelSet::singleton(3)).unwrap().rows),
             (11, 5.0)
         );
+    }
+
+    #[test]
+    fn addressing_is_direct_exactly_when_every_subset_has_a_slot() {
+        // (n, entries): a star of n relations has 2ⁿ⁻¹ + n − 1 connected
+        // sets, which slots_for rounds up to exactly 2ⁿ slots; 16 398 is
+        // IDP2's and UnionDP's 15-relation star-like sub-problem.
+        for (n, entries) in [(14, 8_205), (16, 32_783), (15, 16_398), (10, 1_023), (4, 0)] {
+            let at = Addressing::for_universe(n, entries);
+            assert!(at.is_direct(), "{n} relations, {entries} entries");
+            assert_eq!(at.slots(), slots_for(entries));
+        }
+        for (n, entries) in [(17, 16_398), (5, 0), (20, 6_000), (64, 1 << 20)] {
+            let at = Addressing::for_universe(n, entries);
+            assert!(!at.is_direct(), "{n} relations, {entries} entries");
+            assert_eq!(at, Addressing::for_universe(64, entries));
+        }
+    }
+
+    /// Every non-empty subset of `0..n` several times over, in a scrambled
+    /// order, with few distinct costs (exact ties) and a `left` that depends
+    /// on the draw.
+    fn subset_stream(n: u32, rounds: u64) -> impl Iterator<Item = (RelSet, RelSet, f64)> {
+        let full = (1u64 << n) - 1;
+        (0..rounds * full).map(move |i| {
+            let h = murmur3_fmix64(i);
+            let set = RelSet(h % full + 1);
+            let left = RelSet((h >> 20) & set.bits()).lowest_bit();
+            let left = if left.is_empty() {
+                set.lowest_bit()
+            } else {
+                left
+            };
+            (set, left, ((h >> 40) % 5) as f64)
+        })
+    }
+
+    #[test]
+    fn a_fitting_universe_takes_one_probe_per_insert_and_lookup() {
+        let n = 10;
+        let entries = (1 << n) - 1;
+        let mut direct = MemoTable::for_universe(n as usize, entries);
+        let mut hashed = MemoTable::with_capacity(entries);
+        assert!(direct.at.is_direct() && !hashed.at.is_direct());
+        let mut inserts = 0;
+        for (set, left, cost) in subset_stream(n, 3) {
+            assert_eq!(
+                direct.insert_if_better(set, left, cost, 1.0),
+                hashed.insert_if_better(set, left, cost, 1.0)
+            );
+            inserts += 1;
+            assert_eq!(direct.probe_count(), inserts, "one probe per insert");
+        }
+        assert!(hashed.probe_count() > inserts, "the hashed table collides");
+        // Every key sits in the slot its bitmap names, so a lookup reads
+        // that one slot; and the entries are the hashed table's.
+        for (slot, s) in direct.slots.iter().enumerate() {
+            assert!(s.key == 0 || s.key == slot as u64, "{} in {slot}", s.key);
+        }
+        assert_eq!(direct.len(), hashed.len());
+        for e in hashed.iter() {
+            let got = direct.get(e.set).unwrap();
+            assert_eq!((got.left, got.cost.to_bits()), (e.left, e.cost.to_bits()));
+        }
+    }
+
+    #[test]
+    fn an_unfitting_universe_hashes_as_before() {
+        // The same stream into a table over 20 relations (which does not
+        // fit) and one over any relations: the same slots, probe for probe,
+        // and each key reached from its Murmur3 home slot.
+        let entries = 700;
+        let mut narrow = MemoTable::for_universe(20, entries);
+        let mut any = MemoTable::with_capacity(entries);
+        for (set, left, cost) in subset_stream(20, 1).take(entries) {
+            narrow.insert_if_better(set, left, cost, 1.0);
+            any.insert_if_better(set, left, cost, 1.0);
+        }
+        assert_eq!(narrow.probe_count(), any.probe_count());
+        let keys = |m: &MemoTable| m.slots.iter().map(|s| s.key).collect::<Vec<_>>();
+        assert_eq!(keys(&narrow), keys(&any));
+        let mask = narrow.slots.len() - 1;
+        for e in narrow.iter() {
+            let mut idx = murmur3_fmix64(e.set.bits()) as usize & mask;
+            while narrow.slots[idx].key != e.set.bits() {
+                assert_ne!(narrow.slots[idx].key, 0, "{}", e.set);
+                idx = (idx + 1) & mask;
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,11 @@ impl CostModel for CoutCost {
         left.cost + right.cost + out_rows
     }
 
+    /// Exact: a join costs its inputs plus `out_rows`, added in that order.
+    fn join_cost_floor(&self, out_rows: f64) -> f64 {
+        out_rows
+    }
+
     fn join_algo(&self, _: InputEst, _: InputEst, _: f64) -> JoinAlgo {
         JoinAlgo::Hash
     }
@@ -77,5 +82,10 @@ mod tests {
             rows: 20.0,
         };
         assert_eq!(m.join_cost(a, b, 7.0), m.join_cost(b, a, 7.0));
+        // The floor is the whole join's share: the bound is the cost.
+        assert_eq!(
+            m.join_cost(a, b, 7.0),
+            (a.cost + b.cost) + m.join_cost_floor(7.0)
+        );
     }
 }

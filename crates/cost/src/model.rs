@@ -51,6 +51,22 @@ pub trait CostModel: Sync {
         )
     }
 
+    /// What every join of `out_rows` output rows costs on top of its two
+    /// inputs, at least. The contract: for inputs `a`, `b` whose row counts
+    /// are `≥ 0` (so not NaN), each of `join_cost(a, b, out_rows)`,
+    /// `join_cost(b, a, out_rows)` and both halves of
+    /// `join_cost_both(a, b, out_rows)` is `≥ (a.cost + b.cost) +
+    /// join_cost_floor(out_rows)` as an `f64` comparison, unless that bound
+    /// is NaN or `−∞`. The exact DP reads it once per set and does not price
+    /// a split whose bound already exceeds the set's best plan so far: such a
+    /// split cannot win, so skipping it changes no result.
+    ///
+    /// The default, `−∞`, bounds nothing, so a model that does not override
+    /// it has every split priced.
+    fn join_cost_floor(&self, _out_rows: f64) -> f64 {
+        f64::NEG_INFINITY
+    }
+
     /// The operator [`join_cost`](CostModel::join_cost) would pick (for plan
     /// explanation; the DP itself only needs the cost).
     fn join_algo(&self, left: InputEst, right: InputEst, out_rows: f64) -> JoinAlgo;
@@ -95,6 +111,7 @@ mod tests {
         };
         assert_eq!(m.join_cost(a, b, 5.0), 8.0);
         assert_eq!(m.join_cost_both(a, b, 5.0), (8.0, 8.0));
+        assert_eq!(m.join_cost_floor(5.0), f64::NEG_INFINITY);
         assert_eq!(m.join_algo(a, b, 5.0), JoinAlgo::Hash);
         assert_eq!(m.name(), "unit");
     }

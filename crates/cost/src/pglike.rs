@@ -154,6 +154,28 @@ impl CostModel for PgLikeCost {
         }
     }
 
+    /// The emit term, `out_rows · cpu_tuple_cost`: the one term all three
+    /// operators share besides the inputs.
+    ///
+    /// Each operator is computed as `((inputs + x) + y) + emit`, with
+    /// `inputs = left.cost + right.cost` (the same bits in either order:
+    /// IEEE `+` commutes) and `x`, `y` its two operator terms — build and
+    /// probe, rescan and qualification, sorts and comparisons. Each term is a
+    /// product of row counts and constants, so it is `≥ 0` once both are.
+    /// Rounded addition is monotone, so `inputs + x ≥ inputs`, then
+    /// `(inputs + x) + y ≥ inputs`, then the whole `≥ inputs + emit`, bit for
+    /// bit in the operations the costs use — the argument of
+    /// `merge_dominated` — and the minimum over the
+    /// operators inherits it. A NaN term can only come from `0 · ∞`: an
+    /// infinite cardinality beside a zero row count leaves only the nested
+    /// loop NaN, which `f64::min` passes over for the hash join.
+    ///
+    /// Requires non-negative constants in [`PgParams`], and positive ones if
+    /// a cardinality can be infinite.
+    fn join_cost_floor(&self, out_rows: f64) -> f64 {
+        out_rows * self.params.cpu_tuple_cost
+    }
+
     fn join_algo(&self, left: InputEst, right: InputEst, out_rows: f64) -> JoinAlgo {
         let h = self.hash_cost(left, right, out_rows);
         let n = self.nestloop_cost(left, right, out_rows);
@@ -287,15 +309,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_and_skipping_costs_are_bit_identical_to_the_three_way_min() {
-        // Release builds (CI's plan-smoke leg) run the full two million.
-        let cases = if cfg!(debug_assertions) {
-            100_000
-        } else {
-            2_000_000
-        };
-        let models = [
+    /// The three sets of constants the cost sweeps run under.
+    fn swept_models() -> [PgLikeCost; 3] {
+        [
             PgLikeCost::new(),
             // Tuples dear, comparisons cheap: the boundary moves from 8 to
             // 2048 rows and sort-merge does win below it.
@@ -316,7 +332,20 @@ mod tests {
                     ..PgParams::default()
                 },
             },
-        ];
+        ]
+    }
+
+    /// Also the floor: every price of the sweep is at or above
+    /// `(a.cost + b.cost) + join_cost_floor(out_rows)`.
+    #[test]
+    fn fused_and_skipping_costs_are_bit_identical_to_the_three_way_min() {
+        // Release builds (CI's plan-smoke leg) run the full two million.
+        let cases = if cfg!(debug_assertions) {
+            100_000
+        } else {
+            2_000_000
+        };
+        let models = swept_models();
         let mut rng = Magnitudes(42);
         let (mut skipped, mut merge_won) = (0u64, 0u64);
         for case in 0..cases {
@@ -344,6 +373,14 @@ mod tests {
                 "{:?} a={a:?} b={b:?} out={out_rows}",
                 m.params
             );
+            let bound = (a.cost + b.cost) + m.join_cost_floor(out_rows);
+            for cost in [got.0, got.1, got.2 .0, got.2 .1] {
+                assert!(
+                    cost >= bound,
+                    "{cost} below the floor {bound}: {:?} a={a:?} b={b:?} out={out_rows}",
+                    m.params
+                );
+            }
             skipped += m.merge_dominated(a.rows, b.rows) as u64;
             merge_won += (m.join_algo(a, b, out_rows) == JoinAlgo::SortMerge) as u64;
         }
@@ -351,6 +388,63 @@ mod tests {
         // (so a skip that fired too often would have been caught).
         assert!(skipped > cases as u64 / 2 && skipped < cases as u64);
         assert!(merge_won > 0);
+    }
+
+    #[test]
+    fn the_floor_holds_off_the_finite_non_negative_range() {
+        // The sweep above draws finite non-negative magnitudes. Here: zero,
+        // negative, infinite and NaN row counts and output rows, and infinite
+        // input costs, under each of the sweep's constants. Wherever the
+        // contract applies (input rows ≥ 0, a bound that is a number above
+        // −∞) every price is at or above the bound.
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            7.0,
+            8.0,
+            1e6,
+            f64::INFINITY,
+            -1.0,
+            -1e6,
+            f64::NAN,
+        ];
+        let costs = [0.0, 3.5, 1e9, f64::INFINITY];
+        let mut checked = 0;
+        for m in &swept_models() {
+            for (a_cost, b_cost) in costs.iter().flat_map(|&x| costs.map(|y| (x, y))) {
+                for (a_rows, b_rows) in specials.iter().flat_map(|&x| specials.map(|y| (x, y))) {
+                    for out_rows in specials {
+                        let (a, b) = (est(a_cost, a_rows), est(b_cost, b_rows));
+                        let bound = (a.cost + b.cost) + m.join_cost_floor(out_rows);
+                        if !(a.rows >= 0.0 && b.rows >= 0.0 && bound > f64::NEG_INFINITY) {
+                            continue;
+                        }
+                        let both = m.join_cost_both(a, b, out_rows);
+                        for cost in [
+                            m.join_cost(a, b, out_rows),
+                            m.join_cost(b, a, out_rows),
+                            both.0,
+                            both.1,
+                        ] {
+                            assert!(
+                                cost >= bound,
+                                "{cost} below {bound}: {:?} a={a:?} b={b:?} out={out_rows}",
+                                m.params
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked}");
+        // The premise is needed: with a negative row count the nested loop's
+        // qualification term is negative and the price drops below the bound,
+        // which is why the DP kernel prunes only on non-negative inputs.
+        let m = PgLikeCost::new();
+        let (a, b) = (est(0.0, -1.0), est(0.0, 1e6));
+        assert!(m.join_cost(a, b, 1.0) < (a.cost + b.cost) + m.join_cost_floor(1.0));
     }
 
     #[test]

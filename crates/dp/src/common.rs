@@ -114,9 +114,12 @@ pub struct OptResult {
 /// first level, so no backend's table ever fills up. Generic over
 /// [`MemoStore`]: sequential backends instantiate the single-threaded
 /// [`mpdp_core::MemoTable`], the parallel and simulated-GPU backends the
-/// lock-free [`mpdp_core::AtomicMemo`].
+/// lock-free [`mpdp_core::AtomicMemo`]. This is where a store learns the
+/// query's relation count, and with it whether a set's bitmap can be its slot
+/// ([`mpdp_core::memo::Addressing`]).
 pub fn init_memo<M: MemoStore>(q: &QueryInfo, sets: usize) -> M {
-    let mut memo = M::with_capacity(q.query_size() + sets);
+    let n = q.query_size();
+    let mut memo = M::for_universe(n, n + sets);
     for (i, rel) in q.rels.iter().enumerate() {
         memo.insert_leaf(i, rel.rows, rel.cost);
     }
@@ -152,8 +155,13 @@ pub fn union_rows<M: MemoStore>(memo: &M, a: RelSet, b: RelSet) -> Result<f64, O
 
 /// Looks both sides of a split up — the part of `CreatePlan` that does not
 /// depend on the join order. `None` if either side has no memo entry yet.
+/// The first half of [`price_both`].
 #[inline]
-fn join_inputs<M: MemoStore>(memo: &M, a: RelSet, b: RelSet) -> Option<(InputEst, InputEst)> {
+pub(crate) fn join_inputs<M: MemoStore>(
+    memo: &M,
+    a: RelSet,
+    b: RelSet,
+) -> Option<(InputEst, InputEst)> {
     let est = |e: mpdp_core::MemoEntry| InputEst {
         cost: e.cost,
         rows: e.rows,
@@ -167,8 +175,10 @@ fn join_inputs<M: MemoStore>(memo: &M, a: RelSet, b: RelSet) -> Option<(InputEst
 /// callers read it off the level plan. Returns `None` if either side has no
 /// memo entry yet.
 ///
-/// This and [`price_both`] are the only costing the exact backends run;
-/// keeping it in one place is what makes costs bit-identical across them.
+/// This and [`price_both`] are the only costing the exact backends run (the
+/// MPDP set kernel does `price_both`'s two steps itself, with its floor check
+/// between them); keeping it in one place is what makes costs bit-identical
+/// across them.
 #[inline]
 pub fn price_pair<M: MemoStore>(
     memo: &M,

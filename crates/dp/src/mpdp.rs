@@ -15,7 +15,9 @@
 //! `mpdp-gpu` all call it and differ only in scheduling and in how they
 //! publish each set's winner. See `DESIGN.md` §4 "The MPDP set kernel".
 
-use crate::common::{finish, init_memo, level_plan, price_both, OptContext, OptResult};
+use crate::common::{
+    finish, init_memo, join_inputs, level_plan, OptContext, OptResult, PricedSplit,
+};
 use mpdp_core::blocks::{BlockFinder, BlockIndex};
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
@@ -59,7 +61,7 @@ pub struct SetOutcome {
 /// scratch (in place of a `find_blocks` per set), so a call allocates
 /// nothing; each worker owns one.
 ///
-/// Four things keep a set cheap, none of which changes a result:
+/// Five things keep a set cheap, none of which changes a result:
 ///
 /// * bridges of the whole graph split `S` by a precomputed mask, and block
 ///   finding runs only inside the graph's cyclic blocks ([`BlockIndex`]) — on
@@ -67,9 +69,13 @@ pub struct SetOutcome {
 /// * each block split is visited once, from the side holding the block's
 ///   lowest vertex, and stands for both Join-Pairs: `(lb, rb)` grows to
 ///   `(sl, S \ sl)` and `(rb, lb)` to exactly the mirrored `(S \ sl, sl)`;
-/// * both orders are priced by one `common::price_both`, from the set's
-///   cardinality, which the caller reads off the level plan: nothing about a
-///   split is derived that belongs to the set;
+/// * both orders are priced by one `join_cost_both`, as `common::price_both`
+///   does, from the set's cardinality, which the caller reads off the level
+///   plan: nothing about a split is derived that belongs to the set;
+/// * a split is not priced at all when its inputs plus the model's
+///   [`join_cost_floor`](CostModel::join_cost_floor) already exceed the best
+///   plan found for the set — it cannot win (it is still counted and still
+///   reaches the observer);
 /// * the set's candidates are reduced here and published once by the caller
 ///   (the paper's fused prune, §5).
 pub struct SetKernel<'a> {
@@ -107,19 +113,32 @@ impl<'a> SetKernel<'a> {
         let (model, g) = (self.model, &self.q.graph);
         let mut out = SetOutcome::default();
         let mut best_key = (u64::MAX, u64::MAX);
+        // What any join into `s` costs on top of its inputs, and the cost of
+        // the set's best plan so far.
+        let floor = model.join_cost_floor(rows);
+        let mut best_cost = f64::INFINITY;
         // Prices both orders of the CCP split `{left, s \ left}` and keeps
         // the set's running minimum.
         let mut consider = |left: RelSet, out: &mut SetOutcome| {
             let right = s.difference(left);
             debug_assert!(!left.is_empty() && !right.is_empty());
             out.ccp += 2;
-            let Some(priced) = price_both(memo, model, left, right, rows) else {
+            let Some((a, b)) = join_inputs(memo, left, right) else {
                 return;
             };
-            let (left, cost) = priced.better(left, right);
+            // Both orders cost at least the bound, so a bound above the best
+            // loses under `candidate_key` and is not priced. An `f64`
+            // comparison, so a NaN bound prunes nothing; the floor's contract
+            // covers non-negative row counts only.
+            if (a.cost + b.cost) + floor > best_cost && a.rows >= 0.0 && b.rows >= 0.0 {
+                return;
+            }
+            let (cost_ab, cost_ba) = model.join_cost_both(a, b, rows);
+            let (left, cost) = PricedSplit { cost_ab, cost_ba }.better(left, right);
             let key = candidate_key(cost, left);
             if key < best_key {
                 best_key = key;
+                best_cost = cost;
                 out.best = Some(MemoEntry {
                     set: s,
                     left,

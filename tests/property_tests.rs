@@ -8,14 +8,16 @@
 use mpdp::core::blocks::{find_blocks, BlockIndex};
 use mpdp::core::combinatorics::KSubsets;
 use mpdp::core::enumerate::ConnectedSets;
-use mpdp::core::memo::{MemoEntry, MemoHealth, MemoStore};
+use mpdp::core::memo::{MemoEntry, MemoHealth, MemoStore, MemoTable};
 use mpdp::core::{JoinGraph, QueryInfo};
-use mpdp::dp::mpdp::SetKernel;
+use mpdp::dp::mpdp::{SetKernel, SetOutcome};
 use mpdp::prelude::{DpCcp, DpSize, DpSub, LargeQuery, Mpdp, OptContext, RelSet};
-use mpdp_cost::{CoutCost, PgLikeCost};
+use mpdp_cost::{CostModel, CoutCost, InputEst, JoinAlgo, PgLikeCost};
+use mpdp_dp::common::init_memo;
 use mpdp_heuristics::{validate_large, Goo, LargeOptimizer, UnionDp};
 use mpdp_workload::gen;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Strategy: a connected random query with 2..=9 relations and 0..=6 extra
 /// (cycle-forming) edges.
@@ -140,7 +142,7 @@ fn a_chain_of_64_billion_row_relations_plans_to_a_finite_cost() {
 struct LookupLog(std::cell::RefCell<Vec<RelSet>>);
 
 impl MemoStore for LookupLog {
-    fn with_capacity(_: usize) -> Self {
+    fn for_universe(_: usize, _: usize) -> Self {
         Self::default()
     }
     fn len(&self) -> usize {
@@ -164,8 +166,126 @@ impl MemoStore for LookupLog {
     }
 }
 
+/// Forwards every pricing call to a model and counts the `join_cost_both`
+/// calls — the splits a kernel priced.
+struct Counted<'a>(&'a dyn CostModel, AtomicU64);
+
+impl CostModel for Counted<'_> {
+    fn join_cost(&self, l: InputEst, r: InputEst, out: f64) -> f64 {
+        self.0.join_cost(l, r, out)
+    }
+    fn join_cost_both(&self, a: InputEst, b: InputEst, out: f64) -> (f64, f64) {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.join_cost_both(a, b, out)
+    }
+    fn join_cost_floor(&self, out: f64) -> f64 {
+        self.0.join_cost_floor(out)
+    }
+    fn join_algo(&self, l: InputEst, r: InputEst, out: f64) -> JoinAlgo {
+        self.0.join_algo(l, r, out)
+    }
+    fn scan_cost(&self, rows: f64) -> f64 {
+        self.0.scan_cost(rows)
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+/// The same model with the trait's default floor (−∞): nothing is pruned.
+struct NoFloor<'a>(&'a dyn CostModel);
+
+impl CostModel for NoFloor<'_> {
+    fn join_cost(&self, l: InputEst, r: InputEst, out: f64) -> f64 {
+        self.0.join_cost(l, r, out)
+    }
+    fn join_cost_both(&self, a: InputEst, b: InputEst, out: f64) -> (f64, f64) {
+        self.0.join_cost_both(a, b, out)
+    }
+    fn join_algo(&self, l: InputEst, r: InputEst, out: f64) -> JoinAlgo {
+        self.0.join_algo(l, r, out)
+    }
+    fn scan_cost(&self, rows: f64) -> f64 {
+        self.0.scan_cost(rows)
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+/// Runs the MPDP level loop with two kernels over one memo — one under
+/// `model`, one under `NoFloor(model)` — and asserts that every set's
+/// [`SetOutcome`] is the same to the bit: best entry, `evaluated`, `ccp`.
+/// Returns how many splits each priced.
+fn assert_the_floor_changes_no_outcome(qi: &QueryInfo, model: &dyn CostModel) -> (u64, u64) {
+    let pruned = Counted(model, AtomicU64::new(0));
+    let full = Counted(&NoFloor(model), AtomicU64::new(0));
+    let index = BlockIndex::new(&qi.graph);
+    let (mut with, mut without) = (
+        SetKernel::new(qi, &pruned, &index),
+        SetKernel::new(qi, &full, &index),
+    );
+    let plan = ConnectedSets::enumerate(qi);
+    let n = qi.query_size();
+    let mut memo: MemoTable = init_memo(qi, plan.sets.len() - n);
+    let bits = |o: &SetOutcome| {
+        let best = o.best.map(|e| (e.left, e.cost.to_bits(), e.rows.to_bits()));
+        (o.evaluated, o.ccp, best)
+    };
+    for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(n) {
+        let a = with.evaluate(&memo, s, rows, &mut ());
+        let b = without.evaluate(&memo, s, rows, &mut ());
+        assert_eq!(bits(&a), bits(&b), "set {s} under {}", model.name());
+        let e = a.best.expect("every side is memoized");
+        memo.insert_if_better(s, e.left, e.cost, e.rows);
+    }
+    (pruned.1.into_inner(), full.1.into_inner())
+}
+
+/// `q`'s graph with every relation and every edge alike: 100 rows, free
+/// scans, selectivity 1/100. Under `CoutCost` every join then costs a whole
+/// number of rows and exact ties between splits are the rule.
+fn uniform(q: &LargeQuery) -> QueryInfo {
+    let mut u = LargeQuery::new(vec![mpdp::core::RelInfo::new(100.0, 0.0); q.rels.len()]);
+    for e in &q.edges {
+        u.add_edge(e.u as usize, e.v as usize, 0.01);
+    }
+    u.to_query_info().unwrap()
+}
+
+#[test]
+fn the_cost_floor_prunes_named_shapes_and_changes_nothing() {
+    let m = PgLikeCost::new();
+    let small = |q: LargeQuery| q.to_query_info().unwrap();
+    for (name, q) in [
+        ("star-12", gen::star(12, 1, &m)),
+        ("cycle-10", gen::cycle(10, 1, &m)),
+        ("clique-8", gen::clique(8, 1, &m)),
+    ] {
+        let (with, without) = assert_the_floor_changes_no_outcome(&small(q.clone()), &m);
+        assert!(with < without, "{name}: {with} of {without} priced");
+        assert_the_floor_changes_no_outcome(&uniform(&q), &CoutCost);
+    }
+    // A uniform star under C_out: every intermediate result has 100 rows, so
+    // every plan of a set costs the same — each split ties the best exactly
+    // at its bound, and none may be skipped.
+    let (with, without) =
+        assert_the_floor_changes_no_outcome(&uniform(&gen::star(12, 1, &m)), &CoutCost);
+    assert_eq!(with, without);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn the_cost_floor_changes_no_set_outcome(q in query_strategy()) {
+        // Random statistics under the PostgreSQL-like model, and the same
+        // graph with uniform statistics under C_out, where the bound is the
+        // cost itself and a split that ties the best must still be priced
+        // for the tie-break on `left`.
+        assert_the_floor_changes_no_outcome(&q.to_query_info().unwrap(), &PgLikeCost::new());
+        assert_the_floor_changes_no_outcome(&uniform(&q), &CoutCost);
+    }
 
     #[test]
     fn set_kernel_prices_exactly_the_old_loops_pairs(q in query_strategy()) {
