@@ -4,24 +4,26 @@
 //! table that every GPU lane updates in place with `atomicMin`: there are no
 //! per-worker plan buffers and no reduction pass — the table itself is the
 //! reduction. [`AtomicMemo`] is that structure for shared-memory CPUs (and
-//! for the simulated-GPU drivers, whose "device memory" it now is): an
-//! open-addressing table of `AtomicU64` slot pairs, claimed and updated with
-//! CAS loops, that many workers hammer concurrently while each key still
-//! converges to the exact `(cost, left)` minimum.
+//! for the simulated-GPU drivers, whose "device memory" it now is): a table
+//! laid out once from the level plan, whose records many workers then
+//! min-update with CAS loops concurrently while each set still converges to
+//! the exact `(cost, left)` minimum.
 //!
 //! ## Slot layout and the packed-CAS update
 //!
-//! Each slot is a pair of `AtomicU64`s:
+//! Each slot holds:
 //!
-//! * **key** — the relation-set bitmap, claimed once via
-//!   `CAS(0 → bits)` (linear probing on collision from the start slot
-//!   [`crate::memo::Addressing`] picks, the same probe sequence as
-//!   [`crate::memo::MemoTable`]);
-//! * **val** — a handle (index + 1) into an append-only candidate arena
-//!   whose records hold `(cost, left, rows)` and are immutable once
-//!   published.
+//! * **key** and **rows** — the relation-set bitmap and its cardinality,
+//!   written once by [`AtomicMemo::laid_out`] into the slot the set's
+//!   linear probe reaches from the start slot [`crate::memo::Addressing`]
+//!   picks (the same slots [`crate::memo::MemoTable`] lays the same plan out
+//!   in), single-threaded, before the table is shared. They are plain words:
+//!   nothing writes them again;
+//! * **val** — an `AtomicU64` handle (index + 1) into an append-only
+//!   candidate arena whose records hold `(cost, left)` and are immutable
+//!   once published; handle 0 reads as the unplanned `(∞, S)`.
 //!
-//! The winner per key must be the minimum under the 128-bit lexicographic
+//! The winner per set must be the minimum under the 128-bit lexicographic
 //! key `(cost-as-ordered-bits, left bitmap)` — see
 //! [`crate::memo::candidate_key`] — and 128 bits cannot be
 //! CAS'd at once on stable Rust. Splitting the pair across two words is
@@ -31,15 +33,15 @@
 //! bit-identity guarantee the equivalence tests enforce. The arena
 //! indirection solves this the way lock-free maps do: a candidate is
 //! published as one immutable record, and a single 64-bit CAS on the handle
-//! word atomically swings the slot from one *consistent* `(cost, left,
-//! rows)` triple to another. `f64` costs stay exact — no truncation into a
-//! packed word — so results are bit-identical to the sequential
+//! word atomically swings the slot from one *consistent* `(cost, left)` pair
+//! to another. `f64` costs stay exact — no truncation into a packed word —
+//! so results are bit-identical to the sequential
 //! [`crate::memo::MemoTable`].
 //!
 //! ## Memory ordering
 //!
-//! * Key claim is `AcqRel`: a claimed key happens-before any reader that
-//!   observes it; losers re-read with `Acquire`.
+//! * Keys and rows are written before the table is shared with any worker;
+//!   handing the `&AtomicMemo` to a thread publishes them.
 //! * Arena records are written *before* the handle CAS publishes them; the
 //!   CAS is `AcqRel` and handle loads are `Acquire`, so a reader that sees
 //!   handle `h` also sees the fully written record `h-1` (release/acquire
@@ -55,15 +57,14 @@
 //!
 //! ## What is lock-free here
 //!
-//! Claim, update and lookup are all CAS/fetch-add loops with no mutex and no
-//! waiting on other threads' progress: a failed CAS means another writer
-//! *succeeded*, so the system always advances. The one exception is arena
-//! segment creation (amortized `O(log n)` events per run): competing
-//! allocators race a CAS on the segment pointer and the losers free their
-//! allocation — still lock-free, just briefly wasteful. The table never
-//! grows: every backend counts its connected sets before the first level and
-//! creates the memo at that size ([`AtomicMemo::for_universe`]), and the
-//! claim loop panics rather than spins forever if it was given too few.
+//! Update and lookup are CAS/fetch-add loops with no mutex and no waiting on
+//! other threads' progress: a failed CAS means another writer *succeeded*,
+//! so the system always advances. The one exception is arena segment
+//! creation (amortized `O(log n)` events per run): competing allocators race
+//! a CAS on the segment pointer and the losers free their allocation — still
+//! lock-free, just briefly wasteful. The table never grows and no set enters
+//! it after the layout: a write names a laid-out slot, and a lookup of a set
+//! that was not laid out ends at a free slot.
 
 use crate::bitset::RelSet;
 use crate::memo::{candidate_key, ordered_cost_bits, Addressing, MemoEntry, MemoHealth, MemoStore};
@@ -75,7 +76,6 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 struct Candidate {
     cost: f64,
     left: u64,
-    rows: f64,
 }
 
 /// Interior-mutable candidate cell; sound because each arena index is handed
@@ -200,57 +200,87 @@ impl Drop for Arena {
 /// one `&AtomicMemo`; the [`MemoStore`] trait methods delegate to them.
 /// Capacity is fixed at creation.
 pub struct AtomicMemo {
-    keys: Box<[AtomicU64]>,
+    /// Each slot's set bitmap, 0 for a free slot; written by the layout only.
+    keys: Box<[u64]>,
+    /// Each slot's cardinality, beside its key and as immutable.
+    rows: Box<[f64]>,
+    /// Each slot's best candidate: an arena handle, 0 while unplanned.
     vals: Box<[AtomicU64]>,
     at: Addressing,
-    len: AtomicUsize,
+    /// `layout[k]` is the slot of the `k`-th set laid out: 4 bytes per set.
+    layout: Box<[u32]>,
+    /// `by_size[i]`: the layout's probe steps for the sets of `i` relations.
+    by_size: Box<[u64]>,
     probes: AtomicU64,
     cas_retries: AtomicU64,
     arena: Arena,
 }
 
 impl AtomicMemo {
-    /// Creates a table for `expected` entries (same ≤70% load policy as
-    /// [`crate::memo::MemoTable`]) — all it will ever hold. The candidate
-    /// arena starts at one record per entry, which is what a backend that
-    /// publishes each set once needs, and doubles from there. Keys may name
-    /// any relations (hashed addressing).
-    pub fn with_capacity(expected: usize) -> Self {
-        AtomicMemo::for_universe(64, expected)
-    }
-
-    /// [`with_capacity`](Self::with_capacity) for sets over the relations
-    /// `0..n`, addressed as [`Addressing::for_universe`] decides.
-    pub fn for_universe(n: usize, expected: usize) -> Self {
-        let at = Addressing::for_universe(n, expected);
+    /// See [`MemoStore::laid_out`]. The candidate arena starts at one record
+    /// per set, which is what a backend that publishes each set once needs,
+    /// and doubles from there.
+    pub fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
+        debug_assert_eq!(sets.len(), rows.len());
+        let at = Addressing::for_universe(n, sets.len());
+        let mut keys = vec![0u64; at.slots()].into_boxed_slice();
+        let mut slot_rows = vec![0.0; at.slots()].into_boxed_slice();
+        let mut by_size = vec![0u64; n + 1].into_boxed_slice();
+        let layout = sets
+            .iter()
+            .zip(rows)
+            .map(|(&set, &rows)| {
+                let (idx, steps) = at.probe(set.bits(), |i| keys[i]);
+                debug_assert!(!set.is_empty() && keys[idx] == 0, "{set} laid out twice");
+                keys[idx] = set.bits();
+                slot_rows[idx] = rows;
+                by_size[set.len()] += steps;
+                idx as u32
+            })
+            .collect();
         AtomicMemo {
-            keys: (0..at.slots()).map(|_| AtomicU64::new(0)).collect(),
+            keys,
+            rows: slot_rows,
             vals: (0..at.slots()).map(|_| AtomicU64::new(0)).collect(),
             at,
-            len: AtomicUsize::new(0),
-            probes: AtomicU64::new(0),
+            layout,
+            probes: AtomicU64::new(by_size.iter().sum()),
+            by_size,
             cas_retries: AtomicU64::new(0),
-            arena: Arena::new(expected),
+            arena: Arena::new(sets.len()),
         }
     }
 
-    /// Number of claimed entries.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+    /// See [`MemoStore::slot`].
+    #[inline]
+    pub fn slot(&self, k: usize) -> usize {
+        self.layout[k] as usize
     }
 
-    /// `true` if no entry is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// See [`MemoStore::find`].
+    #[inline]
+    pub fn find(&self, set: RelSet) -> (usize, f64) {
+        let (slot, steps) = self.at.probe(set.bits(), |i| self.keys[i]);
+        self.probes.fetch_add(steps, Ordering::Relaxed);
+        assert!(self.keys[slot] != 0, "{set} was not laid out");
+        (slot, self.rows[slot])
     }
 
-    /// Cumulative insert-path probe steps (diagnostics).
+    /// Probe steps the layout took for the sets of `size` relations — what
+    /// a level's sets cost to place, which is all the probing a driver that
+    /// writes by slot does for them.
+    pub fn layout_probes(&self, size: usize) -> u64 {
+        self.by_size[size]
+    }
+
+    /// Cumulative probe steps of the layout and of [`find`](Self::find)
+    /// (diagnostics).
     pub fn probe_count(&self) -> u64 {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Cumulative CAS retries across claim and update loops (diagnostics;
-    /// 0 in any single-threaded run).
+    /// Cumulative CAS retries of the update loop (diagnostics; 0 in any
+    /// single-threaded run).
     pub fn cas_retry_count(&self) -> u64 {
         self.cas_retries.load(Ordering::Relaxed)
     }
@@ -258,78 +288,65 @@ impl AtomicMemo {
     /// Point-in-time health metrics.
     pub fn health(&self) -> MemoHealth {
         MemoHealth {
-            entries: self.len(),
+            entries: self.layout.len(),
             slots: self.keys.len(),
             probes: self.probe_count(),
             cas_retries: self.cas_retry_count(),
         }
     }
 
-    /// Looks up the best entry for `set`. Safe concurrently with writers,
-    /// but the backends only read keys whose level is already quiescent
-    /// (previous DP levels); a key claimed but not yet published reads as
-    /// absent.
-    pub fn get(&self, set: RelSet) -> Option<MemoEntry> {
-        if set.is_empty() {
-            return None;
-        }
-        let bits = set.bits();
-        let mut idx = self.at.home(bits);
-        loop {
-            let k = self.keys[idx].load(Ordering::Acquire);
-            if k == 0 {
-                return None;
+    /// The `(cost, left)` that `handle` names in `slot`.
+    #[inline]
+    fn candidate(&self, slot: usize, handle: u64) -> (f64, u64) {
+        match handle {
+            0 => (f64::INFINITY, self.keys[slot]),
+            h => {
+                let c = self.arena.read(h as usize - 1);
+                (c.cost, c.left)
             }
-            if k == bits {
-                let handle = self.vals[idx].load(Ordering::Acquire);
-                if handle == 0 {
-                    return None;
-                }
-                let c = self.arena.read(handle as usize - 1);
-                return Some(MemoEntry {
-                    set,
-                    left: RelSet(c.left),
-                    cost: c.cost,
-                    rows: c.rows,
-                });
-            }
-            idx = self.at.next(idx);
         }
     }
 
-    /// Inserts a leaf entry for a base relation (init-time; single writer
-    /// per relation, but safe concurrently regardless).
-    pub fn insert_leaf(&self, rel: usize, rows: f64, cost: f64) {
-        self.insert_if_better(RelSet::singleton(rel), RelSet::empty(), cost, rows);
+    /// Looks up the best entry for `set`. Safe concurrently with writers,
+    /// but the backends only read sets whose level is already quiescent
+    /// (previous DP levels).
+    #[inline]
+    pub fn get(&self, set: RelSet) -> Option<MemoEntry> {
+        let (slot, _) = self.at.probe(set.bits(), |i| self.keys[i]);
+        (self.keys[slot] != 0).then(|| {
+            let (cost, left) = self.candidate(slot, self.vals[slot].load(Ordering::Acquire));
+            MemoEntry {
+                set,
+                left: RelSet(left),
+                cost,
+                rows: self.rows[slot],
+            }
+        })
     }
 
     /// The paper's `atomicMin` on the global table: records the candidate
-    /// for `set` iff its `(cost, left)` [`candidate_key`] beats the
-    /// incumbent's, with a CAS loop resolving races. Any number of threads
-    /// may call this for the same key; the slot converges to the exact
+    /// for the set in `slot` iff its `(cost, left)` [`candidate_key`] beats
+    /// the incumbent's, with a CAS loop resolving races. Any number of
+    /// threads may call this for the same slot; it converges to the exact
     /// minimum regardless of interleaving. Returns `true` if the candidate
     /// became (transiently, at its linearization point) the best.
-    pub fn insert_if_better(&self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool {
-        debug_assert!(!set.is_empty() && left.is_subset(set));
-        let slot = self.claim(set.bits());
-        let my_key = candidate_key(cost, left);
+    pub fn update(&self, slot: usize, left: RelSet, cost: f64) -> bool {
+        debug_assert!(left.is_subset(RelSet(self.keys[slot])));
+        let mine = candidate_key(cost, left);
         let val = &self.vals[slot];
         let mut published: Option<u64> = None;
         let mut cur = val.load(Ordering::Acquire);
         loop {
-            if cur != 0 {
-                let inc = self.arena.read(cur as usize - 1);
-                if (ordered_cost_bits(inc.cost), inc.left) <= my_key {
-                    return false;
-                }
+            let (inc_cost, inc_left) = self.candidate(slot, cur);
+            if (ordered_cost_bits(inc_cost), inc_left) <= mine {
+                return false;
             }
             let handle = *published.get_or_insert_with(|| {
-                self.arena.publish(Candidate {
+                let c = Candidate {
                     cost,
                     left: left.bits(),
-                    rows,
-                }) as u64
-                    + 1
+                };
+                self.arena.publish(c) as u64 + 1
             });
             match val.compare_exchange_weak(cur, handle, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return true,
@@ -340,98 +357,35 @@ impl AtomicMemo {
             }
         }
     }
-
-    /// Finds the slot index for `bits`, claiming an empty slot if the key is
-    /// new. Panics (rather than spinning forever) if the table is full —
-    /// backends create it with room for every set.
-    fn claim(&self, bits: u64) -> usize {
-        debug_assert_ne!(bits, 0);
-        let mut idx = self.at.home(bits);
-        let mut steps = 0usize;
-        loop {
-            self.probes.fetch_add(1, Ordering::Relaxed);
-            let k = self.keys[idx].load(Ordering::Acquire);
-            if k == bits {
-                return idx;
-            }
-            if k == 0 {
-                match self.keys[idx].compare_exchange(0, bits, Ordering::AcqRel, Ordering::Acquire)
-                {
-                    Ok(_) => {
-                        self.len.fetch_add(1, Ordering::AcqRel);
-                        return idx;
-                    }
-                    Err(winner) => {
-                        self.cas_retries.fetch_add(1, Ordering::Relaxed);
-                        if winner == bits {
-                            return idx;
-                        }
-                        // Another key took this slot; keep probing.
-                    }
-                }
-            }
-            idx = self.at.next(idx);
-            steps += 1;
-            assert!(
-                steps < self.keys.len(),
-                "AtomicMemo full: with_capacity() must cover every set the run inserts"
-            );
-        }
-    }
-
-    /// Iterates over all published entries (arbitrary order). Intended for
-    /// quiescent states (after the run, or between barriers).
-    pub fn iter(&self) -> impl Iterator<Item = MemoEntry> + '_ {
-        self.keys
-            .iter()
-            .zip(self.vals.iter())
-            .filter_map(move |(k, v)| {
-                let bits = k.load(Ordering::Acquire);
-                let handle = v.load(Ordering::Acquire);
-                if bits == 0 || handle == 0 {
-                    return None;
-                }
-                let c = self.arena.read(handle as usize - 1);
-                Some(MemoEntry {
-                    set: RelSet(bits),
-                    left: RelSet(c.left),
-                    cost: c.cost,
-                    rows: c.rows,
-                })
-            })
-    }
 }
 
 impl std::fmt::Debug for AtomicMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AtomicMemo")
-            .field("entries", &self.len())
-            .field("slots", &self.keys.len())
-            .field("probes", &self.probe_count())
-            .field("cas_retries", &self.cas_retry_count())
+            .field("health", &self.health())
             .finish()
     }
 }
 
 impl MemoStore for AtomicMemo {
-    fn for_universe(n: usize, expected: usize) -> Self {
-        AtomicMemo::for_universe(n, expected)
+    fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
+        AtomicMemo::laid_out(n, sets, rows)
     }
 
-    fn len(&self) -> usize {
-        AtomicMemo::len(self)
+    fn slot(&self, k: usize) -> usize {
+        AtomicMemo::slot(self, k)
+    }
+
+    fn find(&self, set: RelSet) -> (usize, f64) {
+        AtomicMemo::find(self, set)
     }
 
     fn get(&self, set: RelSet) -> Option<MemoEntry> {
         AtomicMemo::get(self, set)
     }
 
-    fn insert_leaf(&mut self, rel: usize, rows: f64, cost: f64) {
-        AtomicMemo::insert_leaf(self, rel, rows, cost)
-    }
-
-    fn insert_if_better(&mut self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool {
-        AtomicMemo::insert_if_better(self, set, left, cost, rows)
+    fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool {
+        AtomicMemo::update(self, slot, left, cost)
     }
 
     fn health(&self) -> MemoHealth {
@@ -444,24 +398,61 @@ mod tests {
     use super::*;
     use crate::memo::{murmur3_fmix64, slots_for, MemoTable};
 
+    /// The sets `1..=count` (as bitmaps), each of one row.
+    fn numbered(count: u64) -> (Vec<RelSet>, Vec<f64>) {
+        ((1..=count).map(RelSet).collect(), vec![1.0; count as usize])
+    }
+
     #[test]
-    fn insert_get_roundtrip() {
-        let m = AtomicMemo::with_capacity(4);
-        m.insert_leaf(3, 100.0, 7.0);
-        let e = m.get(RelSet::singleton(3)).unwrap();
-        assert!(e.is_leaf());
-        assert_eq!(e.rows, 100.0);
-        assert_eq!(e.cost, 7.0);
+    fn a_laid_out_set_reads_unplanned_until_a_candidate_replaces_it() {
+        let s = RelSet::from_indices([0, 1]);
+        let sets = [RelSet::singleton(0), RelSet::singleton(1), s];
+        let m = AtomicMemo::laid_out(2, &sets, &[100.0, 200.0, 5.0]);
+        for (k, &set) in sets.iter().enumerate() {
+            let e = m.get(set).unwrap();
+            assert_eq!(
+                (e.left, e.cost, e.right()),
+                (set, f64::INFINITY, RelSet::EMPTY)
+            );
+            assert_eq!(m.find(set), (m.slot(k), e.rows));
+        }
+        assert!(m.update(m.slot(0), RelSet::EMPTY, 7.0));
+        assert!(m.update(m.slot(2), RelSet::singleton(1), f64::INFINITY));
+        let (leaf, join) = (m.get(sets[0]).unwrap(), m.get(s).unwrap());
+        assert!(leaf.is_leaf() && leaf.cost == 7.0 && leaf.rows == 100.0);
+        assert_eq!(
+            (join.left, join.right(), join.rows),
+            (sets[1], sets[0], 5.0)
+        );
         assert!(m.get(RelSet::singleton(2)).is_none());
-        assert!(m.get(RelSet::empty()).is_none());
-        assert_eq!(m.len(), 1);
+        assert!(m.get(RelSet::EMPTY).is_none());
+        assert_eq!(m.health().entries, 3);
+    }
+
+    #[test]
+    fn writing_a_set_that_was_not_laid_out_panics() {
+        let (sets, rows) = numbered(100);
+        let m = AtomicMemo::laid_out(64, &sets, &rows);
+        assert_eq!(m.health().slots, slots_for(100));
+        for (k, set) in sets.iter().enumerate() {
+            m.update(m.slot(k), set.lowest_bit(), k as f64);
+        }
+        for (k, set) in sets.iter().enumerate() {
+            assert_eq!(m.get(*set).unwrap().cost, k as f64);
+        }
+        let absent = std::panic::catch_unwind(|| m.find(RelSet(101)));
+        let message = *absent
+            .expect_err("no slot to name")
+            .downcast::<String>()
+            .unwrap();
+        assert!(message.contains("was not laid out"), "{message}");
     }
 
     #[test]
     fn keeps_minimum_and_breaks_ties_like_memo_table() {
-        let a = AtomicMemo::with_capacity(8);
-        let mut t = MemoTable::with_capacity(8);
         let s = RelSet::from_indices([0, 1, 2]);
+        let a = AtomicMemo::laid_out(3, &[s], &[1.0]);
+        let mut t = MemoTable::laid_out(3, &[s], &[1.0]);
         let candidates = [
             (RelSet::from_indices([1, 2]), 10.0),
             (RelSet::singleton(0), 8.0),
@@ -470,34 +461,14 @@ mod tests {
         ];
         for &(left, cost) in &candidates {
             assert_eq!(
-                a.insert_if_better(s, left, cost, 1.0),
-                t.insert_if_better(s, left, cost, 1.0)
+                a.update(a.slot(0), left, cost),
+                t.update(t.slot(0), left, cost)
             );
         }
         let (ea, et) = (a.get(s).unwrap(), t.get(s).unwrap());
         assert_eq!(ea.left, et.left);
         assert_eq!(ea.cost.to_bits(), et.cost.to_bits());
         assert_eq!(ea.left, RelSet::singleton(0));
-    }
-
-    #[test]
-    fn with_capacity_holds_its_entries_and_panics_past_the_table() {
-        let m = AtomicMemo::with_capacity(100);
-        assert_eq!(m.health().slots, slots_for(100));
-        for i in 0..100u64 {
-            m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), i as f64, 1.0);
-        }
-        assert_eq!((m.len(), m.iter().count()), (100, 100));
-        for i in 0..100u64 {
-            assert_eq!(m.get(RelSet(i + 1)).unwrap().cost, i as f64);
-        }
-        let full = std::panic::catch_unwind(|| {
-            let m = AtomicMemo::with_capacity(4);
-            for i in 0..=slots_for(4) as u64 {
-                m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), 1.0, 1.0);
-            }
-        });
-        assert!(full.is_err(), "a full table panics instead of spinning");
     }
 
     #[test]
@@ -508,7 +479,6 @@ mod tests {
             let id = arena.publish(Candidate {
                 cost: i as f64,
                 left: i,
-                rows: 0.0,
             });
             assert!(seen.insert(id));
         }
@@ -541,63 +511,68 @@ mod tests {
 
     #[test]
     fn concurrent_hammer_converges_to_exact_minimum() {
-        // 8 threads race interleaved insert_if_better calls over a shared
-        // key space, including exact-cost ties; the table must converge to
-        // the same (cost, left) the sequential table computes — under either
+        // 8 threads race interleaved updates over a shared, laid-out key
+        // space, including exact-cost ties; the table must converge to the
+        // same (cost, left) the sequential table computes — under either
         // addressing: 64 entries get 128 = 2⁷ slots, so a table over the
-        // seven relations the keys name is direct.
-        let mut expect = MemoTable::with_capacity(KEYS as usize);
+        // seven relations the keys name is direct. Key `k` is plan position
+        // `k - 1`.
+        let (sets, rows) = numbered(KEYS);
+        let mut expect = MemoTable::laid_out(64, &sets, &rows);
         for t in 0..THREADS {
             for (key, left, cost) in candidates(t) {
-                expect.insert_if_better(key, left, cost, 1.0);
+                expect.update(expect.slot(key.bits() as usize - 1), left, cost);
             }
         }
         for universe in [64, 7] {
-            let memo = &AtomicMemo::for_universe(universe, KEYS as usize);
+            let memo = &AtomicMemo::laid_out(universe, &sets, &rows);
             assert_eq!(memo.at.is_direct(), universe == 7);
             std::thread::scope(|scope| {
                 for t in 0..THREADS {
                     scope.spawn(move || {
                         for (key, left, cost) in candidates(t) {
-                            memo.insert_if_better(key, left, cost, 1.0);
+                            memo.update(memo.slot(key.bits() as usize - 1), left, cost);
                         }
                     });
                 }
             });
-            assert_eq!(memo.len(), expect.len());
-            for e in expect.iter() {
-                let got = memo.get(e.set).unwrap();
-                assert_eq!(got.cost.to_bits(), e.cost.to_bits(), "key {}", e.set);
-                assert_eq!(got.left, e.left, "key {}", e.set);
+            for &set in &sets {
+                let (got, want) = (memo.get(set).unwrap(), expect.get(set).unwrap());
+                assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "key {set}");
+                assert_eq!(got.left, want.left, "key {set}");
             }
         }
     }
 
     #[test]
-    fn a_fitting_universe_takes_one_probe_per_insert_and_lookup() {
-        // Single-threaded replay of the hammer's streams into a direct
-        // table: every insert is one probe, every key sits in the slot its
-        // bitmap names (so a lookup reads that one slot), and the entries
-        // are the hashed sequential table's.
-        let memo = AtomicMemo::for_universe(7, KEYS as usize);
-        let mut hashed = MemoTable::with_capacity(KEYS as usize);
-        let mut inserts = 0;
+    fn a_fitting_universe_takes_one_probe_per_set_and_lookup() {
+        // The hammer's streams, single-threaded, into a direct table: the
+        // layout and every find are one probe each, every key sits in the
+        // slot its bitmap names (so a lookup reads that one slot), and the
+        // entries are the hashed sequential table's.
+        let (sets, rows) = numbered(KEYS);
+        let memo = AtomicMemo::laid_out(7, &sets, &rows);
+        let mut hashed = MemoTable::laid_out(64, &sets, &rows);
+        assert_eq!(memo.probe_count(), KEYS);
+        assert_eq!((1..=7).map(|i| memo.layout_probes(i)).sum::<u64>(), KEYS);
+        let mut finds = KEYS;
         for t in 0..THREADS {
             for (key, left, cost) in candidates(t) {
-                memo.insert_if_better(key, left, cost, 1.0);
-                hashed.insert_if_better(key, left, cost, 1.0);
-                inserts += 1;
+                memo.update(memo.find(key).0, left, cost);
+                hashed.update(hashed.find(key).0, left, cost);
+                finds += 1;
             }
         }
-        assert_eq!((memo.probe_count(), memo.cas_retry_count()), (inserts, 0));
-        for (slot, key) in memo.keys.iter().enumerate() {
-            let key = key.load(Ordering::Relaxed);
+        assert_eq!((memo.probe_count(), memo.cas_retry_count()), (finds, 0));
+        for (slot, &key) in memo.keys.iter().enumerate() {
             assert!(key == 0 || key == slot as u64, "{key} in slot {slot}");
         }
-        assert_eq!(memo.len(), hashed.len());
-        for e in hashed.iter() {
-            let got = memo.get(e.set).unwrap();
-            assert_eq!((got.left, got.cost.to_bits()), (e.left, e.cost.to_bits()));
+        for &set in &sets {
+            let (got, want) = (memo.get(set).unwrap(), hashed.get(set).unwrap());
+            assert_eq!(
+                (got.left, got.cost.to_bits()),
+                (want.left, want.cost.to_bits())
+            );
         }
     }
 
@@ -605,39 +580,18 @@ mod tests {
     fn an_unfitting_universe_hashes_as_before() {
         // Eight relations do not fit 128 slots: the home slot is Murmur3's,
         // exactly as for a table over any relations.
-        let memo = AtomicMemo::for_universe(8, KEYS as usize);
+        let (sets, rows) = numbered(KEYS);
+        let memo = AtomicMemo::laid_out(8, &sets, &rows);
         assert_eq!(memo.at, Addressing::for_universe(64, KEYS as usize));
         assert!(!memo.at.is_direct());
-        for k in 1..=KEYS {
-            memo.insert_if_better(RelSet(k), RelSet(k).lowest_bit(), 1.0, 1.0);
-        }
         let mask = memo.keys.len() - 1;
         for k in 1..=KEYS {
             let mut idx = murmur3_fmix64(k) as usize & mask;
-            while memo.keys[idx].load(Ordering::Relaxed) != k {
-                assert_ne!(memo.keys[idx].load(Ordering::Relaxed), 0, "key {k}");
+            while memo.keys[idx] != k {
+                assert_ne!(memo.keys[idx], 0, "key {k}");
                 idx = (idx + 1) & mask;
             }
-        }
-    }
-
-    #[test]
-    fn claim_collisions_across_distinct_keys() {
-        // Distinct keys racing for the same probe chain must all land.
-        let memo = &AtomicMemo::with_capacity(512);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                scope.spawn(move || {
-                    for i in 0..128u64 {
-                        let key = RelSet(t * 128 + i + 1);
-                        memo.insert_if_better(key, key.lowest_bit(), i as f64, 2.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(memo.len(), 512);
-        for k in 1..=512u64 {
-            assert!(memo.get(RelSet(k)).is_some(), "key {k}");
+            assert_eq!(idx, memo.slot(k as usize - 1));
         }
     }
 }

@@ -12,6 +12,19 @@
 //! slot is the Murmur3 finalizer of the bitmap, as in the paper. Both use the
 //! same slot count, so the choice never costs memory.
 //!
+//! Every exact backend knows every connected set, with its cardinality,
+//! before it prices the first split (the level plan,
+//! [`ConnectedSets`](crate::enumerate::ConnectedSets)). So a memo is *laid
+//! out* once from that plan ([`MemoStore::laid_out`]): each set's key and
+//! cardinality are written into the slot its probe reaches, single-threaded,
+//! before any worker exists, and never move again. A laid-out set reads as
+//! *unplanned* — infinite cost, the whole set as its left side — until a
+//! candidate replaces it. Every write then names its slot
+//! ([`MemoStore::update`]): a level-synchronous driver takes it from the
+//! layout by plan position ([`MemoStore::slot`]), a driver that meets a set
+//! as the union of a pair from its one lookup of that union
+//! ([`MemoStore::find`]), which also yields the set's cardinality.
+//!
 //! Each entry stores the best plan found so far for a set `S`: its cost, its
 //! (split-invariant) output cardinality and the left side of the winning
 //! split. The right side is implicit (`S \ left`), which keeps an entry at 32
@@ -22,12 +35,13 @@
 //! single-threaded [`MemoTable`] and the lock-free
 //! [`AtomicMemo`](crate::atomic_memo::AtomicMemo) that the parallel backends
 //! update in place (the CPU analogue of the paper's global hash table with
-//! `atomicMin`). Both break best-plan ties on `(cost, left.bits())` so the
-//! winning split is a pure function of the candidate *set*, never of the
-//! order — sequential, thread-interleaved or simulated-SIMT — in which
-//! candidates arrive.
+//! `atomicMin`). Both lay a plan out into the same slots and break best-plan
+//! ties on `(cost, left.bits())`, so the winning split is a pure function of
+//! the candidate *set*, never of the order — sequential, thread-interleaved
+//! or simulated-SIMT — in which candidates arrive.
 
 use crate::bitset::RelSet;
+use std::cell::Cell;
 
 /// Murmur3 64-bit finalizer — the hash the paper uses for its GPU memo.
 #[inline]
@@ -63,6 +77,10 @@ pub fn ordered_cost_bits(cost: f64) -> u64 {
 /// [`AtomicMemo`](crate::atomic_memo::AtomicMemo) — use this exact key, which
 /// is what makes plans bit-identical across backends and worker counts even
 /// on exact cost ties.
+///
+/// A laid-out set that no candidate has replaced yet holds `(∞, S)`, which
+/// loses to every real candidate: a split's left side is a proper subset of
+/// `S`, hence a smaller bitmap, and a leaf's is empty.
 #[inline]
 pub fn candidate_key(cost: f64, left: RelSet) -> (u64, u64) {
     (ordered_cost_bits(cost), left.bits())
@@ -70,7 +88,7 @@ pub fn candidate_key(cost: f64, left: RelSet) -> (u64, u64) {
 
 /// Slots an open-addressing memo allocates to hold `entries` at no more than
 /// 70 % load (a power of two, at least 16) — the one sizing rule of both
-/// stores, and the bound past which [`MemoTable`] refuses a new entry.
+/// stores.
 #[inline]
 pub fn slots_for(entries: usize) -> usize {
     ((entries + 1) * 10 / 7 + 1).next_power_of_two().max(16)
@@ -90,10 +108,10 @@ impl Addressing {
     /// the `entries` the table is created for. The table gets
     /// [`slots_for`]`(entries)` slots either way. If that is at least `2ⁿ`,
     /// every subset of the `n` relations has a slot of its own and a set's
-    /// bitmap is its home slot: the map is injective, so every lookup and
-    /// insert hits on its first probe, and a level's ascending sets land in
-    /// ascending slots. Otherwise the home slot is the Murmur3 finalizer of
-    /// the bitmap. `n = 64` (any set) always hashes.
+    /// bitmap is its home slot: the map is injective, so every probe ends at
+    /// its first slot, and a level's ascending sets land in ascending slots.
+    /// Otherwise the home slot is the Murmur3 finalizer of the bitmap.
+    /// `n = 64` (any set) always hashes.
     pub fn for_universe(n: usize, entries: usize) -> Self {
         let slots = slots_for(entries);
         Addressing {
@@ -127,10 +145,21 @@ impl Addressing {
         h as usize & self.mask
     }
 
-    /// The slot after `idx` in the linear probe.
+    /// Walks the linear probe of the set `bits` — `key(slot)` reads a slot's
+    /// key, 0 for a free slot — to the first slot that holds `bits` or is
+    /// free, and returns it with the number of slots read. The walk ends
+    /// because a table is at most 70 % full.
     #[inline]
-    pub fn next(self, idx: usize) -> usize {
-        (idx + 1) & self.mask
+    pub fn probe(self, bits: u64, key: impl Fn(usize) -> u64) -> (usize, u64) {
+        let (mut idx, mut steps) = (self.home(bits), 1);
+        loop {
+            let k = key(idx);
+            if k == bits || k == 0 {
+                return (idx, steps);
+            }
+            idx = (idx + 1) & self.mask;
+            steps += 1;
+        }
     }
 }
 
@@ -138,11 +167,12 @@ impl Addressing {
 /// bench reports; none of these feed back into planning).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoHealth {
-    /// Occupied entries.
+    /// Laid-out entries: every set of the level plan.
     pub entries: usize,
     /// Total slots (open-addressing capacity).
     pub slots: usize,
-    /// Cumulative linear-probe steps taken by inserts.
+    /// Cumulative linear-probe steps taken by the layout and by
+    /// [`MemoStore::find`].
     pub probes: u64,
     /// Cumulative CAS retries (always 0 for the single-threaded table).
     pub cas_retries: u64,
@@ -159,9 +189,9 @@ impl MemoHealth {
     }
 }
 
-/// The interface every DP backend's memo speaks: creation at a known size,
-/// leaf loading, best-plan lookup and the Algorithm-1 `insert_if_better`
-/// update. Implemented by the single-threaded [`MemoTable`] and the
+/// The interface every DP backend's memo speaks: one layout from the level
+/// plan, a slot per set, best-plan lookup and the Algorithm-1 best-plan
+/// update by slot. Implemented by the single-threaded [`MemoTable`] and the
 /// lock-free [`AtomicMemo`](crate::atomic_memo::AtomicMemo); `mpdp-dp`'s
 /// shared plumbing (`init_memo` / `emit_pair` / `finish` /
 /// [`extract_plan`](crate::plan::extract_plan)) is generic over it, so the
@@ -172,33 +202,29 @@ impl MemoHealth {
 /// operations through `&self` for concurrent workers (the trait methods
 /// simply delegate).
 pub trait MemoStore {
-    /// Creates a store that takes `expected` entries, each a set over the
-    /// relations `0..n`, without re-hashing (at most 70 % full, see
-    /// [`slots_for`]; addressed as [`Addressing::for_universe`] decides).
-    fn for_universe(n: usize, expected: usize) -> Self
+    /// Lays out a store for the sets `sets` over the relations `0..n`, each
+    /// with its cardinality `rows[k]` and reading as unplanned, in
+    /// [`slots_for`]`(sets.len())` slots addressed as
+    /// [`Addressing::for_universe`] decides. No set may appear twice.
+    fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self
     where
         Self: Sized;
 
-    /// Number of entries.
-    fn len(&self) -> usize;
+    /// The slot `sets[k]` was laid out in.
+    fn slot(&self, k: usize) -> usize;
 
-    /// `true` if no entry is stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    /// The slot of the laid-out `set` and its cardinality, found by its
+    /// probe. Panics if `set` was not laid out: no write can name it.
+    fn find(&self, set: RelSet) -> (usize, f64);
 
-    /// Looks up the best entry for `set`.
+    /// Looks up the best entry for `set`; `None` if it was not laid out.
     fn get(&self, set: RelSet) -> Option<MemoEntry>;
 
-    /// Inserts a leaf entry for a base relation.
-    fn insert_leaf(&mut self, rel: usize, rows: f64, cost: f64);
-
-    /// Records a candidate plan for `set`, keeping it only if its
-    /// [`candidate_key`] beats the incumbent's. Returns `true` if the
-    /// candidate became the new best. `rows` is the cardinality of `set` —
-    /// a property of the set, so every candidate for it must carry the same
-    /// value (the exact backends read it off their level plan).
-    fn insert_if_better(&mut self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool;
+    /// Records a candidate plan — split `left`, total `cost` — for the set
+    /// in `slot`, keeping it only if its [`candidate_key`] beats the
+    /// incumbent's (Algorithm 1, lines 20–21). Returns `true` if the
+    /// candidate became the new best.
+    fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool;
 
     /// Current health metrics.
     fn health(&self) -> MemoHealth;
@@ -209,16 +235,18 @@ pub trait MemoStore {
 pub struct MemoEntry {
     /// The relation set (never empty for occupied slots).
     pub set: RelSet,
-    /// Left side of the best split; `RelSet::EMPTY` marks a leaf (base rel).
+    /// Left side of the best split; `RelSet::EMPTY` marks a leaf (base rel),
+    /// `set` itself a set not planned yet.
     pub left: RelSet,
-    /// Total cost of the best plan for `set`.
+    /// Total cost of the best plan for `set` (∞ while unplanned).
     pub cost: f64,
     /// Estimated output rows of `set` (identical for all plans of `set`).
     pub rows: f64,
 }
 
 impl MemoEntry {
-    /// The right side of the best split (empty for leaves).
+    /// The right side of the best split (empty for leaves and unplanned
+    /// sets).
     #[inline]
     pub fn right(&self) -> RelSet {
         self.set.difference(self.left)
@@ -236,14 +264,15 @@ impl MemoEntry {
 pub struct MemoTable {
     slots: Vec<Slot>,
     at: Addressing,
-    len: usize,
-    /// Number of probe steps performed (useful for the GPU memory model).
-    probes: u64,
+    /// `layout[k]` is the slot of the `k`-th set laid out: 4 bytes per set.
+    layout: Box<[u32]>,
+    /// Probe steps taken by the layout and by `find` (diagnostics).
+    probes: Cell<u64>,
 }
 
 #[derive(Copy, Clone, Debug)]
 struct Slot {
-    key: u64, // 0 = empty (the empty set is never memoized)
+    key: u64, // 0 = free (the empty set is never memoized)
     left: u64,
     cost: f64,
     rows: f64,
@@ -257,180 +286,127 @@ const EMPTY_SLOT: Slot = Slot {
 };
 
 impl MemoTable {
-    /// Creates a table that takes `expected` entries over any relations
-    /// (hashed); it never grows.
-    pub fn with_capacity(expected: usize) -> Self {
-        MemoTable::for_universe(64, expected)
-    }
-
-    /// Creates a table that takes `expected` sets over the relations `0..n`;
-    /// it never grows.
-    pub fn for_universe(n: usize, expected: usize) -> Self {
-        let at = Addressing::for_universe(n, expected);
-        MemoTable {
-            slots: vec![EMPTY_SLOT; at.slots()],
-            at,
-            len: 0,
-            probes: 0,
-        }
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no entry is stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total linear-probe steps taken so far (diagnostics).
-    #[inline]
-    pub fn probe_count(&self) -> u64 {
-        self.probes
-    }
-
-    /// Counts the entry an insert just put into an empty slot — the one
-    /// place `len` rises. Panics past 70 % load, i.e. on a caller that inserts
-    /// more sets than it announced (no optimizer does: each creates its memo
-    /// for every set its level plan counted); a linear-probe table allowed to
-    /// fill up would never end the probe for an absent key.
-    #[inline]
-    fn count_new_entry(&mut self) {
-        self.len += 1;
-        assert!(
-            self.len * 10 <= self.slots.len() * 7,
-            "MemoTable full: with_capacity() must cover every set the run inserts"
-        );
-    }
-
-    /// Looks up the best entry for `set`.
-    pub fn get(&self, set: RelSet) -> Option<MemoEntry> {
-        if set.is_empty() {
-            return None;
-        }
-        let mut idx = self.at.home(set.bits());
-        loop {
-            let s = self.slots[idx];
-            if s.key == 0 {
-                return None;
-            }
-            if s.key == set.bits() {
-                return Some(MemoEntry {
-                    set,
-                    left: RelSet(s.left),
-                    cost: s.cost,
-                    rows: s.rows,
-                });
-            }
-            idx = self.at.next(idx);
-        }
-    }
-
-    /// Inserts a leaf entry for a base relation.
-    pub fn insert_leaf(&mut self, rel: usize, rows: f64, cost: f64) {
-        let leaf = Slot {
-            key: RelSet::singleton(rel).bits(),
-            left: 0,
-            cost,
-            rows,
-        };
-        let mut idx = self.at.home(leaf.key);
-        while self.slots[idx].key != 0 && self.slots[idx].key != leaf.key {
-            idx = self.at.next(idx);
-        }
-        let new = self.slots[idx].key == 0;
-        self.slots[idx] = leaf;
-        if new {
-            self.count_new_entry();
-        }
-    }
-
-    /// Records a candidate plan for `set` with the given split and cost,
-    /// keeping it only if it beats the incumbent (Algorithm 1, lines 20–21)
-    /// under the deterministic [`candidate_key`] order — strictly cheaper
-    /// wins, exact cost ties go to the smaller `left` bitmap. Returns `true`
-    /// if the candidate became the new best.
-    pub fn insert_if_better(&mut self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool {
-        debug_assert!(!set.is_empty() && left.is_subset(set));
-        let mut idx = self.at.home(set.bits());
-        loop {
-            self.probes += 1;
-            let s = &mut self.slots[idx];
-            if s.key == 0 {
-                *s = Slot {
+    /// See [`MemoStore::laid_out`].
+    pub fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
+        debug_assert_eq!(sets.len(), rows.len());
+        let at = Addressing::for_universe(n, sets.len());
+        let mut slots = vec![EMPTY_SLOT; at.slots()];
+        let mut probes = 0;
+        let layout = sets
+            .iter()
+            .zip(rows)
+            .map(|(&set, &rows)| {
+                let (idx, steps) = at.probe(set.bits(), |i| slots[i].key);
+                debug_assert!(
+                    !set.is_empty() && slots[idx].key == 0,
+                    "{set} laid out twice"
+                );
+                probes += steps;
+                slots[idx] = Slot {
                     key: set.bits(),
-                    left: left.bits(),
-                    cost,
+                    left: set.bits(),
+                    cost: f64::INFINITY,
                     rows,
                 };
-                self.count_new_entry();
-                return true;
-            }
-            if s.key == set.bits() {
-                // `rows` belongs to the set, not to the plan: it was stored
-                // with the first candidate and every later one carries the
-                // same value.
-                debug_assert_eq!(s.rows.to_bits(), rows.to_bits(), "rows of {set}");
-                if candidate_key(cost, left) < (ordered_cost_bits(s.cost), s.left) {
-                    s.left = left.bits();
-                    s.cost = cost;
-                    return true;
-                }
-                return false;
-            }
-            idx = self.at.next(idx);
+                idx as u32
+            })
+            .collect();
+        MemoTable {
+            slots,
+            at,
+            layout,
+            probes: Cell::new(probes),
         }
     }
 
-    /// Iterates over all occupied entries (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = MemoEntry> + '_ {
-        self.slots.iter().filter(|s| s.key != 0).map(|s| MemoEntry {
-            set: RelSet(s.key),
+    /// See [`MemoStore::slot`].
+    #[inline]
+    pub fn slot(&self, k: usize) -> usize {
+        self.layout[k] as usize
+    }
+
+    /// See [`MemoStore::find`].
+    #[inline]
+    pub fn find(&self, set: RelSet) -> (usize, f64) {
+        let (idx, steps) = self.at.probe(set.bits(), |i| self.slots[i].key);
+        self.probes.set(self.probes.get() + steps);
+        let s = &self.slots[idx];
+        assert!(s.key != 0, "{set} was not laid out");
+        (idx, s.rows)
+    }
+
+    /// See [`MemoStore::get`].
+    #[inline]
+    pub fn get(&self, set: RelSet) -> Option<MemoEntry> {
+        let (idx, _) = self.at.probe(set.bits(), |i| self.slots[i].key);
+        let s = self.slots[idx];
+        (s.key != 0).then_some(MemoEntry {
+            set,
             left: RelSet(s.left),
             cost: s.cost,
             rows: s.rows,
         })
     }
+
+    /// See [`MemoStore::update`]: strictly cheaper wins, exact cost ties go
+    /// to the smaller `left` bitmap.
+    #[inline]
+    pub fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool {
+        let s = &mut self.slots[slot];
+        debug_assert!(left.is_subset(RelSet(s.key)), "{left} ⊄ {}", RelSet(s.key));
+        if candidate_key(cost, left) < (ordered_cost_bits(s.cost), s.left) {
+            s.left = left.bits();
+            s.cost = cost;
+            return true;
+        }
+        false
+    }
+
+    /// Current health metrics.
+    pub fn health(&self) -> MemoHealth {
+        MemoHealth {
+            entries: self.layout.len(),
+            slots: self.slots.len(),
+            probes: self.probes.get(),
+            cas_retries: 0,
+        }
+    }
 }
 
 impl MemoStore for MemoTable {
-    fn for_universe(n: usize, expected: usize) -> Self {
-        MemoTable::for_universe(n, expected)
+    fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
+        MemoTable::laid_out(n, sets, rows)
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn slot(&self, k: usize) -> usize {
+        MemoTable::slot(self, k)
+    }
+
+    fn find(&self, set: RelSet) -> (usize, f64) {
+        MemoTable::find(self, set)
     }
 
     fn get(&self, set: RelSet) -> Option<MemoEntry> {
         MemoTable::get(self, set)
     }
 
-    fn insert_leaf(&mut self, rel: usize, rows: f64, cost: f64) {
-        MemoTable::insert_leaf(self, rel, rows, cost)
-    }
-
-    fn insert_if_better(&mut self, set: RelSet, left: RelSet, cost: f64, rows: f64) -> bool {
-        MemoTable::insert_if_better(self, set, left, cost, rows)
+    fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool {
+        MemoTable::update(self, slot, left, cost)
     }
 
     fn health(&self) -> MemoHealth {
-        MemoHealth {
-            entries: self.len,
-            slots: self.slots.len(),
-            probes: self.probes,
-            cas_retries: 0,
-        }
+        MemoTable::health(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sets `1..=count` (as bitmaps), each of one row.
+    fn numbered(count: u64) -> (Vec<RelSet>, Vec<f64>) {
+        ((1..=count).map(RelSet).collect(), vec![1.0; count as usize])
+    }
 
     #[test]
     fn murmur_mixes() {
@@ -441,47 +417,59 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_roundtrip() {
-        let mut m = MemoTable::with_capacity(4);
-        m.insert_leaf(3, 100.0, 7.0);
-        let e = m.get(RelSet::singleton(3)).unwrap();
-        assert!(e.is_leaf());
-        assert_eq!(e.rows, 100.0);
-        assert_eq!(e.cost, 7.0);
+    fn a_laid_out_set_reads_unplanned_until_a_candidate_replaces_it() {
+        let s = RelSet::from_indices([0, 1]);
+        let sets = [RelSet::singleton(0), RelSet::singleton(1), s];
+        let mut m = MemoTable::laid_out(2, &sets, &[100.0, 200.0, 5.0]);
+        for (k, &set) in sets.iter().enumerate() {
+            let e = m.get(set).unwrap();
+            assert_eq!(
+                (e.left, e.cost, e.right()),
+                (set, f64::INFINITY, RelSet::EMPTY)
+            );
+            assert_eq!(m.find(set), (m.slot(k), e.rows));
+        }
+        assert_eq!(m.get(s).unwrap().rows, 5.0);
+        // A leaf is planned like any set; even an infinitely expensive
+        // real plan replaces the placeholder.
+        assert!(m.update(m.slot(0), RelSet::EMPTY, 7.0));
+        assert!(m.update(m.slot(2), RelSet::singleton(1), f64::INFINITY));
+        let (leaf, join) = (m.get(sets[0]).unwrap(), m.get(s).unwrap());
+        assert!(leaf.is_leaf() && leaf.cost == 7.0 && leaf.rows == 100.0);
+        assert_eq!((join.left, join.right()), (sets[1], sets[0]));
         assert!(m.get(RelSet::singleton(2)).is_none());
+        assert!(m.get(RelSet::EMPTY).is_none());
+        assert_eq!(m.health().entries, 3);
     }
 
     #[test]
-    fn insert_if_better_keeps_minimum() {
-        let mut m = MemoTable::with_capacity(4);
+    fn update_keeps_minimum() {
         let s = RelSet::from_indices([0, 1]);
-        let l = RelSet::singleton(0);
-        let r = RelSet::singleton(1);
-        assert!(m.insert_if_better(s, l, 10.0, 5.0));
-        assert!(!m.insert_if_better(s, r, 12.0, 5.0)); // worse: rejected
+        let mut m = MemoTable::laid_out(2, &[s], &[5.0]);
+        let (l, r) = (RelSet::singleton(0), RelSet::singleton(1));
+        let slot = m.slot(0);
+        assert!(m.update(slot, l, 10.0));
+        assert!(!m.update(slot, r, 12.0)); // worse: rejected
         assert_eq!(m.get(s).unwrap().left, l);
-        assert!(m.insert_if_better(s, r, 8.0, 5.0)); // better: replaces
+        assert!(m.update(slot, r, 8.0)); // better: replaces
         let e = m.get(s).unwrap();
-        assert_eq!(e.left, r);
-        assert_eq!(e.cost, 8.0);
-        assert_eq!(e.right(), l);
-        assert_eq!(m.len(), 1);
+        assert_eq!((e.left, e.cost, e.rows, e.right()), (r, 8.0, 5.0, l));
     }
 
     #[test]
     fn ties_break_on_left_bits() {
-        let mut m = MemoTable::with_capacity(4);
         let s = RelSet::from_indices([0, 1, 2]);
+        let mut m = MemoTable::laid_out(3, &[s], &[1.0]);
         let hi = RelSet::from_indices([1, 2]);
         let lo = RelSet::singleton(0);
-        assert!(m.insert_if_better(s, hi, 5.0, 1.0));
+        assert!(m.update(m.slot(0), hi, 5.0));
         // Equal cost, smaller left bitmap: replaces.
-        assert!(m.insert_if_better(s, lo, 5.0, 1.0));
+        assert!(m.update(m.slot(0), lo, 5.0));
         assert_eq!(m.get(s).unwrap().left, lo);
         // Equal cost, larger left bitmap: rejected.
-        assert!(!m.insert_if_better(s, hi, 5.0, 1.0));
+        assert!(!m.update(m.slot(0), hi, 5.0));
         // Exact duplicate: rejected (not an improvement).
-        assert!(!m.insert_if_better(s, lo, 5.0, 1.0));
+        assert!(!m.update(m.slot(0), lo, 5.0));
         assert_eq!(m.get(s).unwrap().left, lo);
     }
 
@@ -500,39 +488,20 @@ mod tests {
     }
 
     #[test]
-    fn iter_visits_all() {
-        let mut m = MemoTable::with_capacity(20);
-        for i in 0..20u64 {
-            m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), 1.0, 1.0);
-        }
-        assert_eq!(m.iter().count(), 20);
-    }
-
-    #[test]
-    fn with_capacity_holds_its_entries_and_updates_them_at_full_size() {
-        for expected in [0usize, 1, 10, 11, 300, 16_398, 32_783] {
-            let mut m = MemoTable::with_capacity(expected);
+    fn a_layout_holds_every_set_at_most_70_percent_full() {
+        for count in [0u64, 1, 10, 11, 300, 16_398, 32_783] {
+            let (sets, rows) = numbered(count);
+            let mut m = MemoTable::laid_out(64, &sets, &rows);
             let slots = m.slots.len();
-            assert_eq!(slots, slots_for(expected));
-            assert!(slots * 7 >= expected * 10, "≤ 70 % load for {expected}");
-            for i in 0..expected as u64 {
-                m.insert_if_better(RelSet(i + 1), RelSet(i + 1).lowest_bit(), i as f64, 1.0);
+            assert_eq!(slots, slots_for(sets.len()));
+            assert!(slots * 7 >= sets.len() * 10, "≤ 70 % load for {count}");
+            for (k, &set) in sets.iter().enumerate() {
+                assert_eq!(m.slots[m.slot(k)].key, set.bits());
+                m.update(m.slot(k), set.lowest_bit(), k as f64);
             }
-            assert_eq!((m.slots.len(), m.len()), (slots, expected));
+            let h = m.health();
+            assert_eq!((h.slots, h.entries), (slots, sets.len()));
         }
-        // A table at exactly the load bound (11 of 16 slots) still takes
-        // updates of the sets it holds: only a new entry can overfill it.
-        let mut m = MemoTable::with_capacity(10);
-        assert_eq!(m.slots.len(), 16);
-        for rel in 0..11 {
-            m.insert_leaf(rel, 1.0, 2.0);
-        }
-        m.insert_leaf(3, 5.0, 1.0);
-        assert!(m.insert_if_better(RelSet::singleton(4), RelSet::EMPTY, 1.0, 1.0));
-        assert_eq!(
-            (m.len(), m.get(RelSet::singleton(3)).unwrap().rows),
-            (11, 5.0)
-        );
     }
 
     #[test]
@@ -571,62 +540,57 @@ mod tests {
     }
 
     #[test]
-    fn a_fitting_universe_takes_one_probe_per_insert_and_lookup() {
+    fn a_fitting_universe_takes_one_probe_per_set_and_lookup() {
         let n = 10;
-        let entries = (1 << n) - 1;
-        let mut direct = MemoTable::for_universe(n as usize, entries);
-        let mut hashed = MemoTable::with_capacity(entries);
+        let (sets, rows) = numbered((1 << n) - 1);
+        let mut direct = MemoTable::laid_out(n as usize, &sets, &rows);
+        let mut hashed = MemoTable::laid_out(64, &sets, &rows);
         assert!(direct.at.is_direct() && !hashed.at.is_direct());
-        let mut inserts = 0;
+        let laid = sets.len() as u64;
+        assert_eq!(direct.health().probes, laid, "one probe per set laid out");
+        assert!(hashed.health().probes > laid, "the hashed table collides");
+        let mut finds = laid;
         for (set, left, cost) in subset_stream(n, 3) {
-            assert_eq!(
-                direct.insert_if_better(set, left, cost, 1.0),
-                hashed.insert_if_better(set, left, cost, 1.0)
-            );
-            inserts += 1;
-            assert_eq!(direct.probe_count(), inserts, "one probe per insert");
+            let (d, h) = (direct.find(set).0, hashed.find(set).0);
+            assert_eq!(direct.update(d, left, cost), hashed.update(h, left, cost));
+            finds += 1;
+            assert_eq!(direct.health().probes, finds, "one probe per find");
         }
-        assert!(hashed.probe_count() > inserts, "the hashed table collides");
         // Every key sits in the slot its bitmap names, so a lookup reads
         // that one slot; and the entries are the hashed table's.
         for (slot, s) in direct.slots.iter().enumerate() {
             assert!(s.key == 0 || s.key == slot as u64, "{} in {slot}", s.key);
         }
-        assert_eq!(direct.len(), hashed.len());
-        for e in hashed.iter() {
-            let got = direct.get(e.set).unwrap();
-            assert_eq!((got.left, got.cost.to_bits()), (e.left, e.cost.to_bits()));
+        for &set in &sets {
+            let (d, h) = (direct.get(set).unwrap(), hashed.get(set).unwrap());
+            assert_eq!((d.left, d.cost.to_bits()), (h.left, h.cost.to_bits()));
         }
     }
 
     #[test]
     fn an_unfitting_universe_hashes_as_before() {
-        // The same stream into a table over 20 relations (which does not
-        // fit) and one over any relations: the same slots, probe for probe,
-        // and each key reached from its Murmur3 home slot.
-        let entries = 700;
-        let mut narrow = MemoTable::for_universe(20, entries);
-        let mut any = MemoTable::with_capacity(entries);
-        for (set, left, cost) in subset_stream(20, 1).take(entries) {
-            narrow.insert_if_better(set, left, cost, 1.0);
-            any.insert_if_better(set, left, cost, 1.0);
-        }
-        assert_eq!(narrow.probe_count(), any.probe_count());
+        // The same sets laid out in a table over 20 relations (which does
+        // not fit) and one over any relations: the same slots, probe for
+        // probe, and each key reached from its Murmur3 home slot.
+        let sets: std::collections::BTreeSet<RelSet> = subset_stream(20, 1)
+            .take(1_000)
+            .map(|(s, _, _)| s)
+            .collect();
+        let sets: Vec<RelSet> = sets.into_iter().take(700).collect();
+        let rows = vec![1.0; sets.len()];
+        let narrow = MemoTable::laid_out(20, &sets, &rows);
+        let any = MemoTable::laid_out(64, &sets, &rows);
+        assert_eq!(narrow.health().probes, any.health().probes);
         let keys = |m: &MemoTable| m.slots.iter().map(|s| s.key).collect::<Vec<_>>();
         assert_eq!(keys(&narrow), keys(&any));
         let mask = narrow.slots.len() - 1;
-        for e in narrow.iter() {
-            let mut idx = murmur3_fmix64(e.set.bits()) as usize & mask;
-            while narrow.slots[idx].key != e.set.bits() {
-                assert_ne!(narrow.slots[idx].key, 0, "{}", e.set);
+        for (k, set) in sets.iter().enumerate() {
+            let mut idx = murmur3_fmix64(set.bits()) as usize & mask;
+            while narrow.slots[idx].key != set.bits() {
+                assert_ne!(narrow.slots[idx].key, 0, "{set}");
                 idx = (idx + 1) & mask;
             }
+            assert_eq!(idx, narrow.slot(k));
         }
-    }
-
-    #[test]
-    fn empty_set_lookup_is_none() {
-        let m = MemoTable::with_capacity(4);
-        assert!(m.get(RelSet::empty()).is_none());
     }
 }

@@ -192,8 +192,8 @@ pub fn extract_plan<M: MemoStore>(memo: &M, root: RelSet) -> Option<PlanTree> {
         });
     }
     if e.right().is_empty() {
-        // Entered with its cardinality but never planned: the whole set is
-        // still its own left side (`mpdp-dp`'s `init_memo_with_rows`).
+        // Laid out but never planned: the whole set is still its own left
+        // side.
         return None;
     }
     let left = extract_plan(memo, e.left)?;
@@ -275,23 +275,23 @@ mod tests {
     #[test]
     fn extract_plan_from_memo() {
         use crate::memo::MemoTable;
-        let mut m = MemoTable::with_capacity(8);
-        m.insert_leaf(0, 10.0, 1.0);
-        m.insert_leaf(1, 20.0, 2.0);
-        m.insert_leaf(2, 30.0, 3.0);
-        let s01 = RelSet::from_indices([0, 1]);
-        m.insert_if_better(s01, RelSet::singleton(0), 10.0, 5.0);
+        let (s01, s12) = (RelSet::from_indices([0, 1]), RelSet::from_indices([1, 2]));
         let s012 = RelSet::from_indices([0, 1, 2]);
-        m.insert_if_better(s012, s01, 20.0, 2.0);
+        let sets = [0, 1, 2].map(RelSet::singleton);
+        let sets = [sets[0], sets[1], sets[2], s01, s12, s012];
+        let mut m = MemoTable::laid_out(3, &sets, &[10.0, 20.0, 30.0, 5.0, 6.0, 2.0]);
+        for (k, cost) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+            m.update(m.slot(k), RelSet::EMPTY, cost);
+        }
+        m.update(m.slot(3), RelSet::singleton(0), 10.0);
+        m.update(m.slot(5), s01, 20.0);
         let p = extract_plan(&m, s012).unwrap();
         assert_eq!(p.rel_set(), s012);
         assert_eq!(p.cost(), 20.0);
         assert_eq!(p.num_joins(), 2);
         // Missing root -> None.
         assert!(extract_plan(&m, RelSet::from_indices([0, 2])).is_none());
-        // Entered but never planned (left side = the whole set) -> None.
-        let s12 = RelSet::from_indices([1, 2]);
-        m.insert_if_better(s12, s12, f64::INFINITY, 6.0);
+        // Laid out but never planned (left side = the whole set) -> None.
         assert!(extract_plan(&m, s12).is_none());
     }
 

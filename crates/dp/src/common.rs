@@ -108,49 +108,23 @@ pub struct OptResult {
     pub memo_entries: usize,
 }
 
-/// Creates a memo store pre-loaded with the base-relation leaves
-/// (Algorithm 1 lines 1–3 / Algorithm 5 lines 2–4) and room for `sets`
-/// joined sets on top of them — every set of the [`level_plan`] past its
-/// first level, so no backend's table ever fills up. Generic over
-/// [`MemoStore`]: sequential backends instantiate the single-threaded
-/// [`mpdp_core::MemoTable`], the parallel and simulated-GPU backends the
-/// lock-free [`mpdp_core::AtomicMemo`]. This is where a store learns the
-/// query's relation count, and with it whether a set's bitmap can be its slot
-/// ([`mpdp_core::memo::Addressing`]).
-pub fn init_memo<M: MemoStore>(q: &QueryInfo, sets: usize) -> M {
-    let n = q.query_size();
-    let mut memo = M::for_universe(n, n + sets);
+/// Lays a memo store out from the level plan — every connected set with its
+/// cardinality, in one pass before the first pair is priced — and plans the
+/// base-relation leaves in it (Algorithm 1 lines 1–3 / Algorithm 5 lines
+/// 2–4). Generic over [`MemoStore`]: sequential backends instantiate the
+/// single-threaded [`mpdp_core::MemoTable`], the parallel and simulated-GPU
+/// backends the lock-free [`mpdp_core::AtomicMemo`]. This is where a store
+/// learns the query's relation count, and with it whether a set's bitmap can
+/// be its slot ([`mpdp_core::memo::Addressing`]).
+pub fn init_memo<M: MemoStore>(q: &QueryInfo, plan: &ConnectedSets) -> M {
+    let mut memo = M::laid_out(q.query_size(), &plan.sets, &plan.rows);
+    // Level 1 is the singletons in ascending order: relation `i` is plan
+    // position `i`.
     for (i, rel) in q.rels.iter().enumerate() {
-        memo.insert_leaf(i, rel.rows, rel.cost);
+        let slot = memo.slot(i);
+        memo.update(slot, RelSet::EMPTY, rel.cost);
     }
     memo
-}
-
-/// [`init_memo`] for the backends that meet a set as the union of a pair and
-/// so cannot read its cardinality off the level plan by position (DPCCP, DPE,
-/// the DPSIZE family): every connected set is entered up front with its
-/// cardinality and a placeholder plan — infinite cost, the whole set as its
-/// left side — that loses to every real candidate under [`candidate_key`].
-/// Pricing a pair then reads `rows` from the entry it is about to update
-/// ([`union_rows`]).
-pub fn init_memo_with_rows<M: MemoStore>(q: &QueryInfo, plan: &ConnectedSets) -> M {
-    let n = q.query_size();
-    let mut memo: M = init_memo(q, plan.sets.len() - n);
-    for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(n) {
-        memo.insert_if_better(s, s, f64::INFINITY, rows);
-    }
-    memo
-}
-
-/// The cardinality of `a ∪ b` in a memo made by [`init_memo_with_rows`].
-#[inline]
-pub fn union_rows<M: MemoStore>(memo: &M, a: RelSet, b: RelSet) -> Result<f64, OptError> {
-    match memo.get(a.union(b)) {
-        Some(entry) => Ok(entry.rows),
-        None => Err(OptError::Internal(format!(
-            "{a} ⋈ {b} is not a set of the level plan"
-        ))),
-    }
 }
 
 /// Looks both sides of a split up — the part of `CreatePlan` that does not
@@ -237,7 +211,10 @@ fn missing_entry(sl: RelSet, sr: RelSet) -> OptError {
 
 /// Prices the ordered Join-Pair `(sl, sr)` and records it in the memo if it
 /// beats the incumbent plan for `sl ∪ sr` (`CreatePlan` + best-plan update in
-/// Algorithms 1–3). Returns whether it did.
+/// Algorithms 1–3). Returns whether it did. `(slot, out_rows)` are the
+/// union's slot and cardinality: a level-synchronous caller takes them from
+/// its level plan position ([`MemoStore::slot`]), a pair-driven one from its
+/// one [`MemoStore::find`] of the union.
 ///
 /// Both sides must already have memo entries; a missing entry indicates an
 /// enumeration-order bug and is reported as [`OptError::Internal`].
@@ -247,10 +224,10 @@ pub fn emit_pair<M: MemoStore>(
     model: &dyn CostModel,
     sl: RelSet,
     sr: RelSet,
-    out_rows: f64,
+    (slot, out_rows): (usize, f64),
 ) -> Result<bool, OptError> {
     let cost = price_pair(memo, model, sl, sr, out_rows).ok_or_else(|| missing_entry(sl, sr))?;
-    Ok(memo.insert_if_better(sl.union(sr), sl, cost, out_rows))
+    Ok(memo.update(slot, sl, cost))
 }
 
 /// [`emit_pair`] for both orders of the split `{a, b}` at once: one
@@ -261,20 +238,20 @@ pub(crate) fn emit_both<M: MemoStore>(
     model: &dyn CostModel,
     a: RelSet,
     b: RelSet,
-    out_rows: f64,
+    (slot, out_rows): (usize, f64),
 ) -> Result<bool, OptError> {
     let priced = price_both(memo, model, a, b, out_rows).ok_or_else(|| missing_entry(a, b))?;
     let (left, cost) = priced.better(a, b);
-    Ok(memo.insert_if_better(a.union(b), left, cost, out_rows))
+    Ok(memo.update(slot, left, cost))
 }
 
 /// The level plan of every exact backend: every connected set of the query
 /// with its cardinality ([`ConnectedSets`]), enumerated before the first
 /// pair is priced — polling the context's deadline along the way — and kept
 /// level by level in two parallel vectors (16 bytes per set). Knowing all of
-/// it up front is what lets a backend create its memo once, at its final size
-/// ([`init_memo`]), and read a set's cardinality instead of deriving it per
-/// split.
+/// it up front is what lets a backend lay its memo out once, at its final
+/// size ([`init_memo`]), and read a set's cardinality instead of deriving it
+/// per split.
 pub fn level_plan(ctx: &OptContext<'_>) -> Result<ConnectedSets, OptError> {
     ConnectedSets::try_enumerate(ctx.query, || ctx.check_deadline())
 }
@@ -290,14 +267,15 @@ pub fn finish<M: MemoStore>(
     let root = q.graph.all_vertices();
     let plan = extract_plan(memo, root)
         .ok_or_else(|| OptError::Internal("memo has no plan for the full query".into()))?;
-    profile.memo = Some(memo.health());
+    let health = memo.health();
+    profile.memo = Some(health);
     Ok(OptResult {
         cost: plan.cost(),
         rows: plan.rows(),
         plan,
         counters: profile.totals(),
         profile,
-        memo_entries: memo.len(),
+        memo_entries: health.entries,
     })
 }
 
@@ -315,46 +293,59 @@ mod tests {
         QueryInfo::new(g, vec![RelInfo::new(100.0, 2.0), RelInfo::new(200.0, 3.0)])
     }
 
+    /// The two-relation query's memo, laid out and with its leaves planned.
+    fn two_rel_memo(q: &QueryInfo) -> MemoTable {
+        init_memo(q, &ConnectedSets::enumerate(q))
+    }
+
     #[test]
-    fn init_memo_loads_leaves() {
+    fn init_memo_lays_out_every_set_and_plans_the_leaves() {
         let q = two_rel_query();
-        let memo: MemoTable = init_memo(&q, 1);
-        assert_eq!(memo.len(), 2);
+        let memo = two_rel_memo(&q);
+        assert_eq!(memo.health().entries, 3);
         let e = memo.get(RelSet::singleton(1)).unwrap();
-        assert_eq!(e.rows, 200.0);
+        assert_eq!((e.rows, e.cost), (200.0, 3.0));
         assert!(e.is_leaf());
+        // The join reads unplanned, with rows = 100 * 200 * 0.01.
+        let both = RelSet::from_indices([0, 1]);
+        let e = memo.get(both).unwrap();
+        assert_eq!((e.left, e.cost), (both, f64::INFINITY));
+        assert!((e.rows - 200.0).abs() < 1e-9);
     }
 
     #[test]
     fn emit_pair_costs_and_stores() {
         let q = two_rel_query();
         let model = PgLikeCost::new();
-        let mut memo: MemoTable = init_memo(&q, 1);
+        let mut memo = two_rel_memo(&q);
         let sl = RelSet::singleton(0);
         let sr = RelSet::singleton(1);
-        assert!(emit_pair(&mut memo, &model, sl, sr, 200.0).unwrap());
-        assert_eq!(memo.get(sl.union(sr)).unwrap().rows, 200.0);
+        let at = memo.find(sl.union(sr));
+        assert!(emit_pair(&mut memo, &model, sl, sr, at).unwrap());
+        let e = memo.get(sl.union(sr)).unwrap();
+        assert_eq!((e.left, e.rows), (sl, at.1));
         // The mirrored pair lands on the same entry: no new set.
-        emit_pair(&mut memo, &model, sr, sl, 200.0).unwrap();
-        assert_eq!(memo.len(), 3);
+        emit_pair(&mut memo, &model, sr, sl, at).unwrap();
+        assert_eq!(memo.health().entries, 3);
     }
 
     #[test]
     fn price_both_is_price_pair_twice() {
         let q = two_rel_query();
         let model = PgLikeCost::new();
-        let mut memo: MemoTable = init_memo(&q, 1);
+        let mut memo = two_rel_memo(&q);
         let (a, b) = (RelSet::singleton(0), RelSet::singleton(1));
-        let both = price_both(&memo, &model, a, b, 200.0).unwrap();
-        let ab = price_pair(&memo, &model, a, b, 200.0).unwrap();
-        let ba = price_pair(&memo, &model, b, a, 200.0).unwrap();
+        let at = memo.find(a.union(b));
+        let both = price_both(&memo, &model, a, b, at.1).unwrap();
+        let ab = price_pair(&memo, &model, a, b, at.1).unwrap();
+        let ba = price_pair(&memo, &model, b, a, at.1).unwrap();
         assert_eq!(both.cost_ab.to_bits(), ab.to_bits());
         assert_eq!(both.cost_ba.to_bits(), ba.to_bits());
         // emit_both leaves what the two emit_pairs would.
         let mut twice = memo.clone();
-        emit_pair(&mut twice, &model, a, b, 200.0).unwrap();
-        emit_pair(&mut twice, &model, b, a, 200.0).unwrap();
-        assert!(emit_both(&mut memo, &model, a, b, 200.0).unwrap());
+        emit_pair(&mut twice, &model, a, b, at).unwrap();
+        emit_pair(&mut twice, &model, b, a, at).unwrap();
+        assert!(emit_both(&mut memo, &model, a, b, at).unwrap());
         let (x, y) = (
             memo.get(a.union(b)).unwrap(),
             twice.get(a.union(b)).unwrap(),
@@ -363,35 +354,13 @@ mod tests {
     }
 
     #[test]
-    fn a_memo_with_rows_holds_every_set_and_any_plan_beats_the_placeholder() {
-        let q = two_rel_query();
-        let model = PgLikeCost::new();
-        let plan = level_plan(&OptContext::new(&q, &model)).unwrap();
-        let mut memo: MemoTable = init_memo_with_rows(&q, &plan);
-        let (a, b) = (RelSet::singleton(0), RelSet::singleton(1));
-        assert_eq!(memo.len(), 3);
-        // rows = 100 * 200 * 0.01
-        let rows = union_rows(&memo, a, b).unwrap();
-        assert!((rows - 200.0).abs() < 1e-9);
-        assert!(union_rows(&memo, a, RelSet::singleton(5)).is_err());
-        // Even an infinitely expensive real plan replaces the placeholder.
-        assert!(memo.insert_if_better(a.union(b), b, f64::INFINITY, rows));
-        assert_eq!(memo.get(a.union(b)).unwrap().left, b);
-        assert_eq!(memo.len(), 3);
-    }
-
-    #[test]
     fn emit_pair_missing_side_is_internal_error() {
         let q = two_rel_query();
         let model = PgLikeCost::new();
-        let mut memo: MemoTable = init_memo(&q, 1);
-        let err = emit_pair(
-            &mut memo,
-            &model,
-            RelSet::from_indices([0, 1]),
-            RelSet::empty(),
-            1.0,
-        );
+        let mut memo = two_rel_memo(&q);
+        let both = RelSet::from_indices([0, 1]);
+        let at = memo.find(both);
+        let err = emit_pair(&mut memo, &model, both, RelSet::empty(), at);
         assert!(err.is_err());
     }
 

@@ -24,9 +24,7 @@
 //! once; we cost both join orders, so counters report ordered pairs like the
 //! other algorithms.
 
-use crate::common::{
-    emit_both, finish, init_memo_with_rows, level_plan, union_rows, OptContext, OptResult,
-};
+use crate::common::{emit_both, finish, init_memo, level_plan, OptContext, OptResult};
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::graph::JoinGraph;
 use mpdp_core::memo::MemoTable;
@@ -124,9 +122,9 @@ impl DpCcp {
         let n = q.query_size();
         // The pairs arrive in an order of their own, but what they join is
         // the level plan's sets: enumerating those first (a fraction of one
-        // pair's cost per set) sizes the memo once and puts each set's
-        // cardinality where its pairs will look for it.
-        let mut memo: MemoTable = init_memo_with_rows(q, &level_plan(ctx)?);
+        // pair's cost per set) lays the memo out once and puts each set's
+        // cardinality in the slot its pairs will find.
+        let mut memo: MemoTable = init_memo(q, &level_plan(ctx)?);
         // DPCCP has no level structure; record the run as one pseudo-level so
         // the hardware model sees its sequential profile.
         let mut level = LevelStats {
@@ -140,8 +138,8 @@ impl DpCcp {
                 // workspace-wide).
                 level.evaluated += 2;
                 level.ccp += 2;
-                let rows = union_rows(&memo, s1, s2)?;
-                level.memo_writes += emit_both(&mut memo, ctx.model, s1, s2, rows)? as u64;
+                let at = memo.find(s1.union(s2));
+                level.memo_writes += emit_both(&mut memo, ctx.model, s1, s2, at)? as u64;
                 pairs_since_poll += 1;
                 if pairs_since_poll >= 4096 {
                     pairs_since_poll = 0;

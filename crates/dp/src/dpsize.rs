@@ -9,9 +9,7 @@
 //! "DPSIZE-based algorithms do not perform well due to checking too many
 //! overlapping pairs").
 
-use crate::common::{
-    emit_pair, finish, init_memo_with_rows, level_plan, union_rows, OptContext, OptResult,
-};
+use crate::common::{emit_pair, finish, init_memo, level_plan, OptContext, OptResult};
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::MemoTable;
 use mpdp_core::OptError;
@@ -27,10 +25,10 @@ impl DpSize {
         let q = ctx.query;
         let n = q.query_size();
         // The per-size plan lists are the level plan's. A pair does not know
-        // where its union sits in the plan, so the memo carries every set's
-        // cardinality.
+        // where its union sits in the plan: it finds the union's slot, and
+        // with it the set's cardinality, in the laid-out memo.
         let plan = level_plan(ctx)?;
-        let mut memo: MemoTable = init_memo_with_rows(q, &plan);
+        let mut memo: MemoTable = init_memo(q, &plan);
         let mut profile = Profile::default();
 
         for i in 2..=n {
@@ -55,8 +53,8 @@ impl DpSize {
                         // Both sides are connected by construction, so the
                         // pair is a CCP pair.
                         level.ccp += 1;
-                        let rows = union_rows(&memo, left, right)?;
-                        if emit_pair(&mut memo, ctx.model, left, right, rows)? {
+                        let at = memo.find(left.union(right));
+                        if emit_pair(&mut memo, ctx.model, left, right, at)? {
                             level.memo_writes += 1;
                         }
                     }

@@ -64,11 +64,12 @@ impl DpSub {
         let q = ctx.query;
         let n = q.query_size();
         let plan = level_plan(ctx)?;
-        let mut memo: MemoTable = init_memo(q, plan.sets.len() - n);
+        let mut memo: MemoTable = init_memo(q, &plan);
         let mut profile = Profile::default();
 
         for i in 2..=n {
             let (sets, rows) = plan.level(i);
+            let start = plan.starts[i - 1];
             let mut level = LevelStats {
                 size: i,
                 sets: sets.len() as u64,
@@ -76,8 +77,9 @@ impl DpSub {
             };
             for (k, (&s, &rows)) in sets.iter().zip(rows).enumerate() {
                 ctx.poll_deadline(k)?;
+                let at = (memo.slot(start + k), rows);
                 let (evaluated, ccp) = ccp_splits(&q.graph, s, |sl, sr| {
-                    level.memo_writes += emit_pair(&mut memo, ctx.model, sl, sr, rows)? as u64;
+                    level.memo_writes += emit_pair(&mut memo, ctx.model, sl, sr, at)? as u64;
                     Ok::<(), OptError>(())
                 })?;
                 level.evaluated += evaluated;

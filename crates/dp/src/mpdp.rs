@@ -76,8 +76,9 @@ pub struct SetOutcome {
 ///   [`join_cost_floor`](CostModel::join_cost_floor) already exceed the best
 ///   plan found for the set — it cannot win (it is still counted and still
 ///   reaches the observer);
-/// * the set's candidates are reduced here and published once by the caller
-///   (the paper's fused prune, §5).
+/// * the set's candidates are reduced here and published once by the caller,
+///   into the slot the memo's layout gave the set (the paper's fused prune,
+///   §5).
 pub struct SetKernel<'a> {
     q: &'a QueryInfo,
     model: &'a dyn CostModel,
@@ -193,13 +194,14 @@ impl Mpdp {
         let q = ctx.query;
         let n = q.query_size();
         let plan = level_plan(ctx)?;
-        let mut memo: MemoTable = init_memo(q, plan.sets.len() - n);
+        let mut memo: MemoTable = init_memo(q, &plan);
         let mut profile = Profile::default();
 
         let index = BlockIndex::new(&q.graph);
         let mut kernel = SetKernel::new(q, ctx.model, &index);
         for i in 2..=n {
             let (sets, rows) = plan.level(i);
+            let start = plan.starts[i - 1];
             let mut level = LevelStats {
                 size: i,
                 sets: sets.len() as u64,
@@ -211,7 +213,7 @@ impl Mpdp {
                 level.evaluated += out.evaluated;
                 level.ccp += out.ccp;
                 if let Some(e) = out.best {
-                    level.memo_writes += memo.insert_if_better(s, e.left, e.cost, e.rows) as u64;
+                    level.memo_writes += memo.update(memo.slot(start + k), e.left, e.cost) as u64;
                 }
             }
             profile.record(level);

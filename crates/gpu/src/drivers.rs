@@ -26,10 +26,7 @@ use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::OptError;
-use mpdp_dp::common::{
-    finish, init_memo, init_memo_with_rows, level_plan, price_pair, union_rows, OptContext,
-    OptResult,
-};
+use mpdp_dp::common::{finish, init_memo, level_plan, price_pair, OptContext, OptResult};
 use mpdp_dp::mpdp::SetKernel;
 use std::time::Duration;
 
@@ -111,14 +108,11 @@ fn run_level_structured(
     // list).
     let plan = level_plan(ctx)?;
     // The simulated *device-global* memo: the lock-free table every kernel
-    // lane publishes into with atomic min-updates, allocated once; the host
-    // loop only extracts the plan from it at the end. DPSIZE's lanes meet a
-    // set as the union of a pair, so its table starts with every set's
-    // cardinality in it.
-    let memo: AtomicMemo = match algo {
-        GpuAlgo::DpSize => init_memo_with_rows(q, &plan),
-        GpuAlgo::Mpdp | GpuAlgo::DpSub => init_memo(q, plan.sets.len() - n),
-    };
+    // lane publishes into with atomic min-updates, laid out once with every
+    // set and its cardinality; the host loop only extracts the plan from it
+    // at the end. Lanes publish by key, as the device does: each publish
+    // finds its set's slot.
+    let memo: AtomicMemo = init_memo(q, &plan);
     let mut profile = Profile::default();
     let mut stats = GpuStats::default();
     // The query's block structure and the per-set kernel MPDP's evaluate
@@ -187,11 +181,11 @@ fn run_level_structured(
                             level.ccp += 1;
                             lane += kernels::cycles::COST_EVAL;
                             lane_costs.push(lane);
-                            let rows = union_rows(&memo, left, right)?;
+                            let (slot, rows) = memo.find(left.union(right));
                             if let Some(cost) = price_pair(&memo, ctx.model, left, right, rows) {
                                 stats.global_reads += 2; // two memo probes
                                 publishes += 1;
-                                if memo.insert_if_better(left.union(right), left, cost, rows) {
+                                if memo.update(slot, left, cost) {
                                     level.memo_writes += 1;
                                 }
                             }

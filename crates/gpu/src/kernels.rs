@@ -115,7 +115,8 @@ fn charge_uniform(tasks: u64, cost: u32, stats: &mut GpuStats) {
 
 /// Publishes candidates into the device memo as atomic min-updates,
 /// charging the traffic of `atomics` global atomics plus the table's probe
-/// reads (the paper's "parallel store on the GPU hash table"). `atomics` is
+/// reads (the paper's "parallel store on the GPU hash table": each publish
+/// finds its set's slot by key). `atomics` is
 /// the number of candidates, except for unfused MPDP: the shared set kernel
 /// hands over one reduced winner per set, while the device being modelled
 /// issues an `atomicMin` per surviving pair, each charged one probe read.
@@ -131,7 +132,7 @@ fn publish_atomic(
     let mut writes = 0u64;
     for c in candidates {
         published += 1;
-        writes += memo.insert_if_better(c.set, c.left, c.cost, c.rows) as u64;
+        writes += memo.update(memo.find(c.set).0, c.left, c.cost) as u64;
     }
     let atomics = atomics.unwrap_or(published);
     stats.global_writes += atomics;
@@ -319,6 +320,7 @@ pub fn level_transfer(sets: usize, stats: &mut GpuStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpdp_core::enumerate::ConnectedSets;
     use mpdp_cost::pglike::PgLikeCost;
     use mpdp_dp::common::init_memo;
     use mpdp_workload::gen;
@@ -338,11 +340,15 @@ mod tests {
         super::evaluate_dpsub_kernel(q, model, memo, (sets, &rows), policy, fused_prune, stats)
     }
 
+    /// A device memo laid out with every connected set of `q`.
+    fn device_memo(q: &QueryInfo) -> AtomicMemo {
+        init_memo(q, &ConnectedSets::enumerate(q))
+    }
+
     fn setup(n: usize) -> (QueryInfo, PgLikeCost, AtomicMemo) {
         let m = PgLikeCost::new();
         let q = gen::star(n, 5, &m).to_query_info().unwrap();
-        // Room for every connected set of a star: the hub with any leaves.
-        let memo: AtomicMemo = init_memo(&q, 1 << (n - 1));
+        let memo = device_memo(&q);
         (q, m, memo)
     }
 
@@ -357,7 +363,9 @@ mod tests {
         assert_eq!(out.ccp, 6); // 2 ordered pairs per 2-set
         assert_eq!(out.evaluated, 9); // 2^2-1 submasks per set
         for s in sets {
-            assert!(memo.get(s).is_some(), "winner for {s} is in the table");
+            // Every set was laid out; its winner replaced the placeholder.
+            let e = memo.get(s).unwrap();
+            assert!(e.cost.is_finite() && !e.right().is_empty(), "{s} unplanned");
         }
     }
 
@@ -367,8 +375,7 @@ mod tests {
         let sets: Vec<RelSet> = (1..6).map(|d| RelSet::from_indices([0, d])).collect();
         let mut fused = GpuStats::default();
         let mut separate = GpuStats::default();
-        let memo_a: AtomicMemo = init_memo(&q, sets.len());
-        let memo_b: AtomicMemo = init_memo(&q, sets.len());
+        let (memo_a, memo_b) = (device_memo(&q), device_memo(&q));
         let a = evaluate_dpsub_kernel(
             &q,
             &m,
@@ -403,7 +410,7 @@ mod tests {
         // check while two run the full costing — classic divergence.
         let m = PgLikeCost::new();
         let q = gen::star(8, 5, &m).to_query_info().unwrap();
-        let memo: AtomicMemo = init_memo(&q, 7 + 21);
+        let memo = device_memo(&q);
         let mut memo_stats = GpuStats::default();
         // Fill level 2 so pricing works at level 3 (the evaluate kernel
         // publishes winners directly into the device table).
@@ -459,7 +466,11 @@ mod tests {
         let out =
             evaluate_dpsub_kernel(&q, &m, &memo, &sets, WarpPolicy::Lockstep, true, &mut stats);
         assert_eq!(out.memo_writes, 2);
-        assert!(memo.get(RelSet::from_indices([0, 1])).is_some());
+        assert!(memo
+            .get(RelSet::from_indices([0, 1]))
+            .unwrap()
+            .cost
+            .is_finite());
         // Publishing charged the hash-table traffic.
         assert!(stats.global_writes >= 2);
         assert!(stats.global_reads >= 2);

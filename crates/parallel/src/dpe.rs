@@ -17,9 +17,7 @@ use crate::pool::{chunk_range, with_pool};
 use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::{OptError, RelSet};
-use mpdp_dp::common::{
-    finish, init_memo_with_rows, level_plan, price_both, union_rows, OptContext, OptResult,
-};
+use mpdp_dp::common::{finish, init_memo, level_plan, price_both, OptContext, OptResult};
 use mpdp_dp::dpccp::csg_cmp_pairs;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,11 +44,11 @@ impl Dpe {
             })?;
 
             // The unions of class `k` are the connected sets of size `k`:
-            // the level plan counts them, sizes the shared memo once (the
+            // the level plan counts them, lays the shared memo out once (the
             // table never grows under the consumers) and puts each set's
-            // cardinality where its pairs will look for it.
+            // cardinality in the slot its pairs will find.
             let plan = level_plan(ctx)?;
-            let memo: AtomicMemo = init_memo_with_rows(q, &plan);
+            let memo: AtomicMemo = init_memo(q, &plan);
             let mut profile = Profile::default();
 
             // Consumers: cost each class in parallel; the class barrier is
@@ -67,14 +65,12 @@ impl Dpe {
                 pool.run(&|worker| {
                     let mut mine = 0u64;
                     for &(s1, s2) in &class[chunk_range(class.len(), pool.workers(), worker)] {
-                        let Ok(rows) = union_rows(memo_ref, s1, s2) else {
-                            continue;
-                        };
+                        let (slot, rows) = memo_ref.find(s1.union(s2));
                         let Some(priced) = price_both(memo_ref, ctx.model, s1, s2, rows) else {
                             continue;
                         };
                         let (left, cost) = priced.better(s1, s2);
-                        mine += memo_ref.insert_if_better(s1.union(s2), left, cost, rows) as u64;
+                        mine += memo_ref.update(slot, left, cost) as u64;
                     }
                     writes.fetch_add(mine, Ordering::Relaxed);
                 });

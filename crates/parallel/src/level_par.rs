@@ -26,10 +26,7 @@ use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::{OptError, RelSet};
-use mpdp_dp::common::{
-    finish, init_memo, init_memo_with_rows, level_plan, price_pair, union_rows, OptContext,
-    OptResult,
-};
+use mpdp_dp::common::{finish, init_memo, level_plan, price_pair, OptContext, OptResult};
 use mpdp_dp::dpsub::ccp_splits;
 use mpdp_dp::mpdp::SetKernel;
 use std::convert::Infallible;
@@ -70,21 +67,21 @@ impl LevelTally {
 }
 
 /// Prices `(sl, sr)` against the shared memo and publishes the candidate
-/// with an atomic min-update — the worker-side `CreatePlan` + `atomicMin`.
-/// Both sides live in strictly smaller (quiescent) levels; a missing entry
-/// is skipped here and surfaces as a plan-extraction failure, exactly as in
-/// the old deferred-merge path.
+/// into the union's slot `(slot, rows)` with an atomic min-update — the
+/// worker-side `CreatePlan` + `atomicMin`. Both sides live in strictly
+/// smaller (quiescent) levels; a missing entry is skipped here and surfaces
+/// as a plan-extraction failure.
 #[inline]
 fn emit_atomic(
     model: &dyn mpdp_cost::model::CostModel,
     memo: &AtomicMemo,
     sl: RelSet,
     sr: RelSet,
-    rows: f64,
+    (slot, rows): (usize, f64),
     writes: &mut u64,
 ) {
     if let Some(cost) = price_pair(memo, model, sl, sr, rows) {
-        *writes += memo.insert_if_better(sl.union(sr), sl, cost, rows) as u64;
+        *writes += memo.update(slot, sl, cost) as u64;
     }
 }
 
@@ -103,8 +100,10 @@ impl MemoMarks {
         }
     }
 
-    fn delta_into(&self, memo: &AtomicMemo, level: &mut LevelStats) {
-        level.memo_probes = memo.probe_count() - self.probes;
+    /// The level's probes — `placed`, what the layout spent on its sets if
+    /// the level writes by slot, plus its finds — and its CAS retries.
+    fn delta_into(&self, memo: &AtomicMemo, placed: u64, level: &mut LevelStats) {
+        level.memo_probes = placed + memo.probe_count() - self.probes;
         level.cas_retries = memo.cas_retry_count() - self.retries;
     }
 }
@@ -121,15 +120,17 @@ pub fn run_level_parallel(
     let n = q.query_size();
     with_pool(threads, |pool| {
         // Every level's connected sets and their cardinalities — sequential,
-        // before the first parallel phase, so the shared memo is created at
-        // its final size and never moves under the workers.
+        // before the first parallel phase, so the shared memo is laid out at
+        // its final size and never moves under the workers, which write
+        // each set by the slot its plan position names.
         let plan = level_plan(ctx)?;
-        let memo: AtomicMemo = init_memo(q, plan.sets.len() - n);
+        let memo: AtomicMemo = init_memo(q, &plan);
         let mut profile = Profile::default();
         let index = BlockIndex::new(&q.graph);
         for i in 2..=n {
             ctx.check_deadline()?;
             let (sets, rows) = plan.level(i);
+            let start = plan.starts[i - 1];
             let mut level = LevelStats {
                 size: i,
                 sets: sets.len() as u64,
@@ -142,33 +143,25 @@ pub fn run_level_parallel(
             pool.run(&|worker| {
                 let mut mine = LevelStats::default();
                 let mine_of = chunk_range(sets.len(), pool.workers(), worker);
-                let slice = sets[mine_of.clone()].iter().zip(&rows[mine_of]);
+                let slice = mine_of.map(|k| (sets[k], (memo_ref.slot(start + k), rows[k])));
                 match algo {
                     LevelAlgo::Mpdp => {
                         // The shared per-set kernel; its winner is the one
                         // atomic publish this set gets.
                         let mut kernel = SetKernel::new(q, ctx.model, &index);
-                        for (&s, &rows) in slice {
+                        for (s, (slot, rows)) in slice {
                             let out = kernel.evaluate(memo_ref, s, rows, &mut ());
                             mine.evaluated += out.evaluated;
                             mine.ccp += out.ccp;
                             if let Some(e) = out.best {
-                                mine.memo_writes +=
-                                    memo_ref.insert_if_better(s, e.left, e.cost, e.rows) as u64;
+                                mine.memo_writes += memo_ref.update(slot, e.left, e.cost) as u64;
                             }
                         }
                     }
                     LevelAlgo::DpSub => {
-                        for (&s, &rows) in slice {
+                        for (s, at) in slice {
                             let Ok((evaluated, ccp)) = ccp_splits(&q.graph, s, |sl, sr| {
-                                emit_atomic(
-                                    ctx.model,
-                                    memo_ref,
-                                    sl,
-                                    sr,
-                                    rows,
-                                    &mut mine.memo_writes,
-                                );
+                                emit_atomic(ctx.model, memo_ref, sl, sr, at, &mut mine.memo_writes);
                                 Ok::<(), Infallible>(())
                             });
                             mine.evaluated += evaluated;
@@ -181,7 +174,7 @@ pub fn run_level_parallel(
             // Implicit level barrier: pool.run returned, so every winner of
             // this level is published before the next level reads it.
             tally.fill(&mut level);
-            marks.delta_into(&memo, &mut level);
+            marks.delta_into(&memo, memo.layout_probes(i), &mut level);
             profile.record(level);
         }
         finish(&memo, q, profile)
@@ -193,15 +186,15 @@ pub fn run_level_parallel(
 /// winners straight into the shared atomic memo (no deferred pruning).
 ///
 /// The per-size plan lists are the level plan's. A pair does not know where
-/// its union sits in the plan, so the memo is created with every set's
-/// cardinality already in it.
+/// its union sits in the plan: it finds the union's slot, and with it the
+/// set's cardinality, in the laid-out memo.
 pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptResult, OptError> {
     ctx.validate_exact()?;
     let q = ctx.query;
     let n = q.query_size();
     with_pool(threads, |pool| {
         let plan = level_plan(ctx)?;
-        let memo: AtomicMemo = init_memo_with_rows(q, &plan);
+        let memo: AtomicMemo = init_memo(q, &plan);
         let mut profile = Profile::default();
         // Work items, reused across levels: (right-size, left set).
         let mut items: Vec<(usize, RelSet)> = Vec::new();
@@ -239,23 +232,15 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
                         }
                         mine.ccp += 1;
                         // Every CCP pair's union is a connected set, so it
-                        // is in the plan and the lookup cannot fail.
-                        if let Ok(rows) = union_rows(memo_ref, left, right) {
-                            emit_atomic(
-                                ctx.model,
-                                memo_ref,
-                                left,
-                                right,
-                                rows,
-                                &mut mine.memo_writes,
-                            );
-                        }
+                        // was laid out.
+                        let at = memo_ref.find(left.union(right));
+                        emit_atomic(ctx.model, memo_ref, left, right, at, &mut mine.memo_writes);
                     }
                 }
                 tally.absorb(&mine);
             });
             tally.fill(&mut level);
-            marks.delta_into(&memo, &mut level);
+            marks.delta_into(&memo, 0, &mut level);
             profile.record(level);
         }
         finish(&memo, q, profile)

@@ -4,7 +4,7 @@
 //! every lane writes winners straight into the device-global hash table with
 //! `atomicMin`, and the only synchronization is the level barrier between
 //! kernel launches. The CPU backends now mirror that exactly — workers share
-//! one `&AtomicMemo` and race their `insert_if_better` CAS loops — so all
+//! one `&AtomicMemo` and race their `update` CAS loops — so all
 //! this module provides is the *shape* of the paper's host loop: a pool of
 //! workers spawned once per optimizer run ([`with_pool`]), a fan-out point
 //! per DP level ([`PoolHandle::run`]), and the implicit barrier when it

@@ -1,5 +1,6 @@
 //! The level plan's promise: every exact backend counts its connected sets
-//! before it prices the first pair and creates its memo once, at that size.
+//! before it prices the first pair and lays its memo out once, with exactly
+//! those sets.
 
 use mpdp::core::enumerate::ConnectedSets;
 use mpdp::core::memo::{slots_for, MemoTable};
@@ -23,8 +24,7 @@ fn shapes() -> Vec<(&'static str, QueryInfo)> {
 }
 
 /// The memo holds every connected set of the query (`sets`, leaves
-/// included), in a table that was created for exactly that many entries and
-/// is the one the first insert went into.
+/// included), in a table that was laid out for exactly that many entries.
 fn assert_sized_once(r: &OptResult, sets: usize, what: &str) {
     assert_eq!(r.memo_entries, sets, "{what}");
     let health = r.profile.memo.expect("finish stamps memo health");
@@ -32,14 +32,16 @@ fn assert_sized_once(r: &OptResult, sets: usize, what: &str) {
     assert_eq!(health.slots, slots_for(r.memo_entries), "{what}: slots");
 }
 
+/// A memo holds the sets it was laid out with and no other: a write needs a
+/// slot, and a set outside the plan has none.
 #[test]
-#[should_panic(expected = "MemoTable full")]
-fn a_memo_asked_to_hold_more_than_it_announced_panics() {
-    let announced = 4;
-    let mut memo = MemoTable::with_capacity(announced);
-    for rel in 0..slots_for(announced) {
-        memo.insert_leaf(rel, 1.0, 1.0);
-    }
+#[should_panic(expected = "was not laid out")]
+fn writing_a_set_that_was_not_laid_out_panics() {
+    let (_, q) = shapes().swap_remove(1);
+    let plan = ConnectedSets::enumerate(&q);
+    let memo = MemoTable::laid_out(q.query_size(), &plan.sets, &plan.rows);
+    // Relations 0 and 2 of the chain are not adjacent.
+    memo.find(RelSet::from_indices([0, 2]));
 }
 
 #[test]

@@ -5,6 +5,7 @@
 // Explicit imports (not the facade prelude glob): both `mpdp::prelude` and
 // `proptest::prelude` export a `Strategy` trait, and the glob-glob collision
 // would make either unusable.
+use mpdp::core::atomic_memo::AtomicMemo;
 use mpdp::core::blocks::{find_blocks, BlockIndex};
 use mpdp::core::combinatorics::KSubsets;
 use mpdp::core::enumerate::ConnectedSets;
@@ -61,13 +62,14 @@ fn full_subset_enumeration(g: &JoinGraph, s: RelSet) -> (u64, Vec<(RelSet, RelSe
     (evaluated, pairs)
 }
 
-/// The level plan's two promises. **Once:** per DP level the enumerator
+/// The level plan's three promises. **Once:** per DP level the enumerator
 /// yields exactly the connected sets the KSubsets + `is_connected` filter
 /// yields — same family, same (ascending bitmap) order, and no set twice
 /// anywhere (counted as a multiset: the enumerator has no table that would
 /// absorb a second discovery, so one would show up here). **Sized:** each
 /// set comes with its cardinality, equal to the definition's up to the
-/// rounding of a different multiplication order.
+/// rounding of a different multiplication order. **Laid out:** see
+/// [`check_layout`].
 fn check_level_plan(qi: &QueryInfo) {
     let n = qi.query_size();
     let plan = ConnectedSets::enumerate(qi);
@@ -97,6 +99,27 @@ fn check_level_plan(qi: &QueryInfo) {
             rows,
             want
         );
+    }
+    check_layout(qi, &plan);
+}
+
+/// Both memo stores lay a plan out into the same slots: `slot(k)` names the
+/// slot of `sets[k]`, which is where the set's probe finds it with its
+/// cardinality, and the set reads unplanned — `(∞, S, rows)` — until a
+/// candidate replaces it.
+fn check_layout(qi: &QueryInfo, plan: &ConnectedSets) {
+    let n = qi.query_size();
+    let table = MemoTable::laid_out(n, &plan.sets, &plan.rows);
+    let atomic = AtomicMemo::laid_out(n, &plan.sets, &plan.rows);
+    assert_eq!(table.health(), atomic.health());
+    for (k, (&s, &rows)) in plan.sets.iter().zip(&plan.rows).enumerate() {
+        assert_eq!(table.slot(k), atomic.slot(k), "{s}");
+        for memo in [&table as &dyn MemoStore, &atomic] {
+            assert_eq!(memo.find(s), (memo.slot(k), rows), "{s}");
+            let e = memo.get(s).unwrap();
+            let got = (e.left, e.cost, e.rows.to_bits());
+            assert_eq!(got, (s, f64::INFINITY, rows.to_bits()), "{s}");
+        }
     }
 }
 
@@ -142,11 +165,14 @@ fn a_chain_of_64_billion_row_relations_plans_to_a_finite_cost() {
 struct LookupLog(std::cell::RefCell<Vec<RelSet>>);
 
 impl MemoStore for LookupLog {
-    fn for_universe(_: usize, _: usize) -> Self {
+    fn laid_out(_: usize, _: &[RelSet], _: &[f64]) -> Self {
         Self::default()
     }
-    fn len(&self) -> usize {
+    fn slot(&self, _: usize) -> usize {
         0
+    }
+    fn find(&self, _: RelSet) -> (usize, f64) {
+        (0, 1.0)
     }
     fn get(&self, set: RelSet) -> Option<MemoEntry> {
         self.0.borrow_mut().push(set);
@@ -157,8 +183,7 @@ impl MemoStore for LookupLog {
             rows: 1.0,
         })
     }
-    fn insert_leaf(&mut self, _: usize, _: f64, _: f64) {}
-    fn insert_if_better(&mut self, _: RelSet, _: RelSet, _: f64, _: f64) -> bool {
+    fn update(&mut self, _: usize, _: RelSet, _: f64) -> bool {
         false
     }
     fn health(&self) -> MemoHealth {
@@ -227,17 +252,17 @@ fn assert_the_floor_changes_no_outcome(qi: &QueryInfo, model: &dyn CostModel) ->
     );
     let plan = ConnectedSets::enumerate(qi);
     let n = qi.query_size();
-    let mut memo: MemoTable = init_memo(qi, plan.sets.len() - n);
+    let mut memo: MemoTable = init_memo(qi, &plan);
     let bits = |o: &SetOutcome| {
         let best = o.best.map(|e| (e.left, e.cost.to_bits(), e.rows.to_bits()));
         (o.evaluated, o.ccp, best)
     };
-    for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(n) {
+    for (k, (&s, &rows)) in plan.sets.iter().zip(&plan.rows).enumerate().skip(n) {
         let a = with.evaluate(&memo, s, rows, &mut ());
         let b = without.evaluate(&memo, s, rows, &mut ());
         assert_eq!(bits(&a), bits(&b), "set {s} under {}", model.name());
         let e = a.best.expect("every side is memoized");
-        memo.insert_if_better(s, e.left, e.cost, e.rows);
+        memo.update(memo.slot(k), e.left, e.cost);
     }
     (pruned.1.into_inner(), full.1.into_inner())
 }
@@ -424,15 +449,16 @@ proptest! {
     fn atomic_memo_hammer_converges_to_sequential_min(
         params in (2u64..48, any::<u64>(), 64usize..1500)
     ) {
-        // 8 threads race pseudorandom insert_if_better streams (few distinct
-        // costs -> frequent exact ties) against one AtomicMemo; the table
+        // 8 threads race pseudorandom update streams (few distinct costs ->
+        // frequent exact ties) against one laid-out AtomicMemo; the table
         // must converge to exactly the sequential MemoTable's (cost, left)
         // minimum per key. Streams are derived deterministically from the
         // drawn seed so the parallel run and the sequential replay see the
-        // same candidate multiset.
-        use mpdp::core::atomic_memo::AtomicMemo;
-        use mpdp::core::memo::{murmur3_fmix64, MemoStore, MemoTable};
+        // same candidate multiset. Key `k` is plan position `k - 1`.
+        use mpdp::core::memo::murmur3_fmix64;
         let (keys, seed, per_thread) = params;
+        let sets: Vec<RelSet> = (1..=keys).map(RelSet).collect();
+        let rows = vec![1.0; sets.len()];
         let step = |state: &mut u64| -> (RelSet, RelSet, f64) {
             *state = murmur3_fmix64(state.wrapping_add(0xa076_1d64_78bd_642f));
             let raw = *state;
@@ -441,7 +467,7 @@ proptest! {
             let left = if l.is_empty() { key.lowest_bit() } else { l };
             (key, left, ((raw >> 32) % 5) as f64)
         };
-        let atomic = AtomicMemo::with_capacity(keys as usize);
+        let atomic = AtomicMemo::laid_out(64, &sets, &rows);
         let atomic_ref = &atomic;
         std::thread::scope(|scope| {
             for t in 0..8u64 {
@@ -449,24 +475,24 @@ proptest! {
                     let mut state = seed ^ (t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                     for _ in 0..per_thread {
                         let (key, left, cost) = step(&mut state);
-                        atomic_ref.insert_if_better(key, left, cost, 1.0);
+                        atomic_ref.update(atomic_ref.slot(key.bits() as usize - 1), left, cost);
                     }
                 });
             }
         });
-        let mut expected = MemoTable::with_capacity(keys as usize);
+        let mut expected = MemoTable::laid_out(64, &sets, &rows);
         for t in 0..8u64 {
             let mut state = seed ^ (t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             for _ in 0..per_thread {
                 let (key, left, cost) = step(&mut state);
-                expected.insert_if_better(key, left, cost, 1.0);
+                expected.update(expected.slot(key.bits() as usize - 1), left, cost);
             }
         }
-        prop_assert_eq!(MemoStore::len(&atomic), expected.len());
-        for e in expected.iter() {
-            let got = atomic.get(e.set).unwrap();
-            prop_assert_eq!(got.cost.to_bits(), e.cost.to_bits());
-            prop_assert_eq!(got.left, e.left);
+        prop_assert_eq!(atomic.health().entries, expected.health().entries);
+        for &set in &sets {
+            let (got, want) = (atomic.get(set).unwrap(), expected.get(set).unwrap());
+            prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+            prop_assert_eq!(got.left, want.left);
         }
     }
 
