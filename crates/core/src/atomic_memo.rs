@@ -11,17 +11,39 @@
 //!
 //! ## Slot layout and the packed-CAS update
 //!
-//! Each slot holds:
+//! Each slot holds, in three parallel arrays:
 //!
-//! * **key** and **rows** — the relation-set bitmap and its cardinality,
-//!   written once by [`AtomicMemo::laid_out`] into the slot the set's
-//!   linear probe reaches from the start slot [`crate::memo::Addressing`]
-//!   picks (the same slots [`crate::memo::MemoTable`] lays the same plan out
-//!   in), single-threaded, before the table is shared. They are plain words:
-//!   nothing writes them again;
+//! * **key** — the relation-set bitmap, written once by
+//!   [`AtomicMemo::laid_out`] into the slot the set's linear probe reaches
+//!   from the home slot [`crate::memo::Addressing`] picks (multiply-shift,
+//!   or the bitmap itself — the same slots [`crate::memo::MemoTable`] lays
+//!   the same plan out in), single-threaded, before the table is shared. A
+//!   plain word: nothing writes it again;
+//! * **record** — 16 B: the set's cardinality, a plain `f64` written by the
+//!   layout beside the key, and the **cost** of its best candidate as an
+//!   `AtomicU64` of [`ordered_cost_bits`], which starts at ∞ and is lowered
+//!   by a `fetch_min` after every winning handle CAS;
 //! * **val** — an `AtomicU64` handle (index + 1) into an append-only
 //!   candidate arena whose records hold `(cost, left)` and are immutable
 //!   once published; handle 0 reads as the unplanned `(∞, S)`.
+//!
+//! Pricing a split needs only a side's cost and cardinality
+//! ([`AtomicMemo::cost_rows`]): the key and the record, no handle, no arena
+//! segment pointer, no arena record. The handle and the arena are for what
+//! needs `left` — the exact `(cost, left)` tie-break of [`AtomicMemo::update`]
+//! and plan extraction through [`AtomicMemo::get`].
+//!
+//! The record's cost is the winner's, bit for bit, once a level's (or a
+//! class's) writes are done. The winner is the minimum under
+//! [`candidate_key`], lexicographic on `(ordered cost bits, left)`, so no
+//! candidate can have replaced it, and its own handle CAS must have
+//! succeeded — after which it offered its cost to the record. Every other
+//! cost the record was offered belongs to a candidate that won a CAS and was
+//! displaced later, so its key is larger than the winner's, and then so are
+//! its cost bits or they are equal. The record starts at ∞ and the winner
+//! beats the unplanned `(∞, S)`, so its cost bits are at most ∞'s too. The
+//! minimum of the offers is therefore the winner's cost bits, and
+//! [`cost_from_ordered_bits`] inverts the fold exactly.
 //!
 //! The winner per set must be the minimum under the 128-bit lexicographic
 //! key `(cost-as-ordered-bits, left bitmap)` — see
@@ -47,6 +69,10 @@
 //!   handle `h` also sees the fully written record `h-1` (release/acquire
 //!   pairing on the same atomic). Records are never mutated after
 //!   publication, so no tearing is possible.
+//! * The record's cost is `Relaxed`, its `fetch_min` and its load alike: a
+//!   single word, read only by [`AtomicMemo::cost_rows`], and only for sets
+//!   whose level (or class) has ended. The barrier that ends it orders every
+//!   `fetch_min` before every later load.
 //! * Diagnostics (probe and CAS-retry counters) are `Relaxed` — statistics,
 //!   not synchronization.
 //!
@@ -67,7 +93,10 @@
 //! that was not laid out ends at a free slot.
 
 use crate::bitset::RelSet;
-use crate::memo::{candidate_key, ordered_cost_bits, Addressing, MemoEntry, MemoHealth, MemoStore};
+use crate::memo::{
+    candidate_key, cost_from_ordered_bits, ordered_cost_bits, Addressing, MemoEntry, MemoHealth,
+    MemoStore,
+};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
@@ -98,13 +127,13 @@ const SEGMENTS: usize = 48;
 struct Arena {
     segments: [AtomicPtr<CandidateCell>; SEGMENTS],
     cursor: AtomicUsize,
-    /// Capacity of segment 0 (power of two).
+    /// Capacity of segment 0.
     base: usize,
 }
 
 impl Arena {
     fn new(base: usize) -> Arena {
-        let base = base.max(16).next_power_of_two();
+        let base = base.max(1);
         Arena {
             segments: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             cursor: AtomicUsize::new(0),
@@ -194,6 +223,16 @@ impl Drop for Arena {
     }
 }
 
+/// What a split reads of a slot: the cost of its best candidate and its
+/// cardinality, in 16 B.
+struct Record {
+    /// [`ordered_cost_bits`] of the best cost; ∞ while unplanned, lowered by
+    /// `fetch_min` after every winning handle CAS.
+    cost: AtomicU64,
+    /// Written by the layout only.
+    rows: f64,
+}
+
 /// The lock-free shared memo table (see the module docs for the design).
 ///
 /// All hot-path operations take `&self` so scoped worker threads can share
@@ -202,8 +241,8 @@ impl Drop for Arena {
 pub struct AtomicMemo {
     /// Each slot's set bitmap, 0 for a free slot; written by the layout only.
     keys: Box<[u64]>,
-    /// Each slot's cardinality, beside its key and as immutable.
-    rows: Box<[f64]>,
+    /// Each slot's best cost and cardinality, for the lookups that price.
+    records: Box<[Record]>,
     /// Each slot's best candidate: an arena handle, 0 while unplanned.
     vals: Box<[AtomicU64]>,
     at: Addressing,
@@ -217,38 +256,50 @@ pub struct AtomicMemo {
 }
 
 impl AtomicMemo {
-    /// See [`MemoStore::laid_out`]. The candidate arena starts at one record
-    /// per set, which is what a backend that publishes each set once needs,
-    /// and doubles from there.
+    /// See [`MemoStore::laid_out`]. The candidate arena starts at exactly one
+    /// record per set, which is what a backend that publishes each set once
+    /// needs, and doubles from there.
     pub fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
         debug_assert_eq!(sets.len(), rows.len());
         let at = Addressing::for_universe(n, sets.len());
-        let mut keys = vec![0u64; at.slots()].into_boxed_slice();
-        let mut slot_rows = vec![0.0; at.slots()].into_boxed_slice();
-        let mut by_size = vec![0u64; n + 1].into_boxed_slice();
-        let layout = sets
+        let unplanned = ordered_cost_bits(f64::INFINITY);
+        let mut m = AtomicMemo {
+            keys: vec![0u64; at.slots()].into_boxed_slice(),
+            records: (0..at.slots())
+                .map(|_| Record {
+                    cost: AtomicU64::new(unplanned),
+                    rows: 0.0,
+                })
+                .collect(),
+            vals: (0..at.slots()).map(|_| AtomicU64::new(0)).collect(),
+            at,
+            layout: Box::default(),
+            by_size: vec![0u64; n + 1].into_boxed_slice(),
+            probes: AtomicU64::new(0),
+            cas_retries: AtomicU64::new(0),
+            arena: Arena::new(sets.len()),
+        };
+        m.layout = sets
             .iter()
             .zip(rows)
             .map(|(&set, &rows)| {
-                let (idx, steps) = at.probe(set.bits(), |i| keys[i]);
-                debug_assert!(!set.is_empty() && keys[idx] == 0, "{set} laid out twice");
-                keys[idx] = set.bits();
-                slot_rows[idx] = rows;
-                by_size[set.len()] += steps;
+                let (idx, steps) = m.probe(set);
+                debug_assert!(!set.is_empty() && m.keys[idx] == 0, "{set} laid out twice");
+                m.keys[idx] = set.bits();
+                m.records[idx].rows = rows;
+                m.by_size[set.len()] += steps;
                 idx as u32
             })
             .collect();
-        AtomicMemo {
-            keys,
-            rows: slot_rows,
-            vals: (0..at.slots()).map(|_| AtomicU64::new(0)).collect(),
-            at,
-            layout,
-            probes: AtomicU64::new(by_size.iter().sum()),
-            by_size,
-            cas_retries: AtomicU64::new(0),
-            arena: Arena::new(sets.len()),
-        }
+        *m.probes.get_mut() = m.by_size.iter().sum();
+        m
+    }
+
+    /// The slot `set`'s probe ends at — its own, or a free one if it was not
+    /// laid out — and the slots it read.
+    #[inline]
+    fn probe(&self, set: RelSet) -> (usize, u64) {
+        self.at.probe(set.bits(), |i| self.keys[i])
     }
 
     /// See [`MemoStore::slot`].
@@ -260,10 +311,10 @@ impl AtomicMemo {
     /// See [`MemoStore::find`].
     #[inline]
     pub fn find(&self, set: RelSet) -> (usize, f64) {
-        let (slot, steps) = self.at.probe(set.bits(), |i| self.keys[i]);
+        let (slot, steps) = self.probe(set);
         self.probes.fetch_add(steps, Ordering::Relaxed);
         assert!(self.keys[slot] != 0, "{set} was not laid out");
-        (slot, self.rows[slot])
+        (slot, self.records[slot].rows)
     }
 
     /// Probe steps the layout took for the sets of `size` relations — what
@@ -312,15 +363,32 @@ impl AtomicMemo {
     /// (previous DP levels).
     #[inline]
     pub fn get(&self, set: RelSet) -> Option<MemoEntry> {
-        let (slot, _) = self.at.probe(set.bits(), |i| self.keys[i]);
+        let (slot, _) = self.probe(set);
         (self.keys[slot] != 0).then(|| {
             let (cost, left) = self.candidate(slot, self.vals[slot].load(Ordering::Acquire));
             MemoEntry {
                 set,
                 left: RelSet(left),
                 cost,
-                rows: self.rows[slot],
+                rows: self.records[slot].rows,
             }
+        })
+    }
+
+    /// See [`MemoStore::cost_rows`]: the key and the slot's record, never
+    /// the handle or the arena. Exact for a set whose level (or class) has
+    /// ended, which is every set a backend prices from (module docs).
+    #[inline]
+    pub fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
+        let (slot, _) = self.probe(set);
+        (self.keys[slot] != 0).then(|| {
+            let r = &self.records[slot];
+            // Relaxed: the barrier that ended the set's level (or class)
+            // orders every `fetch_min` on this word before this load.
+            (
+                cost_from_ordered_bits(r.cost.load(Ordering::Relaxed)),
+                r.rows,
+            )
         })
     }
 
@@ -349,13 +417,28 @@ impl AtomicMemo {
                 self.arena.publish(c) as u64 + 1
             });
             match val.compare_exchange_weak(cur, handle, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return true,
+                Ok(_) => {
+                    self.mirror_cost(slot, mine.0);
+                    return true;
+                }
                 Err(now) => {
                     self.cas_retries.fetch_add(1, Ordering::Relaxed);
                     cur = now;
                 }
             }
         }
+    }
+
+    /// Offers the folded cost `bits` of a candidate whose handle CAS just
+    /// won to `slot`'s record. Another writer may win after that CAS and
+    /// offer its lower cost before this one arrives, so this keeps the
+    /// minimum of the offers — the final winner's (module docs).
+    #[inline]
+    fn mirror_cost(&self, slot: usize, bits: u64) {
+        // Relaxed: only `cost_rows` reads the record, after the barrier that
+        // ends this level (or class), which orders this `fetch_min` before
+        // the read.
+        self.records[slot].cost.fetch_min(bits, Ordering::Relaxed);
     }
 }
 
@@ -384,6 +467,10 @@ impl MemoStore for AtomicMemo {
         AtomicMemo::get(self, set)
     }
 
+    fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
+        AtomicMemo::cost_rows(self, set)
+    }
+
     fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool {
         AtomicMemo::update(self, slot, left, cost)
     }
@@ -408,6 +495,8 @@ mod tests {
         let s = RelSet::from_indices([0, 1]);
         let sets = [RelSet::singleton(0), RelSet::singleton(1), s];
         let m = AtomicMemo::laid_out(2, &sets, &[100.0, 200.0, 5.0]);
+        // Segment 0 of the arena holds exactly one record per set.
+        assert_eq!(m.arena.base, 3);
         for (k, &set) in sets.iter().enumerate() {
             let e = m.get(set).unwrap();
             assert_eq!(
@@ -415,17 +504,21 @@ mod tests {
                 (set, f64::INFINITY, RelSet::EMPTY)
             );
             assert_eq!(m.find(set), (m.slot(k), e.rows));
+            assert_eq!(m.cost_rows(set), Some((f64::INFINITY, e.rows)));
         }
         assert!(m.update(m.slot(0), RelSet::EMPTY, 7.0));
         assert!(m.update(m.slot(2), RelSet::singleton(1), f64::INFINITY));
         let (leaf, join) = (m.get(sets[0]).unwrap(), m.get(s).unwrap());
         assert!(leaf.is_leaf() && leaf.cost == 7.0 && leaf.rows == 100.0);
+        assert_eq!(m.cost_rows(sets[0]), Some((7.0, 100.0)));
         assert_eq!(
             (join.left, join.right(), join.rows),
             (sets[1], sets[0], 5.0)
         );
+        assert_eq!(m.cost_rows(s), Some((f64::INFINITY, 5.0)));
         assert!(m.get(RelSet::singleton(2)).is_none());
         assert!(m.get(RelSet::EMPTY).is_none());
+        assert!(m.cost_rows(RelSet::singleton(2)).is_none());
         assert_eq!(m.health().entries, 3);
     }
 
@@ -469,6 +562,21 @@ mod tests {
         assert_eq!(ea.left, et.left);
         assert_eq!(ea.cost.to_bits(), et.cost.to_bits());
         assert_eq!(ea.left, RelSet::singleton(0));
+    }
+
+    #[test]
+    fn a_displaced_winners_late_mirror_leaves_the_record_at_the_winner() {
+        // Writer A wins the handle CAS at cost 5, writer B wins after it at
+        // cost 3 and mirrors its cost, and only then does A's mirror arrive:
+        // the interleaving a race between the CAS and the mirror allows.
+        let s = RelSet::from_indices([0, 1, 2]);
+        let m = AtomicMemo::laid_out(3, &[s], &[4.0]);
+        let slot = m.slot(0);
+        assert!(m.update(slot, RelSet::singleton(0), 5.0));
+        assert!(m.update(slot, RelSet::singleton(1), 3.0));
+        m.mirror_cost(slot, ordered_cost_bits(5.0));
+        assert_eq!(m.cost_rows(s), Some((3.0, 4.0)));
+        assert_eq!(m.get(s).unwrap().cost, 3.0);
     }
 
     #[test]
@@ -540,6 +648,23 @@ mod tests {
                 let (got, want) = (memo.get(set).unwrap(), expect.get(set).unwrap());
                 assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "key {set}");
                 assert_eq!(got.left, want.left, "key {set}");
+                // The narrow lookup reads the record, never the arena, and
+                // must read the winner's cost and rows to the bit.
+                let (cost, rows) = memo.cost_rows(set).unwrap();
+                assert_eq!(
+                    (cost.to_bits(), rows.to_bits()),
+                    (got.cost.to_bits(), got.rows.to_bits()),
+                    "key {set}"
+                );
+            }
+            // Every laid-out slot's mirrored cost is its handle's record's.
+            for (slot, &key) in memo.keys.iter().enumerate() {
+                if key == 0 {
+                    continue;
+                }
+                let mirrored = memo.records[slot].cost.load(Ordering::Relaxed);
+                let (winner, _) = memo.candidate(slot, memo.vals[slot].load(Ordering::Acquire));
+                assert_eq!(mirrored, ordered_cost_bits(winner), "slot {slot}");
             }
         }
     }
@@ -578,15 +703,16 @@ mod tests {
 
     #[test]
     fn an_unfitting_universe_hashes_as_before() {
-        // Eight relations do not fit 128 slots: the home slot is Murmur3's,
-        // exactly as for a table over any relations.
+        // Eight relations do not fit 128 slots: the home slot is the top
+        // seven bits of k · 2⁶⁴/φ, exactly as for a table over any relations.
         let (sets, rows) = numbered(KEYS);
         let memo = AtomicMemo::laid_out(8, &sets, &rows);
         assert_eq!(memo.at, Addressing::for_universe(64, KEYS as usize));
         assert!(!memo.at.is_direct());
         let mask = memo.keys.len() - 1;
+        assert_eq!(memo.keys.len(), 128);
         for k in 1..=KEYS {
-            let mut idx = murmur3_fmix64(k) as usize & mask;
+            let mut idx = (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57) as usize;
             while memo.keys[idx] != k {
                 assert_ne!(memo.keys[idx], 0, "key {k}");
                 idx = (idx + 1) & mask;

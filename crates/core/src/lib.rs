@@ -19,8 +19,9 @@
 //!   subgraphs (MPDP's block decomposition);
 //! * [`query`] — [`query::QueryInfo`] / [`query::LargeQuery`] problem
 //!   descriptions and sub-problem projection;
-//! * [`memo::MemoTable`] — the open-addressing memo of §5 (Murmur3, or the
-//!   set's own bitmap where every subset has a slot: [`memo::Addressing`]),
+//! * [`memo::MemoTable`] — the open-addressing memo of §5 (multiply-shift
+//!   where the paper uses Murmur3, or the set's own bitmap where every
+//!   subset has a slot: [`memo::Addressing`]),
 //!   and the [`memo::MemoStore`] interface both memo implementations speak;
 //! * [`atomic_memo::AtomicMemo`] — the lock-free shared memo the parallel
 //!   backends update in place (the paper's global table with `atomicMin`);

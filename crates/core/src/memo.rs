@@ -9,8 +9,16 @@
 //! the query's `n` relations has a slot of its own in the table the memo
 //! creates anyway (`2ⁿ ≤` [`slots_for`]`(entries)` — stars, cliques), the
 //! set's bitmap *is* its slot and no hash is computed; otherwise the home
-//! slot is the Murmur3 finalizer of the bitmap, as in the paper. Both use the
-//! same slot count, so the choice never costs memory.
+//! slot is the multiply-shift hash of the bitmap (Dietzfelbinger et al.,
+//! 1997): one multiply by the 64-bit golden ratio, the top `log₂ slots` bits
+//! of the product. Here the repository departs from the paper's Murmur3. A
+//! lookup is on the critical path of every split, and Murmur3's finalizer is
+//! about 12 dependent cycles before the load can issue, where multiply-shift
+//! is a multiply and a shift. On the connected-set families measured, its
+//! layouts take fewer probes overall than Murmur3's (DESIGN §4 "One lookup";
+//! `tests/memo_addressing.rs` holds each shape to bounds calibrated from
+//! Murmur3 on the same sets). Both addressings use the same slot count, so
+//! the choice never costs memory.
 //!
 //! Every exact backend knows every connected set, with its cardinality,
 //! before it prices the first split (the level plan,
@@ -23,7 +31,9 @@
 //! ([`MemoStore::update`]): a level-synchronous driver takes it from the
 //! layout by plan position ([`MemoStore::slot`]), a driver that meets a set
 //! as the union of a pair from its one lookup of that union
-//! ([`MemoStore::find`]), which also yields the set's cardinality.
+//! ([`MemoStore::find`]), which also yields the set's cardinality. Pricing a
+//! split reads each side's best cost and cardinality and nothing else
+//! ([`MemoStore::cost_rows`]): one probe, one slot.
 //!
 //! Each entry stores the best plan found so far for a set `S`: its cost, its
 //! (split-invariant) output cardinality and the left side of the winning
@@ -43,7 +53,9 @@
 use crate::bitset::RelSet;
 use std::cell::Cell;
 
-/// Murmur3 64-bit finalizer — the hash the paper uses for its GPU memo.
+/// Murmur3 64-bit finalizer — the hash the paper uses for its GPU memo, and
+/// the workspace's general-purpose mixer (fingerprints, the hash ring,
+/// seeded streams). The memo stores address by [`Addressing`] instead.
 #[inline]
 pub fn murmur3_fmix64(mut k: u64) -> u64 {
     k ^= k >> 33;
@@ -71,6 +83,15 @@ pub fn ordered_cost_bits(cost: f64) -> u64 {
     b ^ ((((b as i64) >> 63) as u64) | 0x8000_0000_0000_0000)
 }
 
+/// The inverse of [`ordered_cost_bits`]: the cost whose folded bits are
+/// `ordered`, bit for bit (NaN payloads and the sign of zero included).
+#[inline]
+pub fn cost_from_ordered_bits(ordered: u64) -> f64 {
+    // A set top bit was a non-negative cost, whose fold set the sign bit;
+    // a clear one was a negative cost, whose fold inverted every bit.
+    f64::from_bits(ordered ^ (!(((ordered as i64) >> 63) as u64) | 0x8000_0000_0000_0000))
+}
+
 /// The `(cost, left)` ordering key under which every memo keeps the minimum:
 /// lexicographic on (order-preserving cost bits, left bitmap). All stores —
 /// sequential [`MemoTable`] and concurrent
@@ -94,12 +115,17 @@ pub fn slots_for(entries: usize) -> usize {
     ((entries + 1) * 10 / 7 + 1).next_power_of_two().max(16)
 }
 
+/// The multiplier of the hashed home slot: `2⁶⁴ / φ`, odd.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// Where a set's probe starts in a memo of [`slots_for`]`(entries)` slots,
 /// and where it goes on a collision — the addressing both stores use, chosen
 /// once per table by [`Addressing::for_universe`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Addressing {
     mask: usize,
+    /// `64 − log₂ slots`: a hashed home is the product's top bits.
+    shift: u32,
     direct: bool,
 }
 
@@ -110,12 +136,13 @@ impl Addressing {
     /// every subset of the `n` relations has a slot of its own and a set's
     /// bitmap is its home slot: the map is injective, so every probe ends at
     /// its first slot, and a level's ascending sets land in ascending slots.
-    /// Otherwise the home slot is the Murmur3 finalizer of the bitmap.
+    /// Otherwise the home slot is the multiply-shift hash of the bitmap.
     /// `n = 64` (any set) always hashes.
     pub fn for_universe(n: usize, entries: usize) -> Self {
         let slots = slots_for(entries);
         Addressing {
             mask: slots - 1,
+            shift: 64 - slots.trailing_zeros(),
             direct: n < 64 && 1u64 << n <= slots as u64,
         }
     }
@@ -132,17 +159,19 @@ impl Addressing {
         self.direct
     }
 
-    /// The slot a probe for the set `bits` starts at. A key outside the
+    /// The slot a probe for the set `bits` starts at: the bitmap itself on a
+    /// direct table, else the top `log₂ slots` bits of `bits · 2⁶⁴/φ` — one
+    /// multiply and one shift, where Murmur3's finalizer is two multiplies
+    /// and three shift-xors in a dependent chain. A key outside the
     /// announced universe still lands in range (the mask) and is found by
     /// the linear probe like any hashed key.
     #[inline]
     pub fn home(self, bits: u64) -> usize {
-        let h = if self.direct {
-            bits
+        if self.direct {
+            bits as usize & self.mask
         } else {
-            murmur3_fmix64(bits)
-        };
-        h as usize & self.mask
+            (bits.wrapping_mul(GOLDEN) >> self.shift) as usize
+        }
     }
 
     /// Walks the linear probe of the set `bits` — `key(slot)` reads a slot's
@@ -220,6 +249,13 @@ pub trait MemoStore {
     /// Looks up the best entry for `set`; `None` if it was not laid out.
     fn get(&self, set: RelSet) -> Option<MemoEntry>;
 
+    /// The cost of the best plan for `set` (∞ while unplanned) and its
+    /// cardinality — all a split reads of a side, and so all that
+    /// `mpdp-dp`'s pricing looks up; `None` if `set` was not laid out. The
+    /// two are [`get`](Self::get)'s `cost` and `rows`, to the bit, read from
+    /// the set's one slot.
+    fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)>;
+
     /// Records a candidate plan — split `left`, total `cost` — for the set
     /// in `slot`, keeping it only if its [`candidate_key`] beats the
     /// incumbent's (Algorithm 1, lines 20–21). Returns `true` if the
@@ -290,19 +326,23 @@ impl MemoTable {
     pub fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
         debug_assert_eq!(sets.len(), rows.len());
         let at = Addressing::for_universe(n, sets.len());
-        let mut slots = vec![EMPTY_SLOT; at.slots()];
-        let mut probes = 0;
-        let layout = sets
+        let mut m = MemoTable {
+            slots: vec![EMPTY_SLOT; at.slots()],
+            at,
+            layout: Box::default(),
+            probes: Cell::new(0),
+        };
+        m.layout = sets
             .iter()
             .zip(rows)
             .map(|(&set, &rows)| {
-                let (idx, steps) = at.probe(set.bits(), |i| slots[i].key);
+                let (idx, steps) = m.probe(set);
                 debug_assert!(
-                    !set.is_empty() && slots[idx].key == 0,
+                    !set.is_empty() && m.slots[idx].key == 0,
                     "{set} laid out twice"
                 );
-                probes += steps;
-                slots[idx] = Slot {
+                m.probes.set(m.probes.get() + steps);
+                m.slots[idx] = Slot {
                     key: set.bits(),
                     left: set.bits(),
                     cost: f64::INFINITY,
@@ -311,12 +351,7 @@ impl MemoTable {
                 idx as u32
             })
             .collect();
-        MemoTable {
-            slots,
-            at,
-            layout,
-            probes: Cell::new(probes),
-        }
+        m
     }
 
     /// See [`MemoStore::slot`].
@@ -325,10 +360,17 @@ impl MemoTable {
         self.layout[k] as usize
     }
 
+    /// The slot `set`'s probe ends at — its own, or a free one if it was not
+    /// laid out — and the slots it read.
+    #[inline]
+    fn probe(&self, set: RelSet) -> (usize, u64) {
+        self.at.probe(set.bits(), |i| self.slots[i].key)
+    }
+
     /// See [`MemoStore::find`].
     #[inline]
     pub fn find(&self, set: RelSet) -> (usize, f64) {
-        let (idx, steps) = self.at.probe(set.bits(), |i| self.slots[i].key);
+        let (idx, steps) = self.probe(set);
         self.probes.set(self.probes.get() + steps);
         let s = &self.slots[idx];
         assert!(s.key != 0, "{set} was not laid out");
@@ -338,14 +380,21 @@ impl MemoTable {
     /// See [`MemoStore::get`].
     #[inline]
     pub fn get(&self, set: RelSet) -> Option<MemoEntry> {
-        let (idx, _) = self.at.probe(set.bits(), |i| self.slots[i].key);
-        let s = self.slots[idx];
+        let s = self.slots[self.probe(set).0];
         (s.key != 0).then_some(MemoEntry {
             set,
             left: RelSet(s.left),
             cost: s.cost,
             rows: s.rows,
         })
+    }
+
+    /// See [`MemoStore::cost_rows`]: the 32 B slot the probe ends at holds
+    /// the key, the cost and the rows, so a direct lookup touches one line.
+    #[inline]
+    pub fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
+        let s = &self.slots[self.probe(set).0];
+        (s.key != 0).then_some((s.cost, s.rows))
     }
 
     /// See [`MemoStore::update`]: strictly cheaper wins, exact cost ties go
@@ -390,6 +439,10 @@ impl MemoStore for MemoTable {
         MemoTable::get(self, set)
     }
 
+    fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
+        MemoTable::cost_rows(self, set)
+    }
+
     fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool {
         MemoTable::update(self, slot, left, cost)
     }
@@ -428,6 +481,7 @@ mod tests {
                 (set, f64::INFINITY, RelSet::EMPTY)
             );
             assert_eq!(m.find(set), (m.slot(k), e.rows));
+            assert_eq!(m.cost_rows(set), Some((f64::INFINITY, e.rows)));
         }
         assert_eq!(m.get(s).unwrap().rows, 5.0);
         // A leaf is planned like any set; even an infinitely expensive
@@ -436,9 +490,11 @@ mod tests {
         assert!(m.update(m.slot(2), RelSet::singleton(1), f64::INFINITY));
         let (leaf, join) = (m.get(sets[0]).unwrap(), m.get(s).unwrap());
         assert!(leaf.is_leaf() && leaf.cost == 7.0 && leaf.rows == 100.0);
+        assert_eq!(m.cost_rows(sets[0]), Some((7.0, 100.0)));
         assert_eq!((join.left, join.right()), (sets[1], sets[0]));
         assert!(m.get(RelSet::singleton(2)).is_none());
         assert!(m.get(RelSet::EMPTY).is_none());
+        assert!(m.cost_rows(RelSet::singleton(2)).is_none());
         assert_eq!(m.health().entries, 3);
     }
 
@@ -484,6 +540,39 @@ mod tests {
                 w[0],
                 w[1]
             );
+        }
+    }
+
+    #[test]
+    fn ordered_cost_bits_inverts_to_the_bit() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1), // the smallest subnormal
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff), // the largest subnormal
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN payload
+            f64::from_bits(0xfff8_dead_beef_0001), // negative quiet NaN payload
+        ];
+        // And a stream of arbitrary bit patterns, every class among them.
+        let arbitrary = (0..10_000u64).map(|i| f64::from_bits(murmur3_fmix64(i)));
+        for cost in specials.into_iter().chain(arbitrary) {
+            let back = cost_from_ordered_bits(ordered_cost_bits(cost));
+            assert_eq!(back.to_bits(), cost.to_bits(), "{cost:e}");
+        }
+        // Both directions: every folded value comes from exactly one cost.
+        for ordered in [0, 1, 1 << 63, (1 << 63) - 1, u64::MAX, u64::MAX - 1] {
+            assert_eq!(ordered_cost_bits(cost_from_ordered_bits(ordered)), ordered);
         }
     }
 
@@ -571,7 +660,8 @@ mod tests {
     fn an_unfitting_universe_hashes_as_before() {
         // The same sets laid out in a table over 20 relations (which does
         // not fit) and one over any relations: the same slots, probe for
-        // probe, and each key reached from its Murmur3 home slot.
+        // probe, and each key reached from its multiply-shift home slot, the
+        // top log₂(1 024) = 10 bits of bits · 2⁶⁴/φ.
         let sets: std::collections::BTreeSet<RelSet> = subset_stream(20, 1)
             .take(1_000)
             .map(|(s, _, _)| s)
@@ -584,8 +674,9 @@ mod tests {
         let keys = |m: &MemoTable| m.slots.iter().map(|s| s.key).collect::<Vec<_>>();
         assert_eq!(keys(&narrow), keys(&any));
         let mask = narrow.slots.len() - 1;
+        assert_eq!(narrow.slots.len(), 1 << 10);
         for (k, set) in sets.iter().enumerate() {
-            let mut idx = murmur3_fmix64(set.bits()) as usize & mask;
+            let mut idx = (set.bits().wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 54) as usize;
             while narrow.slots[idx].key != set.bits() {
                 assert_ne!(narrow.slots[idx].key, 0, "{set}");
                 idx = (idx + 1) & mask;

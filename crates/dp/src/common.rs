@@ -129,18 +129,16 @@ pub fn init_memo<M: MemoStore>(q: &QueryInfo, plan: &ConnectedSets) -> M {
 
 /// Looks both sides of a split up — the part of `CreatePlan` that does not
 /// depend on the join order. `None` if either side has no memo entry yet.
-/// The first half of [`price_both`].
+/// The first half of [`price_both`]. Each side is one
+/// [`MemoStore::cost_rows`]: its best cost and cardinality, nothing else.
 #[inline]
 pub(crate) fn join_inputs<M: MemoStore>(
     memo: &M,
     a: RelSet,
     b: RelSet,
 ) -> Option<(InputEst, InputEst)> {
-    let est = |e: mpdp_core::MemoEntry| InputEst {
-        cost: e.cost,
-        rows: e.rows,
-    };
-    Some((est(memo.get(a)?), est(memo.get(b)?)))
+    let est = |(cost, rows)| InputEst { cost, rows };
+    Some((est(memo.cost_rows(a)?), est(memo.cost_rows(b)?)))
 }
 
 /// Prices the ordered Join-Pair `(sl, sr)` against a read-only view of the
