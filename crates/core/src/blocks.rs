@@ -8,7 +8,10 @@
 //! `Σ_blocks 2^|block|`.
 //!
 //! The implementation is an iterative DFS (no recursion, so deep chains do not
-//! overflow the stack) restricted to the vertices of `S`.
+//! overflow the stack) restricted to the vertices of `S`. [`BlockIndex`]
+//! decomposes the whole graph once, so that per set the DFS runs only where
+//! the blocks are not already known, and a block split becomes a set split by
+//! precomputed masks; [`SplitWalk`] visits only a block's connected splits.
 
 use crate::bitset::RelSet;
 use crate::graph::JoinGraph;
@@ -197,6 +200,126 @@ impl BlockFinder {
         }
         &self.blocks[..self.num_blocks]
     }
+
+    /// The blocks of `G[S ∩ B]`, given `inside = S ∩ B` for a connected `S`
+    /// and a block `B` of `g`, with no DFS where the answer is known: a
+    /// block of `g` is biconnected, so `S ⊇ B` leaves `B` one block; and two
+    /// vertices of `B` in a connected `S` are adjacent (a path of `S`
+    /// between them cannot leave `B` and come back), so `|S ∩ B| = 2` is
+    /// that edge. Otherwise [`BlockFinder::find`] on `inside`.
+    pub fn find_in_block(&mut self, g: &JoinGraph, inside: RelSet, block: RelSet) -> &[RelSet] {
+        debug_assert!(inside.is_subset(block));
+        if inside.len() == 2 || inside == block {
+            self.blocks[0] = inside;
+            self.num_blocks = 1;
+            self.cuts = RelSet::EMPTY;
+            return &self.blocks[..1];
+        }
+        self.find(g, inside)
+    }
+}
+
+/// Walks the connected left sides of a block's splits: every connected
+/// `lb ⊂ b` holding `b`'s lowest vertex, `lb ≠ b`, each once. It is
+/// `EnumerateCsgRec` (Moerkotte–Neumann) restricted to `b`, one vertex per
+/// step as in [`crate::enumerate`]: a set carries the vertices that may
+/// still extend it and everything its extensions may not add again, so every
+/// set has one parent and there is nothing to deduplicate. The stack is
+/// fixed (a set grows by one vertex per level, so it is at most 64 deep), and
+/// a walk allocates nothing.
+pub struct SplitWalk {
+    stack: [WalkStep; 64],
+}
+
+/// One level of [`SplitWalk`]: a connected set, the vertices that may still
+/// extend it, and every vertex an extension may not add again.
+#[derive(Copy, Clone, Default)]
+struct WalkStep {
+    set: RelSet,
+    ext: RelSet,
+    seen: RelSet,
+}
+
+impl Default for SplitWalk {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SplitWalk {
+    /// Fresh scratch.
+    pub fn new() -> Self {
+        SplitWalk {
+            stack: [WalkStep::default(); 64],
+        }
+    }
+
+    /// Every connected `lb ⊂ block` that holds `block`'s lowest vertex,
+    /// `lb ≠ block`, once each. `block` must be connected and have at least
+    /// two vertices. An iterator rather than a callback, so that what the
+    /// caller's loop updates can stay in registers (DESIGN.md §4).
+    #[inline]
+    pub fn lefts<'w>(&'w mut self, g: &'w JoinGraph, block: RelSet) -> Lefts<'w> {
+        debug_assert!(block.len() >= 2);
+        let low = block.lowest_bit();
+        let adj = g.adjacency(block.first().expect("a block has vertices"));
+        self.stack[0] = WalkStep {
+            set: low,
+            ext: adj.intersect(block),
+            seen: adj.union(low),
+        };
+        Lefts {
+            stack: &mut self.stack,
+            depth: 1,
+            g,
+            block,
+            low: Some(low),
+        }
+    }
+}
+
+/// The iterator of [`SplitWalk::lefts`].
+pub struct Lefts<'w> {
+    stack: &'w mut [WalkStep; 64],
+    depth: usize,
+    g: &'w JoinGraph,
+    block: RelSet,
+    /// The block's lowest vertex, the walk's root, until it is yielded.
+    low: Option<RelSet>,
+}
+
+impl Iterator for Lefts<'_> {
+    type Item = RelSet;
+
+    #[inline]
+    fn next(&mut self) -> Option<RelSet> {
+        if let Some(low) = self.low.take() {
+            return Some(low);
+        }
+        while self.depth > 0 {
+            let top = &mut self.stack[self.depth - 1];
+            let Some(w) = top.ext.first() else {
+                self.depth -= 1;
+                continue;
+            };
+            top.ext = top.ext.without(w);
+            let adj = self.g.adjacency(w);
+            let fresh = adj.intersect(self.block).difference(top.seen);
+            let next = WalkStep {
+                set: top.set.with(w),
+                ext: top.ext.union(fresh),
+                seen: top.seen.union(adj),
+            };
+            if !next.ext.is_empty() {
+                self.stack[self.depth] = next;
+                self.depth += 1;
+            }
+            if next.set != self.block {
+                return Some(next.set);
+            }
+        }
+        None
+    }
 }
 
 /// A bridge of the whole join graph with the vertex set on one side of it.
@@ -218,23 +341,83 @@ pub struct Bridge {
 /// of `G`) that is the bridge itself whenever both ends are in `S`, and
 /// removing it splits a connected `S` into `S ∩ side` and the rest — a
 /// mask, no DFS and no `grow`. Only the blocks with three or more vertices
-/// ever need [`BlockFinder`], on `S ∩ B`.
+/// ever need [`BlockFinder`], on `S ∩ B`, and there the *hanging masks* do
+/// for a split of a block what `side` does for a bridge (see
+/// [`CyclicBlock::hanging`]).
 #[derive(Clone, Debug, Default)]
 pub struct BlockIndex {
     /// The bridges of the graph.
     pub bridges: Vec<Bridge>,
     /// The blocks of the graph with at least three vertices.
     pub cyclic: Vec<RelSet>,
+    /// `hang_B(v)` for every block `B` of `cyclic` and every `v ∈ B`: `v`
+    /// and everything reachable from `v` without entering `B \ {v}` — the
+    /// cyclic-block analogue of a bridge's `side`. A block's masks are its
+    /// vertices' in increasing order, the blocks' back to back in `cyclic`'s
+    /// order: one vector per query, empty on a tree.
+    hang: Vec<RelSet>,
+}
+
+/// A block of the whole join graph with three or more vertices, with the
+/// masks hanging off its vertices ([`BlockIndex::cyclic_blocks`]).
+#[derive(Copy, Clone, Debug)]
+pub struct CyclicBlock<'a> {
+    /// The block's vertices.
+    pub vertices: RelSet,
+    /// `hang_B(v)` of the block's vertices, in increasing order.
+    hang: &'a [RelSet],
+}
+
+impl CyclicBlock<'_> {
+    /// The union of `hang_B(v)` over `v ∈ reach`, for `reach ⊆ B`.
+    ///
+    /// This is how a split of a block of a connected `G[S]` becomes a split
+    /// of `S` without a `grow` over `S`. Let `L′` be the vertices of `S ∩ B`
+    /// that the block's left side reaches inside `S ∩ B` without crossing
+    /// its right side. Then `hanging(L′) ∩ S` is the set-level left side.
+    /// A block is maximal, so a path that leaves `B` at `v` cannot re-enter
+    /// it anywhere but at `v`. Every vertex of `S` outside `B` therefore
+    /// hangs off exactly one vertex of `S ∩ B`, and it joins the side that
+    /// vertex is on.
+    #[inline]
+    pub fn hanging(&self, reach: RelSet) -> RelSet {
+        debug_assert!(reach.is_subset(self.vertices));
+        let mut out = RelSet::EMPTY;
+        for v in reach.iter() {
+            out = out.union(self.hang[self.vertices.intersect(RelSet::first_n(v)).len()]);
+        }
+        out
+    }
 }
 
 impl BlockIndex {
+    /// The blocks of `cyclic`, each with its hanging masks.
+    pub fn cyclic_blocks(&self) -> impl Iterator<Item = CyclicBlock<'_>> {
+        let mut rest = &self.hang[..];
+        self.cyclic.iter().map(move |&vertices| {
+            let (hang, tail) = rest.split_at(vertices.len());
+            rest = tail;
+            CyclicBlock { vertices, hang }
+        })
+    }
+
     /// Decomposes `g`.
     pub fn new(g: &JoinGraph) -> Self {
         let all = g.all_vertices();
-        let mut index = BlockIndex::default();
-        for &b in BlockFinder::new().find(g, all) {
+        let mut finder = BlockFinder::new();
+        let blocks = finder.find(g, all);
+        let masks = blocks.iter().map(|b| b.len()).filter(|&len| len > 2).sum();
+        let mut index = BlockIndex {
+            hang: Vec::with_capacity(masks),
+            ..Default::default()
+        };
+        for &b in blocks {
             if b.len() > 2 {
                 index.cyclic.push(b);
+                for v in b.iter() {
+                    let v = RelSet::singleton(v);
+                    index.hang.push(g.grow(v, all.difference(b.difference(v))));
+                }
                 continue;
             }
             let (u, v) = (b.lowest_bit(), b.difference(b.lowest_bit()));
@@ -516,6 +699,114 @@ mod tests {
                 let u = br.ends.lowest_bit();
                 let left = g.grow(u, s.difference(br.ends.difference(u)));
                 assert_eq!(s.intersect(br.side), left, "round {round}");
+            }
+        }
+    }
+
+    /// A random connected set: the component of a random subset's lowest
+    /// vertex, or every vertex one round in four.
+    fn random_connected_subset(g: &JoinGraph, round: usize, state: &mut u64) -> RelSet {
+        let all = g.all_vertices();
+        let raw = random_subset(all, state);
+        if round.is_multiple_of(4) || raw.is_empty() {
+            return all;
+        }
+        g.grow(raw.lowest_bit(), raw)
+    }
+
+    #[test]
+    fn hanging_masks_extend_every_block_split_as_grow_does() {
+        // For every CCP split {lb, rb} of every block of a connected G[S]:
+        // what lb reaches in S ∩ B without crossing rb, with what hangs off
+        // it, is `grow(lb, S \ rb)`. And the blocks the DFS is skipped for
+        // are the ones it finds.
+        let mut state = 13u64;
+        let (mut finder, mut shortcut) = (BlockFinder::new(), BlockFinder::new());
+        let (mut whole, mut edges, mut splits) = (0, 0, 0);
+        for round in 0..1000 {
+            let n = 3 + round % 12;
+            let g = random_graph(n, round % 8, &mut state);
+            let index = BlockIndex::new(&g);
+            let s = random_connected_subset(&g, round, &mut state);
+            for cyclic in index.cyclic_blocks() {
+                let inside = s.intersect(cyclic.vertices);
+                let found = finder.find(&g, inside).to_vec();
+                let known = shortcut.find_in_block(&g, inside, cyclic.vertices);
+                assert_eq!(sorted(known), sorted(&found), "round {round}");
+                whole += (inside == cyclic.vertices) as usize;
+                edges += (inside.len() == 2) as usize;
+                for &b in &found {
+                    for lb in b.subsets().filter(|lb| lb.contains(b.first().unwrap())) {
+                        let rb = b.difference(lb);
+                        if rb.is_empty() || !g.is_connected(lb) || !g.is_connected(rb) {
+                            continue;
+                        }
+                        splits += 1;
+                        let reach = if b == inside {
+                            lb
+                        } else {
+                            g.grow(lb, inside.difference(rb))
+                        };
+                        let left = cyclic.hanging(reach).intersect(s);
+                        assert_eq!(left, g.grow(lb, s.difference(rb)), "round {round}");
+                    }
+                }
+            }
+        }
+        assert!(
+            whole > 100 && edges > 100 && splits > 1000,
+            "{whole} {edges} {splits}"
+        );
+    }
+
+    #[test]
+    fn a_hanging_mask_is_its_vertex_and_what_only_it_reaches() {
+        // Figure 5: the square {1,2,3,4} carries {5,9,6,7,8} on 4; the
+        // square {6,7,8,9} carries {1,2,3,4,5} on 9.
+        let g = figure5_graph();
+        let index = BlockIndex::new(&g);
+        let blocks: Vec<CyclicBlock> = index.cyclic_blocks().collect();
+        assert_eq!(blocks.len(), 2);
+        let set = |v: &[usize]| RelSet::from_indices(v.iter().map(|i| i - 1));
+        for b in blocks {
+            for v in b.vertices.iter() {
+                let want = match (b.vertices == set(&[1, 2, 3, 4]), v + 1) {
+                    (true, 4) => set(&[4, 5, 6, 7, 8, 9]),
+                    (false, 9) => set(&[1, 2, 3, 4, 5, 9]),
+                    _ => RelSet::singleton(v),
+                };
+                assert_eq!(b.hanging(RelSet::singleton(v)), want);
+            }
+        }
+        // A tree keeps no masks.
+        let mut star = JoinGraph::new(4);
+        for leaf in 1..4 {
+            star.add_edge(0, leaf, 0.5);
+        }
+        let index = BlockIndex::new(&star);
+        assert!(index.cyclic.is_empty() && index.hang.is_empty());
+    }
+
+    #[test]
+    fn the_split_walk_visits_each_connected_left_side_once() {
+        let mut state = 17u64;
+        let mut walk = SplitWalk::new();
+        let mut finder = BlockFinder::new();
+        for round in 0..500 {
+            let n = 3 + round % 12;
+            let g = random_graph(n, round % 9, &mut state);
+            let s = random_subset(g.all_vertices(), &mut state);
+            for &b in finder.find(&g, s) {
+                let mut got: Vec<u64> = walk.lefts(&g, b).map(RelSet::bits).collect();
+                let low = b.first().unwrap();
+                let mut want: Vec<u64> = b
+                    .subsets()
+                    .filter(|&lb| lb != b && lb.contains(low) && g.is_connected(lb))
+                    .map(RelSet::bits)
+                    .collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "round {round}, block {b}");
             }
         }
     }

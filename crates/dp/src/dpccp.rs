@@ -64,10 +64,12 @@ impl<F: FnMut(RelSet, RelSet) -> Result<(), OptError>> CsgCmp<'_, F> {
         let b_min = RelSet::first_n(min + 1);
         let x = s1.union(b_min);
         let n = self.g.neighbors(s1).difference(x);
-        // Descending vertex order, as in the original pseudo-code.
-        let mut vs: Vec<usize> = n.iter().collect();
-        vs.reverse();
-        for v in vs {
+        // Descending vertex order, as in the original pseudo-code: the
+        // highest remaining bit, then clear it.
+        let mut rest = n.bits();
+        while rest != 0 {
+            let v = rest.ilog2() as usize;
+            rest ^= 1 << v;
             let s2 = RelSet::singleton(v);
             (self.emit)(s1, s2)?;
             let b_v_in_n = RelSet::first_n(v + 1).intersect(n);

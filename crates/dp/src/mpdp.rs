@@ -10,6 +10,13 @@
 //! whenever all blocks are cliques (Lemma 9) — which covers trees (blocks are
 //! single edges, Theorem 3) and cycles.
 //!
+//! Lemma 9's bound is the paper's vertex-based walk, which visits every
+//! submask of a block. The CPU kernel counts `evaluated` as that walk would,
+//! but it walks only the splits whose left side is connected: on a cycle of
+//! 18 relations the full set's one block has 131 071 submask splits and 153
+//! CCP splits. The simulated GPU keeps the submask walk, whose lanes it
+//! charges.
+//!
 //! The per-set loop exists once, as [`SetKernel`]; the sequential driver here,
 //! the CPU-parallel one in `mpdp-parallel` and the simulated-GPU one in
 //! `mpdp-gpu` all call it and differ only in scheduling and in how they
@@ -18,7 +25,7 @@
 use crate::common::{
     finish, init_memo, join_inputs, level_plan, OptContext, OptResult, PricedSplit,
 };
-use mpdp_core::blocks::{BlockFinder, BlockIndex};
+use mpdp_core::blocks::{BlockFinder, BlockIndex, SplitWalk};
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
 use mpdp_core::{OptError, QueryInfo, RelSet};
@@ -28,9 +35,11 @@ use mpdp_cost::model::CostModel;
 /// The simulated GPU charges lane cycles from here; everyone else passes
 /// `()`.
 pub trait SplitObserver {
-    /// Report the right side's connectivity even when the left side already
-    /// failed (the kernel itself stops at the first failure).
-    const BOTH_SIDES: bool = false;
+    /// Visit every submask split of every block, connected sides or not, and
+    /// report both sides' connectivity: the paper's lane-per-submask walk,
+    /// which the simulator charges. Without it the kernel walks only the
+    /// splits whose left side is connected, and reports each as such.
+    const EVERY_SPLIT: bool = false;
 
     /// One split `{lb, rb}` of a block of `s`, standing for the Join-Pairs
     /// `(lb, rb)` and `(rb, lb)`; the sides' connectivity decides whether
@@ -44,7 +53,9 @@ impl SplitObserver for () {}
 /// What [`SetKernel::evaluate`] found for one set.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct SetOutcome {
-    /// Join-Pairs evaluated (both orders of every block split).
+    /// Join-Pairs evaluated: Algorithm 3's EvaluatedCounter, both orders of
+    /// every submask split of every block, `2·(2^(|b|−1) − 1)` per block `b`
+    /// however many of them the kernel walks.
     pub evaluated: u64,
     /// CCP pairs among them (both orders).
     pub ccp: u64,
@@ -56,34 +67,45 @@ pub struct SetOutcome {
 }
 
 /// Algorithm 3's per-set body: find the blocks of `S`, enumerate CCP pairs
-/// inside each block, grow them to set-level pairs, price them and keep the
-/// best. Holds the per-query block structure by reference and its own
+/// inside each block, extend them to set-level pairs, price them and keep
+/// the best. Holds the per-query block structure by reference and its own
 /// scratch (in place of a `find_blocks` per set), so a call allocates
 /// nothing; each worker owns one.
 ///
-/// Five things keep a set cheap, none of which changes a result:
+/// Seven things keep a set cheap, none of which changes a result:
 ///
 /// * bridges of the whole graph split `S` by a precomputed mask, and block
 ///   finding runs only inside the graph's cyclic blocks ([`BlockIndex`]) — on
 ///   a tree-shaped `S` there is no DFS and no `grow`, which is Algorithm 2;
+/// * inside a cyclic block `B` there is no DFS either when `S ⊇ B` or
+///   `|S ∩ B| = 2`, where the blocks are known
+///   ([`BlockFinder::find_in_block`]);
+/// * inside a block only the connected left sides are walked
+///   ([`SplitWalk`]), so the work is per CCP split, not per submask; only the
+///   right side is tested, and `evaluated` — Algorithm 3's counter, which
+///   counts every submask — is counted in closed form;
+/// * a block split becomes a set split through the block's hanging masks
+///   ([`CyclicBlock::hanging`](mpdp_core::blocks::CyclicBlock::hanging)),
+///   not a `grow` across `S`;
 /// * each block split is visited once, from the side holding the block's
-///   lowest vertex, and stands for both Join-Pairs: `(lb, rb)` grows to
+///   lowest vertex, and stands for both Join-Pairs: `(lb, rb)` extends to
 ///   `(sl, S \ sl)` and `(rb, lb)` to exactly the mirrored `(S \ sl, sl)`;
 /// * both orders are priced by one `join_cost_both`, as `common::price_both`
 ///   does, from the set's cardinality, which the caller reads off the level
-///   plan: nothing about a split is derived that belongs to the set;
-/// * a split is not priced at all when its inputs plus the model's
+///   plan; a split is not priced at all when its inputs plus the model's
 ///   [`join_cost_floor`](CostModel::join_cost_floor) already exceed the best
-///   plan found for the set — it cannot win (it is still counted and still
-///   reaches the observer);
-/// * the set's candidates are reduced here and published once by the caller,
-///   into the slot the memo's layout gave the set (the paper's fused prune,
-///   §5).
+///   plan found for the set — it cannot win;
+/// * the set's candidates are reduced here under [`candidate_key`] and
+///   published once by the caller, into the slot the memo's layout gave the
+///   set (the paper's fused prune, §5). The minimum does not depend on the
+///   order the splits arrive in, so neither walk order nor the floor can
+///   change the winner.
 pub struct SetKernel<'a> {
     q: &'a QueryInfo,
     model: &'a dyn CostModel,
     index: &'a BlockIndex,
     finder: BlockFinder,
+    walk: SplitWalk,
 }
 
 impl<'a> SetKernel<'a> {
@@ -94,15 +116,16 @@ impl<'a> SetKernel<'a> {
             model,
             index,
             finder: BlockFinder::new(),
+            walk: SplitWalk::new(),
         }
     }
 
     /// Evaluates the connected set `s`, of cardinality `rows`, against
     /// `memo`, which must hold every connected proper subset of `s`.
     // Out of line on purpose: the drivers' loops around it are a few lines,
-    // and inlined into each of them the kernel's inner loops were laid out per
-    // caller (`cycle-18`, one 18-vertex block: 1.70 ms in the level-parallel
-    // worker, 1.90 ms in the sequential driver, from the same source).
+    // and inlined into each of them the kernel's inner loops were laid out
+    // per caller, so one source timed differently in the sequential driver
+    // and the level-parallel worker (DESIGN.md §4, "One connected set").
     #[inline(never)]
     pub fn evaluate<M: MemoStore, O: SplitObserver>(
         &mut self,
@@ -111,75 +134,132 @@ impl<'a> SetKernel<'a> {
         rows: f64,
         observer: &mut O,
     ) -> SetOutcome {
-        let (model, g) = (self.model, &self.q.graph);
-        let mut out = SetOutcome::default();
-        let mut best_key = (u64::MAX, u64::MAX);
-        // What any join into `s` costs on top of its inputs, and the cost of
-        // the set's best plan so far.
-        let floor = model.join_cost_floor(rows);
-        let mut best_cost = f64::INFINITY;
-        // Prices both orders of the CCP split `{left, s \ left}` and keeps
-        // the set's running minimum.
-        let mut consider = |left: RelSet, out: &mut SetOutcome| {
-            let right = s.difference(left);
-            debug_assert!(!left.is_empty() && !right.is_empty());
-            out.ccp += 2;
-            let Some((a, b)) = join_inputs(memo, left, right) else {
-                return;
-            };
-            // Both orders cost at least the bound, so a bound above the best
-            // loses under `candidate_key` and is not priced. An `f64`
-            // comparison, so a NaN bound prunes nothing; the floor's contract
-            // covers non-negative row counts only.
-            if (a.cost + b.cost) + floor > best_cost && a.rows >= 0.0 && b.rows >= 0.0 {
-                return;
-            }
-            let (cost_ab, cost_ba) = model.join_cost_both(a, b, rows);
-            let (left, cost) = PricedSplit { cost_ab, cost_ba }.better(left, right);
-            let key = candidate_key(cost, left);
-            if key < best_key {
-                best_key = key;
-                best_cost = cost;
-                out.best = Some(MemoEntry {
-                    set: s,
-                    left,
-                    cost,
-                    rows,
-                });
-            }
+        let SetKernel {
+            q,
+            model,
+            index,
+            finder,
+            walk,
+        } = self;
+        let g = &q.graph;
+        let mut min = SetMin {
+            memo,
+            model: *model,
+            s,
+            rows,
+            floor: model.join_cost_floor(rows),
+            cost: f64::INFINITY,
+            key: (u64::MAX, u64::MAX),
+            out: SetOutcome::default(),
         };
-        for bridge in &self.index.bridges {
+        for bridge in &index.bridges {
             if bridge.ends.is_subset(s) {
-                out.evaluated += 2;
+                min.out.evaluated += 2;
                 let lb = bridge.ends.lowest_bit();
                 observer.split(s, lb, bridge.ends.difference(lb), true, true);
-                consider(s.intersect(bridge.side), &mut out);
+                min.consider(s.intersect(bridge.side));
             }
         }
-        for &cyclic in &self.index.cyclic {
-            let inside = s.intersect(cyclic);
-            if inside.len() < 2 {
-                continue;
-            }
-            for &block in self.finder.find(g, inside) {
-                // Line 6, halved: rb ranges over the non-empty subsets that
-                // avoid the block's lowest vertex, lb is the rest.
-                for rb in block.difference(block.lowest_bit()).subsets() {
-                    let lb = block.difference(rb);
-                    out.evaluated += 2;
-                    // CCP block (lines 10-14): a block is connected, so an
-                    // edge between its two sides always exists.
-                    let lb_ok = g.is_connected(lb);
-                    let rb_ok = (lb_ok || O::BOTH_SIDES) && g.is_connected(rb);
-                    observer.split(s, lb, rb, lb_ok, rb_ok);
-                    if lb_ok && rb_ok {
-                        // Lines 17-18: grow the block pair to a set-level pair.
-                        consider(g.grow(lb, s.difference(rb)), &mut out);
+        for cyclic in index.cyclic_blocks() {
+            let inside = s.intersect(cyclic.vertices);
+            for &block in finder.find_in_block(g, inside, cyclic.vertices) {
+                // Line 6, halved: the splits whose left side holds the
+                // block's lowest vertex, each standing for both orders.
+                min.out.evaluated += 2 * ((1u64 << (block.len() - 1)) - 1);
+                // Lines 17-18: the set-level left side of the CCP split
+                // `{lb, rb}` — what `lb` reaches in `s ∩ B` without crossing
+                // `rb` (`lb` itself when the block is all of `s ∩ B`), with
+                // what hangs off it in `s` (nothing when `s ⊆ B`).
+                let set_left = |lb: RelSet, rb: RelSet| {
+                    let reach = if block == inside {
+                        lb
+                    } else {
+                        g.grow(lb, inside.difference(rb))
+                    };
+                    let left = if inside == s {
+                        reach
+                    } else {
+                        cyclic.hanging(reach).intersect(s)
+                    };
+                    debug_assert_eq!(left, g.grow(lb, s.difference(rb)));
+                    left
+                };
+                // CCP block (lines 10-14): a block is connected, so an edge
+                // between its two sides always exists.
+                if O::EVERY_SPLIT {
+                    for rb in block.difference(block.lowest_bit()).subsets() {
+                        let lb = block.difference(rb);
+                        let (lb_ok, rb_ok) = (g.is_connected(lb), g.is_connected(rb));
+                        observer.split(s, lb, rb, lb_ok, rb_ok);
+                        if lb_ok && rb_ok {
+                            min.consider(set_left(lb, rb));
+                        }
+                    }
+                } else {
+                    for lb in walk.lefts(g, block) {
+                        let rb = block.difference(lb);
+                        let rb_ok = g.is_connected(rb);
+                        observer.split(s, lb, rb, true, rb_ok);
+                        if rb_ok {
+                            min.consider(set_left(lb, rb));
+                        }
                     }
                 }
             }
         }
-        out
+        min.out
+    }
+}
+
+/// A set's running minimum while [`SetKernel::evaluate`] prices its splits.
+struct SetMin<'k, M> {
+    memo: &'k M,
+    model: &'k dyn CostModel,
+    s: RelSet,
+    rows: f64,
+    /// What any join into `s` costs on top of its inputs.
+    floor: f64,
+    /// The cost of the set's best plan so far, and its `candidate_key`.
+    cost: f64,
+    key: (u64, u64),
+    out: SetOutcome,
+}
+
+impl<M: MemoStore> SetMin<'_, M> {
+    /// Prices both orders of the CCP split `{left, s \ left}` and keeps the
+    /// set's running minimum.
+    // Inlined into each walk on purpose: called out of line, the bridge loop
+    // (all that a tree-shaped set runs) paid a call per split, `star-15`
+    // 7-13 % slower.
+    #[inline(always)]
+    fn consider(&mut self, left: RelSet) {
+        let (s, rows) = (self.s, self.rows);
+        let right = s.difference(left);
+        debug_assert!(!left.is_empty() && !right.is_empty());
+        self.out.ccp += 2;
+        let Some((a, b)) = join_inputs(self.memo, left, right) else {
+            return;
+        };
+        // Both orders cost at least the bound, so a bound above the best
+        // loses under `candidate_key` and is not priced. An `f64`
+        // comparison, so a NaN bound prunes nothing; the floor's contract
+        // covers non-negative row counts only.
+        if (a.cost + b.cost) + self.floor > self.cost && a.rows >= 0.0 && b.rows >= 0.0 {
+            return;
+        }
+        let (cost_ab, cost_ba) = self.model.join_cost_both(a, b, rows);
+        let (left, cost) = PricedSplit { cost_ab, cost_ba }.better(left, right);
+        let key = candidate_key(cost, left);
+        if key < self.key {
+            self.key = key;
+            self.cost = cost;
+            self.out.best = Some(MemoEntry {
+                set: s,
+                left,
+                cost,
+                rows,
+            });
+        }
     }
 }
 

@@ -345,23 +345,37 @@ mod tests {
 
     #[test]
     fn gpu_counters_match_cpu_counterparts() {
+        // The simulated MPDP walks every submask of a block and the CPU
+        // kernel only the connected left sides; both count Algorithm 3's
+        // submasks and find the same plan. Cyclic graphs are where the two
+        // walks differ.
         let m = PgLikeCost::new();
-        let q = gen::star(7, 4, &m).to_query_info().unwrap();
-        let ctx = OptContext::new(&q, &m);
-        let cpu_sub = DpSub::run(&ctx).unwrap();
-        let gpu_sub = DpSubGpu::new().run(&ctx).unwrap();
-        assert_eq!(
-            gpu_sub.result.counters.evaluated,
-            cpu_sub.counters.evaluated
-        );
-        assert_eq!(gpu_sub.result.counters.ccp, cpu_sub.counters.ccp);
-        let cpu_mpdp = mpdp_dp::mpdp::Mpdp::run(&ctx).unwrap();
-        let gpu_mpdp = MpdpGpu::new().run(&ctx).unwrap();
-        assert_eq!(
-            gpu_mpdp.result.counters.evaluated,
-            cpu_mpdp.counters.evaluated
-        );
-        assert_eq!(gpu_mpdp.result.counters.ccp, cpu_mpdp.counters.ccp);
+        let mut qs = vec![
+            gen::star(7, 4, &m).to_query_info().unwrap(),
+            gen::cycle(9, 4, &m).to_query_info().unwrap(),
+        ];
+        for seed in 0..6 {
+            qs.push(
+                gen::random_connected(9, 3 + seed as usize, seed, &m)
+                    .to_query_info()
+                    .unwrap(),
+            );
+        }
+        for q in qs {
+            let ctx = OptContext::new(&q, &m);
+            let cpu_sub = DpSub::run(&ctx).unwrap();
+            let gpu_sub = DpSubGpu::new().run(&ctx).unwrap();
+            assert_eq!(
+                gpu_sub.result.counters.evaluated,
+                cpu_sub.counters.evaluated
+            );
+            assert_eq!(gpu_sub.result.counters.ccp, cpu_sub.counters.ccp);
+            let cpu_mpdp = mpdp_dp::mpdp::Mpdp::run(&ctx).unwrap();
+            let gpu_mpdp = MpdpGpu::new().run(&ctx).unwrap();
+            assert_eq!(gpu_mpdp.result.counters, cpu_mpdp.counters);
+            assert_eq!(gpu_mpdp.result.cost.to_bits(), cpu_mpdp.cost.to_bits());
+            assert_eq!(gpu_mpdp.result.plan, cpu_mpdp.plan);
+        }
     }
 
     #[test]

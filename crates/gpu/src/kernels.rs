@@ -237,13 +237,15 @@ pub fn evaluate_dpsub_kernel(
     out
 }
 
-/// Charges the lanes of one set's block splits: every split the shared
-/// [`SetKernel`] visits stands for two lanes, `(lb, rb)` and its mirror, each
-/// running the CCP block on its own and stalling where its own check fails.
+/// Charges the lanes of one set's block splits: asked for every split, the
+/// shared [`SetKernel`] visits each submask split of each block as the
+/// device's lanes do (the CPU backends walk only the connected ones), and
+/// each stands for two lanes, `(lb, rb)` and its mirror, each running the
+/// CCP block on its own and stalling where its own check fails.
 struct LaneCharges<'a>(&'a mut Vec<u32>);
 
 impl SplitObserver for LaneCharges<'_> {
-    const BOTH_SIDES: bool = true;
+    const EVERY_SPLIT: bool = true;
 
     fn split(&mut self, s: RelSet, lb: RelSet, rb: RelSet, lb_ok: bool, rb_ok: bool) {
         for (first, second, first_ok, second_ok) in [(lb, rb, lb_ok, rb_ok), (rb, lb, rb_ok, lb_ok)]

@@ -11,12 +11,12 @@ use mpdp::core::combinatorics::KSubsets;
 use mpdp::core::enumerate::ConnectedSets;
 use mpdp::core::memo::{MemoEntry, MemoHealth, MemoStore, MemoTable};
 use mpdp::core::{JoinGraph, QueryInfo};
-use mpdp::dp::mpdp::{SetKernel, SetOutcome};
+use mpdp::dp::mpdp::{SetKernel, SetOutcome, SplitObserver};
 use mpdp::prelude::{DpCcp, DpSize, DpSub, LargeQuery, Mpdp, OptContext, RelSet};
 use mpdp_cost::{CostModel, CoutCost, InputEst, JoinAlgo, PgLikeCost};
 use mpdp_dp::common::init_memo;
 use mpdp_heuristics::{validate_large, Goo, LargeOptimizer, UnionDp};
-use mpdp_workload::gen;
+use mpdp_workload::{gen, ImdbSchema, MusicBrainz};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -297,6 +297,95 @@ fn the_cost_floor_prunes_named_shapes_and_changes_nothing() {
     assert_eq!(with, without);
 }
 
+/// Records every split a kernel reports, asking it for every submask split
+/// — the walk the simulated GPU charges.
+#[derive(Default)]
+struct EverySplit(Vec<(RelSet, RelSet, bool, bool)>);
+
+impl SplitObserver for EverySplit {
+    const EVERY_SPLIT: bool = true;
+
+    fn split(&mut self, _s: RelSet, lb: RelSet, rb: RelSet, lb_ok: bool, rb_ok: bool) {
+        self.0.push((lb, rb, lb_ok, rb_ok));
+    }
+}
+
+/// Evaluates `s` against a [`LookupLog`] and returns the outcome with the
+/// ordered Join-Pairs the kernel priced, sorted.
+fn priced_pairs(
+    kernel: &mut SetKernel<'_>,
+    s: RelSet,
+    rows: f64,
+    observer: &mut impl SplitObserver,
+) -> (SetOutcome, Vec<(RelSet, RelSet)>) {
+    let log = LookupLog::default();
+    let out = kernel.evaluate(&log, s, rows, observer);
+    let mut got = Vec::new();
+    for split in log.0.borrow().chunks(2) {
+        got.push((split[0], split[1]));
+        got.push((split[1], split[0]));
+    }
+    got.sort_unstable();
+    (out, got)
+}
+
+/// Bridge masks, blocks known without a DFS, the walk over connected left
+/// sides, hanging masks and mirror splits must leave the multiset of ordered
+/// Join-Pairs — and both counters — exactly what the full-subset loop
+/// produced, for every connected set of the graph; and so must the submask
+/// walk the simulator asks for, which reports every split once with both
+/// sides' connectivity.
+fn assert_the_kernel_prices_the_old_loops_pairs(qi: &QueryInfo) {
+    let m = PgLikeCost::new();
+    let g = &qi.graph;
+    let index = BlockIndex::new(g);
+    let mut kernel = SetKernel::new(qi, &m, &index);
+    let plan = ConnectedSets::enumerate(qi);
+    for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(qi.query_size()) {
+        let (evaluated, mut want) = full_subset_enumeration(g, s);
+        want.sort_unstable();
+        let mut every = EverySplit::default();
+        for (out, got) in [
+            priced_pairs(&mut kernel, s, rows, &mut ()),
+            priced_pairs(&mut kernel, s, rows, &mut every),
+        ] {
+            assert_eq!(got, want, "set {s}");
+            assert_eq!(out.evaluated, evaluated, "set {s}");
+            assert_eq!(out.ccp, want.len() as u64, "set {s}");
+            // The winner carries the set's cardinality, as handed in.
+            assert_eq!(out.best.map(|e| e.rows.to_bits()), Some(rows.to_bits()));
+        }
+        let mut splits: Vec<(RelSet, RelSet)> = every.0.iter().map(|&(l, r, ..)| (l, r)).collect();
+        splits.sort_unstable();
+        splits.dedup();
+        assert_eq!(2 * splits.len() as u64, evaluated, "set {s}");
+        for &(lb, rb, lb_ok, rb_ok) in &every.0 {
+            assert_eq!((lb_ok, rb_ok), (g.is_connected(lb), g.is_connected(rb)));
+        }
+    }
+}
+
+#[test]
+fn set_kernel_prices_the_old_loops_pairs_on_named_shapes() {
+    // Blocks larger than the random graphs below reach: an induced cycle of
+    // 14, a clique of 9, Figure 5's two squares, and schema walks.
+    let m = PgLikeCost::new();
+    let (mb, job) = (MusicBrainz::new(), ImdbSchema::new());
+    let small = |q: LargeQuery| q.to_query_info().unwrap();
+    for (name, q) in [
+        ("cycle-14", small(gen::cycle(14, 1, &m))),
+        ("clique-9", small(gen::clique(9, 1, &m))),
+        ("figure-5", mpdp_bench::runner::figure5_query(&m)),
+        ("mb-14", small(mb.random_walk_query(14, 7, true, &m))),
+        ("job-12", small(job.query(12, 7, &m))),
+        ("job-14", small(job.query(14, 8, &m))),
+    ] {
+        let largest = find_blocks(&q.graph, q.graph.all_vertices()).max_block_size();
+        println!("{name}: largest block {largest}");
+        assert_the_kernel_prices_the_old_loops_pairs(&q);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -312,33 +401,7 @@ proptest! {
 
     #[test]
     fn set_kernel_prices_exactly_the_old_loops_pairs(q in query_strategy()) {
-        // Bridge masks, block finding restricted to the cyclic blocks and
-        // mirror splits must leave the multiset of ordered Join-Pairs — and
-        // both counters — exactly what the full-subset loop produced, for
-        // every connected set of the graph.
-        let m = PgLikeCost::new();
-        let qi = q.to_query_info().unwrap();
-        let g = &qi.graph;
-        let index = BlockIndex::new(g);
-        let mut kernel = SetKernel::new(&qi, &m, &index);
-        let plan = ConnectedSets::enumerate(&qi);
-        for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(qi.query_size()) {
-            let (evaluated, mut want) = full_subset_enumeration(g, s);
-            let log = LookupLog::default();
-            let out = kernel.evaluate(&log, s, rows, &mut ());
-            let mut got = Vec::new();
-            for split in log.0.borrow().chunks(2) {
-                got.push((split[0], split[1]));
-                got.push((split[1], split[0]));
-            }
-            want.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(&got, &want, "set {}", s);
-            prop_assert_eq!(out.evaluated, evaluated);
-            prop_assert_eq!(out.ccp, want.len() as u64);
-            // The winner carries the set's cardinality, as handed in.
-            prop_assert_eq!(out.best.map(|e| e.rows.to_bits()), Some(rows.to_bits()));
-        }
+        assert_the_kernel_prices_the_old_loops_pairs(&q.to_query_info().unwrap());
     }
 
     #[test]
