@@ -23,6 +23,8 @@ pub mod idp;
 pub mod ikkbz;
 pub mod large;
 pub mod lindp;
+#[cfg(test)]
+mod testkit;
 pub mod uniondp;
 pub mod unionfind;
 
