@@ -124,8 +124,8 @@ impl Linearizer {
         // NaN `rows`) sorts to an end instead of panicking.
         //
         // The sorted segment is normalized as it stands: no group's rank
-        // exceeds its successor's plus 1e-15, and no comparison with a NaN
-        // holds, so a normalization pass here would merge nothing.
+        // exceeds its successor's, and no comparison with a NaN holds, so a
+        // normalization pass here would merge nothing.
         let Linearizer { seq, rank, .. } = self;
         seq[base..].sort_by(|&a, &b| rank[a as usize].total_cmp(&rank[b as usize]));
     }
@@ -155,6 +155,10 @@ impl Linearizer {
     /// into its predecessor whenever the predecessor's rank is the larger
     /// (precedence-forced merges).
     ///
+    /// The comparison is exact. Any tolerance would leave a child group
+    /// ranked just below its parent, and the stable rank sort would then put
+    /// the child first, where joining it needs a cross product.
+    ///
     /// The chain is one new group followed by a subtree's segment, which is
     /// already normalized. Normalizing is a stack: push each group, then
     /// merge it down while the group below outranks it. On this input only
@@ -167,7 +171,7 @@ impl Linearizer {
     fn normalize(&mut self, start: usize) {
         let head = self.seq[start] as usize;
         let mut end = start + 1;
-        while end < self.seq.len() && self.rank[head] > self.rank[self.seq[end] as usize] + 1e-15 {
+        while end < self.seq.len() && self.rank[head] > self.rank[self.seq[end] as usize] {
             self.merge(head, self.seq[end] as usize);
             end += 1;
         }
@@ -399,6 +403,47 @@ mod tests {
     }
 
     #[test]
+    fn every_root_order_is_a_precedence_order_of_its_rooted_tree() {
+        // In a tree, "every relation after the first has a tree neighbour
+        // before it" is the same as "every relation comes after its parent
+        // under the root". Tree edges are query edges, so no order may then
+        // need a cross product: every root is priced.
+        let m = PgLikeCost::new();
+        for (name, q) in oracle_queries(max_oracle_rels()) {
+            let n = q.num_rels();
+            let mut lin = Linearizer::new(&q);
+            let (mut order, mut pos) = (Vec::new(), vec![0; n]);
+            let mut in_prefix = vec![false; n];
+            for root in 0..n {
+                lin.order_for_root(root, &mut order);
+                assert_eq!(order[0], root, "{name}");
+                for (p, &r) in order.iter().enumerate() {
+                    pos[r] = p;
+                }
+                for (p, &r) in order.iter().enumerate().skip(1) {
+                    assert!(
+                        lin.tree[r].iter().any(|&(w, _)| pos[w] < p),
+                        "{name} root {root}: relation {r} before its parent"
+                    );
+                }
+                let priced = fold_left_deep(&q, &order, &m, &mut in_prefix, |_, _, _| {});
+                assert!(priced.is_some(), "{name} root {root}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_a_rounding_error_below_the_parents_stays_behind_it() {
+        // `chain-30` at seed 13 has group [1] at rank 0.0 and its child [0]
+        // at −1.1e-16; rooted at 10, relation 0 must still come after 1.
+        let q = gen::chain(30, 13, &PgLikeCost::new());
+        let mut order = Vec::new();
+        Linearizer::new(&q).order_for_root(10, &mut order);
+        let at = |r: usize| order.iter().position(|&x| x == r).unwrap();
+        assert!(at(1) < at(0), "{order:?}");
+    }
+
+    #[test]
     fn reused_scratch_gives_the_orders_of_fresh_scratch() {
         let m = PgLikeCost::new();
         for q in [
@@ -527,7 +572,7 @@ mod reference {
     fn normalize(mut seq: Vec<Group>) -> Vec<Group> {
         let mut i = 0usize;
         while i + 1 < seq.len() {
-            if seq[i].rank() > seq[i + 1].rank() + 1e-15 {
+            if seq[i].rank() > seq[i + 1].rank() {
                 let next = seq.remove(i + 1);
                 seq[i].merge(next);
                 i = i.saturating_sub(1);
