@@ -220,7 +220,10 @@ impl Geqo {
             ))?;
             pool.push((plan.cost(), p));
         }
-        pool.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
+        // `total_cmp` agrees with `partial_cmp` on every cost but −0.0, and
+        // a plan's cost, a sum of non-negative scan and join terms, is never
+        // −0.0. A NaN cost sorts last instead of panicking.
+        pool.sort_by(|x, y| x.0.total_cmp(&y.0));
 
         // Steady-state evolution.
         for _ in 0..params.generations {
@@ -239,7 +242,8 @@ impl Geqo {
             if cost < pool.last().unwrap().0 {
                 pool.pop();
                 let pos = pool
-                    .binary_search_by(|e| e.0.partial_cmp(&cost).unwrap())
+                    // The order the pool was sorted in.
+                    .binary_search_by(|e| e.0.total_cmp(&cost))
                     .unwrap_or_else(|p| p);
                 pool.insert(pos, (cost, child));
             }

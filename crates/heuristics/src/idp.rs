@@ -16,8 +16,8 @@
 
 use crate::goo::Goo;
 use crate::large::{
-    contract, mpdp_inner_with_budget, recost, recost_spine, substitute_leaves, Budget, InnerLarge,
-    LargeOptResult, LargeOptimizer,
+    check_selectivities, contract, mpdp_inner_with_budget, recost, recost_spine, substitute_leaves,
+    Budget, InnerLarge, LargeOptResult, LargeOptimizer,
 };
 use mpdp_core::plan::PlanTree;
 use mpdp_core::query::{LargeQuery, RelInfo};
@@ -130,6 +130,7 @@ pub fn idp2_with_inner(
     if !q.is_connected() {
         return Err(OptError::DisconnectedGraph);
     }
+    check_selectivities(q)?;
     if n <= k {
         // Whole query fits one exact invocation.
         let plan = inner(q)?;
@@ -368,6 +369,7 @@ pub fn idp1_mpdp(
     if n == 0 {
         return Err(OptError::EmptyQuery);
     }
+    check_selectivities(q)?;
     let mut cur = q.clone();
     let mut comps: Vec<PlanTree> = (0..n)
         .map(|i| PlanTree::Scan {
@@ -561,7 +563,9 @@ fn best_bounded_plan(
     }
     levels[kk]
         .values()
-        .min_by(|a, b| a.plan.cost().partial_cmp(&b.plan.cost()).unwrap())
+        // `total_cmp`: as `partial_cmp` on costs, which are never −0.0, and
+        // no panic on a NaN.
+        .min_by(|a, b| a.plan.cost().total_cmp(&b.plan.cost()))
         .map(|e| e.plan.clone())
         .ok_or_else(|| OptError::Internal("IDP1 found no bounded plan".into()))
 }

@@ -67,6 +67,20 @@ pub fn mpdp_inner_with_budget(
     }
 }
 
+/// Errors unless every edge's selectivity is in `(0, 1]`, as
+/// `LargeQuery::add_edge` and `JoinGraph::add_edge` assert. A heuristic that
+/// rebuilds the graph (contraction, projection, the exact step) checks this
+/// first, so a NaN written into `edges` comes back as an error, not a panic.
+pub(crate) fn check_selectivities(q: &LargeQuery) -> Result<(), OptError> {
+    match q.edges.iter().find(|e| !(e.sel > 0.0 && e.sel <= 1.0)) {
+        Some(e) => Err(OptError::Internal(format!(
+            "edge ({}, {}) has selectivity {}, outside (0, 1]",
+            e.u, e.v, e.sel
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Deadline helper for heuristics.
 #[derive(Copy, Clone, Debug)]
 pub struct Budget {
@@ -356,6 +370,44 @@ mod tests {
             cost: 0.0,
             left: Box::new(l),
             right: Box::new(r),
+        }
+    }
+
+    #[test]
+    fn no_heuristic_panics_on_a_nan_statistic() {
+        use crate::{Geqo, Goo, Ikkbz, LinDp, UnionDp};
+        let m = PgLikeCost::new();
+        let mut queries = Vec::new();
+        for q in [gen::star(30, 1, &m), gen::snowflake(40, 4, 1, &m)] {
+            let mut rows = q.clone();
+            rows.rels[q.num_rels() / 2].rows = f64::NAN;
+            // One edge's selectivity, in the edge list and both adjacency
+            // entries alike.
+            let mut sel = q.clone();
+            let k = sel.edges.len() / 2;
+            let e = sel.edges[k];
+            sel.edges[k].sel = f64::NAN;
+            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+                for entry in sel.adj[a as usize].iter_mut() {
+                    if entry.0 == b {
+                        entry.1 = f64::NAN;
+                    }
+                }
+            }
+            queries.extend([rows, sel]);
+        }
+        let optimizers: [&dyn LargeOptimizer; 5] = [
+            &Goo,
+            &Ikkbz,
+            &LinDp::default(),
+            &UnionDp::default(),
+            &Geqo::default(),
+        ];
+        for q in &queries {
+            for opt in optimizers {
+                // `Ok` or a typed `OptError`; a panic fails the test.
+                let _ = opt.optimize(q, &m, Some(std::time::Duration::from_secs(60)));
+            }
         }
     }
 

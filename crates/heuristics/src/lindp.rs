@@ -12,7 +12,7 @@
 
 use crate::idp::idp2_with_inner;
 use crate::ikkbz::Ikkbz;
-use crate::large::{Budget, LargeOptResult, LargeOptimizer};
+use crate::large::{check_selectivities, Budget, LargeOptResult, LargeOptimizer};
 use mpdp_core::plan::PlanTree;
 use mpdp_core::query::LargeQuery;
 use mpdp_core::OptError;
@@ -223,6 +223,7 @@ impl LargeOptimizer for LinDp {
         let n = q.num_rels();
         if n < self.exact_threshold && n <= 64 {
             // Exact DPCCP.
+            check_selectivities(q)?;
             let qi = q
                 .to_query_info()
                 .ok_or(OptError::TooLarge { got: n, max: 64 })?;

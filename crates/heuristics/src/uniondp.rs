@@ -15,8 +15,8 @@
 
 use crate::idp::project_large;
 use crate::large::{
-    contract, mpdp_inner_with_budget, recost, substitute_leaves, Budget, InnerLarge,
-    LargeOptResult, LargeOptimizer,
+    check_selectivities, contract, mpdp_inner_with_budget, recost, substitute_leaves, Budget,
+    InnerLarge, LargeOptResult, LargeOptimizer,
 };
 use crate::unionfind::UnionFind;
 use mpdp_core::plan::PlanTree;
@@ -102,7 +102,11 @@ fn partition_and_solve(
         .collect();
     let heavy_threshold = {
         let mut sorted = weights.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        // `total_cmp` agrees with `partial_cmp` on every weight but −0.0,
+        // and a weight is a join cost, a sum of non-negative scan costs and
+        // terms that is never −0.0. A NaN weight sorts last instead of
+        // panicking.
+        sorted.sort_by(|a, b| a.total_cmp(b));
         let idx = ((sorted.len() as f64) * 0.85) as usize;
         sorted.get(idx).copied().unwrap_or(f64::INFINITY)
     };
@@ -206,6 +210,7 @@ pub fn uniondp_with_inner(
     if !q.is_connected() {
         return Err(OptError::DisconnectedGraph);
     }
+    check_selectivities(q)?;
     let mut cur = q.clone();
     let mut comps: Vec<PlanTree> = (0..q.num_rels())
         .map(|i| PlanTree::Scan {
