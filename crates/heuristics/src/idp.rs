@@ -574,6 +574,7 @@ fn best_bounded_plan(
 mod tests {
     use super::*;
     use crate::large::validate_large;
+    use crate::testkit::{plan_bits, plan_large_queries};
     use mpdp_cost::pglike::PgLikeCost;
     use mpdp_dp::common::OptContext;
     use mpdp_dp::mpdp::Mpdp;
@@ -597,27 +598,13 @@ mod tests {
             let path = most_costly_subtree(&w.tree, k).unwrap();
             w.collapse(&path, model, &inner).unwrap();
             recost_spine(&mut w.tree, &path, &w.cur, model);
-            let (mut spine, mut full) = (Vec::new(), Vec::new());
-            fingerprint(&w.tree, &mut spine);
-            fingerprint(&recost(&w.tree, &w.cur, model), &mut full);
-            assert_eq!(spine, full, "{} composites left", w.cur.num_rels());
-        }
-    }
-
-    /// Every node's `(rows, cost)` bits, pre-order, with the scans' relations.
-    fn fingerprint(plan: &PlanTree, out: &mut Vec<(u64, u64, u32)>) {
-        match plan {
-            PlanTree::Scan { rel, rows, cost } => out.push((rows.to_bits(), cost.to_bits(), *rel)),
-            PlanTree::Join {
-                left,
-                right,
-                rows,
-                cost,
-            } => {
-                out.push((rows.to_bits(), cost.to_bits(), u32::MAX));
-                fingerprint(left, out);
-                fingerprint(right, out);
-            }
+            let full = recost(&w.tree, &w.cur, model);
+            assert_eq!(
+                plan_bits(&w.tree),
+                plan_bits(&full),
+                "{} composites left",
+                w.cur.num_rels()
+            );
         }
     }
 
@@ -625,20 +612,10 @@ mod tests {
     fn spine_recost_leaves_idp2_bit_identical_on_the_plan_large_grid() {
         // The benchmark's `plan-large` queries, at its k.
         let m = PgLikeCost::new();
-        let mb = mpdp_workload::MusicBrainz::new();
-        for (name, q) in [
-            ("snowflake-40", gen::snowflake(40, 4, 1, &m)),
-            ("snowflake-100", gen::snowflake(100, 4, 1, &m)),
-            ("snowflake-200", gen::snowflake(200, 4, 1, &m)),
-            ("star-30", gen::star(30, 1, &m)),
-            ("star-60", gen::star(60, 1, &m)),
-            ("musicbrainz-30", mb.random_walk_query(30, 1, true, &m)),
-            ("musicbrainz-50", mb.random_walk_query(50, 1, true, &m)),
-        ] {
-            let (mut run, mut checked) = (Vec::new(), Vec::new());
-            fingerprint(&idp2_mpdp(&q, &m, 15, None).unwrap().plan, &mut run);
-            fingerprint(&idp2_checked_against_full_recost(&q, &m, 15), &mut checked);
-            assert_eq!(run, checked, "{name}");
+        for (name, q) in plan_large_queries() {
+            let run = idp2_mpdp(&q, &m, 15, None).unwrap().plan;
+            let checked = idp2_checked_against_full_recost(&q, &m, 15);
+            assert_eq!(plan_bits(&run), plan_bits(&checked), "{name}");
         }
     }
 

@@ -26,6 +26,21 @@ pub fn relabelled(q: &LargeQuery, seed: u64) -> LargeQuery {
     q.relabel(&perm)
 }
 
+/// The benchmark's `plan-large` queries, as its set-up generates them.
+pub fn plan_large_queries() -> Vec<(&'static str, LargeQuery)> {
+    let m = PgLikeCost::new();
+    let mb = MusicBrainz::new();
+    vec![
+        ("snowflake-40", gen::snowflake(40, 4, 1, &m)),
+        ("snowflake-100", gen::snowflake(100, 4, 1, &m)),
+        ("snowflake-200", gen::snowflake(200, 4, 1, &m)),
+        ("star-30", gen::star(30, 1, &m)),
+        ("star-60", gen::star(60, 1, &m)),
+        ("musicbrainz-30", mb.random_walk_query(30, 1, true, &m)),
+        ("musicbrainz-50", mb.random_walk_query(50, 1, true, &m)),
+    ]
+}
+
 /// The benchmark's `plan-large` queries and three relabelled copies of
 /// each; chain, star and snowflake at n ∈ {30, 60, 100, 200}, MusicBrainz
 /// at 30 and 50, and `random_connected(40, 8, ·)`, each at seeds 0–19. Only
@@ -34,16 +49,7 @@ pub fn oracle_queries(max_n: usize) -> Vec<(String, LargeQuery)> {
     let m = PgLikeCost::new();
     let mb = MusicBrainz::new();
     let mut out = Vec::new();
-    let large = [
-        ("snowflake-40", gen::snowflake(40, 4, 1, &m)),
-        ("snowflake-100", gen::snowflake(100, 4, 1, &m)),
-        ("snowflake-200", gen::snowflake(200, 4, 1, &m)),
-        ("star-30", gen::star(30, 1, &m)),
-        ("star-60", gen::star(60, 1, &m)),
-        ("musicbrainz-30", mb.random_walk_query(30, 1, true, &m)),
-        ("musicbrainz-50", mb.random_walk_query(50, 1, true, &m)),
-    ];
-    for (name, q) in large {
+    for (name, q) in plan_large_queries() {
         if q.num_rels() > max_n {
             continue;
         }
