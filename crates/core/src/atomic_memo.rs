@@ -95,7 +95,7 @@
 use crate::bitset::RelSet;
 use crate::memo::{
     candidate_key, cost_from_ordered_bits, ordered_cost_bits, Addressing, MemoEntry, MemoHealth,
-    MemoStore,
+    MemoLanes, MemoStore,
 };
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -224,13 +224,22 @@ impl Drop for Arena {
 }
 
 /// What a split reads of a slot: the cost of its best candidate and its
-/// cardinality, in 16 B.
-struct Record {
+/// cardinality, in 16 B, in declaration order so a gather can name a word by
+/// its offset.
+#[repr(C)]
+pub struct CostRecord {
     /// [`ordered_cost_bits`] of the best cost; ∞ while unplanned, lowered by
     /// `fetch_min` after every winning handle CAS.
     cost: AtomicU64,
     /// Written by the layout only.
     rows: f64,
+}
+
+impl CostRecord {
+    /// Byte offset of the best cost, as [`ordered_cost_bits`].
+    pub const COST: usize = std::mem::offset_of!(CostRecord, cost);
+    /// Byte offset of the cardinality, an `f64`.
+    pub const ROWS: usize = std::mem::offset_of!(CostRecord, rows);
 }
 
 /// The lock-free shared memo table (see the module docs for the design).
@@ -242,7 +251,7 @@ pub struct AtomicMemo {
     /// Each slot's set bitmap, 0 for a free slot; written by the layout only.
     keys: Box<[u64]>,
     /// Each slot's best cost and cardinality, for the lookups that price.
-    records: Box<[Record]>,
+    records: Box<[CostRecord]>,
     /// Each slot's best candidate: an arena handle, 0 while unplanned.
     vals: Box<[AtomicU64]>,
     at: Addressing,
@@ -266,7 +275,7 @@ impl AtomicMemo {
         let mut m = AtomicMemo {
             keys: vec![0u64; at.slots()].into_boxed_slice(),
             records: (0..at.slots())
-                .map(|_| Record {
+                .map(|_| CostRecord {
                     cost: AtomicU64::new(unplanned),
                     rows: 0.0,
                 })
@@ -477,6 +486,24 @@ impl MemoStore for AtomicMemo {
 
     fn health(&self) -> MemoHealth {
         AtomicMemo::health(self)
+    }
+
+    /// The keys and records [`cost_rows`](Self::cost_rows) reads, read the
+    /// way it reads them: plainly for the key and the rows, which the layout
+    /// wrote before the table was shared, and without an ordering for the
+    /// cost, which `cost_rows` loads `Relaxed`. No writer races such a read.
+    /// A backend reads only sets of earlier levels (or classes), and the
+    /// barrier that ended those orders every `fetch_min` on their records
+    /// before any read in this one. A gathering kernel reads a record only
+    /// where the key it read first is the set it looks up, or on a direct
+    /// table, where the home slot is the set's own or a free one, which no
+    /// writer names.
+    fn lanes(&self) -> Option<MemoLanes<'_>> {
+        Some(MemoLanes::Atomic {
+            keys: &self.keys,
+            records: &self.records,
+            at: self.at,
+        })
     }
 }
 

@@ -115,8 +115,9 @@ pub fn slots_for(entries: usize) -> usize {
     ((entries + 1) * 10 / 7 + 1).next_power_of_two().max(16)
 }
 
-/// The multiplier of the hashed home slot: `2⁶⁴ / φ`, odd.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+/// The multiplier of the hashed home slot: `2⁶⁴ / φ`, odd. Public for the
+/// one kernel that computes homes eight at a time ([`MemoLanes`]).
+pub const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Where a set's probe starts in a memo of [`slots_for`]`(entries)` slots,
 /// and where it goes on a collision — the addressing both stores use, chosen
@@ -157,6 +158,12 @@ impl Addressing {
     #[inline]
     pub fn is_direct(self) -> bool {
         self.direct
+    }
+
+    /// `64 − log₂ slots`: how far a hashed home shifts the product.
+    #[inline]
+    pub fn shift(self) -> u32 {
+        self.shift
     }
 
     /// The slot a probe for the set `bits` starts at: the bitmap itself on a
@@ -264,6 +271,40 @@ pub trait MemoStore {
 
     /// Current health metrics.
     fn health(&self) -> MemoHealth;
+
+    /// The store's lookup words as a read-only [`MemoLanes`] view, for a
+    /// kernel that gathers the lookups of eight splits at once; `None` (the
+    /// default) has every lookup go through [`cost_rows`](Self::cost_rows).
+    fn lanes(&self) -> Option<MemoLanes<'_>> {
+        None
+    }
+}
+
+/// What [`MemoStore::cost_rows`] reads, laid bare for a gather: each slot's
+/// key, best cost and cardinality, at the addressing the store was laid out
+/// with. A lane reads the key, the cost and the rows in the home slot of a
+/// set and has found the set where the key is the set's bitmap; anywhere
+/// else (a displaced key on a hashed table) it asks `cost_rows`.
+#[derive(Copy, Clone)]
+pub enum MemoLanes<'a> {
+    /// [`MemoTable`]'s slots: key, cost and rows are the words at
+    /// [`Slot::KEY`], [`Slot::COST`] and [`Slot::ROWS`] of each.
+    Table {
+        /// One per slot of `at`.
+        slots: &'a [Slot],
+        /// The table's addressing.
+        at: Addressing,
+    },
+    /// [`AtomicMemo`](crate::atomic_memo::AtomicMemo)'s key array beside its
+    /// records, whose cost is folded by [`ordered_cost_bits`].
+    Atomic {
+        /// One per slot of `at`.
+        keys: &'a [u64],
+        /// One per slot of `at`.
+        records: &'a [crate::atomic_memo::CostRecord],
+        /// The table's addressing.
+        at: Addressing,
+    },
 }
 
 /// One memo entry: the best plan known for the key set.
@@ -306,12 +347,24 @@ pub struct MemoTable {
     probes: Cell<u64>,
 }
 
+/// One slot of a [`MemoTable`]: 32 B in declaration order, so a lookup
+/// reads one line, and so a gather can name a word by its offset.
 #[derive(Copy, Clone, Debug)]
-struct Slot {
+#[repr(C)]
+pub struct Slot {
     key: u64, // 0 = free (the empty set is never memoized)
     left: u64,
     cost: f64,
     rows: f64,
+}
+
+impl Slot {
+    /// Byte offset of the key.
+    pub const KEY: usize = std::mem::offset_of!(Slot, key);
+    /// Byte offset of the best cost, an `f64`.
+    pub const COST: usize = std::mem::offset_of!(Slot, cost);
+    /// Byte offset of the cardinality, an `f64`.
+    pub const ROWS: usize = std::mem::offset_of!(Slot, rows);
 }
 
 const EMPTY_SLOT: Slot = Slot {
@@ -449,6 +502,13 @@ impl MemoStore for MemoTable {
 
     fn health(&self) -> MemoHealth {
         MemoTable::health(self)
+    }
+
+    fn lanes(&self) -> Option<MemoLanes<'_>> {
+        Some(MemoLanes::Table {
+            slots: &self.slots,
+            at: self.at,
+        })
     }
 }
 

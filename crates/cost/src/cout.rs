@@ -8,7 +8,7 @@
 //! baseline-faithful component of IKKBZ/LinDP and as an alternative model for
 //! ablations.
 
-use crate::model::{CostModel, InputEst, JoinAlgo};
+use crate::model::{CostModel, InputEst, JoinAlgo, LaneForm};
 
 /// The `C_out` model: each join costs its output cardinality; scans are free.
 #[derive(Copy, Clone, Debug, Default)]
@@ -22,6 +22,10 @@ impl CostModel for CoutCost {
     /// Exact: a join costs its inputs plus `out_rows`, added in that order.
     fn join_cost_floor(&self, out_rows: f64) -> f64 {
         out_rows
+    }
+
+    fn lane_form(&self) -> Option<LaneForm> {
+        Some(LaneForm::Cout)
     }
 
     fn join_algo(&self, _: InputEst, _: InputEst, _: f64) -> JoinAlgo {

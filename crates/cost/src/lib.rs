@@ -14,8 +14,9 @@ pub mod catalog;
 pub mod cout;
 pub mod model;
 pub mod pglike;
+pub mod sweep;
 
 pub use catalog::{Catalog, Column, JoinPredicate, Table};
 pub use cout::CoutCost;
-pub use model::{CostModel, InputEst, JoinAlgo};
+pub use model::{CostModel, InputEst, JoinAlgo, LaneForm};
 pub use pglike::{PgLikeCost, PgParams};

@@ -29,6 +29,19 @@ pub struct InputEst {
     pub rows: f64,
 }
 
+/// A formula the exact DP can evaluate eight splits at a time, declared by a
+/// model through [`CostModel::lane_form`]. Declaring a form is a promise:
+/// the model's [`join_cost_both`](CostModel::join_cost_both) returns, bit for
+/// bit, what that form's model returns. The lanes themselves live with the
+/// kernel that runs them (`mpdp-dp`), not here.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum LaneForm {
+    /// [`PgLikeCost`](crate::pglike::PgLikeCost) with these constants.
+    PgLike(crate::pglike::PgParams),
+    /// [`CoutCost`](crate::cout::CoutCost).
+    Cout,
+}
+
 /// A deterministic cost model over inner joins.
 ///
 /// Implementations must be pure functions of their arguments: the DP
@@ -65,6 +78,14 @@ pub trait CostModel: Sync {
     /// it has every split priced.
     fn join_cost_floor(&self, _out_rows: f64) -> f64 {
         f64::NEG_INFINITY
+    }
+
+    /// The [`LaneForm`] whose arithmetic is this model's `join_cost_both`,
+    /// if there is one. The default, `None`, has every split priced through
+    /// the trait, one at a time. A model that wraps another and changes any
+    /// price keeps the default.
+    fn lane_form(&self) -> Option<LaneForm> {
+        None
     }
 
     /// The operator [`join_cost`](CostModel::join_cost) would pick (for plan
@@ -112,6 +133,7 @@ mod tests {
         assert_eq!(m.join_cost(a, b, 5.0), 8.0);
         assert_eq!(m.join_cost_both(a, b, 5.0), (8.0, 8.0));
         assert_eq!(m.join_cost_floor(5.0), f64::NEG_INFINITY);
+        assert_eq!(m.lane_form(), None);
         assert_eq!(m.join_algo(a, b, 5.0), JoinAlgo::Hash);
         assert_eq!(m.name(), "unit");
     }

@@ -8,7 +8,7 @@
 //! uses, dropping the refinements (bucket skew, rescan caching, semi-join
 //! factors) that only apply to plan shapes outside this workspace's scope.
 
-use crate::model::{CostModel, InputEst, JoinAlgo};
+use crate::model::{CostModel, InputEst, JoinAlgo, LaneForm};
 
 /// Planner constants (PostgreSQL defaults).
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -176,6 +176,10 @@ impl CostModel for PgLikeCost {
         out_rows * self.params.cpu_tuple_cost
     }
 
+    fn lane_form(&self) -> Option<LaneForm> {
+        Some(LaneForm::PgLike(self.params))
+    }
+
     fn join_algo(&self, left: InputEst, right: InputEst, out_rows: f64) -> JoinAlgo {
         let h = self.hash_cost(left, right, out_rows);
         let n = self.nestloop_cost(left, right, out_rows);
@@ -203,6 +207,7 @@ impl CostModel for PgLikeCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{swept_models, Magnitudes};
 
     fn est(cost: f64, rows: f64) -> InputEst {
         InputEst { cost, rows }
@@ -283,58 +288,6 @@ mod tests {
             .min(m.merge_cost(l, r, out_rows))
     }
 
-    /// Deterministic stream of non-negative test magnitudes: mostly
-    /// `[2⁻⁴, 2³⁶)` with a random mantissa, mixed with the small row counts
-    /// around the merge boundary and with powers of two and their
-    /// neighbours (where the exponent test flips).
-    struct Magnitudes(u64);
-
-    impl Magnitudes {
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            mpdp_core::memo::murmur3_fmix64(self.0)
-        }
-
-        fn next(&mut self) -> f64 {
-            let x = self.next_u64();
-            let exp = (x >> 8) % 40; // 2⁻⁴ … 2³⁵
-            let pow = f64::from_bits((1023 - 4 + exp) << 52);
-            match x % 16 {
-                0 => [0.0, 1.0, 2.0, 7.0, 8.0][(x >> 16) as usize % 5],
-                1 => pow,
-                2 => f64::from_bits(pow.to_bits() - 1),
-                3 => f64::from_bits(pow.to_bits() + 1),
-                _ => f64::from_bits(pow.to_bits() | (x >> 12)),
-            }
-        }
-    }
-
-    /// The three sets of constants the cost sweeps run under.
-    fn swept_models() -> [PgLikeCost; 3] {
-        [
-            PgLikeCost::new(),
-            // Tuples dear, comparisons cheap: the boundary moves from 8 to
-            // 2048 rows and sort-merge does win below it.
-            PgLikeCost {
-                params: PgParams {
-                    seq_page_cost: 4.0,
-                    cpu_tuple_cost: 0.1,
-                    cpu_operator_cost: 0.005,
-                    tuples_per_page: 64.0,
-                },
-            },
-            // 2·op == op + tuple: the dominance test is an exact tie for
-            // every larger input in [2, 4).
-            PgLikeCost {
-                params: PgParams {
-                    cpu_tuple_cost: 0.01,
-                    cpu_operator_cost: 0.01,
-                    ..PgParams::default()
-                },
-            },
-        ]
-    }
-
     /// Also the floor: every price of the sweep is at or above
     /// `(a.cost + b.cost) + join_cost_floor(out_rows)`.
     #[test]
@@ -350,9 +303,9 @@ mod tests {
         let (mut skipped, mut merge_won) = (0u64, 0u64);
         for case in 0..cases {
             let m = &models[case % models.len()];
-            let a = est(rng.next(), rng.next());
-            let b = est(rng.next(), rng.next());
-            let out_rows = rng.next();
+            let a = est(rng.draw(), rng.draw());
+            let b = est(rng.draw(), rng.draw());
+            let out_rows = rng.draw();
             let (ab, ba) = (
                 three_way_min(m, a, b, out_rows),
                 three_way_min(m, b, a, out_rows),

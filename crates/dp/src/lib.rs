@@ -22,6 +22,7 @@ pub mod common;
 pub mod dpccp;
 pub mod dpsize;
 pub mod dpsub;
+mod lanes;
 pub mod mpdp;
 
 pub use common::{OptContext, OptResult};

@@ -20,16 +20,22 @@
 //! The per-set loop exists once, as [`SetKernel`]; the sequential driver here,
 //! the CPU-parallel one in `mpdp-parallel` and the simulated-GPU one in
 //! `mpdp-gpu` all call it and differ only in scheduling and in how they
-//! publish each set's winner. See `DESIGN.md` §4 "The MPDP set kernel".
+//! publish each set's winner. See `DESIGN.md` §4 "The MPDP set kernel". The
+//! first two hand it a level's sets eight at a time
+//! ([`SetKernel::evaluate_chunk`]), and where the CPU has AVX-512 it prices
+//! their bridge splits one set per lane (§4 "One set per lane"); the
+//! simulator keeps the scalar per-split walk its lane charges need.
 
 use crate::common::{
     finish, init_memo, join_inputs, level_plan, OptContext, OptResult, PricedSplit,
 };
+use crate::lanes;
+pub use crate::lanes::LANES;
 use mpdp_core::blocks::{BlockFinder, BlockIndex, SplitWalk};
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
 use mpdp_core::{OptError, QueryInfo, RelSet};
-use mpdp_cost::model::CostModel;
+use mpdp_cost::model::{CostModel, LaneForm};
 
 /// Watches the block-level splits of a set as [`SetKernel`] visits them.
 /// The simulated GPU charges lane cycles from here; everyone else passes
@@ -100,24 +106,115 @@ pub struct SetOutcome {
 ///   set (the paper's fused prune, §5). The minimum does not depend on the
 ///   order the splits arrive in, so neither walk order nor the floor can
 ///   change the winner.
+///
+/// [`evaluate_chunk`](Self::evaluate_chunk) runs the bridge loop of eight
+/// sets at once, one set per AVX-512 lane (the paper's thread per set, §5),
+/// and each set's cyclic blocks through the code above.
 pub struct SetKernel<'a> {
     q: &'a QueryInfo,
     model: &'a dyn CostModel,
     index: &'a BlockIndex,
     finder: BlockFinder,
     walk: SplitWalk,
+    /// The model's lane form, where the lanes can run: the CPU has them,
+    /// the model declares a form and the query has bridges.
+    lanes: Option<LaneForm>,
 }
+
+/// The fewest sets a level needs for its chunks to run on lanes: below it
+/// the per-chunk set-up (floors, stores, eight seeded minimums, the
+/// outcomes' array) is not repaid.
+const LANE_LEVEL_MIN: usize = 4 * LANES;
 
 impl<'a> SetKernel<'a> {
     /// A kernel for `q`, whose graph `index` was built from.
     pub fn new(q: &'a QueryInfo, model: &'a dyn CostModel, index: &'a BlockIndex) -> Self {
+        let lanes = match lanes::detected() && !index.bridges.is_empty() {
+            true => model.lane_form(),
+            false => None,
+        };
         SetKernel {
             q,
             model,
             index,
             finder: BlockFinder::new(),
             walk: SplitWalk::new(),
+            lanes,
         }
+    }
+
+    /// Whether a driver should hand a level of `sets` connected sets to
+    /// [`evaluate_chunk`](Self::evaluate_chunk), eight at a time, rather
+    /// than to [`evaluate`](Self::evaluate) one at a time: where the kernel
+    /// has lanes and the level is long enough to repay a chunk's set-up.
+    pub fn lanes_for(&self, sets: usize) -> bool {
+        self.lanes.is_some() && sets >= LANE_LEVEL_MIN
+    }
+
+    /// [`evaluate`](Self::evaluate) for each of `sets` (at most [`LANES`]
+    /// of one level, with their cardinalities `rows`), with no observer:
+    /// `out[j]` is `sets[j]`'s outcome, to the bit. Where the kernel has
+    /// lanes, the chunk is whole and the memo offers a gather view, the
+    /// bridge splits of all eight are priced one set per lane, and each
+    /// set's cyclic blocks, seeded with its lane's minimum, by the scalar
+    /// code; otherwise `evaluate` runs per set.
+    // Out of line for the reason `evaluate` is.
+    #[inline(never)]
+    pub fn evaluate_chunk<M: MemoStore>(
+        &mut self,
+        memo: &M,
+        sets: &[RelSet],
+        rows: &[f64],
+    ) -> [SetOutcome; LANES] {
+        let mut out = [SetOutcome::default(); LANES];
+        let whole = <&[RelSet; LANES]>::try_from(sets)
+            .ok()
+            .zip(<&[f64; LANES]>::try_from(rows).ok());
+        let (Some(form), Some(view), Some((sets8, rows8))) = (self.lanes, memo.lanes(), whole)
+        else {
+            for ((o, &s), &rows) in out.iter_mut().zip(sets).zip(rows) {
+                *o = self.evaluate(memo, s, rows, &mut ());
+            }
+            return out;
+        };
+        let model = self.model;
+        let floors = rows8.map(|rows| model.join_cost_floor(rows));
+        let bridges = &self.index.bridges;
+        let mins = lanes::bridge_mins(form, view, bridges, sets8, rows8, &floors)
+            .expect("a kernel has a lane form only where the lanes were detected");
+        for (j, o) in out.iter_mut().enumerate() {
+            let (s, rows) = (sets8[j], rows8[j]);
+            let key = mins.key[j];
+            let mut min = SetMin {
+                memo,
+                model,
+                s,
+                rows,
+                floor: floors[j],
+                cost: mins.cost[j],
+                key,
+                out: SetOutcome {
+                    evaluated: mins.pairs[j],
+                    ccp: mins.pairs[j],
+                    best: (key != (u64::MAX, u64::MAX)).then_some(MemoEntry {
+                        set: s,
+                        left: RelSet(key.1),
+                        cost: mins.cost[j],
+                        rows,
+                    }),
+                },
+            };
+            if mins.any_pending >> j & 1 != 0 {
+                for (bridge, &pending) in bridges.iter().zip(&mins.pending) {
+                    if pending >> j & 1 != 0 {
+                        min.price(s.intersect(bridge.side));
+                    }
+                }
+            }
+            self.blocks(&mut min, &mut ());
+            *o = min.out;
+        }
+        out
     }
 
     /// Evaluates the connected set `s`, of cardinality `rows`, against
@@ -134,25 +231,17 @@ impl<'a> SetKernel<'a> {
         rows: f64,
         observer: &mut O,
     ) -> SetOutcome {
-        let SetKernel {
-            q,
-            model,
-            index,
-            finder,
-            walk,
-        } = self;
-        let g = &q.graph;
         let mut min = SetMin {
             memo,
-            model: *model,
+            model: self.model,
             s,
             rows,
-            floor: model.join_cost_floor(rows),
+            floor: self.model.join_cost_floor(rows),
             cost: f64::INFINITY,
             key: (u64::MAX, u64::MAX),
             out: SetOutcome::default(),
         };
-        for bridge in &index.bridges {
+        for bridge in &self.index.bridges {
             if bridge.ends.is_subset(s) {
                 min.out.evaluated += 2;
                 let lb = bridge.ends.lowest_bit();
@@ -160,6 +249,28 @@ impl<'a> SetKernel<'a> {
                 min.consider(s.intersect(bridge.side));
             }
         }
+        self.blocks(&mut min, observer);
+        min.out
+    }
+
+    /// The splits of the set of `min` inside the graph's cyclic blocks,
+    /// into `min`.
+    // Inlined into both callers, so `evaluate` stays one function (see the
+    // note on it).
+    #[inline(always)]
+    fn blocks<M: MemoStore, O: SplitObserver>(
+        &mut self,
+        min: &mut SetMin<'_, M>,
+        observer: &mut O,
+    ) {
+        let SetKernel {
+            q,
+            index,
+            finder,
+            walk,
+            ..
+        } = self;
+        let (g, s) = (&q.graph, min.s);
         for cyclic in index.cyclic_blocks() {
             let inside = s.intersect(cyclic.vertices);
             for &block in finder.find_in_block(g, inside, cyclic.vertices) {
@@ -207,7 +318,6 @@ impl<'a> SetKernel<'a> {
                 }
             }
         }
-        min.out
     }
 }
 
@@ -233,10 +343,17 @@ impl<M: MemoStore> SetMin<'_, M> {
     // 7-13 % slower.
     #[inline(always)]
     fn consider(&mut self, left: RelSet) {
+        self.out.ccp += 2;
+        self.price(left);
+    }
+
+    /// [`consider`](Self::consider) without the count: the split's pricing
+    /// and the running minimum.
+    #[inline(always)]
+    fn price(&mut self, left: RelSet) {
         let (s, rows) = (self.s, self.rows);
         let right = s.difference(left);
         debug_assert!(!left.is_empty() && !right.is_empty());
-        self.out.ccp += 2;
         let Some((a, b)) = join_inputs(self.memo, left, right) else {
             return;
         };
@@ -287,13 +404,26 @@ impl Mpdp {
                 sets: sets.len() as u64,
                 ..Default::default()
             };
-            for (k, (&s, &rows)) in sets.iter().zip(rows).enumerate() {
-                ctx.poll_deadline(k)?;
-                let out = kernel.evaluate(&memo, s, rows, &mut ());
+            let publish = |memo: &mut MemoTable, level: &mut LevelStats, k, out: &SetOutcome| {
                 level.evaluated += out.evaluated;
                 level.ccp += out.ccp;
                 if let Some(e) = out.best {
                     level.memo_writes += memo.update(memo.slot(start + k), e.left, e.cost) as u64;
+                }
+            };
+            if kernel.lanes_for(sets.len()) {
+                for (c, (sets, rows)) in sets.chunks(LANES).zip(rows.chunks(LANES)).enumerate() {
+                    ctx.poll_deadline(c * LANES)?;
+                    let outs = kernel.evaluate_chunk(&memo, sets, rows);
+                    for (j, out) in outs[..sets.len()].iter().enumerate() {
+                        publish(&mut memo, &mut level, c * LANES + j, out);
+                    }
+                }
+            } else {
+                for (k, (&s, &rows)) in sets.iter().zip(rows).enumerate() {
+                    ctx.poll_deadline(k)?;
+                    let out = kernel.evaluate(&memo, s, rows, &mut ());
+                    publish(&mut memo, &mut level, k, &out);
                 }
             }
             profile.record(level);

@@ -38,7 +38,7 @@ struct HeapEdge {
 
 impl PartialEq for HeapEdge {
     fn eq(&self, other: &Self) -> bool {
-        self.size_sum == other.size_sum && self.weight == other.weight
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapEdge {}
@@ -50,12 +50,13 @@ impl PartialOrd for HeapEdge {
 impl Ord for HeapEdge {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert for min-by-(size, weight).
-        other.size_sum.cmp(&self.size_sum).then_with(|| {
-            other
-                .weight
-                .partial_cmp(&self.weight)
-                .unwrap_or(Ordering::Equal)
-        })
+        // `total_cmp`, so the heap's order stays total with a NaN weight
+        // among the edges. It agrees with `partial_cmp` on every other
+        // weight but −0.0, and a weight is a join cost, which is never −0.0.
+        other
+            .size_sum
+            .cmp(&self.size_sum)
+            .then_with(|| other.weight.total_cmp(&self.weight))
     }
 }
 
@@ -229,7 +230,7 @@ pub fn uniondp_with_inner(
             return Ok(recost(&full, q, model));
         }
         let before = cur.num_rels();
-        let (next, next_comps) = partition_and_solve(q_ref(&cur), model, k, inner, comps, budget)?;
+        let (next, next_comps) = partition_and_solve(&cur, model, k, inner, comps, budget)?;
         cur = next;
         comps = next_comps;
         if cur.num_rels() >= before {
@@ -238,11 +239,6 @@ pub fn uniondp_with_inner(
             ));
         }
     }
-}
-
-#[inline]
-fn q_ref(q: &LargeQuery) -> &LargeQuery {
-    q
 }
 
 /// The UnionDP optimizer with MPDP as the exact step — the paper's
@@ -378,6 +374,33 @@ mod tests {
             );
         }
         assert!(strictly_better);
+    }
+
+    #[test]
+    fn plans_are_the_scalar_kernels_on_the_oracle_queries() {
+        // UnionDP's exact step is MPDP, whose set kernel prices bridge
+        // splits on lanes where the CPU has them; DPCCP walks the same CCP
+        // splits one at a time and keeps the same `candidate_key` minimum.
+        // Every plan must match to the bit. A debug build stops at 30
+        // relations: DPCCP's 15-relation stars are slow there.
+        use crate::testkit::{max_oracle_rels, oracle_queries, plan_bits};
+        use mpdp_dp::DpCcp;
+        let m = PgLikeCost::new();
+        let dpccp = |q: &LargeQuery| {
+            let qi = q.to_query_info().expect("at most 64 relations");
+            Ok(DpCcp::run(&OptContext::new(&qi, &m))?.plan)
+        };
+        let b = Budget::new(None);
+        let max_n = if cfg!(debug_assertions) {
+            30
+        } else {
+            max_oracle_rels()
+        };
+        for (name, q) in oracle_queries(max_n) {
+            let lanes = UnionDp { k: 15 }.optimize(&q, &m, None).unwrap().plan;
+            let scalar = uniondp_with_inner(&q, &m, 15, &dpccp, &b).unwrap();
+            assert_eq!(plan_bits(&lanes), plan_bits(&scalar), "{name}");
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! are priced by the same shared costing (`mpdp_dp::common`), and every memo
 //! keeps the minimum under the same deterministic `(cost, left)` tie-break,
 //! which is order-insensitive. MPDP's per-set work is `mpdp_dp`'s
-//! [`SetKernel`], the same one the sequential driver runs: it reduces a set's
-//! candidates locally and the worker publishes the winner once.
+//! [`SetKernel`], the same one the sequential driver runs, eight sets per
+//! call as there: it reduces a set's candidates locally and the worker
+//! publishes the winner once.
 
 use crate::pool::{chunk_range, with_pool};
 use mpdp_core::atomic_memo::AtomicMemo;
@@ -28,7 +29,7 @@ use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{finish, init_memo, level_plan, price_pair, OptContext, OptResult};
 use mpdp_dp::dpsub::ccp_splits;
-use mpdp_dp::mpdp::SetKernel;
+use mpdp_dp::mpdp::{SetKernel, SetOutcome, LANES};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -143,22 +144,39 @@ pub fn run_level_parallel(
             pool.run(&|worker| {
                 let mut mine = LevelStats::default();
                 let mine_of = chunk_range(sets.len(), pool.workers(), worker);
-                let slice = mine_of.map(|k| (sets[k], (memo_ref.slot(start + k), rows[k])));
                 match algo {
                     LevelAlgo::Mpdp => {
-                        // The shared per-set kernel; its winner is the one
-                        // atomic publish this set gets.
+                        // The shared per-set kernel, eight sets per call
+                        // where it has lanes; each winner is the one atomic
+                        // publish its set gets.
                         let mut kernel = SetKernel::new(q, ctx.model, &index);
-                        for (s, (slot, rows)) in slice {
-                            let out = kernel.evaluate(memo_ref, s, rows, &mut ());
+                        let mut publish = |k: usize, out: &SetOutcome| {
                             mine.evaluated += out.evaluated;
                             mine.ccp += out.ccp;
                             if let Some(e) = out.best {
+                                let slot = memo_ref.slot(start + k);
                                 mine.memo_writes += memo_ref.update(slot, e.left, e.cost) as u64;
+                            }
+                        };
+                        if kernel.lanes_for(mine_of.len()) {
+                            let first = mine_of.start;
+                            let chunks = sets[mine_of.clone()]
+                                .chunks(LANES)
+                                .zip(rows[mine_of].chunks(LANES));
+                            for (c, (sets, rows)) in chunks.enumerate() {
+                                let outs = kernel.evaluate_chunk(memo_ref, sets, rows);
+                                for (j, out) in outs[..sets.len()].iter().enumerate() {
+                                    publish(first + c * LANES + j, out);
+                                }
+                            }
+                        } else {
+                            for k in mine_of {
+                                publish(k, &kernel.evaluate(memo_ref, sets[k], rows[k], &mut ()));
                             }
                         }
                     }
                     LevelAlgo::DpSub => {
+                        let slice = mine_of.map(|k| (sets[k], (memo_ref.slot(start + k), rows[k])));
                         for (s, at) in slice {
                             let Ok((evaluated, ccp)) = ccp_splits(&q.graph, s, |sl, sr| {
                                 emit_atomic(ctx.model, memo_ref, sl, sr, at, &mut mine.memo_writes);

@@ -11,7 +11,7 @@ use mpdp::core::combinatorics::KSubsets;
 use mpdp::core::enumerate::ConnectedSets;
 use mpdp::core::memo::{MemoEntry, MemoHealth, MemoStore, MemoTable};
 use mpdp::core::{JoinGraph, QueryInfo};
-use mpdp::dp::mpdp::{SetKernel, SetOutcome, SplitObserver};
+use mpdp::dp::mpdp::{SetKernel, SetOutcome, SplitObserver, LANES};
 use mpdp::prelude::{DpCcp, DpSize, DpSub, LargeQuery, Mpdp, OptContext, RelSet};
 use mpdp_cost::{CostModel, CoutCost, InputEst, JoinAlgo, PgLikeCost};
 use mpdp_dp::common::init_memo;
@@ -386,6 +386,115 @@ fn set_kernel_prices_the_old_loops_pairs_on_named_shapes() {
     }
 }
 
+/// A store laid out from `plan` over a universe of `universe` relations,
+/// with the query's leaves planned. A universe of 64 hashes every home,
+/// whatever the query: on a table more than a few dozen sets large, some
+/// keys then sit past their home slot.
+fn laid_out_with_leaves<M: MemoStore>(qi: &QueryInfo, plan: &ConnectedSets, universe: usize) -> M {
+    let mut memo = M::laid_out(universe, &plan.sets, &plan.rows);
+    for (i, rel) in qi.rels.iter().enumerate() {
+        let slot = memo.slot(i);
+        memo.update(slot, RelSet::EMPTY, rel.cost);
+    }
+    memo
+}
+
+/// Runs the MPDP level loop over `memo` and asserts that
+/// `SetKernel::evaluate_chunk` on lanes returns, for every chunk of eight
+/// consecutive sets of a level, what `evaluate` returns per set, to the bit:
+/// best entry, `evaluated`, `ccp`. The chunks are the ones a driver makes and
+/// the ones three sets later, each level's partial last chunk among them.
+/// Returns whether the kernel had lanes to run.
+fn assert_lanes_equal_scalar_in<M: MemoStore>(
+    qi: &QueryInfo,
+    model: &dyn CostModel,
+    plan: &ConnectedSets,
+    mut memo: M,
+) -> bool {
+    let index = BlockIndex::new(&qi.graph);
+    let mut kernel = SetKernel::new(qi, model, &index);
+    let bits = |o: &SetOutcome| {
+        let best = o
+            .best
+            .map(|e| (e.set, e.left, e.cost.to_bits(), e.rows.to_bits()));
+        (o.evaluated, o.ccp, best)
+    };
+    for i in 2..=qi.query_size() {
+        let (sets, rows) = plan.level(i);
+        let start = plan.starts[i - 1];
+        let scalar: Vec<SetOutcome> = (sets.iter().zip(rows))
+            .map(|(&s, &rows)| kernel.evaluate(&memo, s, rows, &mut ()))
+            .collect();
+        for from in [0, 3.min(sets.len())] {
+            let chunks = sets[from..].chunks(LANES).zip(rows[from..].chunks(LANES));
+            for (c, (chunk, chunk_rows)) in chunks.enumerate() {
+                let outs = kernel.evaluate_chunk(&memo, chunk, chunk_rows);
+                for (j, out) in outs[..chunk.len()].iter().enumerate() {
+                    let k = from + c * LANES + j;
+                    let name = model.name();
+                    assert_eq!(bits(out), bits(&scalar[k]), "set {} under {name}", sets[k]);
+                }
+            }
+        }
+        for (k, out) in scalar.iter().enumerate() {
+            let e = out.best.expect("every side is memoized");
+            memo.update(memo.slot(start + k), e.left, e.cost);
+        }
+    }
+    kernel.lanes_for(usize::MAX)
+}
+
+/// [`assert_lanes_equal_scalar_in`] on both memo stores, each laid out at
+/// the query's own addressing and at a hashed one. Returns whether the
+/// lanes ran, and how many probe steps past one per set the hashed layout
+/// took (keys displaced from their home, which the lanes hand back to the
+/// scalar kernel).
+fn assert_lanes_equal_scalar(qi: &QueryInfo, model: &dyn CostModel) -> (bool, u64) {
+    let plan = ConnectedSets::enumerate(qi);
+    let (mut ran, mut displaced) = (false, 0);
+    for universe in [qi.query_size(), 64] {
+        let table: MemoTable = laid_out_with_leaves(qi, &plan, universe);
+        if universe == 64 {
+            displaced = table.health().probes - plan.sets.len() as u64;
+        }
+        ran |= assert_lanes_equal_scalar_in(qi, model, &plan, table);
+        let atomic: AtomicMemo = laid_out_with_leaves(qi, &plan, universe);
+        ran |= assert_lanes_equal_scalar_in(qi, model, &plan, atomic);
+    }
+    (ran, displaced)
+}
+
+#[test]
+fn lanes_equal_scalar_on_named_shapes() {
+    // Stars and snowflakes (the lanes' shapes), a chain (short levels), a
+    // schema walk with cycles beside its bridges, and a cycle (no bridges:
+    // no lanes). The larger ones in release only.
+    let m = PgLikeCost::new();
+    let release = !cfg!(debug_assertions);
+    let mb = MusicBrainz::new();
+    let mut shapes = vec![
+        ("star-12", gen::star(12, 1, &m)),
+        ("snowflake-14", gen::snowflake(14, 4, 1, &m)),
+        ("chain-20", gen::chain(20, 1, &m)),
+        ("mb-14", mb.random_walk_query(14, 7, true, &m)),
+        ("cycle-10", gen::cycle(10, 1, &m)),
+    ];
+    if release {
+        shapes.push(("star-16", gen::star(16, 1, &m)));
+        shapes.push(("snowflake-20", gen::snowflake(20, 4, 1, &m)));
+    }
+    for (name, q) in shapes {
+        let qi = q.to_query_info().unwrap();
+        let (ran, displaced) = assert_lanes_equal_scalar(&qi, &m);
+        assert_lanes_equal_scalar(&uniform(&q), &CoutCost);
+        println!("{name}: lanes {ran}, {displaced} displaced probe steps");
+        if !ran && !name.starts_with("cycle") {
+            return println!("skipped: no lanes (AVX-512 F, DQ not detected)");
+        }
+        assert!(displaced > 0, "{name}: the hashed layout displaced no key");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -397,6 +506,14 @@ proptest! {
         // for the tie-break on `left`.
         assert_the_floor_changes_no_outcome(&q.to_query_info().unwrap(), &PgLikeCost::new());
         assert_the_floor_changes_no_outcome(&uniform(&q), &CoutCost);
+    }
+
+    #[test]
+    fn lanes_equal_scalar_on_random_graphs(q in query_strategy()) {
+        // As `the_cost_floor_changes_no_set_outcome`: random statistics under
+        // the PostgreSQL-like model, uniform ones (exact ties) under C_out.
+        assert_lanes_equal_scalar(&q.to_query_info().unwrap(), &PgLikeCost::new());
+        assert_lanes_equal_scalar(&uniform(&q), &CoutCost);
     }
 
     #[test]
