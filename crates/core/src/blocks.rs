@@ -11,7 +11,10 @@
 //! overflow the stack) restricted to the vertices of `S`. [`BlockIndex`]
 //! decomposes the whole graph once, so that per set the DFS runs only where
 //! the blocks are not already known, and a block split becomes a set split by
-//! precomputed masks; [`SplitWalk`] visits only a block's connected splits.
+//! precomputed masks; [`SplitWalk`] visits only a block's connected splits,
+//! and [`SplitFinder`] is the one walk from a block's intersection with a set
+//! to those masks. A small block keeps the masks of every intersection in a
+//! [`SplitTable`], built once per query with that walk.
 
 use crate::bitset::RelSet;
 use crate::graph::JoinGraph;
@@ -343,7 +346,9 @@ pub struct Bridge {
 /// mask, no DFS and no `grow`. Only the blocks with three or more vertices
 /// ever need [`BlockFinder`], on `S ∩ B`, and there the *hanging masks* do
 /// for a split of a block what `side` does for a bridge (see
-/// [`CyclicBlock::hanging`]).
+/// [`CyclicBlock::hanging`]). What happens inside such a block depends on
+/// `S ∩ B` only, so a small block can keep the outcome for every
+/// intersection in a [`SplitTable`] ([`BlockIndex::with_tables`]).
 #[derive(Clone, Debug, Default)]
 pub struct BlockIndex {
     /// The bridges of the graph.
@@ -356,6 +361,15 @@ pub struct BlockIndex {
     /// vertices' in increasing order, the blocks' back to back in `cyclic`'s
     /// order: one vector per query, empty on a tree.
     hang: Vec<RelSet>,
+    /// Bit `i` is set when `cyclic[i]` has a split table. A graph of at most
+    /// 64 vertices has at most 31 blocks of three or more.
+    tabled: u64,
+    /// The tabled blocks' entries, `2^|B| + 1` per block, back to back in
+    /// `cyclic`'s order.
+    entries: Vec<TableEntry>,
+    /// Every tabled block's hanging masks of its CCP splits, in the order
+    /// the entries point into.
+    masks: Vec<RelSet>,
 }
 
 /// A block of the whole join graph with three or more vertices, with the
@@ -366,9 +380,10 @@ pub struct CyclicBlock<'a> {
     pub vertices: RelSet,
     /// `hang_B(v)` of the block's vertices, in increasing order.
     hang: &'a [RelSet],
+    table: Option<SplitTable<'a>>,
 }
 
-impl CyclicBlock<'_> {
+impl<'a> CyclicBlock<'a> {
     /// The union of `hang_B(v)` over `v ∈ reach`, for `reach ⊆ B`.
     ///
     /// This is how a split of a block of a connected `G[S]` becomes a split
@@ -388,20 +403,206 @@ impl CyclicBlock<'_> {
         }
         out
     }
+
+    /// The block's split table, if [`BlockIndex::with_tables`] gave it one.
+    #[inline]
+    pub fn table(&self) -> Option<SplitTable<'a>> {
+        self.table
+    }
+}
+
+/// The rank of `inside ⊆ within` among the subsets of `within`: `inside`'s
+/// bits moved down to `within`'s positions (what BMI2's `pext` computes),
+/// one shift per vertex of `within`. For subsets of one `within` it keeps
+/// the bitmap order, so [`RelSet::subsets_ascending`] visits ranks `1, 2, …`.
+#[inline]
+fn rank(within: RelSet, inside: RelSet) -> usize {
+    let mut r = 0;
+    for (k, v) in within.iter().enumerate() {
+        r |= (inside.bits() >> v & 1) << k;
+    }
+    r as usize
+}
+
+/// One split `{lb, rb}` of a block `b` of `G[I]`, where `I = S ∩ B` for a
+/// connected `S` and a cyclic block `B` of the graph, as
+/// [`SplitFinder::splits`] reports it.
+#[derive(Copy, Clone, Debug)]
+pub struct BlockSplit {
+    /// The side holding `b`'s lowest vertex.
+    pub lb: RelSet,
+    /// The rest of `b`.
+    pub rb: RelSet,
+    /// Whether `lb` is connected.
+    pub lb_ok: bool,
+    /// Whether `rb` is connected.
+    pub rb_ok: bool,
+    /// For a CCP split (both sides connected) its hanging mask `H`: for
+    /// every connected `S` with `S ∩ B = I`, `H ∩ S` is the set-level left
+    /// side, `grow(lb, S \ rb)`. Empty otherwise.
+    pub hang: RelSet,
+}
+
+/// The one walk from an intersection to split masks: the blocks of `G[I]`
+/// ([`BlockFinder::find_in_block`]), their splits ([`SplitWalk`], or every
+/// submask when asked) and each CCP split's hanging mask. The split tables
+/// are built with it, and the MPDP set kernel runs it per set for a block
+/// without a table. Owns its scratch, so a call allocates nothing.
+#[derive(Default)]
+pub struct SplitFinder {
+    finder: BlockFinder,
+    walk: SplitWalk,
+}
+
+impl SplitFinder {
+    /// Fresh scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Algorithm 3 inside the cyclic block `block` of `g` for `I = inside`,
+    /// the block's intersection with a connected set (so `I` is connected):
+    /// calls `each` with every CCP split of every block of `G[I]`, visited
+    /// from the side holding the block's lowest vertex, each standing for
+    /// both orders — or, when `every_split`, with every submask split of
+    /// every block, connected sides or not (the simulated GPU's walk).
+    /// Returns Algorithm 3's EvaluatedCounter for those blocks, both orders
+    /// of every submask split, `2·(2^(|b|−1) − 1)` per block `b`.
+    // Inlined into each caller, so that what `each` updates stays in
+    // registers (DESIGN.md §4).
+    #[inline(always)]
+    pub fn splits(
+        &mut self,
+        g: &JoinGraph,
+        block: &CyclicBlock<'_>,
+        inside: RelSet,
+        every_split: bool,
+        mut each: impl FnMut(BlockSplit),
+    ) -> u64 {
+        // Nothing hangs off a block that is the whole graph.
+        let bare = block.vertices == g.all_vertices();
+        let SplitFinder { finder, walk } = self;
+        let mut evaluated = 0;
+        for &b in finder.find_in_block(g, inside, block.vertices) {
+            // Line 6, halved: the splits whose left side holds the block's
+            // lowest vertex, each standing for both orders.
+            evaluated += 2 * ((1u64 << (b.len() - 1)) - 1);
+            // Lines 17-18: what `lb` reaches in `I` without crossing `rb`
+            // (`lb` itself when the block is all of `I`), with what hangs
+            // off it.
+            let hang = |lb: RelSet, rb: RelSet| {
+                let reach = if b == inside {
+                    lb
+                } else {
+                    g.grow(lb, inside.difference(rb))
+                };
+                if bare {
+                    reach
+                } else {
+                    block.hanging(reach)
+                }
+            };
+            // CCP block (lines 10-14): a block is connected, so an edge
+            // between its two sides always exists.
+            if every_split {
+                for rb in b.difference(b.lowest_bit()).subsets() {
+                    let lb = b.difference(rb);
+                    let (lb_ok, rb_ok) = (g.is_connected(lb), g.is_connected(rb));
+                    let hang = match lb_ok && rb_ok {
+                        true => hang(lb, rb),
+                        false => RelSet::EMPTY,
+                    };
+                    each(BlockSplit {
+                        lb,
+                        rb,
+                        lb_ok,
+                        rb_ok,
+                        hang,
+                    });
+                }
+            } else {
+                for lb in walk.lefts(g, b) {
+                    let rb = b.difference(lb);
+                    if g.is_connected(rb) {
+                        each(BlockSplit {
+                            lb,
+                            rb,
+                            lb_ok: true,
+                            rb_ok: true,
+                            hang: hang(lb, rb),
+                        });
+                    }
+                }
+            }
+        }
+        evaluated
+    }
+}
+
+/// One intersection's row of a [`SplitTable`]: where its masks start (they
+/// end where the next row's start), and its EvaluatedCounter.
+#[derive(Copy, Clone, Debug, Default)]
+struct TableEntry {
+    start: u32,
+    evaluated: u32,
+}
+
+/// A cyclic block's CCP splits by intersection: for every connected
+/// `I ⊆ B`, what [`SplitFinder::splits`] returns and reports for it, kept
+/// once per query. Row `r` is the `I` whose bits, moved down to `B`'s
+/// positions (BMI2's `pext`), read `r`; a disconnected `I` (never the
+/// intersection of `B` with a connected set) has an empty row.
+#[derive(Copy, Clone, Debug)]
+pub struct SplitTable<'a> {
+    vertices: RelSet,
+    /// `2^|B| + 1` rows, the last one only for its `start`.
+    entries: &'a [TableEntry],
+    masks: &'a [RelSet],
+}
+
+impl<'a> SplitTable<'a> {
+    /// For `inside ⊆ B`: the EvaluatedCounter of the blocks of `G[inside]`,
+    /// and the hanging mask of each of their CCP splits, in the order the
+    /// walk found them. The set-level left side of a split of a connected
+    /// `S` with `S ∩ B = inside` is its mask `∩ S`.
+    #[inline]
+    pub fn splits(&self, inside: RelSet) -> (u64, &'a [RelSet]) {
+        debug_assert!(inside.is_subset(self.vertices));
+        let r = rank(self.vertices, inside);
+        let (row, end) = (self.entries[r], self.entries[r + 1].start);
+        (
+            u64::from(row.evaluated),
+            &self.masks[row.start as usize..end as usize],
+        )
+    }
 }
 
 impl BlockIndex {
-    /// The blocks of `cyclic`, each with its hanging masks.
+    /// The blocks of `cyclic`, each with its hanging masks and its split
+    /// table, if it has one.
     pub fn cyclic_blocks(&self) -> impl Iterator<Item = CyclicBlock<'_>> {
-        let mut rest = &self.hang[..];
-        self.cyclic.iter().map(move |&vertices| {
-            let (hang, tail) = rest.split_at(vertices.len());
-            rest = tail;
-            CyclicBlock { vertices, hang }
+        let (mut hang, mut entries) = (&self.hang[..], &self.entries[..]);
+        self.cyclic.iter().enumerate().map(move |(i, &vertices)| {
+            let (mine, tail) = hang.split_at(vertices.len());
+            hang = tail;
+            let table = (self.tabled >> i & 1 != 0).then(|| {
+                let (mine, tail) = entries.split_at((1 << vertices.len()) + 1);
+                entries = tail;
+                SplitTable {
+                    vertices,
+                    entries: mine,
+                    masks: &self.masks,
+                }
+            });
+            CyclicBlock {
+                vertices,
+                hang: mine,
+                table,
+            }
         })
     }
 
-    /// Decomposes `g`.
+    /// Decomposes `g`, with no split tables.
     pub fn new(g: &JoinGraph) -> Self {
         let all = g.all_vertices();
         let mut finder = BlockFinder::new();
@@ -426,6 +627,58 @@ impl BlockIndex {
                 side: g.grow(u, all.difference(v)),
             });
         }
+        index
+    }
+
+    /// Decomposes `g`, a query with `connected_sets` connected sets in its
+    /// level plan, and gives a split table to every cyclic block `B` with
+    /// fewer subsets than that, `2^|B| < connected_sets`, while the tables
+    /// together take no more than the memo's 32 B per set. A table is built
+    /// for every subset of `B` and read by every set that meets `B`, so past
+    /// that point it would cost more than it saves, and a block that is the
+    /// whole graph never qualifies: a query has fewer than `2ⁿ` connected
+    /// sets. Built once; read-only after.
+    pub fn with_tables(g: &JoinGraph, connected_sets: usize) -> Self {
+        let mut index = Self::new(g);
+        // 8 B per entry or mask, against 32 B per set; and every start fits
+        // an entry's `u32`.
+        let budget = connected_sets.saturating_mul(4).min(u32::MAX as usize);
+        let (mut entries, mut masks) = (Vec::new(), Vec::new());
+        let mut splitter = SplitFinder::new();
+        let mut tabled = 0u64;
+        'blocks: for (i, block) in index.cyclic_blocks().enumerate() {
+            let b = block.vertices;
+            if b.len() >= 32 || 1 << b.len() >= connected_sets {
+                continue;
+            }
+            let (entries_at, masks_at) = (entries.len(), masks.len());
+            // One row per subset in rank order, the empty one first.
+            for inside in std::iter::once(RelSet::EMPTY).chain(b.subsets_ascending()) {
+                let start = masks.len() as u32;
+                let mut evaluated = 0;
+                if inside.len() >= 2 && g.is_connected(inside) {
+                    let push = |split: BlockSplit| masks.push(split.hang);
+                    evaluated = splitter.splits(g, &block, inside, false, push);
+                }
+                entries.push(TableEntry {
+                    start,
+                    evaluated: evaluated as u32,
+                });
+                if entries.len() + masks.len() >= budget {
+                    entries.truncate(entries_at);
+                    masks.truncate(masks_at);
+                    continue 'blocks;
+                }
+            }
+            entries.push(TableEntry {
+                start: masks.len() as u32,
+                evaluated: 0,
+            });
+            tabled |= 1 << i;
+        }
+        index.entries = entries;
+        index.masks = masks;
+        index.tabled = tabled;
         index
     }
 }
@@ -757,6 +1010,105 @@ mod tests {
             whole > 100 && edges > 100 && splits > 1000,
             "{whole} {edges} {splits}"
         );
+    }
+
+    /// Every connected subset of `g`, by brute force.
+    fn connected_sets(g: &JoinGraph) -> Vec<RelSet> {
+        let all = g.all_vertices().subsets();
+        all.filter(|&s| g.is_connected(s)).collect()
+    }
+
+    #[test]
+    fn split_tables_hold_every_intersections_splits() {
+        // On the hanging-mask test's graphs: for every connected S and every
+        // tabled block B, the table's masks cut down to S are the set-level
+        // left sides `grow(lb, S \ rb)` of the CCP splits of the blocks of
+        // G[S ∩ B] (found here by a fresh DFS and every submask), and its
+        // EvaluatedCounter is the closed form, 2·(2^(|b|−1) − 1) per block.
+        let mut state = 13u64;
+        let (mut tables, mut untabled, mut checked) = (0, 0, 0);
+        for round in 0..1000 {
+            let n = 3 + round % 12;
+            let g = random_graph(n, round % 8, &mut state);
+            random_connected_subset(&g, round, &mut state); // the same graphs
+            let connected = connected_sets(&g);
+            let index = BlockIndex::with_tables(&g, connected.len());
+            for block in index.cyclic_blocks() {
+                let Some(table) = block.table() else {
+                    untabled += 1;
+                    continue;
+                };
+                tables += 1;
+                for &s in &connected {
+                    let inside = s.intersect(block.vertices);
+                    let (evaluated, masks) = table.splits(inside);
+                    let mut got: Vec<u64> = masks.iter().map(|h| h.intersect(s).bits()).collect();
+                    let (mut want, mut closed) = (Vec::new(), 0);
+                    for &b in &find_blocks(&g, inside).blocks {
+                        closed += 2 * ((1u64 << (b.len() - 1)) - 1);
+                        for lb in b.subsets().filter(|lb| lb.contains(b.first().unwrap())) {
+                            let rb = b.difference(lb);
+                            if !rb.is_empty() && g.is_connected(lb) && g.is_connected(rb) {
+                                want.push(g.grow(lb, s.difference(rb)).bits());
+                            }
+                        }
+                    }
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(
+                        got, want,
+                        "round {round}, set {s}, block {}",
+                        block.vertices
+                    );
+                    assert_eq!(evaluated, closed, "round {round}, set {s}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(
+            tables > 100 && untabled > 10 && checked > 10_000,
+            "{tables} {untabled} {checked}"
+        );
+    }
+
+    #[test]
+    fn a_block_with_as_many_subsets_as_sets_gets_no_table() {
+        // A clique's and a cycle's one block is the whole graph, and a graph
+        // of n vertices has fewer than 2ⁿ connected sets.
+        let (mut clique, mut cycle) = (JoinGraph::new(6), JoinGraph::new(8));
+        for i in 0..6 {
+            for j in (i + 1)..6 {
+                clique.add_edge(i, j, 0.5);
+            }
+        }
+        for i in 0..8 {
+            cycle.add_edge(i, (i + 1) % 8, 0.5);
+        }
+        for g in [&clique, &cycle] {
+            let index = BlockIndex::with_tables(g, connected_sets(g).len());
+            assert_eq!(index.cyclic.len(), 1);
+            assert!(index.cyclic_blocks().all(|b| b.table().is_none()));
+        }
+        // A clique of 8 with one relation hanging off it: 384 connected
+        // sets against 2⁸ subsets, but the block's 3 025 masks would take
+        // more than the memo's 32 B per set; with a tail of ten, the table
+        // fits.
+        for (tail, tabled) in [(1, false), (10, true)] {
+            let mut g = JoinGraph::new(8 + tail);
+            for i in 0..8 {
+                for j in (i + 1)..8 {
+                    g.add_edge(i, j, 0.5);
+                }
+            }
+            for v in 8..8 + tail {
+                g.add_edge(v - 1, v, 0.5);
+            }
+            let sets = connected_sets(&g).len();
+            assert_eq!(sets, [384, 1590][tabled as usize]);
+            let index = BlockIndex::with_tables(&g, sets);
+            let block = index.cyclic_blocks().next().unwrap();
+            assert_eq!(block.table().is_some(), tabled, "tail {tail}, {sets} sets");
+        }
     }
 
     #[test]

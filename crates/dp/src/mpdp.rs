@@ -14,8 +14,9 @@
 //! submask of a block. The CPU kernel counts `evaluated` as that walk would,
 //! but it walks only the splits whose left side is connected: on a cycle of
 //! 18 relations the full set's one block has 131 071 submask splits and 153
-//! CCP splits. The simulated GPU keeps the submask walk, whose lanes it
-//! charges.
+//! CCP splits. What a block contributes depends only on its intersection with
+//! the set, so a small block's splits are read from a table built once per
+//! run. The simulated GPU keeps the submask walk, whose lanes it charges.
 //!
 //! The per-set loop exists once, as [`SetKernel`]; the sequential driver here,
 //! the CPU-parallel one in `mpdp-parallel` and the simulated-GPU one in
@@ -31,7 +32,7 @@ use crate::common::{
 };
 use crate::lanes;
 pub use crate::lanes::LANES;
-use mpdp_core::blocks::{BlockFinder, BlockIndex, SplitWalk};
+use mpdp_core::blocks::{BlockIndex, SplitFinder};
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
 use mpdp_core::{OptError, QueryInfo, RelSet};
@@ -42,14 +43,17 @@ use mpdp_cost::model::{CostModel, LaneForm};
 /// `()`.
 pub trait SplitObserver {
     /// Visit every submask split of every block, connected sides or not, and
-    /// report both sides' connectivity: the paper's lane-per-submask walk,
-    /// which the simulator charges. Without it the kernel walks only the
-    /// splits whose left side is connected, and reports each as such.
+    /// report each with both sides' connectivity: the paper's
+    /// lane-per-submask walk, which the simulator charges. Without it the
+    /// kernel reports nothing, walks only the splits whose left side is
+    /// connected, and reads a tabled block's splits from its
+    /// [`SplitTable`](mpdp_core::blocks::SplitTable), which keeps no
+    /// block-level sides.
     const EVERY_SPLIT: bool = false;
 
     /// One split `{lb, rb}` of a block of `s`, standing for the Join-Pairs
     /// `(lb, rb)` and `(rb, lb)`; the sides' connectivity decides whether
-    /// they are CCP pairs.
+    /// they are CCP pairs. Called only where `EVERY_SPLIT` is set.
     #[inline]
     fn split(&mut self, _s: RelSet, _lb: RelSet, _rb: RelSet, _lb_ok: bool, _rb_ok: bool) {}
 }
@@ -78,21 +82,27 @@ pub struct SetOutcome {
 /// scratch (in place of a `find_blocks` per set), so a call allocates
 /// nothing; each worker owns one.
 ///
-/// Seven things keep a set cheap, none of which changes a result:
+/// Eight things keep a set cheap, none of which changes a result:
 ///
 /// * bridges of the whole graph split `S` by a precomputed mask, and block
 ///   finding runs only inside the graph's cyclic blocks ([`BlockIndex`]) — on
 ///   a tree-shaped `S` there is no DFS and no `grow`, which is Algorithm 2;
-/// * inside a cyclic block `B` there is no DFS either when `S ⊇ B` or
+/// * a cyclic block `B` with fewer subsets than the query has connected sets
+///   keeps the outcome of what follows for every `S ∩ B` in a split table,
+///   built once per run ([`BlockIndex::with_tables`]): per set it costs one
+///   intersection, one rank and one AND per CCP split, the bridge's form;
+/// * inside any other cyclic block there is no DFS either when `S ⊇ B` or
 ///   `|S ∩ B| = 2`, where the blocks are known
-///   ([`BlockFinder::find_in_block`]);
+///   ([`BlockFinder::find_in_block`](mpdp_core::blocks::BlockFinder::find_in_block));
 /// * inside a block only the connected left sides are walked
-///   ([`SplitWalk`]), so the work is per CCP split, not per submask; only the
-///   right side is tested, and `evaluated` — Algorithm 3's counter, which
-///   counts every submask — is counted in closed form;
+///   ([`SplitWalk`](mpdp_core::blocks::SplitWalk)), so the work is per CCP
+///   split, not per submask; only the right side is tested, and `evaluated`
+///   — Algorithm 3's counter, which counts every submask — is counted in
+///   closed form;
 /// * a block split becomes a set split through the block's hanging masks
 ///   ([`CyclicBlock::hanging`](mpdp_core::blocks::CyclicBlock::hanging)),
-///   not a `grow` across `S`;
+///   not a `grow` across `S`; the walk from `S ∩ B` to those masks is one
+///   function, [`SplitFinder::splits`], which also builds the tables;
 /// * each block split is visited once, from the side holding the block's
 ///   lowest vertex, and stands for both Join-Pairs: `(lb, rb)` extends to
 ///   `(sl, S \ sl)` and `(rb, lb)` to exactly the mirrored `(S \ sl, sl)`;
@@ -104,18 +114,17 @@ pub struct SetOutcome {
 /// * the set's candidates are reduced here under [`candidate_key`] and
 ///   published once by the caller, into the slot the memo's layout gave the
 ///   set (the paper's fused prune, §5). The minimum does not depend on the
-///   order the splits arrive in, so neither walk order nor the floor can
-///   change the winner.
+///   order the splits arrive in, so neither walk order, table order nor the
+///   floor can change the winner.
 ///
 /// [`evaluate_chunk`](Self::evaluate_chunk) runs the bridge loop of eight
 /// sets at once, one set per AVX-512 lane (the paper's thread per set, §5),
-/// and each set's cyclic blocks through the code above.
+/// and each set's cyclic blocks through the code above, tables included.
 pub struct SetKernel<'a> {
     q: &'a QueryInfo,
     model: &'a dyn CostModel,
     index: &'a BlockIndex,
-    finder: BlockFinder,
-    walk: SplitWalk,
+    splits: SplitFinder,
     /// The model's lane form, where the lanes can run: the CPU has them,
     /// the model declares a form and the query has bridges.
     lanes: Option<LaneForm>,
@@ -127,7 +136,9 @@ pub struct SetKernel<'a> {
 const LANE_LEVEL_MIN: usize = 4 * LANES;
 
 impl<'a> SetKernel<'a> {
-    /// A kernel for `q`, whose graph `index` was built from.
+    /// A kernel for `q`, whose graph `index` was built from. An index with
+    /// split tables ([`BlockIndex::with_tables`]) is read-only, so every
+    /// worker's kernel can share one.
     pub fn new(q: &'a QueryInfo, model: &'a dyn CostModel, index: &'a BlockIndex) -> Self {
         let lanes = match lanes::detected() && !index.bridges.is_empty() {
             true => model.lane_form(),
@@ -137,8 +148,7 @@ impl<'a> SetKernel<'a> {
             q,
             model,
             index,
-            finder: BlockFinder::new(),
-            walk: SplitWalk::new(),
+            splits: SplitFinder::new(),
             lanes,
         }
     }
@@ -244,8 +254,10 @@ impl<'a> SetKernel<'a> {
         for bridge in &self.index.bridges {
             if bridge.ends.is_subset(s) {
                 min.out.evaluated += 2;
-                let lb = bridge.ends.lowest_bit();
-                observer.split(s, lb, bridge.ends.difference(lb), true, true);
+                if O::EVERY_SPLIT {
+                    let lb = bridge.ends.lowest_bit();
+                    observer.split(s, lb, bridge.ends.difference(lb), true, true);
+                }
                 min.consider(s.intersect(bridge.side));
             }
         }
@@ -254,7 +266,8 @@ impl<'a> SetKernel<'a> {
     }
 
     /// The splits of the set of `min` inside the graph's cyclic blocks,
-    /// into `min`.
+    /// into `min`: a tabled block's from its table, any other's from the
+    /// walk, and every submask's from the walk for an observer that asks.
     // Inlined into both callers, so `evaluate` stays one function (see the
     // note on it).
     #[inline(always)]
@@ -264,59 +277,32 @@ impl<'a> SetKernel<'a> {
         observer: &mut O,
     ) {
         let SetKernel {
-            q,
-            index,
-            finder,
-            walk,
-            ..
+            q, index, splits, ..
         } = self;
         let (g, s) = (&q.graph, min.s);
         for cyclic in index.cyclic_blocks() {
             let inside = s.intersect(cyclic.vertices);
-            for &block in finder.find_in_block(g, inside, cyclic.vertices) {
-                // Line 6, halved: the splits whose left side holds the
-                // block's lowest vertex, each standing for both orders.
-                min.out.evaluated += 2 * ((1u64 << (block.len() - 1)) - 1);
-                // Lines 17-18: the set-level left side of the CCP split
-                // `{lb, rb}` — what `lb` reaches in `s ∩ B` without crossing
-                // `rb` (`lb` itself when the block is all of `s ∩ B`), with
-                // what hangs off it in `s` (nothing when `s ⊆ B`).
-                let set_left = |lb: RelSet, rb: RelSet| {
-                    let reach = if block == inside {
-                        lb
-                    } else {
-                        g.grow(lb, inside.difference(rb))
-                    };
-                    let left = if inside == s {
-                        reach
-                    } else {
-                        cyclic.hanging(reach).intersect(s)
-                    };
-                    debug_assert_eq!(left, g.grow(lb, s.difference(rb)));
-                    left
-                };
-                // CCP block (lines 10-14): a block is connected, so an edge
-                // between its two sides always exists.
-                if O::EVERY_SPLIT {
-                    for rb in block.difference(block.lowest_bit()).subsets() {
-                        let lb = block.difference(rb);
-                        let (lb_ok, rb_ok) = (g.is_connected(lb), g.is_connected(rb));
-                        observer.split(s, lb, rb, lb_ok, rb_ok);
-                        if lb_ok && rb_ok {
-                            min.consider(set_left(lb, rb));
-                        }
-                    }
-                } else {
-                    for lb in walk.lefts(g, block) {
-                        let rb = block.difference(lb);
-                        let rb_ok = g.is_connected(rb);
-                        observer.split(s, lb, rb, true, rb_ok);
-                        if rb_ok {
-                            min.consider(set_left(lb, rb));
-                        }
-                    }
-                }
+            if inside.difference(inside.lowest_bit()).is_empty() {
+                continue; // no edge of the block in `s`
             }
+            if let Some(table) = cyclic.table().filter(|_| !O::EVERY_SPLIT) {
+                let (evaluated, masks) = table.splits(inside);
+                min.out.evaluated += evaluated;
+                for &hang in masks {
+                    min.consider(hang.intersect(s));
+                }
+                continue;
+            }
+            min.out.evaluated += splits.splits(g, &cyclic, inside, O::EVERY_SPLIT, |split| {
+                if O::EVERY_SPLIT {
+                    observer.split(s, split.lb, split.rb, split.lb_ok, split.rb_ok);
+                }
+                if split.lb_ok && split.rb_ok {
+                    let left = split.hang.intersect(s);
+                    debug_assert_eq!(left, g.grow(split.lb, s.difference(split.rb)));
+                    min.consider(left);
+                }
+            });
         }
     }
 }
@@ -394,7 +380,7 @@ impl Mpdp {
         let mut memo: MemoTable = init_memo(q, &plan);
         let mut profile = Profile::default();
 
-        let index = BlockIndex::new(&q.graph);
+        let index = BlockIndex::with_tables(&q.graph, plan.sets.len());
         let mut kernel = SetKernel::new(q, ctx.model, &index);
         for i in 2..=n {
             let (sets, rows) = plan.level(i);

@@ -117,6 +117,7 @@ fn run_level_structured(
     let mut stats = GpuStats::default();
     // The query's block structure and the per-set kernel MPDP's evaluate
     // launches run (host-side state of the simulation, not device traffic).
+    // No split tables: the simulated lanes walk every submask of a block.
     let block_index = BlockIndex::new(&q.graph);
     let mut set_kernel = SetKernel::new(q, ctx.model, &block_index);
 

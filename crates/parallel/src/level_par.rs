@@ -127,7 +127,9 @@ pub fn run_level_parallel(
         let plan = level_plan(ctx)?;
         let memo: AtomicMemo = init_memo(q, &plan);
         let mut profile = Profile::default();
-        let index = BlockIndex::new(&q.graph);
+        // The block structure and split tables, built once and shared by
+        // every level and worker.
+        let index = BlockIndex::with_tables(&q.graph, plan.sets.len());
         for i in 2..=n {
             ctx.check_deadline()?;
             let (sets, rows) = plan.level(i);

@@ -3,13 +3,15 @@
 //! simulated-GPU backends at any worker count — including on exact cost
 //! ties, which the `(cost, left)` tie-break makes scheduling-independent.
 
+use mpdp::core::blocks::BlockIndex;
+use mpdp::core::enumerate::ConnectedSets;
 use mpdp::core::Profile;
 use mpdp::prelude::*;
 use mpdp_cost::PgLikeCost;
 use mpdp_gpu::drivers::{DpSizeGpu, DpSubGpu, MpdpGpu};
 use mpdp_parallel::level_par::{run_dpsize_parallel, run_level_parallel, LevelAlgo};
 use mpdp_parallel::Dpe;
-use mpdp_workload::{gen, MusicBrainz};
+use mpdp_workload::{gen, ImdbSchema, MusicBrainz};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -170,6 +172,34 @@ fn tie_heavy_query_is_scheduling_independent() {
     assert_eq!(pdp.plan, seq.plan);
     let sub = run_level_parallel(&ctx, LevelAlgo::DpSub, 8).unwrap();
     assert_eq!(sub.plan, seq.plan);
+}
+
+#[test]
+fn a_query_with_split_tables_is_identical_at_every_worker_count() {
+    // A JOB query whose 10-relation cyclic block has fewer subsets (2¹⁰)
+    // than the query has connected sets (1 177), so it gets a split table:
+    // every worker of every level reads it, built once before the first.
+    // Plans, costs and counters must not depend on how many read it, and
+    // the simulated GPU (which walks every submask, no table) must agree.
+    let m = PgLikeCost::new();
+    let q = ImdbSchema::new().query(12, 7, &m).to_query_info().unwrap();
+    let plan = ConnectedSets::enumerate(&q);
+    let index = BlockIndex::with_tables(&q.graph, plan.sets.len());
+    assert!(index.cyclic_blocks().any(|b| b.table().is_some()));
+    let ctx = OptContext::new(&q, &m);
+    let seq = Mpdp::run(&ctx).unwrap();
+    for w in WORKER_COUNTS {
+        let r = run_level_parallel(&ctx, LevelAlgo::Mpdp, w).unwrap();
+        assert_eq!(r.plan, seq.plan, "mpdp plan at {w} workers");
+        assert_eq!(r.cost.to_bits(), seq.cost.to_bits(), "{w} workers");
+        assert_eq!(r.counters, seq.counters, "mpdp counters ({w}w)");
+    }
+    let gpu = MpdpGpu::new().run(&ctx).unwrap();
+    assert_eq!(gpu.result.plan, seq.plan, "gpu plan");
+    assert_eq!(gpu.result.cost.to_bits(), seq.cost.to_bits());
+    assert_eq!(gpu.result.counters, seq.counters, "gpu counters");
+    let ccp = DpCcp::run(&ctx).unwrap();
+    assert_eq!(ccp.plan, seq.plan, "dpccp plan");
 }
 
 #[test]

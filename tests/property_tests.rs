@@ -330,24 +330,29 @@ fn priced_pairs(
 }
 
 /// Bridge masks, blocks known without a DFS, the walk over connected left
-/// sides, hanging masks and mirror splits must leave the multiset of ordered
-/// Join-Pairs — and both counters — exactly what the full-subset loop
-/// produced, for every connected set of the graph; and so must the submask
-/// walk the simulator asks for, which reports every split once with both
-/// sides' connectivity.
-fn assert_the_kernel_prices_the_old_loops_pairs(qi: &QueryInfo) {
+/// sides, hanging masks, split tables and mirror splits must leave the
+/// multiset of ordered Join-Pairs — and both counters — exactly what the
+/// full-subset loop produced, for every connected set of the graph: on a
+/// kernel whose blocks all walk, on one that reads every block with a split
+/// table from it, and on the submask walk the simulator asks for, which
+/// reports every split once with both sides' connectivity (and reads no
+/// table). Returns how many of the graph's blocks have a table.
+fn assert_the_kernel_prices_the_old_loops_pairs(qi: &QueryInfo) -> usize {
     let m = PgLikeCost::new();
     let g = &qi.graph;
-    let index = BlockIndex::new(g);
-    let mut kernel = SetKernel::new(qi, &m, &index);
     let plan = ConnectedSets::enumerate(qi);
+    let walked = BlockIndex::new(g);
+    let tabled = BlockIndex::with_tables(g, plan.sets.len());
+    let mut walk = SetKernel::new(qi, &m, &walked);
+    let mut table = SetKernel::new(qi, &m, &tabled);
     for (&s, &rows) in plan.sets.iter().zip(&plan.rows).skip(qi.query_size()) {
         let (evaluated, mut want) = full_subset_enumeration(g, s);
         want.sort_unstable();
         let mut every = EverySplit::default();
         for (out, got) in [
-            priced_pairs(&mut kernel, s, rows, &mut ()),
-            priced_pairs(&mut kernel, s, rows, &mut every),
+            priced_pairs(&mut walk, s, rows, &mut ()),
+            priced_pairs(&mut table, s, rows, &mut ()),
+            priced_pairs(&mut table, s, rows, &mut every),
         ] {
             assert_eq!(got, want, "set {s}");
             assert_eq!(out.evaluated, evaluated, "set {s}");
@@ -363,26 +368,42 @@ fn assert_the_kernel_prices_the_old_loops_pairs(qi: &QueryInfo) {
             assert_eq!((lb_ok, rb_ok), (g.is_connected(lb), g.is_connected(rb)));
         }
     }
+    tabled
+        .cyclic_blocks()
+        .filter(|b| b.table().is_some())
+        .count()
 }
 
 #[test]
 fn set_kernel_prices_the_old_loops_pairs_on_named_shapes() {
     // Blocks larger than the random graphs below reach: an induced cycle of
-    // 14, a clique of 9, Figure 5's two squares, and schema walks.
+    // 14, a clique of 9, Figure 5's two squares, and schema walks. The
+    // cycle's and the clique's one block is the whole graph, which never
+    // gets a split table; the snowflakes' triangles and the schema walks'
+    // blocks get one (`plan-exact`'s draws of those shapes among them).
     let m = PgLikeCost::new();
     let (mb, job) = (MusicBrainz::new(), ImdbSchema::new());
     let small = |q: LargeQuery| q.to_query_info().unwrap();
-    for (name, q) in [
-        ("cycle-14", small(gen::cycle(14, 1, &m))),
-        ("clique-9", small(gen::clique(9, 1, &m))),
-        ("figure-5", mpdp_bench::runner::figure5_query(&m)),
-        ("mb-14", small(mb.random_walk_query(14, 7, true, &m))),
-        ("job-12", small(job.query(12, 7, &m))),
-        ("job-14", small(job.query(14, 8, &m))),
+    for (name, q, tables) in [
+        ("cycle-14", small(gen::cycle(14, 1, &m)), false),
+        ("clique-9", small(gen::clique(9, 1, &m)), false),
+        ("figure-5", mpdp_bench::runner::figure5_query(&m), true),
+        ("mb-14", small(mb.random_walk_query(14, 7, true, &m)), true),
+        ("job-12", small(job.query(12, 7, &m)), true),
+        ("job-14", small(job.query(14, 8, &m)), true),
+        ("snowflake-16", small(gen::snowflake(16, 4, 1, &m)), true),
+        ("snowflake-20", small(gen::snowflake(20, 4, 7, &m)), true),
+        ("job-17", small(job.query(17, 8, &m)), true),
+        (
+            "musicbrainz-18",
+            small(mb.random_walk_query(18, 12, true, &m)),
+            true,
+        ),
     ] {
         let largest = find_blocks(&q.graph, q.graph.all_vertices()).max_block_size();
-        println!("{name}: largest block {largest}");
-        assert_the_kernel_prices_the_old_loops_pairs(&q);
+        let tabled = assert_the_kernel_prices_the_old_loops_pairs(&q);
+        println!("{name}: largest block {largest}, {tabled} with a split table");
+        assert_eq!(tabled > 0, tables, "{name}");
     }
 }
 
@@ -411,8 +432,12 @@ fn assert_lanes_equal_scalar_in<M: MemoStore>(
     plan: &ConnectedSets,
     mut memo: M,
 ) -> bool {
-    let index = BlockIndex::new(&qi.graph);
-    let mut kernel = SetKernel::new(qi, model, &index);
+    // The chunks read the split tables in their per-set block step; the
+    // per-set oracle walks every block.
+    let tabled = BlockIndex::with_tables(&qi.graph, plan.sets.len());
+    let walked = BlockIndex::new(&qi.graph);
+    let mut kernel = SetKernel::new(qi, model, &tabled);
+    let mut scalar_kernel = SetKernel::new(qi, model, &walked);
     let bits = |o: &SetOutcome| {
         let best = o
             .best
@@ -423,7 +448,7 @@ fn assert_lanes_equal_scalar_in<M: MemoStore>(
         let (sets, rows) = plan.level(i);
         let start = plan.starts[i - 1];
         let scalar: Vec<SetOutcome> = (sets.iter().zip(rows))
-            .map(|(&s, &rows)| kernel.evaluate(&memo, s, rows, &mut ()))
+            .map(|(&s, &rows)| scalar_kernel.evaluate(&memo, s, rows, &mut ()))
             .collect();
         for from in [0, 3.min(sets.len())] {
             let chunks = sets[from..].chunks(LANES).zip(rows[from..].chunks(LANES));
@@ -468,10 +493,13 @@ fn assert_lanes_equal_scalar(qi: &QueryInfo, model: &dyn CostModel) -> (bool, u6
 fn lanes_equal_scalar_on_named_shapes() {
     // Stars and snowflakes (the lanes' shapes), a chain (short levels), a
     // schema walk with cycles beside its bridges, and a cycle (no bridges:
-    // no lanes). The larger ones in release only.
+    // no lanes). The snowflakes' triangles and the schema walks' blocks have
+    // split tables, which each chunk reads after its lanes. The larger ones
+    // in release only: `plan-exact`'s draws of `snowflake-20` and `job-17`
+    // among them.
     let m = PgLikeCost::new();
     let release = !cfg!(debug_assertions);
-    let mb = MusicBrainz::new();
+    let (mb, job) = (MusicBrainz::new(), ImdbSchema::new());
     let mut shapes = vec![
         ("star-12", gen::star(12, 1, &m)),
         ("snowflake-14", gen::snowflake(14, 4, 1, &m)),
@@ -481,7 +509,8 @@ fn lanes_equal_scalar_on_named_shapes() {
     ];
     if release {
         shapes.push(("star-16", gen::star(16, 1, &m)));
-        shapes.push(("snowflake-20", gen::snowflake(20, 4, 1, &m)));
+        shapes.push(("snowflake-20", gen::snowflake(20, 4, 7, &m)));
+        shapes.push(("job-17", job.query(17, 8, &m)));
     }
     for (name, q) in shapes {
         let qi = q.to_query_info().unwrap();
