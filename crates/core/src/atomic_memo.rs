@@ -1,15 +1,15 @@
-//! Lock-free shared memo: the CPU analogue of the paper's global hash table.
+//! Shared memo: the CPU analogue of the paper's global hash table.
 //!
 //! The paper's central device (§5) is a *device-global* open-addressing hash
 //! table that every GPU lane updates in place with `atomicMin`: there are no
 //! per-worker plan buffers and no reduction pass — the table itself is the
 //! reduction. [`AtomicMemo`] is that structure for shared-memory CPUs (and
-//! for the simulated-GPU drivers, whose "device memory" it now is): a table
-//! laid out once from the level plan, whose records many workers then
-//! min-update with CAS loops concurrently while each set still converges to
-//! the exact `(cost, left)` minimum.
+//! for the simulated-GPU drivers, whose "device memory" it is): a table laid
+//! out once from the level plan, whose slots many workers then min-update
+//! concurrently while each set still converges to the exact `(cost, left)`
+//! minimum.
 //!
-//! ## Slot layout and the packed-CAS update
+//! ## Slot layout
 //!
 //! Each slot holds, in three parallel arrays:
 //!
@@ -21,215 +21,75 @@
 //!   plain word: nothing writes it again;
 //! * **record** — 16 B: the set's cardinality, a plain `f64` written by the
 //!   layout beside the key, and the **cost** of its best candidate as an
-//!   `AtomicU64` of [`ordered_cost_bits`], which starts at ∞ and is lowered
-//!   by a `fetch_min` after every winning handle CAS;
-//! * **val** — an `AtomicU64` handle (index + 1) into an append-only
-//!   candidate arena whose records hold `(cost, left)` and are immutable
-//!   once published; handle 0 reads as the unplanned `(∞, S)`.
+//!   `AtomicU64` of [`ordered_cost_bits`], which starts at ∞;
+//! * **left** — the best candidate's left input, behind the slot's own
+//!   `Mutex`; the layout writes the set itself, so a slot starts as the
+//!   unplanned `(∞, S)`.
 //!
 //! Pricing a split needs only a side's cost and cardinality
-//! ([`AtomicMemo::cost_rows`]): the key and the record, no handle, no arena
-//! segment pointer, no arena record. The handle and the arena are for what
-//! needs `left` — the exact `(cost, left)` tie-break of [`AtomicMemo::update`]
-//! and plan extraction through [`AtomicMemo::get`].
+//! ([`AtomicMemo::cost_rows`]): the key and the record, never the lock. The
+//! lock is for what needs `left` — the exact `(cost, left)` tie-break of
+//! [`AtomicMemo::update`] and plan extraction through [`AtomicMemo::get`].
 //!
-//! The record's cost is the winner's, bit for bit, once a level's (or a
-//! class's) writes are done. The winner is the minimum under
-//! [`candidate_key`], lexicographic on `(ordered cost bits, left)`, so no
-//! candidate can have replaced it, and its own handle CAS must have
-//! succeeded — after which it offered its cost to the record. Every other
-//! cost the record was offered belongs to a candidate that won a CAS and was
-//! displaced later, so its key is larger than the winner's, and then so are
-//! its cost bits or they are equal. The record starts at ∞ and the winner
-//! beats the unplanned `(∞, S)`, so its cost bits are at most ∞'s too. The
-//! minimum of the offers is therefore the winner's cost bits, and
-//! [`cost_from_ordered_bits`] inverts the fold exactly.
+//! ## One lock per slot
 //!
-//! The winner per set must be the minimum under the 128-bit lexicographic
-//! key `(cost-as-ordered-bits, left bitmap)` — see
-//! [`crate::memo::candidate_key`] — and 128 bits cannot be
-//! CAS'd at once on stable Rust. Splitting the pair across two words is
-//! *not* an option: a writer that lowers the cost word and a tying writer
-//! that min-updates the left word can interleave into a `(cost, left)` pair
-//! that no candidate ever proposed (a torn winner), which would break the
-//! bit-identity guarantee the equivalence tests enforce. The arena
-//! indirection solves this the way lock-free maps do: a candidate is
-//! published as one immutable record, and a single 64-bit CAS on the handle
-//! word atomically swings the slot from one *consistent* `(cost, left)` pair
-//! to another. `f64` costs stay exact — no truncation into a packed word —
-//! so results are bit-identical to the sequential
-//! [`crate::memo::MemoTable`].
+//! The winner per set must be the minimum under the lexicographic key
+//! `(cost-as-ordered-bits, left bitmap)` — see
+//! [`crate::memo::candidate_key`]. Two words updated independently can
+//! tear: a writer that lowers the cost word and a tying writer that
+//! min-updates the left word can interleave into a `(cost, left)` pair no
+//! candidate ever proposed. So an update takes the slot's lock, compares the
+//! incumbent `(cost, left)` with its own key, and writes both words before
+//! it unlocks: every pair a slot holds was written whole by one candidate,
+//! and the last one is the minimum of all that were offered. `f64` costs
+//! stay exact — no truncation into a packed word — so results are
+//! bit-identical to the sequential [`crate::memo::MemoTable`].
+//!
+//! The backends publish one winner per set, from the one worker the set was
+//! given to, so the lock is uncontended except where a baseline (DPE, PDP)
+//! puts several writers on one set; [`AtomicMemo::cas_retry_count`] counts
+//! the updates that found their slot's lock held.
 //!
 //! ## Memory ordering
 //!
-//! * Keys and rows are written before the table is shared with any worker;
-//!   handing the `&AtomicMemo` to a thread publishes them.
-//! * Arena records are written *before* the handle CAS publishes them; the
-//!   CAS is `AcqRel` and handle loads are `Acquire`, so a reader that sees
-//!   handle `h` also sees the fully written record `h-1` (release/acquire
-//!   pairing on the same atomic). Records are never mutated after
-//!   publication, so no tearing is possible.
-//! * The record's cost is `Relaxed`, its `fetch_min` and its load alike: a
-//!   single word, read only by [`AtomicMemo::cost_rows`], and only for sets
-//!   whose level (or class) has ended. The barrier that ends it orders every
-//!   `fetch_min` before every later load.
-//! * Diagnostics (probe and CAS-retry counters) are `Relaxed` — statistics,
-//!   not synchronization.
+//! * Keys, rows and the layout's `left`s are written before the table is
+//!   shared with any worker; handing the `&AtomicMemo` to a thread publishes
+//!   them.
+//! * Every write of a slot's cost and `left` happens under the slot's lock,
+//!   whose release and acquire order one writer's pair before the next
+//!   writer's comparison, so the cost is `Relaxed` inside it.
+//!   [`AtomicMemo::get`] reads the pair under the lock too.
+//! * [`AtomicMemo::cost_rows`] loads the cost `Relaxed` without the lock,
+//!   and only for sets whose level (or class) has ended: the barrier that
+//!   ends it orders every write of the word before every later load.
+//! * Diagnostics (probe and retry counters) are `Relaxed` — statistics, not
+//!   synchronization.
 //!
 //! The level barrier of every parallel backend provides the cross-level
 //! ordering: within a level, workers only *read* strictly smaller sets
-//! (previous levels, already quiescent) and only *write* current-level sets,
-//! so the CAS loop is the only point of contention.
-//!
-//! ## What is lock-free here
-//!
-//! Update and lookup are CAS/fetch-add loops with no mutex and no waiting on
-//! other threads' progress: a failed CAS means another writer *succeeded*,
-//! so the system always advances. The one exception is arena segment
-//! creation (amortized `O(log n)` events per run): competing allocators race
-//! a CAS on the segment pointer and the losers free their allocation — still
-//! lock-free, just briefly wasteful. The table never grows and no set enters
-//! it after the layout: a write names a laid-out slot, and a lookup of a set
-//! that was not laid out ends at a free slot.
+//! (previous levels, already quiescent) and only *write* current-level sets.
+//! The table never grows and no set enters it after the layout: a write names
+//! a laid-out slot, and a lookup of a set that was not laid out ends at a
+//! free slot.
 
 use crate::bitset::RelSet;
 use crate::memo::{
     candidate_key, cost_from_ordered_bits, ordered_cost_bits, Addressing, MemoEntry, MemoHealth,
     MemoLanes, MemoStore,
 };
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// One immutable published candidate.
-#[derive(Copy, Clone, Debug, Default)]
-struct Candidate {
-    cost: f64,
-    left: u64,
-}
-
-/// Interior-mutable candidate cell; sound because each arena index is handed
-/// to exactly one writer (a unique `fetch_add` ticket) and published records
-/// are never written again.
-struct CandidateCell(UnsafeCell<Candidate>);
-
-// SAFETY: cross-thread access is mediated by the publish protocol above —
-// a cell is written by its unique ticket holder and only read after the
-// handle CAS (release) is observed (acquire).
-unsafe impl Sync for CandidateCell {}
-
-/// Number of doubling segments; segment `k` holds `base << k` cells, so 48
-/// segments cover any conceivable run.
-const SEGMENTS: usize = 48;
-
-/// Append-only segmented arena of published candidates. Indices are stable
-/// forever (segments never move), which is what makes the handle-word CAS
-/// ABA-free: every published handle refers to a distinct, immutable record.
-struct Arena {
-    segments: [AtomicPtr<CandidateCell>; SEGMENTS],
-    cursor: AtomicUsize,
-    /// Capacity of segment 0.
-    base: usize,
-}
-
-impl Arena {
-    fn new(base: usize) -> Arena {
-        let base = base.max(1);
-        Arena {
-            segments: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            cursor: AtomicUsize::new(0),
-            base,
-        }
-    }
-
-    /// Segment index and in-segment offset of arena index `id`.
-    #[inline]
-    fn locate(&self, id: usize) -> (usize, usize) {
-        // Segment k covers ids [base*(2^k - 1), base*(2^{k+1} - 1)).
-        let t = id / self.base + 1;
-        let k = (usize::BITS - 1 - t.leading_zeros()) as usize;
-        (k, id - self.base * ((1 << k) - 1))
-    }
-
-    #[inline]
-    fn segment_len(&self, k: usize) -> usize {
-        self.base << k
-    }
-
-    /// Returns the segment pointer for `k`, allocating it if absent.
-    fn segment(&self, k: usize) -> *const CandidateCell {
-        let ptr = self.segments[k].load(Ordering::Acquire);
-        if !ptr.is_null() {
-            return ptr;
-        }
-        // Race to install: losers free their allocation (lock-free helping).
-        let len = self.segment_len(k);
-        let mut fresh: Vec<CandidateCell> = Vec::with_capacity(len);
-        fresh.resize_with(len, || CandidateCell(UnsafeCell::new(Candidate::default())));
-        let raw = Box::into_raw(fresh.into_boxed_slice()) as *mut CandidateCell;
-        match self.segments[k].compare_exchange(
-            std::ptr::null_mut(),
-            raw,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => raw,
-            Err(winner) => {
-                // SAFETY: `raw` came from `Box::into_raw` above and lost the
-                // race, so no other thread has seen it.
-                drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(raw, len)) });
-                winner
-            }
-        }
-    }
-
-    /// Publishes a candidate and returns its arena index. The record's
-    /// contents become visible to other threads only through a subsequent
-    /// release operation on the slot's handle word.
-    fn publish(&self, c: Candidate) -> usize {
-        let id = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let (k, off) = self.locate(id);
-        assert!(k < SEGMENTS, "AtomicMemo arena exhausted");
-        let seg = self.segment(k);
-        // SAFETY: `id` is a unique ticket, so this cell has exactly one
-        // writer; `off < segment_len(k)` by `locate`'s arithmetic.
-        unsafe { *(*seg.add(off)).0.get() = c };
-        id
-    }
-
-    /// Reads a published record. Caller must have observed the publishing
-    /// release (an `Acquire` load of a handle naming `id`).
-    #[inline]
-    fn read(&self, id: usize) -> Candidate {
-        let (k, off) = self.locate(id);
-        let seg = self.segments[k].load(Ordering::Acquire);
-        debug_assert!(!seg.is_null());
-        // SAFETY: published records are immutable; visibility follows from
-        // the caller's acquire on the handle word.
-        unsafe { *(*seg.add(off)).0.get() }
-    }
-}
-
-impl Drop for Arena {
-    fn drop(&mut self) {
-        for (k, seg) in self.segments.iter_mut().enumerate() {
-            let ptr = *seg.get_mut();
-            if !ptr.is_null() {
-                let len = self.base << k;
-                // SAFETY: pointer was produced by Box::into_raw of a boxed
-                // slice of exactly `len` cells and is dropped exactly once.
-                drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)) });
-            }
-        }
-    }
-}
+/// Why a slot's lock cannot be poisoned: nothing that holds it can panic.
+const UNPOISONED: &str = "no code that holds a memo slot's lock panics";
 
 /// What a split reads of a slot: the cost of its best candidate and its
 /// cardinality, in 16 B, in declaration order so a gather can name a word by
 /// its offset.
 #[repr(C)]
 pub struct CostRecord {
-    /// [`ordered_cost_bits`] of the best cost; ∞ while unplanned, lowered by
-    /// `fetch_min` after every winning handle CAS.
+    /// [`ordered_cost_bits`] of the best cost; ∞ while unplanned, written
+    /// under the slot's lock.
     cost: AtomicU64,
     /// Written by the layout only.
     rows: f64,
@@ -242,7 +102,7 @@ impl CostRecord {
     pub const ROWS: usize = std::mem::offset_of!(CostRecord, rows);
 }
 
-/// The lock-free shared memo table (see the module docs for the design).
+/// The shared memo table (see the module docs for the design).
 ///
 /// All hot-path operations take `&self` so scoped worker threads can share
 /// one `&AtomicMemo`; the [`MemoStore`] trait methods delegate to them.
@@ -252,8 +112,9 @@ pub struct AtomicMemo {
     keys: Box<[u64]>,
     /// Each slot's best cost and cardinality, for the lookups that price.
     records: Box<[CostRecord]>,
-    /// Each slot's best candidate: an arena handle, 0 while unplanned.
-    vals: Box<[AtomicU64]>,
+    /// Each slot's best `left`, and the lock every write of the slot's
+    /// `(cost, left)` holds.
+    lefts: Box<[Mutex<u64>]>,
     at: Addressing,
     /// `layout[k]` is the slot of the `k`-th set laid out: 4 bytes per set.
     layout: Box<[u32]>,
@@ -261,13 +122,10 @@ pub struct AtomicMemo {
     by_size: Box<[u64]>,
     probes: AtomicU64,
     cas_retries: AtomicU64,
-    arena: Arena,
 }
 
 impl AtomicMemo {
-    /// See [`MemoStore::laid_out`]. The candidate arena starts at exactly one
-    /// record per set, which is what a backend that publishes each set once
-    /// needs, and doubles from there.
+    /// See [`MemoStore::laid_out`].
     pub fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
         debug_assert_eq!(sets.len(), rows.len());
         let at = Addressing::for_universe(n, sets.len());
@@ -280,13 +138,12 @@ impl AtomicMemo {
                     rows: 0.0,
                 })
                 .collect(),
-            vals: (0..at.slots()).map(|_| AtomicU64::new(0)).collect(),
+            lefts: (0..at.slots()).map(|_| Mutex::new(0)).collect(),
             at,
             layout: Box::default(),
             by_size: vec![0u64; n + 1].into_boxed_slice(),
             probes: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
-            arena: Arena::new(sets.len()),
         };
         m.layout = sets
             .iter()
@@ -296,6 +153,7 @@ impl AtomicMemo {
                 debug_assert!(!set.is_empty() && m.keys[idx] == 0, "{set} laid out twice");
                 m.keys[idx] = set.bits();
                 m.records[idx].rows = rows;
+                *m.lefts[idx].get_mut().expect(UNPOISONED) = set.bits();
                 m.by_size[set.len()] += steps;
                 idx as u32
             })
@@ -339,8 +197,8 @@ impl AtomicMemo {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Cumulative CAS retries of the update loop (diagnostics; 0 in any
-    /// single-threaded run).
+    /// Updates that found their slot's lock held by another writer
+    /// (diagnostics; 0 in any single-threaded run).
     pub fn cas_retry_count(&self) -> u64 {
         self.cas_retries.load(Ordering::Relaxed)
     }
@@ -355,45 +213,34 @@ impl AtomicMemo {
         }
     }
 
-    /// The `(cost, left)` that `handle` names in `slot`.
-    #[inline]
-    fn candidate(&self, slot: usize, handle: u64) -> (f64, u64) {
-        match handle {
-            0 => (f64::INFINITY, self.keys[slot]),
-            h => {
-                let c = self.arena.read(h as usize - 1);
-                (c.cost, c.left)
-            }
-        }
-    }
-
-    /// Looks up the best entry for `set`. Safe concurrently with writers,
-    /// but the backends only read sets whose level is already quiescent
-    /// (previous DP levels).
+    /// Looks up the best entry for `set`. Safe concurrently with writers —
+    /// it reads the slot's pair under its lock — but the backends only read
+    /// sets whose level is already quiescent (previous DP levels).
     #[inline]
     pub fn get(&self, set: RelSet) -> Option<MemoEntry> {
         let (slot, _) = self.probe(set);
         (self.keys[slot] != 0).then(|| {
-            let (cost, left) = self.candidate(slot, self.vals[slot].load(Ordering::Acquire));
+            let left = self.lefts[slot].lock().expect(UNPOISONED);
+            let r = &self.records[slot];
             MemoEntry {
                 set,
-                left: RelSet(left),
-                cost,
-                rows: self.records[slot].rows,
+                left: RelSet(*left),
+                cost: cost_from_ordered_bits(r.cost.load(Ordering::Relaxed)),
+                rows: r.rows,
             }
         })
     }
 
     /// See [`MemoStore::cost_rows`]: the key and the slot's record, never
-    /// the handle or the arena. Exact for a set whose level (or class) has
-    /// ended, which is every set a backend prices from (module docs).
+    /// the lock. Exact for a set whose level (or class) has ended, which is
+    /// every set a backend prices from (module docs).
     #[inline]
     pub fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
         let (slot, _) = self.probe(set);
         (self.keys[slot] != 0).then(|| {
             let r = &self.records[slot];
             // Relaxed: the barrier that ended the set's level (or class)
-            // orders every `fetch_min` on this word before this load.
+            // orders every write of this word before this load.
             (
                 cost_from_ordered_bits(r.cost.load(Ordering::Relaxed)),
                 r.rows,
@@ -403,51 +250,33 @@ impl AtomicMemo {
 
     /// The paper's `atomicMin` on the global table: records the candidate
     /// for the set in `slot` iff its `(cost, left)` [`candidate_key`] beats
-    /// the incumbent's, with a CAS loop resolving races. Any number of
-    /// threads may call this for the same slot; it converges to the exact
-    /// minimum regardless of interleaving. Returns `true` if the candidate
-    /// became (transiently, at its linearization point) the best.
+    /// the incumbent's, under the slot's lock. Any number of threads may
+    /// call this for the same slot; it converges to the exact minimum
+    /// regardless of interleaving. Returns `true` if the candidate became
+    /// (transiently, until a better one) the best.
     pub fn update(&self, slot: usize, left: RelSet, cost: f64) -> bool {
         debug_assert!(left.is_subset(RelSet(self.keys[slot])));
         let mine = candidate_key(cost, left);
-        let val = &self.vals[slot];
-        let mut published: Option<u64> = None;
-        let mut cur = val.load(Ordering::Acquire);
-        loop {
-            let (inc_cost, inc_left) = self.candidate(slot, cur);
-            if (ordered_cost_bits(inc_cost), inc_left) <= mine {
-                return false;
-            }
-            let handle = *published.get_or_insert_with(|| {
-                let c = Candidate {
-                    cost,
-                    left: left.bits(),
-                };
-                self.arena.publish(c) as u64 + 1
-            });
-            match val.compare_exchange_weak(cur, handle, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.mirror_cost(slot, mine.0);
-                    return true;
-                }
-                Err(now) => {
-                    self.cas_retries.fetch_add(1, Ordering::Relaxed);
-                    cur = now;
-                }
-            }
+        let mut best = self.lock(slot);
+        let cost_word = &self.records[slot].cost;
+        // Relaxed: every write of this word holds the lock we hold.
+        if (cost_word.load(Ordering::Relaxed), *best) <= mine {
+            return false;
         }
+        cost_word.store(mine.0, Ordering::Relaxed);
+        *best = mine.1;
+        true
     }
 
-    /// Offers the folded cost `bits` of a candidate whose handle CAS just
-    /// won to `slot`'s record. Another writer may win after that CAS and
-    /// offer its lower cost before this one arrives, so this keeps the
-    /// minimum of the offers — the final winner's (module docs).
+    /// Takes `slot`'s lock, counting a wait for another writer in
+    /// [`cas_retry_count`](Self::cas_retry_count).
     #[inline]
-    fn mirror_cost(&self, slot: usize, bits: u64) {
-        // Relaxed: only `cost_rows` reads the record, after the barrier that
-        // ends this level (or class), which orders this `fetch_min` before
-        // the read.
-        self.records[slot].cost.fetch_min(bits, Ordering::Relaxed);
+    fn lock(&self, slot: usize) -> MutexGuard<'_, u64> {
+        let lock = &self.lefts[slot];
+        lock.try_lock().unwrap_or_else(|_| {
+            self.cas_retries.fetch_add(1, Ordering::Relaxed);
+            lock.lock().expect(UNPOISONED)
+        })
     }
 }
 
@@ -493,11 +322,11 @@ impl MemoStore for AtomicMemo {
     /// wrote before the table was shared, and without an ordering for the
     /// cost, which `cost_rows` loads `Relaxed`. No writer races such a read.
     /// A backend reads only sets of earlier levels (or classes), and the
-    /// barrier that ended those orders every `fetch_min` on their records
-    /// before any read in this one. A gathering kernel reads a record only
-    /// where the key it read first is the set it looks up, or on a direct
-    /// table, where the home slot is the set's own or a free one, which no
-    /// writer names.
+    /// barrier that ended those orders every write of their records before
+    /// any read in this one. A gathering kernel reads a record only where
+    /// the key it read first is the set it looks up, or on a direct table,
+    /// where the home slot is the set's own or a free one, which no writer
+    /// names.
     fn lanes(&self) -> Option<MemoLanes<'_>> {
         Some(MemoLanes::Atomic {
             keys: &self.keys,
@@ -522,8 +351,6 @@ mod tests {
         let s = RelSet::from_indices([0, 1]);
         let sets = [RelSet::singleton(0), RelSet::singleton(1), s];
         let m = AtomicMemo::laid_out(2, &sets, &[100.0, 200.0, 5.0]);
-        // Segment 0 of the arena holds exactly one record per set.
-        assert_eq!(m.arena.base, 3);
         for (k, &set) in sets.iter().enumerate() {
             let e = m.get(set).unwrap();
             assert_eq!(
@@ -591,37 +418,6 @@ mod tests {
         assert_eq!(ea.left, RelSet::singleton(0));
     }
 
-    #[test]
-    fn a_displaced_winners_late_mirror_leaves_the_record_at_the_winner() {
-        // Writer A wins the handle CAS at cost 5, writer B wins after it at
-        // cost 3 and mirrors its cost, and only then does A's mirror arrive:
-        // the interleaving a race between the CAS and the mirror allows.
-        let s = RelSet::from_indices([0, 1, 2]);
-        let m = AtomicMemo::laid_out(3, &[s], &[4.0]);
-        let slot = m.slot(0);
-        assert!(m.update(slot, RelSet::singleton(0), 5.0));
-        assert!(m.update(slot, RelSet::singleton(1), 3.0));
-        m.mirror_cost(slot, ordered_cost_bits(5.0));
-        assert_eq!(m.cost_rows(s), Some((3.0, 4.0)));
-        assert_eq!(m.get(s).unwrap().cost, 3.0);
-    }
-
-    #[test]
-    fn arena_indexing_is_dense_and_stable() {
-        let arena = Arena::new(16);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..1000 {
-            let id = arena.publish(Candidate {
-                cost: i as f64,
-                left: i,
-            });
-            assert!(seen.insert(id));
-        }
-        for id in 0..1000usize {
-            assert_eq!(arena.read(id).left, id as u64);
-        }
-    }
-
     const THREADS: usize = 8;
     const KEYS: u64 = 64;
     const PER_THREAD: usize = 2000;
@@ -654,17 +450,24 @@ mod tests {
         // `k - 1`.
         let (sets, rows) = numbered(KEYS);
         let mut expect = MemoTable::laid_out(64, &sets, &rows);
+        let mut proposed = std::collections::HashSet::new();
         for t in 0..THREADS {
             for (key, left, cost) in candidates(t) {
                 expect.update(expect.slot(key.bits() as usize - 1), left, cost);
+                proposed.insert((key.bits(), left.bits(), ordered_cost_bits(cost)));
             }
         }
         for universe in [64, 7] {
             let memo = &AtomicMemo::laid_out(universe, &sets, &rows);
             assert_eq!(memo.at.is_direct(), universe == 7);
+            // The barrier starts every stream at once: a stream takes about
+            // as long as spawning a thread, so unsynchronized threads would
+            // barely overlap.
+            let start = &std::sync::Barrier::new(THREADS);
             std::thread::scope(|scope| {
                 for t in 0..THREADS {
                     scope.spawn(move || {
+                        start.wait();
                         for (key, left, cost) in candidates(t) {
                             memo.update(memo.slot(key.bits() as usize - 1), left, cost);
                         }
@@ -675,7 +478,7 @@ mod tests {
                 let (got, want) = (memo.get(set).unwrap(), expect.get(set).unwrap());
                 assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "key {set}");
                 assert_eq!(got.left, want.left, "key {set}");
-                // The narrow lookup reads the record, never the arena, and
+                // The narrow lookup reads the record, never the lock, and
                 // must read the winner's cost and rows to the bit.
                 let (cost, rows) = memo.cost_rows(set).unwrap();
                 assert_eq!(
@@ -684,14 +487,20 @@ mod tests {
                     "key {set}"
                 );
             }
-            // Every laid-out slot's mirrored cost is its handle's record's.
+            // No torn pair: every laid-out slot's final (cost, left) is a
+            // candidate some thread proposed, or the unplanned (∞, S).
             for (slot, &key) in memo.keys.iter().enumerate() {
                 if key == 0 {
                     continue;
                 }
-                let mirrored = memo.records[slot].cost.load(Ordering::Relaxed);
-                let (winner, _) = memo.candidate(slot, memo.vals[slot].load(Ordering::Acquire));
-                assert_eq!(mirrored, ordered_cost_bits(winner), "slot {slot}");
+                let cost = memo.records[slot].cost.load(Ordering::Relaxed);
+                let left = *memo.lefts[slot].lock().unwrap();
+                assert!(
+                    proposed.contains(&(key, left, cost))
+                        || (cost, left) == (ordered_cost_bits(f64::INFINITY), key),
+                    "slot {slot} holds ({}, {left:#b}), never proposed for {key:#b}",
+                    cost_from_ordered_bits(cost)
+                );
             }
         }
     }

@@ -59,8 +59,9 @@ pub struct LevelStats {
     pub memo_writes: u64,
     /// Open-addressing probe steps taken by memo inserts at this level.
     pub memo_probes: u64,
-    /// CAS retries in the shared atomic memo at this level (0 for
-    /// single-threaded stores and single-worker runs).
+    /// Updates of the shared atomic memo at this level that found their
+    /// slot's lock held (0 for single-threaded stores and single-worker
+    /// runs).
     pub cas_retries: u64,
 }
 
@@ -71,7 +72,7 @@ pub struct Profile {
     /// a level structure (e.g. DPCCP's graph-order enumeration) record a
     /// single pseudo-level.
     pub levels: Vec<LevelStats>,
-    /// Final memo health (load factor, probes, CAS retries), filled by the
+    /// Final memo health (load factor, probes, retries), filled by the
     /// run's `finish` step.
     pub memo: Option<crate::memo::MemoHealth>,
 }

@@ -23,7 +23,7 @@
 //!   where the paper uses Murmur3, or the set's own bitmap where every
 //!   subset has a slot: [`memo::Addressing`]),
 //!   and the [`memo::MemoStore`] interface both memo implementations speak;
-//! * [`atomic_memo::AtomicMemo`] — the lock-free shared memo the parallel
+//! * [`atomic_memo::AtomicMemo`] — the shared memo the parallel
 //!   backends update in place (the paper's global table with `atomicMin`);
 //! * [`plan::PlanTree`] — join trees, validation, memo extraction;
 //! * [`counters`] — `EvaluatedCounter` / `CCP-Counter` instrumentation and

@@ -42,7 +42,7 @@
 //! exactly how the paper extracts the final join tree from GPU memory.
 //!
 //! Two implementations share the [`MemoStore`] interface: this module's
-//! single-threaded [`MemoTable`] and the lock-free
+//! single-threaded [`MemoTable`] and the shared
 //! [`AtomicMemo`](crate::atomic_memo::AtomicMemo) that the parallel backends
 //! update in place (the CPU analogue of the paper's global hash table with
 //! `atomicMin`). Both lay a plan out into the same slots and break best-plan
@@ -210,7 +210,8 @@ pub struct MemoHealth {
     /// Cumulative linear-probe steps taken by the layout and by
     /// [`MemoStore::find`].
     pub probes: u64,
-    /// Cumulative CAS retries (always 0 for the single-threaded table).
+    /// Cumulative updates that found their slot's lock held by another
+    /// writer (always 0 for the single-threaded table).
     pub cas_retries: u64,
 }
 
@@ -228,7 +229,7 @@ impl MemoHealth {
 /// The interface every DP backend's memo speaks: one layout from the level
 /// plan, a slot per set, best-plan lookup and the Algorithm-1 best-plan
 /// update by slot. Implemented by the single-threaded [`MemoTable`] and the
-/// lock-free [`AtomicMemo`](crate::atomic_memo::AtomicMemo); `mpdp-dp`'s
+/// shared [`AtomicMemo`](crate::atomic_memo::AtomicMemo); `mpdp-dp`'s
 /// shared plumbing (`init_memo` / `emit_pair` / `finish` /
 /// [`extract_plan`](crate::plan::extract_plan)) is generic over it, so the
 /// sequential algorithms are untouched while the parallel ones swap in the

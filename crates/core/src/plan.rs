@@ -177,7 +177,7 @@ impl fmt::Display for PlanTree {
 /// step of Algorithm 5: "The final relation is recursively fetched using its
 /// left and right join relations, building a join tree in CPU memory") —
 /// generic over [`MemoStore`], so it walks the sequential table and the
-/// lock-free shared one identically.
+/// shared one identically.
 ///
 /// Returns `None` if the memo has no plan for `root` or one of its splits —
 /// which indicates a bug in the filling algorithm.

@@ -113,7 +113,7 @@ pub struct OptResult {
 /// base-relation leaves in it (Algorithm 1 lines 1–3 / Algorithm 5 lines
 /// 2–4). Generic over [`MemoStore`]: sequential backends instantiate the
 /// single-threaded [`mpdp_core::MemoTable`], the parallel and simulated-GPU
-/// backends the lock-free [`mpdp_core::AtomicMemo`]. This is where a store
+/// backends the shared [`mpdp_core::AtomicMemo`]. This is where a store
 /// learns the query's relation count, and with it whether a set's bitmap can
 /// be its slot ([`mpdp_core::memo::Addressing`]).
 pub fn init_memo<M: MemoStore>(q: &QueryInfo, plan: &ConnectedSets) -> M {
@@ -256,7 +256,7 @@ pub fn level_plan(ctx: &OptContext<'_>) -> Result<ConnectedSets, OptError> {
 
 /// Extracts the final plan and packages the run result: the run's counters
 /// are the profile's totals, and the memo's final health (load factor,
-/// probes, CAS retries) is stamped into the profile.
+/// probes, retries) is stamped into the profile.
 pub fn finish<M: MemoStore>(
     memo: &M,
     q: &QueryInfo,

@@ -107,8 +107,8 @@ fn run_level_structured(
     // driver reads those back from the previous level, which is the same
     // list).
     let plan = level_plan(ctx)?;
-    // The simulated *device-global* memo: the lock-free table every kernel
-    // lane publishes into with atomic min-updates, laid out once with every
+    // The simulated *device-global* memo: the shared table every kernel
+    // lane publishes into with min-updates, laid out once with every
     // set and its cardinality; the host loop only extracts the plan from it
     // at the end. Lanes publish by key, as the device does: each publish
     // finds its set's slot.

@@ -16,16 +16,16 @@
 //! figures rest on — evaluated-pair counts, divergence, global-write volume —
 //! is measured, not assumed.
 //!
-//! The device memo is the lock-free [`AtomicMemo`] — the same global hash
-//! table the paper's lanes hit with `atomicMin`. Evaluate kernels publish
-//! winners into it directly: with kernel fusion (§5) a warp first reduces
-//! its set's candidates in shared memory and issues *one* atomic publish per
-//! set; without fusion every surviving pair performs its own global
-//! `atomicMin` and a separate prune launch is charged, as in the \[23\]
-//! baselines. Either way the table converges to the identical
-//! `(cost, left)`-minimum — the fusion flag only changes the *traffic*, which
-//! is exactly what the §7.2.5 ablation measures. The former host-side
-//! `scatter` merge no longer exists.
+//! The device memo is the shared [`AtomicMemo`] — the same global hash
+//! table the paper's lanes hit with `atomicMin`, here a min-update under the
+//! slot's lock. Evaluate kernels publish winners into it directly: with
+//! kernel fusion (§5) a warp first reduces its set's candidates in shared
+//! memory and issues *one* atomic publish per set; without fusion every
+//! surviving pair performs its own global `atomicMin` and a separate prune
+//! launch is charged, as in the \[23\] baselines. Either way the table
+//! converges to the identical `(cost, left)`-minimum — the fusion flag only
+//! changes the *traffic*, which is exactly what the §7.2.5 ablation
+//! measures. The former host-side `scatter` merge no longer exists.
 //!
 //! The MPDP evaluate kernel does not have a per-set loop of its own: it runs
 //! `mpdp-dp`'s `SetKernel`, the loop of the CPU backends, and charges the

@@ -7,8 +7,9 @@
 //! 2. fan the items out to the persistent worker pool; each worker evaluates
 //!    Join-Pairs against the previous levels' entries (quiescent, read-only)
 //!    and writes winners *straight into the shared
-//!    [`mpdp_core::atomic_memo::AtomicMemo`]* with CAS min-updates — the CPU
-//!    analogue of the paper's `atomicMin` on the device-global hash table,
+//!    [`mpdp_core::atomic_memo::AtomicMemo`]*, each a min-update under the
+//!    slot's lock — the CPU analogue of the paper's `atomicMin` on the
+//!    device-global hash table,
 //! 3. barrier, next level.
 //!
 //! There is no thread-local candidate buffering and no sequential merge
@@ -86,8 +87,8 @@ fn emit_atomic(
     }
 }
 
-/// Snapshot of the memo's cumulative probe/CAS counters, used to attribute
-/// per-level deltas to [`LevelStats`].
+/// Snapshot of the memo's cumulative probe and retry counters, used to
+/// attribute per-level deltas to [`LevelStats`].
 struct MemoMarks {
     probes: u64,
     retries: u64,
@@ -102,7 +103,8 @@ impl MemoMarks {
     }
 
     /// The level's probes — `placed`, what the layout spent on its sets if
-    /// the level writes by slot, plus its finds — and its CAS retries.
+    /// the level writes by slot, plus its finds — and its updates that found
+    /// their slot's lock held.
     fn delta_into(&self, memo: &AtomicMemo, placed: u64, level: &mut LevelStats) {
         level.memo_probes = placed + memo.probe_count() - self.probes;
         level.cas_retries = memo.cas_retry_count() - self.retries;

@@ -3,14 +3,14 @@
 //! The paper's GPU design has no per-worker buffers and no merge pass:
 //! every lane writes winners straight into the device-global hash table with
 //! `atomicMin`, and the only synchronization is the level barrier between
-//! kernel launches. The CPU backends now mirror that exactly — workers share
-//! one `&AtomicMemo` and race their `update` CAS loops — so all
-//! this module provides is the *shape* of the paper's host loop: a pool of
-//! workers spawned once per optimizer run ([`with_pool`]), a fan-out point
-//! per DP level ([`PoolHandle::run`]), and the implicit barrier when it
-//! returns. There are no candidate lists, no channels and no per-level
-//! thread spawns; a level costs two barrier crossings (~1 µs each), not a
-//! spawn/join round (~tens of µs).
+//! kernel launches. The CPU backends mirror that — workers share one
+//! `&AtomicMemo` and publish winners with its `update`, a min-update under
+//! the slot's lock — so all this module provides is the *shape* of the
+//! paper's host loop: a pool of workers spawned once per optimizer run
+//! ([`with_pool`]), a fan-out point per DP level ([`PoolHandle::run`]), and
+//! the implicit barrier when it returns. There are no candidate lists, no
+//! channels and no per-level thread spawns; a level costs two barrier
+//! crossings (~1 µs each), not a spawn/join round (~tens of µs).
 //!
 //! With one worker (or on a single-core host) the pool degenerates to an
 //! inline call with zero thread overhead — important on this single-core

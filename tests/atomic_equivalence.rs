@@ -1,7 +1,7 @@
-//! The lock-free shared memo's headline guarantee: plans, costs and
-//! counters are **bit-identical** across the sequential, CPU-parallel and
-//! simulated-GPU backends at any worker count — including on exact cost
-//! ties, which the `(cost, left)` tie-break makes scheduling-independent.
+//! The shared memo's headline guarantee: plans, costs and counters are
+//! **bit-identical** across the sequential, CPU-parallel and simulated-GPU
+//! backends at any worker count — including on exact cost ties, which the
+//! `(cost, left)` tie-break makes scheduling-independent.
 
 use mpdp::core::blocks::BlockIndex;
 use mpdp::core::enumerate::ConnectedSets;
@@ -155,15 +155,19 @@ fn tie_heavy_query_is_scheduling_independent() {
     let q = tie_heavy_query();
     let ctx = OptContext::new(&q, &m);
     let seq = Mpdp::run(&ctx).unwrap();
-    // Run the parallel backend repeatedly at high worker counts: with ~7!
+    // Run the parallel backends repeatedly at high worker counts: with ~7!
     // symmetric orderings, any arrival-order dependence in the tie-break
     // would show up as a differing `left` somewhere within a few rounds.
+    // DPE's consumers race on the same slots, so it runs every round too.
     for round in 0..5 {
         for w in [2usize, 4, 8] {
             let r = run_level_parallel(&ctx, LevelAlgo::Mpdp, w).unwrap();
             assert_eq!(r.plan, seq.plan, "round {round}, {w} workers");
             assert_eq!(r.cost.to_bits(), seq.cost.to_bits());
         }
+        let dpe = Dpe::run(&ctx, 8).unwrap();
+        assert_eq!(dpe.plan, seq.plan, "round {round}, dpe");
+        assert_eq!(dpe.cost.to_bits(), seq.cost.to_bits());
     }
     // And across algorithm families.
     let gpu = MpdpGpu::new().run(&ctx).unwrap();
