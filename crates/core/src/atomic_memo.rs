@@ -539,10 +539,11 @@ mod tests {
 
     #[test]
     fn an_unfitting_universe_hashes_as_before() {
-        // Eight relations do not fit 128 slots: the home slot is the top
-        // seven bits of k · 2⁶⁴/φ, exactly as for a table over any relations.
+        // Sixteen relations are more than a memo addresses directly and do
+        // not fit 128 slots: the home slot is the top seven bits of
+        // k · 2⁶⁴/φ, exactly as for a table over any relations.
         let (sets, rows) = numbered(KEYS);
-        let memo = AtomicMemo::laid_out(8, &sets, &rows);
+        let memo = AtomicMemo::laid_out(16, &sets, &rows);
         assert_eq!(memo.at, Addressing::for_universe(64, KEYS as usize));
         assert!(!memo.at.is_direct());
         let mask = memo.keys.len() - 1;

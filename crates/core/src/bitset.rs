@@ -15,8 +15,10 @@ pub const MAX_RELS: usize = 64;
 /// A set of base relations, identified by indices `0..64`, stored as a bitmap.
 ///
 /// `RelSet` is `Copy` and all operations are branch-free word ops, which is
-/// what makes the inner loops of the DP algorithms cheap.
+/// what makes the inner loops of the DP algorithms cheap. It is laid out as
+/// its `u64`, so a kernel may gather a slice of sets as words.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[repr(transparent)]
 pub struct RelSet(pub u64);
 
 impl RelSet {

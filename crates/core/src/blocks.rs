@@ -364,11 +364,11 @@ pub struct BlockIndex {
     /// Bit `i` is set when `cyclic[i]` has a split table. A graph of at most
     /// 64 vertices has at most 31 blocks of three or more.
     tabled: u64,
-    /// The tabled blocks' entries, `2^|B| + 1` per block, back to back in
+    /// The tabled blocks' rows, `2^|B| + 1` per block, back to back in
     /// `cyclic`'s order.
-    entries: Vec<TableEntry>,
+    rows: Vec<u64>,
     /// Every tabled block's hanging masks of its CCP splits, in the order
-    /// the entries point into.
+    /// the rows point into.
     masks: Vec<RelSet>,
 }
 
@@ -539,12 +539,12 @@ impl SplitFinder {
     }
 }
 
-/// One intersection's row of a [`SplitTable`]: where its masks start (they
-/// end where the next row's start), and its EvaluatedCounter.
-#[derive(Copy, Clone, Debug, Default)]
-struct TableEntry {
-    start: u32,
-    evaluated: u32,
+/// One intersection's row of a [`SplitTable`] as a word: where its masks
+/// start in the low 32 bits (they end where the next row's start), its
+/// EvaluatedCounter in the high 32.
+fn row(start: usize, evaluated: u64) -> u64 {
+    debug_assert!(start <= u32::MAX as usize && evaluated <= u64::from(u32::MAX));
+    start as u64 | evaluated << 32
 }
 
 /// A cyclic block's CCP splits by intersection: for every connected
@@ -555,8 +555,8 @@ struct TableEntry {
 #[derive(Copy, Clone, Debug)]
 pub struct SplitTable<'a> {
     vertices: RelSet,
-    /// `2^|B| + 1` rows, the last one only for its `start`.
-    entries: &'a [TableEntry],
+    /// `2^|B| + 1` rows, the last one only for its start.
+    rows: &'a [u64],
     masks: &'a [RelSet],
 }
 
@@ -569,11 +569,32 @@ impl<'a> SplitTable<'a> {
     pub fn splits(&self, inside: RelSet) -> (u64, &'a [RelSet]) {
         debug_assert!(inside.is_subset(self.vertices));
         let r = rank(self.vertices, inside);
-        let (row, end) = (self.entries[r], self.entries[r + 1].start);
-        (
-            u64::from(row.evaluated),
-            &self.masks[row.start as usize..end as usize],
-        )
+        let (row, end) = (self.rows[r], self.rows[r + 1]);
+        let range = row as u32 as usize..end as u32 as usize;
+        (row >> 32, &self.masks[range])
+    }
+
+    /// The block's vertices, `B`.
+    #[inline]
+    pub fn vertices(&self) -> RelSet {
+        self.vertices
+    }
+
+    /// What [`splits`](Self::splits) reads, for a kernel that reads eight
+    /// rows at once: `2^|B| + 1` rows, row `r` for the `I` of rank `r`, each
+    /// a word whose low 32 bits are where `I`'s masks start in
+    /// [`masks`](Self::masks) (they end where row `r + 1`'s start) and whose
+    /// high 32 bits are its EvaluatedCounter.
+    #[inline]
+    pub fn rows(&self) -> &'a [u64] {
+        self.rows
+    }
+
+    /// The hanging masks of every tabled block of the index, which the
+    /// [`rows`](Self::rows) of each point into.
+    #[inline]
+    pub fn masks(&self) -> &'a [RelSet] {
+        self.masks
     }
 }
 
@@ -581,16 +602,16 @@ impl BlockIndex {
     /// The blocks of `cyclic`, each with its hanging masks and its split
     /// table, if it has one.
     pub fn cyclic_blocks(&self) -> impl Iterator<Item = CyclicBlock<'_>> {
-        let (mut hang, mut entries) = (&self.hang[..], &self.entries[..]);
+        let (mut hang, mut rows) = (&self.hang[..], &self.rows[..]);
         self.cyclic.iter().enumerate().map(move |(i, &vertices)| {
             let (mine, tail) = hang.split_at(vertices.len());
             hang = tail;
             let table = (self.tabled >> i & 1 != 0).then(|| {
-                let (mine, tail) = entries.split_at((1 << vertices.len()) + 1);
-                entries = tail;
+                let (mine, tail) = rows.split_at((1 << vertices.len()) + 1);
+                rows = tail;
                 SplitTable {
                     vertices,
-                    entries: mine,
+                    rows: mine,
                     masks: &self.masks,
                 }
             });
@@ -640,10 +661,10 @@ impl BlockIndex {
     /// sets. Built once; read-only after.
     pub fn with_tables(g: &JoinGraph, connected_sets: usize) -> Self {
         let mut index = Self::new(g);
-        // 8 B per entry or mask, against 32 B per set; and every start fits
-        // an entry's `u32`.
+        // 8 B per row or mask, against 32 B per set; and every start fits
+        // a row's low 32 bits.
         let budget = connected_sets.saturating_mul(4).min(u32::MAX as usize);
-        let (mut entries, mut masks) = (Vec::new(), Vec::new());
+        let (mut rows, mut masks) = (Vec::new(), Vec::new());
         let mut splitter = SplitFinder::new();
         let mut tabled = 0u64;
         'blocks: for (i, block) in index.cyclic_blocks().enumerate() {
@@ -651,32 +672,26 @@ impl BlockIndex {
             if b.len() >= 32 || 1 << b.len() >= connected_sets {
                 continue;
             }
-            let (entries_at, masks_at) = (entries.len(), masks.len());
+            let (rows_at, masks_at) = (rows.len(), masks.len());
             // One row per subset in rank order, the empty one first.
             for inside in std::iter::once(RelSet::EMPTY).chain(b.subsets_ascending()) {
-                let start = masks.len() as u32;
+                let start = masks.len();
                 let mut evaluated = 0;
                 if inside.len() >= 2 && g.is_connected(inside) {
                     let push = |split: BlockSplit| masks.push(split.hang);
                     evaluated = splitter.splits(g, &block, inside, false, push);
                 }
-                entries.push(TableEntry {
-                    start,
-                    evaluated: evaluated as u32,
-                });
-                if entries.len() + masks.len() >= budget {
-                    entries.truncate(entries_at);
+                rows.push(row(start, evaluated));
+                if rows.len() + masks.len() >= budget {
+                    rows.truncate(rows_at);
                     masks.truncate(masks_at);
                     continue 'blocks;
                 }
             }
-            entries.push(TableEntry {
-                start: masks.len() as u32,
-                evaluated: 0,
-            });
+            rows.push(row(masks.len(), 0));
             tabled |= 1 << i;
         }
-        index.entries = entries;
+        index.rows = rows;
         index.masks = masks;
         index.tabled = tabled;
         index

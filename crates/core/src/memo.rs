@@ -5,20 +5,22 @@
 //! with Murmur3. We use the same structure for *all* optimizers (CPU
 //! sequential, CPU parallel and simulated GPU) so that memory behaviour and
 //! results are identical across them. Where a set starts its probe is the
-//! one thing that depends on the query ([`Addressing`]): when every subset of
-//! the query's `n` relations has a slot of its own in the table the memo
-//! creates anyway (`2ⁿ ≤` [`slots_for`]`(entries)` — stars, cliques), the
-//! set's bitmap *is* its slot and no hash is computed; otherwise the home
-//! slot is the multiply-shift hash of the bitmap (Dietzfelbinger et al.,
-//! 1997): one multiply by the 64-bit golden ratio, the top `log₂ slots` bits
-//! of the product. Here the repository departs from the paper's Murmur3. A
-//! lookup is on the critical path of every split, and Murmur3's finalizer is
-//! about 12 dependent cycles before the load can issue, where multiply-shift
-//! is a multiply and a shift. On the connected-set families measured, its
-//! layouts take fewer probes overall than Murmur3's (DESIGN §4 "One lookup";
-//! `tests/memo_addressing.rs` holds each shape to bounds calibrated from
-//! Murmur3 on the same sets). Both addressings use the same slot count, so
-//! the choice never costs memory.
+//! one thing that depends on the query ([`Addressing`]): a query of at most
+//! [`DIRECT_MAX`] = 15 relations gets a slot for every subset of its
+//! relations (at most 2¹⁵ slots, 1 MiB of them), as does any query whose
+//! table has that many slots anyway (`2ⁿ ≤` [`slots_for`]`(entries)` —
+//! stars, cliques); there the set's bitmap *is* its slot and no hash is
+//! computed. Otherwise the home slot is the multiply-shift hash of the
+//! bitmap (Dietzfelbinger et al., 1997): one multiply by the 64-bit golden
+//! ratio, the top `log₂ slots` bits of the product. Here the repository
+//! departs from the paper's Murmur3. A lookup is on the critical path of
+//! every split, and Murmur3's finalizer is about 12 dependent cycles before
+//! the load can issue, where multiply-shift is a multiply and a shift. On
+//! the connected-set families measured, its layouts take fewer probes
+//! overall than Murmur3's (DESIGN §4 "One lookup"; `tests/memo_addressing.rs`
+//! holds each shape to bounds calibrated from Murmur3 on the same sets).
+//! Above 15 relations both addressings use the same slot count, so the
+//! choice costs no memory there.
 //!
 //! Every exact backend knows every connected set, with its cardinality,
 //! before it prices the first split (the level plan,
@@ -107,21 +109,30 @@ pub fn candidate_key(cost: f64, left: RelSet) -> (u64, u64) {
     (ordered_cost_bits(cost), left.bits())
 }
 
-/// Slots an open-addressing memo allocates to hold `entries` at no more than
+/// Slots an open-addressing memo needs to hold `entries` at no more than
 /// 70 % load (a power of two, at least 16) — the one sizing rule of both
-/// stores.
+/// stores, which [`Addressing::for_universe`] raises to `2ⁿ` for a universe
+/// of at most [`DIRECT_MAX`] relations.
 #[inline]
 pub fn slots_for(entries: usize) -> usize {
     ((entries + 1) * 10 / 7 + 1).next_power_of_two().max(16)
 }
 
+/// The most relations a memo addresses directly however few sets it holds:
+/// up to here every subset of the universe gets a slot, at most 2¹⁵ of them
+/// (1 MiB of [`MemoTable`] slots, 1.25 MiB of
+/// [`AtomicMemo`](crate::atomic_memo::AtomicMemo) ones). IDP2's and
+/// UnionDP's sub-problems are 15 relations, so every one of them takes one
+/// probe per lookup and no multiply (DESIGN §4 "Every split on lanes").
+pub const DIRECT_MAX: usize = 15;
+
 /// The multiplier of the hashed home slot: `2⁶⁴ / φ`, odd. Public for the
 /// one kernel that computes homes eight at a time ([`MemoLanes`]).
 pub const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Where a set's probe starts in a memo of [`slots_for`]`(entries)` slots,
-/// and where it goes on a collision — the addressing both stores use, chosen
-/// once per table by [`Addressing::for_universe`].
+/// How many slots a memo has, where a set's probe starts and where it goes
+/// on a collision — the addressing both stores use, chosen once per table by
+/// [`Addressing::for_universe`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Addressing {
     mask: usize,
@@ -133,14 +144,18 @@ pub struct Addressing {
 impl Addressing {
     /// The one choice, from the number `n` of relations a key may name and
     /// the `entries` the table is created for. The table gets
-    /// [`slots_for`]`(entries)` slots either way. If that is at least `2ⁿ`,
-    /// every subset of the `n` relations has a slot of its own and a set's
-    /// bitmap is its home slot: the map is injective, so every probe ends at
-    /// its first slot, and a level's ascending sets land in ascending slots.
-    /// Otherwise the home slot is the multiply-shift hash of the bitmap.
-    /// `n = 64` (any set) always hashes.
+    /// [`slots_for`]`(entries)` slots, or `2ⁿ` if that is more and `n ≤`
+    /// [`DIRECT_MAX`]. If the slots are at least `2ⁿ`, every subset of the
+    /// `n` relations has a slot of its own and a set's bitmap is its home
+    /// slot: the map is injective, so every probe ends at its first slot,
+    /// and a level's ascending sets land in ascending slots. Otherwise the
+    /// home slot is the multiply-shift hash of the bitmap. `n = 64` (any
+    /// set) always hashes.
     pub fn for_universe(n: usize, entries: usize) -> Self {
-        let slots = slots_for(entries);
+        let mut slots = slots_for(entries);
+        if n <= DIRECT_MAX {
+            slots = slots.max(1 << n);
+        }
         Addressing {
             mask: slots - 1,
             shift: 64 - slots.trailing_zeros(),
@@ -240,9 +255,9 @@ impl MemoHealth {
 /// simply delegate).
 pub trait MemoStore {
     /// Lays out a store for the sets `sets` over the relations `0..n`, each
-    /// with its cardinality `rows[k]` and reading as unplanned, in
-    /// [`slots_for`]`(sets.len())` slots addressed as
-    /// [`Addressing::for_universe`] decides. No set may appear twice.
+    /// with its cardinality `rows[k]` and reading as unplanned, in the slots
+    /// and at the addressing [`Addressing::for_universe`]`(n, sets.len())`
+    /// decides. No set may appear twice.
     fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self
     where
         Self: Sized;
@@ -285,7 +300,9 @@ pub trait MemoStore {
 /// key, best cost and cardinality, at the addressing the store was laid out
 /// with. A lane reads the key, the cost and the rows in the home slot of a
 /// set and has found the set where the key is the set's bitmap; anywhere
-/// else (a displaced key on a hashed table) it asks `cost_rows`.
+/// else (a displaced key on a hashed table) it asks `cost_rows`. On a
+/// direct table a laid-out set is always in its home slot, so a kernel that
+/// looks up only laid-out sets may skip the key.
 #[derive(Copy, Clone)]
 pub enum MemoLanes<'a> {
     /// [`MemoTable`]'s slots: key, cost and rows are the words at
@@ -658,16 +675,26 @@ mod tests {
     fn addressing_is_direct_exactly_when_every_subset_has_a_slot() {
         // (n, entries): a star of n relations has 2ⁿ⁻¹ + n − 1 connected
         // sets, which slots_for rounds up to exactly 2ⁿ slots; 16 398 is
-        // IDP2's and UnionDP's 15-relation star-like sub-problem.
+        // IDP2's and UnionDP's 15-relation star-like sub-problem. Above 15
+        // relations only such a table is direct, at its own size.
         for (n, entries) in [(14, 8_205), (16, 32_783), (15, 16_398), (10, 1_023), (4, 0)] {
             let at = Addressing::for_universe(n, entries);
             assert!(at.is_direct(), "{n} relations, {entries} entries");
             assert_eq!(at.slots(), slots_for(entries));
         }
-        for (n, entries) in [(17, 16_398), (5, 0), (20, 6_000), (64, 1 << 20)] {
+        // Up to 15 relations a table with too few slots for every subset is
+        // given 2ⁿ: a 15-relation chain has 120 connected sets, a 5-relation
+        // one has none laid out here.
+        for (n, entries) in [(15, 120), (5, 0), (DIRECT_MAX, 1)] {
+            let at = Addressing::for_universe(n, entries);
+            assert!(at.is_direct(), "{n} relations, {entries} entries");
+            assert_eq!(at.slots(), 1 << n);
+        }
+        for (n, entries) in [(17, 16_398), (16, 0), (20, 6_000), (64, 1 << 20)] {
             let at = Addressing::for_universe(n, entries);
             assert!(!at.is_direct(), "{n} relations, {entries} entries");
             assert_eq!(at, Addressing::for_universe(64, entries));
+            assert_eq!(at.slots(), slots_for(entries));
         }
     }
 

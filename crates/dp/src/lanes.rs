@@ -1,31 +1,47 @@
-//! The bridge loop of the MPDP set kernel on AVX-512 lanes: eight connected
-//! sets of one level per step, one set per lane — the paper's §5 mapping of
-//! one thread per set, evaluated in lock-step and pruned once.
+//! The MPDP set kernel's splits on AVX-512 lanes: eight connected sets of one
+//! level per step, one set per lane — the paper's §5 mapping of one thread
+//! per set, evaluated in lock-step and pruned once.
 //!
-//! For every bridge of the query, [`bridge_mins`] does on all eight lanes
-//! what [`SetKernel::evaluate`](crate::mpdp::SetKernel::evaluate)'s bridge
-//! loop does for its one set: test whether the bridge lies in the set, form
-//! the two sides, look each side's cost and rows up in the memo (a gather at
-//! the home slot the store's [`Addressing`](mpdp_core::memo::Addressing)
-//! names), skip the split where the model's
+//! [`set_mins`] does on all eight lanes what
+//! [`SetKernel::evaluate`](crate::mpdp::SetKernel::evaluate) does for its one
+//! set, for three sources of splits:
+//!
+//! * **bridges** with no leaf end, one per step for every lane: test whether
+//!   the bridge lies in the set and split the set by the bridge's `side`;
+//! * **leaf bridges**, the lowest leaf of each lane's own set per step
+//!   (`v = m & −m` of `m = S ∩ P`, `P` the leaves): the split is `{v}` and
+//!   `S \ {v}`, oriented as the bridge's `side` orients it, and the
+//!   singleton's cost and rows come from a 64-entry array read from the memo
+//!   once per kernel;
+//! * **tabled cyclic blocks**, each lane gathering its own row of the
+//!   block's [`SplitTable`] (at the rank of `S ∩ B`, computed in lanes) and
+//!   walking it: step `t` gathers the `t`-th hanging mask `H` of the lanes
+//!   whose row is that long, and the left side is `H ∩ S`, one AND, as for
+//!   a bridge.
+//!
+//! Each split has the same body, a macro inlined into each loop: look each
+//! side's cost and rows up in the memo (a gather at the home slot the
+//! store's [`Addressing`](mpdp_core::memo::Addressing) names; on a direct
+//! table, where every set looked up sits in its home, the key is not read),
+//! skip the split where the model's
 //! [`join_cost_floor`](mpdp_cost::CostModel::join_cost_floor) says it cannot
-//! beat the lane's best so far, price both orders with the model's arithmetic in the
-//! scalar operation order (no FMA), and keep the lane's minimum under
-//! [`candidate_key`](mpdp_core::memo::candidate_key) with blends. A split
-//! the lanes cannot finish — a side that is not in its home slot (a
-//! displaced key of a hashed table), or a sort-merge price, which needs a
-//! `log2` — is handed back as pending, and the scalar kernel prices it
-//! against the lane's minimum. The minimum does not depend on the order the
-//! splits arrive in, so every result is the scalar kernel's, bit for bit;
-//! `lanes_equal_scalar` holds the two equal.
+//! beat the lane's best so far, price both orders with the model's
+//! arithmetic in the scalar operation order (no FMA), and keep the lane's
+//! minimum under [`candidate_key`](mpdp_core::memo::candidate_key) with
+//! blends. A split the lanes cannot finish — a side that is not in its home
+//! slot (a displaced key of a hashed table), or a sort-merge price, which
+//! needs a `log2` — goes on one spill list as `(lane, left)`, and the scalar
+//! kernel prices it against the lane's minimum. The minimum does not depend
+//! on the order the splits arrive in, so every result is the scalar kernel's,
+//! bit for bit; `lanes_equal_scalar` holds the two equal.
 //!
 //! This module holds every `unsafe` block and every `#[target_feature]` of
 //! the crate. Each `unsafe` block is a load or store through a reference to
 //! an eight-element array (the type carries the length), a gather whose
-//! slots the line above compared against the table's slot count, or the
-//! call into the `#[target_feature]` kernel behind [`detected`].
+//! words the lines above bound to the array it reads, or the call into the
+//! `#[target_feature]` kernel behind [`detected`].
 
-use mpdp_core::blocks::Bridge;
+use mpdp_core::blocks::{Bridge, SplitTable};
 use mpdp_core::memo::MemoLanes;
 use mpdp_core::RelSet;
 use mpdp_cost::model::LaneForm;
@@ -33,21 +49,53 @@ use mpdp_cost::model::LaneForm;
 /// Sets per step.
 pub const LANES: usize = 8;
 
-/// What the bridge loop leaves for each lane's set.
+/// The splits [`set_mins`] prices, beside the sets themselves.
+pub(crate) struct Sources<'s> {
+    /// The bridges with no end in `leaves`, one per step for every lane.
+    pub bridges: &'s [Bridge],
+    /// `P`: one end of every bridge that has a relation of degree 1, that
+    /// relation (of the one bridge of a 2-relation query, the higher end).
+    pub leaves: RelSet,
+    /// The leaves that are their bridge's lower end: there the split's left
+    /// side is the leaf, elsewhere the rest of the set.
+    pub low: RelSet,
+    /// Each leaf's memo cost and rows, by relation.
+    pub singles: &'s Singles,
+    /// The split tables of the graph's cyclic blocks that have one.
+    pub tables: &'s [SplitTable<'s>],
+}
+
+/// The cost and rows of the singleton `{v}` at index `v`, as
+/// [`MemoStore::cost_rows`](mpdp_core::memo::MemoStore::cost_rows) reads
+/// them: the word arrays the leaf loop gathers from.
 #[derive(Clone, Debug)]
-pub(crate) struct BridgeMins {
+pub(crate) struct Singles {
+    pub cost: [f64; 64],
+    pub rows: [f64; 64],
+}
+
+impl Default for Singles {
+    fn default() -> Self {
+        Singles {
+            cost: [0.0; 64],
+            rows: [0.0; 64],
+        }
+    }
+}
+
+/// What the lanes leave for each lane's set.
+#[derive(Clone, Debug)]
+pub(crate) struct LaneMins {
     /// The best candidate's cost, `∞` where none was priced.
     pub cost: [f64; LANES],
     /// Its [`candidate_key`](mpdp_core::memo::candidate_key), `(u64::MAX,
     /// u64::MAX)` where none was priced.
     pub key: [(u64, u64); LANES],
-    /// Join-Pairs across the bridges in the set: both `evaluated` and `ccp`.
-    pub pairs: [u64; LANES],
-    /// `pending[b]`: the lanes whose split across bridge `b` the scalar
-    /// kernel must price (a tree of 64 relations has 63 bridges).
-    pub pending: [u8; 64],
-    /// The lanes with any pending split.
-    pub any_pending: u8,
+    /// Join-Pairs evaluated: Algorithm 3's EvaluatedCounter over these
+    /// splits, as [`SetOutcome::evaluated`](crate::mpdp::SetOutcome::evaluated).
+    pub evaluated: [u64; LANES],
+    /// CCP pairs among them.
+    pub ccp: [u64; LANES],
 }
 
 /// Whether this CPU has the features the kernel is compiled for.
@@ -66,17 +114,19 @@ pub(crate) fn detected() -> bool {
     false
 }
 
-/// The bridge loop over `sets`, of cardinalities `rows`, whose floors are
-/// `floors` (the model's `join_cost_floor` of each), against `memo`'s
-/// view. `None` where the features are not detected.
-pub(crate) fn bridge_mins(
+/// The splits of `src` over `sets`, of cardinalities `rows`, whose floors
+/// are `floors` (the model's `join_cost_floor` of each), against `memo`'s
+/// view; the splits the scalar kernel must price go onto `spills` as
+/// `(lane, left)`. `None` where the features are not detected.
+pub(crate) fn set_mins(
     form: LaneForm,
     memo: MemoLanes<'_>,
-    bridges: &[Bridge],
+    src: &Sources<'_>,
     sets: &[RelSet; LANES],
     rows: &[f64; LANES],
     floors: &[f64; LANES],
-) -> Option<BridgeMins> {
+    spills: &mut Vec<(usize, RelSet)>,
+) -> Option<LaneMins> {
     if !detected() {
         return None;
     }
@@ -84,16 +134,16 @@ pub(crate) fn bridge_mins(
     {
         let tables = x86::Tables::new(memo);
         // SAFETY: `detected` saw every feature the kernel enables.
-        Some(unsafe { x86::bridge_mins(form, &tables, bridges, sets, rows, floors) })
+        Some(unsafe { x86::set_mins(form, &tables, src, sets, rows, floors, spills) })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (form, memo, sets, rows, floors);
+        let _ = (form, memo, src, sets, rows, floors, spills);
         unreachable!("detected() is false off x86-64")
     }
 }
 
-/// The pricing of [`bridge_mins`] alone, for the tests: both orders of the
+/// The pricing of [`set_mins`] alone, for the tests: both orders of the
 /// splits `(a, b)` of sets of `out_rows` rows, and the lanes the scalar
 /// kernel must price instead (their two costs are unspecified).
 #[cfg(test)]
@@ -120,9 +170,8 @@ pub(crate) fn price(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{BridgeMins, LANES};
+    use super::{LaneMins, Sources, LANES};
     use mpdp_core::atomic_memo::CostRecord;
-    use mpdp_core::blocks::Bridge;
     use mpdp_core::memo::{MemoLanes, Slot, GOLDEN};
     use mpdp_core::RelSet;
     use mpdp_cost::model::LaneForm;
@@ -227,56 +276,119 @@ mod x86 {
         }
     }
 
-    /// [`super::bridge_mins`] once the features are known.
+    /// [`super::set_mins`] once the features are known.
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn bridge_mins(
+    pub(super) fn set_mins(
         form: LaneForm,
         tables: &Tables<'_>,
-        bridges: &[Bridge],
+        src: &Sources<'_>,
         sets: &[RelSet; LANES],
         rows: &[f64; LANES],
         floors: &[f64; LANES],
-    ) -> BridgeMins {
+        spills: &mut Vec<(usize, RelSet)>,
+    ) -> LaneMins {
+        let lanes = Lanes {
+            tables,
+            src,
+            sets,
+            rows,
+            floors,
+        };
         match (form, tables.ordered) {
-            (LaneForm::PgLike(p), false) => {
-                mins::<false, false>(&p, tables, bridges, sets, rows, floors)
-            }
-            (LaneForm::PgLike(p), true) => {
-                mins::<true, false>(&p, tables, bridges, sets, rows, floors)
-            }
-            (LaneForm::Cout, false) => {
-                mins::<false, true>(&PgParams::default(), tables, bridges, sets, rows, floors)
-            }
-            (LaneForm::Cout, true) => {
-                mins::<true, true>(&PgParams::default(), tables, bridges, sets, rows, floors)
-            }
+            (LaneForm::PgLike(p), false) => mins::<false, false>(&p, lanes, spills),
+            (LaneForm::PgLike(p), true) => mins::<true, false>(&p, lanes, spills),
+            (LaneForm::Cout, false) => mins::<false, true>(&PgParams::default(), lanes, spills),
+            (LaneForm::Cout, true) => mins::<true, true>(&PgParams::default(), lanes, spills),
         }
     }
 
-    /// The bridge loop, for cost words folded or not (`ORDERED`) and the
-    /// PostgreSQL-like or the `C_out` form (`COUT`; `p` unused then).
+    /// The arguments of [`set_mins`], bundled.
+    struct Lanes<'l> {
+        tables: &'l Tables<'l>,
+        src: &'l Sources<'l>,
+        sets: &'l [RelSet; LANES],
+        rows: &'l [f64; LANES],
+        floors: &'l [f64; LANES],
+    }
+
+    /// The three split loops, for cost words folded or not (`ORDERED`) and
+    /// the PostgreSQL-like or the `C_out` form (`COUT`; `p` unused then).
     #[target_feature(enable = "avx512f,avx512dq")]
     fn mins<const ORDERED: bool, const COUT: bool>(
         p: &PgParams,
-        tables: &Tables<'_>,
-        bridges: &[Bridge],
-        sets: &[RelSet; LANES],
-        rows: &[f64; LANES],
-        floors: &[f64; LANES],
-    ) -> BridgeMins {
+        lanes: Lanes<'_>,
+        spills: &mut Vec<(usize, RelSet)>,
+    ) -> LaneMins {
+        let Lanes {
+            tables,
+            src,
+            sets,
+            rows,
+            floors,
+        } = lanes;
         let pg = Pg::new(p);
         let s = load_u64(&sets.map(RelSet::bits));
         let out_rows = load_f64(rows);
         let floor = load_f64(floors);
         let emit = _mm512_mul_pd(out_rows, pg.tuple);
-        let two = _mm512_set1_epi64(2);
+        let (zero, one, two) = (
+            _mm512_setzero_si512(),
+            _mm512_set1_epi64(1),
+            _mm512_set1_epi64(2),
+        );
         let mut best_cost = _mm512_set1_pd(f64::INFINITY);
         let mut best_bits = _mm512_set1_epi64(-1);
         let mut best_left = _mm512_set1_epi64(-1);
-        let mut pairs = _mm512_setzero_si512();
-        let mut pending = [0u8; 64];
-        let mut any_pending = 0u8;
-        for (b, bridge) in bridges.iter().enumerate() {
+        // Join-Pairs across the bridges and leaf bridges: both counters.
+        let mut pairs = zero;
+
+        // The split body every loop shares: the split `{left, right}` in the
+        // lanes of `$lanes`, whose sides' costs and rows are `$a` and `$b`,
+        // found in the memo in the lanes of `$found`.
+        macro_rules! split {
+            ($lanes:expr, $left:expr, $right:expr, $found:expr, $a:expr, $b:expr) => {{
+                let (inside, left, right, found) = ($lanes, $left, $right, $found);
+                let ((a_cost, a_rows), (b_cost, b_rows)) = ($a, $b);
+                let inputs = _mm512_add_pd(a_cost, b_cost);
+                // `SetMin::price`'s floor: a bound above the lane's best
+                // cannot win; an `f64` comparison, on non-negative rows only.
+                let bound = _mm512_add_pd(inputs, floor);
+                let prune = _mm512_mask_cmp_pd_mask::<_CMP_GT_OQ>(found, bound, best_cost)
+                    & _mm512_cmp_pd_mask::<_CMP_GE_OQ>(a_rows, _mm512_setzero_pd())
+                    & _mm512_cmp_pd_mask::<_CMP_GE_OQ>(b_rows, _mm512_setzero_pd());
+                let live = found & !prune;
+                let mut slow = inside & !found;
+                if live != 0 {
+                    let (ab, ba, log2) = if COUT {
+                        cout(a_cost, b_cost, out_rows)
+                    } else {
+                        pg_like(&pg, inputs, emit, (a_rows, b_rows))
+                    };
+                    slow |= live & log2;
+                    let priced = live & !log2;
+                    // `PricedSplit::better`, then the running minimum.
+                    let (ab_bits, ba_bits) = (ordered_bits(ab), ordered_bits(ba));
+                    let take_ab = _mm512_cmplt_epu64_mask(ab_bits, ba_bits)
+                        | (_mm512_cmpeq_epi64_mask(ab_bits, ba_bits)
+                            & _mm512_cmple_epu64_mask(left, right));
+                    let bits = _mm512_mask_blend_epi64(take_ab, ba_bits, ab_bits);
+                    let cand_left = _mm512_mask_blend_epi64(take_ab, right, left);
+                    let cost = _mm512_mask_blend_pd(take_ab, ba, ab);
+                    let better = _mm512_mask_cmplt_epu64_mask(priced, bits, best_bits)
+                        | (_mm512_mask_cmpeq_epi64_mask(priced, bits, best_bits)
+                            & _mm512_cmplt_epu64_mask(cand_left, best_left));
+                    best_bits = _mm512_mask_mov_epi64(best_bits, better, bits);
+                    best_left = _mm512_mask_mov_epi64(best_left, better, cand_left);
+                    best_cost = _mm512_mask_mov_pd(best_cost, better, cost);
+                }
+                if slow != 0 {
+                    spill(spills, slow, left);
+                }
+            }};
+        }
+
+        // Bridges, one per step for every lane.
+        for bridge in src.bridges {
             let ends = _mm512_set1_epi64(bridge.ends.bits() as i64);
             let inside = _mm512_cmpeq_epi64_mask(_mm512_and_si512(s, ends), ends);
             if inside == 0 {
@@ -288,60 +400,156 @@ mod x86 {
             let right = _mm512_andnot_si512(side, s);
             let (found_a, a_cost, a_rows) = lookup::<ORDERED>(tables, left, inside);
             let (found_b, b_cost, b_rows) = lookup::<ORDERED>(tables, right, inside);
-            let found = found_a & found_b;
-            let inputs = _mm512_add_pd(a_cost, b_cost);
-            // `SetMin::price`'s floor: a bound above the lane's best cannot
-            // win; an `f64` comparison, on non-negative rows only.
-            let bound = _mm512_add_pd(inputs, floor);
-            let prune = _mm512_mask_cmp_pd_mask::<_CMP_GT_OQ>(found, bound, best_cost)
-                & _mm512_cmp_pd_mask::<_CMP_GE_OQ>(a_rows, _mm512_setzero_pd())
-                & _mm512_cmp_pd_mask::<_CMP_GE_OQ>(b_rows, _mm512_setzero_pd());
-            let live = found & !prune;
-            let mut slow = inside & !found;
-            if live != 0 {
-                let (ab, ba, log2) = if COUT {
-                    cout(a_cost, b_cost, out_rows)
-                } else {
-                    pg_like(&pg, inputs, emit, (a_rows, b_rows))
-                };
-                slow |= live & log2;
-                let priced = live & !log2;
-                // `PricedSplit::better`, then the running minimum.
-                let (ab_bits, ba_bits) = (ordered_bits(ab), ordered_bits(ba));
-                let take_ab = _mm512_cmplt_epu64_mask(ab_bits, ba_bits)
-                    | (_mm512_cmpeq_epi64_mask(ab_bits, ba_bits)
-                        & _mm512_cmple_epu64_mask(left, right));
-                let bits = _mm512_mask_blend_epi64(take_ab, ba_bits, ab_bits);
-                let cand_left = _mm512_mask_blend_epi64(take_ab, right, left);
-                let cost = _mm512_mask_blend_pd(take_ab, ba, ab);
-                let better = _mm512_mask_cmplt_epu64_mask(priced, bits, best_bits)
-                    | (_mm512_mask_cmpeq_epi64_mask(priced, bits, best_bits)
-                        & _mm512_cmplt_epu64_mask(cand_left, best_left));
-                best_bits = _mm512_mask_mov_epi64(best_bits, better, bits);
-                best_left = _mm512_mask_mov_epi64(best_left, better, cand_left);
-                best_cost = _mm512_mask_mov_pd(best_cost, better, cost);
-            }
-            pending[b] = slow;
-            any_pending |= slow;
+            split!(
+                inside,
+                left,
+                right,
+                found_a & found_b,
+                (a_cost, a_rows),
+                (b_cost, b_rows)
+            );
         }
-        let (mut cost, mut bits, mut left, mut counted) =
-            ([0.0; LANES], [0; LANES], [0; LANES], [0; LANES]);
+
+        // Leaf bridges: each lane's lowest leaf left per step.
+        let low = _mm512_set1_epi64(src.low.bits() as i64);
+        let mut leaves = _mm512_and_si512(s, _mm512_set1_epi64(src.leaves.bits() as i64));
+        loop {
+            let inside = _mm512_test_epi64_mask(leaves, leaves);
+            if inside == 0 {
+                break;
+            }
+            let v = _mm512_and_si512(leaves, _mm512_sub_epi64(zero, leaves));
+            leaves = _mm512_xor_si512(leaves, v);
+            pairs = _mm512_mask_add_epi64(pairs, inside, pairs, two);
+            let rest = _mm512_xor_si512(s, v);
+            let leaf_left = _mm512_test_epi64_mask(v, low);
+            let left = _mm512_mask_blend_epi64(leaf_left, rest, v);
+            let right = _mm512_xor_si512(s, left);
+            let (found, rest_cost, rest_rows) = lookup::<ORDERED>(tables, rest, inside);
+            // `v` is one bit, so converting it to an `f64` is exact and the
+            // biased exponent, less 1 023, is the leaf's index.
+            let index = _mm512_sub_epi64(
+                _mm512_srli_epi64::<52>(_mm512_castpd_si512(_mm512_cvtepu64_pd(v))),
+                _mm512_set1_epi64(1023),
+            );
+            let leaf_cost = _mm512_castsi512_pd(gather64(&src.singles.cost, index, inside));
+            let leaf_rows = _mm512_castsi512_pd(gather64(&src.singles.rows, index, inside));
+            let a = (
+                _mm512_mask_blend_pd(leaf_left, rest_cost, leaf_cost),
+                _mm512_mask_blend_pd(leaf_left, rest_rows, leaf_rows),
+            );
+            let b = (
+                _mm512_mask_blend_pd(leaf_left, leaf_cost, rest_cost),
+                _mm512_mask_blend_pd(leaf_left, leaf_rows, rest_rows),
+            );
+            split!(inside, left, right, found, a, b);
+        }
+
+        // Tabled blocks: each lane reads its own row and walks its masks.
+        let (mut table_evaluated, mut table_ccp) = (zero, zero);
+        for table in src.tables {
+            let (vertices, table_rows, masks) = (table.vertices(), table.rows(), table.masks());
+            assert_eq!(table_rows.len(), (1 << vertices.len()) + 1);
+            // The rank of `S ∩ B`: the set's bits at the block's vertices,
+            // moved down, below `2^|B|`.
+            let mut rank = zero;
+            for (k, v) in vertices.iter().enumerate() {
+                let bit = _mm512_and_si512(_mm512_srl_epi64(s, _mm_cvtsi64_si128(v as i64)), one);
+                rank = _mm512_or_si512(rank, _mm512_sll_epi64(bit, _mm_cvtsi64_si128(k as i64)));
+            }
+            // SAFETY: `rank + 1 ≤ 2^|B| < table_rows.len()`, checked above.
+            let (row, next) = unsafe {
+                let rows = table_rows.as_ptr().cast();
+                (
+                    _mm512_i64gather_epi64::<8>(rank, rows),
+                    _mm512_i64gather_epi64::<8>(_mm512_add_epi64(rank, one), rows),
+                )
+            };
+            let low = _mm512_set1_epi64(u32::MAX as i64);
+            let start = _mm512_and_si512(row, low);
+            let end = _mm512_and_si512(next, low);
+            let len = _mm512_sub_epi64(end, start);
+            table_evaluated = _mm512_add_epi64(table_evaluated, _mm512_srli_epi64::<32>(row));
+            table_ccp = _mm512_add_epi64(table_ccp, _mm512_slli_epi64::<1>(len));
+            let past = _mm512_cmpgt_epu64_mask(end, _mm512_set1_epi64(masks.len() as i64))
+                | _mm512_cmpgt_epu64_mask(start, end);
+            if past != 0 {
+                out_of_bounds(masks.len() as u64, end, past);
+            }
+            for t in 0.._mm512_reduce_max_epu64(len) {
+                let t = _mm512_set1_epi64(t as i64);
+                let inside = _mm512_cmplt_epu64_mask(t, len);
+                let at = _mm512_add_epi64(start, t);
+                // SAFETY: `start ≤ at < end ≤ masks.len()` in the lanes of
+                // `inside` (the check above), and a `RelSet` is a `u64`.
+                let hang = unsafe {
+                    _mm512_mask_i64gather_epi64::<8>(zero, inside, at, masks.as_ptr().cast())
+                };
+                let left = _mm512_and_si512(hang, s);
+                let right = _mm512_andnot_si512(hang, s);
+                let (found_a, a_cost, a_rows) = lookup::<ORDERED>(tables, left, inside);
+                let (found_b, b_cost, b_rows) = lookup::<ORDERED>(tables, right, inside);
+                split!(
+                    inside,
+                    left,
+                    right,
+                    found_a & found_b,
+                    (a_cost, a_rows),
+                    (b_cost, b_rows)
+                );
+            }
+        }
+
+        let (mut cost, mut bits, mut left, mut evaluated, mut ccp) =
+            ([0.0; LANES], [0; LANES], [0; LANES], [0; LANES], [0; LANES]);
         store_f64(&mut cost, best_cost);
         store_u64(&mut bits, best_bits);
         store_u64(&mut left, best_left);
-        store_u64(&mut counted, pairs);
-        BridgeMins {
+        store_u64(&mut evaluated, _mm512_add_epi64(pairs, table_evaluated));
+        store_u64(&mut ccp, _mm512_add_epi64(pairs, table_ccp));
+        LaneMins {
             cost,
             key: std::array::from_fn(|j| (bits[j], left[j])),
-            pairs: counted,
-            pending,
-            any_pending,
+            evaluated,
+            ccp,
+        }
+    }
+
+    /// Appends `(j, left[j])` to `spills` for each lane `j` of `slow`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn spill(spills: &mut Vec<(usize, RelSet)>, slow: __mmask8, left: __m512i) {
+        let mut lefts = [0u64; LANES];
+        store_u64(&mut lefts, left);
+        let mut slow = slow;
+        while slow != 0 {
+            let j = slow.trailing_zeros() as usize;
+            spills.push((j, RelSet(lefts[j])));
+            slow &= slow - 1;
+        }
+    }
+
+    /// Word `index` of `words` in the lanes of `lanes`, 0 elsewhere.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn gather64(words: &[f64; 64], index: __m512i, lanes: __mmask8) -> __m512i {
+        let index = _mm512_and_si512(index, _mm512_set1_epi64(63));
+        // SAFETY: the line above keeps every index below the array's 64.
+        unsafe {
+            _mm512_mask_i64gather_epi64::<8>(
+                _mm512_setzero_si512(),
+                lanes,
+                index,
+                words.as_ptr().cast(),
+            )
         }
     }
 
     /// Looks the sets `bits` up in the lanes of `lanes`, as
     /// `MemoStore::cost_rows` would from their home slots: the lanes where
-    /// the home slot holds the set, and there its cost and rows.
+    /// the home slot holds the set, and there its cost and rows. Every set
+    /// the kernel looks up is a connected subset of a set of the level
+    /// plan, so it was laid out, and on a direct table it is in its home.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq")]
     fn lookup<const ORDERED: bool>(
@@ -362,14 +570,20 @@ mod x86 {
         if outside != 0 {
             out_of_bounds(t.slots, home, outside);
         }
-        let key = gather(t.key, home, t.key_shift, lanes);
-        let found = _mm512_mask_cmpeq_epi64_mask(lanes, key, bits);
-        // A hashed home may hold a set of the level being written (the
-        // parallel backends), so its record is read only where the key says
-        // it is the set's; a direct home is the set's own slot.
-        let read = if t.direct { lanes } else { found };
-        let cost = gather(t.cost, home, t.value_shift, read);
-        let rows = gather(t.rows, home, t.value_shift, read);
+        // A direct home is the set's own slot, and every set looked up (a
+        // connected subset of a set of the plan) was laid out, so its key
+        // is read only to check that. A hashed home may hold another set,
+        // even one of the level being written (the parallel backends), so
+        // its record is read only where the key says it is the set's.
+        let found = if t.direct && !cfg!(debug_assertions) {
+            lanes
+        } else {
+            let key = gather(t.key, home, t.key_shift, lanes);
+            _mm512_mask_cmpeq_epi64_mask(lanes, key, bits)
+        };
+        debug_assert!(!t.direct || found == lanes, "a set was not laid out");
+        let cost = gather(t.cost, home, t.value_shift, found);
+        let rows = gather(t.rows, home, t.value_shift, found);
         let cost = if ORDERED {
             cost_from_ordered(cost)
         } else {
@@ -398,11 +612,11 @@ mod x86 {
     #[cold]
     #[inline(never)]
     #[target_feature(enable = "avx512f,avx512dq")]
-    fn out_of_bounds(slots: u64, home: __m512i, outside: __mmask8) -> ! {
+    fn out_of_bounds(len: u64, at: __m512i, outside: __mmask8) -> ! {
         let mut lanes = [0u64; LANES];
-        store_u64(&mut lanes, home);
-        let slot = lanes[outside.trailing_zeros() as usize];
-        panic!("home slot {slot} outside a memo of {slots} slots")
+        store_u64(&mut lanes, at);
+        let word = lanes[outside.trailing_zeros() as usize];
+        panic!("word {word} outside an array of {len}")
     }
 
     /// `CoutCost::join_cost_both`: `(a.cost + b.cost) + out` and `(b.cost +

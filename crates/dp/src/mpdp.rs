@@ -24,15 +24,17 @@
 //! publish each set's winner. See `DESIGN.md` §4 "The MPDP set kernel". The
 //! first two hand it a level's sets eight at a time
 //! ([`SetKernel::evaluate_chunk`]), and where the CPU has AVX-512 it prices
-//! their bridge splits one set per lane (§4 "One set per lane"); the
-//! simulator keeps the scalar per-split walk its lane charges need.
+//! their bridge, leaf and tabled-block splits one set per lane (§4 "One set
+//! per lane", "Every split on lanes"); only the blocks without a table, and
+//! what the lanes hand back, stay scalar. The simulator keeps the scalar
+//! per-split walk its lane charges need.
 
 use crate::common::{
     finish, init_memo, join_inputs, level_plan, OptContext, OptResult, PricedSplit,
 };
 use crate::lanes;
 pub use crate::lanes::LANES;
-use mpdp_core::blocks::{BlockIndex, SplitFinder};
+use mpdp_core::blocks::{BlockIndex, Bridge, SplitFinder, SplitTable};
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
 use mpdp_core::{OptError, QueryInfo, RelSet};
@@ -47,7 +49,7 @@ pub trait SplitObserver {
     /// lane-per-submask walk, which the simulator charges. Without it the
     /// kernel reports nothing, walks only the splits whose left side is
     /// connected, and reads a tabled block's splits from its
-    /// [`SplitTable`](mpdp_core::blocks::SplitTable), which keeps no
+    /// [`SplitTable`], which keeps no
     /// block-level sides.
     const EVERY_SPLIT: bool = false;
 
@@ -117,17 +119,83 @@ pub struct SetOutcome {
 ///   order the splits arrive in, so neither walk order, table order nor the
 ///   floor can change the winner.
 ///
-/// [`evaluate_chunk`](Self::evaluate_chunk) runs the bridge loop of eight
-/// sets at once, one set per AVX-512 lane (the paper's thread per set, §5),
-/// and each set's cyclic blocks through the code above, tables included.
+/// [`evaluate_chunk`](Self::evaluate_chunk) prices eight sets at once, one
+/// set per AVX-512 lane (the paper's thread per set, §5): the bridges, one
+/// per step for all eight; the leaf bridges, each lane's own lowest leaf per
+/// step; and each tabled block, each lane its own row of the table. Only
+/// the blocks without a table, and what the lanes spill, go through the
+/// scalar code above.
 pub struct SetKernel<'a> {
     q: &'a QueryInfo,
     model: &'a dyn CostModel,
     index: &'a BlockIndex,
     splits: SplitFinder,
     /// The model's lane form, where the lanes can run: the CPU has them,
-    /// the model declares a form and the query has bridges.
+    /// the model declares a form and the query has bridges or split tables.
     lanes: Option<LaneForm>,
+    /// What the lanes read besides the sets, built at the first chunk.
+    chunks: Option<Box<Chunks<'a>>>,
+}
+
+/// What [`SetKernel::evaluate_chunk`] hands the lanes besides the sets,
+/// built at a kernel's first chunk: the level-parallel driver makes a
+/// kernel per level and worker, and many of them never reach the lanes.
+struct Chunks<'a> {
+    /// Whether some cyclic block has no table, and so is walked per set.
+    walked: bool,
+    /// The bridges with no leaf end, which the lanes broadcast.
+    inner: Vec<Bridge>,
+    /// The leaf of every leaf bridge, and those of them that are their
+    /// bridge's lower end (see [`lanes::Sources`]).
+    leaves: RelSet,
+    low: RelSet,
+    /// The leaves' memo entries.
+    singles: lanes::Singles,
+    /// The split tables.
+    tables: Vec<SplitTable<'a>>,
+    /// A chunk's spilled splits, kept across chunks.
+    spills: Vec<(usize, RelSet)>,
+}
+
+impl<'a> Chunks<'a> {
+    /// Sorts `index`'s bridges into inner and leaf bridges and reads each
+    /// leaf's entry from `memo`.
+    fn new<M: MemoStore>(q: &QueryInfo, index: &'a BlockIndex, memo: &M) -> Self {
+        // A leaf is a relation of degree 1; of a 2-relation query's one
+        // bridge, the higher end, so that the bridge is priced once.
+        let (mut inner, mut leaves, mut low) = (Vec::new(), RelSet::EMPTY, RelSet::EMPTY);
+        for bridge in &index.bridges {
+            let lower = bridge.ends.lowest_bit();
+            let leaf = [bridge.ends.difference(lower), lower]
+                .into_iter()
+                .find(|v| q.graph.adjacency(v.bits().trailing_zeros() as usize).len() == 1);
+            match leaf {
+                Some(v) => {
+                    leaves = leaves.union(v);
+                    if v == lower {
+                        low = low.union(v);
+                    }
+                }
+                None => inner.push(*bridge),
+            }
+        }
+        let mut singles = lanes::Singles::default();
+        for v in leaves.iter() {
+            let (cost, rows) = memo
+                .cost_rows(RelSet::singleton(v))
+                .expect("every relation is laid out");
+            (singles.cost[v], singles.rows[v]) = (cost, rows);
+        }
+        Chunks {
+            walked: index.cyclic_blocks().any(|b| b.table().is_none()),
+            inner,
+            leaves,
+            low,
+            singles,
+            tables: index.cyclic_blocks().filter_map(|b| b.table()).collect(),
+            spills: Vec::new(),
+        }
+    }
 }
 
 /// The fewest sets a level needs for its chunks to run on lanes: below it
@@ -140,7 +208,8 @@ impl<'a> SetKernel<'a> {
     /// split tables ([`BlockIndex::with_tables`]) is read-only, so every
     /// worker's kernel can share one.
     pub fn new(q: &'a QueryInfo, model: &'a dyn CostModel, index: &'a BlockIndex) -> Self {
-        let lanes = match lanes::detected() && !index.bridges.is_empty() {
+        let tabled = index.cyclic_blocks().any(|b| b.table().is_some());
+        let lanes = match lanes::detected() && (!index.bridges.is_empty() || tabled) {
             true => model.lane_form(),
             false => None,
         };
@@ -150,6 +219,7 @@ impl<'a> SetKernel<'a> {
             index,
             splits: SplitFinder::new(),
             lanes,
+            chunks: None,
         }
     }
 
@@ -165,9 +235,12 @@ impl<'a> SetKernel<'a> {
     /// of one level, with their cardinalities `rows`), with no observer:
     /// `out[j]` is `sets[j]`'s outcome, to the bit. Where the kernel has
     /// lanes, the chunk is whole and the memo offers a gather view, the
-    /// bridge splits of all eight are priced one set per lane, and each
-    /// set's cyclic blocks, seeded with its lane's minimum, by the scalar
-    /// code; otherwise `evaluate` runs per set.
+    /// bridge, leaf and tabled-block splits of all eight are priced one set
+    /// per lane, and what the lanes spill and each set's untabled cyclic
+    /// blocks, seeded with its lane's minimum, by the scalar code; otherwise
+    /// `evaluate` runs per set. The leaves' entries are read from the memo
+    /// of the first chunk and kept, so a kernel serves one memo, whose level
+    /// 1 is written before the first chunk.
     // Out of line for the reason `evaluate` is.
     #[inline(never)]
     pub fn evaluate_chunk<M: MemoStore>(
@@ -189,13 +262,31 @@ impl<'a> SetKernel<'a> {
         };
         let model = self.model;
         let floors = rows8.map(|rows| model.join_cost_floor(rows));
-        let bridges = &self.index.bridges;
-        let mins = lanes::bridge_mins(form, view, bridges, sets8, rows8, &floors)
+        let (q, index) = (self.q, self.index);
+        let Chunks {
+            walked,
+            inner,
+            leaves,
+            low,
+            singles,
+            tables,
+            spills,
+        } = &mut **self
+            .chunks
+            .get_or_insert_with(|| Box::new(Chunks::new(q, index, memo)));
+        let src = lanes::Sources {
+            bridges: inner,
+            leaves: *leaves,
+            low: *low,
+            singles,
+            tables,
+        };
+        spills.clear();
+        let mins = lanes::set_mins(form, view, &src, sets8, rows8, &floors, spills)
             .expect("a kernel has a lane form only where the lanes were detected");
-        for (j, o) in out.iter_mut().enumerate() {
-            let (s, rows) = (sets8[j], rows8[j]);
-            let key = mins.key[j];
-            let mut min = SetMin {
+        let mut min: [SetMin<'_, M>; LANES] = std::array::from_fn(|j| {
+            let (s, rows, key) = (sets8[j], rows8[j], mins.key[j]);
+            SetMin {
                 memo,
                 model,
                 s,
@@ -204,8 +295,8 @@ impl<'a> SetKernel<'a> {
                 cost: mins.cost[j],
                 key,
                 out: SetOutcome {
-                    evaluated: mins.pairs[j],
-                    ccp: mins.pairs[j],
+                    evaluated: mins.evaluated[j],
+                    ccp: mins.ccp[j],
                     best: (key != (u64::MAX, u64::MAX)).then_some(MemoEntry {
                         set: s,
                         left: RelSet(key.1),
@@ -213,15 +304,16 @@ impl<'a> SetKernel<'a> {
                         rows,
                     }),
                 },
-            };
-            if mins.any_pending >> j & 1 != 0 {
-                for (bridge, &pending) in bridges.iter().zip(&mins.pending) {
-                    if pending >> j & 1 != 0 {
-                        min.price(s.intersect(bridge.side));
-                    }
-                }
             }
-            self.blocks(&mut min, &mut ());
+        });
+        for &(j, left) in spills.iter() {
+            min[j].price(left);
+        }
+        let walked = *walked;
+        for (o, min) in out.iter_mut().zip(&mut min) {
+            if walked {
+                self.blocks::<_, _, false>(min, &mut ());
+            }
             *o = min.out;
         }
         out
@@ -261,17 +353,18 @@ impl<'a> SetKernel<'a> {
                 min.consider(s.intersect(bridge.side));
             }
         }
-        self.blocks(&mut min, observer);
+        self.blocks::<_, _, true>(&mut min, observer);
         min.out
     }
 
     /// The splits of the set of `min` inside the graph's cyclic blocks,
-    /// into `min`: a tabled block's from its table, any other's from the
-    /// walk, and every submask's from the walk for an observer that asks.
+    /// into `min`: a tabled block's from its table (none where not
+    /// `TABLES`: the lanes priced them), any other's from the walk, and
+    /// every submask's from the walk for an observer that asks.
     // Inlined into both callers, so `evaluate` stays one function (see the
     // note on it).
     #[inline(always)]
-    fn blocks<M: MemoStore, O: SplitObserver>(
+    fn blocks<M: MemoStore, O: SplitObserver, const TABLES: bool>(
         &mut self,
         min: &mut SetMin<'_, M>,
         observer: &mut O,
@@ -286,6 +379,9 @@ impl<'a> SetKernel<'a> {
                 continue; // no edge of the block in `s`
             }
             if let Some(table) = cyclic.table().filter(|_| !O::EVERY_SPLIT) {
+                if !TABLES {
+                    continue;
+                }
                 let (evaluated, masks) = table.splits(inside);
                 min.out.evaluated += evaluated;
                 for &hang in masks {
@@ -444,7 +540,10 @@ mod tests {
     use super::*;
     use crate::dpsub::tests::{chain_query, cycle_query, star_query};
     use crate::dpsub::DpSub;
+    use mpdp_core::atomic_memo::AtomicMemo;
+    use mpdp_core::enumerate::ConnectedSets;
     use mpdp_core::graph::JoinGraph;
+    use mpdp_core::memo::Addressing;
     use mpdp_core::query::{QueryInfo, RelInfo};
     use mpdp_cost::pglike::PgLikeCost;
 
@@ -582,6 +681,188 @@ mod tests {
                 let ctx = OptContext::with_budget(&q, &model, budget);
                 assert_eq!(run(&ctx).err(), Some(OptError::Timeout { budget }));
             }
+        }
+    }
+
+    /// A star of `n` relations around relation `hub`, of `hub_rows` rows,
+    /// whose leaves have `leaf_rows` rows in turn and each a key join, so
+    /// that every set has the hub's rows. The hub has leaves below and
+    /// above it: a leaf's split is `{v}` on one side of the hub, the rest
+    /// of the set on the other.
+    fn star_around(n: usize, hub: usize, hub_rows: f64, leaf_rows: &[f64]) -> QueryInfo {
+        let mut g = JoinGraph::new(n);
+        let mut rels = vec![RelInfo::new(hub_rows, hub_rows / 100.0); n];
+        for (i, leaf) in (0..n).filter(|&v| v != hub).enumerate() {
+            let rows = leaf_rows[i % leaf_rows.len()];
+            g.add_edge(hub, leaf, 1.0 / rows.max(1.0));
+            rels[leaf] = RelInfo::new(rows, rows / 100.0);
+        }
+        QueryInfo::new(g, rels)
+    }
+
+    /// The splits [`SetKernel::evaluate_chunk`] spilled to the scalar code,
+    /// as `(set, left)`.
+    type Spills = Vec<(RelSet, RelSet)>;
+
+    /// Runs MPDP's levels on a memo laid out over a universe of `universe`
+    /// relations and asserts that every chunk of eight consecutive sets of a
+    /// level, and eight copies of each set, come out of `evaluate_chunk`
+    /// as they come out of `evaluate`, to the bit; the chunks read the split
+    /// tables on lanes, `evaluate` walks every block. Returns the spilled
+    /// splits and the chunks, or `None` without lanes.
+    fn chunk_oracle<M: MemoStore>(
+        q: &QueryInfo,
+        model: &dyn CostModel,
+        universe: usize,
+    ) -> Option<(Spills, Vec<[RelSet; LANES]>)> {
+        let plan = ConnectedSets::enumerate(q);
+        let mut memo = M::laid_out(universe, &plan.sets, &plan.rows);
+        for (i, rel) in q.rels.iter().enumerate() {
+            memo.update(memo.slot(i), RelSet::EMPTY, rel.cost);
+        }
+        let (tabled, walked) = (
+            BlockIndex::with_tables(&q.graph, plan.sets.len()),
+            BlockIndex::new(&q.graph),
+        );
+        let mut kernel = SetKernel::new(q, model, &tabled);
+        kernel.lanes?;
+        let mut scalar = SetKernel::new(q, model, &walked);
+        let bits = |o: &SetOutcome| {
+            let best = o.best.map(|e| (e.left, e.cost.to_bits()));
+            (o.evaluated, o.ccp, best)
+        };
+        let (mut spills, mut seen) = (Vec::new(), Vec::new());
+        for i in 2..=q.query_size() {
+            let (sets, set_rows) = plan.level(i);
+            let want: Vec<SetOutcome> = (sets.iter().zip(set_rows))
+                .map(|(&s, &r)| scalar.evaluate(&memo, s, r, &mut ()))
+                .collect();
+            let eights = sets
+                .iter()
+                .zip(set_rows)
+                .enumerate()
+                .map(|(k, (&s, &r))| (k, vec![s; LANES], vec![r; LANES]));
+            let chunks = (0..sets.len().saturating_sub(LANES - 1)).map(|k| {
+                (
+                    k,
+                    sets[k..k + LANES].to_vec(),
+                    set_rows[k..k + LANES].to_vec(),
+                )
+            });
+            for (k, chunk, chunk_rows) in chunks.chain(eights) {
+                let outs = kernel.evaluate_chunk(&memo, &chunk, &chunk_rows);
+                for (j, out) in outs.iter().enumerate() {
+                    let at = if chunk[0] == chunk[LANES - 1] {
+                        k
+                    } else {
+                        k + j
+                    };
+                    assert_eq!(bits(out), bits(&want[at]), "{} in a chunk", chunk[j]);
+                }
+                let spilled = &kernel.chunks.as_ref().unwrap().spills;
+                spills.extend(spilled.iter().map(|&(j, left)| (chunk[j], left)));
+                seen.push(<[RelSet; LANES]>::try_from(chunk).unwrap());
+            }
+            for (k, out) in want.iter().enumerate() {
+                let e = out.best.expect("every side is laid out");
+                memo.update(memo.slot(plan.starts[i - 1] + k), e.left, e.cost);
+            }
+        }
+        Some((spills, seen))
+    }
+
+    /// Whether `{left, s \ left}` is a leaf's split: one side is a relation
+    /// of degree 1.
+    fn is_leaf_split(q: &QueryInfo, s: RelSet, left: RelSet) -> bool {
+        [left, s.difference(left)]
+            .iter()
+            .any(|side| side.len() == 1 && q.graph.adjacency(side.first().unwrap()).len() == 1)
+    }
+
+    #[test]
+    fn lanes_orient_leaf_splits_both_ways_and_spill_what_they_cannot_price() {
+        let model = PgLikeCost::new();
+        // Where both inputs are under eight rows the sort-merge is priced,
+        // which the lanes hand back, on a direct table too.
+        let small = star_around(10, 4, 6.0, &[3.0, 5e3, 5.0, 1e6, 40.0]);
+        let Some((spills, _)) = chunk_oracle::<MemoTable>(&small, &model, 10) else {
+            return println!("skipped: no lanes (AVX-512 F, DQ not detected)");
+        };
+        assert!(!spills.is_empty());
+        assert!(spills
+            .iter()
+            .all(|&(s, left)| is_leaf_split(&small, s, left)));
+        chunk_oracle::<AtomicMemo>(&small, &model, 10);
+        // With no input under eight rows nothing is handed back from a
+        // direct table; a universe of 64 relations hashes every home, and
+        // a side displaced from its home is handed back.
+        let large = star_around(10, 4, 1e6, &[3.0, 5e3, 5.0, 1e6, 40.0]);
+        for universe in [10, 64] {
+            let (spills, _) = chunk_oracle::<MemoTable>(&large, &model, universe).unwrap();
+            chunk_oracle::<AtomicMemo>(&large, &model, universe);
+            let plan = ConnectedSets::enumerate(&large);
+            let memo = MemoTable::laid_out(universe, &plan.sets, &plan.rows);
+            let at = Addressing::for_universe(universe, plan.sets.len());
+            let displaced = |side: RelSet| memo.find(side).0 != at.home(side.bits());
+            assert_eq!(spills.is_empty(), universe == 10);
+            for &(s, left) in &spills {
+                assert!(is_leaf_split(&large, s, left));
+                assert!(
+                    displaced(left) || displaced(s.difference(left)),
+                    "{left} of {s}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_price_the_one_bridge_of_two_relations_once() {
+        // Both relations are leaves; the bridge is one split, two pairs.
+        let model = PgLikeCost::new();
+        let q = star_query(2);
+        if chunk_oracle::<MemoTable>(&q, &model, 2).is_some() {
+            chunk_oracle::<AtomicMemo>(&q, &model, 64);
+            let r = Mpdp::run(&OptContext::new(&q, &model)).unwrap();
+            assert_eq!((r.counters.evaluated, r.counters.ccp), (2, 2));
+        }
+    }
+
+    #[test]
+    fn lanes_walk_table_rows_of_every_length_and_spill_what_they_cannot_price() {
+        // Figure 5's two 4-cycles have split tables beside two inner
+        // bridges, and no leaves. In a chunk, the lanes whose set meets a
+        // cycle in one vertex or none have an empty row beside lanes with
+        // several splits.
+        let model = PgLikeCost::new();
+        let q = figure5_query();
+        let index = BlockIndex::with_tables(&q.graph, ConnectedSets::enumerate(&q).sets.len());
+        let tables: Vec<SplitTable<'_>> = index.cyclic_blocks().filter_map(|b| b.table()).collect();
+        assert_eq!(tables.len(), 2);
+        let bridge_split = |s: RelSet, left: RelSet| {
+            let inside = index.bridges.iter().filter(|b| b.ends.is_subset(s));
+            inside.map(|b| s.intersect(b.side)).any(|l| l == left)
+        };
+        // Where every input is under eight rows, table splits are handed
+        // back for their sort-merge; on a universe of 64 relations, for a
+        // side displaced from its home.
+        let tiny = QueryInfo::new(q.graph.clone(), vec![RelInfo::new(2.0, 1.0); 9]);
+        for (q, universe, spill) in [(&q, 9, false), (&tiny, 9, true), (&q, 64, true)] {
+            let Some((spills, chunks)) = chunk_oracle::<MemoTable>(q, &model, universe) else {
+                return println!("skipped: no lanes (AVX-512 F, DQ not detected)");
+            };
+            chunk_oracle::<AtomicMemo>(q, &model, universe);
+            let (mut mixed, mut lengths) = (0, std::collections::BTreeSet::new());
+            for (chunk, table) in chunks
+                .iter()
+                .flat_map(|c| tables.iter().map(move |t| (c, t)))
+            {
+                let len = chunk.map(|s| table.splits(s.intersect(table.vertices())).1.len());
+                mixed += (len.contains(&0) && len.iter().any(|&l| l > 1)) as usize;
+                lengths.extend(len);
+            }
+            assert!(mixed > 0 && lengths.len() >= 3, "{mixed} {lengths:?}");
+            let from_tables = spills.iter().filter(|&&(s, left)| !bridge_split(s, left));
+            assert_eq!(from_tables.count() > 0, spill, "universe {universe}");
         }
     }
 

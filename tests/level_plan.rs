@@ -3,7 +3,7 @@
 //! those sets.
 
 use mpdp::core::enumerate::ConnectedSets;
-use mpdp::core::memo::{slots_for, MemoTable};
+use mpdp::core::memo::{Addressing, MemoTable};
 use mpdp::prelude::*;
 use mpdp_dp::common::OptResult;
 use mpdp_gpu::drivers::{DpSizeGpu, DpSubGpu, MpdpGpu};
@@ -24,12 +24,14 @@ fn shapes() -> Vec<(&'static str, QueryInfo)> {
 }
 
 /// The memo holds every connected set of the query (`sets`, leaves
-/// included), in a table that was laid out for exactly that many entries.
-fn assert_sized_once(r: &OptResult, sets: usize, what: &str) {
+/// included), in a table that was laid out for exactly that many entries
+/// over the query's `n` relations.
+fn assert_sized_once(r: &OptResult, n: usize, sets: usize, what: &str) {
     assert_eq!(r.memo_entries, sets, "{what}");
     let health = r.profile.memo.expect("finish stamps memo health");
     assert_eq!(health.entries, r.memo_entries, "{what}");
-    assert_eq!(health.slots, slots_for(r.memo_entries), "{what}: slots");
+    let slots = Addressing::for_universe(n, r.memo_entries).slots();
+    assert_eq!(health.slots, slots, "{what}: slots");
 }
 
 /// A memo holds the sets it was laid out with and no other: a write needs a
@@ -48,28 +50,28 @@ fn writing_a_set_that_was_not_laid_out_panics() {
 fn every_leveled_driver_sizes_its_memo_once() {
     let m = PgLikeCost::new();
     for (name, q) in shapes() {
-        let n = ConnectedSets::enumerate(&q).sets.len();
+        let (rels, n) = (q.query_size(), ConnectedSets::enumerate(&q).sets.len());
         let ctx = OptContext::new(&q, &m);
         let what = |driver: &str| format!("{driver} on {name}");
-        assert_sized_once(&Mpdp::run(&ctx).unwrap(), n, &what("MPDP"));
-        assert_sized_once(&DpSub::run(&ctx).unwrap(), n, &what("DPSUB"));
+        assert_sized_once(&Mpdp::run(&ctx).unwrap(), rels, n, &what("MPDP"));
+        assert_sized_once(&DpSub::run(&ctx).unwrap(), rels, n, &what("DPSUB"));
         for (algo, label) in [(LevelAlgo::Mpdp, "MPDP"), (LevelAlgo::DpSub, "DPSUB")] {
             let r = run_level_parallel(&ctx, algo, 2).unwrap();
-            assert_sized_once(&r, n, &what(&format!("{label} (2CPU)")));
+            assert_sized_once(&r, rels, n, &what(&format!("{label} (2CPU)")));
         }
         let r = run_dpsize_parallel(&ctx, 2).unwrap();
-        assert_sized_once(&r, n, &what("PDP (2CPU)"));
+        assert_sized_once(&r, rels, n, &what("PDP (2CPU)"));
         let gpu = MpdpGpu::new().run(&ctx).unwrap().result;
-        assert_sized_once(&gpu, n, &what("MPDP (GPU)"));
+        assert_sized_once(&gpu, rels, n, &what("MPDP (GPU)"));
         let gpu = DpSubGpu::new().run(&ctx).unwrap().result;
-        assert_sized_once(&gpu, n, &what("DPSUB (GPU)"));
+        assert_sized_once(&gpu, rels, n, &what("DPSUB (GPU)"));
         let gpu = DpSizeGpu::new().run(&ctx).unwrap().result;
-        assert_sized_once(&gpu, n, &what("DPSIZE (GPU)"));
+        assert_sized_once(&gpu, rels, n, &what("DPSIZE (GPU)"));
         // DPSIZE joins pairs of plan lists and DPCCP / DPE walk edges:
         // none of them meets its sets level by level, all of them build
         // the level plan first.
-        assert_sized_once(&DpSize::run(&ctx).unwrap(), n, &what("DPSIZE"));
-        assert_sized_once(&DpCcp::run(&ctx).unwrap(), n, &what("DPCCP"));
-        assert_sized_once(&Dpe::run(&ctx, 2).unwrap(), n, &what("DPE"));
+        assert_sized_once(&DpSize::run(&ctx).unwrap(), rels, n, &what("DPSIZE"));
+        assert_sized_once(&DpCcp::run(&ctx).unwrap(), rels, n, &what("DPCCP"));
+        assert_sized_once(&Dpe::run(&ctx, 2).unwrap(), rels, n, &what("DPE"));
     }
 }

@@ -491,17 +491,20 @@ fn assert_lanes_equal_scalar(qi: &QueryInfo, model: &dyn CostModel) -> (bool, u6
 
 #[test]
 fn lanes_equal_scalar_on_named_shapes() {
-    // Stars and snowflakes (the lanes' shapes), a chain (short levels), a
-    // schema walk with cycles beside its bridges, and a cycle (no bridges:
-    // no lanes). The snowflakes' triangles and the schema walks' blocks have
-    // split tables, which each chunk reads after its lanes. The larger ones
-    // in release only: `plan-exact`'s draws of `snowflake-20` and `job-17`
-    // among them.
+    // Stars and snowflakes (the lanes' shapes), a star whose hub is
+    // relation 6 (leaves below and above it, so leaf splits of both
+    // orientations), a chain (short levels), a schema walk with cycles
+    // beside its bridges, and a cycle (no bridges, no tables: no lanes).
+    // The snowflakes' triangles and the schema walks' blocks have split
+    // tables, which the lanes read too. The larger ones in release only:
+    // `plan-exact`'s draws of `snowflake-20` and `job-17` among them.
     let m = PgLikeCost::new();
     let release = !cfg!(debug_assertions);
     let (mb, job) = (MusicBrainz::new(), ImdbSchema::new());
+    let around_6: Vec<usize> = (0..12).map(|v| (v + 6) % 12).collect();
     let mut shapes = vec![
         ("star-12", gen::star(12, 1, &m)),
+        ("star-12 around 6", gen::star(12, 1, &m).relabel(&around_6)),
         ("snowflake-14", gen::snowflake(14, 4, 1, &m)),
         ("chain-20", gen::chain(20, 1, &m)),
         ("mb-14", mb.random_walk_query(14, 7, true, &m)),
@@ -729,5 +732,68 @@ proptest! {
         let a = DpSub::run(&ctx).unwrap();
         let b = Mpdp::run(&ctx).unwrap();
         prop_assert!((a.cost - b.cost).abs() < 1e-6 * a.cost.max(1.0));
+    }
+}
+
+/// The sub-queries IDP2-MPDP (15) hands its inner MPDP on `q`, as IDP2
+/// contracts them.
+fn idp2_sub_queries(q: &LargeQuery, m: &dyn CostModel) -> Vec<LargeQuery> {
+    let seen = std::sync::Mutex::new(Vec::new());
+    let inner = mpdp_heuristics::large::mpdp_inner(m);
+    let capture = |sub: &LargeQuery| {
+        seen.lock().unwrap().push(sub.clone());
+        inner(sub)
+    };
+    mpdp_heuristics::idp2_with_inner(q, m, 15, &capture, &mpdp_heuristics::Budget::new(None))
+        .unwrap();
+    seen.into_inner().unwrap()
+}
+
+/// The sizes of `qi`'s blocks that get a split table.
+fn tabled_blocks(qi: &QueryInfo) -> Vec<usize> {
+    let sets = ConnectedSets::enumerate(qi).sets.len();
+    let index = BlockIndex::with_tables(&qi.graph, sets);
+    let tabled = index.cyclic_blocks().filter(|b| b.table().is_some());
+    tabled.map(|b| b.vertices.len()).collect()
+}
+
+#[test]
+fn lanes_equal_scalar_on_idp2_sub_queries() {
+    // IDP2's contracted 15-relation sub-problems, what `plan-large` spends
+    // its time on: leaves, inner bridges and tabled blocks side by side
+    // (snowflake-200's triangles, musicbrainz-50's 9-vertex block), and
+    // inputs far under eight rows, whose sort-merge is priced. Every
+    // sub-query in release, the first two of each query in a debug build.
+    let m = PgLikeCost::new();
+    let mb = MusicBrainz::new();
+    let limit = if cfg!(debug_assertions) {
+        2
+    } else {
+        usize::MAX
+    };
+    for (name, q, shown, largest) in [
+        ("snowflake-200", gen::snowflake(200, 4, 1, &m), 3, 5),
+        (
+            "musicbrainz-50",
+            mb.random_walk_query(50, 1, true, &m),
+            9,
+            9,
+        ),
+    ] {
+        let mut blocks = Vec::new();
+        for sub in idp2_sub_queries(&q, &m).into_iter().take(limit) {
+            let qi = sub.to_query_info().unwrap();
+            let (ran, _) = assert_lanes_equal_scalar(&qi, &m);
+            assert_lanes_equal_scalar(&uniform(&sub), &CoutCost);
+            if !ran {
+                return println!("skipped: no lanes (AVX-512 F, DQ not detected)");
+            }
+            blocks.extend(tabled_blocks(&qi));
+        }
+        println!("{name}: tabled blocks of {blocks:?} relations");
+        assert!(blocks.contains(&shown), "{name}: no tabled {shown}-block");
+        if limit == usize::MAX {
+            assert_eq!(blocks.iter().max(), Some(&largest), "{name}");
+        }
     }
 }
