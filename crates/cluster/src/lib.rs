@@ -14,7 +14,9 @@
 //!   ring, deterministic from a seed) maps each canonical fingerprint to
 //!   its owning shard. Adding or removing a shard moves only ~1/N of the
 //!   fingerprints (and the movers all land on the new shard), so a rehash
-//!   does not cold-start the survivors' caches.
+//!   does not cold-start the survivors' caches. The router canonicalizes a
+//!   query to find its fingerprint and hands the form to the shard with
+//!   the query ([`Routed`]), so a routed request canonicalizes once.
 //! * **Hot-template replication** — a Zipf-skewed workload concentrates on
 //!   a head of templates; with pure ownership routing the head serializes
 //!   on one shard and the model speedup stalls well short of N. Templates
@@ -46,7 +48,7 @@
 
 use mpdp::service::{cache_key, PlanRequest, PlanService, PlanServiceBuilder, ServedPlan};
 use mpdp_core::counters::CacheSnapshot;
-use mpdp_core::fingerprint::{canonicalize, Fingerprint};
+use mpdp_core::fingerprint::{Canonicalized, Fingerprint};
 use mpdp_core::ring::{HashRing, DEFAULT_VNODES};
 use mpdp_core::sync::lock_recover;
 use mpdp_core::{LargeQuery, OptError};
@@ -215,6 +217,19 @@ pub struct ClusterServed {
     pub shard: u32,
 }
 
+/// A request routed to its shard: the shard's service, the shard id, and the
+/// query with the canonical form routing computed, which the service plans
+/// from without canonicalizing again ([`PlanService::plan_canonical`]).
+#[derive(Debug)]
+pub struct Routed<'q> {
+    /// The serving shard's service.
+    pub service: Arc<PlanService>,
+    /// Id of the serving shard.
+    pub shard: u32,
+    /// The query and its canonical form.
+    pub query: Canonicalized<'q>,
+}
+
 /// Per-template routing statistics, striped to keep the hot path off a
 /// single lock.
 #[derive(Debug)]
@@ -312,7 +327,11 @@ impl PlanCluster {
     /// hot-template round-robin (this call advances the round-robin
     /// counter, exactly like a served request would).
     pub fn route(&self, fp: Fingerprint) -> u32 {
-        let topo = self.read_topo();
+        self.route_in(&self.read_topo(), fp)
+    }
+
+    /// [`PlanCluster::route`] against one topology view.
+    fn route_in(&self, topo: &Topology, fp: Fingerprint) -> u32 {
         let key = fp.as_u128();
         let count = self.hot.bump(key);
         if count > self.config.hot_threshold && self.config.replicas > 1 && topo.ring.len() > 1 {
@@ -342,23 +361,24 @@ impl PlanCluster {
         self.hot.count(fp.as_u128())
     }
 
-    /// Routes `q` and returns the serving shard's service together with
-    /// the canonical fingerprint and the shard id — the hook a serving
-    /// front-end uses to call the shard's service itself (with its own
-    /// request options and span) instead of going through
-    /// [`PlanCluster::plan`].
-    pub fn route_service(&self, q: &LargeQuery) -> (Arc<PlanService>, Fingerprint, u32) {
-        let fp = canonicalize(q).fingerprint;
-        let id = self.route(fp);
+    /// Canonicalizes and routes `q`, returning the serving shard's service
+    /// and id with the canonical form — the hook a serving front-end uses to
+    /// call the shard's service itself (with its own request options and
+    /// span) instead of going through [`PlanCluster::plan`]. Planning the
+    /// result with [`PlanService::plan_canonical`] canonicalizes nothing
+    /// again.
+    pub fn route_service<'q>(&self, q: &'q LargeQuery) -> Routed<'q> {
+        let query = Canonicalized::new(q);
         let topo = self.read_topo();
-        // The id came from this or an earlier topology; under a concurrent
-        // remove it may be gone — fall back to the current primary owner
-        // (ring ids are live ids by construction).
+        let id = self.route_in(&topo, query.fingerprint());
         let shard = topo
             .shard(id)
-            .or_else(|| topo.shard(topo.ring.shard_of(fp.as_u128())))
             .expect("consistent-hash ring only contains live shards");
-        (Arc::clone(&shard.service), fp, shard.id)
+        Routed {
+            service: Arc::clone(&shard.service),
+            shard: shard.id,
+            query,
+        }
     }
 
     /// Plans `q` on its routed shard (single-flight, cache-first).
@@ -373,9 +393,12 @@ impl PlanCluster {
         model: &dyn CostModel,
         req: &PlanRequest,
     ) -> Result<ClusterServed, OptError> {
-        let (service, _fp, shard) = self.route_service(q);
-        let served = service.plan_coalesced(q, model, req)?;
-        Ok(ClusterServed { served, shard })
+        let routed = self.route_service(q);
+        let served = routed.service.plan_canonical(routed.query, model, req)?;
+        Ok(ClusterServed {
+            served,
+            shard: routed.shard,
+        })
     }
 
     /// The service behind a shard id (tests and benches inspect shards

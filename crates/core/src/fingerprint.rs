@@ -8,36 +8,49 @@
 //!
 //! [`canonicalize`] relabels a [`LargeQuery`]'s relations into a canonical
 //! order so that *isomorphic* queries — identical up to a permutation of
-//! relation indices — collide on one key. The canonical order is produced by
-//! a degree/cardinality-sorted BFS:
+//! relation indices — collide on one key. The canonical order is the order
+//! of refined vertex signatures:
 //!
-//! 1. every vertex gets a local signature (degree, row count, scan cost, the
-//!    sorted multiset of its incident selectivities);
+//! 1. every vertex gets a local signature (row count, scan cost, and an
+//!    order-free sum of hashes of its incident selectivities, which also
+//!    tells degrees apart);
 //! 2. two rounds of Weisfeiler–Lehman-style refinement mix each signature
-//!    with the sorted signatures of its neighbours, separating vertices that
-//!    are locally identical but sit in different graph positions;
-//! 3. a BFS-style traversal starts from the vertex with the smallest refined
-//!    signature and repeatedly appends the frontier vertex with the smallest
-//!    (signature, edge-selectivity-to-visited) key.
+//!    with an order-free sum of its neighbours' hashed signatures, separating
+//!    vertices that are locally identical but sit in different positions.
+//!    Sums need no sorting, so both steps read the query's one edge list;
+//! 3. if every refined signature differs, the canonical order is the
+//!    vertices sorted by signature. Otherwise (uniform statistics on a
+//!    symmetric shape) the tie path refines to a fixed point, individualizes
+//!    the lowest-index vertex of the tied class with the smallest signature,
+//!    and repeats until every signature differs.
 //!
-//! Relabeled copies of one query have identical signature multisets, so the
-//! traversal visits corresponding vertices in the same order and the
-//! canonical form — and therefore the fingerprint — is identical. (Exact
-//! attribute ties between genuinely different vertices can in principle order
-//! differently across relabelings; with real-valued cardinalities and
-//! selectivities such ties are vanishing, and a tie that *is* hit only costs
-//! a cache miss, never a wrong plan: the fingerprint still hashes the full
-//! canonical structure.)
+//! Every step is label-invariant except the tie path's pick *within* a
+//! class, so relabeled copies of one query reach the same canonical form
+//! whenever the vertices of each class it individualizes are symmetric
+//! (exchanged by an automorphism). That holds for trees, cycles, cliques
+//! and grids (`tests/plan_cache.rs` checks each with uniform statistics).
+//! Where refinement cannot see an asymmetry, relabeled copies may
+//! canonicalize differently; that only costs a cache miss, never a wrong
+//! plan, because the fingerprint hashes the full canonical structure.
 //!
-//! The fingerprint itself hashes the canonical edge list (endpoints +
-//! selectivity bits) and the canonical per-relation cardinalities/costs with
-//! the workspace's Murmur3 finalizer ([`crate::memo::murmur3_fmix64`]) into
-//! 128 bits — two independently-seeded 64-bit lanes, so a serving cache can
-//! key on it without practical collision concern.
+//! The fingerprint hashes the canonical per-relation statistics and edge
+//! list with the workspace's Murmur3 finalizer
+//! ([`crate::memo::murmur3_fmix64`]) into 128 bits — two independently
+//! seeded 64-bit lanes. Each relation and each edge is one term carrying its
+//! canonical slots, and the terms are summed, so no edge list is sorted and
+//! no term waits on the previous one.
+//!
+//! A request that routes by fingerprint carries its form on to the service
+//! that probes the cache as a [`Canonicalized`]: the query and the form
+//! computed from it, built together, so a request canonicalizes once.
 
 use crate::memo::murmur3_fmix64;
 use crate::query::LargeQuery;
+use crate::sync::lock_recover;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// A 128-bit query fingerprint: equal for isomorphic (relabeled) queries.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,58 +94,195 @@ pub struct CanonicalQuery {
     pub slot: Vec<u32>,
 }
 
-/// Hashes one 64-bit word into both fingerprint lanes.
-#[inline]
-fn mix(acc: &mut (u64, u64), word: u64) {
-    // Distinct odd constants decorrelate the lanes; each absorb step is a
-    // multiply-xor feed into the Murmur3 finalizer.
-    acc.0 = murmur3_fmix64(acc.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ word);
-    acc.1 = murmur3_fmix64(acc.1.wrapping_mul(0xc2b2_ae3d_27d4_eb4f) ^ word);
+/// A query together with the canonical form computed from it.
+///
+/// A router that needs the fingerprint to pick a shard builds one, and the
+/// shard's service plans from it without canonicalizing again. The only
+/// constructor is [`Canonicalized::new`], so a form can never be paired with
+/// a query it was not computed from.
+#[derive(Debug)]
+pub struct Canonicalized<'q> {
+    query: &'q LargeQuery,
+    canonical: CanonicalQuery,
+    started: Instant,
+}
+
+impl<'q> Canonicalized<'q> {
+    /// Canonicalizes `query`.
+    pub fn new(query: &'q LargeQuery) -> Canonicalized<'q> {
+        let started = Instant::now();
+        Canonicalized {
+            query,
+            canonical: canonicalize(query),
+            started,
+        }
+    }
+
+    /// The query the form was computed from, in the caller's labels.
+    pub fn query(&self) -> &'q LargeQuery {
+        self.query
+    }
+
+    /// The fingerprint of the canonical form.
+    pub fn fingerprint(&self) -> Fingerprint {
+        self.canonical.fingerprint
+    }
+
+    /// When canonicalization began: where a request's service time starts,
+    /// so the time spent canonicalizing to route it is counted as service.
+    pub fn started(&self) -> Instant {
+        self.started
+    }
+
+    /// Gives up the query for its canonical form.
+    pub fn into_canonical(self) -> CanonicalQuery {
+        self.canonical
+    }
+}
+
+/// Odd multiplier folding a word into a running hash (2⁶⁴/φ).
+const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Seeds of the two fingerprint lanes.
+const LANES: [u64; 2] = [0x6d70_6470_5f66_7031, 0x6d70_6470_5f66_7032];
+/// Marks a vertex the tie path individualizes.
+const MARK: u64 = 0x6d70_6470_5f69_6e64;
+/// Refinement work (rounds × (relations + 2 × edges)) the tie path
+/// may spend before it orders what still ties by index. Far above what any
+/// shape of up to a hundred relations needs; it bounds the tie path on
+/// larger uniform cliques.
+const TIE_BUDGET: usize = 1 << 22;
+
+/// Canonicalizations run so far, per thread (see [`canonicalize_calls`]).
+/// A thread's counter is written only by that thread; an exiting thread
+/// folds its count into `retired`.
+struct Calls {
+    live: Vec<Arc<AtomicU64>>,
+    retired: u64,
+}
+
+static CALLS: Mutex<Calls> = Mutex::new(Calls {
+    live: Vec::new(),
+    retired: 0,
+});
+
+/// The number of times [`canonicalize`] has run in this process, on every
+/// thread. Tests use it to hold a request path to one canonicalization per
+/// request; it is exact once the threads that canonicalized are quiescent.
+pub fn canonicalize_calls() -> u64 {
+    let calls = lock_recover(&CALLS);
+    calls.retired
+        + calls
+            .live
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum::<u64>()
 }
 
 /// Reusable buffers for [`canonicalize`]. The serving hot path fingerprints
-/// every arrival, and at 100k+ requests/s the ~`n + 9` transient Vec
-/// allocations per call were a measurable slice of the hit latency — the
-/// scratch space makes the whole computation allocation-free except for the
-/// returned `order`/`slot` permutations.
-#[derive(Default)]
+/// every arrival, so the computation allocates nothing but the returned
+/// `order`/`slot` permutations.
 struct Scratch {
     sig: Vec<u64>,
     next: Vec<u64>,
-    neigh: Vec<u64>,
-    visited: Vec<bool>,
-    frontier: Vec<bool>,
-    link: Vec<f64>,
-    edges: Vec<(u32, u32, u64)>,
+    /// `(signature, vertex)`, sorted: the canonical order once no two
+    /// signatures tie.
+    ranked: Vec<(u64, u32)>,
+    calls: Arc<AtomicU64>,
+}
+
+impl Scratch {
+    fn new() -> Scratch {
+        let calls = Arc::new(AtomicU64::new(0));
+        lock_recover(&CALLS).live.push(Arc::clone(&calls));
+        Scratch {
+            sig: Vec::new(),
+            next: Vec::new(),
+            ranked: Vec::new(),
+            calls,
+        }
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let mut calls = lock_recover(&CALLS);
+        calls.retired += self.calls.load(Ordering::Relaxed);
+        calls.live.retain(|c| !Arc::ptr_eq(c, &self.calls));
+    }
 }
 
 thread_local! {
-    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::new());
 }
 
-/// One refinement round: `sig'(v) = H(sig(v), sorted sigs of neighbours)`,
-/// written from `sig` into `next` (reused buffers).
-fn refine(q: &LargeQuery, sig: &[u64], next: &mut Vec<u64>, neigh: &mut Vec<u64>) {
+/// One refinement round: `sig'(v) = H(sig(v), Σ_w H(sig(w), sel(v, w)))`,
+/// written from `sig` into `next`. The sum makes the neighbour fold
+/// independent of edge order without sorting anything, so it reads the
+/// query's one edge list instead of a vector per relation.
+fn refine(q: &LargeQuery, sig: &[u64], next: &mut Vec<u64>) {
     next.clear();
-    for v in 0..q.num_rels() {
-        neigh.clear();
-        for &(w, sel) in &q.adj[v] {
-            neigh.push(murmur3_fmix64(sig[w as usize] ^ sel.to_bits()));
+    next.resize(sig.len(), 0);
+    for e in &q.edges {
+        let (u, v, sel) = (e.u as usize, e.v as usize, e.sel.to_bits());
+        next[u] = next[u].wrapping_add(murmur3_fmix64(sig[v] ^ sel));
+        next[v] = next[v].wrapping_add(murmur3_fmix64(sig[u] ^ sel));
+    }
+    for (around, &own) in next.iter_mut().zip(sig) {
+        *around = murmur3_fmix64(own.wrapping_mul(FOLD) ^ *around);
+    }
+}
+
+/// Sorts `(sig[v], v)` into `ranked`; returns the number of distinct
+/// signatures.
+fn rank(sig: &[u64], ranked: &mut Vec<(u64, u32)>) -> usize {
+    ranked.clear();
+    ranked.extend(sig.iter().enumerate().map(|(v, &s)| (s, v as u32)));
+    ranked.sort_unstable();
+    1 + ranked.windows(2).filter(|w| w[0].0 != w[1].0).count()
+}
+
+/// Ranks the vertices by signature into `ranked`. While signatures tie (the
+/// tie path), refines `sig` to a fixed point, individualizes one vertex of
+/// the tied class with the smallest signature, and refines again. Leaves
+/// `ranked` sorted with every signature distinct, or, past [`TIE_BUDGET`],
+/// ordered by index within what ties.
+fn order_by_signature(
+    q: &LargeQuery,
+    sig: &mut Vec<u64>,
+    next: &mut Vec<u64>,
+    ranked: &mut Vec<(u64, u32)>,
+) {
+    let n = q.num_rels();
+    let round = n + 2 * q.edges.len();
+    let mut spent = 0;
+    let mut classes = rank(sig, ranked);
+    while classes < n && spent < TIE_BUDGET {
+        refine(q, sig, next);
+        std::mem::swap(sig, next);
+        spent += round;
+        let refined = rank(sig, ranked);
+        if refined == classes {
+            // Stable and still tied: the first tied pair in `ranked` is the
+            // smallest tied signature, its lower index first.
+            let w = ranked
+                .windows(2)
+                .find(|w| w[0].0 == w[1].0)
+                .expect("fewer classes than vertices means a tie");
+            let v = w[0].1 as usize;
+            sig[v] = murmur3_fmix64(sig[v] ^ MARK);
+            classes = rank(sig, ranked);
+        } else {
+            classes = refined;
         }
-        neigh.sort_unstable();
-        let mut h = murmur3_fmix64(sig[v]);
-        for &nh in neigh.iter() {
-            h = murmur3_fmix64(h.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ nh);
-        }
-        next.push(h);
     }
 }
 
 /// Computes the canonical order and fingerprint of `q`.
 ///
-/// Runs in `O(E log E)` per refinement round plus `O(V^2)` for the sorted
-/// traversal — microseconds for serving-sized queries, against DP planning
-/// times in the millisecond-to-second range.
+/// Linear in relations plus edges per refinement round, plus one sort of
+/// the relations — about a microsecond for serving-sized queries, against
+/// DP planning times in the millisecond-to-second range. Only queries whose
+/// refined signatures tie take the tie path.
 pub fn canonicalize(q: &LargeQuery) -> CanonicalQuery {
     SCRATCH.with(|s| canonicalize_with(q, &mut s.borrow_mut()))
 }
@@ -142,98 +292,59 @@ fn canonicalize_with(q: &LargeQuery, scratch: &mut Scratch) -> CanonicalQuery {
     let Scratch {
         sig,
         next,
-        neigh,
-        visited,
-        frontier,
-        link,
-        edges,
+        ranked,
+        calls,
     } = scratch;
+    // Only this thread writes its counter: a load and a store, no atomic
+    // read-modify-write.
+    calls.store(calls.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 
-    // Local signatures: degree, cardinality, scan cost, incident sels.
+    // Local signatures: cardinality, scan cost, and the sum of the incident
+    // selectivities' hashes (a sum of one term per edge also tells degrees
+    // apart).
     sig.clear();
-    for v in 0..n {
-        let mut h = murmur3_fmix64(q.adj[v].len() as u64);
-        h = murmur3_fmix64(h ^ q.rels[v].rows.to_bits());
-        h = murmur3_fmix64(h ^ q.rels[v].cost.to_bits());
-        neigh.clear();
-        neigh.extend(q.adj[v].iter().map(|&(_, s)| s.to_bits()));
-        neigh.sort_unstable();
-        for &s in neigh.iter() {
-            h = murmur3_fmix64(h.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ s);
-        }
-        sig.push(h);
+    sig.resize(n, 0);
+    for e in &q.edges {
+        let h = murmur3_fmix64(e.sel.to_bits());
+        sig[e.u as usize] = sig[e.u as usize].wrapping_add(h);
+        sig[e.v as usize] = sig[e.v as usize].wrapping_add(h);
+    }
+    for (s, rel) in sig.iter_mut().zip(&q.rels) {
+        let h = murmur3_fmix64(rel.rows.to_bits() ^ s.wrapping_mul(FOLD));
+        *s = murmur3_fmix64(h.wrapping_mul(FOLD) ^ rel.cost.to_bits());
     }
     // Two WL rounds separate locally-identical vertices by position.
-    refine(q, sig, next, neigh);
-    refine(q, next, sig, neigh);
+    refine(q, sig, next);
+    refine(q, next, sig);
 
-    // Degree/cardinality-sorted BFS: visit order is determined entirely by
-    // label-invariant keys, so relabeled copies traverse identically.
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut slot: Vec<u32> = vec![u32::MAX; n];
-    visited.clear();
-    visited.resize(n, false);
-    // Selectivity product between each vertex and the visited set — the BFS
-    // tie-breaker that keeps the traversal deterministic across relabelings
-    // even when two signatures collide.
-    link.clear();
-    link.resize(n, 1.0);
-    // `frontier[v]` = v is adjacent to the visited set; maintained when a
-    // vertex is visited, so each selection round is a flat O(n) key scan
-    // instead of re-deriving adjacency per candidate.
-    frontier.clear();
-    frontier.resize(n, false);
-    for _ in 0..n {
-        // Frontier = unvisited vertices adjacent to the visited set (or, if
-        // none — start/new component — every unvisited vertex).
-        let mut best: Option<usize> = None;
-        let mut best_key = (false, 0u64, 0u64);
-        for v in 0..n {
-            if visited[v] {
-                continue;
-            }
-            let key = (!frontier[v], sig[v], link[v].to_bits());
-            if best.is_none() || key < best_key {
-                best = Some(v);
-                best_key = key;
-            }
-        }
-        let v = best.expect("one unvisited vertex per iteration");
-        slot[v] = order.len() as u32;
-        order.push(v as u32);
-        visited[v] = true;
-        for &(w, sel) in &q.adj[v] {
-            link[w as usize] *= sel;
-            frontier[w as usize] = true;
-        }
+    order_by_signature(q, sig, next, ranked);
+    let order: Vec<u32> = ranked.iter().map(|&(_, v)| v).collect();
+    let mut slot: Vec<u32> = vec![0; n];
+    for (c, &v) in order.iter().enumerate() {
+        slot[v as usize] = c as u32;
     }
 
-    // Fingerprint the canonical form.
-    let mut acc = (0x6d70_6470_5f66_7031_u64, 0x6d70_6470_5f66_7032_u64);
-    mix(&mut acc, n as u64);
-    for &v in &order {
-        mix(&mut acc, q.rels[v as usize].rows.to_bits());
-        mix(&mut acc, q.rels[v as usize].cost.to_bits());
+    // Fingerprint the canonical form: one term per relation and per edge,
+    // each naming its canonical slots, summed per lane.
+    let mut acc = LANES.map(|seed| murmur3_fmix64(seed ^ n as u64));
+    for (v, rel) in q.rels.iter().enumerate() {
+        for (lane, seed) in acc.iter_mut().zip(LANES) {
+            let h = murmur3_fmix64(seed ^ (slot[v] as u64).wrapping_mul(FOLD) ^ rel.rows.to_bits());
+            *lane = lane.wrapping_add(murmur3_fmix64(h.wrapping_mul(FOLD) ^ rel.cost.to_bits()));
+        }
     }
-    // Canonical edge list, sorted by canonical endpoints.
-    edges.clear();
-    edges.extend(q.edges.iter().map(|e| {
+    for e in &q.edges {
         let (a, b) = (slot[e.u as usize], slot[e.v as usize]);
-        let (a, b) = if a < b { (a, b) } else { (b, a) };
-        (a, b, e.sel.to_bits())
-    }));
-    edges.sort_unstable();
-    mix(&mut acc, edges.len() as u64);
-    for &(a, b, s) in edges.iter() {
-        mix(&mut acc, (a as u64) << 32 | b as u64);
-        mix(&mut acc, s);
+        let ends = (a.min(b) as u64) << 32 | a.max(b) as u64;
+        for (lane, seed) in acc.iter_mut().zip(LANES) {
+            let h = murmur3_fmix64(seed.rotate_left(32) ^ ends.wrapping_mul(FOLD));
+            *lane = lane.wrapping_add(murmur3_fmix64(h ^ e.sel.to_bits()));
+        }
     }
+    let [hi, lo] = acc.map(|lane| murmur3_fmix64(lane ^ q.edges.len() as u64));
 
     CanonicalQuery {
-        fingerprint: Fingerprint {
-            hi: acc.0,
-            lo: acc.1,
-        },
+        fingerprint: Fingerprint { hi, lo },
         order,
         slot,
     }
@@ -315,6 +426,39 @@ mod tests {
         for (canon, &orig) in c.order.iter().enumerate() {
             assert_eq!(c.slot[orig as usize] as usize, canon);
         }
+    }
+
+    fn uniform_clique(n: usize) -> LargeQuery {
+        let mut q = LargeQuery::new(vec![RelInfo::new(100.0, 10.0); n]);
+        for u in 0..n {
+            for v in u + 1..n {
+                q.add_edge(u, v, 0.5);
+            }
+        }
+        q
+    }
+
+    #[test]
+    fn the_tie_budget_covers_a_hundred_relations_and_bounds_thousands() {
+        // Every relation of a uniform clique ties until it is
+        // individualized: the tie path's most expensive shape.
+        let q = uniform_clique(100);
+        let perm: Vec<usize> = (0..100).map(|i| (i * 37 + 11) % 100).collect();
+        assert_eq!(
+            canonicalize(&q).fingerprint,
+            canonicalize(&q.relabel(&perm)).fingerprint
+        );
+        // Past the budget, what still ties is ordered by index: still a
+        // permutation, in bounded time.
+        let c = canonicalize(&uniform_clique(200));
+        let mut order = c.order.clone();
+        order.sort_unstable();
+        assert!(order.iter().enumerate().all(|(i, &v)| v as usize == i));
+        assert!(c
+            .order
+            .iter()
+            .enumerate()
+            .all(|(s, &v)| c.slot[v as usize] as usize == s));
     }
 
     #[test]

@@ -60,7 +60,9 @@ pub use counters::{CacheCounters, CacheSnapshot, Counters, ExecCounters, LevelSt
 pub use enumerate::ConnectedSets;
 pub use error::OptError;
 pub use faults::{FaultAction, FaultPlan, Faults};
-pub use fingerprint::{canonicalize, CanonicalQuery, Fingerprint};
+pub use fingerprint::{
+    canonicalize, canonicalize_calls, CanonicalQuery, Canonicalized, Fingerprint,
+};
 pub use graph::{Edge, JoinGraph};
 pub use memo::{MemoEntry, MemoHealth, MemoStore, MemoTable};
 pub use plan::{extract_plan, PlanTree};

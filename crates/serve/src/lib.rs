@@ -5,7 +5,7 @@
 //! admission, single-flight planning, per-tenant isolation, and `/metrics`
 //! observability — without adding a single external dependency. Dispatchers
 //! are plain OS threads that block on the admission [`queue`]; the planning
-//! itself is `mpdp`'s `PlanService::plan_coalesced`, which single-flights
+//! itself is `mpdp`'s `PlanService::plan_canonical`, which single-flights
 //! cold fingerprints so N concurrent misses on one query shape cost one DP
 //! run.
 //!
@@ -18,7 +18,8 @@
 //!   ▼
 //! PlanTicket ◀── accepted; the caller holds the completion handle
 //!   │
-//! dispatcher thread pops ─▶ PlanService::plan_coalesced
+//! dispatcher thread pops ─▶ route (canonicalize; a cluster picks the shard)
+//!   │                     ─▶ PlanService::plan_canonical
 //!   │                        ──▶ hit | cold | coalesced | degraded
 //!   ▼                                              (exact counters)
 //! ticket completes: plan in the caller's labels + end-to-end latency
@@ -63,7 +64,7 @@ use mpdp_cluster::{ClusterConfig, PlanCluster};
 use mpdp_core::counters::{CacheSnapshot, ServeCounters, ServeSnapshot};
 use mpdp_core::faults::{site, Faults};
 use mpdp_core::sync::{lock_recover, wait_recover, wait_timeout_recover};
-use mpdp_core::{LargeQuery, OptError};
+use mpdp_core::{Canonicalized, LargeQuery, OptError};
 use mpdp_cost::model::CostModel;
 use mpdp_obs::{sites, ObsSnapshot, SpanCtx, SpanGuard, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -398,20 +399,25 @@ struct Tenant {
 }
 
 impl Tenant {
-    /// The service that plans `query`: the tenant's single service, or the
-    /// cluster shard its fingerprint routes to. Records a `serve.route`
-    /// event on the request's trace (attr = shard id + 1; 0 marks the
-    /// single-service backend).
-    fn route(&self, query: &LargeQuery, trace: &SpanCtx) -> Arc<PlanService> {
+    /// The service that plans `query` — the tenant's single service, or the
+    /// cluster shard its fingerprint routes to — and the query's canonical
+    /// form, computed here once for the service to plan from. Records a
+    /// `serve.route` event on the request's trace (attr = shard id + 1; 0
+    /// marks the single-service backend).
+    fn route<'q>(
+        &self,
+        query: &'q LargeQuery,
+        trace: &SpanCtx,
+    ) -> (Arc<PlanService>, Canonicalized<'q>) {
         match &self.backend {
             Backend::Single(service) => {
                 trace.event(sites::ROUTE, 0);
-                Arc::clone(service)
+                (Arc::clone(service), Canonicalized::new(query))
             }
             Backend::Cluster(cluster) => {
-                let (service, _, shard) = cluster.route_service(query);
-                trace.event(sites::ROUTE, shard as u64 + 1);
-                service
+                let routed = cluster.route_service(query);
+                trace.event(sites::ROUTE, routed.shard as u64 + 1);
+                (routed.service, routed.query)
             }
         }
     }
@@ -483,11 +489,12 @@ fn dispatch_loop(
             // shard by the query's fingerprint (advancing hot-template
             // round-robin); a single-backed tenant has one choice.
             let ctx = req.span.ctx();
-            let service = req.lease.tenants[req.lease.tenant].route(&req.query, &ctx);
+            let tenant = &req.lease.tenants[req.lease.tenant];
+            let (service, canonical) = tenant.route(&req.query, &ctx);
             // Per-request panic isolation: a planner that blows up fails
             // *this* ticket and the loop keeps serving its chunk-mates.
             let planned = catch_unwind(AssertUnwindSafe(|| {
-                service.plan_coalesced(&req.query, model, &opts)
+                service.plan_canonical(canonical, model, &opts)
             }));
             req.lease.finish(planned.unwrap_or_else(|_| {
                 Err(OptError::Internal(

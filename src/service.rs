@@ -5,11 +5,13 @@
 //! loop of a query optimizer; a deployment serves a *stream* of queries, not
 //! one. [`PlanService`] is the workspace's front door for that regime:
 //!
-//! * **Fingerprint cache** — every request is canonicalized
+//! * **Fingerprint cache** — every request is canonicalized once
 //!   (`mpdp_core::fingerprint`) so isomorphic queries collide on a 128-bit
-//!   key; results live in a sharded LRU [`PlanCache`], and a hit answers in
-//!   microseconds with the cached plan remapped onto the caller's own
-//!   relation ids.
+//!   key: by the Probe stage, or, for a request a cluster routed by
+//!   fingerprint, by the router, which hands its form over
+//!   ([`PlanService::plan_canonical`]). Results live in a sharded LRU
+//!   [`PlanCache`], and a hit answers in microseconds with the cached plan
+//!   remapped onto the caller's own relation ids.
 //! * **Adaptive routing** — misses are routed to the cheapest adequate
 //!   algorithm by query size and join-graph density, in the spirit of the
 //!   paper's budget-aware fallback cascade (exact DPCCP for small queries,
@@ -23,10 +25,11 @@
 //! # One request path
 //!
 //! Every entry point — [`PlanService::plan`] / [`PlanService::plan_with`],
-//! [`PlanService::plan_coalesced`] and [`PlanService::plan_async`] — drives
-//! the same private state machine, so the decision sequence, and with it
-//! every counter tally, span site and deadline rule, is written once
-//! (DESIGN.md §8 has the diagram with the degrade edges):
+//! [`PlanService::plan_coalesced`], [`PlanService::plan_canonical`] and
+//! [`PlanService::plan_async`] — drives the same private state machine, so
+//! the decision sequence, and with it every counter tally, span site and
+//! deadline rule, is written once (DESIGN.md §8 has the diagram with the
+//! degrade edges):
 //!
 //! ```text
 //! Probe → Afford → Join | Lead → Plan → Publish → Deliver
@@ -39,10 +42,12 @@
 //! the same order, so they cannot disagree on an outcome, a counter or a
 //! span.
 //!
-//! The one difference between the entry points is whether `Lead` registers a
-//! **flight** (`FlightTable`, private, `src/flight.rs`) that concurrent
-//! misses on the same fingerprint join instead of planning again. The
-//! serving path — `plan_coalesced` / `plan_async` — does: the per-key guard
+//! Apart from where the canonical form comes from (`plan_canonical` is
+//! handed it), the one difference between the entry points is whether `Lead`
+//! registers a **flight** (`FlightTable`, private, `src/flight.rs`) that
+//! concurrent misses on the same fingerprint join instead of planning again.
+//! The serving path — `plan_coalesced` / `plan_canonical` / `plan_async` —
+//! does: the per-key guard
 //! is not a lock held across the DP run but a registered flight that waiters
 //! park on, so overload turns into waiting, not duplicated planning.
 //! `plan` / `plan_with` do not, which keeps that path guard-free: workers
@@ -57,7 +62,7 @@ use crate::flight::{park_waker, Admission, Flight, FlightTable};
 use crate::planner::Planned;
 use crate::registry;
 use mpdp_core::faults::{site, Faults};
-use mpdp_core::fingerprint::{canonicalize, Fingerprint};
+use mpdp_core::fingerprint::{CanonicalQuery, Canonicalized, Fingerprint};
 use mpdp_core::sync::lock_recover;
 use mpdp_core::{LargeQuery, OptError};
 use mpdp_cost::model::CostModel;
@@ -438,6 +443,24 @@ impl PlanService {
         PlanFuture::new(self, q, model, req, true).block_on()
     }
 
+    /// [`PlanService::plan_coalesced`] for a query whose router already
+    /// canonicalized it (a cluster picks the shard by fingerprint): the
+    /// request probes the cache with that form instead of computing it
+    /// again, and its service time starts where the canonicalization began.
+    pub fn plan_canonical(
+        &self,
+        query: Canonicalized<'_>,
+        model: &dyn CostModel,
+        req: &PlanRequest,
+    ) -> Result<ServedPlan, OptError> {
+        let q = query.query();
+        PlanFuture {
+            stage: Stage::Probe(Some(query)),
+            ..PlanFuture::new(self, q, model, req, true)
+        }
+        .block_on()
+    }
+
     /// Asynchronous [`PlanService::plan_coalesced`]: returns a future that
     /// resolves to the served plan. A hit (or a strategy-override /
     /// cache-bypass request) resolves on first poll; a coalesced waiter
@@ -577,9 +600,10 @@ impl PlanService {
 /// `Lead`, `Plan`, `Publish` and `Deliver` never outlive a step, so only the
 /// states a step can start from are represented.
 #[derive(Debug)]
-enum Stage {
-    /// Nothing done yet.
-    Probe,
+enum Stage<'a> {
+    /// Nothing done yet; holds the request's canonical form if its router
+    /// already computed it.
+    Probe(Option<Canonicalized<'a>>),
     /// Joined another request's flight: the only state a request suspends
     /// in, woken when the leader publishes. The open `flight.wait` span is
     /// recorded (by drop) when the leader's result is delivered, so its
@@ -612,7 +636,7 @@ pub struct PlanFuture<'a> {
     /// Whether `Lead` registers a flight for concurrent misses to join: the
     /// one difference between `plan_with` and the coalesced entry points.
     coalesce: bool,
-    stage: Stage,
+    stage: Stage<'a>,
 }
 
 impl<'a> PlanFuture<'a> {
@@ -629,7 +653,7 @@ impl<'a> PlanFuture<'a> {
             model,
             req,
             coalesce,
-            stage: Stage::Probe,
+            stage: Stage::Probe(None),
         }
     }
 
@@ -657,7 +681,7 @@ impl<'a> PlanFuture<'a> {
         // successor stage without fighting the borrow checker.
         match std::mem::replace(&mut self.stage, Stage::Done) {
             Stage::Done => panic!("PlanFuture polled after completion"),
-            Stage::Probe => self.start(waker),
+            Stage::Probe(canonical) => self.start(canonical, waker),
             Stage::Join(flight, at, wait_span) => {
                 let Some(result) = flight.poll_result(waker) else {
                     self.stage = Stage::Join(flight, at, wait_span);
@@ -682,14 +706,23 @@ impl<'a> PlanFuture<'a> {
 
     /// `Probe → Afford → Join | Lead → Plan → Publish`: everything a request
     /// does before it is delivered or finds itself waiting on a flight.
-    fn start(&mut self, waker: Option<&Waker>) -> Poll<Result<ServedPlan, OptError>> {
+    fn start(
+        &mut self,
+        canonical: Option<Canonicalized<'a>>,
+        waker: Option<&Waker>,
+    ) -> Poll<Result<ServedPlan, OptError>> {
         let (svc, q, req) = (self.service, self.q, self.req);
-        let start = Instant::now();
-        let canonical = canonicalize(q);
+        let canonical = canonical.unwrap_or_else(|| Canonicalized::new(q));
+        let start = canonical.started();
+        let CanonicalQuery {
+            fingerprint,
+            order,
+            slot,
+        } = canonical.into_canonical();
         let at = Probed {
             start,
-            fp: canonical.fingerprint,
-            order: canonical.order,
+            fp: fingerprint,
+            order,
         };
         // Plans are only meaningful under the cost model that produced
         // them, so the cache key folds the model's identity into the query
@@ -759,7 +792,7 @@ impl<'a> PlanFuture<'a> {
                     // remap them onto its own ids, and inserted *before*
                     // the flight completes, so no instant exists where a
                     // new arrival re-plans.
-                    let canonical_plan = Arc::new(planned.with_relabeled_plan(&canonical.slot));
+                    let canonical_plan = Arc::new(planned.with_relabeled_plan(&slot));
                     svc.cache.insert(
                         key,
                         CachedPlan {

@@ -4,13 +4,14 @@
 use mpdp::cache::{CacheConfig, PlanCache};
 use mpdp::service::{PlanRequest, PlanService, PlanServiceBuilder};
 use mpdp_core::fingerprint::canonicalize;
-use mpdp_core::LargeQuery;
+use mpdp_core::{LargeQuery, RelInfo};
 use mpdp_cost::PgLikeCost;
-use mpdp_workload::gen;
+use mpdp_workload::{gen, StreamSpec, ZipfStream};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A random permutation of `0..n`, deterministic in `seed`.
@@ -207,4 +208,93 @@ fn per_request_override_and_bypass_coexist_with_concurrency() {
     });
     // One cold plan populated the cache; bypasses added nothing.
     assert_eq!(svc.cache_counters().insertions, 1);
+}
+
+/// A query with every relation and every edge statistically identical:
+/// refined signatures tie on any symmetric shape, so canonicalization takes
+/// its tie path.
+fn uniform(n: usize, edges: &[(usize, usize)]) -> LargeQuery {
+    let mut q = LargeQuery::new(vec![RelInfo::new(1_000.0, 10.0); n]);
+    for &(u, v) in edges {
+        q.add_edge(u, v, 0.01);
+    }
+    q
+}
+
+/// The canonical form itself: `q` relabeled into its canonical slots, as
+/// its relation statistics and sorted edge list.
+fn canonical_form(q: &LargeQuery) -> (Vec<RelInfo>, Vec<(u32, u32, u64)>) {
+    let slot: Vec<usize> = canonicalize(q).slot.iter().map(|&s| s as usize).collect();
+    let c = q.relabel(&slot);
+    let mut edges: Vec<(u32, u32, u64)> = c
+        .edges
+        .iter()
+        .map(|e| (e.u.min(e.v), e.u.max(e.v), e.sel.to_bits()))
+        .collect();
+    edges.sort_unstable();
+    (c.rels, edges)
+}
+
+/// Uniform chains, cycles, stars, cliques and a 3×3 grid, each under 16
+/// random relabelings: the fingerprint is relabel-invariant, and `order`
+/// maps corresponding relations — relabeling any copy into its canonical
+/// slots yields the one canonical query, so a plan stored in canonical
+/// slots remaps onto every copy.
+#[test]
+fn tied_signatures_canonicalize_to_one_form() {
+    let mut shapes: Vec<(String, LargeQuery)> = Vec::new();
+    for n in 2..=14 {
+        let path: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+        shapes.push((format!("chain-{n}"), uniform(n, &path)));
+        let spokes: Vec<(usize, usize)> = (1..n).map(|i| (0, i)).collect();
+        shapes.push((format!("star-{n}"), uniform(n, &spokes)));
+        if n >= 3 {
+            let mut ring = path.clone();
+            ring.push((n - 1, 0));
+            shapes.push((format!("cycle-{n}"), uniform(n, &ring)));
+        }
+        if n <= 12 {
+            let all: Vec<(usize, usize)> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .collect();
+            shapes.push((format!("clique-{n}"), uniform(n, &all)));
+        }
+    }
+    let grid: Vec<(usize, usize)> = (0..9)
+        .flat_map(|i| {
+            let right = (i % 3 < 2).then_some((i, i + 1));
+            let down = (i < 6).then_some((i, i + 3));
+            right.into_iter().chain(down)
+        })
+        .collect();
+    shapes.push(("grid-3x3".to_string(), uniform(9, &grid)));
+
+    for (name, q) in &shapes {
+        let n = q.num_rels();
+        let fp = canonicalize(q).fingerprint;
+        let form = canonical_form(q);
+        for round in 0..16 {
+            let r = q.relabel(&permutation(n, 0x7119 + round));
+            assert_eq!(
+                canonicalize(&r).fingerprint,
+                fp,
+                "{name}, relabeling {round}"
+            );
+            assert!(canonical_form(&r) == form, "{name}, relabeling {round}");
+        }
+    }
+}
+
+/// The serving stream's default pool (400 templates of 8–18 relations):
+/// every template has its own fingerprint.
+#[test]
+fn default_stream_pool_fingerprints_are_distinct() {
+    let m = PgLikeCost::new();
+    let stream = ZipfStream::new(&StreamSpec::default(), &m);
+    let fps: HashSet<_> = stream
+        .templates()
+        .iter()
+        .map(|t| canonicalize(&t.query).fingerprint)
+        .collect();
+    assert_eq!(fps.len(), stream.templates().len());
 }
