@@ -416,7 +416,7 @@ impl<'a> CyclicBlock<'a> {
 /// one shift per vertex of `within`. For subsets of one `within` it keeps
 /// the bitmap order, so [`RelSet::subsets_ascending`] visits ranks `1, 2, …`.
 #[inline]
-fn rank(within: RelSet, inside: RelSet) -> usize {
+pub fn rank(within: RelSet, inside: RelSet) -> usize {
     let mut r = 0;
     for (k, v) in within.iter().enumerate() {
         r |= (inside.bits() >> v & 1) << k;
@@ -443,15 +443,82 @@ pub struct BlockSplit {
     pub hang: RelSet,
 }
 
+impl BlockSplit {
+    /// The grow steps of the split's two Join-Pairs, `(lb, rb)` and
+    /// `(rb, lb)`, where each grows its first side and, if that is
+    /// connected, its second: `|b| + [lb ok]·|rb| + [rb ok]·|lb|`.
+    #[inline]
+    pub fn grow_steps(&self) -> u64 {
+        let (l, r) = (self.lb.len() as u64, self.rb.len() as u64);
+        l + r + self.lb_ok as u64 * r + self.rb_ok as u64 * l
+    }
+}
+
+/// How [`SplitFinder::splits`] walks each block of `G[I]`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Walk {
+    /// The CCP splits only, from their connected left sides
+    /// ([`SplitWalk`]); no grow steps are counted.
+    Ccp,
+    /// Every submask split, connected sides or not — the simulated GPU's
+    /// lane per submask — with its grow steps.
+    Every,
+    /// The CCP splits, with the grow steps every submask split would take:
+    /// in closed form where the block of `G[I]` is a clique or a cycle
+    /// ([`closed_form_steps`]), otherwise by every submask split, reported
+    /// as under [`Walk::Every`].
+    Counted,
+}
+
+/// What [`SplitFinder::splits`] counts for the blocks of `G[I]`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct SplitCount {
+    /// Algorithm 3's EvaluatedCounter: both orders of every submask split,
+    /// `2·(2^(|b|−1) − 1)` per block `b`.
+    pub evaluated: u64,
+    /// `T(I)`, the sum of [`BlockSplit::grow_steps`] over every submask
+    /// split; 0 under [`Walk::Ccp`].
+    pub grow_steps: u64,
+}
+
+/// `T` of a block `b` of an induced subgraph (biconnected, two vertices or
+/// more) that is a clique `K_m` — an edge is `K_2` — or a cycle `C_m`, in
+/// closed form; `None` for any other block. Every connected proper side `C`
+/// of `b` is one side of exactly one split, and adds `|b| − |C|` to the
+/// `|b|` every split takes, so
+///
+/// * `K_m`: `(2^(m−1) − 1)·m + Σ_k C(m, k)·(m − k) = 2m·(2^(m−1) − 1)`;
+/// * `C_m`: the connected sides are the `m` arcs of each length `k < m`,
+///   `(2^(m−1) − 1)·m + m²(m − 1)/2`.
+///
+/// A biconnected graph with as many edges as vertices is a cycle.
+pub fn closed_form_steps(g: &JoinGraph, b: RelSet) -> Option<u64> {
+    let m = b.len() as u64;
+    let splits = (1u64 << (m - 1)) - 1;
+    if m == 2 {
+        return Some(4);
+    }
+    let degrees: u64 = b
+        .iter()
+        .map(|v| g.adjacency(v).intersect(b).len() as u64)
+        .sum();
+    match degrees / 2 {
+        e if e == m * (m - 1) / 2 => Some(2 * m * splits),
+        e if e == m => Some(splits * m + m * m * (m - 1) / 2),
+        _ => None,
+    }
+}
+
 /// The one walk from an intersection to split masks: the blocks of `G[I]`
 /// ([`BlockFinder::find_in_block`]), their splits ([`SplitWalk`], or every
-/// submask when asked) and each CCP split's hanging mask. The split tables
-/// are built with it, and the MPDP set kernel runs it per set for a block
-/// without a table. Owns its scratch, so a call allocates nothing.
+/// submask when asked) and each CCP split's hanging mask, with the grow
+/// steps the simulated GPU charges when asked. The split tables are built
+/// with it, and the MPDP set kernel runs it per set for a block without a
+/// table. Owns its scratch, so a call allocates nothing.
 #[derive(Default)]
 pub struct SplitFinder {
     finder: BlockFinder,
-    walk: SplitWalk,
+    lefts: SplitWalk,
 }
 
 impl SplitFinder {
@@ -464,10 +531,10 @@ impl SplitFinder {
     /// the block's intersection with a connected set (so `I` is connected):
     /// calls `each` with every CCP split of every block of `G[I]`, visited
     /// from the side holding the block's lowest vertex, each standing for
-    /// both orders — or, when `every_split`, with every submask split of
-    /// every block, connected sides or not (the simulated GPU's walk).
-    /// Returns Algorithm 3's EvaluatedCounter for those blocks, both orders
-    /// of every submask split, `2·(2^(|b|−1) − 1)` per block `b`.
+    /// both orders — and, for a block `walk` takes through every submask
+    /// split, with every other split too, connected sides or not. Returns
+    /// Algorithm 3's EvaluatedCounter for those blocks and, unless `walk` is
+    /// [`Walk::Ccp`], their grow steps `T(I)`.
     // Inlined into each caller, so that what `each` updates stays in
     // registers (DESIGN.md §4).
     #[inline(always)]
@@ -476,17 +543,17 @@ impl SplitFinder {
         g: &JoinGraph,
         block: &CyclicBlock<'_>,
         inside: RelSet,
-        every_split: bool,
+        walk: Walk,
         mut each: impl FnMut(BlockSplit),
-    ) -> u64 {
+    ) -> SplitCount {
         // Nothing hangs off a block that is the whole graph.
         let bare = block.vertices == g.all_vertices();
-        let SplitFinder { finder, walk } = self;
-        let mut evaluated = 0;
+        let SplitFinder { finder, lefts } = self;
+        let mut count = SplitCount::default();
         for &b in finder.find_in_block(g, inside, block.vertices) {
             // Line 6, halved: the splits whose left side holds the block's
             // lowest vertex, each standing for both orders.
-            evaluated += 2 * ((1u64 << (b.len() - 1)) - 1);
+            count.evaluated += 2 * ((1u64 << (b.len() - 1)) - 1);
             // Lines 17-18: what `lb` reaches in `I` without crossing `rb`
             // (`lb` itself when the block is all of `I`), with what hangs
             // off it.
@@ -502,6 +569,17 @@ impl SplitFinder {
                     block.hanging(reach)
                 }
             };
+            let every_split = match walk {
+                Walk::Ccp => false,
+                Walk::Every => true,
+                Walk::Counted => match closed_form_steps(g, b) {
+                    Some(steps) => {
+                        count.grow_steps += steps;
+                        false
+                    }
+                    None => true,
+                },
+            };
             // CCP block (lines 10-14): a block is connected, so an edge
             // between its two sides always exists.
             if every_split {
@@ -512,16 +590,18 @@ impl SplitFinder {
                         true => hang(lb, rb),
                         false => RelSet::EMPTY,
                     };
-                    each(BlockSplit {
+                    let split = BlockSplit {
                         lb,
                         rb,
                         lb_ok,
                         rb_ok,
                         hang,
-                    });
+                    };
+                    count.grow_steps += split.grow_steps();
+                    each(split);
                 }
             } else {
-                for lb in walk.lefts(g, b) {
+                for lb in lefts.lefts(g, b) {
                     let rb = b.difference(lb);
                     if g.is_connected(rb) {
                         each(BlockSplit {
@@ -535,7 +615,7 @@ impl SplitFinder {
                 }
             }
         }
-        evaluated
+        count
     }
 }
 
@@ -679,7 +759,9 @@ impl BlockIndex {
                 let mut evaluated = 0;
                 if inside.len() >= 2 && g.is_connected(inside) {
                     let push = |split: BlockSplit| masks.push(split.hang);
-                    evaluated = splitter.splits(g, &block, inside, false, push);
+                    evaluated = splitter
+                        .splits(g, &block, inside, Walk::Ccp, push)
+                        .evaluated;
                 }
                 rows.push(row(start, evaluated));
                 if rows.len() + masks.len() >= budget {

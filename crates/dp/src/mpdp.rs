@@ -16,7 +16,9 @@
 //! 18 relations the full set's one block has 131 071 submask splits and 153
 //! CCP splits. What a block contributes depends only on its intersection with
 //! the set, so a small block's splits are read from a table built once per
-//! run. The simulated GPU keeps the submask walk, whose lanes it charges.
+//! run. The simulated GPU runs this kernel too, tables included, and counts
+//! its CCC lane charges from what the kernel counts; only its lockstep
+//! entries keep the submask walk, whose lanes they charge one by one.
 //!
 //! The per-set loop exists once, as [`SetKernel`]; the sequential driver here,
 //! the CPU-parallel one in `mpdp-parallel` and the simulated-GPU one in
@@ -26,30 +28,31 @@
 //! ([`SetKernel::evaluate_chunk`]), and where the CPU has AVX-512 it prices
 //! their bridge, leaf and tabled-block splits one set per lane (§4 "One set
 //! per lane", "Every split on lanes"); only the blocks without a table, and
-//! what the lanes hand back, stay scalar. The simulator keeps the scalar
-//! per-split walk its lane charges need.
+//! what the lanes hand back, stay scalar. The simulator hands it its levels
+//! the same way under CCC (§4 "The simulator's charges, counted"); its
+//! lockstep entries keep the scalar per-split walk their lane charges need.
 
 use crate::common::{
     finish, init_memo, join_inputs, level_plan, OptContext, OptResult, PricedSplit,
 };
 use crate::lanes;
 pub use crate::lanes::LANES;
-use mpdp_core::blocks::{BlockIndex, Bridge, SplitFinder, SplitTable};
+use mpdp_core::blocks::{BlockIndex, Bridge, SplitFinder, SplitTable, Walk};
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
 use mpdp_core::{OptError, QueryInfo, RelSet};
 use mpdp_cost::model::{CostModel, LaneForm};
 
 /// Watches the block-level splits of a set as [`SetKernel`] visits them.
-/// The simulated GPU charges lane cycles from here; everyone else passes
-/// `()`.
+/// The simulated GPU's lockstep entries charge lane cycles from here, lane
+/// by lane; everyone else passes `()`.
 pub trait SplitObserver {
     /// Visit every submask split of every block, connected sides or not, and
     /// report each with both sides' connectivity: the paper's
-    /// lane-per-submask walk, which the simulator charges. Without it the
-    /// kernel reports nothing, walks only the splits whose left side is
-    /// connected, and reads a tabled block's splits from its
-    /// [`SplitTable`], which keeps no
+    /// lane-per-submask walk, which the simulator charges where it needs
+    /// the lanes in order. Without it the kernel reports nothing, walks
+    /// only the splits whose left side is connected, and reads a tabled
+    /// block's splits from its [`SplitTable`], which keeps no
     /// block-level sides.
     const EVERY_SPLIT: bool = false;
 
@@ -76,6 +79,12 @@ pub struct SetOutcome {
     /// the memo exactly as publishing every pair would. `None` only if a
     /// side was missing from the memo.
     pub best: Option<MemoEntry>,
+    /// On a kernel that counts grow steps ([`SetKernel::counting`]): over
+    /// the blocks the kernel walked rather than read from a split table,
+    /// the [grow steps](mpdp_core::blocks::BlockSplit::grow_steps) of every
+    /// submask split beyond the four of a bridge's split, `T(I) − 2·E(I)`
+    /// for each such block's intersection `I`. 0 on any other kernel.
+    pub excess_steps: u64,
 }
 
 /// Algorithm 3's per-set body: find the blocks of `S`, enumerate CCP pairs
@@ -125,7 +134,12 @@ pub struct SetOutcome {
 /// step; and each tabled block, each lane its own row of the table. Only
 /// the blocks without a table, and what the lanes spill, go through the
 /// scalar code above.
-pub struct SetKernel<'a> {
+///
+/// `STEPS` is set only on the simulated GPU's kernel
+/// ([`counting`](SetKernel::counting)): its untabled blocks also count the
+/// grow steps the device's lanes would take ([`SetOutcome::excess_steps`]),
+/// from the same walk. The CPU kernels are compiled without that code.
+pub struct SetKernel<'a, const STEPS: bool = false> {
     q: &'a QueryInfo,
     model: &'a dyn CostModel,
     index: &'a BlockIndex,
@@ -208,6 +222,20 @@ impl<'a> SetKernel<'a> {
     /// split tables ([`BlockIndex::with_tables`]) is read-only, so every
     /// worker's kernel can share one.
     pub fn new(q: &'a QueryInfo, model: &'a dyn CostModel, index: &'a BlockIndex) -> Self {
+        Self::build(q, model, index)
+    }
+}
+
+impl<'a> SetKernel<'a, true> {
+    /// [`new`](SetKernel::new), for a kernel that also counts the grow
+    /// steps of the blocks it walks ([`SetOutcome::excess_steps`]).
+    pub fn counting(q: &'a QueryInfo, model: &'a dyn CostModel, index: &'a BlockIndex) -> Self {
+        Self::build(q, model, index)
+    }
+}
+
+impl<'a, const STEPS: bool> SetKernel<'a, STEPS> {
+    fn build(q: &'a QueryInfo, model: &'a dyn CostModel, index: &'a BlockIndex) -> Self {
         let tabled = index.cyclic_blocks().any(|b| b.table().is_some());
         let lanes = match lanes::detected() && (!index.bridges.is_empty() || tabled) {
             true => model.lane_form(),
@@ -303,6 +331,7 @@ impl<'a> SetKernel<'a> {
                         cost: mins.cost[j],
                         rows,
                     }),
+                    excess_steps: 0,
                 },
             }
         });
@@ -360,7 +389,8 @@ impl<'a> SetKernel<'a> {
     /// The splits of the set of `min` inside the graph's cyclic blocks,
     /// into `min`: a tabled block's from its table (none where not
     /// `TABLES`: the lanes priced them), any other's from the walk, and
-    /// every submask's from the walk for an observer that asks.
+    /// every submask's from the walk for an observer that asks. Where
+    /// `STEPS`, the walked blocks' excess grow steps too.
     // Inlined into both callers, so `evaluate` stays one function (see the
     // note on it).
     #[inline(always)]
@@ -389,7 +419,12 @@ impl<'a> SetKernel<'a> {
                 }
                 continue;
             }
-            min.out.evaluated += splits.splits(g, &cyclic, inside, O::EVERY_SPLIT, |split| {
+            let walk = match (O::EVERY_SPLIT, STEPS) {
+                (true, _) => Walk::Every,
+                (false, true) => Walk::Counted,
+                (false, false) => Walk::Ccp,
+            };
+            let count = splits.splits(g, &cyclic, inside, walk, |split| {
                 if O::EVERY_SPLIT {
                     observer.split(s, split.lb, split.rb, split.lb_ok, split.rb_ok);
                 }
@@ -399,6 +434,10 @@ impl<'a> SetKernel<'a> {
                     min.consider(left);
                 }
             });
+            min.out.evaluated += count.evaluated;
+            if STEPS {
+                min.out.excess_steps += count.grow_steps - 2 * count.evaluated;
+            }
         }
     }
 }

@@ -19,7 +19,8 @@
 //! as in the original work the paper compares against.
 
 use crate::kernels::{
-    self, evaluate_dpsub_kernel, evaluate_mpdp_kernel, expand_kernel, level_transfer,
+    self, evaluate_dpsub_kernel, evaluate_mpdp_counted, evaluate_mpdp_kernel, expand_kernel,
+    level_transfer, TabledSteps,
 };
 use crate::simt::{GpuConfig, GpuStats, WarpPolicy};
 use mpdp_core::atomic_memo::AtomicMemo;
@@ -81,7 +82,8 @@ impl GpuDriverConfig {
         }
     }
 
-    fn policy(&self) -> WarpPolicy {
+    /// The warp policy of the evaluate launches: CCC where `ccc` is set.
+    pub fn policy(&self) -> WarpPolicy {
         if self.ccc {
             WarpPolicy::Ccc {
                 overhead_per_pass: 4,
@@ -115,11 +117,21 @@ fn run_level_structured(
     let memo: AtomicMemo = init_memo(q, &plan);
     let mut profile = Profile::default();
     let mut stats = GpuStats::default();
-    // The query's block structure and the per-set kernel MPDP's evaluate
-    // launches run (host-side state of the simulation, not device traffic).
-    // No split tables: the simulated lanes walk every submask of a block.
-    let block_index = BlockIndex::new(&q.graph);
-    let mut set_kernel = SetKernel::new(q, ctx.model, &block_index);
+    // Host-side state of the simulation, not device traffic: MPDP's block
+    // structure with the CPU's split tables, the per-set kernel its
+    // evaluate launches run, and, under CCC, the grow steps of the tabled
+    // blocks, which the kernel reads rather than walks. The lockstep
+    // entries' walk of every submask split reads no table.
+    let policy = cfg.policy();
+    let block_index = match algo {
+        GpuAlgo::Mpdp => BlockIndex::with_tables(&q.graph, plan.sets.len()),
+        GpuAlgo::DpSub | GpuAlgo::DpSize => BlockIndex::default(),
+    };
+    let tabled = match policy {
+        WarpPolicy::Ccc { .. } => TabledSteps::new(q, &block_index),
+        WarpPolicy::Lockstep => TabledSteps::default(),
+    };
+    let mut set_kernel = SetKernel::counting(q, ctx.model, &block_index);
 
     for i in 2..=n {
         ctx.check_deadline()?;
@@ -132,25 +144,35 @@ fn run_level_structured(
             GpuAlgo::Mpdp | GpuAlgo::DpSub => {
                 let level_sets = plan.level(i);
                 expand_kernel(q, plan.level(i - 1).0, level_sets.0, &mut stats);
-                let counted = if algo == GpuAlgo::Mpdp {
-                    evaluate_mpdp_kernel(
+                let counted = match (algo, policy) {
+                    (GpuAlgo::Mpdp, WarpPolicy::Ccc { overhead_per_pass }) => {
+                        evaluate_mpdp_counted(
+                            &mut set_kernel,
+                            &tabled,
+                            &memo,
+                            level_sets,
+                            overhead_per_pass,
+                            cfg.fused_prune,
+                            &mut stats,
+                        )
+                    }
+                    (GpuAlgo::Mpdp, WarpPolicy::Lockstep) => evaluate_mpdp_kernel(
                         &mut set_kernel,
                         &memo,
                         level_sets,
-                        cfg.policy(),
+                        policy,
                         cfg.fused_prune,
                         &mut stats,
-                    )
-                } else {
-                    evaluate_dpsub_kernel(
+                    ),
+                    _ => evaluate_dpsub_kernel(
                         q,
                         ctx.model,
                         &memo,
                         level_sets,
-                        cfg.policy(),
+                        policy,
                         cfg.fused_prune,
                         &mut stats,
-                    )
+                    ),
                 };
                 level = LevelStats { size: i, ..counted };
             }
@@ -193,7 +215,7 @@ fn run_level_structured(
                         }
                     }
                 }
-                let (cyc, sh) = crate::simt::schedule_warp(cfg.policy(), &lane_costs);
+                let (cyc, sh) = crate::simt::schedule_warp(policy, &lane_costs);
                 stats.warp_cycles += cyc;
                 stats.busy_cycles += lane_costs.iter().map(|&x| x as u64).sum::<u64>();
                 stats.shared_ops += sh;
@@ -346,9 +368,10 @@ mod tests {
 
     #[test]
     fn gpu_counters_match_cpu_counterparts() {
-        // The simulated MPDP walks every submask of a block and the CPU
-        // kernel only the connected left sides; both count Algorithm 3's
-        // submasks and find the same plan. Cyclic graphs are where the two
+        // The simulated MPDP counts its lanes from the CPU kernel's run
+        // (CCC) or walks every submask of a block (lockstep), where the CPU
+        // kernel walks only the connected left sides; all count Algorithm
+        // 3's submasks and find the same plan. Cyclic graphs are where the
         // walks differ.
         let m = PgLikeCost::new();
         let mut qs = vec![

@@ -28,20 +28,29 @@
 //! measures. The former host-side `scatter` merge no longer exists.
 //!
 //! The MPDP evaluate kernel does not have a per-set loop of its own: it runs
-//! `mpdp-dp`'s `SetKernel`, the loop of the CPU backends, and charges the
-//! lanes through its observer hook. That kernel always reduces a set before
-//! it publishes, so for unfused MPDP the per-pair atomics are charged (one
+//! `mpdp-dp`'s `SetKernel`, the loop of the CPU backends. Under CCC it runs
+//! the CPU's fast path — eight sets per AVX-512 step, split tables — and
+//! charges each set's lanes from the kernel's counts
+//! ([`evaluate_mpdp_counted`]): CCC reads only a set's lane count and the
+//! sum of its lane cycles, and both follow in closed form from `evaluated`,
+//! `ccp` and the blocks' grow steps (DESIGN.md §4 "The simulator's charges,
+//! counted"). Lockstep takes the maximum per 32-lane batch, which needs the
+//! lanes in order, so it keeps the walk of every submask split through the
+//! kernel's observer hook ([`evaluate_mpdp_kernel`]), which is also the
+//! counted charges' test oracle. That kernel always reduces a set before it
+//! publishes, so for unfused MPDP the per-pair atomics are charged (one
 //! probe read each) rather than executed.
 
-use crate::simt::{schedule_warp, GpuStats, WarpPolicy, WARP_WIDTH};
+use crate::simt::{schedule_ccc, schedule_warp, GpuStats, WarpPolicy, WARP_WIDTH};
 use mpdp_core::atomic_memo::AtomicMemo;
+use mpdp_core::blocks::{rank, BlockIndex, SplitFinder, Walk};
 use mpdp_core::counters::LevelStats;
 use mpdp_core::memo::MemoEntry;
 use mpdp_core::query::QueryInfo;
 use mpdp_core::RelSet;
 use mpdp_cost::model::CostModel;
 use mpdp_dp::common::price_pair;
-use mpdp_dp::mpdp::{SetKernel, SplitObserver};
+use mpdp_dp::mpdp::{SetKernel, SetOutcome, SplitObserver, LANES};
 
 /// Cycle-cost constants for the simulated lanes.
 pub mod cycles {
@@ -267,11 +276,13 @@ impl SplitObserver for LaneCharges<'_> {
 /// first finds the blocks of the set (the parallel Find-Blocks of \[29\]),
 /// then each lane takes one block submask, grows it, and costs the pair. The
 /// real work is the shared [`SetKernel`] (the CPU backends' own per-set
-/// loop), watched by `LaneCharges`; its reduced winner is the warp's one
-/// atomic publish with the fused prune. Without it the winners are published
-/// by the separate prune launch, charged one atomic per surviving pair.
-pub fn evaluate_mpdp_kernel(
-    kernel: &mut SetKernel<'_>,
+/// loop), watched by `LaneCharges` through every submask split, one set at a
+/// time; its reduced winner is the warp's one atomic publish with the fused
+/// prune. Without it the winners are published by the separate prune
+/// launch, charged one atomic per surviving pair. The lockstep entries run
+/// this; under CCC it is [`evaluate_mpdp_counted`]'s oracle.
+pub fn evaluate_mpdp_kernel<const STEPS: bool>(
+    kernel: &mut SetKernel<'_, STEPS>,
     memo: &AtomicMemo,
     (sets, rows): (&[RelSet], &[f64]),
     policy: WarpPolicy,
@@ -302,6 +313,126 @@ pub fn evaluate_mpdp_kernel(
             out.memo_writes += publish_atomic(memo, set.best, None, stats);
         } else {
             pending.extend(set.best);
+        }
+    }
+    if !fused_prune {
+        stats.kernel_launches += 1; // the separate prune kernel for the level
+        stats.global_reads += out.ccp;
+        out.memo_writes += publish_atomic(memo, pending, Some(out.ccp), stats);
+    }
+    out
+}
+
+/// The excess grow steps ([`SetOutcome::excess_steps`]) of the blocks the
+/// set kernel reads from split tables, which it does not walk: for each
+/// tabled block `B`, `T(I) − 2·E(I)` of every connected `I ⊆ B`, indexed by
+/// `I`'s rank as the block's table is. Each comes out of one
+/// [`SplitFinder::splits`] per intersection, once per query; the CPU's
+/// tables are untouched. Host-side state of the simulation.
+#[derive(Clone, Debug, Default)]
+pub struct TabledSteps {
+    blocks: Vec<(RelSet, Vec<u64>)>,
+}
+
+impl TabledSteps {
+    /// The steps of every block of `index` that has a split table.
+    pub fn new(q: &QueryInfo, index: &BlockIndex) -> Self {
+        let g = &q.graph;
+        let mut finder = SplitFinder::new();
+        let blocks = index.cyclic_blocks().filter(|b| b.table().is_some());
+        let blocks = blocks.map(|block| {
+            let b = block.vertices;
+            // One entry per subset in rank order, the empty one first.
+            let all = std::iter::once(RelSet::EMPTY).chain(b.subsets_ascending());
+            let steps = all.map(|inside| {
+                if inside.len() < 2 || !g.is_connected(inside) {
+                    return 0; // no split, or never an intersection
+                }
+                let count = finder.splits(g, &block, inside, Walk::Counted, |_| {});
+                count.grow_steps - 2 * count.evaluated
+            });
+            (b, steps.collect())
+        });
+        TabledSteps {
+            blocks: blocks.collect(),
+        }
+    }
+
+    /// The excess grow steps of the connected set `s` inside the tabled
+    /// blocks.
+    #[inline]
+    fn of(&self, s: RelSet) -> u64 {
+        let at = |(b, steps): &(RelSet, Vec<u64>)| steps[rank(*b, s.intersect(*b))];
+        self.blocks.iter().map(at).sum()
+    }
+}
+
+/// Evaluate kernel, MPDP style, under CCC: the warps and the work of
+/// [`evaluate_mpdp_kernel`], with the lanes counted instead of walked. The
+/// set kernel runs as the sequential CPU driver runs it, eight sets per
+/// [`SetKernel::evaluate_chunk`] where [`SetKernel::lanes_for`] says so, one
+/// per [`SetKernel::evaluate`] otherwise. Under CCC a warp's charge reads
+/// two numbers of its set `S`: the lanes, `1 + E`, and the sum of their
+/// cycles,
+///
+/// `BLOCKS_PER_VERTEX·|S| + CHECK·E + (CHECK + GROW_STEP·|S| + COST_EVAL)·P
+/// + GROW_STEP·(2E + excess)`,
+///
+/// with `E` its `evaluated`, `P` its `ccp` and `excess` the grow steps of
+/// its splits beyond four each (the untabled blocks' from the set kernel's
+/// walk, the tabled ones' from `tabled`). That is the walk's sum to the
+/// cycle: the two lanes of a split `{lb, rb}` take `2·CHECK` and
+/// [`grow_steps`](mpdp_core::blocks::BlockSplit::grow_steps), and, where
+/// both sides are connected, the edge test, the grow to `S` and the costing
+/// each. Winners are published by key, per set, as the walk publishes them.
+pub fn evaluate_mpdp_counted(
+    kernel: &mut SetKernel<'_, true>,
+    tabled: &TabledSteps,
+    memo: &AtomicMemo,
+    (sets, rows): (&[RelSet], &[f64]),
+    overhead_per_pass: u32,
+    fused_prune: bool,
+    stats: &mut GpuStats,
+) -> LevelStats {
+    use cycles::{BLOCKS_PER_VERTEX, CHECK, COST_EVAL, GROW_STEP};
+    stats.kernel_launches += 1;
+    let mut out = LevelStats {
+        sets: sets.len() as u64,
+        ..Default::default()
+    };
+    let mut pending: Vec<MemoEntry> = Vec::new();
+    let mut charge = |s: RelSet, set: &SetOutcome| {
+        let (width, e, p) = (s.len() as u64, set.evaluated, set.ccp);
+        let lanes = 1 + e;
+        let steps = 2 * e + set.excess_steps + tabled.of(s);
+        let cycles = u64::from(BLOCKS_PER_VERTEX) * width
+            + u64::from(CHECK) * e
+            + (u64::from(CHECK + COST_EVAL) + u64::from(GROW_STEP) * width) * p
+            + u64::from(GROW_STEP) * steps;
+        let (c, sh) = schedule_ccc(overhead_per_pass, lanes, cycles);
+        stats.warp_cycles += c;
+        stats.busy_cycles += cycles;
+        stats.shared_ops += sh;
+        stats.global_reads += 2 * p; // two memo probes per costing lane
+        out.evaluated += e;
+        out.ccp += p;
+        if fused_prune {
+            stats.shared_ops += lanes;
+            out.memo_writes += publish_atomic(memo, set.best, None, stats);
+        } else {
+            pending.extend(set.best);
+        }
+    };
+    if kernel.lanes_for(sets.len()) {
+        for (sets, rows) in sets.chunks(LANES).zip(rows.chunks(LANES)) {
+            let outs = kernel.evaluate_chunk(memo, sets, rows);
+            for (&s, set) in sets.iter().zip(&outs) {
+                charge(s, set);
+            }
+        }
+    } else {
+        for (&s, &rows) in sets.iter().zip(rows) {
+            charge(s, &kernel.evaluate(memo, s, rows, &mut ()));
         }
     }
     if !fused_prune {

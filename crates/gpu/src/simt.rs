@@ -143,14 +143,21 @@ pub fn schedule_warp(policy: WarpPolicy, costs: &[u32]) -> (u64, u64) {
         }
         WarpPolicy::Ccc { overhead_per_pass } => {
             let total: u64 = costs.iter().map(|&c| c as u64).sum();
-            let passes = costs.len().div_ceil(WARP_WIDTH) as u64;
-            let packed = total.div_ceil(WARP_WIDTH as u64);
-            // Each pass stashes/unstashes via shared memory: 2 shared ops per
-            // task plus bookkeeping.
-            let shared = 2 * costs.len() as u64 + passes;
-            (packed + passes * overhead_per_pass as u64, shared)
+            schedule_ccc(overhead_per_pass, costs.len() as u64, total)
         }
     }
+}
+
+/// [`schedule_warp`] under [`WarpPolicy::Ccc`] for a task list given by its
+/// length, `tasks`, and the sum of its costs, `total` — all that the policy
+/// reads of it. Returns `(warp_cycles, shared_ops)`.
+pub fn schedule_ccc(overhead_per_pass: u32, tasks: u64, total: u64) -> (u64, u64) {
+    let passes = tasks.div_ceil(WARP_WIDTH as u64);
+    let packed = total.div_ceil(WARP_WIDTH as u64);
+    // Each pass stashes/unstashes via shared memory: 2 shared ops per task
+    // plus bookkeeping.
+    let shared = 2 * tasks + passes;
+    (packed + passes * overhead_per_pass as u64, shared)
 }
 
 #[cfg(test)]
