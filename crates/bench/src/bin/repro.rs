@@ -437,6 +437,65 @@ fn fig12(scale: Scale) {
             t1_dpe.as_secs_f64() / td.as_secs_f64()
         );
     }
+
+    // The same query on this host's real threads: `MPDP (tCPU)` against
+    // `MPDP`, alternating, with the host probe beside it — two vCPUs that
+    // share a core, or that the hypervisor runs on one, read as one.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (one, two) = host_probe();
+    println!("\n## Figure 12 — measured: MPDP (tCPU) over MPDP on this host");
+    println!(
+        "# host probe: a fixed ILP loop took {} ms on one thread and {} ms on each of two \
+         ({:.2}×; 1.00 = two real cores)",
+        fmt_ms(one),
+        fmt_ms(two),
+        two.as_secs_f64() / one.as_secs_f64()
+    );
+    println!("threads\tspeedup\tMPDP_ms\tMPDP(tCPU)_ms");
+    let wall_ms = |name: &str| {
+        let strategy = registry().get(name).expect("registered");
+        let planned = strategy.plan_exact(&q, &model, budget).expect("plans");
+        planned.wall.as_secs_f64() * 1e3
+    };
+    let names: Vec<String> = (1..=cores).map(|t| format!("MPDP ({t}CPU)")).collect();
+    let (mut seq_ms, mut par_ms) = (Vec::new(), vec![Vec::new(); cores]);
+    for _ in 0..11 {
+        seq_ms.push(wall_ms("MPDP"));
+        for (ms, name) in par_ms.iter_mut().zip(&names) {
+            ms.push(wall_ms(name));
+        }
+    }
+    let seq = percentile(&seq_ms, 50.0);
+    for (t, ms) in par_ms.iter().enumerate() {
+        let par = percentile(ms, 50.0);
+        println!("{}\t{:.2}\t{seq:.3}\t{par:.3}", t + 1, seq / par);
+    }
+}
+
+/// The host probe beside a measured speed-up: the wall of a fixed loop of
+/// dependent integer operations on one thread, then on each of two threads
+/// at once. Two real cores run the second at the first's pace.
+fn host_probe() -> (Duration, Duration) {
+    fn ilp_loop() -> u64 {
+        let (mut a, mut b) = (1u64, 2u64);
+        for i in 0..50_000_000u64 {
+            a = a.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+            b ^= a.rotate_left(7);
+        }
+        a ^ b
+    }
+    let timed = || {
+        let start = std::time::Instant::now();
+        std::hint::black_box(ilp_loop());
+        start.elapsed()
+    };
+    let one = timed();
+    let two = std::thread::scope(|s| {
+        let other = s.spawn(timed);
+        let mine = timed();
+        mine.max(other.join().expect("the probe does not panic"))
+    });
+    (one, two)
 }
 
 // ---------------------------------------------------------------- fig 13

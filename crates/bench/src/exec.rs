@@ -227,8 +227,8 @@ pub fn run_case(
     let sequential = Executor::new(&data.scaled, &data, ExecConfig::default());
     let budget = Some(Duration::from_secs(60));
     let mut runs = Vec::with_capacity(EXEC_STRATEGIES.len());
-    // One pool for the whole case: the same persistent-barrier handle the
-    // DP backends use, here amortized across strategies and repetitions.
+    // One run of the worker set for the whole case, shared across
+    // strategies and repetitions (a strategy's own run inside it is inline).
     with_pool(workers, |pool| -> Result<(), String> {
         for name in EXEC_STRATEGIES {
             let strategy = registry()

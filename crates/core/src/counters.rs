@@ -5,9 +5,10 @@
 //! evaluates, and `CCP-Counter`, the number of those that are valid CCP
 //! pairs. Every optimizer in this workspace maintains both, plus per-DP-level
 //! statistics that feed the hardware timing model (`mpdp-parallel::hwmodel`)
-//! used to predict multi-core and GPU times on this single-core container.
+//! used to predict the paper's multi-core and GPU times from measured runs.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Global counters for one optimizer run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -63,6 +64,14 @@ pub struct LevelStats {
     /// slot's lock held (0 for single-threaded stores and single-worker
     /// runs).
     pub cas_retries: u64,
+    /// The level's wall, from its first claim to its last write; zero where
+    /// a driver does not time its levels (only the level-parallel MPDP and
+    /// DPSUB driver does).
+    pub wall: Duration,
+    /// The time the level's participants spent in it, summed over them —
+    /// the caller's writing of the winners included: what one thread would
+    /// have taken. Zero where `wall` is.
+    pub busy: Duration,
 }
 
 /// A whole run's per-level profile, consumed by the hardware model.
@@ -99,6 +108,8 @@ impl Profile {
             l.memo_writes += stats.memo_writes;
             l.memo_probes += stats.memo_probes;
             l.cas_retries += stats.cas_retries;
+            l.wall += stats.wall;
+            l.busy += stats.busy;
         } else {
             self.levels.push(stats);
         }

@@ -296,6 +296,32 @@ pub trait MemoStore {
     }
 }
 
+/// What pricing a split reads of a memo: a side's best cost and
+/// cardinality ([`MemoStore::cost_rows`]) and the gather view
+/// ([`MemoStore::lanes`]). Every [`MemoStore`] is one, and so is a
+/// [`MemoView`], which a level's participants price from while the table's
+/// one writer waits for the level's end. The MPDP set kernel and the split
+/// pricing of `mpdp-dp` read through it.
+pub trait MemoRead {
+    /// See [`MemoStore::cost_rows`].
+    fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)>;
+
+    /// See [`MemoStore::lanes`].
+    fn lanes(&self) -> Option<MemoLanes<'_>>;
+}
+
+impl<M: MemoStore + ?Sized> MemoRead for M {
+    #[inline]
+    fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
+        MemoStore::cost_rows(self, set)
+    }
+
+    #[inline]
+    fn lanes(&self) -> Option<MemoLanes<'_>> {
+        MemoStore::lanes(self)
+    }
+}
+
 /// What [`MemoStore::cost_rows`] reads, laid bare for a gather: each slot's
 /// key, best cost and cardinality, at the addressing the store was laid out
 /// with. A lane reads the key, the cost and the rows in the home slot of a
@@ -355,12 +381,18 @@ impl MemoEntry {
 }
 
 /// Open-addressing (linear probing) memo table keyed by `RelSet`.
+///
+/// Its one writer holds it by `&mut`. Threads that price from it while that
+/// writer waits share its [`view`](MemoTable::view) instead: the table's
+/// probe counter is a `Cell`, so the table itself is not `Sync`.
 #[derive(Clone, Debug)]
 pub struct MemoTable {
     slots: Vec<Slot>,
     at: Addressing,
     /// `layout[k]` is the slot of the `k`-th set laid out: 4 bytes per set.
     layout: Box<[u32]>,
+    /// `by_size[i]`: the layout's probe steps for the sets of `i` relations.
+    by_size: Box<[u64]>,
     /// Probe steps taken by the layout and by `find` (diagnostics).
     probes: Cell<u64>,
 }
@@ -401,6 +433,7 @@ impl MemoTable {
             slots: vec![EMPTY_SLOT; at.slots()],
             at,
             layout: Box::default(),
+            by_size: vec![0u64; n + 1].into_boxed_slice(),
             probes: Cell::new(0),
         };
         m.layout = sets
@@ -412,7 +445,7 @@ impl MemoTable {
                     !set.is_empty() && m.slots[idx].key == 0,
                     "{set} laid out twice"
                 );
-                m.probes.set(m.probes.get() + steps);
+                m.by_size[set.len()] += steps;
                 m.slots[idx] = Slot {
                     key: set.bits(),
                     left: set.bits(),
@@ -422,6 +455,7 @@ impl MemoTable {
                 idx as u32
             })
             .collect();
+        m.probes.set(m.by_size.iter().sum());
         m
     }
 
@@ -429,6 +463,23 @@ impl MemoTable {
     #[inline]
     pub fn slot(&self, k: usize) -> usize {
         self.layout[k] as usize
+    }
+
+    /// Probe steps the layout took for the sets of `size` relations — what
+    /// a level's sets cost to place, which is all the probing a driver that
+    /// writes by slot does for them.
+    pub fn layout_probes(&self, size: usize) -> u64 {
+        self.by_size[size]
+    }
+
+    /// The table's slots, read-only, for threads to share while the table's
+    /// writer waits.
+    #[inline]
+    pub fn view(&self) -> MemoView<'_> {
+        MemoView {
+            slots: &self.slots,
+            at: self.at,
+        }
     }
 
     /// The slot `set`'s probe ends at — its own, or a free one if it was not
@@ -464,6 +515,8 @@ impl MemoTable {
     /// the key, the cost and the rows, so a direct lookup touches one line.
     #[inline]
     pub fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
+        // The same two lines as `MemoView::cost_rows`: written out here,
+        // because calling through the view cost `Mpdp::run` 3.5 %.
         let s = &self.slots[self.probe(set).0];
         (s.key != 0).then_some((s.cost, s.rows))
     }
@@ -525,6 +578,32 @@ impl MemoStore for MemoTable {
     fn lanes(&self) -> Option<MemoLanes<'_>> {
         Some(MemoLanes::Table {
             slots: &self.slots,
+            at: self.at,
+        })
+    }
+}
+
+/// A [`MemoTable`]'s slots, read-only ([`MemoTable::view`]): what the
+/// participants of a level price from, on any thread, while the table's one
+/// writer waits for the level's end. Its lookups are the table's, to the
+/// bit.
+#[derive(Copy, Clone)]
+pub struct MemoView<'a> {
+    slots: &'a [Slot],
+    at: Addressing,
+}
+
+impl MemoRead for MemoView<'_> {
+    #[inline]
+    fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
+        let s = &self.slots[self.at.probe(set.bits(), |i| self.slots[i].key).0];
+        (s.key != 0).then_some((s.cost, s.rows))
+    }
+
+    #[inline]
+    fn lanes(&self) -> Option<MemoLanes<'_>> {
+        Some(MemoLanes::Table {
+            slots: self.slots,
             at: self.at,
         })
     }

@@ -3,7 +3,7 @@
 
 use mpdp_core::counters::{Counters, Profile};
 use mpdp_core::enumerate::ConnectedSets;
-use mpdp_core::memo::{candidate_key, MemoStore};
+use mpdp_core::memo::{candidate_key, MemoRead, MemoStore};
 use mpdp_core::plan::{extract_plan, PlanTree};
 use mpdp_core::query::QueryInfo;
 use mpdp_core::{OptError, RelSet};
@@ -132,7 +132,7 @@ pub fn init_memo<M: MemoStore>(q: &QueryInfo, plan: &ConnectedSets) -> M {
 /// The first half of [`price_both`]. Each side is one
 /// [`MemoStore::cost_rows`]: its best cost and cardinality, nothing else.
 #[inline]
-pub(crate) fn join_inputs<M: MemoStore>(
+pub(crate) fn join_inputs<M: MemoRead>(
     memo: &M,
     a: RelSet,
     b: RelSet,
@@ -152,7 +152,7 @@ pub(crate) fn join_inputs<M: MemoStore>(
 /// between them); keeping it in one place is what makes costs bit-identical
 /// across them.
 #[inline]
-pub fn price_pair<M: MemoStore>(
+pub fn price_pair<M: MemoRead>(
     memo: &M,
     model: &dyn CostModel,
     sl: RelSet,
@@ -191,7 +191,7 @@ impl PricedSplit {
 /// splits (DPCCP, DPE, MPDP) agree exactly with those that walk ordered pairs
 /// (DPSUB, DPSIZE).
 #[inline]
-pub fn price_both<M: MemoStore>(
+pub fn price_both<M: MemoRead>(
     memo: &M,
     model: &dyn CostModel,
     a: RelSet,

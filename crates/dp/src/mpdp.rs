@@ -39,7 +39,7 @@ use crate::lanes;
 pub use crate::lanes::LANES;
 use mpdp_core::blocks::{BlockIndex, Bridge, SplitFinder, SplitTable, Walk};
 use mpdp_core::counters::{LevelStats, Profile};
-use mpdp_core::memo::{candidate_key, MemoEntry, MemoStore, MemoTable};
+use mpdp_core::memo::{candidate_key, MemoEntry, MemoRead, MemoTable};
 use mpdp_core::{OptError, QueryInfo, RelSet};
 use mpdp_cost::model::{CostModel, LaneForm};
 
@@ -174,7 +174,7 @@ struct Chunks<'a> {
 impl<'a> Chunks<'a> {
     /// Sorts `index`'s bridges into inner and leaf bridges and reads each
     /// leaf's entry from `memo`.
-    fn new<M: MemoStore>(q: &QueryInfo, index: &'a BlockIndex, memo: &M) -> Self {
+    fn new<M: MemoRead>(q: &QueryInfo, index: &'a BlockIndex, memo: &M) -> Self {
         // A leaf is a relation of degree 1; of a 2-relation query's one
         // bridge, the higher end, so that the bridge is priced once.
         let (mut inner, mut leaves, mut low) = (Vec::new(), RelSet::EMPTY, RelSet::EMPTY);
@@ -271,7 +271,7 @@ impl<'a, const STEPS: bool> SetKernel<'a, STEPS> {
     /// 1 is written before the first chunk.
     // Out of line for the reason `evaluate` is.
     #[inline(never)]
-    pub fn evaluate_chunk<M: MemoStore>(
+    pub fn evaluate_chunk<M: MemoRead>(
         &mut self,
         memo: &M,
         sets: &[RelSet],
@@ -355,7 +355,7 @@ impl<'a, const STEPS: bool> SetKernel<'a, STEPS> {
     // per caller, so one source timed differently in the sequential driver
     // and the level-parallel worker (DESIGN.md §4, "One connected set").
     #[inline(never)]
-    pub fn evaluate<M: MemoStore, O: SplitObserver>(
+    pub fn evaluate<M: MemoRead, O: SplitObserver>(
         &mut self,
         memo: &M,
         s: RelSet,
@@ -394,7 +394,7 @@ impl<'a, const STEPS: bool> SetKernel<'a, STEPS> {
     // Inlined into both callers, so `evaluate` stays one function (see the
     // note on it).
     #[inline(always)]
-    fn blocks<M: MemoStore, O: SplitObserver, const TABLES: bool>(
+    fn blocks<M: MemoRead, O: SplitObserver, const TABLES: bool>(
         &mut self,
         min: &mut SetMin<'_, M>,
         observer: &mut O,
@@ -456,7 +456,7 @@ struct SetMin<'k, M> {
     out: SetOutcome,
 }
 
-impl<M: MemoStore> SetMin<'_, M> {
+impl<M: MemoRead> SetMin<'_, M> {
     /// Prices both orders of the CCP split `{left, s \ left}` and keeps the
     /// set's running minimum.
     // Inlined into each walk on purpose: called out of line, the bridge loop
@@ -582,7 +582,7 @@ mod tests {
     use mpdp_core::atomic_memo::AtomicMemo;
     use mpdp_core::enumerate::ConnectedSets;
     use mpdp_core::graph::JoinGraph;
-    use mpdp_core::memo::Addressing;
+    use mpdp_core::memo::{Addressing, MemoStore};
     use mpdp_core::query::{QueryInfo, RelInfo};
     use mpdp_cost::pglike::PgLikeCost;
 

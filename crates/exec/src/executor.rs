@@ -66,14 +66,15 @@ pub struct ExecConfig {
     /// Hard cap on any operator's output cardinality; exceeding it aborts
     /// the run with [`ExecError::OutputCap`] instead of filling memory.
     pub max_output_rows: usize,
-    /// Probe-phase worker count. [`Executor::execute`] spawns a barrier
-    /// pool of this many workers once per run; `1` (the default) runs
-    /// inline with zero thread overhead. Results are bit-identical at any
-    /// value — see the module docs' merge-order argument.
+    /// Probe-phase part count. [`Executor::execute`] runs each probe as a
+    /// job of this many parts on the process's worker set
+    /// (`mpdp-parallel::pool`); `1` (the default) runs inline with zero
+    /// thread overhead. Results are bit-identical at any value — see the
+    /// module docs' merge-order argument.
     pub workers: usize,
-    /// Probe sides at or below this many rows skip the barrier pool and
+    /// Probe sides at or below this many rows skip the worker set and
     /// run their morsel loop inline on the driver thread, regardless of
-    /// `workers`. A `pool.map` is a full wake-all/park-all round trip;
+    /// `workers`. A `pool.map` is a hand-off to the helpers and a barrier;
     /// on tiny joins that costs more than the probe itself (the fig5
     /// shapes regressed 0.78 → 2.26 ms going 1 → 2 workers before this
     /// cutoff existed). The inline path runs the identical kernels over
@@ -564,9 +565,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Executes a plan and reports per-operator statistics and per-join
-    /// observed selectivities. Spawns (and tears down) a barrier pool of
-    /// [`ExecConfig::workers`] workers for the probe phases; to amortize
-    /// the pool across many plans, use [`Executor::execute_in`].
+    /// observed selectivities. Opens a run of [`ExecConfig::workers`] parts
+    /// on the worker set for the probe phases; to share one run across
+    /// many plans, use [`Executor::execute_in`].
     pub fn execute(&self, plan: &PlanTree) -> Result<ExecReport, ExecError> {
         with_pool(self.config.workers.max(1), |pool| {
             self.execute_in(pool, plan)
@@ -586,8 +587,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Executes a plan on a caller-provided pool (reused across plans or
-    /// shared with the DP backends — the same persistent barrier pool
-    /// drives both the optimizer's levels and the executor's morsels).
+    /// shared with the DP backends — the same worker set drives both the
+    /// optimizer's levels and the executor's morsels).
     pub fn execute_in(
         &self,
         pool: &PoolHandle<'_>,

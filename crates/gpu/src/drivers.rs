@@ -23,9 +23,9 @@ use crate::kernels::{
     level_transfer, TabledSteps,
 };
 use crate::simt::{GpuConfig, GpuStats, WarpPolicy};
-use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{LevelStats, Profile};
+use mpdp_core::memo::MemoTable;
 use mpdp_core::OptError;
 use mpdp_dp::common::{finish, init_memo, level_plan, price_pair, OptContext, OptResult};
 use mpdp_dp::mpdp::SetKernel;
@@ -109,12 +109,13 @@ fn run_level_structured(
     // driver reads those back from the previous level, which is the same
     // list).
     let plan = level_plan(ctx)?;
-    // The simulated *device-global* memo: the shared table every kernel
-    // lane publishes into with min-updates, laid out once with every
-    // set and its cardinality; the host loop only extracts the plan from it
-    // at the end. Lanes publish by key, as the device does: each publish
-    // finds its set's slot.
-    let memo: AtomicMemo = init_memo(q, &plan);
+    // The simulated *device-global* memo: the table every kernel lane
+    // publishes into with min-updates, laid out once with every set and its
+    // cardinality; the host loop only extracts the plan from it at the end.
+    // The lanes run one after another here, so it is written through
+    // `&mut`. Lanes publish by key, as the device does: each publish finds
+    // its set's slot.
+    let mut memo: MemoTable = init_memo(q, &plan);
     let mut profile = Profile::default();
     let mut stats = GpuStats::default();
     // Host-side state of the simulation, not device traffic: MPDP's block
@@ -139,7 +140,7 @@ fn run_level_structured(
             size: i,
             ..Default::default()
         };
-        let marks = (memo.probe_count(), memo.cas_retry_count());
+        let probes = memo.health().probes;
         match algo {
             GpuAlgo::Mpdp | GpuAlgo::DpSub => {
                 let level_sets = plan.level(i);
@@ -149,7 +150,7 @@ fn run_level_structured(
                         evaluate_mpdp_counted(
                             &mut set_kernel,
                             &tabled,
-                            &memo,
+                            &mut memo,
                             level_sets,
                             overhead_per_pass,
                             cfg.fused_prune,
@@ -158,7 +159,7 @@ fn run_level_structured(
                     }
                     (GpuAlgo::Mpdp, WarpPolicy::Lockstep) => evaluate_mpdp_kernel(
                         &mut set_kernel,
-                        &memo,
+                        &mut memo,
                         level_sets,
                         policy,
                         cfg.fused_prune,
@@ -167,7 +168,7 @@ fn run_level_structured(
                     _ => evaluate_dpsub_kernel(
                         q,
                         ctx.model,
-                        &memo,
+                        &mut memo,
                         level_sets,
                         policy,
                         cfg.fused_prune,
@@ -184,7 +185,7 @@ fn run_level_structured(
                 // reduction).
                 let level_sets = plan.level(i).0;
                 stats.kernel_launches += 1;
-                let probes_before = memo.probe_count();
+                let probes_before = memo.health().probes;
                 let mut lane_costs: Vec<u32> = Vec::new();
                 let mut publishes = 0u64;
                 for k in 1..i {
@@ -219,7 +220,7 @@ fn run_level_structured(
                 stats.warp_cycles += cyc;
                 stats.busy_cycles += lane_costs.iter().map(|&x| x as u64).sum::<u64>();
                 stats.shared_ops += sh;
-                stats.global_reads += memo.probe_count() - probes_before;
+                stats.global_reads += memo.health().probes - probes_before;
                 if cfg.fused_prune {
                     // In-warp reduction first: one global atomic per set.
                     stats.global_writes += level_sets.len() as u64;
@@ -231,8 +232,7 @@ fn run_level_structured(
                 level.sets = level_sets.len() as u64;
             }
         }
-        level.memo_probes = memo.probe_count() - marks.0;
-        level.cas_retries = memo.cas_retry_count() - marks.1;
+        level.memo_probes = memo.health().probes - probes;
         level_transfer(level.sets as usize, &mut stats);
         profile.record(level);
     }

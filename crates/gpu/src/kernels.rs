@@ -16,16 +16,20 @@
 //! figures rest on — evaluated-pair counts, divergence, global-write volume —
 //! is measured, not assumed.
 //!
-//! The device memo is the shared [`AtomicMemo`] — the same global hash
-//! table the paper's lanes hit with `atomicMin`, here a min-update under the
-//! slot's lock. Evaluate kernels publish winners into it directly: with
-//! kernel fusion (§5) a warp first reduces its set's candidates in shared
-//! memory and issues *one* atomic publish per set; without fusion every
-//! surviving pair performs its own global `atomicMin` and a separate prune
-//! launch is charged, as in the \[23\] baselines. Either way the table
-//! converges to the identical `(cost, left)`-minimum — the fusion flag only
-//! changes the *traffic*, which is exactly what the §7.2.5 ablation
-//! measures. The former host-side `scatter` merge no longer exists.
+//! The device memo is a [`MemoTable`] — the global hash table the paper's
+//! lanes hit with `atomicMin`. The simulator runs its lanes one after
+//! another on one thread, so it holds the table by `&mut` and each
+//! `atomicMin` is the table's min-update under the same `(cost, left)` key;
+//! the atomics are charged, not executed. The MPDP set kernel prices from
+//! the table's [`view`](MemoTable::view) between two publishes, as the
+//! level-parallel driver does (DESIGN §6). Evaluate kernels publish winners
+//! into it directly: with kernel fusion (§5) a warp first reduces its set's
+//! candidates in shared memory and issues *one* atomic publish per set;
+//! without fusion every surviving pair performs its own global `atomicMin`
+//! and a separate prune launch is charged, as in the \[23\] baselines.
+//! Either way the table converges to the identical `(cost, left)`-minimum —
+//! the fusion flag only changes the *traffic*, which is exactly what the
+//! §7.2.5 ablation measures.
 //!
 //! The MPDP evaluate kernel does not have a per-set loop of its own: it runs
 //! `mpdp-dp`'s `SetKernel`, the loop of the CPU backends. Under CCC it runs
@@ -42,10 +46,9 @@
 //! probe read each) rather than executed.
 
 use crate::simt::{schedule_ccc, schedule_warp, GpuStats, WarpPolicy, WARP_WIDTH};
-use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::blocks::{rank, BlockIndex, SplitFinder, Walk};
 use mpdp_core::counters::LevelStats;
-use mpdp_core::memo::MemoEntry;
+use mpdp_core::memo::{MemoEntry, MemoTable};
 use mpdp_core::query::QueryInfo;
 use mpdp_core::RelSet;
 use mpdp_cost::model::CostModel;
@@ -98,7 +101,7 @@ pub fn expand_kernel(q: &QueryInfo, prev: &[RelSet], level: &[RelSet], stats: &m
 /// with the shared costing, charging the lane's two memo probes.
 fn price_lane(
     model: &dyn CostModel,
-    memo: &AtomicMemo,
+    memo: &MemoTable,
     sl: RelSet,
     sr: RelSet,
     rows: f64,
@@ -122,21 +125,21 @@ fn charge_uniform(tasks: u64, cost: u32, stats: &mut GpuStats) {
     stats.busy_cycles += tasks * cost as u64;
 }
 
-/// Publishes candidates into the device memo as atomic min-updates,
-/// charging the traffic of `atomics` global atomics plus the table's probe
-/// reads (the paper's "parallel store on the GPU hash table": each publish
-/// finds its set's slot by key). `atomics` is
+/// Publishes candidates into the device memo as the device's atomic
+/// min-updates, charging the traffic of `atomics` global atomics plus the
+/// table's probe reads (the paper's "parallel store on the GPU hash table":
+/// each publish finds its set's slot by key). `atomics` is
 /// the number of candidates, except for unfused MPDP: the shared set kernel
 /// hands over one reduced winner per set, while the device being modelled
 /// issues an `atomicMin` per surviving pair, each charged one probe read.
 /// Returns the number of successful updates.
-fn publish_atomic(
-    memo: &AtomicMemo,
+fn publish(
+    memo: &mut MemoTable,
     candidates: impl IntoIterator<Item = MemoEntry>,
     atomics: Option<u64>,
     stats: &mut GpuStats,
 ) -> u64 {
-    let probes_before = memo.probe_count();
+    let probes_before = memo.health().probes;
     let mut published = 0u64;
     let mut writes = 0u64;
     for c in candidates {
@@ -145,7 +148,7 @@ fn publish_atomic(
     }
     let atomics = atomics.unwrap_or(published);
     stats.global_writes += atomics;
-    stats.global_reads += memo.probe_count() - probes_before + (atomics - published);
+    stats.global_reads += memo.health().probes - probes_before + (atomics - published);
     charge_uniform(atomics, cycles::HASH_PROBE, stats);
     writes
 }
@@ -169,7 +172,7 @@ fn warp_min(best: &mut Option<MemoEntry>, c: MemoEntry) {
 /// lane takes one submask (expanded with PDEP), runs the CCP block and costs
 /// survivors. Highly divergent: most lanes fail an early check while a few
 /// run the full costing. Winners go straight into the device-global
-/// [`AtomicMemo`]: one reduced publish per set with the fused prune, one
+/// [`MemoTable`]: one reduced publish per set with the fused prune, one
 /// `atomicMin` per surviving pair (plus a separate prune launch) without.
 /// `sets` are the level's and `rows`, parallel to them, their cardinalities;
 /// what comes back is the level's counts (`sets`, `evaluated`, `ccp`,
@@ -177,7 +180,7 @@ fn warp_min(best: &mut Option<MemoEntry>, c: MemoEntry) {
 pub fn evaluate_dpsub_kernel(
     q: &QueryInfo,
     model: &dyn CostModel,
-    memo: &AtomicMemo,
+    memo: &mut MemoTable,
     (sets, rows): (&[RelSet], &[f64]),
     policy: WarpPolicy,
     fused_prune: bool,
@@ -233,7 +236,7 @@ pub fn evaluate_dpsub_kernel(
         if fused_prune {
             // In-warp reduction in shared memory; one atomic publish per set.
             stats.shared_ops += lane_costs.len() as u64;
-            out.memo_writes += publish_atomic(memo, best, None, stats);
+            out.memo_writes += publish(memo, best, None, stats);
         }
     }
     if !fused_prune {
@@ -241,7 +244,7 @@ pub fn evaluate_dpsub_kernel(
         // memory and min-merged into the table with its own atomic.
         stats.kernel_launches += 1;
         stats.global_reads += pending.len() as u64;
-        out.memo_writes += publish_atomic(memo, pending, None, stats);
+        out.memo_writes += publish(memo, pending, None, stats);
     }
     out
 }
@@ -283,7 +286,7 @@ impl SplitObserver for LaneCharges<'_> {
 /// this; under CCC it is [`evaluate_mpdp_counted`]'s oracle.
 pub fn evaluate_mpdp_kernel<const STEPS: bool>(
     kernel: &mut SetKernel<'_, STEPS>,
-    memo: &AtomicMemo,
+    memo: &mut MemoTable,
     (sets, rows): (&[RelSet], &[f64]),
     policy: WarpPolicy,
     fused_prune: bool,
@@ -300,7 +303,7 @@ pub fn evaluate_mpdp_kernel<const STEPS: bool>(
         lane_costs.clear();
         // Warp-cooperative block finding: charged once per set.
         lane_costs.push(cycles::BLOCKS_PER_VERTEX * s.len() as u32);
-        let set = kernel.evaluate(memo, s, rows, &mut LaneCharges(&mut lane_costs));
+        let set = kernel.evaluate(&memo.view(), s, rows, &mut LaneCharges(&mut lane_costs));
         stats.global_reads += 2 * set.ccp; // two memo probes per costing lane
         out.evaluated += set.evaluated;
         out.ccp += set.ccp;
@@ -310,7 +313,7 @@ pub fn evaluate_mpdp_kernel<const STEPS: bool>(
         stats.shared_ops += sh;
         if fused_prune {
             stats.shared_ops += lane_costs.len() as u64;
-            out.memo_writes += publish_atomic(memo, set.best, None, stats);
+            out.memo_writes += publish(memo, set.best, None, stats);
         } else {
             pending.extend(set.best);
         }
@@ -318,7 +321,7 @@ pub fn evaluate_mpdp_kernel<const STEPS: bool>(
     if !fused_prune {
         stats.kernel_launches += 1; // the separate prune kernel for the level
         stats.global_reads += out.ccp;
-        out.memo_writes += publish_atomic(memo, pending, Some(out.ccp), stats);
+        out.memo_writes += publish(memo, pending, Some(out.ccp), stats);
     }
     out
 }
@@ -388,7 +391,7 @@ impl TabledSteps {
 pub fn evaluate_mpdp_counted(
     kernel: &mut SetKernel<'_, true>,
     tabled: &TabledSteps,
-    memo: &AtomicMemo,
+    memo: &mut MemoTable,
     (sets, rows): (&[RelSet], &[f64]),
     overhead_per_pass: u32,
     fused_prune: bool,
@@ -401,7 +404,7 @@ pub fn evaluate_mpdp_counted(
         ..Default::default()
     };
     let mut pending: Vec<MemoEntry> = Vec::new();
-    let mut charge = |s: RelSet, set: &SetOutcome| {
+    let mut charge = |memo: &mut MemoTable, s: RelSet, set: &SetOutcome| {
         let (width, e, p) = (s.len() as u64, set.evaluated, set.ccp);
         let lanes = 1 + e;
         let steps = 2 * e + set.excess_steps + tabled.of(s);
@@ -418,27 +421,28 @@ pub fn evaluate_mpdp_counted(
         out.ccp += p;
         if fused_prune {
             stats.shared_ops += lanes;
-            out.memo_writes += publish_atomic(memo, set.best, None, stats);
+            out.memo_writes += publish(memo, set.best, None, stats);
         } else {
             pending.extend(set.best);
         }
     };
     if kernel.lanes_for(sets.len()) {
         for (sets, rows) in sets.chunks(LANES).zip(rows.chunks(LANES)) {
-            let outs = kernel.evaluate_chunk(memo, sets, rows);
+            let outs = kernel.evaluate_chunk(&memo.view(), sets, rows);
             for (&s, set) in sets.iter().zip(&outs) {
-                charge(s, set);
+                charge(memo, s, set);
             }
         }
     } else {
         for (&s, &rows) in sets.iter().zip(rows) {
-            charge(s, &kernel.evaluate(memo, s, rows, &mut ()));
+            let set = kernel.evaluate(&memo.view(), s, rows, &mut ());
+            charge(memo, s, &set);
         }
     }
     if !fused_prune {
         stats.kernel_launches += 1; // the separate prune kernel for the level
         stats.global_reads += out.ccp;
-        out.memo_writes += publish_atomic(memo, pending, Some(out.ccp), stats);
+        out.memo_writes += publish(memo, pending, Some(out.ccp), stats);
     }
     out
 }
@@ -463,7 +467,7 @@ mod tests {
     fn evaluate_dpsub_kernel(
         q: &QueryInfo,
         model: &dyn CostModel,
-        memo: &AtomicMemo,
+        memo: &mut MemoTable,
         sets: &[RelSet],
         policy: WarpPolicy,
         fused_prune: bool,
@@ -474,11 +478,11 @@ mod tests {
     }
 
     /// A device memo laid out with every connected set of `q`.
-    fn device_memo(q: &QueryInfo) -> AtomicMemo {
+    fn device_memo(q: &QueryInfo) -> MemoTable {
         init_memo(q, &ConnectedSets::enumerate(q))
     }
 
-    fn setup(n: usize) -> (QueryInfo, PgLikeCost, AtomicMemo) {
+    fn setup(n: usize) -> (QueryInfo, PgLikeCost, MemoTable) {
         let m = PgLikeCost::new();
         let q = gen::star(n, 5, &m).to_query_info().unwrap();
         let memo = device_memo(&q);
@@ -487,11 +491,18 @@ mod tests {
 
     #[test]
     fn evaluate_dpsub_finds_pairs() {
-        let (q, m, memo) = setup(4);
+        let (q, m, mut memo) = setup(4);
         let mut stats = GpuStats::default();
         let sets: Vec<RelSet> = (1..4).map(|d| RelSet::from_indices([0, d])).collect();
-        let out =
-            evaluate_dpsub_kernel(&q, &m, &memo, &sets, WarpPolicy::Lockstep, true, &mut stats);
+        let out = evaluate_dpsub_kernel(
+            &q,
+            &m,
+            &mut memo,
+            &sets,
+            WarpPolicy::Lockstep,
+            true,
+            &mut stats,
+        );
         assert_eq!(out.memo_writes, 3); // one published winner per set
         assert_eq!(out.ccp, 6); // 2 ordered pairs per 2-set
         assert_eq!(out.evaluated, 9); // 2^2-1 submasks per set
@@ -508,11 +519,11 @@ mod tests {
         let sets: Vec<RelSet> = (1..6).map(|d| RelSet::from_indices([0, d])).collect();
         let mut fused = GpuStats::default();
         let mut separate = GpuStats::default();
-        let (memo_a, memo_b) = (device_memo(&q), device_memo(&q));
+        let (mut memo_a, mut memo_b) = (device_memo(&q), device_memo(&q));
         let a = evaluate_dpsub_kernel(
             &q,
             &m,
-            &memo_a,
+            &mut memo_a,
             &sets,
             WarpPolicy::Lockstep,
             true,
@@ -521,7 +532,7 @@ mod tests {
         let b = evaluate_dpsub_kernel(
             &q,
             &m,
-            &memo_b,
+            &mut memo_b,
             &sets,
             WarpPolicy::Lockstep,
             false,
@@ -543,7 +554,7 @@ mod tests {
         // check while two run the full costing — classic divergence.
         let m = PgLikeCost::new();
         let q = gen::star(8, 5, &m).to_query_info().unwrap();
-        let memo = device_memo(&q);
+        let mut memo = device_memo(&q);
         let mut memo_stats = GpuStats::default();
         // Fill level 2 so pricing works at level 3 (the evaluate kernel
         // publishes winners directly into the device table).
@@ -551,7 +562,7 @@ mod tests {
         evaluate_dpsub_kernel(
             &q,
             &m,
-            &memo,
+            &mut memo,
             &l2,
             WarpPolicy::Lockstep,
             true,
@@ -569,7 +580,7 @@ mod tests {
         let o1 = evaluate_dpsub_kernel(
             &q,
             &m,
-            &memo,
+            &mut memo,
             &l3,
             WarpPolicy::Lockstep,
             true,
@@ -578,7 +589,7 @@ mod tests {
         let o2 = evaluate_dpsub_kernel(
             &q,
             &m,
-            &memo,
+            &mut memo,
             &l3,
             WarpPolicy::Ccc {
                 overhead_per_pass: 4,
@@ -593,11 +604,18 @@ mod tests {
 
     #[test]
     fn evaluate_publishes_then_lookup() {
-        let (q, m, memo) = setup(3);
+        let (q, m, mut memo) = setup(3);
         let mut stats = GpuStats::default();
         let sets: Vec<RelSet> = (1..3).map(|d| RelSet::from_indices([0, d])).collect();
-        let out =
-            evaluate_dpsub_kernel(&q, &m, &memo, &sets, WarpPolicy::Lockstep, true, &mut stats);
+        let out = evaluate_dpsub_kernel(
+            &q,
+            &m,
+            &mut memo,
+            &sets,
+            WarpPolicy::Lockstep,
+            true,
+            &mut stats,
+        );
         assert_eq!(out.memo_writes, 2);
         assert!(memo
             .get(RelSet::from_indices([0, 1]))

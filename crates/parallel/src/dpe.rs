@@ -83,6 +83,7 @@ impl Dpe {
                     memo_writes: writes.load(Ordering::Relaxed),
                     memo_probes: memo.probe_count() - probes0,
                     cas_retries: memo.cas_retry_count() - retries0,
+                    ..Default::default()
                 };
                 profile.record(level);
             }

@@ -1,13 +1,14 @@
 //! Work/span hardware timing model.
 //!
 //! The paper's headline numbers come from a 24-core Xeon box and a GTX 1080.
-//! This container has one core and no GPU, so — per the substitution policy
-//! in `DESIGN.md` — multi-core and GPU wall-clock times are *predicted* from
-//! each run's per-level [`Profile`] with a calibrated work/span model:
+//! The hosts this runs on have a few cores and no GPU, so — per the
+//! substitution policy in `DESIGN.md` — the paper's multi-core and GPU
+//! wall-clock times are *predicted* from each run's per-level [`Profile`]
+//! with a calibrated work/span model:
 //!
-//! * per-operation costs are calibrated from a *measured* single-thread run
-//!   in this container (so the model's absolute scale is grounded in real
-//!   executions of the real code);
+//! * per-operation costs are calibrated from a *measured* run on this host,
+//!   priced as one thread would have taken it (so the model's absolute
+//!   scale is grounded in real executions of the real code);
 //! * a level-synchronous algorithm's level time is `work / speedup(P) +
 //!   sync`, with a contention-degraded `speedup(P)` reproducing Figure 12's
 //!   sublinear scaling;
@@ -63,6 +64,23 @@ impl Calibration {
             ns_per_unit: 40.0,
             weights: OpWeights::default(),
         }
+    }
+
+    /// Calibrates from a run measured on real threads that took `wall`:
+    /// from the run's wall with each level's wall replaced by the busy time
+    /// its participants summed ([`LevelStats::busy`]), which is what one
+    /// thread would have taken. A profile whose levels carry no times is
+    /// [`from_measurement`](Self::from_measurement) of `wall`.
+    ///
+    /// [`LevelStats::busy`]: mpdp_core::counters::LevelStats::busy
+    pub fn from_busy(profile: &Profile, wall: Duration) -> Self {
+        let (levels, busy) = profile
+            .levels
+            .iter()
+            .fold((Duration::ZERO, Duration::ZERO), |(w, b), l| {
+                (w + l.wall, b + l.busy)
+            });
+        Self::from_measurement(profile, wall.saturating_sub(levels) + busy)
     }
 
     /// Calibrates from a measured single-thread run.
@@ -137,8 +155,8 @@ pub struct CpuModel {
 
 impl CpuModel {
     /// A model for `threads` workers with the defaults used throughout the
-    /// benchmarks. The 2 µs level sync reflects the persistent worker pool's
-    /// barrier crossings (`mpdp-parallel::pool`).
+    /// benchmarks. The 2 µs level sync is a level's hand-off to the worker
+    /// set and its barrier (`mpdp-parallel::pool`).
     pub fn new(threads: usize) -> Self {
         CpuModel {
             threads,
@@ -260,6 +278,29 @@ mod tests {
         // Degenerate inputs do not panic or go non-finite.
         assert!(estimate_exact_units(1, 0).is_finite());
         assert!(estimate_exact_units(64, 2016).is_finite());
+    }
+
+    #[test]
+    fn calibration_from_busy_time_is_single_thread_time() {
+        // Two levels on two threads: each level's participants were busy
+        // for twice its wall; 20 µs of the 100 µs wall was outside them.
+        let mut p = profile(&[(2, 10, 1000), (3, 10, 1000)]);
+        for l in &mut p.levels {
+            l.wall = Duration::from_micros(40);
+            l.busy = Duration::from_micros(80);
+        }
+        let cal = Calibration::from_busy(&p, Duration::from_micros(100));
+        // 2 × 1025 units over 20 + 2 × 80 µs, where the wall would give
+        // 100 µs and price every unit too low by nearly the thread count.
+        assert!((cal.ns_per_unit - 180_000.0 / 2050.0).abs() < 1e-6);
+        let by_wall = Calibration::from_measurement(&p, Duration::from_micros(100));
+        assert!(cal.ns_per_unit > 1.7 * by_wall.ns_per_unit);
+        // Without level times it is the wall's calibration.
+        let bare = profile(&[(2, 10, 1000)]);
+        assert_eq!(
+            Calibration::from_busy(&bare, Duration::from_micros(100)),
+            Calibration::from_measurement(&bare, Duration::from_micros(100))
+        );
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!   PDP (parallel DPSIZE, Han et al. \[10\]);
 //! * [`dpe`] — DPE (Han & Lee \[11\]): sequential DPCCP enumeration with
 //!   dependency-aware parallel costing;
-//! * [`pool`] — chunked scoped-thread fork/join;
-//! * [`hwmodel`] — the calibrated work/span model predicting multi-core wall
-//!   times on this container (see `DESIGN.md` §2).
+//! * [`pool`] — the process's worker set, one job per DP level;
+//! * [`hwmodel`] — the calibrated work/span model predicting the paper's
+//!   multi-core wall times from a measured run (see `DESIGN.md` §2).
 
 #![warn(missing_docs)]
 

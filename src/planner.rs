@@ -33,11 +33,13 @@ pub const EXACT_MAX_RELS: usize = 64;
 
 /// Execution backend for the exact side of a [`Planner`].
 ///
-/// On this single-core container, `CpuParallel` and `GpuSim` run their real
-/// implementations (plans and counters are identical to `Sequential` —
-/// enforced by `tests/exact_equivalence.rs`) while the *reported* time comes
-/// from the calibrated work/span model resp. the SIMT simulator (see
-/// `DESIGN.md` §2).
+/// `CpuParallel` and `GpuSim` run their real implementations (plans and
+/// counters are identical to `Sequential` — enforced by
+/// `tests/exact_equivalence.rs`): level-parallel MPDP and DPSUB on
+/// `min(cores, available_parallelism())` real threads of the process's
+/// worker set, PDP, DPE and the SIMT simulator on one. The *reported* time
+/// comes from the calibrated work/span model for `cores` resp. the
+/// simulator (see `DESIGN.md` §2).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Plain sequential execution; reported time is measured wall time.
@@ -190,10 +192,12 @@ pub enum ExactAlgo {
 
 /// Adapter running one [`ExactAlgo`] behind the [`Strategy`] interface.
 ///
-/// CPU-parallel algorithms execute with a single real worker on this
-/// container and report the work/span-model prediction for their configured
-/// core count, calibrated from the measured run — the same policy the bench
-/// harness has always used (see `DESIGN.md` §2).
+/// `MPDP (nCPU)` and `DPSub (nCPU)` run on `min(n, available_parallelism())`
+/// real threads of the process's worker set; DPE and PDP run one worker.
+/// All four report the work/span-model prediction for their configured core
+/// count, calibrated from what the run cost one thread: its wall, with each
+/// level's wall replaced by its participants' summed busy time (see
+/// `DESIGN.md` §2).
 #[derive(Clone, Debug)]
 pub struct ExactStrategy {
     algo: ExactAlgo,
@@ -291,15 +295,17 @@ impl Strategy for ExactStrategy {
             ExactAlgo::DpCcp => (mpdp_dp::DpCcp::run(&ctx)?, None),
             ExactAlgo::MpdpTree => (mpdp_dp::MpdpTree::run(&ctx)?, None),
             ExactAlgo::Mpdp => (mpdp_dp::Mpdp::run(&ctx)?, None),
-            // One real worker on this container; `reported` below carries the
+            // DPE and PDP run one worker; `reported` below carries the
             // multi-core prediction.
             ExactAlgo::Dpe { .. } => (Dpe::run(&ctx, 1)?, None),
-            ExactAlgo::MpdpCpu { .. } => (
-                level_par::run_level_parallel(&ctx, level_par::LevelAlgo::Mpdp, 1)?,
+            // Real threads: `min(threads, available_parallelism())` of the
+            // process's worker set.
+            ExactAlgo::MpdpCpu { threads } => (
+                level_par::run_level_parallel(&ctx, level_par::LevelAlgo::Mpdp, threads)?,
                 None,
             ),
-            ExactAlgo::DpSubCpu { .. } => (
-                level_par::run_level_parallel(&ctx, level_par::LevelAlgo::DpSub, 1)?,
+            ExactAlgo::DpSubCpu { threads } => (
+                level_par::run_level_parallel(&ctx, level_par::LevelAlgo::DpSub, threads)?,
                 None,
             ),
             ExactAlgo::Pdp { .. } => (level_par::run_dpsize_parallel(&ctx, 1)?, None),
@@ -332,7 +338,9 @@ impl Strategy for ExactStrategy {
                 | ExactAlgo::Pdp { threads },
                 None,
             ) => {
-                let cal = Calibration::from_measurement(&result.profile, wall);
+                // Priced per work unit from what one thread would have
+                // taken, not from a wall that real threads shortened.
+                let cal = Calibration::from_busy(&result.profile, wall);
                 CpuModel::new(threads).predict_level_parallel(&result.profile, &cal)
             }
             _ => wall,

@@ -7,7 +7,7 @@
 //! GPU entry's device statistics to goldens.
 
 use mpdp::core::blocks::{closed_form_steps, BlockIndex, SplitFinder, Walk};
-use mpdp::core::{AtomicMemo, ConnectedSets, LargeQuery, Profile, QueryInfo, RelSet};
+use mpdp::core::{ConnectedSets, LargeQuery, MemoTable, Profile, QueryInfo, RelSet};
 use mpdp::dp::common::{finish, init_memo, level_plan};
 use mpdp::dp::mpdp::SetKernel;
 use mpdp::gpu::kernels::{evaluate_mpdp_kernel, expand_kernel, level_transfer};
@@ -22,24 +22,23 @@ use mpdp_workload::{gen, ImdbSchema, MusicBrainz};
 fn walked(ctx: &OptContext<'_>, config: GpuDriverConfig) -> GpuRun {
     let q = ctx.query;
     let plan = level_plan(ctx).unwrap();
-    let memo: AtomicMemo = init_memo(q, &plan);
+    let mut memo: MemoTable = init_memo(q, &plan);
     let index = BlockIndex::with_tables(&q.graph, plan.sets.len());
     let mut kernel = SetKernel::new(q, ctx.model, &index);
     let (mut profile, mut stats) = (Profile::default(), GpuStats::default());
     for i in 2..=q.query_size() {
-        let marks = (memo.probe_count(), memo.cas_retry_count());
+        let probes = memo.health().probes;
         expand_kernel(q, plan.level(i - 1).0, plan.level(i).0, &mut stats);
         let mut level = evaluate_mpdp_kernel(
             &mut kernel,
-            &memo,
+            &mut memo,
             plan.level(i),
             config.policy(),
             config.fused_prune,
             &mut stats,
         );
         level.size = i;
-        level.memo_probes = memo.probe_count() - marks.0;
-        level.cas_retries = memo.cas_retry_count() - marks.1;
+        level.memo_probes = memo.health().probes - probes;
         level_transfer(level.sets as usize, &mut stats);
         profile.record(level);
     }
