@@ -60,9 +60,9 @@ pub struct LevelStats {
     pub memo_writes: u64,
     /// Open-addressing probe steps taken by memo inserts at this level.
     pub memo_probes: u64,
-    /// Updates of the shared atomic memo at this level that found their
-    /// slot's lock held (0 for single-threaded stores and single-worker
-    /// runs).
+    /// Always 0: the memo has one writer and no lock to wait for. The field
+    /// stays because the bench reports and their committed baselines read
+    /// the column.
     pub cas_retries: u64,
     /// The level's wall, from its first claim to its last write; zero where
     /// a driver does not time its levels (only the level-parallel MPDP and

@@ -21,10 +21,9 @@
 //!   descriptions and sub-problem projection;
 //! * [`memo::MemoTable`] — the open-addressing memo of §5 (multiply-shift
 //!   where the paper uses Murmur3, or the set's own bitmap where every
-//!   subset has a slot: [`memo::Addressing`]),
-//!   and the [`memo::MemoStore`] interface both memo implementations speak;
-//! * [`atomic_memo::AtomicMemo`] — the shared memo the parallel
-//!   backends update in place (the paper's global table with `atomicMin`);
+//!   subset has a slot: [`memo::Addressing`]), the one memo of every DP
+//!   backend, written by one writer through `&mut`; a parallel job's
+//!   participants price from its read-only [`memo::MemoView`];
 //! * [`plan::PlanTree`] — join trees, validation, memo extraction;
 //! * [`counters`] — `EvaluatedCounter` / `CCP-Counter` instrumentation and
 //!   per-level profiles;
@@ -35,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod atomic_memo;
 pub mod bigset;
 pub mod bitset;
 pub mod blocks;
@@ -52,7 +50,6 @@ pub mod query;
 pub mod ring;
 pub mod sync;
 
-pub use atomic_memo::AtomicMemo;
 pub use bigset::BigSet;
 pub use bitset::RelSet;
 pub use blocks::{find_blocks, BlockDecomposition};
@@ -64,7 +61,7 @@ pub use fingerprint::{
     canonicalize, canonicalize_calls, CanonicalQuery, Canonicalized, Fingerprint,
 };
 pub use graph::{Edge, JoinGraph};
-pub use memo::{MemoEntry, MemoHealth, MemoStore, MemoTable};
+pub use memo::{MemoEntry, MemoHealth, MemoTable};
 pub use plan::{extract_plan, PlanTree};
 pub use query::{LargeEdge, LargeQuery, QueryInfo, RelInfo};
 pub use ring::HashRing;

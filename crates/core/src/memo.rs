@@ -25,17 +25,17 @@
 //! Every exact backend knows every connected set, with its cardinality,
 //! before it prices the first split (the level plan,
 //! [`ConnectedSets`](crate::enumerate::ConnectedSets)). So a memo is *laid
-//! out* once from that plan ([`MemoStore::laid_out`]): each set's key and
+//! out* once from that plan ([`MemoTable::laid_out`]): each set's key and
 //! cardinality are written into the slot its probe reaches, single-threaded,
 //! before any worker exists, and never move again. A laid-out set reads as
 //! *unplanned* — infinite cost, the whole set as its left side — until a
 //! candidate replaces it. Every write then names its slot
-//! ([`MemoStore::update`]): a level-synchronous driver takes it from the
-//! layout by plan position ([`MemoStore::slot`]), a driver that meets a set
+//! ([`MemoTable::update`]): a level-synchronous driver takes it from the
+//! layout by plan position ([`MemoTable::slot`]), a driver that meets a set
 //! as the union of a pair from its one lookup of that union
-//! ([`MemoStore::find`]), which also yields the set's cardinality. Pricing a
+//! ([`MemoTable::find`]), which also yields the set's cardinality. Pricing a
 //! split reads each side's best cost and cardinality and nothing else
-//! ([`MemoStore::cost_rows`]): one probe, one slot.
+//! ([`MemoRead::cost_rows`]): one probe, one slot.
 //!
 //! Each entry stores the best plan found so far for a set `S`: its cost, its
 //! (split-invariant) output cardinality and the left side of the winning
@@ -43,21 +43,21 @@
 //! bytes. Plans are reconstructed by walking the table from the root set —
 //! exactly how the paper extracts the final join tree from GPU memory.
 //!
-//! Two implementations share the [`MemoStore`] interface: this module's
-//! single-threaded [`MemoTable`] and the shared
-//! [`AtomicMemo`](crate::atomic_memo::AtomicMemo) that the parallel backends
-//! update in place (the CPU analogue of the paper's global hash table with
-//! `atomicMin`). Both lay a plan out into the same slots and break best-plan
-//! ties on `(cost, left.bits())`, so the winning split is a pure function of
-//! the candidate *set*, never of the order — sequential, thread-interleaved
-//! or simulated-SIMT — in which candidates arrive.
+//! One store, one writer. Every driver, sequential, CPU-parallel or
+//! simulated-GPU, writes through `&mut MemoTable`. A parallel driver's
+//! participants price from the table's read-only [`MemoView`] and hand
+//! their candidates back; the caller, the table's only writer, applies them
+//! once the job has returned. Best-plan ties break on `(cost, left.bits())`
+//! ([`candidate_key`]), so the winning split is a pure function of the
+//! candidate *set*, never of the order — sequential, handed back by any
+//! number of workers, or simulated-SIMT — in which candidates arrive.
 
 use crate::bitset::RelSet;
 use std::cell::Cell;
 
 /// Murmur3 64-bit finalizer — the hash the paper uses for its GPU memo, and
 /// the workspace's general-purpose mixer (fingerprints, the hash ring,
-/// seeded streams). The memo stores address by [`Addressing`] instead.
+/// seeded streams). The memo addresses by [`Addressing`] instead.
 #[inline]
 pub fn murmur3_fmix64(mut k: u64) -> u64 {
     k ^= k >> 33;
@@ -85,21 +85,11 @@ pub fn ordered_cost_bits(cost: f64) -> u64 {
     b ^ ((((b as i64) >> 63) as u64) | 0x8000_0000_0000_0000)
 }
 
-/// The inverse of [`ordered_cost_bits`]: the cost whose folded bits are
-/// `ordered`, bit for bit (NaN payloads and the sign of zero included).
-#[inline]
-pub fn cost_from_ordered_bits(ordered: u64) -> f64 {
-    // A set top bit was a non-negative cost, whose fold set the sign bit;
-    // a clear one was a negative cost, whose fold inverted every bit.
-    f64::from_bits(ordered ^ (!(((ordered as i64) >> 63) as u64) | 0x8000_0000_0000_0000))
-}
-
-/// The `(cost, left)` ordering key under which every memo keeps the minimum:
-/// lexicographic on (order-preserving cost bits, left bitmap). All stores —
-/// sequential [`MemoTable`] and concurrent
-/// [`AtomicMemo`](crate::atomic_memo::AtomicMemo) — use this exact key, which
-/// is what makes plans bit-identical across backends and worker counts even
-/// on exact cost ties.
+/// The `(cost, left)` ordering key under which the memo keeps the minimum:
+/// lexicographic on (order-preserving cost bits, left bitmap). Every
+/// [`MemoTable::update`] and every driver that reduces a set's candidates
+/// before it hands them back uses this exact key, which is what makes plans
+/// bit-identical across backends and worker counts even on exact cost ties.
 ///
 /// A laid-out set that no candidate has replaced yet holds `(∞, S)`, which
 /// loses to every real candidate: a split's left side is a proper subset of
@@ -110,8 +100,8 @@ pub fn candidate_key(cost: f64, left: RelSet) -> (u64, u64) {
 }
 
 /// Slots an open-addressing memo needs to hold `entries` at no more than
-/// 70 % load (a power of two, at least 16) — the one sizing rule of both
-/// stores, which [`Addressing::for_universe`] raises to `2ⁿ` for a universe
+/// 70 % load (a power of two, at least 16) — the memo's one sizing rule,
+/// which [`Addressing::for_universe`] raises to `2ⁿ` for a universe
 /// of at most [`DIRECT_MAX`] relations.
 #[inline]
 pub fn slots_for(entries: usize) -> usize {
@@ -120,8 +110,7 @@ pub fn slots_for(entries: usize) -> usize {
 
 /// The most relations a memo addresses directly however few sets it holds:
 /// up to here every subset of the universe gets a slot, at most 2¹⁵ of them
-/// (1 MiB of [`MemoTable`] slots, 1.25 MiB of
-/// [`AtomicMemo`](crate::atomic_memo::AtomicMemo) ones). IDP2's and
+/// (1 MiB of [`MemoTable`] slots). IDP2's and
 /// UnionDP's sub-problems are 15 relations, so every one of them takes one
 /// probe per lookup and no multiply (DESIGN §4 "Every split on lanes").
 pub const DIRECT_MAX: usize = 15;
@@ -131,7 +120,7 @@ pub const DIRECT_MAX: usize = 15;
 pub const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// How many slots a memo has, where a set's probe starts and where it goes
-/// on a collision — the addressing both stores use, chosen once per table by
+/// on a collision — the memo's addressing, chosen once per table by
 /// [`Addressing::for_universe`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Addressing {
@@ -214,8 +203,8 @@ impl Addressing {
     }
 }
 
-/// Point-in-time health metrics of a memo store (observability for the
-/// bench reports; none of these feed back into planning).
+/// Point-in-time health metrics of a memo (observability for the bench
+/// reports; none of these feed back into planning).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoHealth {
     /// Laid-out entries: every set of the level plan.
@@ -223,10 +212,11 @@ pub struct MemoHealth {
     /// Total slots (open-addressing capacity).
     pub slots: usize,
     /// Cumulative linear-probe steps taken by the layout and by
-    /// [`MemoStore::find`].
+    /// [`MemoTable::find`].
     pub probes: u64,
-    /// Cumulative updates that found their slot's lock held by another
-    /// writer (always 0 for the single-threaded table).
+    /// Always 0: the memo has one writer and no lock to wait for. The field
+    /// stays because the bench reports and their committed baselines read
+    /// the column.
     pub cas_retries: u64,
 }
 
@@ -241,114 +231,40 @@ impl MemoHealth {
     }
 }
 
-/// The interface every DP backend's memo speaks: one layout from the level
-/// plan, a slot per set, best-plan lookup and the Algorithm-1 best-plan
-/// update by slot. Implemented by the single-threaded [`MemoTable`] and the
-/// shared [`AtomicMemo`](crate::atomic_memo::AtomicMemo); `mpdp-dp`'s
-/// shared plumbing (`init_memo` / `emit_pair` / `finish` /
-/// [`extract_plan`](crate::plan::extract_plan)) is generic over it, so the
-/// sequential algorithms are untouched while the parallel ones swap in the
-/// shared-state table.
-///
-/// Writes take `&mut self` here; `AtomicMemo` additionally exposes the same
-/// operations through `&self` for concurrent workers (the trait methods
-/// simply delegate).
-pub trait MemoStore {
-    /// Lays out a store for the sets `sets` over the relations `0..n`, each
-    /// with its cardinality `rows[k]` and reading as unplanned, in the slots
-    /// and at the addressing [`Addressing::for_universe`]`(n, sets.len())`
-    /// decides. No set may appear twice.
-    fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self
-    where
-        Self: Sized;
-
-    /// The slot `sets[k]` was laid out in.
-    fn slot(&self, k: usize) -> usize;
-
-    /// The slot of the laid-out `set` and its cardinality, found by its
-    /// probe. Panics if `set` was not laid out: no write can name it.
-    fn find(&self, set: RelSet) -> (usize, f64);
-
-    /// Looks up the best entry for `set`; `None` if it was not laid out.
-    fn get(&self, set: RelSet) -> Option<MemoEntry>;
-
+/// What pricing a split reads of a memo: a side's best cost and cardinality,
+/// and the gather view. [`MemoTable`] is one, and so is its [`MemoView`],
+/// which a parallel job's participants price from while the table's one
+/// writer waits for the job's end. The MPDP set kernel and the split pricing
+/// of `mpdp-dp` read through it.
+pub trait MemoRead {
     /// The cost of the best plan for `set` (∞ while unplanned) and its
-    /// cardinality — all a split reads of a side, and so all that
-    /// `mpdp-dp`'s pricing looks up; `None` if `set` was not laid out. The
-    /// two are [`get`](Self::get)'s `cost` and `rows`, to the bit, read from
-    /// the set's one slot.
+    /// cardinality — all a split reads of a side; `None` if `set` was not
+    /// laid out. The two are [`MemoTable::get`]'s `cost` and `rows`, to the
+    /// bit, read from the set's one slot.
     fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)>;
 
-    /// Records a candidate plan — split `left`, total `cost` — for the set
-    /// in `slot`, keeping it only if its [`candidate_key`] beats the
-    /// incumbent's (Algorithm 1, lines 20–21). Returns `true` if the
-    /// candidate became the new best.
-    fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool;
-
-    /// Current health metrics.
-    fn health(&self) -> MemoHealth;
-
-    /// The store's lookup words as a read-only [`MemoLanes`] view, for a
-    /// kernel that gathers the lookups of eight splits at once; `None` (the
-    /// default) has every lookup go through [`cost_rows`](Self::cost_rows).
+    /// The memo's slots as a read-only [`MemoLanes`] view, for a kernel that
+    /// gathers the lookups of eight splits at once; `None` (the default)
+    /// has every lookup go through [`cost_rows`](Self::cost_rows).
     fn lanes(&self) -> Option<MemoLanes<'_>> {
         None
     }
 }
 
-/// What pricing a split reads of a memo: a side's best cost and
-/// cardinality ([`MemoStore::cost_rows`]) and the gather view
-/// ([`MemoStore::lanes`]). Every [`MemoStore`] is one, and so is a
-/// [`MemoView`], which a level's participants price from while the table's
-/// one writer waits for the level's end. The MPDP set kernel and the split
-/// pricing of `mpdp-dp` read through it.
-pub trait MemoRead {
-    /// See [`MemoStore::cost_rows`].
-    fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)>;
-
-    /// See [`MemoStore::lanes`].
-    fn lanes(&self) -> Option<MemoLanes<'_>>;
-}
-
-impl<M: MemoStore + ?Sized> MemoRead for M {
-    #[inline]
-    fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
-        MemoStore::cost_rows(self, set)
-    }
-
-    #[inline]
-    fn lanes(&self) -> Option<MemoLanes<'_>> {
-        MemoStore::lanes(self)
-    }
-}
-
-/// What [`MemoStore::cost_rows`] reads, laid bare for a gather: each slot's
-/// key, best cost and cardinality, at the addressing the store was laid out
-/// with. A lane reads the key, the cost and the rows in the home slot of a
-/// set and has found the set where the key is the set's bitmap; anywhere
-/// else (a displaced key on a hashed table) it asks `cost_rows`. On a
-/// direct table a laid-out set is always in its home slot, so a kernel that
-/// looks up only laid-out sets may skip the key.
+/// What [`MemoRead::cost_rows`] reads, laid bare for a gather: each slot's
+/// key, best cost and cardinality are the words at [`Slot::KEY`],
+/// [`Slot::COST`] and [`Slot::ROWS`] of it, at the addressing the table was
+/// laid out with. A lane reads the key, the cost and the rows in the home
+/// slot of a set and has found the set where the key is the set's bitmap;
+/// anywhere else (a displaced key on a hashed table) it asks `cost_rows`. On
+/// a direct table a laid-out set is always in its home slot, so a kernel
+/// that looks up only laid-out sets may skip the key.
 #[derive(Copy, Clone)]
-pub enum MemoLanes<'a> {
-    /// [`MemoTable`]'s slots: key, cost and rows are the words at
-    /// [`Slot::KEY`], [`Slot::COST`] and [`Slot::ROWS`] of each.
-    Table {
-        /// One per slot of `at`.
-        slots: &'a [Slot],
-        /// The table's addressing.
-        at: Addressing,
-    },
-    /// [`AtomicMemo`](crate::atomic_memo::AtomicMemo)'s key array beside its
-    /// records, whose cost is folded by [`ordered_cost_bits`].
-    Atomic {
-        /// One per slot of `at`.
-        keys: &'a [u64],
-        /// One per slot of `at`.
-        records: &'a [crate::atomic_memo::CostRecord],
-        /// The table's addressing.
-        at: Addressing,
-    },
+pub struct MemoLanes<'a> {
+    /// One per slot of `at`.
+    pub slots: &'a [Slot],
+    /// The table's addressing.
+    pub at: Addressing,
 }
 
 /// One memo entry: the best plan known for the key set.
@@ -425,7 +341,10 @@ const EMPTY_SLOT: Slot = Slot {
 };
 
 impl MemoTable {
-    /// See [`MemoStore::laid_out`].
+    /// Lays out a table for the sets `sets` over the relations `0..n`, each
+    /// with its cardinality `rows[k]` and reading as unplanned, in the slots
+    /// and at the addressing [`Addressing::for_universe`]`(n, sets.len())`
+    /// decides. No set may appear twice.
     pub fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
         debug_assert_eq!(sets.len(), rows.len());
         let at = Addressing::for_universe(n, sets.len());
@@ -459,7 +378,7 @@ impl MemoTable {
         m
     }
 
-    /// See [`MemoStore::slot`].
+    /// The slot `sets[k]` was laid out in.
     #[inline]
     pub fn slot(&self, k: usize) -> usize {
         self.layout[k] as usize
@@ -489,7 +408,8 @@ impl MemoTable {
         self.at.probe(set.bits(), |i| self.slots[i].key)
     }
 
-    /// See [`MemoStore::find`].
+    /// The slot of the laid-out `set` and its cardinality, found by its
+    /// probe. Panics if `set` was not laid out: no write can name it.
     #[inline]
     pub fn find(&self, set: RelSet) -> (usize, f64) {
         let (idx, steps) = self.probe(set);
@@ -499,7 +419,7 @@ impl MemoTable {
         (idx, s.rows)
     }
 
-    /// See [`MemoStore::get`].
+    /// Looks up the best entry for `set`; `None` if it was not laid out.
     #[inline]
     pub fn get(&self, set: RelSet) -> Option<MemoEntry> {
         let s = self.slots[self.probe(set).0];
@@ -511,7 +431,7 @@ impl MemoTable {
         })
     }
 
-    /// See [`MemoStore::cost_rows`]: the 32 B slot the probe ends at holds
+    /// See [`MemoRead::cost_rows`]: the 32 B slot the probe ends at holds
     /// the key, the cost and the rows, so a direct lookup touches one line.
     #[inline]
     pub fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
@@ -521,8 +441,11 @@ impl MemoTable {
         (s.key != 0).then_some((s.cost, s.rows))
     }
 
-    /// See [`MemoStore::update`]: strictly cheaper wins, exact cost ties go
-    /// to the smaller `left` bitmap.
+    /// Records a candidate plan — split `left`, total `cost` — for the set
+    /// in `slot`, keeping it only if its [`candidate_key`] beats the
+    /// incumbent's (Algorithm 1, lines 20–21): strictly cheaper wins, exact
+    /// cost ties go to the smaller `left` bitmap. Returns `true` if the
+    /// candidate became the new best.
     #[inline]
     pub fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool {
         let s = &mut self.slots[slot];
@@ -546,37 +469,15 @@ impl MemoTable {
     }
 }
 
-impl MemoStore for MemoTable {
-    fn laid_out(n: usize, sets: &[RelSet], rows: &[f64]) -> Self {
-        MemoTable::laid_out(n, sets, rows)
-    }
-
-    fn slot(&self, k: usize) -> usize {
-        MemoTable::slot(self, k)
-    }
-
-    fn find(&self, set: RelSet) -> (usize, f64) {
-        MemoTable::find(self, set)
-    }
-
-    fn get(&self, set: RelSet) -> Option<MemoEntry> {
-        MemoTable::get(self, set)
-    }
-
+impl MemoRead for MemoTable {
+    #[inline]
     fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
         MemoTable::cost_rows(self, set)
     }
 
-    fn update(&mut self, slot: usize, left: RelSet, cost: f64) -> bool {
-        MemoTable::update(self, slot, left, cost)
-    }
-
-    fn health(&self) -> MemoHealth {
-        MemoTable::health(self)
-    }
-
+    #[inline]
     fn lanes(&self) -> Option<MemoLanes<'_>> {
-        Some(MemoLanes::Table {
+        Some(MemoLanes {
             slots: &self.slots,
             at: self.at,
         })
@@ -584,13 +485,25 @@ impl MemoStore for MemoTable {
 }
 
 /// A [`MemoTable`]'s slots, read-only ([`MemoTable::view`]): what the
-/// participants of a level price from, on any thread, while the table's one
-/// writer waits for the level's end. Its lookups are the table's, to the
-/// bit.
+/// participants of a parallel job price from, on any thread, while the
+/// table's one writer waits for the job's end. Its lookups are the table's,
+/// to the bit.
 #[derive(Copy, Clone)]
 pub struct MemoView<'a> {
     slots: &'a [Slot],
     at: Addressing,
+}
+
+impl MemoView<'_> {
+    /// [`MemoTable::find`], and the probe steps it took: a view is shared by
+    /// threads and counts nothing, so its caller counts them.
+    #[inline]
+    pub fn find(&self, set: RelSet) -> (usize, f64, u64) {
+        let (idx, steps) = self.at.probe(set.bits(), |i| self.slots[i].key);
+        let s = &self.slots[idx];
+        assert!(s.key != 0, "{set} was not laid out");
+        (idx, s.rows, steps)
+    }
 }
 
 impl MemoRead for MemoView<'_> {
@@ -602,7 +515,7 @@ impl MemoRead for MemoView<'_> {
 
     #[inline]
     fn lanes(&self) -> Option<MemoLanes<'_>> {
-        Some(MemoLanes::Table {
+        Some(MemoLanes {
             slots: self.slots,
             at: self.at,
         })
@@ -697,39 +610,6 @@ mod tests {
                 w[0],
                 w[1]
             );
-        }
-    }
-
-    #[test]
-    fn ordered_cost_bits_inverts_to_the_bit() {
-        let specials = [
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            f64::from_bits(1), // the smallest subnormal
-            -f64::from_bits(1),
-            f64::from_bits(0x000f_ffff_ffff_ffff), // the largest subnormal
-            f64::MAX,
-            f64::MIN,
-            1.0,
-            -1.0,
-            f64::NAN,
-            -f64::NAN,
-            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN payload
-            f64::from_bits(0xfff8_dead_beef_0001), // negative quiet NaN payload
-        ];
-        // And a stream of arbitrary bit patterns, every class among them.
-        let arbitrary = (0..10_000u64).map(|i| f64::from_bits(murmur3_fmix64(i)));
-        for cost in specials.into_iter().chain(arbitrary) {
-            let back = cost_from_ordered_bits(ordered_cost_bits(cost));
-            assert_eq!(back.to_bits(), cost.to_bits(), "{cost:e}");
-        }
-        // Both directions: every folded value comes from exactly one cost.
-        for ordered in [0, 1, 1 << 63, (1 << 63) - 1, u64::MAX, u64::MAX - 1] {
-            assert_eq!(ordered_cost_bits(cost_from_ordered_bits(ordered)), ordered);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::bitset::RelSet;
 use crate::graph::JoinGraph;
-use crate::memo::MemoStore;
+use crate::memo::MemoTable;
 use std::fmt;
 
 /// A (bushy) join tree annotated with cost estimates.
@@ -173,15 +173,13 @@ impl fmt::Display for PlanTree {
     }
 }
 
-/// Reconstructs the best plan for `root` from a filled memo store (the final
-/// step of Algorithm 5: "The final relation is recursively fetched using its
-/// left and right join relations, building a join tree in CPU memory") —
-/// generic over [`MemoStore`], so it walks the sequential table and the
-/// shared one identically.
+/// Reconstructs the best plan for `root` from a filled memo (the final step
+/// of Algorithm 5: "The final relation is recursively fetched using its
+/// left and right join relations, building a join tree in CPU memory").
 ///
 /// Returns `None` if the memo has no plan for `root` or one of its splits —
 /// which indicates a bug in the filling algorithm.
-pub fn extract_plan<M: MemoStore>(memo: &M, root: RelSet) -> Option<PlanTree> {
+pub fn extract_plan(memo: &MemoTable, root: RelSet) -> Option<PlanTree> {
     let e = memo.get(root)?;
     if e.is_leaf() {
         let rel = root.first()? as u32;
@@ -274,7 +272,6 @@ mod tests {
 
     #[test]
     fn extract_plan_from_memo() {
-        use crate::memo::MemoTable;
         let (s01, s12) = (RelSet::from_indices([0, 1]), RelSet::from_indices([1, 2]));
         let s012 = RelSet::from_indices([0, 1, 2]);
         let sets = [0, 1, 2].map(RelSet::singleton);

@@ -3,7 +3,7 @@
 
 use mpdp_core::counters::{Counters, Profile};
 use mpdp_core::enumerate::ConnectedSets;
-use mpdp_core::memo::{candidate_key, MemoRead, MemoStore};
+use mpdp_core::memo::{candidate_key, MemoRead, MemoTable};
 use mpdp_core::plan::{extract_plan, PlanTree};
 use mpdp_core::query::QueryInfo;
 use mpdp_core::{OptError, RelSet};
@@ -108,16 +108,15 @@ pub struct OptResult {
     pub memo_entries: usize,
 }
 
-/// Lays a memo store out from the level plan — every connected set with its
+/// Lays the memo out from the level plan — every connected set with its
 /// cardinality, in one pass before the first pair is priced — and plans the
 /// base-relation leaves in it (Algorithm 1 lines 1–3 / Algorithm 5 lines
-/// 2–4). Generic over [`MemoStore`]: sequential backends instantiate the
-/// single-threaded [`mpdp_core::MemoTable`], the parallel and simulated-GPU
-/// backends the shared [`mpdp_core::AtomicMemo`]. This is where a store
-/// learns the query's relation count, and with it whether a set's bitmap can
-/// be its slot ([`mpdp_core::memo::Addressing`]).
-pub fn init_memo<M: MemoStore>(q: &QueryInfo, plan: &ConnectedSets) -> M {
-    let mut memo = M::laid_out(q.query_size(), &plan.sets, &plan.rows);
+/// 2–4). Every backend, sequential, parallel or simulated-GPU, starts from
+/// this table. This is where the memo learns the query's relation count,
+/// and with it whether a set's bitmap can be its slot
+/// ([`mpdp_core::memo::Addressing`]).
+pub fn init_memo(q: &QueryInfo, plan: &ConnectedSets) -> MemoTable {
+    let mut memo = MemoTable::laid_out(q.query_size(), &plan.sets, &plan.rows);
     // Level 1 is the singletons in ascending order: relation `i` is plan
     // position `i`.
     for (i, rel) in q.rels.iter().enumerate() {
@@ -130,7 +129,7 @@ pub fn init_memo<M: MemoStore>(q: &QueryInfo, plan: &ConnectedSets) -> M {
 /// Looks both sides of a split up — the part of `CreatePlan` that does not
 /// depend on the join order. `None` if either side has no memo entry yet.
 /// The first half of [`price_both`]. Each side is one
-/// [`MemoStore::cost_rows`]: its best cost and cardinality, nothing else.
+/// [`MemoRead::cost_rows`]: its best cost and cardinality, nothing else.
 #[inline]
 pub(crate) fn join_inputs<M: MemoRead>(
     memo: &M,
@@ -211,14 +210,14 @@ fn missing_entry(sl: RelSet, sr: RelSet) -> OptError {
 /// beats the incumbent plan for `sl ∪ sr` (`CreatePlan` + best-plan update in
 /// Algorithms 1–3). Returns whether it did. `(slot, out_rows)` are the
 /// union's slot and cardinality: a level-synchronous caller takes them from
-/// its level plan position ([`MemoStore::slot`]), a pair-driven one from its
-/// one [`MemoStore::find`] of the union.
+/// its level plan position ([`MemoTable::slot`]), a pair-driven one from its
+/// one [`MemoTable::find`] of the union.
 ///
 /// Both sides must already have memo entries; a missing entry indicates an
 /// enumeration-order bug and is reported as [`OptError::Internal`].
 #[inline]
-pub fn emit_pair<M: MemoStore>(
-    memo: &mut M,
+pub fn emit_pair(
+    memo: &mut MemoTable,
     model: &dyn CostModel,
     sl: RelSet,
     sr: RelSet,
@@ -231,8 +230,8 @@ pub fn emit_pair<M: MemoStore>(
 /// [`emit_pair`] for both orders of the split `{a, b}` at once: one
 /// [`price_both`], then one memo update with the better order.
 #[inline]
-pub(crate) fn emit_both<M: MemoStore>(
-    memo: &mut M,
+pub(crate) fn emit_both(
+    memo: &mut MemoTable,
     model: &dyn CostModel,
     a: RelSet,
     b: RelSet,
@@ -256,9 +255,9 @@ pub fn level_plan(ctx: &OptContext<'_>) -> Result<ConnectedSets, OptError> {
 
 /// Extracts the final plan and packages the run result: the run's counters
 /// are the profile's totals, and the memo's final health (load factor,
-/// probes, retries) is stamped into the profile.
-pub fn finish<M: MemoStore>(
-    memo: &M,
+/// probes) is stamped into the profile.
+pub fn finish(
+    memo: &MemoTable,
     q: &QueryInfo,
     mut profile: Profile,
 ) -> Result<OptResult, OptError> {
@@ -281,7 +280,6 @@ pub fn finish<M: MemoStore>(
 mod tests {
     use super::*;
     use mpdp_core::graph::JoinGraph;
-    use mpdp_core::memo::MemoTable;
     use mpdp_core::query::RelInfo;
     use mpdp_cost::pglike::PgLikeCost;
 

@@ -66,7 +66,7 @@ pub(crate) struct Sources<'s> {
 }
 
 /// The cost and rows of the singleton `{v}` at index `v`, as
-/// [`MemoStore::cost_rows`](mpdp_core::memo::MemoStore::cost_rows) reads
+/// [`MemoRead::cost_rows`](mpdp_core::memo::MemoRead::cost_rows) reads
 /// them: the word arrays the leaf loop gathers from.
 #[derive(Clone, Debug)]
 pub(crate) struct Singles {
@@ -171,7 +171,6 @@ pub(crate) fn price(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{LaneMins, Sources, LANES};
-    use mpdp_core::atomic_memo::CostRecord;
     use mpdp_core::memo::{MemoLanes, Slot, GOLDEN};
     use mpdp_core::RelSet;
     use mpdp_cost::model::LaneForm;
@@ -184,20 +183,17 @@ mod x86 {
     const _: () = assert!(
         Slot::KEY.is_multiple_of(8) && Slot::COST.is_multiple_of(8) && Slot::ROWS.is_multiple_of(8)
     );
-    const _: () = assert!(CostRecord::COST.is_multiple_of(8) && CostRecord::ROWS.is_multiple_of(8));
 
-    /// A memo view as word arrays: slot `i`'s key is word `i << key_shift`
-    /// past `key`, its cost and rows words `i << value_shift` past `cost`
-    /// and `rows`. Raw pointers, not slices: on an `AtomicMemo` the words
-    /// around the ones a lane reads may be written by other workers.
+    /// A slot is `1 << SLOT_SHIFT` words.
+    const SLOT_SHIFT: u32 = 2;
+    const _: () = assert!(size_of::<Slot>() == 8 << SLOT_SHIFT);
+
+    /// A memo view as word arrays: slot `i`'s key, cost and rows are word
+    /// `i << SLOT_SHIFT` past `key`, `cost` and `rows`.
     pub(super) struct Tables<'a> {
         key: *const u64,
         cost: *const u64,
         rows: *const u64,
-        key_shift: u32,
-        value_shift: u32,
-        /// The cost words are [`ordered_cost_bits`](mpdp_core::memo::ordered_cost_bits).
-        ordered: bool,
         slots: u64,
         mask: u64,
         direct: bool,
@@ -205,45 +201,15 @@ mod x86 {
         _memo: PhantomData<MemoLanes<'a>>,
     }
 
-    const _: () = assert!(size_of::<Slot>() == 8 << 2 && size_of::<CostRecord>() == 8 << 1);
-
     impl<'a> Tables<'a> {
         pub(super) fn new(memo: MemoLanes<'a>) -> Self {
-            let (key, cost, rows, key_shift, value_shift, ordered, at) = match memo {
-                MemoLanes::Table { slots, at } => {
-                    assert_eq!(slots.len(), at.slots());
-                    let words = slots.as_ptr().cast::<u64>();
-                    (
-                        words.wrapping_add(Slot::KEY / 8),
-                        words.wrapping_add(Slot::COST / 8),
-                        words.wrapping_add(Slot::ROWS / 8),
-                        2,
-                        2,
-                        false,
-                        at,
-                    )
-                }
-                MemoLanes::Atomic { keys, records, at } => {
-                    assert_eq!((keys.len(), records.len()), (at.slots(), at.slots()));
-                    let words = records.as_ptr().cast::<u64>();
-                    (
-                        keys.as_ptr(),
-                        words.wrapping_add(CostRecord::COST / 8),
-                        words.wrapping_add(CostRecord::ROWS / 8),
-                        0,
-                        1,
-                        true,
-                        at,
-                    )
-                }
-            };
+            let MemoLanes { slots, at } = memo;
+            assert_eq!(slots.len(), at.slots());
+            let words = slots.as_ptr().cast::<u64>();
             Tables {
-                key,
-                cost,
-                rows,
-                key_shift,
-                value_shift,
-                ordered,
+                key: words.wrapping_add(Slot::KEY / 8),
+                cost: words.wrapping_add(Slot::COST / 8),
+                rows: words.wrapping_add(Slot::ROWS / 8),
                 slots: at.slots() as u64,
                 mask: at.slots() as u64 - 1,
                 direct: at.is_direct(),
@@ -294,11 +260,9 @@ mod x86 {
             rows,
             floors,
         };
-        match (form, tables.ordered) {
-            (LaneForm::PgLike(p), false) => mins::<false, false>(&p, lanes, spills),
-            (LaneForm::PgLike(p), true) => mins::<true, false>(&p, lanes, spills),
-            (LaneForm::Cout, false) => mins::<false, true>(&PgParams::default(), lanes, spills),
-            (LaneForm::Cout, true) => mins::<true, true>(&PgParams::default(), lanes, spills),
+        match form {
+            LaneForm::PgLike(p) => mins::<false>(&p, lanes, spills),
+            LaneForm::Cout => mins::<true>(&PgParams::default(), lanes, spills),
         }
     }
 
@@ -311,10 +275,10 @@ mod x86 {
         floors: &'l [f64; LANES],
     }
 
-    /// The three split loops, for cost words folded or not (`ORDERED`) and
-    /// the PostgreSQL-like or the `C_out` form (`COUT`; `p` unused then).
+    /// The three split loops, for the PostgreSQL-like or the `C_out` form
+    /// (`COUT`; `p` unused then).
     #[target_feature(enable = "avx512f,avx512dq")]
-    fn mins<const ORDERED: bool, const COUT: bool>(
+    fn mins<const COUT: bool>(
         p: &PgParams,
         lanes: Lanes<'_>,
         spills: &mut Vec<(usize, RelSet)>,
@@ -398,8 +362,8 @@ mod x86 {
             let side = _mm512_set1_epi64(bridge.side.bits() as i64);
             let left = _mm512_and_si512(s, side);
             let right = _mm512_andnot_si512(side, s);
-            let (found_a, a_cost, a_rows) = lookup::<ORDERED>(tables, left, inside);
-            let (found_b, b_cost, b_rows) = lookup::<ORDERED>(tables, right, inside);
+            let (found_a, a_cost, a_rows) = lookup(tables, left, inside);
+            let (found_b, b_cost, b_rows) = lookup(tables, right, inside);
             split!(
                 inside,
                 left,
@@ -425,7 +389,7 @@ mod x86 {
             let leaf_left = _mm512_test_epi64_mask(v, low);
             let left = _mm512_mask_blend_epi64(leaf_left, rest, v);
             let right = _mm512_xor_si512(s, left);
-            let (found, rest_cost, rest_rows) = lookup::<ORDERED>(tables, rest, inside);
+            let (found, rest_cost, rest_rows) = lookup(tables, rest, inside);
             // `v` is one bit, so converting it to an `f64` is exact and the
             // biased exponent, less 1 023, is the leaf's index.
             let index = _mm512_sub_epi64(
@@ -487,8 +451,8 @@ mod x86 {
                 };
                 let left = _mm512_and_si512(hang, s);
                 let right = _mm512_andnot_si512(hang, s);
-                let (found_a, a_cost, a_rows) = lookup::<ORDERED>(tables, left, inside);
-                let (found_b, b_cost, b_rows) = lookup::<ORDERED>(tables, right, inside);
+                let (found_a, a_cost, a_rows) = lookup(tables, left, inside);
+                let (found_b, b_cost, b_rows) = lookup(tables, right, inside);
                 split!(
                     inside,
                     left,
@@ -546,17 +510,13 @@ mod x86 {
     }
 
     /// Looks the sets `bits` up in the lanes of `lanes`, as
-    /// `MemoStore::cost_rows` would from their home slots: the lanes where
+    /// `MemoRead::cost_rows` would from their home slots: the lanes where
     /// the home slot holds the set, and there its cost and rows. Every set
     /// the kernel looks up is a connected subset of a set of the level
     /// plan, so it was laid out, and on a direct table it is in its home.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq")]
-    fn lookup<const ORDERED: bool>(
-        t: &Tables<'_>,
-        bits: __m512i,
-        lanes: __mmask8,
-    ) -> (__mmask8, __m512d, __m512d) {
+    fn lookup(t: &Tables<'_>, bits: __m512i, lanes: __mmask8) -> (__mmask8, __m512d, __m512d) {
         // `Addressing::home`, lane for lane.
         let home = if t.direct {
             _mm512_and_si512(bits, _mm512_set1_epi64(t.mask as i64))
@@ -572,38 +532,31 @@ mod x86 {
         }
         // A direct home is the set's own slot, and every set looked up (a
         // connected subset of a set of the plan) was laid out, so its key
-        // is read only to check that. A hashed home may hold another set,
-        // even one of the level being written (the parallel backends), so
+        // is read only to check that. A hashed home may hold another set, so
         // its record is read only where the key says it is the set's.
         let found = if t.direct && !cfg!(debug_assertions) {
             lanes
         } else {
-            let key = gather(t.key, home, t.key_shift, lanes);
+            let key = gather(t.key, home, lanes);
             _mm512_mask_cmpeq_epi64_mask(lanes, key, bits)
         };
         debug_assert!(!t.direct || found == lanes, "a set was not laid out");
-        let cost = gather(t.cost, home, t.value_shift, found);
-        let rows = gather(t.rows, home, t.value_shift, found);
-        let cost = if ORDERED {
-            cost_from_ordered(cost)
-        } else {
-            cost
-        };
+        let cost = gather(t.cost, home, found);
+        let rows = gather(t.rows, home, found);
         (found, _mm512_castsi512_pd(cost), _mm512_castsi512_pd(rows))
     }
 
-    /// Word `slot << shift` past `words` in the lanes of `lanes`, 0
+    /// Word `slot << SLOT_SHIFT` past `words` in the lanes of `lanes`, 0
     /// elsewhere. The caller checked every lane's `slot` against the
     /// table's slot count.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq")]
-    fn gather(words: *const u64, slot: __m512i, shift: u32, lanes: __mmask8) -> __m512i {
-        let index = _mm512_sll_epi64(slot, _mm_cvtsi64_si128(shift as i64));
+    fn gather(words: *const u64, slot: __m512i, lanes: __mmask8) -> __m512i {
+        let index = _mm512_slli_epi64::<SLOT_SHIFT>(slot);
         // SAFETY: `Tables::new` points `words` at one field of the first
-        // slot's record, records of `8 << shift` bytes, of which the table
-        // has one per slot; so word `slot << shift` is that field of the
-        // record of `slot`, inside the table. See `MemoStore::lanes` on
-        // `AtomicMemo` for why no writer races the read.
+        // slot, of the table's slots of `8 << SLOT_SHIFT` bytes each; so
+        // word `slot << SLOT_SHIFT` is that field of `slot`, inside the
+        // table. The table's one writer waits while a view of it is read.
         unsafe {
             _mm512_mask_i64gather_epi64::<8>(_mm512_setzero_si512(), lanes, index, words.cast())
         }
@@ -717,15 +670,6 @@ mod x86 {
         let b = _mm512_castpd_si512(cost);
         let sign = _mm512_set1_epi64(i64::MIN);
         _mm512_xor_si512(b, _mm512_or_si512(_mm512_srai_epi64::<63>(b), sign))
-    }
-
-    /// `memo::cost_from_ordered_bits`, lane for lane (the bits of the cost).
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn cost_from_ordered(ordered: __m512i) -> __m512i {
-        let sign = _mm512_set1_epi64(i64::MIN);
-        let flip = _mm512_xor_si512(_mm512_srai_epi64::<63>(ordered), _mm512_set1_epi64(-1));
-        _mm512_xor_si512(ordered, _mm512_or_si512(flip, sign))
     }
 
     /// [`super::price`] once the features are known.

@@ -519,38 +519,63 @@ impl Mpdp {
         let mut kernel = SetKernel::new(q, ctx.model, &index);
         for i in 2..=n {
             let (sets, rows) = plan.level(i);
-            let start = plan.starts[i - 1];
             let mut level = LevelStats {
                 size: i,
                 sets: sets.len() as u64,
                 ..Default::default()
             };
-            let publish = |memo: &mut MemoTable, level: &mut LevelStats, k, out: &SetOutcome| {
-                level.evaluated += out.evaluated;
-                level.ccp += out.ccp;
-                if let Some(e) = out.best {
-                    level.memo_writes += memo.update(memo.slot(start + k), e.left, e.cost) as u64;
-                }
-            };
-            if kernel.lanes_for(sets.len()) {
-                for (c, (sets, rows)) in sets.chunks(LANES).zip(rows.chunks(LANES)).enumerate() {
-                    ctx.poll_deadline(c * LANES)?;
-                    let outs = kernel.evaluate_chunk(&memo, sets, rows);
-                    for (j, out) in outs[..sets.len()].iter().enumerate() {
-                        publish(&mut memo, &mut level, c * LANES + j, out);
-                    }
-                }
-            } else {
-                for (k, (&s, &rows)) in sets.iter().zip(rows).enumerate() {
-                    ctx.poll_deadline(k)?;
-                    let out = kernel.evaluate(&memo, s, rows, &mut ());
-                    publish(&mut memo, &mut level, k, &out);
-                }
-            }
+            let start = plan.starts[i - 1];
+            run_level(ctx, &mut kernel, &mut memo, (sets, rows), start, &mut level)?;
             profile.record(level);
         }
         finish(&memo, q, profile)
     }
+}
+
+/// MPDP's level loop, on the calling thread: the level's `sets` (whose first
+/// is the plan's `start`-th set), of cardinalities `rows`, through `kernel`,
+/// eight at a time where it has lanes, each winner written into `memo` as
+/// soon as it is known and counted into `level`. Polls the deadline per
+/// chunk or set. [`Mpdp::run`] runs every level here, and the level-parallel
+/// driver every level it keeps on the caller.
+///
+/// It prices through the table's [`view`](MemoTable::view), not through
+/// `&MemoTable`: the table is not `Freeze` (its probe counter is a `Cell`),
+/// so the compiler may not treat its fields as constant across the kernel's
+/// stores. Priced through the view, the loop took 0.96× of the wall it took
+/// through the table over the `plan-exact` grid, and 0.90× on cliques
+/// (DESIGN §6 "Measured scaling").
+pub fn run_level(
+    ctx: &OptContext<'_>,
+    kernel: &mut SetKernel<'_>,
+    memo: &mut MemoTable,
+    (sets, rows): (&[RelSet], &[f64]),
+    start: usize,
+    level: &mut LevelStats,
+) -> Result<(), OptError> {
+    let mut publish = |memo: &mut MemoTable, k: usize, out: &SetOutcome| {
+        level.evaluated += out.evaluated;
+        level.ccp += out.ccp;
+        if let Some(e) = out.best {
+            level.memo_writes += u64::from(memo.update(memo.slot(start + k), e.left, e.cost));
+        }
+    };
+    if kernel.lanes_for(sets.len()) {
+        for (c, (sets, rows)) in sets.chunks(LANES).zip(rows.chunks(LANES)).enumerate() {
+            ctx.poll_deadline(c * LANES)?;
+            let outs = kernel.evaluate_chunk(&memo.view(), sets, rows);
+            for (j, out) in outs[..sets.len()].iter().enumerate() {
+                publish(memo, c * LANES + j, out);
+            }
+        }
+    } else {
+        for (k, (&s, &rows)) in sets.iter().zip(rows).enumerate() {
+            ctx.poll_deadline(k)?;
+            let out = kernel.evaluate(&memo.view(), s, rows, &mut ());
+            publish(memo, k, &out);
+        }
+    }
+    Ok(())
 }
 
 /// MPDP on tree (acyclic) join graphs — Algorithm 2. On a tree every block
@@ -579,10 +604,9 @@ mod tests {
     use super::*;
     use crate::dpsub::tests::{chain_query, cycle_query, star_query};
     use crate::dpsub::DpSub;
-    use mpdp_core::atomic_memo::AtomicMemo;
     use mpdp_core::enumerate::ConnectedSets;
     use mpdp_core::graph::JoinGraph;
-    use mpdp_core::memo::{Addressing, MemoStore};
+    use mpdp_core::memo::Addressing;
     use mpdp_core::query::{QueryInfo, RelInfo};
     use mpdp_cost::pglike::PgLikeCost;
 
@@ -749,13 +773,13 @@ mod tests {
     /// as they come out of `evaluate`, to the bit; the chunks read the split
     /// tables on lanes, `evaluate` walks every block. Returns the spilled
     /// splits and the chunks, or `None` without lanes.
-    fn chunk_oracle<M: MemoStore>(
+    fn chunk_oracle(
         q: &QueryInfo,
         model: &dyn CostModel,
         universe: usize,
     ) -> Option<(Spills, Vec<[RelSet; LANES]>)> {
         let plan = ConnectedSets::enumerate(q);
-        let mut memo = M::laid_out(universe, &plan.sets, &plan.rows);
+        let mut memo = MemoTable::laid_out(universe, &plan.sets, &plan.rows);
         for (i, rel) in q.rels.iter().enumerate() {
             memo.update(memo.slot(i), RelSet::EMPTY, rel.cost);
         }
@@ -824,21 +848,19 @@ mod tests {
         // Where both inputs are under eight rows the sort-merge is priced,
         // which the lanes hand back, on a direct table too.
         let small = star_around(10, 4, 6.0, &[3.0, 5e3, 5.0, 1e6, 40.0]);
-        let Some((spills, _)) = chunk_oracle::<MemoTable>(&small, &model, 10) else {
+        let Some((spills, _)) = chunk_oracle(&small, &model, 10) else {
             return println!("skipped: no lanes (AVX-512 F, DQ not detected)");
         };
         assert!(!spills.is_empty());
         assert!(spills
             .iter()
             .all(|&(s, left)| is_leaf_split(&small, s, left)));
-        chunk_oracle::<AtomicMemo>(&small, &model, 10);
         // With no input under eight rows nothing is handed back from a
         // direct table; a universe of 64 relations hashes every home, and
         // a side displaced from its home is handed back.
         let large = star_around(10, 4, 1e6, &[3.0, 5e3, 5.0, 1e6, 40.0]);
         for universe in [10, 64] {
-            let (spills, _) = chunk_oracle::<MemoTable>(&large, &model, universe).unwrap();
-            chunk_oracle::<AtomicMemo>(&large, &model, universe);
+            let (spills, _) = chunk_oracle(&large, &model, universe).unwrap();
             let plan = ConnectedSets::enumerate(&large);
             let memo = MemoTable::laid_out(universe, &plan.sets, &plan.rows);
             let at = Addressing::for_universe(universe, plan.sets.len());
@@ -859,8 +881,8 @@ mod tests {
         // Both relations are leaves; the bridge is one split, two pairs.
         let model = PgLikeCost::new();
         let q = star_query(2);
-        if chunk_oracle::<MemoTable>(&q, &model, 2).is_some() {
-            chunk_oracle::<AtomicMemo>(&q, &model, 64);
+        if chunk_oracle(&q, &model, 2).is_some() {
+            chunk_oracle(&q, &model, 64);
             let r = Mpdp::run(&OptContext::new(&q, &model)).unwrap();
             assert_eq!((r.counters.evaluated, r.counters.ccp), (2, 2));
         }
@@ -886,10 +908,9 @@ mod tests {
         // side displaced from its home.
         let tiny = QueryInfo::new(q.graph.clone(), vec![RelInfo::new(2.0, 1.0); 9]);
         for (q, universe, spill) in [(&q, 9, false), (&tiny, 9, true), (&q, 64, true)] {
-            let Some((spills, chunks)) = chunk_oracle::<MemoTable>(q, &model, universe) else {
+            let Some((spills, chunks)) = chunk_oracle(q, &model, universe) else {
                 return println!("skipped: no lanes (AVX-512 F, DQ not detected)");
             };
-            chunk_oracle::<AtomicMemo>(q, &model, universe);
             let (mut mixed, mut lengths) = (0, std::collections::BTreeSet::new());
             for (chunk, table) in chunks
                 .iter()

@@ -12,23 +12,28 @@
 //! enumeration itself is sequential, only the costing parallelizes, and the
 //! reordering buffer adds per-pair overhead — Amdahl caps the speedup near
 //! `(t_enum + t_cost) / t_enum`.
+//!
+//! Two consumers may price pairs of one set, so a consumer keeps every
+//! candidate it prices and hands it back, and the caller, the memo's one
+//! writer, applies them when the class's job has returned
+//! (`level_par::Candidates`); consumers price from the memo's read-only view
+//! and poll the deadline per pair.
 
+use crate::level_par::{poll, Candidates};
 use crate::pool::{chunk_range, with_pool};
-use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{finish, init_memo, level_plan, price_both, OptContext, OptResult};
 use mpdp_dp::dpccp::csg_cmp_pairs;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The DPE optimizer.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Dpe;
 
 impl Dpe {
-    /// Runs DPE: sequential DPCCP enumeration into a dependency buffer,
-    /// parallel costing per dependency class with winners published straight
-    /// into the shared atomic memo (no per-thread candidate lists).
+    /// Runs DPE: sequential DPCCP enumeration into a dependency buffer, then
+    /// parallel costing per dependency class, each consumer handing its
+    /// candidates back to the caller, which writes them into the memo.
     pub fn run(ctx: &OptContext<'_>, threads: usize) -> Result<OptResult, OptError> {
         ctx.validate_exact()?;
         let q = ctx.query;
@@ -44,47 +49,47 @@ impl Dpe {
             })?;
 
             // The unions of class `k` are the connected sets of size `k`:
-            // the level plan counts them, lays the shared memo out once (the
-            // table never grows under the consumers) and puts each set's
+            // the level plan counts them, lays the memo out once (the table
+            // never grows under the consumers) and puts each set's
             // cardinality in the slot its pairs will find.
             let plan = level_plan(ctx)?;
-            let memo: AtomicMemo = init_memo(q, &plan);
+            let mut memo = init_memo(q, &plan);
             let mut profile = Profile::default();
 
             // Consumers: cost each class in parallel; the class barrier is
-            // the pool's run boundary.
-            for (k, class) in classes.iter().enumerate().skip(2) {
+            // the pool's job boundary. Class 1, the leaves, has no pairs,
+            // but the producer walked its sets as DPCCP does.
+            for (k, class) in classes.iter().enumerate().skip(1) {
                 ctx.check_deadline()?;
-                if class.is_empty() {
-                    continue;
-                }
-                let probes0 = memo.probe_count();
-                let retries0 = memo.cas_retry_count();
-                let memo_ref = &memo;
-                let writes = AtomicU64::new(0);
-                pool.run(&|worker| {
-                    let mut mine = 0u64;
-                    for &(s1, s2) in &class[chunk_range(class.len(), pool.workers(), worker)] {
-                        let (slot, rows) = memo_ref.find(s1.union(s2));
-                        let Some(priced) = price_both(memo_ref, ctx.model, s1, s2, rows) else {
-                            continue;
-                        };
-                        let (left, cost) = priced.better(s1, s2);
-                        mine += memo_ref.update(slot, left, cost) as u64;
-                    }
-                    writes.fetch_add(mine, Ordering::Relaxed);
-                });
-                let level = LevelStats {
+                let mut level = LevelStats {
                     size: k,
-                    // Counters track ordered pairs workspace-wide.
-                    evaluated: 2 * class.len() as u64,
-                    ccp: 2 * class.len() as u64,
                     sets: plan.level(k).0.len() as u64,
-                    memo_writes: writes.load(Ordering::Relaxed),
-                    memo_probes: memo.probe_count() - probes0,
-                    cas_retries: memo.cas_retry_count() - retries0,
                     ..Default::default()
                 };
+                if !class.is_empty() {
+                    let view = memo.view();
+                    let parts = pool.map(|worker| {
+                        let mut part = Candidates::default();
+                        let mine = &class[chunk_range(class.len(), pool.workers(), worker)];
+                        for (j, &(s1, s2)) in mine.iter().enumerate() {
+                            if let Err(e) = poll(ctx, pool, class.len(), j) {
+                                part.err = Some(e);
+                                break;
+                            }
+                            let (slot, rows, steps) = view.find(s1.union(s2));
+                            part.probes += steps;
+                            // Counters track ordered pairs workspace-wide.
+                            part.evaluated += 2;
+                            part.ccp += 2;
+                            if let Some(priced) = price_both(&view, ctx.model, s1, s2, rows) {
+                                let (left, cost) = priced.better(s1, s2);
+                                part.list.push((slot, left, cost));
+                            }
+                        }
+                        part
+                    });
+                    Candidates::publish(parts, &mut memo, &mut level)?;
+                }
                 profile.record(level);
             }
             finish(&memo, q, profile)

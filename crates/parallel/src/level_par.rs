@@ -18,31 +18,34 @@
 //! helper that arrives late takes what is left. A level whose sets the
 //! previous level's pace puts below [`MIN_PACE`] each, or below [`GRAIN`]
 //! in all, runs on the caller with no hand-off, writing each winner as soon
-//! as it is known, as `Mpdp::run` does. Each participant polls the deadline
-//! per chunk, as `Mpdp::run` does.
+//! as it is known: MPDP's is `Mpdp::run`'s own level loop
+//! ([`run_level`]). Each participant polls the deadline per chunk, as that
+//! loop does.
 //!
 //! PDP ([`run_dpsize_parallel`]) meets a set as the union of many pairs,
-//! which different workers price, so its workers publish into the shared
-//! [`AtomicMemo`] with a min-update under the slot's lock — the CPU analogue
-//! of the paper's `atomicMin` on the device-global hash table.
+//! which different workers price, so a set has no one winner a worker could
+//! reduce it to. Each part keeps every candidate it prices as `(slot, left,
+//! cost)` (`Candidates`), and the caller applies them all with
+//! [`MemoTable::update`] once the job has returned, as DPE
+//! ([`crate::dpe`]) does: the table still has one writer. Both poll the
+//! deadline per item, as a level's claims do.
 //!
 //! Result equality with the sequential algorithms is exact and
 //! bit-identical at any worker count: the same pairs are priced by the same
-//! shared costing (`mpdp_dp::common`), and every memo keeps the minimum
-//! under the same deterministic `(cost, left)` tie-break, which is
-//! order-insensitive.
+//! shared costing (`mpdp_dp::common`), and the memo keeps the minimum under
+//! the deterministic `(cost, left)` tie-break, which does not depend on the
+//! order the candidates arrive in.
 
 use crate::pool::{chunk_range, with_pool, PoolHandle};
-use mpdp_core::atomic_memo::AtomicMemo;
 use mpdp_core::blocks::BlockIndex;
 use mpdp_core::counters::{LevelStats, Profile};
 use mpdp_core::memo::{candidate_key, MemoTable, MemoView};
 use mpdp_core::{OptError, RelSet};
 use mpdp_dp::common::{finish, init_memo, level_plan, price_pair, OptContext, OptResult};
 use mpdp_dp::dpsub::ccp_splits;
-use mpdp_dp::mpdp::{SetKernel, SetOutcome, LANES};
+use mpdp_dp::mpdp::{run_level, SetKernel, SetOutcome, LANES};
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -176,7 +179,7 @@ impl Level<'_> {
                 break;
             }
             for k in (first..(first + claim).min(len)).step_by(step) {
-                if let Err(e) = self.poll(pool, k) {
+                if let Err(e) = poll(self.ctx, pool, len, k) {
                     self.claims.stop.store(true, Ordering::Relaxed);
                     part.err = Some(e);
                     break 'claims;
@@ -226,59 +229,62 @@ impl Level<'_> {
             part.winners.push((k as u32, left, cost));
         }
     }
-
-    /// The deadline poll before the level's `k`-th set: the context's, once
-    /// per 1 024 sets. Under a test schedule, a poll may report expiry.
-    #[cfg_attr(not(test), allow(unused_variables))]
-    fn poll(&self, pool: &PoolHandle<'_>, k: usize) -> Result<(), OptError> {
-        #[cfg(test)]
-        if crate::pool::sched::expired(pool, self.sets.len()) {
-            return Err(OptError::Timeout {
-                budget: self.ctx.budget.unwrap_or_default(),
-            });
-        }
-        self.ctx.poll_deadline(k)
-    }
 }
 
-/// MPDP's level of `sets` (whose first is the plan's `start`-th set) on the
-/// caller alone: `Mpdp::run`'s level loop, each winner written into `memo`
-/// as soon as it is known, but pricing from the table's view. `&MemoTable`
-/// is not `Freeze` (its probe counter is a `Cell`), so the compiler may not
-/// treat the table's fields as constant across the kernel's stores; priced
-/// through it, as `Mpdp::run` does, this loop ran 4 % slower over the
-/// `plan-exact` grid and 10 % on cliques (DESIGN §6 "Measured scaling").
-fn mpdp_alone(
+/// The deadline poll before the `k`-th of a job's `items` items (a level's
+/// sets, or a part's share of a class or level of pairs): the context's,
+/// once per 1 024 items. Under a test schedule, a poll may report expiry.
+#[cfg_attr(not(test), allow(unused_variables))]
+pub(crate) fn poll(
     ctx: &OptContext<'_>,
-    kernel: &mut SetKernel<'_>,
-    memo: &mut MemoTable,
-    (sets, rows): (&[RelSet], &[f64]),
-    start: usize,
-    level: &mut LevelStats,
+    pool: &PoolHandle<'_>,
+    items: usize,
+    k: usize,
 ) -> Result<(), OptError> {
-    let mut publish = |memo: &mut MemoTable, k: usize, out: &SetOutcome| {
-        level.evaluated += out.evaluated;
-        level.ccp += out.ccp;
-        if let Some(e) = out.best {
-            level.memo_writes += u64::from(memo.update(memo.slot(start + k), e.left, e.cost));
-        }
-    };
-    if kernel.lanes_for(sets.len()) {
-        for (c, (sets, rows)) in sets.chunks(LANES).zip(rows.chunks(LANES)).enumerate() {
-            ctx.poll_deadline(c * LANES)?;
-            let outs = kernel.evaluate_chunk(&memo.view(), sets, rows);
-            for (j, out) in outs[..sets.len()].iter().enumerate() {
-                publish(memo, c * LANES + j, out);
-            }
-        }
-    } else {
-        for (k, (&s, &rows)) in sets.iter().zip(rows).enumerate() {
-            ctx.poll_deadline(k)?;
-            let out = kernel.evaluate(&memo.view(), s, rows, &mut ());
-            publish(memo, k, &out);
-        }
+    #[cfg(test)]
+    if crate::pool::sched::expired(pool, items) {
+        return Err(OptError::Timeout {
+            budget: ctx.budget.unwrap_or_default(),
+        });
     }
-    Ok(())
+    ctx.poll_deadline(k)
+}
+
+/// What one part of a DPE or PDP job hands back: every candidate it priced,
+/// as `(slot, left, cost)`, its counts, and the error of its deadline poll,
+/// where one failed.
+#[derive(Default)]
+pub(crate) struct Candidates {
+    pub(crate) list: Vec<(usize, RelSet, f64)>,
+    pub(crate) evaluated: u64,
+    pub(crate) ccp: u64,
+    /// The probe steps of the part's finds, which a view does not count.
+    pub(crate) probes: u64,
+    pub(crate) err: Option<OptError>,
+}
+
+impl Candidates {
+    /// Writes the parts' candidates into `memo`, the caller being its one
+    /// writer once the job has returned, and counts them into `level`; or
+    /// returns the first part's error.
+    pub(crate) fn publish(
+        mut parts: Vec<Candidates>,
+        memo: &mut MemoTable,
+        level: &mut LevelStats,
+    ) -> Result<(), OptError> {
+        if let Some(e) = parts.iter_mut().find_map(|part| part.err.take()) {
+            return Err(e);
+        }
+        for part in parts {
+            for (slot, left, cost) in part.list {
+                level.memo_writes += u64::from(memo.update(slot, left, cost));
+            }
+            level.evaluated += part.evaluated;
+            level.ccp += part.ccp;
+            level.memo_probes += part.probes;
+        }
+        Ok(())
+    }
 }
 
 /// Why a part's lock cannot be poisoned: a panicking part unwinds the run.
@@ -345,7 +351,7 @@ pub fn run_level_parallel(
                 (LevelAlgo::Mpdp, false) => {
                     let kernel = &mut parts[0].get_mut().expect(UNPOISONED).kernel;
                     let start = plan.starts[i - 1];
-                    mpdp_alone(ctx, kernel, &mut memo, (sets, rows), start, &mut level)?;
+                    run_level(ctx, kernel, &mut memo, (sets, rows), start, &mut level)?;
                     started
                 }
                 _ => {
@@ -389,34 +395,10 @@ pub fn run_level_parallel(
     })
 }
 
-/// Level-wide accumulators of PDP: each worker tallies its slice of a level
-/// in a `LevelStats` of its own and folds it in here when the slice is done
-/// (sums are partition-invariant, so totals are deterministic at any worker
-/// count).
-#[derive(Default)]
-struct LevelTally {
-    evaluated: AtomicU64,
-    ccp: AtomicU64,
-    writes: AtomicU64,
-}
-
-impl LevelTally {
-    fn absorb(&self, mine: &LevelStats) {
-        self.evaluated.fetch_add(mine.evaluated, Ordering::Relaxed);
-        self.ccp.fetch_add(mine.ccp, Ordering::Relaxed);
-        self.writes.fetch_add(mine.memo_writes, Ordering::Relaxed);
-    }
-
-    fn fill(&self, level: &mut LevelStats) {
-        level.evaluated += self.evaluated.load(Ordering::Relaxed);
-        level.ccp += self.ccp.load(Ordering::Relaxed);
-        level.memo_writes += self.writes.load(Ordering::Relaxed);
-    }
-}
-
 /// PDP — parallel DPSIZE \[10\]: per level, the cross products of the
-/// previous levels' plan lists are split among workers, which publish every
-/// candidate straight into the shared atomic memo (no deferred pruning).
+/// previous levels' plan lists are split among workers, which price every
+/// pair from the memo's view and hand every candidate back (no deferred
+/// pruning); the caller writes them in at the level's end.
 ///
 /// The per-size plan lists are the level plan's. A pair does not know where
 /// its union sits in the plan: it finds the union's slot, and with it the
@@ -427,7 +409,7 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
     let n = q.query_size();
     with_pool(threads, |pool| {
         let plan = level_plan(ctx)?;
-        let memo: AtomicMemo = init_memo(q, &plan);
+        let mut memo: MemoTable = init_memo(q, &plan);
         let mut profile = Profile::default();
         // Work items, reused across levels: (right-size, left set).
         let mut items: Vec<(usize, RelSet)> = Vec::new();
@@ -446,37 +428,33 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
                     items.push((i - k, l));
                 }
             }
-            let marks = (memo.probe_count(), memo.cas_retry_count());
-            let memo_ref = &memo;
-            let items_ref = &items;
-            let plan_ref = &plan;
-            let tally = LevelTally::default();
-            pool.run(&|worker| {
-                let mut mine = LevelStats::default();
-                for &(rk, left) in &items_ref[chunk_range(items_ref.len(), pool.workers(), worker)]
-                {
-                    for &right in plan_ref.level(rk).0 {
-                        mine.evaluated += 1;
-                        if !left.is_disjoint(right) {
+            let view = memo.view();
+            let parts = pool.map(|worker| {
+                let mut part = Candidates::default();
+                let mine = &items[chunk_range(items.len(), pool.workers(), worker)];
+                for (k, &(rk, left)) in mine.iter().enumerate() {
+                    if let Err(e) = poll(ctx, pool, items.len(), k) {
+                        part.err = Some(e);
+                        break;
+                    }
+                    for &right in plan.level(rk).0 {
+                        part.evaluated += 1;
+                        if !left.is_disjoint(right) || !q.graph.sets_connected(left, right) {
                             continue;
                         }
-                        if !q.graph.sets_connected(left, right) {
-                            continue;
-                        }
-                        mine.ccp += 1;
+                        part.ccp += 1;
                         // Every CCP pair's union is a connected set, so it
                         // was laid out.
-                        let (slot, rows) = memo_ref.find(left.union(right));
-                        if let Some(cost) = price_pair(memo_ref, ctx.model, left, right, rows) {
-                            mine.memo_writes += memo_ref.update(slot, left, cost) as u64;
+                        let (slot, rows, steps) = view.find(left.union(right));
+                        part.probes += steps;
+                        if let Some(cost) = price_pair(&view, ctx.model, left, right, rows) {
+                            part.list.push((slot, left, cost));
                         }
                     }
                 }
-                tally.absorb(&mine);
+                part
             });
-            tally.fill(&mut level);
-            level.memo_probes = memo.probe_count() - marks.0;
-            level.cas_retries = memo.cas_retry_count() - marks.1;
+            Candidates::publish(parts, &mut memo, &mut level)?;
             profile.record(level);
         }
         finish(&memo, q, profile)
@@ -486,9 +464,12 @@ pub fn run_dpsize_parallel(ctx: &OptContext<'_>, threads: usize) -> Result<OptRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpe::Dpe;
     use crate::pool::sched::{self, Fault};
     use mpdp_core::enumerate::ConnectedSets;
     use mpdp_cost::pglike::PgLikeCost;
+    use mpdp_dp::dpccp::DpCcp;
+    use mpdp_dp::dpsize::DpSize;
     use mpdp_dp::dpsub::DpSub;
     use mpdp_dp::mpdp::Mpdp;
     use mpdp_workload::gen;
@@ -602,40 +583,65 @@ mod tests {
         assert_eq!(r.counters, seq.counters, "{what}: counters");
     }
 
+    /// A driver run at two parts, or its sequential counterpart.
+    type Driver = fn(&OptContext<'_>) -> Result<OptResult, OptError>;
+
+    /// Every driver that runs jobs on the worker set, beside the sequential
+    /// driver whose plan, cost bits and counters it must equal.
+    const DRIVERS: [(&str, Driver, Driver); 3] = [
+        (
+            "MPDP",
+            |ctx| run_level_parallel(ctx, LevelAlgo::Mpdp, 2),
+            Mpdp::run,
+        ),
+        ("PDP", |ctx| run_dpsize_parallel(ctx, 2), DpSize::run),
+        ("DPE", |ctx| Dpe::run(ctx, 2), DpCcp::run),
+    ];
+
     #[test]
     fn helpers_late_absent_or_past_the_cursor_change_nothing() {
-        let (q, m, seq) = handed_off();
+        let (q, m, _) = handed_off();
         let ctx = OptContext::new(&q, &m);
-        let (mut helped, mut alone) = (0, 0);
-        for seed in 0..1_000 {
-            let run = || run_level_parallel(&ctx, LevelAlgo::Mpdp, 2);
-            let r = sched::scheduled(seed, Fault::None, run).unwrap();
-            assert_sequential(&r, &seq, &format!("seed {seed}"));
-            match sched::helper_claims() {
-                0 => alone += 1,
-                _ => helped += 1,
+        for (name, par, seq) in DRIVERS {
+            let seq = seq(&ctx).unwrap();
+            let (mut helped, mut alone) = (0, 0);
+            for seed in 0..1_000 {
+                let r = sched::scheduled(seed, Fault::None, || par(&ctx)).unwrap();
+                assert_sequential(&r, &seq, &format!("{name}, seed {seed}"));
+                match sched::parts_claimed().1 {
+                    0 => alone += 1,
+                    _ => helped += 1,
+                }
             }
-        }
-        // Both kinds of schedule occurred, where there is a helper at all.
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-            assert!(helped > 0 && alone > 0, "{helped} helped, {alone} alone");
+            // Both kinds of schedule occurred, where there is a helper at
+            // all.
+            if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+                assert!(
+                    helped > 0 && alone > 0,
+                    "{name}: {helped} helped, {alone} alone"
+                );
+            }
         }
     }
 
     #[test]
     fn a_panicking_part_is_rethrown_and_the_next_run_plans_exactly() {
         sched::quiet_panics();
-        let (q, m, seq) = handed_off();
+        let (q, m, _) = handed_off();
         let ctx = OptContext::new(&q, &m);
-        // Five jobs of two parts: every claim of the run is one of ten.
-        for seed in 0..1_000 {
-            let run = || run_level_parallel(&ctx, LevelAlgo::Mpdp, 2);
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                sched::scheduled(seed, Fault::Panic(seed % 10), run)
-            }));
-            assert!(out.is_err(), "seed {seed}: the part's panic is re-thrown");
-            let next = run_level_parallel(&ctx, LevelAlgo::Mpdp, 2).unwrap();
-            assert_sequential(&next, &seq, &format!("after seed {seed}"));
+        for (name, par, seq) in DRIVERS {
+            let seq = seq(&ctx).unwrap();
+            // Every job has two parts: MPDP's five, PDP's and DPE's eight.
+            sched::scheduled(0, Fault::None, || par(&ctx)).unwrap();
+            let (claims, _) = sched::parts_claimed();
+            for seed in 0..1_000 {
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    sched::scheduled(seed, Fault::Panic(seed % claims), || par(&ctx))
+                }));
+                assert!(out.is_err(), "{name}, seed {seed}: the panic is re-thrown");
+                let next = par(&ctx).unwrap();
+                assert_sequential(&next, &seq, &format!("{name}, after seed {seed}"));
+            }
         }
     }
 
@@ -678,41 +684,80 @@ mod tests {
         }
     }
 
+    /// Runs `par` on `q` under a budget that runs out in its job of
+    /// `widest` items, whose every deadline poll waits until well after
+    /// then, and asserts that the run times out inside that job, after
+    /// fewer than a quarter of its `polls` polls, and that the next run
+    /// plans as `seq` does.
+    fn assert_times_out_inside_the_widest_job(
+        q: &mpdp_core::QueryInfo,
+        (name, par, seq): (&str, Driver, Driver),
+        widest: usize,
+        polls: u64,
+    ) {
+        let m = PgLikeCost::new();
+        let ctx = OptContext::new(q, &m);
+        let started = Instant::now();
+        par(&ctx).unwrap();
+        let whole = started.elapsed();
+        // The jobs before the widest take far less than the budget unless
+        // this run is thrice as slow as the one just timed.
+        let budget = 2 * whole + Duration::from_millis(50);
+        let stall = Fault::Stall {
+            sets: widest,
+            dur: 3 * whole + Duration::from_millis(100),
+        };
+        let r = sched::scheduled(7, stall, || par(&OptContext::with_budget(q, &m, budget)));
+        assert!(matches!(r, Err(OptError::Timeout { .. })), "{name}: {r:?}");
+        let (_, in_job) = sched::polls();
+        assert!(
+            in_job > 0 && in_job < polls / 4,
+            "{name}: {in_job} of {polls}"
+        );
+        let next = par(&ctx).unwrap();
+        assert_sequential(
+            &next,
+            &seq(&ctx).unwrap(),
+            &format!("{name}: the next call"),
+        );
+    }
+
     #[test]
     fn a_budget_expiring_in_star_18s_widest_level_times_out_mid_level() {
         let m = PgLikeCost::new();
         let q = gen::star(18, 1, &m).to_query_info().unwrap();
         let plan = ConnectedSets::enumerate(&q);
         let widest = (1..=18).map(|i| plan.level(i).0.len()).max().unwrap();
-        let seq_ctx = OptContext::new(&q, &m);
         let index = BlockIndex::with_tables(&q.graph, plan.sets.len());
         let step = match SetKernel::new(&q, &m, &index).lanes_for(widest) {
             true => LANES,
             false => 1,
         };
-        let started = Instant::now();
-        let seq = Mpdp::run(&seq_ctx).unwrap();
-        let whole = started.elapsed();
-        // Every poll of the widest level waits until well after the budget
-        // has run out; the levels before it take far less than the budget
-        // unless this run is thrice as slow as the one just timed.
-        let budget = 2 * whole + Duration::from_millis(50);
-        let stall = Fault::Stall {
-            sets: widest,
-            dur: 3 * whole + Duration::from_millis(100),
-        };
-        let r = sched::scheduled(7, stall, || {
-            let ctx = OptContext::with_budget(&q, &m, budget);
-            run_level_parallel(&ctx, LevelAlgo::Mpdp, 2)
-        });
-        assert!(matches!(r, Err(OptError::Timeout { .. })), "{r:?}");
-        // It stopped inside the level: a participant polls the clock every
-        // 1 024 sets, and a level of `widest` sets has `widest / step`
-        // polls.
-        let (_, in_level) = sched::polls();
-        let all = widest.div_ceil(step) as u64;
-        assert!(in_level > 0 && in_level < all / 4, "{in_level} of {all}");
-        let next = run_level_parallel(&seq_ctx, LevelAlgo::Mpdp, 2).unwrap();
-        assert_sequential(&next, &seq, "the next call");
+        // A participant polls once per chunk or set.
+        let polls = widest.div_ceil(step) as u64;
+        assert_times_out_inside_the_widest_job(&q, DRIVERS[0], widest, polls);
+    }
+
+    #[test]
+    fn a_budget_expiring_in_star_11s_last_pdp_level_times_out_mid_level() {
+        // The last level's items are every set but the full one, each
+        // joined with the sets that complete it.
+        let m = PgLikeCost::new();
+        let q = gen::star(11, 1, &m).to_query_info().unwrap();
+        let widest = ConnectedSets::enumerate(&q).sets.len() - 1;
+        let polls = widest as u64;
+        assert_times_out_inside_the_widest_job(&q, DRIVERS[1], widest, polls);
+    }
+
+    #[test]
+    fn a_budget_expiring_in_star_16s_widest_dpe_class_times_out_mid_class() {
+        // A class's pairs are the csg-cmp pairs whose union has its size:
+        // half its ordered pairs.
+        let m = PgLikeCost::new();
+        let q = gen::star(16, 1, &m).to_query_info().unwrap();
+        let r = Dpe::run(&OptContext::new(&q, &m), 1).unwrap();
+        let widest = r.profile.levels.iter().map(|l| l.ccp / 2).max().unwrap();
+        let widest = widest as usize;
+        assert_times_out_inside_the_widest_job(&q, DRIVERS[2], widest, widest as u64);
     }
 }

@@ -366,10 +366,11 @@ impl PoolHandle<'_> {
     }
 
     /// Runs `f(idx)` for every part and collects the return values in part
-    /// order — the fan-out/merge shape used outside the DP loop (e.g. the
-    /// executor's probe phase: each part owns a contiguous morsel range and
-    /// returns a private output buffer; collecting in index order keeps the
-    /// merged result independent of scheduling).
+    /// order — the fan-out/merge shape of DPE's and PDP's jobs (each part
+    /// returns the candidates it priced) and of the executor's probe phase
+    /// (each part owns a contiguous morsel range and returns a private
+    /// output buffer); collecting in index order keeps the merged result
+    /// independent of scheduling.
     pub fn map<T: Send>(&self, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let slots: Vec<Mutex<Option<T>>> = (0..self.workers).map(|_| Mutex::new(None)).collect();
         self.run(&|idx| {
@@ -431,10 +432,10 @@ pub fn with_pool<T>(threads: usize, driver: impl FnOnce(&PoolHandle<'_>) -> T) -
 
 /// The contiguous slice of `0..len` that part `idx` of `workers` owns:
 /// balanced within one item, deterministic, and covering `0..len` exactly.
-/// Which thread runs which part never affects results — PDP's and DPE's
-/// shared memo keeps an order-insensitive `(cost, left)` minimum, and the
-/// executor merges parts in index order — so this is purely a load
-/// balancing choice.
+/// Which thread runs which part never affects results — the memo keeps an
+/// order-insensitive `(cost, left)` minimum of the candidates DPE's and
+/// PDP's parts hand back, and the executor merges parts in index order — so
+/// this is purely a load balancing choice.
 pub fn chunk_range(len: usize, workers: usize, idx: usize) -> std::ops::Range<usize> {
     let workers = workers.max(1);
     debug_assert!(idx < workers);
@@ -589,9 +590,10 @@ pub(crate) mod sched {
         (run.polls, run.stalled_polls)
     }
 
-    /// Parts of the last scheduled run that a helper claimed.
-    pub(crate) fn helper_claims() -> u64 {
-        run().helper_claims
+    /// Parts of the last scheduled run, and those of them a helper claimed.
+    pub(crate) fn parts_claimed() -> (u64, u64) {
+        let run = run();
+        (run.claims, run.helper_claims)
     }
 
     /// The open run closes: no schedule is open any more.

@@ -1,7 +1,8 @@
-//! The shared memo's headline guarantee: plans, costs and counters are
+//! The memo's headline guarantee: plans, costs and counters are
 //! **bit-identical** across the sequential, CPU-parallel and simulated-GPU
 //! backends at any worker count — including on exact cost ties, which the
-//! `(cost, left)` tie-break makes scheduling-independent.
+//! `(cost, left)` tie-break makes independent of the order in which the
+//! parallel backends' parts hand their candidates back.
 
 use mpdp::core::blocks::BlockIndex;
 use mpdp::core::enumerate::ConnectedSets;
@@ -139,13 +140,16 @@ fn plans_costs_counters_identical_across_backends_and_workers() {
             "{name}: dpsize gpu plan"
         );
 
-        // DPE and DPCCP price the same CCP pairs: identical winners.
-        for w in WORKER_COUNTS {
-            let dpe = Dpe::run(&ctx, w).unwrap();
-            assert_eq!(dpe.plan, seq.plan, "{name}: dpe plan ({w}w)");
-        }
+        // DPE and DPCCP price the same CCP pairs: identical winners, cost
+        // bits and counters.
         let ccp = DpCcp::run(&ctx).unwrap();
         assert_eq!(ccp.plan, seq.plan, "{name}: dpccp plan");
+        for w in WORKER_COUNTS {
+            let dpe = Dpe::run(&ctx, w).unwrap();
+            assert_eq!(dpe.plan, ccp.plan, "{name}: dpe plan ({w}w)");
+            assert_eq!(dpe.cost.to_bits(), ccp.cost.to_bits(), "{name} ({w}w)");
+            assert_eq!(dpe.counters, ccp.counters, "{name}: dpe counters ({w}w)");
+        }
     }
 }
 
@@ -158,7 +162,8 @@ fn tie_heavy_query_is_scheduling_independent() {
     // Run the parallel backends repeatedly at high worker counts: with ~7!
     // symmetric orderings, any arrival-order dependence in the tie-break
     // would show up as a differing `left` somewhere within a few rounds.
-    // DPE's consumers race on the same slots, so it runs every round too.
+    // DPE's and PDP's parts hand back candidates for the same slots, so
+    // they run every round too.
     for round in 0..5 {
         for w in [2usize, 4, 8] {
             let r = run_level_parallel(&ctx, LevelAlgo::Mpdp, w).unwrap();
@@ -168,12 +173,13 @@ fn tie_heavy_query_is_scheduling_independent() {
         let dpe = Dpe::run(&ctx, 8).unwrap();
         assert_eq!(dpe.plan, seq.plan, "round {round}, dpe");
         assert_eq!(dpe.cost.to_bits(), seq.cost.to_bits());
+        let pdp = run_dpsize_parallel(&ctx, 8).unwrap();
+        assert_eq!(pdp.plan, seq.plan, "round {round}, pdp");
+        assert_eq!(pdp.cost.to_bits(), seq.cost.to_bits());
     }
     // And across algorithm families.
     let gpu = MpdpGpu::new().run(&ctx).unwrap();
     assert_eq!(gpu.result.plan, seq.plan);
-    let pdp = run_dpsize_parallel(&ctx, 8).unwrap();
-    assert_eq!(pdp.plan, seq.plan);
     let sub = run_level_parallel(&ctx, LevelAlgo::DpSub, 8).unwrap();
     assert_eq!(sub.plan, seq.plan);
 }

@@ -5,11 +5,10 @@
 // Explicit imports (not the facade prelude glob): both `mpdp::prelude` and
 // `proptest::prelude` export a `Strategy` trait, and the glob-glob collision
 // would make either unusable.
-use mpdp::core::atomic_memo::AtomicMemo;
 use mpdp::core::blocks::{find_blocks, BlockIndex};
 use mpdp::core::combinatorics::KSubsets;
 use mpdp::core::enumerate::ConnectedSets;
-use mpdp::core::memo::{MemoEntry, MemoHealth, MemoStore, MemoTable};
+use mpdp::core::memo::{MemoRead, MemoTable};
 use mpdp::core::{JoinGraph, QueryInfo};
 use mpdp::dp::mpdp::{SetKernel, SetOutcome, SplitObserver, LANES};
 use mpdp::prelude::{DpCcp, DpSize, DpSub, LargeQuery, Mpdp, OptContext, RelSet};
@@ -103,23 +102,22 @@ fn check_level_plan(qi: &QueryInfo) {
     check_layout(qi, &plan);
 }
 
-/// Both memo stores lay a plan out into the same slots: `slot(k)` names the
-/// slot of `sets[k]`, which is where the set's probe finds it with its
-/// cardinality, and the set reads unplanned — `(∞, S, rows)` — until a
-/// candidate replaces it.
+/// The memo lays a plan out as its view finds it: `slot(k)` names the slot
+/// of `sets[k]`, which is where the set's probe finds it with its
+/// cardinality, through the table and through its view alike, and the set
+/// reads unplanned — `(∞, S, rows)` — until a candidate replaces it.
 fn check_layout(qi: &QueryInfo, plan: &ConnectedSets) {
     let n = qi.query_size();
     let table = MemoTable::laid_out(n, &plan.sets, &plan.rows);
-    let atomic = AtomicMemo::laid_out(n, &plan.sets, &plan.rows);
-    assert_eq!(table.health(), atomic.health());
+    let view = table.view();
     for (k, (&s, &rows)) in plan.sets.iter().zip(&plan.rows).enumerate() {
-        assert_eq!(table.slot(k), atomic.slot(k), "{s}");
-        for memo in [&table as &dyn MemoStore, &atomic] {
-            assert_eq!(memo.find(s), (memo.slot(k), rows), "{s}");
-            let e = memo.get(s).unwrap();
-            let got = (e.left, e.cost, e.rows.to_bits());
-            assert_eq!(got, (s, f64::INFINITY, rows.to_bits()), "{s}");
-        }
+        assert_eq!(table.find(s), (table.slot(k), rows), "{s}");
+        let (slot, view_rows, steps) = view.find(s);
+        assert_eq!((slot, view_rows), (table.slot(k), rows), "{s}");
+        assert!(steps >= 1, "{s}");
+        let e = table.get(s).unwrap();
+        let got = (e.left, e.cost, e.rows.to_bits());
+        assert_eq!(got, (s, f64::INFINITY, rows.to_bits()), "{s}");
     }
 }
 
@@ -164,28 +162,10 @@ fn a_chain_of_64_billion_row_relations_plans_to_a_finite_cost() {
 #[derive(Default)]
 struct LookupLog(std::cell::RefCell<Vec<RelSet>>);
 
-impl MemoStore for LookupLog {
-    fn laid_out(_: usize, _: &[RelSet], _: &[f64]) -> Self {
-        Self::default()
-    }
-    fn slot(&self, _: usize) -> usize {
-        0
-    }
-    fn find(&self, _: RelSet) -> (usize, f64) {
-        (0, 1.0)
-    }
-    fn get(&self, _: RelSet) -> Option<MemoEntry> {
-        unreachable!("the kernel looks a side up by its cost and rows")
-    }
+impl MemoRead for LookupLog {
     fn cost_rows(&self, set: RelSet) -> Option<(f64, f64)> {
         self.0.borrow_mut().push(set);
         Some((1.0, 1.0))
-    }
-    fn update(&mut self, _: usize, _: RelSet, _: f64) -> bool {
-        false
-    }
-    fn health(&self) -> MemoHealth {
-        MemoHealth::default()
     }
 }
 
@@ -407,12 +387,12 @@ fn set_kernel_prices_the_old_loops_pairs_on_named_shapes() {
     }
 }
 
-/// A store laid out from `plan` over a universe of `universe` relations,
+/// A memo laid out from `plan` over a universe of `universe` relations,
 /// with the query's leaves planned. A universe of 64 hashes every home,
 /// whatever the query: on a table more than a few dozen sets large, some
 /// keys then sit past their home slot.
-fn laid_out_with_leaves<M: MemoStore>(qi: &QueryInfo, plan: &ConnectedSets, universe: usize) -> M {
-    let mut memo = M::laid_out(universe, &plan.sets, &plan.rows);
+fn laid_out_with_leaves(qi: &QueryInfo, plan: &ConnectedSets, universe: usize) -> MemoTable {
+    let mut memo = MemoTable::laid_out(universe, &plan.sets, &plan.rows);
     for (i, rel) in qi.rels.iter().enumerate() {
         let slot = memo.slot(i);
         memo.update(slot, RelSet::EMPTY, rel.cost);
@@ -426,11 +406,11 @@ fn laid_out_with_leaves<M: MemoStore>(qi: &QueryInfo, plan: &ConnectedSets, univ
 /// best entry, `evaluated`, `ccp`. The chunks are the ones a driver makes and
 /// the ones three sets later, each level's partial last chunk among them.
 /// Returns whether the kernel had lanes to run.
-fn assert_lanes_equal_scalar_in<M: MemoStore>(
+fn assert_lanes_equal_scalar_in(
     qi: &QueryInfo,
     model: &dyn CostModel,
     plan: &ConnectedSets,
-    mut memo: M,
+    mut memo: MemoTable,
 ) -> bool {
     // The chunks read the split tables in their per-set block step; the
     // per-set oracle walks every block.
@@ -469,8 +449,8 @@ fn assert_lanes_equal_scalar_in<M: MemoStore>(
     kernel.lanes_for(usize::MAX)
 }
 
-/// [`assert_lanes_equal_scalar_in`] on both memo stores, each laid out at
-/// the query's own addressing and at a hashed one. Returns whether the
+/// [`assert_lanes_equal_scalar_in`] on the memo laid out at the query's own
+/// addressing and at a hashed one. Returns whether the
 /// lanes ran, and how many probe steps past one per set the hashed layout
 /// took (keys displaced from their home, which the lanes hand back to the
 /// scalar kernel).
@@ -478,13 +458,11 @@ fn assert_lanes_equal_scalar(qi: &QueryInfo, model: &dyn CostModel) -> (bool, u6
     let plan = ConnectedSets::enumerate(qi);
     let (mut ran, mut displaced) = (false, 0);
     for universe in [qi.query_size(), 64] {
-        let table: MemoTable = laid_out_with_leaves(qi, &plan, universe);
+        let table = laid_out_with_leaves(qi, &plan, universe);
         if universe == 64 {
             displaced = table.health().probes - plan.sets.len() as u64;
         }
         ran |= assert_lanes_equal_scalar_in(qi, model, &plan, table);
-        let atomic: AtomicMemo = laid_out_with_leaves(qi, &plan, universe);
-        ran |= assert_lanes_equal_scalar_in(qi, model, &plan, atomic);
     }
     (ran, displaced)
 }
@@ -653,57 +631,6 @@ proptest! {
     fn frontier_enumeration_matches_filtered_unranking(q in enumeration_query_strategy()) {
         // The tentpole invariant, see `check_level_plan`.
         check_level_plan(&q.to_query_info().unwrap());
-    }
-
-    #[test]
-    fn atomic_memo_hammer_converges_to_sequential_min(
-        params in (2u64..48, any::<u64>(), 64usize..1500)
-    ) {
-        // 8 threads race pseudorandom update streams (few distinct costs ->
-        // frequent exact ties) against one laid-out AtomicMemo; the table
-        // must converge to exactly the sequential MemoTable's (cost, left)
-        // minimum per key. Streams are derived deterministically from the
-        // drawn seed so the parallel run and the sequential replay see the
-        // same candidate multiset. Key `k` is plan position `k - 1`.
-        use mpdp::core::memo::murmur3_fmix64;
-        let (keys, seed, per_thread) = params;
-        let sets: Vec<RelSet> = (1..=keys).map(RelSet).collect();
-        let rows = vec![1.0; sets.len()];
-        let step = |state: &mut u64| -> (RelSet, RelSet, f64) {
-            *state = murmur3_fmix64(state.wrapping_add(0xa076_1d64_78bd_642f));
-            let raw = *state;
-            let key = RelSet(raw % keys + 1);
-            let l = RelSet((raw >> 13) & key.bits()).lowest_bit();
-            let left = if l.is_empty() { key.lowest_bit() } else { l };
-            (key, left, ((raw >> 32) % 5) as f64)
-        };
-        let atomic = AtomicMemo::laid_out(64, &sets, &rows);
-        let atomic_ref = &atomic;
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                scope.spawn(move || {
-                    let mut state = seed ^ (t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    for _ in 0..per_thread {
-                        let (key, left, cost) = step(&mut state);
-                        atomic_ref.update(atomic_ref.slot(key.bits() as usize - 1), left, cost);
-                    }
-                });
-            }
-        });
-        let mut expected = MemoTable::laid_out(64, &sets, &rows);
-        for t in 0..8u64 {
-            let mut state = seed ^ (t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            for _ in 0..per_thread {
-                let (key, left, cost) = step(&mut state);
-                expected.update(expected.slot(key.bits() as usize - 1), left, cost);
-            }
-        }
-        prop_assert_eq!(atomic.health().entries, expected.health().entries);
-        for &set in &sets {
-            let (got, want) = (atomic.get(set).unwrap(), expected.get(set).unwrap());
-            prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
-            prop_assert_eq!(got.left, want.left);
-        }
     }
 
     #[test]

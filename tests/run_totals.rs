@@ -12,7 +12,7 @@ use mpdp_parallel::Dpe;
 use mpdp_workload::gen;
 
 /// What a level counted, without the memo traffic (which differs between
-/// the single-threaded table and the atomic one).
+/// drivers that write per set and those that write per pair).
 fn counts(r: &OptResult) -> Vec<(usize, u64, u64, u64)> {
     let of = |l: &LevelStats| (l.size, l.sets, l.evaluated, l.ccp);
     r.profile.levels.iter().map(of).collect()
