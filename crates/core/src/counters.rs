@@ -270,7 +270,7 @@ counter_family! {
         /// under single-flight only the one request that actually plans (the
         /// flight leader); also cache-bypass and strategy-override requests,
         /// which never consult the cache — and direct lookups that found
-        /// nothing (or only an expired entry). The serving layer tallies each
+        /// nothing. The serving layer tallies each
         /// request once, when it is delivered, so on every entry point
         /// `hits + misses + coalesced + degraded` is the number of requests
         /// served, failed ones included.
@@ -291,10 +291,6 @@ counter_family! {
         evictions =>
             /// Records a capacity eviction.
             record_eviction,
-        /// Entries dropped because their TTL had lapsed.
-        expirations =>
-            /// Records a TTL expiration.
-            record_expiration,
         /// Execution reports fed back through the service's `observe` hook.
         feedback_checks =>
             /// Records a cardinality-feedback check (`observe` call).

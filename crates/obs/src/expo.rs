@@ -34,7 +34,7 @@ fn serve_fields(s: &ServeSnapshot) -> [(&'static str, u64); 10] {
 
 /// The `(name, value)` pairs of the cache-counter family, in exposition
 /// order.
-fn cache_fields(c: &CacheSnapshot) -> [(&'static str, u64); 10] {
+fn cache_fields(c: &CacheSnapshot) -> [(&'static str, u64); 9] {
     [
         ("hits_total", c.hits),
         ("misses_total", c.misses),
@@ -43,7 +43,6 @@ fn cache_fields(c: &CacheSnapshot) -> [(&'static str, u64); 10] {
         ("deadline_exceeded_total", c.deadline_exceeded),
         ("insertions_total", c.insertions),
         ("evictions_total", c.evictions),
-        ("expirations_total", c.expirations),
         ("feedback_checks_total", c.feedback_checks),
         ("feedback_invalidations_total", c.feedback_invalidations),
     ]
@@ -212,7 +211,6 @@ mod tests {
             coalesced: hits / 2,
             insertions: misses,
             evictions: 1,
-            expirations: 0,
             feedback_checks: misses,
             feedback_invalidations: 0,
             degraded: 2,

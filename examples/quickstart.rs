@@ -75,8 +75,7 @@ fn main() {
         .exact(ExactAlgo::Mpdp)
         .fallback(LargeAlgo::UnionDp { k: 15 })
         .exact_limit(18)
-        .build()
-        .expect("valid configuration");
+        .build();
     let result = planner
         .plan_query(&query, &model)
         .expect("optimization succeeds");

@@ -2,7 +2,7 @@
 //!
 //! Builds a [`mpdp::PlanService`], demonstrates the fingerprint cache on a
 //! pair of isomorphic queries (same shape, relabeled relations), shows the
-//! adaptive router's choices across the size/density grid, then replays a
+//! adaptive planner's route on both sides of its exact limit, then replays a
 //! short Zipf stream from four threads and prints the rate and the cache
 //! counters. (For measured serving numbers see `benchmark/run.sh`.)
 //!
@@ -49,14 +49,14 @@ fn main() {
         hit.fingerprint
     );
 
-    // --- the router across the size/density grid --------------------------
+    // --- the planner's route, by size -----------------------------------
     println!("== adaptive routes ==");
     let req = PlanRequest::default();
     for (label, q) in [
-        ("chain(8)   sparse small", gen::chain(8, 1, &model)),
-        ("star(16)   sparse mid", gen::star(16, 1, &model)),
-        ("clique(12) dense mid", gen::clique(12, 1, &model)),
-        ("snowflake(40) large", gen::snowflake(40, 4, 1, &model)),
+        ("chain(8)", gen::chain(8, 1, &model)),
+        ("star(16)", gen::star(16, 1, &model)),
+        ("clique(12)", gen::clique(12, 1, &model)),
+        ("snowflake(40)", gen::snowflake(40, 4, 1, &model)),
     ] {
         println!("{label:<24} -> {}", service.route_for(&q, &req));
     }

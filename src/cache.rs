@@ -18,8 +18,8 @@
 //! cache) does.
 //!
 //! Observability rides the workspace's counters machinery:
-//! [`CacheCounters`] (hits / misses / insertions / evictions / expirations)
-//! is shared across shards and snapshotted via [`PlanCache::counters`].
+//! [`CacheCounters`] (hits / misses / insertions / evictions) is shared
+//! across shards and snapshotted via [`PlanCache::counters`].
 
 use crate::planner::Planned;
 use mpdp_core::counters::{CacheCounters, CacheSnapshot};
@@ -27,7 +27,6 @@ use mpdp_core::fingerprint::Fingerprint;
 use mpdp_core::sync::lock_recover;
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Configuration of a [`PlanCache`].
 #[derive(Copy, Clone, Debug)]
@@ -41,9 +40,6 @@ pub struct CacheConfig {
     /// Number of mutex-guarded shards. Clamped to at least 1; powers of two
     /// divide fingerprints most evenly but any count works.
     pub shards: usize,
-    /// Entries older than this are treated as absent and dropped on contact.
-    /// `None` disables expiry.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
@@ -55,7 +51,6 @@ impl Default for CacheConfig {
             // 16 shards keeps p(two workers collide on a shard) low for the
             // worker counts a single box runs (see DESIGN.md §5).
             shards: 16,
-            ttl: None,
         }
     }
 }
@@ -67,8 +62,9 @@ impl Default for CacheConfig {
 /// lock.
 #[derive(Clone, Debug)]
 pub struct CachedPlan {
-    /// The planning outcome; `planned.plan` leaves are canonical slots, and
-    /// `planned.wall`/`planned.reported` are the original (cold) times.
+    /// The planning outcome; `planned.plan` leaves are canonical slots,
+    /// `planned.wall`/`planned.reported` are the original (cold) times, and
+    /// the service stores no `planned.profile`.
     pub planned: std::sync::Arc<Planned>,
 }
 
@@ -76,7 +72,6 @@ struct Entry {
     value: CachedPlan,
     /// LRU stamp: shard-local logical clock value of the last touch.
     last_used: u64,
-    inserted_at: Instant,
 }
 
 #[derive(Default)]
@@ -86,14 +81,13 @@ struct Shard {
     clock: u64,
 }
 
-/// A thread-safe, sharded, LRU+TTL plan cache. See the module docs.
+/// A thread-safe, sharded LRU plan cache. See the module docs.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard entry quota; quotas sum to exactly the configured total
     /// capacity (base = capacity / shards, the remainder spread one entry
     /// each over the first shards).
     shard_capacity: Vec<usize>,
-    ttl: Option<Duration>,
     counters: CacheCounters,
 }
 
@@ -102,7 +96,6 @@ impl std::fmt::Debug for PlanCache {
         f.debug_struct("PlanCache")
             .field("shards", &self.shards.len())
             .field("capacity", &self.shard_capacity.iter().sum::<usize>())
-            .field("ttl", &self.ttl)
             .field("counters", &self.counters.snapshot())
             .finish()
     }
@@ -116,7 +109,6 @@ impl PlanCache {
         PlanCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: (0..shards).map(|i| base + usize::from(i < rem)).collect(),
-            ttl: config.ttl,
             counters: CacheCounters::default(),
         }
     }
@@ -134,8 +126,7 @@ impl PlanCache {
     }
 
     /// [`PlanCache::get_quiet`] plus the hit/miss tally, for callers that
-    /// use the cache directly: a hit counts a hit, everything else (absent,
-    /// or expired and reaped) counts a miss.
+    /// use the cache directly: a hit counts a hit, an absent key a miss.
     pub fn get(&self, fp: Fingerprint) -> Option<CachedPlan> {
         let found = self.get_quiet(fp);
         match found {
@@ -151,28 +142,13 @@ impl PlanCache {
     /// when it is delivered, so the service records the outcome explicitly
     /// via [`PlanCache::record_hit`] / [`PlanCache::record_miss`] /
     /// [`PlanCache::record_coalesced`] / [`PlanCache::record_degraded`].
-    /// Expired entries are dropped on contact, with an expiration tick.
     pub fn get_quiet(&self, fp: Fingerprint) -> Option<CachedPlan> {
         let mut shard = lock_recover(self.shard_of(fp));
-        let key = fp.as_u128();
         shard.clock += 1;
         let clock = shard.clock;
-        match shard.map.get_mut(&key) {
-            None => None,
-            Some(entry)
-                if self
-                    .ttl
-                    .is_some_and(|ttl| entry.inserted_at.elapsed() > ttl) =>
-            {
-                shard.map.remove(&key);
-                self.counters.record_expiration();
-                None
-            }
-            Some(entry) => {
-                entry.last_used = clock;
-                Some(entry.value.clone())
-            }
-        }
+        let entry = shard.map.get_mut(&fp.as_u128())?;
+        entry.last_used = clock;
+        Some(entry.value.clone())
     }
 
     /// Inserts (or replaces) the plan for a fingerprint, evicting the
@@ -203,7 +179,6 @@ impl PlanCache {
             Entry {
                 value,
                 last_used: clock,
-                inserted_at: Instant::now(),
             },
         );
         self.counters.record_insertion();
@@ -211,23 +186,15 @@ impl PlanCache {
 
     /// Looks up a fingerprint *without* touching LRU order or the hit/miss
     /// counters — the feedback path inspects cached estimates without
-    /// counting as traffic or keeping a doomed entry warm. Expired entries
-    /// read as absent (but are left for `get` to reap).
+    /// counting as traffic or keeping a doomed entry warm.
     pub fn peek(&self, fp: Fingerprint) -> Option<CachedPlan> {
         let shard = lock_recover(self.shard_of(fp));
-        let entry = shard.map.get(&fp.as_u128())?;
-        if self
-            .ttl
-            .is_some_and(|ttl| entry.inserted_at.elapsed() > ttl)
-        {
-            return None;
-        }
-        Some(entry.value.clone())
+        shard.map.get(&fp.as_u128()).map(|e| e.value.clone())
     }
 
     /// Removes a fingerprint's entry; `true` if one was present. Does not
-    /// count as an eviction (capacity) or expiration (TTL) — callers with a
-    /// reason (e.g. cardinality-feedback invalidation) track their own.
+    /// count as an eviction — callers with a reason (e.g. cardinality-feedback
+    /// invalidation) track their own.
     pub fn remove(&self, fp: Fingerprint) -> bool {
         let mut shard = lock_recover(self.shard_of(fp));
         shard.map.remove(&fp.as_u128()).is_some()
@@ -242,17 +209,6 @@ impl PlanCache {
         let mut shard = lock_recover(self.shard_of(fp));
         let key = fp.as_u128();
         match shard.map.get(&key) {
-            // An expired entry reads as absent (matching `peek`/`get`): it
-            // could never have served another hit, so condemning it would
-            // overstate the caller's invalidation count. Left for `get` to
-            // reap as an expiration.
-            Some(entry)
-                if self
-                    .ttl
-                    .is_some_and(|ttl| entry.inserted_at.elapsed() > ttl) =>
-            {
-                false
-            }
             Some(entry) if condemn(&entry.value) => {
                 shard.map.remove(&key);
                 true
@@ -301,8 +257,7 @@ impl PlanCache {
         self.counters.record_feedback_invalidation();
     }
 
-    /// Number of live entries across all shards (expired entries still
-    /// count until touched).
+    /// Number of entries across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
     }
@@ -319,8 +274,7 @@ impl PlanCache {
         }
     }
 
-    /// A point-in-time copy of the hit/miss/insertion/eviction/expiration
-    /// counters.
+    /// A point-in-time copy of the hit/miss/insertion/eviction counters.
     pub fn counters(&self) -> CacheSnapshot {
         self.counters.snapshot()
     }
@@ -330,6 +284,7 @@ impl PlanCache {
 mod tests {
     use super::*;
     use mpdp_core::plan::PlanTree;
+    use std::time::Duration;
 
     fn fp(i: u64) -> Fingerprint {
         Fingerprint { hi: i, lo: !i }
@@ -356,17 +311,16 @@ mod tests {
     }
 
     /// A single-shard cache so LRU order is globally observable.
-    fn single_shard(capacity: usize, ttl: Option<Duration>) -> PlanCache {
+    fn single_shard(capacity: usize) -> PlanCache {
         PlanCache::new(CacheConfig {
             capacity,
             shards: 1,
-            ttl,
         })
     }
 
     #[test]
     fn hit_miss_and_counters() {
-        let c = single_shard(4, None);
+        let c = single_shard(4);
         assert!(c.get(fp(1)).is_none());
         c.insert(fp(1), plan(10.0));
         let hit = c.get(fp(1)).expect("hit");
@@ -378,7 +332,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_order() {
-        let c = single_shard(2, None);
+        let c = single_shard(2);
         c.insert(fp(1), plan(1.0));
         c.insert(fp(2), plan(2.0));
         // Touch 1 so 2 becomes the LRU victim.
@@ -392,19 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
-        let c = single_shard(4, Some(Duration::ZERO));
-        c.insert(fp(7), plan(1.0));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(c.get(fp(7)).is_none());
-        let s = c.counters();
-        assert_eq!(s.expirations, 1);
-        assert_eq!(s.hits, 0);
-    }
-
-    #[test]
     fn zero_capacity_disables_caching() {
-        let c = single_shard(0, None);
+        let c = single_shard(0);
         c.insert(fp(1), plan(1.0));
         assert!(c.get(fp(1)).is_none());
         assert_eq!(c.counters().insertions, 0);
@@ -413,7 +356,7 @@ mod tests {
 
     #[test]
     fn peek_and_remove_bypass_lru_and_counters() {
-        let c = single_shard(2, None);
+        let c = single_shard(2);
         c.insert(fp(1), plan(1.0));
         c.insert(fp(2), plan(2.0));
         // Peek at 1: must NOT refresh its LRU stamp or count a hit.
@@ -425,18 +368,16 @@ mod tests {
         c.insert(fp(3), plan(3.0));
         assert!(c.peek(fp(1)).is_none(), "peek must not keep entries warm");
         assert!(c.peek(fp(2)).is_some());
-        // Remove reports presence and counts neither eviction nor expiry.
+        // Remove reports presence and counts no eviction.
         assert!(c.remove(fp(2)));
         assert!(!c.remove(fp(2)));
-        let s = c.counters();
-        assert_eq!(s.evictions, 1, "only the LRU capacity eviction");
-        assert_eq!(s.expirations, 0);
+        assert_eq!(c.counters().evictions, 1, "only the LRU capacity eviction");
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn remove_if_judges_the_stored_value() {
-        let c = single_shard(4, None);
+        let c = single_shard(4);
         c.insert(fp(1), plan(10.0));
         // Condemnation sees the *current* entry; a rejecting predicate
         // leaves it in place.
@@ -452,7 +393,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_without_eviction() {
-        let c = single_shard(2, None);
+        let c = single_shard(2);
         c.insert(fp(1), plan(1.0));
         c.insert(fp(2), plan(2.0));
         c.insert(fp(1), plan(9.0));

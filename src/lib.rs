@@ -10,13 +10,13 @@
 //! * [`registry()`] — name-keyed strategy lookup using the paper's series
 //!   labels (`"MPDP"`, `"Postgres (1CPU)"`, `"UnionDP-MPDP (15)"`, …);
 //! * [`PlannerBuilder`] / [`Planner`] — the adaptive deployment the paper
-//!   recommends: exact MPDP up to a hardware-dependent relation limit, a
-//!   heuristic hybrid beyond it, with sequential / CPU-parallel / GPU
-//!   backends swapped in per platform;
+//!   recommends: an exact algorithm (sequential, CPU-parallel or
+//!   simulated-GPU) up to a hardware-dependent relation limit, a heuristic
+//!   hybrid beyond it;
 //! * [`PlanService`] — the concurrent serving layer: a sharded LRU cache
-//!   keyed by canonical query fingerprints plus adaptive size/density
-//!   routing, for workloads that plan repeated query shapes under latency
-//!   budgets (see `service`); its [`PlanService::observe`] hook closes the
+//!   keyed by canonical query fingerprints in front of the default
+//!   [`Planner`]'s route, for workloads that plan repeated query shapes
+//!   under latency budgets (see `service`); its [`PlanService::observe`] hook closes the
 //!   loop with the [`exec`] executor by invalidating cached plans whose
 //!   cardinality estimates an execution disproved.
 //!
@@ -39,8 +39,7 @@
 //!     .exact(ExactAlgo::Mpdp)
 //!     .fallback(LargeAlgo::UnionDp { k: 15 })
 //!     .exact_limit(18)
-//!     .build()
-//!     .unwrap();
+//!     .build();
 //! let planned = planner.plan_query(&query, &model).unwrap();
 //! assert_eq!(planned.plan.num_rels(), 20);
 //! ```
@@ -67,23 +66,19 @@ pub mod service;
 
 pub use cache::{CacheConfig, CachedPlan, PlanCache};
 pub use planner::{
-    Backend, ExactAlgo, ExactStrategy, HeuristicStrategy, LargeAlgo, Planned, Planner,
-    PlannerBuilder, Strategy, EXACT_MAX_RELS,
+    ExactAlgo, ExactStrategy, HeuristicStrategy, LargeAlgo, Planned, Planner, PlannerBuilder,
+    Strategy, EXACT_MAX_RELS,
 };
 pub use registry::{registry, Registry};
 pub use service::{
-    PlanFuture, PlanRequest, PlanService, PlanServiceBuilder, RouterConfig, ServedPlan, ServedVia,
+    PlanFuture, PlanRequest, PlanService, PlanServiceBuilder, ServedPlan, ServedVia,
 };
 
 /// Most-used items in one import.
 pub mod prelude {
-    pub use crate::planner::{
-        Backend, ExactAlgo, LargeAlgo, Planned, Planner, PlannerBuilder, Strategy,
-    };
+    pub use crate::planner::{ExactAlgo, LargeAlgo, Planned, Planner, PlannerBuilder, Strategy};
     pub use crate::registry::registry;
-    pub use crate::service::{
-        PlanRequest, PlanService, PlanServiceBuilder, RouterConfig, ServedVia,
-    };
+    pub use crate::service::{PlanRequest, PlanService, PlanServiceBuilder, ServedVia};
     pub use mpdp_core::{JoinGraph, LargeQuery, OptError, PlanTree, QueryInfo, RelInfo, RelSet};
     pub use mpdp_cost::{CostModel, CoutCost, PgLikeCost};
     pub use mpdp_dp::{DpCcp, DpSize, DpSub, Mpdp, MpdpTree, OptContext};
@@ -114,7 +109,6 @@ mod tests {
         let r = PlannerBuilder::new()
             .budget(Duration::from_secs(60))
             .build()
-            .unwrap()
             .plan_query(&q, &model)
             .unwrap();
         assert_eq!(r.plan.num_rels(), 80);
@@ -131,7 +125,6 @@ mod tests {
             .budget(Duration::from_secs(60))
             .exact_limit(200)
             .build()
-            .unwrap()
             .plan_query(&q, &model)
             .unwrap();
         assert_eq!(r.plan.num_rels(), 80);

@@ -8,10 +8,11 @@
 //! labels via [`crate::registry()`].
 //!
 //! [`PlannerBuilder`] composes the paper's *adaptive deployment* (§6–7):
-//! an exact algorithm for queries up to a hardware-dependent relation limit,
-//! a large-query heuristic beyond it, and a backend
-//! ([`Backend::Sequential`], [`Backend::CpuParallel`], [`Backend::GpuSim`])
-//! chosen per platform.
+//! an exact algorithm ([`ExactAlgo`], which names every sequential,
+//! CPU-parallel and simulated-GPU variant) for queries up to a
+//! hardware-dependent relation limit, a large-query heuristic
+//! ([`LargeAlgo`]) beyond it. [`Planner::route`] is the one place that size
+//! rule lives; the serving layer routes its cold requests through it too.
 
 use mpdp_core::counters::{Counters, Profile};
 use mpdp_core::plan::PlanTree;
@@ -30,26 +31,6 @@ use std::time::{Duration, Instant};
 /// Hard ceiling of the bitmap-based exact-DP representation (`RelSet` is a
 /// 64-bit bitmap).
 pub const EXACT_MAX_RELS: usize = 64;
-
-/// Execution backend for the exact side of a [`Planner`].
-///
-/// `CpuParallel` and `GpuSim` run their real implementations (plans and
-/// counters are identical to `Sequential` — enforced by
-/// `tests/exact_equivalence.rs`): level-parallel MPDP and DPSUB on
-/// `min(cores, available_parallelism())` real threads of the process's
-/// worker set, PDP, DPE and the SIMT simulator on one. The *reported* time
-/// comes from the calibrated work/span model for `cores` resp. the
-/// simulator (see `DESIGN.md` §2).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Plain sequential execution; reported time is measured wall time.
-    Sequential,
-    /// Level-parallel CPU execution; reported time is the work/span-model
-    /// prediction for this many cores.
-    CpuParallel(usize),
-    /// Software-SIMT execution; reported time is the simulated GTX-1080 time.
-    GpuSim,
-}
 
 /// Outcome of a [`Strategy`] run: the plan plus uniform observability.
 #[derive(Clone, Debug)]
@@ -460,11 +441,13 @@ impl Strategy for HeuristicStrategy {
 /// The adaptive deployment the paper recommends: exact up to a relation
 /// limit, heuristic beyond it. Built by [`PlannerBuilder`]; itself a
 /// [`Strategy`] (registered as `"Adaptive"`), so adaptive planners compose
-/// anywhere a single algorithm does.
+/// anywhere a single algorithm does. `PlanService` routes its cold requests
+/// through [`Planner::adaptive_default`].
 #[derive(Clone)]
 pub struct Planner {
     exact: Arc<dyn Strategy>,
     fallback: Arc<dyn Strategy>,
+    partition_bound: usize,
     exact_limit: usize,
     budget: Option<Duration>,
 }
@@ -484,19 +467,7 @@ impl Planner {
     /// The default adaptive planner (sequential MPDP up to 18 relations,
     /// UnionDP-MPDP (15) beyond).
     pub fn adaptive_default() -> Self {
-        PlannerBuilder::new()
-            .build()
-            .expect("default config is valid")
-    }
-
-    /// The exact-side strategy.
-    pub fn exact_strategy(&self) -> &Arc<dyn Strategy> {
-        &self.exact
-    }
-
-    /// The large-query fallback strategy.
-    pub fn fallback_strategy(&self) -> &Arc<dyn Strategy> {
-        &self.fallback
+        PlannerBuilder::new().build()
     }
 
     /// Largest query size routed to the exact side. Values above
@@ -504,6 +475,26 @@ impl Planner {
     /// (never by failing with [`OptError::TooLarge`]).
     pub fn exact_limit(&self) -> usize {
         self.exact_limit
+    }
+
+    /// The widest sub-query the fallback plans exactly: the `k` of IDP1,
+    /// IDP2 and UnionDP, 0 for the heuristics without an exact step.
+    pub fn partition_bound(&self) -> usize {
+        self.partition_bound
+    }
+
+    /// The strategy `q` runs on: the exact one up to the exact limit, the
+    /// fallback beyond it. The one place the size rule is applied.
+    pub fn route(&self, q: &LargeQuery) -> &Arc<dyn Strategy> {
+        // A user-raised `exact_limit` must never push a 65+-relation query
+        // into the 64-bit bitmap regime: the representable ceiling wins and
+        // everything above it routes to the fallback rather than erroring
+        // with `TooLarge`.
+        if q.num_rels() <= self.exact_limit.min(EXACT_MAX_RELS) {
+            &self.exact
+        } else {
+            &self.fallback
+        }
     }
 
     /// Plans a query, routing by size. The per-call `budget` of
@@ -528,71 +519,41 @@ impl Strategy for Planner {
         model: &dyn CostModel,
         budget: Option<Duration>,
     ) -> Result<Planned, OptError> {
-        let budget = budget.or(self.budget);
-        // A user-raised `exact_limit` must never push a 65+-relation query
-        // into the 64-bit bitmap regime: the representable ceiling wins and
-        // everything above it routes to the fallback rather than erroring
-        // with `TooLarge`.
-        if q.num_rels() <= self.exact_limit.min(EXACT_MAX_RELS) {
-            self.exact.plan(q, model, budget)
-        } else {
-            self.fallback.plan(q, model, budget)
-        }
+        self.route(q).plan(q, model, budget.or(self.budget))
     }
 }
 
-/// Builder for [`Planner`]: exact algorithm × backend × large-query fallback
-/// × exact-limit × budget.
+/// Builder for [`Planner`]: exact algorithm × large-query fallback ×
+/// exact-limit × budget. Parallel and GPU exact variants are [`ExactAlgo`]s
+/// of their own (`MpdpCpu`, `MpdpGpu`, …).
 ///
 /// ```
-/// use mpdp::{Backend, ExactAlgo, LargeAlgo, PlannerBuilder};
+/// use mpdp::{ExactAlgo, LargeAlgo, PlannerBuilder};
 /// use mpdp_cost::PgLikeCost;
 ///
 /// let model = PgLikeCost::new();
 /// let planner = PlannerBuilder::new()
-///     .exact(ExactAlgo::Mpdp)
-///     .backend(Backend::GpuSim)
+///     .exact(ExactAlgo::MpdpGpu { fused_prune: true, ccc: true })
 ///     .fallback(LargeAlgo::UnionDp { k: 15 })
 ///     .exact_limit(25)
-///     .build()
-///     .unwrap();
+///     .build();
 /// let q = mpdp_workload::gen::star(20, 7, &model);
 /// let planned = planner.plan_query(&q, &model).unwrap();
 /// assert_eq!(planned.plan.num_rels(), 20);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PlannerBuilder {
-    exact: ExactChoice,
-    backend: Backend,
-    fallback: FallbackChoice,
+    exact: ExactAlgo,
+    fallback: LargeAlgo,
     exact_limit: usize,
     budget: Option<Duration>,
-}
-
-#[derive(Clone, Debug)]
-enum ExactChoice {
-    Algo(ExactAlgo),
-    Custom(Arc<dyn Strategy>),
-}
-
-impl std::fmt::Debug for dyn Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Strategy({})", self.name())
-    }
-}
-
-#[derive(Clone, Debug)]
-enum FallbackChoice {
-    Algo(LargeAlgo),
-    Custom(Arc<dyn Strategy>),
 }
 
 impl Default for PlannerBuilder {
     fn default() -> Self {
         PlannerBuilder {
-            exact: ExactChoice::Algo(ExactAlgo::Mpdp),
-            backend: Backend::Sequential,
-            fallback: FallbackChoice::Algo(LargeAlgo::UnionDp { k: 15 }),
+            exact: ExactAlgo::Mpdp,
+            fallback: LargeAlgo::UnionDp { k: 15 },
             // 18 is a sensible exact limit for a single CPU core; the paper
             // reaches 25 with a GPU.
             exact_limit: 18,
@@ -608,37 +569,15 @@ impl PlannerBuilder {
         Self::default()
     }
 
-    /// Selects the exact algorithm family (combined with [`Self::backend`]).
-    /// Parallel/GPU [`ExactAlgo`] variants are also accepted directly, in
-    /// which case the backend setting is ignored.
+    /// Selects the exact algorithm, sequential, parallel or simulated-GPU.
     pub fn exact(mut self, algo: ExactAlgo) -> Self {
-        self.exact = ExactChoice::Algo(algo);
-        self
-    }
-
-    /// Uses a custom exact-side strategy (e.g. one obtained from
-    /// [`crate::registry()`]). Overrides [`Self::exact`] and
-    /// [`Self::backend`].
-    pub fn exact_strategy(mut self, s: Arc<dyn Strategy>) -> Self {
-        self.exact = ExactChoice::Custom(s);
-        self
-    }
-
-    /// Selects the execution backend for the exact side.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.exact = algo;
         self
     }
 
     /// Selects the large-query fallback heuristic.
     pub fn fallback(mut self, algo: LargeAlgo) -> Self {
-        self.fallback = FallbackChoice::Algo(algo);
-        self
-    }
-
-    /// Uses a custom fallback strategy. Overrides [`Self::fallback`].
-    pub fn fallback_strategy(mut self, s: Arc<dyn Strategy>) -> Self {
-        self.fallback = FallbackChoice::Custom(s);
+        self.fallback = algo;
         self
     }
 
@@ -656,66 +595,18 @@ impl PlannerBuilder {
         self
     }
 
-    /// Resolves the configuration. Fails with [`OptError::Internal`] on
-    /// combinations that have no implementation (e.g. DPCCP on the GPU).
-    pub fn build(self) -> Result<Planner, OptError> {
-        let exact: Arc<dyn Strategy> = match self.exact {
-            ExactChoice::Custom(s) => s,
-            ExactChoice::Algo(algo) => {
-                Arc::new(ExactStrategy::new(resolve_backend(algo, self.backend)?))
-            }
+    /// Builds the planner.
+    pub fn build(self) -> Planner {
+        let partition_bound = match self.fallback {
+            LargeAlgo::Idp1 { k } | LargeAlgo::Idp2 { k } | LargeAlgo::UnionDp { k } => k,
+            LargeAlgo::Goo | LargeAlgo::Ikkbz | LargeAlgo::LinDp | LargeAlgo::Geqo => 0,
         };
-        let fallback: Arc<dyn Strategy> = match self.fallback {
-            FallbackChoice::Custom(s) => s,
-            FallbackChoice::Algo(algo) => Arc::new(HeuristicStrategy::new(algo)),
-        };
-        Ok(Planner {
-            exact,
-            fallback,
+        Planner {
+            exact: Arc::new(ExactStrategy::new(self.exact)),
+            fallback: Arc::new(HeuristicStrategy::new(self.fallback)),
+            partition_bound,
             exact_limit: self.exact_limit,
             budget: self.budget,
-        })
+        }
     }
-}
-
-/// Maps a (sequential algorithm, backend) pair to the concrete roster entry.
-fn resolve_backend(algo: ExactAlgo, backend: Backend) -> Result<ExactAlgo, OptError> {
-    use ExactAlgo::*;
-    Ok(match (algo, backend) {
-        // Already-concrete parallel/GPU variants pass through untouched.
-        (
-            a @ (Dpe { .. }
-            | MpdpCpu { .. }
-            | DpSubCpu { .. }
-            | Pdp { .. }
-            | MpdpGpu { .. }
-            | DpSubGpu
-            | DpSizeGpu),
-            _,
-        ) => a,
-        (a, Backend::Sequential) => a,
-        (Mpdp, Backend::CpuParallel(threads)) => MpdpCpu { threads },
-        (Mpdp, Backend::GpuSim) => MpdpGpu {
-            fused_prune: true,
-            ccc: true,
-        },
-        (DpSub, Backend::CpuParallel(threads)) => DpSubCpu { threads },
-        (DpSub, Backend::GpuSim) => DpSubGpu,
-        (DpSize, Backend::CpuParallel(threads)) => Pdp { threads },
-        (DpSize, Backend::GpuSim) => DpSizeGpu,
-        // DPE *is* DPCCP with parallel costing.
-        (DpCcp, Backend::CpuParallel(threads)) => Dpe { threads },
-        (DpCcp, Backend::GpuSim) => {
-            return Err(OptError::Internal(
-                "DPCCP has no GPU variant (its enumeration is inherently sequential); \
-                 use MPDP, DPSub or DPSize with Backend::GpuSim"
-                    .into(),
-            ))
-        }
-        (MpdpTree, b) => {
-            return Err(OptError::Internal(format!(
-                "MPDP-Tree is sequential-only; backend {b:?} is not supported"
-            )))
-        }
-    })
 }

@@ -1,5 +1,5 @@
-//! `PlanService` — a concurrent, plan-caching serving layer with adaptive
-//! algorithm routing.
+//! `PlanService` — a concurrent, plan-caching serving layer over the
+//! adaptive [`Planner`].
 //!
 //! The paper frames join-order optimization as the latency-critical inner
 //! loop of a query optimizer; a deployment serves a *stream* of queries, not
@@ -12,12 +12,10 @@
 //!   ([`PlanService::plan_canonical`]). Results live in a sharded LRU
 //!   [`PlanCache`], and a hit answers in microseconds with the cached plan
 //!   remapped onto the caller's own relation ids.
-//! * **Adaptive routing** — misses are routed to the cheapest adequate
-//!   algorithm by query size and join-graph density, in the spirit of the
-//!   paper's budget-aware fallback cascade (exact DPCCP for small queries,
-//!   MPDP — simulated-GPU for dense mid-range graphs — up to the exact
-//!   limit, UnionDP-MPDP beyond). Any request can override the route with an
-//!   explicit registry strategy name.
+//! * **One route** — misses plan through [`Planner::adaptive_default`],
+//!   the paper's deployment rule (§6): exact MPDP up to 18 relations,
+//!   UnionDP-MPDP (15) beyond ([`Planner::route`]). Any request can override
+//!   the route with an explicit registry strategy name.
 //! * **Thread safety** — the service is `Send + Sync` and lock-free outside
 //!   the touched cache shard; a worker pool shares one service behind an
 //!   `Arc` (see `examples/serve_throughput.rs`).
@@ -59,7 +57,7 @@
 
 use crate::cache::{CacheConfig, CachedPlan, PlanCache};
 use crate::flight::{park_waker, Admission, Flight, FlightTable};
-use crate::planner::Planned;
+use crate::planner::{HeuristicStrategy, LargeAlgo, Planned, Planner, Strategy};
 use crate::registry;
 use mpdp_core::faults::{site, Faults};
 use mpdp_core::fingerprint::{CanonicalQuery, Canonicalized, Fingerprint};
@@ -104,70 +102,15 @@ pub fn cache_key(fp: Fingerprint, model: &dyn CostModel) -> Fingerprint {
     }
 }
 
-/// Routing thresholds: which algorithm serves which (size, density) regime.
-///
-/// Density is `2|E| / (n (n - 1))` — the filled fraction of the join graph.
-/// Defaults follow the paper's deployment guidance: DPCCP's edge-based
-/// enumeration is unbeatable while the search space is tiny; MPDP owns the
-/// mid-range (with the simulated-GPU driver for dense graphs, where
-/// level-parallel width pays); UnionDP-MPDP takes everything beyond the
-/// exact limit.
-#[derive(Clone, Debug)]
-pub struct RouterConfig {
-    /// Queries up to this many relations go to exact DPCCP.
-    pub dpccp_limit: usize,
-    /// Queries up to this many relations go to MPDP (the paper's exact
-    /// limit for one CPU core; the GPU raises it to 25).
-    pub exact_limit: usize,
-    /// At or above this density, mid-range queries use the simulated-GPU
-    /// MPDP driver instead of sequential MPDP.
-    pub gpu_density: f64,
-    /// UnionDP partition bound for queries beyond the exact limit.
-    pub fallback_k: usize,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            dpccp_limit: 10,
-            exact_limit: 18,
-            gpu_density: 0.5,
-            fallback_k: 15,
-        }
-    }
-}
-
-impl RouterConfig {
-    /// The registry label this configuration routes `q` to.
-    pub fn route(&self, q: &LargeQuery) -> String {
-        let n = q.num_rels();
-        if n <= self.dpccp_limit.min(crate::planner::EXACT_MAX_RELS) {
-            return "DPCCP (1CPU)".to_string();
-        }
-        if n <= self.exact_limit.min(crate::planner::EXACT_MAX_RELS) {
-            return if self.density(q) >= self.gpu_density {
-                "MPDP (GPU)".to_string()
-            } else {
-                "MPDP".to_string()
-            };
-        }
-        format!("UnionDP-MPDP ({})", self.fallback_k)
-    }
-
-    /// Filled fraction of the join graph, in `[0, 1]`.
-    pub fn density(&self, q: &LargeQuery) -> f64 {
-        let n = q.num_rels();
-        if n < 2 {
-            return 1.0;
-        }
-        2.0 * q.edges.len() as f64 / (n * (n - 1)) as f64
-    }
-}
+/// A cached plan whose estimated root cardinality deviates from an observed
+/// one by more than this factor (either direction) is evicted by
+/// [`PlanService::observe`].
+const FEEDBACK_THRESHOLD: f64 = 10.0;
 
 /// Per-request options for [`PlanService::plan_with`].
 #[derive(Clone, Debug, Default)]
 pub struct PlanRequest {
-    /// Overrides the router with an explicit registry strategy name
+    /// Overrides the planner's route with an explicit registry strategy name
     /// (resolved through [`crate::registry()`], so aliases and
     /// parameterized names work). An override implies a cache bypass: the
     /// cache is keyed by fingerprint alone, so serving an override from it
@@ -180,12 +123,12 @@ pub struct PlanRequest {
     /// calls that must measure cold planning).
     pub bypass_cache: bool,
     /// Absolute deadline for this request. A cache hit always makes it; a
-    /// cold request whose remaining budget cannot afford the routed exact
-    /// strategy (predicted from the calibrated hardware model, refined by
-    /// observed cold walls) — or whose exact attempt times out mid-flight —
-    /// **degrades to the service's heuristic strategy** instead of missing
-    /// the deadline, served as [`ServedVia::Degraded`] and never cached as
-    /// if exact. `None` (the default) disables the deadline machinery.
+    /// cold request whose remaining budget cannot afford its route
+    /// (predicted from the calibrated hardware model, refined by observed
+    /// cold walls) — or whose planning times out mid-flight — **degrades to
+    /// GOO** instead of missing the deadline, served as
+    /// [`ServedVia::Degraded`] and never cached. `None` (the default)
+    /// disables the deadline machinery.
     pub deadline: Option<Instant>,
     /// Tracing context of this request (disabled by default — the span
     /// sites along the serving path then cost one branch each). Armed by
@@ -218,8 +161,9 @@ pub enum ServedVia {
 #[derive(Clone, Debug)]
 pub struct ServedPlan {
     /// The planning result, with plan leaves in the *caller's* relation ids.
-    /// On a cache hit, `wall`/`reported`/counters describe the original cold
-    /// run that populated the cache.
+    /// On a cache hit or a coalesced join, `wall`/`reported`/counters describe
+    /// the original cold run that populated the cache, and `profile` is
+    /// `None`.
     pub planned: Planned,
     /// `true` if the plan came from the cache.
     pub cache_hit: bool,
@@ -237,16 +181,12 @@ pub struct ServedPlan {
 #[derive(Clone, Debug, Default)]
 pub struct PlanServiceBuilder {
     cache: CacheConfig,
-    router: RouterConfig,
     budget: Option<Duration>,
-    feedback_threshold: Option<f64>,
-    degrade_strategy: Option<String>,
     faults: Faults,
 }
 
 impl PlanServiceBuilder {
-    /// Default configuration: 4096-entry 16-shard cache, no TTL, default
-    /// routing thresholds, no budget.
+    /// Default configuration: 4096-entry 16-shard cache, no budget.
     pub fn new() -> Self {
         Self::default()
     }
@@ -263,43 +203,9 @@ impl PlanServiceBuilder {
         self
     }
 
-    /// Time-to-live for cached plans (plans for churning statistics should
-    /// not outlive the statistics).
-    pub fn cache_ttl(mut self, ttl: Duration) -> Self {
-        self.cache.ttl = Some(ttl);
-        self
-    }
-
-    /// Replaces the routing thresholds.
-    pub fn router(mut self, router: RouterConfig) -> Self {
-        self.router = router;
-        self
-    }
-
     /// Default per-request optimization budget.
     pub fn budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Cardinality-feedback invalidation threshold for
-    /// [`PlanService::observe`]: a cached plan whose estimated root
-    /// cardinality deviates from the observed one by more than this factor
-    /// (in either direction) is evicted. Must be > 1. Default 10.
-    pub fn feedback_threshold(mut self, factor: f64) -> Self {
-        assert!(
-            factor > 1.0,
-            "feedback threshold must exceed 1, got {factor}"
-        );
-        self.feedback_threshold = Some(factor);
-        self
-    }
-
-    /// The registry strategy deadline-pressed requests degrade to. Must be
-    /// cheap enough to always make a deadline (heuristics plan in
-    /// microseconds). Default `"GOO"`; `"IKKBZ"` is the other stock choice.
-    pub fn degrade_strategy(mut self, name: &str) -> Self {
-        self.degrade_strategy = Some(name.to_string());
         self
     }
 
@@ -317,10 +223,9 @@ impl PlanServiceBuilder {
             // the same (uniform) key distribution.
             flights: FlightTable::new(self.cache.shards),
             cache: PlanCache::new(self.cache),
-            router: self.router,
+            planner: Planner::adaptive_default(),
+            degrade: HeuristicStrategy::new(LargeAlgo::Goo),
             budget: self.budget,
-            feedback_threshold: self.feedback_threshold.unwrap_or(10.0),
-            degrade_strategy: self.degrade_strategy.unwrap_or_else(|| "GOO".to_string()),
             faults: self.faults,
             estimator: ColdEstimator::new(),
         }
@@ -335,11 +240,11 @@ pub struct PlanService {
     /// In-flight plannings that `plan_coalesced` / `plan_async` requests
     /// lead and join, keyed like the cache.
     flights: FlightTable,
-    router: RouterConfig,
+    /// Routes every cold request that names no strategy of its own.
+    planner: Planner,
+    /// Serves deadline degradations: cheap enough to always make a deadline.
+    degrade: HeuristicStrategy,
     budget: Option<Duration>,
-    feedback_threshold: f64,
-    /// Registry label of the heuristic that serves deadline degradations.
-    degrade_strategy: String,
     /// Fault-injection handle (disarmed outside chaos tests).
     faults: Faults,
     /// Predicts cold planning walls for the deadline affordability check.
@@ -347,14 +252,16 @@ pub struct PlanService {
 }
 
 /// Predicts how long a cold exact plan will take: observed cold walls
-/// (EWMA, keyed by route label and query size) when this service has seen
-/// the shape before, the calibrated closed-form hardware-model estimate
-/// otherwise. Deliberately coarse — the affordability check only needs the
-/// right order of magnitude (and a 2× safety margin on top).
+/// (EWMA, keyed by route label, relation count and edge count) when this
+/// service has seen the shape before, the calibrated closed-form
+/// hardware-model estimate otherwise. Deliberately coarse — the
+/// affordability check only needs the right order of magnitude (and a 2×
+/// safety margin on top). The edge count keeps a star and a clique of one
+/// size, which share the route, from pricing each other.
 #[derive(Debug)]
 struct ColdEstimator {
     cal: Calibration,
-    observed: Mutex<HashMap<(String, usize), f64>>,
+    observed: Mutex<HashMap<(String, usize, usize), f64>>,
 }
 
 impl ColdEstimator {
@@ -365,17 +272,17 @@ impl ColdEstimator {
         }
     }
 
-    fn observed_wall(&self, route: &str, n: usize) -> Option<Duration> {
+    fn observed_wall(&self, route: &str, q: &LargeQuery) -> Option<Duration> {
         lock_recover(&self.observed)
-            .get(&(route.to_string(), n))
+            .get(&(route.to_string(), q.num_rels(), q.edges.len()))
             .map(|&secs| Duration::from_secs_f64(secs))
     }
 
-    fn observe(&self, route: &str, n: usize, wall: Duration) {
+    fn observe(&self, route: &str, q: &LargeQuery, wall: Duration) {
         const ALPHA: f64 = 0.3;
         let mut map = lock_recover(&self.observed);
         let e = map
-            .entry((route.to_string(), n))
+            .entry((route.to_string(), q.num_rels(), q.edges.len()))
             .or_insert_with(|| wall.as_secs_f64());
         *e = (1.0 - ALPHA) * *e + ALPHA * wall.as_secs_f64();
     }
@@ -388,7 +295,7 @@ impl Default for PlanService {
 }
 
 impl PlanService {
-    /// A service with default cache and routing configuration.
+    /// A service with the default cache configuration.
     pub fn new() -> Self {
         Self::default()
     }
@@ -398,8 +305,8 @@ impl PlanService {
         self.plan_with(q, model, &PlanRequest::default())
     }
 
-    /// Serves one query: canonicalize, consult the cache, route a miss to
-    /// the configured algorithm, populate the cache, and return the plan in
+    /// Serves one query: canonicalize, consult the cache, route a miss
+    /// through the planner, populate the cache, and return the plan in
     /// the caller's relation ids. Cold keys are *not* single-flighted here
     /// (see the module docs); deadlines degrade exactly as on
     /// [`PlanService::plan_coalesced`].
@@ -478,9 +385,27 @@ impl PlanService {
         PlanFuture::new(self, q, model, req, true)
     }
 
-    /// The registry label the router (or the request override) picks for `q`.
+    /// The registry label a cold `q` runs under: the request's override, or
+    /// the planner's route.
     pub fn route_for(&self, q: &LargeQuery, req: &PlanRequest) -> String {
-        req.strategy.clone().unwrap_or_else(|| self.router.route(q))
+        req.strategy
+            .clone()
+            .unwrap_or_else(|| self.planner.route(q).name())
+    }
+
+    /// The strategy a cold `q` runs: the request's override, resolved by
+    /// name through the registry, or the planner's route.
+    fn strategy_for(
+        &self,
+        q: &LargeQuery,
+        req: &PlanRequest,
+    ) -> Result<Arc<dyn Strategy>, OptError> {
+        match &req.strategy {
+            Some(name) => registry()
+                .get(name)
+                .ok_or_else(|| OptError::Internal(format!("unknown strategy \"{name}\""))),
+            None => Ok(Arc::clone(self.planner.route(q))),
+        }
     }
 
     /// The budget the planner actually gets: the request/service budget
@@ -499,15 +424,15 @@ impl PlanService {
     /// Predicted cold planning wall for `route` on `q` — observed EWMA if
     /// this service has planned the shape before, calibrated closed form
     /// otherwise. Routes beyond the exact limit (UnionDP partitioning,
-    /// heuristics) never run exact DP wider than the router's partition
+    /// heuristics) never run exact DP wider than the planner's partition
     /// bound, so the closed form is capped there.
     fn predicted_cold(&self, route: &str, q: &LargeQuery) -> Duration {
         let n = q.num_rels();
-        if let Some(d) = self.estimator.observed_wall(route, n) {
+        if let Some(d) = self.estimator.observed_wall(route, q) {
             return d;
         }
-        let n_eff = if n > self.router.exact_limit {
-            self.router.fallback_k.max(2)
+        let n_eff = if n > self.planner.exact_limit() {
+            self.planner.partition_bound().max(2)
         } else {
             n
         };
@@ -518,11 +443,10 @@ impl PlanService {
     /// Feeds an execution report back into the serving layer: if the plan
     /// cached for `fingerprint` (as returned in [`ServedPlan::fingerprint`])
     /// estimated a root cardinality that the execution contradicted by more
-    /// than the configured feedback threshold (default 10×, either
-    /// direction), the entry is evicted so the next arrival of that query
-    /// shape re-plans — ideally against statistics corrected with the same
-    /// report (see `mpdp_exec::feedback`). Returns `true` iff a cached plan
-    /// was invalidated.
+    /// than 10× (either direction), the entry is evicted so the next arrival
+    /// of that query shape re-plans — ideally against statistics corrected
+    /// with the same report (see `mpdp_exec::feedback`). Returns `true` iff
+    /// a cached plan was invalidated.
     ///
     /// `model` must be the cost model the plan was served under (the cache
     /// key folds the model's identity). Deviation is measured against the
@@ -541,10 +465,10 @@ impl PlanService {
     /// Key-level half of [`PlanService::observe`]: compares the cached
     /// estimate under `key` (already model-folded — see [`cache_key`])
     /// against an observed root cardinality and evicts on deviation beyond
-    /// the feedback threshold. This is the primitive a sharded tier's
-    /// gossip round replays on every shard: the observation is recorded
-    /// once where the execution ran, then carried to replicas as
-    /// `(key, observed_rows)` without needing the model or the report.
+    /// 10×. This is the primitive a sharded tier's gossip round replays on
+    /// every shard: the observation is recorded once where the execution
+    /// ran, then carried to replicas as `(key, observed_rows)` without
+    /// needing the model or the report.
     pub fn invalidate_key_if_stale(&self, key: Fingerprint, observed_rows: f64) -> bool {
         self.cache.record_feedback_check();
         let obs = observed_rows.max(1.0);
@@ -554,7 +478,7 @@ impl PlanService {
         // strength of the old plan's miss.
         let invalidated = self.cache.remove_if(key, |cached| {
             let est = cached.planned.rows.max(1.0);
-            (est / obs).max(obs / est) > self.feedback_threshold
+            (est / obs).max(obs / est) > FEEDBACK_THRESHOLD
         });
         if invalidated {
             self.cache.record_feedback_invalidation();
@@ -570,12 +494,7 @@ impl PlanService {
         self.cache.peek(cache_key(fingerprint, model)).is_some()
     }
 
-    /// The configured feedback-invalidation threshold.
-    pub fn feedback_threshold(&self) -> f64 {
-        self.feedback_threshold
-    }
-
-    /// Cache hit/miss/insertion/eviction/expiration counters.
+    /// Cache hit/miss/insertion/eviction counters.
     pub fn cache_counters(&self) -> mpdp_core::counters::CacheSnapshot {
         self.cache.counters()
     }
@@ -588,11 +507,6 @@ impl PlanService {
     /// Drops all cached plans (e.g. after a statistics refresh).
     pub fn clear_cache(&self) {
         self.cache.clear()
-    }
-
-    /// The routing configuration.
-    pub fn router_config(&self) -> &RouterConfig {
-        &self.router
     }
 }
 
@@ -784,15 +698,23 @@ impl<'a> PlanFuture<'a> {
         let ctx = lead
             .as_ref()
             .map_or_else(|| req.trace.clone(), SpanGuard::ctx);
-        match self.run(&route, false, &ctx) {
+        match svc
+            .strategy_for(q, req)
+            .and_then(|strategy| self.run(&*strategy, false, &ctx))
+        {
             Ok(planned) => {
                 if use_cache {
                     // Publish: stored with plan leaves relabeled into
                     // canonical slots so any isomorphic future request can
                     // remap them onto its own ids, and inserted *before*
                     // the flight completes, so no instant exists where a
-                    // new arrival re-plans.
-                    let canonical_plan = Arc::new(planned.with_relabeled_plan(&slot));
+                    // new arrival re-plans. The per-level profile stays with
+                    // the cold answer: every hit would copy it, and a DP run
+                    // of n relations profiles n levels.
+                    let canonical_plan = Arc::new(Planned {
+                        profile: None,
+                        ..planned.with_relabeled_plan(&slot)
+                    });
                     svc.cache.insert(
                         key,
                         CachedPlan {
@@ -803,7 +725,7 @@ impl<'a> PlanFuture<'a> {
                         guard.finish(Ok(canonical_plan));
                     }
                 }
-                svc.estimator.observe(&route, q.num_rels(), planned.wall);
+                svc.estimator.observe(&route, q, planned.wall);
                 Poll::Ready(self.deliver(&at, ServedVia::Cold, Ok(planned)))
             }
             Err(e) => {
@@ -824,18 +746,20 @@ impl<'a> PlanFuture<'a> {
         }
     }
 
-    /// Plan: resolves the registry strategy `name` and runs it under a
-    /// `strategy.invoke` span. The routed attempt has the `planner.invoke`
-    /// fault site in front of it (chaos tests inject panics, stalls and
-    /// errors there; an injected error annotates the trace instead of
-    /// running) and gets the request's budget. The `degraded` run has
+    /// Plan: runs `strategy` under a `strategy.invoke` span. The routed
+    /// attempt has the `planner.invoke` fault site in front of it (chaos
+    /// tests inject panics, stalls and errors there; an injected error
+    /// annotates the trace instead of running) and gets the request's
+    /// budget. The `degraded` run has
     /// neither: degradation is the recovery path and must stay reliable,
     /// and the heuristic is cheap enough to always make a deadline.
-    fn run(&self, name: &str, degraded: bool, trace: &SpanCtx) -> Result<Planned, OptError> {
+    fn run(
+        &self,
+        strategy: &dyn Strategy,
+        degraded: bool,
+        trace: &SpanCtx,
+    ) -> Result<Planned, OptError> {
         let svc = self.service;
-        let strategy = registry()
-            .get(name)
-            .ok_or_else(|| OptError::Internal(format!("unknown strategy \"{name}\"")))?;
         let budget = if degraded {
             trace.event(sites::DEGRADE, 0);
             None
@@ -849,11 +773,11 @@ impl<'a> PlanFuture<'a> {
         strategy.plan(self.q, self.model, budget)
     }
 
-    /// Serves the degrade heuristic's plan as [`ServedVia::Degraded`]. Never
-    /// touches the cache: a heuristic plan stored under the fingerprint
-    /// would be served to every later request as if it were exact.
+    /// Serves GOO's plan as [`ServedVia::Degraded`]. Never touches the
+    /// cache: a heuristic plan stored under the fingerprint would be served
+    /// to every later request as if it were exact.
     fn degrade(&self, at: &Probed) -> Result<ServedPlan, OptError> {
-        let planned = self.run(&self.service.degrade_strategy, true, &self.req.trace);
+        let planned = self.run(&self.service.degrade, true, &self.req.trace);
         self.deliver(at, ServedVia::Degraded, planned)
     }
 
@@ -913,15 +837,27 @@ mod tests {
     use mpdp_cost::PgLikeCost;
     use mpdp_workload::gen;
 
+    /// The service routes exactly as the registry's `Adaptive` entry plans,
+    /// on both sides of the exact limit.
     #[test]
     fn router_thresholds() {
-        let r = RouterConfig::default();
         let m = PgLikeCost::new();
-        assert_eq!(r.route(&gen::chain(8, 1, &m)), "DPCCP (1CPU)");
-        assert_eq!(r.route(&gen::chain(16, 1, &m)), "MPDP");
-        // A 12-relation clique is fully dense -> simulated GPU.
-        assert_eq!(r.route(&gen::clique(12, 1, &m)), "MPDP (GPU)");
-        assert_eq!(r.route(&gen::chain(40, 1, &m)), "UnionDP-MPDP (15)");
+        let svc = PlanService::new();
+        let adaptive = registry().get("Adaptive").unwrap();
+        let req = PlanRequest::default();
+        for (q, route) in [
+            (gen::chain(8, 1, &m), "MPDP"),
+            (gen::chain(10, 1, &m), "MPDP"),
+            (gen::chain(11, 1, &m), "MPDP"),
+            (gen::clique(12, 1, &m), "MPDP"),
+            (gen::chain(18, 1, &m), "MPDP"),
+            (gen::chain(19, 1, &m), "UnionDP-MPDP (15)"),
+            (gen::chain(40, 1, &m), "UnionDP-MPDP (15)"),
+        ] {
+            let planned = adaptive.plan(&q, &m, None).unwrap();
+            assert_eq!(svc.route_for(&q, &req), planned.strategy);
+            assert_eq!(planned.strategy, route, "n = {}", q.num_rels());
+        }
     }
 
     #[test]
@@ -938,6 +874,8 @@ mod tests {
         let hit = svc.plan(&r, &m).unwrap();
         assert!(hit.cache_hit);
         assert_eq!(hit.fingerprint, cold.fingerprint);
+        // The cold answer carries its run's profile; the cache keeps none.
+        assert!(cold.planned.profile.is_some() && hit.planned.profile.is_none());
         assert!((hit.planned.cost - cold.planned.cost).abs() < 1e-9 * cold.planned.cost.max(1.0));
         let qi = r.to_query_info().unwrap();
         assert!(hit.planned.plan.validate(&qi.graph).is_none());

@@ -101,8 +101,7 @@ fn adaptive_planner_handles_both_regimes() {
         .exact(ExactAlgo::Mpdp)
         .fallback(LargeAlgo::UnionDp { k: 15 })
         .budget(Duration::from_secs(60))
-        .build()
-        .unwrap();
+        .build();
     let rs = planner.plan_query(&small, &m).unwrap();
     assert_eq!(rs.plan.num_rels(), 6);
     assert_eq!(rs.strategy, "MPDP");
@@ -135,8 +134,7 @@ fn adaptive_planner_covers_both_regimes() {
     let large = gen::snowflake(120, 4, 1, &m);
     let planner = mpdp::PlannerBuilder::new()
         .budget(Duration::from_secs(60))
-        .build()
-        .unwrap();
+        .build();
     let rs = planner.plan_query(&small, &m).unwrap();
     assert_eq!(rs.plan.num_rels(), 6);
     let rl = planner.plan_query(&large, &m).unwrap();

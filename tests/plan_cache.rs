@@ -2,7 +2,8 @@
 //! the sharded LRU plan cache, and `PlanService` under concurrency.
 
 use mpdp::cache::{CacheConfig, PlanCache};
-use mpdp::service::{PlanRequest, PlanService, PlanServiceBuilder};
+use mpdp::registry;
+use mpdp::service::{PlanRequest, PlanService, PlanServiceBuilder, ServedVia};
 use mpdp_core::fingerprint::canonicalize;
 use mpdp_core::{LargeQuery, RelInfo};
 use mpdp_cost::PgLikeCost;
@@ -97,7 +98,6 @@ fn sharded_cache_respects_total_capacity() {
     let cache = PlanCache::new(CacheConfig {
         capacity: 8,
         shards: 4,
-        ttl: None,
     });
     assert!(cache.is_empty());
     // The cache only ever holds ceil(capacity/shards) entries per shard.
@@ -297,4 +297,56 @@ fn default_stream_pool_fingerprints_are_distinct() {
         .map(|t| canonicalize(&t.query).fingerprint)
         .collect();
     assert_eq!(fps.len(), stream.templates().len());
+}
+
+/// Every cold request plans through the adaptive planner: MPDP up to 18
+/// relations. On the serving stream's 400 templates of 8–14 relations, the
+/// plan served for each template of at most 10 relations is DPCCP's, tree
+/// and cost bits; on dense queries of 11–13 relations it is the simulated
+/// GPU's. DPCCP and the simulator were the routes these queries took under
+/// the size/density router the planner replaced, so the change of route
+/// moved no served plan.
+#[test]
+fn cold_plans_match_the_retired_routes() {
+    let m = PgLikeCost::new();
+    let spec = StreamSpec {
+        min_rels: 8,
+        max_rels: 14,
+        ..StreamSpec::default()
+    };
+    let stream = ZipfStream::new(&spec, &m);
+    let small: Vec<&LargeQuery> = stream
+        .templates()
+        .iter()
+        .map(|t| &t.query)
+        .filter(|q| q.num_rels() <= 10)
+        .collect();
+    assert_eq!(small.len(), 180);
+    let dense = [
+        gen::clique(11, 7, &m),
+        gen::clique(12, 7, &m),
+        gen::clique(13, 7, &m),
+        gen::random_connected(12, 40, 3, &m),
+    ];
+    let dpccp = registry().get("DPCCP (1CPU)").unwrap();
+    let gpu = registry().get("MPDP (GPU)").unwrap();
+    let svc = PlanService::new();
+    let cases = small
+        .into_iter()
+        .map(|q| (q, &dpccp))
+        .chain(dense.iter().map(|q| (q, &gpu)));
+    for (q, retired) in cases {
+        let served = svc.plan(q, &m).unwrap();
+        let want = retired.plan(q, &m, None).unwrap();
+        let n = q.num_rels();
+        assert_eq!(served.via, ServedVia::Cold, "n = {n}");
+        assert_eq!(served.planned.strategy, "MPDP", "n = {n}");
+        assert_eq!(served.planned.plan, want.plan, "{} n = {n}", want.strategy);
+        assert_eq!(
+            served.planned.cost.to_bits(),
+            want.cost.to_bits(),
+            "{} n = {n}",
+            want.strategy
+        );
+    }
 }
