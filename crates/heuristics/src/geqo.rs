@@ -9,7 +9,7 @@
 //! default; evolution is steady-state (each generation breeds one child that
 //! replaces the worst individual), also as in PostgreSQL.
 
-use crate::large::{validate_large, Budget, LargeOptResult, LargeOptimizer};
+use crate::large::{validate_large, Budget, LargeOptResult};
 use mpdp_core::plan::PlanTree;
 use mpdp_core::query::LargeQuery;
 use mpdp_core::OptError;
@@ -19,9 +19,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// GE-QO parameters (PostgreSQL-like defaults).
+/// GE-QO parameters.
 #[derive(Copy, Clone, Debug)]
-pub struct GeqoParams {
+pub(crate) struct GeqoParams {
     /// Population size; PG uses `2^(1 + log2(n))`-ish pools, clamped.
     pub pool_size: usize,
     /// Number of generations (PG default: equal to pool size × effort).
@@ -32,7 +32,7 @@ pub struct GeqoParams {
 
 impl GeqoParams {
     /// PostgreSQL-flavoured defaults for an `n`-relation query.
-    pub fn for_query(n: usize, seed: u64) -> Self {
+    fn for_query(n: usize, seed: u64) -> Self {
         let pool = (2 * n).clamp(16, 128);
         GeqoParams {
             pool_size: pool,
@@ -44,10 +44,7 @@ impl GeqoParams {
 
 /// The GE-QO optimizer.
 #[derive(Copy, Clone, Debug, Default)]
-pub struct Geqo {
-    /// Algorithm parameters (`None` = PostgreSQL-flavoured defaults).
-    pub params: Option<GeqoParams>,
-}
+pub struct Geqo;
 
 /// Grows a plan from a permutation with PG's clump procedure. Returns `None`
 /// only for disconnected queries.
@@ -191,8 +188,20 @@ fn erx(a: &[usize], b: &[usize], rng: &mut StdRng) -> Vec<usize> {
 }
 
 impl Geqo {
-    /// Runs GE-QO.
+    /// Runs GE-QO with PostgreSQL-flavoured parameters for the query's size.
     pub fn run(
+        q: &LargeQuery,
+        model: &dyn CostModel,
+        budget: Option<Duration>,
+    ) -> Result<LargeOptResult, OptError> {
+        let params = GeqoParams::for_query(q.num_rels(), 0x5147);
+        let r = Geqo::evolve(q, model, params, budget)?;
+        debug_assert!(validate_large(&r.plan, q).is_none());
+        Ok(r)
+    }
+
+    /// Runs GE-QO with the given parameters.
+    pub(crate) fn evolve(
         q: &LargeQuery,
         model: &dyn CostModel,
         params: GeqoParams,
@@ -250,31 +259,7 @@ impl Geqo {
         }
         let best = &pool[0];
         let plan = gimme_tree(q, &best.1, model).expect("best individual must build");
-        Ok(LargeOptResult {
-            cost: plan.cost(),
-            rows: plan.rows(),
-            plan,
-        })
-    }
-}
-
-impl LargeOptimizer for Geqo {
-    fn name(&self) -> String {
-        "GE-QO".into()
-    }
-
-    fn optimize(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        budget: Option<Duration>,
-    ) -> Result<LargeOptResult, OptError> {
-        let params = self
-            .params
-            .unwrap_or_else(|| GeqoParams::for_query(q.num_rels(), 0x5147));
-        let r = Geqo::run(q, model, params, budget)?;
-        debug_assert!(validate_large(&r.plan, q).is_none());
-        Ok(r)
+        Ok(plan.into())
     }
 }
 
@@ -294,7 +279,7 @@ mod tests {
             gen::snowflake(25, 3, 2, &m),
             gen::cycle(12, 3, &m),
         ] {
-            let r = Geqo::default().optimize(&q, &m, None).unwrap();
+            let r = Geqo::run(&q, &m, None).unwrap();
             assert!(validate_large(&r.plan, &q).is_none());
             assert_eq!(r.plan.num_rels(), q.num_rels());
         }
@@ -305,7 +290,7 @@ mod tests {
         let m = PgLikeCost::new();
         for seed in 0..3 {
             let q = gen::random_connected(9, 3, seed, &m);
-            let r = Geqo::default().optimize(&q, &m, None).unwrap();
+            let r = Geqo::run(&q, &m, None).unwrap();
             let exact = Mpdp::run(&OptContext::new(&q.to_query_info().unwrap(), &m)).unwrap();
             assert!(r.cost >= exact.cost * (1.0 - 1e-9), "seed {seed}");
         }
@@ -316,7 +301,7 @@ mod tests {
         // The pool's best can only improve over generations.
         let m = PgLikeCost::new();
         let q = gen::star(20, 7, &m);
-        let short = Geqo::run(
+        let short = Geqo::evolve(
             &q,
             &m,
             GeqoParams {
@@ -327,7 +312,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let long = Geqo::run(
+        let long = Geqo::evolve(
             &q,
             &m,
             GeqoParams {

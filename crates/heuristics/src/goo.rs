@@ -7,7 +7,7 @@
 //! initial-plan builder for all IDP2 variants ("For all IDP2 variants, we use
 //! GOO for the heuristic step").
 
-use crate::large::{validate_large, Budget, LargeOptResult, LargeOptimizer};
+use crate::large::{validate_large, Budget, LargeOptResult};
 use mpdp_core::plan::PlanTree;
 use mpdp_core::query::LargeQuery;
 use mpdp_core::OptError;
@@ -137,28 +137,8 @@ impl Goo {
             .next()
             .ok_or(OptError::Internal("GOO produced no plan".into()))?
             .plan;
-        Ok(LargeOptResult {
-            cost: final_plan.cost(),
-            rows: final_plan.rows(),
-            plan: final_plan,
-        })
-    }
-}
-
-impl LargeOptimizer for Goo {
-    fn name(&self) -> String {
-        "GOO".into()
-    }
-
-    fn optimize(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        budget: Option<Duration>,
-    ) -> Result<LargeOptResult, OptError> {
-        let r = Goo::run(q, model, budget)?;
-        debug_assert!(validate_large(&r.plan, q).is_none());
-        Ok(r)
+        debug_assert!(validate_large(&final_plan, q).is_none());
+        Ok(final_plan.into())
     }
 }
 

@@ -3,34 +3,37 @@
 //! * **IDP1** builds optimal plans bottom-up like plain DP but stops at
 //!   subplans of `k` relations, materializes the cheapest `k`-relation plan
 //!   as a temporary table, and iterates. `O(n^k)` — only viable for small
-//!   `k`, which is why the paper uses IDP2 for its evaluation.
+//!   `k`, which is why the paper uses IDP2 for its evaluation. Its bounded
+//!   DP is its own, over set-keyed hash maps; MPDP is not involved.
 //! * **IDP2** applies the heuristic *a priori*: build a full tentative plan
 //!   (GOO here, as in §7.3), then repeatedly select the most costly subtree
 //!   with at most `k` leaves, re-optimize it exactly, and replace it by a
 //!   temporary table until one table remains (§4.1).
 //!
-//! The paper's contribution is plugging MPDP in as IDP2's exact step
-//! ("IDP2-MPDP (k)"), enabling `k` up to 25 on the GPU. The inner optimizer
-//! is pluggable ([`InnerLarge`]) so LinDP's >100-relation mode can reuse the
-//! same driver with linearized-DP blocks.
+//! Both materialize a table through the composite store in
+//! [`crate::large`], as UnionDP does. The paper's contribution is plugging
+//! MPDP in as IDP2's exact step ("IDP2-MPDP (k)"), enabling `k` up to 25 on
+//! the GPU. The exact step is a parameter of [`idp2_with_inner`] so LinDP's
+//! >100-relation mode can reuse the same driver with linearized-DP blocks.
 
 use crate::goo::Goo;
 use crate::large::{
-    check_selectivities, contract, mpdp_inner_with_budget, recost, recost_spine, substitute_leaves,
-    Budget, InnerLarge, LargeOptResult, LargeOptimizer,
+    check_selectivities, mpdp_inner_with_budget, recost, recost_spine, Budget, Composites,
+    LargeOptResult,
 };
 use mpdp_core::plan::PlanTree;
-use mpdp_core::query::{LargeQuery, RelInfo};
+use mpdp_core::query::LargeQuery;
 use mpdp_core::OptError;
-use mpdp_cost::model::CostModel;
+use mpdp_cost::model::{CostModel, InputEst};
 use std::time::Duration;
 
-/// IDP2's working state: the contracted query, the full original-relation
-/// plan behind each of its composites, and the tentative plan over composite
-/// ids.
+/// The largest `k` IDP1 accepts: its bounded DP is `O(n^k)`.
+pub const IDP1_MAX_K: usize = 8;
+
+/// IDP2's working state: the composite store and the tentative plan over
+/// its vertex ids.
 struct Working {
-    cur: LargeQuery,
-    comps: Vec<PlanTree>,
+    store: Composites,
     tree: PlanTree,
 }
 
@@ -39,82 +42,42 @@ impl Working {
     /// once in full.
     fn start(q: &LargeQuery, model: &dyn CostModel) -> Result<Self, OptError> {
         Ok(Working {
-            cur: q.clone(),
-            comps: (0..q.num_rels())
-                .map(|i| PlanTree::Scan {
-                    rel: i as u32,
-                    rows: q.rels[i].rows,
-                    cost: q.rels[i].cost,
-                })
-                .collect(),
+            store: Composites::new(q),
             tree: recost(&Goo::run(q, model, None)?.plan, q, model),
         })
     }
 
-    /// One IDP2 step: optimizes the leaves under `path` exactly, contracts
-    /// them into a new composite and puts that composite's leaf where the
-    /// subtree was. The leaf's ancestors still carry the prices they had
-    /// with the old subtree; re-costing them is the caller's business.
+    /// One IDP2 step: plans the leaves under `path` exactly, contracts them
+    /// into a new composite and puts that composite's leaf where the subtree
+    /// was. The leaf's ancestors still carry the prices they had with the
+    /// old subtree; re-costing them is the caller's business.
     fn collapse(
         &mut self,
         path: &[bool],
         model: &dyn CostModel,
         inner: &dyn Fn(&LargeQuery) -> Result<PlanTree, OptError>,
     ) -> Result<(), OptError> {
+        let node = subtree_at(&mut self.tree, path);
         let mut group: Vec<usize> = Vec::new();
-        collect_leaves(subtree_at(&self.tree, path), &mut group);
+        collect_leaves(node, &mut group);
         group.sort_unstable();
         group.dedup();
-
-        // Optimize the group exactly over the projected sub-query.
-        let (sub_query, _) = project_large(&self.cur, &group);
-        let sub_plan = inner(&sub_query)?;
-        let sub_plan = recost(&sub_plan, &sub_query, model);
-        // Translate projected leaves back to full original-relation plans.
-        let mapping: Vec<PlanTree> = group.iter().map(|&g| self.comps[g].clone()).collect();
-        let full_sub_plan = substitute_leaves(&sub_plan, &mapping);
-
-        // Contract the group into a new composite.
-        let info = RelInfo::new(sub_plan.rows(), sub_plan.cost());
-        let (new_cur, idx_map) = contract(&self.cur, &group, info);
-        let comp_idx = idx_map[group[0]];
-        let mut new_comps: Vec<PlanTree> = vec![
-            PlanTree::Scan {
-                rel: 0,
-                rows: 0.0,
-                cost: 0.0
-            };
-            new_cur.num_rels()
-        ];
-        for (old, plan) in std::mem::take(&mut self.comps).into_iter().enumerate() {
-            let ni = idx_map[old];
-            if ni != comp_idx {
-                new_comps[ni] = plan;
-            }
-        }
-        new_comps[comp_idx] = full_sub_plan;
-        self.comps = new_comps;
-
-        // Rewrite the working tree: replace the chosen subtree by the new
-        // composite leaf and remap all other leaves.
-        self.tree = replace_subtree(
-            &self.tree,
-            path,
-            PlanTree::Scan {
-                rel: comp_idx as u32,
-                rows: info.rows,
-                cost: info.cost,
-            },
-            &idx_map,
-        );
-        self.cur = new_cur;
+        let (map, info) = self.store.collapse(&group, model, inner)?;
+        // A member's id, which the relabelling maps to the composite's.
+        *node = PlanTree::Scan {
+            rel: group[0] as u32,
+            rows: info.rows,
+            cost: info.cost,
+        };
+        self.tree = self.tree.relabel(&map);
         Ok(())
     }
 }
 
-/// Runs the pluggable-inner IDP2 loop. `inner` receives a *projected*
-/// sub-query (scan indices `0..group.len()`) of at most `k` relations and
-/// must return its plan.
+/// Runs the IDP2 loop with `inner` as the exact step. `inner` receives a
+/// *projected* sub-query (scan indices `0..group.len()`) of at most `k`
+/// relations and must return its plan; MPDP inners take at most 64,
+/// linearized-DP inners any number.
 pub fn idp2_with_inner(
     q: &LargeQuery,
     model: &dyn CostModel,
@@ -133,8 +96,7 @@ pub fn idp2_with_inner(
     check_selectivities(q)?;
     if n <= k {
         // Whole query fits one exact invocation.
-        let plan = inner(q)?;
-        return Ok(recost(&plan, q, model));
+        return Ok(recost(&inner(q)?, q, model));
     }
 
     // The tentative plan is priced in full once; after that a step re-prices
@@ -142,35 +104,17 @@ pub fn idp2_with_inner(
     let mut w = Working::start(q, model)?;
     loop {
         budget.check()?;
-        if let PlanTree::Scan { rel, .. } = w.tree {
+        if let PlanTree::Scan { .. } = w.tree {
             // One temporary table remains: revert to its full tree.
-            return Ok(recost(&w.comps[rel as usize], q, model));
+            return Ok(w.store.into_plan(q, model));
         }
         // The most costly subtree with 2..=k leaves becomes a composite; of
         // the working tree's prices only its ancestors' depend on that.
         let path = most_costly_subtree(&w.tree, k)
             .ok_or_else(|| OptError::Internal("IDP2 found no candidate subtree".into()))?;
         w.collapse(&path, model, inner)?;
-        recost_spine(&mut w.tree, &path, &w.cur, model);
+        recost_spine(&mut w.tree, &path, w.store.query(), model);
     }
-}
-
-/// Projects `q` onto `group` as a [`LargeQuery`] over indices
-/// `0..group.len()`, dropping outside edges.
-pub fn project_large(q: &LargeQuery, group: &[usize]) -> (LargeQuery, Vec<usize>) {
-    let mut index_of = vec![usize::MAX; q.num_rels()];
-    for (new, &old) in group.iter().enumerate() {
-        index_of[old] = new;
-    }
-    let rels: Vec<RelInfo> = group.iter().map(|&g| q.rels[g]).collect();
-    let mut sub = LargeQuery::new(rels);
-    for e in &q.edges {
-        let (u, v) = (index_of[e.u as usize], index_of[e.v as usize]);
-        if u != usize::MAX && v != usize::MAX {
-            sub.add_edge(u, v, e.sel);
-        }
-    }
-    (sub, group.to_vec())
 }
 
 fn collect_leaves(plan: &PlanTree, out: &mut Vec<usize>) {
@@ -220,7 +164,7 @@ fn most_costly_subtree(tree: &PlanTree, k: usize) -> Option<Vec<bool>> {
     best.map(|(_, p)| p)
 }
 
-fn subtree_at<'a>(tree: &'a PlanTree, path: &[bool]) -> &'a PlanTree {
+fn subtree_at<'a>(tree: &'a mut PlanTree, path: &[bool]) -> &'a mut PlanTree {
     let mut cur = tree;
     for &dir in path {
         match cur {
@@ -233,110 +177,7 @@ fn subtree_at<'a>(tree: &'a PlanTree, path: &[bool]) -> &'a PlanTree {
     cur
 }
 
-/// Rebuilds `tree` with the node at `path` replaced by `replacement` and all
-/// other scan leaves remapped through `idx_map`.
-fn replace_subtree(
-    tree: &PlanTree,
-    path: &[bool],
-    replacement: PlanTree,
-    idx_map: &[usize],
-) -> PlanTree {
-    fn remap(plan: &PlanTree, idx_map: &[usize]) -> PlanTree {
-        match plan {
-            PlanTree::Scan { rel, rows, cost } => PlanTree::Scan {
-                rel: idx_map[*rel as usize] as u32,
-                rows: *rows,
-                cost: *cost,
-            },
-            PlanTree::Join {
-                left,
-                right,
-                rows,
-                cost,
-            } => PlanTree::Join {
-                left: Box::new(remap(left, idx_map)),
-                right: Box::new(remap(right, idx_map)),
-                rows: *rows,
-                cost: *cost,
-            },
-        }
-    }
-    if path.is_empty() {
-        return replacement;
-    }
-    match tree {
-        PlanTree::Join {
-            left,
-            right,
-            rows,
-            cost,
-        } => {
-            let (dir, rest) = (path[0], &path[1..]);
-            let (l, r) = if dir {
-                (
-                    remap(left, idx_map),
-                    replace_subtree(right, rest, replacement, idx_map),
-                )
-            } else {
-                (
-                    replace_subtree(left, rest, replacement, idx_map),
-                    remap(right, idx_map),
-                )
-            };
-            PlanTree::Join {
-                left: Box::new(l),
-                right: Box::new(r),
-                rows: *rows,
-                cost: *cost,
-            }
-        }
-        PlanTree::Scan { .. } => unreachable!("path descends past a leaf"),
-    }
-}
-
-/// IDP2 with a pluggable exact step; the paper's "IDP2-MPDP (k)".
-pub struct Idp2<'a> {
-    /// Maximum sub-problem size handed to the exact step.
-    pub k: usize,
-    /// The exact optimizer (default: MPDP).
-    pub inner: InnerLarge<'a>,
-    /// Label for reports.
-    pub label: String,
-}
-
-impl<'a> Idp2<'a> {
-    /// IDP2 with a caller-supplied inner optimizer.
-    pub fn with_inner(k: usize, inner: InnerLarge<'a>, label: impl Into<String>) -> Idp2<'a> {
-        Idp2 {
-            k,
-            inner,
-            label: label.into(),
-        }
-    }
-}
-
-impl LargeOptimizer for Idp2<'_> {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn optimize(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        budget: Option<Duration>,
-    ) -> Result<LargeOptResult, OptError> {
-        let b = Budget::new(budget);
-        let plan = idp2_with_inner(q, model, self.k, self.inner, &b)?;
-        Ok(LargeOptResult {
-            cost: plan.cost(),
-            rows: plan.rows(),
-            plan,
-        })
-    }
-}
-
-/// Convenience: runs IDP2-MPDP(k) end to end.
+/// IDP2 with MPDP as the exact step: the paper's "IDP2-MPDP (k)".
 pub fn idp2_mpdp(
     q: &LargeQuery,
     model: &dyn CostModel,
@@ -345,109 +186,53 @@ pub fn idp2_mpdp(
 ) -> Result<LargeOptResult, OptError> {
     let b = Budget::new(budget);
     let inner = mpdp_inner_with_budget(model, b);
-    let plan = idp2_with_inner(q, model, k, &inner, &b)?;
-    Ok(LargeOptResult {
-        cost: plan.cost(),
-        rows: plan.rows(),
-        plan,
-    })
+    Ok(idp2_with_inner(q, model, k, &inner, &b)?.into())
 }
 
-/// IDP1 with bounded subplan size `k` (kept small; `O(n^k)`).
+/// IDP1 with bounded subplan size `k`, which must be in
+/// `2..=`[`IDP1_MAX_K`].
 pub fn idp1_mpdp(
     q: &LargeQuery,
     model: &dyn CostModel,
     k: usize,
     budget: Option<Duration>,
 ) -> Result<LargeOptResult, OptError> {
-    assert!((2..=8).contains(&k), "IDP1 is only tractable for small k");
+    if !(2..=IDP1_MAX_K).contains(&k) {
+        return Err(OptError::Internal(format!(
+            "IDP1 needs 2 <= k <= {IDP1_MAX_K}, got k = {k}"
+        )));
+    }
     let b = Budget::new(budget);
     if !q.is_connected() {
         return Err(OptError::DisconnectedGraph);
     }
-    let n = q.num_rels();
-    if n == 0 {
+    if q.num_rels() == 0 {
         return Err(OptError::EmptyQuery);
     }
     check_selectivities(q)?;
-    let mut cur = q.clone();
-    let mut comps: Vec<PlanTree> = (0..n)
-        .map(|i| PlanTree::Scan {
-            rel: i as u32,
-            rows: q.rels[i].rows,
-            cost: q.rels[i].cost,
-        })
-        .collect();
-    while cur.num_rels() > 1 {
-        b.check()?;
-        let kk = k.min(cur.num_rels());
-        // Exhaustive bounded DP over the composite graph: cheapest plan of
-        // exactly kk composites.
-        let best = best_bounded_plan(&cur, model, kk, &b)?;
+    let mut store = Composites::new(q);
+    while store.query().num_rels() > 1 {
+        let cur = store.query();
+        // Exhaustive bounded DP over the composite graph: the cheapest plan
+        // of exactly k composites (or all that are left), relabelled onto
+        // the projection of its leaves.
+        let best = best_bounded_plan(cur, model, k.min(cur.num_rels()), &b)?;
         let mut group: Vec<usize> = Vec::new();
         collect_leaves(&best, &mut group);
         group.sort_unstable();
-        let mapping: Vec<PlanTree> = group.iter().map(|&g| comps[g].clone()).collect();
-        // best's leaves are composite ids; project them to 0.. for
-        // substitution.
-        let mut local = vec![usize::MAX; cur.num_rels()];
+        let mut local = vec![u32::MAX; cur.num_rels()];
         for (i, &g) in group.iter().enumerate() {
-            local[g] = i;
+            local[g] = i as u32;
         }
-        let localized = remap_leaves(&best, &local);
-        let full = substitute_leaves(&localized, &mapping);
-        let info = RelInfo::new(best.rows(), best.cost());
-        let (new_cur, idx_map) = contract(&cur, &group, info);
-        let comp_idx = idx_map[group[0]];
-        let mut new_comps = vec![
-            PlanTree::Scan {
-                rel: 0,
-                rows: 0.0,
-                cost: 0.0
-            };
-            new_cur.num_rels()
-        ];
-        for (old, plan) in comps.into_iter().enumerate() {
-            let ni = idx_map[old];
-            if ni != comp_idx {
-                new_comps[ni] = plan;
-            }
-        }
-        new_comps[comp_idx] = full;
-        comps = new_comps;
-        cur = new_cur;
+        let localized = best.relabel(&local);
+        store.collapse(&group, model, |_| Ok(localized))?;
     }
-    let plan = recost(&comps.pop().expect("one composite left"), q, model);
-    Ok(LargeOptResult {
-        cost: plan.cost(),
-        rows: plan.rows(),
-        plan,
-    })
-}
-
-fn remap_leaves(plan: &PlanTree, map: &[usize]) -> PlanTree {
-    match plan {
-        PlanTree::Scan { rel, rows, cost } => PlanTree::Scan {
-            rel: map[*rel as usize] as u32,
-            rows: *rows,
-            cost: *cost,
-        },
-        PlanTree::Join {
-            left,
-            right,
-            rows,
-            cost,
-        } => PlanTree::Join {
-            left: Box::new(remap_leaves(left, map)),
-            right: Box::new(remap_leaves(right, map)),
-            rows: *rows,
-            cost: *cost,
-        },
-    }
+    Ok(store.into_plan(q, model).into())
 }
 
 /// Cheapest plan covering exactly `kk` composites: enumerate connected sets
-/// of size ≤ kk via BFS extension, DP over set-keyed maps.
+/// of size ≤ kk via BFS extension, DP over set-keyed maps. The budget is
+/// checked per extended set.
 fn best_bounded_plan(
     q: &LargeQuery,
     model: &dyn CostModel,
@@ -456,26 +241,17 @@ fn best_bounded_plan(
 ) -> Result<PlanTree, OptError> {
     use std::collections::HashMap;
     type Key = Vec<u32>;
-    #[derive(Clone)]
-    struct Entry {
-        plan: PlanTree,
-    }
-    let mut levels: Vec<HashMap<Key, Entry>> = vec![HashMap::new(); kk + 1];
+    let mut levels: Vec<HashMap<Key, PlanTree>> = vec![HashMap::new(); kk + 1];
     for i in 0..q.num_rels() {
-        levels[1].insert(
-            vec![i as u32],
-            Entry {
-                plan: PlanTree::Scan {
-                    rel: i as u32,
-                    rows: q.rels[i].rows,
-                    cost: q.rels[i].cost,
-                },
-            },
-        );
+        let scan = PlanTree::Scan {
+            rel: i as u32,
+            rows: q.rels[i].rows,
+            cost: q.rels[i].cost,
+        };
+        levels[1].insert(vec![i as u32], scan);
     }
     for size in 2..=kk {
-        budget.check()?;
-        let mut next: HashMap<Key, Entry> = HashMap::new();
+        let mut next: HashMap<Key, PlanTree> = HashMap::new();
         // Extend every (size-1)-set by a neighbour, then try all splits of
         // the result via its sub-entries.
         let prev: Vec<Key> = levels[size - 1].keys().cloned().collect();
@@ -492,6 +268,8 @@ fn best_bounded_plan(
             neighbours.sort_unstable();
             neighbours.dedup();
             for v in neighbours {
+                // Per extended set: one level can take seconds.
+                budget.check()?;
                 let mut new_key: Key = key.clone();
                 new_key.push(v as u32);
                 new_key.sort_unstable();
@@ -530,15 +308,15 @@ fn best_bounded_plan(
                     if !connected {
                         continue;
                     }
-                    let rows = le.plan.rows() * re.plan.rows() * sel;
+                    let rows = le.rows() * re.rows() * sel;
                     let cost = model.join_cost(
-                        mpdp_cost::model::InputEst {
-                            cost: le.plan.cost(),
-                            rows: le.plan.rows(),
+                        InputEst {
+                            cost: le.cost(),
+                            rows: le.rows(),
                         },
-                        mpdp_cost::model::InputEst {
-                            cost: re.plan.cost(),
-                            rows: re.plan.rows(),
+                        InputEst {
+                            cost: re.cost(),
+                            rows: re.rows(),
                         },
                         rows,
                     );
@@ -546,8 +324,8 @@ fn best_bounded_plan(
                         Some(b) if b.cost() <= cost => {}
                         _ => {
                             best = Some(PlanTree::Join {
-                                left: Box::new(le.plan.clone()),
-                                right: Box::new(re.plan.clone()),
+                                left: Box::new(le.clone()),
+                                right: Box::new(re.clone()),
                                 rows,
                                 cost,
                             })
@@ -555,18 +333,19 @@ fn best_bounded_plan(
                     }
                 }
                 if let Some(plan) = best {
-                    next.insert(new_key, Entry { plan });
+                    next.insert(new_key, plan);
                 }
             }
         }
         levels[size] = next;
     }
     levels[kk]
-        .values()
+        .iter()
         // `total_cmp`: as `partial_cmp` on costs, which are never −0.0, and
-        // no panic on a NaN.
-        .min_by(|a, b| a.plan.cost().total_cmp(&b.plan.cost()))
-        .map(|e| e.plan.clone())
+        // no panic on a NaN. A tie goes to the smaller set, not to the hash
+        // map's per-process iteration order.
+        .min_by(|(ka, a), (kb, b)| a.cost().total_cmp(&b.cost()).then_with(|| ka.cmp(kb)))
+        .map(|(_, plan)| plan.clone())
         .ok_or_else(|| OptError::Internal("IDP1 found no bounded plan".into()))
 }
 
@@ -592,18 +371,19 @@ mod tests {
         let inner = mpdp_inner_with_budget(model, Budget::new(None));
         let mut w = Working::start(q, model).unwrap();
         loop {
-            if let PlanTree::Scan { rel, .. } = w.tree {
-                return recost(&w.comps[rel as usize], q, model);
+            if let PlanTree::Scan { .. } = w.tree {
+                return w.store.into_plan(q, model);
             }
             let path = most_costly_subtree(&w.tree, k).unwrap();
             w.collapse(&path, model, &inner).unwrap();
-            recost_spine(&mut w.tree, &path, &w.cur, model);
-            let full = recost(&w.tree, &w.cur, model);
+            let cur = w.store.query();
+            recost_spine(&mut w.tree, &path, cur, model);
+            let full = recost(&w.tree, cur, model);
             assert_eq!(
                 plan_bits(&w.tree),
                 plan_bits(&full),
                 "{} composites left",
-                w.cur.num_rels()
+                cur.num_rels()
             );
         }
     }
@@ -675,6 +455,30 @@ mod tests {
         assert!(validate_large(&r.plan, &q).is_none());
         let exact = Mpdp::run(&OptContext::new(&q.to_query_info().unwrap(), &m)).unwrap();
         assert!(r.cost >= exact.cost * (1.0 - 1e-9));
+    }
+
+    #[test]
+    fn idp1_rejects_a_k_past_its_bound() {
+        let m = PgLikeCost::new();
+        let q = gen::star(12, 3, &m);
+        for k in [0, 1, IDP1_MAX_K + 1, 15] {
+            let r = idp1_mpdp(&q, &m, k, None);
+            assert!(matches!(r, Err(OptError::Internal(_))), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn idp1_times_out_within_twice_its_budget() {
+        // One level of the bounded DP on star-60 at k = 5 takes far longer
+        // than the budget; the per-set check stops it early.
+        let m = PgLikeCost::new();
+        let q = gen::star(60, 1, &m);
+        let budget = Duration::from_millis(50);
+        let start = std::time::Instant::now();
+        let r = idp1_mpdp(&q, &m, 5, Some(budget));
+        let took = start.elapsed();
+        assert!(matches!(r, Err(OptError::Timeout { .. })), "{r:?}");
+        assert!(took < 2 * budget, "returned after {took:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! (minimum `sel` value, i.e. most selective) spanning tree and keep all real
 //! edges for pricing.
 
-use crate::large::{Budget, LargeOptResult, LargeOptimizer};
+use crate::large::{Budget, LargeOptResult};
 use crate::unionfind::UnionFind;
 use mpdp_core::plan::PlanTree;
 use mpdp_core::query::LargeQuery;
@@ -310,21 +310,6 @@ impl Ikkbz {
         let order = Self::best_order(q, model, &b)?;
         cost_left_deep(q, &order, model)
             .ok_or_else(|| OptError::Internal("IKKBZ order not connected".into()))
-    }
-}
-
-impl LargeOptimizer for Ikkbz {
-    fn name(&self) -> String {
-        "IKKBZ".into()
-    }
-
-    fn optimize(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        budget: Option<Duration>,
-    ) -> Result<LargeOptResult, OptError> {
-        Ikkbz::run(q, model, budget)
     }
 }
 

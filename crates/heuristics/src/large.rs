@@ -1,6 +1,6 @@
 //! Shared infrastructure for the heuristic (large-query) optimizers:
-//! results, validation, re-costing, graph contraction and the exact-DP
-//! plug-in interface.
+//! results, validation, re-costing, and the composite store through which
+//! IDP1, IDP2 and UnionDP contract planned groups.
 
 use mpdp_core::plan::PlanTree;
 use mpdp_core::query::{LargeQuery, QueryInfo, RelInfo};
@@ -19,35 +19,21 @@ pub struct LargeOptResult {
     pub rows: f64,
 }
 
-/// A heuristic join-order optimizer for arbitrarily large queries.
-pub trait LargeOptimizer {
-    /// Identifier used in Tables 1–2 (e.g. `"GOO"`, `"UnionDP-MPDP (15)"`).
-    fn name(&self) -> String;
-
-    /// Runs the optimization with an optional time budget.
-    fn optimize(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        budget: Option<Duration>,
-    ) -> Result<LargeOptResult, OptError>;
+impl From<PlanTree> for LargeOptResult {
+    /// The result whose cost and rows are the plan root's.
+    fn from(plan: PlanTree) -> Self {
+        LargeOptResult {
+            cost: plan.cost(),
+            rows: plan.rows(),
+            plan,
+        }
+    }
 }
 
-/// The exact plug-in used inside IDP2, UnionDP and adaptive LinDP: takes a
-/// *projected* sub-problem (scan indices `0..len`) and returns its plan.
-/// MPDP inners require ≤ 64 relations; linearized-DP inners take any size.
-pub type InnerLarge<'a> = &'a (dyn Fn(&LargeQuery) -> Result<PlanTree, OptError> + Sync);
-
-/// The default inner exact algorithm: MPDP (the paper augments both IDP2 and
-/// UnionDP with MPDP), without a deadline.
-pub fn mpdp_inner(
-    model: &dyn CostModel,
-) -> impl Fn(&LargeQuery) -> Result<PlanTree, OptError> + '_ {
-    mpdp_inner_with_budget(model, Budget::new(None))
-}
-
-/// MPDP as the inner exact algorithm, bounded by an outer budget's deadline
-/// so sub-problems respect it too.
+/// MPDP as the exact step of IDP2 and UnionDP (the paper augments both with
+/// MPDP), bounded by an outer budget's deadline so sub-problems respect it
+/// too. Takes a *projected* sub-problem (scan indices `0..len`) of at most
+/// 64 relations and returns its plan.
 pub fn mpdp_inner_with_budget(
     model: &dyn CostModel,
     b: Budget,
@@ -124,7 +110,7 @@ impl Budget {
 /// Replaces every `Scan { rel: i }` leaf of `plan` by `mapping[i]`
 /// (clone-substitution used when translating a projected sub-plan back to
 /// original relation indices).
-pub fn substitute_leaves(plan: &PlanTree, mapping: &[PlanTree]) -> PlanTree {
+fn substitute_leaves(plan: &PlanTree, mapping: &[PlanTree]) -> PlanTree {
     match plan {
         PlanTree::Scan { rel, .. } => mapping[*rel as usize].clone(),
         PlanTree::Join {
@@ -314,40 +300,131 @@ pub(crate) fn recost_spine(
     }
 }
 
+/// A query with groups of its relations contracted into composite
+/// vertices, and the original-relation plan behind each vertex. IDP1, IDP2
+/// and UnionDP all advance by [`Composites::collapse`], one group at a time,
+/// until one vertex is left.
+pub(crate) struct Composites {
+    query: LargeQuery,
+    plans: Vec<PlanTree>,
+}
+
+impl Composites {
+    /// Every relation of `q` its own composite.
+    pub(crate) fn new(q: &LargeQuery) -> Self {
+        let plans = (0..q.num_rels())
+            .map(|i| PlanTree::Scan {
+                rel: i as u32,
+                rows: q.rels[i].rows,
+                cost: q.rels[i].cost,
+            })
+            .collect();
+        Composites {
+            query: q.clone(),
+            plans,
+        }
+    }
+
+    /// The contracted query.
+    pub(crate) fn query(&self) -> &LargeQuery {
+        &self.query
+    }
+
+    /// The one contraction step. Projects the contracted query onto `group`
+    /// (ascending vertex ids; the projection's scan `i` is `group[i]`),
+    /// plans the projection with `plan`, re-costs that plan against it, puts
+    /// each member's plan in place of its leaf, and contracts the group into
+    /// one composite priced as the re-costed plan. Returns the map from each
+    /// old vertex id to its new one (every member maps to the composite) and
+    /// the composite's statistics.
+    pub(crate) fn collapse(
+        &mut self,
+        group: &[usize],
+        model: &dyn CostModel,
+        plan: impl FnOnce(&LargeQuery) -> Result<PlanTree, OptError>,
+    ) -> Result<(Vec<u32>, RelInfo), OptError> {
+        debug_assert!(group.windows(2).all(|w| w[0] < w[1]), "{group:?}");
+        let sub = project(&self.query, group);
+        let sub_plan = recost(&plan(&sub)?, &sub, model);
+        let info = RelInfo::new(sub_plan.rows(), sub_plan.cost());
+        let (query, map) = contract(&self.query, group, info);
+        // `contract` numbers the outside vertices in order and the composite
+        // last; the members come out in `group`'s order.
+        let composite = map[group[0]];
+        let mut members = Vec::with_capacity(group.len());
+        let mut plans = Vec::with_capacity(query.num_rels());
+        for (p, &v) in std::mem::take(&mut self.plans).into_iter().zip(&map) {
+            if v == composite {
+                members.push(p);
+            } else {
+                plans.push(p);
+            }
+        }
+        plans.push(substitute_leaves(&sub_plan, &members));
+        self.plans = plans;
+        self.query = query;
+        Ok((map, info))
+    }
+
+    /// The plan behind the one vertex left, re-costed against the original
+    /// query `q`.
+    pub(crate) fn into_plan(self, q: &LargeQuery, model: &dyn CostModel) -> PlanTree {
+        debug_assert_eq!(self.plans.len(), 1, "more than one composite left");
+        recost(&self.plans[0], q, model)
+    }
+}
+
+/// `q` projected onto `group`, as a query over indices `0..group.len()`;
+/// edges leaving the group are dropped.
+fn project(q: &LargeQuery, group: &[usize]) -> LargeQuery {
+    let mut index_of = vec![usize::MAX; q.num_rels()];
+    for (new, &old) in group.iter().enumerate() {
+        index_of[old] = new;
+    }
+    let mut sub = LargeQuery::new(group.iter().map(|&g| q.rels[g]).collect());
+    for e in &q.edges {
+        let (u, v) = (index_of[e.u as usize], index_of[e.v as usize]);
+        if u != usize::MAX && v != usize::MAX {
+            sub.add_edge(u, v, e.sel);
+        }
+    }
+    sub
+}
+
 /// Contracts a group of vertices of `q` into one composite vertex.
 ///
-/// Returns the contracted query and the mapping `old index → new index`
-/// (`usize::MAX` for contracted members; the composite gets the index
-/// `mapping[group\[0\]]`). Edges from group members to an outside vertex merge
+/// Returns the contracted query and the map `old index → new index`: the
+/// vertices outside the group keep their order and the composite comes
+/// last. Edges from group members to an outside vertex merge
 /// multiplicatively; edges inside the group disappear.
-pub fn contract(q: &LargeQuery, group: &[usize], composite: RelInfo) -> (LargeQuery, Vec<usize>) {
+fn contract(q: &LargeQuery, group: &[usize], composite: RelInfo) -> (LargeQuery, Vec<u32>) {
     let n = q.num_rels();
     let mut in_group = vec![false; n];
     for &g in group {
         in_group[g] = true;
     }
-    let mut mapping = vec![usize::MAX; n];
+    let mut map = vec![0u32; n];
     let mut rels: Vec<RelInfo> = Vec::with_capacity(n - group.len() + 1);
     for (old, &ing) in in_group.iter().enumerate() {
         if !ing {
-            mapping[old] = rels.len();
+            map[old] = rels.len() as u32;
             rels.push(q.rels[old]);
         }
     }
-    let comp_idx = rels.len();
+    let comp_idx = rels.len() as u32;
     rels.push(composite);
     for &g in group {
-        mapping[g] = comp_idx;
+        map[g] = comp_idx;
     }
     let mut out = LargeQuery::new(rels);
     for e in &q.edges {
-        let (nu, nv) = (mapping[e.u as usize], mapping[e.v as usize]);
+        let (nu, nv) = (map[e.u as usize], map[e.v as usize]);
         if nu == nv {
             continue; // edge inside the group
         }
-        out.add_edge(nu, nv, e.sel);
+        out.add_edge(nu as usize, nv as usize, e.sel);
     }
-    (out, mapping)
+    (out, map)
 }
 
 #[cfg(test)]
@@ -375,7 +452,7 @@ mod tests {
 
     #[test]
     fn no_heuristic_panics_on_a_nan_statistic() {
-        use crate::{Geqo, Goo, Ikkbz, LinDp, UnionDp};
+        use crate::{idp1_mpdp, idp2_mpdp, uniondp_mpdp, Geqo, Goo, Ikkbz, LinDp};
         let m = PgLikeCost::new();
         let mut queries = Vec::new();
         for q in [gen::star(30, 1, &m), gen::snowflake(40, 4, 1, &m)] {
@@ -396,18 +473,54 @@ mod tests {
             }
             queries.extend([rows, sel]);
         }
-        let optimizers: [&dyn LargeOptimizer; 5] = [
-            &Goo,
-            &Ikkbz,
-            &LinDp::default(),
-            &UnionDp::default(),
-            &Geqo::default(),
-        ];
+        let budget = Some(std::time::Duration::from_secs(60));
         for q in &queries {
-            for opt in optimizers {
-                // `Ok` or a typed `OptError`; a panic fails the test.
-                let _ = opt.optimize(q, &m, Some(std::time::Duration::from_secs(60)));
+            // `Ok` or a typed `OptError`; a panic fails the test.
+            let _ = Goo::run(q, &m, budget);
+            let _ = Ikkbz::run(q, &m, budget);
+            let _ = LinDp::run(q, &m, budget);
+            let _ = idp1_mpdp(q, &m, 4, budget);
+            let _ = idp2_mpdp(q, &m, 15, budget);
+            let _ = uniondp_mpdp(q, &m, 15, budget);
+            let _ = Geqo::run(q, &m, budget);
+        }
+    }
+
+    #[test]
+    fn the_contracting_heuristics_keep_their_golden_plans() {
+        // `plan_digest` of IDP1-MPDP (4), IDP2-MPDP (15), UnionDP-MPDP (15)
+        // and LinDP (whose snowflake-200 plan is IDP2 with linearized-DP
+        // blocks) on each `plan-large` query, recorded before the three
+        // contraction loops shared one composite store. IDP1 takes seconds
+        // per query past 50 relations in a debug build, so there it stops
+        // at 50; CI runs every digest in release.
+        use crate::testkit::{plan_digest, plan_large_queries};
+        use crate::{idp1_mpdp, idp2_mpdp, uniondp_mpdp, LinDp};
+        #[rustfmt::skip]
+        const GOLDEN: [(&str, [u64; 4]); 7] = [
+            ("snowflake-40", [0x8216c9818da5da3e, 0x1d59fd11151bcc1d, 0x60d3fccfdcb7ccb1, 0x0d97664fa42b563e]),
+            ("snowflake-100", [0x7b11253837d7c4bf, 0x875edd34120b8448, 0x07c049ccbdbe7cb6, 0xd7c63744ae8593a6]),
+            ("snowflake-200", [0xad7094b1854dc3b4, 0xbfeeaf26f3619730, 0xeb56949d60138b1a, 0xa83db1f011a2cf01]),
+            ("star-30", [0x69599c005698eb99, 0x1424477be4fa6699, 0xa7e348a9c2f306e7, 0xef88c080f94ced72]),
+            ("star-60", [0x3c2eb267ff8f7fd5, 0xeb73daa7111f7355, 0xa3fa34a67f08b9bb, 0x4889f72415ef9058]),
+            ("musicbrainz-30", [0xed6a7d7fdd020c2f, 0x5164b273c533aed9, 0xc32aede21162ce6b, 0x2ffc90991e5ba871]),
+            ("musicbrainz-50", [0xafda37114ed583f3, 0x0a36224cea18e6df, 0x0f71529c5b7ee5ba, 0x3ed7cf5b19fd9c1c]),
+        ];
+        let m = PgLikeCost::new();
+        let queries = plan_large_queries();
+        assert_eq!(queries.len(), GOLDEN.len());
+        for ((name, q), (golden_name, [idp1, idp2, uniondp, lindp])) in queries.iter().zip(GOLDEN) {
+            assert_eq!(*name, golden_name);
+            if cfg!(not(debug_assertions)) || q.num_rels() <= 50 {
+                let plan = idp1_mpdp(q, &m, 4, None).unwrap().plan;
+                assert_eq!(plan_digest(&plan), idp1, "IDP1-MPDP (4) on {name}");
             }
+            let plan = idp2_mpdp(q, &m, 15, None).unwrap().plan;
+            assert_eq!(plan_digest(&plan), idp2, "IDP2-MPDP (15) on {name}");
+            let plan = uniondp_mpdp(q, &m, 15, None).unwrap().plan;
+            assert_eq!(plan_digest(&plan), uniondp, "UnionDP-MPDP (15) on {name}");
+            let plan = LinDp::run(q, &m, None).unwrap().plan;
+            assert_eq!(plan_digest(&plan), lindp, "LinDP on {name}");
         }
     }
 
@@ -460,40 +573,28 @@ mod tests {
 
     #[test]
     fn contract_merges_edges() {
-        let m = PgLikeCost::new();
         let mut q = LargeQuery::new(vec![RelInfo::new(10.0, 1.0); 4]);
         q.add_edge(0, 1, 0.5);
         q.add_edge(0, 2, 0.1);
         q.add_edge(1, 2, 0.2);
         q.add_edge(2, 3, 0.3);
-        let _ = m;
         let (c, mapping) = contract(&q, &[0, 1], RelInfo::new(50.0, 9.0));
         assert_eq!(c.num_rels(), 3);
         // Composite index is last.
         let comp = mapping[0];
         assert_eq!(comp, mapping[1]);
-        assert_eq!(c.rels[comp].rows, 50.0);
+        assert_eq!(c.rels[comp as usize].rows, 50.0);
+        let sel = |a: u32, b: u32| -> f64 {
+            c.edges
+                .iter()
+                .filter(|e| (e.u, e.v) == (a.min(b), a.max(b)))
+                .map(|e| e.sel)
+                .product()
+        };
         // Edges comp-2 merged: 0.1 * 0.2 = 0.02.
-        let sel_c2: f64 = c
-            .edges
-            .iter()
-            .filter(|e| {
-                (e.u as usize, e.v as usize) == (mapping[2].min(comp), mapping[2].max(comp))
-            })
-            .map(|e| e.sel)
-            .product();
-        assert!((sel_c2 - 0.02).abs() < 1e-12);
+        assert!((sel(mapping[2], comp) - 0.02).abs() < 1e-12);
         // Edge 2-3 survives with its selectivity.
-        let sel_23: f64 = c
-            .edges
-            .iter()
-            .filter(|e| {
-                (e.u as usize, e.v as usize)
-                    == (mapping[2].min(mapping[3]), mapping[2].max(mapping[3]))
-            })
-            .map(|e| e.sel)
-            .product();
-        assert!((sel_23 - 0.3).abs() < 1e-12);
+        assert!((sel(mapping[2], mapping[3]) - 0.3).abs() < 1e-12);
         assert_eq!(c.edges.len(), 2);
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::idp::idp2_with_inner;
 use crate::ikkbz::Ikkbz;
-use crate::large::{check_selectivities, Budget, LargeOptResult, LargeOptimizer};
+use crate::large::{check_selectivities, Budget, LargeOptResult};
 use mpdp_core::plan::PlanTree;
 use mpdp_core::query::LargeQuery;
 use mpdp_core::OptError;
@@ -171,31 +171,7 @@ pub fn interval_dp(
         split: &split,
         swapped: &swapped,
     };
-    let plan = build(&tables, 0, n - 1);
-    Ok(LargeOptResult {
-        cost: plan.cost(),
-        rows: plan.rows(),
-        plan,
-    })
-}
-
-/// The adaptive LinDP optimizer.
-#[derive(Copy, Clone, Debug)]
-pub struct LinDp {
-    /// Below this size use exact DPCCP (paper default: 14).
-    pub exact_threshold: usize,
-    /// Above this size use IDP2 with linearized-DP blocks (paper default:
-    /// 100).
-    pub idp_threshold: usize,
-}
-
-impl Default for LinDp {
-    fn default() -> Self {
-        LinDp {
-            exact_threshold: 14,
-            idp_threshold: 100,
-        }
-    }
+    Ok(build(&tables, 0, n - 1).into())
 }
 
 /// Linearized DP on one query: IKKBZ order, then interval DP.
@@ -208,25 +184,28 @@ pub fn linearized_dp(
     interval_dp(q, &order, model, budget)
 }
 
-impl LargeOptimizer for LinDp {
-    fn name(&self) -> String {
-        "LinDP".into()
-    }
+/// The adaptive LinDP optimizer.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct LinDp;
 
-    fn optimize(
-        &self,
+impl LinDp {
+    /// Below this many relations LinDP plans exactly, with DPCCP.
+    const EXACT_THRESHOLD: usize = 14;
+    /// Above this many relations LinDP runs IDP2 with linearized-DP blocks
+    /// of up to this many relations.
+    const IDP_THRESHOLD: usize = 100;
+
+    /// Runs adaptive LinDP.
+    pub fn run(
         q: &LargeQuery,
         model: &dyn CostModel,
         budget: Option<Duration>,
     ) -> Result<LargeOptResult, OptError> {
         let b = Budget::new(budget);
         let n = q.num_rels();
-        if n < self.exact_threshold && n <= 64 {
-            // Exact DPCCP.
+        if n < Self::EXACT_THRESHOLD {
             check_selectivities(q)?;
-            let qi = q
-                .to_query_info()
-                .ok_or(OptError::TooLarge { got: n, max: 64 })?;
+            let qi = q.to_query_info().expect("at most 13 relations");
             let ctx = mpdp_dp::common::OptContext::new(&qi, model);
             let r = mpdp_dp::dpccp::DpCcp::run(&ctx)?;
             return Ok(LargeOptResult {
@@ -235,19 +214,13 @@ impl LargeOptimizer for LinDp {
                 plan: r.plan,
             });
         }
-        if n <= self.idp_threshold {
+        if n <= Self::IDP_THRESHOLD {
             return linearized_dp(q, model, &b);
         }
-        // IDP2 with linearized-DP blocks of up to `idp_threshold` relations.
         let inner = |sub: &LargeQuery| -> Result<PlanTree, OptError> {
             Ok(linearized_dp(sub, model, &b)?.plan)
         };
-        let plan = idp2_with_inner(q, model, self.idp_threshold, &inner, &b)?;
-        Ok(LargeOptResult {
-            cost: plan.cost(),
-            rows: plan.rows(),
-            plan,
-        })
+        Ok(idp2_with_inner(q, model, Self::IDP_THRESHOLD, &inner, &b)?.into())
     }
 }
 
@@ -319,7 +292,7 @@ mod tests {
         // same order.
         let m = PgLikeCost::new();
         for q in [gen::star(20, 2, &m), gen::snowflake(40, 4, 3, &m)] {
-            let lin = LinDp::default().optimize(&q, &m, None).unwrap();
+            let lin = LinDp::run(&q, &m, None).unwrap();
             let ik = Ikkbz::run(&q, &m, None).unwrap();
             assert!(lin.cost <= ik.cost * (1.0 + 1e-9));
         }
@@ -329,7 +302,7 @@ mod tests {
     fn adaptive_small_uses_exact() {
         let m = PgLikeCost::new();
         let q = gen::cycle(8, 1, &m);
-        let lin = LinDp::default().optimize(&q, &m, None).unwrap();
+        let lin = LinDp::run(&q, &m, None).unwrap();
         let exact = Mpdp::run(&OptContext::new(&q.to_query_info().unwrap(), &m)).unwrap();
         assert!((lin.cost - exact.cost).abs() < 1e-6 * exact.cost.max(1.0));
     }
@@ -338,9 +311,7 @@ mod tests {
     fn adaptive_large_uses_idp_blocks() {
         let m = PgLikeCost::new();
         let q = gen::snowflake(150, 4, 8, &m);
-        let r = LinDp::default()
-            .optimize(&q, &m, Some(Duration::from_secs(120)))
-            .unwrap();
+        let r = LinDp::run(&q, &m, Some(Duration::from_secs(120))).unwrap();
         assert!(validate_large(&r.plan, &q).is_none());
         assert_eq!(r.plan.num_rels(), 150);
     }

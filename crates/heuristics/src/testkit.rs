@@ -98,3 +98,18 @@ pub fn plan_bits(plan: &PlanTree) -> Vec<(u32, u64, u64)> {
     walk(plan, &mut out);
     out
 }
+
+/// A 64-bit FNV-1a digest of [`plan_bits`] (each number's little-endian
+/// bytes), for pinning a plan in a test.
+pub fn plan_digest(plan: &PlanTree) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (rel, rows, cost) in plan_bits(plan) {
+        for word in [rel as u64, rows, cost] {
+            for byte in word.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}

@@ -13,14 +13,12 @@
 //! of size(leftRelSet + rightRelSet)" with ties broken by increasing weight,
 //! and two partitions union only while their combined size stays ≤ `k`.
 
-use crate::idp::project_large;
 use crate::large::{
-    check_selectivities, contract, mpdp_inner_with_budget, recost, substitute_leaves, Budget,
-    InnerLarge, LargeOptResult, LargeOptimizer,
+    check_selectivities, mpdp_inner_with_budget, Budget, Composites, LargeOptResult,
 };
 use crate::unionfind::UnionFind;
 use mpdp_core::plan::PlanTree;
-use mpdp_core::query::{LargeQuery, RelInfo};
+use mpdp_core::query::LargeQuery;
 use mpdp_core::OptError;
 use mpdp_cost::model::{CostModel, InputEst};
 use std::cmp::Ordering;
@@ -78,25 +76,23 @@ fn edge_weight(q: &LargeQuery, model: &dyn CostModel, u: usize, v: usize, sel: f
     )
 }
 
-/// One level of UnionDP's recursion: partition, solve each partition with
-/// `inner`, contract. Returns the contracted query and the composite plans.
-fn partition_and_solve(
+/// The partition phase of one level of UnionDP's recursion (Algorithm 4
+/// lines 7-14): the groups of vertices of `q` to plan and contract, each
+/// sorted, ordered by their smallest member, and of at most `k` vertices.
+fn partition(
     q: &LargeQuery,
     model: &dyn CostModel,
     k: usize,
-    inner: &dyn Fn(&LargeQuery) -> Result<PlanTree, OptError>,
-    comps: Vec<PlanTree>,
     budget: &Budget,
-) -> Result<(LargeQuery, Vec<PlanTree>), OptError> {
-    let n = q.num_rels();
-    // Partition phase (Algorithm 4 lines 7-14). Requirement (2) of §4.2 —
-    // "the sum of weight of cut edges of the partitions needs to be as high
-    // as possible" — is implemented by reserving the heaviest edges as cut
-    // edges: they are withheld from the union pass so the most expensive
-    // joins land as late as possible in the plan tree. If withholding them
-    // stalls the partitioning entirely (no union possible), they are
-    // released, honouring the trade-off with requirement (1).
-    let mut weights: Vec<f64> = q
+) -> Result<Vec<Vec<usize>>, OptError> {
+    // Requirement (2) of §4.2 — "the sum of weight of cut edges of the
+    // partitions needs to be as high as possible" — is implemented by
+    // reserving the heaviest edges as cut edges: they are withheld from the
+    // union pass so the most expensive joins land as late as possible in
+    // the plan tree. If withholding them stalls the partitioning entirely
+    // (no union possible), they are released, honouring the trade-off with
+    // requirement (1).
+    let weights: Vec<f64> = q
         .edges
         .iter()
         .map(|e| edge_weight(q, model, e.u as usize, e.v as usize, e.sel))
@@ -111,7 +107,7 @@ fn partition_and_solve(
         let idx = ((sorted.len() as f64) * 0.85) as usize;
         sorted.get(idx).copied().unwrap_or(f64::INFINITY)
     };
-    let mut uf = UnionFind::new(n);
+    let mut uf = UnionFind::new(q.num_rels());
     let mut heavy_pass = false;
     loop {
         let mut heap: BinaryHeap<HeapEdge> = q
@@ -150,53 +146,11 @@ fn partition_and_solve(
         // Light edges alone made no progress; release the heavy ones.
         heavy_pass = true;
     }
-    weights.clear();
-
-    // Solve each partition optimally and contract (lines 15-19).
-    let groups = uf.groups();
-    let mut cur = q.clone();
-    let mut cur_comps = comps;
-    // Track current indices through successive contractions.
-    let mut cur_index: Vec<usize> = (0..n).collect();
-    for group in groups {
-        if group.len() == 1 {
-            continue; // singleton partitions stay as they are
-        }
-        budget.check()?;
-        let cur_group: Vec<usize> = group.iter().map(|&g| cur_index[g]).collect();
-        let (sub, _) = project_large(&cur, &cur_group);
-        let sub_plan = inner(&sub)?;
-        let sub_plan = recost(&sub_plan, &sub, model);
-        let mapping: Vec<PlanTree> = cur_group.iter().map(|&g| cur_comps[g].clone()).collect();
-        let full = substitute_leaves(&sub_plan, &mapping);
-        let info = RelInfo::new(sub_plan.rows(), sub_plan.cost());
-        let (next, idx_map) = contract(&cur, &cur_group, info);
-        let comp_idx = idx_map[cur_group[0]];
-        let mut next_comps = vec![
-            PlanTree::Scan {
-                rel: 0,
-                rows: 0.0,
-                cost: 0.0
-            };
-            next.num_rels()
-        ];
-        for (old, plan) in cur_comps.into_iter().enumerate() {
-            let ni = idx_map[old];
-            if ni != comp_idx {
-                next_comps[ni] = plan;
-            }
-        }
-        next_comps[comp_idx] = full;
-        cur_comps = next_comps;
-        for ci in cur_index.iter_mut() {
-            *ci = idx_map[*ci];
-        }
-        cur = next;
-    }
-    Ok((cur, cur_comps))
+    Ok(uf.groups())
 }
 
-/// Runs UnionDP with a pluggable exact step.
+/// Runs UnionDP with `inner` as the exact step, which receives a
+/// *projected* sub-query (scan indices `0..len`) of at most `k` relations.
 pub fn uniondp_with_inner(
     q: &LargeQuery,
     model: &dyn CostModel,
@@ -212,28 +166,32 @@ pub fn uniondp_with_inner(
         return Err(OptError::DisconnectedGraph);
     }
     check_selectivities(q)?;
-    let mut cur = q.clone();
-    let mut comps: Vec<PlanTree> = (0..q.num_rels())
-        .map(|i| PlanTree::Scan {
-            rel: i as u32,
-            rows: q.rels[i].rows,
-            cost: q.rels[i].cost,
-        })
-        .collect();
+    let mut store = Composites::new(q);
     loop {
         budget.check()?;
-        if cur.num_rels() <= k {
+        let n = store.query().num_rels();
+        if n <= k {
             // Line 1-3: the remaining graph fits one exact invocation.
-            let plan = inner(&cur)?;
-            let plan = recost(&plan, &cur, model);
-            let full = substitute_leaves(&plan, &comps);
-            return Ok(recost(&full, q, model));
+            let all: Vec<usize> = (0..n).collect();
+            store.collapse(&all, model, inner)?;
+            return Ok(store.into_plan(q, model));
         }
-        let before = cur.num_rels();
-        let (next, next_comps) = partition_and_solve(&cur, model, k, inner, comps, budget)?;
-        cur = next;
-        comps = next_comps;
-        if cur.num_rels() >= before {
+        // Solve each partition optimally and contract (lines 15-19);
+        // singleton partitions stay as they are. `at[v]` is the current id
+        // of this level's vertex `v`.
+        let mut at: Vec<u32> = (0..n as u32).collect();
+        for group in partition(store.query(), model, k, budget)? {
+            if group.len() == 1 {
+                continue;
+            }
+            budget.check()?;
+            let group: Vec<usize> = group.iter().map(|&v| at[v] as usize).collect();
+            let (map, _) = store.collapse(&group, model, inner)?;
+            for v in at.iter_mut() {
+                *v = map[*v as usize];
+            }
+        }
+        if store.query().num_rels() >= n {
             return Err(OptError::Internal(
                 "UnionDP made no progress (partition phase produced no unions)".into(),
             ));
@@ -241,72 +199,18 @@ pub fn uniondp_with_inner(
     }
 }
 
-/// The UnionDP optimizer with MPDP as the exact step — the paper's
-/// "UnionDP-MPDP (k)".
-#[derive(Copy, Clone, Debug)]
-pub struct UnionDp {
-    /// Maximum partition size (paper default 15; "plan quality were similar
-    /// with k = 25, while running much faster" with 15).
-    pub k: usize,
-}
-
-impl Default for UnionDp {
-    fn default() -> Self {
-        UnionDp { k: 15 }
-    }
-}
-
-impl LargeOptimizer for UnionDp {
-    fn name(&self) -> String {
-        format!("UnionDP-MPDP ({})", self.k)
-    }
-
-    fn optimize(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        budget: Option<Duration>,
-    ) -> Result<LargeOptResult, OptError> {
-        let b = Budget::new(budget);
-        let inner = mpdp_inner_with_budget(model, b);
-        let plan = uniondp_with_inner(q, model, self.k, &inner, &b)?;
-        Ok(LargeOptResult {
-            cost: plan.cost(),
-            rows: plan.rows(),
-            plan,
-        })
-    }
-}
-
-/// UnionDP with a caller-chosen inner optimizer (for ablations).
-pub struct UnionDpWith<'a> {
-    /// Maximum partition size.
-    pub k: usize,
-    /// Exact step.
-    pub inner: InnerLarge<'a>,
-    /// Report label.
-    pub label: String,
-}
-
-impl LargeOptimizer for UnionDpWith<'_> {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn optimize(
-        &self,
-        q: &LargeQuery,
-        model: &dyn CostModel,
-        budget: Option<Duration>,
-    ) -> Result<LargeOptResult, OptError> {
-        let b = Budget::new(budget);
-        let plan = uniondp_with_inner(q, model, self.k, self.inner, &b)?;
-        Ok(LargeOptResult {
-            cost: plan.cost(),
-            rows: plan.rows(),
-            plan,
-        })
-    }
+/// UnionDP with MPDP as the exact step: the paper's "UnionDP-MPDP (k)"
+/// (paper default `k` = 15; "plan quality were similar with k = 25, while
+/// running much faster" with 15).
+pub fn uniondp_mpdp(
+    q: &LargeQuery,
+    model: &dyn CostModel,
+    k: usize,
+    budget: Option<Duration>,
+) -> Result<LargeOptResult, OptError> {
+    let b = Budget::new(budget);
+    let inner = mpdp_inner_with_budget(model, b);
+    Ok(uniondp_with_inner(q, model, k, &inner, &b)?.into())
 }
 
 #[cfg(test)]
@@ -323,7 +227,7 @@ mod tests {
     fn equals_exact_when_k_covers_query() {
         let m = PgLikeCost::new();
         let q = gen::cycle(9, 3, &m);
-        let r = UnionDp { k: 9 }.optimize(&q, &m, None).unwrap();
+        let r = uniondp_mpdp(&q, &m, 9, None).unwrap();
         let exact = Mpdp::run(&OptContext::new(&q.to_query_info().unwrap(), &m)).unwrap();
         assert!((r.cost - exact.cost).abs() < 1e-6 * exact.cost.max(1.0));
     }
@@ -333,7 +237,7 @@ mod tests {
         let m = PgLikeCost::new();
         for seed in 0..4 {
             let q = gen::random_connected(11, 3, seed, &m);
-            let r = UnionDp { k: 4 }.optimize(&q, &m, None).unwrap();
+            let r = uniondp_mpdp(&q, &m, 4, None).unwrap();
             assert!(validate_large(&r.plan, &q).is_none(), "seed {seed}");
             let exact = Mpdp::run(&OptContext::new(&q.to_query_info().unwrap(), &m)).unwrap();
             assert!(r.cost >= exact.cost * (1.0 - 1e-9), "seed {seed}");
@@ -347,7 +251,7 @@ mod tests {
         // loudly if sizes leaked past k ≤ 64 invariants).
         let m = PgLikeCost::new();
         let q = gen::snowflake(30, 4, 6, &m);
-        let r = UnionDp { k: 4 }.optimize(&q, &m, None).unwrap();
+        let r = uniondp_mpdp(&q, &m, 4, None).unwrap();
         assert!(validate_large(&r.plan, &q).is_none());
         assert_eq!(r.plan.num_rels(), 30);
     }
@@ -361,7 +265,7 @@ mod tests {
         let mut strictly_better = false;
         for seed in 0..5 {
             let q = gen::snowflake(40, 4, seed, &m);
-            let u = UnionDp { k: 15 }.optimize(&q, &m, None).unwrap();
+            let u = uniondp_mpdp(&q, &m, 15, None).unwrap();
             let g = Goo::run(&q, &m, None).unwrap();
             if u.cost < g.cost * 0.999 {
                 strictly_better = true;
@@ -397,7 +301,7 @@ mod tests {
             max_oracle_rels()
         };
         for (name, q) in oracle_queries(max_n) {
-            let lanes = UnionDp { k: 15 }.optimize(&q, &m, None).unwrap().plan;
+            let lanes = uniondp_mpdp(&q, &m, 15, None).unwrap().plan;
             let scalar = uniondp_with_inner(&q, &m, 15, &dpccp, &b).unwrap();
             assert_eq!(plan_bits(&lanes), plan_bits(&scalar), "{name}");
         }
@@ -407,9 +311,7 @@ mod tests {
     fn scales_to_hundreds() {
         let m = PgLikeCost::new();
         let q = gen::snowflake(200, 4, 2, &m);
-        let r = UnionDp { k: 10 }
-            .optimize(&q, &m, Some(Duration::from_secs(120)))
-            .unwrap();
+        let r = uniondp_mpdp(&q, &m, 10, Some(Duration::from_secs(120))).unwrap();
         assert!(validate_large(&r.plan, &q).is_none());
         assert_eq!(r.plan.num_rels(), 200);
     }

@@ -20,9 +20,7 @@ use mpdp_core::{LargeQuery, OptError, QueryInfo};
 use mpdp_cost::model::CostModel;
 use mpdp_gpu::drivers::{DpSizeGpu, DpSubGpu, MpdpGpu};
 use mpdp_gpu::GpuStats;
-use mpdp_heuristics::{
-    idp1_mpdp, idp2_mpdp, Geqo, Goo, Ikkbz, LargeOptResult, LargeOptimizer, LinDp, UnionDp,
-};
+use mpdp_heuristics::{idp1_mpdp, idp2_mpdp, uniondp_mpdp, Geqo, Goo, Ikkbz, LinDp};
 use mpdp_parallel::hwmodel::{Calibration, CpuModel};
 use mpdp_parallel::{level_par, Dpe};
 use std::sync::Arc;
@@ -353,9 +351,10 @@ pub enum LargeAlgo {
     LinDp,
     /// PostgreSQL's genetic optimizer.
     Geqo,
-    /// IDP1 with MPDP as the exact step.
+    /// IDP1 ("IDP1-MPDP (k)"), whose exact step is its own bounded DP.
     Idp1 {
-        /// Sub-problem size bound.
+        /// Sub-problem size bound, at most
+        /// [`IDP1_MAX_K`](mpdp_heuristics::idp::IDP1_MAX_K).
         k: usize,
     },
     /// IDP2 with MPDP as the exact step ("IDP2-MPDP (k)").
@@ -412,14 +411,14 @@ impl Strategy for HeuristicStrategy {
         budget: Option<Duration>,
     ) -> Result<Planned, OptError> {
         let start = Instant::now();
-        let r: LargeOptResult = match self.algo {
-            LargeAlgo::Goo => Goo.optimize(q, model, budget)?,
-            LargeAlgo::Ikkbz => Ikkbz.optimize(q, model, budget)?,
-            LargeAlgo::LinDp => LinDp::default().optimize(q, model, budget)?,
-            LargeAlgo::Geqo => Geqo::default().optimize(q, model, budget)?,
+        let r = match self.algo {
+            LargeAlgo::Goo => Goo::run(q, model, budget)?,
+            LargeAlgo::Ikkbz => Ikkbz::run(q, model, budget)?,
+            LargeAlgo::LinDp => LinDp::run(q, model, budget)?,
+            LargeAlgo::Geqo => Geqo::run(q, model, budget)?,
             LargeAlgo::Idp1 { k } => idp1_mpdp(q, model, k, budget)?,
             LargeAlgo::Idp2 { k } => idp2_mpdp(q, model, k, budget)?,
-            LargeAlgo::UnionDp { k } => UnionDp { k }.optimize(q, model, budget)?,
+            LargeAlgo::UnionDp { k } => uniondp_mpdp(q, model, k, budget)?,
         };
         let wall = start.elapsed();
         Ok(Planned {

@@ -22,6 +22,7 @@
 //! being pre-registered.
 
 use crate::planner::{ExactAlgo, ExactStrategy, HeuristicStrategy, LargeAlgo, Planner, Strategy};
+use mpdp_heuristics::idp::IDP1_MAX_K;
 use std::sync::{Arc, OnceLock};
 
 /// One registered strategy: canonical paper label plus lookup aliases.
@@ -130,7 +131,7 @@ impl Registry {
             heur("GOO", NO_ALIAS, LargeAlgo::Goo),
             heur("LinDP", NO_ALIAS, LargeAlgo::LinDp),
             heur("IKKBZ", NO_ALIAS, LargeAlgo::Ikkbz),
-            heur("IDP1-MPDP (15)", NO_ALIAS, LargeAlgo::Idp1 { k: 15 }),
+            heur("IDP1-MPDP (4)", NO_ALIAS, LargeAlgo::Idp1 { k: 4 }),
             heur("IDP2-MPDP (15)", NO_ALIAS, LargeAlgo::Idp2 { k: 15 }),
             heur("IDP2-MPDP (25)", NO_ALIAS, LargeAlgo::Idp2 { k: 25 }),
             heur("UnionDP-MPDP (15)", NO_ALIAS, LargeAlgo::UnionDp { k: 15 }),
@@ -153,9 +154,9 @@ impl Registry {
     /// Resolves `name` to a strategy.
     ///
     /// Tries canonical names and aliases first (whitespace/case-insensitive),
-    /// then the parameterized families `IDP1-MPDP (k)`, `IDP2-MPDP (k)`,
-    /// `UnionDP-MPDP (k)`, `DPE (nCPU)`, `MPDP (nCPU)`, `DPSub (nCPU)`,
-    /// `PDP (nCPU)`.
+    /// then the parameterized families `IDP1-MPDP (k)` (2 ≤ k ≤ 8),
+    /// `IDP2-MPDP (k)`, `UnionDP-MPDP (k)` (k ≥ 2), `DPE (nCPU)`,
+    /// `MPDP (nCPU)`, `DPSub (nCPU)`, `PDP (nCPU)`.
     pub fn get(&self, name: &str) -> Option<Arc<dyn Strategy>> {
         let key = normalize(name);
         for e in &self.entries {
@@ -198,7 +199,7 @@ fn parse_parameterized(key: &str) -> Option<Parameterized> {
     }
     let k: usize = param.parse().ok().filter(|&k| k >= 2)?;
     let algo = match base {
-        "idp1-mpdp" => LargeAlgo::Idp1 { k },
+        "idp1-mpdp" if k <= IDP1_MAX_K => LargeAlgo::Idp1 { k },
         "idp2-mpdp" => LargeAlgo::Idp2 { k },
         "uniondp-mpdp" | "uniondp" => LargeAlgo::UnionDp { k },
         _ => return None,

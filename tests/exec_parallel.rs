@@ -14,7 +14,7 @@
 // would make either unusable.
 use mpdp::exec::{materialize, ExecConfig, Executor, GenConfig, SkewedEdge};
 use mpdp_cost::PgLikeCost;
-use mpdp_heuristics::{Goo, LargeOptimizer};
+use mpdp_heuristics::Goo;
 use mpdp_workload::gen;
 use proptest::prelude::*;
 
@@ -50,7 +50,7 @@ proptest! {
         );
         // GOO keeps planning cheap; which plan runs is irrelevant to the
         // property (the oracle tests cover plan-shape agreement).
-        let planned = Goo.optimize(&data.scaled, &m, None).unwrap();
+        let planned = Goo::run(&data.scaled, &m, None).unwrap();
         let run = |workers: usize| {
             Executor::new(
                 &data.scaled,

@@ -5,7 +5,7 @@
 use mpdp::prelude::*;
 use mpdp_cost::PgLikeCost;
 use mpdp_heuristics::{
-    idp1_mpdp, idp2_mpdp, validate_large, Geqo, Goo, Ikkbz, LargeOptimizer, LinDp, UnionDp,
+    idp1_mpdp, idp2_mpdp, uniondp_mpdp, validate_large, Geqo, Goo, Ikkbz, LinDp,
 };
 use mpdp_workload::{gen, MusicBrainz};
 use std::time::Duration;
@@ -25,12 +25,12 @@ fn every_heuristic_produces_valid_plans_on_every_workload() {
     ];
     for (name, q) in &queries {
         let runs: Vec<(&str, LargeOptResult)> = vec![
-            ("goo", Goo.optimize(q, &m, budget).unwrap()),
-            ("ikkbz", Ikkbz.optimize(q, &m, budget).unwrap()),
-            ("lindp", LinDp::default().optimize(q, &m, budget).unwrap()),
-            ("geqo", Geqo::default().optimize(q, &m, budget).unwrap()),
+            ("goo", Goo::run(q, &m, budget).unwrap()),
+            ("ikkbz", Ikkbz::run(q, &m, budget).unwrap()),
+            ("lindp", LinDp::run(q, &m, budget).unwrap()),
+            ("geqo", Geqo::run(q, &m, budget).unwrap()),
             ("idp2", idp2_mpdp(q, &m, 8, budget).unwrap()),
-            ("uniondp", UnionDp { k: 8 }.optimize(q, &m, budget).unwrap()),
+            ("uniondp", uniondp_mpdp(q, &m, 8, budget).unwrap()),
         ];
         for (algo, r) in &runs {
             assert!(
@@ -48,6 +48,37 @@ fn every_heuristic_produces_valid_plans_on_every_workload() {
 }
 
 #[test]
+fn every_registered_heuristic_plans_under_a_budget() {
+    // Every name a request can send: the static entries and the smallest
+    // of IDP1's parameterized names, whose bounded DP is O(n^k) and which
+    // resolve only for k <= 8. IDP2-MPDP (25)'s exact step on a
+    // 25-relation star (2^24 connected sets) outlasts the budget; that is a
+    // timeout, not a panic.
+    let m = PgLikeCost::new();
+    let budget = Some(Duration::from_secs(5));
+    let reg = registry();
+    for name in ["IDP1-MPDP (1)", "IDP1-MPDP (9)", "IDP1-MPDP (15)"] {
+        assert!(reg.get(name).is_none(), "{name} resolves");
+    }
+    for q in [gen::star(30, 1, &m), gen::snowflake(40, 4, 1, &m)] {
+        for name in reg.names().into_iter().chain(["IDP1-MPDP (2)"]) {
+            let strategy = reg.get(name).unwrap();
+            if strategy.is_exact() {
+                continue;
+            }
+            match strategy.plan(&q, &m, budget) {
+                Ok(planned) => {
+                    let invalid = validate_large(&planned.plan, &q);
+                    assert!(invalid.is_none(), "{name}: {invalid:?}");
+                }
+                Err(OptError::Timeout { .. }) if name == "IDP2-MPDP (25)" => {}
+                Err(e) => panic!("{name} on {} relations: {e}", q.num_rels()),
+            }
+        }
+    }
+}
+
+#[test]
 fn dp_based_heuristics_dominate_on_small_queries() {
     // Where the exact optimum is computable, IDP2(k≥n) and UnionDP(k≥n)
     // must hit it and the others must not beat it.
@@ -60,9 +91,9 @@ fn dp_based_heuristics_dominate_on_small_queries() {
         assert!((idp.cost - exact.cost).abs() < 1e-6 * exact.cost.max(1.0));
         let tol = exact.cost * (1.0 - 1e-9);
         for r in [
-            Goo.optimize(&q, &m, None).unwrap(),
-            Ikkbz.optimize(&q, &m, None).unwrap(),
-            Geqo::default().optimize(&q, &m, None).unwrap(),
+            Goo::run(&q, &m, None).unwrap(),
+            Ikkbz::run(&q, &m, None).unwrap(),
+            Geqo::run(&q, &m, None).unwrap(),
         ] {
             assert!(r.cost >= tol, "seed {seed}");
         }
@@ -88,7 +119,7 @@ fn budgets_time_out_cleanly() {
     // A microsecond budget must produce a Timeout, not a hang or panic.
     let r = idp2_mpdp(&q, &m, 15, Some(Duration::from_micros(1)));
     assert!(matches!(r, Err(OptError::Timeout { .. })));
-    let r = UnionDp { k: 15 }.optimize(&q, &m, Some(Duration::from_micros(1)));
+    let r = uniondp_mpdp(&q, &m, 15, Some(Duration::from_micros(1)));
     assert!(matches!(r, Err(OptError::Timeout { .. })));
 }
 
@@ -150,11 +181,9 @@ fn thousand_relation_snowflake_under_a_minute() {
     let m = PgLikeCost::new();
     let q = gen::snowflake(1000, 4, 7, &m);
     let start = std::time::Instant::now();
-    let goo = Goo.optimize(&q, &m, Some(Duration::from_secs(60))).unwrap();
+    let goo = Goo::run(&q, &m, Some(Duration::from_secs(60))).unwrap();
     assert!(validate_large(&goo.plan, &q).is_none());
-    let ud = UnionDp { k: 10 }
-        .optimize(&q, &m, Some(Duration::from_secs(60)))
-        .unwrap();
+    let ud = uniondp_mpdp(&q, &m, 10, Some(Duration::from_secs(60))).unwrap();
     assert!(validate_large(&ud.plan, &q).is_none());
     assert!(
         start.elapsed() < Duration::from_secs(120),

@@ -14,7 +14,7 @@ use mpdp::dp::mpdp::{SetKernel, SetOutcome, SplitObserver, LANES};
 use mpdp::prelude::{DpCcp, DpSize, DpSub, LargeQuery, Mpdp, OptContext, RelSet};
 use mpdp_cost::{CostModel, CoutCost, InputEst, JoinAlgo, PgLikeCost};
 use mpdp_dp::common::init_memo;
-use mpdp_heuristics::{validate_large, Goo, LargeOptimizer, UnionDp};
+use mpdp_heuristics::{uniondp_mpdp, validate_large, Goo};
 use mpdp_workload::{gen, ImdbSchema, MusicBrainz};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -600,10 +600,10 @@ proptest! {
         let qi = q.to_query_info().unwrap();
         let exact = Mpdp::run(&OptContext::new(&qi, &m)).unwrap();
         let lower = exact.cost * (1.0 - 1e-9);
-        let goo = Goo.optimize(&q, &m, None).unwrap();
+        let goo = Goo::run(&q, &m, None).unwrap();
         prop_assert!(goo.cost >= lower, "goo {} < exact {}", goo.cost, exact.cost);
         prop_assert!(validate_large(&goo.plan, &q).is_none());
-        let ud = UnionDp { k: 4 }.optimize(&q, &m, None).unwrap();
+        let ud = uniondp_mpdp(&q, &m, 4, None).unwrap();
         prop_assert!(ud.cost >= lower, "uniondp {} < exact {}", ud.cost, exact.cost);
         prop_assert!(validate_large(&ud.plan, &q).is_none());
     }
@@ -666,13 +666,13 @@ proptest! {
 /// contracts them.
 fn idp2_sub_queries(q: &LargeQuery, m: &dyn CostModel) -> Vec<LargeQuery> {
     let seen = std::sync::Mutex::new(Vec::new());
-    let inner = mpdp_heuristics::large::mpdp_inner(m);
+    let budget = mpdp_heuristics::Budget::new(None);
+    let inner = mpdp_heuristics::large::mpdp_inner_with_budget(m, budget);
     let capture = |sub: &LargeQuery| {
         seen.lock().unwrap().push(sub.clone());
         inner(sub)
     };
-    mpdp_heuristics::idp2_with_inner(q, m, 15, &capture, &mpdp_heuristics::Budget::new(None))
-        .unwrap();
+    mpdp_heuristics::idp2_with_inner(q, m, 15, &capture, &budget).unwrap();
     seen.into_inner().unwrap()
 }
 
