@@ -27,10 +27,44 @@
 //! the workspace's Murmur3 finalizer — no RNG state, no iteration order, no
 //! thread count anywhere in the dataflow — so the same catalog and seed
 //! produce bit-identical tables in any environment.
+//!
+//! # Prefix, row, lane
+//!
+//! The hash is a chain of finalizer mixes, and the chain's links are fixed
+//! at three scopes:
+//!
+//! * the **column prefix** mixes `(seed, relation)` and then the edge —
+//!   two mixes, once per key column;
+//! * the **row mix** `x` folds the row index into the prefix — one mix per
+//!   row;
+//! * a **lane** `l` is `fmix(x ^ l)`: lane 0 decides whether the row is
+//!   hot (taken only when the edge's integer hot threshold is non-zero —
+//!   otherwise no row can be), lane 1 draws the key.
+//!
+//! So a uniform cell costs two mixes and a skewed one three, where mixing
+//! each cell from scratch cost eight. The value of a cell is still
+//! `fmix(fmix(fmix(fmix((seed ^ C) + rel·K1) ^ edge·K2) ^ row·K3) ^ lane)`:
+//! hoisting a link out of a loop moves where it is computed, never what it
+//! is, and the original from-scratch hash is kept in the tests as the
+//! oracle of the hoisted one.
+//!
+//! # Who allocates
+//!
+//! Columns are filled as one job on the process's worker set
+//! ([`mpdp_parallel::pool`]), one part per column, or inline below a floor
+//! of cells or while another run holds the set. Since a cell depends on
+//! nothing but its coordinates, which thread fills a column never changes
+//! a bit of it. Every column is allocated, zeroed, on the calling thread
+//! before the job, and a part only writes into it: a column allocated on a
+//! helper thread comes from that thread's malloc arena, which the process
+//! keeps after the job, and raised `e2e-mixed`'s peak resident set by up
+//! to 28 % (ROADMAP, "Settled by measurement").
 
 use mpdp_core::memo::murmur3_fmix64;
 use mpdp_core::query::LargeQuery;
 use mpdp_cost::model::CostModel;
+use mpdp_parallel::pool::with_pool;
+use std::sync::Mutex;
 
 /// Configuration of one [`materialize`] run.
 #[derive(Clone, Debug)]
@@ -127,80 +161,170 @@ impl Dataset {
     }
 }
 
-/// Deterministic cell hash: mixes `(seed, relation, edge, row, lane)`
-/// without any sequential state.
+/// Salt folded into the seed: "mpdp-exe".
+const SEED_SALT: u64 = 0x6d70_6470_2d65_7865;
+/// Odd multipliers that spread the relation, edge and row indices.
+const REL_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+const EDGE_MUL: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const ROW_MUL: u64 = 0x1656_67b1_9e37_79f9;
+
+/// Below this many key cells a dataset is filled on the calling thread:
+/// ~65 k cells take ~270 µs inline at ~4 ns each, while a job's parked
+/// helper takes 30–120 µs to arrive (DESIGN §6 "Measured scaling").
+const PARALLEL_FLOOR_CELLS: usize = 1 << 16;
+
+/// The column prefix: the two mixes of `(seed, relation, edge)` every cell
+/// of one key column shares.
 #[inline]
-fn cell(seed: u64, rel: u64, edge: u64, row: u64, lane: u64) -> u64 {
-    let mut h = seed ^ 0x6d70_6470_2d65_7865; // "mpdp-exe"
-    h = murmur3_fmix64(h.wrapping_add(rel.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-    h = murmur3_fmix64(h ^ edge.wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
-    h = murmur3_fmix64(h ^ row.wrapping_mul(0x1656_67b1_9e37_79f9));
-    murmur3_fmix64(h ^ lane)
+fn column_prefix(seed: u64, rel: u64, edge: u64) -> u64 {
+    let h = murmur3_fmix64((seed ^ SEED_SALT).wrapping_add(rel.wrapping_mul(REL_MUL)));
+    murmur3_fmix64(h ^ edge.wrapping_mul(EDGE_MUL))
+}
+
+/// The row mix: the one mix a row of a column adds to its prefix. Lane
+/// `l` of the row is `murmur3_fmix64(row_mix ^ l)`.
+#[inline]
+fn row_mix(prefix: u64, row: u64) -> u64 {
+    murmur3_fmix64(prefix ^ row.wrapping_mul(ROW_MUL))
+}
+
+/// How one edge's keys are drawn, resolved once per edge.
+#[derive(Copy, Clone, Debug)]
+struct KeyRule {
+    /// `round(1/sel)`, at least 1.
+    domain: u64,
+    /// Hot-row threshold out of 2^32: a row is hot iff its lane-0 mix's
+    /// low 32 bits are below it. 0 when no row can be hot.
+    hot_threshold: u64,
+    /// Whether the edge is skewed: cold rows then avoid the hot key 0.
+    skewed: bool,
+}
+
+impl KeyRule {
+    fn new(domain: u64, hot_fraction: f64) -> KeyRule {
+        KeyRule {
+            domain,
+            hot_threshold: (hot_fraction * 4_294_967_296.0) as u64,
+            skewed: hot_fraction > 0.0,
+        }
+    }
+
+    /// The key of the row whose row mix is `x`: lane 0 decides whether the
+    /// row is hot, lane 1 draws its key. Only called for `domain >= 2`.
+    #[inline]
+    fn key(self, x: u64) -> u64 {
+        if self.hot_threshold != 0 && (murmur3_fmix64(x) & 0xffff_ffff) < self.hot_threshold {
+            // The hot key. All skewed rows on both endpoints collide here.
+            0
+        } else if self.skewed {
+            // Cold rows avoid the hot key so the two populations stay
+            // disjoint and the skew math is exact.
+            1 + murmur3_fmix64(x ^ 1) % (self.domain - 1)
+        } else {
+            murmur3_fmix64(x ^ 1) % self.domain
+        }
+    }
+
+    /// Writes the keys of the column whose prefix is `prefix` into `col`,
+    /// which the caller allocated zeroed: a domain of one is all zeros.
+    fn fill(self, prefix: u64, col: &mut KeyColumn) {
+        if self.domain <= 1 {
+            return;
+        }
+        // Every key is below its domain, so the narrow cast is lossless.
+        match col {
+            KeyColumn::U32(col) => (0u64..).zip(col).for_each(|(row, k)| {
+                *k = self.key(row_mix(prefix, row)) as u32;
+            }),
+            KeyColumn::U64(col) => (0u64..).zip(col).for_each(|(row, k)| {
+                *k = self.key(row_mix(prefix, row));
+            }),
+        }
+    }
 }
 
 /// Materializes columnar tables for `q` under `config`; `model` re-prices
 /// the scaled query's scan costs. See the module docs for the scheme.
 pub fn materialize(q: &LargeQuery, config: &GenConfig, model: &dyn CostModel) -> Dataset {
-    let n = q.num_rels();
     let domains: Vec<u64> = q
         .edges
         .iter()
         .map(|e| (1.0 / e.sel).round().max(1.0) as u64)
         .collect();
-    // Hot fraction per edge (0.0 = uniform), resolved once.
-    let hot: Vec<f64> = q
+    let rules: Vec<KeyRule> = q
         .edges
         .iter()
-        .map(|e| {
-            config
+        .zip(&domains)
+        .map(|(e, &d)| {
+            let hot = config
                 .skew
                 .iter()
                 .find(|s| (s.u.min(s.v), s.u.max(s.v)) == (e.u.min(e.v), e.u.max(e.v)))
                 .map(|s| s.hot_fraction.clamp(0.0, 0.999_999))
-                .unwrap_or(0.0)
+                .unwrap_or(0.0);
+            KeyRule::new(d, hot)
         })
         .collect();
-    let mut tables = Vec::with_capacity(n);
-    for (r, info) in q.rels.iter().enumerate() {
-        let rows = (info.rows.round().max(1.0) as usize).min(config.max_table_rows.max(1));
-        let mut keys: Vec<Option<KeyColumn>> = vec![None; q.edges.len()];
-        for (ei, e) in q.edges.iter().enumerate() {
-            if e.u as usize != r && e.v as usize != r {
-                continue;
+    // Every column is allocated here, on the calling thread, and only
+    // written by the fill (module docs).
+    let mut tables: Vec<ExecTable> = q
+        .rels
+        .iter()
+        .enumerate()
+        .map(|(r, info)| {
+            let rows = (info.rows.round().max(1.0) as usize).min(config.max_table_rows.max(1));
+            let keys = q
+                .edges
+                .iter()
+                .zip(&domains)
+                .map(|(e, &d)| {
+                    (e.u as usize == r || e.v as usize == r).then(|| {
+                        if d <= u32::MAX as u64 {
+                            KeyColumn::U32(vec![0; rows])
+                        } else {
+                            KeyColumn::U64(vec![0; rows])
+                        }
+                    })
+                })
+                .collect();
+            ExecTable {
+                rows,
+                keys,
+                payload_width: config.payload_width,
             }
-            let d = domains[ei];
-            let h = hot[ei];
-            // Hot-row decision scale: integer threshold out of 2^32.
-            let hot_threshold = (h * 4_294_967_296.0) as u64;
-            let col = (0..rows as u64).map(|row| {
-                if d <= 1 {
-                    return 0;
-                }
-                let pick = cell(config.seed, r as u64, ei as u64, row, 0);
-                if (pick & 0xffff_ffff) < hot_threshold {
-                    // The hot key. All skewed rows on both endpoints
-                    // collide here.
-                    0
-                } else if h > 0.0 {
-                    // Cold rows avoid the hot key so the two populations
-                    // stay disjoint and the skew math is exact.
-                    1 + cell(config.seed, r as u64, ei as u64, row, 1) % (d - 1)
-                } else {
-                    cell(config.seed, r as u64, ei as u64, row, 1) % d
-                }
-            });
-            // Every key is below its domain, so the narrow cast is lossless.
-            keys[ei] = Some(if d <= u32::MAX as u64 {
-                KeyColumn::U32(col.map(|k| k as u32).collect())
-            } else {
-                KeyColumn::U64(col.collect())
-            });
+        })
+        .collect();
+    let cells: usize = tables
+        .iter()
+        .map(|t| t.rows * t.keys.iter().flatten().count())
+        .sum();
+    {
+        // One fill per column: its prefix, its rule and the column itself.
+        let fills: Vec<Mutex<(u64, KeyRule, &mut KeyColumn)>> = tables
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(r, t)| {
+                let rules = &rules;
+                t.keys.iter_mut().enumerate().filter_map(move |(ei, col)| {
+                    let prefix = column_prefix(config.seed, r as u64, ei as u64);
+                    col.as_mut().map(|col| Mutex::new((prefix, rules[ei], col)))
+                })
+            })
+            .collect();
+        let fill = |idx: usize| {
+            let mut fill = fills[idx]
+                .lock()
+                .expect("one part locks its column once, so no lock is poisoned");
+            let (prefix, rule, col) = &mut *fill;
+            rule.fill(*prefix, col);
+        };
+        if cells < PARALLEL_FLOOR_CELLS {
+            (0..fills.len()).for_each(fill);
+        } else {
+            // One part per column, claimed from the job's cursor: which
+            // thread fills a column never changes what it holds.
+            with_pool(fills.len(), |pool| pool.run(&fill));
         }
-        tables.push(ExecTable {
-            rows,
-            keys,
-            payload_width: config.payload_width,
-        });
     }
     // The scaled query: materialized row counts, same selectivities.
     let mut scaled = LargeQuery::new(
@@ -227,6 +351,111 @@ mod tests {
     use super::*;
     use mpdp_cost::PgLikeCost;
     use mpdp_workload::gen;
+
+    /// The generator's original cell hash, kept as the oracle of the
+    /// hoisted one: mixes `(seed, relation, edge, row, lane)` from scratch.
+    fn cell(seed: u64, rel: u64, edge: u64, row: u64, lane: u64) -> u64 {
+        let mut h = seed ^ 0x6d70_6470_2d65_7865; // "mpdp-exe"
+        h = murmur3_fmix64(h.wrapping_add(rel.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        h = murmur3_fmix64(h ^ edge.wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
+        h = murmur3_fmix64(h ^ row.wrapping_mul(0x1656_67b1_9e37_79f9));
+        murmur3_fmix64(h ^ lane)
+    }
+
+    /// The generator's original key of one cell, eight mixes from scratch.
+    fn oracle_key(seed: u64, rel: u64, edge: u64, row: u64, d: u64, h: f64) -> u64 {
+        let hot_threshold = (h * 4_294_967_296.0) as u64;
+        if d <= 1 {
+            return 0;
+        }
+        let pick = cell(seed, rel, edge, row, 0);
+        if (pick & 0xffff_ffff) < hot_threshold {
+            0
+        } else if h > 0.0 {
+            1 + cell(seed, rel, edge, row, 1) % (d - 1)
+        } else {
+            cell(seed, rel, edge, row, 1) % d
+        }
+    }
+
+    #[test]
+    fn hoisted_cells_equal_the_original_hash() {
+        // A hot fraction whose integer threshold is 0, yet which skews.
+        let tiny = 1e-12;
+        assert_eq!(KeyRule::new(1000, tiny).hot_threshold, 0);
+        let domains = [
+            2,
+            3,
+            1000,
+            u32::MAX as u64,
+            u32::MAX as u64 + 1,
+            10_000_000_000,
+        ];
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            murmur3_fmix64(state)
+        };
+        for i in 0..20_000 {
+            let seed = next();
+            // Small indices, as generated, and arbitrary ones.
+            let (rel, edge, row) = if i % 2 == 0 {
+                (next() % 64, next() % 128, next() % 100_000)
+            } else {
+                (next(), next(), next())
+            };
+            let prefix = column_prefix(seed, rel, edge);
+            let x = row_mix(prefix, row);
+            for lane in [0, 1] {
+                assert_eq!(murmur3_fmix64(x ^ lane), cell(seed, rel, edge, row, lane));
+            }
+            for d in domains {
+                for h in [0.0, tiny, 0.3, 0.999_999] {
+                    assert_eq!(
+                        KeyRule::new(d, h).key(x),
+                        oracle_key(seed, rel, edge, row, d, h),
+                        "seed {seed:#x} rel {rel} edge {edge} row {row} d {d} h {h}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn held_worker_set_fills_the_same_tables() {
+        let m = PgLikeCost::new();
+        let q = gen::snowflake(14, 3, 8, &m);
+        let config = GenConfig {
+            seed: 21,
+            max_table_rows: 30_000,
+            skew: vec![SkewedEdge {
+                u: q.edges[0].u,
+                v: q.edges[0].v,
+                hot_fraction: 0.3,
+            }],
+            ..Default::default()
+        };
+        let cells: usize = materialize(&q, &config, &m)
+            .tables
+            .iter()
+            .map(|t| t.rows * t.keys.iter().flatten().count())
+            .sum();
+        assert!(cells >= PARALLEL_FLOOR_CELLS, "{cells} cells run inline");
+        // The set is free (unless another test holds it)...
+        let free = materialize(&q, &config, &m);
+        // ...held by this thread's own run, so the fill runs inline...
+        let held = with_pool(2, |_| materialize(&q, &config, &m));
+        assert_eq!(free.tables, held.tables);
+        // ...and raced for by two threads, one of which runs inline.
+        std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| materialize(&q, &config, &m)))
+                .collect();
+            for racer in racers {
+                assert_eq!(racer.join().unwrap().tables, free.tables);
+            }
+        });
+    }
 
     #[test]
     fn same_seed_is_bit_identical() {
@@ -312,6 +541,159 @@ mod tests {
             let col = t.keys[0].as_ref().unwrap();
             let hot = (0..t.rows).filter(|&row| col.get(row) == 0).count() as f64 / t.rows as f64;
             assert!((hot - 0.3).abs() < 0.02, "hot fraction {hot}");
+        }
+    }
+
+    // ---- Golden table digests ---------------------------------------------
+    //
+    // Each case pins an FNV-1a digest of every table's row count, key-column
+    // width and key values, as generated before the column loop was hoisted
+    // and parallelized. A digest that moves means the data moved: every
+    // downstream golden (executor results, observed selectivities, the
+    // benchmark's reference cardinalities) moves with it.
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv1a(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= b as u64;
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// FNV-1a over `rows`, then per edge slot a width tag (0 = no column,
+    /// 4 = `u32`, 8 = `u64`) and the keys at that width, little-endian.
+    fn table_digest(tables: &[ExecTable]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for t in tables {
+            fnv1a(&mut h, &(t.rows as u64).to_le_bytes());
+            for key in &t.keys {
+                match key {
+                    None => fnv1a(&mut h, &[0]),
+                    Some(KeyColumn::U32(col)) => {
+                        fnv1a(&mut h, &[4]);
+                        col.iter().for_each(|k| fnv1a(&mut h, &k.to_le_bytes()));
+                    }
+                    Some(KeyColumn::U64(col)) => {
+                        fnv1a(&mut h, &[8]);
+                        col.iter().for_each(|k| fnv1a(&mut h, &k.to_le_bytes()));
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    /// Two relations of `rows` rows joined by one edge of selectivity `sel`.
+    fn pair(rows: f64, sel: f64) -> LargeQuery {
+        let mut q = LargeQuery::new(vec![
+            mpdp_core::query::RelInfo::new(rows, 1.0),
+            mpdp_core::query::RelInfo::new(rows, 1.0),
+        ]);
+        q.add_edge(0, 1, sel);
+        q
+    }
+
+    fn skewed(seed: u64, hot_fraction: f64) -> GenConfig {
+        GenConfig {
+            seed,
+            skew: vec![SkewedEdge {
+                u: 0,
+                v: 1,
+                hot_fraction,
+            }],
+            ..Default::default()
+        }
+    }
+
+    /// The golden cases: name, query, config.
+    fn golden_cases() -> Vec<(&'static str, LargeQuery, GenConfig)> {
+        let m = PgLikeCost::new();
+        let capped = |seed, max_table_rows| GenConfig {
+            seed,
+            max_table_rows,
+            ..Default::default()
+        };
+        let mut cases = vec![
+            ("star(8)", gen::star(8, 3, &m), capped(99, 5_000)),
+            ("chain(5) capped", gen::chain(5, 2, &m), capped(7, 20_000)),
+            ("skew 0.3", pair(10_000.0, 1.0 / 1000.0), skewed(5, 0.3)),
+            ("sel 1", pair(3_000.0, 1.0), capped(11, 20_000)),
+            ("skew d=2", pair(3_000.0, 0.5), skewed(13, 0.25)),
+            ("u64 keys", pair(3_000.0, 1e-10), capped(17, 20_000)),
+        ];
+        // Three of the serving benchmark's mixed-workload pool templates, at
+        // its 30 k-row cap; the first carries its hot key on the smallest
+        // edge, as every eighth template there does.
+        let pool = mpdp_workload::stream::ZipfStream::new(
+            &mpdp_workload::stream::StreamSpec {
+                templates: 8,
+                skew: 1.0,
+                min_rels: 8,
+                max_rels: 14,
+                seed: 42,
+            },
+            &m,
+        );
+        for (name, rank) in [("pool 0", 0), ("pool 1", 1), ("pool 4", 4)] {
+            let q = pool.templates()[rank].query.clone();
+            let skew = (rank == 0)
+                .then(|| {
+                    q.edges.iter().min_by(|a, b| {
+                        let size = |e: &&mpdp_core::query::LargeEdge| {
+                            q.rels[e.u as usize].rows * q.rels[e.v as usize].rows
+                        };
+                        size(a).total_cmp(&size(b))
+                    })
+                })
+                .flatten()
+                .map(|e| SkewedEdge {
+                    u: e.u,
+                    v: e.v,
+                    hot_fraction: 0.3,
+                });
+            let config = GenConfig {
+                seed: 42 + rank as u64,
+                max_table_rows: 30_000,
+                skew: skew.into_iter().collect(),
+                ..Default::default()
+            };
+            cases.push((name, q, config));
+        }
+        cases
+    }
+
+    /// Recorded from the per-cell eight-mix generator; must never move.
+    const GOLDEN: [(&str, u64); 9] = [
+        ("star(8)", 0x08fc_8a90_88d7_3866),
+        ("chain(5) capped", 0x9acf_8677_46b6_7618),
+        ("skew 0.3", 0x2b39_a6ae_ef0f_f3eb),
+        ("sel 1", 0x7b9f_2aa0_756a_2ecf),
+        ("skew d=2", 0x22bd_4f12_9ce0_93df),
+        ("u64 keys", 0x0c7e_97db_0914_6f60),
+        ("pool 0", 0x483c_490b_3227_d956),
+        ("pool 1", 0x910b_87b7_a446_b2d9),
+        ("pool 4", 0x5dac_8e1e_cd92_3aa2),
+    ];
+
+    #[test]
+    fn golden_table_digests() {
+        let m = PgLikeCost::new();
+        let cases = golden_cases();
+        assert_eq!(cases.len(), GOLDEN.len());
+        for ((name, q, config), (golden_name, golden)) in cases.iter().zip(GOLDEN) {
+            assert_eq!(*name, golden_name);
+            let d = materialize(q, config, &m);
+            // Each case covers what its name says.
+            match *name {
+                "sel 1" => assert_eq!(d.domains, [1]),
+                "skew d=2" => assert_eq!(d.domains, [2]),
+                "u64 keys" => assert!(matches!(d.tables[0].keys[0], Some(KeyColumn::U64(_)))),
+                "chain(5) capped" => assert!(d.tables.iter().any(|t| t.rows == 20_000)),
+                "pool 0" => assert_eq!(config.skew.len(), 1),
+                _ => {}
+            }
+            assert_eq!(table_digest(&d.tables), golden, "{name}");
         }
     }
 }

@@ -77,7 +77,8 @@ impl Working {
 /// Runs the IDP2 loop with `inner` as the exact step. `inner` receives a
 /// *projected* sub-query (scan indices `0..group.len()`) of at most `k`
 /// relations and must return its plan; MPDP inners take at most 64,
-/// linearized-DP inners any number.
+/// linearized-DP inners any number. `k` must be at least 2: a smaller bound
+/// can contract nothing and returns [`OptError::Internal`].
 pub fn idp2_with_inner(
     q: &LargeQuery,
     model: &dyn CostModel,
@@ -85,7 +86,11 @@ pub fn idp2_with_inner(
     inner: &dyn Fn(&LargeQuery) -> Result<PlanTree, OptError>,
     budget: &Budget,
 ) -> Result<PlanTree, OptError> {
-    assert!(k >= 2, "IDP2 needs k >= 2");
+    if k < 2 {
+        return Err(OptError::Internal(format!(
+            "IDP2 needs k >= 2, got k = {k}"
+        )));
+    }
     let n = q.num_rels();
     if n == 0 {
         return Err(OptError::EmptyQuery);

@@ -151,6 +151,8 @@ fn partition(
 
 /// Runs UnionDP with `inner` as the exact step, which receives a
 /// *projected* sub-query (scan indices `0..len`) of at most `k` relations.
+/// `k` must be at least 2: a smaller bound can contract nothing and returns
+/// [`OptError::Internal`].
 pub fn uniondp_with_inner(
     q: &LargeQuery,
     model: &dyn CostModel,
@@ -158,7 +160,11 @@ pub fn uniondp_with_inner(
     inner: &dyn Fn(&LargeQuery) -> Result<PlanTree, OptError>,
     budget: &Budget,
 ) -> Result<PlanTree, OptError> {
-    assert!(k >= 2, "UnionDP needs k >= 2");
+    if k < 2 {
+        return Err(OptError::Internal(format!(
+            "UnionDP needs k >= 2, got k = {k}"
+        )));
+    }
     if q.num_rels() == 0 {
         return Err(OptError::EmptyQuery);
     }

@@ -143,6 +143,23 @@ fn adaptive_planner_handles_both_regimes() {
 }
 
 #[test]
+fn contraction_bound_below_two_is_an_error_not_a_panic() {
+    // A bound below 2 contracts nothing; the builder accepts it, so the
+    // first large query must come back as an error.
+    let m = PgLikeCost::new();
+    let q = gen::snowflake(80, 4, 1, &m);
+    for k in [0, 1] {
+        for fallback in [LargeAlgo::Idp2 { k }, LargeAlgo::UnionDp { k }] {
+            let planner = PlannerBuilder::new().fallback(fallback).build();
+            match planner.plan_query(&q, &m) {
+                Err(OptError::Internal(msg)) => assert!(msg.contains("k >= 2"), "{msg}"),
+                r => panic!("{fallback:?}: {r:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn adaptive_registry_entry_matches_planner() {
     let m = PgLikeCost::new();
     let q = gen::snowflake(40, 4, 3, &m);
