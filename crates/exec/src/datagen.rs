@@ -51,8 +51,8 @@
 //! # Who allocates
 //!
 //! Columns are filled as one job on the process's worker set
-//! ([`mpdp_parallel::pool`]), one part per column, or inline below a floor
-//! of cells or while another run holds the set. Since a cell depends on
+//! ([`mpdp_parallel::pool`]), one part per column — inline on a one-CPU
+//! host or while another run holds the set. Since a cell depends on
 //! nothing but its coordinates, which thread fills a column never changes
 //! a bit of it. Every column is allocated, zeroed, on the calling thread
 //! before the job, and a part only writes into it: a column allocated on a
@@ -167,11 +167,6 @@ const SEED_SALT: u64 = 0x6d70_6470_2d65_7865;
 const REL_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 const EDGE_MUL: u64 = 0xc2b2_ae3d_27d4_eb4f;
 const ROW_MUL: u64 = 0x1656_67b1_9e37_79f9;
-
-/// Below this many key cells a dataset is filled on the calling thread:
-/// ~65 k cells take ~270 µs inline at ~4 ns each, while a job's parked
-/// helper takes 30–120 µs to arrive (DESIGN §6 "Measured scaling").
-const PARALLEL_FLOOR_CELLS: usize = 1 << 16;
 
 /// The column prefix: the two mixes of `(seed, relation, edge)` every cell
 /// of one key column shares.
@@ -294,10 +289,6 @@ pub fn materialize(q: &LargeQuery, config: &GenConfig, model: &dyn CostModel) ->
             }
         })
         .collect();
-    let cells: usize = tables
-        .iter()
-        .map(|t| t.rows * t.keys.iter().flatten().count())
-        .sum();
     {
         // One fill per column: its prefix, its rule and the column itself.
         let fills: Vec<Mutex<(u64, KeyRule, &mut KeyColumn)>> = tables
@@ -318,11 +309,11 @@ pub fn materialize(q: &LargeQuery, config: &GenConfig, model: &dyn CostModel) ->
             let (prefix, rule, col) = &mut *fill;
             rule.fill(*prefix, col);
         };
-        if cells < PARALLEL_FLOOR_CELLS {
-            (0..fills.len()).for_each(fill);
-        } else {
-            // One part per column, claimed from the job's cursor: which
-            // thread fills a column never changes what it holds.
+        // One part per column, claimed from the job's cursor: which thread
+        // fills a column never changes what it holds. The caller claims
+        // parts too, so a small dataset never waits on a late helper. A
+        // query without edges has no column, and a job always has a part.
+        if !fills.is_empty() {
             with_pool(fills.len(), |pool| pool.run(&fill));
         }
     }
@@ -435,13 +426,8 @@ mod tests {
             }],
             ..Default::default()
         };
-        let cells: usize = materialize(&q, &config, &m)
-            .tables
-            .iter()
-            .map(|t| t.rows * t.keys.iter().flatten().count())
-            .sum();
-        assert!(cells >= PARALLEL_FLOOR_CELLS, "{cells} cells run inline");
-        // The set is free (unless another test holds it)...
+        // The set is free (unless another test holds it, or the host has
+        // one CPU)...
         let free = materialize(&q, &config, &m);
         // ...held by this thread's own run, so the fill runs inline...
         let held = with_pool(2, |_| materialize(&q, &config, &m));
@@ -517,6 +503,11 @@ mod tests {
                 }
             }
         }
+        // A lone relation has no edge and so no key column.
+        let lone = LargeQuery::new(vec![mpdp_core::query::RelInfo::new(100.0, 1.0)]);
+        let d = materialize(&lone, &GenConfig::default(), &m);
+        assert_eq!(d.tables[0].rows, 100);
+        assert!(d.tables[0].keys.is_empty());
     }
 
     #[test]
