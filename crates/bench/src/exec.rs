@@ -156,7 +156,7 @@ pub struct StrategyRun {
     pub exec_wall_ms: f64,
     /// Observed root cardinality.
     pub root_rows: u64,
-    /// Executor counters (rows built/probed/emitted, batches, joins).
+    /// Executor counters (input and output rows, morsels probed, joins).
     pub counters: ExecCounters,
     /// Payload bytes per result row (table widths summed over the join).
     pub bytes_per_row: u64,
@@ -165,7 +165,9 @@ pub struct StrategyRun {
 impl StrategyRun {
     /// Rows touched per second of measured execution wall — the executor's
     /// throughput figure (work measure over wall, so comparable across
-    /// plans that produce the same result).
+    /// plans that produce the same result). Rows touched count the inputs
+    /// of joins the executor skips for an empty side, so a plan with such
+    /// joins reads faster per row than it streams.
     pub fn rows_per_sec(&self) -> f64 {
         if self.exec_wall_ms <= 0.0 {
             0.0

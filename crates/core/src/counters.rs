@@ -120,20 +120,22 @@ impl Profile {
 ///
 /// The execution-side sibling of [`Counters`]: where `evaluated`/`ccp`
 /// summarize what an *optimizer* did, these summarize what the chosen plan
-/// then *cost* to run — rows through the hash-join build and probe phases,
-/// rows emitted, probe morsels processed. `feedback_invalidations` counts
+/// then *cost* to run — the hash joins' build and probe input cardinalities,
+/// rows emitted, probe morsels probed. `feedback_invalidations` counts
 /// cached plans a serving layer evicted because this (or an aggregated)
 /// execution observed a root cardinality far from the estimate; the
 /// executor itself leaves it 0.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Rows inserted into hash tables across all joins.
+    /// Build-input cardinalities summed over all joins (a join with an
+    /// empty input counts its other side here but inserts nothing).
     pub build_rows: u64,
-    /// Rows streamed through probe sides across all joins.
+    /// Probe-input cardinalities summed over all joins (likewise counted,
+    /// not streamed, when the other side is empty).
     pub probe_rows: u64,
     /// Rows emitted by join operators (intermediate + root).
     pub output_rows: u64,
-    /// Probe morsels processed.
+    /// Probe morsels actually probed (none for a join with an empty input).
     pub batches: u64,
     /// Join operators executed.
     pub joins: u64,
@@ -152,9 +154,12 @@ impl ExecCounters {
         self.feedback_invalidations += other.feedback_invalidations;
     }
 
-    /// Total rows touched by join machinery (built + probed + emitted) —
-    /// the executor's coarse "work" measure, used by the bench report to
-    /// compare plans of one query independent of wall-clock noise.
+    /// Input plus output cardinalities over all joins (build + probe +
+    /// emitted) — the plan's coarse "work" measure, used by the bench report
+    /// and the benchmark's template filter to compare plans of one query
+    /// independent of wall-clock noise. It counts inputs, not rows the
+    /// executor streamed: a join with an empty input counts its other side
+    /// although it skips it.
     pub fn rows_touched(&self) -> u64 {
         self.build_rows + self.probe_rows + self.output_rows
     }

@@ -23,6 +23,15 @@
 //!   output rows, the merged [`ExecStats`], and every downstream observed
 //!   selectivity are bit-identical at any worker count.
 //!
+//! A join with an **empty input** runs none of the three: an empty side
+//! meets nothing, so it builds no table, opens no worker-set job, probes no
+//! morsel and returns an empty output with the same kept columns
+//! (PostgreSQL's hash join skips its outer scan on an empty hash table the
+//! same way). It still reports its [`ExecStats`] and [`ObservedJoin`] with
+//! the real input cardinalities, `batches` 0, and an `exec.probe` span but
+//! no `exec.build` or `exec.morsels` span. Starved intermediates are the
+//! common case on generated data: most joins above one have an empty side.
+//!
 //! Intermediate results are **rowid vectors**, and only the ones an upper
 //! operator can read: a scan emits none (its row `i` *is* rowid `i`, so a
 //! base-table side of a join reads its key column in place), and a join
@@ -127,15 +136,18 @@ impl std::error::Error for ExecError {}
 pub struct ExecStats {
     /// Base relations covered by this operator's output.
     pub rels: RelSet,
-    /// Rows inserted into the hash table (0 for scans).
+    /// Cardinality of the build input, the smaller modeled side (0 for
+    /// scans). A join with an empty input inserts none of it.
     pub build_rows: u64,
-    /// Rows streamed through the probe side (0 for scans).
+    /// Cardinality of the probe input (0 for scans). A join with an empty
+    /// input streams none of it.
     pub probe_rows: u64,
     /// Output cardinality.
     pub output_rows: u64,
-    /// Probe morsels processed — exactly `⌈probe_rows / batch⌉`, summed
-    /// from the per-worker ranges (asserted by the oracle tests, including
-    /// the probe-rows-an-exact-multiple-of-batch boundary).
+    /// Probe morsels actually probed: 0 when either input is empty,
+    /// otherwise exactly `⌈probe_rows / batch⌉`, summed from the per-worker
+    /// ranges (asserted by the oracle tests, including the
+    /// probe-rows-an-exact-multiple-of-batch boundary).
     pub batches: u64,
     /// The optimizer's estimated output cardinality for this operator.
     pub est_rows: f64,
@@ -176,7 +188,7 @@ pub struct ExecReport {
     pub est_root_rows: f64,
     /// End-to-end wall time of the run.
     pub wall: Duration,
-    /// Aggregate counters (rows built/probed/emitted, batches).
+    /// Aggregate counters (input and output rows, morsels probed, joins).
     pub counters: ExecCounters,
     /// Payload bytes the result set stands for: root rows × the summed
     /// payload widths of all participating tables.
@@ -555,8 +567,9 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Attaches a span context: every join records `exec.build` /
-    /// `exec.probe` spans and per-worker `exec.morsels` spans under it.
+    /// Attaches a span context: every join records an `exec.probe` span
+    /// under it, and a join whose inputs both have rows an `exec.build` span
+    /// and per-worker `exec.morsels` spans too.
     /// The default context is disabled (one branch per site); tracing
     /// never feeds back into kernels, so armed runs stay bit-identical.
     pub fn with_trace(mut self, trace: SpanCtx) -> Self {
@@ -764,6 +777,65 @@ impl<'a> Executor<'a> {
         if run.keep_all {
             keep = out_set;
         }
+        let out_rels: Vec<u32> = keep.iter().map(|r| r as u32).collect();
+        let empty_input = probe.len == 0 || build.len == 0;
+        let (cols, out_len, batches) = if empty_input {
+            // An empty side meets nothing (module docs). The probe span
+            // stays, so a trace still shows the join and its probe rows.
+            self.trace
+                .span(sites::EXEC_PROBE)
+                .set_attr(probe.len as u64);
+            (vec![Vec::new(); out_rels.len()], 0, 0)
+        } else {
+            self.build_and_probe(pool, probe, build, &edges, &out_rels, run)?
+        };
+
+        // Per-worker partial outputs are folded (summed) *before* the
+        // observed selectivity is computed, so the feedback path always
+        // sees the merged observation.
+        let observed_sel = if empty_input {
+            0.0
+        } else {
+            out_len as f64 / (probe.len as f64 * build.len as f64)
+        };
+        run.stats.push(ExecStats {
+            rels: out_set,
+            build_rows: build.len as u64,
+            probe_rows: probe.len as u64,
+            output_rows: out_len as u64,
+            batches,
+            est_rows,
+            wall: Duration::ZERO, // filled by the caller around the join
+        });
+        run.joins.push(ObservedJoin {
+            left: probe.set,
+            right: build.set,
+            edges,
+            inputs: (probe.len as u64, build.len as u64),
+            output: out_len as u64,
+            observed_sel,
+            est_rows,
+        });
+        Ok(Inter {
+            set: out_set,
+            len: out_len,
+            rels: out_rels,
+            cols,
+        })
+    }
+
+    /// The build, probe and merge stages of a join whose sides both have
+    /// rows: the output columns of `out_rels`, the output row count and the
+    /// morsels probed.
+    fn build_and_probe(
+        &self,
+        pool: &PoolHandle<'_>,
+        probe: &Inter,
+        build: &Inter,
+        edges: &[usize],
+        out_rels: &[u32],
+        run: &mut Run,
+    ) -> Result<(Vec<Vec<u32>>, usize, u64), ExecError> {
         // Resolve each crossing edge to direct slices once.
         let access: Vec<EdgeAccess<'_>> = edges
             .iter()
@@ -783,7 +855,6 @@ impl<'a> Executor<'a> {
         let scratch = &run.scratch;
 
         // ---- Probe stage (parallel over morsel ranges). ----
-        let out_rels: Vec<u32> = keep.iter().map(|r| r as u32).collect();
         // Output gather sources, resolved once: each output column comes
         // from exactly one side — its rowid column, or the match's own row
         // index where that side is a scan.
@@ -871,7 +942,10 @@ impl<'a> Executor<'a> {
         };
         drop(probe_stage);
         if aborted.load(Ordering::Relaxed) {
-            return Err(ExecError::OutputCap { rels: out_set, cap });
+            return Err(ExecError::OutputCap {
+                rels: probe.set.union(build.set),
+                cap,
+            });
         }
 
         // ---- Merge stage: concatenate in worker order == morsel order,
@@ -888,39 +962,7 @@ impl<'a> Executor<'a> {
                 col.extend_from_slice(more);
             }
         }
-
-        // Per-worker partial outputs are folded (summed) *before* the
-        // observed selectivity is computed, so the feedback path always
-        // sees the merged observation.
-        let observed_sel = if probe.len == 0 || build.len == 0 {
-            0.0
-        } else {
-            out_len as f64 / (probe.len as f64 * build.len as f64)
-        };
-        run.stats.push(ExecStats {
-            rels: out_set,
-            build_rows: build.len as u64,
-            probe_rows: probe.len as u64,
-            output_rows: out_len as u64,
-            batches,
-            est_rows,
-            wall: Duration::ZERO, // filled by the caller around the join
-        });
-        run.joins.push(ObservedJoin {
-            left: probe.set,
-            right: build.set,
-            edges,
-            inputs: (probe.len as u64, build.len as u64),
-            output: out_len as u64,
-            observed_sel,
-            est_rows,
-        });
-        Ok(Inter {
-            set: out_set,
-            len: out_len,
-            rels: out_rels,
-            cols,
-        })
+        Ok((cols, out_len, batches))
     }
 }
 
@@ -1318,6 +1360,77 @@ mod tests {
             let probe = spans.iter().find(|r| r.site == sites::EXEC_PROBE).unwrap();
             for rec in spans.iter().filter(|r| r.site == sites::EXEC_MORSELS) {
                 assert_eq!(rec.parent, probe.span);
+            }
+        }
+    }
+
+    /// A join with an empty input builds nothing and probes nothing, on
+    /// either side: chain 0-1-2 whose 0 ⋈ 1 finds no match (domain 10⁹) is
+    /// joined with relation 2 once as the build side (modeled smaller) and
+    /// once as the probe side (modeled larger). The upper join reports both
+    /// inputs, no output and no morsel, and its trace holds an `exec.probe`
+    /// span and nothing under it, at 1 and 4 pooled workers.
+    #[test]
+    fn an_empty_input_builds_and_probes_nothing() {
+        use mpdp_obs::{sites, Tracer};
+        let m = PgLikeCost::new();
+        let mut q = LargeQuery::new(vec![
+            RelInfo::new(3_000.0, 1.0),
+            RelInfo::new(2_000.0, 1.0),
+            RelInfo::new(1_500.0, 1.0),
+        ]);
+        q.add_edge(0, 1, 1.0e-9);
+        q.add_edge(1, 2, 1.0 / 50.0);
+        let d = materialize(&q, &GenConfig::default(), &m);
+        let scan = |rel, rows| PlanTree::Scan {
+            rel,
+            rows,
+            cost: 1.0,
+        };
+        let join = |left, right, rows| PlanTree::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            rows,
+            cost: 1.0,
+        };
+        let empty = |rows| join(scan(0, 3_000.0), scan(1, 2_000.0), rows);
+        for (lower_rows, inputs) in [(1.0, (1_500, 0)), (1.0e6, (0, 1_500))] {
+            let plan = join(empty(lower_rows), scan(2, 1_500.0), 1.0);
+            for workers in [1usize, 4] {
+                let config = ExecConfig {
+                    workers,
+                    sequential_cutoff: 0,
+                    ..Default::default()
+                };
+                let tracer = Tracer::armed(4_096);
+                let root = tracer.begin_request(sites::REQUEST);
+                let (report, rows) = Executor::new(&d.scaled, &d, config)
+                    .with_trace(root.ctx())
+                    .execute_with_result(&plan)
+                    .unwrap();
+                drop(root);
+                assert_eq!((rows.len, &rows.rels[..]), (0, &[0, 1, 2][..]));
+                assert_eq!(rows.rowids, vec![Vec::<u32>::new(); 3]);
+                let (lower, upper) = (&report.joins[0], &report.joins[1]);
+                assert_eq!((lower.inputs, lower.output), ((3_000, 2_000), 0));
+                assert_eq!((upper.inputs, upper.output), (inputs, 0));
+                assert_eq!(upper.observed_sel.to_bits(), 0.0f64.to_bits());
+                let stats = report.stats.last().unwrap();
+                assert_eq!((stats.probe_rows, stats.build_rows), inputs);
+                assert_eq!(stats.batches, 0);
+                assert_eq!(report.counters.batches, 3);
+                assert_eq!(report.counters.joins, 2);
+                let spans = tracer.drain();
+                let count_of = |s: mpdp_obs::Site| spans.iter().filter(|r| r.site == s).count();
+                assert_eq!(count_of(sites::EXEC_PROBE), 2);
+                assert_eq!(count_of(sites::EXEC_BUILD), 1, "only the lower join builds");
+                assert_eq!(count_of(sites::EXEC_MORSELS), workers);
+                let upper_probe = spans
+                    .iter()
+                    .filter(|r| r.site == sites::EXEC_PROBE)
+                    .find(|r| r.attr == inputs.0)
+                    .expect("the upper join's probe span carries its probe rows");
+                assert!(spans.iter().all(|r| r.parent != upper_probe.span));
             }
         }
     }

@@ -10,17 +10,19 @@
 //!   realize the estimated selectivities, optional per-edge skew to violate
 //!   them on purpose);
 //! * [`executor`] — morsel-parallel, batch-at-a-time hash-join execution
-//!   of any [`mpdp_core::plan::PlanTree`] over the `mpdp-parallel` barrier
-//!   pool, building on the smaller modeled side, with per-operator
-//!   [`executor::ExecStats`] and per-join observed selectivities that are
-//!   bit-identical at any worker count;
+//!   of any [`mpdp_core::plan::PlanTree`] on the process-lifetime worker set
+//!   (`mpdp-parallel::pool`), building on the smaller modeled side and
+//!   skipping build and probe of a join with an empty input, with
+//!   per-operator [`executor::ExecStats`] and per-join observed
+//!   selectivities that are bit-identical at any worker count;
 //! * [`feedback`] — folding observations back into a
 //!   [`mpdp_cost::Catalog`] as selectivity overrides, plus plan re-pricing
 //!   under corrected statistics.
 //!
 //! The serving layer's `PlanService::observe` consumes this crate's
 //! [`ExecReport`] to invalidate cached plans whose estimated root
-//! cardinality proved wrong by more than a configurable factor.
+//! cardinality proved wrong by more than a factor of 10 (a constant of the
+//! service, not a setting).
 
 #![warn(missing_docs)]
 

@@ -303,6 +303,7 @@ fn build_side_follows_model_estimate() {
 
 use mpdp::exec::{ExecReport, ResultSet, SkewedEdge};
 use mpdp_core::PlanTree;
+use mpdp_workload::gen;
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -330,8 +331,9 @@ fn result_digest(rs: &ResultSet) -> u64 {
 
 /// FNV-1a over every deterministic thing the report says the executor *did*
 /// (walls and the per-worker busy vector are the only schedule-visible fields
-/// and are left out; the estimates are [`estimate_digest`]'s).
-fn report_digest(r: &ExecReport) -> u64 {
+/// and are left out; the estimates are [`estimate_digest`]'s), with or
+/// without the per-operator and total `batches`.
+fn report_digest(r: &ExecReport, batches: bool) -> u64 {
     let mut h = FNV_OFFSET;
     let mut put = |v: u64| fnv1a(&mut h, &v.to_le_bytes());
     for s in &r.stats {
@@ -339,7 +341,9 @@ fn report_digest(r: &ExecReport) -> u64 {
         put(s.build_rows);
         put(s.probe_rows);
         put(s.output_rows);
-        put(s.batches);
+        if batches {
+            put(s.batches);
+        }
     }
     for j in &r.joins {
         put(j.left.bits());
@@ -356,7 +360,9 @@ fn report_digest(r: &ExecReport) -> u64 {
     put(r.counters.build_rows);
     put(r.counters.probe_rows);
     put(r.counters.output_rows);
-    put(r.counters.batches);
+    if batches {
+        put(r.counters.batches);
+    }
     put(r.counters.joins);
     put(r.result_bytes);
     h
@@ -559,23 +565,28 @@ fn golden_cases(model: &PgLikeCost) -> Vec<GoldenCase> {
     ]
 }
 
+/// The plan a golden case executes.
+fn golden_plan(case: &GoldenCase, data: &mpdp::exec::Dataset, model: &PgLikeCost) -> PlanTree {
+    match &case.plan {
+        GoldenPlan::Strategy(name) => {
+            registry()
+                .get(name)
+                .unwrap()
+                .plan(&data.scaled, model, None)
+                .unwrap_or_else(|e| panic!("{}: {e}", case.name))
+                .plan
+        }
+        GoldenPlan::Hand(plan) => plan.clone(),
+    }
+}
+
 #[test]
 fn golden_digests_hold_at_every_worker_count() {
     let model = PgLikeCost::new();
     let mut failures = Vec::new();
     for case in golden_cases(&model) {
         let data = materialize(&case.query, &case.gen, &model);
-        let plan = match &case.plan {
-            GoldenPlan::Strategy(name) => {
-                registry()
-                    .get(name)
-                    .unwrap()
-                    .plan(&data.scaled, &model, None)
-                    .unwrap_or_else(|e| panic!("{}: {e}", case.name))
-                    .plan
-            }
-            GoldenPlan::Hand(plan) => plan.clone(),
-        };
+        let plan = golden_plan(&case, &data, &model);
         for workers in [1usize, 2, 4] {
             // Cutoff 0 sends every multi-worker probe through the pool, so
             // the digests also pin the pooled merge.
@@ -590,7 +601,7 @@ fn golden_digests_hold_at_every_worker_count() {
             assert_eq!(rows.len as u64, report.root_rows);
             let got = (
                 result_digest(&rows),
-                report_digest(&report),
+                report_digest(&report, true),
                 report.root_rows,
             );
             if got != case.expected {
@@ -615,12 +626,192 @@ fn golden_digests_hold_at_every_worker_count() {
     );
 }
 
+// ---- Joins with an empty input ----------------------------------------------
+//
+// A hash join with an empty side emits nothing, so the executor builds no
+// table and probes no morsel for it, yet reports it with its real input
+// cardinalities. These cases pin that. Their result, report and estimate
+// digests were recorded at the commit before the executor skipped such
+// joins, with the report digest leaving out `batches`: the one field whose
+// meaning the skip changed (morsels actually probed, 0 for a skipped join).
+
+/// The empty-input cases; `expected.1` is `report_digest(.., false)`.
+fn empty_input_cases(model: &PgLikeCost) -> Vec<GoldenCase> {
+    let rel = |rows: f64| RelInfo::new(rows, model.scan_cost(rows));
+    // A star of the serving workload's generator family whose MPDP plan
+    // empties the fact table's third join: the three joins above it build
+    // on an empty side, the three below run through the pool.
+    let star = gen::star(7, 8, model);
+    // chain 0-1-2 executed as (0 ⋈ 1) ⋈ 2. 0 ⋈ 1 finds no match on a domain
+    // of 10⁹ but is modeled larger than relation 2, so the upper join probes
+    // an empty side against a non-empty build side.
+    let mut chain = LargeQuery::new(vec![rel(1_000.0), rel(800.0), rel(500.0)]);
+    chain.add_edge(0, 1, 1.0e-9);
+    chain.add_edge(1, 2, 1.0 / 50.0);
+    let chain_plan = join(
+        join(scan(0, 1_000.0), scan(1, 800.0), 1.0e6),
+        scan(2, 500.0),
+        1.0,
+    );
+    vec![
+        GoldenCase {
+            name: "star-empty-build/MPDP",
+            query: star,
+            gen: GenConfig {
+                seed: 8,
+                max_table_rows: 4_000,
+                ..Default::default()
+            },
+            plan: GoldenPlan::Strategy("MPDP"),
+            expected: (0x2add_99d1_ca5c_bff2, 0x7502_4117_315a_2218, 0),
+            estimates: 0xc596_6517_2e61_83ea,
+        },
+        GoldenCase {
+            name: "empty-probe/hand",
+            query: chain,
+            gen: GenConfig {
+                seed: 40,
+                ..Default::default()
+            },
+            plan: GoldenPlan::Hand(chain_plan),
+            expected: (0x0f80_8c04_d6c7_3836, 0xe1cc_4193_c5a8_98dc, 0),
+            estimates: 0x171c_dfe8_94e2_f819,
+        },
+    ]
+}
+
+/// Runs an empty-input case at `workers` through the pool (cutoff 0).
+fn run_empty_input_case(
+    case: &GoldenCase,
+    data: &mpdp::exec::Dataset,
+    plan: &PlanTree,
+    workers: usize,
+) -> (ExecReport, ResultSet) {
+    let config = ExecConfig {
+        workers,
+        sequential_cutoff: 0,
+        ..Default::default()
+    };
+    Executor::new(&data.scaled, data, config)
+        .execute_with_result(plan)
+        .unwrap_or_else(|e| panic!("{}@{workers}w: {e}", case.name))
+}
+
+/// Every empty-input case holds its digests at 1, 2 and 4 workers, returns
+/// an empty result over every relation, and counts morsels exactly: none
+/// for a join with an empty input, `⌈probe_rows / batch⌉` for every other.
+#[test]
+fn empty_input_joins_hold_their_digests_and_probe_no_morsel() {
+    let model = PgLikeCost::new();
+    let batch = ExecConfig::default().batch as u64;
+    let mut failures = Vec::new();
+    for case in empty_input_cases(&model) {
+        let data = materialize(&case.query, &case.gen, &model);
+        let plan = golden_plan(&case, &data, &model);
+        for workers in [1usize, 2, 4] {
+            let (report, rows) = run_empty_input_case(&case, &data, &plan, workers);
+            let got = (
+                result_digest(&rows),
+                report_digest(&report, false),
+                report.root_rows,
+            );
+            if got != case.expected {
+                failures.push(format!(
+                    "{}@{workers}w data: (0x{:016x}, 0x{:016x}, {})",
+                    case.name, got.0, got.1, got.2
+                ));
+            }
+            let estimates = estimate_digest(&report);
+            if estimates != case.estimates {
+                failures.push(format!(
+                    "{}@{workers}w estimates: 0x{estimates:016x}",
+                    case.name
+                ));
+            }
+            let all: Vec<u32> = (0..case.query.num_rels() as u32).collect();
+            assert_eq!((rows.len, &rows.rels), (0, &all), "{}", case.name);
+            assert_eq!(report.counters.joins, report.joins.len() as u64);
+            let join_stats = report.stats.iter().filter(|s| s.rels.len() > 1);
+            let (mut skipped, mut probed, mut batches) = (0, 0, 0);
+            for (s, j) in join_stats.zip(&report.joins) {
+                assert_eq!((s.probe_rows, s.build_rows), j.inputs, "{}", case.name);
+                let expected = if j.inputs.0 == 0 || j.inputs.1 == 0 {
+                    skipped += 1;
+                    0
+                } else {
+                    probed += 1;
+                    j.inputs.0.div_ceil(batch)
+                };
+                if s.batches != expected {
+                    failures.push(format!(
+                        "{}@{workers}w: join over {} probed {} morsels, expected {expected}",
+                        case.name, s.rels, s.batches
+                    ));
+                }
+                batches += expected;
+            }
+            assert!(
+                skipped >= 1 && probed >= 1,
+                "{}: {skipped}/{probed}",
+                case.name
+            );
+            if report.counters.batches != batches {
+                failures.push(format!(
+                    "{}@{workers}w: {} morsels in all, expected {batches}",
+                    case.name, report.counters.batches
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "empty-input cases moved:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// The star's plan empties an intermediate below at least two joins, each of
+/// which builds on the empty side; the hand-built chain reaches the other
+/// exit, an empty probe side against a non-empty build side, which keeps its
+/// observation (both inputs, no output, selectivity 0).
+#[test]
+fn empty_input_cases_reach_both_exits() {
+    let model = PgLikeCost::new();
+    let mut cases = empty_input_cases(&model).into_iter();
+    let (star, chain) = (cases.next().unwrap(), cases.next().unwrap());
+    let data = materialize(&star.query, &star.gen, &model);
+    let (report, _) = run_empty_input_case(&star, &data, &golden_plan(&star, &data, &model), 4);
+    let empty_build = report.joins.iter().filter(|j| j.inputs.1 == 0).count();
+    assert!(
+        empty_build >= 2,
+        "{empty_build} joins build on an empty side"
+    );
+    assert!(report.joins.iter().all(|j| j.inputs.0 > 0));
+
+    let data = materialize(&chain.query, &chain.gen, &model);
+    let (report, rows) =
+        run_empty_input_case(&chain, &data, &golden_plan(&chain, &data, &model), 4);
+    assert_eq!(rows.len, 0);
+    assert_eq!(report.joins.len(), 2);
+    assert_eq!(report.counters.joins, 2);
+    let lower = &report.joins[0];
+    assert_eq!((lower.inputs, lower.output), ((1_000, 800), 0));
+    let upper = &report.joins[1];
+    assert_eq!(
+        (upper.left.bits(), upper.right.bits(), &upper.edges[..]),
+        (0b011, 0b100, &[1][..])
+    );
+    assert_eq!((upper.inputs, upper.output), ((0, 500), 0));
+    assert_eq!(upper.observed_sel.to_bits(), 0.0f64.to_bits());
+    assert_eq!(upper.est_rows, 1.0);
+}
+
 // ---- The two seams of the rewrite -------------------------------------------
 
 /// `execute` prunes rowid columns no upper join reads and keeps none at the
 /// root; `execute_with_result` keeps every column. Different column paths,
 /// one report: every deterministic field agrees, over the oracle grid and
-/// the golden cases, sequentially and through the pool.
+/// the golden and empty-input cases, sequentially and through the pool.
 #[test]
 fn execute_and_execute_with_result_report_the_same() {
     let model = PgLikeCost::new();
@@ -637,19 +828,12 @@ fn execute_and_execute_with_result_report_the_same() {
         let plans = EXEC_STRATEGIES.map(|name| plan_of(name).unwrap().plan);
         grid.push((shape.to_string(), data, plans.to_vec()));
     }
-    for case in golden_cases(&model) {
+    for case in golden_cases(&model)
+        .into_iter()
+        .chain(empty_input_cases(&model))
+    {
         let data = materialize(&case.query, &case.gen, &model);
-        let plan = match case.plan {
-            GoldenPlan::Strategy(name) => {
-                registry()
-                    .get(name)
-                    .unwrap()
-                    .plan(&data.scaled, &model, None)
-                    .unwrap()
-                    .plan
-            }
-            GoldenPlan::Hand(plan) => plan,
-        };
+        let plan = golden_plan(&case, &data, &model);
         grid.push((case.name.to_string(), data, vec![plan]));
     }
     for (name, data, plan) in grid
@@ -666,8 +850,8 @@ fn execute_and_execute_with_result_report_the_same() {
             let counted = executor.execute(plan).unwrap();
             let (kept, rows) = executor.execute_with_result(plan).unwrap();
             assert_eq!(
-                (report_digest(&counted), estimate_digest(&counted)),
-                (report_digest(&kept), estimate_digest(&kept)),
+                (report_digest(&counted, true), estimate_digest(&counted)),
+                (report_digest(&kept, true), estimate_digest(&kept)),
                 "{name}@{workers}w: reports diverge"
             );
             assert_eq!(rows.len as u64, counted.root_rows, "{name}@{workers}w");
