@@ -3,13 +3,15 @@
 //! [`Executor::execute`] walks a [`PlanTree`] bottom-up and runs every join
 //! as a three-stage batch-at-a-time hash join:
 //!
-//! * **build** (single-pass, sequential): the child with the smaller
-//!   *modeled* cardinality (the optimizer's own estimate — a mis-estimate
-//!   therefore costs real wall time, which is exactly what the feedback
-//!   loop measures) is gathered into flat per-edge key columns, hashed, and
-//!   inserted into a chained table plus a register-blocked **bloom filter**
-//!   over the composite hashes;
-//! * **probe** (parallel): the probe side is cut into fixed-size **morsels**
+//! * **build** (single-pass, sequential): the plan's roles make the child
+//!   with the smaller *modeled* cardinality the build side, and every report
+//!   keeps those roles; the *physical* build is the input with fewer
+//!   materialized rows (both are in hand before the join starts; a tie
+//!   keeps the plan's roles), so a mis-estimate below a join no longer
+//!   makes it hash its larger input. That side is gathered into flat
+//!   per-edge key columns, hashed, and inserted into a chained table plus a
+//!   register-blocked **bloom filter** over the composite hashes;
+//! * **probe** (parallel): the other side is cut into fixed-size **morsels**
 //!   ([`ExecConfig::batch`], default 1024 rows). Each pool worker owns a
 //!   contiguous morsel range ([`chunk_range`] over morsel indices) and runs
 //!   one **fused filter kernel** per morsel — key → hash → bloom test →
@@ -22,6 +24,14 @@
 //!   order, which *is* morsel order because ranges are contiguous, so the
 //!   output rows, the merged [`ExecStats`], and every downstream observed
 //!   selectivity are bit-identical at any worker count.
+//!
+//! Output order is the plan's: plan-probe row ascending, then plan-build row
+//! ascending. A join whose physical build is the plan's probe side finds
+//! its matches as (plan-build row, plan-probe row) instead, so its workers
+//! keep the match pairs rather than gather them, and after the merge one
+//! stable counting sort on the plan-probe row puts them back into the
+//! plan's order before the column gather — O(output + smaller input), one
+//! probe loop for both roles.
 //!
 //! A join with an **empty input** runs none of the three: an empty side
 //! meets nothing, so it builds no table, opens no worker-set job, probes no
@@ -81,12 +91,12 @@ pub struct ExecConfig {
     /// thread overhead. Results are bit-identical at any value — see the
     /// module docs' merge-order argument.
     pub workers: usize,
-    /// Probe sides at or below this many rows skip the worker set and
-    /// run their morsel loop inline on the driver thread, regardless of
-    /// `workers`. A `pool.map` is a hand-off to the helpers and a barrier;
-    /// on tiny joins that costs more than the probe itself (the fig5
-    /// shapes regressed 0.78 → 2.26 ms going 1 → 2 workers before this
-    /// cutoff existed). The inline path runs the identical kernels over
+    /// Streamed (physical probe) sides at or below this many rows skip the
+    /// worker set and run their morsel loop inline on the driver thread,
+    /// regardless of `workers`. A `pool.map` is a hand-off to the helpers
+    /// and a barrier; on tiny joins that costs more than the probe itself
+    /// (the fig5 shapes regressed 0.78 → 2.26 ms going 1 → 2 workers before
+    /// this cutoff existed). The inline path runs the identical kernels over
     /// the identical morsel ranges in morsel order, so results stay
     /// bit-identical across the threshold.
     pub sequential_cutoff: usize,
@@ -136,18 +146,21 @@ impl std::error::Error for ExecError {}
 pub struct ExecStats {
     /// Base relations covered by this operator's output.
     pub rels: RelSet,
-    /// Cardinality of the build input, the smaller modeled side (0 for
-    /// scans). A join with an empty input inserts none of it.
+    /// Cardinality of the plan's build input, the smaller modeled side (0
+    /// for scans). The physical build is the input with fewer rows, so this
+    /// side is streamed instead when it has more rows than the plan's probe
+    /// input. A join with an empty input inserts none of it.
     pub build_rows: u64,
-    /// Cardinality of the probe input (0 for scans). A join with an empty
-    /// input streams none of it.
+    /// Cardinality of the plan's probe input (0 for scans). A join with an
+    /// empty input streams none of it.
     pub probe_rows: u64,
     /// Output cardinality.
     pub output_rows: u64,
-    /// Probe morsels actually probed: 0 when either input is empty,
-    /// otherwise exactly `⌈probe_rows / batch⌉`, summed from the per-worker
-    /// ranges (asserted by the oracle tests, including the
-    /// probe-rows-an-exact-multiple-of-batch boundary).
+    /// Morsels actually probed, which follow the physical roles: 0 when
+    /// either input is empty, otherwise exactly
+    /// `⌈max(probe_rows, build_rows) / batch⌉` — the larger input streams —
+    /// summed from the per-worker ranges (asserted by the oracle tests,
+    /// including the rows-an-exact-multiple-of-batch boundary).
     pub batches: u64,
     /// The optimizer's estimated output cardinality for this operator.
     pub est_rows: f64,
@@ -158,13 +171,15 @@ pub struct ExecStats {
 /// One observed join: which sides met, over which edges, and what came out.
 #[derive(Clone, Debug)]
 pub struct ObservedJoin {
-    /// Left (probe) input's relation set.
+    /// Relation set of the plan's probe input (the larger modeled side),
+    /// whichever side the table was physically built on.
     pub left: RelSet,
-    /// Right (build) input's relation set.
+    /// Relation set of the plan's build input (the smaller modeled side).
     pub right: RelSet,
     /// Indices into `query.edges` of the predicates this join applied.
     pub edges: Vec<usize>,
-    /// Input cardinalities (left, right).
+    /// Input cardinalities (left, right) in the plan's roles; the physical
+    /// build is the smaller of the two.
     pub inputs: (u64, u64),
     /// Observed output cardinality.
     pub output: u64,
@@ -497,7 +512,9 @@ impl BuildTable {
 
 /// Per-worker probe scratch, reused across a run's joins: the carry of a
 /// multi-edge fold, then per survivor its morsel-local row, composite hash
-/// and widened keys (edge-major), and the morsel's match pairs.
+/// and widened keys (edge-major), the morsel's match pairs, and — for a join
+/// that builds on the plan's probe input — every pair of the worker's
+/// morsels, for [`restore_plan_order`].
 #[derive(Default)]
 struct ProbeScratch {
     carry: Vec<u64>,
@@ -505,6 +522,7 @@ struct ProbeScratch {
     hashes: Vec<u64>,
     keys: Vec<Vec<u64>>,
     matches: Vec<(u32, u32)>,
+    pairs: Vec<(u32, u32)>,
 }
 
 impl ProbeScratch {
@@ -543,6 +561,24 @@ struct Run {
     table: BuildTable,
     /// One scratch per pool worker (each locks only its own).
     scratch: Vec<Mutex<ProbeScratch>>,
+    /// [`restore_plan_order`]'s bucket offsets and sorted pairs.
+    offsets: Vec<usize>,
+    sorted: Vec<(u32, u32)>,
+}
+
+impl Run {
+    fn new(keep_all: bool, workers: usize) -> Self {
+        Run {
+            keep_all,
+            stats: Vec::new(),
+            joins: Vec::new(),
+            busy: vec![Duration::ZERO; workers],
+            table: BuildTable::default(),
+            scratch: (0..workers).map(|_| Mutex::default()).collect(),
+            offsets: Vec::new(),
+            sorted: Vec::new(),
+        }
+    }
 }
 
 /// The vectorized executor: borrow a query and its dataset, execute plans.
@@ -569,7 +605,9 @@ impl<'a> Executor<'a> {
 
     /// Attaches a span context: every join records an `exec.probe` span
     /// under it, and a join whose inputs both have rows an `exec.build` span
-    /// and per-worker `exec.morsels` spans too.
+    /// and per-worker `exec.morsels` spans too. Their attributes are the rows
+    /// actually built and streamed (a join with an empty input: its plan's
+    /// probe rows).
     /// The default context is disabled (one branch per site); tracing
     /// never feeds back into kernels, so armed runs stay bit-identical.
     pub fn with_trace(mut self, trace: SpanCtx) -> Self {
@@ -640,14 +678,7 @@ impl<'a> Executor<'a> {
             )));
         }
         let start = Instant::now();
-        let mut run = Run {
-            keep_all,
-            stats: Vec::new(),
-            joins: Vec::new(),
-            busy: vec![Duration::ZERO; pool.workers()],
-            table: BuildTable::default(),
-            scratch: (0..pool.workers()).map(|_| Mutex::default()).collect(),
-        };
+        let mut run = Run::new(keep_all, pool.workers());
         let root = self.run(plan, pool, &mut run)?;
         let wall = start.elapsed();
         // Aggregate from the joins vec (not a rows>0 heuristic on stats):
@@ -719,8 +750,10 @@ impl<'a> Executor<'a> {
                 let l = self.run(left, pool, run)?;
                 let r = self.run(right, pool, run)?;
                 let t0 = Instant::now();
-                // Build on the smaller *modeled* side; ties build right,
-                // matching the cost models' build-right convention.
+                // The plan's roles: build on the smaller *modeled* side;
+                // ties build right, matching the cost models' build-right
+                // convention. `build_and_probe` builds physically on the
+                // input with fewer rows and reports these roles.
                 let (probe, build) = if right.rows() <= left.rows() {
                     (l, r)
                 } else {
@@ -760,24 +793,7 @@ impl<'a> Executor<'a> {
         run: &mut Run,
     ) -> Result<Inter, ExecError> {
         let out_set = probe.set.union(build.set);
-        // One pass over the query's edges: the ones crossing the two sides
-        // are this join's predicates; the ones leaving the joined set name
-        // the relations an upper join can still ask a key of.
-        let mut edges = Vec::new();
-        let mut keep = RelSet::empty();
-        for (ei, e) in self.query.edges.iter().enumerate() {
-            let (u, v) = (e.u as usize, e.v as usize);
-            match (out_set.contains(u), out_set.contains(v)) {
-                (true, true) if probe.set.contains(u) != probe.set.contains(v) => edges.push(ei),
-                (true, false) => keep = keep.with(u),
-                (false, true) => keep = keep.with(v),
-                _ => {}
-            }
-        }
-        if run.keep_all {
-            keep = out_set;
-        }
-        let out_rels: Vec<u32> = keep.iter().map(|r| r as u32).collect();
+        let (edges, out_rels) = self.predicates_and_kept(probe.set, build.set, run.keep_all);
         let empty_input = probe.len == 0 || build.len == 0;
         let (cols, out_len, batches) = if empty_input {
             // An empty side meets nothing (module docs). The probe span
@@ -787,7 +803,8 @@ impl<'a> Executor<'a> {
                 .set_attr(probe.len as u64);
             (vec![Vec::new(); out_rels.len()], 0, 0)
         } else {
-            self.build_and_probe(pool, probe, build, &edges, &out_rels, run)?
+            let swapped = build.len > probe.len;
+            self.build_and_probe(pool, probe, build, &edges, &out_rels, swapped, run)?
         };
 
         // Per-worker partial outputs are folded (summed) *before* the
@@ -824,9 +841,42 @@ impl<'a> Executor<'a> {
         })
     }
 
+    /// One pass over the query's edges for a join of `probe` and `build`:
+    /// the ones crossing the two sides are its predicates; the ones leaving
+    /// the joined set name the relations an upper join can still ask a key
+    /// of, whose rowid columns it keeps (every relation's with `keep_all`).
+    fn predicates_and_kept(
+        &self,
+        probe: RelSet,
+        build: RelSet,
+        keep_all: bool,
+    ) -> (Vec<usize>, Vec<u32>) {
+        let out_set = probe.union(build);
+        let mut edges = Vec::new();
+        let mut keep = RelSet::empty();
+        for (ei, e) in self.query.edges.iter().enumerate() {
+            let (u, v) = (e.u as usize, e.v as usize);
+            match (out_set.contains(u), out_set.contains(v)) {
+                (true, true) if probe.contains(u) != probe.contains(v) => edges.push(ei),
+                (true, false) => keep = keep.with(u),
+                (false, true) => keep = keep.with(v),
+                _ => {}
+            }
+        }
+        if keep_all {
+            keep = out_set;
+        }
+        (edges, keep.iter().map(|r| r as u32).collect())
+    }
+
     /// The build, probe and merge stages of a join whose sides both have
     /// rows: the output columns of `out_rels`, the output row count and the
-    /// morsels probed.
+    /// morsels probed. `probe` and `build` are the plan's roles; `swapped`
+    /// builds the table on `probe` and streams `build` instead (the caller
+    /// swaps when `build` has more rows), and then puts the matches back
+    /// into the plan's order before the gather, so the output does not
+    /// depend on it.
+    #[allow(clippy::too_many_arguments)]
     fn build_and_probe(
         &self,
         pool: &PoolHandle<'_>,
@@ -834,30 +884,36 @@ impl<'a> Executor<'a> {
         build: &Inter,
         edges: &[usize],
         out_rels: &[u32],
+        swapped: bool,
         run: &mut Run,
     ) -> Result<(Vec<Vec<u32>>, usize, u64), ExecError> {
+        let (streamed, built) = if swapped {
+            (build, probe)
+        } else {
+            (probe, build)
+        };
         // Resolve each crossing edge to direct slices once.
         let access: Vec<EdgeAccess<'_>> = edges
             .iter()
             .map(|&ei| EdgeAccess {
-                probe: self.side_of(probe, ei),
-                build: self.side_of(build, ei),
+                probe: self.side_of(streamed, ei),
+                build: self.side_of(built, ei),
             })
             .collect();
 
         // ---- Build stage (single-pass, sequential). ----
         {
             let mut span = self.trace.span(sites::EXEC_BUILD);
-            span.set_attr(build.len as u64);
-            run.table.rebuild(&access, build.len);
+            span.set_attr(built.len as u64);
+            run.table.rebuild(&access, built.len);
         }
         let table = &run.table;
         let scratch = &run.scratch;
 
         // ---- Probe stage (parallel over morsel ranges). ----
         // Output gather sources, resolved once: each output column comes
-        // from exactly one side — its rowid column, or the match's own row
-        // index where that side is a scan.
+        // from exactly one of the plan's sides — its rowid column, or the
+        // match's own row index where that side is a scan.
         let out_sources: Vec<(bool, Option<&[u32]>)> = out_rels
             .iter()
             .map(|&rel| {
@@ -869,13 +925,13 @@ impl<'a> Executor<'a> {
 
         let batch = self.config.batch.max(1);
         let cap = self.config.max_output_rows;
-        let morsels = probe.len.div_ceil(batch);
+        let morsels = streamed.len.div_ceil(batch);
         let workers = pool.workers();
         let emitted = AtomicU64::new(0);
         let aborted = AtomicBool::new(false);
         // Probe-stage span; per-worker morsel spans nest under it.
         let mut probe_stage = self.trace.span(sites::EXEC_PROBE);
-        probe_stage.set_attr(probe.len as u64);
+        probe_stage.set_attr(streamed.len as u64);
         let probe_ctx = probe_stage.ctx();
         // One worker's span of the probe: morsels `chunk_range(morsels,
         // parts, w)`, in morsel order. Shared by the pooled path (one call
@@ -896,13 +952,14 @@ impl<'a> Executor<'a> {
             let mut scratch = scratch[w]
                 .lock()
                 .expect("a worker that panics takes the run down with it");
-            scratch.fit(access.len(), batch.min(probe.len));
+            scratch.fit(access.len(), batch.min(streamed.len));
+            scratch.pairs.clear();
             for m in chunk_range(morsels, parts, w) {
                 if aborted.load(Ordering::Relaxed) {
                     break;
                 }
                 let lo = m * batch;
-                let hi = (lo + batch).min(probe.len);
+                let hi = (lo + batch).min(streamed.len);
                 probe_morsel(&access, table, lo, hi, &mut scratch);
                 out.batches += 1;
                 let found = scratch.matches.len() as u64;
@@ -914,17 +971,16 @@ impl<'a> Executor<'a> {
                     aborted.store(true, Ordering::Relaxed);
                     break;
                 }
-                // Gather the morsel's match pairs column-wise into this
-                // worker's private output buffers.
                 out.rows += scratch.matches.len();
-                for (col, &(from_probe, src)) in out.cols.iter_mut().zip(&out_sources) {
-                    let row = |&(p, b): &(u32, u32)| if from_probe { p } else { b };
-                    match src {
-                        Some(src) => {
-                            col.extend(scratch.matches.iter().map(|m| src[row(m) as usize]))
-                        }
-                        None => col.extend(scratch.matches.iter().map(row)),
-                    }
+                let ProbeScratch { matches, pairs, .. } = &mut *scratch;
+                if swapped {
+                    // Plan order needs every morsel's pairs: gathered once,
+                    // after the merge.
+                    pairs.extend_from_slice(matches);
+                } else {
+                    // Gather the morsel's match pairs column-wise into this
+                    // worker's private output buffers.
+                    gather(&mut out.cols, &out_sources, matches);
                 }
             }
             out.busy = t0.elapsed();
@@ -935,7 +991,8 @@ impl<'a> Executor<'a> {
         // round trip costs more than the probe — run the whole span inline
         // (busy lands on slot 0; `worker_busy` keeps one slot per pool
         // worker either way).
-        let outs: Vec<WorkerOut> = if workers == 1 || probe.len <= self.config.sequential_cutoff {
+        let outs: Vec<WorkerOut> = if workers == 1 || streamed.len <= self.config.sequential_cutoff
+        {
             vec![probe_span(0, 1)]
         } else {
             pool.map(|w| probe_span(w, workers))
@@ -955,6 +1012,20 @@ impl<'a> Executor<'a> {
         for (slot, o) in run.busy.iter_mut().zip(&outs) {
             *slot += o.busy;
         }
+        if swapped {
+            let parts: Vec<_> = run.scratch[..outs.len()]
+                .iter()
+                .map(|s| {
+                    s.lock()
+                        .expect("a worker that panics takes the run down with it")
+                })
+                .collect();
+            let pairs = parts.iter().map(|s| &s.pairs[..]);
+            restore_plan_order(pairs, built.len, &mut run.offsets, &mut run.sorted);
+            let mut cols = vec![Vec::new(); out_rels.len()];
+            gather(&mut cols, &out_sources, &run.sorted);
+            return Ok((cols, out_len, batches));
+        }
         let mut outs = outs.into_iter();
         let mut cols = outs.next().map(|o| o.cols).unwrap_or_default();
         for o in outs {
@@ -963,6 +1034,49 @@ impl<'a> Executor<'a> {
             }
         }
         Ok((cols, out_len, batches))
+    }
+}
+
+/// Appends the output rows of `matches`, each a (plan-probe row, plan-build
+/// row) pair, to `cols`: per column, the rowid `sources` names on its side,
+/// or the row itself where that side is a scan.
+fn gather(cols: &mut [Vec<u32>], sources: &[(bool, Option<&[u32]>)], matches: &[(u32, u32)]) {
+    for (col, &(from_probe, src)) in cols.iter_mut().zip(sources) {
+        let row = |&(p, b): &(u32, u32)| if from_probe { p } else { b };
+        match src {
+            Some(src) => col.extend(matches.iter().map(|m| src[row(m) as usize])),
+            None => col.extend(matches.iter().map(row)),
+        }
+    }
+}
+
+/// Puts a swapped join's matches back into the plan's order. `parts` are the
+/// workers' pairs in morsel order, each `(streamed row, built row)`: the
+/// plan-build row ascending, then the plan-probe row. A stable counting sort
+/// on the built row — the plan-probe row, `0..keys` — leaves in `sorted`
+/// the pairs `(plan-probe row, plan-build row)` ordered by plan-probe row
+/// and, within it, by plan-build row: the order an unswapped join emits.
+/// O(matches + keys); `offsets` and `sorted` are reused across joins.
+fn restore_plan_order<'p>(
+    parts: impl Iterator<Item = &'p [(u32, u32)]> + Clone,
+    keys: usize,
+    offsets: &mut Vec<usize>,
+    sorted: &mut Vec<(u32, u32)>,
+) {
+    offsets.clear();
+    offsets.resize(keys + 1, 0);
+    for &(_, b) in parts.clone().flatten() {
+        offsets[b as usize + 1] += 1;
+    }
+    for k in 1..=keys {
+        offsets[k] += offsets[k - 1];
+    }
+    sorted.clear();
+    sorted.resize(offsets[keys], (0, 0));
+    for &(s, b) in parts.flatten() {
+        let at = &mut offsets[b as usize];
+        sorted[*at] = (b, s);
+        *at += 1;
     }
 }
 
@@ -1011,6 +1125,7 @@ fn probe_morsel(
         hashes,
         keys,
         matches,
+        ..
     } = scratch;
     let n = match access {
         // No crossing edge: every row survives with the bare seed, the hash
@@ -1435,6 +1550,103 @@ mod tests {
         }
     }
 
+    /// Building on either input gives the same join: each case's two sides
+    /// are joined once with the plan's roles and once swapped (the table on
+    /// the plan's probe input, the plan's build input streamed, the matches
+    /// put back into the plan's order), in both argument orders, and every
+    /// run's columns and row count equal the first one's bit for bit, at 1,
+    /// 2 and 4 pooled workers in morsels of 64 rows. The cases: seeded random
+    /// keys on a domain of 40 (many-to-many duplicates on both sides), a
+    /// gathered intermediate against a scan over two crossing edges, a cross
+    /// product, and two gathered intermediates.
+    #[test]
+    fn building_on_either_side_gives_the_same_output() {
+        let m = PgLikeCost::new();
+        let scan = |rel, rows| PlanTree::Scan {
+            rel,
+            rows,
+            cost: 1.0,
+        };
+        let join = |left, right| PlanTree::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            rows: 1.0,
+            cost: 1.0,
+        };
+        let rels = |rows: &[f64]| rows.iter().map(|&r| RelInfo::new(r, 1.0)).collect();
+        // Many-to-many on one edge.
+        let mut dups = LargeQuery::new(rels(&[1_900.0, 700.0]));
+        dups.add_edge(0, 1, 1.0 / 40.0);
+        // Triangle: {0, 1} against 2 crosses edges 0-2 and 1-2.
+        let mut triangle = LargeQuery::new(rels(&[600.0, 500.0, 900.0]));
+        triangle.add_edge(0, 1, 1.0 / 60.0);
+        triangle.add_edge(0, 2, 1.0 / 5.0);
+        triangle.add_edge(1, 2, 1.0 / 7.0);
+        // chain 0-1-2-3: 0 against 2 has no crossing edge, {0, 1} against
+        // {2, 3} reads both sides through rowids.
+        let mut chain = LargeQuery::new(rels(&[90.0, 400.0, 300.0, 700.0]));
+        chain.add_edge(0, 1, 1.0 / 30.0);
+        chain.add_edge(1, 2, 1.0 / 50.0);
+        chain.add_edge(2, 3, 1.0 / 80.0);
+        let cases = [
+            ("many-to-many", &dups, scan(0, 1.0), scan(1, 1.0)),
+            (
+                "two edges",
+                &triangle,
+                join(scan(0, 1.0), scan(1, 1.0)),
+                scan(2, 1.0),
+            ),
+            ("cross product", &chain, scan(0, 1.0), scan(2, 1.0)),
+            (
+                "gathered",
+                &chain,
+                join(scan(0, 1.0), scan(1, 1.0)),
+                join(scan(2, 1.0), scan(3, 1.0)),
+            ),
+        ];
+        for (seed, (name, q, a, b)) in cases.into_iter().enumerate() {
+            let config = GenConfig {
+                seed: 50 + seed as u64,
+                ..Default::default()
+            };
+            let d = materialize(q, &config, &m);
+            // Per argument order, the first run's output.
+            let mut expected: [Option<(Vec<Vec<u32>>, usize)>; 2] = [None, None];
+            for workers in [1usize, 2, 4] {
+                let config = ExecConfig {
+                    workers,
+                    batch: 64,
+                    sequential_cutoff: 0,
+                    ..Default::default()
+                };
+                let ex = Executor::new(&d.scaled, &d, config);
+                with_pool(workers, |pool| {
+                    let mut run = Run::new(true, pool.workers());
+                    let a = ex.run(&a, pool, &mut run).unwrap();
+                    let b = ex.run(&b, pool, &mut run).unwrap();
+                    for (order, (probe, build)) in [(&a, &b), (&b, &a)].into_iter().enumerate() {
+                        let (edges, out_rels) = ex.predicates_and_kept(probe.set, build.set, true);
+                        for swapped in [false, true] {
+                            let (cols, len, batches) = ex
+                                .build_and_probe(
+                                    pool, probe, build, &edges, &out_rels, swapped, &mut run,
+                                )
+                                .unwrap();
+                            assert!(len > 0, "{name}: the comparison is vacuous");
+                            let streamed = if swapped { build.len } else { probe.len };
+                            assert_eq!(batches, streamed.div_ceil(64) as u64, "{name}");
+                            let want = expected[order].get_or_insert_with(|| (cols.clone(), len));
+                            assert!(
+                                *want == (cols, len),
+                                "{name}@{workers}w, order {order}, swapped {swapped}: differs"
+                            );
+                        }
+                    }
+                });
+            }
+        }
+    }
+
     /// Uniform keys: observed selectivity matches the catalog estimate to
     /// within sampling error.
     #[test]
@@ -1715,6 +1927,52 @@ mod tests {
             per(walk),
             per(gather)
         );
+        // The reorder of a swapped join alone: every streamed row meets one
+        // built row at random, sorted back onto the built rows.
+        let pairs: Vec<(u32, u32)> = (0..ROWS as u32)
+            .map(|r| (r, (fold(5, r as u64) % BUILD as u64) as u32))
+            .collect();
+        let (mut offsets, mut sorted) = (Vec::new(), Vec::new());
+        let reorder = best(|_| {
+            restore_plan_order([&pairs[..]].into_iter(), BUILD, &mut offsets, &mut sorted)
+        });
+        println!(
+            "reorder of a swapped join: {:.2} ns per output row ({ROWS} rows onto {BUILD} keys)",
+            reorder / ROWS as f64
+        );
+        // The worst case of a swap, output ≫ inputs: 1 000 plan-probe rows
+        // against 1 001 plan-build rows on one key value, 1 001 000 output
+        // rows. Swapped, the build is one row shorter and every output row
+        // is reordered.
+        let m = PgLikeCost::new();
+        let mut q = LargeQuery::new(vec![RelInfo::new(1_000.0, 1.0), RelInfo::new(1_001.0, 1.0)]);
+        q.add_edge(0, 1, 1.0);
+        let d = materialize(&q, &GenConfig::default(), &m);
+        let ex = Executor::new(&d.scaled, &d, ExecConfig::default());
+        with_pool(1, |pool| {
+            let mut run = Run::new(false, 1);
+            let scan = |rel| PlanTree::Scan {
+                rel,
+                rows: 1.0,
+                cost: 1.0,
+            };
+            let probe = ex.run(&scan(0), pool, &mut run).unwrap();
+            let build = ex.run(&scan(1), pool, &mut run).unwrap();
+            let (edges, out_rels) = ex.predicates_and_kept(probe.set, build.set, true);
+            let mut join = |swapped| {
+                let t0 = Instant::now();
+                let out =
+                    ex.build_and_probe(pool, &probe, &build, &edges, &out_rels, swapped, &mut run);
+                black_box(out.unwrap());
+                t0.elapsed().as_secs_f64() * 1e3
+            };
+            let mut ms = |swapped| (0..7).map(|_| join(swapped)).fold(f64::INFINITY, f64::min);
+            let (plan, swapped) = (ms(false), ms(true));
+            println!(
+                "1 000 x 1 001 rows on one key (1 001 000 out, two columns): \
+                 {plan:.2} ms in the plan's roles, {swapped:.2} swapped"
+            );
+        });
         // Build: reused buffers against a fresh table per join.
         let access = [side(&narrow[0], None, &build_keys)];
         let reused = best(|_| table.rebuild(&access, BUILD)) / BUILD as f64;

@@ -11,10 +11,12 @@
 //!   them on purpose);
 //! * [`executor`] — morsel-parallel, batch-at-a-time hash-join execution
 //!   of any [`mpdp_core::plan::PlanTree`] on the process-lifetime worker set
-//!   (`mpdp-parallel::pool`), building on the smaller modeled side and
-//!   skipping build and probe of a join with an empty input, with
-//!   per-operator [`executor::ExecStats`] and per-join observed
-//!   selectivities that are bit-identical at any worker count;
+//!   (`mpdp-parallel::pool`), building each join's table on its input with
+//!   fewer materialized rows (the physical build; reports keep the plan's
+//!   roles, the smaller modeled side as build) and skipping build and probe
+//!   of a join with an empty input, with per-operator
+//!   [`executor::ExecStats`] and per-join observed selectivities that are
+//!   bit-identical at any worker count;
 //! * [`feedback`] — folding observations back into a
 //!   [`mpdp_cost::Catalog`] as selectivity overrides, plus plan re-pricing
 //!   under corrected statistics.
