@@ -1901,10 +1901,19 @@ mod tests {
             filter_kernel(),
             chosen / ROWS as f64
         );
-        // Chain walk + output gather: every probe row hits (keys < BUILD).
+        // Chain walk + output gather: every probe row hits exactly one
+        // built row (its key is one that occurs once among the build keys).
+        let mut occurs = std::collections::HashMap::new();
+        for r in 0..BUILD {
+            *occurs.entry(build_keys.get(r)).or_insert(0) += 1;
+        }
+        let once: Vec<u64> = (0..BUILD)
+            .map(|r| build_keys.get(r))
+            .filter(|k| occurs[k] == 1)
+            .collect();
         let hits = KeyColumn::U32(
             (0..ROWS)
-                .map(|r| (key(1, r) % BUILD as u64) as u32)
+                .map(|r| once[fold(1, r as u64) as usize % once.len()] as u32)
                 .collect(),
         );
         let access = [side(&hits, None, &build_keys)];
@@ -1920,6 +1929,7 @@ mod tests {
                 walk += t1 - t0;
                 gather += t1.elapsed();
             }
+            assert_eq!(out.len(), ROWS, "every probe row matches once");
         }
         let per = |d: Duration| d.as_secs_f64() * 1e9 / (64.0 * ROWS as f64);
         println!(

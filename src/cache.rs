@@ -1,4 +1,5 @@
-//! Sharded LRU plan cache keyed by query fingerprint.
+//! Sharded plan cache keyed by query fingerprint, evicting what is cheapest
+//! to re-plan.
 //!
 //! The memo table already amortizes planning *within* one query by caching
 //! canonical subplans; [`PlanCache`] lifts the same idea to whole queries
@@ -10,12 +11,22 @@
 //!
 //! Concurrency: the key space is split across N independently mutex-guarded
 //! shards (fingerprints are uniform, so `fp mod N` balances). A lookup locks
-//! exactly one shard for a hash probe and an LRU-stamp bump — never the
+//! exactly one shard for a hash probe and a priority refresh — never the
 //! whole cache — which keeps the hit path contention-free for realistic
-//! worker counts. Eviction is per shard: capacity is divided evenly and the
-//! least-recently-used entry of the *shard* is evicted, which approximates
-//! global LRU the same way any sharded LRU (e.g. a CPU's set-associative
-//! cache) does.
+//! worker counts. Capacity is divided evenly over the shards, and each full
+//! shard evicts on its own.
+//!
+//! Eviction is GreedyDual-Size-Frequency (Cao & Irani 1997; Cherkasova
+//! 1998), with every entry the same size. Exact planning time grows steeply
+//! with query size, so one miss can cost a thousand times another; evicting
+//! by recency alone would treat them alike. An entry's re-plan cost is the
+//! cold `planned.wall` it was stored with, in seconds, and its priority is
+//! `L + hits × cost`, where `hits` counts its insertion and every hit since
+//! and `L` is the shard's inflation value. A full shard evicts the entry
+//! with the lowest `(priority, last use)` and raises `L` to that entry's
+//! priority, so an entry that stops being hit is overtaken by fresher ones
+//! and nothing is pinned forever. With equal costs and equal hit counts the
+//! least recently used entry goes first.
 //!
 //! Observability rides the workspace's counters machinery:
 //! [`CacheCounters`] (hits / misses / insertions / evictions) is shared
@@ -38,7 +49,9 @@ pub struct CacheConfig {
     /// stored.
     pub capacity: usize,
     /// Number of mutex-guarded shards. Clamped to at least 1; powers of two
-    /// divide fingerprints most evenly but any count works.
+    /// divide fingerprints most evenly but any count works. Each shard
+    /// evicts on its own, so an entry competes only with the entries of its
+    /// shard: the cache is `shards`-set associative.
     pub shards: usize,
 }
 
@@ -64,14 +77,23 @@ impl Default for CacheConfig {
 pub struct CachedPlan {
     /// The planning outcome; `planned.plan` leaves are canonical slots,
     /// `planned.wall`/`planned.reported` are the original (cold) times, and
-    /// the service stores no `planned.profile`.
+    /// the service stores no `planned.profile`. `planned.wall` is also the
+    /// entry's re-plan cost, which eviction weighs (see the module docs).
     pub planned: std::sync::Arc<Planned>,
 }
 
 struct Entry {
     value: CachedPlan,
-    /// LRU stamp: shard-local logical clock value of the last touch.
+    /// Shard-local logical clock value of the last touch; breaks priority
+    /// ties towards the least recently used entry.
     last_used: u64,
+    /// Re-plan cost: the cold `planned.wall`, in seconds.
+    cost: f64,
+    /// The insertion plus every hit since.
+    hits: u64,
+    /// GDSF priority, `L + hits × cost` with the shard's `L` at the last
+    /// touch.
+    priority: f64,
 }
 
 #[derive(Default)]
@@ -79,9 +101,12 @@ struct Shard {
     map: HashMap<u128, Entry>,
     /// Shard-local logical clock; bumped on every touch.
     clock: u64,
+    /// GDSF inflation value `L`: the priority of the last evicted entry.
+    inflation: f64,
 }
 
-/// A thread-safe, sharded LRU plan cache. See the module docs.
+/// A thread-safe, sharded plan cache that evicts the entry cheapest to
+/// re-plan. See the module docs.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard entry quota; quotas sum to exactly the configured total
@@ -136,7 +161,7 @@ impl PlanCache {
         found
     }
 
-    /// Looks up a fingerprint, refreshing its LRU stamp on a hit, *without*
+    /// Looks up a fingerprint, refreshing its priority on a hit, *without*
     /// tallying a hit or a miss. The service uses this: whether a request
     /// was a hit, a miss, a coalesced join or a degradation is only known
     /// when it is delivered, so the service records the outcome explicitly
@@ -145,14 +170,18 @@ impl PlanCache {
     pub fn get_quiet(&self, fp: Fingerprint) -> Option<CachedPlan> {
         let mut shard = lock_recover(self.shard_of(fp));
         shard.clock += 1;
-        let clock = shard.clock;
+        let (clock, inflation) = (shard.clock, shard.inflation);
         let entry = shard.map.get_mut(&fp.as_u128())?;
         entry.last_used = clock;
+        entry.hits += 1;
+        entry.priority = inflation + entry.hits as f64 * entry.cost;
         Some(entry.value.clone())
     }
 
     /// Inserts (or replaces) the plan for a fingerprint, evicting the
-    /// shard's least-recently-used entry when at capacity.
+    /// shard's lowest-priority entry when at capacity. The entry starts at
+    /// priority `L + cost` with its plan's own cost; a re-insert replaces
+    /// the old entry's cost and hit count too.
     pub fn insert(&self, fp: Fingerprint, value: CachedPlan) {
         let idx = self.shard_index(fp);
         let capacity = self.shard_capacity[idx];
@@ -166,25 +195,37 @@ impl PlanCache {
         shard.clock += 1;
         let clock = shard.clock;
         if !shard.map.contains_key(&key) && shard.map.len() >= capacity {
-            // Evict the LRU entry. The scan is O(shard entries); shards are
-            // small (capacity / shards) and eviction only runs on full
-            // shards, so this stays off the hit path entirely.
-            if let Some((&victim, _)) = shard.map.iter().min_by_key(|(_, e)| e.last_used) {
+            // Evict the lowest (priority, last use). The scan is O(shard
+            // entries); shards are small (capacity / shards) and eviction
+            // only runs on full shards, so this stays off the hit path
+            // entirely.
+            let victim = shard.map.iter().min_by(|(_, a), (_, b)| {
+                a.priority
+                    .total_cmp(&b.priority)
+                    .then(a.last_used.cmp(&b.last_used))
+            });
+            if let Some((&victim, e)) = victim {
+                shard.inflation = e.priority;
                 shard.map.remove(&victim);
                 self.counters.record_eviction();
             }
         }
+        let cost = value.planned.wall.as_secs_f64();
+        let priority = shard.inflation + cost;
         shard.map.insert(
             key,
             Entry {
                 value,
                 last_used: clock,
+                cost,
+                hits: 1,
+                priority,
             },
         );
         self.counters.record_insertion();
     }
 
-    /// Looks up a fingerprint *without* touching LRU order or the hit/miss
+    /// Looks up a fingerprint *without* touching its priority or the hit/miss
     /// counters — the feedback path inspects cached estimates without
     /// counting as traffic or keeping a doomed entry warm.
     pub fn peek(&self, fp: Fingerprint) -> Option<CachedPlan> {
@@ -270,7 +311,9 @@ impl PlanCache {
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
         for s in &self.shards {
-            lock_recover(s).map.clear();
+            let mut shard = lock_recover(s);
+            shard.map.clear();
+            shard.inflation = 0.0;
         }
     }
 
@@ -291,6 +334,11 @@ mod tests {
     }
 
     fn plan(cost: f64) -> CachedPlan {
+        walled(cost, Duration::from_millis(1))
+    }
+
+    /// A plan whose cold planning took `wall`: its re-plan cost.
+    fn walled(cost: f64, wall: Duration) -> CachedPlan {
         CachedPlan {
             planned: std::sync::Arc::new(Planned {
                 plan: PlanTree::Scan {
@@ -300,8 +348,8 @@ mod tests {
                 },
                 cost,
                 rows: 1.0,
-                wall: Duration::from_millis(1),
-                reported: Duration::from_millis(1),
+                wall,
+                reported: wall,
                 counters: None,
                 profile: None,
                 gpu: None,
@@ -310,7 +358,7 @@ mod tests {
         }
     }
 
-    /// A single-shard cache so LRU order is globally observable.
+    /// A single-shard cache so eviction order is globally observable.
     fn single_shard(capacity: usize) -> PlanCache {
         PlanCache::new(CacheConfig {
             capacity,
@@ -400,5 +448,77 @@ mod tests {
         assert_eq!(c.counters().evictions, 0);
         assert_eq!(c.get(fp(1)).unwrap().planned.cost, 9.0);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn a_costly_entry_outlives_cheap_one_shot_inserts() {
+        let c = single_shard(4);
+        c.insert(fp(0), walled(0.0, Duration::from_millis(100)));
+        // A hundred cheap one-shot plans: under LRU the first of them
+        // would evict the costly entry, the least recently used.
+        for i in 1..=100 {
+            c.insert(fp(i), plan(1.0));
+        }
+        assert_eq!(c.counters().evictions, 97);
+        assert!(c.peek(fp(0)).is_some(), "the costly entry was evicted");
+        assert!(c.peek(fp(100)).is_some());
+        assert!(c.peek(fp(1)).is_none());
+    }
+
+    #[test]
+    fn a_once_hot_entry_is_evicted_after_inflation_passes_it() {
+        let c = single_shard(2);
+        c.insert(fp(0), plan(0.0));
+        for _ in 0..9 {
+            assert!(c.get(fp(0)).is_some());
+        }
+        // Ten touches at equal cost: each one-shot insert raises `L` by one
+        // cost, so the hot entry survives the first few and is gone once
+        // `L` reaches its priority.
+        let mut survived = 0;
+        for i in 1..=20 {
+            c.insert(fp(i), plan(1.0));
+            if c.peek(fp(0)).is_none() {
+                break;
+            }
+            survived += 1;
+        }
+        assert!((9..=11).contains(&survived), "survived {survived} inserts");
+        assert!(c.peek(fp(0)).is_none(), "a hot entry is pinned forever");
+    }
+
+    #[test]
+    fn equal_costs_and_hits_tie_to_the_least_recently_used() {
+        let c = single_shard(3);
+        for i in 1..=3 {
+            c.insert(fp(i), plan(1.0));
+        }
+        // One hit each, 2 first: equal priorities, 2 least recently used.
+        for i in [2, 3, 1] {
+            assert!(c.get(fp(i)).is_some());
+        }
+        c.insert(fp(4), plan(1.0));
+        assert!(c.peek(fp(2)).is_none(), "the least recently used tie goes");
+        for i in [1, 3, 4] {
+            assert!(c.peek(fp(i)).is_some(), "{i} evicted");
+        }
+    }
+
+    #[test]
+    fn a_reinsert_takes_the_new_plans_cost() {
+        let ms = Duration::from_millis;
+        let c = single_shard(2);
+        c.insert(fp(1), walled(1.0, ms(1)));
+        c.insert(fp(2), walled(2.0, ms(10)));
+        // Re-planned dearer: 1 now outranks 2.
+        c.insert(fp(1), walled(1.0, ms(100)));
+        c.insert(fp(3), walled(3.0, ms(10)));
+        assert!(c.peek(fp(2)).is_none(), "the old cost was kept");
+        assert!(c.peek(fp(1)).is_some());
+        // Re-planned cheap again: 1 is the next victim.
+        c.insert(fp(1), walled(1.0, ms(1)));
+        c.insert(fp(4), walled(4.0, ms(10)));
+        assert!(c.peek(fp(1)).is_none(), "the old cost was kept");
+        assert_eq!(c.counters().evictions, 2);
     }
 }

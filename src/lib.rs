@@ -13,12 +13,13 @@
 //!   recommends: an exact algorithm (sequential, CPU-parallel or
 //!   simulated-GPU) up to a hardware-dependent relation limit, a heuristic
 //!   hybrid beyond it;
-//! * [`PlanService`] — the concurrent serving layer: a sharded LRU cache
-//!   keyed by canonical query fingerprints in front of the default
-//!   [`Planner`]'s route, for workloads that plan repeated query shapes
-//!   under latency budgets (see `service`); its [`PlanService::observe`] hook closes the
-//!   loop with the [`exec`] executor by invalidating cached plans whose
-//!   cardinality estimates an execution disproved.
+//! * [`PlanService`] — the concurrent serving layer: a sharded plan cache
+//!   that evicts what is cheapest to re-plan, keyed by canonical query
+//!   fingerprints in front of the default [`Planner`]'s route, for
+//!   workloads that plan repeated query shapes under latency budgets (see
+//!   `service`); its [`PlanService::observe`] hook closes the loop with
+//!   the [`exec`] executor by invalidating cached plans whose cardinality
+//!   estimates an execution disproved.
 //!
 //! ```
 //! use mpdp::prelude::*;

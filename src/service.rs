@@ -9,9 +9,10 @@
 //!   (`mpdp_core::fingerprint`) so isomorphic queries collide on a 128-bit
 //!   key: by the Probe stage, or, for a request a cluster routed by
 //!   fingerprint, by the router, which hands its form over
-//!   ([`PlanService::plan_canonical`]). Results live in a sharded LRU
-//!   [`PlanCache`], and a hit answers in microseconds with the cached plan
-//!   remapped onto the caller's own relation ids.
+//!   ([`PlanService::plan_canonical`]). Results live in a sharded
+//!   [`PlanCache`] that evicts the plans cheapest to re-plan, and a hit
+//!   answers in microseconds with the cached plan remapped onto the
+//!   caller's own relation ids.
 //! * **One route** — misses plan through [`Planner::adaptive_default`],
 //!   the paper's deployment rule (§6): exact MPDP up to 18 relations,
 //!   UnionDP-MPDP (15) beyond ([`Planner::route`]). Any request can override
@@ -487,8 +488,8 @@ impl PlanService {
     }
 
     /// True if a plan is currently cached under the model-folded key for
-    /// `fingerprint` (no LRU or counter side effects). The cluster bench
-    /// and the staleness-window tests use this to watch a gossiped
+    /// `fingerprint` (no priority or counter side effects). The cluster
+    /// bench and the staleness-window tests use this to watch a gossiped
     /// invalidation land on every replica.
     pub fn has_cached(&self, fingerprint: Fingerprint, model: &dyn CostModel) -> bool {
         self.cache.peek(cache_key(fingerprint, model)).is_some()

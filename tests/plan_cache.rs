@@ -1,5 +1,6 @@
 //! Integration tests for the serving layer: fingerprint canonicalization,
-//! the sharded LRU plan cache, and `PlanService` under concurrency.
+//! the sharded plan cache and its cost-aware eviction, and `PlanService`
+//! under concurrency.
 
 use mpdp::cache::{CacheConfig, PlanCache};
 use mpdp::registry;
@@ -70,27 +71,34 @@ proptest! {
 }
 
 #[test]
-fn lru_eviction_order_across_the_facade() {
-    // Single shard, capacity 3: inserting a 4th evicts the least recently
-    // *used* (not least recently inserted) entry.
+fn cost_order_eviction_across_the_facade() {
+    // Single shard, capacity 3: a clique-12, which takes about a thousand
+    // times as long to plan as a chain-5, outlives a stream of one-shot
+    // chain-5 requests, though it is the least recently used entry at
+    // every eviction.
     let m = PgLikeCost::new();
     let svc = PlanServiceBuilder::new()
         .cache_capacity(3)
         .cache_shards(1)
         .build();
-    let queries: Vec<LargeQuery> = (0..4).map(|i| gen::chain(6, 100 + i, &m)).collect();
-    for q in &queries[..3] {
-        assert!(!svc.plan(q, &m).unwrap().cache_hit);
+    let clique = gen::clique(12, 7, &m);
+    let cold = svc.plan(&clique, &m).unwrap();
+    assert!(!cold.cache_hit);
+    let chains: Vec<LargeQuery> = (0..20).map(|i| gen::chain(5, 100 + i, &m)).collect();
+    let mut slowest_chain = std::time::Duration::ZERO;
+    for q in &chains {
+        let served = svc.plan(q, &m).unwrap();
+        assert!(!served.cache_hit);
+        slowest_chain = slowest_chain.max(served.planned.wall);
     }
-    // Touch query 0 so query 1 becomes the LRU victim.
-    assert!(svc.plan(&queries[0], &m).unwrap().cache_hit);
-    assert!(!svc.plan(&queries[3], &m).unwrap().cache_hit);
-    assert_eq!(svc.cache_counters().evictions, 1);
-    // 0, 2, 3 still cached; 1 was evicted.
-    assert!(svc.plan(&queries[0], &m).unwrap().cache_hit);
-    assert!(svc.plan(&queries[2], &m).unwrap().cache_hit);
-    assert!(svc.plan(&queries[3], &m).unwrap().cache_hit);
-    assert!(!svc.plan(&queries[1], &m).unwrap().cache_hit);
+    assert_eq!(svc.cache_counters().evictions, 18);
+    assert_eq!(svc.cached_plans(), 3);
+    assert!(
+        svc.plan(&clique, &m).unwrap().cache_hit,
+        "the clique (planned in {:?}) was evicted; slowest chain {slowest_chain:?}",
+        cold.planned.wall
+    );
+    assert!(svc.plan(&chains[19], &m).unwrap().cache_hit);
 }
 
 #[test]
