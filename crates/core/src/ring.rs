@@ -4,21 +4,13 @@
 //! behind this ring: each shard contributes `vnodes` points hashed from
 //! `(seed, shard_id, vnode_index)`, a query fingerprint hashes to a point
 //! on the same circle, and the owning shard is the first vnode at or after
-//! it (wrapping). Two properties carry the tier:
-//!
-//! * **Balance** — with enough vnodes per shard (the default 128), the
-//!   per-shard share of a uniform key population concentrates around 1/N
-//!   (relative spread ~ 1/sqrt(vnodes)); asserted by proptest.
-//! * **Minimal disruption** — adding a shard inserts only that shard's
-//!   vnode points, so only keys whose successor point is one of the new
-//!   points move (~1/(N+1) of them), and every moved key moves *to* the
-//!   new shard. Removing a shard deletes only its points, so only keys it
-//!   owned move. Rehash does not reshuffle the survivors' cache contents.
+//! it (wrapping). With enough vnodes per shard (the default 128), the
+//! per-shard share of a uniform key population concentrates around 1/N
+//! (relative spread ~ 1/sqrt(vnodes)); asserted by proptest.
 //!
 //! Everything is deterministic from `(seed, shard ids, vnodes)`: the same
-//! configuration yields the same ring on every node and every run, which
-//! is what lets independent processes agree on ownership without
-//! coordination (and lets tests replay routing decisions exactly).
+//! configuration yields the same ring on every run, which lets tests replay
+//! routing decisions exactly.
 
 use crate::memo::murmur3_fmix64;
 
@@ -29,17 +21,15 @@ pub const DEFAULT_VNODES: usize = 128;
 
 /// A consistent-hash ring over a set of shard ids.
 ///
-/// Construction is deterministic from the seed and the shard set; shard
-/// ids are arbitrary `u32`s (they survive add/remove, so "shard 3" keeps
-/// its identity — and its cache — when shard 5 leaves the ring).
+/// Construction is deterministic from the seed and the shard set.
 #[derive(Clone, Debug)]
 pub struct HashRing {
     /// `(point_hash, shard_id)`, sorted by point hash. Ties are broken by
     /// shard id so construction order never matters.
     points: Vec<(u64, u32)>,
-    shards: Vec<u32>,
+    /// Number of distinct shards.
+    shards: usize,
     seed: u64,
-    vnodes: usize,
 }
 
 /// Hash one vnode point. Mixing the three coordinates through fmix64
@@ -79,26 +69,9 @@ impl HashRing {
         points.sort_unstable();
         HashRing {
             points,
-            shards,
+            shards: shards.len(),
             seed,
-            vnodes,
         }
-    }
-
-    /// The live shard ids, ascending.
-    pub fn shard_ids(&self) -> &[u32] {
-        &self.shards
-    }
-
-    /// Number of live shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when the ring has no shards (never, by construction — kept for
-    /// the conventional `len`/`is_empty` pairing).
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     /// Index of the first ring point at or after `key`'s position,
@@ -127,7 +100,7 @@ impl HashRing {
     /// `key`'s position — the replica set for a hot key. The primary owner
     /// is always element 0; `replicas` is clamped to the shard count.
     pub fn shards_of(&self, key: u128, replicas: usize) -> Vec<u32> {
-        let want = replicas.clamp(1, self.shards.len());
+        let want = replicas.clamp(1, self.shards);
         let mut out = Vec::with_capacity(want);
         let start = self.successor(key);
         for step in 0..self.points.len() {
@@ -140,27 +113,6 @@ impl HashRing {
             }
         }
         out
-    }
-
-    /// A new ring with `shard` added (no-op if already present). Only keys
-    /// whose successor point lands on one of the new shard's vnodes move.
-    pub fn with_shard(&self, shard: u32) -> HashRing {
-        let mut ids = self.shards.clone();
-        ids.push(shard);
-        HashRing::new(self.seed, self.vnodes, &ids)
-    }
-
-    /// A new ring with `shard` removed. Panics if it is the last shard.
-    /// Keys the removed shard owned redistribute to their next-distinct
-    /// successors; every other key keeps its owner.
-    pub fn without_shard(&self, shard: u32) -> HashRing {
-        let ids: Vec<u32> = self
-            .shards
-            .iter()
-            .copied()
-            .filter(|&s| s != shard)
-            .collect();
-        HashRing::new(self.seed, self.vnodes, &ids)
     }
 }
 
@@ -203,27 +155,5 @@ mod tests {
         // Clamped when asking for more replicas than shards exist.
         let tiny = HashRing::new(42, 16, &[0, 1]);
         assert_eq!(tiny.shards_of(1234, 8).len(), 2);
-    }
-
-    #[test]
-    fn add_shard_moves_only_to_new_shard() {
-        let old = HashRing::new(11, DEFAULT_VNODES, &[0, 1, 2, 3]);
-        let new = old.with_shard(4);
-        let mut moved = 0u64;
-        let total = 20_000u64;
-        for k in keys(total) {
-            let before = old.shard_of(k);
-            let after = new.shard_of(k);
-            if before != after {
-                moved += 1;
-                assert_eq!(after, 4, "a moved key must move to the added shard");
-            }
-        }
-        // Expect ~1/5 of keys to move; allow generous slack for vnode noise.
-        let frac = moved as f64 / total as f64;
-        assert!(
-            frac > 0.10 && frac < 0.32,
-            "moved fraction {frac:.3} outside ~1/5 band"
-        );
     }
 }

@@ -131,8 +131,8 @@ pub struct ServeConfig {
     /// what the field always amounted to — dispatchers used to be tasks on
     /// this many runtime threads — and it survives the runtime only because
     /// `benchmark/src/serve.rs` names it in a struct literal and
-    /// `benchmark/` is frozen outside `benchmark` PRs; ROADMAP 2(i) removes
-    /// it there, then the field and the `min` go.
+    /// `benchmark/` is frozen outside `benchmark` PRs; ROADMAP item 1(d)
+    /// removes it there, then the field and the `min` go.
     pub executor_threads: usize,
     /// Default per-request optimization budget.
     pub budget: Option<Duration>,

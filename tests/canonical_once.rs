@@ -23,7 +23,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-const RELABELINGS: u64 = 16;
+/// Relabelings per template: past the cluster's hot threshold of 32, so
+/// each template's first 32 go to its owner and the rest round-robin over
+/// its replica set.
+const RELABELINGS: u64 = 40;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -55,12 +58,10 @@ fn pool() -> Vec<LargeQuery> {
         .collect()
 }
 
-/// A cluster whose templates turn hot after four requests, so relabelings
-/// go both to owners and round-robin over replica sets.
+/// A 3-shard cluster with replica sets of two.
 fn cluster_config() -> ClusterConfig {
     ClusterConfig {
         shards: 3,
-        hot_threshold: 4,
         replicas: 2,
         ..ClusterConfig::default()
     }

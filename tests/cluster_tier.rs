@@ -1,17 +1,15 @@
-//! Sharded planning tier: properties of the consistent-hash ring
-//! (balance, minimal disruption, node-loss routability) and of the
-//! cluster's feedback gossip (an invalidation recorded on one shard
-//! evicts every replica within the documented staleness window — and
-//! not instantly, which would mean the bound is vacuous), and the steady
-//! state of a warmed cluster under a Zipf stream (sharding costs no hits;
-//! a rehash leaves the survivors warm).
+//! Sharded planning tier: the consistent-hash ring's balance, routing
+//! pinned against a recorded table, the gossip contract (an observation on
+//! one shard reaches every other shard after exactly one round, and not
+//! before), and the steady state of a warmed cluster under a Zipf stream
+//! (sharding costs no hits).
 
-use mpdp::exec::{ExecReport, ObservedJoin};
+use mpdp::exec::ExecReport;
 use mpdp::PlanRequest;
 use mpdp_cluster::{ClusterConfig, PlanCluster};
 use mpdp_core::fingerprint::canonicalize;
 use mpdp_core::ring::HashRing;
-use mpdp_core::{LargeQuery, RelSet};
+use mpdp_core::LargeQuery;
 use mpdp_cost::PgLikeCost;
 use mpdp_workload::{gen, StreamSpec, ZipfStream};
 use proptest::prelude::*;
@@ -20,6 +18,10 @@ use std::time::Duration;
 
 const VNODES: usize = 128;
 const KEYS: usize = 8_000;
+
+/// The cluster's hot threshold: a template's first 32 routed requests go to
+/// its owner, later ones round-robin over its replica set.
+const HOT_AFTER: usize = 32;
 
 /// Well-spread probe keys: the ring hashes them again internally, so a
 /// simple counter-derived sequence is as good as random fingerprints.
@@ -53,91 +55,15 @@ proptest! {
             "seed {seed}: emptiest of {shards} shards owns {min} keys (mean {mean:.0})"
         );
     }
-
-    /// Minimal disruption: adding a shard moves roughly 1/(N+1) of the
-    /// keys, and every mover lands on the new shard — survivors' caches
-    /// are never invalidated by a rehash.
-    #[test]
-    fn adding_a_shard_moves_only_its_fair_share(params in (any::<u64>(), 1u32..=10)) {
-        let (seed, shards) = params;
-        let ids: Vec<u32> = (0..shards).collect();
-        let ring = HashRing::new(seed, VNODES, &ids);
-        let grown = ring.with_shard(shards);
-        let mut moved = 0usize;
-        for key in probe_keys() {
-            let before = ring.shard_of(key);
-            let after = grown.shard_of(key);
-            if before != after {
-                prop_assert_eq!(after, shards, "a moved key must land on the new shard");
-                moved += 1;
-            }
-        }
-        let fair = KEYS as f64 / (shards + 1) as f64;
-        let frac = moved as f64;
-        prop_assert!(
-            frac <= 1.8 * fair,
-            "seed {seed}: {moved} of {KEYS} keys moved at {shards}→{} shards (fair {fair:.0})",
-            shards + 1
-        );
-        prop_assert!(
-            frac >= 0.3 * fair,
-            "seed {seed}: only {moved} keys moved — the new shard is starved (fair {fair:.0})"
-        );
-    }
-
-    /// Node loss: removing a shard reassigns exactly its keys (survivors'
-    /// assignments are untouched) and every key stays routable to a live
-    /// shard, with a full, distinct, live replica set.
-    #[test]
-    fn removing_a_shard_keeps_every_key_routable(
-        params in (any::<u64>(), 2u32..=10, any::<u32>())
-    ) {
-        let (seed, shards, victim_pick) = params;
-        let ids: Vec<u32> = (0..shards).collect();
-        let ring = HashRing::new(seed, VNODES, &ids);
-        let victim = victim_pick % shards;
-        let shrunk = ring.without_shard(victim);
-        prop_assert_eq!(shrunk.len(), (shards - 1) as usize);
-        let replicas = 3.min(shrunk.len());
-        for key in probe_keys().take(2_000) {
-            let before = ring.shard_of(key);
-            let after = shrunk.shard_of(key);
-            prop_assert_ne!(after, victim, "routed to the removed shard");
-            if before != victim {
-                prop_assert_eq!(
-                    before, after,
-                    "key not owned by the victim changed owner on removal"
-                );
-            }
-            let set = shrunk.shards_of(key, replicas);
-            prop_assert_eq!(set.len(), replicas);
-            prop_assert_eq!(set[0], after, "replica set is led by the owner");
-            let mut distinct = set.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            prop_assert_eq!(distinct.len(), set.len(), "replica set has duplicates");
-            for s in &set {
-                prop_assert!(*s != victim && *s < shards, "replica {s} is not live");
-            }
-        }
-    }
 }
 
-/// An [`ExecReport`] carrying only a root-cardinality observation (plus one
-/// observed join so selectivity overrides gossip too): what a serving layer
-/// would feed back after running the plan and seeing `root_rows`.
+/// An [`ExecReport`] carrying only a root-cardinality observation: what a
+/// serving layer would feed back after running the plan and seeing
+/// `root_rows`.
 fn feedback_report(root_rows: u64, est_root_rows: f64) -> ExecReport {
     ExecReport {
         stats: Vec::new(),
-        joins: vec![ObservedJoin {
-            left: RelSet::singleton(0),
-            right: RelSet::singleton(1),
-            edges: vec![0],
-            inputs: (100, 100),
-            output: 500,
-            observed_sel: 0.05,
-            est_rows: est_root_rows,
-        }],
+        joins: Vec::new(),
         root_rows,
         est_root_rows,
         wall: Duration::ZERO,
@@ -149,25 +75,24 @@ fn feedback_report(root_rows: u64, est_root_rows: f64) -> ExecReport {
 
 /// The staleness window, end to end: a hot template is replicated onto R
 /// shards; a 20× cardinality miss observed on ONE shard must evict the
-/// replica on every OTHER shard within `staleness_bound()` gossip rounds —
-/// and must NOT have evicted them before any round ran (gossip is
-/// asynchronous; the bound is the contract, not instant coherence).
+/// replica on every OTHER shard after one gossip round — and must NOT have
+/// evicted them before any round ran (gossip is asynchronous; the round is
+/// the contract, not instant coherence).
 #[test]
 fn invalidation_on_one_shard_evicts_all_replicas_within_the_bound() {
     let model = PgLikeCost::new();
     let cluster = PlanCluster::new(ClusterConfig {
         shards: 5,
-        // Hot from the first request: every arrival round-robins over the
-        // replica set, so a handful of plans warm all three replicas.
-        hot_threshold: 0,
         replicas: 3,
         ..ClusterConfig::default()
     });
     let q = gen::random_connected(8, 2, 42, &model);
 
+    // The first 32 requests warm the owner; the template is hot after
+    // them, so the next nine round-robin over the replica set.
     let mut fp = None;
     let mut est = 0.0;
-    for _ in 0..9 {
+    for _ in 0..HOT_AFTER + 9 {
         let served = cluster.plan(&q, &model).expect("plan");
         fp = Some(served.served.fingerprint);
         est = served.served.planned.rows;
@@ -191,51 +116,94 @@ fn invalidation_on_one_shard_evicts_all_replicas_within_the_bound() {
     );
 
     // Not instant: the other replicas still serve the stale plan until
-    // anti-entropy runs.
+    // a gossip round runs.
     assert_eq!(
         cluster.cached_replicas(fp, &model),
         2,
         "gossip has not run yet; remote replicas must still be cached"
     );
 
-    let bound = cluster.staleness_bound();
-    assert_eq!(bound, 2, "floor(5/2)");
-    let mut rounds = 0;
-    while cluster.cached_replicas(fp, &model) > 0 {
-        assert!(
-            rounds < bound,
-            "invalidation still not everywhere after {rounds} rounds (bound {bound})"
-        );
-        cluster.run_gossip_round();
-        rounds += 1;
-    }
-    assert!(rounds <= bound, "{rounds} rounds used, bound {bound}");
-
-    // The selectivity overrides ride the same flood: after the bound's
-    // worth of rounds every shard knows the corrected edge selectivity.
-    for _ in rounds..bound {
-        cluster.run_gossip_round();
-    }
-    for id in cluster.shard_ids() {
-        let overrides = cluster
-            .overrides_for(id, fp)
-            .unwrap_or_else(|| panic!("shard {id} never learned the overrides"));
-        assert_eq!(overrides, vec![(0, 0.05)]);
-    }
-
-    // Idempotence: replaying the same logs delivers nothing new.
-    assert_eq!(cluster.run_gossip_round(), 0, "seen-set must dedup");
+    assert_eq!(cluster.run_gossip_round(), 4, "four other shards");
+    assert_eq!(
+        cluster.cached_replicas(fp, &model),
+        0,
+        "invalidation still not everywhere after one round"
+    );
 }
 
-/// Cold traffic stays put: below the hot threshold every request for a
+/// The gossip contract at N ∈ {2, 3, 4}: an observation on any shard is
+/// applied there at once, on no other shard before a round, and on every
+/// other shard after exactly one; the next round delivers nothing, and
+/// after 10 000 observe/round cycles a round still delivers each
+/// observation once to each other shard — the outboxes hold nothing back.
+#[test]
+fn one_gossip_round_delivers_each_observation_once_to_every_other_shard() {
+    let model = PgLikeCost::new();
+    let q = gen::random_connected(8, 2, 42, &model);
+    let fp = canonicalize(&q).fingerprint;
+    let req = PlanRequest::default();
+    for n in 2..=4u32 {
+        let cluster = PlanCluster::new(ClusterConfig {
+            shards: n as usize,
+            replicas: n as usize,
+            ..ClusterConfig::default()
+        });
+        let others = u64::from(n - 1);
+        for origin in 0..n {
+            let mut est = 0.0;
+            for id in 0..n {
+                let shard = cluster.shard_service(id).expect("shard ids are 0..n");
+                est = shard
+                    .plan_coalesced(&q, &model, &req)
+                    .expect("plan")
+                    .planned
+                    .rows;
+            }
+            assert_eq!(cluster.cached_replicas(fp, &model), n as usize);
+
+            let report = feedback_report((est.max(1.0) * 20.0) as u64, est);
+            assert!(cluster.observe_on(origin, fp, &model, &report));
+            assert_eq!(
+                cluster.cached_replicas(fp, &model),
+                n as usize - 1,
+                "N = {n}, origin {origin}: another shard applied it before a round"
+            );
+            assert_eq!(
+                cluster.run_gossip_round(),
+                others,
+                "N = {n}, origin {origin}"
+            );
+            assert_eq!(
+                cluster.cached_replicas(fp, &model),
+                0,
+                "N = {n}, origin {origin}: still cached after one round"
+            );
+            assert_eq!(cluster.run_gossip_round(), 0, "N = {n}: delivered twice");
+        }
+
+        let report = feedback_report(1, 1.0);
+        for cycle in 0..10_000u32 {
+            let observations = 1 + cycle % 3;
+            for k in 0..observations {
+                cluster.observe_on((cycle + k) % n, fp, &model, &report);
+            }
+            assert_eq!(
+                cluster.run_gossip_round(),
+                u64::from(observations) * others,
+                "N = {n}, cycle {cycle}"
+            );
+        }
+    }
+}
+
+/// Cold traffic stays put: up to the hot threshold every request for a
 /// fingerprint is served by its primary owner, and only that shard's cache
-/// fills.
+/// fills; the request after the threshold is the first to go elsewhere.
 #[test]
 fn cold_templates_are_served_by_their_owner_only() {
     let model = PgLikeCost::new();
     let cluster = PlanCluster::new(ClusterConfig {
         shards: 4,
-        hot_threshold: 1_000_000,
         replicas: 2,
         ..ClusterConfig::default()
     });
@@ -251,46 +219,25 @@ fn cold_templates_are_served_by_their_owner_only() {
     assert_eq!(shards_seen.len(), 1, "cold routing is deterministic");
     assert!(shards_seen.contains(&cluster.owner(fp)));
     assert_eq!(cluster.cached_replicas(fp, &model), 1);
-    assert_eq!(cluster.hot_count(fp), 12);
+
+    // Every one of the twelve requests counted: twenty more reach the
+    // threshold on the owner, and the next goes to the other replica.
+    for _ in 12..HOT_AFTER {
+        assert_eq!(
+            cluster.plan(&q, &model).expect("plan").shard,
+            cluster.owner(fp)
+        );
+    }
+    assert_eq!(cluster.cached_replicas(fp, &model), 1);
+    let next = cluster.plan(&q, &model).expect("plan").shard;
+    assert_eq!(
+        next,
+        cluster.replica_set(fp)[1],
+        "request 33 is round-robined"
+    );
 }
 
-/// A round pushes only what is new since the last one, so a shard that joins
-/// later would never hear of older observations — unless a topology change
-/// makes every shard offer its whole log again. It does: the newcomer learns
-/// the overrides within the bound, and a settled cluster delivers nothing.
-#[test]
-fn a_shard_added_after_the_flood_still_catches_up() {
-    let model = PgLikeCost::new();
-    let cluster = PlanCluster::new(ClusterConfig {
-        shards: 4,
-        ..ClusterConfig::default()
-    });
-    let q = gen::random_connected(8, 2, 42, &model);
-    let served = cluster.plan(&q, &model).expect("plan");
-    let (fp, est) = (served.served.fingerprint, served.served.planned.rows);
-    cluster.observe(fp, &model, &feedback_report((est * 20.0) as u64, est));
-    for _ in 0..cluster.staleness_bound() {
-        cluster.run_gossip_round();
-    }
-    assert_eq!(cluster.run_gossip_round(), 0, "flooded and settled");
-
-    let newcomer = cluster.add_shard();
-    assert!(cluster.overrides_for(newcomer, fp).is_none());
-    for _ in 0..cluster.staleness_bound() {
-        cluster.run_gossip_round();
-    }
-    assert_eq!(cluster.overrides_for(newcomer, fp), Some(vec![(0, 0.05)]));
-    assert_eq!(cluster.run_gossip_round(), 0, "settled again");
-
-    // Removing a shard rewires the ring; nothing is lost or re-applied.
-    assert!(cluster.remove_shard(newcomer));
-    assert_eq!(cluster.run_gossip_round(), 0);
-    for id in cluster.shard_ids() {
-        assert_eq!(cluster.overrides_for(id, fp), Some(vec![(0, 0.05)]));
-    }
-}
-
-/// The 24-template Zipf stream the two steady-state tests below replay.
+/// The 24-template Zipf stream the steady-state test below replays.
 fn zipf_spec() -> StreamSpec {
     StreamSpec {
         templates: 24,
@@ -301,15 +248,14 @@ fn zipf_spec() -> StreamSpec {
     }
 }
 
-/// A cluster in steady state: one 600-request pass of the stream, so hot
-/// counts cross their threshold, then every template planned once on each
-/// shard of its replica set — otherwise a template that turns hot during the
-/// replay cold-plans on its second replica inside the measured window.
-/// Returned with the stream, 600 draws in.
+/// A cluster in steady state: one 600-request pass of the stream, so the
+/// head's hot counts cross the threshold, then every template planned once
+/// on each shard of its replica set — otherwise a template that turns hot
+/// during the replay cold-plans on its second replica inside the measured
+/// window. Returned with the stream, 600 draws in.
 fn warmed_cluster(shards: usize, model: &PgLikeCost) -> (PlanCluster, ZipfStream) {
     let cluster = PlanCluster::new(ClusterConfig {
         shards,
-        hot_threshold: 8,
         replicas: 2,
         ..ClusterConfig::default()
     });
@@ -356,29 +302,111 @@ fn four_shards_keep_the_one_shard_hit_rate() {
     );
 }
 
-/// A shard added to a warm cluster takes over only some templates, and the
-/// survivors' caches keep serving: the window after the rehash still hits
-/// more often than not.
+/// Sixty-four fixed templates of 6–9 relations, the fingerprints
+/// [`GOLDEN_ROUTES`] was recorded for.
+fn golden_queries(model: &PgLikeCost) -> Vec<LargeQuery> {
+    (0..64u64)
+        .map(|i| gen::random_connected(6 + i as usize % 4, 1 + i as usize % 3, 9_000 + i, model))
+        .collect()
+}
+
+/// Routing of [`golden_queries`] on a fresh default cluster of 2 shards,
+/// then of 4: one line per template, `<replica set><40 routed shards>` at 2
+/// shards, a `/`, and the same at 4. Forty consecutive requests cross the
+/// hot threshold, so each line holds both the owner-pinned and the
+/// round-robin phase. Recorded while the cluster still had an elastic
+/// topology and a settable threshold.
+const GOLDEN_ROUTES: [&str; 64] = [
+    "010000000000000000000000000000000010101010/232222222222222222222222222222222232323232",
+    "010000000000000000000000000000000010101010/010000000000000000000000000000000010101010",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "010000000000000000000000000000000010101010/303333333333333333333333333333333303030303",
+    "010000000000000000000000000000000010101010/010000000000000000000000000000000010101010",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "010000000000000000000000000000000010101010/020000000000000000000000000000000020202020",
+    "010000000000000000000000000000000010101010/303333333333333333333333333333333303030303",
+    "010000000000000000000000000000000010101010/323333333333333333333333333333333323232323",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "010000000000000000000000000000000010101010/202222222222222222222222222222222202020202",
+    "101111111111111111111111111111111101010101/313333333333333333333333333333333313131313",
+    "010000000000000000000000000000000010101010/303333333333333333333333333333333303030303",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/323333333333333333333333333333333323232323",
+    "101111111111111111111111111111111101010101/212222222222222222222222222222222212121212",
+    "101111111111111111111111111111111101010101/121111111111111111111111111111111121212121",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "010000000000000000000000000000000010101010/232222222222222222222222222222222232323232",
+    "010000000000000000000000000000000010101010/010000000000000000000000000000000010101010",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "101111111111111111111111111111111101010101/101111111111111111111111111111111101010101",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "010000000000000000000000000000000010101010/020000000000000000000000000000000020202020",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "010000000000000000000000000000000010101010/202222222222222222222222222222222202020202",
+    "010000000000000000000000000000000010101010/202222222222222222222222222222222202020202",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "010000000000000000000000000000000010101010/010000000000000000000000000000000010101010",
+    "010000000000000000000000000000000010101010/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "101111111111111111111111111111111101010101/313333333333333333333333333333333313131313",
+    "010000000000000000000000000000000010101010/202222222222222222222222222222222202020202",
+    "101111111111111111111111111111111101010101/212222222222222222222222222222222212121212",
+    "010000000000000000000000000000000010101010/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/121111111111111111111111111111111121212121",
+    "101111111111111111111111111111111101010101/121111111111111111111111111111111121212121",
+    "101111111111111111111111111111111101010101/323333333333333333333333333333333323232323",
+    "101111111111111111111111111111111101010101/313333333333333333333333333333333313131313",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/131111111111111111111111111111111131313131",
+    "101111111111111111111111111111111101010101/313333333333333333333333333333333313131313",
+    "101111111111111111111111111111111101010101/101111111111111111111111111111111101010101",
+    "010000000000000000000000000000000010101010/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/101111111111111111111111111111111101010101",
+    "101111111111111111111111111111111101010101/121111111111111111111111111111111121212121",
+    "010000000000000000000000000000000010101010/010000000000000000000000000000000010101010",
+    "101111111111111111111111111111111101010101/323333333333333333333333333333333323232323",
+    "101111111111111111111111111111111101010101/212222222222222222222222222222222212121212",
+    "010000000000000000000000000000000010101010/303333333333333333333333333333333303030303",
+    "010000000000000000000000000000000010101010/020000000000000000000000000000000020202020",
+    "010000000000000000000000000000000010101010/030000000000000000000000000000000030303030",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "010000000000000000000000000000000010101010/202222222222222222222222222222222202020202",
+    "010000000000000000000000000000000010101010/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/212222222222222222222222222222222212121212",
+    "101111111111111111111111111111111101010101/232222222222222222222222222222222232323232",
+    "101111111111111111111111111111111101010101/313333333333333333333333333333333313131313",
+    "010000000000000000000000000000000010101010/020000000000000000000000000000000020202020",
+];
+
 #[test]
-fn a_rehash_moves_some_templates_and_survivors_stay_warm() {
+fn routing_matches_the_recorded_table() {
     let model = PgLikeCost::new();
-    let (cluster, mut stream) = warmed_cluster(4, &model);
-
-    let templates = stream.templates().iter();
-    let fps: Vec<_> = templates
-        .map(|t| canonicalize(&t.query).fingerprint)
-        .collect();
-    let owners = || -> Vec<u32> { fps.iter().map(|&fp| cluster.owner(fp)).collect() };
-    let before = owners();
-    cluster.add_shard();
-    let after = owners();
-    let moved = before.iter().zip(&after).filter(|(b, a)| b != a).count();
-    assert!(
-        (1..before.len()).contains(&moved),
-        "{moved} of {} templates moved",
-        before.len()
-    );
-
-    let hit_rate = replay_hit_rate(&cluster, &model, &stream.take(300));
-    assert!(hit_rate > 0.5, "survivor caches went cold: {hit_rate}");
+    let queries = golden_queries(&model);
+    let mut lines = vec![String::new(); queries.len()];
+    for shards in [2, 4] {
+        let cluster = PlanCluster::new(ClusterConfig {
+            shards,
+            ..ClusterConfig::default()
+        });
+        for (q, line) in queries.iter().zip(&mut lines) {
+            if shards == 4 {
+                line.push('/');
+            }
+            let fp = canonicalize(q).fingerprint;
+            for id in cluster.replica_set(fp) {
+                line.push_str(&id.to_string());
+            }
+            for _ in 0..40 {
+                line.push_str(&cluster.route_service(q).shard.to_string());
+            }
+        }
+    }
+    for (i, (got, want)) in lines.iter().zip(GOLDEN_ROUTES).enumerate() {
+        assert_eq!(got, want, "template {i}");
+    }
 }
