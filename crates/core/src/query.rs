@@ -127,6 +127,10 @@ impl LargeQuery {
     }
 
     /// Adds an undirected edge, merging duplicates multiplicatively.
+    ///
+    /// Whether the pair is new is read from the adjacency list of the
+    /// endpoint with the smaller degree, so a new edge costs `O(min deg)`;
+    /// only a duplicate searches `edges` for the entry to merge into.
     pub fn add_edge(&mut self, u: usize, v: usize, sel: f64) {
         assert!(u < self.num_rels() && v < self.num_rels());
         assert_ne!(u, v);
@@ -139,11 +143,19 @@ impl LargeQuery {
         // would zero out all downstream cardinalities.
         let sel = sel.max(1e-300);
         let (a, b) = if u < v { (u, v) } else { (v, u) };
-        if let Some(e) = self
-            .edges
-            .iter_mut()
-            .find(|e| e.u == a as u32 && e.v == b as u32)
-        {
+        let (near, far) = if self.adj[a].len() <= self.adj[b].len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let known = self.adj[near].iter().any(|&(w, _)| w == far as u32);
+        let merge_into = if known {
+            let pair = (a as u32, b as u32);
+            self.edges.iter_mut().find(|e| (e.u, e.v) == pair)
+        } else {
+            None
+        };
+        if let Some(e) = merge_into {
             e.sel = (e.sel * sel).max(1e-300);
             for &(x, y) in &[(a, b), (b, a)] {
                 for entry in self.adj[x].iter_mut() {
@@ -333,6 +345,182 @@ mod tests {
         assert_eq!(qi.query_size(), 4);
         assert_eq!(qi.graph.num_edges(), 3);
         assert!(qi.graph.is_connected(qi.graph.all_vertices()));
+    }
+
+    /// `add_edge` as first written, kept as the oracle of the degree check:
+    /// searches the whole edge list for the pair on every call.
+    fn add_edge_scan(q: &mut LargeQuery, u: usize, v: usize, sel: f64) {
+        assert!(u < q.num_rels() && v < q.num_rels());
+        assert_ne!(u, v);
+        assert!(sel.is_finite() && (0.0..=1.0).contains(&sel));
+        let sel = sel.max(1e-300);
+        let (a, b) = if u < v { (u, v) } else { (v, u) };
+        if let Some(e) = q
+            .edges
+            .iter_mut()
+            .find(|e| e.u == a as u32 && e.v == b as u32)
+        {
+            e.sel = (e.sel * sel).max(1e-300);
+            for &(x, y) in &[(a, b), (b, a)] {
+                for entry in q.adj[x].iter_mut() {
+                    if entry.0 == y as u32 {
+                        entry.1 = (entry.1 * sel).max(1e-300);
+                    }
+                }
+            }
+            return;
+        }
+        q.edges.push(LargeEdge {
+            u: a as u32,
+            v: b as u32,
+            sel,
+        });
+        q.adj[a].push((b as u32, sel));
+        q.adj[b].push((a as u32, sel));
+    }
+
+    /// Edges and adjacency as bits, so two queries compare equal only when
+    /// every selectivity is the same to the bit.
+    type GraphBits = (Vec<(u32, u32, u64)>, Vec<Vec<(u32, u64)>>);
+
+    fn graph_bits(q: &LargeQuery) -> GraphBits {
+        let edges = q.edges.iter().map(|e| (e.u, e.v, e.sel.to_bits()));
+        let adj = q
+            .adj
+            .iter()
+            .map(|a| a.iter().map(|&(w, s)| (w, s.to_bits())).collect());
+        (edges.collect(), adj.collect())
+    }
+
+    /// SplitMix64: the property test's seeded stream (the crate has no
+    /// random-number dependency).
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn sel(&mut self) -> f64 {
+            // (0, 1], with some tiny factors so products reach the clamp.
+            let x = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            if self.below(8) == 0 {
+                1e-200 * (1.0 - x)
+            } else {
+                1.0 - x
+            }
+        }
+    }
+
+    #[test]
+    fn the_degree_check_builds_what_the_edge_scan_built() {
+        // Each graph is inserted pair by pair through both forms, then
+        // contracted group by group (the heuristics' `contract`: outside
+        // vertices in order, the group last, every edge re-inserted in edge
+        // order) down to one vertex, and relabelled in between; after every
+        // step both forms hold the same edges, adjacency and selectivities,
+        // bit for bit. Random connected graphs of 2–200 relations (60 in a
+        // debug build) with duplicate insertions, cliques and cycles, whose
+        // contractions merge parallel edges, and stars.
+        let max_n = if cfg!(debug_assertions) { 60 } else { 200 };
+        let mut mix = Mix(47);
+        for seed in 0..40 {
+            let n = match seed {
+                0 => 2,
+                1 => max_n,
+                _ => 2 + mix.below(max_n - 1),
+            };
+            let mut pairs: Vec<(usize, usize)> = match seed % 4 {
+                0 => (1..n).map(|i| (mix.below(i), i)).collect(),
+                1 => (0..n.min(40))
+                    .flat_map(|i| (i + 1..n.min(40)).map(move |j| (i, j)))
+                    .collect(),
+                2 => (0..n)
+                    .map(|i| (i, (i + 1) % n))
+                    .filter(|&(i, j)| i != j)
+                    .collect(),
+                _ => (1..n).map(|i| (0, i)).collect(),
+            };
+            let n = if seed % 4 == 1 { n.min(40) } else { n };
+            if seed % 4 == 0 {
+                // Extra edges, some of them repeats (merged on insertion).
+                for _ in 0..n {
+                    let (a, b) = (mix.below(n), mix.below(n));
+                    if a != b {
+                        pairs.push((a, b));
+                    }
+                }
+                let again = pairs[mix.below(pairs.len())];
+                pairs.push((again.1, again.0));
+            }
+            let rels = vec![RelInfo::new(10.0, 1.0); n];
+            let (mut new, mut old) = (LargeQuery::new(rels.clone()), LargeQuery::new(rels));
+            for &(a, b) in &pairs {
+                let sel = mix.sel();
+                new.add_edge(a, b, sel);
+                add_edge_scan(&mut old, a, b, sel);
+            }
+            assert_eq!(graph_bits(&new), graph_bits(&old), "graph {seed} as built");
+            while new.num_rels() > 1 {
+                let n = new.num_rels();
+                // A relabelling, then a contraction of 2–5 vertices.
+                let mut perm: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    perm.swap(i, mix.below(i + 1));
+                }
+                let q = new.relabel(&perm);
+                let mut r = LargeQuery::new(q.rels.clone());
+                for e in &old.edges {
+                    let (u, v) = (perm[e.u as usize], perm[e.v as usize]);
+                    add_edge_scan(&mut r, u, v, e.sel);
+                }
+                assert_eq!(
+                    graph_bits(&q),
+                    graph_bits(&r),
+                    "graph {seed} relabelled at {n}"
+                );
+                let mut in_group = vec![false; n];
+                for _ in 0..2 + mix.below(4) {
+                    in_group[mix.below(n)] = true;
+                }
+                let mut map = vec![0; n];
+                let mut outside = 0;
+                for (v, &g) in in_group.iter().enumerate() {
+                    if !g {
+                        map[v] = outside;
+                        outside += 1;
+                    }
+                }
+                for (v, &g) in in_group.iter().enumerate() {
+                    if g {
+                        map[v] = outside;
+                    }
+                }
+                let rels = vec![RelInfo::new(10.0, 1.0); outside + 1];
+                let (mut c_new, mut c_old) = (LargeQuery::new(rels.clone()), LargeQuery::new(rels));
+                for (e, f) in q.edges.iter().zip(&r.edges) {
+                    let (u, v) = (map[e.u as usize], map[e.v as usize]);
+                    if u != v {
+                        c_new.add_edge(u, v, e.sel);
+                        add_edge_scan(&mut c_old, u, v, f.sel);
+                    }
+                }
+                assert_eq!(
+                    graph_bits(&c_new),
+                    graph_bits(&c_old),
+                    "graph {seed} contracted at {n}"
+                );
+                (new, old) = (c_new, c_old);
+            }
+        }
     }
 
     #[test]

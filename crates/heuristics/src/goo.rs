@@ -12,7 +12,6 @@ use mpdp_core::plan::PlanTree;
 use mpdp_core::query::LargeQuery;
 use mpdp_core::OptError;
 use mpdp_cost::model::{CostModel, InputEst};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// The GOO optimizer.
@@ -35,15 +34,16 @@ impl Goo {
         }
         let timer = Budget::new(budget);
 
-        // Active sub-plans ("clumps"); adjacency holds combined selectivity
-        // between active entries. Ordered map, NOT a hash map: the greedy
-        // scan below keeps the *first* pair at the minimal output size, so
-        // iteration order is tie-breaking order — it must be identical on
-        // every run for plans (and downstream executed row counts) to be
-        // reproducible.
+        // Active sub-plans ("clumps"), each with its adjacency to the other
+        // active clumps: `(clump, combined selectivity)`, sorted by clump.
+        // The greedy scan below keeps the *first* pair at the minimal output
+        // size, visiting live clumps `u` ascending and each `u`'s neighbours
+        // `v > u` ascending, so that order is tie-breaking order — it must
+        // be identical on every run for plans (and downstream executed row
+        // counts) to be reproducible.
         struct Clump {
             plan: PlanTree,
-            adj: BTreeMap<usize, f64>,
+            adj: Vec<(usize, f64)>,
         }
         let mut clumps: Vec<Option<Clump>> = q
             .rels
@@ -56,28 +56,39 @@ impl Goo {
                         rows: r.rows,
                         cost: r.cost,
                     },
-                    adj: BTreeMap::new(),
+                    adj: Vec::new(),
                 })
             })
             .collect();
         for e in &q.edges {
             let (u, v) = (e.u as usize, e.v as usize);
-            *clumps[u].as_mut().unwrap().adj.entry(v).or_insert(1.0) *= e.sel;
-            *clumps[v].as_mut().unwrap().adj.entry(u).or_insert(1.0) *= e.sel;
+            clumps[u].as_mut().unwrap().adj.push((v, e.sel));
+            clumps[v].as_mut().unwrap().adj.push((u, e.sel));
         }
+        for c in clumps.iter_mut().flatten() {
+            // Stable: parallel edges to one neighbour multiply in edge order.
+            c.adj.sort_by_key(|&(w, _)| w);
+            c.adj.dedup_by(|(w, sel), (kept_w, kept)| {
+                let same = w == kept_w;
+                if same {
+                    *kept *= *sel;
+                }
+                same
+            });
+        }
+        // Live clump ids, ascending; `rows[u]` is clump `u`'s output rows.
+        let mut live: Vec<usize> = (0..n).collect();
+        let mut rows: Vec<f64> = q.rels.iter().map(|r| r.rows).collect();
 
         for _ in 1..n {
             timer.check()?;
             // Find the connected pair minimizing output rows.
             let mut best: Option<(usize, usize, f64)> = None;
-            for (u, c) in clumps.iter().enumerate() {
-                let Some(c) = c else { continue };
-                for (&v, &sel) in &c.adj {
-                    if v <= u {
-                        continue;
-                    }
-                    let other = clumps[v].as_ref().expect("adjacency must be live");
-                    let out_rows = c.plan.rows() * other.plan.rows() * sel;
+            for &u in &live {
+                let c = clumps[u].as_ref().expect("live clump");
+                let start = c.adj.partition_point(|&(v, _)| v <= u);
+                for &(v, sel) in &c.adj[start..] {
+                    let out_rows = rows[u] * rows[v] * sel;
                     match best {
                         Some((_, _, b)) if b <= out_rows => {}
                         _ => best = Some((u, v, out_rows)),
@@ -113,22 +124,19 @@ impl Goo {
                 cost,
             };
             // Merge adjacency: neighbours of u and v (excluding each other),
-            // multiplying selectivities where both touched the same target.
-            let mut adj: BTreeMap<usize, f64> = BTreeMap::new();
-            for (w, sel) in cu.adj.into_iter().chain(cv.adj) {
-                if w == u || w == v {
-                    continue;
-                }
-                *adj.entry(w).or_insert(1.0) *= sel;
-            }
+            // multiplying u's selectivity by v's where both touched the same
+            // target.
+            let adj = merge_adjacency(&cu.adj, &cv.adj, u, v);
             // Install at slot u; rewire neighbours to point at u.
-            for (&w, &sel) in &adj {
+            for &(w, sel) in &adj {
                 let cw = clumps[w].as_mut().expect("neighbour must be live");
-                cw.adj.remove(&u);
-                cw.adj.remove(&v);
-                *cw.adj.entry(u).or_insert(1.0) = sel;
+                cw.adj.retain(|&(x, _)| x != u && x != v);
+                let at = cw.adj.partition_point(|&(x, _)| x < u);
+                cw.adj.insert(at, (u, sel));
             }
             clumps[u] = Some(Clump { plan: joined, adj });
+            rows[u] = out_rows;
+            live.remove(live.binary_search(&v).expect("v is live"));
         }
 
         let final_plan = clumps
@@ -142,6 +150,45 @@ impl Goo {
     }
 }
 
+/// The adjacency of the join of clumps `u` and `v`, from `a` (`u`'s) and `b`
+/// (`v`'s), both sorted by neighbour: their union without `u` and `v`
+/// themselves, sorted, where a neighbour of both gets `u`'s selectivity
+/// times `v`'s, in that order.
+fn merge_adjacency(
+    a: &[(usize, f64)],
+    b: &[(usize, f64)],
+    u: usize,
+    v: usize,
+) -> Vec<(usize, f64)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let next = match (a.get(i), b.get(j)) {
+            (None, None) => break,
+            (Some(&(x, sx)), Some(&(y, sy))) if x == y => {
+                (i, j) = (i + 1, j + 1);
+                (x, sx * sy)
+            }
+            (Some(&(x, sx)), Some(&(y, _))) if x < y => {
+                i += 1;
+                (x, sx)
+            }
+            (Some(&(x, sx)), None) => {
+                i += 1;
+                (x, sx)
+            }
+            (_, Some(&(y, sy))) => {
+                j += 1;
+                (y, sy)
+            }
+        };
+        if next.0 != u && next.0 != v {
+            out.push(next);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +196,105 @@ mod tests {
     use mpdp_dp::common::OptContext;
     use mpdp_dp::mpdp::Mpdp;
     use mpdp_workload::gen;
+
+    /// GOO as first written, kept as the oracle of the sorted adjacency:
+    /// each clump's adjacency is a `BTreeMap` and a merge re-inserts both
+    /// maps' entries into a new one. Returns the plan.
+    fn goo_btreemap(q: &LargeQuery, model: &dyn CostModel) -> PlanTree {
+        use std::collections::BTreeMap;
+        struct Clump {
+            plan: PlanTree,
+            adj: BTreeMap<usize, f64>,
+        }
+        let mut clumps: Vec<Option<Clump>> = q
+            .rels
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let plan = PlanTree::Scan {
+                    rel: i as u32,
+                    rows: r.rows,
+                    cost: r.cost,
+                };
+                let adj = BTreeMap::new();
+                Some(Clump { plan, adj })
+            })
+            .collect();
+        for e in &q.edges {
+            let (u, v) = (e.u as usize, e.v as usize);
+            *clumps[u].as_mut().unwrap().adj.entry(v).or_insert(1.0) *= e.sel;
+            *clumps[v].as_mut().unwrap().adj.entry(u).or_insert(1.0) *= e.sel;
+        }
+        for _ in 1..q.num_rels() {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for (u, c) in clumps.iter().enumerate() {
+                let Some(c) = c else { continue };
+                for (&v, &sel) in &c.adj {
+                    if v <= u {
+                        continue;
+                    }
+                    let other = clumps[v].as_ref().unwrap();
+                    let out_rows = c.plan.rows() * other.plan.rows() * sel;
+                    match best {
+                        Some((_, _, b)) if b <= out_rows => {}
+                        _ => best = Some((u, v, out_rows)),
+                    }
+                }
+            }
+            let (u, v, out_rows) = best.unwrap();
+            let cu = clumps[u].take().unwrap();
+            let cv = clumps[v].take().unwrap();
+            let lc = InputEst {
+                cost: cu.plan.cost(),
+                rows: cu.plan.rows(),
+            };
+            let rc = InputEst {
+                cost: cv.plan.cost(),
+                rows: cv.plan.rows(),
+            };
+            let c_uv = model.join_cost(lc, rc, out_rows);
+            let c_vu = model.join_cost(rc, lc, out_rows);
+            let (lp, rp, cost) = if c_uv <= c_vu {
+                (cu.plan, cv.plan, c_uv)
+            } else {
+                (cv.plan, cu.plan, c_vu)
+            };
+            let joined = PlanTree::Join {
+                left: Box::new(lp),
+                right: Box::new(rp),
+                rows: out_rows,
+                cost,
+            };
+            let mut adj: BTreeMap<usize, f64> = BTreeMap::new();
+            for (w, sel) in cu.adj.into_iter().chain(cv.adj) {
+                if w == u || w == v {
+                    continue;
+                }
+                *adj.entry(w).or_insert(1.0) *= sel;
+            }
+            for (&w, &sel) in &adj {
+                let cw = clumps[w].as_mut().unwrap();
+                cw.adj.remove(&u);
+                cw.adj.remove(&v);
+                *cw.adj.entry(u).or_insert(1.0) = sel;
+            }
+            clumps[u] = Some(Clump { plan: joined, adj });
+        }
+        clumps.into_iter().flatten().next().unwrap().plan
+    }
+
+    #[test]
+    fn sorted_adjacency_goo_equals_the_btreemap_goo() {
+        // Every pair choice, tie-break and merged selectivity shows in the
+        // plan's bits. The equal-statistics stars tie on every pair at every
+        // step, so they also pin which of the minimal pairs wins: the first.
+        use crate::testkit::{max_oracle_rels, plan_bits, property_graphs};
+        let m = PgLikeCost::new();
+        for (name, q) in property_graphs(max_oracle_rels(), 24) {
+            let plan = Goo::run(&q, &m, None).unwrap().plan;
+            assert_eq!(plan_bits(&plan), plan_bits(&goo_btreemap(&q, &m)), "{name}");
+        }
+    }
 
     #[test]
     fn goo_produces_valid_plans() {

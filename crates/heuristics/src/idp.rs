@@ -404,6 +404,180 @@ mod tests {
         }
     }
 
+    /// The timings of DESIGN §13's card "Contraction, re-pricing and GOO":
+    /// `cargo test --release -p mpdp-heuristics heuristic_cards -- --ignored
+    /// --nocapture` (~1 s). Every figure is the minimum over repeats: ns per
+    /// `add_edge` (rebuilding the query's edge list), per full `recost` of
+    /// GOO's plan, per `recost_spine` step of IDP2-MPDP (15) and per GOO run,
+    /// on `snowflake-200` and `snowflake-1000`; then where one IDP2-MPDP (15)
+    /// call on `snowflake-200` spends its time.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn heuristic_cards() {
+        use std::cell::Cell;
+        use std::hint::black_box;
+        use std::time::Instant;
+        fn min_ns(reps: usize, mut pass: impl FnMut() -> f64) -> f64 {
+            (0..reps).map(|_| pass()).fold(f64::INFINITY, f64::min)
+        }
+        fn ns_since(t0: Instant) -> f64 {
+            t0.elapsed().as_secs_f64() * 1e9
+        }
+        let m = PgLikeCost::new();
+        for n in [200, 1000] {
+            let q = gen::snowflake(n, 4, 1, &m);
+            let add_edge = min_ns(15, || {
+                let t0 = Instant::now();
+                let mut r = LargeQuery::new(q.rels.clone());
+                for e in &q.edges {
+                    r.add_edge(e.u as usize, e.v as usize, e.sel);
+                }
+                black_box(&r);
+                ns_since(t0) / q.edges.len() as f64
+            });
+            let goo = min_ns(15, || {
+                let t0 = Instant::now();
+                black_box(Goo::run(&q, &m, None).unwrap());
+                ns_since(t0)
+            });
+            let tentative = Goo::run(&q, &m, None).unwrap().plan;
+            let full = min_ns(15, || {
+                let t0 = Instant::now();
+                black_box(recost(&tentative, &q, &m));
+                ns_since(t0)
+            });
+            // IDP2's loop, timing each step's spine re-costing on a copy.
+            let inner = mpdp_inner_with_budget(&m, Budget::new(None));
+            let mut w = Working::start(&q, &m).unwrap();
+            let (mut spine, mut steps) = (0.0, 0);
+            while let Some(path) = most_costly_subtree(&w.tree, 15) {
+                w.collapse(&path, &m, &inner).unwrap();
+                spine += min_ns(15, || {
+                    let mut tree = w.tree.clone();
+                    let t0 = Instant::now();
+                    recost_spine(&mut tree, &path, w.store.query(), &m);
+                    let ns = ns_since(t0);
+                    black_box(tree);
+                    ns
+                });
+                steps += 1;
+                recost_spine(&mut w.tree, &path, w.store.query(), &m);
+            }
+            println!(
+                "snowflake-{n}: add_edge {add_edge:.1} ns, recost {:.1} us, \
+                 recost_spine {:.1} us/step ({steps} steps), GOO {:.1} us",
+                full / 1e3,
+                spine / steps as f64 / 1e3,
+                goo / 1e3
+            );
+        }
+        // One IDP2-MPDP (15) call on snowflake-200 by phase: the loop of
+        // `idp2_with_inner` and `Working::collapse`, with a timer per phase.
+        let q = gen::snowflake(200, 4, 1, &m);
+        let names = [
+            "GOO",
+            "full recosts",
+            "subtree choice",
+            "MPDP",
+            "collapse without MPDP",
+            "leaves and relabel",
+            "recost_spine",
+        ];
+        let mut best = [f64::INFINITY; 7];
+        for _ in 0..15 {
+            let mut t = [0.0; 7];
+            let mpdp = Cell::new(0.0);
+            let exact = mpdp_inner_with_budget(&m, Budget::new(None));
+            let inner = |sub: &LargeQuery| {
+                let t0 = Instant::now();
+                let plan = exact(sub);
+                mpdp.set(mpdp.get() + ns_since(t0));
+                plan
+            };
+            let t0 = Instant::now();
+            let tentative = Goo::run(&q, &m, None).unwrap().plan;
+            t[0] += ns_since(t0);
+            let t0 = Instant::now();
+            let mut w = Working {
+                store: Composites::new(&q),
+                tree: recost(&tentative, &q, &m),
+            };
+            t[1] += ns_since(t0);
+            loop {
+                let t0 = Instant::now();
+                let Some(path) = most_costly_subtree(&w.tree, 15) else {
+                    break;
+                };
+                t[2] += ns_since(t0);
+                let t0 = Instant::now();
+                let node = subtree_at(&mut w.tree, &path);
+                let mut group: Vec<usize> = Vec::new();
+                collect_leaves(node, &mut group);
+                group.sort_unstable();
+                t[5] += ns_since(t0);
+                let t0 = Instant::now();
+                let (map, info) = w.store.collapse(&group, &m, inner).unwrap();
+                t[4] += ns_since(t0);
+                let t0 = Instant::now();
+                *node = PlanTree::Scan {
+                    rel: group[0] as u32,
+                    rows: info.rows,
+                    cost: info.cost,
+                };
+                w.tree = w.tree.relabel(&map);
+                t[5] += ns_since(t0);
+                let t0 = Instant::now();
+                recost_spine(&mut w.tree, &path, w.store.query(), &m);
+                t[6] += ns_since(t0);
+            }
+            let t0 = Instant::now();
+            black_box(w.store.into_plan(&q, &m));
+            t[1] += ns_since(t0);
+            t[3] = mpdp.get();
+            t[4] -= t[3];
+            for (b, x) in best.iter_mut().zip(t) {
+                *b = b.min(x);
+            }
+        }
+        let total: f64 = best.iter().sum();
+        println!("IDP2-MPDP (15) on snowflake-200, {:.2} ms:", total / 1e6);
+        for (name, ns) in names.iter().zip(best) {
+            println!(
+                "  {name:<22} {:>6.3} ms  {:>4.1} %",
+                ns / 1e6,
+                100.0 * ns / total
+            );
+        }
+    }
+
+    #[test]
+    fn spine_recost_equals_the_full_scan_oracle_on_random_graphs() {
+        // IDP2-MPDP (4)'s loop on every property graph: GOO's tentative
+        // plan priced in full, and the working tree after every contraction
+        // and spine re-costing, each against the full-scan pricing of the
+        // same tree over the contracted query, every node to the bit.
+        use crate::large::tests::recost_scan;
+        use crate::testkit::{max_oracle_rels, property_graphs};
+        let m = PgLikeCost::new();
+        let inner = mpdp_inner_with_budget(&m, Budget::new(None));
+        for (name, q) in property_graphs(max_oracle_rels(), 24) {
+            let mut w = Working::start(&q, &m).unwrap();
+            let oracle = recost_scan(&w.tree, &q, &m);
+            assert_eq!(plan_bits(&w.tree), plan_bits(&oracle), "{name}");
+            while let Some(path) = most_costly_subtree(&w.tree, 4) {
+                w.collapse(&path, &m, &inner).unwrap();
+                recost_spine(&mut w.tree, &path, w.store.query(), &m);
+                let oracle = recost_scan(&w.tree, w.store.query(), &m);
+                let left = w.store.query().num_rels();
+                assert_eq!(
+                    plan_bits(&w.tree),
+                    plan_bits(&oracle),
+                    "{name}, {left} left"
+                );
+            }
+        }
+    }
+
     #[test]
     fn idp2_equals_exact_when_k_covers_query() {
         let m = PgLikeCost::new();

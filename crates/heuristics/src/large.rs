@@ -185,45 +185,115 @@ pub fn validate_large(plan: &PlanTree, q: &LargeQuery) -> Option<String> {
     }
 }
 
-/// Output rows and cost of joining two priced subplans over the relation
-/// sets `ls` and `rs`: every edge of `q` between the two sets contributes its
-/// selectivity, in edge order.
-fn price_join(
-    (l, ls): (&PlanTree, &BigSet),
-    (r, rs): (&PlanTree, &BigSet),
-    q: &LargeQuery,
-    model: &dyn CostModel,
-) -> (f64, f64) {
-    let mut sel = 1.0;
-    for e in &q.edges {
-        let (u, v) = (e.u as usize, e.v as usize);
-        if (ls.contains(u) && rs.contains(v)) || (ls.contains(v) && rs.contains(u)) {
-            sel *= e.sel;
+/// The edges of a query by vertex, as ascending edge ids in one flat array:
+/// vertex `v`'s are `ids[start[v]..start[v + 1]]`. Built once per re-costing
+/// so that pricing a join reads only the edges at its smaller side.
+struct Incidence {
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Incidence {
+    fn new(q: &LargeQuery) -> Self {
+        let mut start = vec![0u32; q.num_rels() + 1];
+        for e in &q.edges {
+            start[e.u as usize + 1] += 1;
+            start[e.v as usize + 1] += 1;
+        }
+        for v in 1..start.len() {
+            start[v] += start[v - 1];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![0u32; 2 * q.edges.len()];
+        for (id, e) in q.edges.iter().enumerate() {
+            for end in [e.u as usize, e.v as usize] {
+                ids[next[end] as usize] = id as u32;
+                next[end] += 1;
+            }
+        }
+        Incidence { start, ids }
+    }
+
+    fn of(&self, v: usize) -> &[u32] {
+        &self.ids[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+}
+
+/// Prices joins against one query and cost model; what [`recost`] and
+/// [`recost_spine`] share.
+struct Pricer<'a> {
+    q: &'a LargeQuery,
+    model: &'a dyn CostModel,
+    incidence: Incidence,
+    /// One join's crossing edge ids, reused across joins.
+    crossing: Vec<u32>,
+}
+
+impl<'a> Pricer<'a> {
+    fn new(q: &'a LargeQuery, model: &'a dyn CostModel) -> Self {
+        Pricer {
+            q,
+            model,
+            incidence: Incidence::new(q),
+            crossing: Vec::new(),
         }
     }
-    let rows = l.rows() * r.rows() * sel;
-    let cost = model.join_cost(
-        InputEst {
-            cost: l.cost(),
-            rows: l.rows(),
-        },
-        InputEst {
-            cost: r.cost(),
-            rows: r.rows(),
-        },
-        rows,
-    );
-    (rows, cost)
+
+    /// Output rows and cost of joining two priced subplans over the
+    /// disjoint relation sets `ls` and `rs`: every edge of the query between
+    /// the two sets contributes its selectivity, in edge order. The crossing
+    /// edges are collected from the smaller set's incidence lists and
+    /// sorted by id, so the product has the same factors in the same order
+    /// as a scan of the whole edge list.
+    fn price_join(
+        &mut self,
+        (l, ls): (&PlanTree, &BigSet),
+        (r, rs): (&PlanTree, &BigSet),
+    ) -> (f64, f64) {
+        let (near, far) = if ls.len() <= rs.len() {
+            (ls, rs)
+        } else {
+            (rs, ls)
+        };
+        self.crossing.clear();
+        for x in near.iter() {
+            for &id in self.incidence.of(x) {
+                let e = &self.q.edges[id as usize];
+                let y = if e.u as usize == x { e.v } else { e.u };
+                if far.contains(y as usize) {
+                    self.crossing.push(id);
+                }
+            }
+        }
+        self.crossing.sort_unstable();
+        let mut sel = 1.0;
+        for &id in &self.crossing {
+            sel *= self.q.edges[id as usize].sel;
+        }
+        let rows = l.rows() * r.rows() * sel;
+        let cost = self.model.join_cost(
+            InputEst {
+                cost: l.cost(),
+                rows: l.rows(),
+            },
+            InputEst {
+                cost: r.cost(),
+                rows: r.rows(),
+            },
+            rows,
+        );
+        (rows, cost)
+    }
 }
 
 /// Recomputes a plan's cost and cardinality from scratch against the original
 /// query and cost model (used to make heuristic costs comparable regardless
 /// of how the plan was assembled).
 pub fn recost(plan: &PlanTree, q: &LargeQuery, model: &dyn CostModel) -> PlanTree {
-    fn rec(plan: &PlanTree, q: &LargeQuery, model: &dyn CostModel) -> (PlanTree, BigSet) {
+    fn rec(plan: &PlanTree, pricer: &mut Pricer) -> (PlanTree, BigSet) {
         match plan {
             PlanTree::Scan { rel, .. } => {
-                let info = q.rels[*rel as usize];
+                let info = pricer.q.rels[*rel as usize];
                 (
                     PlanTree::Scan {
                         rel: *rel,
@@ -234,9 +304,9 @@ pub fn recost(plan: &PlanTree, q: &LargeQuery, model: &dyn CostModel) -> PlanTre
                 )
             }
             PlanTree::Join { left, right, .. } => {
-                let (l, ls) = rec(left, q, model);
-                let (r, rs) = rec(right, q, model);
-                let (rows, cost) = price_join((&l, &ls), (&r, &rs), q, model);
+                let (l, ls) = rec(left, pricer);
+                let (r, rs) = rec(right, pricer);
+                let (rows, cost) = pricer.price_join((&l, &ls), (&r, &rs));
                 let set = ls.union(&rs);
                 (
                     PlanTree::Join {
@@ -250,7 +320,7 @@ pub fn recost(plan: &PlanTree, q: &LargeQuery, model: &dyn CostModel) -> PlanTre
             }
         }
     }
-    rec(plan, q, model).0
+    rec(plan, &mut Pricer::new(q, model)).0
 }
 
 /// [`recost`], in place, for a plan in which only the node at `path`
@@ -266,38 +336,41 @@ pub(crate) fn recost_spine(
     q: &LargeQuery,
     model: &dyn CostModel,
 ) -> BigSet {
-    match (plan, path.split_first()) {
-        (
-            PlanTree::Join {
-                left,
-                right,
-                rows,
-                cost,
-            },
-            Some((&go_right, rest)),
-        ) => {
-            let (on, off) = if go_right {
-                (&mut **right, &**left)
-            } else {
-                (&mut **left, &**right)
-            };
-            let on_set = recost_spine(on, rest, q, model);
-            let mut off_set = BigSet::new();
-            plan_rels(off, &mut off_set);
-            let (ls, rs) = if go_right {
-                (off_set, on_set)
-            } else {
-                (on_set, off_set)
-            };
-            (*rows, *cost) = price_join((left, &ls), (right, &rs), q, model);
-            ls.union(&rs)
-        }
-        (plan, _) => {
-            let mut set = BigSet::new();
-            plan_rels(plan, &mut set);
-            set
+    fn rec(plan: &mut PlanTree, path: &[bool], pricer: &mut Pricer) -> BigSet {
+        match (plan, path.split_first()) {
+            (
+                PlanTree::Join {
+                    left,
+                    right,
+                    rows,
+                    cost,
+                },
+                Some((&go_right, rest)),
+            ) => {
+                let (on, off) = if go_right {
+                    (&mut **right, &**left)
+                } else {
+                    (&mut **left, &**right)
+                };
+                let on_set = rec(on, rest, pricer);
+                let mut off_set = BigSet::new();
+                plan_rels(off, &mut off_set);
+                let (ls, rs) = if go_right {
+                    (off_set, on_set)
+                } else {
+                    (on_set, off_set)
+                };
+                (*rows, *cost) = pricer.price_join((left, &ls), (right, &rs));
+                ls.union(&rs)
+            }
+            (plan, _) => {
+                let mut set = BigSet::new();
+                plan_rels(plan, &mut set);
+                set
+            }
         }
     }
+    rec(plan, path, &mut Pricer::new(q, model))
 }
 
 /// A query with groups of its relations contracted into composite
@@ -428,7 +501,7 @@ fn contract(q: &LargeQuery, group: &[usize], composite: RelInfo) -> (LargeQuery,
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mpdp_cost::pglike::PgLikeCost;
     use mpdp_workload::gen;
@@ -447,6 +520,113 @@ mod tests {
             cost: 0.0,
             left: Box::new(l),
             right: Box::new(r),
+        }
+    }
+
+    /// `price_join` as first written, kept as the oracle of the
+    /// incidence-list form: scans the whole edge list for crossing edges.
+    fn price_join_scan(
+        (l, ls): (&PlanTree, &BigSet),
+        (r, rs): (&PlanTree, &BigSet),
+        q: &LargeQuery,
+        model: &dyn CostModel,
+    ) -> (f64, f64) {
+        let mut sel = 1.0;
+        for e in &q.edges {
+            let (u, v) = (e.u as usize, e.v as usize);
+            if (ls.contains(u) && rs.contains(v)) || (ls.contains(v) && rs.contains(u)) {
+                sel *= e.sel;
+            }
+        }
+        let rows = l.rows() * r.rows() * sel;
+        let cost = model.join_cost(
+            InputEst {
+                cost: l.cost(),
+                rows: l.rows(),
+            },
+            InputEst {
+                cost: r.cost(),
+                rows: r.rows(),
+            },
+            rows,
+        );
+        (rows, cost)
+    }
+
+    /// [`recost`] over [`price_join_scan`].
+    pub(crate) fn recost_scan(plan: &PlanTree, q: &LargeQuery, model: &dyn CostModel) -> PlanTree {
+        fn rec(plan: &PlanTree, q: &LargeQuery, model: &dyn CostModel) -> (PlanTree, BigSet) {
+            match plan {
+                PlanTree::Scan { rel, .. } => {
+                    let info = q.rels[*rel as usize];
+                    (
+                        PlanTree::Scan {
+                            rel: *rel,
+                            rows: info.rows,
+                            cost: info.cost,
+                        },
+                        BigSet::singleton(*rel as usize),
+                    )
+                }
+                PlanTree::Join { left, right, .. } => {
+                    let (l, ls) = rec(left, q, model);
+                    let (r, rs) = rec(right, q, model);
+                    let (rows, cost) = price_join_scan((&l, &ls), (&r, &rs), q, model);
+                    let set = ls.union(&rs);
+                    let (left, right) = (Box::new(l), Box::new(r));
+                    (
+                        PlanTree::Join {
+                            left,
+                            right,
+                            rows,
+                            cost,
+                        },
+                        set,
+                    )
+                }
+            }
+        }
+        rec(plan, q, model).0
+    }
+
+    /// A random bushy plan of a connected `q`: its edges in a seeded random
+    /// order, each joining the plans of its two endpoints unless one plan
+    /// holds both already. Rows and costs are left for a re-costing.
+    fn random_plan(q: &LargeQuery, seed: u64) -> PlanTree {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut edges = q.edges.clone();
+        edges.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let mut owner: Vec<usize> = (0..q.num_rels()).collect();
+        let mut plans: Vec<Option<PlanTree>> = (0..q.num_rels())
+            .map(|v| Some(scan(v as u32, 1.0)))
+            .collect();
+        for e in edges {
+            let (a, b) = (owner[e.u as usize], owner[e.v as usize]);
+            if a != b {
+                let joined = join(plans[a].take().unwrap(), plans[b].take().unwrap());
+                plans[a] = Some(joined);
+                owner.iter_mut().filter(|o| **o == b).for_each(|o| *o = a);
+            }
+        }
+        plans.into_iter().flatten().next().unwrap()
+    }
+
+    #[test]
+    fn edge_indexed_pricing_equals_the_full_scan() {
+        // GOO's plan and a random bushy plan of every property graph,
+        // re-costed both ways: every node's rows and cost to the bit. The
+        // cliques' joins have up to hundreds of crossing edges, whose product
+        // rounds differently in any other order. `idp.rs` holds the spine
+        // re-costing to the same oracle after every contraction.
+        use crate::testkit::{max_oracle_rels, plan_bits, property_graphs};
+        let m = PgLikeCost::new();
+        for (seed, (name, q)) in property_graphs(max_oracle_rels(), 24).iter().enumerate() {
+            let goo = crate::Goo::run(q, &m, None).unwrap().plan;
+            for plan in [goo, random_plan(q, seed as u64)] {
+                let (new, old) = (recost(&plan, q, &m), recost_scan(&plan, q, &m));
+                assert_eq!(plan_bits(&new), plan_bits(&old), "{name}");
+            }
         }
     }
 
@@ -521,6 +701,52 @@ mod tests {
             assert_eq!(plan_digest(&plan), uniondp, "UnionDP-MPDP (15) on {name}");
             let plan = LinDp::run(q, &m, None).unwrap().plan;
             assert_eq!(plan_digest(&plan), lindp, "LinDP on {name}");
+        }
+    }
+
+    #[test]
+    fn goo_and_relabelled_copies_keep_their_golden_plans() {
+        // `plan_digest` of GOO on each `plan-large` query, and of IDP2-MPDP
+        // (15), UnionDP-MPDP (15) and LinDP on its relabelled copies 1 and 2
+        // (the benchmark plans relabelled copies), recorded before GOO's
+        // adjacency became sorted vectors, `add_edge` stopped scanning the
+        // edge list and re-pricing read edges by vertex.
+        use crate::testkit::{plan_digest, plan_large_queries, relabelled};
+        use crate::{idp2_mpdp, uniondp_mpdp, Goo, LinDp};
+        #[rustfmt::skip]
+        const GOLDEN: [(&str, u64, [[u64; 3]; 2]); 7] = [
+            ("snowflake-40", 0x3abf54ef79d2927c, [[0x1de2c07d3d155477, 0x572f9a8096dd458a, 0x00d51a3ef2900b72], [0xd19991836939b08c, 0x5cc6ef06ea3cd6d2, 0x0282b2971e8bd7f6]]),
+            ("snowflake-100", 0x98b634582cbe6983, [[0xf65662555f2502cd, 0x230db601c2a33134, 0x1fe3292a2685872a], [0x1aa183a24b5084af, 0x8d7790ffa5e009aa, 0x910f4b46c04cbf6e]]),
+            ("snowflake-200", 0x4c41d18fd3c1ab5b, [[0x27eb6264ce3ef614, 0x5933fc8f30269cb3, 0xee8189892f45c85e], [0x9d53f9866c7336ee, 0x11b5bd1941725643, 0xae539c25b9c8047f]]),
+            ("star-30", 0xef88c080f94ced72, [[0xfea2ae7ff5f310d1, 0x58ab7fae833add20, 0xd1e8b12fe49babb6], [0x7e0c84d7b09a0605, 0xe3186c1930e797a5, 0xf19dda349a728ace]]),
+            ("star-60", 0x4889f72415ef9058, [[0xe41950c675d7bc72, 0x71fa1cc109717d0c, 0xb71cbd1869a965dc], [0xf97bbc5e5d8753e3, 0x153bb6df507cccaa, 0x8f129e8341e0e788]]),
+            ("musicbrainz-30", 0x9bd11a3afce7fad8, [[0xda3ef6cdf12a1047, 0xd2b685e62cf2fba8, 0x5c01554226c77f51], [0xca1ddcc8f27bdccc, 0x02850323ebb53fd5, 0xa3da34cd5286f3e9]]),
+            ("musicbrainz-50", 0x550875777f463ba4, [[0xcee998c91143c60b, 0xabeb8f5983924fbf, 0xefaaf98875327e3c], [0x1282825695afb184, 0x312574c31528fd9d, 0x127ad9cbdd3bf730]]),
+        ];
+        let m = PgLikeCost::new();
+        let queries = plan_large_queries();
+        assert_eq!(queries.len(), GOLDEN.len());
+        for ((name, q), (golden_name, goo, copies)) in queries.iter().zip(GOLDEN) {
+            assert_eq!(*name, golden_name);
+            let plan = Goo::run(q, &m, None).unwrap().plan;
+            assert_eq!(plan_digest(&plan), goo, "GOO on {name}");
+            for (copy, [idp2, uniondp, lindp]) in (1..).zip(copies) {
+                let q = relabelled(q, copy);
+                let plan = idp2_mpdp(&q, &m, 15, None).unwrap().plan;
+                assert_eq!(
+                    plan_digest(&plan),
+                    idp2,
+                    "IDP2-MPDP (15) on {name}/copy{copy}"
+                );
+                let plan = uniondp_mpdp(&q, &m, 15, None).unwrap().plan;
+                assert_eq!(
+                    plan_digest(&plan),
+                    uniondp,
+                    "UnionDP-MPDP (15) on {name}/copy{copy}"
+                );
+                let plan = LinDp::run(&q, &m, None).unwrap().plan;
+                assert_eq!(plan_digest(&plan), lindp, "LinDP on {name}/copy{copy}");
+            }
         }
     }
 

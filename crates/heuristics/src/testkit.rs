@@ -1,13 +1,13 @@
 //! Queries and plan fingerprints shared by the heuristics' oracle tests.
 
 use mpdp_core::plan::PlanTree;
-use mpdp_core::query::LargeQuery;
+use mpdp_core::query::{LargeQuery, RelInfo};
 use mpdp_cost::pglike::PgLikeCost;
 use mpdp_workload::gen;
 use mpdp_workload::musicbrainz::MusicBrainz;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The largest query the oracle tests plan: the full 200 relations in an
 /// optimized build, fewer in a debug one so tier-1 stays quick.
@@ -71,6 +71,39 @@ pub fn oracle_queries(max_n: usize) -> Vec<(String, LargeQuery)> {
         }
         let q = gen::random_connected(40, 8, seed, &m);
         out.push((format!("random_connected-40/{seed}"), q));
+    }
+    out
+}
+
+/// The differential oracles' graphs, `seeds` of each kind: a random
+/// connected graph of 2–`max_n` relations with up to as many extra edges
+/// (the first two seeds take 2 and `max_n`), a clique of 3–24 and a cycle of
+/// 3–`max_n` (whose contractions merge parallel edges), and a star of
+/// 2–`max_n` whose relations and edges all have the same statistics (every
+/// GOO pair ties).
+pub fn property_graphs(max_n: usize, seeds: u64) -> Vec<(String, LargeQuery)> {
+    let m = PgLikeCost::new();
+    let mut rng = StdRng::seed_from_u64(47);
+    let mut out = Vec::new();
+    for seed in 0..seeds {
+        let n = match seed {
+            0 => 2,
+            1 => max_n,
+            _ => rng.gen_range(2..=max_n),
+        };
+        let extra = rng.gen_range(0..=n);
+        let q = gen::random_connected(n, extra, seed, &m);
+        out.push((format!("random_connected-{n}+{extra}/{seed}"), q));
+        let n = rng.gen_range(3..=max_n.min(24));
+        out.push((format!("clique-{n}/{seed}"), gen::clique(n, seed, &m)));
+        let n = rng.gen_range(3..=max_n);
+        out.push((format!("cycle-{n}/{seed}"), gen::cycle(n, seed, &m)));
+        let n = rng.gen_range(2..=max_n);
+        let mut star = LargeQuery::new(vec![RelInfo::new(1_000.0, 10.0); n]);
+        for i in 1..n {
+            star.add_edge(0, i, 1e-3);
+        }
+        out.push((format!("equal-star-{n}"), star));
     }
     out
 }
