@@ -409,8 +409,11 @@ mod tests {
     /// --nocapture` (~1 s). Every figure is the minimum over repeats: ns per
     /// `add_edge` (rebuilding the query's edge list), per full `recost` of
     /// GOO's plan, per `recost_spine` step of IDP2-MPDP (15) and per GOO run,
-    /// on `snowflake-200` and `snowflake-1000`; then where one IDP2-MPDP (15)
-    /// call on `snowflake-200` spends its time.
+    /// on `snowflake-200` and `snowflake-1000`, with IKKBZ's rows (every
+    /// root's order linearized root by root and by the rerooting passes,
+    /// every order folded, one `best_order`, and the peak of its `links`
+    /// arena, also on `star-1000`); then where one IDP2-MPDP (15) call on
+    /// `snowflake-200` spends its time.
     #[test]
     #[ignore = "a measurement, not a check"]
     fn heuristic_cards() {
@@ -470,7 +473,26 @@ mod tests {
                 spine / steps as f64 / 1e3,
                 goo / 1e3
             );
+            let [per_root, rerooted, fold, best] = crate::ikkbz::tests::card_ns(&q, &m, 15);
+            let (links, cap) = crate::ikkbz::tests::links_peak(&q);
+            println!(
+                "snowflake-{n}: IKKBZ linearize-all {:.1} us root by root / {:.1} us rerooted, \
+                 fold-all {:.1} us, best_order {:.1} us, links {links} entries \
+                 ({cap} capacity, {:.2} MB)",
+                per_root / 1e3,
+                rerooted / 1e3,
+                fold / 1e3,
+                best / 1e3,
+                (cap * 4) as f64 / 1e6
+            );
         }
+        // A star is the arena's worst case: each leaf's up chain holds
+        // every other leaf.
+        let (links, cap) = crate::ikkbz::tests::links_peak(&gen::star(1000, 1, &m));
+        println!(
+            "star-1000: IKKBZ links {links} entries ({cap} capacity, {:.2} MB)",
+            (cap * 4) as f64 / 1e6
+        );
         // One IDP2-MPDP (15) call on snowflake-200 by phase: the loop of
         // `idp2_with_inner` and `Working::collapse`, with a timer per phase.
         let q = gen::snowflake(200, 4, 1, &m);

@@ -5,7 +5,11 @@
 //! ordered by *rank* `(T − 1) / C`, merging adjacent groups whenever
 //! precedence forces a higher-rank group before a lower-rank one. Under the
 //! `C_out`-style recursive cost model this yields the optimal left-deep order
-//! for each root in `O(n log n)`; trying all roots gives `O(n² log n)`.
+//! for each root. The chain a subtree is linearized into depends only on the
+//! directed tree edge it hangs from, not on the root, so every root's order
+//! comes from one rerooting pass (`Chains`): each directed edge's chain is
+//! built once, and a root's order is its neighbours' chains merged by rank
+//! (one stable sort of at most `n − 1` group ids) and expanded in `O(n)`.
 //!
 //! Per the paper (§7.3) IKKBZ "uses the C_out cost function to estimate the
 //! best left-deep join order"; the resulting order is then priced with the
@@ -45,137 +49,255 @@ fn spanning_tree(q: &LargeQuery) -> Vec<Vec<(usize, f64)>> {
     adj
 }
 
-/// End of a group's relation list.
+/// No parent: relation 0's entry in [`Chains::parent`].
 const NONE: u32 = u32::MAX;
 
-/// One query's spanning tree plus the scratch that linearizes it for any
-/// root, reused across roots.
+/// Where a group's list lives in [`Chains::links`]: the groups it absorbed,
+/// in order, are `links[start..split]`, and the rest of its chain is
+/// `links[split..end]`. Both halves are one rank-sorted list, the one its
+/// head was normalized against.
+#[derive(Copy, Clone, Default)]
+struct Span {
+    start: usize,
+    split: usize,
+    end: usize,
+}
+
+/// One query's spanning tree with the normalized chain of every directed
+/// tree edge, from which any root's order is expanded.
 ///
-/// A chain group starts as one relation and only ever absorbs the groups
-/// after it, so a group is named by its first relation: `t`, `c` and `rank`
-/// are indexed by that relation, and the group's relations are the linked
-/// list `next` from it to `tail`. A merge is O(1) and copies no relations.
-/// `seq` is the working sequence of group ids: each call of `linearize`
-/// appends its subtree's segment to it.
-struct Linearizer {
+/// Under any root, the subtree of `v` below its parent `p` is linearized
+/// into the same chain: a new group of `v` alone, normalized against the
+/// chains of `v`'s other neighbours merged by rank (it absorbs their front
+/// groups while it outranks the next one), followed by the groups it did
+/// not absorb. That chain depends only on the directed edge `p → v`, so its
+/// head group is named by that edge, and every group is some edge's head.
+/// With the tree hung from relation 0, relation `v > 0` has the down edge
+/// `parent(v) → v`, group `v` (head `v`), and the up edge `v → parent(v)`,
+/// group `n + v` (head `parent(v)`). The down pass builds the down chains
+/// leaves first. The up pass builds the up chains parents first: the
+/// chains around `v` merged by rank are `v`'s own order, and without the
+/// chain of a child `w` they are what `w`'s up chain is normalized against.
+/// The merges and the stable rank sort are those of the per-root
+/// linearization, so every root's order is the same, bit for bit.
+struct Chains {
     tree: Vec<Vec<(usize, f64)>>,
     rows: Vec<f64>,
+    /// Relations breadth-first from relation 0: every parent before its
+    /// children.
+    top_down: Vec<u32>,
+    /// Per relation: its parent with the tree hung from relation 0 (`NONE`
+    /// for relation 0), and the selectivity of the edge to it.
+    parent: Vec<u32>,
+    parent_sel: Vec<f64>,
     /// Compound `T` per group.
     t: Vec<f64>,
     /// Compound `C` per group.
     c: Vec<f64>,
-    /// `(T − 1) / C`, recomputed only when the group changes.
+    /// `(T − 1) / C` per group.
     rank: Vec<f64>,
-    /// Last relation per group.
-    tail: Vec<u32>,
-    /// Per relation: the next relation of its group, or `NONE`.
-    next: Vec<u32>,
-    seq: Vec<u32>,
+    span: Vec<Span>,
+    /// Every group's list, one after another.
+    links: Vec<u32>,
+    /// Scratch: one relation's neighbours' chains merged by rank.
+    merged: Vec<u32>,
+    /// Scratch: per group in `merged`, the adjacency slot of the neighbour
+    /// whose chain it came from.
+    slot: Vec<u32>,
+    /// Scratch: the groups still to expand into `order`.
+    stack: Vec<u32>,
+    order: Vec<usize>,
 }
 
-impl Linearizer {
+impl Chains {
     fn new(q: &LargeQuery) -> Self {
         let n = q.num_rels();
-        Linearizer {
-            tree: spanning_tree(q),
-            rows: q.rels.iter().map(|r| r.rows).collect(),
-            t: vec![0.0; n],
-            c: vec![0.0; n],
-            rank: vec![0.0; n],
-            tail: vec![NONE; n],
-            next: vec![NONE; n],
-            seq: Vec::with_capacity(n),
-        }
-    }
-
-    /// Writes the left-deep order for `root` into `order`.
-    fn order_for_root(&mut self, root: usize, order: &mut Vec<usize>) {
-        self.seq.clear();
-        self.linearize(root, usize::MAX);
-        order.clear();
-        order.push(root);
-        for &g in &self.seq {
-            let mut r = g;
-            while r != NONE {
-                order.push(r as usize);
-                r = self.next[r as usize];
+        let tree = spanning_tree(q);
+        let (mut parent, mut parent_sel) = (vec![NONE; n], vec![1.0; n]);
+        let mut top_down = Vec::with_capacity(n);
+        top_down.push(0u32);
+        let mut i = 0;
+        while i < top_down.len() {
+            let v = top_down[i] as usize;
+            for &(c, sel) in &tree[v] {
+                if c != 0 && parent[c] == NONE {
+                    parent[c] = v as u32;
+                    parent_sel[c] = sel;
+                    top_down.push(c as u32);
+                }
             }
+            i += 1;
+        }
+        Chains {
+            rows: q.rels.iter().map(|r| r.rows).collect(),
+            tree,
+            top_down,
+            parent,
+            parent_sel,
+            t: vec![0.0; 2 * n],
+            c: vec![0.0; 2 * n],
+            rank: vec![0.0; 2 * n],
+            span: vec![Span::default(); 2 * n],
+            links: Vec::new(),
+            merged: Vec::with_capacity(n),
+            slot: vec![0; 2 * n],
+            stack: Vec::with_capacity(n),
+            order: Vec::with_capacity(n),
         }
     }
 
-    /// Appends the linearization of the subtree below `v` (every relation
-    /// of which must come after `v`) to `seq` as an ascending-rank segment.
-    fn linearize(&mut self, v: usize, parent: usize) {
-        let base = self.seq.len();
-        for k in 0..self.tree[v].len() {
-            let (c, sel) = self.tree[v][k];
-            if c == parent {
+    /// The relation a group starts with.
+    fn head(&self, g: usize) -> usize {
+        let n = self.rows.len();
+        if g < n {
+            g
+        } else {
+            self.parent[g - n] as usize
+        }
+    }
+
+    /// Sets `merged` to the chains of `v`'s neighbours other than `skip`,
+    /// merged by rank: a stable sort of their concatenation in adjacency
+    /// order, as the per-root linearization sorts them.
+    fn merge_around(&mut self, v: usize, skip: usize) {
+        let Chains {
+            tree,
+            rows,
+            parent,
+            span,
+            links,
+            merged,
+            slot,
+            rank,
+            ..
+        } = self;
+        merged.clear();
+        for (k, &(w, _)) in tree[v].iter().enumerate() {
+            if w == skip {
                 continue;
             }
-            // The child's chain: the child, then its own subtree's segment.
-            let start = self.seq.len();
-            self.push_single(c, sel * self.rows[c]);
-            self.linearize(c, v);
-            self.normalize(start);
+            let g = if parent[v] == w as u32 {
+                rows.len() + v
+            } else {
+                w
+            };
+            let Span { split, end, .. } = span[g];
+            let from = merged.len();
+            merged.push(g as u32);
+            merged.extend_from_slice(&links[split..end]);
+            for &x in &merged[from..] {
+                slot[x as usize] = k as u32;
+            }
         }
-        // Stable merge of the independent ascending chains by rank.
-        // `total_cmp` agrees with `partial_cmp` on every rank but −0.0, and
-        // no rank is −0.0: `t − 1` is never −0.0 and `c > 0`. A NaN rank (a
-        // NaN `rows`) sorts to an end instead of panicking.
-        //
-        // The sorted segment is normalized as it stands: no group's rank
-        // exceeds its successor's, and no comparison with a NaN holds, so a
-        // normalization pass here would merge nothing.
-        let Linearizer { seq, rank, .. } = self;
-        seq[base..].sort_by(|&a, &b| rank[a as usize].total_cmp(&rank[b as usize]));
+        // A NaN rank sorts to an end instead of panicking.
+        merged.sort_by(|&a, &b| rank[a as usize].total_cmp(&rank[b as usize]));
     }
 
-    /// Starts a group of the single relation `rel`.
-    fn push_single(&mut self, rel: usize, t: f64) {
-        let c = t.max(f64::MIN_POSITIVE);
-        self.t[rel] = t;
-        self.c[rel] = c;
-        self.rank[rel] = (t - 1.0) / c;
-        self.tail[rel] = rel as u32;
-        self.next[rel] = NONE;
-        self.seq.push(rel as u32);
-    }
-
-    /// Appends group `b` to group `a`.
-    fn merge(&mut self, a: usize, b: usize) {
-        // C(AB) = C(A) + T(A)·C(B); T(AB) = T(A)·T(B).
-        self.c[a] += self.t[a] * self.c[b];
-        self.t[a] *= self.t[b];
-        self.rank[a] = (self.t[a] - 1.0) / self.c[a];
-        self.next[self.tail[a] as usize] = b as u32;
-        self.tail[a] = self.tail[b];
-    }
-
-    /// Normalizes the chain `seq[start..]` so ranks ascend, merging a group
-    /// into its predecessor whenever the predecessor's rank is the larger
-    /// (precedence-forced merges).
+    /// Closes group `g`: a new group of its head relation alone, of
+    /// compound `T = t`, followed by the rank-sorted groups `links[start..]`,
+    /// is normalized by letting the head absorb groups while it outranks
+    /// the next one (precedence-forced merges).
     ///
     /// The comparison is exact. Any tolerance would leave a child group
     /// ranked just below its parent, and the stable rank sort would then put
     /// the child first, where joining it needs a cross product.
-    ///
-    /// The chain is one new group followed by a subtree's segment, which is
-    /// already normalized. Normalizing is a stack: push each group, then
-    /// merge it down while the group below outranks it. On this input only
-    /// the bottom merges: the head absorbs the segment's groups while it
-    /// outranks the next one, and from the first group it does not outrank
-    /// on, every push meets the predecessor it had in the normalized
-    /// segment. The step-back scan makes the same merges in the same order:
-    /// it stays at the head while it merges, then walks the rest without a
-    /// violation.
-    fn normalize(&mut self, start: usize) {
-        let head = self.seq[start] as usize;
-        let mut end = start + 1;
-        while end < self.seq.len() && self.rank[head] > self.rank[self.seq[end] as usize] {
-            self.merge(head, self.seq[end] as usize);
-            end += 1;
+    fn close(&mut self, g: usize, mut t: f64, start: usize) {
+        let mut c = t.max(f64::MIN_POSITIVE);
+        let mut rank = (t - 1.0) / c;
+        let mut split = start;
+        while split < self.links.len() && rank > self.rank[self.links[split] as usize] {
+            // C(AB) = C(A) + T(A)·C(B); T(AB) = T(A)·T(B).
+            let b = self.links[split] as usize;
+            c += t * self.c[b];
+            t *= self.t[b];
+            rank = (t - 1.0) / c;
+            split += 1;
         }
-        self.seq.drain(start + 1..end);
+        (self.t[g], self.c[g], self.rank[g]) = (t, c, rank);
+        self.span[g] = Span {
+            start,
+            split,
+            end: self.links.len(),
+        };
+    }
+
+    /// Builds every down chain, leaves first.
+    fn down_pass(&mut self, budget: &Budget) -> Result<(), OptError> {
+        for i in (1..self.top_down.len()).rev() {
+            budget.check()?;
+            let v = self.top_down[i] as usize;
+            self.merge_around(v, self.parent[v] as usize);
+            let start = self.links.len();
+            self.links.extend_from_slice(&self.merged);
+            self.close(v, self.parent_sel[v] * self.rows[v], start);
+        }
+        Ok(())
+    }
+
+    /// Expands `merged`, the chains around `root`, into `root`'s order.
+    fn expand(&mut self, root: usize) {
+        self.order.clear();
+        self.order.push(root);
+        self.stack.clear();
+        self.stack.extend(self.merged.iter().rev());
+        while let Some(g) = self.stack.pop() {
+            let g = g as usize;
+            self.order.push(self.head(g));
+            let Span { start, split, .. } = self.span[g];
+            self.stack.extend(self.links[start..split].iter().rev());
+        }
+    }
+
+    /// Builds every up chain, parents first, and hands each root's order to
+    /// `visit` on the way: the order of `v` is its neighbours' chains merged,
+    /// which is what its children's up chains are made of.
+    fn up_pass(
+        &mut self,
+        budget: &Budget,
+        mut visit: impl FnMut(usize, &[usize]),
+    ) -> Result<(), OptError> {
+        for i in 0..self.top_down.len() {
+            budget.check()?;
+            let v = self.top_down[i] as usize;
+            self.merge_around(v, usize::MAX);
+            self.expand(v);
+            visit(v, &self.order);
+            for k in 0..self.tree[v].len() {
+                let (w, sel) = self.tree[v][k];
+                if self.parent[v] == w as u32 {
+                    continue;
+                }
+                let start = self.links.len();
+                let Chains {
+                    links,
+                    merged,
+                    slot,
+                    ..
+                } = self;
+                links.extend(merged.iter().filter(|&&g| slot[g as usize] != k as u32));
+                self.close(self.rows.len() + w, sel * self.rows[v], start);
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands every root's left-deep order to `visit`, roots in breadth-first
+    /// order from relation 0.
+    fn every_root(
+        &mut self,
+        budget: &Budget,
+        visit: impl FnMut(usize, &[usize]),
+    ) -> Result<(), OptError> {
+        self.down_pass(budget)?;
+        self.up_pass(budget, visit)
+    }
+
+    /// The left-deep order for `root`, once [`Chains::every_root`] has built
+    /// every chain.
+    fn order_for_root(&mut self, root: usize) -> Vec<usize> {
+        self.merge_around(root, usize::MAX);
+        self.expand(root);
+        self.order.clone()
     }
 }
 
@@ -275,29 +397,28 @@ impl Ikkbz {
         if n == 1 {
             return Ok(vec![0]);
         }
-        let mut lin = Linearizer::new(q);
+        let mut chains = Chains::new(q);
         let mut in_prefix = vec![false; n];
-        let (mut order, mut best) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let mut best_cost: Option<f64> = None;
-        for root in 0..n {
-            budget.check()?;
-            lin.order_for_root(root, &mut order);
+        let mut costs = vec![None; n];
+        chains.every_root(budget, |root, order| {
             debug_assert_eq!(order.len(), n);
             // Cost only: the plan is built once, for the winner.
-            if let Some((_, cost)) = fold_left_deep(q, &order, model, &mut in_prefix, |_, _, _| {})
-            {
-                match best_cost {
-                    Some(c) if c <= cost => {}
-                    _ => {
-                        best_cost = Some(cost);
-                        std::mem::swap(&mut best, &mut order);
-                    }
-                }
+            costs[root] =
+                fold_left_deep(q, order, model, &mut in_prefix, |_, _, _| {}).map(|(_, cost)| cost);
+        })?;
+        // The roots come breadth-first; the winner is the one a scan in
+        // index order keeps: the first of least cost.
+        let mut best: Option<(usize, f64)> = None;
+        for (root, &cost) in costs.iter().enumerate() {
+            let Some(cost) = cost else { continue };
+            match best {
+                Some((_, c)) if c <= cost => {}
+                _ => best = Some((root, cost)),
             }
         }
-        best_cost
-            .map(|_| best)
-            .ok_or_else(|| OptError::Internal("IKKBZ found no valid order".into()))
+        let (root, _) =
+            best.ok_or_else(|| OptError::Internal("IKKBZ found no valid order".into()))?;
+        Ok(chains.order_for_root(root))
     }
 
     /// Runs IKKBZ, returning the best left-deep plan.
@@ -314,14 +435,86 @@ impl Ikkbz {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use super::per_root::Linearizer;
     use super::*;
     use crate::large::validate_large;
-    use crate::testkit::{max_oracle_rels, oracle_queries};
+    use crate::testkit::{max_oracle_rels, oracle_queries, property_graphs};
     use mpdp_cost::pglike::PgLikeCost;
     use mpdp_dp::common::OptContext;
     use mpdp_dp::mpdp::Mpdp;
     use mpdp_workload::gen;
+
+    /// Every root's order from the rerooting passes, by root.
+    fn every_root_order(q: &LargeQuery) -> Vec<Vec<usize>> {
+        let mut orders = vec![Vec::new(); q.num_rels()];
+        Chains::new(q)
+            .every_root(&Budget::new(None), |root, order| {
+                assert!(orders[root].is_empty(), "root {root} visited twice");
+                orders[root] = order.to_vec();
+            })
+            .unwrap();
+        orders
+    }
+
+    /// IKKBZ's rows of `heuristic_cards`, each the minimum ns over `reps`
+    /// calls: every root's order linearized root by root (the oracle) and
+    /// by the rerooting passes, every root's order folded, and one
+    /// `best_order`.
+    pub(crate) fn card_ns(q: &LargeQuery, model: &dyn CostModel, reps: usize) -> [f64; 4] {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let min_ns = |mut pass: Box<dyn FnMut() -> f64 + '_>| {
+            (0..reps).map(|_| pass()).fold(f64::INFINITY, f64::min)
+        };
+        let per_root = min_ns(Box::new(|| {
+            let t0 = Instant::now();
+            let (mut lin, mut order) = (Linearizer::new(q), Vec::new());
+            for root in 0..q.num_rels() {
+                lin.order_for_root(root, &mut order);
+                black_box(&order);
+            }
+            t0.elapsed().as_secs_f64() * 1e9
+        }));
+        let rerooted = min_ns(Box::new(|| {
+            let t0 = Instant::now();
+            Chains::new(q)
+                .every_root(&Budget::new(None), |_, order| {
+                    black_box(order);
+                })
+                .unwrap();
+            t0.elapsed().as_secs_f64() * 1e9
+        }));
+        let orders = every_root_order(q);
+        let mut in_prefix = vec![false; q.num_rels()];
+        let fold = min_ns(Box::new(|| {
+            let t0 = Instant::now();
+            for order in &orders {
+                black_box(fold_left_deep(
+                    q,
+                    order,
+                    model,
+                    &mut in_prefix,
+                    |_, _, _| {},
+                ));
+            }
+            t0.elapsed().as_secs_f64() * 1e9
+        }));
+        let best = min_ns(Box::new(|| {
+            let t0 = Instant::now();
+            black_box(Ikkbz::best_order(q, model, &Budget::new(None)).unwrap());
+            t0.elapsed().as_secs_f64() * 1e9
+        }));
+        [per_root, rerooted, fold, best]
+    }
+
+    /// The entries and capacity of the `links` arena once every chain is
+    /// built: its peak, since the passes only ever append to it.
+    pub(crate) fn links_peak(q: &LargeQuery) -> (usize, usize) {
+        let mut chains = Chains::new(q);
+        chains.every_root(&Budget::new(None), |_, _| {}).unwrap();
+        (chains.links.len(), chains.links.capacity())
+    }
 
     #[test]
     fn produces_valid_left_deep_plans() {
@@ -349,13 +542,11 @@ mod tests {
             gen::star(15, 1, &m),
             gen::cycle(12, 4, &m),
         ] {
-            let mut lin = Linearizer::new(&q);
-            let (mut order, mut in_prefix) = (Vec::new(), vec![true; q.num_rels()]);
+            let mut in_prefix = vec![true; q.num_rels()];
             let best = Ikkbz::run(&q, &m, None).unwrap();
-            for root in 0..q.num_rels() {
-                lin.order_for_root(root, &mut order);
-                let folded = fold_left_deep(&q, &order, &m, &mut in_prefix, |_, _, _| {});
-                let built = cost_left_deep(&q, &order, &m);
+            for (root, order) in every_root_order(&q).iter().enumerate() {
+                let folded = fold_left_deep(&q, order, &m, &mut in_prefix, |_, _, _| {});
+                let built = cost_left_deep(&q, order, &m);
                 assert_eq!(
                     folded.map(|(rows, cost)| (rows.to_bits(), cost.to_bits())),
                     built
@@ -370,14 +561,29 @@ mod tests {
     }
 
     #[test]
-    fn every_root_order_equals_the_reference_linearization() {
-        for (name, q) in oracle_queries(max_oracle_rels()) {
+    fn every_root_order_equals_the_per_root_and_reference_linearizations() {
+        // Every generated query and property graph to 200 relations in
+        // release (60 in debug), and `snowflake-1000` in release. The
+        // property graphs add cliques and cycles, whose spanning trees come
+        // from many more edges, and equal-statistics stars, whose ranks all
+        // tie, so only the stable sort's adjacency order decides. The
+        // reference linearization normalizes by the general step-back scan,
+        // so it also checks that only a chain's head ever absorbs groups,
+        // which the per-root arena and the rerooting passes both assume.
+        let mut queries = oracle_queries(max_oracle_rels());
+        queries.extend(property_graphs(max_oracle_rels(), 24));
+        if cfg!(not(debug_assertions)) {
+            let m = PgLikeCost::new();
+            queries.push(("snowflake-1000".into(), gen::snowflake(1000, 4, 1, &m)));
+        }
+        for (name, q) in queries {
             let tree = spanning_tree(&q);
             let rows: Vec<f64> = q.rels.iter().map(|r| r.rows).collect();
             let mut lin = Linearizer::new(&q);
             let mut order = Vec::new();
-            for root in 0..q.num_rels() {
+            for (root, rerooted) in every_root_order(&q).iter().enumerate() {
                 lin.order_for_root(root, &mut order);
+                assert_eq!(*rerooted, order, "{name} root {root}");
                 assert_eq!(
                     order,
                     reference::order_for_root(root, &tree, &rows),
@@ -396,22 +602,20 @@ mod tests {
         let m = PgLikeCost::new();
         for (name, q) in oracle_queries(max_oracle_rels()) {
             let n = q.num_rels();
-            let mut lin = Linearizer::new(&q);
-            let (mut order, mut pos) = (Vec::new(), vec![0; n]);
-            let mut in_prefix = vec![false; n];
-            for root in 0..n {
-                lin.order_for_root(root, &mut order);
+            let tree = spanning_tree(&q);
+            let (mut pos, mut in_prefix) = (vec![0; n], vec![false; n]);
+            for (root, order) in every_root_order(&q).iter().enumerate() {
                 assert_eq!(order[0], root, "{name}");
                 for (p, &r) in order.iter().enumerate() {
                     pos[r] = p;
                 }
                 for (p, &r) in order.iter().enumerate().skip(1) {
                     assert!(
-                        lin.tree[r].iter().any(|&(w, _)| pos[w] < p),
+                        tree[r].iter().any(|&(w, _)| pos[w] < p),
                         "{name} root {root}: relation {r} before its parent"
                     );
                 }
-                let priced = fold_left_deep(&q, &order, &m, &mut in_prefix, |_, _, _| {});
+                let priced = fold_left_deep(&q, order, &m, &mut in_prefix, |_, _, _| {});
                 assert!(priced.is_some(), "{name} root {root}");
             }
         }
@@ -422,14 +626,16 @@ mod tests {
         // `chain-30` at seed 13 has group [1] at rank 0.0 and its child [0]
         // at −1.1e-16; rooted at 10, relation 0 must still come after 1.
         let q = gen::chain(30, 13, &PgLikeCost::new());
-        let mut order = Vec::new();
-        Linearizer::new(&q).order_for_root(10, &mut order);
+        let order = &every_root_order(&q)[10];
         let at = |r: usize| order.iter().position(|&x| x == r).unwrap();
         assert!(at(1) < at(0), "{order:?}");
     }
 
     #[test]
-    fn reused_scratch_gives_the_orders_of_fresh_scratch() {
+    fn the_winners_order_is_the_order_it_was_priced_by() {
+        // `best_order` re-expands the winner after the passes; every root's
+        // re-expanded order must be the one the up pass handed out, and a
+        // second call must return the first's order.
         let m = PgLikeCost::new();
         for q in [
             gen::snowflake(60, 4, 3, &m),
@@ -438,15 +644,38 @@ mod tests {
             let b = Budget::new(None);
             let first = Ikkbz::best_order(&q, &m, &b).unwrap();
             assert_eq!(first, Ikkbz::best_order(&q, &m, &b).unwrap());
-            // One scratch, roots backwards, against a fresh one per root.
-            let mut lin = Linearizer::new(&q);
-            let (mut reused, mut fresh) = (Vec::new(), Vec::new());
+            let visited = every_root_order(&q);
+            let mut chains = Chains::new(&q);
+            chains.every_root(&b, |_, _| {}).unwrap();
             for root in (0..q.num_rels()).rev() {
-                lin.order_for_root(root, &mut reused);
-                Linearizer::new(&q).order_for_root(root, &mut fresh);
-                assert_eq!(reused, fresh, "root {root}");
+                assert_eq!(chains.order_for_root(root), visited[root], "root {root}");
             }
         }
+    }
+
+    #[test]
+    fn ikkbz_times_out_within_twice_its_budget() {
+        // An unbudgeted call on snowflake-1000 takes ~17 ms in release (far
+        // more in debug); the passes poll the budget per relation, so every
+        // call with 5 ms must time out, ~0.1 ms past it when nothing else
+        // runs. Being preempted only makes a call later, so the fastest of
+        // five calls is held to twice the budget: one call alone read over
+        // 10 ms in about one run in five while the crate's tests ran beside it
+        // on two cores.
+        let m = PgLikeCost::new();
+        let q = gen::snowflake(1000, 4, 1, &m);
+        let budget = Duration::from_millis(5);
+        let fastest = (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let r = Ikkbz::run(&q, &m, Some(budget));
+                let took = start.elapsed();
+                assert!(matches!(r, Err(OptError::Timeout { .. })), "{r:?}");
+                took
+            })
+            .min()
+            .unwrap();
+        assert!(fastest < 2 * budget, "returned after {fastest:?}");
     }
 
     #[test]
@@ -472,44 +701,50 @@ mod tests {
         assert!(ik.cost <= exact.cost * 2.0 + 1e-9);
     }
 
-    /// A linearizer over `n` relations with no tree, for driving groups by
+    /// Chains over `n` relations with no tree, and groups `1..` of the
+    /// given `T` sorted into `links`, for closing group 0 against them by
     /// hand.
-    fn bare(n: usize) -> Linearizer {
-        Linearizer::new(&LargeQuery::new(vec![
+    fn closing_against(n: usize, ts: &[f64]) -> Chains {
+        let mut chains = Chains::new(&LargeQuery::new(vec![
             mpdp_core::query::RelInfo::new(
                 1.0, 1.0
             );
             n
-        ]))
+        ]));
+        for (g, &t) in (1..).zip(ts) {
+            (chains.t[g], chains.c[g], chains.rank[g]) = (t, t, (t - 1.0) / t);
+            chains.links.push(g as u32);
+        }
+        chains
     }
 
     #[test]
     fn rank_merge_math() {
-        let mut lin = bare(3);
-        lin.push_single(1, 4.0); // T=4, C=4, rank=0.75
-        lin.push_single(2, 2.0); // T=2, C=2, rank=0.5
-        assert!(lin.rank[1] > lin.rank[2]);
-        lin.merge(1, 2);
-        // T=8, C=4+4*2=12, rank=(8-1)/12
-        assert!((lin.t[1] - 8.0).abs() < 1e-12);
-        assert!((lin.c[1] - 12.0).abs() < 1e-12);
-        assert!((lin.rank[1] - 7.0 / 12.0).abs() < 1e-12);
-        assert_eq!((lin.next[1], lin.tail[1], lin.next[2]), (2, 2, NONE));
+        let mut chains = closing_against(3, &[2.0]); // T=2, C=2, rank=0.5
+        chains.close(0, 4.0, 0); // T=4, C=4, rank=0.75 > 0.5: absorbs 1
+                                 // T=8, C=4+4*2=12, rank=(8-1)/12
+        assert!((chains.t[0] - 8.0).abs() < 1e-12);
+        assert!((chains.c[0] - 12.0).abs() < 1e-12);
+        assert!((chains.rank[0] - 7.0 / 12.0).abs() < 1e-12);
+        let Span { start, split, end } = chains.span[0];
+        assert_eq!((start, split, end), (0, 1, 1));
     }
 
     #[test]
-    fn normalize_orders_ranks() {
-        let mut lin = bare(3);
-        lin.push_single(0, 8.0); // rank 7/8
-        lin.push_single(1, 2.0); // rank 1/2 < 7/8 -> merge
-        lin.push_single(2, 16.0);
-        lin.normalize(0);
-        for w in lin.seq.windows(2) {
-            assert!(lin.rank[w[0] as usize] <= lin.rank[w[1] as usize] + 1e-12);
-        }
-        // All rels preserved, in order.
-        assert_eq!(lin.seq, vec![0, 2]);
-        assert_eq!((lin.next[0], lin.next[1]), (1, NONE));
+    fn close_absorbs_only_while_the_head_outranks() {
+        // Head rank 7/8 absorbs rank 1/2 (giving 15/24), then stops before
+        // rank 15/16.
+        let mut chains = closing_against(3, &[2.0, 16.0]);
+        chains.close(0, 8.0, 0);
+        assert!(chains.rank[0] <= chains.rank[2]);
+        let Span { start, split, end } = chains.span[0];
+        assert_eq!((start, split, end), (0, 1, 2));
+        // An exact tie absorbs nothing: head rank 1/2 against rank 1/2.
+        let mut chains = closing_against(2, &[2.0]);
+        chains.close(0, 2.0, 0);
+        assert_eq!(chains.rank[0], chains.rank[1]);
+        let Span { start, split, end } = chains.span[0];
+        assert_eq!((start, split, end), (0, 0, 1));
     }
 
     #[test]
@@ -521,9 +756,175 @@ mod tests {
     }
 }
 
-/// The linearization as it was before the group arena — a `Vec` of
-/// relations per group and fresh sequences from every call — kept as the
-/// oracle the arena must equal root for root.
+/// The linearization as it was before the rerooting passes: the whole
+/// spanning tree linearized again for every root, on one reused arena of
+/// groups. Kept as the oracle the passes must equal root for root.
+#[cfg(test)]
+mod per_root {
+    use super::spanning_tree;
+    use mpdp_core::query::LargeQuery;
+
+    /// End of a group's relation list.
+    const NONE: u32 = u32::MAX;
+
+    /// One query's spanning tree plus the scratch that linearizes it for any
+    /// root, reused across roots.
+    ///
+    /// A chain group starts as one relation and only ever absorbs the groups
+    /// after it, so a group is named by its first relation: `t`, `c` and `rank`
+    /// are indexed by that relation, and the group's relations are the linked
+    /// list `next` from it to `tail`. A merge is O(1) and copies no relations.
+    /// `seq` is the working sequence of group ids: each call of `linearize`
+    /// appends its subtree's segment to it.
+    pub(super) struct Linearizer {
+        tree: Vec<Vec<(usize, f64)>>,
+        rows: Vec<f64>,
+        /// Compound `T` per group.
+        t: Vec<f64>,
+        /// Compound `C` per group.
+        c: Vec<f64>,
+        /// `(T − 1) / C`, recomputed only when the group changes.
+        rank: Vec<f64>,
+        /// Last relation per group.
+        tail: Vec<u32>,
+        /// Per relation: the next relation of its group, or `NONE`.
+        next: Vec<u32>,
+        seq: Vec<u32>,
+    }
+
+    impl Linearizer {
+        pub(super) fn new(q: &LargeQuery) -> Self {
+            let n = q.num_rels();
+            Linearizer {
+                tree: spanning_tree(q),
+                rows: q.rels.iter().map(|r| r.rows).collect(),
+                t: vec![0.0; n],
+                c: vec![0.0; n],
+                rank: vec![0.0; n],
+                tail: vec![NONE; n],
+                next: vec![NONE; n],
+                seq: Vec::with_capacity(n),
+            }
+        }
+
+        /// Writes the left-deep order for `root` into `order`.
+        pub(super) fn order_for_root(&mut self, root: usize, order: &mut Vec<usize>) {
+            self.seq.clear();
+            self.linearize(root, usize::MAX);
+            order.clear();
+            order.push(root);
+            for &g in &self.seq {
+                let mut r = g;
+                while r != NONE {
+                    order.push(r as usize);
+                    r = self.next[r as usize];
+                }
+            }
+        }
+
+        /// Appends the linearization of the subtree below `v` (every relation
+        /// of which must come after `v`) to `seq` as an ascending-rank segment.
+        fn linearize(&mut self, v: usize, parent: usize) {
+            let base = self.seq.len();
+            for k in 0..self.tree[v].len() {
+                let (c, sel) = self.tree[v][k];
+                if c == parent {
+                    continue;
+                }
+                // The child's chain: the child, then its own subtree's segment.
+                let start = self.seq.len();
+                self.push_single(c, sel * self.rows[c]);
+                self.linearize(c, v);
+                self.normalize(start);
+            }
+            // Stable merge of the independent ascending chains by rank.
+            // `total_cmp` agrees with `partial_cmp` on every rank but −0.0, and
+            // no rank is −0.0: `t − 1` is never −0.0 and `c > 0`. A NaN rank (a
+            // NaN `rows`) sorts to an end instead of panicking.
+            //
+            // The sorted segment is normalized as it stands: no group's rank
+            // exceeds its successor's, and no comparison with a NaN holds, so a
+            // normalization pass here would merge nothing.
+            let Linearizer { seq, rank, .. } = self;
+            seq[base..].sort_by(|&a, &b| rank[a as usize].total_cmp(&rank[b as usize]));
+        }
+
+        /// Starts a group of the single relation `rel`.
+        fn push_single(&mut self, rel: usize, t: f64) {
+            let c = t.max(f64::MIN_POSITIVE);
+            self.t[rel] = t;
+            self.c[rel] = c;
+            self.rank[rel] = (t - 1.0) / c;
+            self.tail[rel] = rel as u32;
+            self.next[rel] = NONE;
+            self.seq.push(rel as u32);
+        }
+
+        /// Appends group `b` to group `a`.
+        fn merge(&mut self, a: usize, b: usize) {
+            // C(AB) = C(A) + T(A)·C(B); T(AB) = T(A)·T(B).
+            self.c[a] += self.t[a] * self.c[b];
+            self.t[a] *= self.t[b];
+            self.rank[a] = (self.t[a] - 1.0) / self.c[a];
+            self.next[self.tail[a] as usize] = b as u32;
+            self.tail[a] = self.tail[b];
+        }
+
+        /// Normalizes the chain `seq[start..]` so ranks ascend, merging a group
+        /// into its predecessor whenever the predecessor's rank is the larger
+        /// (precedence-forced merges).
+        ///
+        /// The comparison is exact. Any tolerance would leave a child group
+        /// ranked just below its parent, and the stable rank sort would then put
+        /// the child first, where joining it needs a cross product.
+        ///
+        /// The chain is one new group followed by a subtree's segment, which is
+        /// already normalized. Normalizing is a stack: push each group, then
+        /// merge it down while the group below outranks it. On this input only
+        /// the bottom merges: the head absorbs the segment's groups while it
+        /// outranks the next one, and from the first group it does not outrank
+        /// on, every push meets the predecessor it had in the normalized
+        /// segment. The step-back scan makes the same merges in the same order:
+        /// it stays at the head while it merges, then walks the rest without a
+        /// violation.
+        fn normalize(&mut self, start: usize) {
+            let head = self.seq[start] as usize;
+            let mut end = start + 1;
+            while end < self.seq.len() && self.rank[head] > self.rank[self.seq[end] as usize] {
+                self.merge(head, self.seq[end] as usize);
+                end += 1;
+            }
+            self.seq.drain(start + 1..end);
+        }
+    }
+
+    #[test]
+    fn normalize_orders_ranks() {
+        let mut lin = Linearizer::new(&LargeQuery::new(vec![
+            mpdp_core::query::RelInfo::new(
+                1.0, 1.0
+            );
+            3
+        ]));
+        lin.push_single(0, 8.0); // rank 7/8
+        lin.push_single(1, 2.0); // rank 1/2 < 7/8 -> merge
+        lin.push_single(2, 16.0);
+        lin.normalize(0);
+        for w in lin.seq.windows(2) {
+            assert!(lin.rank[w[0] as usize] <= lin.rank[w[1] as usize]);
+        }
+        // All rels preserved, in order.
+        assert_eq!(lin.seq, vec![0, 2]);
+        assert_eq!((lin.next[0], lin.next[1]), (1, NONE));
+    }
+}
+
+/// The linearization as it was before the group arena: a `Vec` of
+/// relations per group, fresh sequences from every call, and the general
+/// step-back normalization after every chain and every merge by rank. The
+/// per-root arena and the rerooting passes both rely on only a chain's head
+/// ever absorbing groups; this oracle assumes nothing of the kind, and
+/// every root's order of both must equal its order.
 #[cfg(test)]
 mod reference {
     /// A chain group of relations with its compound `T`, `C` and rank.
@@ -597,5 +998,27 @@ mod reference {
             order.extend(g.rels);
         }
         order
+    }
+
+    #[test]
+    fn normalize_steps_back_after_a_merge() {
+        // Ranks 1/2, 3/4, 0: the second absorbs the third (T 4, C 8, rank
+        // 3/8), which now ranks below the first, so the scan steps back and
+        // the first absorbs it too: T 8, C 2 + 2·8.
+        let seq = normalize(vec![
+            Group::single(0, 2.0),
+            Group::single(1, 4.0),
+            Group::single(2, 1.0),
+        ]);
+        assert_eq!(seq.len(), 1);
+        assert_eq!(seq[0].rels, vec![0, 1, 2]);
+        assert!((seq[0].t - 8.0).abs() < 1e-12);
+        assert!((seq[0].c - 18.0).abs() < 1e-12);
+        // Already ascending: nothing merges.
+        let seq = normalize(vec![Group::single(0, 2.0), Group::single(1, 4.0)]);
+        assert_eq!(
+            seq.iter().map(|g| g.rels.clone()).collect::<Vec<_>>(),
+            [[0], [1]]
+        );
     }
 }
