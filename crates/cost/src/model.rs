@@ -74,8 +74,16 @@ pub trait CostModel: Sync {
     /// a split whose bound already exceeds the set's best plan so far: such a
     /// split cannot win, so skipping it changes no result.
     ///
+    /// The floor is also non-decreasing in `out_rows`: `x ≤ y` implies
+    /// `join_cost_floor(x) ≤ join_cost_floor(y)`. So `join_cost_floor(0.0)
+    /// ≥ 0` puts every join with `out_rows ≥ 0` at or above the sum of its
+    /// inputs' costs, which is what lets IKKBZ stop pricing a left-deep order
+    /// once its cost plus the scans still to join exceeds the best order's.
+    /// PgLike's `out_rows · cpu_tuple_cost`, `C_out`'s `out_rows` and the
+    /// default are all non-decreasing.
+    ///
     /// The default, `−∞`, bounds nothing, so a model that does not override
-    /// it has every split priced.
+    /// it has every split priced and every order priced whole.
     fn join_cost_floor(&self, _out_rows: f64) -> f64 {
         f64::NEG_INFINITY
     }

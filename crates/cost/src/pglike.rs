@@ -401,6 +401,33 @@ mod tests {
     }
 
     #[test]
+    fn the_floor_starts_at_zero_and_never_falls() {
+        // What IKKBZ's cutoff needs of the floor: 0 at no output rows, and
+        // non-decreasing from there on, so at or above 0 for every output,
+        // up to an infinite one, under each of the sweep's constants.
+        let rows = [
+            0.0,
+            1e-300,
+            0.5,
+            1.0,
+            8.0,
+            1e6,
+            1e15,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for m in &swept_models() {
+            assert_eq!(m.join_cost_floor(0.0), 0.0, "{:?}", m.params);
+            for w in rows.windows(2) {
+                let (lo, hi) = (m.join_cost_floor(w[0]), m.join_cost_floor(w[1]));
+                assert!(0.0 <= lo && lo <= hi, "{:?}: {lo} then {hi}", m.params);
+            }
+        }
+        assert_eq!(PgLikeCost::new().join_cost_floor(1e6), 1e4);
+    }
+
+    #[test]
     fn merge_is_priced_below_eight_rows_with_default_constants() {
         let m = PgLikeCost::new();
         assert!(!m.merge_dominated(7.999, 3.0));

@@ -357,7 +357,9 @@ fn best_bounded_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ikkbz::Ikkbz;
     use crate::large::validate_large;
+    use crate::lindp::interval_dp;
     use crate::testkit::{plan_bits, plan_large_queries};
     use mpdp_cost::pglike::PgLikeCost;
     use mpdp_dp::common::OptContext;
@@ -411,9 +413,12 @@ mod tests {
     /// GOO's plan, per `recost_spine` step of IDP2-MPDP (15) and per GOO run,
     /// on `snowflake-200` and `snowflake-1000`, with IKKBZ's rows (every
     /// root's order linearized root by root and by the rerooting passes,
-    /// every order folded, one `best_order`, and the peak of its `links`
-    /// arena, also on `star-1000`); then where one IDP2-MPDP (15) call on
-    /// `snowflake-200` spends its time.
+    /// every order folded whole, one `best_order` and the share of the
+    /// joins its cut-off folds skip, and the peak of its `links` arena, also
+    /// on `star-1000`); per `plan-large` query, one `best_order`, its
+    /// skipped share, and the interval DP over its order against the dense
+    /// reference; then where one IDP2-MPDP (15) call on `snowflake-200`
+    /// spends its time.
     #[test]
     #[ignore = "a measurement, not a check"]
     fn heuristic_cards() {
@@ -477,13 +482,44 @@ mod tests {
             let (links, cap) = crate::ikkbz::tests::links_peak(&q);
             println!(
                 "snowflake-{n}: IKKBZ linearize-all {:.1} us root by root / {:.1} us rerooted, \
-                 fold-all {:.1} us, best_order {:.1} us, links {links} entries \
-                 ({cap} capacity, {:.2} MB)",
+                 fold-all {:.1} us, best_order {:.1} us ({:.1} % of the joins skipped), \
+                 links {links} entries ({cap} capacity, {:.2} MB)",
                 per_root / 1e3,
                 rerooted / 1e3,
                 fold / 1e3,
                 best / 1e3,
+                100.0 * crate::ikkbz::tests::skipped_share(&q),
                 (cap * 4) as f64 / 1e6
+            );
+        }
+        // Per `plan-large` query: the share of every root's joins that
+        // IKKBZ's folds skip, one `best_order`, and the interval DP over its
+        // order against the reference's dense split loop.
+        for (name, q) in plan_large_queries() {
+            let b = Budget::new(None);
+            let best = min_ns(15, || {
+                let t0 = Instant::now();
+                black_box(Ikkbz::best_order(&q, &m, &b).unwrap());
+                ns_since(t0)
+            });
+            let order = Ikkbz::best_order(&q, &m, &b).unwrap();
+            let dp = min_ns(15, || {
+                let t0 = Instant::now();
+                black_box(interval_dp(&q, &order, &m, &b).unwrap());
+                ns_since(t0)
+            });
+            let dense = min_ns(15, || {
+                let t0 = Instant::now();
+                black_box(crate::lindp::reference::interval_dp(&q, &order, &m, &b).unwrap());
+                ns_since(t0)
+            });
+            println!(
+                "{name}: IKKBZ best_order {:.1} us ({:.1} % of the joins skipped), \
+                 interval_dp {:.1} us (dense reference {:.1} us)",
+                best / 1e3,
+                100.0 * crate::ikkbz::tests::skipped_share(&q),
+                dp / 1e3,
+                dense / 1e3
             );
         }
         // A star is the arena's worst case: each leaf's up chain holds

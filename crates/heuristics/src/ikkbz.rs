@@ -9,7 +9,11 @@
 //! directed tree edge it hangs from, not on the root, so every root's order
 //! comes from one rerooting pass (`Chains`): each directed edge's chain is
 //! built once, and a root's order is its neighbours' chains merged by rank
-//! (one stable sort of at most `n − 1` group ids) and expanded in `O(n)`.
+//! (one stable sort of at most `n − 1` group ids), expanded one relation at
+//! a time as the fold that prices it asks for the next. A fold stops once a
+//! lower bound on its root's cost exceeds the best whole order priced so far
+//! (`Cutoff`), so a root that cannot win is neither expanded nor priced
+//! past that point.
 //!
 //! Per the paper (§7.3) IKKBZ "uses the C_out cost function to estimate the
 //! best left-deep join order"; the resulting order is then priced with the
@@ -104,9 +108,8 @@ struct Chains {
     /// Scratch: per group in `merged`, the adjacency slot of the neighbour
     /// whose chain it came from.
     slot: Vec<u32>,
-    /// Scratch: the groups still to expand into `order`.
+    /// Scratch: the absorbed groups a [`Walk`] has still to expand.
     stack: Vec<u32>,
-    order: Vec<usize>,
 }
 
 impl Chains {
@@ -142,17 +145,6 @@ impl Chains {
             merged: Vec::with_capacity(n),
             slot: vec![0; 2 * n],
             stack: Vec::with_capacity(n),
-            order: Vec::with_capacity(n),
-        }
-    }
-
-    /// The relation a group starts with.
-    fn head(&self, g: usize) -> usize {
-        let n = self.rows.len();
-        if g < n {
-            g
-        } else {
-            self.parent[g - n] as usize
         }
     }
 
@@ -234,34 +226,34 @@ impl Chains {
         Ok(())
     }
 
-    /// Expands `merged`, the chains around `root`, into `root`'s order.
-    fn expand(&mut self, root: usize) {
-        self.order.clear();
-        self.order.push(root);
+    /// `root`'s order, relation by relation, once `merged` holds the chains
+    /// around `root`.
+    fn walk(&mut self, root: usize) -> Walk<'_> {
         self.stack.clear();
-        self.stack.extend(self.merged.iter().rev());
-        while let Some(g) = self.stack.pop() {
-            let g = g as usize;
-            self.order.push(self.head(g));
-            let Span { start, split, .. } = self.span[g];
-            self.stack.extend(self.links[start..split].iter().rev());
+        Walk {
+            root: Some(root),
+            merged: self.merged.iter(),
+            stack: &mut self.stack,
+            span: &self.span,
+            links: &self.links,
+            parent: &self.parent,
         }
     }
 
     /// Builds every up chain, parents first, and hands each root's order to
-    /// `visit` on the way: the order of `v` is its neighbours' chains merged,
-    /// which is what its children's up chains are made of.
+    /// `visit` on the way, as a [`Walk`] that expands only what `visit`
+    /// reads: the order of `v` is its neighbours' chains merged, which is
+    /// what its children's up chains are made of.
     fn up_pass(
         &mut self,
         budget: &Budget,
-        mut visit: impl FnMut(usize, &[usize]),
+        mut visit: impl FnMut(usize, Walk<'_>),
     ) -> Result<(), OptError> {
         for i in 0..self.top_down.len() {
             budget.check()?;
             let v = self.top_down[i] as usize;
             self.merge_around(v, usize::MAX);
-            self.expand(v);
-            visit(v, &self.order);
+            visit(v, self.walk(v));
             for k in 0..self.tree[v].len() {
                 let (w, sel) = self.tree[v][k];
                 if self.parent[v] == w as u32 {
@@ -286,7 +278,7 @@ impl Chains {
     fn every_root(
         &mut self,
         budget: &Budget,
-        visit: impl FnMut(usize, &[usize]),
+        visit: impl FnMut(usize, Walk<'_>),
     ) -> Result<(), OptError> {
         self.down_pass(budget)?;
         self.up_pass(budget, visit)
@@ -296,32 +288,99 @@ impl Chains {
     /// every chain.
     fn order_for_root(&mut self, root: usize) -> Vec<usize> {
         self.merge_around(root, usize::MAX);
-        self.expand(root);
-        self.order.clone()
+        self.walk(root).collect()
+    }
+}
+
+/// One root's left-deep order, expanded as it is read: the root, then the
+/// groups of its neighbours' chains merged by rank, each group its head
+/// followed by the groups it absorbed, depth first.
+struct Walk<'a> {
+    root: Option<usize>,
+    /// The merged groups not yet started.
+    merged: std::slice::Iter<'a, u32>,
+    /// The absorbed groups of the groups started, still to expand, the next
+    /// on top.
+    stack: &'a mut Vec<u32>,
+    span: &'a [Span],
+    links: &'a [u32],
+    parent: &'a [u32],
+}
+
+impl Iterator for Walk<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if let Some(root) = self.root.take() {
+            return Some(root);
+        }
+        let g = match self.stack.pop() {
+            Some(g) => g,
+            None => *self.merged.next()?,
+        } as usize;
+        let Span { start, split, .. } = self.span[g];
+        self.stack.extend(self.links[start..split].iter().rev());
+        // The relation the group starts with: `v` for the down edge
+        // `parent(v) → v`, `parent(v)` for the up edge `n + v`.
+        let n = self.parent.len();
+        Some(if g < n {
+            g
+        } else {
+            self.parent[g - n] as usize
+        })
+    }
+}
+
+/// The relations a fold has joined so far. Emptying it resets only the
+/// flags its last fold set, not all `n`.
+struct Prefix {
+    joined: Vec<bool>,
+    rels: Vec<u32>,
+}
+
+impl Prefix {
+    fn new(n: usize) -> Self {
+        Prefix {
+            joined: vec![false; n],
+            rels: Vec::with_capacity(n),
+        }
+    }
+
+    fn clear(&mut self) {
+        for v in self.rels.drain(..) {
+            self.joined[v as usize] = false;
+        }
+    }
+
+    fn insert(&mut self, v: usize) {
+        self.joined[v] = true;
+        self.rels.push(v as u32);
     }
 }
 
 /// Walks a left-deep order under the real cost model with *all* original
 /// edges (selectivities applied once both endpoints are in the prefix),
-/// reporting each join as `(relation joined, output rows, cost so far)`.
-/// Returns the final `(rows, cost)`, or `None` if the order is empty or
-/// implies a cross product. `in_prefix` is scratch of `q.num_rels()` flags.
+/// reporting each join as `(relation joined, output rows, cost so far)` to
+/// `joined`, which returns whether to go on. Returns the final `(rows,
+/// cost)`, or `None` if the order is empty, implies a cross product, or
+/// `joined` stopped it. Reads `order` only as far as it goes.
 fn fold_left_deep(
     q: &LargeQuery,
-    order: &[usize],
+    order: impl IntoIterator<Item = usize>,
     model: &dyn CostModel,
-    in_prefix: &mut [bool],
-    mut joined: impl FnMut(usize, f64, f64),
+    prefix: &mut Prefix,
+    mut joined: impl FnMut(usize, f64, f64) -> bool,
 ) -> Option<(f64, f64)> {
-    in_prefix.fill(false);
-    let first = *order.first()?;
+    prefix.clear();
+    let mut order = order.into_iter();
+    let first = order.next()?;
     let (mut rows, mut cost) = (q.rels[first].rows, q.rels[first].cost);
-    in_prefix[first] = true;
-    for &v in &order[1..] {
+    prefix.insert(first);
+    for v in order {
         let mut sel = 1.0;
         let mut connected = false;
         for &(w, s) in &q.adj[v] {
-            if in_prefix[w as usize] {
+            if prefix.joined[w as usize] {
                 sel *= s;
                 connected = true;
             }
@@ -340,10 +399,67 @@ fn fold_left_deep(
             out_rows,
         );
         rows = out_rows;
-        joined(v, rows, cost);
-        in_prefix[v] = true;
+        if !joined(v, rows, cost) {
+            return None;
+        }
+        prefix.insert(v);
     }
     Some((rows, cost))
+}
+
+/// A lower bound on what a left-deep order costs in the end, from a priced
+/// prefix of it: the prefix's cost plus the scan costs of the relations
+/// still to join.
+///
+/// It holds because every join then costs at least its two inputs: the
+/// model's [`join_cost_floor`](CostModel::join_cost_floor) is
+/// non-decreasing, so `join_cost_floor(0) ≥ 0` puts every output's floor at
+/// or above 0, and the floor's contract puts each join at or above
+/// `(left.cost + right.cost) + floor ≥ left.cost + right.cost`, rounded
+/// addition being monotone. The contract asks for input rows `≥ 0` and a
+/// bound that is a number, so [`Cutoff::new`] wants every statistic finite
+/// and non-negative. An output's rows can then be NaN only as `0 · ∞`, once
+/// a prefix's rows have overflowed `f64`: the one case where a stopped root
+/// might have priced NaN, which the scan for the winner would have let
+/// displace the roots before it.
+struct Cutoff {
+    /// The scan costs of all relations, summed in index order.
+    scans: f64,
+    /// `1 − 4(n + 1)·ε`: what rounding may cost the bound, taken off it.
+    slack: f64,
+}
+
+impl Cutoff {
+    /// `None` where the bound may not hold: a floor below 0, or a
+    /// statistic that is negative, infinite or NaN.
+    fn new(q: &LargeQuery, model: &dyn CostModel) -> Option<Self> {
+        let stat = |x: f64| (0.0..f64::INFINITY).contains(&x);
+        let sound = model.join_cost_floor(0.0) >= 0.0
+            && q.rels.iter().all(|r| stat(r.rows) && stat(r.cost))
+            && q.adj.iter().flatten().all(|&(_, sel)| stat(sel));
+        let scans: f64 = q.rels.iter().map(|r| r.cost).sum();
+        let n = q.num_rels() as f64;
+        (sound && scans.is_finite()).then_some(Cutoff {
+            scans,
+            slack: 1.0 - 4.0 * (n + 1.0) * f64::EPSILON,
+        })
+    }
+
+    /// The bound for a prefix that cost `cost` and whose relations' scan
+    /// costs sum, in fold order, to `scanned`.
+    ///
+    /// Rounding, with `u = ε/2`, all terms `≥ 0` and `m` relations in the
+    /// prefix: the fold's rounded sums lose at most a factor `(1 − u)` per
+    /// addition, so the final cost is `≥ (cost + R)(1 − n·u)`, `R` the exact
+    /// scan costs still to join. `scans` and `scanned` are each within
+    /// `n·u·S` of their exact sums (`S` all scan costs), so their difference
+    /// is within `2n·u·S` of `R`, and `S ≤ (cost + R)(1 + n·u)` since the
+    /// prefix cost covers its own scans. The bound as computed is then at
+    /// most `(cost + R)(1 + (2n + 3)·u)·slack < (cost + R)(1 − n·u)` for
+    /// any `n` below ~10¹⁴, which is at most the final cost.
+    fn bound(&self, cost: f64, scanned: f64) -> f64 {
+        (cost + (self.scans - scanned)) * self.slack
+    }
 }
 
 /// Prices a left-deep order under the real cost model with *all* original
@@ -360,15 +476,22 @@ pub fn cost_left_deep(
         cost: q.rels[rel].cost,
     };
     let mut plan = Some(scan(*order.first()?));
-    let mut in_prefix = vec![false; q.num_rels()];
-    let (rows, cost) = fold_left_deep(q, order, model, &mut in_prefix, |v, rows, cost| {
-        plan = Some(PlanTree::Join {
-            left: Box::new(plan.take().expect("the prefix's plan")),
-            right: Box::new(scan(v)),
-            rows,
-            cost,
-        });
-    })?;
+    let mut prefix = Prefix::new(q.num_rels());
+    let (rows, cost) = fold_left_deep(
+        q,
+        order.iter().copied(),
+        model,
+        &mut prefix,
+        |v, rows, cost| {
+            plan = Some(PlanTree::Join {
+                left: Box::new(plan.take().expect("the prefix's plan")),
+                right: Box::new(scan(v)),
+                rows,
+                cost,
+            });
+            true
+        },
+    )?;
     Some(LargeOptResult {
         cost,
         rows,
@@ -398,16 +521,30 @@ impl Ikkbz {
             return Ok(vec![0]);
         }
         let mut chains = Chains::new(q);
-        let mut in_prefix = vec![false; n];
+        let cutoff = Cutoff::new(q, model);
+        let mut prefix = Prefix::new(n);
         let mut costs = vec![None; n];
+        // The least cost of a whole order so far. A root whose bound rises
+        // above it costs more than some other root, so it cannot be the
+        // winner; a root that ties it is never stopped.
+        let mut least = f64::INFINITY;
         chains.every_root(budget, |root, order| {
-            debug_assert_eq!(order.len(), n);
+            let mut scanned = q.rels[root].cost;
             // Cost only: the plan is built once, for the winner.
-            costs[root] =
-                fold_left_deep(q, order, model, &mut in_prefix, |_, _, _| {}).map(|(_, cost)| cost);
+            let priced = fold_left_deep(q, order, model, &mut prefix, |v, _, cost| {
+                scanned += q.rels[v].cost;
+                !cutoff
+                    .as_ref()
+                    .is_some_and(|cut| cut.bound(cost, scanned) > least)
+            });
+            costs[root] = priced.map(|(_, cost)| cost);
+            if let Some(cost) = costs[root] {
+                least = least.min(cost);
+            }
         })?;
         // The roots come breadth-first; the winner is the one a scan in
-        // index order keeps: the first of least cost.
+        // index order keeps: the first of least cost. A stopped root has no
+        // cost, like one whose order needs a cross product.
         let mut best: Option<(usize, f64)> = None;
         for (root, &cost) in costs.iter().enumerate() {
             let Some(cost) = cost else { continue };
@@ -440,10 +577,12 @@ pub(crate) mod tests {
     use super::*;
     use crate::large::validate_large;
     use crate::testkit::{max_oracle_rels, oracle_queries, property_graphs};
+    use mpdp_cost::model::JoinAlgo;
     use mpdp_cost::pglike::PgLikeCost;
     use mpdp_dp::common::OptContext;
     use mpdp_dp::mpdp::Mpdp;
     use mpdp_workload::gen;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Every root's order from the rerooting passes, by root.
     fn every_root_order(q: &LargeQuery) -> Vec<Vec<usize>> {
@@ -451,10 +590,75 @@ pub(crate) mod tests {
         Chains::new(q)
             .every_root(&Budget::new(None), |root, order| {
                 assert!(orders[root].is_empty(), "root {root} visited twice");
-                orders[root] = order.to_vec();
+                orders[root] = order.collect();
             })
             .unwrap();
         orders
+    }
+
+    /// `best_order` as it was before the cutoff: every root's order folded
+    /// whole, the first of least cost in index order kept.
+    fn best_order_by_every_fold(q: &LargeQuery, model: &dyn CostModel) -> Vec<usize> {
+        let mut prefix = Prefix::new(q.num_rels());
+        let mut best: Option<(usize, f64)> = None;
+        let orders = every_root_order(q);
+        for (root, order) in orders.iter().enumerate() {
+            let folded =
+                fold_left_deep(q, order.iter().copied(), model, &mut prefix, |_, _, _| true);
+            let Some((_, cost)) = folded else { continue };
+            match best {
+                Some((_, c)) if c <= cost => {}
+                _ => best = Some((root, cost)),
+            }
+        }
+        orders[best.expect("a priced root").0].clone()
+    }
+
+    /// `PgLikeCost`'s prices, counting `join_cost` calls; with `floor`
+    /// false it keeps the trait's default floor, `−∞`.
+    struct Counted {
+        floor: bool,
+        calls: AtomicUsize,
+    }
+
+    impl Counted {
+        fn new(floor: bool) -> Self {
+            Counted {
+                floor,
+                calls: AtomicUsize::new(0),
+            }
+        }
+
+        fn take_calls(&self) -> usize {
+            self.calls.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    impl CostModel for Counted {
+        fn join_cost(&self, left: InputEst, right: InputEst, out_rows: f64) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            PgLikeCost::new().join_cost(left, right, out_rows)
+        }
+
+        fn join_cost_floor(&self, out_rows: f64) -> f64 {
+            if self.floor {
+                PgLikeCost::new().join_cost_floor(out_rows)
+            } else {
+                f64::NEG_INFINITY
+            }
+        }
+
+        fn join_algo(&self, left: InputEst, right: InputEst, out_rows: f64) -> JoinAlgo {
+            PgLikeCost::new().join_algo(left, right, out_rows)
+        }
+
+        fn scan_cost(&self, rows: f64) -> f64 {
+            PgLikeCost::new().scan_cost(rows)
+        }
+
+        fn name(&self) -> &'static str {
+            "counted"
+        }
     }
 
     /// IKKBZ's rows of `heuristic_cards`, each the minimum ns over `reps`
@@ -480,22 +684,24 @@ pub(crate) mod tests {
             let t0 = Instant::now();
             Chains::new(q)
                 .every_root(&Budget::new(None), |_, order| {
-                    black_box(order);
+                    order.for_each(|v| {
+                        black_box(v);
+                    });
                 })
                 .unwrap();
             t0.elapsed().as_secs_f64() * 1e9
         }));
         let orders = every_root_order(q);
-        let mut in_prefix = vec![false; q.num_rels()];
+        let mut prefix = Prefix::new(q.num_rels());
         let fold = min_ns(Box::new(|| {
             let t0 = Instant::now();
             for order in &orders {
                 black_box(fold_left_deep(
                     q,
-                    order,
+                    order.iter().copied(),
                     model,
-                    &mut in_prefix,
-                    |_, _, _| {},
+                    &mut prefix,
+                    |_, _, _| true,
                 ));
             }
             t0.elapsed().as_secs_f64() * 1e9
@@ -506,6 +712,15 @@ pub(crate) mod tests {
             t0.elapsed().as_secs_f64() * 1e9
         }));
         [per_root, rerooted, fold, best]
+    }
+
+    /// The share of the `n (n − 1)` joins of every root's whole order that
+    /// `best_order`'s folds do not price.
+    pub(crate) fn skipped_share(q: &LargeQuery) -> f64 {
+        let m = Counted::new(true);
+        Ikkbz::best_order(q, &m, &Budget::new(None)).unwrap();
+        let n = q.num_rels();
+        1.0 - m.take_calls() as f64 / (n * (n - 1)) as f64
     }
 
     /// The entries and capacity of the `links` arena once every chain is
@@ -542,10 +757,11 @@ pub(crate) mod tests {
             gen::star(15, 1, &m),
             gen::cycle(12, 4, &m),
         ] {
-            let mut in_prefix = vec![true; q.num_rels()];
+            let mut prefix = Prefix::new(q.num_rels());
             let best = Ikkbz::run(&q, &m, None).unwrap();
             for (root, order) in every_root_order(&q).iter().enumerate() {
-                let folded = fold_left_deep(&q, order, &m, &mut in_prefix, |_, _, _| {});
+                let folded =
+                    fold_left_deep(&q, order.iter().copied(), &m, &mut prefix, |_, _, _| true);
                 let built = cost_left_deep(&q, order, &m);
                 assert_eq!(
                     folded.map(|(rows, cost)| (rows.to_bits(), cost.to_bits())),
@@ -594,6 +810,124 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn the_cutoff_keeps_the_winner_of_every_fold() {
+        // Every generated query and property graph to 200 relations in
+        // release (60 in debug), and `snowflake-1000` in release. The
+        // equal-statistics stars tie exactly: every leaf root costs the
+        // same, and the first must win. The folds must also have stopped
+        // somewhere, or this compares the old search with itself.
+        let mut queries = oracle_queries(max_oracle_rels());
+        queries.extend(property_graphs(max_oracle_rels(), 24));
+        if cfg!(not(debug_assertions)) {
+            let m = PgLikeCost::new();
+            queries.push(("snowflake-1000".into(), gen::snowflake(1000, 4, 1, &m)));
+        }
+        let m = Counted::new(true);
+        let (mut folded, mut every) = (0, 0);
+        for (name, q) in &queries {
+            let b = Budget::new(None);
+            let order = Ikkbz::best_order(q, &m, &b).unwrap();
+            folded += m.take_calls();
+            every += q.num_rels() * (q.num_rels() - 1);
+            assert_eq!(order, best_order_by_every_fold(q, &m), "{name}");
+            m.take_calls();
+        }
+        assert!(folded * 2 < every, "{folded} of {every} joins priced");
+    }
+
+    #[test]
+    fn a_root_that_ties_at_zero_is_not_stopped() {
+        // The slack keeps a positive tie's bound below it; at cost 0 only
+        // the strict `>` does. Under `C_out` with free scans, a root whose
+        // order joins an empty relation first costs 0: roots 1, 2 and 3 do,
+        // and root 0 does not. The passes visit 0, then 3, then 3's
+        // leaves, so 3 sets the least cost before 1 and 2 are folded, and
+        // 1, the first in index order, must still win.
+        let mut q = LargeQuery::new(
+            [10.0, 0.0, 0.0, 10.0]
+                .map(|rows| mpdp_core::query::RelInfo::new(rows, 0.0))
+                .to_vec(),
+        );
+        q.add_edge(0, 3, 0.5);
+        q.add_edge(3, 1, 0.1);
+        q.add_edge(3, 2, 0.2);
+        let m = mpdp_cost::cout::CoutCost;
+        assert!(Cutoff::new(&q, &m).is_some());
+        let order = Ikkbz::best_order(&q, &m, &Budget::new(None)).unwrap();
+        assert_eq!(order[0], 1, "{order:?}");
+        assert_eq!(order, best_order_by_every_fold(&q, &m));
+    }
+
+    #[test]
+    fn the_bound_never_exceeds_the_cost_of_the_whole_order() {
+        // The bound of every prefix of every root's order, against what
+        // that order costs once folded whole.
+        let m = PgLikeCost::new();
+        let mut queries = oracle_queries(max_oracle_rels().min(100));
+        queries.extend(property_graphs(max_oracle_rels().min(100), 12));
+        for (name, q) in queries {
+            let cut = Cutoff::new(&q, &m).expect("finite, non-negative statistics");
+            let mut prefix = Prefix::new(q.num_rels());
+            for (root, order) in every_root_order(&q).iter().enumerate() {
+                let mut scanned = q.rels[root].cost;
+                let mut bounds = vec![cut.bound(q.rels[root].cost, scanned)];
+                let (_, cost) =
+                    fold_left_deep(&q, order.iter().copied(), &m, &mut prefix, |v, _, cost| {
+                        scanned += q.rels[v].cost;
+                        bounds.push(cut.bound(cost, scanned));
+                        true
+                    })
+                    .unwrap();
+                for (at, bound) in bounds.into_iter().enumerate() {
+                    assert!(
+                        bound <= cost,
+                        "{name} root {root} prefix {at}: {bound} > {cost}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_model_without_a_floor_prunes_nothing() {
+        // The trait's default floor, `−∞`, bounds nothing: every root's order
+        // is folded whole, n − 1 joins each, and the winner is the same.
+        let floorless = Counted::new(false);
+        let pglike = PgLikeCost::new();
+        for (name, q) in oracle_queries(max_oracle_rels().min(100)) {
+            let n = q.num_rels();
+            let b = Budget::new(None);
+            let order = Ikkbz::best_order(&q, &floorless, &b).unwrap();
+            assert_eq!(floorless.take_calls(), n * (n - 1), "{name}");
+            assert_eq!(order, Ikkbz::best_order(&q, &pglike, &b).unwrap(), "{name}");
+        }
+    }
+
+    #[test]
+    fn the_cutoff_needs_a_floor_and_finite_non_negative_statistics() {
+        let m = PgLikeCost::new();
+        let q = gen::snowflake(40, 4, 1, &m);
+        assert!(Cutoff::new(&q, &m).is_some());
+        assert!(Cutoff::new(&q, &Counted::new(false)).is_none());
+        let spoilt: [&dyn Fn(&mut LargeQuery); 5] = [
+            &|q| q.rels[7].rows = f64::NAN,
+            &|q| q.rels[7].rows = f64::INFINITY,
+            &|q| q.rels[7].cost = -1.0,
+            &|q| q.adj[7][0].1 = f64::NAN,
+            &|q| q.rels.iter_mut().for_each(|r| r.cost = f64::MAX),
+        ];
+        for (k, spoil) in spoilt.iter().enumerate() {
+            let mut bad = q.clone();
+            spoil(&mut bad);
+            assert!(Cutoff::new(&bad, &m).is_none(), "case {k}");
+            // Without the cutoff every root is folded whole, NaN and all.
+            let b = Budget::new(None);
+            let order = Ikkbz::best_order(&bad, &m, &b).unwrap();
+            assert_eq!(order, best_order_by_every_fold(&bad, &m), "case {k}");
+        }
+    }
+
+    #[test]
     fn every_root_order_is_a_precedence_order_of_its_rooted_tree() {
         // In a tree, "every relation after the first has a tree neighbour
         // before it" is the same as "every relation comes after its parent
@@ -603,7 +937,7 @@ pub(crate) mod tests {
         for (name, q) in oracle_queries(max_oracle_rels()) {
             let n = q.num_rels();
             let tree = spanning_tree(&q);
-            let (mut pos, mut in_prefix) = (vec![0; n], vec![false; n]);
+            let (mut pos, mut prefix) = (vec![0; n], Prefix::new(n));
             for (root, order) in every_root_order(&q).iter().enumerate() {
                 assert_eq!(order[0], root, "{name}");
                 for (p, &r) in order.iter().enumerate() {
@@ -615,7 +949,8 @@ pub(crate) mod tests {
                         "{name} root {root}: relation {r} before its parent"
                     );
                 }
-                let priced = fold_left_deep(&q, order, &m, &mut in_prefix, |_, _, _| {});
+                let priced =
+                    fold_left_deep(&q, order.iter().copied(), &m, &mut prefix, |_, _, _| true);
                 assert!(priced.is_some(), "{name} root {root}");
             }
         }
@@ -655,15 +990,17 @@ pub(crate) mod tests {
 
     #[test]
     fn ikkbz_times_out_within_twice_its_budget() {
-        // An unbudgeted call on snowflake-1000 takes ~17 ms in release (far
-        // more in debug); the passes poll the budget per relation, so every
-        // call with 5 ms must time out, ~0.1 ms past it when nothing else
-        // runs. Being preempted only makes a call later, so the fastest of
-        // five calls is held to twice the budget: one call alone read over
-        // 10 ms in about one run in five while the crate's tests ran beside it
-        // on two cores.
+        // An unbudgeted call on snowflake-8000 takes ~80 ms in release (far
+        // more in debug), at least ten times the budget; `snowflake-1000`
+        // takes only ~2 ms, since most roots' folds stop early, and would
+        // not time out. The passes poll the budget per relation, so every call
+        // with 5 ms must time out, ~0.1 ms past it when nothing else runs.
+        // Being preempted only makes a call later, so the fastest of five
+        // calls is held to twice the budget: one call alone read over 10 ms
+        // in about one run in five while the crate's tests ran beside it on
+        // two cores.
         let m = PgLikeCost::new();
-        let q = gen::snowflake(1000, 4, 1, &m);
+        let q = gen::snowflake(8000, 4, 1, &m);
         let budget = Duration::from_millis(5);
         let fastest = (0..5)
             .map(|_| {
